@@ -8,9 +8,20 @@
 //! where the distance between two groups is the distance between their
 //! dominant γs (the γ related to the most tuples).
 //!
+//! The nearest-normal search is exact and bounded.  Every candidate after
+//! the first is asked "strictly closer than the best so far?" rather than
+//! "how far?": its record distance is summed attribute by attribute and
+//! abandoned the moment the partial sum reaches the incumbent, and under the
+//! edit metrics each attribute is answered by a bounded dynamic program that
+//! gives up after a few cells.  A typo'd key whose true neighbour is one or
+//! two edits away therefore rejects almost every other candidate on its first
+//! attribute.  Merges, tie-breaks (first minimal candidate in block order)
+//! and guard decisions are those of the exhaustive scan.
+//!
 //! Distances run through a per-block [`DistanceCache`] keyed on interned
-//! value pairs, so each distinct value pair pays the string metric exactly
-//! once per block no matter how many group comparisons revisit it.
+//! value pairs, which memoises what each probe proved — an exact distance or
+//! a lower bound — so a block re-planned against the same cache (every
+//! `outcome()` of a session) re-runs no metric at all.
 
 use crate::cache::{CacheStats, DistanceCache};
 use crate::index::{Block, Group, MlnIndex};
@@ -182,64 +193,51 @@ impl AbnormalGroupProcessor {
         if plan.abnormal.is_empty() {
             return plan;
         }
-        // Dominant-γ value ids of every *normal* group, computed once from
-        // the snapshot: only normal groups are valid merge targets (abnormal
-        // groups never merge into each other), and computing them up front
-        // keeps the nearest-normal search below from re-deriving (and
-        // re-allocating) them per abnormal × candidate pair.
+        // Dominant-γ value ids of every *normal* group, in block order,
+        // computed once from the snapshot: only normal groups are valid merge
+        // targets (abnormal groups never merge into each other), and
+        // computing them up front keeps the nearest-normal search below from
+        // re-deriving (and re-allocating) them per abnormal × candidate pair.
         // `plan.abnormal` is ascending by construction, so binary search
         // works for the membership test.
-        let normal_ids: Vec<Option<Vec<ValueId>>> = block
+        let normals: Vec<(usize, Vec<ValueId>)> = block
             .groups
             .iter()
             .enumerate()
-            .map(|(i, g)| {
-                if plan.abnormal.binary_search(&i).is_ok() || g.gammas.is_empty() {
-                    None
-                } else {
-                    Some(g.dominant_gamma().expect("normal group has γs").value_ids())
-                }
-            })
+            .filter(|(i, _)| plan.abnormal.binary_search(i).is_err())
+            .filter_map(|(i, g)| Some((i, g.dominant_gamma()?.value_ids())))
             .collect();
 
         for &ai in &plan.abnormal {
             let group = &block.groups[ai];
             // Nearest normal group by dominant-γ distance, optionally subject
             // to the normalized-distance merge guard.
-            let target_idx: Option<usize> = match group.dominant_gamma() {
-                None => None,
-                Some(dominant) => {
-                    let dominant_ids = dominant.value_ids();
-                    let mut best: Option<(usize, f64)> = None;
-                    for (ci, candidate_ids) in normal_ids.iter().enumerate() {
-                        let Some(candidate_ids) = candidate_ids else {
-                            continue;
-                        };
-                        let d = cache.record_distance(pool, &dominant_ids, candidate_ids);
-                        // Strict `<` so ties keep the *first* minimal
-                        // candidate, matching the historical
-                        // `Iterator::min_by` tie-breaking exactly.
-                        let closer = match &best {
-                            None => true,
-                            Some((_, best_d)) => d < *best_d,
-                        };
-                        if closer {
-                            best = Some((ci, d));
-                        }
+            let target_idx: Option<usize> = group.dominant_gamma().and_then(|dominant| {
+                let dominant_ids = dominant.value_ids();
+                // Each candidate is asked "strictly closer than the best so
+                // far?", not "how far?": the first candidate is measured in
+                // full, every later one only until its partial distance
+                // reaches the incumbent.  Strict `<` keeps the *first*
+                // minimal candidate, matching the historical
+                // `Iterator::min_by` tie-breaking exactly.
+                let mut nearest: Option<&(usize, Vec<ValueId>)> = None;
+                let mut nearest_d = f64::INFINITY;
+                for candidate in &normals {
+                    let closer =
+                        cache.record_distance_below(pool, &dominant_ids, &candidate.1, nearest_d);
+                    if let Some(d) = closer {
+                        nearest = Some(candidate);
+                        nearest_d = d;
                     }
-                    best.map(|(ci, _)| ci)
-                        .filter(|&ci| match self.distance_guard {
-                            None => true,
-                            Some(guard) => {
-                                let other_ids = normal_ids[ci]
-                                    .as_deref()
-                                    .expect("targets come from the normal set");
-                                cache.normalized_record_distance(pool, &dominant_ids, other_ids)
-                                    <= guard
-                            }
-                        })
                 }
-            };
+                // The winner was measured to the end, so the guard's
+                // normalized distances are already in the memo.
+                let (ci, nearest_ids) = nearest?;
+                let within_guard = self.distance_guard.is_none_or(|guard| {
+                    cache.normalized_record_distance(pool, &dominant_ids, nearest_ids) <= guard
+                });
+                within_guard.then_some(*ci)
+            });
 
             plan.record.merges.push(AgpMerge {
                 rule: block.rule,
@@ -448,6 +446,230 @@ mod tests {
             "AGP on the sample must compute some distances"
         );
         assert!((0.0..=1.0).contains(&stats.hit_rate()));
+    }
+
+    /// The exhaustive scan `plan_block` replaces, kept as the oracle: every
+    /// normal candidate's full un-memoised record distance, `min_by` (first
+    /// minimal candidate), then the guard on the un-memoised normalized
+    /// distance.  Returns the targets and how many merges the guard vetoed.
+    fn reference_targets(
+        agp: &AbnormalGroupProcessor,
+        block: &Block,
+        pool: &ValuePool,
+    ) -> (Vec<Option<usize>>, usize) {
+        let dominant_strs = |g: &Group| g.dominant_gamma().map(|d| d.resolve_values(pool));
+        let is_abnormal = |g: &Group| g.tuple_count() <= agp.tau;
+        let mut vetoes = 0;
+        let targets = block
+            .groups
+            .iter()
+            .filter(|g| is_abnormal(g))
+            .map(|group| {
+                let own = dominant_strs(group)?;
+                let (nearest, _) = block
+                    .groups
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, g)| !is_abnormal(g))
+                    .filter_map(|(ci, g)| {
+                        let d = distance::record_distance(&agp.metric, &own, &dominant_strs(g)?);
+                        Some((ci, d))
+                    })
+                    .min_by(|a, b| a.1.partial_cmp(&b.1).expect("distances are never NaN"))?;
+                let theirs = dominant_strs(&block.groups[nearest]).expect("a candidate has γs");
+                let vetoed = agp.distance_guard.is_some_and(|guard| {
+                    distance::normalized_record_distance(&agp.metric, &own, &theirs) > guard
+                });
+                vetoes += usize::from(vetoed);
+                (!vetoed).then_some(nearest)
+            })
+            .collect();
+        (targets, vetoes)
+    }
+
+    /// `plan_block` against the oracle on one block: same abnormal set, same
+    /// targets (hence same guard vetoes), and `AgpMerge` records that name
+    /// exactly those groups.  Returns (merges, vetoes) for the callers'
+    /// non-vacuity checks.
+    fn assert_plan_matches_reference(
+        agp: &AbnormalGroupProcessor,
+        block: &Block,
+        pool: &ValuePool,
+    ) -> (usize, usize) {
+        let context = format!(
+            "rule {:?}, {:?}, tau {}, guard {:?}",
+            block.rule, agp.metric, agp.tau, agp.distance_guard
+        );
+        let plan = agp.plan_block(block, pool, &mut DistanceCache::new(agp.metric));
+        let (targets, vetoes) = reference_targets(agp, block, pool);
+        assert_eq!(plan.targets, targets, "targets diverged: {context}");
+        let merges: Vec<AgpMerge> = plan
+            .abnormal
+            .iter()
+            .zip(&targets)
+            .map(|(&ai, target)| {
+                let resolve = |g: &Group| -> Vec<String> {
+                    g.resolve_key(pool)
+                        .into_iter()
+                        .map(str::to_string)
+                        .collect()
+                };
+                let group = &block.groups[ai];
+                assert!(group.tuple_count() <= agp.tau, "not abnormal: {context}");
+                AgpMerge {
+                    rule: block.rule,
+                    abnormal_key: resolve(group),
+                    target_key: target.map(|ci| resolve(&block.groups[ci])),
+                    tuples: group.all_tuples(),
+                    gamma_count: group.gamma_count(),
+                }
+            })
+            .collect();
+        assert_eq!(
+            plan.record.merges, merges,
+            "merge records diverged: {context}"
+        );
+        (targets.iter().flatten().count(), vetoes)
+    }
+
+    #[test]
+    fn bounded_search_matches_exhaustive_reference_on_seeded_workloads() {
+        use datagen::{CarGenerator, HaiGenerator, TpchGenerator};
+        // The benchmark's workloads in miniature: error rate, replacement
+        // ratio and τ as `benchmark/src/inputs.rs` sets them.
+        let tpch = TpchGenerator::default().with_rows(900).with_customers(60);
+        let hai = HaiGenerator::default().with_rows(700).with_providers(25);
+        let car = CarGenerator::default().with_rows(900);
+        let workloads = [
+            (tpch.dirty(0.02, 0.5, 11).dirty, TpchGenerator::rules(), 2),
+            (hai.dirty(0.02, 0.5, 12).dirty, HaiGenerator::rules(), 2),
+            (car.dirty(0.02, 0.5, 13).dirty, CarGenerator::rules(), 1),
+        ];
+        for (dirty, rules, tau) in workloads {
+            let index = MlnIndex::build(&dirty, &rules).unwrap();
+            for metric in Metric::ALL {
+                let (mut merges, mut vetoes) = (0, 0);
+                // No guard, the benchmark's, and one that vetoes every merge.
+                for guard in [None, Some(0.15), Some(0.0)] {
+                    let mut agp = AbnormalGroupProcessor::new(tau, metric);
+                    agp.distance_guard = guard;
+                    for block in &index.blocks {
+                        let (m, v) = assert_plan_matches_reference(&agp, block, index.pool());
+                        merges += m;
+                        vetoes += v;
+                    }
+                }
+                assert!(merges > 0, "{metric:?}: no merge was exercised");
+                assert!(vetoes > 0, "{metric:?}: no guard veto was exercised");
+            }
+        }
+    }
+
+    #[test]
+    fn equidistant_candidates_keep_the_first_in_block_order() {
+        use dataset::{Dataset, Schema};
+        // "AAB" is one edit from each of three normal keys, and every γ has
+        // the same result value: a three-way tie under every metric.
+        let mut ds = Dataset::new(Schema::new(&["CT", "ST"]));
+        for key in ["AAE", "AAC", "AAD"] {
+            for _ in 0..3 {
+                ds.push_row(vec![key.into(), "AL".into()]).unwrap();
+            }
+        }
+        ds.push_row(vec!["AAB".into(), "AL".into()]).unwrap();
+        let rules = rules::parse_rules("FD: CT -> ST").unwrap();
+        let index = MlnIndex::build(&ds, &rules).unwrap();
+        let block = index.block(RuleId(0));
+        let first_normal = block
+            .groups
+            .iter()
+            .position(|g| g.tuple_count() > 1)
+            .unwrap();
+        for metric in Metric::ALL {
+            for guard in [None, Some(0.15), Some(0.9)] {
+                let mut agp = AbnormalGroupProcessor::new(1, metric);
+                agp.distance_guard = guard;
+                assert_plan_matches_reference(&agp, block, index.pool());
+            }
+            let agp = AbnormalGroupProcessor::new(1, metric);
+            let plan = agp.plan_block(block, index.pool(), &mut DistanceCache::new(metric));
+            assert_eq!(plan.targets, vec![Some(first_normal)], "{metric:?}");
+        }
+    }
+
+    #[test]
+    fn a_block_of_only_abnormal_groups_plans_no_merge_and_probes_nothing() {
+        let index = sample_index();
+        for metric in Metric::ALL {
+            let agp = AbnormalGroupProcessor::new(100, metric).with_distance_guard(0.15);
+            for block in &index.blocks {
+                let mut cache = DistanceCache::new(metric);
+                let plan = agp.plan_block(block, index.pool(), &mut cache);
+                assert_eq!(plan.abnormal.len(), block.group_count());
+                assert!(plan.targets.iter().all(Option::is_none));
+                assert_eq!(cache.stats(), CacheStats::default());
+                assert_plan_matches_reference(&agp, block, index.pool());
+            }
+        }
+    }
+
+    /// What `car_session` does on every `outcome()`: re-plan a block against
+    /// the cache that served the previous plan.
+    #[test]
+    fn replanning_against_a_persistent_cache_reruns_only_what_changed() {
+        use datagen::TpchGenerator;
+        let generator = TpchGenerator::default().with_rows(900).with_customers(60);
+        let mut dirty = generator.dirty(0.02, 0.5, 11).dirty;
+        let rules = TpchGenerator::rules();
+        let mut index = MlnIndex::build(&dirty, &rules).unwrap();
+        let agp = AbnormalGroupProcessor::new(2, Metric::Levenshtein).with_distance_guard(0.15);
+        let mut cache = DistanceCache::new(agp.metric);
+
+        let first = agp.plan_block(&index.blocks[0], index.pool(), &mut cache);
+        let cold = cache.stats();
+        assert!(cold.misses > 0 && first.targets.iter().any(Option::is_some));
+        // Most give-ups are memoised as lower bounds, not dropped.
+        assert_eq!(cache.len() as u64, cold.misses);
+
+        // Same block, same cache: same plan, and every probe — exact or
+        // bounded — is answered by the memo.
+        let second = agp.plan_block(&index.blocks[0], index.pool(), &mut cache);
+        assert_eq!(second.abnormal, first.abnormal);
+        assert_eq!(second.targets, first.targets);
+        assert_eq!(second.record, first.record);
+        let warm = cache.stats();
+        assert_eq!(warm.misses, cold.misses, "a re-plan re-ran the metric");
+        assert_eq!(warm.hits - cold.hits, cold.hits + cold.misses);
+
+        // Splice one new abnormal group in: a typo of an existing key with
+        // values no other group has.
+        let block = &index.blocks[0];
+        let donor = block.groups.iter().find(|g| g.tuple_count() > 2).unwrap();
+        let donor_row = dirty.tuple(donor.all_tuples()[0]).values();
+        let mut row: Vec<String> = donor_row.into_iter().map(str::to_string).collect();
+        for attr in block.reason_attrs.iter().chain(&block.result_attrs) {
+            row[attr.index()].push('~');
+        }
+        let from = dirty.len();
+        dirty.push_row(row).unwrap();
+        let report = index.insert_tuples(&dirty, &rules, from, false);
+        assert_eq!(report.created_groups, vec![1]);
+
+        // Only the new group's probes can miss: every other abnormal group
+        // faces the same candidates with the same limits as before.
+        let block = &index.blocks[0];
+        let normal_groups = block.group_count() - first.abnormal.len() - 1;
+        let arity = block.reason_attrs.len() + block.result_attrs.len();
+        let third = agp.plan_block(block, index.pool(), &mut cache);
+        assert_eq!(third.abnormal.len(), first.abnormal.len() + 1);
+        let spliced = cache.stats();
+        let new_misses = spliced.misses - warm.misses;
+        assert!(new_misses > 0, "the new group was never measured");
+        assert!(
+            new_misses <= (normal_groups * arity) as u64,
+            "{new_misses} misses for one new group against {normal_groups} candidates"
+        );
+        assert_plan_matches_reference(&agp, block, index.pool());
     }
 
     #[test]

@@ -1,18 +1,34 @@
 //! Distance memoisation keyed on interned value pairs.
 //!
 //! AGP and RSC compare γs through string distances.  Within a block the same
-//! *value pair* recurs constantly — every abnormal group is compared against
-//! every normal group, and RSC's normalization constant revisits all γ pairs
-//! of a group — while the number of *distinct* value pairs is small.  Keying
-//! the metric on `(ValueId, ValueId)` (symmetric, order-normalized) makes
-//! each distinct pair pay the metric exactly once per cache lifetime; the
-//! pipeline instantiates one cache per block so the parallel and serial paths
-//! report identical statistics.
+//! *value pair* recurs constantly — RSC's normalization constant revisits all
+//! γ pairs of a group, a session re-plans a dirty block on every `outcome()`
+//! — while the number of *distinct* value pairs is small.  The memo is keyed
+//! on `(ValueId, ValueId)` (symmetric, order-normalized) and records what a
+//! probe actually proved about the pair:
+//!
+//! * an **exact** `(raw, normalized)` distance, once the metric ran to the
+//!   end, or
+//! * a **lower bound** "raw ≥ k", when a nearest-neighbour search only asked
+//!   "is this pair closer than `limit`?" and the bounded edit distance gave
+//!   up as soon as the answer was no.
+//!
+//! The contract between the bound and the memo: a probe is a *hit* when what
+//! is stored answers it — an exact distance answers every probe, a lower
+//! bound `k` answers every probe whose limit is at or under `k` — and a
+//! *miss* when the metric (bounded or not) has to run, after which the entry
+//! holds the stronger fact.  So a search repeated against the same cache
+//! re-runs nothing, and a distance that cannot win is never computed to the
+//! end nor stored as if it had been.  The pipeline instantiates one cache per
+//! block so the parallel and serial paths report identical statistics.
 
 use dataset::{ValueId, ValuePool};
-use distance::{DistanceMetric, Metric};
+use distance::{
+    bounded_damerau_levenshtein, bounded_levenshtein, normalized_edit_distance, DistanceMetric,
+    Metric,
+};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// Hit/miss counters of a [`DistanceCache`], aggregated into the stage
 /// records so benchmarks can report cache effectiveness.
@@ -43,15 +59,59 @@ impl CacheStats {
     }
 }
 
-/// A symmetric `(ValueId, ValueId) → (raw, normalized)` distance memo.
+/// What the memo knows about one value pair, in the metric's own terms so an
+/// entry stays as small as the bare `(raw, normalized)` pair it replaces.
+#[derive(Debug, Clone, Copy)]
+enum Memo {
+    /// An edit distance ran to the end: the distance, and the char length of
+    /// the longer value that its normalized form divides by.
+    Edits { raw: u32, max_len: u32 },
+    /// A bounded edit distance gave up: the raw distance is at least this.
+    AtLeast(u32),
+    /// A metric that is already normalized ran: raw == normalized.
+    Unit(f64),
+}
+
+impl Memo {
+    /// What a bounded edit distance run with cap `max` proved.
+    fn from_edit(outcome: Option<(usize, usize)>, max: usize) -> Memo {
+        let narrow = |n: usize| u32::try_from(n).expect("interned values are far shorter than 2³²");
+        match outcome {
+            Some((raw, max_len)) => Memo::Edits {
+                raw: narrow(raw),
+                max_len: narrow(max_len),
+            },
+            // Giving up means `max` is below the distance, hence below 2³².
+            None => Memo::AtLeast(narrow(max + 1)),
+        }
+    }
+
+    /// `(raw, normalized)` when the distance is known, `None` for a bound.
+    fn exact(self) -> Option<(f64, f64)> {
+        match self {
+            Memo::Edits { raw, max_len } => Some((
+                f64::from(raw),
+                normalized_edit_distance(raw as usize, max_len as usize),
+            )),
+            Memo::Unit(d) => Some((d, d)),
+            Memo::AtLeast(_) => None,
+        }
+    }
+}
+
+/// A symmetric `(ValueId, ValueId) →` exact distance or lower bound memo.
 #[derive(Debug, Clone)]
 pub struct DistanceCache {
     metric: Metric,
-    pairs: HashMap<(ValueId, ValueId), (f64, f64)>,
+    pairs: HashMap<(ValueId, ValueId), Memo>,
     stats: CacheStats,
 }
 
 impl DistanceCache {
+    /// Bytes of one memo entry (key and value, without hash-table overhead),
+    /// for the session's memory-budget accounting.
+    pub(crate) const ENTRY_BYTES: usize = std::mem::size_of::<((ValueId, ValueId), Memo)>();
+
     /// Create an empty cache for `metric`.
     pub fn new(metric: Metric) -> Self {
         DistanceCache {
@@ -71,8 +131,9 @@ impl DistanceCache {
         self.stats
     }
 
-    /// Number of distinct value pairs memoised so far (the cache's resident
-    /// footprint, used by the session's memory-budget accounting).
+    /// Number of distinct value pairs memoised so far, exact or bounded (the
+    /// cache's resident footprint, used by the session's memory-budget
+    /// accounting).
     pub fn len(&self) -> usize {
         self.pairs.len()
     }
@@ -82,41 +143,60 @@ impl DistanceCache {
         self.pairs.is_empty()
     }
 
-    /// Raw and normalized distance between two interned values.
-    fn pair(&mut self, pool: &ValuePool, a: ValueId, b: ValueId) -> (f64, f64) {
+    /// Raw and normalized distance between two interned values if the probe
+    /// finished, `None` if it proved `raw ≥ limit` without finishing.
+    ///
+    /// `Some` carries the exact distance whether or not it is below `limit`
+    /// (only the edit metrics can stop early), so the caller does the one
+    /// comparison that decides.  `limit = ∞` always finishes.
+    fn probe(
+        &mut self,
+        pool: &ValuePool,
+        a: ValueId,
+        b: ValueId,
+        limit: f64,
+    ) -> Option<(f64, f64)> {
         if a == b {
             self.stats.hits += 1;
-            return (0.0, 0.0);
+            return Some((0.0, 0.0));
         }
-        let key = if a <= b { (a, b) } else { (b, a) };
-        if let Some(&cached) = self.pairs.get(&key) {
-            self.stats.hits += 1;
-            return cached;
+        let slot = self.pairs.entry(if a <= b { (a, b) } else { (b, a) });
+        if let Entry::Occupied(known) = &slot {
+            let memo = *known.get();
+            // An exact distance answers every probe, a lower bound only
+            // those whose limit it reaches.
+            let answers = match memo {
+                Memo::AtLeast(bound) => limit <= f64::from(bound),
+                Memo::Edits { .. } | Memo::Unit(_) => true,
+            };
+            if answers {
+                self.stats.hits += 1;
+                return memo.exact();
+            }
         }
         self.stats.misses += 1;
-        let sa = pool.resolve(a);
-        let sb = pool.resolve(b);
-        let computed = match self.metric {
-            // For the edit distances the normalized form is raw / max-length:
-            // derive it instead of running the dynamic program twice.
-            Metric::Levenshtein | Metric::DamerauLevenshtein => {
-                let raw = self.metric.distance(sa, sb);
-                let max_len = sa.chars().count().max(sb.chars().count());
-                let normalized = if max_len == 0 {
-                    0.0
-                } else {
-                    raw / max_len as f64
-                };
-                (raw, normalized)
+        let (sa, sb) = (pool.resolve(a), pool.resolve(b));
+        // Edit distances are integers, so `raw < limit` is `raw ≤ ⌈limit⌉ - 1`
+        // (the cast saturates: ∞ becomes "no bound", anything under 1 becomes 0).
+        let max = (limit.ceil() - 1.0) as usize;
+        let memo = match self.metric {
+            Metric::Levenshtein => Memo::from_edit(bounded_levenshtein(sa, sb, max), max),
+            Metric::DamerauLevenshtein => {
+                Memo::from_edit(bounded_damerau_levenshtein(sa, sb, max), max)
             }
-            // The remaining metrics are already normalized; raw == normalized.
+            // The remaining metrics have no bounded form.
             Metric::Cosine | Metric::Jaccard | Metric::JaroWinkler => {
-                let d = self.metric.distance(sa, sb);
-                (d, d)
+                Memo::Unit(self.metric.distance(sa, sb))
             }
         };
-        self.pairs.insert(key, computed);
-        computed
+        slot.insert_entry(memo);
+        memo.exact()
+    }
+
+    /// Raw and normalized distance between two interned values.
+    fn pair(&mut self, pool: &ValuePool, a: ValueId, b: ValueId) -> (f64, f64) {
+        self.probe(pool, a, b, f64::INFINITY)
+            .expect("an unbounded probe always finishes")
     }
 
     /// Raw distance between two interned values.
@@ -137,6 +217,34 @@ impl DistanceCache {
             .zip(b)
             .map(|(&x, &y)| self.distance(pool, x, y))
             .sum()
+    }
+
+    /// The record distance if it is strictly below `limit`, `None` otherwise —
+    /// the question a nearest-neighbour search asks of every candidate but the
+    /// first (`limit` = the incumbent's distance; `∞` for none).
+    ///
+    /// Sums attribute by attribute in [`DistanceCache::record_distance`]'s
+    /// order and arithmetic, and stops as soon as the partial sum reaches
+    /// `limit` — exact, because distances are non-negative — without touching
+    /// the remaining attributes.  Each attribute is probed only for "closer
+    /// than what is left of the limit", which the edit metrics answer with
+    /// their bounded form.
+    pub fn record_distance_below(
+        &mut self,
+        pool: &ValuePool,
+        a: &[ValueId],
+        b: &[ValueId],
+        limit: f64,
+    ) -> Option<f64> {
+        debug_assert_eq!(a.len(), b.len(), "records must have the same arity");
+        let mut total = 0.0;
+        for (&x, &y) in a.iter().zip(b) {
+            if total >= limit {
+                return None;
+            }
+            total += self.probe(pool, x, y, limit - total)?.0;
+        }
+        (total < limit).then_some(total)
     }
 
     /// Normalized record distance in `[0, 1]`: the attribute-wise normalized
@@ -226,6 +334,110 @@ mod tests {
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 3);
         assert!((stats.hit_rate() - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn an_entry_is_no_larger_than_a_bare_distance_pair() {
+        // The memo's table is the top of AGP's memory; recording bounds as
+        // well as distances must not widen its buckets.
+        assert_eq!(
+            DistanceCache::ENTRY_BYTES,
+            std::mem::size_of::<((ValueId, ValueId), (f64, f64))>()
+        );
+    }
+
+    #[test]
+    fn a_give_up_is_memoised_as_a_lower_bound() {
+        let pool = pool();
+        let mut cache = DistanceCache::new(Metric::Levenshtein);
+        let a = [pool.lookup("DOTHAN").unwrap()];
+        let b = [pool.lookup("BOAZ").unwrap()];
+        assert_eq!(levenshtein("DOTHAN", "BOAZ"), 4);
+        let stats = |cache: &DistanceCache| (cache.stats().hits, cache.stats().misses);
+
+        // "Closer than 2?" — no, and the bounded metric ran to say so.
+        assert_eq!(cache.record_distance_below(&pool, &a, &b, 2.0), None);
+        assert_eq!(stats(&cache), (0, 1));
+        // The same or a tighter question is answered by the stored "≥ 2",
+        // in either argument order.
+        assert_eq!(cache.record_distance_below(&pool, &b, &a, 2.0), None);
+        assert_eq!(cache.record_distance_below(&pool, &a, &b, 1.0), None);
+        assert_eq!(stats(&cache), (2, 1));
+        // A looser one is not: the metric runs again and proves "≥ 3".
+        assert_eq!(cache.record_distance_below(&pool, &a, &b, 3.0), None);
+        assert_eq!(stats(&cache), (2, 2));
+        assert_eq!(cache.record_distance_below(&pool, &a, &b, 3.0), None);
+        assert_eq!(stats(&cache), (3, 2));
+        // An exact probe (RSC shares the session's cache) finishes the job…
+        assert_eq!(cache.distance(&pool, a[0], b[0]), 4.0);
+        assert_eq!(stats(&cache), (3, 3));
+        // …after which every question about the pair is a hit.
+        assert_eq!(cache.record_distance_below(&pool, &a, &b, 4.0), None);
+        assert_eq!(cache.record_distance_below(&pool, &a, &b, 5.0), Some(4.0));
+        assert_eq!(cache.normalized_distance(&pool, a[0], b[0]), 4.0 / 6.0);
+        assert_eq!(stats(&cache), (6, 3));
+        assert_eq!(
+            cache.len(),
+            1,
+            "one pair, one entry, however often it was strengthened"
+        );
+    }
+
+    #[test]
+    fn a_partial_sum_at_the_limit_skips_the_remaining_attributes() {
+        let pool = pool();
+        let ids = |values: [&str; 2]| values.map(|v| pool.lookup(v).unwrap());
+        for metric in Metric::ALL {
+            let mut cache = DistanceCache::new(metric);
+            let (a, b) = (ids(["DOTHAN", "AL"]), ids(["BOAZ", "AK"]));
+            let first = metric.distance("DOTHAN", "BOAZ");
+            // The first attribute alone reaches the limit…
+            assert_eq!(cache.record_distance_below(&pool, &a, &b, first), None);
+            let stats = cache.stats();
+            // …so (AL, AK) was never looked up, let alone measured.
+            assert_eq!(stats.hits + stats.misses, 1, "{metric:?}");
+            assert_eq!(cache.len(), 1, "{metric:?}");
+        }
+    }
+
+    #[test]
+    fn record_distance_below_is_the_full_distance_filtered_by_the_limit() {
+        // Every pair of two-attribute records over a pool with empty and
+        // non-ASCII values, every metric, limits on both sides of (and
+        // exactly at) the distance — against ONE cache per metric, so
+        // each probe meets whatever exact distances and lower bounds the
+        // earlier ones left behind.
+        let mut pool = ValuePool::new();
+        let ids = pool.intern_all(["DOTHAN", "DOTH", "BOAZ", "", "日本語", "日本"]);
+        let records: Vec<[ValueId; 2]> = ids
+            .iter()
+            .flat_map(|&x| ids.iter().map(move |&y| [x, y]))
+            .collect();
+        for metric in Metric::ALL {
+            let mut cache = DistanceCache::new(metric);
+            for a in &records {
+                for b in &records {
+                    let full = DistanceCache::new(metric).record_distance(&pool, a, b);
+                    for limit in [
+                        0.0,
+                        0.5,
+                        1.0,
+                        2.0,
+                        full,
+                        full + 0.25,
+                        full + 1.0,
+                        f64::INFINITY,
+                    ] {
+                        assert_eq!(
+                            cache.record_distance_below(&pool, a, b, limit),
+                            (full < limit).then_some(full),
+                            "{metric:?} {a:?} vs {b:?}, limit {limit}"
+                        );
+                    }
+                    assert_eq!(cache.record_distance(&pool, a, b), full);
+                }
+            }
+        }
     }
 
     #[test]

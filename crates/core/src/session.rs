@@ -1392,12 +1392,12 @@ fn refresh_block_traditional(
 /// not budgeted.
 const FUSION_SLOT_BYTES: usize = 64;
 
-/// Estimated bytes per memoised distance pair: the `(ValueId, ValueId) →
-/// (f64, f64)` entry plus hash-table overhead.
-const DISTANCE_PAIR_BYTES: usize = 48;
-
 /// Hash-table overhead per cache entry (control bytes plus slack).
 const HASH_SLOT_BYTES: usize = 16;
+
+/// Estimated bytes per memoised distance pair: the memo's entry (exact
+/// distance or lower bound, whatever shape it has) plus hash-table overhead.
+const DISTANCE_PAIR_BYTES: usize = DistanceCache::ENTRY_BYTES + HASH_SLOT_BYTES;
 
 /// Estimated resident bytes of one block cache (zero once spilled): the
 /// distance memo plus every [`GroupEntry`]'s owned buffers.  Counts what

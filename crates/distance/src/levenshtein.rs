@@ -11,6 +11,12 @@
 //! thread-local buffers, and a common prefix/suffix trim shrinks the dynamic
 //! program before it runs (typo'd values share almost their entire text with
 //! their correction).
+//!
+//! One dynamic program serves every form: the plain distances, the
+//! `*_with_max_len` forms (distance plus the length the normalized form
+//! divides by, from one scan of each string) and the `bounded_*` forms a
+//! nearest-neighbour search uses to ask "within `max` edits?" and get a no
+//! after a few cells.
 
 use std::cell::RefCell;
 
@@ -50,14 +56,30 @@ fn decode_and_trim(scratch: &mut Scratch, a: &str, b: &str) -> (usize, usize) {
     (prefix, suffix)
 }
 
-/// Levenshtein distance plus the char length of the longer input, computed in
-/// one pass over the decoded buffers (so [`normalized_levenshtein`] never
-/// re-counts chars).
-fn levenshtein_with_max_len(a: &str, b: &str) -> (usize, usize) {
+/// Stand-in for a DP cell outside the Ukkonen band: above every real
+/// distance, and small enough that adding an edit to it cannot overflow.
+const FAR: usize = usize::MAX / 2;
+
+/// The one dynamic program behind every edit distance of this module:
+/// `Some((distance, max_len))` iff `distance ≤ max`, where `max_len` is the
+/// char length of the longer input (what the normalized forms divide by,
+/// produced by the same pass that decodes the strings).
+///
+/// Three exact bounds keep a probe that cannot succeed short: strings whose
+/// trimmed lengths differ by more than `max` are rejected before any cell is
+/// filled; only the Ukkonen band `|i - j| ≤ max` of each row is computed (a
+/// cell outside it is above `max` whatever the characters are); and the
+/// program stops at the first row whose minimum exceeds `max`, because row
+/// minima never decrease.  With `max = usize::MAX` the band is the whole row
+/// and nothing is rejected — the unbounded forms are that call.
+///
+/// `TRANSPOSE` selects the restricted Damerau variant.  Trimming is safe for
+/// it: a transposition never pays to cross into a run of already-equal
+/// characters.
+fn edit_distance<const TRANSPOSE: bool>(a: &str, b: &str, max: usize) -> Option<(usize, usize)> {
     if a == b {
-        // Equal as UTF-8 ⇒ equal char count; only needed for normalization
-        // of two identical strings, where the distance is 0 anyway.
-        return (0, a.chars().count());
+        // Equal as UTF-8 ⇒ equal char count.
+        return Some((0, a.chars().count()));
     }
     SCRATCH.with(|scratch| {
         let scratch = &mut *scratch.borrow_mut();
@@ -72,26 +94,68 @@ fn levenshtein_with_max_len(a: &str, b: &str) -> (usize, usize) {
         } else {
             (sb, sa)
         };
-        if short.is_empty() {
-            return (long.len(), max_len);
+        let (m, n) = (short.len(), long.len());
+        if n - m > max {
+            return None;
+        }
+        if m == 0 {
+            return Some((n, max_len));
         }
 
+        // Rows d[i-2] (transpositions only), d[i-1], d[i].
+        let prev2 = &mut scratch.prev2;
         let prev = &mut scratch.prev;
         let curr = &mut scratch.curr;
         prev.clear();
-        prev.extend(0..=short.len());
+        prev.extend(0..=m);
         curr.clear();
-        curr.resize(short.len() + 1, 0);
+        curr.resize(m + 1, 0);
+        if TRANSPOSE {
+            prev2.clear();
+            prev2.resize(m + 1, 0);
+        }
 
-        for (i, lc) in long.iter().enumerate() {
-            curr[0] = i + 1;
-            for (j, sc) in short.iter().enumerate() {
-                let cost = usize::from(lc != sc);
-                curr[j + 1] = (prev[j + 1] + 1).min(curr[j] + 1).min(prev[j] + cost);
+        for i in 1..=n {
+            // The band of row i; `n - m ≤ max` keeps it non-empty.  The cells
+            // just outside it are set to FAR so the next row (whose band is
+            // one cell further right) never reads a stale value.
+            let lo = i.saturating_sub(max).max(1);
+            let hi = i.saturating_add(max).min(m);
+            let long_c = long[i - 1];
+            // d[i][j-1] and d[i-1][j-1], carried along the row.
+            let mut left = if lo == 1 { i } else { FAR };
+            let mut diagonal = prev[lo - 1];
+            curr[lo - 1] = left;
+            let mut row_min = left;
+            let cells = prev[lo..=hi].iter().zip(&short[lo - 1..hi]);
+            for (k, ((&up, &short_c), cell)) in cells.zip(&mut curr[lo..=hi]).enumerate() {
+                let mut best = (up + 1)
+                    .min(left + 1)
+                    .min(diagonal + usize::from(long_c != short_c));
+                if TRANSPOSE {
+                    let j = lo + k;
+                    if i > 1 && j > 1 && long_c == short[j - 2] && long[i - 2] == short_c {
+                        best = best.min(prev2[j - 2] + 1);
+                    }
+                }
+                *cell = best;
+                row_min = row_min.min(best);
+                left = best;
+                diagonal = up;
+            }
+            if row_min > max {
+                return None;
+            }
+            if hi < m {
+                curr[hi + 1] = FAR;
+            }
+            if TRANSPOSE {
+                std::mem::swap(prev2, prev);
             }
             std::mem::swap(prev, curr);
         }
-        (prev[short.len()], max_len)
+        let distance = prev[m];
+        (distance <= max).then_some((distance, max_len))
     })
 }
 
@@ -100,17 +164,34 @@ fn levenshtein_with_max_len(a: &str, b: &str) -> (usize, usize) {
 /// prefix/suffix trimming, using thread-local buffers (no per-call
 /// allocation in steady state).
 pub fn levenshtein(a: &str, b: &str) -> usize {
-    if a == b {
-        return 0;
-    }
     levenshtein_with_max_len(a, b).0
 }
 
+/// Levenshtein distance plus the char length of the longer input, from one
+/// scan of each string — what a caller needing both the raw and the
+/// normalized distance should use instead of counting chars again.
+pub fn levenshtein_with_max_len(a: &str, b: &str) -> (usize, usize) {
+    edit_distance::<false>(a, b, usize::MAX).expect("no distance exceeds usize::MAX")
+}
+
+/// Bounded Levenshtein: `Some((distance, max_len))` iff `distance ≤ max`,
+/// otherwise `None` after as few DP cells as prove it (length-difference
+/// reject, Ukkonen band, row-minimum exit).  A search for the nearest of many
+/// candidates passes the incumbent's distance minus one as `max`.
+pub fn bounded_levenshtein(a: &str, b: &str, max: usize) -> Option<(usize, usize)> {
+    edit_distance::<false>(a, b, max)
+}
+
 /// Levenshtein distance normalized to `[0, 1]` by the length of the longer
-/// string.  Two empty strings have distance `0`.  The length is produced by
-/// the same pass that decodes the strings for the distance — no second scan.
+/// string.  Two empty strings have distance `0`.
 pub fn normalized_levenshtein(a: &str, b: &str) -> f64 {
     let (distance, max_len) = levenshtein_with_max_len(a, b);
+    normalized_edit_distance(distance, max_len)
+}
+
+/// An edit distance normalized to `[0, 1]` by the `max_len` its `*_with_max_len`
+/// or `bounded_*` form returned; two empty strings have distance `0`.
+pub fn normalized_edit_distance(distance: usize, max_len: usize) -> f64 {
     if max_len == 0 {
         0.0
     } else {
@@ -120,53 +201,20 @@ pub fn normalized_levenshtein(a: &str, b: &str) -> f64 {
 
 /// Damerau-Levenshtein distance (restricted variant: adjacent transpositions
 /// count as a single edit).  Useful for typo-heavy data where character swaps
-/// are common.  Shares the thread-local buffers and the prefix/suffix trim
-/// with [`levenshtein`] (trimming is safe for the restricted variant: a
-/// transposition never pays to cross into a run of already-equal characters).
+/// are common.  Shares the dynamic program, the thread-local buffers and the
+/// prefix/suffix trim with [`levenshtein`].
 pub fn damerau_levenshtein(a: &str, b: &str) -> usize {
-    if a == b {
-        return 0;
-    }
-    SCRATCH.with(|scratch| {
-        let scratch = &mut *scratch.borrow_mut();
-        let (prefix, suffix) = decode_and_trim(scratch, a, b);
-        let (na, nb) = (scratch.a_chars.len(), scratch.b_chars.len());
-        let ac = &scratch.a_chars[prefix..na - suffix];
-        let bc = &scratch.b_chars[prefix..nb - suffix];
-        let (n, m) = (ac.len(), bc.len());
-        if n == 0 {
-            return m;
-        }
-        if m == 0 {
-            return n;
-        }
+    damerau_levenshtein_with_max_len(a, b).0
+}
 
-        // Three-row dynamic program: d[i-2], d[i-1], d[i].
-        let prev2 = &mut scratch.prev2;
-        let prev = &mut scratch.prev;
-        let curr = &mut scratch.curr;
-        prev2.clear();
-        prev2.resize(m + 1, 0);
-        prev.clear();
-        prev.extend(0..=m);
-        curr.clear();
-        curr.resize(m + 1, 0);
+/// The Damerau twin of [`levenshtein_with_max_len`].
+pub fn damerau_levenshtein_with_max_len(a: &str, b: &str) -> (usize, usize) {
+    edit_distance::<true>(a, b, usize::MAX).expect("no distance exceeds usize::MAX")
+}
 
-        for i in 1..=n {
-            curr[0] = i;
-            for j in 1..=m {
-                let cost = usize::from(ac[i - 1] != bc[j - 1]);
-                let mut best = (prev[j] + 1).min(curr[j - 1] + 1).min(prev[j - 1] + cost);
-                if i > 1 && j > 1 && ac[i - 1] == bc[j - 2] && ac[i - 2] == bc[j - 1] {
-                    best = best.min(prev2[j - 2] + 1);
-                }
-                curr[j] = best;
-            }
-            std::mem::swap(prev2, prev);
-            std::mem::swap(prev, curr);
-        }
-        prev[m]
-    })
+/// The Damerau twin of [`bounded_levenshtein`].
+pub fn bounded_damerau_levenshtein(a: &str, b: &str, max: usize) -> Option<(usize, usize)> {
+    edit_distance::<true>(a, b, max)
 }
 
 #[cfg(test)]
@@ -218,6 +266,58 @@ mod tests {
             }
             d[n][m]
         }
+    }
+
+    /// `bounded(a, b, max) == (full ≤ max).then_some(full)` for both
+    /// variants, over every kind of bound a search can pass: none at all, the
+    /// tightest, either side of the true distance, the string length, and
+    /// unbounded.  The returned `max_len` is pinned too.
+    fn assert_bounded_matches_full(a: &str, b: &str) {
+        let max_len = a.chars().count().max(b.chars().count());
+        type Bounded = fn(&str, &str, usize) -> Option<(usize, usize)>;
+        let variants: [(usize, Bounded); 2] = [
+            (reference::levenshtein(a, b), bounded_levenshtein),
+            (reference::damerau(a, b), bounded_damerau_levenshtein),
+        ];
+        for (full, bounded) in variants {
+            let bounds = [
+                0,
+                1,
+                2,
+                full.saturating_sub(1),
+                full,
+                full + 1,
+                max_len,
+                usize::MAX,
+            ];
+            for max in bounds {
+                assert_eq!(
+                    bounded(a, b, max),
+                    (full <= max).then_some((full, max_len)),
+                    "{a:?} vs {b:?}, max {max}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_forms_on_empty_and_non_ascii_strings() {
+        for (a, b) in [
+            ("", ""),
+            ("", "日本語"),
+            ("héllo", ""),
+            ("héllo", "hello"),
+            ("日本語", "日本"),
+            ("ab", "ba"),
+            ("DOTH", "DOTHAN"),
+            ("137 MARKET ST SUITE 2", "731 MARKET ST SUITE 9"),
+        ] {
+            assert_bounded_matches_full(a, b);
+            assert_bounded_matches_full(b, a);
+        }
+        assert_eq!(bounded_levenshtein("", "", 0), Some((0, 0)));
+        assert_eq!(bounded_levenshtein("ab", "ba", 1), None);
+        assert_eq!(bounded_damerau_levenshtein("ab", "ba", 1), Some((1, 2)));
     }
 
     #[test]
@@ -292,6 +392,22 @@ mod tests {
             let b = format!("{prefix}{mid_b}{suffix}");
             prop_assert_eq!(levenshtein(&a, &b), reference::levenshtein(&a, &b));
             prop_assert_eq!(damerau_levenshtein(&a, &b), reference::damerau(&a, &b));
+        }
+
+        #[test]
+        fn bounded_matches_full(a in "\\PC{0,24}", b in "\\PC{0,24}") {
+            assert_bounded_matches_full(&a, &b);
+        }
+
+        #[test]
+        fn bounded_matches_full_on_near_neighbours(
+            prefix in "[ab]{0,10}", mid_a in "[abc]{0,6}", mid_b in "[abc]{0,6}", suffix in "[ab]{0,10}"
+        ) {
+            // Small distances against long strings: the band is narrow and
+            // the row-minimum exit fires mid-program.
+            let a = format!("{prefix}{mid_a}{suffix}");
+            let b = format!("{prefix}{mid_b}{suffix}");
+            assert_bounded_matches_full(&a, &b);
         }
 
         #[test]

@@ -19,7 +19,11 @@ pub mod metric;
 pub use cosine::{cosine_distance, cosine_similarity};
 pub use jaccard::{jaccard_distance, jaccard_similarity};
 pub use jaro::{jaro_similarity, jaro_winkler_distance, jaro_winkler_similarity};
-pub use levenshtein::{damerau_levenshtein, levenshtein, normalized_levenshtein};
+pub use levenshtein::{
+    bounded_damerau_levenshtein, bounded_levenshtein, damerau_levenshtein,
+    damerau_levenshtein_with_max_len, levenshtein, levenshtein_with_max_len,
+    normalized_edit_distance, normalized_levenshtein,
+};
 pub use metric::{DistanceMetric, Metric};
 
 /// Distance between two multi-attribute records, computed attribute-wise and

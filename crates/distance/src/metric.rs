@@ -3,8 +3,8 @@
 //! paper swaps Levenshtein for cosine distance).
 
 use crate::{
-    cosine_distance, damerau_levenshtein, jaccard_distance, jaro_winkler_distance, levenshtein,
-    normalized_levenshtein,
+    cosine_distance, damerau_levenshtein, damerau_levenshtein_with_max_len, jaccard_distance,
+    jaro_winkler_distance, levenshtein, normalized_edit_distance, normalized_levenshtein,
 };
 use serde::{Deserialize, Serialize};
 
@@ -90,12 +90,8 @@ impl DistanceMetric for Metric {
         match self {
             Metric::Levenshtein => normalized_levenshtein(a, b),
             Metric::DamerauLevenshtein => {
-                let max_len = a.chars().count().max(b.chars().count());
-                if max_len == 0 {
-                    0.0
-                } else {
-                    damerau_levenshtein(a, b) as f64 / max_len as f64
-                }
+                let (distance, max_len) = damerau_levenshtein_with_max_len(a, b);
+                normalized_edit_distance(distance, max_len)
             }
             Metric::Cosine => cosine_distance(a, b),
             Metric::Jaccard => jaccard_distance(a, b),
