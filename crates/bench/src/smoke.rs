@@ -19,6 +19,7 @@ use crate::common::{rayon_threads, reports_identical, Scale, Workload};
 use dataset::{csv, RepairEvaluation};
 use distributed::DistributedStreamingSession;
 use mlnclean::{CacheStats, ChangeSet, CleaningSession, MlnClean, SessionSnapshot};
+use std::path::Path;
 use std::time::{Duration, Instant};
 use transport::{wire_session, FaultSchedule, WorkerCrash, CODEC_VERSION};
 
@@ -83,6 +84,7 @@ pub fn run(scale: Scale) -> Vec<(String, String)> {
             "{{\n",
             "  \"experiment\": \"smoke\",\n",
             "  \"codec_version\": {codec_version},\n",
+            "  \"product_lines\": {product_lines},\n",
             "  \"workload\": \"{workload}\",\n",
             "  \"scale\": \"{scale:?}\",\n",
             "  \"rows\": {rows},\n",
@@ -119,6 +121,7 @@ pub fn run(scale: Scale) -> Vec<(String, String)> {
             "}}\n",
         ),
         codec_version = CODEC_VERSION,
+        product_lines = product_lines().map_or("null".to_string(), |n| n.to_string()),
         workload = workload.name(),
         scale = scale,
         rows = dirty.dirty.len(),
@@ -154,6 +157,39 @@ pub fn run(scale: Scale) -> Vec<(String, String)> {
     );
 
     vec![("BENCH_smoke.json".to_string(), json)]
+}
+
+/// Lines of `*.rs` under `crates/*/src` of the checkout this binary was
+/// built from, counted now — the size trend of the product tree.  `None`
+/// when the sources are no longer beside the binary.
+fn product_lines() -> Option<usize> {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).parent()?;
+    let mut lines = 0;
+    for entry in std::fs::read_dir(crates).ok()? {
+        let src = entry.ok()?.path().join("src");
+        if src.is_dir() {
+            lines += rust_lines(&src)?;
+        }
+    }
+    Some(lines)
+}
+
+/// Newlines in every `*.rs` file under `dir`, recursively.
+fn rust_lines(dir: &Path) -> Option<usize> {
+    let mut lines = 0;
+    for entry in std::fs::read_dir(dir).ok()? {
+        let path = entry.ok()?.path();
+        if path.is_dir() {
+            lines += rust_lines(&path)?;
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            lines += std::fs::read(&path)
+                .ok()?
+                .iter()
+                .filter(|&&b| b == b'\n')
+                .count();
+        }
+    }
+    Some(lines)
 }
 
 /// One micro-batch's measurements in the streaming scenario.
@@ -799,6 +835,11 @@ mod tests {
         assert!(json.contains("\"suspended_at_batch\""));
         assert!(json.contains("\"snapshot_bytes\""));
         assert!(json.contains("\"matches_uninterrupted\": true"));
+        // The product-tree size: the tests run from the checkout, so it is
+        // a number here, and this file alone is hundreds of lines of it.
+        let lines = product_lines().expect("the sources are beside the test binary");
+        assert!(lines > 1000, "{lines}");
+        assert!(json.contains(&format!("\"product_lines\": {lines},")));
         // The simulated-transport probe and the codec-versioned header.
         assert!(json.contains(&format!("\"codec_version\": {CODEC_VERSION}")));
         assert!(json.contains("\"simulated_transport\""));

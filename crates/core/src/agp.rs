@@ -281,24 +281,10 @@ impl AbnormalGroupProcessor {
         for (&ai, &target) in plan.abnormal.iter().zip(&plan.targets) {
             let group = slots[ai].take().expect("abnormal indices are distinct");
             match target {
-                Some(ti) => {
-                    let target = slots[ti]
-                        .as_mut()
-                        .expect("targets are normal groups, never taken");
-                    // Move the abnormal group's γs into the target group,
-                    // merging identical γs (same full value vector — an id
-                    // comparison).
-                    for gamma in group.gammas {
-                        if let Some(existing) = target.gammas.iter_mut().find(|g| {
-                            g.reason_values == gamma.reason_values
-                                && g.result_values == gamma.result_values
-                        }) {
-                            existing.tuples.extend(gamma.tuples);
-                        } else {
-                            target.gammas.push(gamma);
-                        }
-                    }
-                }
+                Some(ti) => slots[ti]
+                    .as_mut()
+                    .expect("targets are normal groups, never taken")
+                    .absorb_gammas(group.gammas),
                 // No normal group exists in this block (e.g. every group is
                 // tiny); the group goes back untouched, after the survivors.
                 None => unmerged.push(group),

@@ -1,7 +1,6 @@
 //! Configuration of the MLNClean pipeline.
 
 use distance::Metric;
-use mln::LearningConfig;
 use serde::{Deserialize, Serialize};
 
 /// All tunables of a cleaning run.
@@ -14,8 +13,6 @@ pub struct CleanConfig {
     /// Distance metric used by AGP (group distance) and RSC (reliability
     /// score).  Levenshtein is the paper default (Table 5).
     pub metric: Metric,
-    /// Weight-learning configuration (diagonal Newton, Tuffy-style).
-    pub learning: LearningConfig,
     /// Maximum number of per-tuple data versions for which FSCR explores
     /// every fusion order exhaustively (`m!` orders).  Beyond this, a greedy
     /// weight-descending order is used instead — the paper's complexity
@@ -55,7 +52,6 @@ impl Default for CleanConfig {
         CleanConfig {
             tau: 1,
             metric: Metric::Levenshtein,
-            learning: LearningConfig::default(),
             max_exhaustive_fusion: 6,
             agp_distance_guard: None,
             deduplicate: true,
@@ -75,12 +71,6 @@ impl CleanConfig {
     /// Set the distance metric.
     pub fn with_metric(mut self, metric: Metric) -> Self {
         self.metric = metric;
-        self
-    }
-
-    /// Set the weight-learning configuration.
-    pub fn with_learning(mut self, learning: LearningConfig) -> Self {
-        self.learning = learning;
         self
     }
 
@@ -128,9 +118,15 @@ mod tests {
         let c = CleanConfig::default()
             .with_tau(10)
             .with_metric(Metric::Cosine)
-            .with_deduplicate(false);
+            .with_deduplicate(false)
+            .with_agp_distance_guard(0.5)
+            .with_memory_budget(1 << 20)
+            .with_parallel(false);
         assert_eq!(c.tau, 10);
         assert_eq!(c.metric, Metric::Cosine);
         assert!(!c.deduplicate);
+        assert_eq!(c.agp_distance_guard, Some(0.5));
+        assert_eq!(c.memory_budget, Some(1 << 20));
+        assert!(!c.parallel);
     }
 }

@@ -56,7 +56,7 @@ pub struct Timings {
     pub index: Duration,
     /// Abnormal group processing.
     pub agp: Duration,
-    /// MLN weight learning.
+    /// Closed-form Eq. 3 weight assignment ([`crate::weights`]).
     pub weight_learning: Duration,
     /// Reliability-score cleaning.
     pub rsc: Duration,

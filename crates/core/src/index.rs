@@ -70,6 +70,22 @@ impl Group {
         out
     }
 
+    /// Move `gammas` (another group's, by value) into this group the way an
+    /// AGP merge does: a γ whose full value vector — an id comparison —
+    /// matches one already here extends that γ's tuples, any other γ is
+    /// appended.
+    pub(crate) fn absorb_gammas(&mut self, gammas: impl IntoIterator<Item = Gamma>) {
+        for gamma in gammas {
+            if let Some(existing) = self.gammas.iter_mut().find(|g| {
+                g.reason_values == gamma.reason_values && g.result_values == gamma.result_values
+            }) {
+                existing.tuples.extend(gamma.tuples);
+            } else {
+                self.gammas.push(gamma);
+            }
+        }
+    }
+
     /// Whether the group is already in the ideal clean state (exactly one γ).
     pub fn is_clean(&self) -> bool {
         self.gammas.len() == 1

@@ -3,8 +3,8 @@
 //! Markov Logic Networks* (ICDE 2021 / arXiv:1903.05826).
 //!
 //! MLNClean combines qualitative cleaning (integrity constraints: FDs, CFDs,
-//! DCs) with quantitative cleaning (MLN weight learning) and proceeds in two
-//! stages over a two-layer **MLN index**:
+//! DCs) with quantitative cleaning (closed-form Eq. 3 MLN weights, see
+//! [`weights`]) and proceeds in two stages over a two-layer **MLN index**:
 //!
 //! 1. **Stage I — clean multiple data versions**, one version per rule/block:
 //!    * [`agp`] — Abnormal Group Processing merges suspiciously small groups

@@ -1278,15 +1278,7 @@ fn refresh_block_scoped(
         // Rebuild: merge the source γs the way `apply_plan` does …
         let mut group = pristine.groups[lead].clone();
         for &ai in &source_idx[1..] {
-            for gamma in pristine.groups[ai].gammas.iter().cloned() {
-                if let Some(existing) = group.gammas.iter_mut().find(|g| {
-                    g.reason_values == gamma.reason_values && g.result_values == gamma.result_values
-                }) {
-                    existing.tuples.extend(gamma.tuples);
-                } else {
-                    group.gammas.push(gamma);
-                }
-            }
+            group.absorb_gammas(pristine.groups[ai].gammas.iter().cloned());
         }
         // … weight against the block-wide Z (AGP merges preserve it) …
         assign_group_weights(&mut group, z);
@@ -1360,7 +1352,7 @@ fn refresh_block_traditional(
 ) -> RefreshedBlock {
     let mut block = pristine.clone();
     let agp = AgpStage::run_block(config, &mut block, pool);
-    WeightLearningStage::run_block(config, &mut block);
+    WeightLearningStage::run_block(&mut block);
     injected.apply_to_block(&mut block, pool);
     let rsc = RscStage::run_block(config, &mut block, pool);
 

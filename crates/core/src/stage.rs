@@ -1,17 +1,19 @@
 //! Explicit pipeline stages over a shared [`StageContext`].
 //!
-//! Algorithm 1 is a fixed stage sequence — index construction → AGP → weight
-//! learning → RSC → FSCR → deduplication — but three different drivers need
-//! to compose it: the batch [`crate::MlnClean`] wrapper, the incremental
-//! [`crate::CleaningSession`] (which re-runs Stage I per dirty block), and
-//! the distributed runner (which splits Stage I around a global weight
+//! Algorithm 1 is a fixed stage sequence — index construction → AGP →
+//! closed-form Eq. 3 weights → RSC → FSCR → deduplication.  The batch
+//! [`crate::MlnClean`] does not compose it from these objects: it is one
+//! bulk ingest plus [`crate::CleaningSession::finish`].  The drivers that do
+//! are the incremental [`crate::CleaningSession`] and the streaming
+//! distributed driver (which re-run Stage I per dirty block) and the
+//! distributed batch runner (which splits Stage I around a global weight
 //! merge).  Each stage is therefore an explicit object with
 //!
 //! * a whole-index [`PipelineStage::run`] over a [`StageContext`] (used by
-//!   the batch and distributed paths), and
-//! * where the stage is per-block — AGP, weight learning, RSC — a
-//!   `run_block` entry point (used by the incremental session), guaranteed
-//!   to produce byte-identical results because blocks are independent.
+//!   the distributed batch runner), and
+//! * where the stage is per-block — AGP, weights, RSC — a `run_block` entry
+//!   point (used by the session and the streaming driver), guaranteed to
+//!   produce byte-identical results because blocks are independent.
 //!
 //! The context bundles everything a stage may touch: the (dirty) dataset,
 //! the configuration, the MLN index being cleaned in place, and the
@@ -124,16 +126,14 @@ impl PipelineStage for AgpStage {
     }
 }
 
-/// Markov weight learning (Stage I, per block).
+/// Closed-form Eq. 3 weight assignment (Stage I, per block).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WeightLearningStage;
 
 impl WeightLearningStage {
     /// Assign weights for a single block (the incremental per-dirty-block
-    /// entry point).  The config parameter is kept for call-site stability;
-    /// the closed-form softmax needs no learning configuration.
-    pub fn run_block(config: &CleanConfig, block: &mut Block) {
-        let _ = config;
+    /// entry point).
+    pub fn run_block(block: &mut Block) {
         assign_block_weights(block);
     }
 }

@@ -1,8 +1,8 @@
-//! Block-level weight learning in closed form: the Eq. 3 block softmax of
-//! the Eq. 4 support evidence, `Pr(γᵢ) = softmax(w)ᵢ` with `wᵢ = ln c(γᵢ)`,
-//! which collapses algebraically to `Pr(γᵢ) = c(γᵢ) / Σⱼ c(γⱼ)` — the exact
-//! fixed point the old Tuffy-style diagonal-Newton learner converged to
-//! within its tolerance.
+//! Block-level MLN weights in closed form: the Eq. 3 block softmax of the
+//! Eq. 4 support evidence, `Pr(γᵢ) = softmax(w)ᵢ` with `wᵢ = ln c(γᵢ)`,
+//! which collapses algebraically to `Pr(γᵢ) = c(γᵢ) / Σⱼ c(γⱼ)` — the fixed
+//! point of maximising the block's likelihood over the γ weights, so no
+//! iterative learner runs.
 //!
 //! The closed form is what makes the softmax *incrementally maintainable*:
 //! a γ's weight depends only on its own support and its probability only on

@@ -770,7 +770,7 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
         let started = Instant::now();
         let mut work = work;
         for (_, block, _, _) in &mut work {
-            WeightLearningStage::run_block(config, block);
+            WeightLearningStage::run_block(block);
         }
         for (_, block, _, _) in &work {
             self.merged_weights.absorb_block(block, pool);

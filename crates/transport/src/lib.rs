@@ -6,9 +6,10 @@
 //! promotes that partition boundary to a **message boundary** and makes the
 //! result testable without a network:
 //!
-//! * [`codec`] — the [`mlnw`] codec (re-exported): a compact self-describing
-//!   binary format implementing the serde `Serializer`/`Deserializer`
-//!   surface, with an `MLNW` magic + version header on every frame;
+//! * the [`mlnw`] codec (its entry points re-exported at the crate root): a
+//!   compact self-describing binary format implementing the serde
+//!   `Serializer`/`Deserializer` surface, with an `MLNW` magic + version
+//!   header on every frame;
 //! * [`message`] — the wire vocabulary: envelopes carrying the
 //!   request/response pairs of the
 //!   [`distributed::PartitionBackend`] surface ([`mlnclean::ChangeSet`]
@@ -35,16 +36,15 @@
 //! datagrams plus idempotent handlers keyed by batch sequence number, not
 //! from any reliability assumption about the transport.
 
-pub mod codec;
 pub mod log;
 pub mod message;
 pub mod service;
 pub mod sim;
 pub mod worker;
 
-pub use codec::{from_bytes, to_bytes, CodecError, CODEC_VERSION, MAGIC};
 pub use log::{ChangeLog, LogEntry, MemLog};
 pub use message::{Envelope, NodeId, Payload, Request, Response, COORDINATOR};
+pub use mlnw::{from_bytes, to_bytes, CodecError, CODEC_VERSION, MAGIC};
 pub use service::{wire_session, CleaningService, ClientId, Ticket, WireBackend, WireSession};
 pub use sim::{FaultSchedule, LinkOutage, NetCounters, SimNet, WorkerCrash};
 pub use worker::{PartitionWorker, WorkerCheckpoint};

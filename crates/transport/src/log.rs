@@ -6,7 +6,7 @@
 //! log in order reconstructs byte-identical session state (the pipeline is
 //! deterministic — same batches in, same cells and provenance out).
 //!
-//! Entries are stored as **encoded frames** ([`crate::codec`] bytes of the
+//! Entries are stored as **encoded frames** ([`mlnw`] bytes of the
 //! [`mlnclean::ChangeSet`]), not live objects: what survives a crash is
 //! whatever was written through the codec, so replay exercises the same
 //! decode path a remote disk or replicated log would.
@@ -89,7 +89,6 @@ impl ChangeLog for MemLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec;
     use mlnclean::{ChangeSet, Mutation};
 
     #[test]
@@ -103,12 +102,12 @@ mod tests {
             })
             .collect();
         for (i, batch) in batches.iter().enumerate() {
-            log.append(i as u64, &codec::to_bytes(batch).unwrap());
+            log.append(i as u64, &mlnw::to_bytes(batch).unwrap());
         }
         assert_eq!(log.len(), 3);
         for (i, entry) in log.entries().iter().enumerate() {
             assert_eq!(entry.batch_seq, i as u64);
-            let back: ChangeSet = codec::from_bytes(&entry.payload).unwrap();
+            let back: ChangeSet = mlnw::from_bytes(&entry.payload).unwrap();
             assert_eq!(back, batches[i]);
         }
     }

@@ -149,8 +149,8 @@ pub enum Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{from_bytes, to_bytes};
     use mlnclean::Mutation;
+    use mlnw::{from_bytes, to_bytes};
 
     #[test]
     fn envelopes_round_trip_through_the_codec() {

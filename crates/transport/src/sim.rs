@@ -1,7 +1,7 @@
 //! Deterministic simulated transport.
 //!
 //! [`SimNet`] is an in-process datagram network with a discrete tick clock.
-//! Sends serialize the envelope through the [`crate::codec`] (every message
+//! Sends serialize the envelope through the [`mlnw`] codec (every message
 //! really crosses the byte boundary), consult the seeded [`FaultSchedule`],
 //! and enqueue zero or more deliveries at future ticks; [`SimNet::advance`]
 //! pops the earliest delivery, moves the clock to it, and decodes the bytes
@@ -26,7 +26,6 @@
 //! replays the named worker when the clock passes `at` (see
 //! [`crate::service`]); the network itself only transports bytes.
 
-use crate::codec;
 use crate::message::{Envelope, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -180,7 +179,7 @@ impl SimNet {
     /// fault schedule decides how many copies (0, 1 or 2) get scheduled and
     /// when they land.
     pub fn send(&mut self, envelope: &Envelope) {
-        let bytes = codec::to_bytes(envelope).expect("wire types always encode");
+        let bytes = mlnw::to_bytes(envelope).expect("wire types always encode");
         self.counters.sent += 1;
         self.counters.bytes_sent += bytes.len() as u64;
 
@@ -232,7 +231,7 @@ impl SimNet {
         let Reverse(flight) = self.inflight.pop()?;
         self.clock = self.clock.max(flight.deliver_at);
         self.counters.delivered += 1;
-        Some(codec::from_bytes(&flight.bytes).expect("the network only carries encoded envelopes"))
+        Some(mlnw::from_bytes(&flight.bytes).expect("the network only carries encoded envelopes"))
     }
 
     /// Whether any datagram is still in flight.

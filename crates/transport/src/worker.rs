@@ -39,7 +39,6 @@
 //! cursor the snapshot is deterministic, and a retransmit duplicate at the
 //! same cursor is re-acknowledged from the stored checkpoint.
 
-use crate::codec;
 use crate::log::{ChangeLog, MemLog};
 use crate::message::{Request, Response};
 use dataset::{Schema, TupleId};
@@ -135,7 +134,7 @@ impl PartitionWorker {
                 // between deliveries, so the pair is atomic anyway).
                 self.log.append(
                     batch_seq,
-                    &codec::to_bytes(&changes).expect("change sets encode"),
+                    &mlnw::to_bytes(&changes).expect("change sets encode"),
                 );
                 let report = self
                     .session
@@ -190,7 +189,7 @@ impl PartitionWorker {
                     }
                 }
                 let frame =
-                    codec::to_bytes(&self.session.snapshot()).expect("session snapshots encode");
+                    mlnw::to_bytes(&self.session.snapshot()).expect("session snapshots encode");
                 let snapshot_bytes = frame.len() as u64;
                 self.checkpoint = Some(WorkerCheckpoint {
                     frame,
@@ -219,7 +218,7 @@ impl PartitionWorker {
         let replay_from = match &self.checkpoint {
             Some(cp) => {
                 let snapshot: SessionSnapshot =
-                    codec::from_bytes(&cp.frame).expect("checkpoint frames decode");
+                    mlnw::from_bytes(&cp.frame).expect("checkpoint frames decode");
                 self.session =
                     CleaningSession::resume(self.config.clone(), self.rules.clone(), snapshot)
                         .expect("a snapshot that was taken resumes");
@@ -245,7 +244,7 @@ impl PartitionWorker {
                 continue;
             }
             let changes: ChangeSet =
-                codec::from_bytes(&entry.payload).expect("journaled frames decode");
+                mlnw::from_bytes(&entry.payload).expect("journaled frames decode");
             let report = self
                 .session
                 .apply(changes)

@@ -2,13 +2,15 @@
 """Invariant checks and the CI regression gate for the BENCH_*.json artifacts.
 
 Usage:
-    assert_bench.py smoke  results/BENCH_smoke.json
+    assert_bench.py smoke  results/BENCH_smoke.json [--baseline BENCH_smoke.json]
     assert_bench.py ladder results/BENCH_ladder.json [--baseline BENCH_ladder.json]
                                                      [--tolerance 0.25]
 
 `smoke` asserts the streaming/incremental/distributed probes of the smoke
 artifact kept their correctness invariants (byte-identity with the batch
-engine, dirty blocks < total blocks, real mutations applied).
+engine, dirty blocks < total blocks, real mutations applied), requires the
+`product_lines` key and prints it next to the `--baseline` artifact's value
+(visible, not gated).
 
 `ladder` asserts the structural invariants of the benchmark ladder (monotone
 rung sizes, byte-identity wherever it was checked, errors injected, RSS
@@ -62,8 +64,14 @@ def check_codec_header(d, where):
           f"must name the frame format they were written under)")
 
 
-def check_smoke(d):
+def check_smoke(d, committed=None):
     check_codec_header(d, "smoke")
+    check("product_lines" in d and isinstance(d["product_lines"], (int, type(None))),
+          "smoke: artifact lacks product_lines (lines of *.rs under "
+          "crates/*/src, null when the sources were not beside the binary)")
+    # Shown, not gated: the trend of the product tree's size.
+    print("product lines:", d["product_lines"],
+          f"(committed: {committed.get('product_lines')})" if committed else "")
     s = d["streaming"]
     check(s["hai_stream"]["final_matches_one_shot"] is True,
           "streamed HAI result diverged from the one-shot run")
@@ -293,20 +301,23 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("kind", choices=["smoke", "ladder"])
     parser.add_argument("artifact")
-    parser.add_argument("--baseline", help="committed BENCH_ladder.json to gate against")
+    parser.add_argument("--baseline", help="committed artifact: the BENCH_ladder*.json "
+                        "to gate against, or the BENCH_smoke.json to print beside")
     parser.add_argument("--tolerance", type=float, default=0.25,
                         help="allowed relative regression (default 0.25)")
     args = parser.parse_args()
 
     with open(args.artifact) as f:
         d = json.load(f)
+    base = None
+    if args.baseline:
+        with open(args.baseline) as f:
+            base = json.load(f)
     if args.kind == "smoke":
-        check_smoke(d)
+        check_smoke(d, base)
     else:
         check_ladder(d, tolerance=args.tolerance)
-        if args.baseline:
-            with open(args.baseline) as f:
-                base = json.load(f)
+        if base:
             check_ladder(base, fresh=False, tolerance=args.tolerance)
             gate_ladder(d, base, args.tolerance)
 
