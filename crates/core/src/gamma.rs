@@ -102,40 +102,39 @@ impl Gamma {
     /// an attribute appears in both parts (possible for some DCs) the reason
     /// occurrence wins.
     pub fn attr_value_pairs(&self) -> Vec<(AttrId, ValueId)> {
-        let mut out: Vec<(AttrId, ValueId)> = Vec::new();
-        for (&a, &v) in self.reason_attrs.iter().zip(&self.reason_values) {
-            if !out.iter().any(|(x, _)| *x == a) {
-                out.push((a, v));
-            }
-        }
-        for (&a, &v) in self.result_attrs.iter().zip(&self.result_values) {
-            if !out.iter().any(|(x, _)| *x == a) {
-                out.push((a, v));
-            }
-        }
-        out
+        self.pairs().collect()
     }
 
-    /// The value id this γ assigns to `attr`, if the γ covers that attribute.
+    /// [`Self::attr_value_pairs`] without the `Vec`: every occurrence whose
+    /// attribute no earlier occurrence carries.
+    pub(crate) fn pairs(&self) -> impl Iterator<Item = (AttrId, ValueId)> + '_ {
+        self.occurrences()
+            .enumerate()
+            .filter(|&(i, (a, _))| !self.occurrences().take(i).any(|(x, _)| x == a))
+            .map(|(_, pair)| pair)
+    }
+
+    /// Every `(attribute, value)` occurrence, reason part first, repeated
+    /// attributes included.
+    fn occurrences(&self) -> impl Iterator<Item = (AttrId, ValueId)> + '_ {
+        let reason = self.reason_attrs.iter().zip(&self.reason_values);
+        let result = self.result_attrs.iter().zip(&self.result_values);
+        reason.chain(result).map(|(&a, &v)| (a, v))
+    }
+
+    /// The value id this γ assigns to `attr`, if the γ covers that attribute
+    /// (its first occurrence — the one [`Self::attr_value_pairs`] keeps).
     pub fn value_of(&self, attr: AttrId) -> Option<ValueId> {
-        self.attr_value_pairs()
-            .into_iter()
-            .find(|(a, _)| *a == attr)
-            .map(|(_, v)| v)
+        self.occurrences().find(|&(a, _)| a == attr).map(|(_, v)| v)
     }
 
     /// Whether two γs conflict: they share at least one attribute and
     /// disagree on at least one shared attribute (the conflict test of
-    /// Algorithm 2).  Pure integer comparisons — no strings are resolved.
+    /// Algorithm 2).  Pure integer comparisons — no strings are resolved
+    /// and nothing is allocated.
     pub fn conflicts_with(&self, other: &Gamma) -> bool {
-        for (attr, value) in self.attr_value_pairs() {
-            if let Some(other_value) = other.value_of(attr) {
-                if other_value != value {
-                    return true;
-                }
-            }
-        }
-        false
+        self.pairs()
+            .any(|(attr, value)| other.value_of(attr).is_some_and(|v| v != value))
     }
 
     /// Render the γ in the paper's `{CT: BOAZ, ST: AL}` notation, resolving
@@ -243,6 +242,62 @@ mod tests {
         let a = gamma(&schema, &mut pool, &[("A", "1")], &[("B", "2")]);
         let b = gamma(&schema, &mut pool, &[("C", "3")], &[("D", "4")]);
         assert!(!a.conflicts_with(&b));
+    }
+
+    #[test]
+    fn allocation_free_tests_match_the_pair_list_definition() {
+        // The definitions `value_of` / `conflicts_with` had when they
+        // materialised `attr_value_pairs()` per call.
+        fn value_of(g: &Gamma, attr: AttrId) -> Option<ValueId> {
+            let pairs = g.attr_value_pairs();
+            pairs.into_iter().find(|(a, _)| *a == attr).map(|(_, v)| v)
+        }
+        fn conflicts(a: &Gamma, b: &Gamma) -> bool {
+            a.attr_value_pairs()
+                .into_iter()
+                .any(|(attr, v)| value_of(b, attr).is_some_and(|o| o != v))
+        }
+        let (schema, mut pool) = pool();
+        // The DC case: CT sits in both parts with different values — the
+        // reason occurrence (BOAZ) is the γ's CT.
+        let both = gamma(
+            &schema,
+            &mut pool,
+            &[("CT", "BOAZ"), ("ST", "AL")],
+            &[("CT", "DOTHAN"), ("PN", "2567688400")],
+        );
+        let ct = schema.attr_id("CT").unwrap();
+        assert_eq!(both.attr_value_pairs().len(), 3);
+        assert_eq!(both.value_of(ct), pool.lookup("BOAZ"));
+        let gammas = [
+            both,
+            gamma(&schema, &mut pool, &[("CT", "BOAZ")], &[("ST", "AL")]),
+            gamma(&schema, &mut pool, &[("CT", "DOTHAN")], &[("ST", "AL")]),
+            gamma(&schema, &mut pool, &[("CT", "BOAZ")], &[("ST", "AK")]),
+            gamma(
+                &schema,
+                &mut pool,
+                &[("HN", "ELIZA")],
+                &[("PN", "2567688400")],
+            ),
+            gamma(&schema, &mut pool, &[("HN", "ELIZA")], &[("HN", "BOAZ")]),
+        ];
+        let mut conflicting = 0;
+        for a in &gammas {
+            for attr in schema.attr_ids() {
+                assert_eq!(a.value_of(attr), value_of(a, attr), "{a} on {attr}");
+            }
+            for b in &gammas {
+                assert_eq!(a.conflicts_with(b), conflicts(a, b), "{a} vs {b}");
+                conflicting += usize::from(a.conflicts_with(b));
+            }
+        }
+        // Disjoint, agreeing and disagreeing pairs all occur; the result-part
+        // DOTHAN of the first γ conflicts with nothing.
+        assert!(!gammas[0].conflicts_with(&gammas[1]));
+        assert!(gammas[0].conflicts_with(&gammas[2]));
+        assert!(!gammas[1].conflicts_with(&gammas[4]));
+        assert!(conflicting > 0 && conflicting < gammas.len() * gammas.len());
     }
 
     #[test]

@@ -47,7 +47,7 @@ use crate::changeset::{ChangeSet, Mutation};
 use crate::engine::{Report, Timings};
 use crate::error::CleanError;
 use crate::fscr::{
-    apply_tuple_fusion, record_tuple_fusion, ConflictResolver, FscrRecord, TupleFusion,
+    record_tuple_fusion, write_tuple_fusion, ConflictResolver, FscrRecord, TupleFusion,
 };
 use crate::index::{Block, Group, InsertReport, MlnIndex};
 use crate::rsc::{ReliabilityCleaner, RscRecord, RscRepair};
@@ -1069,42 +1069,19 @@ impl CleaningSession {
         }
         let started = Instant::now();
         let resolver = ConflictResolver::new(self.config.max_exhaustive_fusion);
-        let tuples: HashSet<TupleId> = invalid.iter().copied().collect();
-        let plan = resolver.plan_for(&self.cleaned, &self.dataset, &self.rules, &tuples);
-        // Fusion is a pure function of (plan, tuple) — fan the invalidated
-        // tuples out across the pool when configured to.
-        let fused: Vec<TupleFusion> = if self.config.parallel {
-            invalid
-                .par_iter()
-                .map(|&t| resolver.fuse_tuple(&plan, t))
-                .collect()
-        } else {
-            invalid
-                .iter()
-                .map(|&t| resolver.fuse_tuple(&plan, t))
-                .collect()
-        };
-        drop(plan);
+        let plan = resolver.plan_for(&self.cleaned, &self.dataset, &self.rules, &invalid);
         // Fold each new fusion into the maintained repaired dataset: reset
         // the row to its dirty values (its previous fusion may have written
-        // cells the new one no longer does), then apply the fusion.
-        let mut scratch = FscrRecord::default();
-        for (&t, fusion) in invalid.iter().zip(&fused) {
+        // cells the new one no longer does), then write the fusion.
+        for &t in &invalid {
+            let fusion = resolver.fuse_tuple(&plan, t);
             for (a, &id) in self.dataset.row_ids(t).iter().enumerate() {
                 self.repaired.set_value_id(t, AttrId(a), id);
             }
-            apply_tuple_fusion(
-                &mut self.repaired,
-                self.cleaned.pool(),
-                t,
-                fusion,
-                &mut scratch,
-            );
-        }
-        self.memoised_fusions += invalid.len();
-        for (t, fusion) in invalid.into_iter().zip(fused) {
+            write_tuple_fusion(&mut self.repaired, t, &fusion);
             self.fusions[t.index()] = Some(fusion);
         }
+        self.memoised_fusions += invalid.len();
         self.timings.fscr += started.elapsed();
     }
 

@@ -191,11 +191,7 @@ impl PipelineStage for FscrStage {
     fn run(&self, ctx: &mut StageContext<'_>) {
         let start = Instant::now();
         let resolver = ConflictResolver::new(ctx.config.max_exhaustive_fusion);
-        let (repaired, record) = if ctx.config.parallel {
-            resolver.resolve_parallel(ctx.dataset, ctx.index)
-        } else {
-            resolver.resolve(ctx.dataset, ctx.index)
-        };
+        let (repaired, record) = resolver.resolve(ctx.dataset, ctx.index);
         ctx.repaired = Some(repaired);
         ctx.records.fscr = record;
         ctx.records.timings.fscr += start.elapsed();
