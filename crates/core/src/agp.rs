@@ -25,9 +25,9 @@
 
 use crate::cache::{CacheStats, DistanceCache};
 use crate::index::{Block, Group, MlnIndex};
+use crate::map_ordered;
 use dataset::{TupleId, ValueId, ValuePool};
 use distance::Metric;
-use rayon::prelude::*;
 use rules::RuleId;
 use serde::{Deserialize, Serialize};
 
@@ -110,21 +110,25 @@ impl AbnormalGroupProcessor {
         self
     }
 
+    /// Process every block of the index in place, on the rayon pool, and
+    /// return the merge record — [`AbnormalGroupProcessor::process_with`] at
+    /// `parallel = true`.
+    pub fn process(&self, index: &mut MlnIndex) -> AgpRecord {
+        self.process_with(index, true)
+    }
+
     /// Process every block of the index in place and return the merge record.
     ///
-    /// Blocks are independent (one per rule), so they are processed in
-    /// parallel; per-block results are reassembled in block order, making the
-    /// outcome identical to [`AbnormalGroupProcessor::process_serial`].
-    pub fn process(&self, index: &mut MlnIndex) -> AgpRecord {
+    /// Blocks are independent (one per rule): the one per-block body runs
+    /// over the rayon pool when `parallel` is set and on the calling thread
+    /// otherwise, and per-block results are reassembled in block order, so
+    /// the outcome is the same either way.
+    pub fn process_with(&self, index: &mut MlnIndex, parallel: bool) -> AgpRecord {
         let (blocks, pool) = index.split_mut();
-        let taken = std::mem::take(blocks);
-        let processed: Vec<(Block, AgpRecord)> = taken
-            .into_par_iter()
-            .map(|mut block| {
-                let record = self.process_block(&mut block, pool);
-                (block, record)
-            })
-            .collect();
+        let processed = map_ordered(parallel, std::mem::take(blocks), |mut block| {
+            let record = self.process_block(&mut block, pool);
+            (block, record)
+        });
         let mut record = AgpRecord::default();
         for (block, block_record) in processed {
             blocks.push(block);
@@ -134,25 +138,11 @@ impl AbnormalGroupProcessor {
         record
     }
 
-    /// Serial reference implementation of [`AbnormalGroupProcessor::process`],
-    /// kept for the parallel-equivalence tests.
-    pub fn process_serial(&self, index: &mut MlnIndex) -> AgpRecord {
-        let (blocks, pool) = index.split_mut();
-        let mut record = AgpRecord::default();
-        for block in blocks.iter_mut() {
-            let block_record = self.process_block(block, pool);
-            record.merges.extend(block_record.merges);
-            record.cache.absorb(block_record.cache);
-        }
-        record
-    }
-
     /// Process a single block: detect abnormal groups (size ≤ τ) and merge
-    /// each into its nearest normal group.  This is the per-block unit both
-    /// the whole-index paths above and the incremental
-    /// [`crate::CleaningSession`] compose, expressed as plan + apply so the
-    /// session can inspect the plan (to scope its refresh to affected
-    /// groups) before mutating anything.
+    /// each into its nearest normal group.  This is the per-block unit of
+    /// the whole-index pass above, expressed as plan + apply: the per-block
+    /// driver ([`crate::StageOne`]) runs the same plan but applies it group
+    /// by group, to scope a refresh to the affected groups.
     pub(crate) fn process_block(&self, block: &mut Block, pool: &ValuePool) -> AgpRecord {
         // One distance memo per block: every group comparison below shares it.
         let mut cache = DistanceCache::new(self.metric);
@@ -411,8 +401,8 @@ mod tests {
             let mut par_index = sample_index();
             let mut ser_index = sample_index();
             let agp = AbnormalGroupProcessor::new(tau, Metric::Levenshtein);
-            let par_record = agp.process(&mut par_index);
-            let ser_record = agp.process_serial(&mut ser_index);
+            let par_record = agp.process_with(&mut par_index, true);
+            let ser_record = agp.process_with(&mut ser_index, false);
             assert_eq!(par_record, ser_record, "AGP records diverged at tau={tau}");
             assert_eq!(
                 format!("{par_index:?}"),

@@ -11,7 +11,8 @@
 //! rebuild over the surviving rows would assign, which is what makes the
 //! session byte-identical to a one-shot clean of the net data.
 
-use dataset::{AttrId, TupleId};
+use crate::error::CleanError;
+use dataset::{ArityMismatch, AttrId, Dataset, TupleId};
 use serde::{Deserialize, Serialize};
 
 /// One typed mutation of the session's data.
@@ -104,6 +105,58 @@ impl ChangeSet {
     /// Consume the change set into its mutations.
     pub fn into_mutations(self) -> Vec<Mutation> {
         self.mutations
+    }
+
+    /// Check every mutation against a table of `arity` columns currently
+    /// holding `rows` rows: row arity, tuple and attribute bounds, with the
+    /// row count tracked through the set's own inserts and deletes (tuple
+    /// ids are sequential — see the [module docs](self)).  Every driver runs
+    /// this before applying anything, which is what makes a change set
+    /// atomic: a failed `apply` leaves the driver untouched.
+    pub fn validate(&self, arity: usize, mut rows: usize) -> Result<(), CleanError> {
+        for mutation in &self.mutations {
+            match mutation {
+                Mutation::Insert(batch) => {
+                    if let Some(row) = batch.iter().find(|row| row.len() != arity) {
+                        return Err(CleanError::Arity(ArityMismatch {
+                            expected: arity,
+                            actual: row.len(),
+                        }));
+                    }
+                    rows += batch.len();
+                }
+                Mutation::Update(t, attr, _) => {
+                    if t.index() >= rows {
+                        return Err(CleanError::UnknownTuple { tuple: *t, rows });
+                    }
+                    if attr.index() >= arity {
+                        return Err(CleanError::UnknownAttribute { attr: *attr, arity });
+                    }
+                }
+                Mutation::Delete(t) => {
+                    if t.index() >= rows {
+                        return Err(CleanError::UnknownTuple { tuple: *t, rows });
+                    }
+                    rows -= 1;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Cut `ds` into insert change sets of `batch_rows` rows each (clamped
+    /// to at least one; the last set holds the remainder), in row order —
+    /// how the streaming engines feed a static dataset through a session.
+    pub fn insert_batches(ds: &Dataset, batch_rows: usize) -> impl Iterator<Item = ChangeSet> + '_ {
+        let batch_rows = batch_rows.max(1);
+        (0..ds.len()).step_by(batch_rows).map(move |at| {
+            let upto = (at + batch_rows).min(ds.len());
+            ChangeSet::inserting(
+                (at..upto)
+                    .map(|t| ds.tuple(TupleId(t)).owned_values())
+                    .collect(),
+            )
+        })
     }
 }
 

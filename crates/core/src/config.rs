@@ -39,11 +39,12 @@ pub struct CleanConfig {
     /// way — eviction only trades memory for recompute time.  `None` (the
     /// default) keeps everything resident.
     pub memory_budget: Option<usize>,
-    /// Whether the per-block Stage-I loops (AGP and RSC) run on the rayon
-    /// thread pool.  Blocks are independent, and the parallel path reassembles
-    /// per-block results in block order, so the cleaned output is identical
-    /// either way — `false` forces the serial reference path (used by the
-    /// equivalence tests and for single-core profiling).
+    /// Whether the per-block loops (index build and splices, AGP, RSC, the
+    /// Stage-I refresh) run on the rayon thread pool.  Blocks are
+    /// independent and each loop has one body, mapped over the pool or the
+    /// calling thread with results in block order, so the cleaned output is
+    /// identical either way — `false` keeps everything on the calling
+    /// thread (used by the equivalence tests and for single-core profiling).
     pub parallel: bool,
 }
 

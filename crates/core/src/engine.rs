@@ -333,17 +333,10 @@ impl Engine for IncrementalMlnClean {
     }
 
     fn run(&self, dirty: &Dataset, rules: &RuleSet) -> Result<Report, CleanError> {
-        let batch_rows = self.batch_rows.max(1);
         let mut session =
             CleaningSession::new(self.config.clone(), dirty.schema().clone(), rules.clone())?;
-        let mut at = 0usize;
-        while at < dirty.len() {
-            let upto = (at + batch_rows).min(dirty.len());
-            let rows: Vec<Vec<String>> = (at..upto)
-                .map(|t| dirty.tuple(TupleId(t)).owned_values())
-                .collect();
-            session.apply(ChangeSet::inserting(rows))?;
-            at = upto;
+        for changes in ChangeSet::insert_batches(dirty, self.batch_rows) {
+            session.apply(changes)?;
         }
         Ok(session.finish())
     }

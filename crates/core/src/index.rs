@@ -17,8 +17,8 @@
 //! Construction cost is `O(|rules| × |tuples|)` as analysed in the paper.
 
 use crate::gamma::Gamma;
+use crate::map_ordered;
 use dataset::{AttrId, Dataset, TupleId, ValueId, ValuePool};
-use rayon::prelude::*;
 use rules::{Rule, RuleId, RuleSet};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -259,29 +259,22 @@ impl MlnIndex {
         Self::build_with(ds, rules, true)
     }
 
-    /// Serial reference implementation of [`MlnIndex::build`], kept for the
-    /// parallel-equivalence tests and single-core profiling.
+    /// [`MlnIndex::build_with`] on the calling thread alone — the same body
+    /// as [`MlnIndex::build`], for the parallel-equivalence tests and
+    /// single-core profiling.
     pub fn build_serial(ds: &Dataset, rules: &RuleSet) -> Result<Self, IndexError> {
         Self::build_with(ds, rules, false)
     }
 
-    /// Build the index, choosing the parallel or the serial per-rule-block
-    /// path (the [`crate::CleanConfig::parallel`] toggle).
+    /// Build the index, mapping the per-rule-block body over the rayon pool
+    /// or the calling thread (the [`crate::CleanConfig::parallel`] toggle).
     pub fn build_with(ds: &Dataset, rules: &RuleSet, parallel: bool) -> Result<Self, IndexError> {
         Self::validate(ds, rules)?;
         let pool = ds.pool().clone();
         let pairs: Vec<(RuleId, &Rule)> = rules.iter_with_ids().collect();
-        let blocks: Vec<Block> = if parallel {
-            pairs
-                .into_par_iter()
-                .map(|(rule_id, rule)| build_block(ds, &pool, rule_id, rule))
-                .collect()
-        } else {
-            pairs
-                .into_iter()
-                .map(|(rule_id, rule)| build_block(ds, &pool, rule_id, rule))
-                .collect()
-        };
+        let blocks = map_ordered(parallel, pairs, |(rule_id, rule)| {
+            build_block(ds, &pool, rule_id, rule)
+        });
         Ok(MlnIndex { blocks, pool })
     }
 
@@ -346,25 +339,10 @@ impl MlnIndex {
             .into_iter()
             .zip(rules.iter_with_ids().map(|(_, rule)| rule))
             .collect();
-        let inserted: Vec<(Block, usize, usize)> = if parallel {
-            pairs
-                .into_par_iter()
-                .map(|(mut block, rule)| {
-                    let (touched, created) =
-                        insert_range_into_block(&mut block, ds, pool, rule, from);
-                    (block, touched, created)
-                })
-                .collect()
-        } else {
-            pairs
-                .into_iter()
-                .map(|(mut block, rule)| {
-                    let (touched, created) =
-                        insert_range_into_block(&mut block, ds, pool, rule, from);
-                    (block, touched, created)
-                })
-                .collect()
-        };
+        let inserted = map_ordered(parallel, pairs, |(mut block, rule)| {
+            let (touched, created) = insert_range_into_block(&mut block, ds, pool, rule, from);
+            (block, touched, created)
+        });
 
         let mut report = InsertReport {
             rows,
@@ -426,16 +404,11 @@ impl MlnIndex {
             .into_iter()
             .zip(rules.iter_with_ids().map(|(_, rule)| rule))
             .collect();
-        let run = |(mut block, rule): (Block, &Rule)| {
+        let spliced = map_ordered(parallel, pairs, |(mut block, rule)| {
             let (touched, dropped) = remove_ids_from_block(&mut block, ds, pool, rule, removed);
             remap_block_after_removal(&mut block, removed);
             (block, touched, dropped)
-        };
-        let spliced: Vec<(Block, usize, usize)> = if parallel {
-            pairs.into_par_iter().map(run).collect()
-        } else {
-            pairs.into_iter().map(run).collect()
-        };
+        });
 
         let mut report = RemoveReport {
             rows: removed.len(),
@@ -488,15 +461,10 @@ impl MlnIndex {
             .into_iter()
             .zip(rules.iter_with_ids().map(|(_, rule)| rule))
             .collect();
-        let run = |(mut block, rule): (Block, &Rule)| {
+        let rehomed = map_ordered(parallel, pairs, |(mut block, rule)| {
             let touched = rehome_tuple_in_block(&mut block, ds, pool, rule, t, old_row);
             (block, touched)
-        };
-        let rehomed: Vec<(Block, Vec<Vec<ValueId>>)> = if parallel {
-            pairs.into_par_iter().map(run).collect()
-        } else {
-            pairs.into_iter().map(run).collect()
-        };
+        });
         let mut touched_groups = Vec::with_capacity(rehomed.len());
         for (block, touched) in rehomed {
             blocks.push(block);

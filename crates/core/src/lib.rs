@@ -95,6 +95,7 @@ pub mod pipeline;
 pub mod rsc;
 pub mod session;
 pub mod stage;
+pub mod stage_one;
 pub mod weights;
 
 pub use agp::{AbnormalGroupProcessor, AgpMerge, AgpRecord};
@@ -111,9 +112,28 @@ pub use gamma::Gamma;
 pub use index::{Block, Group, InsertReport, MlnIndex, RemoveReport};
 pub use pipeline::MlnClean;
 pub use rsc::{ReliabilityCleaner, RscRecord, RscRepair};
-pub use session::{BatchReport, CleaningSession, MemoryStats, SessionSnapshot};
+pub use session::{BatchReport, CleaningSession, SessionSnapshot};
 pub use stage::{
     AgpStage, DedupStage, FscrStage, PipelineStage, RscStage, StageContext, StageRecords,
     WeightLearningStage,
 };
+pub use stage_one::{MemoryStats, Refreshed, StageOne};
 pub use weights::{GammaSignature, SessionWeights};
+
+use rayon::prelude::*;
+
+/// Map `items` through `f` — on the rayon pool when `parallel` is set, as a
+/// plain loop otherwise.  Output order is input order either way, so every
+/// per-block loop of the crate is written once and the
+/// [`CleanConfig::parallel`] toggle cannot change a result.
+pub(crate) fn map_ordered<T: Send, R: Send>(
+    parallel: bool,
+    items: Vec<T>,
+    f: impl Fn(T) -> R + Sync + Send,
+) -> Vec<R> {
+    if parallel {
+        items.into_par_iter().map(f).collect()
+    } else {
+        items.into_iter().map(f).collect()
+    }
+}

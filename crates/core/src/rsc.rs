@@ -23,9 +23,9 @@
 use crate::cache::{CacheStats, DistanceCache};
 use crate::gamma::Gamma;
 use crate::index::{Block, MlnIndex};
+use crate::map_ordered;
 use dataset::{TupleId, ValuePool};
 use distance::Metric;
-use rayon::prelude::*;
 use rules::RuleId;
 use serde::{Deserialize, Serialize};
 
@@ -107,22 +107,25 @@ impl ReliabilityCleaner {
         score_from_min_distance(gamma, min_distance, z)
     }
 
+    /// Clean every group of every block in place, on the rayon pool —
+    /// [`ReliabilityCleaner::clean_with`] at `parallel = true`.
+    pub fn clean(&self, index: &mut MlnIndex) -> RscRecord {
+        self.clean_with(index, true)
+    }
+
     /// Clean every group of every block in place; groups end up with exactly
     /// one γ.  Returns the record of replacements.
     ///
-    /// Blocks are independent (one per rule), so they are cleaned in
-    /// parallel; per-block results are reassembled in block order, making the
-    /// outcome identical to [`ReliabilityCleaner::clean_serial`].
-    pub fn clean(&self, index: &mut MlnIndex) -> RscRecord {
+    /// Blocks are independent (one per rule): the one per-block body runs
+    /// over the rayon pool when `parallel` is set and on the calling thread
+    /// otherwise, and per-block results are reassembled in block order, so
+    /// the outcome is the same either way.
+    pub fn clean_with(&self, index: &mut MlnIndex, parallel: bool) -> RscRecord {
         let (blocks, pool) = index.split_mut();
-        let taken = std::mem::take(blocks);
-        let cleaned: Vec<(Block, RscRecord)> = taken
-            .into_par_iter()
-            .map(|mut block| {
-                let record = self.clean_block(&mut block, pool);
-                (block, record)
-            })
-            .collect();
+        let cleaned = map_ordered(parallel, std::mem::take(blocks), |mut block| {
+            let record = self.clean_block(&mut block, pool);
+            (block, record)
+        });
         let mut record = RscRecord::default();
         for (block, block_record) in cleaned {
             blocks.push(block);
@@ -132,22 +135,8 @@ impl ReliabilityCleaner {
         record
     }
 
-    /// Serial reference implementation of [`ReliabilityCleaner::clean`], kept
-    /// for the parallel-equivalence tests.
-    pub fn clean_serial(&self, index: &mut MlnIndex) -> RscRecord {
-        let (blocks, pool) = index.split_mut();
-        let mut record = RscRecord::default();
-        for block in blocks.iter_mut() {
-            let block_record = self.clean_block(block, pool);
-            record.repairs.extend(block_record.repairs);
-            record.cache.absorb(block_record.cache);
-        }
-        record
-    }
-
-    /// Clean a single block in place.  This is the per-block unit both the
-    /// whole-index paths above and the incremental
-    /// [`crate::CleaningSession`] compose.
+    /// Clean a single block in place — the per-block unit of the
+    /// whole-index pass above.
     pub(crate) fn clean_block(&self, block: &mut Block, pool: &ValuePool) -> RscRecord {
         let mut record = RscRecord::default();
         let mut cache = DistanceCache::new(self.metric);
@@ -165,8 +154,8 @@ impl ReliabilityCleaner {
     ///
     /// Groups are scored independently (Z is group-local: the largest
     /// support-scaled pair distance among the group's own γs), so this is
-    /// the unit the group-scoped incremental refresh re-runs for a dirty
-    /// group without touching its siblings.
+    /// the unit the per-block driver ([`crate::StageOne`]) re-runs for a
+    /// dirty group without touching its siblings.
     pub(crate) fn clean_group(
         &self,
         rule: RuleId,
@@ -394,8 +383,8 @@ mod tests {
         let mut par_index = prepared_index();
         let mut ser_index = prepared_index();
         let cleaner = ReliabilityCleaner::new(Metric::Levenshtein);
-        let par_record = cleaner.clean(&mut par_index);
-        let ser_record = cleaner.clean_serial(&mut ser_index);
+        let par_record = cleaner.clean_with(&mut par_index, true);
+        let ser_record = cleaner.clean_with(&mut ser_index, false);
         assert_eq!(par_record, ser_record);
         assert_eq!(format!("{par_index:?}"), format!("{ser_index:?}"));
     }

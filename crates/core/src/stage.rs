@@ -1,19 +1,19 @@
 //! Explicit pipeline stages over a shared [`StageContext`].
 //!
 //! Algorithm 1 is a fixed stage sequence — index construction → AGP →
-//! closed-form Eq. 3 weights → RSC → FSCR → deduplication.  The batch
-//! [`crate::MlnClean`] does not compose it from these objects: it is one
-//! bulk ingest plus [`crate::CleaningSession::finish`].  The drivers that do
-//! are the incremental [`crate::CleaningSession`] and the streaming
-//! distributed driver (which re-run Stage I per dirty block) and the
-//! distributed batch runner (which splits Stage I around a global weight
-//! merge).  Each stage is therefore an explicit object with
+//! closed-form Eq. 3 weights → RSC → FSCR → deduplication — and each stage
+//! is an explicit object with a whole-index [`PipelineStage::run`] over a
+//! [`StageContext`].  The distributed batch runner composes them (it splits
+//! Stage I around a global weight merge), and the test below pins the
+//! composition to [`crate::MlnClean`] byte for byte.
 //!
-//! * a whole-index [`PipelineStage::run`] over a [`StageContext`] (used by
-//!   the distributed batch runner), and
-//! * where the stage is per-block — AGP, weights, RSC — a `run_block` entry
-//!   point (used by the session and the streaming driver), guaranteed to
-//!   produce byte-identical results because blocks are independent.
+//! No other driver is built from these objects.  The batch
+//! [`crate::MlnClean`] is one bulk ingest plus
+//! [`crate::CleaningSession::finish`]; the session and the streaming
+//! distributed coordinator both re-run Stage I per dirty block through the
+//! one per-block driver, [`crate::StageOne`], which shares the stages'
+//! kernels (the AGP plan, the closed-form group weights, RSC's group
+//! cleaning) rather than their whole-index loops.
 //!
 //! The context bundles everything a stage may touch: the (dirty) dataset,
 //! the configuration, the MLN index being cleaned in place, and the
@@ -23,10 +23,10 @@ use crate::agp::{AbnormalGroupProcessor, AgpRecord};
 use crate::config::CleanConfig;
 use crate::engine::Timings;
 use crate::fscr::{ConflictResolver, FscrRecord};
-use crate::index::{Block, MlnIndex};
+use crate::index::MlnIndex;
 use crate::rsc::{ReliabilityCleaner, RscRecord};
-use crate::weights::{assign_block_weights, assign_weights};
-use dataset::{Dataset, ValuePool};
+use crate::weights::assign_weights;
+use dataset::Dataset;
 use std::time::Instant;
 
 /// Provenance and timings accumulated while stages run.
@@ -101,12 +101,6 @@ impl AgpStage {
         }
         processor
     }
-
-    /// Run AGP on a single block (the incremental per-dirty-block entry
-    /// point; byte-identical to the whole-index run for that block).
-    pub fn run_block(config: &CleanConfig, block: &mut Block, pool: &ValuePool) -> AgpRecord {
-        Self::processor(config).process_block(block, pool)
-    }
 }
 
 impl PipelineStage for AgpStage {
@@ -116,12 +110,7 @@ impl PipelineStage for AgpStage {
 
     fn run(&self, ctx: &mut StageContext<'_>) {
         let start = Instant::now();
-        let processor = Self::processor(ctx.config);
-        ctx.records.agp = if ctx.config.parallel {
-            processor.process(ctx.index)
-        } else {
-            processor.process_serial(ctx.index)
-        };
+        ctx.records.agp = Self::processor(ctx.config).process_with(ctx.index, ctx.config.parallel);
         ctx.records.timings.agp += start.elapsed();
     }
 }
@@ -129,14 +118,6 @@ impl PipelineStage for AgpStage {
 /// Closed-form Eq. 3 weight assignment (Stage I, per block).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WeightLearningStage;
-
-impl WeightLearningStage {
-    /// Assign weights for a single block (the incremental per-dirty-block
-    /// entry point).
-    pub fn run_block(block: &mut Block) {
-        assign_block_weights(block);
-    }
-}
 
 impl PipelineStage for WeightLearningStage {
     fn name(&self) -> &'static str {
@@ -154,14 +135,6 @@ impl PipelineStage for WeightLearningStage {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RscStage;
 
-impl RscStage {
-    /// Run RSC on a single block (the incremental per-dirty-block entry
-    /// point; byte-identical to the whole-index run for that block).
-    pub fn run_block(config: &CleanConfig, block: &mut Block, pool: &ValuePool) -> RscRecord {
-        ReliabilityCleaner::new(config.metric).clean_block(block, pool)
-    }
-}
-
 impl PipelineStage for RscStage {
     fn name(&self) -> &'static str {
         "rsc"
@@ -169,12 +142,8 @@ impl PipelineStage for RscStage {
 
     fn run(&self, ctx: &mut StageContext<'_>) {
         let start = Instant::now();
-        let cleaner = ReliabilityCleaner::new(ctx.config.metric);
-        ctx.records.rsc = if ctx.config.parallel {
-            cleaner.clean(ctx.index)
-        } else {
-            cleaner.clean_serial(ctx.index)
-        };
+        ctx.records.rsc =
+            ReliabilityCleaner::new(ctx.config.metric).clean_with(ctx.index, ctx.config.parallel);
         ctx.records.timings.rsc += start.elapsed();
     }
 }

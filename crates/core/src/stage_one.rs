@@ -1,0 +1,1134 @@
+//! The one per-block Stage-I driver: [`StageOne`] owns the **cleaned** index
+//! — per block, the post-AGP/weights/RSC state of its last refresh — with
+//! the per-block provenance and the per-block clean caches, and
+//! [`StageOne::refresh`] is the only place the per-block sequence of the
+//! paper's first stage (AGP §5.1.1 → Eq. 3 weights → RSC §5.1.2) is driven.
+//!
+//! The paper cleans "multiple data versions separately": blocks never see
+//! each other, so a caller only has to say *which* blocks changed and hand
+//! over their **pristine** (pre-Stage-I) state.  Two callers do:
+//!
+//! * [`crate::CleaningSession`] passes the blocks of its incrementally
+//!   maintained pristine index, marking whole blocks dirty on inserts and
+//!   deletes and single group keys dirty on cell updates;
+//! * the distributed streaming coordinator passes the global blocks it
+//!   merged from its partitions' pristine blocks, marked fully dirty.
+//!
+//! A refresh re-plans the dirty block's AGP merges (cheap, and
+//! order-independent — see `AbnormalGroupProcessor::plan_block`), lays the
+//! post-AGP output groups out, and then rebuilds **only** the output groups
+//! whose sources changed: merge the source γs, weight them in closed form
+//! ([`assign_group_weights`], whose denominator is the block's total support
+//! and therefore survives any within-block merge), clean the group with RSC.
+//! Every other output group is served from the block's cache byte for byte.
+//! A fully dirty block — or any block while **injected weights** are in
+//! force, which renormalize the whole block between weighting and RSC — is
+//! the degenerate case: every group is rebuilt, and under injection nothing
+//! is retained for later reuse.  Either way the refreshed block is exactly
+//! what the whole-block composition (AGP, then block weights, then the
+//! injected overrides, then RSC) produces; the tests pin that block for
+//! block.
+//!
+//! Under a [`CleanConfig::memory_budget`] the driver also estimates its
+//! caches' resident size and spills clean blocks' caches to disk segments,
+//! coldest first ([`StageOne::enforce_budget`]); a spilled cache faults back
+//! in when its block goes dirty or a delete has to shift its tuple ids.
+
+use crate::agp::{AgpPlan, AgpRecord};
+use crate::cache::{CacheStats, DistanceCache};
+use crate::engine::Timings;
+use crate::index::{Block, Group, MlnIndex};
+use crate::map_ordered;
+use crate::rsc::{ReliabilityCleaner, RscRecord, RscRepair};
+use crate::stage::AgpStage;
+use crate::weights::{assign_group_weights, block_support, SessionWeights};
+use crate::CleanConfig;
+use dataset::{SpillDir, SpillSlot, TupleId, ValueId, ValuePool};
+use distance::Metric;
+use serde::{Deserialize, Serialize};
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
+use std::time::Instant;
+
+/// Cached post-Stage-I provenance of one block.
+#[derive(Debug, Clone, Default)]
+struct BlockRecords {
+    agp: AgpRecord,
+    rsc: RscRecord,
+}
+
+/// The cached clean state of one **output group** of a block — the unit the
+/// group-scoped refresh reuses when nothing feeding the group changed.
+/// Serializable so a memory-budgeted driver can spill a whole block's
+/// entries to a disk segment through the `mlnw` codec.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct GroupEntry {
+    /// Pristine group keys fused into this output group: the group's own key
+    /// first, then the AGP-merged abnormal keys in merge order.  A reuse is
+    /// only sound when the fresh plan derives the exact same source list.
+    sources: Vec<Vec<ValueId>>,
+    /// The group's post-weights/RSC state.
+    group: Group,
+    /// The RSC repairs cleaning this group produced.
+    repairs: Vec<RscRepair>,
+}
+
+/// Per-block dirtiness and group-scoped clean cache.
+#[derive(Debug, Clone)]
+struct BlockCache {
+    /// The block's total tuple support (the closed-form softmax denominator,
+    /// [`block_support`]) at the last refresh — `None` before the first.
+    /// Every group's probabilities divide by this Z, so a support change
+    /// (inserts, deletes, a CFD flipping a tuple's relevance) invalidates
+    /// the whole block at once.
+    last_z: Option<usize>,
+    /// Pristine group keys whose content changed since the last refresh
+    /// (pure cell updates only; structural changes set `fully_dirty`).
+    dirty_keys: HashSet<Vec<ValueId>>,
+    /// Re-clean every group at the next refresh.
+    fully_dirty: bool,
+    /// Cached clean state per output-group key.
+    entries: HashMap<Vec<ValueId>, GroupEntry>,
+    /// Persistent distance memo shared by AGP planning and RSC scoring
+    /// across refreshes of this block.
+    distances: DistanceCache,
+    /// Disk-backed image of `entries` while the block is spilled under a
+    /// memory budget.  `Some` ⇒ `entries` is empty and must be faulted back
+    /// in before the block is refreshed or id-remapped.  The dirtiness
+    /// fields (`last_z`, `dirty_keys`, `fully_dirty`) always stay resident:
+    /// marking a spilled block dirty never touches the segment.
+    spilled: Option<SpillSlot>,
+    /// LRU tick of the last refresh that rebuilt or reused this block's
+    /// entries — the spill victim order (coldest first).
+    last_touch: u64,
+}
+
+impl BlockCache {
+    fn new(metric: Metric) -> Self {
+        BlockCache {
+            last_z: None,
+            dirty_keys: HashSet::new(),
+            fully_dirty: false,
+            entries: HashMap::new(),
+            distances: DistanceCache::new(metric),
+            spilled: None,
+            last_touch: 0,
+        }
+    }
+
+    /// Whether the next refresh must revisit this block at all.
+    fn is_dirty(&self) -> bool {
+        self.fully_dirty || !self.dirty_keys.is_empty()
+    }
+
+    /// Whether the block's entries could be spilled right now: resident,
+    /// non-empty, and not about to be rebuilt anyway.
+    fn is_spillable(&self) -> bool {
+        self.spilled.is_none() && !self.is_dirty() && !self.entries.is_empty()
+    }
+}
+
+/// What refreshing one dirty block produced.
+struct RefreshedBlock {
+    block: Block,
+    records: BlockRecords,
+    cache: BlockCache,
+    /// Tuples whose data versions changed: they sit in a recomputed output
+    /// group, or in a cache entry that no longer exists.
+    invalidated: Vec<TupleId>,
+    /// Output groups Stage I actually recomputed (vs reused from cache).
+    recleaned: u64,
+}
+
+/// What one [`StageOne::refresh`] call did.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Refreshed {
+    /// The blocks that were refreshed, ascending.
+    pub blocks: Vec<usize>,
+    /// Tuples whose data versions may have changed — the caller must re-fuse
+    /// them.  An over-approximation (every tuple of every recomputed output
+    /// group, plus the tuples of cache entries that vanished), possibly with
+    /// repeats.
+    pub invalidated: Vec<TupleId>,
+}
+
+/// Counters of the out-of-core machinery of a memory-budgeted session —
+/// see [`crate::CleaningSession::memory_stats`].  All zero when no
+/// [`CleanConfig::memory_budget`] is set.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct MemoryStats {
+    /// Block caches spilled to disk segments (cumulative; a block spilled,
+    /// faulted in and re-spilled counts twice).
+    pub spilled_blocks: u64,
+    /// Spilled block caches faulted back in (the block went dirty, or a
+    /// delete had to remap its tuple ids).
+    pub faulted_blocks: u64,
+    /// Total bytes written to spill segments (cumulative).
+    pub spilled_bytes: u64,
+    /// Memoised per-tuple fusions evicted by the budget (each is re-derived
+    /// deterministically at the next outcome).
+    pub evicted_fusions: u64,
+    /// Spill-layer I/O failures survived: a segment write that failed (the
+    /// block stayed resident) or a segment that could not be read back or
+    /// decoded (the block is re-cleaned whole from its pristine state).
+    /// Graceful degradation, never a correctness loss.
+    pub spill_errors: u64,
+}
+
+/// The per-block Stage-I driver — see the [module docs](self).
+#[derive(Debug, Clone)]
+pub struct StageOne {
+    config: CleanConfig,
+    /// Per block: the post-AGP/weights/RSC state of the last refresh.
+    /// Shared with every report handed out so far (copy-on-write: the next
+    /// refresh that must mutate it clones only then).
+    cleaned: Arc<MlnIndex>,
+    records: Vec<BlockRecords>,
+    /// Per block: group-scoped dirtiness and the reusable clean state.
+    caches: Vec<BlockCache>,
+    /// Cumulative output groups recomputed — see
+    /// [`StageOne::recleaned_groups`].
+    recleaned_groups: u64,
+    /// Spill directory backing the memory budget, created lazily on the
+    /// first spill (drivers without a budget never touch the filesystem).
+    spill: Option<SpillDir>,
+    /// Monotonic clock stamping block refreshes for LRU victim selection.
+    lru_clock: u64,
+    /// Out-of-core accounting (`evicted_fusions` is the caller's to count).
+    memory: MemoryStats,
+}
+
+impl StageOne {
+    /// A driver over `empty`'s blocks — the index of the caller's rule set
+    /// over no rows, so the cleaned index carries one (group-less) block per
+    /// rule from the start.  Nothing is dirty yet.
+    pub fn new(config: CleanConfig, empty: MlnIndex) -> Self {
+        let blocks = empty.block_count();
+        StageOne {
+            records: vec![BlockRecords::default(); blocks],
+            caches: vec![BlockCache::new(config.metric); blocks],
+            config,
+            cleaned: Arc::new(empty),
+            recleaned_groups: 0,
+            spill: None,
+            lru_clock: 0,
+            memory: MemoryStats::default(),
+        }
+    }
+
+    /// The cleaned index: per block, the state of its last refresh.
+    pub fn cleaned(&self) -> &Arc<MlnIndex> {
+        &self.cleaned
+    }
+
+    /// Close the driver, keeping only the cleaned index.
+    pub fn into_cleaned(self) -> Arc<MlnIndex> {
+        self.cleaned
+    }
+
+    /// Catch the cleaned index's pool snapshot up to `pool`, an append-only
+    /// descendant of it (values interned since must resolve there even when
+    /// no block went dirty; only the new tail is copied).
+    pub fn sync_pool(&mut self, pool: &ValuePool) {
+        if pool.len() != self.cleaned.pool().len() {
+            Arc::make_mut(&mut self.cleaned).sync_pool_from(pool);
+        }
+    }
+
+    /// Mark a block **fully** dirty: every group is rebuilt at the next
+    /// refresh (structural changes — inserts, deletes, merged evidence).
+    pub fn mark_block_dirty(&mut self, block: usize) {
+        self.caches[block].fully_dirty = true;
+    }
+
+    /// Mark specific pristine group keys of a block dirty: only the output
+    /// groups they feed are rebuilt (pure cell updates).
+    pub fn mark_keys_dirty(&mut self, block: usize, keys: &[Vec<ValueId>]) {
+        self.caches[block].dirty_keys.extend(keys.iter().cloned());
+    }
+
+    /// The blocks the next refresh must revisit, ascending.
+    pub fn dirty_blocks(&self) -> Vec<usize> {
+        (0..self.caches.len())
+            .filter(|&i| self.caches[i].is_dirty())
+            .collect()
+    }
+
+    /// Cumulative number of output groups actually recomputed across all
+    /// refreshes (vs served from cache) — the incrementality probe.
+    pub fn recleaned_groups(&self) -> u64 {
+        self.recleaned_groups
+    }
+
+    /// Spill and fault-in counters (`evicted_fusions` stays zero here: the
+    /// fusion memo is the caller's).
+    pub fn memory_stats(&self) -> MemoryStats {
+        self.memory
+    }
+
+    /// The cached per-block provenance concatenated in block order — exactly
+    /// the order the whole-index stage runs emit their records in.
+    pub fn records(&self) -> (AgpRecord, RscRecord) {
+        let mut agp = AgpRecord::default();
+        let mut rsc = RscRecord::default();
+        for records in &self.records {
+            agp.merges.extend_from_slice(&records.agp.merges);
+            agp.cache.absorb(records.agp.cache);
+            rsc.repairs.extend_from_slice(&records.rsc.repairs);
+            rsc.cache.absorb(records.rsc.cache);
+        }
+        (agp, rsc)
+    }
+
+    /// Re-run Stage I on the listed blocks that are dirty — `(block index,
+    /// its pristine state)`, ascending, ids resolving through `pool` — and
+    /// refresh the cleaned index, the per-block provenance and the per-group
+    /// clean caches.  Clean blocks, and clean groups of dirty blocks, keep
+    /// their cached state: their pristine content is exactly what a full
+    /// rebuild would see, so the cached cleaned state is too.
+    ///
+    /// A non-empty `injected` table overrides the closed-form weight of
+    /// every matching γ (and renormalizes the block) between weighting and
+    /// RSC; blocks refreshed under it are rebuilt whole and retain nothing.
+    /// The AGP pass is added to `timings.agp`, the rebuild pass to
+    /// `timings.rsc`.  A call with nothing dirty is free.
+    pub fn refresh(
+        &mut self,
+        pristine: &[(usize, &Block)],
+        pool: &ValuePool,
+        injected: &SessionWeights,
+        timings: &mut Timings,
+    ) -> Refreshed {
+        let mut out = Refreshed::default();
+        // Take each dirty block's cache out so the worker owns it (the slot
+        // keeps a fresh placeholder until write-back).  A spilled one must
+        // be resident first: the rebuild both reuses its entries and derives
+        // fusion invalidation from the ones that vanish.  (Clean spilled
+        // blocks stay on disk — that is the point.)
+        let mut work: Vec<(usize, &Block, BlockCache)> = Vec::new();
+        for &(i, block) in pristine {
+            if self.caches[i].is_dirty() {
+                self.fault_in_block(i);
+                let placeholder = BlockCache::new(self.config.metric);
+                work.push((
+                    i,
+                    block,
+                    std::mem::replace(&mut self.caches[i], placeholder),
+                ));
+            }
+        }
+        if work.is_empty() {
+            return out;
+        }
+        self.lru_clock += 1;
+        let config = &self.config;
+
+        // Pass 1 (timed as AGP): re-plan each dirty block's merges against
+        // its pristine snapshot.  Planning is order-independent and cheap
+        // relative to the γ-merging/weighting/scoring it steers, and a fresh
+        // plan is what lets the rebuild pass below detect — per output group
+        // — whether the cached entry's sources still hold.
+        let started = Instant::now();
+        let planned = map_ordered(config.parallel, work, |(i, block, mut cache)| {
+            let z = block_support(block);
+            if cache.last_z != Some(z) || !injected.is_empty() {
+                // The block softmax denominator changed, or injected weights
+                // renormalize the whole block: every cached group's
+                // probabilities are stale at once.
+                cache.fully_dirty = true;
+            }
+            let before = cache.distances.stats();
+            let plan = AgpStage::processor(config).plan_block(block, pool, &mut cache.distances);
+            let agp_stats = stats_delta(before, cache.distances.stats());
+            (i, block, cache, z, plan, agp_stats)
+        });
+        timings.agp += started.elapsed();
+
+        // Pass 2 (timed as RSC; the closed-form per-group weighting rides
+        // along — it is O(γs) and not worth its own wall-clock pass):
+        // rebuild exactly the output groups whose sources changed, reuse
+        // every other cached entry byte-for-byte.
+        let started = Instant::now();
+        let refreshed = map_ordered(
+            config.parallel,
+            planned,
+            |(i, block, cache, z, plan, agp_stats)| {
+                let refreshed =
+                    refresh_block(config, injected, block, pool, cache, z, plan, agp_stats);
+                (i, refreshed)
+            },
+        );
+        timings.rsc += started.elapsed();
+
+        self.sync_pool(pool);
+        let cleaned = Arc::make_mut(&mut self.cleaned);
+        for (i, refreshed) in refreshed {
+            cleaned.blocks[i] = refreshed.block;
+            self.records[i] = refreshed.records;
+            self.caches[i] = refreshed.cache;
+            self.caches[i].last_touch = self.lru_clock;
+            self.recleaned_groups += refreshed.recleaned;
+            out.blocks.push(i);
+            out.invalidated.extend(refreshed.invalidated);
+        }
+        out
+    }
+
+    /// Shift the cleaned blocks, the provenance and the per-group clean
+    /// state — all of which live in tuple-id space — down past removed rows
+    /// (`removed`: sorted, deduplicated pre-removal row indices; exact
+    /// matches are dropped).  Blocks the removal touched must be marked
+    /// dirty by the caller and get rebuilt from pristine at the next
+    /// refresh; untouched blocks never contained the tuples, so the shift
+    /// alone keeps their state byte-identical to what a run over the
+    /// survivors would produce.  Spilled blocks hold entries in the same id
+    /// space, so they fault in for the shift (the budget re-spills them).
+    pub fn remap_removed(&mut self, removed: &[usize]) {
+        for i in 0..self.caches.len() {
+            self.fault_in_block(i);
+        }
+        Arc::make_mut(&mut self.cleaned).remap_removed(removed);
+        for records in &mut self.records {
+            for merge in &mut records.agp.merges {
+                dataset::remap_ids_after_removal(&mut merge.tuples, removed);
+            }
+            for repair in &mut records.rsc.repairs {
+                dataset::remap_ids_after_removal(&mut repair.tuples, removed);
+            }
+        }
+        for cache in &mut self.caches {
+            for entry in cache.entries.values_mut() {
+                for gamma in &mut entry.group.gammas {
+                    dataset::remap_ids_after_removal(&mut gamma.tuples, removed);
+                }
+                for repair in &mut entry.repairs {
+                    dataset::remap_ids_after_removal(&mut repair.tuples, removed);
+                }
+            }
+        }
+    }
+
+    /// Estimated resident bytes of the block caches — per-group clean
+    /// entries plus distance memos; spilled blocks count zero.  A
+    /// count-based heuristic (exact sizing would cost more than the state is
+    /// worth), consistent across calls, which is all the spill policy needs.
+    pub fn resident_estimate(&self) -> usize {
+        self.caches.iter().map(approx_cache_bytes).sum()
+    }
+
+    /// Spill clean block caches, coldest first, until `outside` (the
+    /// caller's own evictable bytes under the same budget) plus
+    /// [`StageOne::resident_estimate`] fits [`CleanConfig::memory_budget`]
+    /// or nothing spillable is left.  Returns the estimated total still
+    /// resident (`outside` included); no-op without a budget.
+    pub fn enforce_budget(&mut self, outside: usize) -> usize {
+        let mut resident = outside + self.resident_estimate();
+        let Some(budget) = self.config.memory_budget else {
+            return resident;
+        };
+        if resident <= budget {
+            return resident;
+        }
+        let mut victims: Vec<(u64, usize)> = self
+            .caches
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.is_spillable())
+            .map(|(i, c)| (c.last_touch, i))
+            .collect();
+        victims.sort_unstable();
+        for (_, i) in victims {
+            let freed = approx_cache_bytes(&self.caches[i]);
+            if self.spill_block(i) {
+                resident = resident.saturating_sub(freed);
+                if resident <= budget {
+                    break;
+                }
+            }
+        }
+        resident
+    }
+
+    /// Spill one clean resident block's cache entries to a disk segment.
+    /// Returns whether the block is now spilled.  The distance memo is
+    /// dropped with the entries: it is a pure accelerator whose hit/miss
+    /// statistics are excluded from provenance equality, so faulting back
+    /// in with a cold memo is byte-identity-safe.
+    fn spill_block(&mut self, i: usize) -> bool {
+        if !self.caches[i].is_spillable() {
+            return false;
+        }
+        if self.spill.is_none() {
+            match SpillDir::new() {
+                Ok(dir) => self.spill = Some(dir),
+                Err(_) => {
+                    self.memory.spill_errors += 1;
+                    return false;
+                }
+            }
+        }
+        let entries: Vec<(Vec<ValueId>, GroupEntry)> = std::mem::take(&mut self.caches[i].entries)
+            .into_iter()
+            .collect();
+        let bytes = mlnw::to_bytes(&entries).expect("in-memory γ state always encodes");
+        match self
+            .spill
+            .as_ref()
+            .expect("created just above")
+            .store(&bytes)
+        {
+            Ok(slot) => {
+                self.memory.spilled_blocks += 1;
+                self.memory.spilled_bytes += bytes.len() as u64;
+                let cache = &mut self.caches[i];
+                cache.spilled = Some(slot);
+                cache.distances = DistanceCache::new(self.config.metric);
+                true
+            }
+            Err(_) => {
+                // Keep the block resident — the budget is advisory, the
+                // entries are not (dropping them would break the fusion
+                // invalidation the next refresh derives from them).
+                self.memory.spill_errors += 1;
+                self.caches[i].entries = entries.into_iter().collect();
+                false
+            }
+        }
+    }
+
+    /// Fault a spilled block's cache entries back in (no-op when resident).
+    ///
+    /// A segment that cannot be read back or no longer decodes (the disk
+    /// failed underneath us) is survived, not fatal: the block is marked
+    /// fully dirty with no entries, so its next refresh rebuilds every group
+    /// from the pristine state and invalidates every tuple the block covers
+    /// — the over-approximation a whole-block re-clean always made.  (What
+    /// the lost entries alone knew — tuples that have since *left* the block
+    /// — was invalidated by the update or delete that moved them.)
+    fn fault_in_block(&mut self, i: usize) {
+        let Some(slot) = self.caches[i].spilled.take() else {
+            return;
+        };
+        let entries = slot
+            .load()
+            .ok()
+            .and_then(|bytes| mlnw::from_bytes::<Vec<(Vec<ValueId>, GroupEntry)>>(&bytes).ok());
+        match entries {
+            Some(entries) => {
+                self.caches[i].entries = entries.into_iter().collect();
+                self.memory.faulted_blocks += 1;
+            }
+            None => {
+                self.caches[i].fully_dirty = true;
+                self.memory.spill_errors += 1;
+            }
+        }
+    }
+
+    /// Where the spill segments live, once anything was spilled — for the
+    /// tests that break them.
+    #[cfg(test)]
+    pub(crate) fn spill_dir(&self) -> Option<&SpillDir> {
+        self.spill.as_ref()
+    }
+}
+
+/// Refresh one dirty block: derive the post-AGP output layout from the fresh
+/// plan, then rebuild only the output groups whose source set changed (or
+/// whose sources are marked dirty), reusing every other cached
+/// [`GroupEntry`] byte-for-byte.
+///
+/// Soundness of the reuse: the plan is recomputed from the current pristine
+/// snapshot every refresh, so any drift in merge *decisions* shows up as a
+/// changed source list; any drift in group *content* was recorded as a dirty
+/// key (pure updates) or as `fully_dirty` (inserts, deletes, support
+/// changes) when the mutation applied.  Weights only depend on `(own
+/// support, z)` and `z` is pinned by the `last_z` check, RSC is group-local,
+/// so an entry whose sources are clean and unchanged is exactly what the
+/// rebuild would recompute.
+///
+/// Injected weights break that locality — the override renormalizes the
+/// whole block — so the caller forces `fully_dirty` under them, the table is
+/// applied over the assembled (merged and weighted, not yet cleaned) block
+/// exactly where a whole-block run applies it, and no entry is retained: it
+/// would hold injected-weight state that a later closed-form refresh must
+/// not reuse.
+#[allow(clippy::too_many_arguments)]
+fn refresh_block(
+    config: &CleanConfig,
+    injected: &SessionWeights,
+    pristine: &Block,
+    pool: &ValuePool,
+    mut cache: BlockCache,
+    z: usize,
+    plan: AgpPlan,
+    agp_stats: CacheStats,
+) -> RefreshedBlock {
+    // Post-AGP output layout (matching `apply_plan` exactly): surviving
+    // normal groups in pristine order, each with its merged-in abnormals in
+    // plan order, then target-less abnormals at the end.
+    let n = pristine.groups.len();
+    let mut is_abnormal = vec![false; n];
+    for &ai in &plan.abnormal {
+        is_abnormal[ai] = true;
+    }
+    let mut merged_into: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut unmerged: Vec<usize> = Vec::new();
+    for (&ai, &target) in plan.abnormal.iter().zip(&plan.targets) {
+        match target {
+            Some(ti) => merged_into[ti].push(ai),
+            None => unmerged.push(ai),
+        }
+    }
+    let mut outputs: Vec<(usize, Vec<usize>)> = Vec::with_capacity(n);
+    for lead in 0..n {
+        if is_abnormal[lead] {
+            continue;
+        }
+        let mut sources = vec![lead];
+        sources.extend(merged_into[lead].iter().copied());
+        outputs.push((lead, sources));
+    }
+    for &ai in &unmerged {
+        outputs.push((ai, vec![ai]));
+    }
+
+    // An output group between the two steps below: served from the cache,
+    // or merged and weighted from these sources and still to be cleaned.
+    enum Slot {
+        Reused(GroupEntry),
+        Rebuilt(Vec<Vec<ValueId>>),
+    }
+
+    // Step 1: lay every output group out.
+    let mut block = Block {
+        rule: pristine.rule,
+        reason_attrs: pristine.reason_attrs.clone(),
+        result_attrs: pristine.result_attrs.clone(),
+        groups: Vec::with_capacity(outputs.len()),
+    };
+    let mut slots: Vec<Slot> = Vec::with_capacity(outputs.len());
+    for (lead, source_idx) in outputs {
+        let key = &pristine.groups[lead].key;
+        let sources: Vec<Vec<ValueId>> = source_idx
+            .iter()
+            .map(|&s| pristine.groups[s].key.clone())
+            .collect();
+        let reusable = !cache.fully_dirty
+            && !sources.iter().any(|s| cache.dirty_keys.contains(s))
+            && cache
+                .entries
+                .get(key)
+                .is_some_and(|entry| entry.sources == sources);
+        if reusable {
+            let entry = cache.entries.remove(key).expect("probed just above");
+            block.groups.push(entry.group.clone());
+            slots.push(Slot::Reused(entry));
+            continue;
+        }
+        // Rebuild: merge the source γs the way `apply_plan` does, and weight
+        // them against the block-wide Z (AGP merges preserve it).
+        let mut group = pristine.groups[lead].clone();
+        for &ai in &source_idx[1..] {
+            group.absorb_gammas(pristine.groups[ai].gammas.iter().cloned());
+        }
+        assign_group_weights(&mut group, z);
+        block.groups.push(group);
+        slots.push(Slot::Rebuilt(sources));
+    }
+
+    // The injected overrides land between weighting and RSC, over the whole
+    // block (a no-op for the empty table).
+    injected.apply_to_block(&mut block, pool);
+    let retain = injected.is_empty();
+
+    // Step 2: clean the rebuilt groups in place.
+    let cleaner = ReliabilityCleaner::new(config.metric);
+    let rsc_before = cache.distances.stats();
+    let mut entries: HashMap<Vec<ValueId>, GroupEntry> = HashMap::with_capacity(slots.len());
+    let mut repairs: Vec<RscRepair> = Vec::new();
+    let mut invalidated: Vec<TupleId> = Vec::new();
+    let mut recleaned = 0u64;
+    for (group, slot) in block.groups.iter_mut().zip(slots) {
+        match slot {
+            Slot::Reused(entry) => {
+                repairs.extend(entry.repairs.iter().cloned());
+                entries.insert(group.key.clone(), entry);
+            }
+            Slot::Rebuilt(sources) => {
+                recleaned += 1;
+                let group_repairs =
+                    cleaner.clean_group(block.rule, group, pool, &mut cache.distances);
+                invalidated.extend(group.all_tuples());
+                if let Some(old) = cache.entries.remove(&group.key) {
+                    invalidated.extend(old.group.all_tuples());
+                }
+                repairs.extend(group_repairs.iter().cloned());
+                if retain {
+                    entries.insert(
+                        group.key.clone(),
+                        GroupEntry {
+                            sources,
+                            group: group.clone(),
+                            repairs: group_repairs,
+                        },
+                    );
+                }
+            }
+        }
+    }
+
+    // Output groups that disappeared since the last refresh: their tuples
+    // live somewhere else now; re-fuse them.
+    for (_, old) in cache.entries.drain() {
+        invalidated.extend(old.group.all_tuples());
+    }
+
+    let rsc_stats = stats_delta(rsc_before, cache.distances.stats());
+    cache.entries = entries;
+    cache.last_z = Some(z);
+    cache.dirty_keys.clear();
+    cache.fully_dirty = false;
+
+    let mut agp = plan.record;
+    agp.cache = agp_stats;
+    RefreshedBlock {
+        block,
+        records: BlockRecords {
+            agp,
+            rsc: RscRecord {
+                repairs,
+                cache: rsc_stats,
+            },
+        },
+        cache,
+        invalidated,
+        recleaned,
+    }
+}
+
+/// Hash-table overhead per cache entry (control bytes plus slack).
+const HASH_SLOT_BYTES: usize = 16;
+
+/// Estimated bytes per memoised distance pair: the memo's entry (exact
+/// distance or lower bound, whatever shape it has) plus hash-table overhead.
+const DISTANCE_PAIR_BYTES: usize = DistanceCache::ENTRY_BYTES + HASH_SLOT_BYTES;
+
+/// Estimated resident bytes of one block cache (zero once spilled): the
+/// distance memo plus every [`GroupEntry`]'s owned buffers.  Counts what
+/// spilling the block would free, which is all the budget policy needs.
+fn approx_cache_bytes(cache: &BlockCache) -> usize {
+    let mut bytes = cache.distances.len() * DISTANCE_PAIR_BYTES;
+    for (key, entry) in &cache.entries {
+        bytes += approx_entry_bytes(key, entry);
+    }
+    bytes
+}
+
+/// Estimated bytes of one cached output-group entry.
+fn approx_entry_bytes(key: &[ValueId], entry: &GroupEntry) -> usize {
+    let mut bytes = std::mem::size_of::<GroupEntry>()
+        + std::mem::size_of::<Vec<ValueId>>()
+        + HASH_SLOT_BYTES
+        + std::mem::size_of_val(key);
+    for source in &entry.sources {
+        bytes += std::mem::size_of::<Vec<ValueId>>() + std::mem::size_of_val(source.as_slice());
+    }
+    bytes += approx_group_bytes(&entry.group);
+    for repair in &entry.repairs {
+        bytes += std::mem::size_of_val(repair)
+            + std::mem::size_of_val(repair.tuples.as_slice())
+            + repair
+                .group_key
+                .iter()
+                .chain(&repair.from_values)
+                .chain(&repair.to_values)
+                .map(|s| std::mem::size_of::<String>() + s.len())
+                .sum::<usize>();
+    }
+    bytes
+}
+
+/// Estimated bytes of one [`Group`]'s owned buffers.
+fn approx_group_bytes(group: &Group) -> usize {
+    let mut bytes = std::mem::size_of_val(group.key.as_slice());
+    for gamma in &group.gammas {
+        bytes += std::mem::size_of_val(gamma)
+            + std::mem::size_of_val(gamma.reason_values.as_slice())
+            + std::mem::size_of_val(gamma.result_values.as_slice())
+            + std::mem::size_of_val(gamma.tuples.as_slice());
+    }
+    bytes
+}
+
+/// The growth of a [`DistanceCache`]'s counters between two snapshots.
+fn stats_delta(before: CacheStats, after: CacheStats) -> CacheStats {
+    CacheStats {
+        hits: after.hits - before.hits,
+        misses: after.misses - before.misses,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::weights::{assign_block_weights, GammaSignature};
+    use datagen::{CarGenerator, HaiGenerator};
+    use dataset::{sample_hospital_dataset, Dataset, Schema};
+    use rules::{sample_hospital_rules, RuleSet};
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// The whole-block composition the driver replaced (the session's
+    /// injected-weights path and the coordinator's merge round were built
+    /// from it), kept as the oracle: AGP over the whole block, block
+    /// weights, the injected overrides, RSC over the whole block — each on
+    /// cold caches.
+    mod reference {
+        use super::*;
+
+        pub fn refresh_block(
+            config: &CleanConfig,
+            injected: &SessionWeights,
+            pristine: &Block,
+            pool: &ValuePool,
+        ) -> (Block, AgpRecord, RscRecord) {
+            let mut block = pristine.clone();
+            let agp = AgpStage::processor(config).process_block(&mut block, pool);
+            assign_block_weights(&mut block);
+            injected.apply_to_block(&mut block, pool);
+            let rsc = ReliabilityCleaner::new(config.metric).clean_block(&mut block, pool);
+            (block, agp, rsc)
+        }
+    }
+
+    /// Hospital, seeded HAI (seven rules) and seeded CAR, with the τ and
+    /// guard the benchmark runs them under.
+    fn workloads() -> Vec<(&'static str, Dataset, RuleSet, CleanConfig)> {
+        let hai = HaiGenerator::default().with_rows(700).with_providers(25);
+        let car = CarGenerator::default().with_rows(900);
+        let guarded = |tau| {
+            CleanConfig::default()
+                .with_tau(tau)
+                .with_agp_distance_guard(0.15)
+        };
+        vec![
+            (
+                "hospital",
+                sample_hospital_dataset(),
+                sample_hospital_rules(),
+                CleanConfig::default().with_tau(1),
+            ),
+            (
+                "hai",
+                hai.dirty(0.02, 0.5, 12).dirty,
+                HaiGenerator::rules(),
+                guarded(2),
+            ),
+            (
+                "car",
+                car.dirty(0.02, 0.5, 13).dirty,
+                CarGenerator::rules(),
+                guarded(1),
+            ),
+        ]
+    }
+
+    /// A driver over `index`'s rule blocks, nothing refreshed yet.
+    fn driver_over(config: &CleanConfig, index: &MlnIndex) -> StageOne {
+        let empty = index
+            .blocks
+            .iter()
+            .map(|b| Block {
+                groups: Vec::new(),
+                ..b.clone()
+            })
+            .collect();
+        StageOne::new(
+            config.clone(),
+            MlnIndex::from_parts(empty, ValuePool::new()),
+        )
+    }
+
+    /// Refresh whatever is dirty from `index`'s blocks.
+    fn refresh(stage: &mut StageOne, index: &MlnIndex, injected: &SessionWeights) -> Refreshed {
+        let pristine: Vec<(usize, &Block)> = index.blocks.iter().enumerate().collect();
+        stage.refresh(&pristine, index.pool(), injected, &mut Timings::default())
+    }
+
+    fn mark_all_dirty(stage: &mut StageOne) {
+        for block in 0..stage.caches.len() {
+            stage.mark_block_dirty(block);
+        }
+    }
+
+    /// Every block of the driver equals the oracle's: groups (γ weight and
+    /// probability compared by bits), AGP record, RSC record.
+    fn assert_matches_reference(
+        label: &str,
+        stage: &StageOne,
+        index: &MlnIndex,
+        injected: &SessionWeights,
+    ) {
+        for (i, pristine) in index.blocks.iter().enumerate() {
+            let (block, agp, rsc) =
+                reference::refresh_block(&stage.config, injected, pristine, index.pool());
+            let ours = &stage.cleaned.blocks[i];
+            assert_eq!(ours, &block, "{label}: block {i} diverged");
+            for (a, b) in ours.gammas().zip(block.gammas()) {
+                assert_eq!(a.weight.to_bits(), b.weight.to_bits(), "{label}: block {i}");
+                assert_eq!(
+                    a.probability.to_bits(),
+                    b.probability.to_bits(),
+                    "{label}: block {i}"
+                );
+            }
+            assert_eq!(stage.records[i].agp, agp, "{label}: block {i} AGP record");
+            assert_eq!(stage.records[i].rsc, rsc, "{label}: block {i} RSC record");
+        }
+    }
+
+    /// A table overriding every second γ of every block.
+    fn overriding_table(index: &MlnIndex) -> SessionWeights {
+        let mut table = SessionWeights::new();
+        for block in &index.blocks {
+            for (k, gamma) in block.gammas().enumerate().filter(|(k, _)| k % 2 == 0) {
+                table.set(
+                    GammaSignature::of(gamma, index.pool()),
+                    0.5 + (k % 7) as f64,
+                );
+            }
+        }
+        table
+    }
+
+    /// A table that matches no γ of any block.
+    fn missing_table() -> SessionWeights {
+        let mut table = SessionWeights::new();
+        table.set(
+            GammaSignature {
+                rule: 99,
+                reason: vec!["nowhere".into()],
+                result: vec![],
+            },
+            1.0,
+        );
+        table
+    }
+
+    #[test]
+    fn a_fully_dirty_refresh_equals_the_whole_block_composition() {
+        for (name, dirty, rules, config) in workloads() {
+            let index = MlnIndex::build(&dirty, &rules).unwrap();
+            let covered: BTreeSet<TupleId> = index
+                .blocks
+                .iter()
+                .flat_map(|b| b.gammas())
+                .flat_map(|g| g.tuples.iter().copied())
+                .collect();
+            let none = SessionWeights::new();
+            let overriding = overriding_table(&index);
+            let missing = missing_table();
+            for parallel in [false, true] {
+                let config = config.clone().with_parallel(parallel);
+                let mut plain_weights = Vec::new();
+                for (kind, table) in [
+                    ("none", &none),
+                    ("overriding", &overriding),
+                    ("missing", &missing),
+                ] {
+                    let label = format!("{name}, {kind} table, parallel={parallel}");
+                    let mut stage = driver_over(&config, &index);
+                    mark_all_dirty(&mut stage);
+                    let refreshed = refresh(&mut stage, &index, table);
+                    let every_block: Vec<usize> = (0..index.block_count()).collect();
+                    assert_eq!(refreshed.blocks, every_block, "{label}");
+                    assert!(stage.dirty_blocks().is_empty(), "{label}");
+                    assert_matches_reference(&label, &stage, &index, table);
+                    // Everything was rebuilt, so everything comes back
+                    // invalidated — what the coordinator relies on.
+                    let invalidated: BTreeSet<TupleId> =
+                        refreshed.invalidated.into_iter().collect();
+                    assert_eq!(invalidated, covered, "{label}");
+                    let groups: usize = stage.cleaned.blocks.iter().map(Block::group_count).sum();
+                    assert_eq!(stage.recleaned_groups(), groups as u64, "{label}");
+                    // Under a non-empty table nothing is retained.
+                    let retained: usize = stage.caches.iter().map(|c| c.entries.len()).sum();
+                    assert_eq!(
+                        retained,
+                        if table.is_empty() { groups } else { 0 },
+                        "{label}"
+                    );
+
+                    let weights: Vec<u64> = stage
+                        .cleaned
+                        .blocks
+                        .iter()
+                        .flat_map(|b| b.gammas())
+                        .map(|g| g.weight.to_bits())
+                        .collect();
+                    match kind {
+                        "none" => plain_weights = weights,
+                        "overriding" => assert_ne!(weights, plain_weights, "{label}: vacuous"),
+                        _ => assert_eq!(weights, plain_weights, "{label}"),
+                    }
+
+                    // Clearing the injection — the empty table, every block
+                    // dirty again — brings the closed-form state back.
+                    mark_all_dirty(&mut stage);
+                    refresh(&mut stage, &index, &none);
+                    assert_matches_reference(&format!("{label}, cleared"), &stage, &index, &none);
+                }
+            }
+        }
+    }
+
+    /// A refresh under injected weights retains no entry: once the injection
+    /// is cleared (which dirties nothing), a group-scoped refresh of the
+    /// same block must not serve injected-weight state from the cache.
+    #[test]
+    fn nothing_cached_under_injected_weights_outlives_them() {
+        for (name, dirty, rules, config) in workloads() {
+            let index = MlnIndex::build(&dirty, &rules).unwrap();
+            let mut stage = driver_over(&config, &index);
+            mark_all_dirty(&mut stage);
+            refresh(&mut stage, &index, &overriding_table(&index));
+            // One dirty key per block: a group-scoped refresh, were there
+            // anything to reuse.
+            for (i, block) in index.blocks.iter().enumerate() {
+                if let Some(group) = block.groups.first() {
+                    stage.mark_keys_dirty(i, std::slice::from_ref(&group.key));
+                }
+            }
+            refresh(&mut stage, &index, &SessionWeights::new());
+            assert_matches_reference(name, &stage, &index, &SessionWeights::new());
+        }
+    }
+
+    /// What lets the coordinator fill its merged weight table from the
+    /// merged *pristine* supports: an AGP merge moves γs between groups, it
+    /// never combines two of them (a group's key is its γs' reason values,
+    /// so γs of different groups always differ), so every γ keeps its
+    /// support through AGP.
+    #[test]
+    fn agp_never_changes_a_gamma_support() {
+        for (name, dirty, rules, config) in workloads() {
+            let index = MlnIndex::build(&dirty, &rules).unwrap();
+            let supports = |block: &Block| -> BTreeMap<GammaSignature, usize> {
+                block
+                    .gammas()
+                    .map(|g| (GammaSignature::of(g, index.pool()), g.support()))
+                    .collect()
+            };
+            let mut merges = 0;
+            for pristine in &index.blocks {
+                let mut block = pristine.clone();
+                let record = AgpStage::processor(&config).process_block(&mut block, index.pool());
+                merges += record
+                    .merges
+                    .iter()
+                    .filter(|m| m.target_key.is_some())
+                    .count();
+                assert_eq!(block.gamma_count(), pristine.gamma_count(), "{name}");
+                assert_eq!(supports(&block), supports(pristine), "{name}");
+            }
+            assert!(merges > 0, "{name}: no merge was exercised");
+        }
+    }
+
+    /// `FD: CT -> ST` over two three-tuple cities and a one-tuple typo of the
+    /// first, which AGP (τ = 1) merges into it.
+    fn typo_table() -> (Dataset, RuleSet) {
+        let mut ds = Dataset::new(Schema::new(&["CT", "ST"]));
+        for city in ["DOTHAN", "BOAZ"] {
+            for _ in 0..3 {
+                ds.push_row(vec![city.into(), "AL".into()]).unwrap();
+            }
+        }
+        ds.push_row(vec!["DOTHA".into(), "AL".into()]).unwrap();
+        (ds, rules::parse_rules("FD: CT -> ST").unwrap())
+    }
+
+    /// Apply one cell update to the dataset and the pristine index, mark
+    /// what it touched, refresh, and check the refreshed state against both
+    /// the oracle and a from-scratch driver.  Returns how many output groups
+    /// the refresh recomputed.
+    fn update_and_refresh(
+        stage: &mut StageOne,
+        ds: &mut Dataset,
+        index: &mut MlnIndex,
+        rules: &RuleSet,
+        (t, attr, value): (usize, &str, &str),
+    ) -> u64 {
+        let t = TupleId(t);
+        let attr = ds.schema().attr_id(attr).unwrap();
+        let old_row = ds.row_ids(t);
+        ds.set_value(t, attr, value.to_string());
+        let touched = index.update_tuple(ds, rules, t, &old_row, false);
+        for (block, keys) in touched.iter().enumerate() {
+            stage.mark_keys_dirty(block, keys);
+        }
+        let before = stage.recleaned_groups();
+        refresh(stage, index, &SessionWeights::new());
+        let none = SessionWeights::new();
+        assert_matches_reference("after the update", stage, index, &none);
+        let mut scratch = driver_over(&stage.config, index);
+        mark_all_dirty(&mut scratch);
+        refresh(&mut scratch, index, &none);
+        assert_eq!(stage.cleaned.blocks, scratch.cleaned.blocks);
+        assert_eq!(stage.records(), scratch.records());
+        stage.recleaned_groups() - before
+    }
+
+    #[test]
+    fn a_one_cell_update_rebuilds_only_the_touched_output_groups() {
+        let (mut ds, rules) = typo_table();
+        let config = CleanConfig::default().with_tau(1);
+        let mut index = MlnIndex::build(&ds, &rules).unwrap();
+        let mut stage = driver_over(&config, &index);
+        mark_all_dirty(&mut stage);
+        refresh(&mut stage, &index, &SessionWeights::new());
+        assert_eq!(stage.recleaned_groups(), 2, "DOTHAN (with DOTHA) and BOAZ");
+
+        // A result-part update inside BOAZ: one dirty key, one group.
+        let rebuilt = update_and_refresh(&mut stage, &mut ds, &mut index, &rules, (3, "ST", "AK"));
+        assert_eq!(rebuilt, 1);
+
+        // The typo moves next to the other city.  BOAZ gains a source (the
+        // new key is dirty); DOTHAN only *loses* one — neither its key nor
+        // any source it still has is dirty, so only the changed source list
+        // says its cached entry is stale.
+        let rebuilt =
+            update_and_refresh(&mut stage, &mut ds, &mut index, &rules, (6, "CT", "BOAZZ"));
+        assert_eq!(rebuilt, 2);
+
+        // Nothing dirty: free.
+        let before = stage.recleaned_groups();
+        let refreshed = refresh(&mut stage, &index, &SessionWeights::new());
+        assert_eq!(refreshed, Refreshed::default());
+        assert_eq!(stage.recleaned_groups(), before);
+    }
+
+    #[test]
+    fn a_one_cell_update_on_seeded_hai_recleans_a_strict_subset() {
+        let (_, mut ds, rules, config) = workloads().remove(1);
+        let mut index = MlnIndex::build(&ds, &rules).unwrap();
+        let mut stage = driver_over(&config, &index);
+        mark_all_dirty(&mut stage);
+        refresh(&mut stage, &index, &SessionWeights::new());
+        let total = stage.recleaned_groups();
+
+        // Give row 0 another row's city: the result part of two FDs.
+        let city = ds.schema().attr_id("City").unwrap();
+        let own = ds.value(TupleId(0), city).to_string();
+        let other = (1..ds.len())
+            .map(|t| ds.value(TupleId(t), city).to_string())
+            .find(|c| *c != own)
+            .unwrap();
+        let rebuilt =
+            update_and_refresh(&mut stage, &mut ds, &mut index, &rules, (0, "City", &other));
+        assert!(
+            (2..total / 10).contains(&rebuilt),
+            "{rebuilt} of {total} groups rebuilt"
+        );
+    }
+}

@@ -24,16 +24,20 @@
 //!    coordinator merges, for each block touched since the last round, the
 //!    partitions' pristine per-block state into one **global** block: the
 //!    support of identical γs is summed across partitions and tuple ids are
-//!    remapped through the partition id lists.  Stage I (AGP → weight
-//!    learning → RSC) then re-runs on the merged dirty blocks, one worker
-//!    per block.  Because weights are learned from the **merged** supports,
-//!    this is the *exact-evidence* variant of the paper's Eq. 6 phase: where
-//!    the batch runner averages independently learned per-partition weights
-//!    (`Σᵢ nᵢwᵢ / Σᵢ nᵢ`), the streaming merge reconstructs the global
-//!    evidence and learns the weight a single-node run would — which is what
-//!    makes the differential harness (`tests/streaming_equivalence.rs`) able
-//!    to pin the driver **byte-identical** to a single session.  The merged
-//!    weight table is kept by the coordinator and injected into a partition
+//!    remapped through the partition id lists.  The merged blocks then go
+//!    through [`StageOne::refresh`] — the same per-block Stage-I driver, and
+//!    the same call, a single [`CleaningSession`] refreshes its own dirty
+//!    blocks with — marked fully dirty, over one persistent per-block cache
+//!    (distance memo included).  Because weights are learned from the
+//!    **merged** supports, this is the *exact-evidence* variant of the
+//!    paper's Eq. 6 phase: where the batch runner averages independently
+//!    learned per-partition weights (`Σᵢ nᵢwᵢ / Σᵢ nᵢ`), the streaming merge
+//!    reconstructs the global evidence and learns the weight a single-node
+//!    run would — which is what makes the differential harness
+//!    (`tests/streaming_equivalence.rs`) able to pin the driver
+//!    **byte-identical** to a single session.  The merged weight table —
+//!    the closed-form weight of every merged γ's support, which no AGP merge
+//!    can change — is kept by the coordinator and injected into a partition
 //!    session ([`CleaningSession::inject_weights`]) whenever a per-partition
 //!    [`DistributedStreamingSession::partition_outcome`] view is drawn, so
 //!    local views reflect global evidence.
@@ -55,14 +59,14 @@
 
 use crate::backend::{LocalPartitions, PartitionBackend};
 use crate::partition::route_row;
-use dataset::{ArityMismatch, Dataset, Schema, SpillDir, SpillSlot, TupleId, ValueId, ValuePool};
+use dataset::{Dataset, Schema, SpillDir, SpillSlot, TupleId, ValueId, ValuePool};
 use mlnclean::index::{cmp_resolved, cmp_resolved_gammas};
 use mlnclean::session::nth_surviving;
+use mlnclean::weights::gamma_weight;
 use mlnclean::{
-    apply_tuple_fusion, AgpRecord, AgpStage, BatchReport, Block, ChangeSet, CleanConfig,
-    CleanError, ConflictResolver, Engine, FscrRecord, Gamma, Group, MlnIndex, Mutation,
-    PartitionReport, Report, RscRecord, RscStage, SessionWeights, Timings, TupleFusion,
-    WeightLearningStage,
+    apply_tuple_fusion, BatchReport, Block, ChangeSet, CleanConfig, CleanError, ConflictResolver,
+    Engine, FscrRecord, Gamma, GammaSignature, Group, MlnIndex, Mutation, PartitionReport, Report,
+    SessionWeights, StageOne, Timings, TupleFusion,
 };
 // Referenced by the module and method docs only.
 #[allow(unused_imports)]
@@ -121,12 +125,11 @@ pub struct DistributedStreamingSession<B: PartitionBackend = LocalPartitions> {
     /// Per partition: local pool id → coordinator pool id (pools are
     /// append-only, so the tables only ever extend).
     translate: Vec<Vec<ValueId>>,
-    /// The global cleaned index: per block, the post-Stage-I state of the
-    /// last merge round that touched it, over the coordinator pool.
-    cleaned: MlnIndex,
-    /// Cached post-Stage-I provenance per global block.
-    block_agp: Vec<AgpRecord>,
-    block_rsc: Vec<RscRecord>,
+    /// The per-block Stage-I driver over the **global** blocks: the cleaned
+    /// index (per block, the state of the last merge round that touched it,
+    /// over the coordinator pool), its provenance, the per-block caches and
+    /// which blocks were touched since the last merge round.
+    stage_one: StageOne,
     /// Per global row: the memoised FSCR fusion (`None` = must be re-fused).
     /// This is the coordinator's only O(rows)-sized value state; under a
     /// [`CleanConfig::memory_budget`] the whole memo is shed to a spill
@@ -140,8 +143,6 @@ pub struct DistributedStreamingSession<B: PartitionBackend = LocalPartitions> {
     spill: Option<SpillDir>,
     /// Times the fusion memo was shed to disk.
     fusion_sheds: usize,
-    /// Global blocks touched since the last merge round.
-    dirty: Vec<bool>,
     /// Per block: γs that drew cross-partition evidence in its last merge.
     shared_per_block: Vec<usize>,
     /// Last merged per-γ weight table (also injected into the partitions).
@@ -163,7 +164,7 @@ pub struct CoordinatorFootprint {
     pub translate_entries: usize,
     /// Distinct values interned in the coordinator pool.
     pub pool_values: usize,
-    /// Per-block dirtiness/statistics slots.  Fixed by the rule set.
+    /// Per-block statistics slots.  Fixed by the rule set.
     pub block_entries: usize,
     /// Resident dataset cells.  Always 0 since the coordinator shed its
     /// mirror dataset: rows live only in the partitions.
@@ -210,9 +211,10 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
         if partitions == 0 {
             return Err(CleanError::Partition { workers: 0 });
         }
-        let cleaned = MlnIndex::build_serial(&Dataset::new(schema.clone()), &rules)?;
-        let blocks = cleaned.block_count();
+        let empty = MlnIndex::build_serial(&Dataset::new(schema.clone()), &rules)?;
+        let blocks = empty.block_count();
         Ok(DistributedStreamingSession {
+            stage_one: StageOne::new(config.clone(), empty),
             config,
             merge_every: merge_every.max(1),
             schema,
@@ -223,14 +225,10 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
             parts: vec![Vec::new(); partitions],
             home: Vec::new(),
             translate: vec![Vec::new(); partitions],
-            cleaned,
-            block_agp: vec![AgpRecord::default(); blocks],
-            block_rsc: vec![RscRecord::default(); blocks],
             fusions: Vec::new(),
             shed: None,
             spill: None,
             fusion_sheds: 0,
-            dirty: vec![false; blocks],
             shared_per_block: vec![0; blocks],
             merged_weights: SessionWeights::new(),
             batches: 0,
@@ -318,7 +316,7 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
                 + self.parts.iter().map(Vec::len).sum::<usize>(),
             translate_entries: self.translate.iter().map(Vec::len).sum(),
             pool_values: self.pool.len(),
-            block_entries: self.dirty.len() + self.shared_per_block.len(),
+            block_entries: self.shared_per_block.len(),
             cell_entries: 0,
         }
     }
@@ -352,15 +350,30 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
     /// invalidates, remaps or reads fusion slots calls this first, so the
     /// index-based bookkeeping always operates on resident state.
     ///
-    /// Panics when the segment cannot be read back or decoded: the memo
-    /// records which tuples still have valid fusions, and proceeding
-    /// without it would silently re-fuse nothing (or everything) — a
-    /// corrupted output, not a recoverable slowdown.
+    /// A segment that cannot be read back, does not decode, or decodes to
+    /// anything but one slot per row (the disk failed underneath us) is
+    /// survived: the memo restarts all-`None`, so every row is re-fused at
+    /// the next outcome — slower, never wrong.  (The memo is only ever shed
+    /// between calls, when it holds exactly one slot per row.)
     fn reside_fusions(&mut self) {
         if let Some(slot) = self.shed.take() {
-            let bytes = slot.load().expect("a shed fusion segment reads back");
-            self.fusions = mlnw::from_bytes(&bytes).expect("a shed fusion segment decodes");
+            let memo: Option<Vec<Option<TupleFusion>>> =
+                slot.load().ok().and_then(|b| mlnw::from_bytes(&b).ok());
+            self.fusions = memo
+                .filter(|memo| memo.len() == self.rows)
+                .unwrap_or_else(|| vec![None; self.rows]);
         }
+    }
+
+    /// Fit the coordinator's evictable state to the configured budget: shed
+    /// the fusion memo if the budget cannot hold it, then let the Stage-I
+    /// driver spill clean block caches into whatever the resident memo
+    /// leaves ([`StageOne::enforce_budget`] — the code, and the estimate,
+    /// the single session uses).
+    fn enforce_budget(&mut self) {
+        self.shed_fusions();
+        self.stage_one
+            .enforce_budget(self.fusions.len() * FUSION_SLOT_BYTES);
     }
 
     /// Shed the fusion memo — the coordinator's only O(rows) value state —
@@ -391,44 +404,6 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
         }
     }
 
-    /// Pre-validate a change set against the global stream state — the same
-    /// sequential-id semantics [`CleaningSession::apply`] validates, so a
-    /// failed call leaves the coordinator and every partition untouched.
-    fn validate(&self, changes: &ChangeSet) -> Result<(), CleanError> {
-        let arity = self.schema.arity();
-        let mut rows = self.rows;
-        for mutation in changes.iter() {
-            match mutation {
-                Mutation::Insert(batch) => {
-                    for row in batch {
-                        if row.len() != arity {
-                            return Err(CleanError::Arity(ArityMismatch {
-                                expected: arity,
-                                actual: row.len(),
-                            }));
-                        }
-                    }
-                    rows += batch.len();
-                }
-                Mutation::Update(t, attr, _) => {
-                    if t.index() >= rows {
-                        return Err(CleanError::UnknownTuple { tuple: *t, rows });
-                    }
-                    if attr.index() >= arity {
-                        return Err(CleanError::UnknownAttribute { attr: *attr, arity });
-                    }
-                }
-                Mutation::Delete(t) => {
-                    if t.index() >= rows {
-                        return Err(CleanError::UnknownTuple { tuple: *t, rows });
-                    }
-                    rows -= 1;
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Apply one typed [`ChangeSet`] across the partitions — the streaming
     /// mirror of [`CleaningSession::apply`].
     ///
@@ -445,7 +420,10 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
     /// partitions counts once per partition holding it); the row, cell and
     /// block fields match the single session's exactly.
     pub fn apply(&mut self, changes: ChangeSet) -> Result<BatchReport, CleanError> {
-        self.validate(&changes)?;
+        // The same sequential-id semantics [`CleaningSession::apply`]
+        // validates, so a failed call leaves the coordinator and every
+        // partition untouched.
+        changes.validate(self.schema.arity(), self.rows)?;
         // Inserts push slots and updates/deletes invalidate or remap them
         // by index — all of which needs the memo resident.
         self.reside_fusions();
@@ -535,17 +513,7 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
             for part in &mut self.parts {
                 dataset::remap_ids_after_removal(part, &removed);
             }
-            self.cleaned.remap_removed(&removed);
-            for agp in &mut self.block_agp {
-                for merge in &mut agp.merges {
-                    dataset::remap_ids_after_removal(&mut merge.tuples, &removed);
-                }
-            }
-            for rsc in &mut self.block_rsc {
-                for repair in &mut rsc.repairs {
-                    dataset::remap_ids_after_removal(&mut repair.tuples, &removed);
-                }
-            }
+            self.stage_one.remap_removed(&removed);
         }
 
         // Partition ingest: the backend applies every partition's slice
@@ -556,14 +524,14 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
 
         let mut touched_groups = 0usize;
         let mut updated_cells = 0usize;
-        let mut touched_now = vec![false; self.dirty.len()];
+        let mut touched_now = vec![false; self.shared_per_block.len()];
         for (p, report) in reports.iter().enumerate() {
             let Some(report) = report else { continue };
             touched_groups += report.touched_groups;
             updated_cells += report.updated_cells;
             self.group_counts[p] = report.total_groups;
             for &b in &report.touched_blocks {
-                self.dirty[b] = true;
+                self.stage_one.mark_block_dirty(b);
                 touched_now[b] = true;
             }
         }
@@ -575,8 +543,8 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
             updated_cells,
             deleted_rows,
             total_rows: self.rows,
-            dirty_blocks: self.dirty.iter().filter(|&&d| d).count(),
-            total_blocks: self.dirty.len(),
+            dirty_blocks: self.stage_one.dirty_blocks().len(),
+            total_blocks: self.shared_per_block.len(),
             touched_groups,
             total_groups: self.group_counts.iter().sum(),
             touched_blocks: touched_now
@@ -589,7 +557,7 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
         if self.batches.is_multiple_of(self.merge_every) {
             self.merge_round();
         }
-        self.shed_fusions();
+        self.enforce_budget();
         Ok(report)
     }
 
@@ -699,133 +667,74 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
     }
 
     /// One coordinator merge round: gather the partitions' pristine state
-    /// for every block touched since the last round, re-run Stage I on the
-    /// merged blocks (one worker thread per block), refresh the global
-    /// cleaned index + provenance, and push the merged weights back into
-    /// every partition session.  A round with nothing dirty is free.
+    /// for every block touched since the last round, merge it, record the
+    /// merged weights, and send the merged blocks through the Stage-I driver
+    /// — which refreshes the global cleaned index and its provenance.  A
+    /// round with nothing dirty is free.
     fn merge_round(&mut self) {
-        if !self.dirty.iter().any(|&d| d) {
+        let dirty_idx = self.stage_one.dirty_blocks();
+        if dirty_idx.is_empty() {
             return;
         }
         // Re-merged blocks invalidate their tuples' fusion slots below.
         self.reside_fusions();
-        self.sync_cleaned_pool();
 
         // Gather: fetch every partition's copy of the dirty blocks from the
         // backend (one message-shaped exchange), then merge them.
         let started = Instant::now();
         self.extend_translations();
-        let dirty_idx: Vec<usize> = (0..self.dirty.len()).filter(|&i| self.dirty[i]).collect();
         let parts_blocks = self.backend.pristine_blocks(&dirty_idx);
-        let merged: Vec<(usize, Block, usize)> = dirty_idx
-            .iter()
-            .enumerate()
-            .map(|(bi, &b)| {
-                let copies: Vec<&Block> = parts_blocks.iter().map(|part| &part[bi]).collect();
-                let (block, shared) = self.merge_block(&copies);
-                (b, block, shared)
-            })
-            .collect();
+        let mut merged: Vec<Block> = Vec::with_capacity(dirty_idx.len());
+        for (bi, &b) in dirty_idx.iter().enumerate() {
+            let copies: Vec<&Block> = parts_blocks.iter().map(|part| &part[bi]).collect();
+            let (block, shared) = self.merge_block(&copies);
+            self.shared_per_block[b] = shared;
+            merged.push(block);
+        }
         self.timings.gather += started.elapsed();
 
-        // Tuples covered by a re-merged block must be re-fused (same
-        // over-approximation the single session uses).
-        for (_, block, _) in &merged {
-            for gamma in block.gammas() {
-                for &t in &gamma.tuples {
-                    self.fusions[t.index()] = None;
-                }
-            }
-        }
-
-        let config = &self.config;
-        let pool = &self.pool;
-
-        // AGP on the merged blocks, one worker per block.
+        // Weight merge: the closed-form weight of a merged support is the
+        // exact global weight (the exact-evidence variant of Eq. 6), and AGP
+        // never changes a γ's support — its merges move γs between groups,
+        // and a group's key is its γs' reason values, so no two γs of
+        // different groups can combine — so the table reads the merged
+        // pristine blocks directly.  It is kept for
+        // [`DistributedStreamingSession::partition_outcome`], which injects
+        // it into the partition lazily — eagerly pushing it into every
+        // session each round would pay one table clone per partition per
+        // round on the ingest hot path for a view most streams never draw.
         let started = Instant::now();
-        let work: Vec<(usize, Block, usize, AgpRecord)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = merged
-                .into_iter()
-                .map(|(i, mut block, shared)| {
-                    scope.spawn(move || {
-                        let agp = AgpStage::run_block(config, &mut block, pool);
-                        (i, block, shared, agp)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("AGP worker panicked"))
-                .collect()
-        });
-        self.timings.agp += started.elapsed();
-
-        // Weight merge: learning over the merged supports is the exact
-        // global weight (the exact-evidence variant of Eq. 6).  The merged
-        // table is kept for [`DistributedStreamingSession::partition_outcome`],
-        // which injects it into the partition lazily — eagerly pushing it
-        // into every session each round would pay one table clone per
-        // partition per round on the ingest hot path for a view most
-        // streams never draw.
-        let started = Instant::now();
-        let mut work = work;
-        for (_, block, _, _) in &mut work {
-            WeightLearningStage::run_block(block);
-        }
-        for (_, block, _, _) in &work {
-            self.merged_weights.absorb_block(block, pool);
+        for gamma in merged.iter().flat_map(Block::gammas) {
+            self.merged_weights.set(
+                GammaSignature::of(gamma, &self.pool),
+                gamma_weight(gamma.support()),
+            );
         }
         self.timings.weight_merge += started.elapsed();
 
-        // RSC on the merged blocks, one worker per block.
-        let config = &self.config;
-        let pool = &self.pool;
-        let started = Instant::now();
-        let finished: Vec<(usize, Block, usize, AgpRecord, RscRecord)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = work
-                    .into_iter()
-                    .map(|(i, mut block, shared, agp)| {
-                        scope.spawn(move || {
-                            let rsc = RscStage::run_block(config, &mut block, pool);
-                            (i, block, shared, agp, rsc)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("RSC worker panicked"))
-                    .collect()
-            });
-        self.timings.rsc += started.elapsed();
-
-        for (i, block, shared, agp, rsc) in finished {
-            self.cleaned.blocks[i] = block;
-            self.block_agp[i] = agp;
-            self.block_rsc[i] = rsc;
-            self.shared_per_block[i] = shared;
-        }
-        for dirty in &mut self.dirty {
-            *dirty = false;
+        // Stage I on the merged blocks.  They were marked fully dirty when
+        // touched, so every tuple they cover comes back invalidated (the
+        // same over-approximation the single session uses).
+        let pristine: Vec<(usize, &Block)> = dirty_idx.iter().copied().zip(&merged).collect();
+        let refreshed = self.stage_one.refresh(
+            &pristine,
+            &self.pool,
+            &SessionWeights::new(),
+            &mut self.timings,
+        );
+        for t in refreshed.invalidated {
+            self.fusions[t.index()] = None;
         }
         self.timings.merge_rounds += 1;
-    }
-
-    /// Re-snapshot the coordinator pool into the cleaned index when the
-    /// stream interned new values (pools are append-only, so a length check
-    /// spots growth).
-    fn sync_cleaned_pool(&mut self) {
-        if self.pool.len() != self.cleaned.pool().len() {
-            let blocks = std::mem::take(&mut self.cleaned.blocks);
-            self.cleaned = MlnIndex::from_parts(blocks, self.pool.clone());
-        }
     }
 
     /// Flush pending dirtiness and make sure every row has a memoised
     /// fusion.
     fn ensure_fusions(&mut self) {
         self.merge_round();
-        self.sync_cleaned_pool();
+        // Values interned since the last round must resolve in the cleaned
+        // index even when no block went dirty.
+        self.stage_one.sync_pool(&self.pool);
         // `assemble` reads every slot, so the memo must be resident even
         // when no block was dirty.
         self.reside_fusions();
@@ -834,7 +743,7 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
         }
         let started = Instant::now();
         let resolver = ConflictResolver::new(self.config.max_exhaustive_fusion);
-        let plan = resolver.plan(&self.cleaned);
+        let plan = resolver.plan(self.stage_one.cleaned());
         for i in 0..self.fusions.len() {
             if self.fusions[i].is_none() {
                 self.fusions[i] = Some(resolver.fuse_tuple(&plan, TupleId(i)));
@@ -852,25 +761,20 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
     pub fn outcome(&mut self) -> Report {
         self.ensure_fusions();
         let repaired = self.gather_dataset();
-        let cleaned = self.cleaned.clone();
-        let report = self.assemble(repaired, cleaned);
-        self.shed_fusions();
+        let report = self.assemble(repaired);
+        self.enforce_budget();
         report
     }
 
-    /// Close the stream, moving the accumulated state into the final
-    /// [`Report`] (no index copy, unlike
-    /// [`DistributedStreamingSession::outcome`]; the repaired dataset is
-    /// gathered from the partitions either way — the coordinator holds no
-    /// resident copy to move out).
+    /// Close the stream, producing the final [`Report`] (the repaired
+    /// dataset is gathered from the partitions, like for
+    /// [`DistributedStreamingSession::outcome`] — the coordinator holds no
+    /// resident copy to move out — and the cleaned index is shared, not
+    /// copied, either way).
     pub fn finish(mut self) -> Report {
         self.ensure_fusions();
         let repaired = self.gather_dataset();
-        let cleaned = std::mem::replace(
-            &mut self.cleaned,
-            MlnIndex::from_parts(Vec::new(), ValuePool::new()),
-        );
-        self.assemble(repaired, cleaned)
+        self.assemble(repaired)
     }
 
     /// A **partition-local** view: re-clean partition `p`'s own rows through
@@ -889,9 +793,10 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
     }
 
     /// Apply the memoised fusions and assemble the unified report — the
-    /// shared tail of `outcome` (clones) and `finish` (moves).
-    fn assemble(&mut self, mut repaired: Dataset, cleaned: MlnIndex) -> Report {
+    /// shared tail of `outcome` and `finish`.
+    fn assemble(&mut self, mut repaired: Dataset) -> Report {
         let started = Instant::now();
+        let cleaned = std::sync::Arc::clone(self.stage_one.cleaned());
         let mut fscr = FscrRecord::default();
         for (i, fusion) in self.fusions.iter().enumerate() {
             let fusion = fusion.as_ref().expect("ensure_fusions ran");
@@ -908,14 +813,7 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
             None
         };
 
-        let mut agp = AgpRecord::default();
-        let mut rsc = RscRecord::default();
-        for (block_agp, block_rsc) in self.block_agp.iter().zip(&self.block_rsc) {
-            agp.merges.extend_from_slice(&block_agp.merges);
-            agp.cache.absorb(block_agp.cache);
-            rsc.repairs.extend_from_slice(&block_rsc.repairs);
-            rsc.cache.absorb(block_rsc.cache);
-        }
+        let (agp, rsc) = self.stage_one.records();
 
         // Coordinator phases are wall clock; the index field aggregates the
         // partitions' (concurrent) ingest clocks, like the batch runner's
@@ -926,7 +824,7 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
         Report::new(
             repaired,
             deduplicated,
-            Some(std::sync::Arc::new(cleaned)),
+            Some(cleaned),
             agp,
             rsc,
             fscr,
@@ -995,15 +893,8 @@ impl DistributedStreamingMlnClean {
             self.partitions,
             self.merge_every,
         )?;
-        let batch_rows = self.batch_rows.max(1);
-        let mut at = 0usize;
-        while at < dirty.len() {
-            let upto = (at + batch_rows).min(dirty.len());
-            let rows: Vec<Vec<String>> = (at..upto)
-                .map(|t| dirty.tuple(TupleId(t)).owned_values())
-                .collect();
-            session.apply(ChangeSet::inserting(rows))?;
-            at = upto;
+        for changes in ChangeSet::insert_batches(dirty, self.batch_rows) {
+            session.apply(changes)?;
         }
         Ok(session.finish())
     }
@@ -1027,6 +918,13 @@ mod tests {
 
     fn hospital_rows(ds: &Dataset) -> Vec<Vec<String>> {
         ds.tuples().map(|t| t.owned_values()).collect()
+    }
+
+    fn assert_same_report(a: &Report, b: &Report) {
+        assert_eq!(csv::to_csv(&a.repaired), csv::to_csv(&b.repaired));
+        assert_eq!(a.agp, b.agp);
+        assert_eq!(a.rsc, b.rsc);
+        assert_eq!(a.fscr, b.fscr);
     }
 
     #[test]
@@ -1273,6 +1171,120 @@ mod tests {
             assert_eq!(a.agp, b.agp, "{label}: AGP diverged");
             assert_eq!(a.rsc, b.rsc, "{label}: RSC diverged");
             assert_eq!(a.fscr, b.fscr, "{label}: FSCR diverged");
+        }
+    }
+
+    /// A shed fusion memo that cannot be read back (deleted) or decoded
+    /// (truncated) must not panic and must not move the output: the memo
+    /// restarts empty and every row is re-fused.
+    #[test]
+    fn a_lost_fusion_segment_is_survived_and_leaves_the_report_unchanged() {
+        let dirty = sample_hospital_dataset();
+        let rules = rules::sample_hospital_rules();
+        let config = CleanConfig::default().with_tau(1);
+        let st = dirty.schema().attr_id("ST").unwrap();
+        let open = |config: CleanConfig| {
+            let mut session = DistributedStreamingSession::new(
+                config,
+                dirty.schema().clone(),
+                rules.clone(),
+                2,
+                1,
+            )
+            .unwrap();
+            session
+                .apply(ChangeSet::inserting(hospital_rows(&dirty)))
+                .unwrap();
+            session
+        };
+        let mut plain = open(config.clone());
+        let mut tight = open(config.with_memory_budget(1));
+        let _ = (plain.outcome(), tight.outcome());
+
+        let changes = [
+            ChangeSet::new().update(TupleId(3), st, "AL"),
+            ChangeSet::new().delete(TupleId(5)),
+        ];
+        for (changes, truncate) in changes.into_iter().zip([false, true]) {
+            assert!(tight.shed.is_some(), "a 1-byte budget sheds the memo");
+            let dir = tight.spill.as_ref().expect("shed at least once").path();
+            for entry in std::fs::read_dir(dir).unwrap() {
+                let path = entry.unwrap().path();
+                if truncate {
+                    let bytes = std::fs::read(&path).unwrap();
+                    std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+                } else {
+                    std::fs::remove_file(&path).unwrap();
+                }
+            }
+            plain.apply(changes.clone()).unwrap();
+            tight.apply(changes).unwrap();
+            assert_same_report(&plain.outcome(), &tight.outcome());
+        }
+    }
+
+    /// With nothing touched since the last round, another round — every
+    /// outcome tries one — neither counts nor re-cleans anything.
+    #[test]
+    fn a_second_merge_round_over_an_untouched_stream_is_free() {
+        let dirty = sample_hospital_dataset();
+        let mut session = DistributedStreamingSession::new(
+            CleanConfig::default().with_tau(1),
+            dirty.schema().clone(),
+            rules::sample_hospital_rules(),
+            2,
+            1,
+        )
+        .unwrap();
+        session
+            .apply(ChangeSet::inserting(hospital_rows(&dirty)))
+            .unwrap();
+        let first = session.outcome();
+        let rounds = session.timings().merge_rounds;
+        let recleaned = session.stage_one.recleaned_groups();
+        assert!(rounds > 0 && recleaned > 0);
+
+        session.merge_round();
+        let second = session.outcome();
+        assert_eq!(session.timings().merge_rounds, rounds);
+        assert_eq!(session.stage_one.recleaned_groups(), recleaned);
+        assert_same_report(&first, &second);
+    }
+
+    /// The merged weight table is filled from the merged *pristine*
+    /// supports; it must be the table the coordinator used to absorb from
+    /// the merged blocks after AGP and weight learning had run on them.
+    #[test]
+    fn merged_weights_equal_the_table_absorbed_after_agp_and_weights() {
+        use mlnclean::{AgpStage, PipelineStage, StageContext, StageRecords, WeightLearningStage};
+        let dirty = sample_hospital_dataset();
+        let rules = rules::sample_hospital_rules();
+        let config = CleanConfig::default().with_tau(1);
+        for partitions in [1, 2, 4] {
+            let mut session = DistributedStreamingSession::new(
+                config.clone(),
+                dirty.schema().clone(),
+                rules.clone(),
+                partitions,
+                2,
+            )
+            .unwrap();
+            for row in hospital_rows(&dirty) {
+                session.apply(ChangeSet::inserting(vec![row])).unwrap();
+            }
+            let _ = session.outcome();
+
+            let mut index = MlnIndex::build(&dirty, &rules).unwrap();
+            let mut records = StageRecords::default();
+            let mut ctx = StageContext::new(&dirty, &config, &mut index, &mut records);
+            AgpStage.run(&mut ctx);
+            WeightLearningStage.run(&mut ctx);
+            assert!(records.agp.merges.iter().any(|m| m.target_key.is_some()));
+            assert_eq!(
+                session.merged_weights(),
+                &SessionWeights::from_index(&index),
+                "{partitions} partitions"
+            );
         }
     }
 
