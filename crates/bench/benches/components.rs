@@ -8,9 +8,13 @@
 
 use bench::{Scale, Workload};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dataset::Dataset;
 use distance::{DistanceMetric, Metric};
 use distributed::{partition_dataset, PartitionConfig};
-use mlnclean::{AbnormalGroupProcessor, ConflictResolver, MlnIndex, ReliabilityCleaner};
+use mlnclean::{
+    AbnormalGroupProcessor, Block, ConflictResolver, MlnIndex, ReliabilityCleaner, SessionWeights,
+    StageOne, Timings,
+};
 
 fn index_construction(c: &mut Criterion) {
     let mut group = c.benchmark_group("mln_index_build");
@@ -57,6 +61,45 @@ fn stage_breakdown(c: &mut Criterion) {
         b.iter(|| {
             let mut index = base_index.clone();
             AbnormalGroupProcessor::new(1, Metric::Levenshtein).process(&mut index)
+        });
+    });
+    // What a session's `outcome()` pays Stage I after a one-cell update of
+    // an FD consequent: the AGP re-plan of the touched block against its
+    // warm distance cache and plan memo (the cold plan is the case above),
+    // plus the rebuild of the one or two output groups the tuple moved
+    // across.
+    group.bench_function("agp_replan", |b| {
+        let mut ds = dirty.dirty.clone();
+        let mut index = base_index.clone();
+        let empty = MlnIndex::build(&Dataset::new(ds.schema().clone()), &rules).expect("index");
+        let mut stage = StageOne::new(Workload::Car.clean_config(), empty);
+        for block in 0..index.block_count() {
+            stage.mark_block_dirty(block);
+        }
+        let none = SessionWeights::new();
+        let refresh = |stage: &mut StageOne, index: &MlnIndex| {
+            let pristine: Vec<(usize, &Block)> = index.blocks.iter().enumerate().collect();
+            stage.refresh(&pristine, index.pool(), &none, &mut Timings::default())
+        };
+        refresh(&mut stage, &index);
+        // A row the `Make="acura"` CFD does not see, so its block's support
+        // stays put and the refresh stays group-scoped.
+        let make = ds.schema().attr_id("Make").expect("CAR has a Make");
+        let t = ds
+            .tuple_ids()
+            .find(|&t| ds.value(t, make) != "acura")
+            .expect("a non-acura row");
+        let values = [ds.value(t, make).to_string(), "acurra".to_string()];
+        let mut flips = 0;
+        b.iter(|| {
+            flips += 1;
+            let old_row = ds.row_ids(t);
+            ds.set_value(t, make, values[flips % 2].clone());
+            let touched = index.update_tuple(&ds, &rules, t, &old_row, false);
+            for (block, keys) in touched.iter().enumerate() {
+                stage.mark_keys_dirty(block, keys);
+            }
+            refresh(&mut stage, &index)
         });
     });
     group.bench_function("weights+rsc", |b| {

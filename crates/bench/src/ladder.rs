@@ -22,8 +22,10 @@
 //! alive and probed with a sustained stream of single-cell mutations,
 //! reporting p50/p99/max `apply` + `outcome` latency plus the group-scoped
 //! re-clean counters: how many MLN groups the most expensive mutation
-//! re-cleaned versus how many groups the index holds in total (the CI
-//! evidence that a pure-FD mutation stream no longer re-cleans every group).
+//! re-cleaned, and how many abnormal groups it sent back to a full
+//! nearest-normal search, versus how many groups the index holds in total
+//! (the CI evidence that a pure-FD mutation stream neither re-cleans nor
+//! re-plans every group).
 //!
 //! Every rung also carries a **budgeted re-run** of the incremental engine:
 //! the same stream cleaned under [`LadderConfig::memory_budget`] (2 GiB by
@@ -405,6 +407,9 @@ struct MutationLatency {
     max: Duration,
     /// Most output groups any single sampled mutation re-cleaned.
     recleaned_groups: u64,
+    /// Most abnormal groups any single sampled mutation sent back to a full
+    /// nearest-normal search (`CleaningSession::rescanned_groups`).
+    rescanned_groups: u64,
     /// Groups the session's index held when the probe finished.
     total_groups: usize,
 }
@@ -568,12 +573,14 @@ fn mutation_probe(
 
     let mut latencies = Vec::with_capacity(samples);
     let mut recleaned_groups = 0u64;
+    let mut rescanned_groups = 0u64;
     for i in 0..samples {
         // Spread the touched rows across the dataset; a fresh value
         // guarantees the update is a real overwrite, never a skipped no-op.
         let tuple = TupleId((i.wrapping_mul(9973) + 17) % rows.max(1));
         let value = config.mutation_value(i);
         let recleaned_before = session.recleaned_groups();
+        let rescanned_before = session.rescanned_groups();
         let started = Instant::now();
         session
             .apply(ChangeSet::new().update(tuple, attr, value))
@@ -581,6 +588,7 @@ fn mutation_probe(
         let _ = session.outcome();
         latencies.push(started.elapsed());
         recleaned_groups = recleaned_groups.max(session.recleaned_groups() - recleaned_before);
+        rescanned_groups = rescanned_groups.max(session.rescanned_groups() - rescanned_before);
     }
     latencies.sort();
 
@@ -595,6 +603,7 @@ fn mutation_probe(
         p99: rank(0.99),
         max: *latencies.last().expect("at least one sample"),
         recleaned_groups,
+        rescanned_groups,
         total_groups: session.total_groups(),
     }
 }
@@ -674,13 +683,15 @@ fn render_rung(point: &RungPoint) -> String {
             concat!(
                 "{{ \"samples\": {samples}, \"p50_seconds\": {p50:.6}, ",
                 "\"p99_seconds\": {p99:.6}, \"max_seconds\": {max:.6}, ",
-                "\"recleaned_groups\": {recleaned}, \"total_groups\": {total} }}",
+                "\"recleaned_groups\": {recleaned}, \"rescanned_groups\": {rescanned}, ",
+                "\"total_groups\": {total} }}",
             ),
             samples = m.samples,
             p50 = m.p50.as_secs_f64(),
             p99 = m.p99.as_secs_f64(),
             max = m.max.as_secs_f64(),
             recleaned = m.recleaned_groups,
+            rescanned = m.rescanned_groups,
             total = m.total_groups,
         ),
     };
@@ -769,18 +780,19 @@ mod tests {
         assert_eq!(json.matches("\"p99_seconds\"").count(), 1);
         // The group-scoped probe: single-cell mutations re-clean a strict
         // subset of the groups.
-        let (recleaned, total) = probe_counts(json);
+        let (recleaned, rescanned, total) = probe_counts(json);
         assert!(
-            recleaned > 0 && recleaned < total,
-            "mutations should re-clean some but not all groups \
-             (recleaned {recleaned} of {total})"
+            recleaned > 0 && recleaned < total && rescanned < total,
+            "mutations should re-clean some but not all groups, and re-plan \
+             around fewer still (recleaned {recleaned}, rescanned {rescanned} of {total})"
         );
         // Crude structural sanity: balanced braces.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
-    /// Pull `"recleaned_groups"`/`"total_groups"` out of the artifact.
-    fn probe_counts(json: &str) -> (u64, u64) {
+    /// Pull `"recleaned_groups"`/`"rescanned_groups"`/`"total_groups"` out
+    /// of the artifact.
+    fn probe_counts(json: &str) -> (u64, u64, u64) {
         let grab = |key: &str| -> u64 {
             let at = json.find(key).unwrap_or_else(|| panic!("{key} missing"));
             json[at + key.len()..]
@@ -790,7 +802,11 @@ mod tests {
                 .parse()
                 .expect("the probe counters are integers")
         };
-        (grab("\"recleaned_groups\": "), grab("\"total_groups\": "))
+        (
+            grab("\"recleaned_groups\": "),
+            grab("\"rescanned_groups\": "),
+            grab("\"total_groups\": "),
+        )
     }
 
     #[test]
@@ -827,10 +843,10 @@ mod tests {
                 1,
                 "{name}"
             );
-            let (recleaned, total) = probe_counts(json);
+            let (recleaned, rescanned, total) = probe_counts(json);
             assert!(
-                recleaned > 0 && recleaned < total,
-                "{name}: recleaned {recleaned} of {total}"
+                recleaned > 0 && recleaned < total && rescanned < total,
+                "{name}: recleaned {recleaned}, rescanned {rescanned} of {total}"
             );
             assert_eq!(json.matches('{').count(), json.matches('}').count());
         }
@@ -901,6 +917,7 @@ mod tests {
             "\"p99_seconds\"",
             "\"max_seconds\"",
             "\"recleaned_groups\"",
+            "\"rescanned_groups\"",
             "\"total_groups\"",
             "\"budgeted\"",
             "\"budget_kib\"",

@@ -20,16 +20,51 @@
 //!
 //! Distances run through a per-block [`DistanceCache`] keyed on interned
 //! value pairs, which memoises what each probe proved — an exact distance or
-//! a lower bound — so a block re-planned against the same cache (every
-//! `outcome()` of a session) re-runs no metric at all.
+//! a lower bound — so a block re-planned against the same cache re-runs no
+//! metric at all.
+//!
+//! # Re-planning a block
+//!
+//! A session re-plans its dirty blocks on every `outcome()`, the streaming
+//! coordinator on every merge round, and between two plans of a block almost
+//! nothing moves.  `plan_block` therefore takes a per-block **plan memo**
+//! beside the distance cache: per pristine group key its *signature* — on
+//! which side of τ it falls, and the value ids of its dominant γ, which is
+//! all a search reads of a group — and per abnormal group its nearest
+//! normal group *before the guard* (key, record distance, guard verdict).
+//! There is one planner: an empty memo is the cold case, with the probes of
+//! the plain scan in the plain scan's order.
+//!
+//! The contract is exactness.  The scan's answer for an abnormal group is
+//! the lexicographic minimum of (distance, block position) over the normal
+//! groups.  A re-plan first diffs every group's signature against the memo,
+//! O(groups), which splits the normal groups into *unchanged* ones — same
+//! key, still normal, same dominant γ, hence the same distance to everybody
+//! and, the block being sorted by key, the same relative positions — and
+//! *fresh* ones.  If the abnormal group kept its own signature and the
+//! group it remembers is among the unchanged, that group is still the
+//! minimum over all of them (it was the minimum over a superset), so the
+//! minimum over everything is the minimum over {incumbent} ∪ fresh: each
+//! fresh group is asked whether it sorts before the best so far — strictly
+//! closer if it sits further down the block, closer *or as close* if it sits
+//! further up — and the guard's verdict, a function of the two dominant γs,
+//! is asked again only for a new winner.  What invalidates a remembered
+//! answer, sending the group back to a scan of every normal group: the
+//! group is new or its signature changed; its remembered target left the
+//! block, turned abnormal or changed its dominant γ.  Nobody has to mark
+//! anything — the diff runs against whatever snapshot the planner is
+//! handed, fully dirty blocks included — and the `AgpMerge` records are
+//! rebuilt for every abnormal group on every plan (tuple ids move).
 
 use crate::cache::{CacheStats, DistanceCache};
+use crate::gamma::Gamma;
 use crate::index::{Block, Group, MlnIndex};
 use crate::map_ordered;
 use dataset::{TupleId, ValueId, ValuePool};
 use distance::Metric;
 use rules::RuleId;
 use serde::{Deserialize, Serialize};
+use std::collections::{HashMap, HashSet};
 
 /// One merge performed (or attempted) by AGP.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -146,7 +181,7 @@ impl AbnormalGroupProcessor {
     pub(crate) fn process_block(&self, block: &mut Block, pool: &ValuePool) -> AgpRecord {
         // One distance memo per block: every group comparison below shares it.
         let mut cache = DistanceCache::new(self.metric);
-        let plan = self.plan_block(block, pool, &mut cache);
+        let plan = self.plan_block(block, pool, &mut cache, &mut PlanMemo::default());
         Self::apply_plan(block, &plan);
         let mut record = plan.record;
         record.cache.absorb(cache.stats());
@@ -161,72 +196,111 @@ impl AbnormalGroupProcessor {
     /// decisions are independent of the order in which merges are later
     /// applied — the property the group-scoped incremental refresh relies on
     /// to recompute a single group without replaying its siblings.
+    ///
+    /// `memo` is what the previous plan of this block left behind (see
+    /// [`PlanMemo`]); an empty one is the cold case.  The plan is the same
+    /// either way — only the number of probes differs.
     pub(crate) fn plan_block(
         &self,
         block: &Block,
         pool: &ValuePool,
         cache: &mut DistanceCache,
+        memo: &mut PlanMemo,
     ) -> AgpPlan {
-        // Partition group indices into abnormal and normal by the size test.
-        let abnormal: Vec<usize> = block
-            .groups
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| g.tuple_count() <= self.tau)
-            .map(|(i, _)| i)
-            .collect();
+        // Pass 1, O(groups): partition the groups by the size test, take
+        // every group's dominant-γ value ids once from the snapshot (only
+        // normal groups are merge targets — abnormal groups never merge into
+        // each other — and the search below must not re-derive them per
+        // abnormal × candidate pair), and diff each signature against the
+        // memo.  `fresh` lists the normal groups that are new to the block
+        // or changed signature since the last plan: all of them, cold.
+        let mut abnormal: Vec<usize> = Vec::new();
+        let mut normals: Vec<usize> = Vec::new();
+        let mut fresh: Vec<usize> = Vec::new();
+        let mut dominants: Vec<Vec<ValueId>> = Vec::with_capacity(block.groups.len());
+        for (i, group) in block.groups.iter().enumerate() {
+            let is_abnormal = group.tuple_count() <= self.tau;
+            let dominant = group
+                .dominant_gamma()
+                .map(Gamma::value_ids)
+                .unwrap_or_default();
+            let changed = memo.observe(&group.key, i, is_abnormal, &dominant);
+            if is_abnormal {
+                abnormal.push(i);
+            } else {
+                normals.push(i);
+                if changed {
+                    fresh.push(i);
+                }
+            }
+            dominants.push(dominant);
+        }
+        memo.forget_all_but(block);
+
         let mut plan = AgpPlan {
             abnormal,
             targets: Vec::new(),
             record: AgpRecord::default(),
+            rescanned: 0,
         };
-        if plan.abnormal.is_empty() {
-            return plan;
-        }
-        // Dominant-γ value ids of every *normal* group, in block order,
-        // computed once from the snapshot: only normal groups are valid merge
-        // targets (abnormal groups never merge into each other), and
-        // computing them up front keeps the nearest-normal search below from
-        // re-deriving (and re-allocating) them per abnormal × candidate pair.
-        // `plan.abnormal` is ascending by construction, so binary search
-        // works for the membership test.
-        let normals: Vec<(usize, Vec<ValueId>)> = block
-            .groups
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| plan.abnormal.binary_search(i).is_err())
-            .filter_map(|(i, g)| Some((i, g.dominant_gamma()?.value_ids())))
-            .collect();
-
+        // Pass 2: each abnormal group's nearest normal group by dominant-γ
+        // distance — the lexicographic minimum of (distance, block position)
+        // over the normal groups.  A remembered answer that still stands is
+        // that minimum over the *unchanged* normal groups (they kept their
+        // distances and, the block being sorted by key, their relative
+        // positions), so only the fresh ones can displace it; any other
+        // group scans every normal group from nothing.
         for &ai in &plan.abnormal {
             let group = &block.groups[ai];
-            // Nearest normal group by dominant-γ distance, optionally subject
-            // to the normalized-distance merge guard.
-            let target_idx: Option<usize> = group.dominant_gamma().and_then(|dominant| {
-                let dominant_ids = dominant.value_ids();
-                // Each candidate is asked "strictly closer than the best so
-                // far?", not "how far?": the first candidate is measured in
-                // full, every later one only until its partial distance
-                // reaches the incumbent.  Strict `<` keeps the *first*
-                // minimal candidate, matching the historical
-                // `Iterator::min_by` tie-breaking exactly.
-                let mut nearest: Option<&(usize, Vec<ValueId>)> = None;
-                let mut nearest_d = f64::INFINITY;
-                for candidate in &normals {
-                    let closer =
-                        cache.record_distance_below(pool, &dominant_ids, &candidate.1, nearest_d);
-                    if let Some(d) = closer {
-                        nearest = Some(candidate);
-                        nearest_d = d;
-                    }
+            let own = &dominants[ai];
+            let standing = memo.standing(&group.key);
+            let candidates = if group.gammas.is_empty() {
+                // Nothing to measure from: the group stays where it is.
+                &[][..]
+            } else if standing.is_some() {
+                &fresh[..]
+            } else {
+                plan.rescanned += 1;
+                &normals[..]
+            };
+            let mut best = standing.flatten();
+            for &ci in candidates {
+                // Each candidate is asked "does it sort before the best so
+                // far?", not "how far?": the first one is measured in full,
+                // every later one only until its partial distance reaches
+                // the incumbent.  One further down the block must be
+                // strictly closer — in a full scan that is every candidate,
+                // which keeps the *first* minimal one, matching the
+                // historical `Iterator::min_by` tie-breaking exactly — one
+                // further up wins a tie as well.
+                let limit = match &best {
+                    None => f64::INFINITY,
+                    Some(b) if ci < b.index => b.distance.next_up(),
+                    Some(b) => b.distance,
+                };
+                if let Some(d) = cache.record_distance_below(pool, own, &dominants[ci], limit) {
+                    best = Some(Incumbent {
+                        index: ci,
+                        distance: d,
+                        within_guard: None,
+                    });
                 }
-                // The winner was measured to the end, so the guard's
-                // normalized distances are already in the memo.
-                let (ci, nearest_ids) = nearest?;
-                let within_guard = self.distance_guard.is_none_or(|guard| {
-                    cache.normalized_record_distance(pool, &dominant_ids, nearest_ids) <= guard
+            }
+            // The optional normalized-distance merge guard is a function of
+            // the two dominant γs alone, so a standing incumbent keeps its
+            // verdict; a new winner was measured to the end, so the guard's
+            // normalized distances are already in the distance memo.
+            let target_idx = best.and_then(|best| {
+                let within_guard = best.within_guard.unwrap_or_else(|| {
+                    let target = &block.groups[best.index];
+                    let within_guard = self.distance_guard.is_none_or(|guard| {
+                        let theirs = &dominants[best.index];
+                        cache.normalized_record_distance(pool, own, theirs) <= guard
+                    });
+                    memo.remember(&group.key, &target.key, best.distance, within_guard);
+                    within_guard
                 });
-                within_guard.then_some(*ci)
+                within_guard.then_some(best.index)
             });
 
             plan.record.merges.push(AgpMerge {
@@ -298,14 +372,157 @@ pub(crate) struct AgpPlan {
     /// The [`AgpMerge`] entries describing the planned merges (cache
     /// counters are left to the caller, who owns the [`DistanceCache`]).
     pub(crate) record: AgpRecord,
+    /// Abnormal groups whose nearest-normal search ran over every normal
+    /// group of the block (all of them on a cold plan) instead of starting
+    /// from the [`PlanMemo`]'s incumbent.
+    pub(crate) rescanned: u64,
+}
+
+/// What [`AbnormalGroupProcessor::plan_block`] remembers of a block between
+/// two plans, so that a re-plan probes in proportion to what changed — see
+/// the [module docs](self) for the exactness argument.
+///
+/// An accelerator like the [`DistanceCache`] it sits beside: dropping it
+/// only costs probes.  It validates itself against whatever snapshot it is
+/// handed (τ included — the size test is part of every signature), so no
+/// caller marks anything; it does belong to one block and one processor,
+/// whose metric and guard it takes for granted.  It holds value ids only,
+/// never tuple ids.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PlanMemo {
+    groups: HashMap<Vec<ValueId>, Remembered>,
+}
+
+/// One pristine group as the last plan saw it.
+#[derive(Debug, Clone)]
+struct Remembered {
+    /// The group's *signature* — all a nearest-normal search reads of it:
+    /// which side of the size test it is on, and its dominant γ's value ids.
+    abnormal: bool,
+    dominant: Vec<ValueId>,
+    /// Its index in the last plan's snapshot.
+    position: usize,
+    /// Whether that plan found the signature new or changed.
+    changed: bool,
+    /// For an abnormal group: its nearest normal group **before the guard**
+    /// (`None`: the block had no normal group).
+    nearest: Option<Nearest>,
+}
+
+#[derive(Debug, Clone)]
+struct Nearest {
+    target: Vec<ValueId>,
+    distance: f64,
+    within_guard: bool,
+}
+
+/// The best candidate of a nearest-normal search so far.
+#[derive(Debug, Clone, Copy)]
+struct Incumbent {
+    /// Index of the normal group in the snapshot being planned.
+    index: usize,
+    distance: f64,
+    /// The guard's verdict on it, when the memo still vouches for one.
+    within_guard: Option<bool>,
+}
+
+impl PlanMemo {
+    /// Note group `key`'s position and signature in the snapshot being
+    /// planned.  Returns whether the signature is new or changed, which
+    /// also forgets what the group's own search had found.
+    fn observe(
+        &mut self,
+        key: &[ValueId],
+        position: usize,
+        abnormal: bool,
+        dominant: &[ValueId],
+    ) -> bool {
+        let Some(known) = self.groups.get_mut(key) else {
+            self.groups.insert(
+                key.to_vec(),
+                Remembered {
+                    abnormal,
+                    dominant: dominant.to_vec(),
+                    position,
+                    changed: true,
+                    nearest: None,
+                },
+            );
+            return true;
+        };
+        known.position = position;
+        known.changed = known.abnormal != abnormal || known.dominant != dominant;
+        if known.changed {
+            known.abnormal = abnormal;
+            known.dominant = dominant.to_vec();
+            known.nearest = None;
+        }
+        known.changed
+    }
+
+    /// Drop the groups that left the block; call once every group of
+    /// `block` has been [`observed`](Self::observe).
+    fn forget_all_but(&mut self, block: &Block) {
+        if self.groups.len() > block.groups.len() {
+            let live: HashSet<&[ValueId]> = block.groups.iter().map(|g| &g.key[..]).collect();
+            self.groups.retain(|key, _| live.contains(&key[..]));
+        }
+    }
+
+    /// Where abnormal group `key`'s search may start from, once the whole
+    /// snapshot has been observed.  `None`: from nothing, over every normal
+    /// group — the group is new or changed signature, or the group it
+    /// remembers as nearest left the block, turned abnormal or changed its
+    /// dominant γ.  `Some`: from the remembered nearest group (`Some(None)`:
+    /// there was no normal group to remember), which only the normal groups
+    /// that are themselves new or changed can displace.
+    fn standing(&self, key: &[ValueId]) -> Option<Option<Incumbent>> {
+        let known = self.groups.get(key).filter(|known| !known.changed)?;
+        let Some(nearest) = &known.nearest else {
+            return Some(None);
+        };
+        let target = self.groups.get(&nearest.target)?;
+        (!target.abnormal && !target.changed).then_some(Some(Incumbent {
+            index: target.position,
+            distance: nearest.distance,
+            within_guard: Some(nearest.within_guard),
+        }))
+    }
+
+    /// Record the winner of abnormal group `key`'s search.
+    fn remember(&mut self, key: &[ValueId], target: &[ValueId], distance: f64, within_guard: bool) {
+        let known = self.groups.get_mut(key).expect("observed by this plan");
+        known.nearest = Some(Nearest {
+            target: target.to_vec(),
+            distance,
+            within_guard,
+        });
+    }
+
+    /// Estimated resident bytes, `slot` of them per entry for the hash
+    /// table's own overhead — for the memory-budget accounting.
+    pub(crate) fn approx_bytes(&self, slot: usize) -> usize {
+        let ids = |v: &[ValueId]| std::mem::size_of_val(v);
+        self.groups
+            .iter()
+            .map(|(key, known)| {
+                let target = known.nearest.as_ref().map_or(0, |n| ids(&n.target));
+                std::mem::size_of::<(Vec<ValueId>, Remembered)>()
+                    + slot
+                    + ids(key)
+                    + ids(&known.dominant)
+                    + target
+            })
+            .sum()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::index::MlnIndex;
-    use dataset::sample_hospital_dataset;
-    use rules::sample_hospital_rules;
+    use dataset::{sample_hospital_dataset, AttrId, Dataset, Schema};
+    use rules::{sample_hospital_rules, RuleSet};
 
     fn sample_index() -> MlnIndex {
         MlnIndex::build(&sample_hospital_dataset(), &sample_hospital_rules()).unwrap()
@@ -374,7 +591,6 @@ mod tests {
         // Build a situation where the abnormal group's γ is value-identical
         // to one already in the target group: supports must be combined, not
         // duplicated.
-        use dataset::{Dataset, Schema};
         let mut ds = Dataset::new(Schema::new(&["CT", "ST"]));
         for _ in 0..5 {
             ds.push_row(vec!["DOTHAN".into(), "AL".into()]).unwrap();
@@ -463,6 +679,16 @@ mod tests {
         (targets, vetoes)
     }
 
+    /// A cold plan: nothing measured, nothing remembered.
+    fn cold_plan(agp: &AbnormalGroupProcessor, block: &Block, pool: &ValuePool) -> AgpPlan {
+        agp.plan_block(
+            block,
+            pool,
+            &mut DistanceCache::new(agp.metric),
+            &mut PlanMemo::default(),
+        )
+    }
+
     /// `plan_block` against the oracle on one block: same abnormal set, same
     /// targets (hence same guard vetoes), and `AgpMerge` records that name
     /// exactly those groups.  Returns (merges, vetoes) for the callers'
@@ -476,7 +702,7 @@ mod tests {
             "rule {:?}, {:?}, tau {}, guard {:?}",
             block.rule, agp.metric, agp.tau, agp.distance_guard
         );
-        let plan = agp.plan_block(block, pool, &mut DistanceCache::new(agp.metric));
+        let plan = cold_plan(agp, block, pool);
         let (targets, vetoes) = reference_targets(agp, block, pool);
         assert_eq!(plan.targets, targets, "targets diverged: {context}");
         let merges: Vec<AgpMerge> = plan
@@ -543,7 +769,6 @@ mod tests {
 
     #[test]
     fn equidistant_candidates_keep_the_first_in_block_order() {
-        use dataset::{Dataset, Schema};
         // "AAB" is one edit from each of three normal keys, and every γ has
         // the same result value: a three-way tie under every metric.
         let mut ds = Dataset::new(Schema::new(&["CT", "ST"]));
@@ -568,7 +793,7 @@ mod tests {
                 assert_plan_matches_reference(&agp, block, index.pool());
             }
             let agp = AbnormalGroupProcessor::new(1, metric);
-            let plan = agp.plan_block(block, index.pool(), &mut DistanceCache::new(metric));
+            let plan = cold_plan(&agp, block, index.pool());
             assert_eq!(plan.targets, vec![Some(first_normal)], "{metric:?}");
         }
     }
@@ -580,7 +805,8 @@ mod tests {
             let agp = AbnormalGroupProcessor::new(100, metric).with_distance_guard(0.15);
             for block in &index.blocks {
                 let mut cache = DistanceCache::new(metric);
-                let plan = agp.plan_block(block, index.pool(), &mut cache);
+                let plan =
+                    agp.plan_block(block, index.pool(), &mut cache, &mut PlanMemo::default());
                 assert_eq!(plan.abnormal.len(), block.group_count());
                 assert!(plan.targets.iter().all(Option::is_none));
                 assert_eq!(cache.stats(), CacheStats::default());
@@ -589,63 +815,439 @@ mod tests {
         }
     }
 
+    /// One processor's planning state across re-plans of an index — per
+    /// block, the distance cache and the plan memo `StageOne` keeps.
+    struct Warm {
+        agp: AbnormalGroupProcessor,
+        state: Vec<(DistanceCache, PlanMemo)>,
+    }
+
+    impl Warm {
+        fn new(agp: AbnormalGroupProcessor, index: &MlnIndex) -> Self {
+            let state = index
+                .blocks
+                .iter()
+                .map(|_| (DistanceCache::new(agp.metric), PlanMemo::default()))
+                .collect();
+            Warm { agp, state }
+        }
+
+        /// Re-plan block `b` against the state the earlier plans left, and
+        /// hold the plan to a cold one and to the oracle.  Returns the plan
+        /// and how many distance lookups (hits + misses) it made.
+        fn replan(&mut self, index: &MlnIndex, b: usize, context: &str) -> (AgpPlan, u64) {
+            let (block, pool) = (&index.blocks[b], index.pool());
+            let context = format!(
+                "{context}: block {b}, {:?}, tau {}, guard {:?}",
+                self.agp.metric, self.agp.tau, self.agp.distance_guard
+            );
+            let (cache, memo) = &mut self.state[b];
+            let lookups = |cache: &DistanceCache| cache.stats().hits + cache.stats().misses;
+            let before = lookups(cache);
+            let plan = self.agp.plan_block(block, pool, cache, memo);
+            let probes = lookups(cache) - before;
+            let cold = cold_plan(&self.agp, block, pool);
+            assert_eq!(plan.abnormal, cold.abnormal, "abnormal set: {context}");
+            assert_eq!(plan.targets, cold.targets, "targets: {context}");
+            assert_eq!(plan.record, cold.record, "merge records: {context}");
+            let (targets, _) = reference_targets(&self.agp, block, pool);
+            assert_eq!(plan.targets, targets, "targets vs oracle: {context}");
+            (plan, probes)
+        }
+    }
+
+    /// A dataset and its pristine index kept in step through the index's
+    /// own splice paths — what a session's `apply` does.
+    struct Evolving {
+        ds: Dataset,
+        rules: RuleSet,
+        index: MlnIndex,
+    }
+
+    impl Evolving {
+        fn new(ds: Dataset, rules: RuleSet) -> Self {
+            let index = MlnIndex::build(&ds, &rules).unwrap();
+            Evolving { ds, rules, index }
+        }
+
+        /// `FD: CT -> ST` over `(city, state, copies)` rows.
+        fn cities(rows: &[(&str, &str, usize)]) -> Self {
+            let ds = Dataset::new(Schema::new(&["CT", "ST"]));
+            let mut table = Self::new(ds, rules::parse_rules("FD: CT -> ST").unwrap());
+            for &(city, state, copies) in rows {
+                table.insert(vec![vec![city.into(), state.into()]; copies]);
+            }
+            table
+        }
+
+        fn insert(&mut self, rows: Vec<Vec<String>>) {
+            let from = self.ds.len();
+            self.ds.extend_rows(rows).unwrap();
+            self.index.insert_tuples(&self.ds, &self.rules, from, false);
+        }
+
+        fn update(&mut self, t: TupleId, attr: AttrId, value: &str) {
+            if self.ds.value(t, attr) != value {
+                let old_row = self.ds.row_ids(t);
+                self.ds.set_value(t, attr, value);
+                self.index
+                    .update_tuple(&self.ds, &self.rules, t, &old_row, false);
+            }
+        }
+
+        fn delete(&mut self, ids: &[TupleId]) {
+            self.index.remove_tuples(&self.ds, &self.rules, ids, false);
+            self.ds.remove_rows(ids);
+        }
+
+        /// Delete every row whose first attribute is `key`.
+        fn delete_key(&mut self, key: &str) {
+            let ids: Vec<TupleId> = self
+                .ds
+                .tuple_ids()
+                .filter(|&t| self.ds.value(t, AttrId(0)) == key)
+                .collect();
+            self.delete(&ids);
+        }
+    }
+
+    /// The `(abnormal key, target key)` pairs of a single-attribute-key plan.
+    fn homes(plan: &AgpPlan) -> Vec<(&str, Option<&str>)> {
+        let merges = plan.record.merges.iter();
+        merges
+            .map(|m| {
+                let target = m.target_key.as_ref().map(|key| key[0].as_str());
+                (m.abnormal_key[0].as_str(), target)
+            })
+            .collect()
+    }
+
+    /// SplitMix64, for the seeded streams below.
+    struct StreamRng(u64);
+
+    impl StreamRng {
+        fn below(&mut self, bound: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % bound.max(1) as u64) as usize
+        }
+    }
+
+    /// One random change set over `table`: one to four mutations — in-domain
+    /// or typo'd updates of rule attributes (reason and result parts alike),
+    /// inserts of perturbed copies of live rows, deletes.
+    fn random_change_set(table: &mut Evolving, rng: &mut StreamRng) {
+        let attrs: Vec<AttrId> = table
+            .index
+            .blocks
+            .iter()
+            .flat_map(|b| b.reason_attrs.iter().chain(&b.result_attrs).copied())
+            .collect();
+        for _ in 0..1 + rng.below(4) {
+            let rows = table.ds.len();
+            let attr = attrs[rng.below(attrs.len())];
+            let donor = TupleId(rng.below(rows));
+            let mut value = table.ds.value(donor, attr).to_string();
+            if rng.below(3) == 0 {
+                value.push('~');
+            }
+            match rng.below(10) {
+                0..=4 => table.update(TupleId(rng.below(rows)), attr, &value),
+                5..=7 => {
+                    let mut batch = Vec::new();
+                    for _ in 0..1 + rng.below(3) {
+                        let mut row = table.ds.tuple(TupleId(rng.below(rows))).owned_values();
+                        if rng.below(2) == 0 {
+                            row[attr.index()] = value.clone();
+                        }
+                        batch.push(row);
+                    }
+                    table.insert(batch);
+                }
+                _ if rows > 8 => {
+                    let mut ids = vec![TupleId(rng.below(rows)), TupleId(rng.below(rows))];
+                    ids.truncate(1 + rng.below(2));
+                    table.delete(&ids);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn the_maintained_plan_equals_a_cold_one_after_every_change_set_of_seeded_streams() {
+        use datagen::{CarGenerator, HaiGenerator, TpchGenerator};
+        let tpch = TpchGenerator::default().with_rows(240).with_customers(16);
+        let hai = HaiGenerator::default().with_rows(200).with_providers(8);
+        let car = CarGenerator::default().with_rows(80);
+        let workloads = [
+            (
+                "hospital",
+                sample_hospital_dataset(),
+                sample_hospital_rules(),
+                1,
+            ),
+            (
+                "tpch",
+                tpch.dirty(0.03, 0.5, 21).dirty,
+                TpchGenerator::rules(),
+                2,
+            ),
+            (
+                "hai",
+                hai.dirty(0.03, 0.5, 22).dirty,
+                HaiGenerator::rules(),
+                2,
+            ),
+            (
+                "car",
+                car.dirty(0.03, 0.5, 23).dirty,
+                CarGenerator::rules(),
+                1,
+            ),
+        ];
+        for (name, dirty, rules, tau) in workloads {
+            let mut table = Evolving::new(dirty, rules);
+            let blocks = table.index.block_count();
+            // Every metric × {no guard, the benchmark's, one that vetoes
+            // every merge} rides the same stream, each on its own state.
+            let mut planners: Vec<Warm> = Metric::ALL
+                .into_iter()
+                .flat_map(|metric| [None, Some(0.15), Some(0.0)].map(|guard| (metric, guard)))
+                .map(|(metric, guard)| {
+                    let mut agp = AbnormalGroupProcessor::new(tau, metric);
+                    agp.distance_guard = guard;
+                    Warm::new(agp, &table.index)
+                })
+                .collect();
+            let mut rng = StreamRng(0xA6B + tau as u64);
+            let (mut abnormal, mut rescanned) = (0, 0);
+            for step in 0..12 {
+                if step > 0 {
+                    random_change_set(&mut table, &mut rng);
+                    let rebuilt = MlnIndex::build(&table.ds, &table.rules).unwrap();
+                    assert_eq!(table.index.blocks, rebuilt.blocks, "{name}: the harness");
+                }
+                for planner in &mut planners {
+                    for b in 0..blocks {
+                        let context = format!("{name}, step {step}");
+                        let (plan, _) = planner.replan(&table.index, b, &context);
+                        if step == 0 {
+                            assert_eq!(plan.rescanned, plan.abnormal.len() as u64, "{context}");
+                        } else {
+                            abnormal += plan.abnormal.len() as u64;
+                            rescanned += plan.rescanned;
+                        }
+                    }
+                }
+            }
+            // The streams invalidate some remembered answers, not all.
+            assert!(
+                0 < rescanned && rescanned < abnormal / 2,
+                "{name}: {rescanned} full scans for {abnormal} abnormal groups re-planned"
+            );
+        }
+    }
+
+    #[test]
+    fn a_new_equidistant_normal_group_takes_over_only_from_an_earlier_position() {
+        // "AAB" is one edit from "AAC", "AAD" and "AAE" alike, with the same
+        // result value: ties under every metric, edit and unit alike.
+        for metric in Metric::ALL {
+            for guard in [None, Some(0.9)] {
+                let mut table = Evolving::cities(&[("AAD", "AL", 3), ("AAB", "AL", 1)]);
+                let mut agp = AbnormalGroupProcessor::new(1, metric);
+                agp.distance_guard = guard;
+                let mut warm = Warm::new(agp, &table.index);
+                let (plan, _) = warm.replan(&table.index, 0, "alone");
+                assert_eq!(homes(&plan), [("AAB", Some("AAD"))], "{metric:?}");
+
+                // Sorts before the incumbent: wins the tie, as it would have
+                // in a scan from the top.
+                table.insert(vec![vec!["AAC".into(), "AL".into()]; 3]);
+                let (plan, probes) = warm.replan(&table.index, 0, "an earlier tie");
+                assert_eq!(homes(&plan), [("AAB", Some("AAC"))], "{metric:?}");
+                assert_eq!(plan.rescanned, 0, "{metric:?}");
+                assert!(probes > 0, "{metric:?}");
+
+                // Sorts after it: has to be strictly closer, and is not.
+                table.insert(vec![vec!["AAE".into(), "AL".into()]; 3]);
+                let (plan, _) = warm.replan(&table.index, 0, "a later tie");
+                assert_eq!(homes(&plan), [("AAB", Some("AAC"))], "{metric:?}");
+                assert_eq!(plan.rescanned, 0, "{metric:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_incumbent_that_left_or_changed_its_dominant_gamma_is_not_trusted() {
+        // "AAD" ties between its three neighbours under every metric; the
+        // first of them sits right before it in the block.
+        let rows = [
+            ("AAC", "AL", 3),
+            ("AAD", "AL", 1),
+            ("AAE", "AL", 3),
+            ("AAF", "AL", 3),
+        ];
+        for metric in Metric::ALL {
+            let mut table = Evolving::cities(&rows);
+            let mut warm = Warm::new(AbnormalGroupProcessor::new(1, metric), &table.index);
+            let (plan, _) = warm.replan(&table.index, 0, "all three");
+            assert_eq!(homes(&plan), [("AAD", Some("AAC"))], "{metric:?}");
+            let (plan, probes) = warm.replan(&table.index, 0, "unchanged");
+            assert_eq!((plan.rescanned, probes), (0, 0), "{metric:?}");
+
+            // The incumbent is deleted: nothing fresh, yet a full scan (its
+            // old position now holds "AAD" itself).
+            table.delete_key("AAC");
+            let (plan, _) = warm.replan(&table.index, 0, "incumbent deleted");
+            assert_eq!(homes(&plan), [("AAD", Some("AAE"))], "{metric:?}");
+            assert_eq!(plan.rescanned, 1, "{metric:?}");
+
+            // The incumbent's dominant γ flips to another state: the
+            // remembered distance no longer describes it.
+            table.insert(vec![vec!["AAE".into(), "AK".into()]; 4]);
+            let (plan, _) = warm.replan(&table.index, 0, "incumbent flipped");
+            assert_eq!(homes(&plan), [("AAD", Some("AAF"))], "{metric:?}");
+            assert_eq!(plan.rescanned, 1, "{metric:?}");
+
+            // A change that leaves every signature alone costs nothing.
+            table.insert(vec![vec!["AAF".into(), "AK".into()]]);
+            let (plan, probes) = warm.replan(&table.index, 0, "a minority γ");
+            assert_eq!(homes(&plan), [("AAD", Some("AAF"))], "{metric:?}");
+            assert_eq!((plan.rescanned, probes), (0, 0), "{metric:?}");
+        }
+    }
+
+    #[test]
+    fn groups_crossing_tau_join_and_leave_the_candidates() {
+        for metric in Metric::ALL {
+            let mut table =
+                Evolving::cities(&[("AAA", "AL", 1), ("AAB", "AL", 1), ("AAD", "AL", 3)]);
+            let mut warm = Warm::new(AbnormalGroupProcessor::new(1, metric), &table.index);
+            let (plan, _) = warm.replan(&table.index, 0, "two abnormal groups");
+            let both = [("AAA", Some("AAD")), ("AAB", Some("AAD"))];
+            assert_eq!(homes(&plan), both, "{metric:?}");
+
+            // "AAA" grows past τ: a candidate for "AAB", ahead of "AAD".
+            table.insert(vec![vec!["AAA".into(), "AL".into()]]);
+            let (plan, _) = warm.replan(&table.index, 0, "grown past tau");
+            assert_eq!(homes(&plan), [("AAB", Some("AAA"))], "{metric:?}");
+            assert_eq!(plan.rescanned, 0, "{metric:?}");
+
+            // It shrinks back: it needs a target itself, and the group that
+            // had merged into it needs another one.
+            let last = TupleId(table.ds.len() - 1);
+            table.delete(&[last]);
+            let (plan, _) = warm.replan(&table.index, 0, "shrunk to tau");
+            assert_eq!(homes(&plan), both, "{metric:?}");
+            assert_eq!(plan.rescanned, 2, "{metric:?}");
+        }
+    }
+
+    #[test]
+    fn a_guard_verdict_is_kept_only_while_group_and_target_stand() {
+        // Normalized distances to "AAAAAAAB"/AL: (8/8 + 0) / 2 from the far
+        // key, (1/8 + 0) / 2 from the near one.
+        let mut table = Evolving::cities(&[("AAAAAAAB", "AL", 1), ("ZZZZZZZZ", "AL", 3)]);
+        let agp = AbnormalGroupProcessor::new(1, Metric::Levenshtein).with_distance_guard(0.15);
+        let mut warm = Warm::new(agp, &table.index);
+        let (plan, _) = warm.replan(&table.index, 0, "far only");
+        assert_eq!(homes(&plan), [("AAAAAAAB", None)], "vetoed");
+
+        // Group and target stand: the verdict is not asked for again.
+        let (plan, probes) = warm.replan(&table.index, 0, "unchanged");
+        assert_eq!(homes(&plan), [("AAAAAAAB", None)]);
+        assert_eq!((plan.rescanned, probes), (0, 0));
+
+        // A new winner gets its own verdict, not the old target's veto…
+        table.insert(vec![vec!["AAAAAAAC".into(), "AL".into()]; 3]);
+        let (plan, _) = warm.replan(&table.index, 0, "near appears");
+        assert_eq!(homes(&plan), [("AAAAAAAB", Some("AAAAAAAC"))]);
+        assert_eq!(plan.rescanned, 0);
+
+        // …and the far group, nearest again, not the near one's pass.
+        table.delete_key("AAAAAAAC");
+        let (plan, _) = warm.replan(&table.index, 0, "near leaves");
+        assert_eq!(homes(&plan), [("AAAAAAAB", None)]);
+        assert_eq!(plan.rescanned, 1);
+    }
+
+    #[test]
+    fn a_block_without_a_normal_group_then_its_first_one() {
+        for metric in Metric::ALL {
+            let mut table =
+                Evolving::cities(&[("AAB", "AL", 1), ("AAC", "AL", 1), ("AAD", "AL", 1)]);
+            let agp = AbnormalGroupProcessor::new(1, metric).with_distance_guard(0.9);
+            let mut warm = Warm::new(agp, &table.index);
+            let homeless = [("AAB", None), ("AAC", None), ("AAD", None)];
+            let (plan, probes) = warm.replan(&table.index, 0, "no normal group");
+            assert_eq!(homes(&plan), homeless, "{metric:?}");
+            assert_eq!((plan.rescanned, probes), (3, 0), "{metric:?}");
+            let (plan, probes) = warm.replan(&table.index, 0, "still none");
+            assert_eq!(homes(&plan), homeless, "{metric:?}");
+            assert_eq!((plan.rescanned, probes), (0, 0), "{metric:?}");
+
+            table.insert(vec![vec!["AAD".into(), "AL".into()]]);
+            let (plan, probes) = warm.replan(&table.index, 0, "the first one");
+            let housed = [("AAB", Some("AAD")), ("AAC", Some("AAD"))];
+            assert_eq!(homes(&plan), housed, "{metric:?}");
+            assert_eq!(plan.rescanned, 0, "{metric:?}");
+            assert!(probes > 0, "{metric:?}");
+        }
+    }
+
     /// What `car_session` does on every `outcome()`: re-plan a block against
-    /// the cache that served the previous plan.
+    /// the distance cache and the memo that served the previous plan.
     #[test]
     fn replanning_against_a_persistent_cache_reruns_only_what_changed() {
         use datagen::TpchGenerator;
         let generator = TpchGenerator::default().with_rows(900).with_customers(60);
-        let mut dirty = generator.dirty(0.02, 0.5, 11).dirty;
-        let rules = TpchGenerator::rules();
-        let mut index = MlnIndex::build(&dirty, &rules).unwrap();
+        let mut table = Evolving::new(generator.dirty(0.02, 0.5, 11).dirty, TpchGenerator::rules());
         let agp = AbnormalGroupProcessor::new(2, Metric::Levenshtein).with_distance_guard(0.15);
-        let mut cache = DistanceCache::new(agp.metric);
+        let mut warm = Warm::new(agp, &table.index);
 
-        let first = agp.plan_block(&index.blocks[0], index.pool(), &mut cache);
-        let cold = cache.stats();
+        let (first, probes) = warm.replan(&table.index, 0, "cold");
+        let cold = warm.state[0].0.stats();
+        assert_eq!(probes, cold.hits + cold.misses);
         assert!(cold.misses > 0 && first.targets.iter().any(Option::is_some));
+        assert_eq!(first.rescanned, first.abnormal.len() as u64);
         // Most give-ups are memoised as lower bounds, not dropped.
-        assert_eq!(cache.len() as u64, cold.misses);
+        assert_eq!(warm.state[0].0.len() as u64, cold.misses);
 
-        // Same block, same cache: same plan, and every probe — exact or
-        // bounded — is answered by the memo.
-        let second = agp.plan_block(&index.blocks[0], index.pool(), &mut cache);
-        assert_eq!(second.abnormal, first.abnormal);
+        // Same block, same state: same plan, without a single probe.
+        let (second, probes) = warm.replan(&table.index, 0, "unchanged");
         assert_eq!(second.targets, first.targets);
         assert_eq!(second.record, first.record);
-        let warm = cache.stats();
-        assert_eq!(warm.misses, cold.misses, "a re-plan re-ran the metric");
-        assert_eq!(warm.hits - cold.hits, cold.hits + cold.misses);
+        assert_eq!((second.rescanned, probes), (0, 0));
 
         // Splice one new abnormal group in: a typo of an existing key with
         // values no other group has.
-        let block = &index.blocks[0];
+        let block = &table.index.blocks[0];
         let donor = block.groups.iter().find(|g| g.tuple_count() > 2).unwrap();
-        let donor_row = dirty.tuple(donor.all_tuples()[0]).values();
-        let mut row: Vec<String> = donor_row.into_iter().map(str::to_string).collect();
+        let mut row = table.ds.tuple(donor.all_tuples()[0]).owned_values();
         for attr in block.reason_attrs.iter().chain(&block.result_attrs) {
             row[attr.index()].push('~');
         }
-        let from = dirty.len();
-        dirty.push_row(row).unwrap();
-        let report = index.insert_tuples(&dirty, &rules, from, false);
-        assert_eq!(report.created_groups, vec![1]);
-
-        // Only the new group's probes can miss: every other abnormal group
-        // faces the same candidates with the same limits as before.
-        let block = &index.blocks[0];
-        let normal_groups = block.group_count() - first.abnormal.len() - 1;
         let arity = block.reason_attrs.len() + block.result_attrs.len();
-        let third = agp.plan_block(block, index.pool(), &mut cache);
+        let normal_groups = block.group_count() - first.abnormal.len();
+        table.insert(vec![row]);
+
+        // Only the new group searches: once over the normal groups, plus
+        // the guard's question about the winner.
+        let (third, probes) = warm.replan(&table.index, 0, "one group spliced in");
         assert_eq!(third.abnormal.len(), first.abnormal.len() + 1);
-        let spliced = cache.stats();
-        let new_misses = spliced.misses - warm.misses;
-        assert!(new_misses > 0, "the new group was never measured");
+        assert_eq!(third.rescanned, 1);
         assert!(
-            new_misses <= (normal_groups * arity) as u64,
-            "{new_misses} misses for one new group against {normal_groups} candidates"
+            warm.state[0].0.stats().misses > cold.misses,
+            "never measured"
         );
-        assert_plan_matches_reference(&agp, block, index.pool());
+        assert!(
+            probes <= ((normal_groups + 1) * arity) as u64,
+            "{probes} lookups for one new group against {normal_groups} candidates"
+        );
     }
 
     #[test]

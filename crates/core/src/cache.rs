@@ -2,10 +2,11 @@
 //!
 //! AGP and RSC compare γs through string distances.  Within a block the same
 //! *value pair* recurs constantly — RSC's normalization constant revisits all
-//! γ pairs of a group, a session re-plans a dirty block on every `outcome()`
-//! — while the number of *distinct* value pairs is small.  The memo is keyed
-//! on `(ValueId, ValueId)` (symmetric, order-normalized) and records what a
-//! probe actually proved about the pair:
+//! γ pairs of a group, a session's re-plan of a dirty block searches again
+//! for the groups a change touched — while the number of *distinct* value
+//! pairs is small.  The memo is keyed on `(ValueId, ValueId)` (symmetric,
+//! order-normalized) and records what a probe actually proved about the
+//! pair:
 //!
 //! * an **exact** `(raw, normalized)` distance, once the metric ran to the
 //!   end, or

@@ -64,7 +64,11 @@ impl Group {
 
     /// All tuple ids covered by the group.
     pub fn all_tuples(&self) -> Vec<TupleId> {
-        let mut out: Vec<TupleId> = self.gammas.iter().flat_map(|g| g.tuples.clone()).collect();
+        let mut out: Vec<TupleId> = self
+            .gammas
+            .iter()
+            .flat_map(|g| g.tuples.iter().copied())
+            .collect();
         out.sort();
         out.dedup();
         out

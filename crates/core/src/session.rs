@@ -28,10 +28,14 @@
 //! Producing a [`Report`] then hands the dirty blocks' pristine state to
 //! [`StageOne::refresh`] — the one refresh path, shared with the distributed
 //! streaming coordinator — which re-runs Stage I **only on the affected
-//! groups**: AGP merge *decisions* are re-planned per block, but merging γs,
-//! the closed-form block softmax and RSC's pairwise γ scoring are recomputed
-//! only for output groups whose sources changed (every group, when injected
-//! weights are in force).  Stage II re-fuses **only the invalidated tuples**
+//! groups**: AGP merge *decisions* are re-planned per block against the
+//! block's plan memo (a full nearest-normal search only for the abnormal
+//! groups whose own signature, or whose remembered target's, changed —
+//! [`CleaningSession::rescanned_groups`]), and merging γs, the closed-form
+//! block softmax and RSC's pairwise γ scoring are recomputed only for
+//! output groups whose sources changed (every group, when injected weights
+//! are in force — [`CleaningSession::recleaned_groups`]).  Stage II re-fuses
+//! **only the invalidated tuples**
 //! against a fusion plan restricted to their covering blocks
 //! ([`crate::fscr::ConflictResolver::plan_for`]), folds the new fusions into
 //! an incrementally maintained repaired dataset, and replays memoised
@@ -232,6 +236,15 @@ impl CleaningSession {
         self.stage_one.recleaned_groups()
     }
 
+    /// Cumulative number of abnormal groups whose nearest-normal search the
+    /// AGP re-plans of this session ran in full ([`StageOne::rescanned_groups`])
+    /// — the planning half of the incrementality probe: after the first
+    /// outcome it grows with the groups whose signature changed, not with
+    /// the abnormal groups of the dirty blocks.
+    pub fn rescanned_groups(&self) -> u64 {
+        self.stage_one.rescanned_groups()
+    }
+
     /// Total groups across all pristine blocks right now.
     pub fn total_groups(&self) -> usize {
         self.pristine.blocks.iter().map(|b| b.group_count()).sum()
@@ -333,6 +346,7 @@ impl CleaningSession {
     /// both are byte-identical to a batch run over the net surviving rows.
     /// Cumulative diagnostics ([`CleaningSession::timings`],
     /// [`CleaningSession::recleaned_groups`],
+    /// [`CleaningSession::rescanned_groups`],
     /// [`CleaningSession::remap_passes`]) restart from zero — they describe
     /// work done by *this* process, not the stream.
     pub fn resume(

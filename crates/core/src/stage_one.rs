@@ -14,12 +14,16 @@
 //! * the distributed streaming coordinator passes the global blocks it
 //!   merged from its partitions' pristine blocks, marked fully dirty.
 //!
-//! A refresh re-plans the dirty block's AGP merges (cheap, and
-//! order-independent — see `AbnormalGroupProcessor::plan_block`), lays the
-//! post-AGP output groups out, and then rebuilds **only** the output groups
-//! whose sources changed: merge the source γs, weight them in closed form
-//! ([`assign_group_weights`], whose denominator is the block's total support
-//! and therefore survives any within-block merge), clean the group with RSC.
+//! A refresh re-plans the dirty block's AGP merges — order-independent, and
+//! against the block's plan memo, so the distance probes it makes are
+//! proportional to the groups whose signature changed since the last
+//! refresh, not to the block (see `AbnormalGroupProcessor::plan_block`;
+//! only a block's *first* plan visits every abnormal × normal pair) — lays
+//! the post-AGP output groups out, and then rebuilds **only** the output
+//! groups whose sources changed: merge the source γs, weight them in closed
+//! form ([`assign_group_weights`], whose denominator is the block's total
+//! support and therefore survives any within-block merge), clean the group
+//! with RSC.
 //! Every other output group is served from the block's cache byte for byte.
 //! A fully dirty block — or any block while **injected weights** are in
 //! force, which renormalize the whole block between weighting and RSC — is
@@ -33,8 +37,10 @@
 //! caches' resident size and spills clean blocks' caches to disk segments,
 //! coldest first ([`StageOne::enforce_budget`]); a spilled cache faults back
 //! in when its block goes dirty or a delete has to shift its tuple ids.
+//! The distance and plan memos are accelerators, not state: counted by the
+//! estimate, dropped by a spill, never written anywhere.
 
-use crate::agp::{AgpPlan, AgpRecord};
+use crate::agp::{AgpPlan, AgpRecord, PlanMemo};
 use crate::cache::{CacheStats, DistanceCache};
 use crate::engine::Timings;
 use crate::index::{Block, Group, MlnIndex};
@@ -92,6 +98,9 @@ struct BlockCache {
     /// Persistent distance memo shared by AGP planning and RSC scoring
     /// across refreshes of this block.
     distances: DistanceCache,
+    /// What the last AGP plan of this block decided, so the next one probes
+    /// only around the groups whose signature changed.
+    plan: PlanMemo,
     /// Disk-backed image of `entries` while the block is spilled under a
     /// memory budget.  `Some` ⇒ `entries` is empty and must be faulted back
     /// in before the block is refreshed or id-remapped.  The dirtiness
@@ -111,6 +120,7 @@ impl BlockCache {
             fully_dirty: false,
             entries: HashMap::new(),
             distances: DistanceCache::new(metric),
+            plan: PlanMemo::default(),
             spilled: None,
             last_touch: 0,
         }
@@ -138,6 +148,8 @@ struct RefreshedBlock {
     invalidated: Vec<TupleId>,
     /// Output groups Stage I actually recomputed (vs reused from cache).
     recleaned: u64,
+    /// Abnormal groups the plan searched for from scratch.
+    rescanned: u64,
 }
 
 /// What one [`StageOne::refresh`] call did.
@@ -189,6 +201,9 @@ pub struct StageOne {
     /// Cumulative output groups recomputed — see
     /// [`StageOne::recleaned_groups`].
     recleaned_groups: u64,
+    /// Cumulative nearest-normal searches run in full — see
+    /// [`StageOne::rescanned_groups`].
+    rescanned_groups: u64,
     /// Spill directory backing the memory budget, created lazily on the
     /// first spill (drivers without a budget never touch the filesystem).
     spill: Option<SpillDir>,
@@ -210,6 +225,7 @@ impl StageOne {
             config,
             cleaned: Arc::new(empty),
             recleaned_groups: 0,
+            rescanned_groups: 0,
             spill: None,
             lru_clock: 0,
             memory: MemoryStats::default(),
@@ -258,6 +274,15 @@ impl StageOne {
     /// refreshes (vs served from cache) — the incrementality probe.
     pub fn recleaned_groups(&self) -> u64 {
         self.recleaned_groups
+    }
+
+    /// Cumulative number of abnormal groups whose nearest-normal search ran
+    /// over every normal group of their block (vs starting from the group
+    /// the last plan found) — [`StageOne::recleaned_groups`]' sibling for the
+    /// AGP plan: every abnormal group on a block's first refresh, afterwards
+    /// only those whose own signature, or whose remembered target's, changed.
+    pub fn rescanned_groups(&self) -> u64 {
+        self.rescanned_groups
     }
 
     /// Spill and fault-in counters (`evicted_fusions` stays zero here: the
@@ -324,10 +349,12 @@ impl StageOne {
         let config = &self.config;
 
         // Pass 1 (timed as AGP): re-plan each dirty block's merges against
-        // its pristine snapshot.  Planning is order-independent and cheap
-        // relative to the γ-merging/weighting/scoring it steers, and a fresh
-        // plan is what lets the rebuild pass below detect — per output group
-        // — whether the cached entry's sources still hold.
+        // its pristine snapshot.  Planning is order-independent, and through
+        // the block's plan memo its searches are proportional to the groups
+        // whose signature changed — the memo checks itself against the
+        // snapshot, so a fully dirty block is planned no differently; a
+        // fresh plan is what lets the rebuild pass below detect — per output
+        // group — whether the cached entry's sources still hold.
         let started = Instant::now();
         let planned = map_ordered(config.parallel, work, |(i, block, mut cache)| {
             let z = block_support(block);
@@ -338,7 +365,12 @@ impl StageOne {
                 cache.fully_dirty = true;
             }
             let before = cache.distances.stats();
-            let plan = AgpStage::processor(config).plan_block(block, pool, &mut cache.distances);
+            let plan = AgpStage::processor(config).plan_block(
+                block,
+                pool,
+                &mut cache.distances,
+                &mut cache.plan,
+            );
             let agp_stats = stats_delta(before, cache.distances.stats());
             (i, block, cache, z, plan, agp_stats)
         });
@@ -368,6 +400,7 @@ impl StageOne {
             self.caches[i] = refreshed.cache;
             self.caches[i].last_touch = self.lru_clock;
             self.recleaned_groups += refreshed.recleaned;
+            self.rescanned_groups += refreshed.rescanned;
             out.blocks.push(i);
             out.invalidated.extend(refreshed.invalidated);
         }
@@ -383,6 +416,7 @@ impl StageOne {
     /// alone keeps their state byte-identical to what a run over the
     /// survivors would produce.  Spilled blocks hold entries in the same id
     /// space, so they fault in for the shift (the budget re-spills them).
+    /// The distance and plan memos hold value ids only and need no shift.
     pub fn remap_removed(&mut self, removed: &[usize]) {
         for i in 0..self.caches.len() {
             self.fault_in_block(i);
@@ -409,7 +443,7 @@ impl StageOne {
     }
 
     /// Estimated resident bytes of the block caches — per-group clean
-    /// entries plus distance memos; spilled blocks count zero.  A
+    /// entries plus distance and plan memos; spilled blocks count zero.  A
     /// count-based heuristic (exact sizing would cost more than the state is
     /// worth), consistent across calls, which is all the spill policy needs.
     pub fn resident_estimate(&self) -> usize {
@@ -450,10 +484,11 @@ impl StageOne {
     }
 
     /// Spill one clean resident block's cache entries to a disk segment.
-    /// Returns whether the block is now spilled.  The distance memo is
-    /// dropped with the entries: it is a pure accelerator whose hit/miss
-    /// statistics are excluded from provenance equality, so faulting back
-    /// in with a cold memo is byte-identity-safe.
+    /// Returns whether the block is now spilled.  The distance and plan
+    /// memos are dropped with the entries: they are pure accelerators whose
+    /// hit/miss statistics are excluded from provenance equality, so
+    /// faulting back in with cold memos (the block re-plans as if for the
+    /// first time) is byte-identity-safe.
     fn spill_block(&mut self, i: usize) -> bool {
         if !self.caches[i].is_spillable() {
             return false;
@@ -483,6 +518,7 @@ impl StageOne {
                 let cache = &mut self.caches[i];
                 cache.spilled = Some(slot);
                 cache.distances = DistanceCache::new(self.config.metric);
+                cache.plan = PlanMemo::default();
                 true
             }
             Err(_) => {
@@ -690,6 +726,7 @@ fn refresh_block(
     cache.dirty_keys.clear();
     cache.fully_dirty = false;
 
+    let rescanned = plan.rescanned;
     let mut agp = plan.record;
     agp.cache = agp_stats;
     RefreshedBlock {
@@ -704,6 +741,7 @@ fn refresh_block(
         cache,
         invalidated,
         recleaned,
+        rescanned,
     }
 }
 
@@ -715,10 +753,12 @@ const HASH_SLOT_BYTES: usize = 16;
 const DISTANCE_PAIR_BYTES: usize = DistanceCache::ENTRY_BYTES + HASH_SLOT_BYTES;
 
 /// Estimated resident bytes of one block cache (zero once spilled): the
-/// distance memo plus every [`GroupEntry`]'s owned buffers.  Counts what
-/// spilling the block would free, which is all the budget policy needs.
+/// distance and plan memos plus every [`GroupEntry`]'s owned buffers.
+/// Counts what spilling the block would free, which is all the budget
+/// policy needs.
 fn approx_cache_bytes(cache: &BlockCache) -> usize {
-    let mut bytes = cache.distances.len() * DISTANCE_PAIR_BYTES;
+    let mut bytes =
+        cache.distances.len() * DISTANCE_PAIR_BYTES + cache.plan.approx_bytes(HASH_SLOT_BYTES);
     for (key, entry) in &cache.entries {
         bytes += approx_entry_bytes(key, entry);
     }
@@ -1108,6 +1148,72 @@ mod tests {
         assert_eq!(stage.recleaned_groups(), before);
     }
 
+    /// Inserts and deletes mark a block fully dirty — every group is rebuilt
+    /// — but its AGP plan is maintained all the same: the memo validates
+    /// itself against the snapshot, whatever the dirtiness says.
+    #[test]
+    fn a_fully_dirty_block_replans_from_its_memo() {
+        let (_, mut ds, rules, config) = workloads().remove(2);
+        let mut index = MlnIndex::build(&ds, &rules).unwrap();
+        let mut stage = driver_over(&config, &index);
+        let none = SessionWeights::new();
+        mark_all_dirty(&mut stage);
+        refresh(&mut stage, &index, &none);
+        let abnormal = stage.rescanned_groups();
+        assert!(abnormal > 20 && abnormal == stage.records().0.merges.len() as u64);
+
+        // Insert a copy of row 0 with a typo in every cell: at most one new
+        // (abnormal) group a block.
+        let from = ds.len();
+        let row = ds.tuple(TupleId(0)).owned_values();
+        ds.push_row(row.into_iter().map(|v| v + "~").collect())
+            .unwrap();
+        index.insert_tuples(&ds, &rules, from, false);
+        mark_all_dirty(&mut stage);
+        refresh(&mut stage, &index, &none);
+        assert_matches_reference("after the insert", &stage, &index, &none);
+        let after_insert = stage.rescanned_groups();
+        assert!((1..=index.block_count() as u64).contains(&(after_insert - abnormal)));
+
+        // Delete it again: the groups that remain kept their signatures.
+        index.remove_tuples(&ds, &rules, &[TupleId(from)], false);
+        ds.remove_rows(&[TupleId(from)]);
+        stage.remap_removed(&[from]);
+        mark_all_dirty(&mut stage);
+        refresh(&mut stage, &index, &none);
+        assert_matches_reference("after the delete", &stage, &index, &none);
+        assert_eq!(stage.rescanned_groups(), after_insert);
+        // …so the re-plans of this refresh asked for no distance at all.
+        assert_eq!(stage.records().0.cache, CacheStats::default());
+    }
+
+    /// The plan memo is part of what the budget counts and a spill frees;
+    /// a block that went through a spill re-plans as if for the first time.
+    #[test]
+    fn a_spilled_block_drops_its_plan_memo_and_replans_cold() {
+        let (_, ds, rules, config) = workloads().remove(2);
+        let index = MlnIndex::build(&ds, &rules).unwrap();
+        let mut stage = driver_over(&config.with_memory_budget(1), &index);
+        let none = SessionWeights::new();
+        mark_all_dirty(&mut stage);
+        refresh(&mut stage, &index, &none);
+        let abnormal = stage.rescanned_groups();
+
+        let mut bare = stage.caches[0].clone();
+        bare.plan = PlanMemo::default();
+        assert!(approx_cache_bytes(&bare) < approx_cache_bytes(&stage.caches[0]));
+        assert_eq!(stage.enforce_budget(0), 0, "everything spills");
+        assert_eq!(
+            stage.memory_stats().spilled_blocks,
+            index.block_count() as u64
+        );
+
+        mark_all_dirty(&mut stage);
+        refresh(&mut stage, &index, &none);
+        assert_matches_reference("after the spill", &stage, &index, &none);
+        assert_eq!(stage.rescanned_groups(), 2 * abnormal);
+    }
+
     #[test]
     fn a_one_cell_update_on_seeded_hai_recleans_a_strict_subset() {
         let (_, mut ds, rules, config) = workloads().remove(1);
@@ -1124,11 +1230,38 @@ mod tests {
             .map(|t| ds.value(TupleId(t), city).to_string())
             .find(|c| *c != own)
             .unwrap();
+        // Entitled to a full nearest-normal search: row 0's own group in the
+        // blocks that see the city, and the groups AGP had merged into it.
+        let (agp, _) = stage.records();
+        let abnormal = stage.rescanned_groups();
+        assert_eq!(abnormal, agp.merges.len() as u64, "the first plan is cold");
+        let entitled: usize = index
+            .blocks
+            .iter()
+            .filter(|block| block.result_attrs.contains(&city))
+            .map(|block| {
+                let key: Vec<String> = block
+                    .reason_attrs
+                    .iter()
+                    .map(|&a| ds.value(TupleId(0), a).to_string())
+                    .collect();
+                let merged_in = agp
+                    .merges
+                    .iter()
+                    .filter(|m| m.rule == block.rule && m.target_key.as_ref() == Some(&key));
+                1 + merged_in.count()
+            })
+            .sum();
         let rebuilt =
             update_and_refresh(&mut stage, &mut ds, &mut index, &rules, (0, "City", &other));
         assert!(
             (2..total / 10).contains(&rebuilt),
             "{rebuilt} of {total} groups rebuilt"
+        );
+        let rescanned = stage.rescanned_groups() - abnormal;
+        assert!(
+            rescanned as usize <= entitled && entitled < agp.merges.len() / 4,
+            "{rescanned} full searches, {entitled} entitled, {abnormal} abnormal groups"
         );
     }
 }

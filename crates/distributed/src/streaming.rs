@@ -1249,6 +1249,58 @@ mod tests {
         assert_eq!(session.timings().merge_rounds, rounds);
         assert_eq!(session.stage_one.recleaned_groups(), recleaned);
         assert_same_report(&first, &second);
+
+        // A round forced over every block re-merges and rebuilds them, but
+        // finds every group's signature where the last round left it: its
+        // AGP plans ask for no distance at all.
+        let rescanned = session.stage_one.rescanned_groups();
+        assert_eq!(rescanned, first.agp.merges.len() as u64);
+        for block in 0..session.stage_one.cleaned().block_count() {
+            session.stage_one.mark_block_dirty(block);
+        }
+        let forced = session.outcome();
+        assert_eq!(session.timings().merge_rounds, rounds + 1);
+        assert!(session.stage_one.recleaned_groups() > recleaned);
+        assert_eq!(session.stage_one.rescanned_groups(), rescanned);
+        assert_eq!(forced.agp.cache, mlnclean::CacheStats::default());
+        assert_same_report(&first, &forced);
+    }
+
+    /// The coordinator marks every touched block fully dirty, and still its
+    /// merge round plans in proportion to the change set: a full
+    /// nearest-normal search only for the groups whose signature changed.
+    #[test]
+    fn a_merge_round_replans_only_around_the_groups_that_changed() {
+        let dirty = sample_hospital_dataset();
+        let mut session = DistributedStreamingSession::new(
+            CleanConfig::default().with_tau(1),
+            dirty.schema().clone(),
+            rules::sample_hospital_rules(),
+            2,
+            1,
+        )
+        .unwrap();
+        session
+            .apply(ChangeSet::inserting(hospital_rows(&dirty)))
+            .unwrap();
+        let first = session.outcome();
+        let rescanned = session.stage_one.rescanned_groups();
+        assert_eq!(first.agp.merges.len(), 3);
+        assert_eq!(rescanned, 3, "DOTH, the lone phone number, (ELIZA, DOTHAN)");
+
+        // Row 2's phone number changes: its one-tuple group in the PN block
+        // is another group now, and (ELIZA, DOTHAN)'s only γ another γ.
+        // DOTH, in the block the change never reached, is not planned at
+        // all; nobody else searches from scratch.
+        let pn = dirty.schema().attr_id("PN").unwrap();
+        let report = session
+            .apply(ChangeSet::new().update(TupleId(2), pn, "2567638411"))
+            .unwrap();
+        let second = session.outcome();
+        assert_eq!(second.agp.merges.len(), 3);
+        let delta = session.stage_one.rescanned_groups() - rescanned;
+        assert_eq!(delta, 2);
+        assert!(delta < report.touched_groups as u64);
     }
 
     /// The merged weight table is filled from the merged *pristine*

@@ -16,10 +16,12 @@ rung sizes, byte-identity wherever it was checked, errors injected, RSS
 recorded when the meter is available, sane latency percentiles, the budgeted
 probe's peak RSS where the rung asserts it, and the group-scoped re-clean
 probe: a single-cell mutation must re-clean a strict, non-empty subset of
-the MLN groups).  When `--baseline` points at a committed artifact it also
-runs an order-of-magnitude tripwire against it: the run fails if any engine
-is more than 3x slower, peaks at more than 2x the RSS, or the mutation
-probe's p50/p99 latency is more than 3x the baseline's.  The ladder's points
+the MLN groups and — on a fresh artifact — send fewer than 1 in 20 of them
+back to a full AGP nearest-normal search).  When `--baseline` points at a
+committed artifact it also runs an order-of-magnitude tripwire against it:
+the run fails if any engine is more than 3x slower, peaks at more than 2x
+the RSS, or the mutation probe's p50/p99 latency is more than 3x the
+baseline's.  The ladder's points
 are single shots on a shared runner and cannot resolve a percentage —
 `BENCHMARK.json`'s bounds over the repo benchmark's multi-sample medians are
 the performance gate; the tripwire only catches a change that is wrong by a
@@ -225,6 +227,13 @@ def check_ladder(d, fresh=True):
                   f"{where}: a single-cell mutation must re-clean a strict, "
                   f"non-empty subset of the groups, got "
                   f"{mut['recleaned_groups']} of {mut['total_groups']}")
+            if fresh:
+                # Committed baselines may predate the maintained AGP plan.
+                check(mut["rescanned_groups"] * 20 < mut["total_groups"],
+                      f"{where}: a single-cell mutation must re-plan around a "
+                      f"small subset of the groups, got "
+                      f"{mut['rescanned_groups']} full nearest-normal searches "
+                      f"for {mut['total_groups']} groups")
         else:
             check(mut is None, f"{where}: mutation probe ran on a non-final rung")
 
