@@ -79,12 +79,17 @@ pub fn run(scale: Scale) -> Vec<(String, String)> {
     let wire = run_wire_probe(scale);
     let streaming = render_streaming(&stream, &reclean, &mutation, &distributed, &suspend, &wire);
 
+    let (product_lines, product_lines_non_test) = match product_lines() {
+        Some((all, non_test)) => (all.to_string(), non_test.to_string()),
+        None => ("null".to_string(), "null".to_string()),
+    };
     let json = format!(
         concat!(
             "{{\n",
             "  \"experiment\": \"smoke\",\n",
             "  \"codec_version\": {codec_version},\n",
             "  \"product_lines\": {product_lines},\n",
+            "  \"product_lines_non_test\": {product_lines_non_test},\n",
             "  \"workload\": \"{workload}\",\n",
             "  \"scale\": \"{scale:?}\",\n",
             "  \"rows\": {rows},\n",
@@ -121,7 +126,8 @@ pub fn run(scale: Scale) -> Vec<(String, String)> {
             "}}\n",
         ),
         codec_version = CODEC_VERSION,
-        product_lines = product_lines().map_or("null".to_string(), |n| n.to_string()),
+        product_lines = product_lines,
+        product_lines_non_test = product_lines_non_test,
         workload = workload.name(),
         scale = scale,
         rows = dirty.dirty.len(),
@@ -160,36 +166,38 @@ pub fn run(scale: Scale) -> Vec<(String, String)> {
 }
 
 /// Lines of `*.rs` under `crates/*/src` of the checkout this binary was
-/// built from, counted now — the size trend of the product tree.  `None`
-/// when the sources are no longer beside the binary.
-fn product_lines() -> Option<usize> {
+/// built from, counted now — the size trend of the product tree — as `(all,
+/// non-test)`: a file's non-test lines are those above its first column-0
+/// `#[cfg(test)]`.  `None` when the sources are no longer beside the binary.
+fn product_lines() -> Option<(usize, usize)> {
     let crates = Path::new(env!("CARGO_MANIFEST_DIR")).parent()?;
-    let mut lines = 0;
+    let mut lines = (0, 0);
     for entry in std::fs::read_dir(crates).ok()? {
         let src = entry.ok()?.path().join("src");
         if src.is_dir() {
-            lines += rust_lines(&src)?;
+            rust_lines(&src, &mut lines)?;
         }
     }
     Some(lines)
 }
 
-/// Newlines in every `*.rs` file under `dir`, recursively.
-fn rust_lines(dir: &Path) -> Option<usize> {
-    let mut lines = 0;
+/// Add the lines of every `*.rs` file under `dir`, recursively, to `lines`.
+fn rust_lines(dir: &Path, lines: &mut (usize, usize)) -> Option<()> {
     for entry in std::fs::read_dir(dir).ok()? {
         let path = entry.ok()?.path();
         if path.is_dir() {
-            lines += rust_lines(&path)?;
+            rust_lines(&path, lines)?;
         } else if path.extension().is_some_and(|e| e == "rs") {
-            lines += std::fs::read(&path)
-                .ok()?
-                .iter()
-                .filter(|&&b| b == b'\n')
-                .count();
+            let text = std::fs::read_to_string(&path).ok()?;
+            let all = text.lines().count();
+            lines.0 += all;
+            lines.1 += text
+                .lines()
+                .position(|line| line.starts_with("#[cfg(test)]"))
+                .unwrap_or(all);
         }
     }
-    Some(lines)
+    Some(())
 }
 
 /// One micro-batch's measurements in the streaming scenario.
@@ -837,9 +845,10 @@ mod tests {
         assert!(json.contains("\"matches_uninterrupted\": true"));
         // The product-tree size: the tests run from the checkout, so it is
         // a number here, and this file alone is hundreds of lines of it.
-        let lines = product_lines().expect("the sources are beside the test binary");
-        assert!(lines > 1000, "{lines}");
+        let (lines, non_test) = product_lines().expect("the sources are beside the test binary");
+        assert!(1000 < non_test && non_test < lines, "{non_test} of {lines}");
         assert!(json.contains(&format!("\"product_lines\": {lines},")));
+        assert!(json.contains(&format!("\"product_lines_non_test\": {non_test},")));
         // The simulated-transport probe and the codec-versioned header.
         assert!(json.contains(&format!("\"codec_version\": {CODEC_VERSION}")));
         assert!(json.contains("\"simulated_transport\""));

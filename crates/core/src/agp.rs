@@ -518,7 +518,7 @@ impl PlanMemo {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::index::MlnIndex;
     use dataset::{sample_hospital_dataset, AttrId, Dataset, Schema};
@@ -858,14 +858,24 @@ mod tests {
 
     /// A dataset and its pristine index kept in step through the index's
     /// own splice paths — what a session's `apply` does.
-    struct Evolving {
-        ds: Dataset,
-        rules: RuleSet,
-        index: MlnIndex,
+    pub(crate) struct Evolving {
+        pub(crate) ds: Dataset,
+        pub(crate) rules: RuleSet,
+        pub(crate) index: MlnIndex,
+    }
+
+    /// What one mutation of an [`Evolving`] table told its caller — what a
+    /// session's `apply` keeps its stage drivers in step with.
+    pub(crate) enum Change {
+        Inserted(crate::InsertReport),
+        /// The tuple written, and per block the group keys it moved across.
+        Updated(TupleId, Vec<Vec<Vec<ValueId>>>),
+        /// The removed rows (pre-removal, sorted, deduplicated).
+        Deleted(Vec<usize>, crate::RemoveReport),
     }
 
     impl Evolving {
-        fn new(ds: Dataset, rules: RuleSet) -> Self {
+        pub(crate) fn new(ds: Dataset, rules: RuleSet) -> Self {
             let index = MlnIndex::build(&ds, &rules).unwrap();
             Evolving { ds, rules, index }
         }
@@ -880,24 +890,31 @@ mod tests {
             table
         }
 
-        fn insert(&mut self, rows: Vec<Vec<String>>) {
+        pub(crate) fn insert(&mut self, rows: Vec<Vec<String>>) -> Change {
             let from = self.ds.len();
             self.ds.extend_rows(rows).unwrap();
-            self.index.insert_tuples(&self.ds, &self.rules, from, false);
+            Change::Inserted(self.index.insert_tuples(&self.ds, &self.rules, from, false))
         }
 
-        fn update(&mut self, t: TupleId, attr: AttrId, value: &str) {
+        pub(crate) fn update(&mut self, t: TupleId, attr: AttrId, value: &str) -> Change {
+            let mut touched = Vec::new();
             if self.ds.value(t, attr) != value {
                 let old_row = self.ds.row_ids(t);
                 self.ds.set_value(t, attr, value);
-                self.index
+                touched = self
+                    .index
                     .update_tuple(&self.ds, &self.rules, t, &old_row, false);
             }
+            Change::Updated(t, touched)
         }
 
-        fn delete(&mut self, ids: &[TupleId]) {
-            self.index.remove_tuples(&self.ds, &self.rules, ids, false);
+        pub(crate) fn delete(&mut self, ids: &[TupleId]) -> Change {
+            let report = self.index.remove_tuples(&self.ds, &self.rules, ids, false);
             self.ds.remove_rows(ids);
+            let mut removed: Vec<usize> = ids.iter().map(|t| t.index()).collect();
+            removed.sort_unstable();
+            removed.dedup();
+            Change::Deleted(removed, report)
         }
 
         /// Delete every row whose first attribute is `key`.
@@ -923,10 +940,10 @@ mod tests {
     }
 
     /// SplitMix64, for the seeded streams below.
-    struct StreamRng(u64);
+    pub(crate) struct StreamRng(pub(crate) u64);
 
     impl StreamRng {
-        fn below(&mut self, bound: usize) -> usize {
+        pub(crate) fn below(&mut self, bound: usize) -> usize {
             self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = self.0;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -937,8 +954,10 @@ mod tests {
 
     /// One random change set over `table`: one to four mutations — in-domain
     /// or typo'd updates of rule attributes (reason and result parts alike),
-    /// inserts of perturbed copies of live rows, deletes.
-    fn random_change_set(table: &mut Evolving, rng: &mut StreamRng) {
+    /// inserts of perturbed copies of live rows, deletes.  Returns what each
+    /// did, in order.
+    pub(crate) fn random_change_set(table: &mut Evolving, rng: &mut StreamRng) -> Vec<Change> {
+        let mut changes = Vec::new();
         let attrs: Vec<AttrId> = table
             .index
             .blocks
@@ -954,7 +973,7 @@ mod tests {
                 value.push('~');
             }
             match rng.below(10) {
-                0..=4 => table.update(TupleId(rng.below(rows)), attr, &value),
+                0..=4 => changes.push(table.update(TupleId(rng.below(rows)), attr, &value)),
                 5..=7 => {
                     let mut batch = Vec::new();
                     for _ in 0..1 + rng.below(3) {
@@ -964,16 +983,17 @@ mod tests {
                         }
                         batch.push(row);
                     }
-                    table.insert(batch);
+                    changes.push(table.insert(batch));
                 }
                 _ if rows > 8 => {
                     let mut ids = vec![TupleId(rng.below(rows)), TupleId(rng.below(rows))];
                     ids.truncate(1 + rng.below(2));
-                    table.delete(&ids);
+                    changes.push(table.delete(&ids));
                 }
                 _ => {}
             }
         }
+        changes
     }
 
     #[test]

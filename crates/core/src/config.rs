@@ -29,15 +29,16 @@ pub struct CleanConfig {
     /// Whether the final output should also drop exact duplicate tuples
     /// (MLNClean does; keep `true` unless you need one row per input tuple).
     pub deduplicate: bool,
-    /// Optional bound, in bytes, on the session's **evictable working
-    /// state**: the per-block γ clean caches (with their distance memos)
-    /// and the per-tuple fusion memo.  When the estimated resident size of
-    /// that pool exceeds the budget, the session spills cold clean block
-    /// caches to disk-backed segments (faulted back in transparently when a
-    /// block goes dirty) and then windows the fusion memo, evicting the
-    /// oldest memoised fusions first.  Outputs are byte-identical either
-    /// way — eviction only trades memory for recompute time.  `None` (the
-    /// default) keeps everything resident.
+    /// Optional bound, in bytes, on the **evictable working state** of a
+    /// session or a streaming coordinator — one policy, in the two stage
+    /// drivers both are built from: the per-block γ clean caches (with
+    /// their distance memos) and the per-tuple fusion memo.  When the
+    /// estimated resident size of that pool exceeds the budget, cold clean
+    /// block caches spill to disk-backed segments (faulted back in
+    /// transparently when a block goes dirty) and then the fusion memo is
+    /// windowed, the oldest memoised fusions evicted first.  Outputs are
+    /// byte-identical either way — eviction only trades memory for
+    /// recompute time.  `None` (the default) keeps everything resident.
     pub memory_budget: Option<usize>,
     /// Whether the per-block loops (index build and splices, AGP, RSC, the
     /// Stage-I refresh) run on the rayon thread pool.  Blocks are

@@ -58,7 +58,6 @@
 
 use crate::index::{Block, MlnIndex};
 use dataset::{AttrId, CellRef, Dataset, TupleId, ValueId};
-use rules::{Rule, RuleSet};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -114,9 +113,9 @@ impl FscrRecord {
 }
 
 /// The fused assignment chosen for one tuple — the cacheable per-tuple result
-/// of the fusion stage.  [`crate::CleaningSession`] memoises these across
-/// micro-batches and replays them for tuples whose blocks stayed clean.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// of the fusion stage.  [`crate::StageTwo`] memoises these across change
+/// sets and replays them for tuples whose versions stayed put.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TupleFusion {
     /// The fused `(attribute, value)` assignment (empty when the tuple has no
     /// versions or every fusion order failed).
@@ -182,38 +181,20 @@ impl ConflictResolver {
         self.plan_blocks(&blocks, None)
     }
 
-    /// [`Self::plan`] restricted to `tuples`: only the blocks that cover at
-    /// least one of them are read (a rule's block covers exactly the tuples
-    /// its rule is relevant to), and only their version vectors are fused.
-    /// For every tuple in `tuples` the fusion is byte-identical to the full
-    /// plan's: a tuple's versions come only from covering blocks, and
-    /// substitution candidates are per block.  This is what makes the
-    /// incremental session's re-fusion cost proportional to the invalidated
-    /// set instead of the whole index.
-    pub fn plan_for(
-        &self,
-        index: &MlnIndex,
-        dirty: &Dataset,
-        rules: &RuleSet,
-        tuples: &[TupleId],
-    ) -> FusionPlan {
-        let rule_list: Vec<&Rule> = rules.iter().collect();
-        let schema = dirty.schema();
-        let blocks: Vec<&Block> = index
-            .blocks
-            .iter()
-            .filter(|block| {
-                let rule = rule_list[block.rule.index()];
-                tuples
-                    .iter()
-                    .any(|&t| rule.is_relevant(schema, &dirty.tuple(t)))
-            })
-            .collect();
-        let mut wanted = vec![false; dirty.len()];
-        for t in tuples {
-            wanted[t.index()] = true;
-        }
-        self.plan_blocks(&blocks, Some(&wanted))
+    /// [`Self::plan`] restricted to the tuples `wanted` marks (one entry per
+    /// row): only the blocks whose tuple lists hold at least one of them are
+    /// read, and only their version vectors are fused.  For every wanted
+    /// tuple the fusion is byte-identical to the full plan's: a tuple's
+    /// versions come only from the blocks that list it, and substitution
+    /// candidates are per block.  This is what makes a re-fusion cost
+    /// proportional to the invalidated set instead of the whole index.
+    pub fn plan_for(&self, index: &MlnIndex, wanted: &[bool]) -> FusionPlan {
+        let covers = |block: &&Block| {
+            let mut tuples = block.gammas().flat_map(|gamma| &gamma.tuples);
+            tuples.any(|t| wanted[t.index()])
+        };
+        let blocks: Vec<&Block> = index.blocks.iter().filter(covers).collect();
+        self.plan_blocks(&blocks, Some(wanted))
     }
 
     /// Build the flat tables over `blocks`, lay out the versions of every
@@ -591,12 +572,14 @@ impl OrderWalk<'_> {
     }
 }
 
-/// Record one tuple's fusion (see [`record_tuple_fusion`]), then write it
-/// into `repaired` in place.  `repaired` must still hold the tuple's dirty
-/// values — a fusion never writes the same attribute twice, so recording
-/// first reads every cell before it is overwritten.  Public so external
-/// engine builders (e.g. the distributed streaming driver) can replay
-/// memoised [`TupleFusion`]s exactly like [`crate::CleaningSession`] does.
+/// Write one tuple's fusion into `repaired` in place and append its
+/// provenance (cell changes + outcome) to `record`.  `repaired` must still
+/// hold the tuple's dirty values — a fusion never writes the same attribute
+/// twice, so every cell is read before it is overwritten — and `pool` must
+/// resolve every id of both the fusion and those cells (the dataset pool, or
+/// the index's snapshot of it: γ ids write straight into the dataset).
+/// Public so [`crate::StageTwo`] and external engine builders replay
+/// memoised [`TupleFusion`]s exactly like [`ConflictResolver::resolve`] does.
 pub fn apply_tuple_fusion(
     repaired: &mut Dataset,
     pool: &dataset::ValuePool,
@@ -604,40 +587,15 @@ pub fn apply_tuple_fusion(
     fusion: &TupleFusion,
     record: &mut FscrRecord,
 ) {
-    record_tuple_fusion(repaired, pool, t, fusion, record);
-    write_tuple_fusion(repaired, t, fusion);
-}
-
-/// Write one tuple's fused assignment into `repaired`.  Ids only: the index
-/// pool is (a snapshot of) the dirty dataset's pool, so γ ids write straight
-/// into the repaired dataset.
-pub(crate) fn write_tuple_fusion(repaired: &mut Dataset, t: TupleId, fusion: &TupleFusion) {
     for &(attr, value) in &fusion.fused {
-        repaired.set_value_id(t, attr, value);
-    }
-}
-
-/// Append the provenance of a fusion (cell changes + outcome) to `record`
-/// without touching any dataset.  `dirty` must hold the tuple's pre-fusion
-/// values, and `pool` must resolve every id of both the fusion and those
-/// cells (the dataset pool, or the index's snapshot of it).  The incremental
-/// session uses it to rebuild the FSCR record from its memoised fusions at
-/// `outcome()` time instead of re-fusing the world.
-pub fn record_tuple_fusion(
-    dirty: &Dataset,
-    pool: &dataset::ValuePool,
-    t: TupleId,
-    fusion: &TupleFusion,
-    record: &mut FscrRecord,
-) {
-    for &(attr, value) in &fusion.fused {
-        let old = dirty.value_id(t, attr);
+        let old = repaired.value_id(t, attr);
         if old != value {
             record.changes.push(CellChange {
                 cell: CellRef::new(t, attr),
                 old: pool.resolve(old).to_string(),
                 new: pool.resolve(value).to_string(),
             });
+            repaired.set_value_id(t, attr, value);
         }
     }
     record.outcomes.push(FusionOutcome {
@@ -647,7 +605,7 @@ pub fn record_tuple_fusion(
             .iter()
             .map(|&(a, v)| {
                 (
-                    dirty.schema().attr_name(a).to_string(),
+                    repaired.schema().attr_name(a).to_string(),
                     pool.resolve(v).to_string(),
                 )
             })
@@ -684,7 +642,7 @@ mod tests {
     use crate::weights::assign_weights;
     use dataset::{sample_hospital_dataset, ValuePool};
     use distance::Metric;
-    use rules::{sample_hospital_rules, RuleId};
+    use rules::{sample_hospital_rules, RuleId, RuleSet};
 
     /// Algorithm 2 as this module ran it before fusions were planned per
     /// version vector: per tuple, on `&Gamma`s, allocating as it goes.  Kept
@@ -1214,17 +1172,22 @@ mod tests {
     fn restricted_plan_matches_the_full_plan_for_its_tuples() {
         let hospital = sample_hospital_dataset();
         let (hai, hai_index) = hai_index();
+        // CAR's CFD block lists only some of the tuples.
+        let car = datagen::CarGenerator::default().with_rows(900);
+        let car = car.dirty(0.02, 0.5, 13).dirty;
+        let car_index = stage1(&car, &datagen::CarGenerator::rules(), guarded_agp(1));
         let cases = [
-            (&hospital, stage1_index(&hospital), sample_hospital_rules()),
-            (&hai, hai_index, datagen::HaiGenerator::rules()),
+            (&hospital, stage1_index(&hospital)),
+            (&hai, hai_index),
+            (&car, car_index),
         ];
-        for (dirty, index, rules) in &cases {
+        for (dirty, index) in &cases {
             let resolver = ConflictResolver::new(6);
             let full = resolver.plan(index);
-            let subset: Vec<TupleId> = dirty.tuple_ids().skip(2).step_by(2).collect();
-            let restricted = resolver.plan_for(index, dirty, rules, &subset);
+            let wanted: Vec<bool> = (0..dirty.len()).map(|t| t >= 2 && t % 2 == 0).collect();
+            let restricted = resolver.plan_for(index, &wanted);
             assert!(restricted.fusions.len() <= full.fusions.len());
-            for &t in &subset {
+            for t in dirty.tuple_ids().filter(|t| wanted[t.index()]) {
                 assert_eq!(
                     resolver.fuse_tuple(&full, t),
                     resolver.fuse_tuple(&restricted, t),

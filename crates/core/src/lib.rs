@@ -43,7 +43,11 @@
 //! [`ChangeSet`]s — inserts, cell updates and row deletions; every
 //! [`CleaningSession::outcome`] re-cleans only the blocks the mutations
 //! since the last call touched, yet is byte-identical to a batch run over
-//! the net surviving rows:
+//! the net surviving rows.  Underneath sit the two stage drivers the
+//! distributed streaming coordinator is built from as well: [`StageOne`]
+//! re-cleans the affected groups of the dirty blocks, [`StageTwo`] re-fuses
+//! the tuples that invalidated and derives the repaired data from the
+//! session's one dataset:
 //!
 //! ```
 //! use dataset::{sample_hospital_dataset, TupleId};
@@ -96,6 +100,7 @@ pub mod rsc;
 pub mod session;
 pub mod stage;
 pub mod stage_one;
+pub mod stage_two;
 pub mod weights;
 
 pub use agp::{AbnormalGroupProcessor, AgpMerge, AgpRecord};
@@ -118,6 +123,7 @@ pub use stage::{
     WeightLearningStage,
 };
 pub use stage_one::{MemoryStats, Refreshed, StageOne};
+pub use stage_two::StageTwo;
 pub use weights::{GammaSignature, SessionWeights};
 
 use rayon::prelude::*;

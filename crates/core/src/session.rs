@@ -34,31 +34,27 @@
 //! [`CleaningSession::rescanned_groups`]), and merging γs, the closed-form
 //! block softmax and RSC's pairwise γ scoring are recomputed only for
 //! output groups whose sources changed (every group, when injected weights
-//! are in force — [`CleaningSession::recleaned_groups`]).  Stage II re-fuses
-//! **only the invalidated tuples**
-//! against a fusion plan restricted to their covering blocks
-//! ([`crate::fscr::ConflictResolver::plan_for`]), folds the new fusions into
-//! an incrementally maintained repaired dataset, and replays memoised
-//! fusions into the provenance record without cloning anything but the
-//! output snapshot itself.  The result is byte-identical — output CSV and
-//! AGP/RSC/FSCR provenance — to a single batch run over the **net surviving
-//! rows**, which is what [`crate::MlnClean::clean`] now is: one bulk ingest
-//! plus [`CleaningSession::finish`].
+//! are in force — [`CleaningSession::recleaned_groups`]).  Stage II — the
+//! one Stage-II driver, [`StageTwo`], shared with the coordinator too —
+//! re-fuses **only the invalidated tuples** against a fusion plan restricted
+//! to their covering blocks ([`CleaningSession::fused_tuples`]) and replays
+//! every memoised fusion over a copy of the dirty rows, which is the one
+//! dataset the session keeps.  The result is byte-identical — output CSV
+//! and AGP/RSC/FSCR provenance — to a single batch run over the **net
+//! surviving rows**, which is what [`crate::MlnClean::clean`] now is: one
+//! bulk ingest plus [`CleaningSession::finish`].
 
 use crate::changeset::{ChangeSet, Mutation};
 use crate::engine::{Report, Timings};
 use crate::error::CleanError;
-use crate::fscr::{
-    record_tuple_fusion, write_tuple_fusion, ConflictResolver, FscrRecord, TupleFusion,
-};
 use crate::index::{Block, InsertReport, MlnIndex};
 use crate::stage_one::{MemoryStats, StageOne};
+use crate::stage_two::StageTwo;
 use crate::weights::SessionWeights;
 use crate::CleanConfig;
-use dataset::{AttrId, Dataset, Schema, TupleId};
+use dataset::{Dataset, Schema, TupleId};
 use rules::RuleSet;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// What one [`CleaningSession::apply`] call changed — the dirtiness the next
@@ -133,13 +129,9 @@ pub struct CleaningSession {
     /// The per-block Stage-I driver: the cleaned index, the per-block
     /// provenance and the per-group clean caches with their dirtiness.
     stage_one: StageOne,
-    /// Per tuple: the memoised FSCR fusion (`None` = must be (re)fused).
-    fusions: Vec<Option<TupleFusion>>,
-    /// The repaired dataset, maintained incrementally: every row holds its
-    /// memoised fusion's image (or its dirty values while its fusion is
-    /// pending — [`CleaningSession::ensure_fusions`] settles those before
-    /// any report reads this).
-    repaired: Dataset,
+    /// The Stage-II driver: the per-tuple fusion memo, one slot per row of
+    /// `dataset`.
+    stage_two: StageTwo,
     /// Externally injected γ-weight overrides (empty = none) — see
     /// [`CleaningSession::inject_weights`].
     injected: SessionWeights,
@@ -149,12 +141,6 @@ pub struct CleaningSession {
     remap_passes: usize,
     timings: Timings,
     batches: usize,
-    /// Number of `Some` slots in `fusions` — kept exact so the budget
-    /// enforcement never has to scan the O(rows) memo to size it.
-    memoised_fusions: usize,
-    /// Memoised fusions evicted by the budget so far — see
-    /// [`CleaningSession::memory_stats`].
-    evicted_fusions: u64,
 }
 
 impl CleaningSession {
@@ -170,18 +156,15 @@ impl CleaningSession {
         let pristine = MlnIndex::build_serial(&dataset, &rules)?;
         Ok(CleaningSession {
             stage_one: StageOne::new(config.clone(), pristine.clone()),
+            stage_two: StageTwo::new(config.clone()),
             config,
             rules,
-            repaired: dataset.clone(),
             dataset,
             pristine,
-            fusions: Vec::new(),
             injected: SessionWeights::default(),
             remap_passes: 0,
             timings: Timings::default(),
             batches: 0,
-            memoised_fusions: 0,
-            evicted_fusions: 0,
         })
     }
 
@@ -243,6 +226,14 @@ impl CleaningSession {
     /// the abnormal groups of the dirty blocks.
     pub fn rescanned_groups(&self) -> u64 {
         self.stage_one.rescanned_groups()
+    }
+
+    /// Cumulative number of tuples Stage II actually fused across all
+    /// outcomes of this session ([`StageTwo::fused_tuples`]) — the fusion
+    /// half of the incrementality probe: after the first outcome it grows
+    /// with the tuples a change invalidated, not with the rows.
+    pub fn fused_tuples(&self) -> u64 {
+        self.stage_two.fused_tuples()
     }
 
     /// Total groups across all pristine blocks right now.
@@ -309,10 +300,7 @@ impl CleaningSession {
     /// Counters of the out-of-core machinery (spills, fault-ins, fusion
     /// evictions).  All zero unless [`CleanConfig::memory_budget`] is set.
     pub fn memory_stats(&self) -> MemoryStats {
-        MemoryStats {
-            evicted_fusions: self.evicted_fusions,
-            ..self.stage_one.memory_stats()
-        }
+        self.stage_two.memory_stats(&self.stage_one)
     }
 
     /// Estimated resident bytes of the session's **evictable working
@@ -322,7 +310,7 @@ impl CleaningSession {
     /// than the state is worth), consistent across calls, which is all the
     /// spill policy needs.
     pub fn resident_estimate(&self) -> usize {
-        self.memoised_fusions * FUSION_SLOT_BYTES + self.stage_one.resident_estimate()
+        self.stage_two.resident_estimate(&self.stage_one)
     }
 
     /// Capture a compacting suspend image of the session: the net surviving
@@ -347,6 +335,7 @@ impl CleaningSession {
     /// Cumulative diagnostics ([`CleaningSession::timings`],
     /// [`CleaningSession::recleaned_groups`],
     /// [`CleaningSession::rescanned_groups`],
+    /// [`CleaningSession::fused_tuples`],
     /// [`CleaningSession::remap_passes`]) restart from zero — they describe
     /// work done by *this* process, not the stream.
     pub fn resume(
@@ -363,37 +352,6 @@ impl CleaningSession {
             session.inject_weights(snapshot.injected);
         }
         Ok(session)
-    }
-
-    /// Shed evictable state until [`CleaningSession::resident_estimate`]
-    /// fits the configured budget: spill clean block caches coldest-first
-    /// ([`StageOne::enforce_budget`]), then (when `evict_fusions` and still
-    /// over) window the fusion memo by evicting the oldest memoised fusions.
-    /// No-op without a budget.
-    fn enforce_budget(&mut self, evict_fusions: bool) {
-        let Some(budget) = self.config.memory_budget else {
-            return;
-        };
-        let mut resident = self
-            .stage_one
-            .enforce_budget(self.memoised_fusions * FUSION_SLOT_BYTES);
-        if !evict_fusions {
-            return;
-        }
-        // Window the memo: evict front-to-back, so in an append-mostly
-        // stream the oldest (coldest) tuples lose their memo first and the
-        // recent tail survives.  `ensure_fusions` re-derives evicted
-        // entries deterministically, so outputs are unaffected.
-        for slot in self.fusions.iter_mut() {
-            if resident <= budget {
-                break;
-            }
-            if slot.take().is_some() {
-                self.memoised_fusions -= 1;
-                self.evicted_fusions += 1;
-                resident = resident.saturating_sub(FUSION_SLOT_BYTES);
-            }
-        }
     }
 
     /// Apply one typed [`ChangeSet`] — the session's one ingest path.
@@ -433,17 +391,7 @@ impl CleaningSession {
                     let report =
                         self.pristine
                             .insert_tuples(&self.dataset, &self.rules, from, parallel);
-                    self.fusions.resize(self.dataset.len(), None);
-                    // Mirror the new rows (still dirty; their pending
-                    // fusions settle them) into the maintained repaired
-                    // dataset.
-                    self.repaired.sync_pool_from(self.dataset.pool());
-                    for t in from..self.dataset.len() {
-                        let row = self.dataset.row_ids(TupleId(t));
-                        self.repaired
-                            .push_row_ids(&row)
-                            .expect("repaired shares the dataset schema");
-                    }
+                    self.stage_two.grow(self.dataset.len());
                     inserted += report.rows;
                     touched_groups += report.total_touched_groups();
                     self.touch_blocks(&mut touched_blocks, &report.touched_groups);
@@ -470,11 +418,7 @@ impl CleaningSession {
                             touched_blocks[block] = true;
                         }
                     }
-                    // The tuple's own versions may have moved even when no
-                    // other tuple's did; always re-fuse it.
-                    if self.fusions[t.index()].take().is_some() {
-                        self.memoised_fusions -= 1;
-                    }
+                    self.stage_two.invalidate(t);
                 }
                 Mutation::Delete(t) => {
                     // Translate the sequential id onto the survivors and
@@ -493,25 +437,14 @@ impl CleaningSession {
                 self.pristine
                     .remove_tuples(&self.dataset, &self.rules, &removed_ids, parallel);
             self.dataset.remove_rows(&removed_ids);
-            self.repaired.remove_rows(&removed_ids);
-            let mut idx = 0usize;
-            let mut dropped_fusions = 0usize;
-            self.fusions.retain(|f| {
-                let keep = removed.binary_search(&idx).is_err();
-                idx += 1;
-                if !keep && f.is_some() {
-                    dropped_fusions += 1;
-                }
-                keep
-            });
-            self.memoised_fusions -= dropped_fusions;
+            self.stage_two.remap_removed(&removed);
             self.stage_one.remap_removed(&removed);
             self.remap_passes += 1;
             touched_groups += report.touched_groups.iter().sum::<usize>();
             self.touch_blocks(&mut touched_blocks, &report.touched_groups);
         }
 
-        self.enforce_budget(true);
+        self.stage_two.enforce_budget(&mut self.stage_one);
         Ok(self.finalize_change(
             started,
             inserted,
@@ -523,12 +456,11 @@ impl CleaningSession {
     }
 
     /// Shared post-ingest bookkeeping of [`CleaningSession::apply`] and
-    /// [`CleaningSession::ingest_dataset`]: catch the cleaned index's and
-    /// the repaired dataset's pool snapshots up to the dataset pool (new
-    /// values interned by the change must resolve there even when no block
-    /// went dirty; pools are append-only, so only the new tail is copied),
-    /// account the wall time, bump the batch ordinal and assemble the
-    /// [`BatchReport`].
+    /// [`CleaningSession::ingest_dataset`]: catch the cleaned index's pool
+    /// snapshot up to the dataset pool (new values interned by the change
+    /// must resolve there even when no block went dirty; pools are
+    /// append-only, so only the new tail is copied), account the wall time,
+    /// bump the batch ordinal and assemble the [`BatchReport`].
     fn finalize_change(
         &mut self,
         started: Instant,
@@ -539,7 +471,6 @@ impl CleaningSession {
         touched_blocks: Vec<bool>,
     ) -> BatchReport {
         self.stage_one.sync_pool(self.dataset.pool());
-        self.repaired.sync_pool_from(self.dataset.pool());
         self.timings.index += started.elapsed();
         self.batches += 1;
         BatchReport {
@@ -566,8 +497,7 @@ impl CleaningSession {
         self.apply(ChangeSet::inserting(rows))
     }
 
-    /// Ingest a whole dataset (the batch special case) — a convenience kept
-    /// for its bulk fast path.
+    /// Ingest a whole dataset (the batch special case).
     ///
     /// When the session is still empty this shares the dataset's columnar
     /// storage and value pool outright (no re-interning) and builds the
@@ -581,7 +511,6 @@ impl CleaningSession {
         let started = Instant::now();
         let report = if self.dataset.is_empty() {
             self.dataset = ds.clone();
-            self.repaired = ds.clone();
             self.pristine = MlnIndex::build_with(&self.dataset, &self.rules, self.config.parallel)
                 .expect("rules were validated when the session was created");
             // A bulk build touches exactly the groups it creates.
@@ -599,22 +528,13 @@ impl CleaningSession {
         } else {
             let from = self.dataset.len();
             self.dataset.extend_from(ds)?;
-            let report =
-                self.pristine
-                    .insert_tuples(&self.dataset, &self.rules, from, self.config.parallel);
-            self.repaired.sync_pool_from(self.dataset.pool());
-            for t in from..self.dataset.len() {
-                let row = self.dataset.row_ids(TupleId(t));
-                self.repaired
-                    .push_row_ids(&row)
-                    .expect("repaired shares the dataset schema");
-            }
-            report
+            self.pristine
+                .insert_tuples(&self.dataset, &self.rules, from, self.config.parallel)
         };
-        self.fusions.resize(self.dataset.len(), None);
+        self.stage_two.grow(self.dataset.len());
         let mut touched_blocks = vec![false; self.pristine.block_count()];
         self.touch_blocks(&mut touched_blocks, &report.touched_groups);
-        self.enforce_budget(true);
+        self.stage_two.enforce_budget(&mut self.stage_one);
         Ok(self.finalize_change(
             started,
             report.rows,
@@ -638,8 +558,8 @@ impl CleaningSession {
     }
 
     /// Re-run Stage I on the dirty blocks' affected groups from their
-    /// pristine state ([`StageOne::refresh`]) and drop the memoised fusion
-    /// of every tuple whose data versions may have changed.
+    /// pristine state ([`StageOne::refresh`]) and empty the memo slot of
+    /// every tuple whose fusion that made stale.
     fn refresh(&mut self) {
         let dirty: Vec<(usize, &Block)> = self
             .stage_one
@@ -653,104 +573,7 @@ impl CleaningSession {
             &self.injected,
             &mut self.timings,
         );
-        for t in refreshed.invalidated {
-            if self.fusions[t.index()].take().is_some() {
-                self.memoised_fusions -= 1;
-            }
-        }
-
-        // Conflicted fusions read their covering blocks' substitution
-        // candidate lists, which change whenever *any* group of a covering
-        // block recomputes — invalidate them wholesale for every refreshed
-        // block.  (Conflict-free fusions depend only on the tuple's own
-        // versions, which the per-group invalidation above already covers.)
-        for i in refreshed.blocks {
-            for gamma in self.pristine.blocks[i].gammas() {
-                for &t in &gamma.tuples {
-                    if self.fusions[t.index()]
-                        .as_ref()
-                        .is_some_and(|f| f.conflict_detected)
-                    {
-                        self.fusions[t.index()] = None;
-                        self.memoised_fusions -= 1;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Make sure every tuple has a memoised fusion: refresh the dirty
-    /// blocks, then (re)fuse exactly the invalidated tuples against a plan
-    /// restricted to their covering blocks, folding each new fusion into the
-    /// maintained repaired dataset.
-    fn ensure_fusions(&mut self) {
-        self.refresh();
-        // Shed cold caches *before* the fusion allocations below, but do
-        // not evict fusions here — the memo is about to be (re)filled, and
-        // evicting entries just to re-derive them in the same call would
-        // only churn.
-        self.enforce_budget(false);
-        let invalid: Vec<TupleId> = self
-            .fusions
-            .iter()
-            .enumerate()
-            .filter_map(|(i, f)| f.is_none().then_some(TupleId(i)))
-            .collect();
-        if invalid.is_empty() {
-            return; // nothing invalidated — skip the plan build entirely
-        }
-        let started = Instant::now();
-        let resolver = ConflictResolver::new(self.config.max_exhaustive_fusion);
-        let plan = resolver.plan_for(
-            self.stage_one.cleaned(),
-            &self.dataset,
-            &self.rules,
-            &invalid,
-        );
-        // Fold each new fusion into the maintained repaired dataset: reset
-        // the row to its dirty values (its previous fusion may have written
-        // cells the new one no longer does), then write the fusion.
-        for &t in &invalid {
-            let fusion = resolver.fuse_tuple(&plan, t);
-            for (a, &id) in self.dataset.row_ids(t).iter().enumerate() {
-                self.repaired.set_value_id(t, AttrId(a), id);
-            }
-            write_tuple_fusion(&mut self.repaired, t, &fusion);
-            self.fusions[t.index()] = Some(fusion);
-        }
-        self.memoised_fusions += invalid.len();
-        self.timings.fscr += started.elapsed();
-    }
-
-    /// Rebuild the FSCR provenance from the memoised fusions (in tuple
-    /// order, exactly like a batch run emits it) and compute the
-    /// deduplicated output if configured — the shared tail of
-    /// [`CleaningSession::outcome`] and [`CleaningSession::finish`].
-    /// `ensure_fusions` must have run.
-    fn assemble_records(&mut self) -> (FscrRecord, Option<Dataset>) {
-        let started = Instant::now();
-        let mut fscr = FscrRecord::default();
-        for (i, fusion) in self.fusions.iter().enumerate() {
-            let fusion = fusion.as_ref().expect("ensure_fusions ran");
-            record_tuple_fusion(
-                &self.dataset,
-                self.stage_one.cleaned().pool(),
-                TupleId(i),
-                fusion,
-                &mut fscr,
-            );
-        }
-        self.timings.fscr += started.elapsed();
-
-        let deduplicated = if self.config.deduplicate {
-            let started = Instant::now();
-            let deduplicated = self.repaired.deduplicated();
-            self.timings.dedup += started.elapsed();
-            Some(deduplicated)
-        } else {
-            None
-        };
-        (fscr, deduplicated)
+        self.stage_two.invalidate_refreshed(&refreshed, &dirty);
     }
 
     /// Re-clean whatever is dirty and produce the full [`Report`] over the
@@ -760,58 +583,32 @@ impl CleaningSession {
     ///
     /// Can be called after every change set; only the work made necessary by
     /// the mutations since the previous call is redone, and the snapshot
-    /// cost is one repaired-dataset copy plus an `Arc` bump of the cleaned
-    /// index (the session maintains the repaired dataset incrementally
-    /// instead of re-deriving it per call).  [`CleaningSession::finish`]
-    /// moves the state out instead.
+    /// cost is one copy of the dirty rows — the fusions are written into it
+    /// ([`StageTwo::report`]) — plus an `Arc` bump of the cleaned index.
+    /// [`CleaningSession::finish`] moves the rows out instead.
     pub fn outcome(&mut self) -> Report {
-        self.ensure_fusions();
-        let (fscr, deduplicated) = self.assemble_records();
-        let (agp, rsc) = self.stage_one.records();
+        self.refresh();
+        let report =
+            self.stage_two
+                .report(&mut self.stage_one, self.dataset.clone(), &mut self.timings);
         // Post-outcome every block is clean and every fusion memoised — the
         // session's widest footprint.  Shed back under the budget before
         // handing the report out (the next outcome re-derives evictions).
-        self.enforce_budget(true);
-        Report {
-            repaired: self.repaired.clone(),
-            deduplicated,
-            index: Some(Arc::clone(self.stage_one.cleaned())),
-            agp,
-            rsc,
-            fscr,
-            timings: self.timings,
-            partitions: None,
-        }
+        self.stage_two.enforce_budget(&mut self.stage_one);
+        report
     }
 
     /// Close the session, producing the final [`Report`].
     ///
-    /// Unlike [`CleaningSession::outcome`] this moves the maintained
-    /// repaired dataset and the cleaned index into the report, so the batch
-    /// wrapper [`crate::MlnClean::clean`] pays no extra copies over the
-    /// historical monolithic pipeline.
+    /// Unlike [`CleaningSession::outcome`] this moves the session's rows
+    /// into the report, so the batch wrapper [`crate::MlnClean::clean`] pays
+    /// no extra copies over the historical monolithic pipeline.
     pub fn finish(mut self) -> Report {
-        self.ensure_fusions();
-        let (fscr, deduplicated) = self.assemble_records();
-        let (agp, rsc) = self.stage_one.records();
-        Report {
-            repaired: self.repaired,
-            deduplicated,
-            index: Some(self.stage_one.into_cleaned()),
-            agp,
-            rsc,
-            fscr,
-            timings: self.timings,
-            partitions: None,
-        }
+        self.refresh();
+        self.stage_two
+            .report(&mut self.stage_one, self.dataset, &mut self.timings)
     }
 }
-
-/// Estimated evictable heap per memoised fusion: the `Option<TupleFusion>`
-/// slot's fused-assignment buffer plus allocator slack.  The slots
-/// themselves (the `Vec`'s inline buffer) are not evictable and therefore
-/// not budgeted.
-const FUSION_SLOT_BYTES: usize = 64;
 
 /// The `t`-th (0-based) surviving virtual row index given the sorted list of
 /// virtual indices already marked for deletion — the translation from a
@@ -915,5 +712,33 @@ mod tests {
             errors = stats.spill_errors;
         }
         assert_eq!(plain.memory_stats(), MemoryStats::default());
+    }
+
+    /// An update that moves a tuple out of a block fuses it again even when
+    /// the refresh cannot say so: the block's rebuilt groups no longer list
+    /// the tuple, and under injected weights no cache entry that did is
+    /// retained.
+    #[test]
+    fn a_tuple_an_update_moved_out_of_a_block_is_fused_again_under_injected_weights() {
+        let dirty = dataset::sample_hospital_dataset();
+        let rules = rules::sample_hospital_rules();
+        let nothing = crate::stage_one::tests::missing_table();
+        let open = |rows: &Dataset| {
+            let config = CleanConfig::default().with_tau(1);
+            let mut session =
+                CleaningSession::new(config, rows.schema().clone(), rules.clone()).unwrap();
+            session.ingest_dataset(rows).unwrap();
+            session.inject_weights(nothing.clone());
+            session
+        };
+        let mut session = open(&dirty);
+        let _ = session.outcome();
+        // Only the CFD reads HN, and HN = ELIZA is all that made row 2
+        // relevant to it.
+        let hn = dirty.schema().attr_id("HN").unwrap();
+        let update = ChangeSet::new().update(TupleId(2), hn, "ELIZB");
+        session.apply(update).unwrap();
+        let mut fresh = open(&session.dataset().clone());
+        assert_same_report("after the update", &session.outcome(), &fresh.outcome());
     }
 }

@@ -11,9 +11,10 @@
 //! [`crate::MlnClean`] is one bulk ingest plus
 //! [`crate::CleaningSession::finish`]; the session and the streaming
 //! distributed coordinator both re-run Stage I per dirty block through the
-//! one per-block driver, [`crate::StageOne`], which shares the stages'
-//! kernels (the AGP plan, the closed-form group weights, RSC's group
-//! cleaning) rather than their whole-index loops.
+//! one per-block driver, [`crate::StageOne`], and Stage II per invalidated
+//! tuple through [`crate::StageTwo`].  Both share the stages' kernels (the
+//! AGP plan, the closed-form group weights, RSC's group cleaning, the FSCR
+//! fusion plan) rather than their whole-index loops.
 //!
 //! The context bundles everything a stage may touch: the (dirty) dataset,
 //! the configuration, the MLN index being cleaned in place, and the

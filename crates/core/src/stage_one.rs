@@ -157,16 +157,16 @@ struct RefreshedBlock {
 pub struct Refreshed {
     /// The blocks that were refreshed, ascending.
     pub blocks: Vec<usize>,
-    /// Tuples whose data versions may have changed — the caller must re-fuse
-    /// them.  An over-approximation (every tuple of every recomputed output
-    /// group, plus the tuples of cache entries that vanished), possibly with
-    /// repeats.
+    /// Tuples whose data versions may have changed — [`crate::StageTwo`]
+    /// re-fuses them.  An over-approximation (every tuple of every recomputed
+    /// output group, plus the tuples of cache entries that vanished),
+    /// possibly with repeats.
     pub invalidated: Vec<TupleId>,
 }
 
-/// Counters of the out-of-core machinery of a memory-budgeted session —
-/// see [`crate::CleaningSession::memory_stats`].  All zero when no
-/// [`CleanConfig::memory_budget`] is set.
+/// Counters of the out-of-core machinery of a memory-budgeted session or
+/// streaming coordinator — see [`crate::CleaningSession::memory_stats`].
+/// All zero when no [`CleanConfig::memory_budget`] is set.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MemoryStats {
     /// Block caches spilled to disk segments (cumulative; a block spilled,
@@ -209,7 +209,8 @@ pub struct StageOne {
     spill: Option<SpillDir>,
     /// Monotonic clock stamping block refreshes for LRU victim selection.
     lru_clock: u64,
-    /// Out-of-core accounting (`evicted_fusions` is the caller's to count).
+    /// Out-of-core accounting (`evicted_fusions` is [`crate::StageTwo`]'s
+    /// to count).
     memory: MemoryStats,
 }
 
@@ -235,11 +236,6 @@ impl StageOne {
     /// The cleaned index: per block, the state of its last refresh.
     pub fn cleaned(&self) -> &Arc<MlnIndex> {
         &self.cleaned
-    }
-
-    /// Close the driver, keeping only the cleaned index.
-    pub fn into_cleaned(self) -> Arc<MlnIndex> {
-        self.cleaned
     }
 
     /// Catch the cleaned index's pool snapshot up to `pool`, an append-only
@@ -286,7 +282,7 @@ impl StageOne {
     }
 
     /// Spill and fault-in counters (`evicted_fusions` stays zero here: the
-    /// fusion memo is the caller's).
+    /// fusion memo is [`crate::StageTwo`]'s, whose `memory_stats` adds it).
     pub fn memory_stats(&self) -> MemoryStats {
         self.memory
     }
@@ -450,8 +446,8 @@ impl StageOne {
         self.caches.iter().map(approx_cache_bytes).sum()
     }
 
-    /// Spill clean block caches, coldest first, until `outside` (the
-    /// caller's own evictable bytes under the same budget) plus
+    /// Spill clean block caches, coldest first, until `outside` (the fusion
+    /// memo's evictable bytes under the same budget) plus
     /// [`StageOne::resident_estimate`] fits [`CleanConfig::memory_budget`]
     /// or nothing spillable is left.  Returns the estimated total still
     /// resident (`outside` included); no-op without a budget.
@@ -810,7 +806,7 @@ fn stats_delta(before: CacheStats, after: CacheStats) -> CacheStats {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::weights::{assign_block_weights, GammaSignature};
     use datagen::{CarGenerator, HaiGenerator};
@@ -843,7 +839,7 @@ mod tests {
 
     /// Hospital, seeded HAI (seven rules) and seeded CAR, with the τ and
     /// guard the benchmark runs them under.
-    fn workloads() -> Vec<(&'static str, Dataset, RuleSet, CleanConfig)> {
+    pub(crate) fn workloads() -> Vec<(&'static str, Dataset, RuleSet, CleanConfig)> {
         let hai = HaiGenerator::default().with_rows(700).with_providers(25);
         let car = CarGenerator::default().with_rows(900);
         let guarded = |tau| {
@@ -941,8 +937,9 @@ mod tests {
         table
     }
 
-    /// A table that matches no γ of any block.
-    fn missing_table() -> SessionWeights {
+    /// A table that matches no γ of any block: it overrides nothing, only
+    /// switches the retention of cache entries off.
+    pub(crate) fn missing_table() -> SessionWeights {
         let mut table = SessionWeights::new();
         table.set(
             GammaSignature {

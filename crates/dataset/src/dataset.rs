@@ -113,15 +113,6 @@ impl Dataset {
         self.pool.intern(value)
     }
 
-    /// Catch this dataset's pool up to an append-only descendant (see
-    /// [`ValuePool::sync_from`]) so ids minted by the descendant resolve here
-    /// too — the O(new values) alternative to cloning the whole pool when a
-    /// session keeps a derived dataset (e.g. the repaired copy) in step with
-    /// the dirty one.
-    pub fn sync_pool_from(&mut self, descendant: &ValuePool) {
-        self.pool.sync_from(descendant);
-    }
-
     /// Number of tuples.
     pub fn len(&self) -> usize {
         self.rows

@@ -112,9 +112,9 @@ impl ValuePool {
     /// of the same pool on all ids below its length — so syncing is a pure
     /// append of `Arc<str>` clones (no re-hashing of the shared prefix, no
     /// clone of the whole map).  This is what lets long-lived sessions keep
-    /// several pool snapshots (cleaned index, repaired dataset) in step with
-    /// the dirty dataset's pool at O(new values) per change set instead of
-    /// O(pool) clones.
+    /// a pool snapshot (the cleaned index's) in step with the dirty
+    /// dataset's pool at O(new values) per change set instead of an O(pool)
+    /// clone.
     pub fn sync_from(&mut self, descendant: &ValuePool) {
         debug_assert!(
             descendant.values.len() >= self.values.len(),

@@ -41,10 +41,13 @@
 //!    session ([`CleaningSession::inject_weights`]) whenever a per-partition
 //!    [`DistributedStreamingSession::partition_outcome`] view is drawn, so
 //!    local views reflect global evidence.
-//! 4. **Gather** — [`DistributedStreamingSession::outcome`] replays the
-//!    memoised per-tuple fusions over the accumulated rows and reports in
-//!    global coordinates with a [`PartitionReport`] attached, exactly like
-//!    the batch distributed runner.
+//! 4. **Gather** — [`DistributedStreamingSession::outcome`] gathers the
+//!    accumulated rows and hands them to [`StageTwo::report`] — the same
+//!    Stage-II driver, and the same call, a single [`CleaningSession`]
+//!    reports with: it fuses the tuples the merge rounds invalidated, replays
+//!    every other fusion from its memo and reports in global coordinates; the
+//!    coordinator attaches a [`PartitionReport`], exactly like the batch
+//!    distributed runner.
 //!
 //! Byte-identity with the single session holds by construction: merged
 //! pristine blocks carry exactly the groups/γs/supports a single session's
@@ -59,14 +62,14 @@
 
 use crate::backend::{LocalPartitions, PartitionBackend};
 use crate::partition::route_row;
-use dataset::{Dataset, Schema, SpillDir, SpillSlot, TupleId, ValueId, ValuePool};
+use dataset::{Dataset, Schema, TupleId, ValueId, ValuePool};
 use mlnclean::index::{cmp_resolved, cmp_resolved_gammas};
 use mlnclean::session::nth_surviving;
 use mlnclean::weights::gamma_weight;
 use mlnclean::{
-    apply_tuple_fusion, BatchReport, Block, ChangeSet, CleanConfig, CleanError, ConflictResolver,
-    Engine, FscrRecord, Gamma, GammaSignature, Group, MlnIndex, Mutation, PartitionReport, Report,
-    SessionWeights, StageOne, Timings, TupleFusion,
+    BatchReport, Block, ChangeSet, CleanConfig, CleanError, Engine, Gamma, GammaSignature, Group,
+    MemoryStats, MlnIndex, Mutation, PartitionReport, Report, SessionWeights, StageOne, StageTwo,
+    Timings,
 };
 // Referenced by the module and method docs only.
 #[allow(unused_imports)]
@@ -74,11 +77,6 @@ use mlnclean::CleaningSession;
 use rules::RuleSet;
 use std::collections::HashMap;
 use std::time::Instant;
-
-/// Budget-accounting heuristic for one memoised [`TupleFusion`] slot — the
-/// same per-slot cost the single session charges, so one `memory_budget`
-/// knob means the same thing on both drivers.
-const FUSION_SLOT_BYTES: usize = 64;
 
 /// The stateful distributed streaming coordinator: per-partition
 /// [`CleaningSession`]s behind the same `apply`/`outcome`/`finish` surface a
@@ -96,7 +94,6 @@ const FUSION_SLOT_BYTES: usize = 64;
 /// static dataset.
 #[derive(Debug)]
 pub struct DistributedStreamingSession<B: PartitionBackend = LocalPartitions> {
-    config: CleanConfig,
     merge_every: usize,
     /// The stream's schema (coordinator-resident copy: O(arity)).
     schema: Schema,
@@ -130,19 +127,10 @@ pub struct DistributedStreamingSession<B: PartitionBackend = LocalPartitions> {
     /// over the coordinator pool), its provenance, the per-block caches and
     /// which blocks were touched since the last merge round.
     stage_one: StageOne,
-    /// Per global row: the memoised FSCR fusion (`None` = must be re-fused).
-    /// This is the coordinator's only O(rows)-sized value state; under a
-    /// [`CleanConfig::memory_budget`] the whole memo is shed to a spill
-    /// segment between change sets (see [`Self::shed_fusions`]) and faulted
-    /// back in before any path that reads or invalidates slots.
-    fusions: Vec<Option<TupleFusion>>,
-    /// Spilled fusion memo (`Some` ⇒ `fusions` is empty and the encoded
-    /// vector lives in the segment).
-    shed: Option<SpillSlot>,
-    /// Lazily created spill directory backing [`Self::shed`].
-    spill: Option<SpillDir>,
-    /// Times the fusion memo was shed to disk.
-    fusion_sheds: usize,
+    /// The Stage-II driver: the per-tuple fusion memo, one slot per global
+    /// row — the coordinator's only O(rows)-sized value state, windowed under
+    /// a [`CleanConfig::memory_budget`] exactly like a single session's.
+    stage_two: StageTwo,
     /// Per block: γs that drew cross-partition evidence in its last merge.
     shared_per_block: Vec<usize>,
     /// Last merged per-γ weight table (also injected into the partitions).
@@ -215,7 +203,7 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
         let blocks = empty.block_count();
         Ok(DistributedStreamingSession {
             stage_one: StageOne::new(config.clone(), empty),
-            config,
+            stage_two: StageTwo::new(config),
             merge_every: merge_every.max(1),
             schema,
             pool: ValuePool::new(),
@@ -225,10 +213,6 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
             parts: vec![Vec::new(); partitions],
             home: Vec::new(),
             translate: vec![Vec::new(); partitions],
-            fusions: Vec::new(),
-            shed: None,
-            spill: None,
-            fusion_sheds: 0,
             shared_per_block: vec![0; blocks],
             merged_weights: SessionWeights::new(),
             batches: 0,
@@ -312,7 +296,7 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
     pub fn footprint(&self) -> CoordinatorFootprint {
         CoordinatorFootprint {
             row_entries: self.home.len()
-                + self.fusions.len()
+                + self.stage_two.slots()
                 + self.parts.iter().map(Vec::len).sum::<usize>(),
             translate_entries: self.translate.iter().map(Vec::len).sum(),
             pool_values: self.pool.len(),
@@ -340,68 +324,12 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
         &self.merged_weights
     }
 
-    /// Times the coordinator shed its fusion memo to the spill layer (always
-    /// 0 without a [`CleanConfig::memory_budget`]).
-    pub fn fusion_sheds(&self) -> usize {
-        self.fusion_sheds
-    }
-
-    /// Fault the shed fusion memo back in.  Every path that pushes,
-    /// invalidates, remaps or reads fusion slots calls this first, so the
-    /// index-based bookkeeping always operates on resident state.
-    ///
-    /// A segment that cannot be read back, does not decode, or decodes to
-    /// anything but one slot per row (the disk failed underneath us) is
-    /// survived: the memo restarts all-`None`, so every row is re-fused at
-    /// the next outcome — slower, never wrong.  (The memo is only ever shed
-    /// between calls, when it holds exactly one slot per row.)
-    fn reside_fusions(&mut self) {
-        if let Some(slot) = self.shed.take() {
-            let memo: Option<Vec<Option<TupleFusion>>> =
-                slot.load().ok().and_then(|b| mlnw::from_bytes(&b).ok());
-            self.fusions = memo
-                .filter(|memo| memo.len() == self.rows)
-                .unwrap_or_else(|| vec![None; self.rows]);
-        }
-    }
-
-    /// Fit the coordinator's evictable state to the configured budget: shed
-    /// the fusion memo if the budget cannot hold it, then let the Stage-I
-    /// driver spill clean block caches into whatever the resident memo
-    /// leaves ([`StageOne::enforce_budget`] — the code, and the estimate,
-    /// the single session uses).
-    fn enforce_budget(&mut self) {
-        self.shed_fusions();
-        self.stage_one
-            .enforce_budget(self.fusions.len() * FUSION_SLOT_BYTES);
-    }
-
-    /// Shed the fusion memo — the coordinator's only O(rows) value state —
-    /// to a spill segment when the configured budget cannot hold it.  A
-    /// failed spill (I/O error) leaves the memo resident: shedding is an
-    /// optimization, never a correctness requirement.
-    fn shed_fusions(&mut self) {
-        let Some(budget) = self.config.memory_budget else {
-            return;
-        };
-        if self.shed.is_some() || self.fusions.is_empty() {
-            return;
-        }
-        if self.fusions.len() * FUSION_SLOT_BYTES <= budget {
-            return;
-        }
-        if self.spill.is_none() {
-            match SpillDir::new() {
-                Ok(dir) => self.spill = Some(dir),
-                Err(_) => return,
-            }
-        }
-        let bytes = mlnw::to_bytes(&self.fusions).expect("in-memory fusion memos always encode");
-        if let Ok(slot) = self.spill.as_ref().expect("just ensured").store(&bytes) {
-            self.shed = Some(slot);
-            self.fusions = Vec::new();
-            self.fusion_sheds += 1;
-        }
+    /// Counters of the out-of-core machinery (block-cache spills, fault-ins
+    /// and spill errors, fusion evictions) — the shape
+    /// [`CleaningSession::memory_stats`] returns.  All zero unless
+    /// [`CleanConfig::memory_budget`] is set.
+    pub fn memory_stats(&self) -> MemoryStats {
+        self.stage_two.memory_stats(&self.stage_one)
     }
 
     /// Apply one typed [`ChangeSet`] across the partitions — the streaming
@@ -424,9 +352,6 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
         // validates, so a failed call leaves the coordinator and every
         // partition untouched.
         changes.validate(self.schema.arity(), self.rows)?;
-        // Inserts push slots and updates/deletes invalidate or remap them
-        // by index — all of which needs the memo resident.
-        self.reside_fusions();
         let started = Instant::now();
         let partitions = self.backend.partitions();
         let mut pending: Vec<Vec<Mutation>> = vec![Vec::new(); partitions];
@@ -456,13 +381,13 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
                         }
                         self.home.push(p);
                         self.parts[p].push(g);
-                        self.fusions.push(None);
                         match pending[p].last_mut() {
                             Some(Mutation::Insert(batch)) => batch.push(row),
                             _ => pending[p].push(Mutation::Insert(vec![row])),
                         }
                         inserted += 1;
                     }
+                    self.stage_two.grow(virtual_rows);
                 }
                 Mutation::Update(t, attr, value) => {
                     // No-op updates (cell already holds the value) are
@@ -477,7 +402,7 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
                         .expect("home map is consistent");
                     let local = vl - removed_locals[p].partition_point(|&r| r < vl);
                     pending[p].push(Mutation::Update(TupleId(local), attr, value));
-                    self.fusions[v] = None;
+                    self.stage_two.invalidate(TupleId(v));
                 }
                 Mutation::Delete(t) => {
                     let v = nth_surviving(&removed, t.index());
@@ -504,12 +429,7 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
                 idx += 1;
                 keep
             });
-            let mut idx = 0usize;
-            self.fusions.retain(|_| {
-                let keep = removed.binary_search(&idx).is_err();
-                idx += 1;
-                keep
-            });
+            self.stage_two.remap_removed(&removed);
             for part in &mut self.parts {
                 dataset::remap_ids_after_removal(part, &removed);
             }
@@ -557,7 +477,7 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
         if self.batches.is_multiple_of(self.merge_every) {
             self.merge_round();
         }
-        self.enforce_budget();
+        self.stage_two.enforce_budget(&mut self.stage_one);
         Ok(report)
     }
 
@@ -676,9 +596,6 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
         if dirty_idx.is_empty() {
             return;
         }
-        // Re-merged blocks invalidate their tuples' fusion slots below.
-        self.reside_fusions();
-
         // Gather: fetch every partition's copy of the dirty blocks from the
         // backend (one message-shaped exchange), then merge them.
         let started = Instant::now();
@@ -722,34 +639,8 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
             &SessionWeights::new(),
             &mut self.timings,
         );
-        for t in refreshed.invalidated {
-            self.fusions[t.index()] = None;
-        }
+        self.stage_two.invalidate_refreshed(&refreshed, &pristine);
         self.timings.merge_rounds += 1;
-    }
-
-    /// Flush pending dirtiness and make sure every row has a memoised
-    /// fusion.
-    fn ensure_fusions(&mut self) {
-        self.merge_round();
-        // Values interned since the last round must resolve in the cleaned
-        // index even when no block went dirty.
-        self.stage_one.sync_pool(&self.pool);
-        // `assemble` reads every slot, so the memo must be resident even
-        // when no block was dirty.
-        self.reside_fusions();
-        if self.fusions.iter().all(Option::is_some) {
-            return;
-        }
-        let started = Instant::now();
-        let resolver = ConflictResolver::new(self.config.max_exhaustive_fusion);
-        let plan = resolver.plan(self.stage_one.cleaned());
-        for i in 0..self.fusions.len() {
-            if self.fusions[i].is_none() {
-                self.fusions[i] = Some(resolver.fuse_tuple(&plan, TupleId(i)));
-            }
-        }
-        self.timings.fscr += started.elapsed();
     }
 
     /// Re-merge whatever is dirty and produce the full [`Report`] over the
@@ -759,10 +650,8 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
     /// [`Report::partitions`] carries the partition id lists plus the
     /// shared-γ count of the weight merge.
     pub fn outcome(&mut self) -> Report {
-        self.ensure_fusions();
-        let repaired = self.gather_dataset();
-        let report = self.assemble(repaired);
-        self.enforce_budget();
+        let report = self.report();
+        self.stage_two.enforce_budget(&mut self.stage_one);
         report
     }
 
@@ -772,9 +661,29 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
     /// resident copy to move out — and the cleaned index is shared, not
     /// copied, either way).
     pub fn finish(mut self) -> Report {
-        self.ensure_fusions();
-        let repaired = self.gather_dataset();
-        self.assemble(repaired)
+        self.report()
+    }
+
+    /// Flush pending dirtiness, gather the rows and report through the
+    /// Stage-II driver — the shared body of `outcome` and `finish`.
+    fn report(&mut self) -> Report {
+        self.merge_round();
+        // Values interned since the last round must resolve in the cleaned
+        // index even when no block went dirty.
+        self.stage_one.sync_pool(&self.pool);
+        let dirty = self.gather_dataset();
+        let mut report = self
+            .stage_two
+            .report(&mut self.stage_one, dirty, &mut self.timings);
+        // Coordinator phases are wall clock; the index field aggregates the
+        // partitions' (concurrent) ingest clocks, like the batch runner's
+        // per-worker stage sums.
+        report.timings.index += self.backend.index_clock();
+        report.partitions = Some(PartitionReport {
+            parts: self.parts.clone(),
+            shared_gammas: self.shared_per_block.iter().sum(),
+        });
+        report
     }
 
     /// A **partition-local** view: re-clean partition `p`'s own rows through
@@ -790,50 +699,6 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
         self.merge_round();
         self.backend
             .partition_outcome(p, self.merged_weights.clone())
-    }
-
-    /// Apply the memoised fusions and assemble the unified report — the
-    /// shared tail of `outcome` and `finish`.
-    fn assemble(&mut self, mut repaired: Dataset) -> Report {
-        let started = Instant::now();
-        let cleaned = std::sync::Arc::clone(self.stage_one.cleaned());
-        let mut fscr = FscrRecord::default();
-        for (i, fusion) in self.fusions.iter().enumerate() {
-            let fusion = fusion.as_ref().expect("ensure_fusions ran");
-            apply_tuple_fusion(&mut repaired, cleaned.pool(), TupleId(i), fusion, &mut fscr);
-        }
-        self.timings.fscr += started.elapsed();
-
-        let deduplicated = if self.config.deduplicate {
-            let started = Instant::now();
-            let deduplicated = repaired.deduplicated();
-            self.timings.dedup += started.elapsed();
-            Some(deduplicated)
-        } else {
-            None
-        };
-
-        let (agp, rsc) = self.stage_one.records();
-
-        // Coordinator phases are wall clock; the index field aggregates the
-        // partitions' (concurrent) ingest clocks, like the batch runner's
-        // per-worker stage sums.
-        let mut timings = self.timings;
-        timings.index += self.backend.index_clock();
-
-        Report::new(
-            repaired,
-            deduplicated,
-            Some(cleaned),
-            agp,
-            rsc,
-            fscr,
-            timings,
-            Some(PartitionReport {
-                parts: self.parts.clone(),
-                shared_gammas: self.shared_per_block.iter().sum(),
-            }),
-        )
     }
 }
 
@@ -1120,9 +985,9 @@ mod tests {
         assert_eq!(batch.fscr, streamed.fscr);
     }
 
-    /// Under a memory budget the coordinator sheds its only O(rows) value
-    /// state — the fusion memo — to the spill layer between change sets,
-    /// and the stream's outputs must not move by a byte.
+    /// Under a memory budget the coordinator windows its only O(rows) value
+    /// state — the fusion memo — between change sets, like a single session
+    /// does, and the stream's outputs must not move by a byte.
     #[test]
     fn budgeted_coordinator_sheds_fusions_and_stays_byte_identical() {
         let dirty = sample_hospital_dataset();
@@ -1150,14 +1015,14 @@ mod tests {
                         .delete(TupleId(5)),
                 )
                 .unwrap();
-            let sheds = session.fusion_sheds();
-            (mid, session.finish(), sheds)
+            let evicted = session.memory_stats().evicted_fusions;
+            (mid, session.finish(), evicted)
         };
 
-        let (plain_mid, plain, plain_sheds) = run(config.clone());
-        assert_eq!(plain_sheds, 0, "no budget, no shedding");
-        let (tight_mid, tight, tight_sheds) = run(config.with_memory_budget(1));
-        assert!(tight_sheds > 0, "a 1-byte budget must shed the fusion memo");
+        let (plain_mid, plain, plain_evicted) = run(config.clone());
+        assert_eq!(plain_evicted, 0, "no budget, no eviction");
+        let (tight_mid, tight, tight_evicted) = run(config.with_memory_budget(1));
+        assert!(tight_evicted > 0, "a 1-byte budget must evict fusions");
 
         for (label, a, b) in [
             ("mid-stream outcome", &plain_mid, &tight_mid),
@@ -1174,53 +1039,35 @@ mod tests {
         }
     }
 
-    /// A shed fusion memo that cannot be read back (deleted) or decoded
-    /// (truncated) must not panic and must not move the output: the memo
-    /// restarts empty and every row is re-fused.
+    /// Stage II runs on the restricted plan at the coordinator too: after a
+    /// change only the tuples the merge round invalidated are fused again.
     #[test]
-    fn a_lost_fusion_segment_is_survived_and_leaves_the_report_unchanged() {
+    fn a_report_fuses_only_the_rows_the_merge_round_invalidated() {
         let dirty = sample_hospital_dataset();
-        let rules = rules::sample_hospital_rules();
-        let config = CleanConfig::default().with_tau(1);
-        let st = dirty.schema().attr_id("ST").unwrap();
-        let open = |config: CleanConfig| {
-            let mut session = DistributedStreamingSession::new(
-                config,
-                dirty.schema().clone(),
-                rules.clone(),
-                2,
-                1,
-            )
+        let mut session = DistributedStreamingSession::new(
+            CleanConfig::default().with_tau(1),
+            dirty.schema().clone(),
+            rules::sample_hospital_rules(),
+            2,
+            1,
+        )
+        .unwrap();
+        session
+            .apply(ChangeSet::inserting(hospital_rows(&dirty)))
             .unwrap();
-            session
-                .apply(ChangeSet::inserting(hospital_rows(&dirty)))
-                .unwrap();
-            session
-        };
-        let mut plain = open(config.clone());
-        let mut tight = open(config.with_memory_budget(1));
-        let _ = (plain.outcome(), tight.outcome());
+        let _ = session.outcome();
+        assert_eq!(session.stage_two.fused_tuples(), 6);
 
-        let changes = [
-            ChangeSet::new().update(TupleId(3), st, "AL"),
-            ChangeSet::new().delete(TupleId(5)),
-        ];
-        for (changes, truncate) in changes.into_iter().zip([false, true]) {
-            assert!(tight.shed.is_some(), "a 1-byte budget sheds the memo");
-            let dir = tight.spill.as_ref().expect("shed at least once").path();
-            for entry in std::fs::read_dir(dir).unwrap() {
-                let path = entry.unwrap().path();
-                if truncate {
-                    let bytes = std::fs::read(&path).unwrap();
-                    std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-                } else {
-                    std::fs::remove_file(&path).unwrap();
-                }
-            }
-            plain.apply(changes.clone()).unwrap();
-            tight.apply(changes).unwrap();
-            assert_same_report(&plain.outcome(), &tight.outcome());
-        }
+        // Only the CFD reads HN, and its block lists rows 2..=5 alone.
+        let hn = dirty.schema().attr_id("HN").unwrap();
+        let report = session
+            .apply(ChangeSet::new().update(TupleId(4), hn, "ELIZB"))
+            .unwrap();
+        assert_eq!(report.touched_blocks, vec![2]);
+        let _ = session.outcome();
+        assert_eq!(session.stage_two.fused_tuples(), 6 + 4);
+        let _ = session.outcome();
+        assert_eq!(session.stage_two.fused_tuples(), 6 + 4, "nothing dirty");
     }
 
     /// With nothing touched since the last round, another round — every

@@ -8,8 +8,8 @@ Usage:
 `smoke` asserts the streaming/incremental/distributed probes of the smoke
 artifact kept their correctness invariants (byte-identity with the batch
 engine, dirty blocks < total blocks, real mutations applied), requires the
-`product_lines` key and prints it next to the `--baseline` artifact's value
-(visible, not gated).
+`product_lines` and `product_lines_non_test` keys and prints them next to the
+`--baseline` artifact's values (visible, not gated).
 
 `ladder` asserts the structural invariants of the benchmark ladder (monotone
 rung sizes, byte-identity wherever it was checked, errors injected, RSS
@@ -75,12 +75,14 @@ def check_codec_header(d, where):
 
 def check_smoke(d, committed=None):
     check_codec_header(d, "smoke")
-    check("product_lines" in d and isinstance(d["product_lines"], (int, type(None))),
-          "smoke: artifact lacks product_lines (lines of *.rs under "
-          "crates/*/src, null when the sources were not beside the binary)")
     # Shown, not gated: the trend of the product tree's size.
-    print("product lines:", d["product_lines"],
-          f"(committed: {committed.get('product_lines')})" if committed else "")
+    for key in ("product_lines", "product_lines_non_test"):
+        check(key in d and isinstance(d[key], (int, type(None))),
+              f"smoke: artifact lacks {key} (lines of *.rs under crates/*/src "
+              f"— all of them, and those above each file's first column-0 "
+              f"#[cfg(test)]; null when the sources were not beside the binary)")
+        print(f"{key}:", d[key],
+              f"(committed: {committed.get(key)})" if committed else "")
     s = d["streaming"]
     check(s["hai_stream"]["final_matches_one_shot"] is True,
           "streamed HAI result diverged from the one-shot run")
