@@ -12,8 +12,8 @@ use dataset::Dataset;
 use distance::{DistanceMetric, Metric};
 use distributed::{partition_dataset, PartitionConfig};
 use mlnclean::{
-    AbnormalGroupProcessor, Block, ConflictResolver, MlnIndex, ReliabilityCleaner, SessionWeights,
-    StageOne, Timings,
+    AbnormalGroupProcessor, Block, ConflictResolver, MlnIndex, ReliabilityCleaner, StageOne,
+    Timings,
 };
 
 fn index_construction(c: &mut Criterion) {
@@ -76,10 +76,9 @@ fn stage_breakdown(c: &mut Criterion) {
         for block in 0..index.block_count() {
             stage.mark_block_dirty(block);
         }
-        let none = SessionWeights::new();
         let refresh = |stage: &mut StageOne, index: &MlnIndex| {
             let pristine: Vec<(usize, &Block)> = index.blocks.iter().enumerate().collect();
-            stage.refresh(&pristine, index.pool(), &none, &mut Timings::default())
+            stage.refresh(&pristine, index.pool(), &mut Timings::default())
         };
         refresh(&mut stage, &index);
         // A row the `Make="acura"` CFD does not see, so its block's support

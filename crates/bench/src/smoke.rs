@@ -457,7 +457,6 @@ struct DistributedStreamProbe {
     merge_every: usize,
     batches: usize,
     merge_rounds: usize,
-    weight_merge: Duration,
     gather: Duration,
     shared_gammas: usize,
     partition_sizes: Vec<usize>,
@@ -501,7 +500,6 @@ fn run_distributed_stream(scale: Scale) -> DistributedStreamProbe {
         merge_every,
         batches,
         merge_rounds: streamed.timings.merge_rounds,
-        weight_merge: streamed.timings.weight_merge,
         gather: streamed.timings.gather,
         shared_gammas: streamed
             .partitions
@@ -722,7 +720,6 @@ fn render_streaming(
             "      \"merge_every\": {ds_merge_every},\n",
             "      \"batches\": {ds_batches},\n",
             "      \"merge_rounds\": {ds_rounds},\n",
-            "      \"weight_merge_seconds\": {ds_weight_merge:.6},\n",
             "      \"gather_seconds\": {ds_gather:.6},\n",
             "      \"per_round_merge_seconds\": {ds_per_round:.6},\n",
             "      \"shared_gammas\": {ds_shared},\n",
@@ -778,10 +775,8 @@ fn render_streaming(
         ds_merge_every = distributed.merge_every,
         ds_batches = distributed.batches,
         ds_rounds = distributed.merge_rounds,
-        ds_weight_merge = distributed.weight_merge.as_secs_f64(),
         ds_gather = distributed.gather.as_secs_f64(),
-        ds_per_round = (distributed.weight_merge + distributed.gather).as_secs_f64()
-            / distributed.merge_rounds.max(1) as f64,
+        ds_per_round = distributed.gather.as_secs_f64() / distributed.merge_rounds.max(1) as f64,
         ds_shared = distributed.shared_gammas,
         ds_sizes = distributed.partition_sizes,
         ds_matches = distributed.matches_single_session,

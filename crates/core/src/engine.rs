@@ -66,7 +66,8 @@ pub struct Timings {
     pub dedup: Duration,
     /// Data partitioning (distributed driver only).
     pub partition: Duration,
-    /// Cross-partition Eq. 6 weight merging (distributed driver only).
+    /// Cross-partition Eq. 6 weight merging (batch distributed runner only:
+    /// the streaming driver merges exact evidence and has no such phase).
     pub weight_merge: Duration,
     /// Gathering per-part repairs back into one dataset (distributed driver
     /// only).
@@ -208,8 +209,8 @@ impl Report {
     }
 }
 
-// A report crosses the wire when a transport worker answers an `Outcome`
-// request, so it needs serde — manual because `index` is behind an `Arc`
+// A report is the frame a remote client of the cleaning service receives,
+// so it needs serde — manual because `index` is behind an `Arc`
 // (serialized through the deref, re-wrapped on decode; sharing is a process
 // property, not a wire one).  Encoded positionally as an 8-tuple, matching
 // the compact sequence framing every binary codec in this workspace uses.

@@ -318,45 +318,18 @@ impl MlnIndex {
         from: usize,
         parallel: bool,
     ) -> InsertReport {
-        // A hard assert, not a debug one: a mismatched rule set would make
-        // the zip below silently drop blocks from the index in release
-        // builds.
-        assert_eq!(
-            self.blocks.len(),
-            rules.len(),
-            "insert_tuples requires the rule set the index was built from"
-        );
-        if ds.pool().len() != self.pool.len() {
-            self.set_pool(ds.pool().clone());
-        }
+        self.pool.sync_from(ds.pool());
         let rows = ds.len().saturating_sub(from);
-        if rows == 0 {
-            return InsertReport {
-                rows: 0,
-                touched_groups: vec![0; self.blocks.len()],
-                created_groups: vec![0; self.blocks.len()],
-            };
-        }
-
-        let (blocks, pool) = self.split_mut();
-        let pairs: Vec<(Block, &Rule)> = std::mem::take(blocks)
-            .into_iter()
-            .zip(rules.iter_with_ids().map(|(_, rule)| rule))
-            .collect();
-        let inserted = map_ordered(parallel, pairs, |(mut block, rule)| {
-            let (touched, created) = insert_range_into_block(&mut block, ds, pool, rule, from);
-            (block, touched, created)
-        });
-
         let mut report = InsertReport {
             rows,
-            touched_groups: Vec::with_capacity(inserted.len()),
-            created_groups: Vec::with_capacity(inserted.len()),
+            touched_groups: vec![0; self.blocks.len()],
+            created_groups: vec![0; self.blocks.len()],
         };
-        for (block, touched, created) in inserted {
-            blocks.push(block);
-            report.touched_groups.push(touched);
-            report.created_groups.push(created);
+        if rows > 0 {
+            let inserted = self.map_blocks(rules, parallel, |block, pool, rule| {
+                insert_range_into_block(block, ds, pool, rule, from)
+            });
+            (report.touched_groups, report.created_groups) = inserted.into_iter().unzip();
         }
         report
     }
@@ -382,47 +355,26 @@ impl MlnIndex {
         ids: &[TupleId],
         parallel: bool,
     ) -> RemoveReport {
-        assert_eq!(
-            self.blocks.len(),
-            rules.len(),
-            "remove_tuples requires the rule set the index was built from"
-        );
         let mut removed: Vec<usize> = ids.iter().map(|t| t.0).collect();
         removed.sort_unstable();
         removed.dedup();
-        if removed.is_empty() {
-            return RemoveReport {
-                rows: 0,
-                touched_groups: vec![0; self.blocks.len()],
-                removed_groups: vec![0; self.blocks.len()],
-            };
-        }
-        assert!(
-            *removed.last().expect("non-empty") < ds.len(),
-            "remove_tuples with an out-of-range tuple id"
-        );
-
-        let (blocks, pool) = self.split_mut();
-        let removed = &removed;
-        let pairs: Vec<(Block, &Rule)> = std::mem::take(blocks)
-            .into_iter()
-            .zip(rules.iter_with_ids().map(|(_, rule)| rule))
-            .collect();
-        let spliced = map_ordered(parallel, pairs, |(mut block, rule)| {
-            let (touched, dropped) = remove_ids_from_block(&mut block, ds, pool, rule, removed);
-            remap_block_after_removal(&mut block, removed);
-            (block, touched, dropped)
-        });
-
         let mut report = RemoveReport {
             rows: removed.len(),
-            touched_groups: Vec::with_capacity(spliced.len()),
-            removed_groups: Vec::with_capacity(spliced.len()),
+            touched_groups: vec![0; self.blocks.len()],
+            removed_groups: vec![0; self.blocks.len()],
         };
-        for (block, touched, dropped) in spliced {
-            blocks.push(block);
-            report.touched_groups.push(touched);
-            report.removed_groups.push(dropped);
+        if let Some(&last) = removed.last() {
+            assert!(
+                last < ds.len(),
+                "remove_tuples with an out-of-range tuple id"
+            );
+            let removed = &removed;
+            let spliced = self.map_blocks(rules, parallel, |block, pool, rule| {
+                let counts = remove_ids_from_block(block, ds, pool, rule, removed);
+                remap_block_after_removal(block, removed);
+                counts
+            });
+            (report.touched_groups, report.removed_groups) = spliced.into_iter().unzip();
         }
         report
     }
@@ -449,32 +401,43 @@ impl MlnIndex {
         old_row: &[ValueId],
         parallel: bool,
     ) -> Vec<Vec<Vec<ValueId>>> {
+        // The update may have interned a brand-new value.
+        self.pool.sync_from(ds.pool());
+        self.map_blocks(rules, parallel, |block, pool, rule| {
+            rehome_tuple_in_block(block, ds, pool, rule, t, old_row)
+        })
+    }
+
+    /// Run `f` over every block beside its rule — the pool snapshot to
+    /// resolve through in hand, on the rayon pool when `parallel` — and
+    /// return what it said of each, in rule order: the shared frame of the
+    /// three incremental maintenance calls above.
+    fn map_blocks<R: Send>(
+        &mut self,
+        rules: &RuleSet,
+        parallel: bool,
+        f: impl Fn(&mut Block, &ValuePool, &Rule) -> R + Sync + Send,
+    ) -> Vec<R> {
+        // A hard assert, not a debug one: a mismatched rule set would make
+        // the zip below silently drop blocks from the index in release
+        // builds.
         assert_eq!(
             self.blocks.len(),
             rules.len(),
-            "update_tuple requires the rule set the index was built from"
+            "the index is maintained under the rule set it was built from"
         );
-        // The update may have interned a brand-new value; pools are
-        // append-only, so a length check spots that without cloning on the
-        // (common) all-values-known path.
-        if ds.pool().len() != self.pool.len() {
-            self.set_pool(ds.pool().clone());
-        }
         let (blocks, pool) = self.split_mut();
         let pairs: Vec<(Block, &Rule)> = std::mem::take(blocks)
             .into_iter()
             .zip(rules.iter_with_ids().map(|(_, rule)| rule))
             .collect();
-        let rehomed = map_ordered(parallel, pairs, |(mut block, rule)| {
-            let touched = rehome_tuple_in_block(&mut block, ds, pool, rule, t, old_row);
-            (block, touched)
+        let mapped = map_ordered(parallel, pairs, |(mut block, rule)| {
+            let out = f(&mut block, pool, rule);
+            (block, out)
         });
-        let mut touched_groups = Vec::with_capacity(rehomed.len());
-        for (block, touched) in rehomed {
-            blocks.push(block);
-            touched_groups.push(touched);
-        }
-        touched_groups
+        let (done, out) = mapped.into_iter().unzip();
+        *blocks = done;
+        out
     }
 
     /// Assemble an index from externally built blocks and the pool their
@@ -504,18 +467,9 @@ impl MlnIndex {
         }
     }
 
-    /// Replace the pool snapshot (the new pool must be an append-only
-    /// descendant of the old one, so every stored id keeps resolving to the
-    /// same string).
-    pub(crate) fn set_pool(&mut self, pool: ValuePool) {
-        debug_assert!(pool.len() >= self.pool.len(), "pools only ever grow");
-        self.pool = pool;
-    }
-
     /// Catch the pool snapshot up to an append-only descendant by copying
-    /// only its tail of new values (see [`ValuePool::sync_from`]) — the
-    /// cheap alternative to [`MlnIndex::set_pool`]'s whole-pool clone on the
-    /// incremental paths.
+    /// only its tail of new values (see [`ValuePool::sync_from`]), so every
+    /// stored id keeps resolving to the same string.
     pub(crate) fn sync_pool_from(&mut self, descendant: &ValuePool) {
         self.pool.sync_from(descendant);
     }
@@ -639,10 +593,91 @@ pub fn cmp_resolved_gammas(pool: &ValuePool, a: &Gamma, b: &Gamma) -> Ordering {
     ka.cmp(kb)
 }
 
+/// Where the group keyed `vl` is — or would go — in the block's string order.
+fn find_group(block: &Block, pool: &ValuePool, vl: &[ValueId]) -> Result<usize, usize> {
+    block
+        .groups
+        .binary_search_by(|g| cmp_resolved(pool, &g.key, vl))
+}
+
+/// Where the γ with result part `vr` is — or would go — in the string order
+/// of a pristine group: its γs all carry the group's key as their reason
+/// part, so [`cmp_resolved_gammas`]' order is the order of their result parts.
+fn find_gamma(group: &Group, pool: &ValuePool, vr: &[ValueId]) -> Result<usize, usize> {
+    group
+        .gammas
+        .binary_search_by(|g| cmp_resolved(pool, &g.result_values, vr))
+}
+
+/// Put tuple `t` into the γ `(vl, vr)` of `block`, at its ascending position
+/// in the γ's tuple list (the end, for a newly appended row), creating the γ
+/// — and the group — at their string-sorted positions when absent.  Returns
+/// whether the group was created.
+fn splice_in(
+    block: &mut Block,
+    pool: &ValuePool,
+    vl: &[ValueId],
+    vr: Vec<ValueId>,
+    t: TupleId,
+) -> bool {
+    let new_gamma = |block: &Block, vr: Vec<ValueId>| {
+        let (reason, result) = (block.reason_attrs.clone(), block.result_attrs.clone());
+        let mut gamma = Gamma::new(block.rule, reason, vl.to_vec(), result, vr);
+        gamma.tuples.push(t);
+        gamma
+    };
+    match find_group(block, pool, vl) {
+        Ok(i) => {
+            match find_gamma(&block.groups[i], pool, &vr) {
+                Ok(j) => {
+                    let tuples = &mut block.groups[i].gammas[j].tuples;
+                    tuples.insert(tuples.partition_point(|&held| held < t), t);
+                }
+                Err(j) => {
+                    let gamma = new_gamma(block, vr);
+                    block.groups[i].gammas.insert(j, gamma);
+                }
+            }
+            false
+        }
+        Err(i) => {
+            let gammas = vec![new_gamma(block, vr)];
+            let key = vl.to_vec();
+            block.groups.insert(i, Group { key, gammas });
+            true
+        }
+    }
+}
+
+/// Take tuple `t` out of the γ `(vl, vr)` of `block`, dropping the γ if that
+/// empties it and then the group if that empties it — exactly what a rebuild
+/// without the tuple would omit.  Returns whether the group was dropped.
+fn splice_out(
+    block: &mut Block,
+    pool: &ValuePool,
+    vl: &[ValueId],
+    vr: &[ValueId],
+    t: TupleId,
+) -> bool {
+    let i = find_group(block, pool, vl).expect("the tuple's group is in the index");
+    let group = &mut block.groups[i];
+    let j = find_gamma(group, pool, vr).expect("the tuple's γ is in the index");
+    let tuples = &mut group.gammas[j].tuples;
+    let k = tuples.binary_search(&t).expect("the tuple id is in its γ");
+    tuples.remove(k);
+    if tuples.is_empty() {
+        group.gammas.remove(j);
+    }
+    let dropped = group.gammas.is_empty();
+    if dropped {
+        block.groups.remove(i);
+    }
+    dropped
+}
+
 /// Insert the rows `from..ds.len()` into one block, keeping the block
-/// byte-identical to a full rebuild: new groups and γs go to their
-/// string-sorted positions, tuple ids append in dataset order.  Returns
-/// `(touched groups, created groups)`.
+/// byte-identical to a full rebuild ([`splice_in`]; tuple ids append in
+/// dataset order).  Returns `(touched groups, created groups)`.
 fn insert_range_into_block(
     block: &mut Block,
     ds: &Dataset,
@@ -660,61 +695,16 @@ fn insert_range_into_block(
         }
         let vl = tuple.project_ids(&block.reason_attrs);
         let vr = tuple.project_ids(&block.result_attrs);
-
-        match block
-            .groups
-            .binary_search_by(|g| cmp_resolved(pool, &g.key, &vl))
-        {
-            Ok(i) => {
-                let group = &mut block.groups[i];
-                let probe = Gamma::new(
-                    block.rule,
-                    block.reason_attrs.clone(),
-                    vl.clone(),
-                    block.result_attrs.clone(),
-                    vr,
-                );
-                match group
-                    .gammas
-                    .binary_search_by(|g| cmp_resolved_gammas(pool, g, &probe))
-                {
-                    Ok(j) => group.gammas[j].tuples.push(t),
-                    Err(j) => {
-                        let mut gamma = probe;
-                        gamma.tuples.push(t);
-                        group.gammas.insert(j, gamma);
-                    }
-                }
-            }
-            Err(i) => {
-                let mut gamma = Gamma::new(
-                    block.rule,
-                    block.reason_attrs.clone(),
-                    vl.clone(),
-                    block.result_attrs.clone(),
-                    vr,
-                );
-                gamma.tuples.push(t);
-                block.groups.insert(
-                    i,
-                    Group {
-                        key: vl.clone(),
-                        gammas: vec![gamma],
-                    },
-                );
-                created += 1;
-            }
-        }
+        created += usize::from(splice_in(block, pool, &vl, vr, t));
         touched.insert(vl);
     }
     (touched.len(), created)
 }
 
 /// Splice the (sorted, deduplicated, pre-removal) row indices `removed` out
-/// of one block: each removed tuple leaves its γ, and γs/groups emptied by
-/// the removal are dropped — exactly what a rebuild over the survivors would
-/// omit.  Ids are NOT shifted here (see [`remap_block_after_removal`]).
-/// Returns `(touched groups, dropped groups)`.
+/// of one block ([`splice_out`]).  Ids are NOT shifted here (see
+/// [`remap_block_after_removal`]).  Returns `(touched groups, dropped
+/// groups)`.
 fn remove_ids_from_block(
     block: &mut Block,
     ds: &Dataset,
@@ -733,35 +723,7 @@ fn remove_ids_from_block(
         }
         let vl = tuple.project_ids(&block.reason_attrs);
         let vr = tuple.project_ids(&block.result_attrs);
-        let i = block
-            .groups
-            .binary_search_by(|g| cmp_resolved(pool, &g.key, &vl))
-            .expect("removed tuple's group is in the index");
-        let group = &mut block.groups[i];
-        let probe = Gamma::new(
-            block.rule,
-            block.reason_attrs.clone(),
-            vl.clone(),
-            block.result_attrs.clone(),
-            vr,
-        );
-        let j = group
-            .gammas
-            .binary_search_by(|g| cmp_resolved_gammas(pool, g, &probe))
-            .expect("removed tuple's γ is in the index");
-        let gamma = &mut group.gammas[j];
-        let k = gamma
-            .tuples
-            .binary_search(&t)
-            .expect("removed tuple id is in its γ");
-        gamma.tuples.remove(k);
-        if gamma.tuples.is_empty() {
-            group.gammas.remove(j);
-        }
-        if group.gammas.is_empty() {
-            block.groups.remove(i);
-            dropped += 1;
-        }
+        dropped += usize::from(splice_out(block, pool, &vl, &vr, t));
         touched.insert(vl);
     }
     (touched.len(), dropped)
@@ -779,7 +741,7 @@ fn remap_block_after_removal(block: &mut Block, removed: &[usize]) {
 }
 
 /// Move tuple `t` from its pre-update γ to its post-update γ within one
-/// block, splicing both ends at their string-sorted positions.  Returns the
+/// block ([`splice_out`], then [`splice_in`]).  Returns the
 /// interned keys of the distinct groups touched — old first, then new when
 /// they differ (empty when the rule cannot see the update).
 fn rehome_tuple_in_block(
@@ -806,76 +768,11 @@ fn rehome_tuple_in_block(
 
     let mut touched: Vec<Vec<ValueId>> = Vec::with_capacity(2);
     if old_relevant {
-        let i = block
-            .groups
-            .binary_search_by(|g| cmp_resolved(pool, &g.key, &old_vl))
-            .expect("updated tuple's old group is in the index");
-        let group = &mut block.groups[i];
-        let probe = Gamma::new(
-            block.rule,
-            block.reason_attrs.clone(),
-            old_vl.clone(),
-            block.result_attrs.clone(),
-            old_vr,
-        );
-        let j = group
-            .gammas
-            .binary_search_by(|g| cmp_resolved_gammas(pool, g, &probe))
-            .expect("updated tuple's old γ is in the index");
-        let gamma = &mut group.gammas[j];
-        let k = gamma
-            .tuples
-            .binary_search(&t)
-            .expect("updated tuple id is in its old γ");
-        gamma.tuples.remove(k);
-        if gamma.tuples.is_empty() {
-            group.gammas.remove(j);
-        }
-        if group.gammas.is_empty() {
-            block.groups.remove(i);
-        }
+        splice_out(block, pool, &old_vl, &old_vr, t);
         touched.push(old_vl);
     }
     if new_relevant {
-        let mut gamma = Gamma::new(
-            block.rule,
-            block.reason_attrs.clone(),
-            new_vl.clone(),
-            block.result_attrs.clone(),
-            new_vr,
-        );
-        match block
-            .groups
-            .binary_search_by(|g| cmp_resolved(pool, &g.key, &new_vl))
-        {
-            Ok(i) => {
-                let group = &mut block.groups[i];
-                match group
-                    .gammas
-                    .binary_search_by(|g| cmp_resolved_gammas(pool, g, &gamma))
-                {
-                    Ok(j) => {
-                        let tuples = &mut group.gammas[j].tuples;
-                        let k = tuples.binary_search(&t).unwrap_err();
-                        tuples.insert(k, t);
-                    }
-                    Err(j) => {
-                        gamma.tuples.push(t);
-                        group.gammas.insert(j, gamma);
-                    }
-                }
-            }
-            Err(i) => {
-                gamma.tuples.push(t);
-                block.groups.insert(
-                    i,
-                    Group {
-                        key: new_vl.clone(),
-                        gammas: vec![gamma],
-                    },
-                );
-            }
-        }
+        splice_in(block, pool, &new_vl, new_vr, t);
         if !touched.contains(&new_vl) {
             touched.push(new_vl);
         }

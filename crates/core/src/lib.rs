@@ -124,7 +124,7 @@ pub use stage::{
 };
 pub use stage_one::{MemoryStats, Refreshed, StageOne};
 pub use stage_two::StageTwo;
-pub use weights::{GammaSignature, SessionWeights};
+pub use weights::GammaSignature;
 
 use rayon::prelude::*;
 

@@ -18,12 +18,11 @@
 //! ([`MlnIndex::insert_tuples`], [`MlnIndex::update_tuple`],
 //! [`MlnIndex::remove_tuples`]) and records the dirtiness **per group**, not
 //! per block: a pure cell update marks only the group keys it rehomed the
-//! tuple across, while structural changes (inserts, deletes, injected
-//! weights, any change to a block's total support) fall back to marking the
-//! whole block dirty.  Deletions compact the dataset (later tuple ids shift
-//! down by one), and the driver remaps its cleaned index, per-block
-//! provenance and per-group clean state in step, so untouched state keeps
-//! serving from cache.
+//! tuple across, while structural changes (inserts, deletes, any change to
+//! a block's total support) fall back to marking the whole block dirty.
+//! Deletions compact the dataset (later tuple ids shift down by one), and
+//! the driver remaps its cleaned index, per-block provenance and per-group
+//! clean state in step, so untouched state keeps serving from cache.
 //!
 //! Producing a [`Report`] then hands the dirty blocks' pristine state to
 //! [`StageOne::refresh`] — the one refresh path, shared with the distributed
@@ -33,9 +32,9 @@
 //! groups whose own signature, or whose remembered target's, changed —
 //! [`CleaningSession::rescanned_groups`]), and merging γs, the closed-form
 //! block softmax and RSC's pairwise γ scoring are recomputed only for
-//! output groups whose sources changed (every group, when injected weights
-//! are in force — [`CleaningSession::recleaned_groups`]).  Stage II — the
-//! one Stage-II driver, [`StageTwo`], shared with the coordinator too —
+//! output groups whose sources changed
+//! ([`CleaningSession::recleaned_groups`]).  Stage II — the one Stage-II
+//! driver, [`StageTwo`], shared with the coordinator too —
 //! re-fuses **only the invalidated tuples** against a fusion plan restricted
 //! to their covering blocks ([`CleaningSession::fused_tuples`]) and replays
 //! every memoised fusion over a copy of the dirty rows, which is the one
@@ -50,7 +49,6 @@ use crate::error::CleanError;
 use crate::index::{Block, InsertReport, MlnIndex};
 use crate::stage_one::{MemoryStats, StageOne};
 use crate::stage_two::StageTwo;
-use crate::weights::SessionWeights;
 use crate::CleanConfig;
 use dataset::{Dataset, Schema, TupleId};
 use rules::RuleSet;
@@ -89,8 +87,8 @@ pub struct BatchReport {
 }
 
 /// A compacting suspend image of a [`CleaningSession`]: the net surviving
-/// rows, the injected weight overrides and the batch ordinal — everything a
-/// fresh session needs to continue the stream with byte-identical outputs.
+/// rows and the batch ordinal — everything a fresh session needs to continue
+/// the stream with byte-identical outputs.
 ///
 /// The snapshot is *compacting* by construction: it captures the current
 /// dataset (net survivors), not the mutation history, so its size is bound
@@ -107,8 +105,6 @@ pub struct BatchReport {
 pub struct SessionSnapshot {
     /// The net surviving rows at the suspend point.
     pub dataset: Dataset,
-    /// The injected γ-weight overrides in force (empty = none).
-    pub injected: SessionWeights,
     /// Change sets applied before the suspend point (the resumed session
     /// continues the [`BatchReport`] ordinals from here).
     pub batches: usize,
@@ -132,9 +128,6 @@ pub struct CleaningSession {
     /// The Stage-II driver: the per-tuple fusion memo, one slot per row of
     /// `dataset`.
     stage_two: StageTwo,
-    /// Externally injected γ-weight overrides (empty = none) — see
-    /// [`CleaningSession::inject_weights`].
-    injected: SessionWeights,
     /// O(index) id-compaction passes performed so far (at most one per
     /// change set containing deletes) — see
     /// [`CleaningSession::remap_passes`].
@@ -161,7 +154,6 @@ impl CleaningSession {
             rules,
             dataset,
             pristine,
-            injected: SessionWeights::default(),
             remap_passes: 0,
             timings: Timings::default(),
             batches: 0,
@@ -259,38 +251,6 @@ impl CleaningSession {
         self.remap_passes
     }
 
-    /// Snapshot the per-γ weights of the last re-clean (the cleaned index)
-    /// as a pool-independent [`SessionWeights`] table — the export half of
-    /// the session weight hooks.
-    pub fn export_weights(&self) -> SessionWeights {
-        SessionWeights::from_index(self.stage_one.cleaned())
-    }
-
-    /// Inject externally merged γ weights — the import half of the session
-    /// weight hooks.
-    ///
-    /// A distributed coordinator learns weights over evidence this session
-    /// cannot see (the other partitions); injecting the merged table makes
-    /// the **next** re-clean override the locally learned weight of every
-    /// matching γ (and re-normalize each block's probabilities) right after
-    /// weight learning, before RSC runs — the per-partition half of the
-    /// paper's Eq. 6 phase.  Every block is marked fully dirty so the
-    /// injected weights take effect on the next
-    /// [`CleaningSession::outcome`] (injected weights renormalize whole
-    /// blocks, so every group of a refreshed block is rebuilt).  The injection
-    /// persists across re-cleans until replaced; injecting an empty table
-    /// clears it.  Note that a session with injected weights intentionally
-    /// diverges from the single-node batch run it is otherwise
-    /// byte-identical to.
-    pub fn inject_weights(&mut self, weights: SessionWeights) {
-        self.injected = weights;
-        if !self.injected.is_empty() {
-            for block in 0..self.pristine.block_count() {
-                self.stage_one.mark_block_dirty(block);
-            }
-        }
-    }
-
     /// Cumulative per-stage wall-clock timings across all ingests and
     /// re-cleans of this session.
     pub fn timings(&self) -> Timings {
@@ -314,13 +274,12 @@ impl CleaningSession {
     }
 
     /// Capture a compacting suspend image of the session: the net surviving
-    /// rows, the injected weights and the batch ordinal.  See
+    /// rows and the batch ordinal.  See
     /// [`SessionSnapshot`] for what is (and deliberately is not) captured,
     /// and [`CleaningSession::resume`] for the other half.
     pub fn snapshot(&self) -> SessionSnapshot {
         SessionSnapshot {
             dataset: self.dataset.clone(),
-            injected: self.injected.clone(),
             batches: self.batches,
         }
     }
@@ -348,9 +307,6 @@ impl CleaningSession {
             session.ingest_dataset(&snapshot.dataset)?;
         }
         session.batches = snapshot.batches;
-        if !snapshot.injected.is_empty() {
-            session.inject_weights(snapshot.injected);
-        }
         Ok(session)
     }
 
@@ -567,12 +523,9 @@ impl CleaningSession {
             .into_iter()
             .map(|i| (i, &self.pristine.blocks[i]))
             .collect();
-        let refreshed = self.stage_one.refresh(
-            &dirty,
-            self.pristine.pool(),
-            &self.injected,
-            &mut self.timings,
-        );
+        let refreshed = self
+            .stage_one
+            .refresh(&dirty, self.pristine.pool(), &mut self.timings);
         self.stage_two.invalidate_refreshed(&refreshed, &dirty);
     }
 
@@ -714,31 +667,42 @@ mod tests {
         assert_eq!(plain.memory_stats(), MemoryStats::default());
     }
 
-    /// An update that moves a tuple out of a block fuses it again even when
-    /// the refresh cannot say so: the block's rebuilt groups no longer list
-    /// the tuple, and under injected weights no cache entry that did is
-    /// retained.
+    /// A cell update empties its own tuple's fusion slot whatever the
+    /// refresh says: a tuple the update moved *out* of a block is listed by
+    /// none of the block's rebuilt groups, and the cache entry that still
+    /// knew it can be gone — here with the block's spill segment.
     #[test]
-    fn a_tuple_an_update_moved_out_of_a_block_is_fused_again_under_injected_weights() {
+    fn an_updated_tuple_that_left_a_block_with_a_lost_segment_is_fused_again() {
         let dirty = dataset::sample_hospital_dataset();
         let rules = rules::sample_hospital_rules();
-        let nothing = crate::stage_one::tests::missing_table();
-        let open = |rows: &Dataset| {
-            let config = CleanConfig::default().with_tau(1);
+        let open = |config: CleanConfig, rows: &Dataset| {
             let mut session =
                 CleaningSession::new(config, rows.schema().clone(), rules.clone()).unwrap();
             session.ingest_dataset(rows).unwrap();
-            session.inject_weights(nothing.clone());
             session
         };
-        let mut session = open(&dirty);
+        // A budget the fusion memo alone fills: every block cache spills and
+        // no fusion is evicted (one byte would empty the memo after every
+        // outcome and leave the update nothing to invalidate).
+        let config = CleanConfig::default().with_tau(1);
+        let budget = dirty.len() * crate::stage_two::FUSION_SLOT_BYTES;
+        let mut session = open(config.clone().with_memory_budget(budget), &dirty);
         let _ = session.outcome();
+        let stats = session.memory_stats();
+        assert_eq!((stats.spilled_blocks, stats.evicted_fusions), (3, 0));
+        assert_eq!(break_segments(&session, false), 3);
+
         // Only the CFD reads HN, and HN = ELIZA is all that made row 2
         // relevant to it.
         let hn = dirty.schema().attr_id("HN").unwrap();
         let update = ChangeSet::new().update(TupleId(2), hn, "ELIZB");
         session.apply(update).unwrap();
-        let mut fresh = open(&session.dataset().clone());
+        let fused = session.fused_tuples();
+        let mut fresh = open(config, session.dataset());
         assert_same_report("after the update", &session.outcome(), &fresh.outcome());
+        // The three rows the CFD block still lists, and row 2.
+        assert_eq!(session.fused_tuples() - fused, 4);
+        let stats = session.memory_stats();
+        assert_eq!((stats.spill_errors, stats.evicted_fusions), (1, 0));
     }
 }

@@ -25,13 +25,10 @@
 //! support and therefore survives any within-block merge), clean the group
 //! with RSC.
 //! Every other output group is served from the block's cache byte for byte.
-//! A fully dirty block — or any block while **injected weights** are in
-//! force, which renormalize the whole block between weighting and RSC — is
-//! the degenerate case: every group is rebuilt, and under injection nothing
-//! is retained for later reuse.  Either way the refreshed block is exactly
-//! what the whole-block composition (AGP, then block weights, then the
-//! injected overrides, then RSC) produces; the tests pin that block for
-//! block.
+//! There is one mode: a fully dirty block is the same refresh with every
+//! group rebuilt.  Either way the refreshed block is exactly what the
+//! whole-block composition (AGP, then block weights, then RSC) produces;
+//! the tests pin that block for block.
 //!
 //! Under a [`CleanConfig::memory_budget`] the driver also estimates its
 //! caches' resident size and spills clean blocks' caches to disk segments,
@@ -47,7 +44,7 @@ use crate::index::{Block, Group, MlnIndex};
 use crate::map_ordered;
 use crate::rsc::{ReliabilityCleaner, RscRecord, RscRepair};
 use crate::stage::AgpStage;
-use crate::weights::{assign_group_weights, block_support, SessionWeights};
+use crate::weights::{assign_group_weights, block_support};
 use crate::CleanConfig;
 use dataset::{SpillDir, SpillSlot, TupleId, ValueId, ValuePool};
 use distance::Metric;
@@ -307,17 +304,12 @@ impl StageOne {
     /// clean caches.  Clean blocks, and clean groups of dirty blocks, keep
     /// their cached state: their pristine content is exactly what a full
     /// rebuild would see, so the cached cleaned state is too.
-    ///
-    /// A non-empty `injected` table overrides the closed-form weight of
-    /// every matching γ (and renormalizes the block) between weighting and
-    /// RSC; blocks refreshed under it are rebuilt whole and retain nothing.
     /// The AGP pass is added to `timings.agp`, the rebuild pass to
     /// `timings.rsc`.  A call with nothing dirty is free.
     pub fn refresh(
         &mut self,
         pristine: &[(usize, &Block)],
         pool: &ValuePool,
-        injected: &SessionWeights,
         timings: &mut Timings,
     ) -> Refreshed {
         let mut out = Refreshed::default();
@@ -354,10 +346,9 @@ impl StageOne {
         let started = Instant::now();
         let planned = map_ordered(config.parallel, work, |(i, block, mut cache)| {
             let z = block_support(block);
-            if cache.last_z != Some(z) || !injected.is_empty() {
-                // The block softmax denominator changed, or injected weights
-                // renormalize the whole block: every cached group's
-                // probabilities are stale at once.
+            if cache.last_z != Some(z) {
+                // The block softmax denominator changed: every cached
+                // group's probabilities are stale at once.
                 cache.fully_dirty = true;
             }
             let before = cache.distances.stats();
@@ -381,8 +372,7 @@ impl StageOne {
             config.parallel,
             planned,
             |(i, block, cache, z, plan, agp_stats)| {
-                let refreshed =
-                    refresh_block(config, injected, block, pool, cache, z, plan, agp_stats);
+                let refreshed = refresh_block(config, block, pool, cache, z, plan, agp_stats);
                 (i, refreshed)
             },
         );
@@ -578,17 +568,8 @@ impl StageOne {
 /// support, z)` and `z` is pinned by the `last_z` check, RSC is group-local,
 /// so an entry whose sources are clean and unchanged is exactly what the
 /// rebuild would recompute.
-///
-/// Injected weights break that locality — the override renormalizes the
-/// whole block — so the caller forces `fully_dirty` under them, the table is
-/// applied over the assembled (merged and weighted, not yet cleaned) block
-/// exactly where a whole-block run applies it, and no entry is retained: it
-/// would hold injected-weight state that a later closed-form refresh must
-/// not reuse.
-#[allow(clippy::too_many_arguments)]
 fn refresh_block(
     config: &CleanConfig,
-    injected: &SessionWeights,
     pristine: &Block,
     pool: &ValuePool,
     mut cache: BlockCache,
@@ -669,11 +650,6 @@ fn refresh_block(
         slots.push(Slot::Rebuilt(sources));
     }
 
-    // The injected overrides land between weighting and RSC, over the whole
-    // block (a no-op for the empty table).
-    injected.apply_to_block(&mut block, pool);
-    let retain = injected.is_empty();
-
     // Step 2: clean the rebuilt groups in place.
     let cleaner = ReliabilityCleaner::new(config.metric);
     let rsc_before = cache.distances.stats();
@@ -696,16 +672,14 @@ fn refresh_block(
                     invalidated.extend(old.group.all_tuples());
                 }
                 repairs.extend(group_repairs.iter().cloned());
-                if retain {
-                    entries.insert(
-                        group.key.clone(),
-                        GroupEntry {
-                            sources,
-                            group: group.clone(),
-                            repairs: group_repairs,
-                        },
-                    );
-                }
+                entries.insert(
+                    group.key.clone(),
+                    GroupEntry {
+                        sources,
+                        group: group.clone(),
+                        repairs: group_repairs,
+                    },
+                );
             }
         }
     }
@@ -814,24 +788,21 @@ pub(crate) mod tests {
     use rules::{sample_hospital_rules, RuleSet};
     use std::collections::{BTreeMap, BTreeSet};
 
-    /// The whole-block composition the driver replaced (the session's
-    /// injected-weights path and the coordinator's merge round were built
-    /// from it), kept as the oracle: AGP over the whole block, block
-    /// weights, the injected overrides, RSC over the whole block — each on
-    /// cold caches.
+    /// The whole-block composition the driver replaced (the coordinator's
+    /// merge round was built from it), kept as the oracle: AGP over the
+    /// whole block, block weights, RSC over the whole block — each on cold
+    /// caches.
     mod reference {
         use super::*;
 
         pub fn refresh_block(
             config: &CleanConfig,
-            injected: &SessionWeights,
             pristine: &Block,
             pool: &ValuePool,
         ) -> (Block, AgpRecord, RscRecord) {
             let mut block = pristine.clone();
             let agp = AgpStage::processor(config).process_block(&mut block, pool);
             assign_block_weights(&mut block);
-            injected.apply_to_block(&mut block, pool);
             let rsc = ReliabilityCleaner::new(config.metric).clean_block(&mut block, pool);
             (block, agp, rsc)
         }
@@ -886,9 +857,9 @@ pub(crate) mod tests {
     }
 
     /// Refresh whatever is dirty from `index`'s blocks.
-    fn refresh(stage: &mut StageOne, index: &MlnIndex, injected: &SessionWeights) -> Refreshed {
+    fn refresh(stage: &mut StageOne, index: &MlnIndex) -> Refreshed {
         let pristine: Vec<(usize, &Block)> = index.blocks.iter().enumerate().collect();
-        stage.refresh(&pristine, index.pool(), injected, &mut Timings::default())
+        stage.refresh(&pristine, index.pool(), &mut Timings::default())
     }
 
     fn mark_all_dirty(stage: &mut StageOne) {
@@ -899,15 +870,9 @@ pub(crate) mod tests {
 
     /// Every block of the driver equals the oracle's: groups (γ weight and
     /// probability compared by bits), AGP record, RSC record.
-    fn assert_matches_reference(
-        label: &str,
-        stage: &StageOne,
-        index: &MlnIndex,
-        injected: &SessionWeights,
-    ) {
+    fn assert_matches_reference(label: &str, stage: &StageOne, index: &MlnIndex) {
         for (i, pristine) in index.blocks.iter().enumerate() {
-            let (block, agp, rsc) =
-                reference::refresh_block(&stage.config, injected, pristine, index.pool());
+            let (block, agp, rsc) = reference::refresh_block(&stage.config, pristine, index.pool());
             let ours = &stage.cleaned.blocks[i];
             assert_eq!(ours, &block, "{label}: block {i} diverged");
             for (a, b) in ours.gammas().zip(block.gammas()) {
@@ -923,35 +888,6 @@ pub(crate) mod tests {
         }
     }
 
-    /// A table overriding every second γ of every block.
-    fn overriding_table(index: &MlnIndex) -> SessionWeights {
-        let mut table = SessionWeights::new();
-        for block in &index.blocks {
-            for (k, gamma) in block.gammas().enumerate().filter(|(k, _)| k % 2 == 0) {
-                table.set(
-                    GammaSignature::of(gamma, index.pool()),
-                    0.5 + (k % 7) as f64,
-                );
-            }
-        }
-        table
-    }
-
-    /// A table that matches no γ of any block: it overrides nothing, only
-    /// switches the retention of cache entries off.
-    pub(crate) fn missing_table() -> SessionWeights {
-        let mut table = SessionWeights::new();
-        table.set(
-            GammaSignature {
-                rule: 99,
-                reason: vec!["nowhere".into()],
-                result: vec![],
-            },
-            1.0,
-        );
-        table
-    }
-
     #[test]
     fn a_fully_dirty_refresh_equals_the_whole_block_composition() {
         for (name, dirty, rules, config) in workloads() {
@@ -962,90 +898,39 @@ pub(crate) mod tests {
                 .flat_map(|b| b.gammas())
                 .flat_map(|g| g.tuples.iter().copied())
                 .collect();
-            let none = SessionWeights::new();
-            let overriding = overriding_table(&index);
-            let missing = missing_table();
             for parallel in [false, true] {
                 let config = config.clone().with_parallel(parallel);
-                let mut plain_weights = Vec::new();
-                for (kind, table) in [
-                    ("none", &none),
-                    ("overriding", &overriding),
-                    ("missing", &missing),
-                ] {
-                    let label = format!("{name}, {kind} table, parallel={parallel}");
-                    let mut stage = driver_over(&config, &index);
-                    mark_all_dirty(&mut stage);
-                    let refreshed = refresh(&mut stage, &index, table);
-                    let every_block: Vec<usize> = (0..index.block_count()).collect();
-                    assert_eq!(refreshed.blocks, every_block, "{label}");
-                    assert!(stage.dirty_blocks().is_empty(), "{label}");
-                    assert_matches_reference(&label, &stage, &index, table);
-                    // Everything was rebuilt, so everything comes back
-                    // invalidated — what the coordinator relies on.
-                    let invalidated: BTreeSet<TupleId> =
-                        refreshed.invalidated.into_iter().collect();
-                    assert_eq!(invalidated, covered, "{label}");
-                    let groups: usize = stage.cleaned.blocks.iter().map(Block::group_count).sum();
-                    assert_eq!(stage.recleaned_groups(), groups as u64, "{label}");
-                    // Under a non-empty table nothing is retained.
-                    let retained: usize = stage.caches.iter().map(|c| c.entries.len()).sum();
-                    assert_eq!(
-                        retained,
-                        if table.is_empty() { groups } else { 0 },
-                        "{label}"
-                    );
+                let label = format!("{name}, parallel={parallel}");
+                let mut stage = driver_over(&config, &index);
+                mark_all_dirty(&mut stage);
+                let refreshed = refresh(&mut stage, &index);
+                let every_block: Vec<usize> = (0..index.block_count()).collect();
+                assert_eq!(refreshed.blocks, every_block, "{label}");
+                assert!(stage.dirty_blocks().is_empty(), "{label}");
+                assert_matches_reference(&label, &stage, &index);
+                // Everything was rebuilt, so everything comes back
+                // invalidated — what the coordinator relies on.
+                let invalidated: BTreeSet<TupleId> = refreshed.invalidated.into_iter().collect();
+                assert_eq!(invalidated, covered, "{label}");
+                let groups: usize = stage.cleaned.blocks.iter().map(Block::group_count).sum();
+                assert_eq!(stage.recleaned_groups(), groups as u64, "{label}");
+                // …and every rebuilt group is retained for the next refresh.
+                let retained: usize = stage.caches.iter().map(|c| c.entries.len()).sum();
+                assert_eq!(retained, groups, "{label}");
 
-                    let weights: Vec<u64> = stage
-                        .cleaned
-                        .blocks
-                        .iter()
-                        .flat_map(|b| b.gammas())
-                        .map(|g| g.weight.to_bits())
-                        .collect();
-                    match kind {
-                        "none" => plain_weights = weights,
-                        "overriding" => assert_ne!(weights, plain_weights, "{label}: vacuous"),
-                        _ => assert_eq!(weights, plain_weights, "{label}"),
-                    }
-
-                    // Clearing the injection — the empty table, every block
-                    // dirty again — brings the closed-form state back.
-                    mark_all_dirty(&mut stage);
-                    refresh(&mut stage, &index, &none);
-                    assert_matches_reference(&format!("{label}, cleared"), &stage, &index, &none);
-                }
+                // Again, over warm distance and plan memos this time.
+                mark_all_dirty(&mut stage);
+                refresh(&mut stage, &index);
+                assert_matches_reference(&format!("{label}, again"), &stage, &index);
             }
         }
     }
 
-    /// A refresh under injected weights retains no entry: once the injection
-    /// is cleared (which dirties nothing), a group-scoped refresh of the
-    /// same block must not serve injected-weight state from the cache.
-    #[test]
-    fn nothing_cached_under_injected_weights_outlives_them() {
-        for (name, dirty, rules, config) in workloads() {
-            let index = MlnIndex::build(&dirty, &rules).unwrap();
-            let mut stage = driver_over(&config, &index);
-            mark_all_dirty(&mut stage);
-            refresh(&mut stage, &index, &overriding_table(&index));
-            // One dirty key per block: a group-scoped refresh, were there
-            // anything to reuse.
-            for (i, block) in index.blocks.iter().enumerate() {
-                if let Some(group) = block.groups.first() {
-                    stage.mark_keys_dirty(i, std::slice::from_ref(&group.key));
-                }
-            }
-            refresh(&mut stage, &index, &SessionWeights::new());
-            assert_matches_reference(name, &stage, &index, &SessionWeights::new());
-        }
-    }
-
-    /// What lets the coordinator fill its merged weight table from the
-    /// merged *pristine* supports: an AGP merge moves γs between groups, it
-    /// never combines two of them (a group's key is its γs' reason values,
-    /// so γs of different groups always differ), so every γ keeps its
-    /// support through AGP.
+    /// What makes the closed-form Z sound — the block's total support, read
+    /// off the *pristine* block, is the softmax denominator after AGP too:
+    /// an AGP merge moves γs between groups, it never combines two of them
+    /// (a group's key is its γs' reason values, so γs of different groups
+    /// always differ), so every γ keeps its support through AGP.
     #[test]
     fn agp_never_changes_a_gamma_support() {
         for (name, dirty, rules, config) in workloads() {
@@ -1105,12 +990,11 @@ pub(crate) mod tests {
             stage.mark_keys_dirty(block, keys);
         }
         let before = stage.recleaned_groups();
-        refresh(stage, index, &SessionWeights::new());
-        let none = SessionWeights::new();
-        assert_matches_reference("after the update", stage, index, &none);
+        refresh(stage, index);
+        assert_matches_reference("after the update", stage, index);
         let mut scratch = driver_over(&stage.config, index);
         mark_all_dirty(&mut scratch);
-        refresh(&mut scratch, index, &none);
+        refresh(&mut scratch, index);
         assert_eq!(stage.cleaned.blocks, scratch.cleaned.blocks);
         assert_eq!(stage.records(), scratch.records());
         stage.recleaned_groups() - before
@@ -1123,7 +1007,7 @@ pub(crate) mod tests {
         let mut index = MlnIndex::build(&ds, &rules).unwrap();
         let mut stage = driver_over(&config, &index);
         mark_all_dirty(&mut stage);
-        refresh(&mut stage, &index, &SessionWeights::new());
+        refresh(&mut stage, &index);
         assert_eq!(stage.recleaned_groups(), 2, "DOTHAN (with DOTHA) and BOAZ");
 
         // A result-part update inside BOAZ: one dirty key, one group.
@@ -1140,7 +1024,7 @@ pub(crate) mod tests {
 
         // Nothing dirty: free.
         let before = stage.recleaned_groups();
-        let refreshed = refresh(&mut stage, &index, &SessionWeights::new());
+        let refreshed = refresh(&mut stage, &index);
         assert_eq!(refreshed, Refreshed::default());
         assert_eq!(stage.recleaned_groups(), before);
     }
@@ -1153,9 +1037,8 @@ pub(crate) mod tests {
         let (_, mut ds, rules, config) = workloads().remove(2);
         let mut index = MlnIndex::build(&ds, &rules).unwrap();
         let mut stage = driver_over(&config, &index);
-        let none = SessionWeights::new();
         mark_all_dirty(&mut stage);
-        refresh(&mut stage, &index, &none);
+        refresh(&mut stage, &index);
         let abnormal = stage.rescanned_groups();
         assert!(abnormal > 20 && abnormal == stage.records().0.merges.len() as u64);
 
@@ -1167,8 +1050,8 @@ pub(crate) mod tests {
             .unwrap();
         index.insert_tuples(&ds, &rules, from, false);
         mark_all_dirty(&mut stage);
-        refresh(&mut stage, &index, &none);
-        assert_matches_reference("after the insert", &stage, &index, &none);
+        refresh(&mut stage, &index);
+        assert_matches_reference("after the insert", &stage, &index);
         let after_insert = stage.rescanned_groups();
         assert!((1..=index.block_count() as u64).contains(&(after_insert - abnormal)));
 
@@ -1177,8 +1060,8 @@ pub(crate) mod tests {
         ds.remove_rows(&[TupleId(from)]);
         stage.remap_removed(&[from]);
         mark_all_dirty(&mut stage);
-        refresh(&mut stage, &index, &none);
-        assert_matches_reference("after the delete", &stage, &index, &none);
+        refresh(&mut stage, &index);
+        assert_matches_reference("after the delete", &stage, &index);
         assert_eq!(stage.rescanned_groups(), after_insert);
         // …so the re-plans of this refresh asked for no distance at all.
         assert_eq!(stage.records().0.cache, CacheStats::default());
@@ -1191,9 +1074,8 @@ pub(crate) mod tests {
         let (_, ds, rules, config) = workloads().remove(2);
         let index = MlnIndex::build(&ds, &rules).unwrap();
         let mut stage = driver_over(&config.with_memory_budget(1), &index);
-        let none = SessionWeights::new();
         mark_all_dirty(&mut stage);
-        refresh(&mut stage, &index, &none);
+        refresh(&mut stage, &index);
         let abnormal = stage.rescanned_groups();
 
         let mut bare = stage.caches[0].clone();
@@ -1206,8 +1088,8 @@ pub(crate) mod tests {
         );
 
         mark_all_dirty(&mut stage);
-        refresh(&mut stage, &index, &none);
-        assert_matches_reference("after the spill", &stage, &index, &none);
+        refresh(&mut stage, &index);
+        assert_matches_reference("after the spill", &stage, &index);
         assert_eq!(stage.rescanned_groups(), 2 * abnormal);
     }
 
@@ -1217,7 +1099,7 @@ pub(crate) mod tests {
         let mut index = MlnIndex::build(&ds, &rules).unwrap();
         let mut stage = driver_over(&config, &index);
         mark_all_dirty(&mut stage);
-        refresh(&mut stage, &index, &SessionWeights::new());
+        refresh(&mut stage, &index);
         let total = stage.recleaned_groups();
 
         // Give row 0 another row's city: the result part of two FDs.

@@ -57,7 +57,7 @@ use std::time::Instant;
 /// Estimated evictable heap per memoised fusion: the fused-assignment buffer
 /// plus allocator slack.  The slots themselves (the `Vec`'s inline buffer)
 /// are not evictable and therefore not budgeted.
-const FUSION_SLOT_BYTES: usize = 64;
+pub(crate) const FUSION_SLOT_BYTES: usize = 64;
 
 /// The Stage-II driver — see the [module docs](self).
 #[derive(Debug, Clone)]
@@ -258,8 +258,7 @@ impl StageTwo {
 mod tests {
     use super::*;
     use crate::agp::tests::{random_change_set, Change, Evolving, StreamRng};
-    use crate::stage_one::tests::{missing_table, workloads};
-    use crate::weights::SessionWeights;
+    use crate::stage_one::tests::workloads;
     use dataset::{csv, AttrId, Schema};
     use rules::{parse_rules, RuleSet};
 
@@ -268,7 +267,6 @@ mod tests {
     struct Stream {
         table: Evolving,
         config: CleanConfig,
-        injected: SessionWeights,
         one: StageOne,
         two: StageTwo,
     }
@@ -280,7 +278,6 @@ mod tests {
                 one: StageOne::new(config.clone(), table.index.clone()),
                 two: StageTwo::new(config.clone()),
                 config: config.clone(),
-                injected: SessionWeights::new(),
                 table,
             };
             let rows = ds.tuples().map(|t| t.owned_values()).collect();
@@ -332,9 +329,7 @@ mod tests {
                 .map(|i| (i, &index.blocks[i]))
                 .collect();
             let mut timings = Timings::default();
-            let refreshed = self
-                .one
-                .refresh(&dirty, index.pool(), &self.injected, &mut timings);
+            let refreshed = self.one.refresh(&dirty, index.pool(), &mut timings);
             self.two.invalidate_refreshed(&refreshed, &dirty);
             self.one.sync_pool(self.table.ds.pool());
             let rows = self.table.ds.clone();
@@ -469,30 +464,6 @@ mod tests {
             second.repaired.tuple(TupleId(0)).owned_values(),
             ["a1", "x1", "c2"]
         );
-    }
-
-    /// A cell update empties its own tuple's slot whatever the refresh says:
-    /// a tuple the update moved *out* of a block is listed by none of that
-    /// block's rebuilt groups, and the cache entry that still knew it may be
-    /// gone (nothing is retained under injected weights).
-    #[test]
-    fn an_updated_tuple_is_fused_again_even_when_no_refreshed_group_lists_it() {
-        let (_, ds, rules, config) = workloads().remove(0);
-        let mut stream = Stream::open(&config, &ds, &rules);
-        stream.injected = missing_table();
-        stream.report("first report");
-
-        // Only the CFD reads HN, and HN = ELIZA is all that made row 2
-        // relevant to it.
-        let hn = ds.schema().attr_id("HN").unwrap();
-        let change = stream.table.update(TupleId(2), hn, "ELIZB");
-        stream.absorb(vec![change]);
-        let fused = stream.two.fused_tuples();
-        let (_, refreshed) = stream.report("after the update");
-        assert_eq!(refreshed.blocks, vec![2]);
-        assert!(!refreshed.invalidated.contains(&TupleId(2)));
-        // The three rows the CFD block still lists, and row 2.
-        assert_eq!(stream.two.fused_tuples() - fused, 4);
     }
 
     #[test]

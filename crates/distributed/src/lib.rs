@@ -37,8 +37,8 @@ pub mod runner;
 pub mod streaming;
 pub mod weights;
 
-pub use backend::{LocalPartitions, PartitionBackend};
+pub use backend::{LocalPartitions, Partition, PartitionBackend};
 pub use partition::{partition_dataset, route_row, PartitionConfig, Partitioning};
 pub use runner::DistributedMlnClean;
 pub use streaming::{DistributedStreamingMlnClean, DistributedStreamingSession};
-pub use weights::{merge_weights, merged_weight_table};
+pub use weights::merge_weights;

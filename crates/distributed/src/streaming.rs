@@ -1,7 +1,7 @@
 //! Distributed **streaming**: one typed [`ChangeSet`] stream routed across
-//! per-partition [`CleaningSession`]s, with a periodic cross-partition
-//! per-block state and weight merge — and an outcome that is byte-identical
-//! to a single [`CleaningSession`] fed the same stream.
+//! per-partition [`CleaningSession`]s, with a periodic cross-partition merge
+//! of per-block evidence — and an outcome that is byte-identical to a single
+//! [`CleaningSession`] fed the same stream.
 //!
 //! # Execution plan
 //!
@@ -35,12 +35,9 @@
 //!    reconstructs the global evidence and learns the weight a single-node
 //!    run would — which is what makes the differential harness
 //!    (`tests/streaming_equivalence.rs`) able to pin the driver
-//!    **byte-identical** to a single session.  The merged weight table —
-//!    the closed-form weight of every merged γ's support, which no AGP merge
-//!    can change — is kept by the coordinator and injected into a partition
-//!    session ([`CleaningSession::inject_weights`]) whenever a per-partition
-//!    [`DistributedStreamingSession::partition_outcome`] view is drawn, so
-//!    local views reflect global evidence.
+//!    **byte-identical** to a single session.  Exact evidence has no
+//!    weight-merge phase: nothing is pushed back to the partitions, which
+//!    are never asked to clean.
 //! 4. **Gather** — [`DistributedStreamingSession::outcome`] gathers the
 //!    accumulated rows and hands them to [`StageTwo::report`] — the same
 //!    Stage-II driver, and the same call, a single [`CleaningSession`]
@@ -65,11 +62,9 @@ use crate::partition::route_row;
 use dataset::{Dataset, Schema, TupleId, ValueId, ValuePool};
 use mlnclean::index::{cmp_resolved, cmp_resolved_gammas};
 use mlnclean::session::nth_surviving;
-use mlnclean::weights::gamma_weight;
 use mlnclean::{
-    BatchReport, Block, ChangeSet, CleanConfig, CleanError, Engine, Gamma, GammaSignature, Group,
-    MemoryStats, MlnIndex, Mutation, PartitionReport, Report, SessionWeights, StageOne, StageTwo,
-    Timings,
+    BatchReport, Block, ChangeSet, CleanConfig, CleanError, Engine, Gamma, Group, MemoryStats,
+    MlnIndex, Mutation, PartitionReport, Report, StageOne, StageTwo, Timings,
 };
 // Referenced by the module and method docs only.
 #[allow(unused_imports)]
@@ -133,8 +128,6 @@ pub struct DistributedStreamingSession<B: PartitionBackend = LocalPartitions> {
     stage_two: StageTwo,
     /// Per block: γs that drew cross-partition evidence in its last merge.
     shared_per_block: Vec<usize>,
-    /// Last merged per-γ weight table (also injected into the partitions).
-    merged_weights: SessionWeights,
     batches: usize,
     timings: Timings,
 }
@@ -214,7 +207,6 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
             home: Vec::new(),
             translate: vec![Vec::new(); partitions],
             shared_per_block: vec![0; blocks],
-            merged_weights: SessionWeights::new(),
             batches: 0,
             timings: Timings::default(),
         })
@@ -314,14 +306,6 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
     /// folded in when a [`Report`] is assembled).
     pub fn timings(&self) -> Timings {
         self.timings
-    }
-
-    /// The per-γ weight table of the last merge round — learned over the
-    /// **merged** cross-partition supports (the exact-evidence variant of
-    /// Eq. 6) and injected into a partition session whenever
-    /// [`DistributedStreamingSession::partition_outcome`] is drawn.
-    pub fn merged_weights(&self) -> &SessionWeights {
-        &self.merged_weights
     }
 
     /// Counters of the out-of-core machinery (block-cache spills, fault-ins
@@ -587,10 +571,11 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
     }
 
     /// One coordinator merge round: gather the partitions' pristine state
-    /// for every block touched since the last round, merge it, record the
-    /// merged weights, and send the merged blocks through the Stage-I driver
-    /// — which refreshes the global cleaned index and its provenance.  A
-    /// round with nothing dirty is free.
+    /// for every block touched since the last round, merge it, and send the
+    /// merged blocks through the Stage-I driver — which refreshes the global
+    /// cleaned index and its provenance, learning each weight from the merged
+    /// support (the exact-evidence variant of Eq. 6: no weight-merge phase).
+    /// A round with nothing dirty is free.
     fn merge_round(&mut self) {
         let dirty_idx = self.stage_one.dirty_blocks();
         if dirty_idx.is_empty() {
@@ -610,35 +595,13 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
         }
         self.timings.gather += started.elapsed();
 
-        // Weight merge: the closed-form weight of a merged support is the
-        // exact global weight (the exact-evidence variant of Eq. 6), and AGP
-        // never changes a γ's support — its merges move γs between groups,
-        // and a group's key is its γs' reason values, so no two γs of
-        // different groups can combine — so the table reads the merged
-        // pristine blocks directly.  It is kept for
-        // [`DistributedStreamingSession::partition_outcome`], which injects
-        // it into the partition lazily — eagerly pushing it into every
-        // session each round would pay one table clone per partition per
-        // round on the ingest hot path for a view most streams never draw.
-        let started = Instant::now();
-        for gamma in merged.iter().flat_map(Block::gammas) {
-            self.merged_weights.set(
-                GammaSignature::of(gamma, &self.pool),
-                gamma_weight(gamma.support()),
-            );
-        }
-        self.timings.weight_merge += started.elapsed();
-
         // Stage I on the merged blocks.  They were marked fully dirty when
         // touched, so every tuple they cover comes back invalidated (the
         // same over-approximation the single session uses).
         let pristine: Vec<(usize, &Block)> = dirty_idx.iter().copied().zip(&merged).collect();
-        let refreshed = self.stage_one.refresh(
-            &pristine,
-            &self.pool,
-            &SessionWeights::new(),
-            &mut self.timings,
-        );
+        let refreshed = self
+            .stage_one
+            .refresh(&pristine, &self.pool, &mut self.timings);
         self.stage_two.invalidate_refreshed(&refreshed, &pristine);
         self.timings.merge_rounds += 1;
     }
@@ -648,7 +611,7 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
     /// AGP/RSC/FSCR provenance) to a single [`CleaningSession`] fed the same
     /// change sets.  Provenance is in global coordinates and
     /// [`Report::partitions`] carries the partition id lists plus the
-    /// shared-γ count of the weight merge.
+    /// shared-γ count of the evidence merge.
     pub fn outcome(&mut self) -> Report {
         let report = self.report();
         self.stage_two.enforce_budget(&mut self.stage_one);
@@ -684,21 +647,6 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
             shared_gammas: self.shared_per_block.iter().sum(),
         });
         report
-    }
-
-    /// A **partition-local** view: re-clean partition `p`'s own rows through
-    /// its session, with the globally merged weights injected first — the
-    /// per-partition outcome the paper's Eq. 6 phase feeds.  Its provenance
-    /// and row ids are partition-local; the global, byte-exact result is
-    /// [`DistributedStreamingSession::outcome`].
-    ///
-    /// # Panics
-    /// Panics when `p` is out of range.
-    pub fn partition_outcome(&mut self, p: usize) -> Report {
-        assert!(p < self.backend.partitions(), "partition {p} out of range");
-        self.merge_round();
-        self.backend
-            .partition_outcome(p, self.merged_weights.clone())
     }
 }
 
@@ -779,7 +727,7 @@ impl Engine for DistributedStreamingMlnClean {
 mod tests {
     use super::*;
     use dataset::{csv, sample_hospital_dataset, AttrId};
-    use mlnclean::{GammaSignature, MlnClean};
+    use mlnclean::MlnClean;
 
     fn hospital_rows(ds: &Dataset) -> Vec<Vec<String>> {
         ds.tuples().map(|t| t.owned_values()).collect()
@@ -911,50 +859,6 @@ mod tests {
             .apply(ChangeSet::new().update(TupleId(0), AttrId(99), "x"))
             .unwrap_err();
         assert!(matches!(err, CleanError::UnknownAttribute { .. }));
-    }
-
-    #[test]
-    fn partition_outcome_reflects_injected_global_weights() {
-        let dirty = sample_hospital_dataset();
-        let rules = rules::sample_hospital_rules();
-        let mut session = DistributedStreamingSession::new(
-            CleanConfig::default().with_tau(1),
-            dirty.schema().clone(),
-            rules,
-            2,
-            1,
-        )
-        .unwrap();
-        session
-            .apply(ChangeSet::inserting(hospital_rows(&dirty)))
-            .unwrap();
-        let _ = session.outcome();
-        let merged = session.merged_weights().clone();
-        assert!(!merged.is_empty(), "the merge round learned global weights");
-
-        // Every γ a partition's local view holds must carry the globally
-        // merged weight, not a locally learned one (AGP and RSC preserve γ
-        // signatures, so every surviving local γ appears in the table).
-        let mut checked = 0usize;
-        for p in 0..session.partition_count() {
-            let local = session.partition_outcome(p);
-            let local_index = local.index.as_ref().expect("partition index");
-            for block in &local_index.blocks {
-                for gamma in block.gammas() {
-                    let signature = GammaSignature::of(gamma, local_index.pool());
-                    let global = merged
-                        .get(&signature)
-                        .expect("partition γ exists in the merged table");
-                    assert!(
-                        (gamma.weight - global).abs() < 1e-12,
-                        "partition {p} γ {signature:?}: local {} vs merged {global}",
-                        gamma.weight
-                    );
-                    checked += 1;
-                }
-            }
-        }
-        assert!(checked > 0, "the partitions held γs to check");
     }
 
     #[test]
@@ -1148,43 +1052,6 @@ mod tests {
         let delta = session.stage_one.rescanned_groups() - rescanned;
         assert_eq!(delta, 2);
         assert!(delta < report.touched_groups as u64);
-    }
-
-    /// The merged weight table is filled from the merged *pristine*
-    /// supports; it must be the table the coordinator used to absorb from
-    /// the merged blocks after AGP and weight learning had run on them.
-    #[test]
-    fn merged_weights_equal_the_table_absorbed_after_agp_and_weights() {
-        use mlnclean::{AgpStage, PipelineStage, StageContext, StageRecords, WeightLearningStage};
-        let dirty = sample_hospital_dataset();
-        let rules = rules::sample_hospital_rules();
-        let config = CleanConfig::default().with_tau(1);
-        for partitions in [1, 2, 4] {
-            let mut session = DistributedStreamingSession::new(
-                config.clone(),
-                dirty.schema().clone(),
-                rules.clone(),
-                partitions,
-                2,
-            )
-            .unwrap();
-            for row in hospital_rows(&dirty) {
-                session.apply(ChangeSet::inserting(vec![row])).unwrap();
-            }
-            let _ = session.outcome();
-
-            let mut index = MlnIndex::build(&dirty, &rules).unwrap();
-            let mut records = StageRecords::default();
-            let mut ctx = StageContext::new(&dirty, &config, &mut index, &mut records);
-            AgpStage.run(&mut ctx);
-            WeightLearningStage.run(&mut ctx);
-            assert!(records.agp.merges.iter().any(|m| m.target_key.is_some()));
-            assert_eq!(
-                session.merged_weights(),
-                &SessionWeights::from_index(&index),
-                "{partitions} partitions"
-            );
-        }
     }
 
     /// The routing-only regression probe: the coordinator's resident state

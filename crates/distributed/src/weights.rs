@@ -11,61 +11,36 @@
 //!
 //! where `nᵢ` is the number of tuples related to γ in partition `Pᵢ` and `wᵢ`
 //! the weight learned there, and pushes the merged weight back into every
-//! partition's index before RSC/FSCR run.
+//! partition's index before RSC/FSCR run.  This in-place merge of the batch
+//! runner ([`crate::DistributedMlnClean`]) is the one weight override in the
+//! tree: the streaming coordinator merges exact evidence instead and never
+//! overrides a weight (see [`crate::streaming`]).
 
-use mlnclean::{GammaSignature, MlnIndex, SessionWeights};
+use mlnclean::weights::renormalize_block;
+use mlnclean::{GammaSignature, MlnIndex};
 use std::collections::HashMap;
-
-/// Accumulate `(Σ n·w, Σ n, #partitions)` per γ identity across partition
-/// indexes — pass 1 of the Eq. 6 merge, shared by [`merge_weights`] and
-/// [`merged_weight_table`].  Identities are resolved strings: partitions
-/// built by the runner share one pool snapshot, but the accumulation also
-/// accepts indexes over unrelated pools (e.g. hand-built partitions in
-/// tests, or streaming sessions with per-partition pools), where raw ids
-/// would not be comparable.
-fn accumulate_evidence(indices: &[MlnIndex]) -> HashMap<GammaSignature, (f64, f64, usize)> {
-    let mut accum: HashMap<GammaSignature, (f64, f64, usize)> = HashMap::new();
-    for index in indices.iter() {
-        for block in &index.blocks {
-            for gamma in block.gammas() {
-                let n = gamma.support() as f64;
-                let entry = accum
-                    .entry(GammaSignature::of(gamma, index.pool()))
-                    .or_insert((0.0, 0.0, 0));
-                entry.0 += n * gamma.weight;
-                entry.1 += n;
-                entry.2 += 1;
-            }
-        }
-    }
-    accum
-}
-
-/// The Eq. 6 evidence-weighted average as a transferable [`SessionWeights`]
-/// table — for coordinators that push approximately merged weights into
-/// live sessions through [`mlnclean::CleaningSession::inject_weights`]
-/// rather than rewriting indexes in place.
-///
-/// Note the streaming driver does **not** use this approximation: it merges
-/// the per-γ supports across partitions and re-learns, which reproduces the
-/// exact single-node weight (see [`crate::streaming`]).
-pub fn merged_weight_table(indices: &[MlnIndex]) -> SessionWeights {
-    let mut table = SessionWeights::new();
-    for (signature, (num, den, _)) in accumulate_evidence(indices) {
-        if den > 0.0 {
-            table.set(signature, num / den);
-        }
-    }
-    table
-}
 
 /// Merge the γ weights of every partition index in place (Eq. 6) and refresh
 /// the per-block probabilities.  Returns the number of distinct γs that
 /// appeared in more than one partition (i.e. actually benefited from global
 /// evidence).
 pub fn merge_weights(indices: &mut [MlnIndex]) -> usize {
-    // Pass 1: accumulate Σ n·w and Σ n per γ identity.
-    let accum = accumulate_evidence(indices);
+    // Pass 1: accumulate `(Σ n·w, Σ n, #partitions)` per γ identity.
+    // Identities are resolved strings: partitions built by the runner share
+    // one pool snapshot, but indexes over unrelated pools (e.g. hand-built
+    // partitions in tests) merge too, where raw ids would not be comparable.
+    let mut accum: HashMap<GammaSignature, (f64, f64, usize)> = HashMap::new();
+    for index in indices.iter() {
+        for gamma in index.blocks.iter().flat_map(|block| block.gammas()) {
+            let n = gamma.support() as f64;
+            let entry = accum
+                .entry(GammaSignature::of(gamma, index.pool()))
+                .or_insert((0.0, 0.0, 0));
+            entry.0 += n * gamma.weight;
+            entry.1 += n;
+            entry.2 += 1;
+        }
+    }
     let shared = accum.values().filter(|(_, _, parts)| *parts > 1).count();
 
     // Pass 2: write the merged weight back and recompute each block's softmax
@@ -82,21 +57,7 @@ pub fn merge_weights(indices: &mut [MlnIndex]) -> usize {
                     }
                 }
             }
-            // Refresh probabilities: Pr(γ) ∝ exp(w) within the block.
-            let weights: Vec<f64> = block.gammas().map(|g| g.weight).collect();
-            if weights.is_empty() {
-                continue;
-            }
-            let max_w = weights.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            let exps: Vec<f64> = weights.iter().map(|w| (w - max_w).exp()).collect();
-            let z: f64 = exps.iter().sum();
-            let mut idx = 0;
-            for group in &mut block.groups {
-                for gamma in &mut group.gammas {
-                    gamma.probability = exps[idx] / z;
-                    idx += 1;
-                }
-            }
+            renormalize_block(block);
         }
     }
     shared
@@ -178,32 +139,5 @@ mod tests {
         merge_weights(&mut indices);
         let after = indices[1].blocks[0].gammas().next().unwrap().weight;
         assert!((before - after).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merged_weight_table_matches_the_in_place_merge() {
-        // The transferable table and the in-place Eq. 6 merge must agree on
-        // every γ weight.
-        let mut indices = vec![
-            part(&[("DOTHAN", "AL"), ("DOTHAN", "AL"), ("BOAZ", "AL")]),
-            part(&[("DOTHAN", "AL"), ("BOAZ", "AK")]),
-        ];
-        let table = merged_weight_table(&indices);
-        assert!(!table.is_empty());
-        merge_weights(&mut indices);
-        for index in &indices {
-            for block in &index.blocks {
-                for gamma in block.gammas() {
-                    let merged = table
-                        .get(&GammaSignature::of(gamma, index.pool()))
-                        .expect("every γ is in the table");
-                    assert!(
-                        (gamma.weight - merged).abs() < 1e-12,
-                        "table {merged} vs in-place {}",
-                        gamma.weight
-                    );
-                }
-            }
-        }
     }
 }

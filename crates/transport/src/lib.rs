@@ -13,15 +13,16 @@
 //! * [`message`] — the wire vocabulary: envelopes carrying the
 //!   request/response pairs of the
 //!   [`distributed::PartitionBackend`] surface ([`mlnclean::ChangeSet`]
-//!   batches, [`mlnclean::SessionWeights`] merge rounds, outcomes);
+//!   batches, pool tails, pristine blocks, rows, clocks) and the worker
+//!   checkpoint;
 //! * [`sim`] — a deterministic simulated transport: in-process delivery
 //!   with a seeded fault schedule injecting delay, reordering, duplication,
 //!   loss and link partitions, so CI exercises real failure interleavings
 //!   reproducibly;
 //! * [`log`] — the per-partition durable change log (write-ahead journal of
 //!   applied batches) that makes a worker restartable;
-//! * [`worker`] — a partition worker: one `CleaningSession` behind an
-//!   idempotent request handler, with crash/recover by replaying its log;
+//! * [`worker`] — a partition worker: one [`distributed::Partition`] behind
+//!   an idempotent request handler, with crash/recover by replaying its log;
 //! * [`service`] — the wire-backed partition pool ([`service::WireBackend`])
 //!   that plugs into the *routing-only* streaming coordinator, plus the
 //!   [`service::CleaningService`] front door multiplexing concurrent client

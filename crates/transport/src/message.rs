@@ -2,8 +2,9 @@
 //!
 //! One [`Envelope`] per datagram, carrying either a coordinator
 //! [`Request`] or a worker [`Response`].  The request set mirrors the
-//! [`distributed::PartitionBackend`] surface one-for-one — the coordinator
-//! brain stays routing-only; workers own all row/cell state.
+//! [`distributed::PartitionBackend`] surface one-for-one (plus the worker's
+//! own [`Request::Checkpoint`]) — the coordinator brain stays routing-only;
+//! workers own all row/cell state and are never asked to clean.
 //!
 //! Reliability model: envelopes are sent over an **at-most-once** datagram
 //! transport (they can be delayed, reordered, duplicated or dropped — see
@@ -18,7 +19,7 @@
 //! * every other request is a pure read of current worker state, safe to
 //!   re-execute.
 
-use mlnclean::{BatchReport, Block, ChangeSet, Report, SessionWeights};
+use mlnclean::{BatchReport, Block, ChangeSet};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -78,13 +79,6 @@ pub enum Request {
     GatherRows,
     /// The worker's cumulative index-maintenance wall clock (read-only).
     IndexClock,
-    /// Inject the merged weight table and return the worker's local outcome.
-    /// Recomputing an outcome from the same weights is idempotent, so this
-    /// counts as re-executable despite touching session caches.
-    Outcome {
-        /// The coordinator's merged (Eq. 6) weight table.
-        weights: SessionWeights,
-    },
     /// Take a durable checkpoint of the worker's session (a compacting
     /// [`mlnclean::SessionSnapshot`] encoded through the codec) and truncate
     /// the journaled prefix it covers.  Idempotent: the session state at a
@@ -92,9 +86,10 @@ pub enum Request {
     /// cursor re-derives (or re-acknowledges) the same checkpoint — a
     /// retransmit duplicate is harmless.
     ///
-    /// Appended after the original request set: the codec identifies enum
-    /// variants positionally, so new vocabulary must extend the tail to keep
-    /// old frames decodable.
+    /// Variants are identified positionally on the wire, which constrains
+    /// nothing here: no envelope outlives the process that wrote it (journals
+    /// hold [`ChangeSet`]s, checkpoints a [`mlnclean::SessionSnapshot`]), so
+    /// the vocabulary changes without a `CODEC_VERSION` bump.
     Checkpoint,
 }
 
@@ -129,14 +124,7 @@ pub enum Response {
         /// Cumulative index-maintenance time.
         clock: Duration,
     },
-    /// Reply to [`Request::Outcome`].
-    Outcome {
-        /// The worker's local cleaning outcome (boxed: a report dwarfs
-        /// every other variant).
-        report: Box<Report>,
-    },
-    /// Acknowledges [`Request::Checkpoint`] (appended at the tail for the
-    /// same positional-codec reason as its request).
+    /// Acknowledges [`Request::Checkpoint`].
     Checkpointed {
         /// Batches the checkpoint covers (== the worker's apply cursor at
         /// checkpoint time); recovery replays only journal entries past it.
@@ -169,8 +157,8 @@ mod tests {
                 .collect(),
             }),
         };
-        // Envelope has no PartialEq (a Report carries a Dataset, which has
-        // none) — compare through the deterministic encoding instead.
+        // Envelope has no PartialEq — compare through the deterministic
+        // encoding instead.
         let bytes = to_bytes(&env).unwrap();
         let back = from_bytes::<Envelope>(&bytes).unwrap();
         assert_eq!(to_bytes(&back).unwrap(), bytes);
@@ -186,9 +174,6 @@ mod tests {
             Request::PristineBlocks { blocks: vec![0, 2] },
             Request::GatherRows,
             Request::IndexClock,
-            Request::Outcome {
-                weights: SessionWeights::new(),
-            },
             Request::Checkpoint,
         ];
         for req in reads {
@@ -196,8 +181,8 @@ mod tests {
             assert_eq!(from_bytes::<Request>(&bytes).unwrap(), req);
         }
 
-        // The tail-appended response decodes to the same fields (Response
-        // has no PartialEq — a Report carries a Dataset — so match it).
+        // The checkpoint acknowledgement decodes to the same fields
+        // (Response has no PartialEq, so match it).
         let ack = Response::Checkpointed {
             batches: 7,
             snapshot_bytes: 4096,

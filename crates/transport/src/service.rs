@@ -34,9 +34,7 @@ use crate::sim::{FaultSchedule, NetCounters, SimNet, WorkerCrash};
 use crate::worker::PartitionWorker;
 use dataset::{Schema, ValueId};
 use distributed::{DistributedStreamingSession, PartitionBackend};
-use mlnclean::{
-    BatchReport, Block, ChangeSet, CleanConfig, CleanError, Mutation, Report, SessionWeights,
-};
+use mlnclean::{BatchReport, Block, ChangeSet, CleanConfig, CleanError, Mutation, Report};
 use rules::RuleSet;
 use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
@@ -365,13 +363,6 @@ impl PartitionBackend for WireBackend {
             })
             .sum()
     }
-
-    fn partition_outcome(&mut self, p: usize, weights: SessionWeights) -> Report {
-        let Response::Outcome { report } = self.call_one(p, Request::Outcome { weights }) else {
-            unreachable!("Outcome answered with a mismatched response");
-        };
-        *report
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -532,6 +523,56 @@ mod tests {
         }
         let outcome = service.finish();
         assert_eq!(outcome.repaired.len(), 3);
+    }
+
+    /// Both backends answer every question of [`PartitionBackend`] alike:
+    /// the same [`distributed::Partition`]s, one pool of them behind a wire.
+    #[test]
+    fn local_and_wire_backends_answer_every_slice_alike() {
+        use dataset::{AttrId, TupleId};
+        use distributed::LocalPartitions;
+        let rules = parse_rules("FD: City -> Zip").unwrap();
+        let config = CleanConfig::default();
+        let mut local = LocalPartitions::new(config.clone(), schema(), rules.clone(), 2).unwrap();
+        let mut wire =
+            WireBackend::new(config, schema(), rules, 2, FaultSchedule::reliable()).unwrap();
+        let none = ChangeSet::new();
+        let steps = [
+            [
+                insert(&[("BOAZ", "35016"), ("BOAZ", "35014")]),
+                insert(&[("ELBA", "36323")]),
+            ],
+            // An update that interns a value, beside an empty slice.
+            [
+                none.clone().update(TupleId(1), AttrId(1), "35957"),
+                none.clone(),
+            ],
+            // A delete that empties a group, then an insert, in one slice.
+            [
+                none.clone(),
+                none.clone()
+                    .delete(TupleId(0))
+                    .insert_row(vec!["OPP".into(), "36467".into()]),
+            ],
+            [none.clone(), none],
+        ];
+        for (step, slices) in steps.into_iter().enumerate() {
+            let slices: Vec<_> = slices.into_iter().map(ChangeSet::into_mutations).collect();
+            let applied = local.apply_slices(slices.clone());
+            assert_eq!(applied, wire.apply_slices(slices), "step {step}");
+            assert_eq!(applied.iter().flatten().count(), [2, 1, 1, 0][step]);
+            for p in 0..2 {
+                for from in [0, 1] {
+                    let tail = local.pool_tail(p, from);
+                    assert_eq!(tail, wire.pool_tail(p, from), "step {step}");
+                }
+                let rows = local.gather_rows(p);
+                assert_eq!(rows, wire.gather_rows(p), "step {step}");
+            }
+            let blocks = local.pristine_blocks(&[0]);
+            assert_eq!(blocks, wire.pristine_blocks(&[0]), "step {step}");
+        }
+        assert_eq!(local.gather_rows(0).len() + local.gather_rows(1).len(), 3);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! A partition worker: one [`CleaningSession`] behind an idempotent request
-//! handler, restartable from its durable change log.
+//! A partition worker: one [`Partition`] behind an idempotent request
+//! handler — each [`Request`] maps to the one `Partition` method that answers
+//! it — restartable from its durable change log.
 //!
 //! ## Exactly-once applies over at-least-once delivery
 //!
@@ -18,7 +19,7 @@
 //!
 //! ## Crash and replay
 //!
-//! [`PartitionWorker::crash_and_recover`] models a process kill: session and
+//! [`PartitionWorker::crash_and_recover`] models a process kill: partition and
 //! report cache are discarded, then rebuilt from the last durable
 //! [`WorkerCheckpoint`] (if one was taken) plus the journal tail — resume
 //! the checkpointed [`mlnclean::SessionSnapshot`], restore its report
@@ -41,8 +42,9 @@
 
 use crate::log::{ChangeLog, MemLog};
 use crate::message::{Request, Response};
-use dataset::{Schema, TupleId};
-use mlnclean::{BatchReport, ChangeSet, CleanConfig, CleanError, CleaningSession, SessionSnapshot};
+use dataset::Schema;
+use distributed::Partition;
+use mlnclean::{BatchReport, ChangeSet, CleanConfig, CleanError, SessionSnapshot};
 use rules::RuleSet;
 
 /// A durable session checkpoint: everything recovery needs besides the
@@ -67,7 +69,7 @@ pub struct PartitionWorker {
     config: CleanConfig,
     schema: Schema,
     rules: RuleSet,
-    session: CleaningSession,
+    partition: Partition,
     log: MemLog,
     reports: Vec<BatchReport>,
     checkpoint: Option<WorkerCheckpoint>,
@@ -75,15 +77,15 @@ pub struct PartitionWorker {
 }
 
 impl PartitionWorker {
-    /// Open a worker with an empty session and log.  Fails like
-    /// [`CleaningSession::new`] does.
+    /// Open a worker with an empty partition and log.  Fails like
+    /// [`Partition::new`] does.
     pub fn new(config: CleanConfig, schema: Schema, rules: RuleSet) -> Result<Self, CleanError> {
-        let session = CleaningSession::new(config.clone(), schema.clone(), rules.clone())?;
+        let partition = Partition::new(config.clone(), schema.clone(), rules.clone())?;
         Ok(PartitionWorker {
             config,
             schema,
             rules,
-            session,
+            partition,
             log: MemLog::new(),
             reports: Vec::new(),
             checkpoint: None,
@@ -137,45 +139,24 @@ impl PartitionWorker {
                     &mlnw::to_bytes(&changes).expect("change sets encode"),
                 );
                 let report = self
-                    .session
+                    .partition
                     .apply(changes)
                     .expect("the coordinator pre-validated the change set");
                 self.reports.push(report.clone());
                 Response::Applied { batch_seq, report }
             }
             Request::PoolTail { from } => Response::PoolTail {
-                values: self
-                    .session
-                    .dataset()
-                    .pool()
-                    .iter()
-                    .skip(from)
-                    .map(|(_, value)| value.to_string())
-                    .collect(),
+                values: self.partition.pool_tail(from),
             },
-            Request::PristineBlocks { blocks } => {
-                let index = self.session.pristine_index();
-                Response::PristineBlocks {
-                    blocks: blocks.iter().map(|&b| index.blocks[b].clone()).collect(),
-                }
-            }
-            Request::GatherRows => {
-                let dataset = self.session.dataset();
-                Response::GatherRows {
-                    rows: (0..dataset.len())
-                        .map(|t| dataset.row_ids(TupleId(t)).to_vec())
-                        .collect(),
-                }
-            }
+            Request::PristineBlocks { blocks } => Response::PristineBlocks {
+                blocks: self.partition.pristine_blocks(&blocks),
+            },
+            Request::GatherRows => Response::GatherRows {
+                rows: self.partition.rows(),
+            },
             Request::IndexClock => Response::IndexClock {
-                clock: self.session.timings().index,
+                clock: self.partition.index_clock(),
             },
-            Request::Outcome { weights } => {
-                self.session.inject_weights(weights);
-                Response::Outcome {
-                    report: Box::new(self.session.outcome()),
-                }
-            }
             Request::Checkpoint => {
                 let batches = self.reports.len() as u64;
                 // Retransmit duplicate at an unchanged cursor: re-ack from
@@ -189,7 +170,7 @@ impl PartitionWorker {
                     }
                 }
                 let frame =
-                    mlnw::to_bytes(&self.session.snapshot()).expect("session snapshots encode");
+                    mlnw::to_bytes(&self.partition.snapshot()).expect("session snapshots encode");
                 let snapshot_bytes = frame.len() as u64;
                 self.checkpoint = Some(WorkerCheckpoint {
                     frame,
@@ -219,19 +200,16 @@ impl PartitionWorker {
             Some(cp) => {
                 let snapshot: SessionSnapshot =
                     mlnw::from_bytes(&cp.frame).expect("checkpoint frames decode");
-                self.session =
-                    CleaningSession::resume(self.config.clone(), self.rules.clone(), snapshot)
+                self.partition =
+                    Partition::resume(self.config.clone(), self.rules.clone(), snapshot)
                         .expect("a snapshot that was taken resumes");
                 self.reports = cp.reports.clone();
                 cp.batches
             }
             None => {
-                self.session = CleaningSession::new(
-                    self.config.clone(),
-                    self.schema.clone(),
-                    self.rules.clone(),
-                )
-                .expect("a session that opened once opens again");
+                self.partition =
+                    Partition::new(self.config.clone(), self.schema.clone(), self.rules.clone())
+                        .expect("a partition that opened once opens again");
                 self.reports.clear();
                 0
             }
@@ -246,7 +224,7 @@ impl PartitionWorker {
             let changes: ChangeSet =
                 mlnw::from_bytes(&entry.payload).expect("journaled frames decode");
             let report = self
-                .session
+                .partition
                 .apply(changes)
                 .expect("journaled batches were valid when first applied");
             self.reports.push(report);
@@ -257,7 +235,7 @@ impl PartitionWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dataset::csv;
+    use dataset::TupleId;
     use mlnclean::Mutation;
     use rules::parse_rules;
 
@@ -460,13 +438,14 @@ mod tests {
         assert_eq!(w.session_rows(), 1);
     }
 
-    fn dump(w: &mut PartitionWorker) -> String {
-        csv::to_csv(w.session.dataset())
+    /// The worker's rows as value ids, and the pool that resolves them.
+    fn dump(w: &mut PartitionWorker) -> (Vec<Vec<dataset::ValueId>>, Vec<String>) {
+        (w.partition.rows(), w.partition.pool_tail(0))
     }
 
     impl PartitionWorker {
         fn session_rows(&self) -> usize {
-            self.session.dataset().len()
+            self.partition.rows().len()
         }
     }
 }

@@ -102,8 +102,8 @@ fn main() {
         streamed.repaired.len() - streamed.deduplicated().len(),
     );
     println!(
-        "coordinator: {} merge rounds, weight-merge {:?}, gather {:?}",
-        streamed.timings.merge_rounds, streamed.timings.weight_merge, streamed.timings.gather
+        "coordinator: {} merge rounds, gather {:?}",
+        streamed.timings.merge_rounds, streamed.timings.gather
     );
     println!("byte-identical to the single-session stream ✓");
 }

@@ -9,7 +9,9 @@ Usage:
 artifact kept their correctness invariants (byte-identity with the batch
 engine, dirty blocks < total blocks, real mutations applied), requires the
 `product_lines` and `product_lines_non_test` keys and prints them next to the
-`--baseline` artifact's values (visible, not gated).
+`--baseline` artifact's values.  `product_lines_non_test` is a ratchet: the
+run fails when the fresh value exceeds the committed one (`product_lines` is
+shown, not gated — tests may grow).
 
 `ladder` asserts the structural invariants of the benchmark ladder (monotone
 rung sizes, byte-identity wherever it was checked, errors injected, RSS
@@ -75,7 +77,8 @@ def check_codec_header(d, where):
 
 def check_smoke(d, committed=None):
     check_codec_header(d, "smoke")
-    # Shown, not gated: the trend of the product tree's size.
+    # The trend of the product tree's size: all lines shown, not gated (tests
+    # may grow); the non-test lines may only grow on purpose.
     for key in ("product_lines", "product_lines_non_test"):
         check(key in d and isinstance(d[key], (int, type(None))),
               f"smoke: artifact lacks {key} (lines of *.rs under crates/*/src "
@@ -83,6 +86,10 @@ def check_smoke(d, committed=None):
               f"#[cfg(test)]; null when the sources were not beside the binary)")
         print(f"{key}:", d[key],
               f"(committed: {committed.get(key)})" if committed else "")
+    fresh, base = d["product_lines_non_test"], (committed or {}).get("product_lines_non_test")
+    check(fresh is None or base is None or fresh <= base,
+          f"smoke: product_lines_non_test grew {base} -> {fresh}: re-record "
+          f"BENCH_smoke.json in the same PR and say in CHANGES what the lines buy")
     s = d["streaming"]
     check(s["hai_stream"]["final_matches_one_shot"] is True,
           "streamed HAI result diverged from the one-shot run")

@@ -237,8 +237,8 @@ fn fault_classes() -> Vec<(&'static str, FaultSchedule)> {
 
 #[test]
 fn reports_and_timings_round_trip_through_the_codec() {
-    // The merge-round outcome message carries a full `Report` over the wire;
-    // pin that the codec preserves it — output bytes, provenance, timings —
+    // A `Report` is the frame a remote client of the service receives; pin
+    // that the codec preserves it — output bytes, provenance, timings —
     // and that encoding is deterministic (re-encoding the decoded report
     // yields the same frame).
     let dirty = dataset::sample_hospital_dataset();
