@@ -4,8 +4,7 @@
 //! Each `figN`/`tableN` module produces the same rows/series the paper
 //! reports; the `experiments` binary prints them as aligned text tables and
 //! writes CSV files under `results/`.  Absolute numbers differ from the paper
-//! (different data, different hardware, no Spark cluster) — EXPERIMENTS.md
-//! tracks paper-vs-measured values and the qualitative shape that must hold.
+//! (different data, different hardware, no Spark cluster).
 
 pub mod common;
 pub mod fig15;

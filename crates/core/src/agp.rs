@@ -8,20 +8,38 @@
 //! where the distance between two groups is the distance between their
 //! dominant γs (the γ related to the most tuples).
 //!
-//! The nearest-normal search is exact and bounded.  Every candidate after
-//! the first is asked "strictly closer than the best so far?" rather than
-//! "how far?": its record distance is summed attribute by attribute and
-//! abandoned the moment the partial sum reaches the incumbent, and under the
-//! edit metrics each attribute is answered by a bounded dynamic program that
-//! gives up after a few cells.  A typo'd key whose true neighbour is one or
-//! two edits away therefore rejects almost every other candidate on its first
-//! attribute.  Merges, tie-breaks (first minimal candidate in block order)
-//! and guard decisions are those of the exhaustive scan.
+//! The nearest-normal search is exact, and it is filter → seed → refine.
+//! *Filter*: every value carries a sketch — its char count and the set of
+//! character classes it uses ([`EditSketch`]) — and two sketches bound the
+//! edit distance of their values from below without a look at either string;
+//! summed over the attributes that bounds the record distance of two
+//! dominant γs.  *Seed*: a group that searches from nothing measures the
+//! candidate of least bound first, in full, so the search starts from a
+//! near neighbour instead of whichever normal group leads the block.
+//! *Refine*: every other candidate, in block order, is skipped when its
+//! bound already reaches the limit the incumbent sets, and is otherwise
+//! asked "closer than that limit?" rather than "how far?": its record
+//! distance is summed attribute by attribute and abandoned the moment the
+//! partial sum reaches the limit, and under the edit metrics each attribute
+//! is answered by a bounded dynamic program that gives up after a few cells.
+//! A typo'd key whose true neighbour is one or two edits away therefore
+//! never looks most other candidates up at all.  Under the metrics without
+//! a sketch bound the bound is the constant `0`, the filter passes
+//! everything and the seed is the block's first normal group: the plain scan.
+//!
+//! Merges, tie-breaks (first minimal candidate in block order) and guard
+//! decisions are those of the exhaustive scan, whatever order the probes run
+//! in: a candidate takes over iff it sorts before the incumbent in (distance,
+//! block position) — strictly closer from further down the block, closer or
+//! as close from further up — so after any sequence of probes the incumbent
+//! is the least of those probed; and a skipped candidate's distance is at
+//! least its bound, which is at least its limit, so probing it would have
+//! changed nothing.
 //!
 //! Distances run through a per-block [`DistanceCache`] keyed on interned
 //! value pairs, which memoises what each probe proved — an exact distance or
 //! a lower bound — so a block re-planned against the same cache re-runs no
-//! metric at all.
+//! metric at all.  A filtered pair never reaches it.
 //!
 //! # Re-planning a block
 //!
@@ -32,8 +50,8 @@
 //! which side of τ it falls, and the value ids of its dominant γ, which is
 //! all a search reads of a group — and per abnormal group its nearest
 //! normal group *before the guard* (key, record distance, guard verdict).
-//! There is one planner: an empty memo is the cold case, with the probes of
-//! the plain scan in the plain scan's order.
+//! There is one planner: an empty memo is the cold case, where every
+//! abnormal group searches from nothing.
 //!
 //! The contract is exactness.  The scan's answer for an abnormal group is
 //! the lexicographic minimum of (distance, block position) over the normal
@@ -47,8 +65,9 @@
 //! minimum over everything is the minimum over {incumbent} ∪ fresh: each
 //! fresh group is asked whether it sorts before the best so far — strictly
 //! closer if it sits further down the block, closer *or as close* if it sits
-//! further up — and the guard's verdict, a function of the two dominant γs,
-//! is asked again only for a new winner.  What invalidates a remembered
+//! further up, and not at all if its sketch bound says it cannot — and the
+//! guard's verdict, a function of the two dominant γs, is asked again only
+//! for a new winner.  What invalidates a remembered
 //! answer, sending the group back to a scan of every normal group: the
 //! group is new or its signature changed; its remembered target left the
 //! block, turned abnormal or changed its dominant γ.  Nobody has to mark
@@ -61,7 +80,7 @@ use crate::gamma::Gamma;
 use crate::index::{Block, Group, MlnIndex};
 use crate::map_ordered;
 use dataset::{TupleId, ValueId, ValuePool};
-use distance::Metric;
+use distance::{EditSketch, Metric};
 use rules::RuleId;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
@@ -211,20 +230,23 @@ impl AbnormalGroupProcessor {
         // every group's dominant-γ value ids once from the snapshot (only
         // normal groups are merge targets — abnormal groups never merge into
         // each other — and the search below must not re-derive them per
-        // abnormal × candidate pair), and diff each signature against the
-        // memo.  `fresh` lists the normal groups that are new to the block
-        // or changed signature since the last plan: all of them, cold.
+        // abnormal × candidate pair) into one flat buffer, group `i`'s at
+        // `ids[span(i)]`, and diff each signature against the memo.  `fresh`
+        // lists the normal groups that are new to the block or changed
+        // signature since the last plan: all of them, cold.
         let mut abnormal: Vec<usize> = Vec::new();
         let mut normals: Vec<usize> = Vec::new();
         let mut fresh: Vec<usize> = Vec::new();
-        let mut dominants: Vec<Vec<ValueId>> = Vec::with_capacity(block.groups.len());
+        let arity = block.reason_attrs.len() + block.result_attrs.len();
+        let mut ids: Vec<ValueId> = Vec::with_capacity(block.groups.len() * arity);
+        let mut offsets: Vec<usize> = Vec::with_capacity(block.groups.len() + 1);
+        offsets.push(0);
         for (i, group) in block.groups.iter().enumerate() {
             let is_abnormal = group.tuple_count() <= self.tau;
-            let dominant = group
-                .dominant_gamma()
-                .map(Gamma::value_ids)
-                .unwrap_or_default();
-            let changed = memo.observe(&group.key, i, is_abnormal, &dominant);
+            let from = ids.len();
+            ids.extend(group.dominant_gamma().into_iter().flat_map(Gamma::values));
+            offsets.push(ids.len());
+            let changed = memo.observe(&group.key, i, is_abnormal, &ids[from..]);
             if is_abnormal {
                 abnormal.push(i);
             } else {
@@ -233,9 +255,9 @@ impl AbnormalGroupProcessor {
                     fresh.push(i);
                 }
             }
-            dominants.push(dominant);
         }
         memo.forget_all_but(block);
+        let span = |i: usize| offsets[i]..offsets[i + 1];
 
         let mut plan = AgpPlan {
             abnormal,
@@ -250,9 +272,13 @@ impl AbnormalGroupProcessor {
         // distances and, the block being sorted by key, their relative
         // positions), so only the fresh ones can displace it; any other
         // group scans every normal group from nothing.
+        //
+        // The sketches of `ids`, in the same layout, from the first search
+        // on; the candidates' lower bounds, one buffer for every search.
+        let mut sketches: Vec<EditSketch> = Vec::new();
+        let mut bounds: Vec<f64> = Vec::new();
         for &ai in &plan.abnormal {
             let group = &block.groups[ai];
-            let own = &dominants[ai];
             let standing = memo.standing(&group.key);
             let candidates = if group.gammas.is_empty() {
                 // Nothing to measure from: the group stays where it is.
@@ -264,21 +290,42 @@ impl AbnormalGroupProcessor {
                 &normals[..]
             };
             let mut best = standing.flatten();
-            for &ci in candidates {
-                // Each candidate is asked "does it sort before the best so
-                // far?", not "how far?": the first one is measured in full,
-                // every later one only until its partial distance reaches
-                // the incumbent.  One further down the block must be
-                // strictly closer — in a full scan that is every candidate,
-                // which keeps the *first* minimal one, matching the
-                // historical `Iterator::min_by` tie-breaking exactly — one
-                // further up wins a tie as well.
+            if sketches.is_empty() && !candidates.is_empty() {
+                sketches.extend(ids.iter().map(|&v| cache.sketch(pool, v)));
+            }
+            let own = &ids[span(ai)];
+            // Filter: what each candidate's distance is at least.
+            let bound =
+                |ci: &usize| cache.record_lower_bound(&sketches[span(ai)], &sketches[span(*ci)]);
+            bounds.clear();
+            bounds.extend(candidates.iter().map(bound));
+            // Seed: a search from nothing measures the candidate of least
+            // bound first (the first such in block order), so that every
+            // other one meets a tight limit; then block order.
+            let seed = match best {
+                None => (0..bounds.len()).min_by(|&j, &k| bounds[j].total_cmp(&bounds[k])),
+                Some(_) => None,
+            };
+            let rest = (0..candidates.len()).filter(|&k| Some(k) != seed);
+            for k in seed.into_iter().chain(rest) {
+                // Refine.  Each candidate is asked "does it sort before the
+                // best so far?", not "how far?": the first one is measured
+                // in full, every later one only until its partial distance
+                // reaches its limit — and not at all when its bound already
+                // does.  One further down the block must be strictly closer,
+                // one further up wins a tie as well, which keeps the *first*
+                // minimal candidate (the historical `Iterator::min_by`
+                // tie-break) whatever order the candidates are asked in.
+                let ci = candidates[k];
                 let limit = match &best {
                     None => f64::INFINITY,
                     Some(b) if ci < b.index => b.distance.next_up(),
                     Some(b) => b.distance,
                 };
-                if let Some(d) = cache.record_distance_below(pool, own, &dominants[ci], limit) {
+                if bounds[k] >= limit {
+                    continue;
+                }
+                if let Some(d) = cache.record_distance_below(pool, own, &ids[span(ci)], limit) {
                     best = Some(Incumbent {
                         index: ci,
                         distance: d,
@@ -294,7 +341,7 @@ impl AbnormalGroupProcessor {
                 let within_guard = best.within_guard.unwrap_or_else(|| {
                     let target = &block.groups[best.index];
                     let within_guard = self.distance_guard.is_none_or(|guard| {
-                        let theirs = &dominants[best.index];
+                        let theirs = &ids[span(best.index)];
                         cache.normalized_record_distance(pool, own, theirs) <= guard
                     });
                     memo.remember(&group.key, &target.key, best.distance, within_guard);
@@ -679,6 +726,11 @@ pub(crate) mod tests {
         (targets, vetoes)
     }
 
+    /// Distance lookups a cache has answered so far, hits and misses alike.
+    fn lookups(cache: &DistanceCache) -> u64 {
+        cache.stats().hits + cache.stats().misses
+    }
+
     /// A cold plan: nothing measured, nothing remembered.
     fn cold_plan(agp: &AbnormalGroupProcessor, block: &Block, pool: &ValuePool) -> AgpPlan {
         agp.plan_block(
@@ -798,6 +850,73 @@ pub(crate) mod tests {
         }
     }
 
+    /// Two blocks, each one abnormal key with two normal neighbours one
+    /// substitution away — one spelt with the abnormal key's own characters
+    /// (bound 0: the search's seed), one that brings a new character (bound
+    /// 1).  In `.0` the seed sits below the other neighbour, in `.1` above.
+    fn seed_below_and_seed_above() -> (Evolving, Evolving) {
+        let bound = |a, b| EditSketch::of(a).lower_bound(EditSketch::of(b));
+        assert_eq!((bound("AAB", "ABB"), bound("AAB", "AAC")), (0, 1));
+        assert_eq!((bound("ABB", "AAB"), bound("ABB", "ABC")), (0, 1));
+        (
+            Evolving::cities(&[("AAB", "AL", 1), ("AAC", "AL", 3), ("ABB", "AL", 3)]),
+            Evolving::cities(&[("AAB", "AL", 3), ("ABB", "AL", 1), ("ABC", "AL", 3)]),
+        )
+    }
+
+    /// A cold plan of `table`'s one block: its merges and its lookups.
+    fn cold_homes(agp: &AbnormalGroupProcessor, table: &Evolving) -> (Vec<(String, String)>, u64) {
+        let (block, pool) = (table.index.block(RuleId(0)), table.index.pool());
+        assert_plan_matches_reference(agp, block, pool);
+        let mut cache = DistanceCache::new(agp.metric);
+        let plan = agp.plan_block(block, pool, &mut cache, &mut PlanMemo::default());
+        let homes = homes(&plan)
+            .into_iter()
+            .map(|(from, to)| (from.to_string(), to.expect("a normal group").to_string()))
+            .collect();
+        (homes, lookups(&cache))
+    }
+
+    #[test]
+    fn the_least_bound_candidate_does_not_steal_a_tie_from_an_earlier_group() {
+        let (below, above) = seed_below_and_seed_above();
+        for metric in [Metric::Levenshtein, Metric::DamerauLevenshtein] {
+            let agp = AbnormalGroupProcessor::new(1, metric);
+            // Measured first, from below: the equidistant group further up
+            // takes the tie, as in a scan from the top.
+            let (homes, _) = cold_homes(&agp, &below);
+            assert_eq!(homes, [("AAB".into(), "AAC".into())], "{metric:?}");
+            // From above: it was first anyway.
+            let (homes, _) = cold_homes(&agp, &above);
+            assert_eq!(homes, [("ABB".into(), "AAB".into())], "{metric:?}");
+        }
+    }
+
+    #[test]
+    fn a_candidate_whose_bound_equals_the_limit_is_still_probed_from_further_up() {
+        let (_, above) = seed_below_and_seed_above();
+        // "AAAC" is *two* edits from "AAB" with a bound of one — the seed's
+        // distance — and sorts before it.
+        let far_above = Evolving::cities(&[("AAAC", "AL", 3), ("AAB", "AL", 1), ("ABB", "AL", 3)]);
+        let bound = EditSketch::of("AAB").lower_bound(EditSketch::of("AAAC"));
+        assert_eq!(
+            (bound, distance::damerau_levenshtein("AAB", "AAAC")),
+            (1, 2)
+        );
+        for metric in [Metric::Levenshtein, Metric::DamerauLevenshtein] {
+            let agp = AbnormalGroupProcessor::new(1, metric);
+            // Further up a tie would win, so bound = incumbent is no proof:
+            // the seed's two attributes, then the key that settles it.
+            let (homes, lookups) = cold_homes(&agp, &far_above);
+            assert_eq!(homes, [("AAB".into(), "ABB".into())], "{metric:?}");
+            assert_eq!(lookups, 3, "{metric:?}");
+            // Further down it is: "ABC" is never looked up.
+            let (homes, lookups) = cold_homes(&agp, &above);
+            assert_eq!(homes, [("ABB".into(), "AAB".into())], "{metric:?}");
+            assert_eq!(lookups, 2, "{metric:?}");
+        }
+    }
+
     #[test]
     fn a_block_of_only_abnormal_groups_plans_no_merge_and_probes_nothing() {
         let index = sample_index();
@@ -842,7 +961,6 @@ pub(crate) mod tests {
                 self.agp.metric, self.agp.tau, self.agp.distance_guard
             );
             let (cache, memo) = &mut self.state[b];
-            let lookups = |cache: &DistanceCache| cache.stats().hits + cache.stats().misses;
             let before = lookups(cache);
             let plan = self.agp.plan_block(block, pool, cache, memo);
             let probes = lookups(cache) - before;
@@ -1219,6 +1337,31 @@ pub(crate) mod tests {
         }
     }
 
+    /// The lookups of the scan without a filter: every abnormal group asks
+    /// every normal group in block order "closer than the best so far?",
+    /// then the guard about the winner.
+    fn plain_scan_lookups(agp: &AbnormalGroupProcessor, block: &Block, pool: &ValuePool) -> u64 {
+        let mut cache = DistanceCache::new(agp.metric);
+        let dominant = |g: &Group| g.dominant_gamma().map(Gamma::value_ids);
+        let (abnormal, normal): (Vec<&Group>, Vec<&Group>) = block
+            .groups
+            .iter()
+            .partition(|g| g.tuple_count() <= agp.tau);
+        for own in abnormal.into_iter().filter_map(dominant) {
+            let mut best: Option<(f64, Vec<ValueId>)> = None;
+            for theirs in normal.iter().copied().filter_map(dominant) {
+                let limit = best.as_ref().map_or(f64::INFINITY, |(d, _)| *d);
+                if let Some(d) = cache.record_distance_below(pool, &own, &theirs, limit) {
+                    best = Some((d, theirs));
+                }
+            }
+            if let (Some(_), Some((_, theirs))) = (agp.distance_guard, best) {
+                cache.normalized_record_distance(pool, &own, &theirs);
+            }
+        }
+        lookups(&cache)
+    }
+
     /// What `car_session` does on every `outcome()`: re-plan a block against
     /// the distance cache and the memo that served the previous plan.
     #[test]
@@ -1234,6 +1377,25 @@ pub(crate) mod tests {
         assert_eq!(probes, cold.hits + cold.misses);
         assert!(cold.misses > 0 && first.targets.iter().any(Option::is_some));
         assert_eq!(first.rescanned, first.abnormal.len() as u64);
+        // The sketch filter keeps most abnormal × normal pairs from the memo…
+        let block = &table.index.blocks[0];
+        let arity = block.reason_attrs.len() + block.result_attrs.len();
+        let normal_groups = block.group_count() - first.abnormal.len();
+        let pairs = (first.abnormal.len() * normal_groups * arity) as u64;
+        assert!(
+            probes * 5 < pairs,
+            "{probes} lookups for {pairs} value pairs"
+        );
+        // …and is vacuous where the metric has no bound — by construction,
+        // not by a branch: the plain scan's lookups, to the last one.
+        for metric in [Metric::Cosine, Metric::Jaccard, Metric::JaroWinkler] {
+            let agp = AbnormalGroupProcessor::new(2, metric).with_distance_guard(0.15);
+            let pool = table.index.pool();
+            let mut cache = DistanceCache::new(metric);
+            agp.plan_block(block, pool, &mut cache, &mut PlanMemo::default());
+            let plain = plain_scan_lookups(&agp, block, pool);
+            assert_eq!(lookups(&cache), plain, "{metric:?}");
+        }
         // Most give-ups are memoised as lower bounds, not dropped.
         assert_eq!(warm.state[0].0.len() as u64, cold.misses);
 
@@ -1245,14 +1407,11 @@ pub(crate) mod tests {
 
         // Splice one new abnormal group in: a typo of an existing key with
         // values no other group has.
-        let block = &table.index.blocks[0];
         let donor = block.groups.iter().find(|g| g.tuple_count() > 2).unwrap();
         let mut row = table.ds.tuple(donor.all_tuples()[0]).owned_values();
         for attr in block.reason_attrs.iter().chain(&block.result_attrs) {
             row[attr.index()].push('~');
         }
-        let arity = block.reason_attrs.len() + block.result_attrs.len();
-        let normal_groups = block.group_count() - first.abnormal.len();
         table.insert(vec![row]);
 
         // Only the new group searches: once over the normal groups, plus

@@ -22,11 +22,19 @@
 //! re-runs nothing, and a distance that cannot win is never computed to the
 //! end nor stored as if it had been.  The pipeline instantiates one cache per
 //! block so the parallel and serial paths report identical statistics.
+//!
+//! Beside the pairs the cache memoises one [`EditSketch`] per value, lazily
+//! ([`DistanceCache::sketch`]), and sums sketch bounds into a record-level
+//! lower bound ([`DistanceCache::record_lower_bound`]) for searches that
+//! *filter* before they probe.  A pair a caller drops on that bound never
+//! reaches the memo: it is neither a hit nor a miss and leaves no entry, so
+//! the counters count the lookups that were made, not the pairs a search
+//! considered.
 
 use dataset::{ValueId, ValuePool};
 use distance::{
     bounded_damerau_levenshtein, bounded_levenshtein, normalized_edit_distance, DistanceMetric,
-    Metric,
+    EditSketch, Metric,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::{Entry, HashMap};
@@ -100,24 +108,27 @@ impl Memo {
     }
 }
 
-/// A symmetric `(ValueId, ValueId) →` exact distance or lower bound memo.
+/// A symmetric `(ValueId, ValueId) →` exact distance or lower bound memo,
+/// and a `ValueId →` sketch memo beside it.
 #[derive(Debug, Clone)]
 pub struct DistanceCache {
     metric: Metric,
     pairs: HashMap<(ValueId, ValueId), Memo>,
+    sketches: HashMap<ValueId, EditSketch>,
     stats: CacheStats,
 }
 
 impl DistanceCache {
     /// Bytes of one memo entry (key and value, without hash-table overhead),
     /// for the session's memory-budget accounting.
-    pub(crate) const ENTRY_BYTES: usize = std::mem::size_of::<((ValueId, ValueId), Memo)>();
+    const ENTRY_BYTES: usize = std::mem::size_of::<((ValueId, ValueId), Memo)>();
 
     /// Create an empty cache for `metric`.
     pub fn new(metric: Metric) -> Self {
         DistanceCache {
             metric,
             pairs: HashMap::new(),
+            sketches: HashMap::new(),
             stats: CacheStats::default(),
         }
     }
@@ -132,9 +143,7 @@ impl DistanceCache {
         self.stats
     }
 
-    /// Number of distinct value pairs memoised so far, exact or bounded (the
-    /// cache's resident footprint, used by the session's memory-budget
-    /// accounting).
+    /// Number of distinct value pairs memoised so far, exact or bounded.
     pub fn len(&self) -> usize {
         self.pairs.len()
     }
@@ -142,6 +151,44 @@ impl DistanceCache {
     /// Whether the memo holds no pairs yet.
     pub fn is_empty(&self) -> bool {
         self.pairs.is_empty()
+    }
+
+    /// Estimated resident bytes of both memos, `slot` of them per entry for
+    /// the hash tables' own overhead — for the memory-budget accounting.
+    pub(crate) fn approx_bytes(&self, slot: usize) -> usize {
+        self.pairs.len() * (Self::ENTRY_BYTES + slot)
+            + self.sketches.len() * (std::mem::size_of::<(ValueId, EditSketch)>() + slot)
+    }
+
+    /// A copy of this cache without its sketches.
+    #[cfg(test)]
+    pub(crate) fn without_sketches(&self) -> Self {
+        DistanceCache {
+            sketches: HashMap::new(),
+            ..self.clone()
+        }
+    }
+
+    /// The sketch of an interned value, computed on first request.
+    pub fn sketch(&mut self, pool: &ValuePool, value: ValueId) -> EditSketch {
+        *self
+            .sketches
+            .entry(value)
+            .or_insert_with(|| EditSketch::of(pool.resolve(value)))
+    }
+
+    /// A lower bound on [`DistanceCache::record_distance`] between two
+    /// records, from their values' sketches alone: the attribute-wise
+    /// [`Metric::lower_bound`]s summed in `record_distance`'s order.  Under
+    /// the edit metrics both are sums of small integers, exact in `f64`, so
+    /// `bound ≥ limit` does prove `distance ≥ limit`; under the others the
+    /// bound is `0`.  Touches neither memo nor the counters.
+    pub fn record_lower_bound(&self, a: &[EditSketch], b: &[EditSketch]) -> f64 {
+        debug_assert_eq!(a.len(), b.len(), "records must have the same arity");
+        a.iter()
+            .zip(b)
+            .map(|(&x, &y)| self.metric.lower_bound(x, y))
+            .sum()
     }
 
     /// Raw and normalized distance between two interned values if the probe
@@ -419,6 +466,9 @@ mod tests {
             for a in &records {
                 for b in &records {
                     let full = DistanceCache::new(metric).record_distance(&pool, a, b);
+                    // What a filter may drop the pair on never overshoots.
+                    let [sa, sb] = [a, b].map(|r| r.map(|v| cache.sketch(&pool, v)));
+                    assert!(cache.record_lower_bound(&sa, &sb) <= full);
                     for limit in [
                         0.0,
                         0.5,

@@ -72,11 +72,15 @@ impl Gamma {
     /// All value ids of the γ, reason part first — the record compared by the
     /// distance cache in AGP and RSC.
     pub fn value_ids(&self) -> Vec<ValueId> {
+        self.values().collect()
+    }
+
+    /// [`Self::value_ids`] without the `Vec`.
+    pub(crate) fn values(&self) -> impl Iterator<Item = ValueId> + '_ {
         self.reason_values
             .iter()
-            .chain(self.result_values.iter())
+            .chain(&self.result_values)
             .copied()
-            .collect()
     }
 
     /// All values of the γ resolved through `pool`, reason part first.

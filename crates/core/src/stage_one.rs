@@ -718,17 +718,13 @@ fn refresh_block(
 /// Hash-table overhead per cache entry (control bytes plus slack).
 const HASH_SLOT_BYTES: usize = 16;
 
-/// Estimated bytes per memoised distance pair: the memo's entry (exact
-/// distance or lower bound, whatever shape it has) plus hash-table overhead.
-const DISTANCE_PAIR_BYTES: usize = DistanceCache::ENTRY_BYTES + HASH_SLOT_BYTES;
-
 /// Estimated resident bytes of one block cache (zero once spilled): the
-/// distance and plan memos plus every [`GroupEntry`]'s owned buffers.
-/// Counts what spilling the block would free, which is all the budget
-/// policy needs.
+/// distance memo (pairs and sketches) and the plan memo plus every
+/// [`GroupEntry`]'s owned buffers.  Counts what spilling the block would
+/// free, which is all the budget policy needs.
 fn approx_cache_bytes(cache: &BlockCache) -> usize {
     let mut bytes =
-        cache.distances.len() * DISTANCE_PAIR_BYTES + cache.plan.approx_bytes(HASH_SLOT_BYTES);
+        cache.distances.approx_bytes(HASH_SLOT_BYTES) + cache.plan.approx_bytes(HASH_SLOT_BYTES);
     for (key, entry) in &cache.entries {
         bytes += approx_entry_bytes(key, entry);
     }
@@ -1067,8 +1063,9 @@ pub(crate) mod tests {
         assert_eq!(stage.records().0.cache, CacheStats::default());
     }
 
-    /// The plan memo is part of what the budget counts and a spill frees;
-    /// a block that went through a spill re-plans as if for the first time.
+    /// The plan memo and the sketch memo are part of what the budget counts
+    /// and a spill frees; a block that went through a spill re-plans as if
+    /// for the first time.
     #[test]
     fn a_spilled_block_drops_its_plan_memo_and_replans_cold() {
         let (_, ds, rules, config) = workloads().remove(2);
@@ -1081,6 +1078,9 @@ pub(crate) mod tests {
         let mut bare = stage.caches[0].clone();
         bare.plan = PlanMemo::default();
         assert!(approx_cache_bytes(&bare) < approx_cache_bytes(&stage.caches[0]));
+        let with_sketches = approx_cache_bytes(&bare);
+        bare.distances = bare.distances.without_sketches();
+        assert!(approx_cache_bytes(&bare) < with_sketches);
         assert_eq!(stage.enforce_budget(0), 0, "everything spills");
         assert_eq!(
             stage.memory_stats().spilled_blocks,

@@ -16,7 +16,9 @@
 //! `*_with_max_len` forms (distance plus the length the normalized form
 //! divides by, from one scan of each string) and the `bounded_*` forms a
 //! nearest-neighbour search uses to ask "within `max` edits?" and get a no
-//! after a few cells.
+//! after a few cells.  Beside it, [`EditSketch`]: a per-string summary whose
+//! pairwise bound lets such a search drop a candidate without running the
+//! program at all.
 
 use std::cell::RefCell;
 
@@ -217,6 +219,59 @@ pub fn bounded_damerau_levenshtein(a: &str, b: &str, max: usize) -> Option<(usiz
     edit_distance::<true>(a, b, max)
 }
 
+/// What a *filter* keeps of one string to bound its edit distance to any
+/// other without looking at either again: its char count and the set of
+/// character classes it uses (a code point's class is its value modulo 64,
+/// one bit each).  16 bytes, `Copy`, computed in one scan.
+///
+/// [`EditSketch::lower_bound`] is a true lower bound on [`levenshtein`] *and*
+/// on [`damerau_levenshtein`], so a nearest-neighbour search may drop every
+/// candidate whose bound already reaches its limit before it runs — or even
+/// looks up — a distance, and keep the exhaustive scan's answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct EditSketch {
+    chars: u32,
+    classes: u64,
+}
+
+impl EditSketch {
+    /// Sketch `s`.
+    pub fn of(s: &str) -> Self {
+        let mut sketch = EditSketch::default();
+        for c in s.chars() {
+            // Saturating keeps the length difference a lower bound even
+            // past 2³² chars.
+            sketch.chars = sketch.chars.saturating_add(1);
+            sketch.classes |= 1 << (u32::from(c) % u64::BITS);
+        }
+        sketch
+    }
+
+    /// `max(|len a − len b|, |classes a ∖ b|, |classes b ∖ a|)`, which no
+    /// edit script from one string to the other can undercut:
+    ///
+    /// * an insertion or a deletion moves the length by one, a substitution
+    ///   or a transposition not at all;
+    /// * a class `a` uses and `b` does not is carried by at least one char of
+    ///   `a` that has to be deleted or substituted away, and one edit removes
+    ///   one char — so at least one edit per such class, and symmetrically
+    ///   one insertion or substitution per class only `b` uses.  One
+    ///   substitution can serve a class on each side at once, hence the
+    ///   maximum of the two counts and not their sum; a transposition leaves
+    ///   the bag of characters alone, hence Damerau as well.
+    ///
+    /// Code points that share a class only hide differences: the bound gets
+    /// weaker, never wrong.
+    pub fn lower_bound(self, other: EditSketch) -> u32 {
+        let only_self = (self.classes & !other.classes).count_ones();
+        let only_other = (other.classes & !self.classes).count_ones();
+        self.chars
+            .abs_diff(other.chars)
+            .max(only_self)
+            .max(only_other)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,7 +430,62 @@ mod tests {
         assert_eq!(damerau_levenshtein("xyz", ""), 3);
     }
 
+    fn sketch_bound(a: &str, b: &str) -> usize {
+        EditSketch::of(a).lower_bound(EditSketch::of(b)) as usize
+    }
+
+    #[test]
+    fn sketch_bound_on_hand_picked_pairs() {
+        // (a, b, the bound): never above either edit distance.
+        for (a, b, bound) in [
+            ("", "", 0),
+            ("", "日本語", 3),
+            ("DOTHAN", "DOTHAN", 0),
+            // Length difference only: every class of the shorter is shared.
+            ("DOTH", "DOTHAN", 2),
+            // Two classes on each side that the other lacks: one
+            // substitution serves one of each, so 2 — not their sum.
+            ("ab", "cd", 2),
+            // A pure transposition moves neither the length nor the bag.
+            ("ab", "ba", 0),
+            ("abcd", "acbd", 0),
+            // 'a' (97) and 'š' (U+0161 = 97 + 4·64) share a class: the
+            // difference is hidden, the bound weaker, still a bound.
+            ("a", "\u{161}", 0),
+            ("ab", "\u{161}\u{162}", 0),
+            ("héllo", "hello", 1),
+        ] {
+            assert_eq!(sketch_bound(a, b), bound, "{a:?} vs {b:?}");
+            assert_eq!(sketch_bound(b, a), bound, "{b:?} vs {a:?}");
+            assert!(bound <= damerau_levenshtein(a, b), "{a:?} vs {b:?}");
+            assert!(bound <= levenshtein(a, b), "{a:?} vs {b:?}");
+        }
+        assert_eq!(levenshtein("ab", "cd"), 2, "the max is attained");
+    }
+
     proptest! {
+        #[test]
+        fn sketch_bound_never_exceeds_either_edit_distance(a in "\\PC{0,24}", b in "\\PC{0,24}") {
+            let bound = sketch_bound(&a, &b);
+            prop_assert_eq!(bound, sketch_bound(&b, &a));
+            prop_assert_eq!(sketch_bound(&a, &a), 0);
+            prop_assert!(bound <= reference::damerau(&a, &b), "{} > damerau", bound);
+            prop_assert!(bound <= reference::levenshtein(&a, &b), "{} > levenshtein", bound);
+        }
+
+        #[test]
+        fn sketch_bound_never_exceeds_either_edit_distance_on_near_neighbours(
+            prefix in "[ab]{0,10}", mid_a in "[a-h]{0,6}", mid_b in "[a-h]{0,6}", suffix in "[ab]{0,10}"
+        ) {
+            // Few distinct characters, small distances: where the class
+            // counts, not the lengths, carry the bound.
+            let a = format!("{prefix}{mid_a}{suffix}");
+            let b = format!("{prefix}{mid_b}{suffix}");
+            let bound = sketch_bound(&a, &b);
+            prop_assert!(bound <= reference::damerau(&a, &b), "{} > damerau", bound);
+            prop_assert!(bound <= reference::levenshtein(&a, &b), "{} > levenshtein", bound);
+        }
+
         #[test]
         fn matches_reference_implementation(a in "\\PC{0,24}", b in "\\PC{0,24}") {
             prop_assert_eq!(levenshtein(&a, &b), reference::levenshtein(&a, &b));

@@ -9,6 +9,11 @@
 //!
 //! All metrics operate on `&str` and are Unicode-aware (they work on
 //! `char`s, not bytes).
+//!
+//! A nearest-neighbour search does not have to run a metric on every
+//! candidate: an [`EditSketch`] per string bounds both edit distances from
+//! below ([`Metric::lower_bound`]; the constant `0` for the other metrics),
+//! and the `bounded_*` forms answer "within `max` edits?" after a few cells.
 
 pub mod cosine;
 pub mod jaccard;
@@ -22,7 +27,7 @@ pub use jaro::{jaro_similarity, jaro_winkler_distance, jaro_winkler_similarity};
 pub use levenshtein::{
     bounded_damerau_levenshtein, bounded_levenshtein, damerau_levenshtein,
     damerau_levenshtein_with_max_len, levenshtein, levenshtein_with_max_len,
-    normalized_edit_distance, normalized_levenshtein,
+    normalized_edit_distance, normalized_levenshtein, EditSketch,
 };
 pub use metric::{DistanceMetric, Metric};
 

@@ -5,6 +5,7 @@
 use crate::{
     cosine_distance, damerau_levenshtein, damerau_levenshtein_with_max_len, jaccard_distance,
     jaro_winkler_distance, levenshtein, normalized_edit_distance, normalized_levenshtein,
+    EditSketch,
 };
 use serde::{Deserialize, Serialize};
 
@@ -71,6 +72,17 @@ impl Metric {
             Metric::Cosine => "cosine",
             Metric::Jaccard => "jaccard",
             Metric::JaroWinkler => "jaro-winkler",
+        }
+    }
+
+    /// A lower bound on [`DistanceMetric::distance`] between the two
+    /// sketched strings, from the sketches alone: [`EditSketch::lower_bound`]
+    /// under the edit metrics, the constant `0` under the others (they have
+    /// no cheap bound; a filter built on this one is simply vacuous there).
+    pub fn lower_bound(&self, a: EditSketch, b: EditSketch) -> f64 {
+        match self {
+            Metric::Levenshtein | Metric::DamerauLevenshtein => f64::from(a.lower_bound(b)),
+            Metric::Cosine | Metric::Jaccard | Metric::JaroWinkler => 0.0,
         }
     }
 }
@@ -141,6 +153,17 @@ mod tests {
             for m in Metric::ALL {
                 let d = m.normalized_distance(&a, &b);
                 prop_assert!((0.0..=1.0).contains(&d), "{:?} gave {}", m, d);
+            }
+        }
+
+        #[test]
+        fn lower_bound_never_exceeds_the_distance(a in "\\PC{0,16}", b in "\\PC{0,16}") {
+            let (sa, sb) = (EditSketch::of(&a), EditSketch::of(&b));
+            for m in Metric::ALL {
+                let bound = m.lower_bound(sa, sb);
+                prop_assert!(bound <= m.distance(&a, &b), "{:?} gave {}", m, bound);
+                let is_edit = matches!(m, Metric::Levenshtein | Metric::DamerauLevenshtein);
+                prop_assert!(is_edit || bound == 0.0, "{:?} gave {}", m, bound);
             }
         }
 

@@ -11,7 +11,9 @@ engine, dirty blocks < total blocks, real mutations applied), requires the
 `product_lines` and `product_lines_non_test` keys and prints them next to the
 `--baseline` artifact's values.  `product_lines_non_test` is a ratchet: the
 run fails when the fresh value exceeds the committed one (`product_lines` is
-shown, not gated — tests may grow).
+shown, not gated — tests may grow).  So is `distance_cache.hits + misses`,
+the one-shot run's distance lookups: the count repeats exactly at the smoke's
+fixed seed and may not exceed the committed one.
 
 `ladder` asserts the structural invariants of the benchmark ladder (monotone
 rung sizes, byte-identity wherever it was checked, errors injected, RSS
@@ -90,6 +92,16 @@ def check_smoke(d, committed=None):
     check(fresh is None or base is None or fresh <= base,
           f"smoke: product_lines_non_test grew {base} -> {fresh}: re-record "
           f"BENCH_smoke.json in the same PR and say in CHANGES what the lines buy")
+    # Distance lookups of the one-shot run: a count that repeats exactly at
+    # the smoke's fixed seed, so a change that loses AGP's sketch filter (or
+    # any other probe the pipeline stopped making) fails here, not on a timing.
+    lookups, base_lookups = (c and c["distance_cache"]["hits"] + c["distance_cache"]["misses"]
+                             for c in (d, committed))
+    print("distance_cache lookups:", lookups,
+          f"(committed: {base_lookups})" if committed else "")
+    check(not committed or lookups <= base_lookups,
+          f"smoke: distance_cache.hits + misses grew {base_lookups} -> {lookups}: "
+          f"the pipeline runs more distance probes than the committed baseline")
     s = d["streaming"]
     check(s["hai_stream"]["final_matches_one_shot"] is True,
           "streamed HAI result diverged from the one-shot run")

@@ -43,8 +43,8 @@ fn mlnclean_compares_favourably_with_the_baseline() {
     // CAR workload MLNClean must clearly beat the HoloClean-style baseline
     // even though the baseline is handed the exact error locations.  On the
     // dense HAI workload the oracle detection gives the baseline an edge our
-    // synthetic data cannot fully compensate (see EXPERIMENTS.md), so there
-    // MLNClean only has to stay within a modest margin.
+    // synthetic data cannot fully compensate, so there MLNClean only has to
+    // stay within a modest margin.
     let cases = [
         (
             "HAI",
