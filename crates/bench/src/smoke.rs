@@ -4,9 +4,10 @@
 //! This is not one of the paper's experiments — it exists so CI records a
 //! small, fast perf point on every push (end-to-end wall-time plus per-stage
 //! breakdown, repair quality, and since the interning refactor the
-//! memory-side picture: value-pool size, distinct values per attribute, and
-//! the Stage-I distance-cache hit rate), seeding the `BENCH_*.json`
-//! trajectory that later PRs can compare against.
+//! memory-side picture: value-pool size, distinct values per attribute, the
+//! Stage-I distance-cache hit rate, and `fscr_shared_outcomes` — how many
+//! FSCR outcomes share another's resolved provenance list), seeding the
+//! `BENCH_*.json` trajectory that later PRs can compare against.
 //!
 //! Since the incremental engine landed the artifact also records a
 //! **streaming** section: the same tiny HAI ingested in 8 micro-batches
@@ -19,7 +20,9 @@ use crate::common::{rayon_threads, reports_identical, Scale, Workload};
 use dataset::{csv, RepairEvaluation};
 use distributed::DistributedStreamingSession;
 use mlnclean::{CacheStats, ChangeSet, CleaningSession, MlnClean, SessionSnapshot};
+use std::collections::HashSet;
 use std::path::Path;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use transport::{wire_session, FaultSchedule, WorkerCrash, CODEC_VERSION};
 
@@ -67,6 +70,13 @@ pub fn run(scale: Scale) -> Vec<(String, String)> {
     let mut cache = CacheStats::default();
     cache.absorb(outcome.agp.cache);
     cache.absorb(outcome.rsc.cache);
+
+    // Outcomes of the one-shot report that restate nothing: every tuple of
+    // one version vector shares one resolved `fused` list, so this is the
+    // outcomes minus the distinct lists — exact at the fixed seed.
+    let outcomes = &outcome.fscr.outcomes;
+    let lists: HashSet<_> = outcomes.iter().map(|o| Arc::as_ptr(&o.fused)).collect();
+    let shared_outcomes = outcomes.len() - lists.len();
 
     // Streaming scenarios: the same HAI workload ingested in 8 micro-batches,
     // the CAR incremental re-clean probe (dirty blocks < total blocks), and
@@ -119,6 +129,7 @@ pub fn run(scale: Scale) -> Vec<(String, String)> {
             "    \"misses\": {cache_misses},\n",
             "    \"hit_rate\": {cache_hit_rate:.6}\n",
             "  }},\n",
+            "  \"fscr_shared_outcomes\": {shared_outcomes},\n",
             "  \"precision\": {precision:.6},\n",
             "  \"recall\": {recall:.6},\n",
             "  \"f1\": {f1:.6},\n",
@@ -149,6 +160,7 @@ pub fn run(scale: Scale) -> Vec<(String, String)> {
         cache_hits = cache.hits,
         cache_misses = cache.misses,
         cache_hit_rate = cache.hit_rate(),
+        shared_outcomes = shared_outcomes,
         precision = report.precision(),
         recall = report.recall(),
         f1 = report.f1(),
@@ -816,6 +828,9 @@ mod tests {
         assert!(json.contains("\"hit_rate\""));
         // The dedup stage is timed separately from FSCR now.
         assert!(json.contains("\"dedup\""));
+        // Tiny HAI's tuples share version vectors, hence provenance lists.
+        assert!(json.contains("\"fscr_shared_outcomes\": "));
+        assert!(!json.contains("\"fscr_shared_outcomes\": 0,"));
         // The streaming section: per-batch points and the incremental
         // re-clean probe, both byte-identical to their batch counterparts.
         assert!(json.contains("\"streaming\""));

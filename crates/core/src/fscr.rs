@@ -21,9 +21,10 @@
 //! A tuple's fusion is a function of its **version vector** — the γs
 //! covering it, in block order — and of the covering blocks' candidate
 //! lists; nothing else about the tuple enters.  [`ConflictResolver::plan`]
-//! therefore fuses each *distinct* vector once and
-//! [`ConflictResolver::fuse_tuple`] is a lookup.  What decides a vector is
-//! unchanged from the per-tuple form of Algorithm 2:
+//! therefore fuses each *distinct* vector once, behind a [`SharedFusion`]
+//! handle, and [`ConflictResolver::fuse_tuple`] is a lookup that hands the
+//! handle out: every tuple of one vector holds the same fusion.  What decides
+//! a vector is unchanged from the per-tuple form of Algorithm 2:
 //!
 //! * the orders walked are Heap's permutations of `0..m` for
 //!   m ≤ `max_exhaustive`, and above it the consensus order (fewest
@@ -54,12 +55,18 @@
 //! integer comparisons and the winning assignment is written back into the
 //! repaired dataset as ids (the index pool is a snapshot of the dataset
 //! pool, so ids transfer directly).  Strings materialize only in the
-//! provenance records.
+//! provenance records, and a fusion's `(attribute name, value)` list only
+//! once: the first [`apply_tuple_fusion`] to record a fusion resolves it into
+//! the shared handle, and every tuple of the vector — in that report and,
+//! while [`crate::StageTwo`] keeps the handle memoised, in every later one —
+//! shares that list ([`FusionOutcome::fused`]).
 
 use crate::index::{Block, MlnIndex};
 use dataset::{AttrId, CellRef, Dataset, TupleId, ValueId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 /// A single cell rewritten by the fusion stage.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -77,8 +84,9 @@ pub struct CellChange {
 pub struct FusionOutcome {
     /// The tuple.
     pub tuple: TupleId,
-    /// The fused attribute assignment actually applied (resolved strings).
-    pub fused: Vec<(String, String)>,
+    /// The fused attribute assignment actually applied (resolved strings),
+    /// shared by every outcome of the same [`SharedFusion`].
+    pub fused: Arc<Vec<(String, String)>>,
     /// The fusion score of the applied assignment (0 when fusion failed).
     pub f_score: f64,
     /// Whether any pair of this tuple's versions conflicted.
@@ -112,9 +120,8 @@ impl FscrRecord {
     }
 }
 
-/// The fused assignment chosen for one tuple — the cacheable per-tuple result
-/// of the fusion stage.  [`crate::StageTwo`] memoises these across change
-/// sets and replays them for tuples whose versions stayed put.
+/// The fused assignment chosen for one version vector — the cacheable result
+/// of the fusion stage, handed out behind a [`SharedFusion`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TupleFusion {
     /// The fused `(attribute, value)` assignment (empty when the tuple has no
@@ -129,22 +136,61 @@ pub struct TupleFusion {
     pub fusion_failed: bool,
 }
 
+/// A shared handle onto the [`TupleFusion`] of one version vector: cloning
+/// it is a reference-count bump, and every tuple of the vector holds the
+/// same one.  [`crate::StageTwo`] memoises these per tuple across change sets
+/// and replays them for tuples whose versions stayed put.
+#[derive(Debug, Clone)]
+pub struct SharedFusion(Arc<FusionCell>);
+
+#[derive(Debug)]
+struct FusionCell {
+    fusion: TupleFusion,
+    /// `fusion.fused` as `(attribute name, value)` strings, resolved by the
+    /// first [`apply_tuple_fusion`] that records this fusion.
+    provenance: OnceLock<Arc<Vec<(String, String)>>>,
+}
+
+impl SharedFusion {
+    fn new(fusion: TupleFusion) -> Self {
+        SharedFusion(Arc::new(FusionCell {
+            fusion,
+            provenance: OnceLock::new(),
+        }))
+    }
+
+    /// Live handles onto this fusion: its memory is freed with the last.
+    pub(crate) fn holders(&self) -> usize {
+        Arc::strong_count(&self.0)
+    }
+}
+
+impl Deref for SharedFusion {
+    type Target = TupleFusion;
+
+    fn deref(&self) -> &TupleFusion {
+        &self.0.fusion
+    }
+}
+
 /// The fusion stage's decisions over a Stage-I-cleaned index: one
-/// [`TupleFusion`] per distinct version vector, and per tuple which vector
+/// [`SharedFusion`] per distinct version vector, and per tuple which vector
 /// is its own.
 pub struct FusionPlan {
     /// Indexed by `TupleId`: the tuple's entry in `fusions`, or
     /// [`NO_VECTOR`] for a tuple the plan holds no version of.
     tuple_vector: Vec<u32>,
     /// One fusion per distinct version vector, in first-tuple order.
-    fusions: Vec<TupleFusion>,
+    fusions: Vec<SharedFusion>,
+    /// [`NOTHING_TO_FUSE`], for the tuples without a vector.
+    nothing_to_fuse: SharedFusion,
 }
 
 const NO_VECTOR: u32 = u32::MAX;
 
 /// The fusion of a tuple no block covers (no rule is relevant to it):
 /// nothing to fuse, the tuple stays as it is.
-static NOTHING_TO_FUSE: TupleFusion = TupleFusion {
+const NOTHING_TO_FUSE: TupleFusion = TupleFusion {
     fused: Vec::new(),
     f_score: 0.0,
     conflict_detected: false,
@@ -153,10 +199,10 @@ static NOTHING_TO_FUSE: TupleFusion = TupleFusion {
 
 impl FusionPlan {
     /// The fusion of `t`'s version vector.
-    fn fusion(&self, t: TupleId) -> &TupleFusion {
+    fn fusion(&self, t: TupleId) -> &SharedFusion {
         match self.tuple_vector.get(t.index()) {
             Some(&vector) if vector != NO_VECTOR => &self.fusions[vector as usize],
-            _ => &NOTHING_TO_FUSE,
+            _ => &self.nothing_to_fuse,
         }
     }
 }
@@ -204,7 +250,7 @@ impl ConflictResolver {
         let versions = TupleVersions::new(blocks, wanted);
         let mut kernel = FusionKernel::new(&tables, self.max_exhaustive);
         let mut vector_ids: HashMap<&[u32], u32> = HashMap::new();
-        let mut fusions: Vec<TupleFusion> = Vec::new();
+        let mut fusions: Vec<SharedFusion> = Vec::new();
         let tuple_vector = (0..versions.tuple_count())
             .map(|t| {
                 let vector = versions.of(t);
@@ -212,7 +258,7 @@ impl ConflictResolver {
                     return NO_VECTOR;
                 }
                 *vector_ids.entry(vector).or_insert_with(|| {
-                    fusions.push(kernel.fuse(vector));
+                    fusions.push(SharedFusion::new(kernel.fuse(vector)));
                     (fusions.len() - 1) as u32
                 })
             })
@@ -220,13 +266,14 @@ impl ConflictResolver {
         FusionPlan {
             tuple_vector,
             fusions,
+            nothing_to_fuse: SharedFusion::new(NOTHING_TO_FUSE),
         }
     }
 
     /// One tuple's best consistent assignment (lines 3–27 of Algorithm 2 for
-    /// a single tuple): a copy of the fusion the plan computed for the
+    /// a single tuple): a handle onto the fusion the plan computed for the
     /// tuple's version vector.
-    pub fn fuse_tuple(&self, plan: &FusionPlan, t: TupleId) -> TupleFusion {
+    pub fn fuse_tuple(&self, plan: &FusionPlan, t: TupleId) -> SharedFusion {
         plan.fusion(t).clone()
     }
 
@@ -579,12 +626,18 @@ impl OrderWalk<'_> {
 /// resolve every id of both the fusion and those cells (the dataset pool, or
 /// the index's snapshot of it: γ ids write straight into the dataset).
 /// Public so [`crate::StageTwo`] and external engine builders replay
-/// memoised [`TupleFusion`]s exactly like [`ConflictResolver::resolve`] does.
+/// memoised [`SharedFusion`]s exactly like [`ConflictResolver::resolve`] does.
+///
+/// Per tuple this costs the changed cells and a reference-count bump: the
+/// outcome's `(attribute name, value)` list is resolved by the first call
+/// that records `fusion` and shared by every later one, so every call a
+/// handle sees must name its attributes and values alike (one schema, one
+/// pool or append-only descendants of it) — as one plan or one driver does.
 pub fn apply_tuple_fusion(
     repaired: &mut Dataset,
     pool: &dataset::ValuePool,
     t: TupleId,
-    fusion: &TupleFusion,
+    fusion: &SharedFusion,
     record: &mut FscrRecord,
 ) {
     for &(attr, value) in &fusion.fused {
@@ -598,18 +651,14 @@ pub fn apply_tuple_fusion(
             repaired.set_value_id(t, attr, value);
         }
     }
+    let provenance = fusion.0.provenance.get_or_init(|| {
+        let schema = repaired.schema();
+        let resolve = |&(a, v)| (schema.attr_name(a).to_string(), pool.resolve(v).to_string());
+        Arc::new(fusion.fused.iter().map(resolve).collect())
+    });
     record.outcomes.push(FusionOutcome {
         tuple: t,
-        fused: fusion
-            .fused
-            .iter()
-            .map(|&(a, v)| {
-                (
-                    repaired.schema().attr_name(a).to_string(),
-                    pool.resolve(v).to_string(),
-                )
-            })
-            .collect(),
+        fused: Arc::clone(provenance),
         f_score: fusion.f_score,
         conflict_detected: fusion.conflict_detected,
         fusion_failed: fusion.fusion_failed,
@@ -861,7 +910,7 @@ mod tests {
             for t in (0..tuples).map(TupleId) {
                 let expected = reference::fuse_tuple(max_exhaustive, &reference_plan, t);
                 let actual = resolver.fuse_tuple(&plan, t);
-                assert_eq!(actual, expected, "{t:?} at bound {max_exhaustive}");
+                assert_eq!(*actual, expected, "{t:?} at bound {max_exhaustive}");
                 assert_eq!(actual.f_score.to_bits(), expected.f_score.to_bits());
             }
         }
@@ -1076,7 +1125,7 @@ mod tests {
         // Tuple 1 is covered by no block, tuple 7 is beyond the plan.
         for t in [TupleId(1), TupleId(7)] {
             let fusion = resolver.fuse_tuple(&resolver.plan(&index), t);
-            assert_eq!(fusion, NOTHING_TO_FUSE);
+            assert_eq!(*fusion, NOTHING_TO_FUSE);
         }
     }
 
@@ -1189,8 +1238,8 @@ mod tests {
             assert!(restricted.fusions.len() <= full.fusions.len());
             for t in dirty.tuple_ids().filter(|t| wanted[t.index()]) {
                 assert_eq!(
-                    resolver.fuse_tuple(&full, t),
-                    resolver.fuse_tuple(&restricted, t),
+                    *resolver.fuse_tuple(&full, t),
+                    *resolver.fuse_tuple(&restricted, t),
                     "restricted plan diverged for {t:?}"
                 );
             }
@@ -1214,6 +1263,50 @@ mod tests {
         }
         assert_eq!(by_vector.len(), plan.fusions.len());
         assert!(plan.fusions.len() < hai.len(), "HAI tuples share vectors");
+
+        // Applied, the tuples of one vector share one resolved list and no
+        // two vectors do; the list names what each of them now holds.
+        let (repaired, record) = ConflictResolver::new(6).resolve(&hai, &index);
+        let plan = ConflictResolver::new(6).plan(&index);
+        for (a, of_a) in record.outcomes.iter().enumerate() {
+            for (b, of_b) in record.outcomes.iter().enumerate().skip(a + 1) {
+                let same_vector = plan.tuple_vector[a] == plan.tuple_vector[b];
+                assert_eq!(Arc::ptr_eq(&of_a.fused, &of_b.fused), same_vector);
+            }
+            assert!(!of_a.fusion_failed);
+            for (name, value) in of_a.fused.iter() {
+                let attr = hai.schema().attr_id(name).unwrap();
+                assert_eq!(repaired.value(of_a.tuple, attr), value, "{:?}", of_a.tuple);
+            }
+        }
+        assert!(!record.changes.is_empty());
+    }
+
+    #[test]
+    fn vectors_with_equal_assignments_are_equal_but_need_not_share() {
+        // Tuple 0 fuses (a, b) with (c, b) directly; tuple 1's own version
+        // under the second rule says x, and is swapped for (c, b).
+        let index = hand_index(&[
+            &[((0, "a"), (1, "b"), 0.9, &[0, 1])],
+            &[
+                ((2, "c"), (1, "b"), 0.6, &[0]),
+                ((2, "d"), (1, "x"), 0.4, &[1]),
+            ],
+        ]);
+        let mut dirty = Dataset::new(dataset::Schema::new(&["A0", "A1", "A2"]));
+        for row in [["a", "b", "c"], ["a", "x", "d"]] {
+            dirty.push_row(row.map(String::from).to_vec()).unwrap();
+        }
+        // `dirty` interns in its own order: resolve against the index pool.
+        let (_, record) = ConflictResolver::new(6).resolve(&dirty, &index);
+        let [direct, swapped] = &record.outcomes[..] else {
+            panic!("two tuples, two outcomes");
+        };
+        assert!(!direct.conflict_detected && swapped.conflict_detected);
+        assert_eq!(direct.fused, swapped.fused);
+        assert!(!Arc::ptr_eq(&direct.fused, &swapped.fused));
+        let expected = [("A0", "a"), ("A1", "b"), ("A2", "c")].map(|(a, v)| (a.into(), v.into()));
+        assert_eq!(*direct.fused, expected);
     }
 
     #[test]

@@ -111,7 +111,8 @@ pub use engine::{Engine, IncrementalMlnClean, PartitionReport, Report, Timings};
 pub use error::CleanError;
 pub use evaluation::{evaluate_agp, evaluate_fscr, evaluate_rsc, ComponentEvaluation};
 pub use fscr::{
-    apply_tuple_fusion, ConflictResolver, FscrRecord, FusionOutcome, FusionPlan, TupleFusion,
+    apply_tuple_fusion, ConflictResolver, FscrRecord, FusionOutcome, FusionPlan, SharedFusion,
+    TupleFusion,
 };
 pub use gamma::Gamma;
 pub use index::{Block, Group, InsertReport, MlnIndex, RemoveReport};

@@ -685,7 +685,9 @@ mod tests {
         // no fusion is evicted (one byte would empty the memo after every
         // outcome and leave the update nothing to invalidate).
         let config = CleanConfig::default().with_tau(1);
-        let budget = dirty.len() * crate::stage_two::FUSION_SLOT_BYTES;
+        let mut unbudgeted = open(config.clone(), &dirty);
+        let _ = unbudgeted.outcome();
+        let budget = unbudgeted.resident_estimate() - unbudgeted.stage_one.resident_estimate();
         let mut session = open(config.clone().with_memory_budget(budget), &dirty);
         let _ = session.outcome();
         let stats = session.memory_stats();

@@ -28,25 +28,38 @@
 //!
 //! **Settling** fuses exactly the empty slots, against a plan restricted to
 //! the blocks that list them ([`ConflictResolver::plan_for`]), and nothing
-//! when no slot is empty.
+//! when no slot is empty.  The plan fuses each distinct version vector once
+//! and a slot is a [`SharedFusion`] handle onto that fusion, so filling one is
+//! a reference-count bump; the handle carries the fusion's resolved
+//! provenance, so a fusion that survives a refresh is not re-stated — the
+//! next report's [`crate::FusionOutcome::fused`] is the list the previous
+//! report already shares.
 //!
 //! **The repaired dataset is derived, not maintained.**  Every report
-//! already walks every tuple's fusion to rebuild the [`FscrRecord`], and
-//! hands out a whole dataset either way; writing the fused cells into a
-//! copy of the dirty rows on that same walk costs a store per changed cell,
-//! where a second resident dataset would have to mirror every insert,
-//! update and delete.
+//! walks every tuple's fusion to rebuild the [`FscrRecord`], and hands out a
+//! whole dataset either way; on that walk a tuple costs a handle bump for its
+//! outcome plus a store and a change record per *changed* cell written into
+//! a copy of the dirty rows — strings are allocated per distinct fusion and
+//! per changed cell, never per tuple — where a second resident dataset would
+//! have to mirror every insert, update and delete.
 //!
 //! **Budget.**  Under a [`CleanConfig::memory_budget`] the memo shares the
 //! budget with Stage I's block caches ([`StageTwo::enforce_budget`]): cold
-//! caches spill first, then the memo is *windowed* — fusions are evicted
-//! oldest tuple first, counted in [`MemoryStats::evicted_fusions`], and
-//! re-derived by the next report.  A fusion is a deterministic function of
-//! the cleaned index, so eviction trades time for memory and never a byte
-//! of output.
+//! caches spill first, then the memo is *windowed* — slots are emptied
+//! oldest tuple first, each counted in [`MemoryStats::evicted_fusions`], and
+//! re-derived by the next report.  The estimate counts **distinct fusions**,
+//! not slots: a slot is a pointer in the memo's inline buffer, and emptying
+//! it frees memory only if it held the last handle onto its fusion — only
+//! then does the estimate fall, by a fixed charge for the fusion and for each
+//! attribute it assigns (ids and resolved strings).  A sweep over tuples
+//! whose vectors later tuples share therefore frees nothing and keeps going.
+//! (A clone of the driver shares its handles: what both hold stays charged to
+//! both until one lets go.)  A fusion is a deterministic function of the
+//! cleaned index, so eviction trades time for memory and never a byte of
+//! output.
 
 use crate::engine::{Report, Timings};
-use crate::fscr::{apply_tuple_fusion, ConflictResolver, FscrRecord, TupleFusion};
+use crate::fscr::{apply_tuple_fusion, ConflictResolver, FscrRecord, SharedFusion};
 use crate::index::Block;
 use crate::stage_one::{MemoryStats, Refreshed, StageOne};
 use crate::CleanConfig;
@@ -54,20 +67,29 @@ use dataset::{Dataset, TupleId};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Estimated evictable heap per memoised fusion: the fused-assignment buffer
-/// plus allocator slack.  The slots themselves (the `Vec`'s inline buffer)
-/// are not evictable and therefore not budgeted.
-pub(crate) const FUSION_SLOT_BYTES: usize = 64;
+/// What the budget estimate charges a distinct memoised fusion: this much
+/// for the shared cell and the provenance list's header, and again for each
+/// fused attribute (its id pair and two resolved strings), allocator slack
+/// included.
+const FUSION_UNIT_BYTES: usize = 128;
+
+fn fusion_bytes(fusion: &SharedFusion) -> usize {
+    FUSION_UNIT_BYTES * (1 + fusion.fused.len())
+}
 
 /// The Stage-II driver — see the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct StageTwo {
     config: CleanConfig,
-    /// Per tuple: the memoised fusion (`None` = fuse it at the next report).
-    fusions: Vec<Option<TupleFusion>>,
-    /// Number of `Some` slots in `fusions` — kept exact so neither the
-    /// budget nor the nothing-to-fuse test scans the O(rows) memo.
+    /// Per tuple: a handle onto the memoised fusion of its version vector
+    /// (`None` = fuse it at the next report).
+    fusions: Vec<Option<SharedFusion>>,
+    /// Number of `Some` slots in `fusions` — kept exact so the
+    /// nothing-to-fuse test does not scan the O(rows) memo.
     memoised: usize,
+    /// [`fusion_bytes`] summed over the distinct fusions the slots keep
+    /// alive — kept exact so the budget does not scan the memo either.
+    memo_bytes: usize,
     /// Fusions evicted by the budget so far.
     evicted: u64,
     /// Slots filled so far — see [`StageTwo::fused_tuples`].
@@ -81,6 +103,7 @@ impl StageTwo {
             config,
             fusions: Vec::new(),
             memoised: 0,
+            memo_bytes: 0,
             evicted: 0,
             fused: 0,
         }
@@ -107,9 +130,19 @@ impl StageTwo {
     /// its versions may have moved where no refresh will say so — a block it
     /// left no longer lists it.
     pub fn invalidate(&mut self, t: TupleId) {
-        if self.fusions[t.index()].take().is_some() {
-            self.memoised -= 1;
+        self.release(t.index());
+    }
+
+    /// Empty slot `t`; whether it held a handle.
+    fn release(&mut self, t: usize) -> bool {
+        let Some(fusion) = self.fusions[t].take() else {
+            return false;
+        };
+        self.memoised -= 1;
+        if fusion.holders() == 1 {
+            self.memo_bytes -= fusion_bytes(&fusion);
         }
+        true
     }
 
     /// Drop the slots of removed rows (`removed`: sorted, deduplicated
@@ -132,7 +165,7 @@ impl StageTwo {
         for &t in &refreshed.invalidated {
             self.invalidate(t);
         }
-        let conflicted = |f: &TupleFusion| f.conflict_detected;
+        let conflicted = |f: &SharedFusion| f.conflict_detected;
         for (i, block) in pristine {
             if !refreshed.blocks.contains(i) {
                 continue;
@@ -149,35 +182,34 @@ impl StageTwo {
     /// `(budget, estimated bytes still resident)` when there is one.
     fn shed_blocks(&self, stage_one: &mut StageOne) -> Option<(usize, usize)> {
         let budget = self.config.memory_budget?;
-        let resident = stage_one.enforce_budget(self.memoised * FUSION_SLOT_BYTES);
-        Some((budget, resident))
+        Some((budget, stage_one.enforce_budget(self.memo_bytes)))
     }
 
     /// Fit both stages' evictable state to the configured budget: spill
     /// clean block caches coldest first ([`StageOne::enforce_budget`]), then
-    /// — if still over — evict memoised fusions front to back, so in an
+    /// — if still over — empty memo slots front to back, so in an
     /// append-mostly stream the oldest tuples lose their memo first and the
     /// recent tail survives.  No-op without a budget.
     pub fn enforce_budget(&mut self, stage_one: &mut StageOne) {
-        let Some((budget, mut resident)) = self.shed_blocks(stage_one) else {
+        let Some((budget, resident)) = self.shed_blocks(stage_one) else {
             return;
         };
-        for slot in &mut self.fusions {
-            if resident <= budget {
+        let blocks = resident - self.memo_bytes;
+        for t in 0..self.fusions.len() {
+            if blocks + self.memo_bytes <= budget {
                 break;
             }
-            if slot.take().is_some() {
-                self.memoised -= 1;
+            if self.release(t) {
                 self.evicted += 1;
-                resident = resident.saturating_sub(FUSION_SLOT_BYTES);
             }
         }
     }
 
     /// Estimated resident bytes of both stages' evictable state — the pool
-    /// [`CleanConfig::memory_budget`] bounds.
+    /// [`CleanConfig::memory_budget`] bounds: Stage I's block caches plus the
+    /// distinct memoised fusions.
     pub fn resident_estimate(&self, stage_one: &StageOne) -> usize {
-        self.memoised * FUSION_SLOT_BYTES + stage_one.resident_estimate()
+        self.memo_bytes + stage_one.resident_estimate()
     }
 
     /// The out-of-core counters of both stages.
@@ -202,7 +234,12 @@ impl StageTwo {
         let plan = resolver.plan_for(stage_one.cleaned(), &wanted);
         for (t, slot) in self.fusions.iter_mut().enumerate() {
             if slot.is_none() {
-                *slot = Some(resolver.fuse_tuple(&plan, TupleId(t)));
+                let fusion = resolver.fuse_tuple(&plan, TupleId(t));
+                // The plan's handle and this one: the first slot to hold it.
+                if fusion.holders() == 2 {
+                    self.memo_bytes += fusion_bytes(&fusion);
+                }
+                *slot = Some(fusion);
             }
         }
         self.fused += (self.fusions.len() - self.memoised) as u64;
@@ -470,7 +507,7 @@ mod tests {
     fn a_one_cell_update_on_seeded_hai_fuses_a_strict_subset_of_the_rows() {
         let (_, ds, rules, config) = workloads().remove(1);
         let mut stream = Stream::open(&config, &ds, &rules);
-        stream.report("first report");
+        let (first, _) = stream.report("first report");
         let rows = ds.len() as u64;
         assert_eq!(stream.two.fused_tuples(), rows);
 
@@ -482,12 +519,66 @@ mod tests {
             .unwrap();
         let change = stream.table.update(TupleId(0), city, other);
         stream.absorb(vec![change]);
-        stream.report("after the update");
+        let (second, _) = stream.report("after the update");
         let fused = stream.two.fused_tuples() - rows;
         assert!((1..rows / 2).contains(&fused), "{fused} of {rows} rows");
 
+        // Provenance survives outcomes: a tuple whose fusion stood shares its
+        // resolved list with the previous report, a re-fused one does not.
+        let kept = |a: &Report, b: &Report| {
+            let pairs = a.fscr.outcomes.iter().zip(&b.fscr.outcomes);
+            pairs
+                .filter(|(a, b)| Arc::ptr_eq(&a.fused, &b.fused))
+                .count() as u64
+        };
+        assert_eq!(kept(&first, &second), rows - fused);
+        let (before, after) = (&first.fscr.outcomes[0], &second.fscr.outcomes[0]);
+        assert!(!Arc::ptr_eq(&before.fused, &after.fused));
+        assert_ne!(before.fused, after.fused);
+
         // Nothing dirty, nothing fused.
-        stream.report("again");
+        let (third, _) = stream.report("again");
         assert_eq!(stream.two.fused_tuples(), rows + fused);
+        assert_eq!(kept(&second, &third), rows);
+    }
+
+    /// What the budget counts: distinct fusions, and a slot's eviction only
+    /// when it held the last handle.
+    #[test]
+    fn the_budget_charges_each_distinct_fusion_once_and_frees_it_with_its_last_slot() {
+        let (_, ds, rules, config) = workloads().remove(1);
+        let mut stream = Stream::open(&config, &ds, &rules);
+        let (report, _) = stream.report("first report");
+        let mut lists = std::collections::HashSet::new();
+        let outcomes = report.fscr.outcomes.iter();
+        let distinct = outcomes.filter(|o| lists.insert(Arc::as_ptr(&o.fused)));
+        let expected: usize = distinct
+            .map(|o| FUSION_UNIT_BYTES * (1 + o.fused.len()))
+            .sum();
+        assert!(lists.len() < stream.two.slots(), "HAI tuples share vectors");
+        assert_eq!(stream.two.memo_bytes, expected);
+        assert_eq!(
+            stream.two.resident_estimate(&stream.one),
+            expected + stream.one.resident_estimate()
+        );
+
+        // Releasing all but one holder of every fusion frees nothing.
+        let mut last_holder: Vec<usize> = Vec::new();
+        for t in (0..stream.two.slots()).rev() {
+            let fusion = stream.two.fusions[t].clone().unwrap();
+            if fusion.holders() == 2 {
+                last_holder.push(t);
+            } else {
+                stream.two.invalidate(TupleId(t));
+                assert_eq!(stream.two.memo_bytes, expected);
+            }
+        }
+        assert_eq!(last_holder.len(), stream.two.memoised);
+        for t in last_holder {
+            stream.two.invalidate(TupleId(t));
+        }
+        assert_eq!((stream.two.memoised, stream.two.memo_bytes), (0, 0));
+        stream.report("refilled");
+        assert_eq!(stream.two.memo_bytes, expected);
     }
 }

@@ -12,8 +12,10 @@ use crate::pool::{ValueId, ValuePool};
 use crate::schema::{AttrId, Schema};
 use crate::tuple::{Tuple, TupleId};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::hash::BuildHasher;
 
 /// Error returned when a row does not match the dataset schema.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -397,55 +399,110 @@ impl Dataset {
         self.columns.iter().map(|c| c[tuple.0]).collect()
     }
 
-    /// Group tuple ids by their exact values: each group with more than one
-    /// member is a set of exact duplicates.  Groups are returned in order of
-    /// their first member.
-    pub fn duplicate_groups(&self) -> Vec<Vec<TupleId>> {
-        let mut groups: HashMap<Vec<ValueId>, Vec<TupleId>> = HashMap::new();
-        let mut order: Vec<Vec<ValueId>> = Vec::new();
-        for t in self.tuple_ids() {
-            let key = self.row_ids(t);
-            let entry = groups.entry(key.clone()).or_insert_with(|| {
-                order.push(key);
-                Vec::new()
-            });
-            entry.push(t);
+    /// One 64-bit hash per row, folded **column by column**: each column is
+    /// read front to back once and no row image is built.  The fold is
+    /// order-sensitive, so `(a, b)` and `(b, a)` hash apart, and seeded per
+    /// call because ids follow the input's first-appearance order.  Equal
+    /// rows hash equal; [`Dataset::first_occurrences`] verifies the rest.
+    fn row_hashes(&self) -> Vec<u64> {
+        let mut hashes = vec![RandomState::new().hash_one(self.rows); self.rows];
+        for column in &self.columns {
+            for (hash, id) in hashes.iter_mut().zip(column) {
+                *hash = (hash.rotate_left(5) ^ u64::from(id.0)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            }
         }
-        order
-            .into_iter()
-            .filter_map(|key| {
-                let g = groups.remove(&key).expect("keys come from the map");
-                (g.len() > 1).then_some(g)
+        hashes
+    }
+
+    /// For every row, the index of the first row holding exactly its values
+    /// (its own for a first occurrence), given one hash per row that is equal
+    /// for equal rows.  First occurrences sit in an open-addressing table of
+    /// row indices; a candidate with an equal hash is compared cell by cell —
+    /// ids of one pool, so id equality is string equality — and that
+    /// comparison decides, whatever the hashes do.
+    fn first_occurrences(&self, hashes: &[u64]) -> Vec<u32> {
+        const EMPTY: u32 = u32::MAX;
+        assert!(self.rows < EMPTY as usize, "more than 4G rows");
+        // At most half full; a multiplicative hash is best in its top bits.
+        let bits = (2 * self.rows).next_power_of_two().trailing_zeros().max(1);
+        let mut slots = vec![EMPTY; 1 << bits];
+        (0..self.rows)
+            .map(|row| {
+                let mut slot = (hashes[row] >> (64 - bits)) as usize;
+                loop {
+                    let held = slots[slot];
+                    if held == EMPTY {
+                        slots[slot] = row as u32;
+                        return row as u32;
+                    }
+                    let first = held as usize;
+                    if hashes[first] == hashes[row]
+                        && self.columns.iter().all(|c| c[first] == c[row])
+                    {
+                        return held;
+                    }
+                    slot = (slot + 1) & (slots.len() - 1);
+                }
             })
             .collect()
     }
 
-    /// Return a copy of the dataset keeping only the first tuple of every
-    /// exact-duplicate family (tuple ids are reassigned densely).  This is the
-    /// final deduplication step of the MLNClean pipeline.  The copy shares a
-    /// pool snapshot with `self`, so ids remain comparable.
-    pub fn deduplicated(&self) -> Dataset {
-        let mut seen: std::collections::HashSet<Vec<ValueId>> = std::collections::HashSet::new();
-        let mut out = Dataset::with_pool(self.schema.clone(), self.pool.clone(), self.rows);
-        for t in self.tuple_ids() {
-            let key = self.row_ids(t);
-            if seen.insert(key.clone()) {
-                out.push_row_ids(&key).expect("same schema");
+    /// Group tuple ids by their exact values: each group with more than one
+    /// member is a set of exact duplicates.  Groups are returned in order of
+    /// their first member.
+    pub fn duplicate_groups(&self) -> Vec<Vec<TupleId>> {
+        let first = self.first_occurrences(&self.row_hashes());
+        // By first member: its group's position, once a second member shows.
+        let mut group_of: Vec<Option<usize>> = vec![None; self.rows];
+        let mut groups: Vec<Vec<TupleId>> = Vec::new();
+        for (row, &first) in first.iter().enumerate() {
+            let first = first as usize;
+            if first != row {
+                let group = *group_of[first].get_or_insert_with(|| {
+                    groups.push(vec![TupleId(first)]);
+                    groups.len() - 1
+                });
+                groups[group].push(TupleId(row));
             }
         }
-        out
+        groups.sort_by_key(|group| group[0]);
+        groups
+    }
+
+    /// Return a copy of the dataset keeping only the first tuple of every
+    /// exact-duplicate family, in order (tuple ids are reassigned densely).
+    /// This is the final deduplication step of the MLNClean pipeline.  The
+    /// copy shares a pool snapshot with `self`, so ids remain comparable.
+    ///
+    /// Three flat passes, no allocation per row: hash the rows column by
+    /// column, find first occurrences in a table of row indices, gather the
+    /// survivors column by column ([`Dataset::project_rows`]).
+    pub fn deduplicated(&self) -> Dataset {
+        let first = self.first_occurrences(&self.row_hashes());
+        let firsts = first.iter().enumerate();
+        let keep: Vec<TupleId> = firsts
+            .filter(|&(row, &first)| first as usize == row)
+            .map(|(row, _)| TupleId(row))
+            .collect();
+        self.project_rows(&keep)
     }
 
     /// Extract the given rows (in the given order) into a new dataset that
     /// shares a pool snapshot with `self` — the partition primitive of the
-    /// distributed runner: only `Vec<ValueId>` row images move, never strings.
+    /// distributed runner: only ids move, never strings, and they move column
+    /// by column into columns of exactly `ids.len()` cells (no row image is
+    /// built in between).
+    ///
+    /// # Panics
+    /// Panics if any id is out of range.
     pub fn project_rows(&self, ids: &[TupleId]) -> Dataset {
-        let mut out = Dataset::with_pool(self.schema.clone(), self.pool.clone(), ids.len());
-        for &t in ids {
-            let key = self.row_ids(t);
-            out.push_row_ids(&key).expect("same schema");
+        let gather = |column: &Vec<ValueId>| ids.iter().map(|t| column[t.0]).collect();
+        Dataset {
+            schema: self.schema.clone(),
+            pool: self.pool.clone(),
+            columns: self.columns.iter().map(gather).collect(),
+            rows: ids.len(),
         }
-        out
     }
 
     /// Cells where `self` and `other` differ.  The two datasets must have the
@@ -513,6 +570,8 @@ impl fmt::Display for Dataset {
 mod tests {
     use super::*;
     use crate::sample_hospital_dataset;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
 
     #[test]
     fn push_row_checks_arity() {
@@ -561,6 +620,122 @@ mod tests {
         assert!(sizes.contains(&2) && sizes.contains(&4));
         let dedup = truth.deduplicated();
         assert_eq!(dedup.len(), 2);
+    }
+
+    /// `deduplicated()` as it was defined before the column-wise passes: a
+    /// set of row images, first occurrence wins, order kept.
+    fn deduplicated_oracle(ds: &Dataset) -> Dataset {
+        let mut seen: HashSet<Vec<ValueId>> = HashSet::new();
+        let mut out = Dataset::with_pool(ds.schema.clone(), ds.pool.clone(), ds.rows);
+        for t in ds.tuple_ids() {
+            let key = ds.row_ids(t);
+            if seen.insert(key.clone()) {
+                out.push_row_ids(&key).expect("same schema");
+            }
+        }
+        out
+    }
+
+    /// A table over attributes `A0, A1, …` from rows of small numbers.
+    fn table(arity: usize, rows: &[Vec<usize>]) -> Dataset {
+        let names: Vec<String> = (0..arity).map(|a| format!("A{a}")).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let mut ds = Dataset::new(Schema::new(&names));
+        for row in rows {
+            let row = row.iter().map(|v| format!("v{v}")).collect();
+            ds.push_row(row).unwrap();
+        }
+        ds
+    }
+
+    /// Same rows in the same order over the same ids, exactly-sized columns.
+    fn assert_deduplicates_like_the_oracle(ds: &Dataset) -> Dataset {
+        let (actual, expected) = (ds.deduplicated(), deduplicated_oracle(ds));
+        assert_eq!(actual.columns, expected.columns);
+        assert_eq!((actual.rows, &actual.pool), (expected.rows, &ds.pool));
+        for column in &actual.columns {
+            assert_eq!(column.capacity(), column.len());
+        }
+        let mut families = actual.rows;
+        for group in ds.duplicate_groups() {
+            assert!(group.len() > 1 && group.is_sorted());
+            let image = ds.row_ids(group[0]);
+            assert!(group.iter().all(|&t| ds.row_ids(t) == image));
+            families += group.len() - 1;
+        }
+        assert_eq!(families, ds.rows, "every later duplicate is in one group");
+        actual
+    }
+
+    #[test]
+    fn deduplicated_named_cases_match_the_row_image_definition() {
+        // No rows; one column; all rows equal; all rows distinct.
+        assert!(assert_deduplicates_like_the_oracle(&table(3, &[])).is_empty());
+        let one_column = table(1, &[vec![1], vec![2], vec![1], vec![3], vec![2]]);
+        assert_eq!(assert_deduplicates_like_the_oracle(&one_column).len(), 3);
+        let equal = table(3, &vec![vec![4, 5, 6]; 9]);
+        assert_eq!(assert_deduplicates_like_the_oracle(&equal).len(), 1);
+        let distinct: Vec<Vec<usize>> = (0..40).map(|i| vec![i / 7, i % 7]).collect();
+        assert_eq!(
+            assert_deduplicates_like_the_oracle(&table(2, &distinct)).len(),
+            40
+        );
+        // Arity 0: every row is the empty row.
+        let mut empty_rows = table(0, &[]);
+        assert!(assert_deduplicates_like_the_oracle(&empty_rows).is_empty());
+        for _ in 0..3 {
+            empty_rows.push_row(Vec::new()).unwrap();
+        }
+        assert_eq!(assert_deduplicates_like_the_oracle(&empty_rows).len(), 1);
+        assert_eq!(empty_rows.duplicate_groups().len(), 1);
+        // Two rows that differ in the last column only.
+        let last = table(4, &[vec![1, 2, 3, 4], vec![1, 2, 3, 5], vec![1, 2, 3, 4]]);
+        let deduplicated = assert_deduplicates_like_the_oracle(&last);
+        assert_eq!(deduplicated.len(), 2);
+        assert_eq!(deduplicated.value(TupleId(1), AttrId(3)), "v5");
+    }
+
+    #[test]
+    fn the_first_occurrence_survives_in_its_place() {
+        // B A B C A: the survivors are rows 0, 1 and 3, in that order, and
+        // the groups are listed by first member — B's before A's.
+        let ds = table(
+            2,
+            &[vec![2, 2], vec![1, 1], vec![2, 2], vec![3, 3], vec![1, 1]],
+        );
+        let first = ds.first_occurrences(&ds.row_hashes());
+        assert_eq!(first, vec![0, 1, 0, 3, 1]);
+        let deduplicated = assert_deduplicates_like_the_oracle(&ds);
+        assert_eq!(
+            deduplicated,
+            ds.project_rows(&[TupleId(0), TupleId(1), TupleId(3)])
+        );
+        assert_eq!(
+            ds.duplicate_groups(),
+            vec![vec![TupleId(0), TupleId(2)], vec![TupleId(1), TupleId(4)]]
+        );
+    }
+
+    #[test]
+    fn rows_with_colliding_hashes_are_separated_cell_by_cell() {
+        // Every row under one hash: the table degenerates to one probe chain
+        // and only the cell comparison tells the rows apart.
+        let rows: Vec<Vec<usize>> = (0..30).map(|i| vec![i % 5, i % 3, 7]).collect();
+        let ds = table(3, &rows);
+        let first = ds.first_occurrences(&vec![0; ds.len()]);
+        let expected: Vec<u32> = (0..30).map(|i| i % 15).collect();
+        assert_eq!(first, expected);
+        assert_eq!(first, ds.first_occurrences(&ds.row_hashes()));
+    }
+
+    #[test]
+    fn row_hashes_depend_on_the_column_order_of_the_values() {
+        // (x, y) and (y, x) hold the same ids: a hash that only xors or adds
+        // them would chain every such pair of rows.
+        let ds = table(2, &[vec![1, 2], vec![2, 1], vec![1, 2]]);
+        let hashes = ds.row_hashes();
+        assert_ne!(hashes[0], hashes[1]);
+        assert_eq!(hashes[0], hashes[2]);
     }
 
     #[test]
@@ -709,5 +884,23 @@ mod tests {
         let st = ds.schema().attr_id("ST").unwrap();
         assert_eq!(part.value_id(TupleId(0), st), ds.value_id(TupleId(3), st));
         assert_eq!(part.value(TupleId(1), st), "AL");
+    }
+
+    proptest! {
+        #[test]
+        fn deduplicated_matches_the_row_image_definition(
+            arity in 0usize..5,
+            domain in 1usize..4,
+            cells in proptest::collection::vec(0usize..1000, 0..400),
+        ) {
+            // Few values per column: most rows repeat an earlier one.
+            let rows: Vec<Vec<usize>> = cells
+                .chunks_exact(arity.max(1))
+                .map(|row| row[..arity].iter().map(|v| v % domain).collect())
+                .collect();
+            let ds = table(arity, &rows);
+            let deduplicated = assert_deduplicates_like_the_oracle(&ds);
+            prop_assert!(deduplicated.len() <= domain.pow(arity as u32));
+        }
     }
 }

@@ -13,7 +13,9 @@ engine, dirty blocks < total blocks, real mutations applied), requires the
 run fails when the fresh value exceeds the committed one (`product_lines` is
 shown, not gated — tests may grow).  So is `distance_cache.hits + misses`,
 the one-shot run's distance lookups: the count repeats exactly at the smoke's
-fixed seed and may not exceed the committed one.
+fixed seed and may not exceed the committed one.  `fscr_shared_outcomes` —
+the one-shot report's FSCR outcomes minus its distinct `fused` allocations —
+ratchets the other way: it may not fall below the committed one.
 
 `ladder` asserts the structural invariants of the benchmark ladder (monotone
 rung sizes, byte-identity wherever it was checked, errors injected, RSS
@@ -102,6 +104,16 @@ def check_smoke(d, committed=None):
     check(not committed or lookups <= base_lookups,
           f"smoke: distance_cache.hits + misses grew {base_lookups} -> {lookups}: "
           f"the pipeline runs more distance probes than the committed baseline")
+    # FSCR outcomes that share another outcome's resolved `fused` list: every
+    # tuple of one version vector holds one allocation, so a change that goes
+    # back to restating fusions per tuple reads 0 here.
+    check("fscr_shared_outcomes" in d, "smoke: artifact lacks fscr_shared_outcomes")
+    shared, base_shared = d["fscr_shared_outcomes"], (committed or {}).get("fscr_shared_outcomes")
+    print("fscr shared outcomes:", shared,
+          f"(committed: {base_shared})" if committed else "")
+    check(base_shared is None or shared >= base_shared,
+          f"smoke: fscr_shared_outcomes fell {base_shared} -> {shared}: FSCR "
+          f"outcomes stopped sharing their version vector's provenance list")
     s = d["streaming"]
     check(s["hai_stream"]["final_matches_one_shot"] is True,
           "streamed HAI result diverged from the one-shot run")

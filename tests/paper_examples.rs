@@ -5,7 +5,7 @@
 //! (the fusion of tuple t3).
 
 use dataset::{sample_hospital_dataset, sample_hospital_truth, RepairEvaluation, TupleId};
-use mlnclean::{CleanConfig, MlnClean, MlnIndex};
+use mlnclean::{CleanConfig, FscrRecord, MlnClean, MlnIndex};
 use rules::{sample_hospital_rules, RuleId};
 
 #[test]
@@ -81,6 +81,42 @@ fn full_pipeline_reproduces_the_running_example() {
     // real-world entities of the example (the ALABAMA hospital and ELIZA).
     assert_eq!(outcome.repaired, sample_hospital_truth());
     assert_eq!(outcome.deduplicated().len(), 2);
+}
+
+/// The FSCR record's wire form is pinned: `tests/golden/hospital_fscr.mlnw`
+/// holds the bytes of this record as encoded when every outcome owned a
+/// `Vec<(String, String)>`; outcomes that share one list encode the same, and
+/// a decoded record (one list per outcome again) is equal and re-encodes
+/// alike.
+#[test]
+fn the_fscr_record_of_the_running_example_keeps_its_mlnw_bytes() {
+    let outcome = MlnClean::new(CleanConfig::default().with_tau(1))
+        .clean(&sample_hospital_dataset(), &sample_hospital_rules())
+        .expect("rules match the schema");
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/hospital_fscr.mlnw"
+    );
+    let golden = std::fs::read(golden).expect("the fixture is committed");
+    let bytes = mlnw::to_bytes(&outcome.fscr).unwrap();
+    assert_eq!(bytes, golden);
+    let decoded: FscrRecord = mlnw::from_bytes(&bytes).unwrap();
+    assert_eq!(decoded, outcome.fscr);
+    assert_eq!(mlnw::to_bytes(&decoded).unwrap(), golden);
+    // Field by field, against the paper: t3 = {ELIZA, BOAZ, 2567688400, AL}.
+    let t3 = &decoded.outcomes[2];
+    let fused: Vec<(&str, &str)> = t3.fused.iter().map(|(a, v)| (&**a, &**v)).collect();
+    assert_eq!(
+        fused,
+        [
+            ("HN", "ELIZA"),
+            ("CT", "BOAZ"),
+            ("PN", "2567688400"),
+            ("ST", "AL")
+        ]
+    );
+    assert!(t3.tuple == TupleId(2) && t3.conflict_detected && !t3.fusion_failed);
+    assert_eq!(decoded.changes.len(), 4);
 }
 
 #[test]
