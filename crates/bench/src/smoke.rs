@@ -5,8 +5,10 @@
 //! small, fast perf point on every push (end-to-end wall-time plus per-stage
 //! breakdown, repair quality, and since the interning refactor the
 //! memory-side picture: value-pool size, distinct values per attribute, the
-//! Stage-I distance-cache hit rate, and `fscr_shared_outcomes` — how many
-//! FSCR outcomes share another's resolved provenance list), seeding the
+//! Stage-I distance-cache hit rate, `fscr_shared_outcomes` — how many
+//! FSCR outcomes share another's resolved provenance list — and
+//! `pool_storages`, the distinct value-pool tables the one-shot run's input
+//! and report name: one), seeding the
 //! `BENCH_*.json` trajectory that later PRs can compare against.
 //!
 //! Since the incremental engine landed the artifact also records a
@@ -78,6 +80,23 @@ pub fn run(scale: Scale) -> Vec<(String, String)> {
     let lists: HashSet<_> = outcomes.iter().map(|o| Arc::as_ptr(&o.fused)).collect();
     let shared_outcomes = outcomes.len() - lists.len();
 
+    // Distinct id → string tables among the one-shot run's input, repaired
+    // rows, deduplicated rows and cleaned index: one, while a pool clone is
+    // a reference bump and an index snapshot adopts the dataset's table.
+    let handles = [
+        ds.pool(),
+        outcome.repaired.pool(),
+        outcome.deduplicated().pool(),
+        outcome.index().pool(),
+    ];
+    let pool_storages = (0..handles.len())
+        .filter(|&i| {
+            !handles[..i]
+                .iter()
+                .any(|seen| seen.shares_storage_with(handles[i]))
+        })
+        .count();
+
     // Streaming scenarios: the same HAI workload ingested in 8 micro-batches,
     // the CAR incremental re-clean probe (dirty blocks < total blocks), and
     // the typed-mutation probe (delete + re-update a CAR tail).
@@ -130,6 +149,7 @@ pub fn run(scale: Scale) -> Vec<(String, String)> {
             "    \"hit_rate\": {cache_hit_rate:.6}\n",
             "  }},\n",
             "  \"fscr_shared_outcomes\": {shared_outcomes},\n",
+            "  \"pool_storages\": {pool_storages},\n",
             "  \"precision\": {precision:.6},\n",
             "  \"recall\": {recall:.6},\n",
             "  \"f1\": {f1:.6},\n",
@@ -161,6 +181,7 @@ pub fn run(scale: Scale) -> Vec<(String, String)> {
         cache_misses = cache.misses,
         cache_hit_rate = cache.hit_rate(),
         shared_outcomes = shared_outcomes,
+        pool_storages = pool_storages,
         precision = report.precision(),
         recall = report.recall(),
         f1 = report.f1(),
@@ -831,6 +852,8 @@ mod tests {
         // Tiny HAI's tuples share version vectors, hence provenance lists.
         assert!(json.contains("\"fscr_shared_outcomes\": "));
         assert!(!json.contains("\"fscr_shared_outcomes\": 0,"));
+        // One value pool a run, shared by everything that names it.
+        assert!(json.contains("\"pool_storages\": 1,"));
         // The streaming section: per-batch points and the incremental
         // re-clean probe, both byte-identical to their batch counterparts.
         assert!(json.contains("\"streaming\""));

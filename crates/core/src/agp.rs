@@ -1027,7 +1027,10 @@ pub(crate) mod tests {
         }
 
         pub(crate) fn delete(&mut self, ids: &[TupleId]) -> Change {
-            let report = self.index.remove_tuples(&self.ds, &self.rules, ids, false);
+            let report = self
+                .index
+                .remove_tuples(&self.ds, &self.rules, ids, false)
+                .unwrap();
             self.ds.remove_rows(ids);
             let mut removed: Vec<usize> = ids.iter().map(|t| t.index()).collect();
             removed.sort_unstable();

@@ -15,8 +15,9 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum CleanError {
-    /// The rule set does not match the dataset schema (a rule references an
-    /// unknown attribute), so the MLN index cannot be built.
+    /// The MLN index cannot be built — the rule set does not match the
+    /// dataset schema (a rule references an unknown attribute) — or was
+    /// asked to remove a tuple it does not hold.
     Index(IndexError),
     /// An ingested row's arity does not match the session schema.
     Arity(ArityMismatch),
@@ -50,7 +51,7 @@ pub enum CleanError {
 impl fmt::Display for CleanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CleanError::Index(e) => write!(f, "cannot build the MLN index: {e}"),
+            CleanError::Index(e) => write!(f, "cannot build or maintain the MLN index: {e}"),
             CleanError::Arity(e) => write!(f, "cannot apply the change set: {e}"),
             CleanError::Schema(e) => write!(f, "cannot apply the change set: {e}"),
             CleanError::NoRules => write!(f, "the rule set is empty"),

@@ -10,9 +10,9 @@
 //! over `u32`s, with a single string-ordered sort at the end of construction
 //! so block/group ordering (and therefore all downstream tie-breaking) is
 //! identical to the historical string-keyed index.  The index carries a
-//! snapshot of the dataset's [`ValuePool`], so every consumer (AGP, RSC,
-//! FSCR, weight merging, reporting) can resolve ids without re-touching the
-//! dataset.
+//! snapshot of the dataset's [`ValuePool`] (a handle on the same storage, not
+//! a copy), so every consumer (AGP, RSC, FSCR, weight merging, reporting) can
+//! resolve ids without re-touching the dataset.
 //!
 //! Construction cost is `O(|rules| × |tuples|)` as analysed in the paper.
 
@@ -152,7 +152,7 @@ impl Block {
     }
 }
 
-/// Error returned when the index cannot be built.
+/// Error returned when the index cannot be built or maintained.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IndexError {
     /// A rule references an attribute that is not in the dataset schema.
@@ -162,6 +162,14 @@ pub enum IndexError {
         /// The missing attribute name.
         attribute: String,
     },
+    /// [`MlnIndex::remove_tuples`] was handed a tuple id past the dataset's
+    /// last row.
+    TupleOutOfRange {
+        /// The offending tuple id.
+        tuple: TupleId,
+        /// Number of rows the dataset holds.
+        rows: usize,
+    },
 }
 
 impl fmt::Display for IndexError {
@@ -169,6 +177,9 @@ impl fmt::Display for IndexError {
         match self {
             IndexError::UnknownAttribute { rule, attribute } => {
                 write!(f, "rule {rule} references unknown attribute {attribute:?}")
+            }
+            IndexError::TupleOutOfRange { tuple, rows } => {
+                write!(f, "cannot remove tuple {tuple}: the data has {rows} rows")
             }
         }
     }
@@ -274,7 +285,9 @@ impl MlnIndex {
     /// or the calling thread (the [`crate::CleanConfig::parallel`] toggle).
     pub fn build_with(ds: &Dataset, rules: &RuleSet, parallel: bool) -> Result<Self, IndexError> {
         Self::validate(ds, rules)?;
-        let pool = ds.pool().clone();
+        // An empty snapshot adopts the dataset's id table: a reference bump.
+        let mut pool = ValuePool::new();
+        pool.sync_from(ds.pool());
         let pairs: Vec<(RuleId, &Rule)> = rules.iter_with_ids().collect();
         let blocks = map_ordered(parallel, pairs, |(rule_id, rule)| {
             build_block(ds, &pool, rule_id, rule)
@@ -347,14 +360,15 @@ impl MlnIndex {
     ///
     /// Blocks are processed in parallel when `parallel` is set
     /// (byte-identical to the serial path).  The returned [`RemoveReport`]
-    /// says which groups and blocks were touched.
+    /// says which groups and blocks were touched.  An id past `ds`'s last row
+    /// is an [`IndexError::TupleOutOfRange`] and leaves the index untouched.
     pub fn remove_tuples(
         &mut self,
         ds: &Dataset,
         rules: &RuleSet,
         ids: &[TupleId],
         parallel: bool,
-    ) -> RemoveReport {
+    ) -> Result<RemoveReport, IndexError> {
         let mut removed: Vec<usize> = ids.iter().map(|t| t.0).collect();
         removed.sort_unstable();
         removed.dedup();
@@ -364,10 +378,12 @@ impl MlnIndex {
             removed_groups: vec![0; self.blocks.len()],
         };
         if let Some(&last) = removed.last() {
-            assert!(
-                last < ds.len(),
-                "remove_tuples with an out-of-range tuple id"
-            );
+            if last >= ds.len() {
+                return Err(IndexError::TupleOutOfRange {
+                    tuple: TupleId(last),
+                    rows: ds.len(),
+                });
+            }
             let removed = &removed;
             let spliced = self.map_blocks(rules, parallel, |block, pool, rule| {
                 let counts = remove_ids_from_block(block, ds, pool, rule, removed);
@@ -376,7 +392,7 @@ impl MlnIndex {
             });
             (report.touched_groups, report.removed_groups) = spliced.into_iter().unzip();
         }
-        report
+        Ok(report)
     }
 
     /// Incrementally re-home one tuple after a cell update.
@@ -467,14 +483,19 @@ impl MlnIndex {
         }
     }
 
-    /// Catch the pool snapshot up to an append-only descendant by copying
-    /// only its tail of new values (see [`ValuePool::sync_from`]), so every
-    /// stored id keeps resolving to the same string.
+    /// Catch the pool snapshot up to an append-only descendant
+    /// ([`ValuePool::sync_from`]: an empty snapshot adopts the descendant's
+    /// table, a non-empty one appends only the tail of new values; no string
+    /// is hashed either way), so every stored id keeps resolving to the same
+    /// string.
     pub(crate) fn sync_pool_from(&mut self, descendant: &ValuePool) {
         self.pool.sync_from(descendant);
     }
 
-    /// The pool snapshot every block id resolves through.
+    /// The pool snapshot every block id resolves through.  It names the
+    /// indexed dataset's id table — shared, not copied, until the dataset
+    /// interns a value the snapshot has yet to be synced to — and carries no
+    /// reverse map unless something calls [`ValuePool::lookup`] on it.
     pub fn pool(&self) -> &ValuePool {
         &self.pool
     }
@@ -533,41 +554,52 @@ fn build_block(ds: &Dataset, pool: &ValuePool, rule_id: RuleId, rule: &Rule) -> 
         })
         .collect();
 
-    // group key -> (full γ key -> gamma); all keys are id vectors, so the
-    // per-tuple work is integer hashing — no string is cloned, hashed or
-    // compared while scanning the data.
-    let mut groups: HashMap<Vec<ValueId>, HashMap<Vec<ValueId>, Gamma>> = HashMap::new();
+    // full γ key (reason ids, then result ids) -> γ.  The row's key is built
+    // in one reused buffer and looked up by slice, so a row whose γ exists
+    // costs one integer hash probe and a push; only a γ's first tuple
+    // allocates.  No string is cloned, hashed or compared while scanning.
+    let arity = reason_attrs.len();
+    let mut gammas: HashMap<Vec<ValueId>, Gamma> = HashMap::new();
+    let mut key: Vec<ValueId> = Vec::with_capacity(arity + result_attrs.len());
     for t in ds.tuples() {
         if !rule.is_relevant(schema, &t) {
             continue;
         }
-        let vl = t.project_ids(&reason_attrs);
-        let vr = t.project_ids(&result_attrs);
-        let mut full_key = vl.clone();
-        full_key.extend(vr.iter().copied());
-
-        let gamma = groups
-            .entry(vl.clone())
-            .or_default()
-            .entry(full_key)
-            .or_insert_with(|| {
-                Gamma::new(rule_id, reason_attrs.clone(), vl, result_attrs.clone(), vr)
-            });
+        key.clear();
+        key.extend(
+            reason_attrs
+                .iter()
+                .chain(&result_attrs)
+                .map(|&a| t.value_id(a)),
+        );
+        if let Some(gamma) = gammas.get_mut(key.as_slice()) {
+            gamma.tuples.push(t.id());
+            continue;
+        }
+        let (vl, vr) = (key[..arity].to_vec(), key[arity..].to_vec());
+        let mut gamma = Gamma::new(rule_id, reason_attrs.clone(), vl, result_attrs.clone(), vr);
         gamma.tuples.push(t.id());
+        gammas.insert(key.clone(), gamma);
     }
 
     // Restore the historical deterministic ordering: groups sorted by their
     // string-resolved keys, γs within a group by their resolved full value
     // vector (exactly the old BTreeMap-over-Vec<String> iteration order).
-    let mut groups: Vec<Group> = groups
-        .into_iter()
-        .map(|(key, gammas)| {
-            let mut gammas: Vec<Gamma> = gammas.into_values().collect();
-            gammas.sort_by(|a, b| cmp_resolved_gammas(pool, a, b));
-            Group { key, gammas }
-        })
-        .collect();
-    groups.sort_by(|a, b| cmp_resolved(pool, &a.key, &b.key));
+    // Every γ leads with its group's key and the reason arity is fixed, so
+    // one sort by the full vector orders the groups and the γs inside them
+    // at once and leaves each group contiguous.
+    let mut gammas: Vec<Gamma> = gammas.into_values().collect();
+    gammas.sort_by(|a, b| cmp_resolved_gammas(pool, a, b));
+    let mut groups: Vec<Group> = Vec::new();
+    for gamma in gammas {
+        match groups.last_mut() {
+            Some(group) if group.key == gamma.reason_values => group.gammas.push(gamma),
+            _ => groups.push(Group {
+                key: gamma.reason_values.clone(),
+                gammas: vec![gamma],
+            }),
+        }
+    }
     Block {
         rule: rule_id,
         reason_attrs,
@@ -998,7 +1030,9 @@ mod tests {
         for removed in cases {
             for parallel in [false, true] {
                 let mut index = MlnIndex::build(&ds, &rules).unwrap();
-                let report = index.remove_tuples(&ds, &rules, &removed, parallel);
+                let report = index
+                    .remove_tuples(&ds, &rules, &removed, parallel)
+                    .unwrap();
                 assert_eq!(report.rows, removed.len());
                 let survivors: Vec<TupleId> =
                     ds.tuple_ids().filter(|t| !removed.contains(t)).collect();
@@ -1018,16 +1052,38 @@ mod tests {
         let rules = sample_hospital_rules();
         let mut index = MlnIndex::build(&ds, &rules).unwrap();
         // t2 is the only DOTH tuple: its B1 group disappears entirely.
-        let report = index.remove_tuples(&ds, &rules, &[TupleId(1)], false);
+        let report = index
+            .remove_tuples(&ds, &rules, &[TupleId(1)], false)
+            .unwrap();
         assert_eq!(report.rows, 1);
         assert!(report.block_is_touched(0));
         assert!(report.touched_block_count() >= 1);
         assert!(report.removed_groups[0] >= 1, "the DOTH group must drop");
         // Removing nothing is a no-op.
         let untouched = index.clone();
-        let report = index.remove_tuples(&ds, &rules, &[], true);
+        let report = index.remove_tuples(&ds, &rules, &[], true).unwrap();
         assert_eq!(report.rows, 0);
         assert_eq!(format!("{index:?}"), format!("{untouched:?}"));
+    }
+
+    #[test]
+    fn removing_an_out_of_range_tuple_is_an_error_and_leaves_the_index_untouched() {
+        let ds = sample_hospital_dataset();
+        let rules = sample_hospital_rules();
+        let mut index = MlnIndex::build(&ds, &rules).unwrap();
+        let untouched = index.clone();
+        // One valid id beside the bad one: nothing may be half-applied.
+        let err = index
+            .remove_tuples(&ds, &rules, &[TupleId(0), TupleId(ds.len())], false)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            IndexError::TupleOutOfRange {
+                tuple: TupleId(ds.len()),
+                rows: ds.len(),
+            }
+        );
+        assert_eq!(index, untouched);
     }
 
     #[test]

@@ -391,7 +391,7 @@ impl CleaningSession {
             let removed_ids: Vec<TupleId> = removed.iter().map(|&r| TupleId(r)).collect();
             let report =
                 self.pristine
-                    .remove_tuples(&self.dataset, &self.rules, &removed_ids, parallel);
+                    .remove_tuples(&self.dataset, &self.rules, &removed_ids, parallel)?;
             self.dataset.remove_rows(&removed_ids);
             self.stage_two.remap_removed(&removed);
             self.stage_one.remap_removed(&removed);
@@ -706,5 +706,114 @@ mod tests {
         assert_eq!(session.fused_tuples() - fused, 4);
         let stats = session.memory_stats();
         assert_eq!((stats.spill_errors, stats.evicted_fusions), (1, 0));
+    }
+    /// The one-shot run holds one id → string table: the caller's dataset,
+    /// the repaired rows, the deduplicated rows and the cleaned index's
+    /// snapshot all name the same storage (nothing interned, nothing copied).
+    #[test]
+    fn a_one_shot_report_names_one_pool_storage() {
+        let generator = HaiGenerator::default().with_rows(300).with_providers(12);
+        let dirty = generator.dirty(0.03, 0.5, 5).dirty;
+        let config = CleanConfig::default().with_tau(2);
+        let report = crate::MlnClean::new(config)
+            .clean(&dirty, &HaiGenerator::rules())
+            .unwrap();
+        assert!(!report.fscr.changes.is_empty(), "something was repaired");
+        assert!(report.deduplicated().len() < report.repaired.len());
+        for (label, pool) in [
+            ("repaired", report.repaired.pool()),
+            ("deduplicated", report.deduplicated().pool()),
+            ("cleaned index", report.index().pool()),
+        ] {
+            assert!(dirty.pool().shares_storage_with(pool), "{label}");
+        }
+    }
+
+    /// Micro-batch ingest pays O(new values) of pool work per change set:
+    /// once each snapshot has parted from the table it adopted (the dataset
+    /// at the second batch that interns, the snapshots right after), the
+    /// dataset's pool shares its storage with neither index when a batch
+    /// arrives, so interning the batch's new values copies nothing — and
+    /// the snapshots still catch up to it.  (A `sync_from` that adopted on
+    /// every call would hand the dataset a shared table to copy each time.)
+    #[test]
+    fn from_the_third_batch_on_the_dataset_pool_is_shared_with_no_snapshot() {
+        let generator = HaiGenerator::default().with_rows(400).with_providers(12);
+        let dirty = generator.dirty(0.03, 0.5, 5).dirty;
+        let config = CleanConfig::default().with_tau(2);
+        let mut session =
+            CleaningSession::new(config, dirty.schema().clone(), HaiGenerator::rules()).unwrap();
+        let batches = datagen::row_batches(&dirty, 20);
+        assert_eq!(batches.len(), 20);
+        for (i, mut batch) in batches.into_iter().enumerate() {
+            // Every batch interns at least one value nobody has seen.
+            batch[0][0] = format!("provider of batch {i}");
+            let before = session.dataset().pool().len();
+            if i >= 2 {
+                let pool = session.dataset().pool();
+                assert!(!pool.shares_storage_with(session.pristine.pool()), "{i}");
+                assert!(
+                    !pool.shares_storage_with(session.stage_one.cleaned().pool()),
+                    "{i}"
+                );
+            }
+            session.ingest_batch(batch).unwrap();
+            let pool = session.dataset().pool();
+            assert!(pool.len() > before, "batch {i} interned nothing");
+            assert_eq!(session.pristine.pool(), pool, "{i}");
+            assert_eq!(session.stage_one.cleaned().pool(), pool, "{i}");
+            if i % 5 == 4 {
+                // A report shares the dataset's table while it lives.
+                let report = session.outcome();
+                let pool = session.dataset().pool();
+                assert!(report.repaired.pool().shares_storage_with(pool), "{i}");
+            }
+        }
+    }
+
+    /// A report the caller still holds is a snapshot: a later change set
+    /// that interns a new value leaves everything the report resolves
+    /// through — its rows' pool, its index's — answering exactly as before.
+    #[test]
+    fn a_held_report_is_untouched_by_a_later_intern() {
+        let dirty = dataset::sample_hospital_dataset();
+        let config = CleanConfig::default().with_tau(1);
+        let mut session = CleaningSession::new(
+            config,
+            dirty.schema().clone(),
+            rules::sample_hospital_rules(),
+        )
+        .unwrap();
+        session.ingest_dataset(&dirty).unwrap();
+        let held = session.outcome();
+        let values = |pool: &dataset::ValuePool| -> Vec<String> {
+            pool.iter().map(|(_, v)| v.to_string()).collect()
+        };
+        let before = (
+            csv::to_csv(&held.repaired),
+            csv::to_csv(held.deduplicated()),
+            values(held.repaired.pool()),
+            values(held.index().pool()),
+        );
+
+        let ct = dirty.schema().attr_id("CT").unwrap();
+        let update = ChangeSet::new().update(TupleId(0), ct, "A CITY NOBODY INTERNED");
+        session.apply(update).unwrap();
+        let fresh = session.outcome();
+        let id = fresh.repaired.pool().lookup("A CITY NOBODY INTERNED");
+        let id = id.expect("the update interned it");
+        assert_eq!(fresh.index().pool().resolve(id), "A CITY NOBODY INTERNED");
+
+        let after = (
+            csv::to_csv(&held.repaired),
+            csv::to_csv(held.deduplicated()),
+            values(held.repaired.pool()),
+            values(held.index().pool()),
+        );
+        assert_eq!(before, after);
+        for pool in [held.repaired.pool(), held.index().pool(), dirty.pool()] {
+            assert!(!pool.contains(id));
+            assert_eq!(pool.lookup("A CITY NOBODY INTERNED"), None);
+        }
     }
 }

@@ -237,7 +237,9 @@ impl StageOne {
 
     /// Catch the cleaned index's pool snapshot up to `pool`, an append-only
     /// descendant of it (values interned since must resolve there even when
-    /// no block went dirty; only the new tail is copied).
+    /// no block went dirty).  The first call adopts `pool`'s id table — a
+    /// reference bump — and later ones append only the new tail
+    /// ([`ValuePool::sync_from`]); nothing is hashed.
     pub fn sync_pool(&mut self, pool: &ValuePool) {
         if pool.len() != self.cleaned.pool().len() {
             Arc::make_mut(&mut self.cleaned).sync_pool_from(pool);
@@ -1052,7 +1054,9 @@ pub(crate) mod tests {
         assert!((1..=index.block_count() as u64).contains(&(after_insert - abnormal)));
 
         // Delete it again: the groups that remain kept their signatures.
-        index.remove_tuples(&ds, &rules, &[TupleId(from)], false);
+        index
+            .remove_tuples(&ds, &rules, &[TupleId(from)], false)
+            .unwrap();
         ds.remove_rows(&[TupleId(from)]);
         stage.remap_removed(&[from]);
         mark_all_dirty(&mut stage);

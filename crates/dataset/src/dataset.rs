@@ -83,11 +83,13 @@ impl Dataset {
         }
     }
 
-    /// Create an empty dataset that shares (a snapshot of) an existing value
-    /// pool, so ids remain comparable with the source.  This is how the
-    /// distributed runner builds per-worker partitions: rows travel as
-    /// `Vec<ValueId>` plus one compact pool snapshot instead of cloned
-    /// strings.
+    /// Create an empty dataset over an existing value pool, so ids remain
+    /// comparable with the source.  This is how the distributed runner
+    /// builds per-worker partitions and the streaming coordinator gathers a
+    /// report's rows: rows travel as `Vec<ValueId>` beside one pool handle —
+    /// a `pool.clone()` is two reference bumps and shares the source's
+    /// storage until either side interns a new value
+    /// ([`ValuePool`]'s cost contract).
     pub fn with_pool(schema: Schema, pool: ValuePool, capacity: usize) -> Self {
         let arity = schema.arity();
         Dataset {
@@ -472,7 +474,9 @@ impl Dataset {
     /// Return a copy of the dataset keeping only the first tuple of every
     /// exact-duplicate family, in order (tuple ids are reassigned densely).
     /// This is the final deduplication step of the MLNClean pipeline.  The
-    /// copy shares a pool snapshot with `self`, so ids remain comparable.
+    /// copy names `self`'s value pool — the same storage, not a copy of it
+    /// ([`Dataset::project_rows`]) — so ids remain comparable and the cost
+    /// is the rows alone.
     ///
     /// Three flat passes, no allocation per row: hash the rows column by
     /// column, find first occurrences in a table of row indices, gather the
@@ -488,10 +492,11 @@ impl Dataset {
     }
 
     /// Extract the given rows (in the given order) into a new dataset that
-    /// shares a pool snapshot with `self` — the partition primitive of the
-    /// distributed runner: only ids move, never strings, and they move column
-    /// by column into columns of exactly `ids.len()` cells (no row image is
-    /// built in between).
+    /// shares `self`'s value pool (two reference bumps, whatever the pool
+    /// holds; the storage stays shared until either side interns a new
+    /// value) — the partition primitive of the distributed runner: only ids
+    /// move, never strings, and they move column by column into columns of
+    /// exactly `ids.len()` cells (no row image is built in between).
     ///
     /// # Panics
     /// Panics if any id is out of range.

@@ -22,19 +22,36 @@
 //! ids below its length — the invariant the distributed gather phase relies
 //! on.
 //!
-//! # Concurrency
+//! # Concurrency and cost
 //!
-//! Lookups ([`ValuePool::resolve`], [`ValuePool::lookup`]) take `&self` and
-//! touch no interior mutability, so a pool shared behind a `&` reference can
-//! be read lock-free from any number of worker threads (the values are
-//! `Arc<str>`, making clones of the pool cheap snapshots that share the
-//! underlying string storage).  Interning requires `&mut self`;
+//! A run holds **one** id → string table however many datasets, index
+//! snapshots and reports name it: the table sits behind an `Arc`, the
+//! string → id reverse map behind its own, and the map exists only in pools
+//! that were asked to [`ValuePool::intern`] or [`ValuePool::lookup`].  What
+//! each operation costs:
+//!
+//! * `clone()` — two reference-count bumps, whatever the pool holds.
+//! * [`ValuePool::intern`] of a value already present — one hash probe,
+//!   read-only.  Of a new value — an append; the first one after a `clone()`
+//!   (while the other handle lives) first copies the handle's table and map,
+//!   once, after which the handle owns its storage again.
+//! * [`ValuePool::sync_from`] into an **empty** snapshot — adopts the
+//!   descendant's table, O(1), no map.  Into a non-empty one — appends the
+//!   new tail, O(new values), after at most one copy of a table it still
+//!   shares.  Neither hashes a string.
+//! * The first [`ValuePool::lookup`] (or `intern`) on a pool without a map —
+//!   a snapshot, a deserialised or adopted table — builds it, O(pool).
+//!   [`ValuePool::resolve`] / [`ValuePool::get`] never need it.
+//!
+//! Lookups take `&self` (the lazy map build is a `OnceLock`), so a pool
+//! shared behind a `&` reference can be read from any number of worker
+//! threads; the type is `Send + Sync`.  Interning requires `&mut self`;
 //! [`ValuePool::intern_all`] batches it for whole rows or columns.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of an interned value within a [`ValuePool`].
 ///
@@ -59,11 +76,19 @@ impl fmt::Display for ValueId {
 }
 
 /// An append-only interner mapping strings to stable [`ValueId`]s.
+///
+/// Clones share storage until one of them interns a new value (see the
+/// [module docs](self) for the cost of each operation).
 #[derive(Clone, Default)]
 pub struct ValuePool {
-    values: Vec<Arc<str>>,
-    by_value: HashMap<Arc<str>, ValueId>,
+    /// The id → string table, copied on a write while shared.
+    values: Arc<Vec<Arc<str>>>,
+    /// The string → id reverse map of `values`: derived state, built by the
+    /// first `intern` / `lookup` and copied on a write while shared.
+    by_value: OnceLock<Arc<ReverseMap>>,
 }
+
+type ReverseMap = HashMap<Arc<str>, ValueId>;
 
 impl fmt::Debug for ValuePool {
     /// Deterministic output: only the id-ordered value list (the reverse map
@@ -85,49 +110,77 @@ impl ValuePool {
     /// Create an empty pool sized for roughly `capacity` distinct values.
     pub fn with_capacity(capacity: usize) -> Self {
         ValuePool {
-            values: Vec::with_capacity(capacity),
-            by_value: HashMap::with_capacity(capacity),
+            values: Arc::new(Vec::with_capacity(capacity)),
+            by_value: OnceLock::from(Arc::new(HashMap::with_capacity(capacity))),
         }
+    }
+
+    /// The reverse map, built from the table on first use.
+    fn reverse_map(&self) -> &Arc<ReverseMap> {
+        self.by_value.get_or_init(|| {
+            let mut by_value = HashMap::with_capacity(self.values.len());
+            for (i, value) in self.values.iter().enumerate() {
+                by_value.insert(Arc::clone(value), ValueId(i as u32));
+            }
+            Arc::new(by_value)
+        })
     }
 
     /// Intern `value`, returning its id (existing or newly assigned).
     pub fn intern(&mut self, value: &str) -> ValueId {
-        if let Some(&id) = self.by_value.get(value) {
+        if let Some(&id) = self.reverse_map().get(value) {
             return id;
         }
         let arc: Arc<str> = Arc::from(value);
         let id = ValueId(
             u32::try_from(self.values.len()).expect("value pool overflow (>4G distinct values)"),
         );
-        self.values.push(Arc::clone(&arc));
-        self.by_value.insert(arc, id);
+        Arc::make_mut(&mut self.values).push(Arc::clone(&arc));
+        let by_value = self.by_value.get_mut().expect("built by the probe above");
+        Arc::make_mut(by_value).insert(arc, id);
         id
     }
 
-    /// Catch this pool up to an append-only descendant of itself by copying
-    /// the descendant's tail of new values.
+    /// Catch this pool up to an append-only descendant of itself without
+    /// hashing a string.
     ///
     /// Because ids are assigned densely in first-appearance order and never
     /// renumbered, a snapshot taken at time *t* agrees with any later version
-    /// of the same pool on all ids below its length — so syncing is a pure
-    /// append of `Arc<str>` clones (no re-hashing of the shared prefix, no
-    /// clone of the whole map).  This is what lets long-lived sessions keep
-    /// a pool snapshot (the cleaned index's) in step with the dirty
-    /// dataset's pool at O(new values) per change set instead of an O(pool)
-    /// clone.
+    /// of the same pool on all ids below its length.  An **empty** pool
+    /// therefore adopts the descendant's table outright (a reference bump:
+    /// what an index snapshot of a freshly loaded dataset costs), and a
+    /// non-empty one appends the descendant's tail of new values to its own
+    /// table — O(new values) per change set for a long-lived session's
+    /// snapshots, after at most one copy of a table still shared from the
+    /// adoption.  Adopting on *every* call would hand the descendant's next
+    /// `intern` a shared table to copy whole, every time.
+    ///
+    /// The reverse map is never taken from the descendant (a snapshot that
+    /// only resolves never holds one, and sharing it would make the
+    /// descendant's next new value copy it); one this pool had built is
+    /// dropped when a tail arrives and rebuilt by its next `lookup`.
     pub fn sync_from(&mut self, descendant: &ValuePool) {
         debug_assert!(
             descendant.values.len() >= self.values.len(),
             "sync_from target must be an append-only descendant"
         );
-        for value in &descendant.values[self.values.len()..] {
-            let id = ValueId(
-                u32::try_from(self.values.len())
-                    .expect("value pool overflow (>4G distinct values)"),
-            );
-            self.values.push(Arc::clone(value));
-            self.by_value.insert(Arc::clone(value), id);
+        if descendant.values.len() == self.values.len() {
+            return;
         }
+        if self.values.is_empty() {
+            self.values = Arc::clone(&descendant.values);
+        } else {
+            let tail = &descendant.values[self.values.len()..];
+            Arc::make_mut(&mut self.values).extend_from_slice(tail);
+        }
+        self.by_value.take();
+    }
+
+    /// Whether `self` and `other` name one id → string table — the probe
+    /// that clones and adopted snapshots really share storage (and that a
+    /// handle which interned since owns its own).
+    pub fn shares_storage_with(&self, other: &ValuePool) -> bool {
+        Arc::ptr_eq(&self.values, &other.values)
     }
 
     /// Intern a batch of values, returning their ids in order (a convenience
@@ -146,7 +199,7 @@ impl ValuePool {
 
     /// Look up a value without interning it.
     pub fn lookup(&self, value: &str) -> Option<ValueId> {
-        self.by_value.get(value).copied()
+        self.reverse_map().get(value).copied()
     }
 
     /// The string behind `id`.
@@ -204,7 +257,7 @@ impl ValuePool {
 
 impl PartialEq for ValuePool {
     fn eq(&self, other: &Self) -> bool {
-        self.values == other.values
+        self.shares_storage_with(other) || self.values == other.values
     }
 }
 
@@ -219,7 +272,7 @@ impl Serialize for ValuePool {
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         use serde::ser::SerializeSeq;
         let mut seq = serializer.serialize_seq(Some(self.values.len()))?;
-        for value in &self.values {
+        for value in self.values.iter() {
             seq.serialize_element(&**value)?;
         }
         seq.end()
@@ -284,6 +337,29 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_snapshot_adopts_the_table_and_never_the_map() {
+        let mut pool = ValuePool::new();
+        pool.intern_all(["AL", "AK"]);
+        let mut snapshot = ValuePool::new();
+        snapshot.sync_from(&pool);
+        assert!(snapshot.shares_storage_with(&pool));
+        // Sharing the map would make the pool's next new value copy it.
+        assert!(snapshot.by_value.get().is_none());
+        assert_eq!(snapshot, pool);
+
+        // The pool moves on alone; the snapshot keeps what it saw, and a
+        // later sync appends the tail to the snapshot's own table.
+        let c = pool.intern("AZ");
+        assert!(!snapshot.shares_storage_with(&pool));
+        assert!(!snapshot.contains(c));
+        snapshot.sync_from(&pool);
+        assert!(!snapshot.shares_storage_with(&pool));
+        assert_eq!(snapshot.resolve(c), "AZ");
+        assert_eq!(snapshot.lookup("AZ"), Some(c));
+        assert_eq!(snapshot.lookup("AR"), None);
+    }
+
+    #[test]
     fn iter_is_in_id_order() {
         let mut pool = ValuePool::new();
         pool.intern_all(["x", "y", "z"]);
@@ -314,6 +390,87 @@ mod tests {
             // Density: ids cover 0..distinct-count.
             let distinct: std::collections::BTreeSet<&String> = values.iter().collect();
             prop_assert_eq!(pool.len(), distinct.len());
+        }
+
+        // Random interleavings of `clone` / `intern` / `sync_from` /
+        // `lookup` over several handles against a plain `Vec<String>` per
+        // handle: whatever storage the handles share, each one answers as
+        // if it owned a private copy.
+        #[test]
+        fn handles_behave_like_private_copies(ops in proptest::collection::vec(0u32..1_000_000, 0..96)) {
+            const VALUES: usize = 10;
+            const HANDLES: usize = 6;
+            let value = |v: usize| format!("value-{v}");
+            let mut handles: Vec<(ValuePool, Vec<String>)> = vec![(ValuePool::new(), Vec::new())];
+            for op in ops {
+                let (kind, a, b, v) = (op % 5, (op / 5) as usize, (op / 50) as usize, (op / 500) as usize);
+                let (a, b, v) = (a % handles.len(), b % handles.len(), value(v % VALUES));
+                match kind {
+                    // A clone parts from its source here (the oldest handle
+                    // makes room once there are enough).
+                    0 => {
+                        let copy = handles[a].clone();
+                        if handles.len() == HANDLES {
+                            handles.remove(0);
+                        }
+                        handles.push(copy);
+                    }
+                    // Interning: the id is the model's position, present or new.
+                    1 => {
+                        let (pool, model) = &mut handles[a];
+                        let expected = model.iter().position(|m| *m == v).unwrap_or(model.len());
+                        if expected == model.len() {
+                            model.push(v.clone());
+                        }
+                        prop_assert_eq!(pool.intern(&v), ValueId(expected as u32));
+                    }
+                    // Syncing, wherever `b` is an append-only descendant of
+                    // `a` (always true of an empty `a`).
+                    2 => {
+                        if handles[b].1.starts_with(&handles[a].1) {
+                            let (descendant, model) = handles[b].clone();
+                            handles[a].0.sync_from(&descendant);
+                            handles[a].1 = model;
+                        }
+                    }
+                    // A fresh, empty snapshot: the next sync into it adopts.
+                    3 => {
+                        if handles.len() < HANDLES {
+                            handles.push((ValuePool::new(), Vec::new()));
+                        }
+                    }
+                    // A lookup builds the map of a handle that has none.
+                    _ => {
+                        let (pool, model) = &handles[a];
+                        let expected = model.iter().position(|m| *m == v);
+                        prop_assert_eq!(pool.lookup(&v), expected.map(|i| ValueId(i as u32)));
+                    }
+                }
+                // No handle sees what another interned after they parted,
+                // and ids below the common length agree where the models do.
+                for (pool, model) in &handles {
+                    prop_assert_eq!(pool.len(), model.len());
+                    let held: Vec<&str> = pool.iter().map(|(_, s)| s).collect();
+                    prop_assert_eq!(held, model.iter().map(String::as_str).collect::<Vec<_>>());
+                    prop_assert!(!pool.contains(ValueId(model.len() as u32)));
+                }
+            }
+            for (pool, model) in &handles {
+                // A handle that never built its map looks up like one that did.
+                let mut rebuilt = ValuePool::new();
+                rebuilt.intern_all(model);
+                prop_assert_eq!(pool, &rebuilt);
+                for v in (0..VALUES).map(value) {
+                    prop_assert_eq!(pool.lookup(&v), rebuilt.lookup(&v));
+                }
+                // Serde round-trips to an equal pool whose next intern takes
+                // the next dense id.
+                let bytes = mlnw::to_bytes(pool).unwrap();
+                let mut decoded: ValuePool = mlnw::from_bytes(&bytes).unwrap();
+                prop_assert_eq!(&decoded, pool);
+                prop_assert_eq!(decoded.intern("never interned"), ValueId(model.len() as u32));
+                prop_assert_eq!(pool.len(), model.len());
+            }
         }
     }
 }

@@ -16,6 +16,9 @@ the one-shot run's distance lookups: the count repeats exactly at the smoke's
 fixed seed and may not exceed the committed one.  `fscr_shared_outcomes` —
 the one-shot report's FSCR outcomes minus its distinct `fused` allocations —
 ratchets the other way: it may not fall below the committed one.
+`pool_storages` — the distinct value-pool tables among the one-shot run's
+input, repaired rows, deduplicated rows and cleaned index (1) — may not exceed
+the committed one.
 
 `ladder` asserts the structural invariants of the benchmark ladder (monotone
 rung sizes, byte-identity wherever it was checked, errors injected, RSS
@@ -114,6 +117,15 @@ def check_smoke(d, committed=None):
     check(base_shared is None or shared >= base_shared,
           f"smoke: fscr_shared_outcomes fell {base_shared} -> {shared}: FSCR "
           f"outcomes stopped sharing their version vector's provenance list")
+    # Distinct value-pool tables the one-shot run's input and report name: a
+    # change that goes back to copying the pool per dataset / index reads 4.
+    check("pool_storages" in d, "smoke: artifact lacks pool_storages")
+    storages, base_storages = d["pool_storages"], (committed or {}).get("pool_storages")
+    print("pool storages:", storages,
+          f"(committed: {base_storages})" if committed else "")
+    check(base_storages is None or storages <= base_storages,
+          f"smoke: pool_storages grew {base_storages} -> {storages}: the input, the "
+          f"report's datasets and the cleaned index stopped sharing one value pool")
     s = d["streaming"]
     check(s["hai_stream"]["final_matches_one_shot"] is True,
           "streamed HAI result diverged from the one-shot run")
