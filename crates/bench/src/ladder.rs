@@ -14,7 +14,8 @@
 //!   ([`DistributedStreamingSession`], 2 partitions, periodic weight merge),
 //!
 //! recording per engine: ingest throughput (rows/s), outcome latency, the
-//! per-stage breakdown, and the peak RSS attributable to the run (via
+//! per-stage breakdown, the sketch bounds AGP's searches evaluated
+//! (`agp_bounds_computed`), and the peak RSS attributable to the run (via
 //! [`PeakRss`]).  At rungs small enough for it to be cheap the three
 //! engines' reports are compared byte-for-byte (repaired CSV + full
 //! provenance), extending the smoke test's equivalence guarantee to
@@ -22,8 +23,8 @@
 //! alive and probed with a sustained stream of single-cell mutations,
 //! reporting p50/p99/max `apply` + `outcome` latency plus the group-scoped
 //! re-clean counters: how many MLN groups the most expensive mutation
-//! re-cleaned, and how many abnormal groups it sent back to a full
-//! nearest-normal search, versus how many groups the index holds in total
+//! re-cleaned, and how many abnormal groups it sent back to a nearest-normal
+//! search from nothing, versus how many groups the index holds in total
 //! (the CI evidence that a pure-FD mutation stream neither re-cleans nor
 //! re-plans every group).
 //!
@@ -407,8 +408,9 @@ struct MutationLatency {
     max: Duration,
     /// Most output groups any single sampled mutation re-cleaned.
     recleaned_groups: u64,
-    /// Most abnormal groups any single sampled mutation sent back to a full
-    /// nearest-normal search (`CleaningSession::rescanned_groups`).
+    /// Most abnormal groups any single sampled mutation sent back to a
+    /// nearest-normal search from nothing — no standing incumbent
+    /// (`CleaningSession::rescanned_groups`).
     rescanned_groups: u64,
     /// Groups the session's index held when the probe finished.
     total_groups: usize,
@@ -620,6 +622,7 @@ fn render_engine(rows: usize, run: &EngineRun) -> String {
             "          \"total_seconds\": {total:.6},\n",
             "          \"peak_rss_kib\": {rss},\n",
             "          \"merge_rounds\": {merge_rounds},\n",
+            "          \"agp_bounds_computed\": {bounds_computed},\n",
             "          \"stage_seconds\": {{\n",
             "            \"index\": {index:.6},\n",
             "            \"agp\": {agp:.6},\n",
@@ -639,6 +642,7 @@ fn render_engine(rows: usize, run: &EngineRun) -> String {
         total = run.total().as_secs_f64(),
         rss = json_opt_u64(run.peak_rss_kib),
         merge_rounds = t.merge_rounds,
+        bounds_computed = run.report.agp.bounds_computed,
         index = t.index.as_secs_f64(),
         agp = t.agp.as_secs_f64(),
         learning = t.weight_learning.as_secs_f64(),
@@ -901,6 +905,7 @@ mod tests {
             "\"total_seconds\"",
             "\"peak_rss_kib\"",
             "\"merge_rounds\"",
+            "\"agp_bounds_computed\"",
             "\"stage_seconds\"",
             "\"index\"",
             "\"agp\"",

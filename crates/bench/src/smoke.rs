@@ -5,8 +5,9 @@
 //! small, fast perf point on every push (end-to-end wall-time plus per-stage
 //! breakdown, repair quality, and since the interning refactor the
 //! memory-side picture: value-pool size, distinct values per attribute, the
-//! Stage-I distance-cache hit rate, `fscr_shared_outcomes` — how many
-//! FSCR outcomes share another's resolved provenance list — and
+//! Stage-I distance-cache hit rate, `agp_bounds_computed` — the sketch
+//! bounds AGP's nearest-normal searches evaluated — `fscr_shared_outcomes`
+//! — how many FSCR outcomes share another's resolved provenance list — and
 //! `pool_storages`, the distinct value-pool tables the one-shot run's input
 //! and report name: one), seeding the
 //! `BENCH_*.json` trajectory that later PRs can compare against.
@@ -148,6 +149,7 @@ pub fn run(scale: Scale) -> Vec<(String, String)> {
             "    \"misses\": {cache_misses},\n",
             "    \"hit_rate\": {cache_hit_rate:.6}\n",
             "  }},\n",
+            "  \"agp_bounds_computed\": {bounds_computed},\n",
             "  \"fscr_shared_outcomes\": {shared_outcomes},\n",
             "  \"pool_storages\": {pool_storages},\n",
             "  \"precision\": {precision:.6},\n",
@@ -180,6 +182,7 @@ pub fn run(scale: Scale) -> Vec<(String, String)> {
         cache_hits = cache.hits,
         cache_misses = cache.misses,
         cache_hit_rate = cache.hit_rate(),
+        bounds_computed = outcome.agp.bounds_computed,
         shared_outcomes = shared_outcomes,
         pool_storages = pool_storages,
         precision = report.precision(),
@@ -852,6 +855,8 @@ mod tests {
         // Tiny HAI's tuples share version vectors, hence provenance lists.
         assert!(json.contains("\"fscr_shared_outcomes\": "));
         assert!(!json.contains("\"fscr_shared_outcomes\": 0,"));
+        // AGP's filter cost, a count the smoke ratchets.
+        assert!(json.contains("\"agp_bounds_computed\": "));
         // One value pool a run, shared by everything that names it.
         assert!(json.contains("\"pool_storages\": 1,"));
         // The streaming section: per-batch points and the incremental

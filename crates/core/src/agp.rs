@@ -8,24 +8,45 @@
 //! where the distance between two groups is the distance between their
 //! dominant γs (the γ related to the most tuples).
 //!
-//! The nearest-normal search is exact, and it is filter → seed → refine.
+//! The nearest-normal search is exact, and it is lookup → filter → seed →
+//! refine.  *Lookup*: under the edit metrics a record distance is a sum of
+//! per-attribute whole numbers, each `0` only for the identical string —
+//! hence, values being interned, only for the identical [`ValueId`] — and
+//! at least `1` otherwise ([`Metric::counts_edits`]).  So a normal group
+//! that shares `s` of an abnormal group's `arity` dominant-γ values is at
+//! least `arity − s` away, and once the incumbent is `d` away, a group that
+//! shares fewer than `arity − d` values can neither beat it nor tie it
+//! (count filtering, Gravano et al., VLDB 2001; the pigeonhole of Pass-Join,
+//! Li et al., PVLDB 2011 — per attribute instead of per q-gram).  A search
+//! from nothing therefore first looks its values up in per-block postings
+//! (`(attribute position, value)` → the normal groups whose dominant γ holds
+//! it) and refines the groups that share any, most-shared first.  If that
+//! leaves an incumbent under `arity`, no group that shares nothing can
+//! reach it and the search is over — almost every search on the benchmark's
+//! data, where a typo'd key is one edit from its true group and shares the
+//! rest.  Otherwise the search falls through to the other three steps over
+//! the normal groups that share nothing, each at least `arity` away.  Under
+//! cosine, Jaccard and Jaro-Winkler two different strings can be closer
+//! than `1`, even at `0`: no lookup, the other three steps over every
+//! normal group.
+//!
 //! *Filter*: every value carries a sketch — its char count and the set of
 //! character classes it uses ([`EditSketch`]) — and two sketches bound the
 //! edit distance of their values from below without a look at either string;
 //! summed over the attributes that bounds the record distance of two
-//! dominant γs.  *Seed*: a group that searches from nothing measures the
-//! candidate of least bound first, in full, so the search starts from a
-//! near neighbour instead of whichever normal group leads the block.
-//! *Refine*: every other candidate, in block order, is skipped when its
-//! bound already reaches the limit the incumbent sets, and is otherwise
-//! asked "closer than that limit?" rather than "how far?": its record
-//! distance is summed attribute by attribute and abandoned the moment the
-//! partial sum reaches the limit, and under the edit metrics each attribute
-//! is answered by a bounded dynamic program that gives up after a few cells.
-//! A typo'd key whose true neighbour is one or two edits away therefore
-//! never looks most other candidates up at all.  Under the metrics without
-//! a sketch bound the bound is the constant `0`, the filter passes
-//! everything and the seed is the block's first normal group: the plain scan.
+//! dominant γs.  Sketches are fetched a group at a time, the first time a
+//! search bounds the group.  *Seed*: a search from nothing measures the
+//! candidate of least bound (among the most-shared, in a lookup) first, in
+//! full, so it starts from a near neighbour instead of whichever group leads
+//! the block.  *Refine*: every other candidate is skipped when what it
+//! shares or its bound already reaches the limit the incumbent sets, and is
+//! otherwise asked "closer than that limit?" rather than "how far?": its
+//! record distance is summed attribute by attribute and abandoned the moment
+//! the partial sum reaches the limit, and under the edit metrics each
+//! attribute is answered by a bounded dynamic program that gives up after a
+//! few cells.  Under the metrics without a sketch bound the bound is the
+//! constant `0`, the filter passes everything and the seed is the block's
+//! first normal group: the plain scan.
 //!
 //! Merges, tie-breaks (first minimal candidate in block order) and guard
 //! decisions are those of the exhaustive scan, whatever order the probes run
@@ -33,13 +54,17 @@
 //! block position) — strictly closer from further down the block, closer or
 //! as close from further up — so after any sequence of probes the incumbent
 //! is the least of those probed; and a skipped candidate's distance is at
-//! least its bound, which is at least its limit, so probing it would have
-//! changed nothing.
+//! least what it shares or its bound says, which is at least its limit, so
+//! probing it would have changed nothing.
 //!
 //! Distances run through a per-block [`DistanceCache`] keyed on interned
 //! value pairs, which memoises what each probe proved — an exact distance or
 //! a lower bound — so a block re-planned against the same cache re-runs no
-//! metric at all.  A filtered pair never reaches it.
+//! metric at all.  A filtered pair never reaches it.  The postings and the
+//! sketch buffer live for one plan, not in the memo: a re-plan that searches
+//! from nothing rebuilds the postings in one sort of integer keys (≈ 70 µs
+//! on `car_session`'s largest block, under the ≈ 200 µs its every sketch
+//! used to cost to fetch), with nothing to patch, spill or count.
 //!
 //! # Re-planning a block
 //!
@@ -68,9 +93,9 @@
 //! further up, and not at all if its sketch bound says it cannot — and the
 //! guard's verdict, a function of the two dominant γs, is asked again only
 //! for a new winner.  What invalidates a remembered
-//! answer, sending the group back to a scan of every normal group: the
-//! group is new or its signature changed; its remembered target left the
-//! block, turned abnormal or changed its dominant γ.  Nobody has to mark
+//! answer, sending the group back to a search from nothing: the group is
+//! new or its signature changed; its remembered target left the block,
+//! turned abnormal or changed its dominant γ.  Nobody has to mark
 //! anything — the diff runs against whatever snapshot the planner is
 //! handed, fully dirty blocks included — and the `AgpMerge` records are
 //! rebuilt for every abnormal group on every plan (tuple ids move).
@@ -109,12 +134,19 @@ pub struct AgpRecord {
     pub merges: Vec<AgpMerge>,
     /// Distance-cache counters accumulated over all blocks.
     pub cache: CacheStats,
+    /// Sketch lower bounds the nearest-normal searches evaluated, over all
+    /// blocks: what the filter cost, beside what it let through to the
+    /// cache.  A process-local counter like the cache's, it is not encoded
+    /// (a decoded record reads `0`).
+    #[serde(skip)]
+    pub bounds_computed: u64,
 }
 
 /// Equality compares the *decisions* (the merges), not the distance-cache
-/// counters: the incremental [`crate::CleaningSession`] keeps a persistent
-/// per-block cache across refreshes, so its hit/miss split legitimately
-/// differs from a cold batch run even when the merges are byte-identical.
+/// or bound counters: the incremental [`crate::CleaningSession`] keeps a
+/// persistent per-block cache and plan memo across refreshes, so its counts
+/// legitimately differ from a cold batch run even when the merges are
+/// byte-identical.
 impl PartialEq for AgpRecord {
     fn eq(&self, other: &Self) -> bool {
         self.merges == other.merges
@@ -188,6 +220,7 @@ impl AbnormalGroupProcessor {
             blocks.push(block);
             record.merges.extend(block_record.merges);
             record.cache.absorb(block_record.cache);
+            record.bounds_computed += block_record.bounds_computed;
         }
         record
     }
@@ -230,23 +263,19 @@ impl AbnormalGroupProcessor {
         // every group's dominant-γ value ids once from the snapshot (only
         // normal groups are merge targets — abnormal groups never merge into
         // each other — and the search below must not re-derive them per
-        // abnormal × candidate pair) into one flat buffer, group `i`'s at
-        // `ids[span(i)]`, and diff each signature against the memo.  `fresh`
-        // lists the normal groups that are new to the block or changed
-        // signature since the last plan: all of them, cold.
+        // abnormal × candidate pair) into the search's flat buffer, and diff
+        // each signature against the memo.  `fresh` lists the normal groups
+        // that are new to the block or changed signature since the last
+        // plan: all of them, cold.
         let mut abnormal: Vec<usize> = Vec::new();
         let mut normals: Vec<usize> = Vec::new();
         let mut fresh: Vec<usize> = Vec::new();
         let arity = block.reason_attrs.len() + block.result_attrs.len();
-        let mut ids: Vec<ValueId> = Vec::with_capacity(block.groups.len() * arity);
-        let mut offsets: Vec<usize> = Vec::with_capacity(block.groups.len() + 1);
-        offsets.push(0);
+        let mut search = Search::new(pool, arity);
         for (i, group) in block.groups.iter().enumerate() {
             let is_abnormal = group.tuple_count() <= self.tau;
-            let from = ids.len();
-            ids.extend(group.dominant_gamma().into_iter().flat_map(Gamma::values));
-            offsets.push(ids.len());
-            let changed = memo.observe(&group.key, i, is_abnormal, &ids[from..]);
+            let dominant = search.push(group.dominant_gamma().into_iter().flat_map(Gamma::values));
+            let changed = memo.observe(&group.key, i, is_abnormal, dominant);
             if is_abnormal {
                 abnormal.push(i);
             } else {
@@ -257,7 +286,6 @@ impl AbnormalGroupProcessor {
             }
         }
         memo.forget_all_but(block);
-        let span = |i: usize| offsets[i]..offsets[i + 1];
 
         let mut plan = AgpPlan {
             abnormal,
@@ -271,66 +299,21 @@ impl AbnormalGroupProcessor {
         // that minimum over the *unchanged* normal groups (they kept their
         // distances and, the block being sorted by key, their relative
         // positions), so only the fresh ones can displace it; any other
-        // group scans every normal group from nothing.
-        //
-        // The sketches of `ids`, in the same layout, from the first search
-        // on; the candidates' lower bounds, one buffer for every search.
-        let mut sketches: Vec<EditSketch> = Vec::new();
-        let mut bounds: Vec<f64> = Vec::new();
+        // group searches from nothing.
         for &ai in &plan.abnormal {
             let group = &block.groups[ai];
             let standing = memo.standing(&group.key);
-            let candidates = if group.gammas.is_empty() {
+            let mut best = standing.flatten();
+            if group.gammas.is_empty() {
                 // Nothing to measure from: the group stays where it is.
-                &[][..]
             } else if standing.is_some() {
-                &fresh[..]
+                search.scan(cache, ai, &fresh, 0.0, &mut best);
             } else {
                 plan.rescanned += 1;
-                &normals[..]
-            };
-            let mut best = standing.flatten();
-            if sketches.is_empty() && !candidates.is_empty() {
-                sketches.extend(ids.iter().map(|&v| cache.sketch(pool, v)));
-            }
-            let own = &ids[span(ai)];
-            // Filter: what each candidate's distance is at least.
-            let bound =
-                |ci: &usize| cache.record_lower_bound(&sketches[span(ai)], &sketches[span(*ci)]);
-            bounds.clear();
-            bounds.extend(candidates.iter().map(bound));
-            // Seed: a search from nothing measures the candidate of least
-            // bound first (the first such in block order), so that every
-            // other one meets a tight limit; then block order.
-            let seed = match best {
-                None => (0..bounds.len()).min_by(|&j, &k| bounds[j].total_cmp(&bounds[k])),
-                Some(_) => None,
-            };
-            let rest = (0..candidates.len()).filter(|&k| Some(k) != seed);
-            for k in seed.into_iter().chain(rest) {
-                // Refine.  Each candidate is asked "does it sort before the
-                // best so far?", not "how far?": the first one is measured
-                // in full, every later one only until its partial distance
-                // reaches its limit — and not at all when its bound already
-                // does.  One further down the block must be strictly closer,
-                // one further up wins a tie as well, which keeps the *first*
-                // minimal candidate (the historical `Iterator::min_by`
-                // tie-break) whatever order the candidates are asked in.
-                let ci = candidates[k];
-                let limit = match &best {
-                    None => f64::INFINITY,
-                    Some(b) if ci < b.index => b.distance.next_up(),
-                    Some(b) => b.distance,
-                };
-                if bounds[k] >= limit {
-                    continue;
-                }
-                if let Some(d) = cache.record_distance_below(pool, own, &ids[span(ci)], limit) {
-                    best = Some(Incumbent {
-                        index: ci,
-                        distance: d,
-                        within_guard: None,
-                    });
+                if self.metric.counts_edits() {
+                    search.look_up(cache, ai, &normals, &mut best);
+                } else {
+                    search.scan(cache, ai, &normals, 0.0, &mut best);
                 }
             }
             // The optional normalized-distance merge guard is a function of
@@ -341,7 +324,7 @@ impl AbnormalGroupProcessor {
                 let within_guard = best.within_guard.unwrap_or_else(|| {
                     let target = &block.groups[best.index];
                     let within_guard = self.distance_guard.is_none_or(|guard| {
-                        let theirs = &ids[span(best.index)];
+                        let (own, theirs) = (search.of(ai), search.of(best.index));
                         cache.normalized_record_distance(pool, own, theirs) <= guard
                     });
                     memo.remember(&group.key, &target.key, best.distance, within_guard);
@@ -369,6 +352,7 @@ impl AbnormalGroupProcessor {
             });
             plan.targets.push(target_idx);
         }
+        plan.record.bounds_computed = search.bounds_computed;
         plan
     }
 
@@ -419,9 +403,9 @@ pub(crate) struct AgpPlan {
     /// The [`AgpMerge`] entries describing the planned merges (cache
     /// counters are left to the caller, who owns the [`DistanceCache`]).
     pub(crate) record: AgpRecord,
-    /// Abnormal groups whose nearest-normal search ran over every normal
-    /// group of the block (all of them on a cold plan) instead of starting
-    /// from the [`PlanMemo`]'s incumbent.
+    /// Abnormal groups whose nearest-normal search started from nothing —
+    /// no standing incumbent (all of them on a cold plan) — instead of from
+    /// the [`PlanMemo`]'s.
     pub(crate) rescanned: u64,
 }
 
@@ -471,6 +455,241 @@ struct Incumbent {
     distance: f64,
     /// The guard's verdict on it, when the memo still vouches for one.
     within_guard: Option<bool>,
+}
+
+/// What the nearest-normal searches of one plan share: every group's
+/// dominant-γ value ids, the sketches of the groups a search has bounded,
+/// and the postings of the normal groups' values once a lookup needed them.
+struct Search<'p> {
+    pool: &'p ValuePool,
+    arity: usize,
+    /// Group `i`'s dominant-γ value ids are `ids[offsets[i]..offsets[i + 1]]`.
+    ids: Vec<ValueId>,
+    offsets: Vec<usize>,
+    /// The sketches of `ids`, in the same layout; group `i`'s are filled in
+    /// once `sketched[i]`.  Both empty until the plan's first bound.
+    sketches: Vec<EditSketch>,
+    sketched: Vec<bool>,
+    /// `(posting key, normal group)` for every value of every normal
+    /// group's dominant γ, sorted by key, so one value's groups are a
+    /// contiguous run; and per group, how many values it shares with the
+    /// group looking up (zero between searches).  Both built by the plan's
+    /// first lookup (`shared` is never empty afterwards: the group looking
+    /// up is one of the block's).
+    postings: Vec<(u64, usize)>,
+    shared: Vec<usize>,
+    /// Sketch bounds evaluated so far — [`AgpRecord::bounds_computed`].
+    bounds_computed: u64,
+}
+
+impl<'p> Search<'p> {
+    fn new(pool: &'p ValuePool, arity: usize) -> Self {
+        Search {
+            pool,
+            arity,
+            ids: Vec::new(),
+            offsets: vec![0],
+            sketches: Vec::new(),
+            sketched: Vec::new(),
+            postings: Vec::new(),
+            shared: Vec::new(),
+            bounds_computed: 0,
+        }
+    }
+
+    /// Append the next group's dominant-γ value ids and return them.
+    fn push(&mut self, dominant: impl IntoIterator<Item = ValueId>) -> &[ValueId] {
+        let from = self.ids.len();
+        self.ids.extend(dominant);
+        self.offsets.push(self.ids.len());
+        &self.ids[from..]
+    }
+
+    fn span(&self, i: usize) -> std::ops::Range<usize> {
+        self.offsets[i]..self.offsets[i + 1]
+    }
+
+    /// Group `i`'s dominant-γ value ids.
+    fn of(&self, i: usize) -> &[ValueId] {
+        &self.ids[self.span(i)]
+    }
+
+    /// What the record distance of groups `a` and `b` is at least, from
+    /// their sketches — fetched from the cache the first time a bound
+    /// involves the group.
+    fn bound(&mut self, cache: &mut DistanceCache, a: usize, b: usize) -> f64 {
+        if self.sketched.is_empty() {
+            self.sketches = vec![EditSketch::default(); self.ids.len()];
+            self.sketched = vec![false; self.offsets.len() - 1];
+        }
+        for i in [a, b] {
+            if !self.sketched[i] {
+                self.sketched[i] = true;
+                for k in self.span(i) {
+                    self.sketches[k] = cache.sketch(self.pool, self.ids[k]);
+                }
+            }
+        }
+        self.bounds_computed += 1;
+        cache.record_lower_bound(&self.sketches[self.span(a)], &self.sketches[self.span(b)])
+    }
+
+    /// Refine: ask normal group `ci` whether it sorts before `best` — one
+    /// further down the block must be strictly closer, one further up wins a
+    /// tie as well, which keeps the *first* minimal candidate (the
+    /// historical `Iterator::min_by` tie-break) whatever order the
+    /// candidates are asked in — and make it the incumbent if so.
+    ///
+    /// `ci` is dropped unmeasured when `floor` (what the caller knows its
+    /// distance to be at least) or its sketch bound (`bound`, or computed
+    /// now) already reaches the limit; otherwise it is measured only until
+    /// its partial distance does.
+    fn refine(
+        &mut self,
+        cache: &mut DistanceCache,
+        ai: usize,
+        ci: usize,
+        floor: f64,
+        bound: Option<f64>,
+        best: &mut Option<Incumbent>,
+    ) {
+        let limit = match best {
+            None => f64::INFINITY,
+            Some(b) if ci < b.index => b.distance.next_up(),
+            Some(b) => b.distance,
+        };
+        if floor >= limit {
+            return;
+        }
+        let bound = bound.unwrap_or_else(|| self.bound(cache, ai, ci));
+        if bound >= limit {
+            return;
+        }
+        if let Some(d) = cache.record_distance_below(self.pool, self.of(ai), self.of(ci), limit) {
+            *best = Some(Incumbent {
+                index: ci,
+                distance: d,
+                within_guard: None,
+            });
+        }
+    }
+
+    /// Filter → seed → refine over `candidates`, each at least `floor` from
+    /// group `ai`.  A search from nothing first bounds every candidate and
+    /// measures the one of least bound (the first such in block order) in
+    /// full, so that every other one meets a tight limit; then the rest in
+    /// block order.  Against an incumbent, each candidate is bounded only
+    /// when `floor` lets it through.
+    fn scan(
+        &mut self,
+        cache: &mut DistanceCache,
+        ai: usize,
+        candidates: &[usize],
+        floor: f64,
+        best: &mut Option<Incumbent>,
+    ) {
+        let bounds: Vec<f64> = match best {
+            None => candidates
+                .iter()
+                .map(|&c| self.bound(cache, ai, c))
+                .collect(),
+            Some(_) => Vec::new(),
+        };
+        for k in seed_first(&bounds, candidates.len()) {
+            let bound = bounds.get(k).copied();
+            self.refine(cache, ai, candidates[k], floor, bound, best);
+        }
+    }
+
+    /// A search from nothing under an edit-counting metric (see the [module
+    /// docs](self)): look up the normal groups that share a value with group
+    /// `ai`'s dominant γ and refine them most-shared first, each at least
+    /// `arity − shared` away — so one that shares fewer than `arity − d`
+    /// values is dropped unbounded against an incumbent `d` away — seeded,
+    /// among the most-shared, as a scan is among all.  Once the incumbent is
+    /// under `arity`, no group that shares nothing can tie it and the search
+    /// is over; otherwise those groups are refined too, `arity` away each.
+    fn look_up(
+        &mut self,
+        cache: &mut DistanceCache,
+        ai: usize,
+        normals: &[usize],
+        best: &mut Option<Incumbent>,
+    ) {
+        // A value's posting key: its attribute position, then its id.
+        let key = |at: usize, value: ValueId| (at as u64) << 32 | u64::from(value.0);
+        if self.shared.is_empty() {
+            for &ci in normals {
+                for (at, k) in self.span(ci).enumerate() {
+                    self.postings.push((key(at, self.ids[k]), ci));
+                }
+            }
+            self.postings.sort_unstable_by_key(|&(key, _)| key);
+            self.shared = vec![0; self.offsets.len() - 1];
+        }
+        // Every group that shares a value, in postings order…
+        let mut found: Vec<usize> = Vec::new();
+        for (at, k) in self.span(ai).enumerate() {
+            let wanted = key(at, self.ids[k]);
+            let from = self.postings.partition_point(|&(key, _)| key < wanted);
+            for &(key, ci) in &self.postings[from..] {
+                if key != wanted {
+                    break;
+                }
+                if self.shared[ci] == 0 {
+                    found.push(ci);
+                }
+                self.shared[ci] += 1;
+            }
+        }
+        // …then as `(shared, group)`, most-shared first: a counting sort,
+        // since no group shares more than `arity` values.
+        let shared = &self.shared;
+        let sharing: Vec<(usize, usize)> = (1..=self.arity)
+            .rev()
+            .flat_map(|s| found.iter().filter(move |&&ci| shared[ci] == s))
+            .map(|&ci| (shared[ci], ci))
+            .collect();
+
+        let top = sharing.first().map_or(0, |&(shared, _)| shared);
+        let tier = sharing.partition_point(|&(shared, _)| shared == top);
+        let bounds: Vec<f64> = (0..tier)
+            .map(|k| self.bound(cache, ai, sharing[k].1))
+            .collect();
+        let arity = self.arity;
+        for k in seed_first(&bounds, sharing.len()) {
+            let (shared, ci) = sharing[k];
+            let floor = (arity - shared) as f64;
+            self.refine(cache, ai, ci, floor, bounds.get(k).copied(), best);
+        }
+
+        // Every group that shares nothing is at least `arity` away.
+        let floor = arity as f64;
+        match *best {
+            // Nobody shares a value: the seeded scan.
+            None => self.scan(cache, ai, normals, floor, best),
+            Some(b) if b.distance >= floor => {
+                for &ci in normals {
+                    if self.shared[ci] == 0 {
+                        self.refine(cache, ai, ci, floor, None, best);
+                    }
+                }
+            }
+            // Under arity: settled.
+            Some(_) => {}
+        }
+        for (_, ci) in sharing {
+            self.shared[ci] = 0;
+        }
+    }
+}
+
+/// `0..n`, a search's seed first — the `k` of least `bounds[k]` (the first
+/// such) among the candidates `bounds` covers — then the rest in order.
+fn seed_first(bounds: &[f64], n: usize) -> impl Iterator<Item = usize> {
+    let seed = (0..bounds.len()).min_by(|&j, &k| bounds[j].total_cmp(&bounds[k]));
+    seed.into_iter()
+        .chain((0..n).filter(move |&k| Some(k) != seed))
 }
 
 impl PlanMemo {
@@ -569,6 +788,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::index::MlnIndex;
     use dataset::{sample_hospital_dataset, AttrId, Dataset, Schema};
+    use proptest::prelude::{proptest, ProptestConfig};
     use rules::{sample_hospital_rules, RuleSet};
 
     fn sample_index() -> MlnIndex {
@@ -819,6 +1039,48 @@ pub(crate) mod tests {
         }
     }
 
+    /// Four spellings per attribute, a character or two apart, so random
+    /// rows share values often and are often a few edits apart.
+    const SPELLINGS: [[&str; 4]; 3] = [
+        ["AB", "AC", "BC", "ABC"],
+        ["x", "y", "xy", "yx"],
+        ["p", "q", "pq", "qqp"],
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn the_lookup_plans_what_the_exhaustive_scan_plans_on_small_random_blocks(
+            arity in 1usize..4,
+            tau in 1usize..3,
+            damerau in 0usize..2,
+            guarded in 0usize..2,
+            rows in proptest::collection::vec(0usize..256, 1..30),
+        ) {
+            // Arity 1 is a reason part alone: a DC whose result repeats it.
+            let rules = ["DC: A = A, A != A", "FD: A -> B", "FD: A, B -> C"][arity - 1];
+            let mut ds = Dataset::new(Schema::new(&["A", "B", "C"]));
+            // Each code: a spelling per attribute (two bits each), then one
+            // to four copies of the row.
+            for code in rows {
+                let row: Vec<String> = (0..3)
+                    .map(|at| SPELLINGS[at][(code >> (2 * at)) & 3].to_string())
+                    .collect();
+                for _ in 0..=code >> 6 {
+                    ds.push_row(row.clone()).unwrap();
+                }
+            }
+            let index = MlnIndex::build(&ds, &rules::parse_rules(rules).unwrap()).unwrap();
+            assert_eq!(index.blocks[0].reason_attrs.len() + index.blocks[0].result_attrs.len(), arity);
+            let metric = [Metric::Levenshtein, Metric::DamerauLevenshtein][damerau];
+            let mut agp = AbnormalGroupProcessor::new(tau, metric);
+            agp.distance_guard = [None, Some(0.3)][guarded];
+            for block in &index.blocks {
+                assert_plan_matches_reference(&agp, block, index.pool());
+            }
+        }
+    }
+
     #[test]
     fn equidistant_candidates_keep_the_first_in_block_order() {
         // "AAB" is one edit from each of three normal keys, and every γ has
@@ -864,8 +1126,17 @@ pub(crate) mod tests {
         )
     }
 
-    /// A cold plan of `table`'s one block: its merges and its lookups.
-    fn cold_homes(agp: &AbnormalGroupProcessor, table: &Evolving) -> (Vec<(String, String)>, u64) {
+    /// What a cold plan of one block cost: distance lookups (hits and
+    /// misses) and sketch bounds.
+    #[derive(Debug, PartialEq)]
+    struct Cost {
+        lookups: u64,
+        bounds: u64,
+    }
+
+    /// A cold plan of `table`'s one block, held to the oracle: its merges
+    /// and what it cost.
+    fn cold_homes(agp: &AbnormalGroupProcessor, table: &Evolving) -> (Vec<(String, String)>, Cost) {
         let (block, pool) = (table.index.block(RuleId(0)), table.index.pool());
         assert_plan_matches_reference(agp, block, pool);
         let mut cache = DistanceCache::new(agp.metric);
@@ -874,7 +1145,11 @@ pub(crate) mod tests {
             .into_iter()
             .map(|(from, to)| (from.to_string(), to.expect("a normal group").to_string()))
             .collect();
-        (homes, lookups(&cache))
+        let cost = Cost {
+            lookups: lookups(&cache),
+            bounds: plan.record.bounds_computed,
+        };
+        (homes, cost)
     }
 
     #[test]
@@ -905,15 +1180,143 @@ pub(crate) mod tests {
         );
         for metric in [Metric::Levenshtein, Metric::DamerauLevenshtein] {
             let agp = AbnormalGroupProcessor::new(1, metric);
-            // Further up a tie would win, so bound = incumbent is no proof:
-            // the seed's two attributes, then the key that settles it.
-            let (homes, lookups) = cold_homes(&agp, &far_above);
+            // Both neighbours share "AL", one of two values: each is at least
+            // one edit away, and both are bounded to pick the seed.  Further
+            // up a tie would win, so neither that count nor the bound — both
+            // one, the seed's distance — is proof: the seed's two
+            // attributes, then the key that settles it.
+            let (homes, cost) = cold_homes(&agp, &far_above);
             assert_eq!(homes, [("AAB".into(), "ABB".into())], "{metric:?}");
-            assert_eq!(lookups, 3, "{metric:?}");
-            // Further down it is: "ABC" is never looked up.
-            let (homes, lookups) = cold_homes(&agp, &above);
+            let cost_far_above = Cost {
+                lookups: 3,
+                bounds: 2,
+            };
+            assert_eq!(cost, cost_far_above, "{metric:?}");
+            // Further down the count is: "ABC" is never looked up.
+            let (homes, cost) = cold_homes(&agp, &above);
             assert_eq!(homes, [("ABB".into(), "AAB".into())], "{metric:?}");
-            assert_eq!(lookups, 2, "{metric:?}");
+            let cost_above = Cost {
+                lookups: 2,
+                bounds: 2,
+            };
+            assert_eq!(cost, cost_above, "{metric:?}");
+        }
+    }
+
+    /// `FD: CT -> ST` (arity 2): the abnormal "AAB"/"AL" among `normals`,
+    /// each three tuples strong.  A cold plan's one home, and its cost.
+    fn lone_typo(metric: Metric, normals: &[(&str, &str)]) -> (String, Cost) {
+        let mut rows = vec![("AAB", "AL", 1)];
+        rows.extend(normals.iter().map(|&(city, state)| (city, state, 3)));
+        let (homes, cost) = cold_homes(
+            &AbnormalGroupProcessor::new(1, metric),
+            &Evolving::cities(&rows),
+        );
+        let [(from, to)] = &homes[..] else {
+            panic!("one abnormal group: {homes:?}");
+        };
+        assert_eq!(from, "AAB");
+        (to.clone(), cost)
+    }
+
+    #[test]
+    fn an_incumbent_one_below_arity_settles_the_search_in_the_postings() {
+        for metric in [Metric::Levenshtein, Metric::DamerauLevenshtein] {
+            // "AAC"/"AL" shares "AL" and is one edit away, under arity 2:
+            // no group that shares nothing is bounded, let alone measured —
+            // not even "AAA"/"AK", as near as a non-sharing group can be.
+            let (home, cost) = lone_typo(metric, &[("AAA", "AK"), ("AAC", "AL"), ("ZZ", "AK")]);
+            assert_eq!(home, "AAC", "{metric:?}");
+            let cost_settled = Cost {
+                lookups: 2,
+                bounds: 1,
+            };
+            assert_eq!(cost, cost_settled, "{metric:?}");
+        }
+    }
+
+    #[test]
+    fn a_group_that_shares_too_few_values_is_never_bounded() {
+        // `FD: A, B -> C`, arity 3.  "AAC"/"x"/"p" shares two of the
+        // abnormal group's values and is one edit away.  "AAA"/"y"/"p" sorts
+        // first but shares one: at least 3 − 1 = 2 away, past a tie with
+        // 1, so it is dropped on its count, never bounded; "ZZZ"/"z"/"q"
+        // shares nothing and is never even visited.
+        let ds = Dataset::new(Schema::new(&["A", "B", "C"]));
+        let mut table = Evolving::new(ds, rules::parse_rules("FD: A, B -> C").unwrap());
+        for (a, b, c, copies) in [
+            ("AAA", "y", "p", 3),
+            ("AAB", "x", "p", 1),
+            ("AAC", "x", "p", 3),
+            ("ZZZ", "z", "q", 3),
+        ] {
+            table.insert(vec![vec![a.into(), b.into(), c.into()]; copies]);
+        }
+        for metric in [Metric::Levenshtein, Metric::DamerauLevenshtein] {
+            let (homes, cost) = cold_homes(&AbnormalGroupProcessor::new(1, metric), &table);
+            assert_eq!(homes, [("AAB".into(), "AAC".into())], "{metric:?}");
+            // The seed's three attributes; its one bound.
+            let cost_counted = Cost {
+                lookups: 3,
+                bounds: 1,
+            };
+            assert_eq!(cost, cost_counted, "{metric:?}");
+        }
+    }
+
+    #[test]
+    fn an_incumbent_at_arity_falls_through_and_loses_a_tie_from_further_up() {
+        for metric in [Metric::Levenshtein, Metric::DamerauLevenshtein] {
+            // The one sharing group, "ABC"/"AL", is two edits away — arity.
+            // "AAA"/"AK" shares nothing, is two edits away too and sorts
+            // first: the search has to fall through to it, and it wins.
+            let (home, cost) = lone_typo(metric, &[("AAA", "AK"), ("ABC", "AL")]);
+            assert_eq!(home, "AAA", "{metric:?}");
+            // Both bounded; "ABC" in full, "AAA" to the tie.
+            let cost_fell_through = Cost {
+                lookups: 4,
+                bounds: 2,
+            };
+            assert_eq!(cost, cost_fell_through, "{metric:?}");
+        }
+    }
+
+    #[test]
+    fn a_search_with_no_sharing_candidate_is_the_seeded_scan() {
+        for metric in [Metric::Levenshtein, Metric::DamerauLevenshtein] {
+            // Nobody shares a value: every normal group is bounded, the one
+            // of least bound ("AAC", a class apart in each attribute) is the
+            // seed, two edits away; "ZZZ" shares nothing either, so it is
+            // at least arity = two edits away and never looked up.
+            let (home, cost) = lone_typo(metric, &[("AAC", "AK"), ("ZZZ", "AK")]);
+            assert_eq!(home, "AAC", "{metric:?}");
+            let cost_scanned = Cost {
+                lookups: 2,
+                bounds: 2,
+            };
+            assert_eq!(cost, cost_scanned, "{metric:?}");
+        }
+    }
+
+    #[test]
+    fn an_equidistant_group_that_shares_nothing_further_up_takes_the_tie() {
+        for metric in [Metric::Levenshtein, Metric::DamerauLevenshtein] {
+            // "BBC"/"AL" shares "AL" and is three edits away, past arity;
+            // "A"/"AK" shares nothing, sorts first, and is three edits away
+            // too.  Sharing more is no tie-break: block order is.
+            let (home, _) = lone_typo(metric, &[("A", "AK"), ("BBC", "AL")]);
+            assert_eq!(home, "A", "{metric:?}");
+            // When the sharing group comes first, it keeps the tie at arity:
+            // "A"/"AL" and "AABB"/"AK" are both two edits away.
+            let (home, cost) = lone_typo(metric, &[("A", "AL"), ("AABB", "AK")]);
+            assert_eq!(home, "A", "{metric:?}");
+            // …and the group further down, sharing nothing and hence at
+            // least arity away, is dropped on that alone, never bounded.
+            let cost_kept = Cost {
+                lookups: 2,
+                bounds: 1,
+            };
+            assert_eq!(cost, cost_kept, "{metric:?}");
         }
     }
 
@@ -1389,13 +1792,22 @@ pub(crate) mod tests {
             probes * 5 < pairs,
             "{probes} lookups for {pairs} value pairs"
         );
-        // …and is vacuous where the metric has no bound — by construction,
-        // not by a branch: the plain scan's lookups, to the last one.
+        // …and the lookup keeps most of them from even being bounded…
+        let searched = (first.abnormal.len() * normal_groups) as u64;
+        let bounded = first.record.bounds_computed;
+        assert!(
+            0 < bounded && bounded * 20 < searched,
+            "{bounded} bounds for {searched} abnormal × normal pairs"
+        );
+        // …while both are vacuous where the metric has no bound and does
+        // not count edits: every pair bounded, the plain scan's lookups to
+        // the last one.
         for metric in [Metric::Cosine, Metric::Jaccard, Metric::JaroWinkler] {
             let agp = AbnormalGroupProcessor::new(2, metric).with_distance_guard(0.15);
             let pool = table.index.pool();
             let mut cache = DistanceCache::new(metric);
-            agp.plan_block(block, pool, &mut cache, &mut PlanMemo::default());
+            let plan = agp.plan_block(block, pool, &mut cache, &mut PlanMemo::default());
+            assert_eq!(plan.record.bounds_computed, searched, "{metric:?}");
             let plain = plain_scan_lookups(&agp, block, pool);
             assert_eq!(lookups(&cache), plain, "{metric:?}");
         }

@@ -24,9 +24,10 @@
 //! block so the parallel and serial paths report identical statistics.
 //!
 //! Beside the pairs the cache memoises one [`EditSketch`] per value, lazily
-//! ([`DistanceCache::sketch`]), and sums sketch bounds into a record-level
-//! lower bound ([`DistanceCache::record_lower_bound`]) for searches that
-//! *filter* before they probe.  A pair a caller drops on that bound never
+//! ([`DistanceCache::sketch`]: only values some search bounded have one),
+//! and sums sketch bounds into a record-level lower bound
+//! ([`DistanceCache::record_lower_bound`]) for searches that *filter* before
+//! they probe.  A pair a caller drops on that bound never
 //! reaches the memo: it is neither a hit nor a miss and leaves no entry, so
 //! the counters count the lookups that were made, not the pairs a search
 //! considered.
@@ -169,6 +170,12 @@ impl DistanceCache {
         }
     }
 
+    /// Number of values whose sketch is memoised.
+    #[cfg(test)]
+    pub(crate) fn sketch_count(&self) -> usize {
+        self.sketches.len()
+    }
+
     /// The sketch of an interned value, computed on first request.
     pub fn sketch(&mut self, pool: &ValuePool, value: ValueId) -> EditSketch {
         *self
@@ -183,6 +190,13 @@ impl DistanceCache {
     /// the edit metrics both are sums of small integers, exact in `f64`, so
     /// `bound ≥ limit` does prove `distance ≥ limit`; under the others the
     /// bound is `0`.  Touches neither memo nor the counters.
+    ///
+    /// Sketches do not say whether two values are the same, so two different
+    /// values may contribute `0` here; a caller that knows how many values
+    /// two records share has a second bound beside this one under the edit
+    /// metrics (one per differing attribute — see the AGP module docs), and
+    /// AGP's lookup drops most candidates on that one before it computes
+    /// this.
     pub fn record_lower_bound(&self, a: &[EditSketch], b: &[EditSketch]) -> f64 {
         debug_assert_eq!(a.len(), b.len(), "records must have the same arity");
         a.iter()

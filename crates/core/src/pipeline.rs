@@ -80,6 +80,8 @@ mod tests {
         assert_eq!(outcome.deduplicated().len(), 2);
         assert_eq!(outcome.agp.detected_count(), 3);
         assert!(outcome.timings.total() > Duration::ZERO);
+        // Stage I's closed-form weighting is clocked, not folded into RSC.
+        assert!(outcome.timings.weight_learning > Duration::ZERO);
         // Single-node runs carry the final index and no partition report.
         assert!(outcome.index.is_some());
         assert!(outcome.partitions.is_none());

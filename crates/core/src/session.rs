@@ -28,8 +28,8 @@
 //! [`StageOne::refresh`] — the one refresh path, shared with the distributed
 //! streaming coordinator — which re-runs Stage I **only on the affected
 //! groups**: AGP merge *decisions* are re-planned per block against the
-//! block's plan memo (a full nearest-normal search only for the abnormal
-//! groups whose own signature, or whose remembered target's, changed —
+//! block's plan memo (a nearest-normal search from nothing only for the
+//! abnormal groups whose own signature, or whose remembered target's, changed —
 //! [`CleaningSession::rescanned_groups`]), and merging γs, the closed-form
 //! block softmax and RSC's pairwise γ scoring are recomputed only for
 //! output groups whose sources changed
@@ -212,10 +212,11 @@ impl CleaningSession {
     }
 
     /// Cumulative number of abnormal groups whose nearest-normal search the
-    /// AGP re-plans of this session ran in full ([`StageOne::rescanned_groups`])
-    /// — the planning half of the incrementality probe: after the first
-    /// outcome it grows with the groups whose signature changed, not with
-    /// the abnormal groups of the dirty blocks.
+    /// AGP re-plans of this session started from nothing — no standing
+    /// incumbent ([`StageOne::rescanned_groups`]) — the planning half of the
+    /// incrementality probe: after the first outcome it grows with the
+    /// groups whose signature changed, not with the abnormal groups of the
+    /// dirty blocks.
     pub fn rescanned_groups(&self) -> u64 {
         self.stage_one.rescanned_groups()
     }

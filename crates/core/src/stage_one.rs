@@ -18,12 +18,12 @@
 //! against the block's plan memo, so the distance probes it makes are
 //! proportional to the groups whose signature changed since the last
 //! refresh, not to the block (see `AbnormalGroupProcessor::plan_block`;
-//! only a block's *first* plan visits every abnormal × normal pair) — lays
-//! the post-AGP output groups out, and then rebuilds **only** the output
-//! groups whose sources changed: merge the source γs, weight them in closed
-//! form ([`assign_group_weights`], whose denominator is the block's total
-//! support and therefore survives any within-block merge), clean the group
-//! with RSC.
+//! only a block's *first* plan searches for every abnormal group from
+//! nothing) — lays the post-AGP output groups out, and then rebuilds
+//! **only** the output groups whose sources changed: merge the source γs,
+//! weight them in closed form ([`assign_group_weights`], whose denominator
+//! is the block's total support and therefore survives any within-block
+//! merge), clean the group with RSC.
 //! Every other output group is served from the block's cache byte for byte.
 //! There is one mode: a fully dirty block is the same refresh with every
 //! group rebuilt.  Either way the refreshed block is exactly what the
@@ -51,7 +51,7 @@ use distance::Metric;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Cached post-Stage-I provenance of one block.
 #[derive(Debug, Clone, Default)]
@@ -145,8 +145,10 @@ struct RefreshedBlock {
     invalidated: Vec<TupleId>,
     /// Output groups Stage I actually recomputed (vs reused from cache).
     recleaned: u64,
-    /// Abnormal groups the plan searched for from scratch.
+    /// Abnormal groups the plan searched for from nothing.
     rescanned: u64,
+    /// Time spent weighting the recomputed groups.
+    weighting: Duration,
 }
 
 /// What one [`StageOne::refresh`] call did.
@@ -198,7 +200,7 @@ pub struct StageOne {
     /// Cumulative output groups recomputed — see
     /// [`StageOne::recleaned_groups`].
     recleaned_groups: u64,
-    /// Cumulative nearest-normal searches run in full — see
+    /// Cumulative nearest-normal searches from nothing — see
     /// [`StageOne::rescanned_groups`].
     rescanned_groups: u64,
     /// Spill directory backing the memory budget, created lazily on the
@@ -271,10 +273,10 @@ impl StageOne {
         self.recleaned_groups
     }
 
-    /// Cumulative number of abnormal groups whose nearest-normal search ran
-    /// over every normal group of their block (vs starting from the group
-    /// the last plan found) — [`StageOne::recleaned_groups`]' sibling for the
-    /// AGP plan: every abnormal group on a block's first refresh, afterwards
+    /// Cumulative number of abnormal groups whose nearest-normal search
+    /// started from nothing (no standing incumbent), vs from the group the
+    /// last plan found — [`StageOne::recleaned_groups`]' sibling for the AGP
+    /// plan: every abnormal group on a block's first refresh, afterwards
     /// only those whose own signature, or whose remembered target's, changed.
     pub fn rescanned_groups(&self) -> u64 {
         self.rescanned_groups
@@ -294,6 +296,7 @@ impl StageOne {
         for records in &self.records {
             agp.merges.extend_from_slice(&records.agp.merges);
             agp.cache.absorb(records.agp.cache);
+            agp.bounds_computed += records.agp.bounds_computed;
             rsc.repairs.extend_from_slice(&records.rsc.repairs);
             rsc.cache.absorb(records.rsc.cache);
         }
@@ -306,8 +309,10 @@ impl StageOne {
     /// clean caches.  Clean blocks, and clean groups of dirty blocks, keep
     /// their cached state: their pristine content is exactly what a full
     /// rebuild would see, so the cached cleaned state is too.
-    /// The AGP pass is added to `timings.agp`, the rebuild pass to
-    /// `timings.rsc`.  A call with nothing dirty is free.
+    /// The AGP pass is added to `timings.agp`; of the rebuild pass, the
+    /// closed-form weighting of the rebuilt groups (one clock per block) to
+    /// `timings.weight_learning` and the rest to `timings.rsc`.  A call with
+    /// nothing dirty is free.
     pub fn refresh(
         &mut self,
         pristine: &[(usize, &Block)],
@@ -365,10 +370,9 @@ impl StageOne {
         });
         timings.agp += started.elapsed();
 
-        // Pass 2 (timed as RSC; the closed-form per-group weighting rides
-        // along — it is O(γs) and not worth its own wall-clock pass):
-        // rebuild exactly the output groups whose sources changed, reuse
-        // every other cached entry byte-for-byte.
+        // Pass 2 (timed as RSC, less the closed-form weighting each block
+        // clocks on its own): rebuild exactly the output groups whose
+        // sources changed, reuse every other cached entry byte-for-byte.
         let started = Instant::now();
         let refreshed = map_ordered(
             config.parallel,
@@ -378,7 +382,9 @@ impl StageOne {
                 (i, refreshed)
             },
         );
-        timings.rsc += started.elapsed();
+        let weighting: Duration = refreshed.iter().map(|(_, r)| r.weighting).sum();
+        timings.weight_learning += weighting;
+        timings.rsc += started.elapsed().saturating_sub(weighting);
 
         self.sync_pool(pool);
         let cleaned = Arc::make_mut(&mut self.cleaned);
@@ -608,8 +614,8 @@ fn refresh_block(
         outputs.push((ai, vec![ai]));
     }
 
-    // An output group between the two steps below: served from the cache,
-    // or merged and weighted from these sources and still to be cleaned.
+    // An output group between the steps below: served from the cache, or
+    // merged from these sources and still to be weighted and cleaned.
     enum Slot {
         Reused(GroupEntry),
         Rebuilt(Vec<Vec<ValueId>>),
@@ -641,18 +647,26 @@ fn refresh_block(
             slots.push(Slot::Reused(entry));
             continue;
         }
-        // Rebuild: merge the source γs the way `apply_plan` does, and weight
-        // them against the block-wide Z (AGP merges preserve it).
+        // Rebuild: merge the source γs the way `apply_plan` does.
         let mut group = pristine.groups[lead].clone();
         for &ai in &source_idx[1..] {
             group.absorb_gammas(pristine.groups[ai].gammas.iter().cloned());
         }
-        assign_group_weights(&mut group, z);
         block.groups.push(group);
         slots.push(Slot::Rebuilt(sources));
     }
 
-    // Step 2: clean the rebuilt groups in place.
+    // Step 2: weight the rebuilt groups against the block-wide Z (AGP
+    // merges preserve it), on the block's weight-learning clock.
+    let started = Instant::now();
+    for (group, slot) in block.groups.iter_mut().zip(&slots) {
+        if let Slot::Rebuilt(_) = slot {
+            assign_group_weights(group, z);
+        }
+    }
+    let weighting = started.elapsed();
+
+    // Step 3: clean the rebuilt groups in place.
     let cleaner = ReliabilityCleaner::new(config.metric);
     let rsc_before = cache.distances.stats();
     let mut entries: HashMap<Vec<ValueId>, GroupEntry> = HashMap::with_capacity(slots.len());
@@ -714,6 +728,7 @@ fn refresh_block(
         invalidated,
         recleaned,
         rescanned,
+        weighting,
     }
 }
 
@@ -955,6 +970,24 @@ pub(crate) mod tests {
         }
     }
 
+    /// The closed-form weighting runs on its own clock, one per block, and
+    /// leaves the RSC clock; a refresh with nothing dirty clocks nothing.
+    #[test]
+    fn a_refresh_clocks_the_weighting_apart_from_rsc() {
+        let (_, ds, rules, config) = workloads().remove(1);
+        let index = MlnIndex::build(&ds, &rules).unwrap();
+        let mut stage = driver_over(&config, &index);
+        mark_all_dirty(&mut stage);
+        let pristine: Vec<(usize, &Block)> = index.blocks.iter().enumerate().collect();
+        let mut timings = Timings::default();
+        stage.refresh(&pristine, index.pool(), &mut timings);
+        assert!(timings.weight_learning > Duration::ZERO, "{timings:?}");
+        assert!(timings.rsc > Duration::ZERO, "{timings:?}");
+        let before = timings;
+        stage.refresh(&pristine, index.pool(), &mut timings);
+        assert_eq!(timings, before);
+    }
+
     /// `FD: CT -> ST` over two three-tuple cities and a one-tuple typo of the
     /// first, which AGP (τ = 1) merges into it.
     fn typo_table() -> (Dataset, RuleSet) {
@@ -1069,7 +1102,10 @@ pub(crate) mod tests {
 
     /// The plan memo and the sketch memo are part of what the budget counts
     /// and a spill frees; a block that went through a spill re-plans as if
-    /// for the first time.
+    /// for the first time: the same searches from nothing, the same sketch
+    /// bounds, the same sketches fetched — only those of the groups some
+    /// search bounded (5 of the CFD block's 12 values; 86 of the FD block's
+    /// 91, where many searches fall through past the postings).
     #[test]
     fn a_spilled_block_drops_its_plan_memo_and_replans_cold() {
         let (_, ds, rules, config) = workloads().remove(2);
@@ -1078,13 +1114,44 @@ pub(crate) mod tests {
         mark_all_dirty(&mut stage);
         refresh(&mut stage, &index);
         let abnormal = stage.rescanned_groups();
+        let cost = |stage: &StageOne| {
+            let sketches: Vec<usize> = stage
+                .caches
+                .iter()
+                .map(|c| c.distances.sketch_count())
+                .collect();
+            (stage.records().0.bounds_computed, sketches)
+        };
+        let cold = cost(&stage);
+        assert_eq!(
+            cold,
+            (7734, vec![5, 86]),
+            "pinned: bounds, sketches per block"
+        );
+        let values: Vec<usize> = index
+            .blocks
+            .iter()
+            .map(|b| {
+                b.gammas()
+                    .flat_map(|g| g.values())
+                    .collect::<HashSet<_>>()
+                    .len()
+            })
+            .collect();
+        assert_eq!(values, [12, 91], "distinct values per block");
 
+        // Both memos are in the estimate: the plan memo, and each sketch at
+        // its entry and a slot.
         let mut bare = stage.caches[0].clone();
         bare.plan = PlanMemo::default();
         assert!(approx_cache_bytes(&bare) < approx_cache_bytes(&stage.caches[0]));
         let with_sketches = approx_cache_bytes(&bare);
         bare.distances = bare.distances.without_sketches();
-        assert!(approx_cache_bytes(&bare) < with_sketches);
+        let sketch_entry = std::mem::size_of::<(ValueId, distance::EditSketch)>() + HASH_SLOT_BYTES;
+        assert_eq!(
+            with_sketches - approx_cache_bytes(&bare),
+            cold.1[0] * sketch_entry
+        );
         assert_eq!(stage.enforce_budget(0), 0, "everything spills");
         assert_eq!(
             stage.memory_stats().spilled_blocks,
@@ -1095,6 +1162,7 @@ pub(crate) mod tests {
         refresh(&mut stage, &index);
         assert_matches_reference("after the spill", &stage, &index);
         assert_eq!(stage.rescanned_groups(), 2 * abnormal);
+        assert_eq!(cost(&stage), cold);
     }
 
     #[test]

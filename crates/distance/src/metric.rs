@@ -79,11 +79,27 @@ impl Metric {
     /// sketched strings, from the sketches alone: [`EditSketch::lower_bound`]
     /// under the edit metrics, the constant `0` under the others (they have
     /// no cheap bound; a filter built on this one is simply vacuous there).
+    ///
+    /// It knows nothing of whether the two strings are equal: two different
+    /// strings may well have a bound of `0` (`"ab"` / `"ba"`).  What equality
+    /// adds is [`Metric::counts_edits`]' business.
     pub fn lower_bound(&self, a: EditSketch, b: EditSketch) -> f64 {
         match self {
             Metric::Levenshtein | Metric::DamerauLevenshtein => f64::from(a.lower_bound(b)),
             Metric::Cosine | Metric::Jaccard | Metric::JaroWinkler => 0.0,
         }
+    }
+
+    /// Whether the metric counts edits: its distance is a whole number, `0`
+    /// between equal strings and at least `1` between any two different
+    /// ones — Levenshtein and Damerau-Levenshtein.  Then two records that
+    /// differ in `k` attributes are at least `k` apart, which is what lets a
+    /// search skip every record that shares too few values with its own.
+    /// Cosine, Jaccard and Jaro-Winkler put different strings less than `1`
+    /// apart, Jaccard even at `0` (`"abab"` / `"aba"` have the same bigram
+    /// set).
+    pub fn counts_edits(&self) -> bool {
+        matches!(self, Metric::Levenshtein | Metric::DamerauLevenshtein)
     }
 }
 
@@ -141,6 +157,20 @@ mod tests {
     }
 
     #[test]
+    fn only_the_edit_metrics_count_edits() {
+        let counting: Vec<Metric> = Metric::ALL
+            .into_iter()
+            .filter(Metric::counts_edits)
+            .collect();
+        assert_eq!(counting, [Metric::Levenshtein, Metric::DamerauLevenshtein]);
+        // Why the others may not: different strings, distance 0 or below 1.
+        assert_eq!(Metric::Jaccard.distance("abab", "aba"), 0.0);
+        for m in [Metric::Cosine, Metric::JaroWinkler] {
+            assert!(m.distance("DOTHAN", "DOTHAM") < 1.0, "{m:?}");
+        }
+    }
+
+    #[test]
     fn levenshtein_raw_distance_is_integer_valued() {
         let m = Metric::Levenshtein;
         assert_eq!(m.distance("AL", "AK"), 1.0);
@@ -164,6 +194,18 @@ mod tests {
                 prop_assert!(bound <= m.distance(&a, &b), "{:?} gave {}", m, bound);
                 let is_edit = matches!(m, Metric::Levenshtein | Metric::DamerauLevenshtein);
                 prop_assert!(is_edit || bound == 0.0, "{:?} gave {}", m, bound);
+            }
+        }
+
+        #[test]
+        fn an_edit_counting_metric_parts_different_strings_by_one(
+            a in "[ab]{0,6}",
+            b in "[ab]{0,6}",
+        ) {
+            for m in Metric::ALL.into_iter().filter(Metric::counts_edits) {
+                let d = m.distance(&a, &b);
+                prop_assert_eq!(d, d.floor(), "{:?}", m);
+                prop_assert_eq!(d == 0.0, a == b, "{:?} gave {}", m, d);
             }
         }
 

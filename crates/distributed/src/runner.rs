@@ -239,6 +239,7 @@ fn absorb_agp_globally(global: &mut AgpRecord, part: AgpRecord, ids: &[TupleId])
         global.merges.push(merge);
     }
     global.cache.absorb(part.cache);
+    global.bounds_computed += part.bounds_computed;
 }
 
 /// Fold one part's RSC record into the global one (local → global ids).

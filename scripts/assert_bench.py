@@ -13,7 +13,9 @@ engine, dirty blocks < total blocks, real mutations applied), requires the
 run fails when the fresh value exceeds the committed one (`product_lines` is
 shown, not gated — tests may grow).  So is `distance_cache.hits + misses`,
 the one-shot run's distance lookups: the count repeats exactly at the smoke's
-fixed seed and may not exceed the committed one.  `fscr_shared_outcomes` —
+fixed seed and may not exceed the committed one, and so is
+`agp_bounds_computed`, the sketch bounds AGP's nearest-normal searches
+evaluated (an artifact without it fails).  `fscr_shared_outcomes` —
 the one-shot report's FSCR outcomes minus its distinct `fused` allocations —
 ratchets the other way: it may not fall below the committed one.
 `pool_storages` — the distinct value-pool tables among the one-shot run's
@@ -26,7 +28,8 @@ recorded when the meter is available, sane latency percentiles, the budgeted
 probe's peak RSS where the rung asserts it, and the group-scoped re-clean
 probe: a single-cell mutation must re-clean a strict, non-empty subset of
 the MLN groups and — on a fresh artifact — send fewer than 1 in 20 of them
-back to a full AGP nearest-normal search).  When `--baseline` points at a
+back to an AGP nearest-normal search from nothing; a fresh artifact must also
+record `agp_bounds_computed` per engine).  When `--baseline` points at a
 committed artifact it also runs an order-of-magnitude tripwire against it:
 the run fails if any engine is more than 3x slower, peaks at more than 2x
 the RSS, or the mutation probe's p50/p99 latency is more than 3x the
@@ -107,6 +110,15 @@ def check_smoke(d, committed=None):
     check(not committed or lookups <= base_lookups,
           f"smoke: distance_cache.hits + misses grew {base_lookups} -> {lookups}: "
           f"the pipeline runs more distance probes than the committed baseline")
+    # Sketch bounds AGP evaluated: exact at the fixed seed, so a change that
+    # loses the lookup (back to bounding every abnormal x normal pair) fails.
+    check("agp_bounds_computed" in d, "smoke: artifact lacks agp_bounds_computed")
+    bounds, base_bounds = d["agp_bounds_computed"], (committed or {}).get("agp_bounds_computed")
+    print("agp bounds computed:", bounds,
+          f"(committed: {base_bounds})" if committed else "")
+    check(base_bounds is None or bounds <= base_bounds,
+          f"smoke: agp_bounds_computed grew {base_bounds} -> {bounds}: AGP's "
+          f"searches bound more candidates than the committed baseline")
     # FSCR outcomes that share another outcome's resolved `fused` list: every
     # tuple of one version vector holds one allocation, so a change that goes
     # back to restating fusions per tuple reads 0 here.
@@ -227,6 +239,11 @@ def check_ladder(d, fresh=True):
                   f"{tag}: total below outcome")
             for stage in STAGES:
                 check(e["stage_seconds"][stage] >= 0, f"{tag}: negative {stage}")
+            if fresh:
+                # Committed baselines may predate the counter.
+                check(isinstance(e.get("agp_bounds_computed"), int)
+                      and e["agp_bounds_computed"] >= 0,
+                      f"{tag}: artifact lacks agp_bounds_computed")
             if rss_supported:
                 check(isinstance(e["peak_rss_kib"], int) and e["peak_rss_kib"] > 0,
                       f"{tag}: RSS meter is supported but no peak recorded")
@@ -277,7 +294,7 @@ def check_ladder(d, fresh=True):
                 check(mut["rescanned_groups"] * 20 < mut["total_groups"],
                       f"{where}: a single-cell mutation must re-plan around a "
                       f"small subset of the groups, got "
-                      f"{mut['rescanned_groups']} full nearest-normal searches "
+                      f"{mut['rescanned_groups']} nearest-normal searches from nothing "
                       f"for {mut['total_groups']} groups")
         else:
             check(mut is None, f"{where}: mutation probe ran on a non-final rung")
