@@ -1165,6 +1165,31 @@ pub(crate) mod tests {
         assert_eq!(cost(&stage), cold);
     }
 
+    /// A spill segment's frame — every block's `(key, GroupEntry)` list
+    /// after a hospital refresh, in key order — keeps its bytes: pinned as
+    /// (length, FNV-1a 64).  It decodes and re-encodes identically.
+    #[test]
+    fn a_spill_frame_keeps_its_bytes() {
+        let (_, ds, rules, config) = workloads().remove(0);
+        let index = MlnIndex::build(&ds, &rules).unwrap();
+        let mut stage = driver_over(&config, &index);
+        mark_all_dirty(&mut stage);
+        refresh(&mut stage, &index);
+        let mut entries: Vec<(Vec<ValueId>, GroupEntry)> = stage
+            .caches
+            .iter()
+            .flat_map(|c| c.entries.iter().map(|(k, e)| (k.clone(), e.clone())))
+            .collect();
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        let bytes = mlnw::to_bytes(&entries).unwrap();
+        let fnv1a = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!((bytes.len(), fnv1a), (813, 16385001157692659122));
+        let decoded: Vec<(Vec<ValueId>, GroupEntry)> = mlnw::from_bytes(&bytes).unwrap();
+        assert_eq!(mlnw::to_bytes(&decoded).unwrap(), bytes);
+    }
+
     #[test]
     fn a_one_cell_update_on_seeded_hai_recleans_a_strict_subset() {
         let (_, mut ds, rules, config) = workloads().remove(1);
