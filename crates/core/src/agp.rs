@@ -107,11 +107,10 @@ use crate::map_ordered;
 use dataset::{TupleId, ValueId, ValuePool};
 use distance::{EditSketch, Metric};
 use rules::RuleId;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// One merge performed (or attempted) by AGP.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AgpMerge {
     /// Block in which the merge happened.
     pub rule: RuleId,
@@ -126,9 +125,11 @@ pub struct AgpMerge {
     pub gamma_count: usize,
 }
 
+mlnw::codec! { struct AgpMerge { rule, abnormal_key, target_key, tuples, gamma_count } }
+
 /// The full AGP record of one cleaning run, used both for reporting and for
 /// the Precision-A / Recall-A evaluation.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AgpRecord {
     /// Every detected abnormal group, in processing order.
     pub merges: Vec<AgpMerge>,
@@ -138,9 +139,10 @@ pub struct AgpRecord {
     /// blocks: what the filter cost, beside what it let through to the
     /// cache.  A process-local counter like the cache's, it is not encoded
     /// (a decoded record reads `0`).
-    #[serde(skip)]
     pub bounds_computed: u64,
 }
+
+mlnw::codec! { struct AgpRecord { merges, cache; skip bounds_computed } }
 
 /// Equality compares the *decisions* (the merges), not the distance-cache
 /// or bound counters: the incremental [`crate::CleaningSession`] keeps a

@@ -37,18 +37,19 @@ use distance::{
     bounded_damerau_levenshtein, bounded_levenshtein, normalized_edit_distance, DistanceMetric,
     EditSketch, Metric,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::{Entry, HashMap};
 
 /// Hit/miss counters of a [`DistanceCache`], aggregated into the stage
 /// records so benchmarks can report cache effectiveness.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Pair lookups answered from the cache (including trivial equal pairs).
     pub hits: u64,
     /// Pair lookups that had to run the metric.
     pub misses: u64,
 }
+
+mlnw::codec! { struct CacheStats { hits, misses } }
 
 impl CacheStats {
     /// Fraction of lookups served without running the metric (`1.0` when no

@@ -13,10 +13,9 @@
 
 use crate::error::CleanError;
 use dataset::{ArityMismatch, AttrId, Dataset, TupleId};
-use serde::{Deserialize, Serialize};
 
 /// One typed mutation of the session's data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Mutation {
     /// Append a batch of string rows (each row in schema order).
     Insert(Vec<Vec<String>>),
@@ -24,6 +23,14 @@ pub enum Mutation {
     Update(TupleId, AttrId, String),
     /// Remove one tuple; all later tuple ids shift down by one.
     Delete(TupleId),
+}
+
+mlnw::codec! {
+    enum Mutation {
+        0 => Insert(rows),
+        1 => Update(tuple, attr, value),
+        2 => Delete(tuple),
+    }
 }
 
 /// An ordered, atomically-applied sequence of [`Mutation`]s.
@@ -41,10 +48,12 @@ pub enum Mutation {
 ///     .delete(TupleId(0));
 /// assert_eq!(changes.len(), 3);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChangeSet {
     mutations: Vec<Mutation>,
 }
+
+mlnw::codec! { struct ChangeSet { mutations } }
 
 impl ChangeSet {
     /// An empty change set.

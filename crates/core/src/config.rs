@@ -1,10 +1,9 @@
 //! Configuration of the MLNClean pipeline.
 
 use distance::Metric;
-use serde::{Deserialize, Serialize};
 
 /// All tunables of a cleaning run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CleanConfig {
     /// AGP threshold τ: a group whose tuples number at most τ is treated as
     /// abnormal and merged into its nearest normal group.  The paper finds

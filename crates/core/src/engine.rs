@@ -34,9 +34,6 @@ use crate::rsc::RscRecord;
 use crate::session::CleaningSession;
 use dataset::{Dataset, TupleId};
 use rules::RuleSet;
-use serde::de::SeqAccess;
-use serde::ser::SerializeTuple;
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -50,7 +47,7 @@ use std::time::Duration;
 /// while the three coordinator fields — [`Timings::partition`],
 /// [`Timings::weight_merge`], [`Timings::gather`] — are true wall clock and
 /// stay zero on the single-node drivers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Timings {
     /// MLN index construction (incl. incremental splices).
     pub index: Duration,
@@ -80,6 +77,8 @@ pub struct Timings {
     pub merge_rounds: usize,
 }
 
+mlnw::codec! { struct Timings { index, agp, weight_learning, rsc, fscr, dedup, partition, weight_merge, gather, merge_rounds } }
+
 impl Timings {
     /// Total time across all stages and coordinator phases.
     pub fn total(&self) -> Duration {
@@ -97,7 +96,7 @@ impl Timings {
 
 /// Distributed extras of a [`Report`]: how the rows were split across
 /// workers, and how much cross-partition evidence the weight merge found.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PartitionReport {
     /// Global tuple ids of each partition, in worker order — the
     /// local-to-global mapping the provenance records were remapped with.
@@ -105,6 +104,8 @@ pub struct PartitionReport {
     /// Number of γs whose weight was adjusted with cross-partition evidence.
     pub shared_gammas: usize,
 }
+
+mlnw::codec! { struct PartitionReport { parts, shared_gammas } }
 
 impl PartitionReport {
     /// Rows per partition, in worker order.
@@ -156,6 +157,11 @@ pub struct Report {
     pub partitions: Option<PartitionReport>,
 }
 
+// A report is the frame a remote client of the cleaning service receives.
+// `index` encodes through its `Arc` and is re-wrapped on decoding: sharing
+// is a process property, not a wire one.
+mlnw::codec! { struct Report { repaired, deduplicated, index, agp, rsc, fscr, timings, partitions } }
+
 impl Report {
     /// Assemble a report — the constructor out-of-crate [`Engine`]
     /// implementations (e.g. the distributed driver) use.  Pass
@@ -206,66 +212,6 @@ impl Report {
         self.index
             .as_ref()
             .expect("this driver keeps one index per partition; read Report::index instead")
-    }
-}
-
-// A report is the frame a remote client of the cleaning service receives,
-// so it needs serde — manual because `index` is behind an `Arc`
-// (serialized through the deref, re-wrapped on decode; sharing is a process
-// property, not a wire one).  Encoded positionally as an 8-tuple, matching
-// the compact sequence framing every binary codec in this workspace uses.
-impl Serialize for Report {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut tup = serializer.serialize_tuple(8)?;
-        tup.serialize_element(&self.repaired)?;
-        tup.serialize_element(&self.deduplicated)?;
-        tup.serialize_element(&self.index.as_deref())?;
-        tup.serialize_element(&self.agp)?;
-        tup.serialize_element(&self.rsc)?;
-        tup.serialize_element(&self.fscr)?;
-        tup.serialize_element(&self.timings)?;
-        tup.serialize_element(&self.partitions)?;
-        tup.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for Report {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        struct ReportVisitor;
-        impl<'de> serde::de::Visitor<'de> for ReportVisitor {
-            type Value = Report;
-            fn expecting(&self, f: &mut std::fmt::Formatter) -> std::fmt::Result {
-                write!(f, "an 8-field report tuple")
-            }
-            fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<Self::Value, A::Error> {
-                macro_rules! take {
-                    ($at:expr) => {
-                        seq.next_element()?.ok_or_else(|| {
-                            serde::de::Error::invalid_length($at, &"an 8-field report tuple")
-                        })?
-                    };
-                }
-                let repaired: Dataset = take!(0);
-                let deduplicated: Option<Dataset> = take!(1);
-                let index: Option<MlnIndex> = take!(2);
-                let agp: AgpRecord = take!(3);
-                let rsc: RscRecord = take!(4);
-                let fscr: FscrRecord = take!(5);
-                let timings: Timings = take!(6);
-                let partitions: Option<PartitionReport> = take!(7);
-                Ok(Report::new(
-                    repaired,
-                    deduplicated,
-                    index.map(Arc::new),
-                    agp,
-                    rsc,
-                    fscr,
-                    timings,
-                    partitions,
-                ))
-            }
-        }
-        deserializer.deserialize_tuple(8, ReportVisitor)
     }
 }
 

@@ -63,13 +63,12 @@
 
 use crate::index::{Block, MlnIndex};
 use dataset::{AttrId, CellRef, Dataset, TupleId, ValueId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
 /// A single cell rewritten by the fusion stage.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellChange {
     /// The rewritten cell.
     pub cell: CellRef,
@@ -79,8 +78,10 @@ pub struct CellChange {
     pub new: String,
 }
 
+mlnw::codec! { struct CellChange { cell, old, new } }
+
 /// Per-tuple outcome of the fusion.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FusionOutcome {
     /// The tuple.
     pub tuple: TupleId,
@@ -95,14 +96,18 @@ pub struct FusionOutcome {
     pub fusion_failed: bool,
 }
 
+mlnw::codec! { struct FusionOutcome { tuple, fused, f_score, conflict_detected, fusion_failed } }
+
 /// The full FSCR record of one run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FscrRecord {
     /// Per-tuple fusion outcomes.
     pub outcomes: Vec<FusionOutcome>,
     /// Every cell rewritten by the fusion stage, relative to the input data.
     pub changes: Vec<CellChange>,
 }
+
+mlnw::codec! { struct FscrRecord { outcomes, changes } }
 
 impl FscrRecord {
     /// Tuples for which a conflict between data versions was detected.

@@ -13,12 +13,11 @@
 
 use dataset::{AttrId, Schema, TupleId, ValueId, ValuePool};
 use rules::RuleId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A piece of data: one distinct (reason values, result values) combination
 /// within a block, together with its supporting tuples and learned weight.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Gamma {
     /// The rule whose block this γ belongs to.
     pub rule: RuleId,
@@ -39,6 +38,8 @@ pub struct Gamma {
     /// fusion scores.
     pub probability: f64,
 }
+
+mlnw::codec! { struct Gamma { rule, reason_attrs, reason_values, result_attrs, result_values, tuples, weight, probability } }
 
 impl Gamma {
     /// Create a γ with no learned weight yet (weight learning fills the

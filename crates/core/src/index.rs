@@ -20,14 +20,13 @@ use crate::gamma::Gamma;
 use crate::map_ordered;
 use dataset::{AttrId, Dataset, TupleId, ValueId, ValuePool};
 use rules::{Rule, RuleId, RuleSet};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// A second-layer group: all γs sharing the same reason-part values within a
 /// block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Group {
     /// The shared reason-part values (interned).
     pub key: Vec<ValueId>,
@@ -35,6 +34,8 @@ pub struct Group {
     /// different result parts — more than one γ means the group is dirty).
     pub gammas: Vec<Gamma>,
 }
+
+mlnw::codec! { struct Group { key, gammas } }
 
 impl Group {
     /// Create a group from its key.
@@ -118,7 +119,7 @@ impl fmt::Display for Group {
 }
 
 /// A first-layer block: every piece of data of one rule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Block {
     /// The rule this block corresponds to.
     pub rule: RuleId,
@@ -129,6 +130,8 @@ pub struct Block {
     /// The block's groups, ordered by their string-resolved keys.
     pub groups: Vec<Group>,
 }
+
+mlnw::codec! { struct Block { rule, reason_attrs, result_attrs, groups } }
 
 impl Block {
     /// Number of groups.
@@ -190,7 +193,7 @@ impl std::error::Error for IndexError {}
 /// What one [`MlnIndex::insert_tuples`] call changed, per block — the
 /// dirtiness information the incremental [`crate::CleaningSession`] uses to
 /// decide which blocks must re-run the cleaning stages.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct InsertReport {
     /// Number of dataset rows scanned by the insertion.
     pub rows: usize,
@@ -220,7 +223,7 @@ impl InsertReport {
 
 /// What one [`MlnIndex::remove_tuples`] call changed, per block — the
 /// mirror image of [`InsertReport`] for deletions.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RemoveReport {
     /// Number of tuples removed from the index.
     pub rows: usize,
@@ -245,7 +248,7 @@ impl RemoveReport {
 }
 
 /// The full two-layer MLN index.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MlnIndex {
     /// One block per rule, in rule order.
     pub blocks: Vec<Block>,
@@ -253,6 +256,8 @@ pub struct MlnIndex {
     /// blocks resolves here.
     pool: ValuePool,
 }
+
+mlnw::codec! { struct MlnIndex { blocks, pool } }
 
 /// Compare two id vectors by their string-resolved values — the ordering the
 /// historical string-keyed index used for groups and γs, preserved so every

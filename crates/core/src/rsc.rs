@@ -27,11 +27,10 @@ use crate::map_ordered;
 use dataset::{TupleId, ValuePool};
 use distance::Metric;
 use rules::RuleId;
-use serde::{Deserialize, Serialize};
 
 /// One repair performed by RSC: the tuples of a losing γ are rewritten to the
 /// winning γ's values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RscRepair {
     /// Block in which the repair happened.
     pub rule: RuleId,
@@ -45,14 +44,18 @@ pub struct RscRepair {
     pub tuples: Vec<TupleId>,
 }
 
+mlnw::codec! { struct RscRepair { rule, group_key, from_values, to_values, tuples } }
+
 /// The full RSC record of one run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RscRecord {
     /// Every γ replacement, in processing order.
     pub repairs: Vec<RscRepair>,
     /// Distance-cache counters accumulated over all blocks.
     pub cache: CacheStats,
 }
+
+mlnw::codec! { struct RscRecord { repairs, cache } }
 
 /// Equality compares the *repairs*, not the distance-cache counters: the
 /// incremental [`crate::CleaningSession`] keeps a persistent per-block cache

@@ -52,12 +52,11 @@ use crate::stage_two::StageTwo;
 use crate::CleanConfig;
 use dataset::{Dataset, Schema, TupleId};
 use rules::RuleSet;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// What one [`CleaningSession::apply`] call changed — the dirtiness the next
 /// re-clean will have to pay for.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchReport {
     /// 1-based ordinal of this change set within the session.
     pub batch: usize,
@@ -86,6 +85,8 @@ pub struct BatchReport {
     pub touched_blocks: Vec<usize>,
 }
 
+mlnw::codec! { struct BatchReport { batch, rows, updated_cells, deleted_rows, total_rows, dirty_blocks, total_blocks, touched_groups, total_groups, touched_blocks } }
+
 /// A compacting suspend image of a [`CleaningSession`]: the net surviving
 /// rows and the batch ordinal — everything a fresh session needs to continue
 /// the stream with byte-identical outputs.
@@ -101,7 +102,7 @@ pub struct BatchReport {
 /// session's core invariant (outputs are byte-identical to a batch run over
 /// the net surviving rows) guarantees the resumed stream cannot diverge
 /// from the uninterrupted one.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SessionSnapshot {
     /// The net surviving rows at the suspend point.
     pub dataset: Dataset,
@@ -109,6 +110,8 @@ pub struct SessionSnapshot {
     /// continues the [`BatchReport`] ordinals from here).
     pub batches: usize,
 }
+
+mlnw::codec! { struct SessionSnapshot { dataset, batches } }
 
 /// An incremental MLNClean engine over typed mutation ingest.
 ///

@@ -48,7 +48,6 @@ use crate::weights::{assign_group_weights, block_support};
 use crate::CleanConfig;
 use dataset::{SpillDir, SpillSlot, TupleId, ValueId, ValuePool};
 use distance::Metric;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -62,9 +61,9 @@ struct BlockRecords {
 
 /// The cached clean state of one **output group** of a block — the unit the
 /// group-scoped refresh reuses when nothing feeding the group changed.
-/// Serializable so a memory-budgeted driver can spill a whole block's
-/// entries to a disk segment through the `mlnw` codec.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Encodable so a memory-budgeted driver can spill a whole block's entries
+/// to a disk segment through the `mlnw` codec.
+#[derive(Debug, Clone)]
 struct GroupEntry {
     /// Pristine group keys fused into this output group: the group's own key
     /// first, then the AGP-merged abnormal keys in merge order.  A reuse is
@@ -75,6 +74,8 @@ struct GroupEntry {
     /// The RSC repairs cleaning this group produced.
     repairs: Vec<RscRepair>,
 }
+
+mlnw::codec! { struct GroupEntry { sources, group, repairs } }
 
 /// Per-block dirtiness and group-scoped clean cache.
 #[derive(Debug, Clone)]
@@ -166,7 +167,7 @@ pub struct Refreshed {
 /// Counters of the out-of-core machinery of a memory-budgeted session or
 /// streaming coordinator — see [`crate::CleaningSession::memory_stats`].
 /// All zero when no [`CleanConfig::memory_budget`] is set.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoryStats {
     /// Block caches spilled to disk segments (cumulative; a block spilled,
     /// faulted in and re-spilled counts twice).
@@ -1188,6 +1189,32 @@ pub(crate) mod tests {
         assert_eq!((bytes.len(), fnv1a), (813, 16385001157692659122));
         let decoded: Vec<(Vec<ValueId>, GroupEntry)> = mlnw::from_bytes(&bytes).unwrap();
         assert_eq!(mlnw::to_bytes(&decoded).unwrap(), bytes);
+    }
+
+    /// A spill segment cut short anywhere fails to decode, and one with a
+    /// bit flipped (every seventh bit of the frame) decodes or fails: no
+    /// decode panics.
+    #[test]
+    fn a_hostile_spill_frame_decodes_or_fails_typed() {
+        type Spill = Vec<(Vec<ValueId>, GroupEntry)>;
+        let (_, ds, rules, config) = workloads().remove(0);
+        let index = MlnIndex::build(&ds, &rules).unwrap();
+        let mut stage = driver_over(&config, &index);
+        mark_all_dirty(&mut stage);
+        refresh(&mut stage, &index);
+        let entries: Spill = stage.caches[0].entries.clone().into_iter().collect();
+        let frame = mlnw::to_bytes(&entries).unwrap();
+        for cut in 0..frame.len() {
+            assert!(
+                mlnw::from_bytes::<Spill>(&frame[..cut]).is_err(),
+                "cut at {cut}"
+            );
+        }
+        for bit in (0..frame.len() * 8).step_by(7) {
+            let mut flipped = frame.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = mlnw::from_bytes::<Spill>(&flipped);
+        }
     }
 
     #[test]

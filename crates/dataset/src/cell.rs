@@ -2,17 +2,18 @@
 
 use crate::schema::AttrId;
 use crate::tuple::TupleId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single cell position in a dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CellRef {
     /// Tuple containing the cell.
     pub tuple: TupleId,
     /// Attribute (column) of the cell.
     pub attr: AttrId,
 }
+
+mlnw::codec! { struct CellRef { tuple, attr } }
 
 impl CellRef {
     /// Create a cell reference.

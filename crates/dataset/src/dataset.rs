@@ -11,7 +11,6 @@ use crate::cell::CellRef;
 use crate::pool::{ValueId, ValuePool};
 use crate::schema::{AttrId, Schema};
 use crate::tuple::{Tuple, TupleId};
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -51,7 +50,7 @@ impl fmt::Display for SchemaMismatch {
 impl std::error::Error for SchemaMismatch {}
 
 /// An in-memory relation: schema + interned columnar cells.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dataset {
     pub(crate) schema: Schema,
     pub(crate) pool: ValuePool,
@@ -59,6 +58,8 @@ pub struct Dataset {
     pub(crate) columns: Vec<Vec<ValueId>>,
     pub(crate) rows: usize,
 }
+
+mlnw::codec! { struct Dataset { schema, pool, columns, rows } }
 
 impl Dataset {
     /// Create an empty dataset over `schema`.

@@ -16,11 +16,10 @@ use crate::dataset::Dataset;
 use crate::schema::AttrId;
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// The kind of an injected instance-level error.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ErrorType {
     /// A random character was removed from the value (a "misprint").
     Typo,
@@ -31,7 +30,7 @@ pub enum ErrorType {
 
 /// One injected error, with full provenance so evaluation can compute exact
 /// precision/recall.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InjectedError {
     /// Which cell was corrupted.
     pub cell: CellRef,
@@ -44,7 +43,7 @@ pub struct InjectedError {
 }
 
 /// Specification of an injection run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ErrorSpec {
     /// Fraction of *eligible* cells to corrupt, in `[0, 1]`.  The paper
     /// defines the error rate over attribute values of the rule-related
@@ -85,7 +84,7 @@ impl ErrorSpec {
 
 /// A dirty dataset paired with its ground truth and the exact set of injected
 /// errors.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DirtyDataset {
     /// The corrupted dataset handed to a cleaner.
     pub dirty: Dataset,

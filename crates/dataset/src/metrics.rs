@@ -12,11 +12,10 @@
 
 use crate::dataset::Dataset;
 use crate::errors::DirtyDataset;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Precision / recall / F1 computed from raw counts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComponentMetrics {
     /// Number of correct decisions (e.g. correctly repaired cells).
     pub correct: usize,
@@ -85,7 +84,7 @@ impl fmt::Display for ComponentMetrics {
 }
 
 /// Full repair report: cell-level counts plus derived precision/recall/F1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RepairReport {
     /// Cells whose value in the repaired dataset differs from the dirty one.
     pub updated_cells: usize,

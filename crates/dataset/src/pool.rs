@@ -48,7 +48,7 @@
 //! threads; the type is `Send + Sync`.  Interning requires `&mut self`;
 //! [`ValuePool::intern_all`] batches it for whole rows or columns.
 
-use serde::{Deserialize, Serialize};
+use mlnw::{CodecError, Decode, Decoder, Encode, Encoder};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -59,8 +59,10 @@ use std::sync::{Arc, OnceLock};
 /// ordered by first appearance — **not** lexicographically.  Code that needs
 /// string order (e.g. the deterministic group ordering of the MLN index)
 /// must resolve and compare the strings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ValueId(pub u32);
+
+mlnw::codec! { struct ValueId { 0 } }
 
 impl ValueId {
     /// The raw index of this value in its pool.
@@ -263,33 +265,25 @@ impl PartialEq for ValuePool {
 
 impl Eq for ValuePool {}
 
-/// Serialized as the id-ordered value list only; the reverse map is derived
-/// state and is rebuilt on deserialization.  Because ids are dense in
-/// first-appearance order and the stored list is duplicate-free, re-interning
-/// the list reassigns every value its original id, so the round trip is
-/// exact.
-impl Serialize for ValuePool {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeSeq;
-        let mut seq = serializer.serialize_seq(Some(self.values.len()))?;
-        for value in self.values.iter() {
-            seq.serialize_element(&**value)?;
-        }
-        seq.end()
+/// Encoded as the id-ordered value list only; the reverse map is derived
+/// state, rebuilt on decoding.  Because ids are dense in first-appearance
+/// order and the stored list is duplicate-free, re-interning the list
+/// reassigns every value its original id, so the round trip is exact.
+impl Encode for ValuePool {
+    fn encode(&self, enc: &mut Encoder) {
+        self.values.encode(enc);
     }
 }
 
-impl<'de> Deserialize<'de> for ValuePool {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let values = Vec::<String>::deserialize(deserializer)?;
-        let mut pool = ValuePool::with_capacity(values.len());
-        for value in &values {
-            pool.intern(value);
-        }
-        if pool.len() != values.len() {
-            return Err(serde::de::Error::custom(
-                "value pool payload contains duplicate values",
-            ));
+impl Decode for ValuePool {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        let len = dec.seq()?;
+        let mut pool = ValuePool::with_capacity(len);
+        for id in 0..len {
+            let value = String::decode(dec)?;
+            if pool.intern(&value).index() != id {
+                return Err(CodecError::DuplicateValue(value));
+            }
         }
         Ok(pool)
     }
@@ -299,6 +293,15 @@ impl<'de> Deserialize<'de> for ValuePool {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn a_pool_frame_listing_a_value_twice_is_refused() {
+        let twice = mlnw::to_bytes(&vec![String::from("a"), "b".into(), "a".into()]).unwrap();
+        assert_eq!(
+            mlnw::from_bytes::<ValuePool>(&twice),
+            Err(CodecError::DuplicateValue("a".into()))
+        );
+    }
 
     #[test]
     fn intern_is_idempotent_and_dense() {
@@ -463,7 +466,7 @@ mod tests {
                 for v in (0..VALUES).map(value) {
                     prop_assert_eq!(pool.lookup(&v), rebuilt.lookup(&v));
                 }
-                // Serde round-trips to an equal pool whose next intern takes
+                // The codec round-trips to an equal pool whose next intern takes
                 // the next dense id.
                 let bytes = mlnw::to_bytes(pool).unwrap();
                 let mut decoded: ValuePool = mlnw::from_bytes(&bytes).unwrap();

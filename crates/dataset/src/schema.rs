@@ -1,12 +1,14 @@
 //! Relation schemas: an ordered list of named attributes.
 
-use serde::{Deserialize, Serialize};
+use mlnw::{CodecError, Decode, Decoder, Encode, Encoder};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of an attribute (its position in the schema).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AttrId(pub usize);
+
+mlnw::codec! { struct AttrId { 0 } }
 
 impl AttrId {
     /// The position of the attribute within its schema.
@@ -28,31 +30,17 @@ pub struct Schema {
     by_name: HashMap<String, usize>,
 }
 
-/// Serialized as the attribute-name list only; the name→position map is
-/// derived state and is rebuilt on deserialization (unlike a derived impl
-/// with `#[serde(skip)]`, which would leave it empty and break name lookups
-/// on decoded schemas).
-impl Serialize for Schema {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        self.attributes.serialize(serializer)
+/// Encoded as the attribute-name list only; the name→position map is
+/// derived state, rebuilt on decoding.
+impl Encode for Schema {
+    fn encode(&self, enc: &mut Encoder) {
+        self.attributes.encode(enc);
     }
 }
 
-impl<'de> Deserialize<'de> for Schema {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let attributes = Vec::<String>::deserialize(deserializer)?;
-        let mut by_name = HashMap::with_capacity(attributes.len());
-        for (idx, name) in attributes.iter().enumerate() {
-            if by_name.insert(name.clone(), idx).is_some() {
-                return Err(serde::de::Error::custom(format!(
-                    "duplicate attribute name {name:?} in serialized schema"
-                )));
-            }
-        }
-        Ok(Schema {
-            attributes,
-            by_name,
-        })
+impl Decode for Schema {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        Schema::from_names(Vec::decode(dec)?).map_err(CodecError::DuplicateAttribute)
     }
 }
 
@@ -63,19 +51,23 @@ impl Schema {
     /// Panics if two attributes share a name: a relation schema must have
     /// distinct attribute names.
     pub fn new<S: AsRef<str>>(attributes: &[S]) -> Self {
-        let attributes: Vec<String> = attributes.iter().map(|s| s.as_ref().to_string()).collect();
+        let names = attributes.iter().map(|s| s.as_ref().to_string()).collect();
+        Schema::from_names(names)
+            .unwrap_or_else(|name| panic!("duplicate attribute name {name:?} in schema"))
+    }
+
+    /// The schema of `attributes`, or the first name listed twice.
+    fn from_names(attributes: Vec<String>) -> Result<Self, String> {
         let mut by_name = HashMap::with_capacity(attributes.len());
         for (idx, name) in attributes.iter().enumerate() {
-            let prev = by_name.insert(name.clone(), idx);
-            assert!(
-                prev.is_none(),
-                "duplicate attribute name {name:?} in schema"
-            );
+            if by_name.insert(name.clone(), idx).is_some() {
+                return Err(name.clone());
+            }
         }
-        Schema {
+        Ok(Schema {
             attributes,
             by_name,
-        }
+        })
     }
 
     /// Number of attributes.
@@ -93,13 +85,7 @@ impl Schema {
 
     /// Look up an attribute by name.
     pub fn attr_id(&self, name: &str) -> Option<AttrId> {
-        // `by_name` is skipped by serde; fall back to a scan if it is empty
-        // but attributes exist (i.e. the schema was deserialized).
-        if self.by_name.len() == self.attributes.len() {
-            self.by_name.get(name).copied().map(AttrId)
-        } else {
-            self.attributes.iter().position(|a| a == name).map(AttrId)
-        }
+        self.by_name.get(name).copied().map(AttrId)
     }
 
     /// All attribute ids, in schema order.
@@ -151,6 +137,19 @@ mod tests {
     #[should_panic(expected = "duplicate attribute name")]
     fn duplicate_names_panic() {
         Schema::new(&["a", "a"]);
+    }
+
+    #[test]
+    fn a_decoded_schema_rebuilds_its_lookup_and_refuses_duplicates() {
+        let s = Schema::new(&["HN", "CT"]);
+        let back: Schema = mlnw::from_bytes(&mlnw::to_bytes(&s).unwrap()).unwrap();
+        assert_eq!(back, s);
+        assert_eq!(back.attr_id("CT"), Some(AttrId(1)));
+        let twice = mlnw::to_bytes(&vec![String::from("a"), "b".into(), "a".into()]).unwrap();
+        assert_eq!(
+            mlnw::from_bytes::<Schema>(&twice),
+            Err(CodecError::DuplicateAttribute("a".into()))
+        );
     }
 
     #[test]

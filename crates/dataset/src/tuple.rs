@@ -4,14 +4,15 @@
 use crate::dataset::Dataset;
 use crate::pool::ValueId;
 use crate::schema::AttrId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Stable identifier of a tuple within a dataset.  Tuple ids are assigned on
 /// insertion and never reused, so they survive cleaning operations that
 /// rewrite values in place and deduplication passes that mark tuples removed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TupleId(pub usize);
+
+mlnw::codec! { struct TupleId { 0 } }
 
 impl TupleId {
     /// The raw index of this tuple.

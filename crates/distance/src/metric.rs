@@ -7,7 +7,6 @@ use crate::{
     jaro_winkler_distance, levenshtein, normalized_edit_distance, normalized_levenshtein,
     EditSketch,
 };
-use serde::{Deserialize, Serialize};
 
 /// Trait for string distance metrics.  `distance` returns a raw
 /// (metric-specific) value; `normalized_distance` is always in `[0, 1]`.
@@ -25,7 +24,7 @@ pub trait DistanceMetric {
 }
 
 /// The built-in metrics available to MLNClean.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Metric {
     /// Classic Levenshtein edit distance (paper default).
     #[default]

@@ -11,13 +11,12 @@ use distance::Metric;
 use mlnclean::DistanceCache;
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Configuration of the partitioner.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionConfig {
     /// Number of parts (workers).
     pub parts: usize,
@@ -52,7 +51,7 @@ impl PartitionConfig {
 }
 
 /// The result of partitioning: tuple ids per part.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Partitioning {
     /// `parts[i]` lists the tuples assigned to part `i`.
     pub parts: Vec<Vec<TupleId>>,

@@ -21,12 +21,11 @@ use crate::features::CooccurrenceModel;
 use dataset::{CellRef, Dataset, ValueId};
 use rayon::prelude::*;
 use rules::{Rule, RuleSet};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 use std::time::{Duration, Instant};
 
 /// Configuration of the baseline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HoloCleanConfig {
     /// Candidate budget per noisy cell.
     pub max_candidates: usize,

@@ -6,12 +6,11 @@
 //! a hospital named ELIZA in city BOAZ must have that exact phone number.
 
 use dataset::{Dataset, Schema, Tuple, ValueId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One clause of a CFD: an attribute that is either bound to a constant or
 /// left as a variable (`_` in the CFD pattern-tableau notation).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CfdClause {
     /// The attribute name.
     pub attr: String,
@@ -59,7 +58,7 @@ impl fmt::Display for CfdClause {
 }
 
 /// A conditional functional dependency: `conditions ⇒ consequents`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConditionalFd {
     conditions: Vec<CfdClause>,
     consequents: Vec<CfdClause>,

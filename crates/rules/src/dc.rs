@@ -6,12 +6,11 @@
 
 use crate::ops::Op;
 use dataset::{Dataset, Schema, Tuple, ValueId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One predicate of a two-tuple denial constraint, comparing an attribute of
 /// the first tuple with an attribute of the second.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DcPredicate {
     /// Attribute of the first tuple.
     pub left_attr: String,
@@ -68,7 +67,7 @@ impl fmt::Display for DcPredicate {
 }
 
 /// A two-tuple denial constraint.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DenialConstraint {
     predicates: Vec<DcPredicate>,
 }

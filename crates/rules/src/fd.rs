@@ -2,11 +2,10 @@
 //! values on Y.
 
 use dataset::{Dataset, Schema, Tuple, ValueId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A functional dependency over attribute names.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FunctionalDependency {
     lhs: Vec<String>,
     rhs: Vec<String>,

@@ -1,6 +1,5 @@
 //! Comparison operators used by denial-constraint predicates.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A binary comparison operator over attribute values.
@@ -8,7 +7,7 @@ use std::fmt;
 /// Values are compared numerically when both sides parse as numbers and
 /// lexicographically otherwise, which matches how denial constraints are
 /// usually evaluated over mixed string/numeric data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// Equality.
     Eq,

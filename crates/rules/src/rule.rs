@@ -4,12 +4,13 @@ use crate::cfd::ConditionalFd;
 use crate::dc::DenialConstraint;
 use crate::fd::FunctionalDependency;
 use dataset::{Schema, Tuple, ValueId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a rule within a [`RuleSet`] (its position).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RuleId(pub usize);
+
+mlnw::codec! { struct RuleId { 0 } }
 
 impl RuleId {
     /// Position of the rule in its rule set.
@@ -25,7 +26,7 @@ impl fmt::Display for RuleId {
 }
 
 /// An integrity constraint of any of the three supported kinds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Rule {
     /// Functional dependency.
     Fd(FunctionalDependency),
@@ -161,7 +162,7 @@ impl fmt::Display for Rule {
 
 /// An ordered collection of rules; the block layer of the MLN index has one
 /// block per rule in the set.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RuleSet {
     rules: Vec<Rule>,
 }

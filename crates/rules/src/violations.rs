@@ -8,11 +8,10 @@
 
 use crate::rule::{Rule, RuleId, RuleSet};
 use dataset::{CellRef, Dataset, TupleId};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 
 /// Which flavour of violation was found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ViolationKind {
     /// Two tuples jointly break the rule (FD / variable CFD / DC).
     Pair,
@@ -22,7 +21,7 @@ pub enum ViolationKind {
 
 /// A detected violation: the rule, the participating tuples, and the cells of
 /// the rule's result part (the usual repair targets).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     /// The violated rule.
     pub rule: RuleId,

@@ -7,9 +7,9 @@
 //! result testable without a network:
 //!
 //! * the [`mlnw`] codec (its entry points re-exported at the crate root): a
-//!   compact self-describing binary format implementing the serde
-//!   `Serializer`/`Deserializer` surface, with an `MLNW` magic + version
-//!   header on every frame;
+//!   compact tagged binary format with an `MLNW` magic + version header on
+//!   every frame, written for exactly the types a frame contains through
+//!   `mlnw`'s `Encode` / `Decode` traits;
 //! * [`message`] — the wire vocabulary: envelopes carrying the
 //!   request/response pairs of the
 //!   [`distributed::PartitionBackend`] surface ([`mlnclean::ChangeSet`]
@@ -64,7 +64,9 @@ mod frames {
         BatchReport, ChangeSet, CleanConfig, CleaningSession, MlnClean, MlnIndex, Mutation,
         PartitionReport, Report, SessionSnapshot, Timings,
     };
-    use mlnw::to_bytes;
+    use mlnw::{from_bytes, to_bytes, CodecError};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use rules::sample_hospital_rules;
     use std::time::Duration;
 
@@ -271,5 +273,61 @@ mod frames {
         for ((name, bytes), pin) in frames.iter().zip(PINS) {
             assert_eq!((bytes.len(), fnv1a(bytes)), pin, "{name}");
         }
+    }
+
+    /// Decode `frame` as `T` after every truncation and after a seeded
+    /// sample of single-bit flips.  A truncated frame is always an error; a
+    /// flipped one may decode or fail, but every decode returns — a panic
+    /// fails the test, and no length prefix reserves more than the frame.
+    fn survives_hostile_variants<T: mlnw::Decode>(name: &str, frame: &[u8], rng: &mut StdRng) {
+        assert!(from_bytes::<T>(frame).is_ok(), "{name}");
+        for cut in 0..frame.len() {
+            assert!(
+                from_bytes::<T>(&frame[..cut]).is_err(),
+                "{name} cut at {cut}"
+            );
+        }
+        for _ in 0..256 {
+            let bit = rng.gen_range(0..frame.len() * 8);
+            let mut flipped = frame.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = from_bytes::<T>(&flipped);
+        }
+    }
+
+    #[test]
+    fn hostile_frames_of_every_family_decode_or_fail_typed() {
+        let mut rng = StdRng::seed_from_u64(27);
+        for (i, env) in envelopes().iter().enumerate() {
+            let frame = to_bytes(env).unwrap();
+            survives_hostile_variants::<Envelope>(&format!("envelope {i}"), &frame, &mut rng);
+        }
+        let frame = to_bytes(&change_set()).unwrap();
+        survives_hostile_variants::<ChangeSet>("change set", &frame, &mut rng);
+        let frame = to_bytes(&snapshot()).unwrap();
+        survives_hostile_variants::<SessionSnapshot>("snapshot", &frame, &mut rng);
+        let frame = to_bytes(&report()).unwrap();
+        survives_hostile_variants::<Report>("report", &frame, &mut rng);
+        let frame = to_bytes(&timings()).unwrap();
+        survives_hostile_variants::<Timings>("timings", &frame, &mut rng);
+    }
+
+    /// A sequence prefix claiming 2^40 elements with three bytes behind it
+    /// is `Eof` before anything is reserved — in a change set's mutation
+    /// list and in a response's row list alike.
+    #[test]
+    fn a_length_prefix_past_the_input_is_eof() {
+        const HUGE: [u8; 6] = [0x80, 0x80, 0x80, 0x80, 0x80, 0x20];
+        let changes = framed(&[&[12, 1, 12][..], &HUGE, &[3, 1, 3]].concat());
+        assert_eq!(from_bytes::<ChangeSet>(&changes), Err(CodecError::Eof));
+        let rows = [
+            &[12, 4, 3, 2, 3, 0, 3, 41, 14, 1, 14, 3, 12, 1, 12][..],
+            &HUGE,
+            &[3, 1, 3],
+        ];
+        assert!(matches!(
+            from_bytes::<Envelope>(&framed(&rows.concat())),
+            Err(CodecError::Eof)
+        ));
     }
 }

@@ -20,7 +20,6 @@
 //!   re-execute.
 
 use mlnclean::{BatchReport, Block, ChangeSet};
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Node address on the simulated network: [`COORDINATOR`] or a worker
@@ -31,7 +30,7 @@ pub type NodeId = usize;
 pub const COORDINATOR: NodeId = 0;
 
 /// One datagram: addressed, correlated, and carrying a request or response.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Envelope {
     /// Sending node.
     pub src: NodeId,
@@ -44,8 +43,10 @@ pub struct Envelope {
     pub body: Payload,
 }
 
+mlnw::codec! { struct Envelope { src, dst, req_id, body } }
+
 /// What an [`Envelope`] carries.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Payload {
     /// Coordinator → worker.
     Request(Request),
@@ -53,8 +54,15 @@ pub enum Payload {
     Response(Response),
 }
 
+mlnw::codec! {
+    enum Payload {
+        0 => Request(request),
+        1 => Response(response),
+    }
+}
+
 /// Coordinator → worker RPCs, mirroring [`distributed::PartitionBackend`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Apply one routed change-set slice (the only state-changing request).
     /// `batch_seq` numbers this worker's applies from zero; the handler is
@@ -93,8 +101,19 @@ pub enum Request {
     Checkpoint,
 }
 
+mlnw::codec! {
+    enum Request {
+        0 => ApplyBatch { batch_seq, changes },
+        1 => PoolTail { from },
+        2 => PristineBlocks { blocks },
+        3 => GatherRows,
+        4 => IndexClock,
+        5 => Checkpoint,
+    }
+}
+
 /// Worker → coordinator replies, one per [`Request`] shape.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Response {
     /// Acknowledges [`Request::ApplyBatch`] `batch_seq` with its report
     /// (possibly replayed from the worker's cache for a duplicate).
@@ -132,6 +151,17 @@ pub enum Response {
         /// Size of the encoded snapshot frame, for capacity accounting.
         snapshot_bytes: u64,
     },
+}
+
+mlnw::codec! {
+    enum Response {
+        0 => Applied { batch_seq, report },
+        1 => PoolTail { values },
+        2 => PristineBlocks { blocks },
+        3 => GatherRows { rows },
+        4 => IndexClock { clock },
+        5 => Checkpointed { batches, snapshot_bytes },
+    }
 }
 
 #[cfg(test)]
