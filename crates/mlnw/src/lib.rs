@@ -529,11 +529,11 @@ macro_rules! codec {
         }
 
         impl $crate::Decode for $ty {
-            fn decode(dec: &mut $crate::Decoder<'_>) -> Result<Self, $crate::CodecError> {
+            fn decode(dec: &mut $crate::Decoder<'_>) -> ::core::result::Result<Self, $crate::CodecError> {
                 dec.fields($crate::codec!(@count $($field)*))?;
-                Ok($ty {
+                ::core::result::Result::Ok($ty {
                     $($field: $crate::Decode::decode(dec)?,)*
-                    $($($skip: Default::default(),)*)?
+                    $($($skip: ::core::default::Default::default(),)*)?
                 })
             }
         }
@@ -553,12 +553,12 @@ macro_rules! codec {
         }
 
         impl $crate::Decode for $ty {
-            fn decode(dec: &mut $crate::Decoder<'_>) -> Result<Self, $crate::CodecError> {
+            fn decode(dec: &mut $crate::Decoder<'_>) -> ::core::result::Result<Self, $crate::CodecError> {
                 match dec.variant()? {
-                    $($index => Ok($crate::codec!(
+                    $($index => ::core::result::Result::Ok($crate::codec!(
                         @decode dec $ty::$variant $(($($tuple),+))? $({$($named),+})?
                     )),)*
-                    index => Err($crate::CodecError::UnknownVariant {
+                    index => ::core::result::Result::Err($crate::CodecError::UnknownVariant {
                         of: stringify!($ty),
                         index,
                     }),
@@ -583,11 +583,9 @@ macro_rules! codec {
     };
     (@decode $dec:ident $ty:ident::$variant:ident ($($field:ident),+)) => {{
         $dec.fields($crate::codec!(@count $($field)*))?;
-        $ty::$variant($({
-            let _ = stringify!($field);
-            $crate::Decode::decode($dec)?
-        }),+)
+        $ty::$variant($($crate::codec!(@next $dec $field)),+)
     }};
+    (@next $dec:ident $field:ident) => { $crate::Decode::decode($dec)? };
     (@decode $dec:ident $ty:ident::$variant:ident {$($field:ident),*}) => {{
         $dec.fields($crate::codec!(@count $($field)*))?;
         $ty::$variant { $($field: $crate::Decode::decode($dec)?),* }
