@@ -474,7 +474,7 @@ fn run_rung(config: &LadderConfig, rows: usize, meter: &PeakRss, is_largest: boo
     drop(session);
 
     // Distributed-streaming engine: the same batches fanned out over
-    // `partitions` per-partition sessions with periodic weight merge.
+    // `partitions` row stores with a periodic evidence merge.
     meter.reset();
     let mut session = DistributedStreamingSession::new(
         clean_config.clone(),

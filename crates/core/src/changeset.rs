@@ -169,6 +169,51 @@ impl ChangeSet {
     }
 }
 
+/// The rows a change-set walk deleted so far, in **virtual** coordinates
+/// (the rows at entry plus those the set inserted, the deleted ones still in
+/// place until one compaction at the end), and the translation from the
+/// sequential ids mutations name (see the [module docs](self)).
+#[derive(Debug, Clone, Default)]
+pub struct DeferredDeletes {
+    /// Virtual rows marked deleted, ascending.
+    marked: Vec<usize>,
+}
+
+impl DeferredDeletes {
+    /// The virtual row sequential id `t` names: the `t`-th unmarked row,
+    /// `t` plus the marked rows below it.  Those are the `i` whose
+    /// `marked[i] - i` (the unmarked rows below `marked[i]`, never falling
+    /// in `i`) is at most `t`.
+    pub fn resolve(&self, t: usize) -> usize {
+        let (mut lo, mut hi) = (0, self.marked.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.marked[mid] - mid <= t {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        t + lo
+    }
+
+    /// Mark virtual row `v` deleted.
+    pub fn mark(&mut self, v: usize) {
+        let at = self.marked.partition_point(|&r| r < v);
+        self.marked.insert(at, v);
+    }
+
+    /// The sequential id of the unmarked virtual row `v`.
+    pub fn sequential(&self, v: usize) -> usize {
+        v - self.marked.partition_point(|&r| r < v)
+    }
+
+    /// The marked rows, ascending (what every `remap_removed` takes).
+    pub fn marked(&self) -> &[usize] {
+        &self.marked
+    }
+}
+
 impl FromIterator<Mutation> for ChangeSet {
     fn from_iter<I: IntoIterator<Item = Mutation>>(iter: I) -> Self {
         ChangeSet {
@@ -207,6 +252,36 @@ mod tests {
         assert_eq!(kinds, vec!["insert", "update", "delete"]);
         assert!(!cs.is_empty());
         assert_eq!(cs.into_mutations().len(), 3);
+    }
+
+    /// `resolve` against the definition — walk the virtual rows and count
+    /// the unmarked ones — and `sequential` as its inverse on unmarked rows.
+    #[test]
+    fn deferred_deletes_translate_between_sequential_and_virtual_ids() {
+        let mut deletes = DeferredDeletes::default();
+        assert_eq!(deletes.resolve(4), 4, "nothing marked: the identity");
+        for v in [3, 0, 7, 4, 5] {
+            deletes.mark(v);
+        }
+        assert_eq!(deletes.marked(), &[0, 3, 4, 5, 7]);
+        let unmarked: Vec<usize> = (0..12).filter(|v| !deletes.marked().contains(v)).collect();
+        for (t, &v) in unmarked.iter().enumerate() {
+            assert_eq!(deletes.resolve(t), v, "sequential id {t}");
+            assert_eq!(deletes.sequential(v), t, "virtual row {v}");
+        }
+    }
+
+    /// A walk that deletes its sequential row 0 three times removes the
+    /// first three virtual rows, in order.
+    #[test]
+    fn repeated_deletes_of_one_sequential_id_walk_forward() {
+        let mut deletes = DeferredDeletes::default();
+        for _ in 0..3 {
+            let v = deletes.resolve(0);
+            deletes.mark(v);
+        }
+        assert_eq!(deletes.marked(), &[0, 1, 2]);
+        assert_eq!(deletes.resolve(0), 3);
     }
 
     #[test]

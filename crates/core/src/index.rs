@@ -191,7 +191,7 @@ impl fmt::Display for IndexError {
 impl std::error::Error for IndexError {}
 
 /// What one [`MlnIndex::insert_tuples`] call changed, per block — the
-/// dirtiness information the incremental [`crate::CleaningSession`] uses to
+/// dirtiness information the [`crate::RowStore`] reports to the drivers that
 /// decide which blocks must re-run the cleaning stages.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct InsertReport {
@@ -202,23 +202,6 @@ pub struct InsertReport {
     pub touched_groups: Vec<usize>,
     /// Per block (rule order): groups newly created by the insertion.
     pub created_groups: Vec<usize>,
-}
-
-impl InsertReport {
-    /// Whether block `i` was touched at all.
-    pub fn block_is_touched(&self, i: usize) -> bool {
-        self.touched_groups.get(i).is_some_and(|&n| n > 0)
-    }
-
-    /// Number of blocks touched by the insertion.
-    pub fn touched_block_count(&self) -> usize {
-        self.touched_groups.iter().filter(|&&n| n > 0).count()
-    }
-
-    /// Total distinct groups touched across all blocks.
-    pub fn total_touched_groups(&self) -> usize {
-        self.touched_groups.iter().sum()
-    }
 }
 
 /// What one [`MlnIndex::remove_tuples`] call changed, per block — the
@@ -233,18 +216,6 @@ pub struct RemoveReport {
     /// Per block (rule order): groups dropped because the removal emptied
     /// them.
     pub removed_groups: Vec<usize>,
-}
-
-impl RemoveReport {
-    /// Whether block `i` was touched at all.
-    pub fn block_is_touched(&self, i: usize) -> bool {
-        self.touched_groups.get(i).is_some_and(|&n| n > 0)
-    }
-
-    /// Number of blocks touched by the removal.
-    pub fn touched_block_count(&self) -> usize {
-        self.touched_groups.iter().filter(|&&n| n > 0).count()
-    }
 }
 
 /// The full two-layer MLN index.
@@ -1010,12 +981,10 @@ mod tests {
         let report = index.insert_tuples(&ds, &rules, 4, false);
         assert_eq!(report.rows, 2);
         assert_eq!(report.touched_groups.len(), rules.len());
-        assert!(report.touched_block_count() > 0);
-        assert!(report.total_touched_groups() > 0);
         // The BOAZ rows join existing groups in block B1: nothing created
         // there.
         assert_eq!(report.created_groups[0], 0);
-        assert!(report.block_is_touched(0));
+        assert!(report.touched_groups[0] > 0);
     }
 
     #[test]
@@ -1061,8 +1030,7 @@ mod tests {
             .remove_tuples(&ds, &rules, &[TupleId(1)], false)
             .unwrap();
         assert_eq!(report.rows, 1);
-        assert!(report.block_is_touched(0));
-        assert!(report.touched_block_count() >= 1);
+        assert!(report.touched_groups[0] > 0);
         assert!(report.removed_groups[0] >= 1, "the DOTH group must drop");
         // Removing nothing is a no-op.
         let untouched = index.clone();

@@ -101,11 +101,12 @@ pub mod session;
 pub mod stage;
 pub mod stage_one;
 pub mod stage_two;
+pub mod store;
 pub mod weights;
 
 pub use agp::{AbnormalGroupProcessor, AgpMerge, AgpRecord};
 pub use cache::{CacheStats, DistanceCache};
-pub use changeset::{ChangeSet, Mutation};
+pub use changeset::{ChangeSet, DeferredDeletes, Mutation};
 pub use config::CleanConfig;
 pub use engine::{Engine, IncrementalMlnClean, PartitionReport, Report, Timings};
 pub use error::CleanError;
@@ -118,13 +119,14 @@ pub use gamma::Gamma;
 pub use index::{Block, Group, InsertReport, MlnIndex, RemoveReport};
 pub use pipeline::MlnClean;
 pub use rsc::{ReliabilityCleaner, RscRecord, RscRepair};
-pub use session::{BatchReport, CleaningSession, SessionSnapshot};
+pub use session::CleaningSession;
 pub use stage::{
     AgpStage, DedupStage, FscrStage, PipelineStage, RscStage, StageContext, StageRecords,
     WeightLearningStage,
 };
 pub use stage_one::{MemoryStats, Refreshed, StageOne};
 pub use stage_two::StageTwo;
+pub use store::{Applied, BatchReport, RowStore, SessionSnapshot};
 pub use weights::GammaSignature;
 
 use rayon::prelude::*;

@@ -11,6 +11,7 @@ use crate::cell::CellRef;
 use crate::pool::{ValueId, ValuePool};
 use crate::schema::{AttrId, Schema};
 use crate::tuple::{Tuple, TupleId};
+use mlnw::{CodecError, Decode, Decoder, Encode, Encoder};
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -59,7 +60,46 @@ pub struct Dataset {
     pub(crate) rows: usize,
 }
 
-mlnw::codec! { struct Dataset { schema, pool, columns, rows } }
+/// Encoded as the sequence of its four fields, like a `codec!` struct.
+impl Encode for Dataset {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.seq(4);
+        self.schema.encode(enc);
+        self.pool.encode(enc);
+        self.columns.encode(enc);
+        self.rows.encode(enc);
+    }
+}
+
+/// Decoding checks what every accessor assumes — one column per attribute,
+/// `rows` ids in each, every id in the pool — so a frame that breaks one is
+/// refused here, not at the first lookup that would panic.
+impl Decode for Dataset {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        dec.fields(4)?;
+        let (schema, pool) = (Schema::decode(dec)?, ValuePool::decode(dec)?);
+        let (columns, rows) = (Vec::<Vec<ValueId>>::decode(dec)?, usize::decode(dec)?);
+        let length = |expected, found| Err(CodecError::Length { expected, found });
+        if columns.len() != schema.arity() {
+            return length(schema.arity(), columns.len());
+        }
+        if let Some(column) = columns.iter().find(|column| column.len() != rows) {
+            return length(rows, column.len());
+        }
+        if let Some(id) = columns.iter().flatten().find(|&&id| !pool.contains(id)) {
+            return Err(CodecError::OutOfRange {
+                value: u64::from(id.0),
+                expected: "a value id of the dataset's pool",
+            });
+        }
+        Ok(Dataset {
+            schema,
+            pool,
+            columns,
+            rows,
+        })
+    }
+}
 
 impl Dataset {
     /// Create an empty dataset over `schema`.
@@ -578,6 +618,38 @@ mod tests {
     use crate::sample_hospital_dataset;
     use proptest::prelude::*;
     use std::collections::HashSet;
+
+    /// A frame that decodes describes a real dataset: hand-built frames
+    /// whose columns disagree with the schema's arity or with `rows`, or name
+    /// an id past the pool, are refused at decode — not left to panic at the
+    /// first lookup.
+    #[test]
+    fn an_inconsistent_dataset_frame_does_not_decode() {
+        let ds = sample_hospital_dataset();
+        let (arity, rows) = (ds.schema.arity(), ds.rows);
+        let decode = |edit: &dyn Fn(&mut Dataset)| {
+            let mut frame = ds.clone();
+            edit(&mut frame);
+            mlnw::from_bytes::<Dataset>(&mlnw::to_bytes(&frame).unwrap())
+        };
+        assert_eq!(decode(&|_| {}), Ok(ds.clone()));
+        let length = |expected, found| Err(CodecError::Length { expected, found });
+        let short = |d: &mut Dataset| d.columns[2].truncate(rows - 1);
+        assert_eq!(decode(&short), length(rows, rows - 1));
+        let extra = |d: &mut Dataset| d.columns.push(d.columns[0].clone());
+        assert_eq!(decode(&extra), length(arity, arity + 1));
+        let missing = |d: &mut Dataset| d.columns.truncate(arity - 1);
+        assert_eq!(decode(&missing), length(arity, arity - 1));
+        assert_eq!(decode(&|d| d.rows += 1), length(rows + 1, rows));
+        let past = ValueId(ds.pool.len() as u32);
+        assert_eq!(
+            decode(&|d| d.columns[1][3] = past),
+            Err(CodecError::OutOfRange {
+                value: u64::from(past.0),
+                expected: "a value id of the dataset's pool",
+            })
+        );
+    }
 
     #[test]
     fn push_row_checks_arity() {

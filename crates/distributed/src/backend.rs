@@ -1,13 +1,13 @@
 //! The partition boundary of the streaming coordinator.
 //!
 //! [`crate::DistributedStreamingSession`] routes mutations, merges per-block
-//! evidence and cleans **globally**, so a partition is only ever asked to
+//! evidence and cleans **globally**, so a partition is a [`RowStore`]: its
+//! rows and their pristine index, nothing more.  It is only ever asked to
 //! *apply this slice* and to send its *pool tail*, *pristine blocks*, *rows*
-//! and *indexing clock* — never to clean: its session keeps rows and a
-//! pristine index, nothing more.  [`Partition`] is the one place those answers
-//! are written; [`PartitionBackend`] drives a pool of them — in-process
+//! and *indexing clock* — the store's by-value answers — never to clean.
+//! [`PartitionBackend`] drives a pool of stores — in-process
 //! ([`LocalPartitions`], one worker thread each) or behind the `transport`
-//! crate's simulated network, where each call lands in the same [`Partition`]
+//! crate's simulated network, where each call lands in the same store
 //! methods on the far side.
 //!
 //! Every answer is *by-value*: owned, serializable payloads, never borrows
@@ -15,71 +15,13 @@
 //! boundary, and why pristine blocks are cloned instead of lent (the merged
 //! block Stage I rewrites is a fresh allocation of the same order anyway).
 
-use dataset::{Schema, TupleId, ValueId};
-use mlnclean::{
-    BatchReport, Block, ChangeSet, CleanConfig, CleanError, CleaningSession, Mutation,
-    SessionSnapshot,
-};
+use dataset::{Schema, ValueId};
+use mlnclean::{BatchReport, Block, CleanConfig, CleanError, Mutation, RowStore};
 use rules::RuleSet;
 use std::time::Duration;
 
-/// One partition: the [`CleaningSession`] holding its rows and their pristine
-/// index, behind the by-value answers of the [module docs](self).
-#[derive(Debug)]
-pub struct Partition(CleaningSession);
-
-impl Partition {
-    /// Open an empty partition.  Fails like [`CleaningSession::new`] does.
-    pub fn new(config: CleanConfig, schema: Schema, rules: RuleSet) -> Result<Self, CleanError> {
-        CleaningSession::new(config, schema, rules).map(Partition)
-    }
-
-    /// Reopen a partition from [`Partition::snapshot`]'s image.
-    pub fn resume(
-        config: CleanConfig,
-        rules: RuleSet,
-        snapshot: SessionSnapshot,
-    ) -> Result<Self, CleanError> {
-        CleaningSession::resume(config, rules, snapshot).map(Partition)
-    }
-
-    /// The compacting suspend image a worker checkpoints.
-    pub fn snapshot(&self) -> SessionSnapshot {
-        self.0.snapshot()
-    }
-
-    /// Apply one change set in partition-local coordinates.
-    pub fn apply(&mut self, changes: ChangeSet) -> Result<BatchReport, CleanError> {
-        self.0.apply(changes)
-    }
-
-    /// The values interned since pool index `from`, in id order.
-    pub fn pool_tail(&self, from: usize) -> Vec<String> {
-        let pool = self.0.dataset().pool();
-        pool.iter().skip(from).map(|(_, v)| v.to_string()).collect()
-    }
-
-    /// Copies of the listed pristine (pre-Stage-I) blocks, in the listed order.
-    pub fn pristine_blocks(&self, blocks: &[usize]) -> Vec<Block> {
-        let index = self.0.pristine_index();
-        blocks.iter().map(|&b| index.blocks[b].clone()).collect()
-    }
-
-    /// The current rows in local order, as partition-local value ids.
-    pub fn rows(&self) -> Vec<Vec<ValueId>> {
-        let dataset = self.0.dataset();
-        let row = |t| dataset.row_ids(TupleId(t)).to_vec();
-        (0..dataset.len()).map(row).collect()
-    }
-
-    /// Cumulative index-maintenance wall clock.
-    pub fn index_clock(&self) -> Duration {
-        self.0.timings().index
-    }
-}
-
 /// What the streaming coordinator asks of its partition pool — each method a
-/// request/response pair over owned payloads, answered by [`Partition`].
+/// request/response pair over owned payloads, answered by a [`RowStore`].
 ///
 /// Calls take `&mut self` even when logically read-only: a wire backend must
 /// pump its network to serve them.
@@ -90,7 +32,7 @@ pub trait PartitionBackend {
     /// Apply one routed change set: `slices[p]` holds partition `p`'s
     /// mutations in partition-local coordinates.  Returns each partition's
     /// [`BatchReport`], `None` for partitions whose slice was empty (their
-    /// session state is untouched).
+    /// state is untouched).
     ///
     /// The coordinator pre-validates the change set, so a slice cannot fail
     /// validation; backends may panic on a malformed slice.
@@ -114,14 +56,14 @@ pub trait PartitionBackend {
     fn index_clock(&mut self) -> Duration;
 }
 
-/// The in-process backend: one scoped worker thread per [`Partition`] applies
+/// The in-process backend: one scoped worker thread per [`RowStore`] applies
 /// its slice (partitions hold disjoint rows, so index maintenance parallelizes).
 #[derive(Debug)]
-pub struct LocalPartitions(Vec<Partition>);
+pub struct LocalPartitions(Vec<RowStore>);
 
 impl LocalPartitions {
-    /// Open `partitions` partitions for `schema` under `rules`.  Fails like
-    /// [`Partition::new`] does, plus [`CleanError::Partition`] on zero partitions.
+    /// Open `partitions` empty stores for `schema` under `rules`.  Fails like
+    /// [`RowStore::new`] does, plus [`CleanError::Partition`] on zero partitions.
     pub fn new(
         config: CleanConfig,
         schema: Schema,
@@ -131,7 +73,7 @@ impl LocalPartitions {
         if partitions == 0 {
             return Err(CleanError::Partition { workers: 0 });
         }
-        let open = |_| Partition::new(config.clone(), schema.clone(), rules.clone());
+        let open = |_| RowStore::new(config.clone(), schema.clone(), rules.clone());
         let opened: Result<_, _> = (0..partitions).map(open).collect();
         opened.map(LocalPartitions)
     }
@@ -143,10 +85,12 @@ impl PartitionBackend for LocalPartitions {
     }
 
     fn apply_slices(&mut self, slices: Vec<Vec<Mutation>>) -> Vec<Option<BatchReport>> {
-        let apply = |(partition, muts): (&mut Partition, Vec<Mutation>)| {
+        let apply = |(store, muts): (&mut RowStore, Vec<Mutation>)| {
             (!muts.is_empty()).then(|| {
-                let report = partition.apply(muts.into_iter().collect());
-                report.expect("the coordinator pre-validated the change set")
+                let applied = store.apply(muts.into_iter().collect());
+                applied
+                    .expect("the coordinator pre-validated the change set")
+                    .report
             })
         };
         std::thread::scope(|scope| {
@@ -162,7 +106,7 @@ impl PartitionBackend for LocalPartitions {
     }
 
     fn pristine_blocks(&mut self, blocks: &[usize]) -> Vec<Vec<Block>> {
-        let copies = |partition: &Partition| partition.pristine_blocks(blocks);
+        let copies = |store: &RowStore| store.pristine_blocks(blocks);
         self.0.iter().map(copies).collect()
     }
 
@@ -171,6 +115,6 @@ impl PartitionBackend for LocalPartitions {
     }
 
     fn index_clock(&mut self) -> Duration {
-        self.0.iter().map(Partition::index_clock).sum()
+        self.0.iter().map(RowStore::index_clock).sum()
     }
 }

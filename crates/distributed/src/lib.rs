@@ -26,8 +26,8 @@
 //! Besides the batch runner there is a **streaming** driver
 //! ([`streaming::DistributedStreamingSession`] /
 //! [`DistributedStreamingMlnClean`]): one typed [`mlnclean::ChangeSet`]
-//! stream routed across per-partition [`mlnclean::CleaningSession`]s, with a
-//! periodic cross-partition per-block state and weight merge whose outcome
+//! stream routed across per-partition [`mlnclean::RowStore`]s, with a
+//! periodic cross-partition merge of exact per-block evidence whose outcome
 //! is byte-identical to a single session over the same stream (pinned by
 //! `tests/streaming_equivalence.rs`).
 
@@ -37,7 +37,7 @@ pub mod runner;
 pub mod streaming;
 pub mod weights;
 
-pub use backend::{LocalPartitions, Partition, PartitionBackend};
+pub use backend::{LocalPartitions, PartitionBackend};
 pub use partition::{partition_dataset, route_row, PartitionConfig, Partitioning};
 pub use runner::DistributedMlnClean;
 pub use streaming::{DistributedStreamingMlnClean, DistributedStreamingSession};

@@ -1,6 +1,6 @@
 //! Distributed **streaming**: one typed [`ChangeSet`] stream routed across
-//! per-partition [`CleaningSession`]s, with a periodic cross-partition merge
-//! of per-block evidence — and an outcome that is byte-identical to a single
+//! per-partition [`RowStore`]s, with a periodic cross-partition merge of
+//! per-block evidence — and an outcome that is byte-identical to a single
 //! [`CleaningSession`] fed the same stream.
 //!
 //! # Execution plan
@@ -14,12 +14,12 @@
 //!    front, which a stream does not have), while updates and deletes follow
 //!    the tuple's home partition through a global → (partition, local) id
 //!    map the coordinator maintains across mutations (delete compaction
-//!    shifts both the global and the partition-local id spaces, exactly
-//!    mirroring the sessions' own sequential semantics).
-//! 2. **Ingest** — each partition's [`CleaningSession`] applies its slice of
-//!    the change set on its own worker thread.  The sessions do the
-//!    expensive incremental index maintenance (γ splice-in/out, group
-//!    re-homing) in parallel over disjoint row subsets.
+//!    shifts both the global and the partition-local id spaces through the
+//!    stores' own deferred-delete walk, [`DeferredDeletes`]).
+//! 2. **Ingest** — each partition's [`RowStore`] applies its slice of the
+//!    change set on its own worker thread.  The stores do the expensive
+//!    incremental index maintenance (γ splice-in/out, group re-homing) in
+//!    parallel over disjoint row subsets, and hold no cleaning state.
 //! 3. **Merge** — every K change sets (and before any outcome) the
 //!    coordinator merges, for each block touched since the last round, the
 //!    partitions' pristine per-block state into one **global** block: the
@@ -61,24 +61,23 @@ use crate::backend::{LocalPartitions, PartitionBackend};
 use crate::partition::route_row;
 use dataset::{Dataset, Schema, TupleId, ValueId, ValuePool};
 use mlnclean::index::{cmp_resolved, cmp_resolved_gammas};
-use mlnclean::session::nth_surviving;
 use mlnclean::{
-    BatchReport, Block, ChangeSet, CleanConfig, CleanError, Engine, Gamma, Group, MemoryStats,
-    MlnIndex, Mutation, PartitionReport, Report, StageOne, StageTwo, Timings,
+    BatchReport, Block, ChangeSet, CleanConfig, CleanError, DeferredDeletes, Engine, Gamma, Group,
+    MemoryStats, MlnIndex, Mutation, PartitionReport, Report, StageOne, StageTwo, Timings,
 };
 // Referenced by the module and method docs only.
 #[allow(unused_imports)]
-use mlnclean::CleaningSession;
+use mlnclean::{CleaningSession, RowStore};
 use rules::RuleSet;
 use std::collections::HashMap;
 use std::time::Instant;
 
 /// The stateful distributed streaming coordinator: per-partition
-/// [`CleaningSession`]s behind the same `apply`/`outcome`/`finish` surface a
-/// single session offers.
+/// [`RowStore`]s behind the same `apply`/`outcome`/`finish` surface a single
+/// [`CleaningSession`] offers.
 ///
 /// The coordinator is generic over its [`PartitionBackend`] — the default
-/// [`LocalPartitions`] keeps the sessions in-process (one worker thread per
+/// [`LocalPartitions`] keeps the stores in-process (one worker thread per
 /// partition), while the `transport` crate plugs in a wire-backed pool where
 /// every backend call crosses a simulated network.  The routing/merge brain
 /// is identical either way, which is what pins the wire-backed service
@@ -101,9 +100,9 @@ pub struct DistributedStreamingSession<B: PartitionBackend = LocalPartitions> {
     pool: ValuePool,
     /// Net row count of the stream (what the mirror dataset's length was).
     rows: usize,
-    /// The partition pool: in-process sessions or a wire-backed service.
+    /// The partition pool: in-process stores or a wire-backed service.
     backend: B,
-    /// Per partition: its session's total group count, refreshed from every
+    /// Per partition: its store's total group count, refreshed from every
     /// [`BatchReport`] it returns (partitions untouched by a change set keep
     /// their last count) — spares the coordinator a round trip per batch.
     group_counts: Vec<usize>,
@@ -153,11 +152,11 @@ pub struct CoordinatorFootprint {
 }
 
 impl DistributedStreamingSession {
-    /// Open a streaming coordinator over `partitions` in-process sessions
-    /// for `schema` under `rules`, merging every `merge_every` change sets
+    /// Open a streaming coordinator over `partitions` in-process stores for
+    /// `schema` under `rules`, merging every `merge_every` change sets
     /// (clamped to at least 1).
     ///
-    /// Fails like [`CleaningSession::new`] does (empty rule set, rule
+    /// Fails like [`RowStore::new`] does (empty rule set, rule
     /// referencing an unknown attribute), plus
     /// [`CleanError::Partition`] on zero partitions.
     pub fn new(
@@ -178,7 +177,7 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
     /// the constructor wire-backed services use ([`Self::new`] is the
     /// in-process shorthand).
     ///
-    /// The backend's partitions must be fresh (empty) sessions for `schema`
+    /// The backend's partitions must be fresh (empty) stores for `schema`
     /// under `rules`.  Fails on zero partitions or a rule set the schema
     /// rejects.
     pub fn with_backend(
@@ -212,7 +211,7 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
         })
     }
 
-    /// Number of partitions (= worker sessions).
+    /// Number of partitions (= row stores).
     pub fn partition_count(&self) -> usize {
         self.backend.partitions()
     }
@@ -339,12 +338,11 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
         let started = Instant::now();
         let partitions = self.backend.partitions();
         let mut pending: Vec<Vec<Mutation>> = vec![Vec::new(); partitions];
-        // Virtual rows a partition already has marked for deletion this
-        // change set — its session interprets ids sequentially, so
-        // partition-local ids shift past them.
-        let mut removed_locals: Vec<Vec<usize>> = vec![Vec::new(); partitions];
-        // Virtual global row indices marked for deletion, kept sorted.
-        let mut removed: Vec<usize> = Vec::new();
+        // Per partition, its virtual local rows deleted so far this change
+        // set — its store interprets ids sequentially, so partition-local
+        // ids shift past them — and the virtual global rows.
+        let mut local_deletes = vec![DeferredDeletes::default(); partitions];
+        let mut deletes = DeferredDeletes::default();
         let mut inserted = 0usize;
         // Virtual row count during the walk: doomed rows stay in place until
         // the single compaction below, exactly like the mirror-era length.
@@ -375,35 +373,29 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
                 }
                 Mutation::Update(t, attr, value) => {
                     // No-op updates (cell already holds the value) are
-                    // detected by the home partition's session, which skips
+                    // detected by the home partition's store, which skips
                     // them exactly like a single session would; the routing
-                    // layer no longer holds cell state to check against.
-                    let v = nth_surviving(&removed, t.index());
+                    // layer holds no cell state to check against.
+                    let v = deletes.resolve(t.index());
                     self.pool.intern(&value);
-                    let p = self.home[v];
-                    let vl = self.parts[p]
-                        .binary_search(&TupleId(v))
-                        .expect("home map is consistent");
-                    let local = vl - removed_locals[p].partition_point(|&r| r < vl);
-                    pending[p].push(Mutation::Update(TupleId(local), attr, value));
+                    let (p, vl) = self.locate(v);
+                    let local = TupleId(local_deletes[p].sequential(vl));
+                    pending[p].push(Mutation::Update(local, attr, value));
                     self.stage_two.invalidate(TupleId(v));
                 }
                 Mutation::Delete(t) => {
-                    let v = nth_surviving(&removed, t.index());
-                    removed.insert(removed.partition_point(|&r| r < v), v);
-                    let p = self.home[v];
-                    let vl = self.parts[p]
-                        .binary_search(&TupleId(v))
-                        .expect("home map is consistent");
-                    let local = vl - removed_locals[p].partition_point(|&r| r < vl);
-                    pending[p].push(Mutation::Delete(TupleId(local)));
-                    let at = removed_locals[p].partition_point(|&r| r < vl);
-                    removed_locals[p].insert(at, vl);
+                    let v = deletes.resolve(t.index());
+                    deletes.mark(v);
+                    let (p, vl) = self.locate(v);
+                    let local = TupleId(local_deletes[p].sequential(vl));
+                    pending[p].push(Mutation::Delete(local));
+                    local_deletes[p].mark(vl);
                 }
             }
         }
 
         // One global compaction for all deletes of the change set.
+        let removed = deletes.marked();
         let deleted_rows = removed.len();
         self.rows = virtual_rows - deleted_rows;
         if !removed.is_empty() {
@@ -413,11 +405,11 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
                 idx += 1;
                 keep
             });
-            self.stage_two.remap_removed(&removed);
+            self.stage_two.remap_removed(removed);
             for part in &mut self.parts {
-                dataset::remap_ids_after_removal(part, &removed);
+                dataset::remap_ids_after_removal(part, removed);
             }
-            self.stage_one.remap_removed(&removed);
+            self.stage_one.remap_removed(removed);
         }
 
         // Partition ingest: the backend applies every partition's slice
@@ -463,6 +455,14 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
         }
         self.stage_two.enforce_budget(&mut self.stage_one);
         Ok(report)
+    }
+
+    /// The home partition of virtual global row `v`, and `v`'s virtual local
+    /// row there.
+    fn locate(&self, v: usize) -> (usize, usize) {
+        let p = self.home[v];
+        let found = self.parts[p].binary_search(&TupleId(v));
+        (p, found.expect("home map is consistent"))
     }
 
     /// Extend the per-partition value-id translation tables to cover every
@@ -662,13 +662,13 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
 /// [`DistributedStreamingSession::apply`]).
 #[derive(Debug, Clone)]
 pub struct DistributedStreamingMlnClean {
-    /// Number of partitions (= worker sessions).
+    /// Number of partitions (= row stores).
     pub partitions: usize,
     /// Merge cadence K: cross-partition merge every K micro-batches.
     pub merge_every: usize,
     /// Micro-batch size in rows.
     pub batch_rows: usize,
-    /// The per-partition cleaning configuration.
+    /// The cleaning configuration.
     pub config: CleanConfig,
 }
 
@@ -697,7 +697,7 @@ impl DistributedStreamingMlnClean {
     }
 
     /// Clean `dirty` against `rules` by streaming it through per-partition
-    /// sessions.
+    /// row stores.
     pub fn clean(&self, dirty: &Dataset, rules: &RuleSet) -> Result<Report, CleanError> {
         let mut session = DistributedStreamingSession::new(
             self.config.clone(),

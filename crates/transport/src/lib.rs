@@ -1,9 +1,9 @@
 //! Wire-boundary MLNClean service (the "what if the partitions were remote"
 //! story for the paper's Section 6 deployment).
 //!
-//! PR 5 ran distributed streaming as one process calling per-partition
-//! [`mlnclean::CleaningSession`]s through function calls.  This crate
-//! promotes that partition boundary to a **message boundary** and makes the
+//! The streaming coordinator calls its per-partition
+//! [`mlnclean::RowStore`]s through function calls.  This crate promotes
+//! that partition boundary to a **message boundary** and makes the
 //! result testable without a network:
 //!
 //! * the [`mlnw`] codec (its entry points re-exported at the crate root): a
@@ -21,8 +21,8 @@
 //!   reproducibly;
 //! * [`log`] — the per-partition durable change log (write-ahead journal of
 //!   applied batches) that makes a worker restartable;
-//! * [`worker`] — a partition worker: one [`distributed::Partition`] behind
-//!   an idempotent request handler, with crash/recover by replaying its log;
+//! * [`worker`] — a partition worker: one [`mlnclean::RowStore`] behind an
+//!   idempotent request handler, with crash/recover by replaying its log;
 //! * [`service`] — the wire-backed partition pool ([`service::WireBackend`])
 //!   that plugs into the *routing-only* streaming coordinator, plus the
 //!   [`service::CleaningService`] front door multiplexing concurrent client

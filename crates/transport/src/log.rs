@@ -2,9 +2,9 @@
 //!
 //! A worker's only state-changing input is the ordered sequence of applied
 //! change-set batches, so durably recording exactly that sequence makes the
-//! worker restartable: a fresh [`mlnclean::CleaningSession`] replaying the
-//! log in order reconstructs byte-identical session state (the pipeline is
-//! deterministic — same batches in, same cells and provenance out).
+//! worker restartable: a fresh [`mlnclean::RowStore`] replaying the log in
+//! order reconstructs byte-identical state (ingest is deterministic — same
+//! batches in, same rows and pristine index out).
 //!
 //! Entries are stored as **encoded frames** ([`mlnw`] bytes of the
 //! [`mlnclean::ChangeSet`]), not live objects: what survives a crash is
@@ -41,7 +41,7 @@ pub trait ChangeLog {
 }
 
 /// In-memory change log.  "Durable" relative to the simulated crash model:
-/// a crash tears down the worker's session, not its log (the log stands in
+/// a crash tears down the worker's store, not its log (the log stands in
 /// for the disk / replicated store a real deployment would write).
 #[derive(Debug, Clone, Default)]
 pub struct MemLog {
@@ -56,7 +56,7 @@ impl MemLog {
 
     /// Drop every entry with `batch_seq <= seq`.
     ///
-    /// Called when a checkpoint durably captures session state through batch
+    /// Called when a checkpoint durably captures store state through batch
     /// `seq`: recovery then resumes from the checkpoint and replays only the
     /// tail, so the covered prefix is dead weight — without this the journal
     /// of a long-lived stream grows without bound.

@@ -87,9 +87,9 @@ pub enum Request {
     GatherRows,
     /// The worker's cumulative index-maintenance wall clock (read-only).
     IndexClock,
-    /// Take a durable checkpoint of the worker's session (a compacting
+    /// Take a durable checkpoint of the worker's store (a compacting
     /// [`mlnclean::SessionSnapshot`] encoded through the codec) and truncate
-    /// the journaled prefix it covers.  Idempotent: the session state at a
+    /// the journaled prefix it covers.  Idempotent: the store state at a
     /// fixed batch cursor is deterministic, so re-checkpointing at the same
     /// cursor re-derives (or re-acknowledges) the same checkpoint — a
     /// retransmit duplicate is harmless.
@@ -120,7 +120,7 @@ pub enum Response {
     Applied {
         /// Echo of the applied sequence number.
         batch_seq: u64,
-        /// The session's report for that batch.
+        /// The store's report for that batch.
         report: BatchReport,
     },
     /// Reply to [`Request::PoolTail`].

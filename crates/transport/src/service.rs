@@ -138,7 +138,7 @@ impl WireBackend {
     }
 
     /// Broadcast [`Request::Checkpoint`] to every worker and wait for the
-    /// acknowledgements: each worker durably snapshots its session and
+    /// acknowledgements: each worker durably snapshots its store and
     /// truncates the covered journal prefix, so later crashes recover by
     /// resume-plus-tail-replay instead of full replay.  Returns, per
     /// worker, the batch cursor the checkpoint covers and the encoded
@@ -526,7 +526,7 @@ mod tests {
     }
 
     /// Both backends answer every question of [`PartitionBackend`] alike:
-    /// the same [`distributed::Partition`]s, one pool of them behind a wire.
+    /// the same [`mlnclean::RowStore`]s, one pool of them behind a wire.
     #[test]
     fn local_and_wire_backends_answer_every_slice_alike() {
         use dataset::{AttrId, TupleId};

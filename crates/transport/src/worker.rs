@@ -1,6 +1,6 @@
-//! A partition worker: one [`Partition`] behind an idempotent request
-//! handler — each [`Request`] maps to the one `Partition` method that answers
-//! it — restartable from its durable change log.
+//! A partition worker: one [`RowStore`] behind an idempotent request handler
+//! — each [`Request`] maps to the one store method that answers it —
+//! restartable from its durable change log.
 //!
 //! ## Exactly-once applies over at-least-once delivery
 //!
@@ -19,19 +19,19 @@
 //!
 //! ## Crash and replay
 //!
-//! [`PartitionWorker::crash_and_recover`] models a process kill: partition and
+//! [`PartitionWorker::crash_and_recover`] models a process kill: store and
 //! report cache are discarded, then rebuilt from the last durable
 //! [`WorkerCheckpoint`] (if one was taken) plus the journal tail — resume
-//! the checkpointed [`mlnclean::SessionSnapshot`], restore its report
-//! cache, then decode and re-apply every journaled frame past the
-//! checkpoint cursor.  With no checkpoint the log is replayed from an empty
-//! session.  Because the cleaning pipeline is deterministic, the recovered
-//! session is byte-identical to the lost one, which is exactly what the
-//! chaos tests pin.
+//! the checkpointed [`mlnclean::SessionSnapshot`] into a fresh store,
+//! restore its report cache, then decode and re-apply every journaled frame
+//! past the checkpoint cursor.  With no checkpoint the log is replayed into
+//! an empty store.  Because ingest is deterministic, the recovered store is
+//! byte-identical to the lost one, which is exactly what the chaos tests
+//! pin.
 //!
 //! ## Checkpoints bound the journal
 //!
-//! [`Request::Checkpoint`] makes the worker encode a compacting session
+//! [`Request::Checkpoint`] makes the worker encode a compacting store
 //! snapshot through the codec, stash it (with the report cache it must be
 //! able to re-acknowledge from) as durable state beside the log, and
 //! [`MemLog::truncate_through`] the covered journal prefix — so a
@@ -43,14 +43,13 @@
 use crate::log::{ChangeLog, MemLog};
 use crate::message::{Request, Response};
 use dataset::Schema;
-use distributed::Partition;
-use mlnclean::{BatchReport, ChangeSet, CleanConfig, CleanError, SessionSnapshot};
+use mlnclean::{BatchReport, ChangeSet, CleanConfig, CleanError, RowStore, SessionSnapshot};
 use rules::RuleSet;
 
-/// A durable session checkpoint: everything recovery needs besides the
+/// A durable store checkpoint: everything recovery needs besides the
 /// journal tail.  "Durable" in the same sense as [`MemLog`] — it survives
 /// the simulated crash (standing in for a disk/replicated store), while the
-/// live session does not.
+/// live store does not.
 #[derive(Debug, Clone)]
 pub struct WorkerCheckpoint {
     /// Codec frame of the [`SessionSnapshot`] at checkpoint time.
@@ -69,7 +68,7 @@ pub struct PartitionWorker {
     config: CleanConfig,
     schema: Schema,
     rules: RuleSet,
-    partition: Partition,
+    store: RowStore,
     log: MemLog,
     reports: Vec<BatchReport>,
     checkpoint: Option<WorkerCheckpoint>,
@@ -77,15 +76,15 @@ pub struct PartitionWorker {
 }
 
 impl PartitionWorker {
-    /// Open a worker with an empty partition and log.  Fails like
-    /// [`Partition::new`] does.
+    /// Open a worker with an empty store and log.  Fails like
+    /// [`RowStore::new`] does.
     pub fn new(config: CleanConfig, schema: Schema, rules: RuleSet) -> Result<Self, CleanError> {
-        let partition = Partition::new(config.clone(), schema.clone(), rules.clone())?;
+        let store = RowStore::new(config.clone(), schema.clone(), rules.clone())?;
         Ok(PartitionWorker {
             config,
             schema,
             rules,
-            partition,
+            store,
             log: MemLog::new(),
             reports: Vec::new(),
             checkpoint: None,
@@ -121,7 +120,7 @@ impl PartitionWorker {
                 let next = self.reports.len() as u64;
                 if batch_seq < next {
                     // Duplicate delivery of an applied batch: re-ack from
-                    // the cache, leaving session state untouched.
+                    // the cache, leaving the store untouched.
                     return Response::Applied {
                         batch_seq,
                         report: self.reports[batch_seq as usize].clone(),
@@ -138,24 +137,22 @@ impl PartitionWorker {
                     batch_seq,
                     &mlnw::to_bytes(&changes).expect("change sets encode"),
                 );
-                let report = self
-                    .partition
-                    .apply(changes)
-                    .expect("the coordinator pre-validated the change set");
+                let report = self.store.apply(changes).map(|applied| applied.report);
+                let report = report.expect("the coordinator pre-validated the change set");
                 self.reports.push(report.clone());
                 Response::Applied { batch_seq, report }
             }
             Request::PoolTail { from } => Response::PoolTail {
-                values: self.partition.pool_tail(from),
+                values: self.store.pool_tail(from),
             },
             Request::PristineBlocks { blocks } => Response::PristineBlocks {
-                blocks: self.partition.pristine_blocks(&blocks),
+                blocks: self.store.pristine_blocks(&blocks),
             },
             Request::GatherRows => Response::GatherRows {
-                rows: self.partition.rows(),
+                rows: self.store.rows(),
             },
             Request::IndexClock => Response::IndexClock {
-                clock: self.partition.index_clock(),
+                clock: self.store.index_clock(),
             },
             Request::Checkpoint => {
                 let batches = self.reports.len() as u64;
@@ -169,8 +166,7 @@ impl PartitionWorker {
                         };
                     }
                 }
-                let frame =
-                    mlnw::to_bytes(&self.partition.snapshot()).expect("session snapshots encode");
+                let frame = mlnw::to_bytes(&self.store.snapshot()).expect("snapshots encode");
                 let snapshot_bytes = frame.len() as u64;
                 self.checkpoint = Some(WorkerCheckpoint {
                     frame,
@@ -191,25 +187,25 @@ impl PartitionWorker {
     }
 
     /// Kill the worker's volatile state and recover it from durable state:
-    /// resume the last checkpoint (or open a fresh session if none was
-    /// taken), then replay the journal tail past the checkpoint cursor in
-    /// order, re-deriving the post-checkpoint report cache along the way.
+    /// resume the last checkpoint into a fresh store (or open an empty one
+    /// if none was taken), then replay the journal tail past the checkpoint
+    /// cursor in order, re-deriving the post-checkpoint report cache along
+    /// the way.
     pub fn crash_and_recover(&mut self) {
         self.restarts += 1;
         let replay_from = match &self.checkpoint {
             Some(cp) => {
                 let snapshot: SessionSnapshot =
                     mlnw::from_bytes(&cp.frame).expect("checkpoint frames decode");
-                self.partition =
-                    Partition::resume(self.config.clone(), self.rules.clone(), snapshot)
-                        .expect("a snapshot that was taken resumes");
+                self.store = RowStore::resume(self.config.clone(), self.rules.clone(), snapshot)
+                    .expect("a snapshot that was taken resumes");
                 self.reports = cp.reports.clone();
                 cp.batches
             }
             None => {
-                self.partition =
-                    Partition::new(self.config.clone(), self.schema.clone(), self.rules.clone())
-                        .expect("a partition that opened once opens again");
+                self.store =
+                    RowStore::new(self.config.clone(), self.schema.clone(), self.rules.clone())
+                        .expect("a store that opened once opens again");
                 self.reports.clear();
                 0
             }
@@ -223,11 +219,9 @@ impl PartitionWorker {
             }
             let changes: ChangeSet =
                 mlnw::from_bytes(&entry.payload).expect("journaled frames decode");
-            let report = self
-                .partition
-                .apply(changes)
-                .expect("journaled batches were valid when first applied");
-            self.reports.push(report);
+            let applied = self.store.apply(changes);
+            let applied = applied.expect("journaled batches were valid when first applied");
+            self.reports.push(applied.report);
         }
     }
 }
@@ -440,12 +434,12 @@ mod tests {
 
     /// The worker's rows as value ids, and the pool that resolves them.
     fn dump(w: &mut PartitionWorker) -> (Vec<Vec<dataset::ValueId>>, Vec<String>) {
-        (w.partition.rows(), w.partition.pool_tail(0))
+        (w.store.rows(), w.store.pool_tail(0))
     }
 
     impl PartitionWorker {
         fn session_rows(&self) -> usize {
-            self.partition.rows().len()
+            self.store.rows().len()
         }
     }
 }

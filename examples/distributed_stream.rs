@@ -1,6 +1,6 @@
 //! Distributed streaming: one `ChangeSet` stream routed across
-//! per-partition `CleaningSession`s with a periodic cross-partition weight
-//! merge.
+//! per-partition `RowStore`s with a periodic cross-partition merge of
+//! per-block evidence.
 //!
 //! A synthetic HAI workload arrives in micro-batches; inserts hash to one of
 //! four partitions, a late change set corrects the stream with updates and a
