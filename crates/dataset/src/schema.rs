@@ -57,7 +57,7 @@ impl Schema {
     }
 
     /// The schema of `attributes`, or the first name listed twice.
-    fn from_names(attributes: Vec<String>) -> Result<Self, String> {
+    pub(crate) fn from_names(attributes: Vec<String>) -> Result<Self, String> {
         let mut by_name = HashMap::with_capacity(attributes.len());
         for (idx, name) in attributes.iter().enumerate() {
             if by_name.insert(name.clone(), idx).is_some() {
