@@ -338,7 +338,9 @@ mod tests {
 
     fn pool() -> ValuePool {
         let mut p = ValuePool::new();
-        p.intern_all(["DOTHAN", "DOTH", "BOAZ", "AL", "AK", ""]);
+        for value in ["DOTHAN", "DOTH", "BOAZ", "AL", "AK", ""] {
+            p.intern(value);
+        }
         p
     }
 
@@ -471,7 +473,10 @@ mod tests {
         // each probe meets whatever exact distances and lower bounds the
         // earlier ones left behind.
         let mut pool = ValuePool::new();
-        let ids = pool.intern_all(["DOTHAN", "DOTH", "BOAZ", "", "日本語", "日本"]);
+        let ids: Vec<ValueId> = ["DOTHAN", "DOTH", "BOAZ", "", "日本語", "日本"]
+            .iter()
+            .map(|v| pool.intern(v))
+            .collect();
         let records: Vec<[ValueId; 2]> = ids
             .iter()
             .flat_map(|&x| ids.iter().map(move |&y| [x, y]))

@@ -177,7 +177,9 @@ mod tests {
     fn pool() -> (Schema, ValuePool) {
         let schema = Schema::new(&["HN", "CT", "ST", "PN"]);
         let mut pool = ValuePool::new();
-        pool.intern_all(["ELIZA", "DOTHAN", "BOAZ", "AL", "AK", "2567688400"]);
+        for value in ["ELIZA", "DOTHAN", "BOAZ", "AL", "AK", "2567688400"] {
+            pool.intern(value);
+        }
         (schema, pool)
     }
 

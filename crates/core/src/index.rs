@@ -461,7 +461,7 @@ impl MlnIndex {
 
     /// Catch the pool snapshot up to an append-only descendant
     /// ([`ValuePool::sync_from`]: an empty snapshot adopts the descendant's
-    /// table, a non-empty one appends only the tail of new values; no string
+    /// arena, a non-empty one appends only the tail of new values; no string
     /// is hashed either way), so every stored id keeps resolving to the same
     /// string.
     pub(crate) fn sync_pool_from(&mut self, descendant: &ValuePool) {
@@ -469,9 +469,9 @@ impl MlnIndex {
     }
 
     /// The pool snapshot every block id resolves through.  It names the
-    /// indexed dataset's id table — shared, not copied, until the dataset
+    /// indexed dataset's arena — shared, not copied, until the dataset
     /// interns a value the snapshot has yet to be synced to — and carries no
-    /// reverse map unless something calls [`ValuePool::lookup`] on it.
+    /// string → id table unless something calls [`ValuePool::lookup`] on it.
     pub fn pool(&self) -> &ValuePool {
         &self.pool
     }

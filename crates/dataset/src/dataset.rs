@@ -8,7 +8,7 @@
 //! cross-worker shipping all operate on compact ids.
 
 use crate::cell::CellRef;
-use crate::pool::{ValueId, ValuePool};
+use crate::pool::{IdTable, ValueId, ValuePool};
 use crate::schema::{AttrId, Schema};
 use crate::tuple::{Tuple, TupleId};
 use mlnw::{CodecError, Decode, Decoder, Encode, Encoder};
@@ -459,32 +459,27 @@ impl Dataset {
 
     /// For every row, the index of the first row holding exactly its values
     /// (its own for a first occurrence), given one hash per row that is equal
-    /// for equal rows.  First occurrences sit in an open-addressing table of
-    /// row indices; a candidate with an equal hash is compared cell by cell —
-    /// ids of one pool, so id equality is string equality — and that
-    /// comparison decides, whatever the hashes do.
+    /// for equal rows.  First occurrences sit in an [`IdTable`] of row
+    /// indices, sized for every row; a candidate with an equal hash is
+    /// compared cell by cell — ids of one pool, so id equality is string
+    /// equality — and that comparison decides, whatever the hashes do.
     fn first_occurrences(&self, hashes: &[u64]) -> Vec<u32> {
-        const EMPTY: u32 = u32::MAX;
-        assert!(self.rows < EMPTY as usize, "more than 4G rows");
-        // At most half full; a multiplicative hash is best in its top bits.
-        let bits = (2 * self.rows).next_power_of_two().trailing_zeros().max(1);
-        let mut slots = vec![EMPTY; 1 << bits];
-        (0..self.rows)
+        assert!(self.rows < u32::MAX as usize, "more than 4G rows");
+        let mut firsts = IdTable::with_capacity(self.rows);
+        let hash_of = |row: u32| hashes[row as usize];
+        (0..self.rows as u32)
             .map(|row| {
-                let mut slot = (hashes[row] >> (64 - bits)) as usize;
-                loop {
-                    let held = slots[slot];
-                    if held == EMPTY {
-                        slots[slot] = row as u32;
-                        return row as u32;
+                let (hash, at) = (hash_of(row), row as usize);
+                let same = |first: u32| {
+                    let first = first as usize;
+                    hashes[first] == hash && self.columns.iter().all(|c| c[first] == c[at])
+                };
+                match firsts.find(hash, same) {
+                    Ok(first) => first,
+                    Err(vacant) => {
+                        firsts.insert(vacant, row, hash, hash_of);
+                        row
                     }
-                    let first = held as usize;
-                    if hashes[first] == hashes[row]
-                        && self.columns.iter().all(|c| c[first] == c[row])
-                    {
-                        return held;
-                    }
-                    slot = (slot + 1) & (slots.len() - 1);
                 }
             })
             .collect()

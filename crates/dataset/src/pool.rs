@@ -22,35 +22,55 @@
 //! ids below its length — the invariant the distributed gather phase relies
 //! on.
 //!
+//! # Storage
+//!
+//! A pool is an append-only **arena**: one buffer holding every value's bytes
+//! back to back in id order, plus one entry per id — where its bytes end and
+//! the value's 64-bit hash.  Every pool of a process hashes with one
+//! `RandomState` (SipHash, keyed at random once: values are user data), so a
+//! stored hash stays valid in whichever pool the value is copied to and no
+//! value is ever hashed twice.  The string → id direction is an `IdTable`
+//! of ids placed by those stored hashes.
+//!
 //! # Concurrency and cost
 //!
-//! A run holds **one** id → string table however many datasets, index
-//! snapshots and reports name it: the table sits behind an `Arc`, the
-//! string → id reverse map behind its own, and the map exists only in pools
-//! that were asked to [`ValuePool::intern`] or [`ValuePool::lookup`].  What
-//! each operation costs:
+//! A run holds **one** arena however many datasets, index snapshots and
+//! reports name it: the arena sits behind an `Arc`, the id table behind its
+//! own, and the table exists only in pools that were asked to
+//! [`ValuePool::intern`] or [`ValuePool::lookup`].  What each operation
+//! costs:
 //!
 //! * `clone()` — two reference-count bumps, whatever the pool holds.
-//! * [`ValuePool::intern`] of a value already present — one hash probe,
-//!   read-only.  Of a new value — an append; the first one after a `clone()`
-//!   (while the other handle lives) first copies the handle's table and map,
-//!   once, after which the handle owns its storage again.
+//! * [`ValuePool::intern`] — one hash of the value, then a probe that
+//!   compares stored hashes first and bytes only on a hash match.  A present
+//!   value is read-only.  A new one is appended to the arena and placed in
+//!   the table by the same hash, no allocation of its own; the first new
+//!   value after a `clone()` (while the other handle lives) first copies the
+//!   shared arena's two flat vectors and the table, once, after which the
+//!   handle owns its storage again.
+//! * Growth — the table doubles when it would pass half full and re-places
+//!   every id by its stored hash: no value is rehashed.
 //! * [`ValuePool::sync_from`] into an **empty** snapshot — adopts the
-//!   descendant's table, O(1), no map.  Into a non-empty one — appends the
-//!   new tail, O(new values), after at most one copy of a table it still
-//!   shares.  Neither hashes a string.
-//! * The first [`ValuePool::lookup`] (or `intern`) on a pool without a map —
-//!   a snapshot, a deserialised or adopted table — builds it, O(pool).
-//!   [`ValuePool::resolve`] / [`ValuePool::get`] never need it.
+//!   descendant's arena, O(1), no table.  Into a non-empty one — appends the
+//!   tail of bytes and entries, O(new values), after at most one copy of an
+//!   arena it still shares.  Neither hashes a value.
+//! * The first [`ValuePool::lookup`] (or `intern`) on a pool without a table
+//!   — a snapshot, an adopted arena — builds it from the stored hashes,
+//!   O(pool).  [`ValuePool::resolve`] / [`ValuePool::get`] never need it.
 //!
-//! Lookups take `&self` (the lazy map build is a `OnceLock`), so a pool
+//! Lookups take `&self` (the lazy table build is a `OnceLock`), so a pool
 //! shared behind a `&` reference can be read from any number of worker
-//! threads; the type is `Send + Sync`.  Interning requires `&mut self`;
-//! [`ValuePool::intern_all`] batches it for whole rows or columns.
+//! threads; the type is `Send + Sync`.  Interning requires `&mut self`.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use mlnw::{CodecError, Decode, Decoder, Encode, Encoder};
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::BuildHasher;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// Identifier of an interned value within a [`ValuePool`].
@@ -83,22 +103,80 @@ impl fmt::Display for ValueId {
 /// [module docs](self) for the cost of each operation).
 #[derive(Clone, Default)]
 pub struct ValuePool {
-    /// The id → string table, copied on a write while shared.
-    values: Arc<Vec<Arc<str>>>,
-    /// The string → id reverse map of `values`: derived state, built by the
-    /// first `intern` / `lookup` and copied on a write while shared.
-    by_value: OnceLock<Arc<ReverseMap>>,
+    /// The id → string arena, copied on a write while shared.
+    arena: Arc<Arena>,
+    /// The string → id table over `arena`: derived state, built by the first
+    /// `intern` / `lookup` and copied on a write while shared.
+    table: OnceLock<Arc<IdTable>>,
 }
 
-type ReverseMap = HashMap<Arc<str>, ValueId>;
+/// Every value's bytes back to back in id order, and one [`Entry`] per id.
+#[derive(Clone, Default, PartialEq, Eq)]
+struct Arena {
+    text: String,
+    entries: Vec<Entry>,
+}
+
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Entry {
+    /// Where the value's bytes end in [`Arena::text`]; they start where the
+    /// previous id's end (at 0 for id 0).
+    end: usize,
+    /// The value's [`hash_value`].
+    hash: u64,
+}
+
+impl Arena {
+    /// The byte range of the value at `index`.
+    ///
+    /// # Panics
+    /// Panics if `index` is out of range.
+    fn span(&self, index: usize) -> Range<usize> {
+        let start = match index.checked_sub(1) {
+            Some(previous) => self.entries[previous].end,
+            None => 0,
+        };
+        start..self.entries[index].end
+    }
+
+    /// Whether id `id` holds `value`, whose hash is `hash`: the stored hashes
+    /// decide most misses, the bytes decide the rest.
+    fn holds(&self, id: u32, hash: u64, value: &str) -> bool {
+        let index = id as usize;
+        self.entries[index].hash == hash
+            && self.text.as_bytes()[self.span(index)] == *value.as_bytes()
+    }
+
+    fn hash_of(&self, id: u32) -> u64 {
+        self.entries[id as usize].hash
+    }
+
+    fn push(&mut self, value: &str, hash: u64) {
+        self.text.push_str(value);
+        self.entries.push(Entry {
+            end: self.text.len(),
+            hash,
+        });
+    }
+}
+
+/// A value's hash under the process's one `RandomState`, drawn on first
+/// use.  One key for every pool is what makes a stored hash valid in any
+/// pool the value is copied to — an adopted arena, a synced tail.
+fn hash_value(value: &str) -> u64 {
+    static KEYS: OnceLock<RandomState> = OnceLock::new();
+    #[cfg(test)]
+    tests::HASHED.with(|hashed| hashed.set(hashed.get() + 1));
+    KEYS.get_or_init(RandomState::new).hash_one(value)
+}
 
 impl fmt::Debug for ValuePool {
-    /// Deterministic output: only the id-ordered value list (the reverse map
-    /// is derived state whose hash order would make equal pools format
-    /// differently).
+    /// Deterministic output: only the id-ordered value list (the id table is
+    /// derived state).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let values: Vec<&str> = self.iter().map(|(_, value)| value).collect();
         f.debug_struct("ValuePool")
-            .field("values", &self.values)
+            .field("values", &values)
             .finish()
     }
 }
@@ -112,96 +190,105 @@ impl ValuePool {
     /// Create an empty pool sized for roughly `capacity` distinct values.
     pub fn with_capacity(capacity: usize) -> Self {
         ValuePool {
-            values: Arc::new(Vec::with_capacity(capacity)),
-            by_value: OnceLock::from(Arc::new(HashMap::with_capacity(capacity))),
+            arena: Arc::new(Arena {
+                text: String::new(),
+                entries: Vec::with_capacity(capacity),
+            }),
+            table: OnceLock::from(Arc::new(IdTable::with_capacity(capacity))),
         }
     }
 
-    /// The reverse map, built from the table on first use.
-    fn reverse_map(&self) -> &Arc<ReverseMap> {
-        self.by_value.get_or_init(|| {
-            let mut by_value = HashMap::with_capacity(self.values.len());
-            for (i, value) in self.values.iter().enumerate() {
-                by_value.insert(Arc::clone(value), ValueId(i as u32));
-            }
-            Arc::new(by_value)
+    /// The id table, built from the stored hashes on first use.
+    fn table(&self) -> &IdTable {
+        self.table.get_or_init(|| {
+            let arena = &self.arena;
+            Arc::new(IdTable::dense(arena.entries.len(), |id| arena.hash_of(id)))
         })
+    }
+
+    /// The id the next new value takes.
+    #[allow(
+        clippy::panic,
+        reason = "a pool holds fewer than u32::MAX values: every id is a u32 and u32::MAX marks an empty table slot"
+    )]
+    fn next_id(&self) -> u32 {
+        match u32::try_from(self.len()) {
+            Ok(id) if id != EMPTY => id,
+            _ => panic!("value pool overflow (>4G distinct values)"),
+        }
     }
 
     /// Intern `value`, returning its id (existing or newly assigned).
     pub fn intern(&mut self, value: &str) -> ValueId {
-        if let Some(&id) = self.reverse_map().get(value) {
-            return id;
+        let hash = hash_value(value);
+        let arena = &self.arena;
+        let vacant = match self.table().find(hash, |id| arena.holds(id, hash, value)) {
+            Ok(id) => return ValueId(id),
+            Err(vacant) => vacant,
+        };
+        let id = self.next_id();
+        Arc::make_mut(&mut self.arena).push(value, hash);
+        // `table()` built the table above.  Were it gone all the same, the
+        // next probe would rebuild it from the arena, this value included.
+        if let Some(table) = self.table.get_mut() {
+            let arena = &self.arena;
+            Arc::make_mut(table).insert(vacant, id, hash, |held| arena.hash_of(held));
         }
-        let arc: Arc<str> = Arc::from(value);
-        let id = ValueId(
-            u32::try_from(self.values.len()).expect("value pool overflow (>4G distinct values)"),
-        );
-        Arc::make_mut(&mut self.values).push(Arc::clone(&arc));
-        let by_value = self.by_value.get_mut().expect("built by the probe above");
-        Arc::make_mut(by_value).insert(arc, id);
-        id
+        ValueId(id)
     }
 
     /// Catch this pool up to an append-only descendant of itself without
-    /// hashing a string.
+    /// hashing a value.
     ///
     /// Because ids are assigned densely in first-appearance order and never
     /// renumbered, a snapshot taken at time *t* agrees with any later version
     /// of the same pool on all ids below its length.  An **empty** pool
-    /// therefore adopts the descendant's table outright (a reference bump:
+    /// therefore adopts the descendant's arena outright (a reference bump:
     /// what an index snapshot of a freshly loaded dataset costs), and a
-    /// non-empty one appends the descendant's tail of new values to its own
-    /// table — O(new values) per change set for a long-lived session's
-    /// snapshots, after at most one copy of a table still shared from the
-    /// adoption.  Adopting on *every* call would hand the descendant's next
-    /// `intern` a shared table to copy whole, every time.
+    /// non-empty one appends the descendant's tail of bytes and entries to
+    /// its own arena — O(new values) per change set for a long-lived
+    /// session's snapshots, after at most one copy of an arena still shared
+    /// from the adoption.  Adopting on *every* call would hand the
+    /// descendant's next `intern` a shared arena to copy whole, every time.
     ///
-    /// The reverse map is never taken from the descendant (a snapshot that
-    /// only resolves never holds one, and sharing it would make the
-    /// descendant's next new value copy it); one this pool had built is
-    /// dropped when a tail arrives and rebuilt by its next `lookup`.
+    /// The id table is never taken from the descendant (a snapshot that only
+    /// resolves never holds one, and sharing it would make the descendant's
+    /// next new value copy it); one this pool had built is dropped when a
+    /// tail arrives and rebuilt from the stored hashes by its next `lookup`.
     pub fn sync_from(&mut self, descendant: &ValuePool) {
         debug_assert!(
-            descendant.values.len() >= self.values.len(),
+            descendant.len() >= self.len(),
             "sync_from target must be an append-only descendant"
         );
-        if descendant.values.len() == self.values.len() {
+        if descendant.len() == self.len() {
             return;
         }
-        if self.values.is_empty() {
-            self.values = Arc::clone(&descendant.values);
+        if self.is_empty() {
+            self.arena = Arc::clone(&descendant.arena);
         } else {
-            let tail = &descendant.values[self.values.len()..];
-            Arc::make_mut(&mut self.values).extend_from_slice(tail);
+            let from = self.len();
+            let arena = Arc::make_mut(&mut self.arena);
+            let theirs = &descendant.arena;
+            arena.text.push_str(&theirs.text[arena.text.len()..]);
+            arena.entries.extend_from_slice(&theirs.entries[from..]);
         }
-        self.by_value.take();
+        self.table.take();
     }
 
-    /// Whether `self` and `other` name one id → string table — the probe
-    /// that clones and adopted snapshots really share storage (and that a
-    /// handle which interned since owns its own).
+    /// Whether `self` and `other` name one arena — the probe that clones and
+    /// adopted snapshots really share storage (and that a handle which
+    /// interned since owns its own).
     pub fn shares_storage_with(&self, other: &ValuePool) -> bool {
-        Arc::ptr_eq(&self.values, &other.values)
-    }
-
-    /// Intern a batch of values, returning their ids in order (a convenience
-    /// over calling [`ValuePool::intern`] per value — same cost, one hash
-    /// probe per value).
-    pub fn intern_all<I, S>(&mut self, values: I) -> Vec<ValueId>
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
-        values
-            .into_iter()
-            .map(|v| self.intern(v.as_ref()))
-            .collect()
+        Arc::ptr_eq(&self.arena, &other.arena)
     }
 
     /// Look up a value without interning it.
     pub fn lookup(&self, value: &str) -> Option<ValueId> {
-        self.reverse_map().get(value).copied()
+        let hash = hash_value(value);
+        self.table()
+            .find(hash, |id| self.arena.holds(id, hash, value))
+            .ok()
+            .map(ValueId)
     }
 
     /// The string behind `id`.
@@ -210,12 +297,12 @@ impl ValuePool {
     /// Panics if `id` was not issued by this pool (or a snapshot ancestor of
     /// it).
     pub fn resolve(&self, id: ValueId) -> &str {
-        &self.values[id.index()]
+        &self.arena.text[self.arena.span(id.index())]
     }
 
     /// The string behind `id`, or `None` if the id is out of range.
     pub fn get(&self, id: ValueId) -> Option<&str> {
-        self.values.get(id.index()).map(|s| &**s)
+        self.contains(id).then(|| self.resolve(id))
     }
 
     /// Resolve a slice of ids in order.
@@ -229,63 +316,195 @@ impl ValuePool {
     /// ids between pools must guarantee a shared snapshot ancestry themselves
     /// (as the distributed gather phase does with its prefix-length bound).
     pub fn contains(&self, id: ValueId) -> bool {
-        id.index() < self.values.len()
+        id.index() < self.len()
     }
 
     /// Number of distinct interned values.
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.arena.entries.len()
     }
 
     /// Whether the pool is empty.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.arena.entries.is_empty()
     }
 
     /// Total bytes of distinct string payload held by the pool (the
     /// memory-side statistic the bench smoke run records).
     pub fn string_bytes(&self) -> usize {
-        self.values.iter().map(|v| v.len()).sum()
+        self.arena.text.len()
     }
 
     /// Iterate over `(id, value)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (ValueId, &str)> {
-        self.values
+        let text = &self.arena.text;
+        let mut start = 0;
+        self.arena
+            .entries
             .iter()
             .enumerate()
-            .map(|(i, v)| (ValueId(i as u32), &**v))
+            .map(move |(i, entry)| {
+                let value = &text[start..entry.end];
+                start = entry.end;
+                (ValueId(i as u32), value)
+            })
     }
 }
 
 impl PartialEq for ValuePool {
     fn eq(&self, other: &Self) -> bool {
-        self.shares_storage_with(other) || self.values == other.values
+        // Equal values hash equal in every pool, so equal arenas are equal
+        // entry for entry.
+        self.shares_storage_with(other) || self.arena == other.arena
     }
 }
 
 impl Eq for ValuePool {}
 
-/// Encoded as the id-ordered value list only; the reverse map is derived
-/// state, rebuilt on decoding.  Because ids are dense in first-appearance
-/// order and the stored list is duplicate-free, re-interning the list
-/// reassigns every value its original id, so the round trip is exact.
+/// Encoded as the id-ordered value list only (a sequence of strings, the
+/// bytes a `Vec<String>` of the values encodes to); the id table and the
+/// hashes are derived state, rebuilt on decoding.  Because ids are dense in
+/// first-appearance order and the stored list is duplicate-free,
+/// re-interning the list reassigns every value its original id, so the
+/// round trip is exact.
 impl Encode for ValuePool {
     fn encode(&self, enc: &mut Encoder) {
-        self.values.encode(enc);
+        enc.seq(self.len());
+        for (_, value) in self.iter() {
+            value.encode(enc);
+        }
     }
 }
 
+/// Each value is interned straight from the frame's bytes
+/// ([`Decoder::str`]): no `String` per value.
 impl Decode for ValuePool {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         let len = dec.seq()?;
         let mut pool = ValuePool::with_capacity(len);
         for id in 0..len {
-            let value = String::decode(dec)?;
-            if pool.intern(&value).index() != id {
-                return Err(CodecError::DuplicateValue(value));
+            let value = dec.str()?;
+            if pool.intern(value).index() != id {
+                return Err(CodecError::DuplicateValue(value.to_owned()));
             }
         }
         Ok(pool)
+    }
+}
+
+/// The marker of an empty [`IdTable`] slot; no id may equal it.
+const EMPTY: u32 = u32::MAX;
+
+/// An open-addressing table of `u32` ids placed by a 64-bit hash of what
+/// each id stands for — linear probing, never more than half full.  This is
+/// the crate's one probe loop: the pool's string → id direction and
+/// `Dataset`'s first-occurrence search both run on it.  The table holds ids
+/// only; the caller keeps the hashes and decides what a match is.
+#[derive(Clone)]
+pub(crate) struct IdTable {
+    /// A power of two of slots, each an id or [`EMPTY`].
+    slots: Vec<u32>,
+    /// `log2(slots.len())`: a slot is chosen by the hash's top bits, the
+    /// best-mixed ones of a multiplicative hash.
+    bits: u32,
+    /// Ids held.
+    len: usize,
+}
+
+/// The empty slot a failed [`IdTable::find`] ended on: where
+/// [`IdTable::insert`] places the id that was not found.
+pub(crate) struct Vacant(usize);
+
+impl IdTable {
+    /// An empty table that holds `capacity` ids before it first grows.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        let bits = (2 * capacity).next_power_of_two().trailing_zeros().max(1);
+        IdTable {
+            slots: vec![EMPTY; 1 << bits],
+            bits,
+            len: 0,
+        }
+    }
+
+    /// A table of the ids `0..len`, each placed by `hash_of(id)`.
+    fn dense(len: usize, hash_of: impl Fn(u32) -> u64) -> Self {
+        let mut table = Self::with_capacity(len);
+        for id in 0..len as u32 {
+            table.place(id, hash_of(id));
+        }
+        table.len = len;
+        table
+    }
+
+    fn home(&self, hash: u64) -> usize {
+        (hash >> (64 - self.bits)) as usize
+    }
+
+    /// The first id along `hash`'s probe sequence that `is_match` accepts,
+    /// or the empty slot that ends the sequence.  `is_match` sees only ids
+    /// whose slot the sequence passes; it must compare whatever decides
+    /// equality (a stored hash first is cheap).
+    ///
+    /// `#[inline]` (and `insert`'s) is measured: without it the call is not
+    /// inlined into `Dataset::first_occurrences`, whose dedup pass then
+    /// runs ≈ 25% slower than the same loop written in place.
+    #[inline]
+    pub(crate) fn find(
+        &self,
+        hash: u64,
+        mut is_match: impl FnMut(u32) -> bool,
+    ) -> Result<u32, Vacant> {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(hash);
+        loop {
+            match self.slots[slot] {
+                EMPTY => return Err(Vacant(slot)),
+                id if is_match(id) => return Ok(id),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Place `id`, hashed `hash`, where the failed [`IdTable::find`] of it
+    /// ended.  If that would make the table more than half full it doubles
+    /// first, re-placing every id it holds by `hash_of` — the caller's
+    /// stored hashes: nothing is rehashed.
+    #[inline]
+    pub(crate) fn insert(
+        &mut self,
+        vacant: Vacant,
+        id: u32,
+        hash: u64,
+        hash_of: impl Fn(u32) -> u64,
+    ) {
+        if 2 * (self.len + 1) > self.slots.len() {
+            self.grow(hash_of);
+            self.place(id, hash);
+        } else {
+            self.slots[vacant.0] = id;
+        }
+        self.len += 1;
+    }
+
+    #[cold]
+    fn grow(&mut self, hash_of: impl Fn(u32) -> u64) {
+        let mut grown = Self::with_capacity(self.slots.len());
+        for &held in self.slots.iter().filter(|&&held| held != EMPTY) {
+            grown.place(held, hash_of(held));
+        }
+        grown.len = self.len;
+        *self = grown;
+    }
+
+    /// Put `id` in the first empty slot of `hash`'s probe sequence (the
+    /// caller keeps `len` and the load bound).
+    fn place(&mut self, id: u32, hash: u64) {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(hash);
+        while self.slots[slot] != EMPTY {
+            slot = (slot + 1) & mask;
+        }
+        self.slots[slot] = id;
     }
 }
 
@@ -293,6 +512,12 @@ impl Decode for ValuePool {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    thread_local! {
+        /// How many values this thread has hashed: the proof that loading
+        /// hashes each cell once.
+        pub(super) static HASHED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
 
     #[test]
     fn a_pool_frame_listing_a_value_twice_is_refused() {
@@ -317,14 +542,53 @@ mod tests {
         assert_eq!(pool.lookup("AL"), None);
     }
 
+    /// Enough values to double the table many times over (it starts at two
+    /// slots), non-ASCII among them: every value keeps its id and looks up
+    /// to it, absent values — `""` too — do not, and growth re-placed ids
+    /// without hashing any value again.  `""` is then an ordinary value.
     #[test]
-    fn batch_interning_matches_sequential() {
-        let mut batch = ValuePool::new();
-        let ids = batch.intern_all(["a", "b", "a", "c"]);
-        let mut seq = ValuePool::new();
-        let expected: Vec<ValueId> = ["a", "b", "a", "c"].iter().map(|v| seq.intern(v)).collect();
-        assert_eq!(ids, expected);
-        assert_eq!(batch, seq);
+    fn the_table_grows_and_still_finds_every_value() {
+        let mut values: Vec<String> = (0..300)
+            .map(|i| format!("city-{i}"))
+            .chain((0..40).map(|i| format!("Zürich-{i}-日本")))
+            .collect();
+        let mut pool = ValuePool::new();
+        let before = HASHED.with(|hashed| hashed.get());
+        for (i, value) in values.iter().enumerate() {
+            assert_eq!(pool.intern(value), ValueId(i as u32));
+        }
+        assert_eq!(HASHED.with(|hashed| hashed.get()) - before, values.len());
+        // From two slots to 1 024: nine doublings.
+        assert_eq!(pool.table().slots.len(), 1024);
+
+        for absent in ["", "city-300", "Zürich", "日本", "city-", " ", "\u{0}"] {
+            assert_eq!(pool.lookup(absent), None, "{absent:?}");
+        }
+        values.push(String::new());
+        assert_eq!(pool.intern(""), ValueId(340));
+        for (i, value) in values.iter().enumerate() {
+            assert_eq!(pool.lookup(value), Some(ValueId(i as u32)), "{value:?}");
+            assert_eq!(pool.resolve(ValueId(i as u32)), value);
+        }
+        // A table built later from the stored hashes answers the same.
+        let mut snapshot = ValuePool::new();
+        snapshot.sync_from(&pool);
+        assert!(snapshot.table.get().is_none());
+        for (i, value) in values.iter().enumerate() {
+            assert_eq!(snapshot.lookup(value), Some(ValueId(i as u32)));
+        }
+        assert_eq!(snapshot.lookup("city-300"), None);
+    }
+
+    #[test]
+    fn parse_csv_hashes_each_cell_once() {
+        let sample = crate::sample_hospital_dataset();
+        let text = crate::csv::to_csv(&sample);
+        let before = HASHED.with(|hashed| hashed.get());
+        let parsed = crate::csv::parse_csv(&text).unwrap();
+        let hashed = HASHED.with(|hashed| hashed.get()) - before;
+        assert_eq!(hashed, sample.len() * sample.schema().arity());
+        assert_eq!(parsed.pool(), sample.pool());
     }
 
     #[test]
@@ -342,16 +606,18 @@ mod tests {
     #[test]
     fn an_empty_snapshot_adopts_the_table_and_never_the_map() {
         let mut pool = ValuePool::new();
-        pool.intern_all(["AL", "AK"]);
+        for value in ["AL", "AK"] {
+            pool.intern(value);
+        }
         let mut snapshot = ValuePool::new();
         snapshot.sync_from(&pool);
         assert!(snapshot.shares_storage_with(&pool));
-        // Sharing the map would make the pool's next new value copy it.
-        assert!(snapshot.by_value.get().is_none());
+        // Sharing the id table would make the pool's next new value copy it.
+        assert!(snapshot.table.get().is_none());
         assert_eq!(snapshot, pool);
 
         // The pool moves on alone; the snapshot keeps what it saw, and a
-        // later sync appends the tail to the snapshot's own table.
+        // later sync appends the tail to the snapshot's own arena.
         let c = pool.intern("AZ");
         assert!(!snapshot.shares_storage_with(&pool));
         assert!(!snapshot.contains(c));
@@ -365,13 +631,21 @@ mod tests {
     #[test]
     fn iter_is_in_id_order() {
         let mut pool = ValuePool::new();
-        pool.intern_all(["x", "y", "z"]);
+        for value in ["x", "y", "z"] {
+            pool.intern(value);
+        }
         let pairs: Vec<(ValueId, &str)> = pool.iter().collect();
         assert_eq!(
             pairs,
             vec![(ValueId(0), "x"), (ValueId(1), "y"), (ValueId(2), "z")]
         );
         assert_eq!(pool.string_bytes(), 3);
+        assert_eq!(
+            format!("{pool:?}"),
+            r#"ValuePool { values: ["x", "y", "z"] }"#
+        );
+        assert_eq!(pool.get(ValueId(2)), Some("z"));
+        assert_eq!(pool.get(ValueId(3)), None);
     }
 
     proptest! {
@@ -461,7 +735,9 @@ mod tests {
             for (pool, model) in &handles {
                 // A handle that never built its map looks up like one that did.
                 let mut rebuilt = ValuePool::new();
-                rebuilt.intern_all(model);
+                for v in model {
+                    rebuilt.intern(v);
+                }
                 prop_assert_eq!(pool, &rebuilt);
                 for v in (0..VALUES).map(value) {
                     prop_assert_eq!(pool.lookup(&v), rebuilt.lookup(&v));

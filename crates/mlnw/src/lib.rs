@@ -278,6 +278,16 @@ impl<'a> Decoder<'a> {
         self.varint()
     }
 
+    /// Read a string, borrowing its bytes from the input: a caller that only
+    /// looks at the text (or copies it somewhere of its own) allocates
+    /// nothing per value.
+    pub fn str(&mut self) -> Result<&'a str, CodecError> {
+        self.tag(TAG_STR, "a string")?;
+        let len = self.len()?;
+        let bytes = self.take(len)?;
+        std::str::from_utf8(bytes).map_err(|_| CodecError::Utf8)
+    }
+
     fn byte(&mut self) -> Result<u8, CodecError> {
         let b = *self.input.get(self.pos).ok_or(CodecError::Eof)?;
         self.pos += 1;
@@ -398,12 +408,7 @@ impl Encode for String {
 
 impl Decode for String {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        dec.tag(TAG_STR, "a string")?;
-        let len = dec.len()?;
-        let bytes = dec.take(len)?;
-        std::str::from_utf8(bytes)
-            .map(str::to_owned)
-            .map_err(|_| CodecError::Utf8)
+        dec.str().map(str::to_owned)
     }
 }
 
@@ -766,6 +771,20 @@ mod tests {
         for cut in 6..bytes.len() {
             assert!(from_bytes::<Vec<String>>(&bytes[..cut]).is_err());
         }
+    }
+
+    #[test]
+    fn a_borrowed_string_points_into_the_frame() {
+        let frame = to_bytes("fuzz-γ").unwrap();
+        let mut dec = Decoder::new(&frame).unwrap();
+        let value = dec.str().unwrap();
+        assert_eq!(value, "fuzz-γ");
+        assert!(frame.as_ptr_range().contains(&value.as_ptr()));
+        assert_eq!(dec.remaining(), 0);
+        let (bad, wrong) = (framed(&[8, 1, 0xff]), framed(&[3, 1]));
+        assert_eq!(Decoder::new(&bad).unwrap().str(), Err(CodecError::Utf8));
+        let tag = Decoder::new(&wrong).unwrap().str();
+        assert!(matches!(tag, Err(CodecError::Tag { found: 3, .. })));
     }
 
     #[test]
