@@ -15,7 +15,9 @@
 //!
 //! recording per engine: ingest throughput (rows/s), outcome latency, the
 //! per-stage breakdown, the sketch bounds AGP's searches evaluated
-//! (`agp_bounds_computed`), and the peak RSS attributable to the run (via
+//! (`agp_bounds_computed`), the substitution candidates FSCR's fusions
+//! tested (`fscr_candidates_tested`), and the peak RSS attributable to the
+//! run (via
 //! [`PeakRss`]).  At rungs small enough for it to be cheap the three
 //! engines' reports are compared byte-for-byte (repaired CSV + full
 //! provenance), extending the smoke test's equivalence guarantee to
@@ -623,6 +625,7 @@ fn render_engine(rows: usize, run: &EngineRun) -> String {
             "          \"peak_rss_kib\": {rss},\n",
             "          \"merge_rounds\": {merge_rounds},\n",
             "          \"agp_bounds_computed\": {bounds_computed},\n",
+            "          \"fscr_candidates_tested\": {candidates_tested},\n",
             "          \"stage_seconds\": {{\n",
             "            \"index\": {index:.6},\n",
             "            \"agp\": {agp:.6},\n",
@@ -643,6 +646,7 @@ fn render_engine(rows: usize, run: &EngineRun) -> String {
         rss = json_opt_u64(run.peak_rss_kib),
         merge_rounds = t.merge_rounds,
         bounds_computed = run.report.agp.bounds_computed,
+        candidates_tested = run.report.fscr.candidates_tested,
         index = t.index.as_secs_f64(),
         agp = t.agp.as_secs_f64(),
         learning = t.weight_learning.as_secs_f64(),
@@ -906,6 +910,7 @@ mod tests {
             "\"peak_rss_kib\"",
             "\"merge_rounds\"",
             "\"agp_bounds_computed\"",
+            "\"fscr_candidates_tested\"",
             "\"stage_seconds\"",
             "\"index\"",
             "\"agp\"",

@@ -6,7 +6,8 @@
 //! breakdown, repair quality, and since the interning refactor the
 //! memory-side picture: value-pool size, distinct values per attribute, the
 //! Stage-I distance-cache hit rate, `agp_bounds_computed` — the sketch
-//! bounds AGP's nearest-normal searches evaluated — `fscr_shared_outcomes`
+//! bounds AGP's nearest-normal searches evaluated — `fscr_candidates_tested`
+//! — the substitution candidates FSCR's fusions tested — `fscr_shared_outcomes`
 //! — how many FSCR outcomes share another's resolved provenance list — and
 //! `pool_storages`, the distinct value-pool tables the one-shot run's input
 //! and report name: one), seeding the
@@ -150,6 +151,7 @@ pub fn run(scale: Scale) -> Vec<(String, String)> {
             "    \"hit_rate\": {cache_hit_rate:.6}\n",
             "  }},\n",
             "  \"agp_bounds_computed\": {bounds_computed},\n",
+            "  \"fscr_candidates_tested\": {candidates_tested},\n",
             "  \"fscr_shared_outcomes\": {shared_outcomes},\n",
             "  \"pool_storages\": {pool_storages},\n",
             "  \"precision\": {precision:.6},\n",
@@ -183,6 +185,7 @@ pub fn run(scale: Scale) -> Vec<(String, String)> {
         cache_misses = cache.misses,
         cache_hit_rate = cache.hit_rate(),
         bounds_computed = outcome.agp.bounds_computed,
+        candidates_tested = outcome.fscr.candidates_tested,
         shared_outcomes = shared_outcomes,
         pool_storages = pool_storages,
         precision = report.precision(),
@@ -857,6 +860,8 @@ mod tests {
         assert!(!json.contains("\"fscr_shared_outcomes\": 0,"));
         // AGP's filter cost, a count the smoke ratchets.
         assert!(json.contains("\"agp_bounds_computed\": "));
+        // FSCR's substitution cost, another ratcheted count.
+        assert!(json.contains("\"fscr_candidates_tested\": "));
         // One value pool a run, shared by everything that names it.
         assert!(json.contains("\"pool_storages\": 1,"));
         // The streaming section: per-batch points and the incremental

@@ -99,15 +99,31 @@ pub struct FusionOutcome {
 mlnw::codec! { struct FusionOutcome { tuple, fused, f_score, conflict_detected, fusion_failed } }
 
 /// The full FSCR record of one run.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct FscrRecord {
     /// Per-tuple fusion outcomes.
     pub outcomes: Vec<FusionOutcome>,
     /// Every cell rewritten by the fusion stage, relative to the input data.
     pub changes: Vec<CellChange>,
+    /// Substitution candidates (lines 18–22 of Algorithm 2) the fusions of
+    /// this run tested against the assignment under construction: what the
+    /// substitution scans cost.  A fusion replayed from [`crate::StageTwo`]'s
+    /// memo tests none.  A process-local counter like
+    /// [`crate::AgpRecord::bounds_computed`], it is not encoded (a decoded
+    /// record reads `0`).
+    pub candidates_tested: u64,
 }
 
-mlnw::codec! { struct FscrRecord { outcomes, changes } }
+mlnw::codec! { struct FscrRecord { outcomes, changes; skip candidates_tested } }
+
+/// Equality compares the *decisions* (outcomes and changes), not the
+/// candidate counter: an incremental run replays memoised fusions, so its
+/// count legitimately differs from a batch run's with the same outcomes.
+impl PartialEq for FscrRecord {
+    fn eq(&self, other: &Self) -> bool {
+        self.outcomes == other.outcomes && self.changes == other.changes
+    }
+}
 
 impl FscrRecord {
     /// Tuples for which a conflict between data versions was detected.
@@ -189,6 +205,9 @@ pub struct FusionPlan {
     fusions: Vec<SharedFusion>,
     /// [`NOTHING_TO_FUSE`], for the tuples without a vector.
     nothing_to_fuse: SharedFusion,
+    /// Substitution candidates the fusions tested —
+    /// [`FscrRecord::candidates_tested`].
+    candidates_tested: u64,
 }
 
 const NO_VECTOR: u32 = u32::MAX;
@@ -209,6 +228,11 @@ impl FusionPlan {
             Some(&vector) if vector != NO_VECTOR => &self.fusions[vector as usize],
             _ => &self.nothing_to_fuse,
         }
+    }
+
+    /// Substitution candidates the plan's fusions tested.
+    pub(crate) fn candidates_tested(&self) -> u64 {
+        self.candidates_tested
     }
 }
 
@@ -272,6 +296,7 @@ impl ConflictResolver {
             tuple_vector,
             fusions,
             nothing_to_fuse: SharedFusion::new(NOTHING_TO_FUSE),
+            candidates_tested: kernel.walk.candidates_tested,
         }
     }
 
@@ -286,8 +311,11 @@ impl ConflictResolver {
     /// return the repaired dataset (same shape as the input) plus the record.
     pub fn resolve(&self, dirty: &Dataset, index: &MlnIndex) -> (Dataset, FscrRecord) {
         let mut repaired = dirty.clone();
-        let mut record = FscrRecord::default();
         let plan = self.plan(index);
+        let mut record = FscrRecord {
+            candidates_tested: plan.candidates_tested,
+            ..FscrRecord::default()
+        };
         for t in dirty.tuple_ids() {
             apply_tuple_fusion(&mut repaired, index.pool(), t, plan.fusion(t), &mut record);
         }
@@ -448,6 +476,9 @@ struct OrderWalk<'t> {
     /// The winning order so far with its Eq. 5 product and substitutions.
     best_order: Vec<usize>,
     best: Option<(f64, usize)>,
+    /// Substitution candidates tested so far —
+    /// [`FscrRecord::candidates_tested`].
+    candidates_tested: u64,
 }
 
 impl<'t> FusionKernel<'t> {
@@ -463,6 +494,7 @@ impl<'t> FusionKernel<'t> {
                 fused: Vec::new(),
                 best_order: Vec::new(),
                 best: None,
+                candidates_tested: 0,
             },
         }
     }
@@ -595,8 +627,10 @@ impl OrderWalk<'_> {
                 // does not conflict with the fusion built so far (lines
                 // 18–22 of Algorithm 2); none: the fusion fails for this
                 // order.
-                let candidates = tables.block_candidates(version).iter();
-                let candidate = candidates.copied().find(|&c| !self.conflicts(c))?;
+                let candidates = tables.block_candidates(version);
+                let found = candidates.iter().position(|&c| !self.conflicts(c));
+                self.candidates_tested += found.map_or(candidates.len(), |at| at + 1) as u64;
+                let candidate = candidates[found?];
                 substitutions += 1;
                 if substitutions > give_up_above {
                     return None;

@@ -26,7 +26,7 @@ use std::fmt;
 
 /// A second-layer group: all γs sharing the same reason-part values within a
 /// block.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Group {
     /// The shared reason-part values (interned).
     pub key: Vec<ValueId>,

@@ -30,7 +30,7 @@ use rules::RuleId;
 
 /// One repair performed by RSC: the tuples of a losing γ are rewritten to the
 /// winning γ's values.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RscRepair {
     /// Block in which the repair happened.
     pub rule: RuleId,

@@ -236,12 +236,13 @@ impl CleaningSession {
     }
 
     /// Close the session, producing the final [`Report`]; unlike
-    /// [`CleaningSession::outcome`] the rows move into it, uncopied.
+    /// [`CleaningSession::outcome`] the rows and the Stage-I provenance move
+    /// into it, uncopied.
     pub fn finish(mut self) -> Report {
         self.refresh();
         let dirty = self.store.into_dataset();
         self.stage_two
-            .report(&mut self.stage_one, dirty, &mut self.timings)
+            .finish(self.stage_one, dirty, &mut self.timings)
     }
 }
 
@@ -290,8 +291,9 @@ mod tests {
 
     /// A spill segment that cannot be read back (deleted) or decoded
     /// (truncated) must not panic and must not move the output: the block is
-    /// re-cleaned whole from its pristine state.  Both fault-in sites are
-    /// driven — a dirty block at refresh, every block at a delete's id remap.
+    /// re-cleaned whole from its pristine state.  Both kinds of change are
+    /// driven; either way the blocks it dirtied fault in at the refresh (a
+    /// delete's id shift leaves spilled blocks on disk).
     #[test]
     fn a_lost_spill_segment_is_survived_and_leaves_the_report_unchanged() {
         let generator = HaiGenerator::default().with_rows(300).with_providers(12);
@@ -326,6 +328,38 @@ mod tests {
             errors = stats.spill_errors;
         }
         assert_eq!(plain.memory_stats(), MemoryStats::default());
+    }
+
+    /// A delete's id shift faults nothing in: cache entries hold no tuple id,
+    /// so only the blocks the delete dirtied come back from disk, at the next
+    /// outcome — and that outcome is the unbudgeted one.
+    #[test]
+    fn a_delete_faults_in_only_the_blocks_it_dirtied() {
+        let dirty = dataset::sample_hospital_dataset();
+        let open = |config: CleanConfig| {
+            let mut session = CleaningSession::new(
+                config,
+                dirty.schema().clone(),
+                rules::sample_hospital_rules(),
+            )
+            .unwrap();
+            session.ingest_dataset(&dirty).unwrap();
+            session
+        };
+        let config = CleanConfig::default().with_tau(1);
+        let mut plain = open(config.clone());
+        let mut tight = open(config.with_memory_budget(1));
+        assert_same_report("first outcome", &tight.outcome(), &plain.outcome());
+        assert_eq!(tight.memory_stats().spilled_blocks, 3);
+
+        // Row 0 is not an ELIZA row, so the CFD block does not list it.
+        let delete = ChangeSet::new().delete(TupleId(0));
+        plain.apply(delete.clone()).unwrap();
+        tight.apply(delete).unwrap();
+        assert_eq!(tight.memory_stats().faulted_blocks, 0, "the id shift");
+        assert_eq!(tight.dirty_block_count(), 2);
+        assert_same_report("after the delete", &tight.outcome(), &plain.outcome());
+        assert_eq!(tight.memory_stats().faulted_blocks, 2);
     }
 
     /// A cell update empties its own tuple's fusion slot whatever the
@@ -479,5 +513,35 @@ mod tests {
             assert!(!pool.contains(id));
             assert_eq!(pool.lookup("A CITY NOBODY INTERNED"), None);
         }
+    }
+
+    /// A report the caller still holds keeps every byte while a later
+    /// refresh moves groups and repairs out of the cleaned index: the
+    /// refresh copies the shared index once and moves from its own copy.
+    #[test]
+    fn a_held_report_is_untouched_by_a_refresh_that_moves_groups() {
+        let generator = HaiGenerator::default().with_rows(300).with_providers(12);
+        let dirty = generator.dirty(0.03, 0.5, 5).dirty;
+        let config = CleanConfig::default().with_tau(2);
+        let mut session =
+            CleaningSession::new(config, dirty.schema().clone(), HaiGenerator::rules()).unwrap();
+        session.ingest_dataset(&dirty).unwrap();
+        let held = session.outcome();
+        let bytes = mlnw::to_bytes(&held).unwrap();
+
+        let city = dirty.schema().attr_id("City").unwrap();
+        let update = ChangeSet::new().update(TupleId(0), city, dirty.value(TupleId(7), city));
+        session.apply(update).unwrap();
+        let recleaned = session.recleaned_groups();
+        let fresh = session.outcome();
+        let rebuilt = session.recleaned_groups() - recleaned;
+        let groups: usize = fresh.index().blocks.iter().map(Block::group_count).sum();
+        assert!(
+            0 < rebuilt && rebuilt < groups as u64 / 2,
+            "{rebuilt} of {groups}"
+        );
+        assert!(!std::ptr::eq(held.index(), fresh.index()));
+        assert_ne!(mlnw::to_bytes(&fresh).unwrap(), bytes);
+        assert_eq!(mlnw::to_bytes(&held).unwrap(), bytes);
     }
 }

@@ -24,18 +24,33 @@
 //! weight them in closed form ([`assign_group_weights`], whose denominator
 //! is the block's total support and therefore survives any within-block
 //! merge), clean the group with RSC.
-//! Every other output group is served from the block's cache byte for byte.
-//! There is one mode: a fully dirty block is the same refresh with every
-//! group rebuilt.  Either way the refreshed block is exactly what the
-//! whole-block composition (AGP, then block weights, then RSC) produces;
-//! the tests pin that block for block.
+//! Every other output group is moved over from the block's last refresh
+//! byte for byte, with its repairs.  There is one mode: a fully dirty block
+//! is the same refresh with every group rebuilt.  Either way the refreshed
+//! block is exactly what the whole-block composition (AGP, then block
+//! weights, then RSC) produces; the tests pin that block for block.
+//!
+//! **One copy of the output.**  A block's cleaned groups live only in the
+//! cleaned index, and its repairs only in its RSC record.  The per-group
+//! cache keeps what decides a reuse (the group's sources) and where the
+//! group's state lives: its slot in the cleaned block and its range of the
+//! block's repairs.  A refresh takes a dirty block's last groups and repairs
+//! out of the index — made unique once, when a report still held shares it
+//! — and moves each reused group and its repairs into the new block.  A
+//! rebuilt or vanished group's tuples are read from its old slot.
 //!
 //! Under a [`CleanConfig::memory_budget`] the driver also estimates its
 //! caches' resident size and spills clean blocks' caches to disk segments,
 //! coldest first ([`StageOne::enforce_budget`]); a spilled cache faults back
-//! in when its block goes dirty or a delete has to shift its tuple ids.
-//! The distance and plan memos are accelerators, not state: counted by the
-//! estimate, dropped by a spill, never written anywhere.
+//! in when its block goes dirty.  It holds no tuple id, so a delete's id
+//! shift leaves it on disk.  The distance and plan memos are accelerators,
+//! not state: counted by the estimate, dropped by a spill, never written
+//! anywhere.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use crate::agp::{AgpPlan, AgpRecord, PlanMemo};
 use crate::cache::{CacheStats, DistanceCache};
@@ -59,23 +74,36 @@ struct BlockRecords {
     rsc: RscRecord,
 }
 
-/// The cached clean state of one **output group** of a block — the unit the
-/// group-scoped refresh reuses when nothing feeding the group changed.
-/// Encodable so a memory-budgeted driver can spill a whole block's entries
-/// to a disk segment through the `mlnw` codec.
+/// The cache entry of one **output group** of a block — what the
+/// group-scoped refresh needs to reuse the group when nothing feeding it
+/// changed.  The group's cleaned state is not here: it is the cleaned
+/// block's group at `slot`, and the block's repairs
+/// `repairs_start..repairs_end`.  Encodable so a memory-budgeted driver can
+/// spill a whole block's entries to a disk segment through the `mlnw` codec
+/// (a frame private to the process: never part of a snapshot or envelope).
 #[derive(Debug, Clone)]
 struct GroupEntry {
     /// Pristine group keys fused into this output group: the group's own key
     /// first, then the AGP-merged abnormal keys in merge order.  A reuse is
     /// only sound when the fresh plan derives the exact same source list.
     sources: Vec<Vec<ValueId>>,
-    /// The group's post-weights/RSC state.
-    group: Group,
-    /// The RSC repairs cleaning this group produced.
-    repairs: Vec<RscRepair>,
+    /// The output group's position in the cleaned block.
+    slot: usize,
+    /// The repairs cleaning this group produced: this range of the block's
+    /// RSC record.
+    repairs_start: usize,
+    repairs_end: usize,
 }
 
-mlnw::codec! { struct GroupEntry { sources, group, repairs } }
+mlnw::codec! { struct GroupEntry { sources, slot, repairs_start, repairs_end } }
+
+/// A dirty block's output as its last refresh left it, taken out of the
+/// cleaned index and the block's RSC record for the rebuild to move from.
+#[derive(Debug, Default)]
+struct OldOutput {
+    groups: Vec<Group>,
+    repairs: Vec<RscRepair>,
+}
 
 /// Per-block dirtiness and group-scoped clean cache.
 #[derive(Debug, Clone)]
@@ -91,7 +119,7 @@ struct BlockCache {
     dirty_keys: HashSet<Vec<ValueId>>,
     /// Re-clean every group at the next refresh.
     fully_dirty: bool,
-    /// Cached clean state per output-group key.
+    /// Reuse state per output-group key.
     entries: HashMap<Vec<ValueId>, GroupEntry>,
     /// Persistent distance memo shared by AGP planning and RSC scoring
     /// across refreshes of this block.
@@ -101,7 +129,7 @@ struct BlockCache {
     plan: PlanMemo,
     /// Disk-backed image of `entries` while the block is spilled under a
     /// memory budget.  `Some` ⇒ `entries` is empty and must be faulted back
-    /// in before the block is refreshed or id-remapped.  The dirtiness
+    /// in before the block is refreshed.  The dirtiness
     /// fields (`last_z`, `dirty_keys`, `fully_dirty`) always stay resident:
     /// marking a spilled block dirty never touches the segment.
     spilled: Option<SpillSlot>,
@@ -142,7 +170,7 @@ struct RefreshedBlock {
     records: BlockRecords,
     cache: BlockCache,
     /// Tuples whose data versions changed: they sit in a recomputed output
-    /// group, or in a cache entry that no longer exists.
+    /// group, or sat in an old one that was rebuilt or no longer exists.
     invalidated: Vec<TupleId>,
     /// Output groups Stage I actually recomputed (vs reused from cache).
     recleaned: u64,
@@ -191,12 +219,14 @@ pub struct MemoryStats {
 #[derive(Debug, Clone)]
 pub struct StageOne {
     config: CleanConfig,
-    /// Per block: the post-AGP/weights/RSC state of the last refresh.
-    /// Shared with every report handed out so far (copy-on-write: the next
-    /// refresh that must mutate it clones only then).
+    /// Per block: the post-AGP/weights/RSC state of the last refresh — the
+    /// one copy of the cleaned groups.  Shared with every report handed out
+    /// so far (copy-on-write: the next refresh that must mutate it clones
+    /// only then).
     cleaned: Arc<MlnIndex>,
+    /// Per block: its provenance — the one copy of its repairs.
     records: Vec<BlockRecords>,
-    /// Per block: group-scoped dirtiness and the reusable clean state.
+    /// Per block: group-scoped dirtiness and the reuse entries.
     caches: Vec<BlockCache>,
     /// Cumulative output groups recomputed — see
     /// [`StageOne::recleaned_groups`].
@@ -289,27 +319,24 @@ impl StageOne {
         self.memory
     }
 
-    /// The cached per-block provenance concatenated in block order — exactly
-    /// the order the whole-index stage runs emit their records in.
+    /// The per-block provenance concatenated in block order — exactly the
+    /// order the whole-index stage runs emit their records in.
     pub fn records(&self) -> (AgpRecord, RscRecord) {
-        let mut agp = AgpRecord::default();
-        let mut rsc = RscRecord::default();
-        for records in &self.records {
-            agp.merges.extend_from_slice(&records.agp.merges);
-            agp.cache.absorb(records.agp.cache);
-            agp.bounds_computed += records.agp.bounds_computed;
-            rsc.repairs.extend_from_slice(&records.rsc.repairs);
-            rsc.cache.absorb(records.rsc.cache);
-        }
-        (agp, rsc)
+        concat_records(self.records.clone())
+    }
+
+    /// [`StageOne::records`] on the driver's last use: the records move out,
+    /// uncopied.
+    pub fn into_records(self) -> (AgpRecord, RscRecord) {
+        concat_records(self.records)
     }
 
     /// Re-run Stage I on the listed blocks that are dirty — `(block index,
     /// its pristine state)`, ascending, ids resolving through `pool` — and
     /// refresh the cleaned index, the per-block provenance and the per-group
-    /// clean caches.  Clean blocks, and clean groups of dirty blocks, keep
-    /// their cached state: their pristine content is exactly what a full
-    /// rebuild would see, so the cached cleaned state is too.
+    /// caches.  Clean blocks, and clean groups of dirty blocks, keep their
+    /// cleaned state, moved rather than copied: their pristine content is
+    /// exactly what a full rebuild would see, so their cleaned state is too.
     /// The AGP pass is added to `timings.agp`; of the rebuild pass, the
     /// closed-form weighting of the rebuilt groups (one clock per block) to
     /// `timings.weight_learning` and the rest to `timings.rsc`.  A call with
@@ -323,25 +350,31 @@ impl StageOne {
         let mut out = Refreshed::default();
         // Take each dirty block's cache out so the worker owns it (the slot
         // keeps a fresh placeholder until write-back).  A spilled one must
-        // be resident first: the rebuild both reuses its entries and derives
-        // fusion invalidation from the ones that vanish.  (Clean spilled
-        // blocks stay on disk — that is the point.)
-        let mut work: Vec<(usize, &Block, BlockCache)> = Vec::new();
+        // be resident first: the rebuild both finds what it reuses through
+        // its entries and derives fusion invalidation from the ones it does
+        // not.  (Clean spilled blocks stay on disk — that is the point.)
+        let mut work: Vec<(usize, &Block, BlockCache, OldOutput)> = Vec::new();
         for &(i, block) in pristine {
             if self.caches[i].is_dirty() {
                 self.fault_in_block(i);
                 let placeholder = BlockCache::new(self.config.metric);
-                work.push((
-                    i,
-                    block,
-                    std::mem::replace(&mut self.caches[i], placeholder),
-                ));
+                let cache = std::mem::replace(&mut self.caches[i], placeholder);
+                work.push((i, block, cache, OldOutput::default()));
             }
         }
         if work.is_empty() {
             return out;
         }
         self.lru_clock += 1;
+        // Each dirty block's last output leaves the cleaned index — made
+        // unique here, once, when a report still holds it — and the block's
+        // record, so the rebuild moves the groups and repairs it reuses.
+        self.sync_pool(pool);
+        let cleaned = Arc::make_mut(&mut self.cleaned);
+        for (i, _, _, old) in &mut work {
+            old.groups = std::mem::take(&mut cleaned.blocks[*i].groups);
+            old.repairs = std::mem::take(&mut self.records[*i].rsc.repairs);
+        }
         let config = &self.config;
 
         // Pass 1 (timed as AGP): re-plan each dirty block's merges against
@@ -352,7 +385,7 @@ impl StageOne {
         // fresh plan is what lets the rebuild pass below detect — per output
         // group — whether the cached entry's sources still hold.
         let started = Instant::now();
-        let planned = map_ordered(config.parallel, work, |(i, block, mut cache)| {
+        let planned = map_ordered(config.parallel, work, |(i, block, mut cache, old)| {
             let z = block_support(block);
             if cache.last_z != Some(z) {
                 // The block softmax denominator changed: every cached
@@ -360,35 +393,32 @@ impl StageOne {
                 cache.fully_dirty = true;
             }
             let before = cache.distances.stats();
-            let plan = AgpStage::processor(config).plan_block(
+            let mut plan = AgpStage::processor(config).plan_block(
                 block,
                 pool,
                 &mut cache.distances,
                 &mut cache.plan,
             );
-            let agp_stats = stats_delta(before, cache.distances.stats());
-            (i, block, cache, z, plan, agp_stats)
+            plan.record.cache = stats_delta(before, cache.distances.stats());
+            (i, block, cache, old, z, plan)
         });
         timings.agp += started.elapsed();
 
         // Pass 2 (timed as RSC, less the closed-form weighting each block
         // clocks on its own): rebuild exactly the output groups whose
-        // sources changed, reuse every other cached entry byte-for-byte.
+        // sources changed, move every other one over byte-for-byte.
         let started = Instant::now();
         let refreshed = map_ordered(
             config.parallel,
             planned,
-            |(i, block, cache, z, plan, agp_stats)| {
-                let refreshed = refresh_block(config, block, pool, cache, z, plan, agp_stats);
-                (i, refreshed)
+            |(i, block, cache, old, z, plan)| {
+                (i, refresh_block(config, block, pool, cache, old, z, plan))
             },
         );
         let weighting: Duration = refreshed.iter().map(|(_, r)| r.weighting).sum();
         timings.weight_learning += weighting;
         timings.rsc += started.elapsed().saturating_sub(weighting);
 
-        self.sync_pool(pool);
-        let cleaned = Arc::make_mut(&mut self.cleaned);
         for (i, refreshed) in refreshed {
             cleaned.blocks[i] = refreshed.block;
             self.records[i] = refreshed.records;
@@ -402,20 +432,17 @@ impl StageOne {
         out
     }
 
-    /// Shift the cleaned blocks, the provenance and the per-group clean
-    /// state — all of which live in tuple-id space — down past removed rows
-    /// (`removed`: sorted, deduplicated pre-removal row indices; exact
-    /// matches are dropped).  Blocks the removal touched must be marked
-    /// dirty by the caller and get rebuilt from pristine at the next
-    /// refresh; untouched blocks never contained the tuples, so the shift
-    /// alone keeps their state byte-identical to what a run over the
-    /// survivors would produce.  Spilled blocks hold entries in the same id
-    /// space, so they fault in for the shift (the budget re-spills them).
-    /// The distance and plan memos hold value ids only and need no shift.
+    /// Shift the cleaned blocks and the provenance — which live in tuple-id
+    /// space — down past removed rows (`removed`: sorted, deduplicated
+    /// pre-removal row indices; exact matches are dropped).  Blocks the
+    /// removal touched must be marked dirty by the caller and get rebuilt
+    /// from pristine at the next refresh; untouched blocks never contained
+    /// the tuples, so the shift alone keeps their state byte-identical to
+    /// what a run over the survivors would produce.  The shift moves no group
+    /// and no repair, so every cache entry still names its slot and its
+    /// repairs, and spilled blocks stay on disk; the entries and the
+    /// distance and plan memos hold value ids only.
     pub fn remap_removed(&mut self, removed: &[usize]) {
-        for i in 0..self.caches.len() {
-            self.fault_in_block(i);
-        }
         Arc::make_mut(&mut self.cleaned).remap_removed(removed);
         for records in &mut self.records {
             for merge in &mut records.agp.merges {
@@ -425,19 +452,9 @@ impl StageOne {
                 dataset::remap_ids_after_removal(&mut repair.tuples, removed);
             }
         }
-        for cache in &mut self.caches {
-            for entry in cache.entries.values_mut() {
-                for gamma in &mut entry.group.gammas {
-                    dataset::remap_ids_after_removal(&mut gamma.tuples, removed);
-                }
-                for repair in &mut entry.repairs {
-                    dataset::remap_ids_after_removal(&mut repair.tuples, removed);
-                }
-            }
-        }
     }
 
-    /// Estimated resident bytes of the block caches — per-group clean
+    /// Estimated resident bytes of the block caches — per-group reuse
     /// entries plus distance and plan memos; spilled blocks count zero.  A
     /// count-based heuristic (exact sizing would cost more than the state is
     /// worth), consistent across calls, which is all the spill policy needs.
@@ -488,62 +505,66 @@ impl StageOne {
         if !self.caches[i].is_spillable() {
             return false;
         }
-        if self.spill.is_none() {
-            match SpillDir::new() {
-                Ok(dir) => self.spill = Some(dir),
-                Err(_) => {
-                    self.memory.spill_errors += 1;
-                    return false;
-                }
-            }
-        }
         let entries: Vec<(Vec<ValueId>, GroupEntry)> = std::mem::take(&mut self.caches[i].entries)
             .into_iter()
             .collect();
-        let bytes = mlnw::to_bytes(&entries).expect("in-memory γ state always encodes");
-        match self
-            .spill
-            .as_ref()
-            .expect("created just above")
-            .store(&bytes)
-        {
-            Ok(slot) => {
-                self.memory.spilled_blocks += 1;
-                self.memory.spilled_bytes += bytes.len() as u64;
-                let cache = &mut self.caches[i];
-                cache.spilled = Some(slot);
-                cache.distances = DistanceCache::new(self.config.metric);
-                cache.plan = PlanMemo::default();
-                true
-            }
-            Err(_) => {
-                // Keep the block resident — the budget is advisory, the
-                // entries are not (dropping them would break the fusion
-                // invalidation the next refresh derives from them).
-                self.memory.spill_errors += 1;
-                self.caches[i].entries = entries.into_iter().collect();
-                false
-            }
+        let stored = mlnw::to_bytes(&entries).ok().and_then(|bytes| {
+            let slot = self.open_spill_dir()?.store(&bytes).ok()?;
+            Some((slot, bytes.len()))
+        });
+        let Some((slot, bytes)) = stored else {
+            // The frame did not encode, or the directory or the segment
+            // could not be written: keep the block resident — the budget is
+            // advisory, the entries are not (dropping them would break the
+            // fusion invalidation the next refresh derives from them).
+            self.memory.spill_errors += 1;
+            self.caches[i].entries = entries.into_iter().collect();
+            return false;
+        };
+        self.memory.spilled_blocks += 1;
+        self.memory.spilled_bytes += bytes as u64;
+        let cache = &mut self.caches[i];
+        cache.spilled = Some(slot);
+        cache.distances = DistanceCache::new(self.config.metric);
+        cache.plan = PlanMemo::default();
+        true
+    }
+
+    /// The spill directory, created on the first spill; `None` when that
+    /// fails.
+    fn open_spill_dir(&mut self) -> Option<&SpillDir> {
+        if self.spill.is_none() {
+            self.spill = SpillDir::new().ok();
         }
+        self.spill.as_ref()
     }
 
     /// Fault a spilled block's cache entries back in (no-op when resident).
     ///
-    /// A segment that cannot be read back or no longer decodes (the disk
-    /// failed underneath us) is survived, not fatal: the block is marked
-    /// fully dirty with no entries, so its next refresh rebuilds every group
-    /// from the pristine state and invalidates every tuple the block covers
-    /// — the over-approximation a whole-block re-clean always made.  (What
-    /// the lost entries alone knew — tuples that have since *left* the block
-    /// — was invalidated by the update or delete that moved them.)
+    /// A segment that cannot be read back, no longer decodes, or names a
+    /// slot or a repair the block does not have (the disk failed underneath
+    /// us) is survived, not fatal: the block is marked fully dirty with no
+    /// entries, so its next refresh rebuilds every group from the pristine
+    /// state and invalidates every tuple the block covers — the
+    /// over-approximation a whole-block re-clean always made.  (What the lost
+    /// entries alone knew — tuples that have since *left* the block — was
+    /// invalidated by the update or delete that moved them.)
     fn fault_in_block(&mut self, i: usize) {
         let Some(slot) = self.caches[i].spilled.take() else {
             return;
         };
+        let groups = self.cleaned.blocks[i].groups.len();
+        let repairs = self.records[i].rsc.repairs.len();
+        let in_block = |entry: &GroupEntry| {
+            entry.slot < groups
+                && entry.repairs_start <= entry.repairs_end
+                && entry.repairs_end <= repairs
+        };
         let entries = slot
             .load()
             .ok()
-            .and_then(|bytes| mlnw::from_bytes::<Vec<(Vec<ValueId>, GroupEntry)>>(&bytes).ok());
+            .and_then(|bytes| mlnw::from_bytes::<Vec<(Vec<ValueId>, GroupEntry)>>(&bytes).ok())
+            .filter(|entries| entries.iter().all(|(_, entry)| in_block(entry)));
         match entries {
             Some(entries) => {
                 self.caches[i].entries = entries.into_iter().collect();
@@ -566,8 +587,8 @@ impl StageOne {
 
 /// Refresh one dirty block: derive the post-AGP output layout from the fresh
 /// plan, then rebuild only the output groups whose source set changed (or
-/// whose sources are marked dirty), reusing every other cached
-/// [`GroupEntry`] byte-for-byte.
+/// whose sources are marked dirty), and move every other group of `old` —
+/// the block's last output — over with its repairs, byte-for-byte.
 ///
 /// Soundness of the reuse: the plan is recomputed from the current pristine
 /// snapshot every refresh, so any drift in merge *decisions* shows up as a
@@ -575,16 +596,18 @@ impl StageOne {
 /// key (pure updates) or as `fully_dirty` (inserts, deletes, support
 /// changes) when the mutation applied.  Weights only depend on `(own
 /// support, z)` and `z` is pinned by the `last_z` check, RSC is group-local,
-/// so an entry whose sources are clean and unchanged is exactly what the
-/// rebuild would recompute.
+/// so an old group whose sources are clean and unchanged is exactly what the
+/// rebuild would recompute.  Its entry names where it sits in `old`: the
+/// cleaned block and its record change only here, where the entries are
+/// rewritten with them, and a delete's id shift moves no group or repair.
 fn refresh_block(
     config: &CleanConfig,
     pristine: &Block,
     pool: &ValuePool,
     mut cache: BlockCache,
+    mut old: OldOutput,
     z: usize,
     plan: AgpPlan,
-    agp_stats: CacheStats,
 ) -> RefreshedBlock {
     // Post-AGP output layout (matching `apply_plan` exactly): surviving
     // normal groups in pristine order, each with its merged-in abnormals in
@@ -615,10 +638,11 @@ fn refresh_block(
         outputs.push((ai, vec![ai]));
     }
 
-    // An output group between the steps below: served from the cache, or
-    // merged from these sources and still to be weighted and cleaned.
+    // An output group between the steps below: moved over from `old` under
+    // its key and entry, or merged from these sources and still to be
+    // weighted and cleaned.
     enum Slot {
-        Reused(GroupEntry),
+        Reused(Vec<ValueId>, GroupEntry),
         Rebuilt(Vec<Vec<ValueId>>),
     }
 
@@ -631,21 +655,28 @@ fn refresh_block(
     };
     let mut slots: Vec<Slot> = Vec::with_capacity(outputs.len());
     for (lead, source_idx) in outputs {
-        let key = &pristine.groups[lead].key;
-        let sources: Vec<Vec<ValueId>> = source_idx
-            .iter()
-            .map(|&s| pristine.groups[s].key.clone())
-            .collect();
+        let key = pristine.groups[lead].key.as_slice();
+        let sources = || {
+            source_idx
+                .iter()
+                .map(|&s| pristine.groups[s].key.as_slice())
+        };
         let reusable = !cache.fully_dirty
-            && !sources.iter().any(|s| cache.dirty_keys.contains(s))
+            && !sources().any(|s| cache.dirty_keys.contains(s))
             && cache
                 .entries
                 .get(key)
-                .is_some_and(|entry| entry.sources == sources);
-        if reusable {
-            let entry = cache.entries.remove(key).expect("probed just above");
-            block.groups.push(entry.group.clone());
-            slots.push(Slot::Reused(entry));
+                .is_some_and(|entry| entry.sources.iter().map(Vec::as_slice).eq(sources()));
+        let reused = if reusable {
+            cache.entries.remove_entry(key)
+        } else {
+            None
+        };
+        if let Some((key, entry)) = reused {
+            block
+                .groups
+                .push(std::mem::take(&mut old.groups[entry.slot]));
+            slots.push(Slot::Reused(key, entry));
             continue;
         }
         // Rebuild: merge the source γs the way `apply_plan` does.
@@ -654,7 +685,7 @@ fn refresh_block(
             group.absorb_gammas(pristine.groups[ai].gammas.iter().cloned());
         }
         block.groups.push(group);
-        slots.push(Slot::Rebuilt(sources));
+        slots.push(Slot::Rebuilt(sources().map(<[ValueId]>::to_vec).collect()));
     }
 
     // Step 2: weight the rebuilt groups against the block-wide Z (AGP
@@ -667,44 +698,42 @@ fn refresh_block(
     }
     let weighting = started.elapsed();
 
-    // Step 3: clean the rebuilt groups in place.
+    // Step 3: clean the rebuilt groups in place, and lay the block's repairs
+    // out in group order — a reused group's move over from `old`.
     let cleaner = ReliabilityCleaner::new(config.metric);
     let rsc_before = cache.distances.stats();
     let mut entries: HashMap<Vec<ValueId>, GroupEntry> = HashMap::with_capacity(slots.len());
-    let mut repairs: Vec<RscRepair> = Vec::new();
+    let mut repairs: Vec<RscRepair> = Vec::with_capacity(old.repairs.len());
     let mut invalidated: Vec<TupleId> = Vec::new();
     let mut recleaned = 0u64;
-    for (group, slot) in block.groups.iter_mut().zip(slots) {
-        match slot {
-            Slot::Reused(entry) => {
-                repairs.extend(entry.repairs.iter().cloned());
-                entries.insert(group.key.clone(), entry);
+    for (slot, (group, kind)) in block.groups.iter_mut().zip(slots).enumerate() {
+        let repairs_start = repairs.len();
+        let (key, sources) = match kind {
+            Slot::Reused(key, entry) => {
+                let moved = &mut old.repairs[entry.repairs_start..entry.repairs_end];
+                repairs.extend(moved.iter_mut().map(std::mem::take));
+                (key, entry.sources)
             }
             Slot::Rebuilt(sources) => {
                 recleaned += 1;
-                let group_repairs =
-                    cleaner.clean_group(block.rule, group, pool, &mut cache.distances);
+                repairs.extend(cleaner.clean_group(block.rule, group, pool, &mut cache.distances));
                 invalidated.extend(group.all_tuples());
-                if let Some(old) = cache.entries.remove(&group.key) {
-                    invalidated.extend(old.group.all_tuples());
-                }
-                repairs.extend(group_repairs.iter().cloned());
-                entries.insert(
-                    group.key.clone(),
-                    GroupEntry {
-                        sources,
-                        group: group.clone(),
-                        repairs: group_repairs,
-                    },
-                );
+                (group.key.clone(), sources)
             }
-        }
+        };
+        let entry = GroupEntry {
+            sources,
+            slot,
+            repairs_start,
+            repairs_end: repairs.len(),
+        };
+        entries.insert(key, entry);
     }
 
-    // Output groups that disappeared since the last refresh: their tuples
-    // live somewhere else now; re-fuse them.
-    for (_, old) in cache.entries.drain() {
-        invalidated.extend(old.group.all_tuples());
+    // Old output groups not moved over — rebuilt, or gone since the last
+    // refresh: their tuples may live somewhere else now; re-fuse them.
+    for (_, entry) in cache.entries.drain() {
+        invalidated.extend(old.groups[entry.slot].all_tuples());
     }
 
     let rsc_stats = stats_delta(rsc_before, cache.distances.stats());
@@ -714,12 +743,10 @@ fn refresh_block(
     cache.fully_dirty = false;
 
     let rescanned = plan.rescanned;
-    let mut agp = plan.record;
-    agp.cache = agp_stats;
     RefreshedBlock {
         block,
         records: BlockRecords {
-            agp,
+            agp: plan.record,
             rsc: RscRecord {
                 repairs,
                 cache: rsc_stats,
@@ -738,7 +765,7 @@ const HASH_SLOT_BYTES: usize = 16;
 
 /// Estimated resident bytes of one block cache (zero once spilled): the
 /// distance memo (pairs and sketches) and the plan memo plus every
-/// [`GroupEntry`]'s owned buffers.  Counts what spilling the block would
+/// [`GroupEntry`]'s key and sources.  Counts what spilling the block would
 /// free, which is all the budget policy needs.
 fn approx_cache_bytes(cache: &BlockCache) -> usize {
     let mut bytes =
@@ -758,31 +785,25 @@ fn approx_entry_bytes(key: &[ValueId], entry: &GroupEntry) -> usize {
     for source in &entry.sources {
         bytes += std::mem::size_of::<Vec<ValueId>>() + std::mem::size_of_val(source.as_slice());
     }
-    bytes += approx_group_bytes(&entry.group);
-    for repair in &entry.repairs {
-        bytes += std::mem::size_of_val(repair)
-            + std::mem::size_of_val(repair.tuples.as_slice())
-            + repair
-                .group_key
-                .iter()
-                .chain(&repair.from_values)
-                .chain(&repair.to_values)
-                .map(|s| std::mem::size_of::<String>() + s.len())
-                .sum::<usize>();
-    }
     bytes
 }
 
-/// Estimated bytes of one [`Group`]'s owned buffers.
-fn approx_group_bytes(group: &Group) -> usize {
-    let mut bytes = std::mem::size_of_val(group.key.as_slice());
-    for gamma in &group.gammas {
-        bytes += std::mem::size_of_val(gamma)
-            + std::mem::size_of_val(gamma.reason_values.as_slice())
-            + std::mem::size_of_val(gamma.result_values.as_slice())
-            + std::mem::size_of_val(gamma.tuples.as_slice());
+/// Per-block provenance concatenated in block order, moved out of `blocks`.
+fn concat_records(blocks: Vec<BlockRecords>) -> (AgpRecord, RscRecord) {
+    let mut agp = AgpRecord::default();
+    let mut rsc = RscRecord::default();
+    agp.merges
+        .reserve(blocks.iter().map(|b| b.agp.merges.len()).sum());
+    rsc.repairs
+        .reserve(blocks.iter().map(|b| b.rsc.repairs.len()).sum());
+    for records in blocks {
+        agp.merges.extend(records.agp.merges);
+        agp.cache.absorb(records.agp.cache);
+        agp.bounds_computed += records.agp.bounds_computed;
+        rsc.repairs.extend(records.rsc.repairs);
+        rsc.cache.absorb(records.rsc.cache);
     }
-    bytes
+    (agp, rsc)
 }
 
 /// The growth of a [`DistanceCache`]'s counters between two snapshots.
@@ -1061,6 +1082,70 @@ pub(crate) mod tests {
         assert_eq!(stage.recleaned_groups(), before);
     }
 
+    /// A refresh moves the groups it reuses, with their repairs: with no
+    /// report holding the cleaned index, a group a one-cell update left alone
+    /// is the very buffer the last refresh built, and so is its repair.
+    #[test]
+    fn a_reused_group_is_moved_not_copied() {
+        let (mut ds, rules) = typo_table();
+        let config = CleanConfig::default().with_tau(1);
+        let mut index = MlnIndex::build(&ds, &rules).unwrap();
+        let mut stage = driver_over(&config, &index);
+        mark_all_dirty(&mut stage);
+        refresh(&mut stage, &index);
+        let dothan = index.pool().lookup("DOTHAN").unwrap();
+        let buffers = |stage: &StageOne| {
+            let groups = &stage.cleaned().blocks[0].groups;
+            let g = groups.iter().position(|g| g.key == [dothan]).unwrap();
+            let repairs = &stage.records[0].rsc.repairs;
+            let repair = repairs.iter().find(|r| r.group_key == ["DOTHAN"]).unwrap();
+            assert!(!groups[g].gammas.is_empty() && !repair.tuples.is_empty());
+            (g, groups[g].gammas.as_ptr(), repair.tuples.as_ptr())
+        };
+        let before = buffers(&stage);
+
+        // A result-part update inside BOAZ leaves DOTHAN, and the typo AGP
+        // merged into it, alone.
+        let rebuilt = update_and_refresh(&mut stage, &mut ds, &mut index, &rules, (3, "ST", "AK"));
+        assert_eq!(rebuilt, 1);
+        assert_eq!(buffers(&stage), before);
+    }
+
+    /// A spill segment that decodes but names a slot the cleaned block does
+    /// not have is a lost segment: the block is rebuilt whole, the output
+    /// does not move, and nothing panics.
+    #[test]
+    fn a_spill_entry_past_its_block_is_a_lost_segment() {
+        let (_, ds, rules, config) = workloads().remove(0);
+        let index = MlnIndex::build(&ds, &rules).unwrap();
+        let mut stage = driver_over(&config.with_memory_budget(1), &index);
+        mark_all_dirty(&mut stage);
+        refresh(&mut stage, &index);
+        assert_eq!(stage.enforce_budget(0), 0, "everything spills");
+        let key = stage.cleaned.blocks[0].groups[0].key.clone();
+        let forged: Vec<(Vec<ValueId>, GroupEntry)> = vec![(
+            key.clone(),
+            GroupEntry {
+                sources: vec![key],
+                slot: 1_000,
+                repairs_start: 0,
+                repairs_end: 0,
+            },
+        )];
+        let frame = mlnw::to_bytes(&forged).unwrap();
+        let dir = stage.spill_dir().unwrap().path().to_path_buf();
+        for segment in std::fs::read_dir(dir).unwrap() {
+            std::fs::write(segment.unwrap().path(), &frame).unwrap();
+        }
+
+        mark_all_dirty(&mut stage);
+        refresh(&mut stage, &index);
+        assert_matches_reference("after the forged segments", &stage, &index);
+        let stats = stage.memory_stats();
+        assert_eq!(stats.spill_errors, index.block_count() as u64);
+        assert_eq!(stats.faulted_blocks, 0);
+    }
+
     /// Inserts and deletes mark a block fully dirty — every group is rebuilt
     /// — but its AGP plan is maintained all the same: the memo validates
     /// itself against the snapshot, whatever the dirtiness says.
@@ -1168,7 +1253,12 @@ pub(crate) mod tests {
 
     /// A spill segment's frame — every block's `(key, GroupEntry)` list
     /// after a hospital refresh, in key order — keeps its bytes: pinned as
-    /// (length, FNV-1a 64).  It decodes and re-encodes identically.
+    /// (length, FNV-1a 64).  It decodes and re-encodes identically.  The
+    /// frame is private to one process (a `SpillDir` is unlinked on drop and
+    /// never part of a snapshot, checkpoint or envelope), so a change of the
+    /// entry's shape re-records this pin without a `CODEC_VERSION` bump: it
+    /// moved from (813, …) when entries stopped carrying the group and its
+    /// repairs.
     #[test]
     fn a_spill_frame_keeps_its_bytes() {
         let (_, ds, rules, config) = workloads().remove(0);
@@ -1186,7 +1276,7 @@ pub(crate) mod tests {
         let fnv1a = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
         });
-        assert_eq!((bytes.len(), fnv1a), (813, 16385001157692659122));
+        assert_eq!((bytes.len(), fnv1a), (158, 276598737870245509));
         let decoded: Vec<(Vec<ValueId>, GroupEntry)> = mlnw::from_bytes(&bytes).unwrap();
         assert_eq!(mlnw::to_bytes(&decoded).unwrap(), bytes);
     }

@@ -11,7 +11,8 @@
 //! [`StageTwo::remap_removed`] on delete, with the sorted list
 //! [`StageOne::remap_removed`] takes), reports every Stage-I refresh
 //! ([`StageTwo::invalidate_refreshed`]) and asks for a [`Report`] over its
-//! dirty rows ([`StageTwo::report`]).
+//! dirty rows ([`StageTwo::report`], or [`StageTwo::finish`] on the drivers'
+//! last use, which moves the Stage-I provenance instead of copying it).
 //!
 //! **Invalidation.**  A fusion is a function of the tuple's version vector
 //! and of its covering blocks' substitution candidates, so a refresh empties
@@ -58,9 +59,16 @@
 //! cleaned index, so eviction trades time for memory and never a byte of
 //! output.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
+use crate::agp::AgpRecord;
 use crate::engine::{Report, Timings};
 use crate::fscr::{apply_tuple_fusion, ConflictResolver, FscrRecord, SharedFusion};
 use crate::index::Block;
+use crate::rsc::RscRecord;
 use crate::stage_one::{MemoryStats, Refreshed, StageOne};
 use crate::CleanConfig;
 use dataset::{Dataset, TupleId};
@@ -220,13 +228,14 @@ impl StageTwo {
         }
     }
 
-    /// Fuse exactly the empty slots from `stage_one`'s cleaned index.
-    fn settle(&mut self, stage_one: &mut StageOne, timings: &mut Timings) {
+    /// Fuse exactly the empty slots from `stage_one`'s cleaned index;
+    /// returns the substitution candidates the new fusions tested.
+    fn settle(&mut self, stage_one: &mut StageOne, timings: &mut Timings) -> u64 {
         // Shed cold caches *before* the fusion allocations below, but evict
         // no fusion: the memo is about to be refilled.
         self.shed_blocks(stage_one);
         if self.memoised == self.fusions.len() {
-            return; // nothing invalidated — skip the plan build entirely
+            return 0; // nothing invalidated — skip the plan build entirely
         }
         let started = Instant::now();
         let wanted: Vec<bool> = self.fusions.iter().map(Option::is_none).collect();
@@ -245,6 +254,7 @@ impl StageTwo {
         self.fused += (self.fusions.len() - self.memoised) as u64;
         self.memoised = self.fusions.len();
         timings.fscr += started.elapsed();
+        plan.candidates_tested()
     }
 
     /// Produce the [`Report`] over `dirty` — the caller's rows, one per
@@ -253,19 +263,52 @@ impl StageTwo {
     /// recording it in tuple order, exactly like a batch run emits it, and
     /// drop exact duplicates if [`CleanConfig::deduplicate`] says so.  The
     /// clocks run into `timings.fscr` / `timings.dedup`, and the report
-    /// carries `timings` as they then read.
+    /// carries `timings` as they then read.  The Stage-I provenance is a
+    /// copy of `stage_one`'s.
     pub fn report(
         &mut self,
         stage_one: &mut StageOne,
         dirty: Dataset,
         timings: &mut Timings,
     ) -> Report {
-        self.settle(stage_one, timings);
+        let mut report = self.assemble(stage_one, dirty, timings);
+        (report.agp, report.rsc) = stage_one.records();
+        report
+    }
+
+    /// [`StageTwo::report`] on the drivers' last use: the Stage-I
+    /// provenance moves into the report, uncopied.
+    pub fn finish(
+        mut self,
+        mut stage_one: StageOne,
+        dirty: Dataset,
+        timings: &mut Timings,
+    ) -> Report {
+        let mut report = self.assemble(&mut stage_one, dirty, timings);
+        (report.agp, report.rsc) = stage_one.into_records();
+        report
+    }
+
+    /// The report of [`StageTwo::report`] with empty Stage-I provenance.
+    fn assemble(
+        &mut self,
+        stage_one: &mut StageOne,
+        dirty: Dataset,
+        timings: &mut Timings,
+    ) -> Report {
+        let candidates_tested = self.settle(stage_one, timings);
         let started = Instant::now();
         let cleaned = Arc::clone(stage_one.cleaned());
         let mut repaired = dirty;
-        let mut fscr = FscrRecord::default();
+        let mut fscr = FscrRecord {
+            candidates_tested,
+            ..FscrRecord::default()
+        };
         for (t, fusion) in self.fusions.iter().enumerate() {
+            #[allow(
+                clippy::expect_used,
+                reason = "settle() fills every empty slot and nothing empties one before this loop"
+            )]
             let fusion = fusion.as_ref().expect("settled just above");
             apply_tuple_fusion(&mut repaired, cleaned.pool(), TupleId(t), fusion, &mut fscr);
         }
@@ -277,13 +320,12 @@ impl StageTwo {
             timings.dedup += started.elapsed();
             deduplicated
         });
-        let (agp, rsc) = stage_one.records();
         Report {
             repaired,
             deduplicated,
             index: Some(cleaned),
-            agp,
-            rsc,
+            agp: AgpRecord::default(),
+            rsc: RscRecord::default(),
             fscr,
             timings: *timings,
             partitions: None,

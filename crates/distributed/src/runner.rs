@@ -263,6 +263,7 @@ fn absorb_fscr_globally(global: &mut FscrRecord, part: FscrRecord, ids: &[TupleI
         change.cell.tuple = ids[change.cell.tuple.index()];
         global.changes.push(change);
     }
+    global.candidates_tested += part.candidates_tested;
 }
 
 #[cfg(test)]

@@ -613,7 +613,16 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
     /// [`Report::partitions`] carries the partition id lists plus the
     /// shared-γ count of the evidence merge.
     pub fn outcome(&mut self) -> Report {
-        let report = self.report();
+        let dirty = self.settle();
+        let mut report = self
+            .stage_two
+            .report(&mut self.stage_one, dirty, &mut self.timings);
+        Self::stamp(
+            &mut report,
+            &mut self.backend,
+            &self.parts,
+            &self.shared_per_block,
+        );
         self.stage_two.enforce_budget(&mut self.stage_one);
         report
     }
@@ -622,31 +631,46 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
     /// dataset is gathered from the partitions, like for
     /// [`DistributedStreamingSession::outcome`] — the coordinator holds no
     /// resident copy to move out — and the cleaned index is shared, not
-    /// copied, either way).
+    /// copied, either way; the Stage-I provenance moves into the report).
     pub fn finish(mut self) -> Report {
-        self.report()
+        let dirty = self.settle();
+        let mut report = self
+            .stage_two
+            .finish(self.stage_one, dirty, &mut self.timings);
+        Self::stamp(
+            &mut report,
+            &mut self.backend,
+            &self.parts,
+            &self.shared_per_block,
+        );
+        report
     }
 
-    /// Flush pending dirtiness, gather the rows and report through the
-    /// Stage-II driver — the shared body of `outcome` and `finish`.
-    fn report(&mut self) -> Report {
+    /// Flush pending dirtiness and gather the rows a report is over — the
+    /// shared head of `outcome` and `finish`.
+    fn settle(&mut self) -> Dataset {
         self.merge_round();
         // Values interned since the last round must resolve in the cleaned
         // index even when no block went dirty.
         self.stage_one.sync_pool(&self.pool);
-        let dirty = self.gather_dataset();
-        let mut report = self
-            .stage_two
-            .report(&mut self.stage_one, dirty, &mut self.timings);
-        // Coordinator phases are wall clock; the index field aggregates the
-        // partitions' (concurrent) ingest clocks, like the batch runner's
-        // per-worker stage sums.
-        report.timings.index += self.backend.index_clock();
+        self.gather_dataset()
+    }
+
+    /// Stamp the coordinator's side onto a Stage-II report — the shared tail
+    /// of `outcome` and `finish`.  Coordinator phases are wall clock; the
+    /// index field aggregates the partitions' (concurrent) ingest clocks,
+    /// like the batch runner's per-worker stage sums.
+    fn stamp(
+        report: &mut Report,
+        backend: &mut B,
+        parts: &[Vec<TupleId>],
+        shared_per_block: &[usize],
+    ) {
+        report.timings.index += backend.index_clock();
         report.partitions = Some(PartitionReport {
-            parts: self.parts.clone(),
-            shared_gammas: self.shared_per_block.iter().sum(),
+            parts: parts.to_vec(),
+            shared_gammas: shared_per_block.iter().sum(),
         });
-        report
     }
 }
 

@@ -7,7 +7,7 @@ use dataset::{Schema, Tuple, ValueId};
 use std::fmt;
 
 /// Identifier of a rule within a [`RuleSet`] (its position).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RuleId(pub usize);
 
 mlnw::codec! { struct RuleId { 0 } }

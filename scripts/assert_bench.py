@@ -15,7 +15,8 @@ shown, not gated — tests may grow).  So is `distance_cache.hits + misses`,
 the one-shot run's distance lookups: the count repeats exactly at the smoke's
 fixed seed and may not exceed the committed one, and so is
 `agp_bounds_computed`, the sketch bounds AGP's nearest-normal searches
-evaluated (an artifact without it fails).  `fscr_shared_outcomes` —
+evaluated, and `fscr_candidates_tested`, the substitution candidates FSCR's
+fusions tested (an artifact without either fails).  `fscr_shared_outcomes` —
 the one-shot report's FSCR outcomes minus its distinct `fused` allocations —
 ratchets the other way: it may not fall below the committed one.
 `pool_storages` — the distinct value-pool tables among the one-shot run's
@@ -29,7 +30,8 @@ probe's peak RSS where the rung asserts it, and the group-scoped re-clean
 probe: a single-cell mutation must re-clean a strict, non-empty subset of
 the MLN groups and — on a fresh artifact — send fewer than 1 in 20 of them
 back to an AGP nearest-normal search from nothing; a fresh artifact must also
-record `agp_bounds_computed` per engine).  When `--baseline` points at a
+record `agp_bounds_computed` and `fscr_candidates_tested` per engine).  When
+`--baseline` points at a
 committed artifact it also runs an order-of-magnitude tripwire against it:
 the run fails if any engine is more than 3x slower, peaks at more than 2x
 the RSS, or the mutation probe's p50/p99 latency is more than 3x the
@@ -119,6 +121,16 @@ def check_smoke(d, committed=None):
     check(base_bounds is None or bounds <= base_bounds,
           f"smoke: agp_bounds_computed grew {base_bounds} -> {bounds}: AGP's "
           f"searches bound more candidates than the committed baseline")
+    # Substitution candidates FSCR tested: exact at the fixed seed, so a
+    # change that makes the substitution scans longer fails here.
+    check("fscr_candidates_tested" in d, "smoke: artifact lacks fscr_candidates_tested")
+    tested, base_tested = (d["fscr_candidates_tested"],
+                           (committed or {}).get("fscr_candidates_tested"))
+    print("fscr candidates tested:", tested,
+          f"(committed: {base_tested})" if committed else "")
+    check(base_tested is None or tested <= base_tested,
+          f"smoke: fscr_candidates_tested grew {base_tested} -> {tested}: FSCR's "
+          f"substitutions test more candidates than the committed baseline")
     # FSCR outcomes that share another outcome's resolved `fused` list: every
     # tuple of one version vector holds one allocation, so a change that goes
     # back to restating fusions per tuple reads 0 here.
@@ -241,9 +253,9 @@ def check_ladder(d, fresh=True):
                 check(e["stage_seconds"][stage] >= 0, f"{tag}: negative {stage}")
             if fresh:
                 # Committed baselines may predate the counter.
-                check(isinstance(e.get("agp_bounds_computed"), int)
-                      and e["agp_bounds_computed"] >= 0,
-                      f"{tag}: artifact lacks agp_bounds_computed")
+                for counter in ("agp_bounds_computed", "fscr_candidates_tested"):
+                    check(isinstance(e.get(counter), int) and e[counter] >= 0,
+                          f"{tag}: artifact lacks {counter}")
             if rss_supported:
                 check(isinstance(e["peak_rss_kib"], int) and e["peak_rss_kib"] > 0,
                       f"{tag}: RSS meter is supported but no peak recorded")
