@@ -789,6 +789,7 @@ impl PlanMemo {
 pub(crate) mod tests {
     use super::*;
     use crate::index::MlnIndex;
+    use dataset::rng::Rng;
     use dataset::{sample_hospital_dataset, AttrId, Dataset, Schema};
     use proptest::prelude::{proptest, ProptestConfig};
     use rules::{sample_hospital_rules, RuleSet};
@@ -1465,24 +1466,11 @@ pub(crate) mod tests {
             .collect()
     }
 
-    /// SplitMix64, for the seeded streams below.
-    pub(crate) struct StreamRng(pub(crate) u64);
-
-    impl StreamRng {
-        pub(crate) fn below(&mut self, bound: usize) -> usize {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            ((z ^ (z >> 31)) % bound.max(1) as u64) as usize
-        }
-    }
-
     /// One random change set over `table`: one to four mutations — in-domain
     /// or typo'd updates of rule attributes (reason and result parts alike),
     /// inserts of perturbed copies of live rows, deletes.  Returns what each
     /// did, in order.
-    pub(crate) fn random_change_set(table: &mut Evolving, rng: &mut StreamRng) -> Vec<Change> {
+    pub(crate) fn random_change_set(table: &mut Evolving, rng: &mut Rng) -> Vec<Change> {
         let mut changes = Vec::new();
         let attrs: Vec<AttrId> = table
             .index
@@ -1568,7 +1556,7 @@ pub(crate) mod tests {
                     Warm::new(agp, &table.index)
                 })
                 .collect();
-            let mut rng = StreamRng(0xA6B + tau as u64);
+            let mut rng = Rng::seeded(0xA6B + tau as u64);
             let (mut abnormal, mut rescanned) = (0, 0);
             for step in 0..12 {
                 if step > 0 {

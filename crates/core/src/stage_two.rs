@@ -336,8 +336,9 @@ impl StageTwo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agp::tests::{random_change_set, Change, Evolving, StreamRng};
+    use crate::agp::tests::{random_change_set, Change, Evolving};
     use crate::stage_one::tests::workloads;
+    use dataset::rng::Rng;
     use dataset::{csv, AttrId, Schema};
     use rules::{parse_rules, RuleSet};
 
@@ -468,7 +469,7 @@ mod tests {
                     ..config.clone()
                 };
                 let mut stream = Stream::open(&config, &ds, &rules);
-                let mut rng = StreamRng(0x57A6E2 + ds.len() as u64);
+                let mut rng = Rng::seeded(0x57A6E2 + ds.len() as u64);
                 let mut rows_reported = 0;
                 for step in 0..13 {
                     // Before a report: nothing (the first), one change set,

@@ -340,16 +340,16 @@ fn nonzero(counts: &[usize]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agp::tests::StreamRng;
     use crate::CleaningSession;
     use datagen::HaiGenerator;
+    use dataset::rng::Rng;
     use dataset::AttrId;
 
     /// One seeded change set over `live`'s rows: one to four mutations —
     /// inserts of `donors` rows, updates to a donor's value, deletes — and,
     /// as a first mutation, sometimes an update to the value the cell
     /// already holds.
-    fn script(rng: &mut StreamRng, donors: &Dataset, live: &Dataset) -> ChangeSet {
+    fn script(rng: &mut Rng, donors: &Dataset, live: &Dataset) -> ChangeSet {
         let arity = donors.schema().arity();
         let mut rows = live.len();
         let mut changes = ChangeSet::new();
@@ -405,7 +405,7 @@ mod tests {
             let from_session = session.ingest_dataset(&dirty.project_rows(&half)).unwrap();
             assert_eq!(bulk.report, from_session);
 
-            let mut rng = StreamRng(0x5701E + dirty.len() as u64);
+            let mut rng = Rng::seeded(0x5701E + dirty.len() as u64);
             let mut resumed: Option<RowStore> = None;
             let (mut issued, mut written) = (0, 0);
             for step in 0..30 {

@@ -8,9 +8,8 @@
 
 use crate::make_dirty;
 use crate::stream::{DirtyRowStream, StreamColumn};
+use dataset::rng::Rng;
 use dataset::{Dataset, DirtyDataset, Schema, TupleId};
-use rand::prelude::*;
-use rand::rngs::StdRng;
 use rules::{parse_rules, RuleSet};
 
 /// Generator for the synthetic CAR dataset.
@@ -226,7 +225,7 @@ impl CarGenerator {
     /// materialised dataset whatever the consumer's batch size.
     pub fn row_stream(&self) -> CarRows {
         CarRows {
-            rng: StdRng::seed_from_u64(self.seed),
+            rng: Rng::seeded(self.seed),
             gen: self.clone(),
             produced: 0,
         }
@@ -289,7 +288,7 @@ impl CarGenerator {
 /// [`CarGenerator::row_stream`]).
 #[derive(Debug, Clone)]
 pub struct CarRows {
-    rng: StdRng,
+    rng: Rng,
     gen: CarGenerator,
     produced: usize,
 }
@@ -307,22 +306,22 @@ impl Iterator for CarRows {
         // what gives the FD groups enough support for AGP/RSC while
         // keeping a long sparse tail.
         let catalogue_len = self.gen.catalogue_len();
-        let skew: f64 = self.rng.gen::<f64>();
+        let skew = self.rng.unit();
         let model_idx = ((skew * skew) * catalogue_len as f64) as usize;
         let (model, make) = self.gen.catalogue_entry(model_idx.min(catalogue_len - 1));
-        let vehicle_type = TYPES[self.rng.gen_range(0..TYPES.len())];
+        let vehicle_type = TYPES[self.rng.below(TYPES.len())];
         let doors = if make == "acura" {
             CarGenerator::acura_doors_for(vehicle_type)
         } else {
             CarGenerator::other_doors_for(&model, vehicle_type)
         };
-        let year = format!("{}", self.rng.gen_range(1998..2020));
-        let condition = CONDITIONS[self.rng.gen_range(0..CONDITIONS.len())];
-        let wheel_drive = WHEEL_DRIVES[self.rng.gen_range(0..WHEEL_DRIVES.len())];
+        let year = format!("{}", self.rng.range(1998..=2019));
+        let condition = CONDITIONS[self.rng.below(CONDITIONS.len())];
+        let wheel_drive = WHEEL_DRIVES[self.rng.below(WHEEL_DRIVES.len())];
         let engine = format!(
             "{:.1}L-V{}",
-            self.rng.gen_range(1.0..5.7),
-            [4, 6, 8][self.rng.gen_range(0..3usize)]
+            self.rng.uniform(1.0..5.7),
+            [4, 6, 8][self.rng.below(3)]
         );
         Some(vec![
             model,

@@ -9,9 +9,8 @@
 
 use crate::make_dirty;
 use crate::stream::{DirtyRowStream, StreamColumn};
+use dataset::rng::Rng;
 use dataset::{Dataset, DirtyDataset, Schema};
-use rand::prelude::*;
-use rand::rngs::StdRng;
 use rules::{parse_rules, RuleSet};
 
 /// Generator for the synthetic HAI dataset.
@@ -217,7 +216,7 @@ impl HaiGenerator {
     /// materialised dataset whatever the consumer's batch size.
     pub fn row_stream(&self) -> HaiRows {
         HaiRows {
-            rng: StdRng::seed_from_u64(self.seed),
+            rng: Rng::seeded(self.seed),
             providers: self.providers.max(1),
             measures: self.measures.max(1),
             rows: self.rows,
@@ -288,7 +287,7 @@ impl HaiGenerator {
 /// [`HaiGenerator::row_stream`]).
 #[derive(Debug, Clone)]
 pub struct HaiRows {
-    rng: StdRng,
+    rng: Rng,
     providers: usize,
     measures: usize,
     rows: usize,
@@ -303,9 +302,9 @@ impl Iterator for HaiRows {
             return None;
         }
         self.produced += 1;
-        let p = self.rng.gen_range(0..self.providers);
-        let m = self.rng.gen_range(0..self.measures);
-        let score = format!("{:.3}", self.rng.gen_range(0.0..5.0));
+        let p = self.rng.below(self.providers);
+        let m = self.rng.below(self.measures);
+        let score = format!("{:.3}", self.rng.uniform(0.0..5.0));
         Some(vec![
             HaiGenerator::provider_id(p),
             HaiGenerator::provider_name(p),

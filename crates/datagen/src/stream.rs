@@ -21,22 +21,8 @@
 //! whole relation; the streaming protocol converges to the same rate by the
 //! law of large numbers and is tested to stay within tolerance.)
 
+use dataset::rng::{splitmix64, unit};
 use dataset::{Dataset, TupleId};
-
-/// SplitMix64 finalizer: the stateless 64-bit mixer behind every per-cell
-/// corruption decision.  Good avalanche behaviour means each `(seed, row,
-/// column, draw)` tuple yields an independent-looking value.
-pub(crate) fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Map a mixed 64-bit draw to the unit interval `[0, 1)` (53 mantissa bits).
-fn unit(draw: u64) -> f64 {
-    (draw >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
 
 /// Batch adaptor over any row iterator: yields `Vec`s of up to `batch_size`
 /// rows until the underlying iterator is exhausted.  The streaming analogue
@@ -167,17 +153,18 @@ impl<I> DirtyRowStream<I> {
     /// Corrupt one cell in place; returns whether an error was recorded.
     fn corrupt(&mut self, column: usize, value: &mut String) -> bool {
         let StreamColumn { col, sample } = &self.columns[column];
-        let cell = mix64(self.seed ^ mix64(self.row).rotate_left(17) ^ (*col as u64) << 1);
-        if unit(mix64(cell ^ 0x01)) >= self.error_rate {
+        let cell =
+            splitmix64(self.seed ^ splitmix64(self.row).rotate_left(17) ^ (*col as u64) << 1);
+        if unit(splitmix64(cell ^ 0x01)) >= self.error_rate {
             return false;
         }
-        let make_replacement = unit(mix64(cell ^ 0x02)) < self.replacement_ratio;
+        let make_replacement = unit(splitmix64(cell ^ 0x02)) < self.replacement_ratio;
         if make_replacement {
             // Two draws at a different value of the domain; a formulaic
             // domain occasionally resamples the original, in which case we
             // fall through to a typo so the error budget is still spent.
             for attempt in [0x03u64, 0x04] {
-                let candidate = sample(mix64(cell ^ attempt));
+                let candidate = sample(splitmix64(cell ^ attempt));
                 if candidate != *value {
                     *value = candidate;
                     self.replacements += 1;
@@ -190,7 +177,7 @@ impl<I> DirtyRowStream<I> {
         if chars.is_empty() {
             return false;
         }
-        let drop = (mix64(cell ^ 0x05) % chars.len() as u64) as usize;
+        let drop = (splitmix64(cell ^ 0x05) % chars.len() as u64) as usize;
         *value = chars
             .iter()
             .enumerate()

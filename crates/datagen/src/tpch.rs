@@ -9,9 +9,8 @@
 
 use crate::make_dirty;
 use crate::stream::{DirtyRowStream, StreamColumn};
+use dataset::rng::Rng;
 use dataset::{Dataset, DirtyDataset, Schema};
-use rand::prelude::*;
-use rand::rngs::StdRng;
 use rules::{parse_rules, RuleSet};
 
 /// Generator for the synthetic TPC-H join.
@@ -139,7 +138,7 @@ impl TpchGenerator {
     /// materialised dataset whatever the consumer's batch size.
     pub fn row_stream(&self) -> TpchRows {
         TpchRows {
-            rng: StdRng::seed_from_u64(self.seed),
+            rng: Rng::seeded(self.seed),
             customers: self.customers.max(1),
             rows: self.rows,
             produced: 0,
@@ -195,7 +194,7 @@ impl TpchGenerator {
 /// [`TpchGenerator::row_stream`]).
 #[derive(Debug, Clone)]
 pub struct TpchRows {
-    rng: StdRng,
+    rng: Rng,
     customers: usize,
     rows: usize,
     produced: usize,
@@ -210,7 +209,7 @@ impl Iterator for TpchRows {
         }
         let row = self.produced;
         self.produced += 1;
-        let c = self.rng.gen_range(0..self.customers);
+        let c = self.rng.below(self.customers);
         Some(vec![
             TpchGenerator::customer_key(c),
             TpchGenerator::customer_name(c),
@@ -218,9 +217,9 @@ impl Iterator for TpchRows {
             TpchGenerator::customer_nation(c).to_string(),
             TpchGenerator::customer_phone(c),
             format!("O{:08}", row + 1),
-            format!("P{:06}", self.rng.gen_range(1..20_000)),
-            format!("{}", self.rng.gen_range(1..50)),
-            format!("{:.2}", self.rng.gen_range(900.0..105_000.0)),
+            format!("P{:06}", self.rng.range(1..=19_999)),
+            format!("{}", self.rng.range(1..=49)),
+            format!("{:.2}", self.rng.uniform(900.0..105_000.0)),
         ])
     }
 

@@ -387,11 +387,10 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Rng;
     use crate::sample_hospital_dataset;
     use crate::{AttrId, TupleId};
     use proptest::prelude::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     #[test]
     fn round_trip_sample() {
@@ -562,7 +561,7 @@ mod tests {
     /// newlines, LF and CRLF endings with extra `\r`s, blank lines, trailing
     /// commas, ragged records, unterminated quotes and a missing final
     /// newline.
-    fn random_csv(rng: &mut StdRng) -> String {
+    fn random_csv(rng: &mut Rng) -> String {
         const BARE: [&str; 6] = ["a", "b", "é", "\0", " ", "\r"];
         const QUOTED: [&str; 6] = [
             "\"",
@@ -574,34 +573,30 @@ mod tests {
         ];
         const BLANK: [&str; 4] = ["", "\r", "\r\r", "\r\r\r"];
         const ENDINGS: [&str; 3] = ["\n", "\r\n", "\r\r\n"];
-        let arity = rng.gen_range(1..4);
+        let arity = 1 + rng.below(3);
         let mut text = String::new();
-        for _ in 0..rng.gen_range(0..7) {
-            if rng.gen_range(0..6) == 0 {
-                text.push_str(BLANK[rng.gen_range(0..BLANK.len())]);
+        for _ in 0..rng.below(7) {
+            if rng.below(6) == 0 {
+                text.push_str(BLANK[rng.below(BLANK.len())]);
             } else {
-                let ragged = rng.gen_range(0..8) == 0;
-                let fields = if ragged {
-                    rng.gen_range(0..arity + 2)
-                } else {
-                    arity
-                };
+                let ragged = rng.below(8) == 0;
+                let fields = if ragged { rng.below(arity + 2) } else { arity };
                 for f in 0..fields {
                     if f > 0 {
                         text.push(',');
                     }
-                    for _ in 0..rng.gen_range(0..4) {
-                        text.push_str(if rng.gen_range(0..6) == 0 {
-                            QUOTED[rng.gen_range(0..QUOTED.len())]
+                    for _ in 0..rng.below(4) {
+                        text.push_str(if rng.below(6) == 0 {
+                            QUOTED[rng.below(QUOTED.len())]
                         } else {
-                            BARE[rng.gen_range(0..BARE.len())]
+                            BARE[rng.below(BARE.len())]
                         });
                     }
                 }
             }
-            text.push_str(ENDINGS[rng.gen_range(0..ENDINGS.len())]);
+            text.push_str(ENDINGS[rng.below(ENDINGS.len())]);
         }
-        if rng.gen_range(0..3) == 0 {
+        if rng.below(3) == 0 {
             text.pop();
         }
         text
@@ -650,7 +645,7 @@ mod tests {
     /// time, cannot parse — is compared through [`mask_quoted_newlines`].
     #[test]
     fn parse_csv_matches_the_reference_parser_on_random_texts() {
-        let mut rng = StdRng::seed_from_u64(29);
+        let mut rng = Rng::seeded(29);
         let mut seen = std::collections::BTreeMap::new();
         for case in 0..4000 {
             let text = random_csv(&mut rng);

@@ -9,6 +9,7 @@
 
 use crate::cell::CellRef;
 use crate::pool::{IdTable, ValueId, ValuePool};
+use crate::rng::GOLDEN_GAMMA;
 use crate::schema::{AttrId, Schema};
 use crate::tuple::{Tuple, TupleId};
 use mlnw::{CodecError, Decode, Decoder, Encode, Encoder};
@@ -451,7 +452,7 @@ impl Dataset {
         let mut hashes = vec![RandomState::new().hash_one(self.rows); self.rows];
         for column in &self.columns {
             for (hash, id) in hashes.iter_mut().zip(column) {
-                *hash = (hash.rotate_left(5) ^ u64::from(id.0)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                *hash = (hash.rotate_left(5) ^ u64::from(id.0)).wrapping_mul(GOLDEN_GAMMA);
             }
         }
         hashes

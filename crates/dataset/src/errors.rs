@@ -13,9 +13,8 @@
 
 use crate::cell::CellRef;
 use crate::dataset::Dataset;
+use crate::rng::Rng;
 use crate::schema::AttrId;
-use rand::prelude::*;
-use rand::rngs::StdRng;
 use std::collections::BTreeSet;
 
 /// The kind of an injected instance-level error.
@@ -130,7 +129,7 @@ impl ErrorInjector {
     /// Corrupt `clean` according to the spec and return the dirty dataset
     /// together with full error provenance.
     pub fn inject(&self, clean: &Dataset) -> DirtyDataset {
-        let mut rng = StdRng::seed_from_u64(self.spec.seed);
+        let mut rng = Rng::seeded(self.spec.seed);
         let mut dirty = clean.clone();
 
         let attributes: Vec<AttrId> = if self.spec.attributes.is_empty() {
@@ -144,7 +143,7 @@ impl ErrorInjector {
             .tuple_ids()
             .flat_map(|t| attributes.iter().map(move |&a| CellRef::new(t, a)))
             .collect();
-        candidates.shuffle(&mut rng);
+        rng.shuffle(&mut candidates);
 
         let target =
             ((candidates.len() as f64) * self.spec.error_rate.clamp(0.0, 1.0)).round() as usize;
@@ -160,7 +159,7 @@ impl ErrorInjector {
 
         for cell in candidates.into_iter().take(target) {
             let original = clean.value(cell.tuple, cell.attr).to_string();
-            let make_replacement = rng.gen_bool(self.spec.replacement_ratio.clamp(0.0, 1.0));
+            let make_replacement = rng.chance(self.spec.replacement_ratio);
             let (error_type, corrupted) = if make_replacement {
                 match replacement_of(&original, &domains[cell.attr.index()], &mut rng) {
                     Some(v) => (ErrorType::Replacement, v),
@@ -196,12 +195,12 @@ impl ErrorInjector {
 /// Delete one random character of `value` ("we randomly delete any letter of
 /// an attribute value to construct a typo").  Empty values are returned
 /// unchanged.
-fn typo_of(value: &str, rng: &mut StdRng) -> String {
+fn typo_of(value: &str, rng: &mut Rng) -> String {
     let chars: Vec<char> = value.chars().collect();
     if chars.is_empty() {
         return value.to_string();
     }
-    let drop = rng.gen_range(0..chars.len());
+    let drop = rng.below(chars.len());
     chars
         .iter()
         .enumerate()
@@ -211,9 +210,9 @@ fn typo_of(value: &str, rng: &mut StdRng) -> String {
 }
 
 /// Pick a different value from the same domain, or `None` if there is none.
-fn replacement_of(value: &str, domain: &[String], rng: &mut StdRng) -> Option<String> {
+fn replacement_of(value: &str, domain: &[String], rng: &mut Rng) -> Option<String> {
     let others: Vec<&String> = domain.iter().filter(|v| v.as_str() != value).collect();
-    others.choose(rng).map(|v| (*v).clone())
+    rng.pick(&others).map(|v| (*v).clone())
 }
 
 #[cfg(test)]

@@ -18,6 +18,7 @@ pub mod dataset;
 pub mod errors;
 pub mod metrics;
 pub mod pool;
+pub mod rng;
 pub mod schema;
 pub mod spill;
 pub mod tuple;

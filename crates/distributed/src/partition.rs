@@ -6,11 +6,10 @@
 //! full part, the farthest resident tuple is evicted to its own closest
 //! non-full part.
 
+use dataset::rng::Rng;
 use dataset::{Dataset, TupleId, ValueId};
 use distance::Metric;
 use mlnclean::DistanceCache;
-use rand::prelude::*;
-use rand::rngs::StdRng;
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -129,11 +128,11 @@ pub fn route_row(row: &[String], parts: usize) -> usize {
 pub fn partition_dataset(ds: &Dataset, config: &PartitionConfig) -> Partitioning {
     let k = config.parts.max(1).min(ds.len().max(1));
     let capacity = ds.len().div_ceil(k);
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut rng = Rng::seeded(config.seed);
 
     // Line 3: randomly select k distinct centroids.
     let mut all: Vec<TupleId> = ds.tuple_ids().collect();
-    all.shuffle(&mut rng);
+    rng.shuffle(&mut all);
     let centroids: Vec<TupleId> = all.iter().take(k).copied().collect();
 
     let projection: Vec<dataset::AttrId> = if config.attributes.is_empty() {

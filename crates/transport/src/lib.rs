@@ -59,14 +59,13 @@ pub use worker::{PartitionWorker, WorkerCheckpoint};
 /// `stage_one` tests, beside its private entry type.
 mod frames {
     use crate::message::{Envelope, Payload, Request, Response, COORDINATOR};
+    use dataset::rng::Rng;
     use dataset::{sample_hospital_dataset, AttrId, TupleId, ValueId};
     use mlnclean::{
         BatchReport, ChangeSet, CleanConfig, CleaningSession, MlnClean, MlnIndex, Mutation,
         PartitionReport, Report, SessionSnapshot, Timings,
     };
     use mlnw::{from_bytes, to_bytes, CodecError};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
     use rules::sample_hospital_rules;
     use std::time::Duration;
 
@@ -279,7 +278,7 @@ mod frames {
     /// sample of single-bit flips.  A truncated frame is always an error; a
     /// flipped one may decode or fail, but every decode returns — a panic
     /// fails the test, and no length prefix reserves more than the frame.
-    fn survives_hostile_variants<T: mlnw::Decode>(name: &str, frame: &[u8], rng: &mut StdRng) {
+    fn survives_hostile_variants<T: mlnw::Decode>(name: &str, frame: &[u8], rng: &mut Rng) {
         assert!(from_bytes::<T>(frame).is_ok(), "{name}");
         for cut in 0..frame.len() {
             assert!(
@@ -288,7 +287,7 @@ mod frames {
             );
         }
         for _ in 0..256 {
-            let bit = rng.gen_range(0..frame.len() * 8);
+            let bit = rng.below(frame.len() * 8);
             let mut flipped = frame.to_vec();
             flipped[bit / 8] ^= 1 << (bit % 8);
             let _ = from_bytes::<T>(&flipped);
@@ -297,7 +296,7 @@ mod frames {
 
     #[test]
     fn hostile_frames_of_every_family_decode_or_fail_typed() {
-        let mut rng = StdRng::seed_from_u64(27);
+        let mut rng = Rng::seeded(27);
         for (i, env) in envelopes().iter().enumerate() {
             let frame = to_bytes(env).unwrap();
             survives_hostile_variants::<Envelope>(&format!("envelope {i}"), &frame, &mut rng);

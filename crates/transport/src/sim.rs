@@ -27,8 +27,7 @@
 //! [`crate::service`]); the network itself only transports bytes.
 
 use crate::message::{Envelope, NodeId};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use dataset::rng::Rng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -129,7 +128,7 @@ struct Flight {
 pub struct SimNet {
     clock: u64,
     schedule: FaultSchedule,
-    rng: StdRng,
+    rng: Rng,
     inflight: BinaryHeap<Reverse<Flight>>,
     next_seq: u64,
     counters: NetCounters,
@@ -138,7 +137,7 @@ pub struct SimNet {
 impl SimNet {
     /// A network driven by the given fault schedule.
     pub fn new(schedule: FaultSchedule) -> Self {
-        let rng = StdRng::seed_from_u64(schedule.seed);
+        let rng = Rng::seeded(schedule.seed);
         SimNet {
             clock: 0,
             schedule,
@@ -186,14 +185,13 @@ impl SimNet {
         if self
             .schedule
             .link_down(envelope.src, envelope.dst, self.clock)
-            || (self.schedule.loss > 0.0 && self.rng.gen_bool(self.schedule.loss))
+            || (self.schedule.loss > 0.0 && self.rng.chance(self.schedule.loss))
         {
             self.counters.dropped += 1;
             return;
         }
 
-        let copies = if self.schedule.duplicate > 0.0 && self.rng.gen_bool(self.schedule.duplicate)
-        {
+        let copies = if self.schedule.duplicate > 0.0 && self.rng.chance(self.schedule.duplicate) {
             self.counters.duplicated += 1;
             2
         } else {
@@ -213,14 +211,10 @@ impl SimNet {
 
     fn draw_delay(&mut self) -> u64 {
         let (lo, hi) = self.schedule.delay;
-        let mut delay = if hi > lo {
-            self.rng.gen_range(lo..=hi)
-        } else {
-            lo
-        };
-        if self.schedule.reorder > 0.0 && self.rng.gen_bool(self.schedule.reorder) {
+        let mut delay = if hi > lo { self.rng.range(lo..=hi) } else { lo };
+        if self.schedule.reorder > 0.0 && self.rng.chance(self.schedule.reorder) {
             let span = self.schedule.delay.1.max(1) * 4;
-            delay += self.rng.gen_range(1..=span);
+            delay += self.rng.range(1..=span);
         }
         delay
     }

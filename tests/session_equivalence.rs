@@ -6,6 +6,7 @@
 //! serial and the parallel Stage-I configuration, and regardless of how
 //! often intermediate outcomes are drawn.
 
+use dataset::rng::Rng;
 use dataset::{csv, AttrId, Dataset, Schema, TupleId};
 use mlnclean::{ChangeSet, CleanConfig, CleanError, CleaningSession, MlnClean, Mutation, Report};
 use rules::RuleSet;
@@ -367,23 +368,6 @@ fn scripted_mutations_on_the_hospital_sample_match_batch_runs() {
     }
 }
 
-/// Tiny deterministic RNG (SplitMix64) for the randomized mutation scripts.
-struct ScriptRng(u64);
-
-impl ScriptRng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: usize) -> usize {
-        (self.next() % bound.max(1) as u64) as usize
-    }
-}
-
 /// Generate and apply `rounds` random change sets against both the session
 /// and the plain-row model, drawing an intermediate outcome after each round,
 /// and return nothing — the caller compares the final states.
@@ -398,7 +382,7 @@ fn run_random_script(
     domains: &[Vec<String>],
     rounds: usize,
     outcome_per_round: bool,
-    rng: &mut ScriptRng,
+    rng: &mut Rng,
 ) {
     let mut reserve_at = 0usize;
     for _ in 0..rounds {
@@ -466,7 +450,7 @@ fn random_interleaving_case(
     let mut model: Vec<Vec<String>> = base.to_vec();
     session.ingest_batch(base.to_vec()).unwrap();
 
-    let mut rng = ScriptRng(seed);
+    let mut rng = Rng::seeded(seed);
     run_random_script(
         &mut session,
         &mut model,

@@ -9,10 +9,9 @@
 
 use datagen::{CarGenerator, HaiGenerator, TpchGenerator};
 use dataset::csv::to_csv;
+use dataset::rng::Rng;
 use dataset::{Dataset, DirtyDataset, ErrorInjector, ErrorSpec};
 use distributed::{partition_dataset, PartitionConfig};
-use rand::prelude::*;
-use rand::rngs::StdRng;
 use transport::{Envelope, FaultSchedule, Payload, Request, SimNet, COORDINATOR};
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -47,7 +46,7 @@ fn the_first_draws_of_a_seeded_generator_keep_their_bits() {
     let digests: Vec<u64> = [0u64, 1, 42]
         .iter()
         .map(|&seed| {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = Rng::seeded(seed);
             let bytes: Vec<u8> = (0..64).flat_map(|_| rng.next_u64().to_le_bytes()).collect();
             fnv1a(&bytes)
         })
@@ -65,20 +64,20 @@ fn the_first_draws_of_a_seeded_generator_keep_their_bits() {
 
 #[test]
 fn every_draw_form_keeps_its_bits() {
-    let mut rng = StdRng::seed_from_u64(7);
+    let mut rng = Rng::seeded(7);
     let mut text = String::new();
-    text.push_str(&format!("below {}\n", rng.gen_range(0..1_000usize)));
-    text.push_str(&format!("range {}\n", rng.gen_range(1998..2020)));
-    text.push_str(&format!("inclusive {}\n", rng.gen_range(3u64..=u64::MAX)));
-    text.push_str(&format!("unit {:?}\n", rng.gen::<f64>()));
-    text.push_str(&format!("uniform {:?}\n", rng.gen_range(900.0..105_000.0)));
-    text.push_str(&format!("chance {}\n", rng.gen_bool(0.5)));
+    text.push_str(&format!("below {}\n", rng.below(1_000)));
+    text.push_str(&format!("range {}\n", rng.range(1998..=2019)));
+    text.push_str(&format!("inclusive {}\n", rng.range(3..=u64::MAX)));
+    text.push_str(&format!("unit {:?}\n", rng.unit()));
+    text.push_str(&format!("uniform {:?}\n", rng.uniform(900.0..105_000.0)));
+    text.push_str(&format!("chance {}\n", rng.chance(0.5)));
     text.push_str(&format!(
         "pick {:?}\n",
-        ["a", "b", "c", "d", "e"].choose(&mut rng)
+        rng.pick(&["a", "b", "c", "d", "e"])
     ));
     let mut deck: Vec<usize> = (0..52).collect();
-    deck.shuffle(&mut rng);
+    rng.shuffle(&mut deck);
     text.push_str(&format!("shuffle {deck:?}\n"));
     assert_eq!(fnv1a(text.as_bytes()), 8659311290132361350, "{text}");
 }

@@ -13,6 +13,7 @@
 //! exactly one O(index) id-compaction pass, observed through the
 //! `CleaningSession::remap_passes` counter hook.
 
+use dataset::rng::Rng;
 use dataset::{csv, AttrId, Dataset, Schema, TupleId};
 use distributed::{DistributedStreamingMlnClean, DistributedStreamingSession};
 use mlnclean::{
@@ -216,23 +217,6 @@ fn seeded_hai_insert_streams_match_the_single_session() {
     }
 }
 
-/// Tiny deterministic RNG (SplitMix64) for the randomized mutation scripts.
-struct ScriptRng(u64);
-
-impl ScriptRng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: usize) -> usize {
-        (self.next() % bound.max(1) as u64) as usize
-    }
-}
-
 /// Generate `rounds` random change sets over a workload: an initial bulk
 /// insert of `base_rows`, then sets mixing one to four mutations (inserts
 /// drawn from the reserve, in-domain cell updates, deletes of live rows),
@@ -245,7 +229,7 @@ fn random_scripts(dirty: &Dataset, base_rows: usize, rounds: usize, seed: u64) -
         .attr_ids()
         .map(|a| dirty.domain(a).into_iter().collect())
         .collect();
-    let mut rng = ScriptRng(seed);
+    let mut rng = Rng::seeded(seed);
     let mut scripts = vec![ChangeSet::inserting(base.to_vec())];
     let mut rows = base.len();
     let mut reserve_at = 0usize;

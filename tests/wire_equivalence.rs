@@ -14,6 +14,7 @@
 //! 1/2/4 × K ∈ {1,3}) plus 100 proptest-randomized schedules — more than
 //! 100 distinct schedules per CI run, every one checked byte for byte.
 
+use dataset::rng::Rng;
 use dataset::{csv, AttrId, Dataset, Schema, TupleId};
 use mlnclean::{ChangeSet, CleanConfig, CleaningSession, Report};
 use rules::RuleSet;
@@ -110,23 +111,6 @@ fn hospital_scripts(schema: &Schema, dirty: &Dataset) -> Vec<ChangeSet> {
     ]
 }
 
-/// Tiny deterministic RNG (SplitMix64) for the randomized mutation scripts.
-struct ScriptRng(u64);
-
-impl ScriptRng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: usize) -> usize {
-        (self.next() % bound.max(1) as u64) as usize
-    }
-}
-
 /// Random mutation stream over a workload: bulk insert of `base_rows`, then
 /// `rounds` change sets mixing reserve inserts, in-domain updates and
 /// deletes, with sequential-id semantics.
@@ -138,7 +122,7 @@ fn random_scripts(dirty: &Dataset, base_rows: usize, rounds: usize, seed: u64) -
         .attr_ids()
         .map(|a| dirty.domain(a).into_iter().collect())
         .collect();
-    let mut rng = ScriptRng(seed);
+    let mut rng = Rng::seeded(seed);
     let mut scripts = vec![ChangeSet::inserting(base.to_vec())];
     let mut rows = base.len();
     let mut reserve_at = 0usize;
@@ -476,7 +460,7 @@ mod proptest_schedules {
             let schema = dirty.schema().clone();
             let scripts = hospital_scripts(&schema, &dirty);
 
-            let mut mix = ScriptRng(seed);
+            let mut mix = Rng::seeded(seed);
             let partitions = [1usize, 2, 4][mix.below(3)];
             let merge_every = [1usize, 3][mix.below(2)];
             let schedule = FaultSchedule {
