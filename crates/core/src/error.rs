@@ -46,6 +46,15 @@ pub enum CleanError {
         /// The configured worker count.
         workers: usize,
     },
+    /// A simulated network's fault schedule cannot run: a probability
+    /// outside `[0, 1]` or NaN, a delay range whose minimum exceeds its
+    /// maximum, or a maximum delay whose reorder jitter overflows the clock.
+    FaultSchedule {
+        /// The offending field: `loss`, `duplicate`, `reorder` or `delay`.
+        field: &'static str,
+        /// What the field must satisfy.
+        requirement: &'static str,
+    },
 }
 
 impl fmt::Display for CleanError {
@@ -69,6 +78,9 @@ impl fmt::Display for CleanError {
             }
             CleanError::Partition { workers } => {
                 write!(f, "cannot partition the data over {workers} workers")
+            }
+            CleanError::FaultSchedule { field, requirement } => {
+                write!(f, "the fault schedule's `{field}` {requirement}")
             }
         }
     }
@@ -131,6 +143,10 @@ mod tests {
                 arity: 4,
             },
             CleanError::Partition { workers: 0 },
+            CleanError::FaultSchedule {
+                field: "loss",
+                requirement: "must be a probability in [0, 1]",
+            },
         ]
     }
 
@@ -145,6 +161,7 @@ mod tests {
             "t8", // TupleId(7) renders 1-based, like the paper's tuples
             "AttrId(9)",
             "0 workers",
+            "`loss` must be a probability",
         ];
         let variants = every_variant();
         assert_eq!(

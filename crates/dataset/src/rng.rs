@@ -9,7 +9,7 @@
 //! one draw moves every dataset the repository generates.
 //!
 //! Beside the generator sit its two stateless halves, [`splitmix64`] and
-//! [`unit`]; the streaming error injector derives each cell's decisions from
+//! [`unit()`]; the streaming error injector derives each cell's decisions from
 //! `(seed, row, column)` through them, with no generator state at all.
 #![cfg_attr(
     not(test),
@@ -18,8 +18,8 @@
 
 use std::ops::{Range, RangeInclusive};
 
-/// SplitMix64's increment, ⌊2⁶⁴ / φ⌋ made odd; also the dataset's
-/// multiplicative row-hash constant.
+/// SplitMix64's increment, ⌊2⁶⁴ / φ⌋; also the dataset's multiplicative
+/// row-hash constant.
 pub(crate) const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// SplitMix64: the finalizer of `z + GOLDEN_GAMMA`, a stateless 64-bit

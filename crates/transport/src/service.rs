@@ -84,7 +84,9 @@ pub struct WireBackend {
 
 impl WireBackend {
     /// Open `partitions` workers for `schema` under `rules`, wired through
-    /// a network running `schedule`.
+    /// a network running `schedule`.  A schedule the network cannot run — a
+    /// probability outside `[0, 1]` or NaN, `delay.0 > delay.1`, or a
+    /// `delay.1` above `u64::MAX / 5` — is a [`CleanError::FaultSchedule`].
     pub fn new(
         config: CleanConfig,
         schema: Schema,
@@ -95,6 +97,7 @@ impl WireBackend {
         if partitions == 0 {
             return Err(CleanError::Partition { workers: 0 });
         }
+        schedule.validate()?;
         let mut workers = Vec::with_capacity(partitions);
         for _ in 0..partitions {
             workers.push(PartitionWorker::new(
@@ -589,5 +592,68 @@ mod tests {
         assert!(service.step().is_none());
         let _ = service.connect();
         assert!(service.step().is_none());
+    }
+
+    /// What `CleaningService::new` — through `wire_session` and
+    /// `WireBackend::new` — rejects a schedule with: `(field, requirement)`.
+    fn rejection(edit: impl FnOnce(&mut FaultSchedule)) -> (&'static str, &'static str) {
+        let mut schedule = FaultSchedule::reliable();
+        edit(&mut schedule);
+        let rules = parse_rules("FD: City -> Zip").unwrap();
+        match CleaningService::new(CleanConfig::default(), schema(), rules, 2, 1, schedule).err() {
+            Some(CleanError::FaultSchedule { field, requirement }) => (field, requirement),
+            other => panic!("expected a fault-schedule error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_probability_above_one_or_below_zero_is_rejected() {
+        assert_eq!(rejection(|s| s.loss = 1.5).0, "loss");
+        assert_eq!(rejection(|s| s.duplicate = 2.0).0, "duplicate");
+        assert_eq!(rejection(|s| s.reorder = -0.25).0, "reorder");
+    }
+
+    #[test]
+    fn a_nan_probability_is_rejected() {
+        assert_eq!(rejection(|s| s.loss = f64::NAN).0, "loss");
+        assert_eq!(rejection(|s| s.duplicate = f64::NAN).0, "duplicate");
+        assert_eq!(rejection(|s| s.reorder = f64::NAN).0, "reorder");
+    }
+
+    #[test]
+    fn a_delay_minimum_above_its_maximum_is_rejected() {
+        let (field, requirement) = rejection(|s| s.delay = (5, 2));
+        assert_eq!(field, "delay");
+        assert!(requirement.contains("minimum"), "{requirement}");
+    }
+
+    #[test]
+    fn a_delay_whose_reorder_jitter_overflows_is_rejected() {
+        for hi in [u64::MAX / 4 + 1, u64::MAX / 5 + 1, u64::MAX] {
+            let (field, requirement) = rejection(|s| s.delay = (0, hi));
+            assert_eq!(field, "delay");
+            assert!(requirement.contains("jitter"), "{requirement}");
+        }
+        // The largest accepted maximum runs without overflowing the clock.
+        let schedule = FaultSchedule {
+            delay: (0, u64::MAX / 5),
+            reorder: 1.0,
+            duplicate: 1.0,
+            ..FaultSchedule::reliable()
+        };
+        assert_eq!(schedule.validate(), Ok(()));
+        let mut net = SimNet::new(schedule);
+        let probe = Envelope {
+            src: COORDINATOR,
+            dst: 1,
+            req_id: 0,
+            body: Payload::Request(Request::GatherRows),
+        };
+        for _ in 0..8 {
+            net.send(&probe);
+            net.advance();
+        }
+        while net.advance().is_some() {}
+        assert_eq!(net.counters().delivered, 16);
     }
 }

@@ -28,6 +28,7 @@
 
 use crate::message::{Envelope, NodeId};
 use dataset::rng::Rng;
+use mlnclean::CleanError;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -85,6 +86,34 @@ impl FaultSchedule {
             outages: Vec::new(),
             crashes: Vec::new(),
         }
+    }
+
+    /// Check that the network can run this schedule: every probability in
+    /// `[0, 1]`, `delay.0 <= delay.1`, and `delay.1 <= u64::MAX / 5`, so the
+    /// longest delay — `delay.1` plus a reorder jitter of up to
+    /// `4 × delay.1` — fits a `u64` tick.
+    pub(crate) fn validate(&self) -> Result<(), CleanError> {
+        let reject = |field, requirement| Err(CleanError::FaultSchedule { field, requirement });
+        for (field, p) in [
+            ("loss", self.loss),
+            ("duplicate", self.duplicate),
+            ("reorder", self.reorder),
+        ] {
+            if !(0.0..=1.0).contains(&p) {
+                return reject(field, "must be a probability in [0, 1]");
+            }
+        }
+        let (lo, hi) = self.delay;
+        if lo > hi {
+            return reject("delay", "must not have a minimum above its maximum");
+        }
+        if hi > u64::MAX / 5 {
+            return reject(
+                "delay",
+                "must have a maximum whose reorder jitter fits the clock",
+            );
+        }
+        Ok(())
     }
 
     /// Whether the (src, dst) link is inside an outage window at `tick`.
@@ -166,7 +195,7 @@ impl SimNet {
     /// Advance the clock without a delivery (the RPC layer's retry timer:
     /// with nothing in flight, time must still pass for outages to heal).
     pub fn tick(&mut self, by: u64) {
-        self.clock += by;
+        self.clock = self.clock.saturating_add(by);
     }
 
     /// Record a retransmission decided by the RPC layer.
@@ -200,7 +229,7 @@ impl SimNet {
         for _ in 0..copies {
             let delay = self.draw_delay();
             let flight = Flight {
-                deliver_at: self.clock + delay,
+                deliver_at: self.clock.saturating_add(delay),
                 seq: self.next_seq,
                 bytes: bytes.clone(),
             };

@@ -8,26 +8,13 @@
 //! through the `mlnw` codec mid-stream and resuming in a fresh session must
 //! not perturb any later outcome.
 
-use dataset::{csv, AttrId, Dataset, TupleId};
-use mlnclean::{ChangeSet, CleanConfig, CleaningSession, MlnClean, Report, SessionSnapshot};
-use rules::RuleSet;
+#[path = "kit/oracle.rs"]
+mod oracle;
 
-/// Byte-level comparison of two outcomes: output CSVs plus full provenance.
-fn assert_outcomes_identical(label: &str, a: &Report, b: &Report) {
-    assert_eq!(
-        csv::to_csv(&a.repaired),
-        csv::to_csv(&b.repaired),
-        "{label}: repaired CSV diverged"
-    );
-    assert_eq!(
-        csv::to_csv(a.deduplicated()),
-        csv::to_csv(b.deduplicated()),
-        "{label}: deduplicated CSV diverged"
-    );
-    assert_eq!(a.agp, b.agp, "{label}: AGP provenance diverged");
-    assert_eq!(a.rsc, b.rsc, "{label}: RSC provenance diverged");
-    assert_eq!(a.fscr, b.fscr, "{label}: FSCR provenance diverged");
-}
+use dataset::{AttrId, Dataset, TupleId};
+use mlnclean::{ChangeSet, CleanConfig, CleaningSession, MlnClean, Report, SessionSnapshot};
+use oracle::assert_outcomes_identical;
+use rules::RuleSet;
 
 /// Drive one session through a fixed mutation-rich script: micro-batch
 /// ingest with periodic intermediate outcomes (each outcome is a spill

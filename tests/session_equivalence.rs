@@ -6,36 +6,16 @@
 //! serial and the parallel Stage-I configuration, and regardless of how
 //! often intermediate outcomes are drawn.
 
-use dataset::rng::Rng;
+#[path = "kit/oracle.rs"]
+mod oracle;
+#[path = "kit/scripts.rs"]
+mod scripts;
+
 use dataset::{csv, AttrId, Dataset, Schema, TupleId};
 use mlnclean::{ChangeSet, CleanConfig, CleanError, CleaningSession, MlnClean, Mutation, Report};
+use oracle::assert_outcomes_identical;
 use rules::RuleSet;
-
-/// Byte-level comparison of two outcomes: output CSVs plus full provenance.
-fn assert_outcomes_identical(label: &str, incremental: &Report, batch: &Report) {
-    assert_eq!(
-        csv::to_csv(&incremental.repaired),
-        csv::to_csv(&batch.repaired),
-        "{label}: repaired CSV diverged"
-    );
-    assert_eq!(
-        csv::to_csv(incremental.deduplicated()),
-        csv::to_csv(batch.deduplicated()),
-        "{label}: deduplicated CSV diverged"
-    );
-    assert_eq!(
-        incremental.agp, batch.agp,
-        "{label}: AGP provenance diverged"
-    );
-    assert_eq!(
-        incremental.rsc, batch.rsc,
-        "{label}: RSC provenance diverged"
-    );
-    assert_eq!(
-        incremental.fscr, batch.fscr,
-        "{label}: FSCR provenance diverged"
-    );
-}
+use scripts::random_scripts;
 
 /// Ingest `ds` into a fresh session in micro-batches of `batch_rows`,
 /// optionally drawing an intermediate outcome after every batch (which
@@ -368,65 +348,10 @@ fn scripted_mutations_on_the_hospital_sample_match_batch_runs() {
     }
 }
 
-/// Generate and apply `rounds` random change sets against both the session
-/// and the plain-row model, drawing an intermediate outcome after each round,
-/// and return nothing — the caller compares the final states.
-///
-/// Inserts draw rows from `reserve`; updates draw values from the attribute's
-/// domain in the combined workload (so repairs stay plausible); deletes pick
-/// any live row.  Every change set mixes one to four mutations.
-fn run_random_script(
-    session: &mut CleaningSession,
-    model: &mut Vec<Vec<String>>,
-    reserve: &[Vec<String>],
-    domains: &[Vec<String>],
-    rounds: usize,
-    outcome_per_round: bool,
-    rng: &mut Rng,
-) {
-    let mut reserve_at = 0usize;
-    for _ in 0..rounds {
-        let mut changes = ChangeSet::new();
-        let mut rows = model.len();
-        for _ in 0..(1 + rng.below(4)) {
-            let pick = rng.below(10);
-            if pick < 4 && reserve_at < reserve.len() {
-                // Insert one to three reserve rows.
-                let n = (1 + rng.below(3)).min(reserve.len() - reserve_at);
-                let batch = reserve[reserve_at..reserve_at + n].to_vec();
-                reserve_at += n;
-                rows += n;
-                changes = changes.insert(batch);
-            } else if pick < 8 && rows > 0 {
-                // Update a random live cell to a random in-domain value.
-                let t = TupleId(rng.below(rows));
-                let a = rng.below(domains.len());
-                let v = domains[a][rng.below(domains[a].len())].clone();
-                changes = changes.update(t, AttrId(a), v);
-            } else if rows > 1 {
-                // Delete a random live row.
-                let t = TupleId(rng.below(rows));
-                rows -= 1;
-                changes = changes.delete(t);
-            }
-        }
-        if changes.is_empty() {
-            continue;
-        }
-        for mutation in changes.iter() {
-            apply_to_model(model, mutation);
-        }
-        let report = session.apply(changes).expect("script mutations are valid");
-        assert_eq!(report.total_rows, model.len());
-        if outcome_per_round {
-            let _ = session.outcome();
-        }
-    }
-}
-
-/// Shared body of the randomized interleaving tests: seed a workload, split
-/// it into an initial bulk plus an insertion reserve, run a random script,
-/// and require byte-identity with a fresh batch clean of the net rows.
+/// Shared body of the randomized interleaving tests: drive a session
+/// through [`random_scripts`] over a seeded workload, drawing an
+/// intermediate outcome after every round when asked, and require
+/// byte-identity with a fresh batch clean of the net rows.
 #[allow(clippy::too_many_arguments)]
 fn random_interleaving_case(
     dirty: &Dataset,
@@ -439,27 +364,21 @@ fn random_interleaving_case(
     label: &str,
 ) {
     let schema = dirty.schema().clone();
-    let all: Vec<Vec<String>> = dirty.tuples().map(|t| t.owned_values()).collect();
-    let (base, reserve) = all.split_at(base_rows.min(all.len()));
-    let domains: Vec<Vec<String>> = schema
-        .attr_ids()
-        .map(|a| dirty.domain(a).into_iter().collect())
-        .collect();
-
     let mut session = CleaningSession::new(config.clone(), schema.clone(), rules.clone()).unwrap();
-    let mut model: Vec<Vec<String>> = base.to_vec();
-    session.ingest_batch(base.to_vec()).unwrap();
-
-    let mut rng = Rng::seeded(seed);
-    run_random_script(
-        &mut session,
-        &mut model,
-        reserve,
-        &domains,
-        rounds,
-        outcome_per_round,
-        &mut rng,
-    );
+    let mut model: Vec<Vec<String>> = Vec::new();
+    for (round, changes) in random_scripts(dirty, base_rows, rounds, seed)
+        .into_iter()
+        .enumerate()
+    {
+        for mutation in changes.iter() {
+            apply_to_model(&mut model, mutation);
+        }
+        let report = session.apply(changes).expect("script mutations are valid");
+        assert_eq!(report.total_rows, model.len());
+        if round > 0 && outcome_per_round {
+            let _ = session.outcome();
+        }
+    }
 
     let incremental = session.finish();
     let batch = batch_clean_model(&schema, &model, rules, config);

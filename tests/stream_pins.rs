@@ -15,12 +15,9 @@ use distributed::{partition_dataset, PartitionConfig};
 use transport::{Envelope, FaultSchedule, Payload, Request, SimNet, COORDINATOR};
 
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 fn hai() -> Dataset {
@@ -65,20 +62,17 @@ fn the_first_draws_of_a_seeded_generator_keep_their_bits() {
 #[test]
 fn every_draw_form_keeps_its_bits() {
     let mut rng = Rng::seeded(7);
-    let mut text = String::new();
-    text.push_str(&format!("below {}\n", rng.below(1_000)));
-    text.push_str(&format!("range {}\n", rng.range(1998..=2019)));
-    text.push_str(&format!("inclusive {}\n", rng.range(3..=u64::MAX)));
-    text.push_str(&format!("unit {:?}\n", rng.unit()));
-    text.push_str(&format!("uniform {:?}\n", rng.uniform(900.0..105_000.0)));
-    text.push_str(&format!("chance {}\n", rng.chance(0.5)));
-    text.push_str(&format!(
-        "pick {:?}\n",
-        rng.pick(&["a", "b", "c", "d", "e"])
-    ));
+    let below = rng.below(1_000);
+    let range = rng.range(1998..=2019);
+    let inclusive = rng.range(3..=u64::MAX);
+    let (unit, uniform) = (rng.unit(), rng.uniform(900.0..105_000.0));
+    let (chance, pick) = (rng.chance(0.5), rng.pick(&["a", "b", "c", "d", "e"]));
     let mut deck: Vec<usize> = (0..52).collect();
     rng.shuffle(&mut deck);
-    text.push_str(&format!("shuffle {deck:?}\n"));
+    let text = format!(
+        "below {below}\nrange {range}\ninclusive {inclusive}\nunit {unit:?}\n\
+         uniform {uniform:?}\nchance {chance}\npick {pick:?}\nshuffle {deck:?}\n"
+    );
     assert_eq!(fnv1a(text.as_bytes()), 8659311290132361350, "{text}");
 }
 

@@ -13,33 +13,19 @@
 //! exactly one O(index) id-compaction pass, observed through the
 //! `CleaningSession::remap_passes` counter hook.
 
-use dataset::rng::Rng;
-use dataset::{csv, AttrId, Dataset, Schema, TupleId};
+#[path = "kit/oracle.rs"]
+mod oracle;
+#[path = "kit/scripts.rs"]
+mod scripts;
+
+use dataset::{Dataset, Schema, TupleId};
 use distributed::{DistributedStreamingMlnClean, DistributedStreamingSession};
 use mlnclean::{
     ChangeSet, CleanConfig, CleaningSession, Engine, IncrementalMlnClean, MlnClean, Report,
 };
+use oracle::assert_outcomes_identical;
 use rules::RuleSet;
-
-/// Byte-level comparison of two outcomes: output CSVs plus full provenance.
-fn assert_outcomes_identical(label: &str, streamed: &Report, single: &Report) {
-    assert_eq!(
-        csv::to_csv(&streamed.repaired),
-        csv::to_csv(&single.repaired),
-        "{label}: repaired CSV diverged"
-    );
-    assert_eq!(
-        csv::to_csv(streamed.deduplicated()),
-        csv::to_csv(single.deduplicated()),
-        "{label}: deduplicated CSV diverged"
-    );
-    assert_eq!(streamed.agp, single.agp, "{label}: AGP provenance diverged");
-    assert_eq!(streamed.rsc, single.rsc, "{label}: RSC provenance diverged");
-    assert_eq!(
-        streamed.fscr, single.fscr,
-        "{label}: FSCR provenance diverged"
-    );
-}
+use scripts::random_scripts;
 
 /// Feed the same change sets to a fresh single session and a fresh
 /// distributed streaming session, asserting per-batch report agreement (and
@@ -215,48 +201,6 @@ fn seeded_hai_insert_streams_match_the_single_session() {
             );
         }
     }
-}
-
-/// Generate `rounds` random change sets over a workload: an initial bulk
-/// insert of `base_rows`, then sets mixing one to four mutations (inserts
-/// drawn from the reserve, in-domain cell updates, deletes of live rows),
-/// with sequential-id semantics tracked through each set.
-fn random_scripts(dirty: &Dataset, base_rows: usize, rounds: usize, seed: u64) -> Vec<ChangeSet> {
-    let all: Vec<Vec<String>> = dirty.tuples().map(|t| t.owned_values()).collect();
-    let (base, reserve) = all.split_at(base_rows.min(all.len()));
-    let domains: Vec<Vec<String>> = dirty
-        .schema()
-        .attr_ids()
-        .map(|a| dirty.domain(a).into_iter().collect())
-        .collect();
-    let mut rng = Rng::seeded(seed);
-    let mut scripts = vec![ChangeSet::inserting(base.to_vec())];
-    let mut rows = base.len();
-    let mut reserve_at = 0usize;
-    for _ in 0..rounds {
-        let mut changes = ChangeSet::new();
-        for _ in 0..(1 + rng.below(4)) {
-            let pick = rng.below(10);
-            if pick < 4 && reserve_at < reserve.len() {
-                let n = (1 + rng.below(3)).min(reserve.len() - reserve_at);
-                changes = changes.insert(reserve[reserve_at..reserve_at + n].to_vec());
-                reserve_at += n;
-                rows += n;
-            } else if pick < 8 && rows > 0 {
-                let t = TupleId(rng.below(rows));
-                let a = rng.below(domains.len());
-                let v = domains[a][rng.below(domains[a].len())].clone();
-                changes = changes.update(t, AttrId(a), v);
-            } else if rows > 1 {
-                changes = changes.delete(TupleId(rng.below(rows)));
-                rows -= 1;
-            }
-        }
-        if !changes.is_empty() {
-            scripts.push(changes);
-        }
-    }
-    scripts
 }
 
 #[test]

@@ -14,28 +14,18 @@
 //! 1/2/4 × K ∈ {1,3}) plus 100 proptest-randomized schedules — more than
 //! 100 distinct schedules per CI run, every one checked byte for byte.
 
-use dataset::rng::Rng;
-use dataset::{csv, AttrId, Dataset, Schema, TupleId};
-use mlnclean::{ChangeSet, CleanConfig, CleaningSession, Report};
-use rules::RuleSet;
-use transport::{wire_session, FaultSchedule, LinkOutage, NetCounters, WorkerCrash, COORDINATOR};
+#[path = "kit/oracle.rs"]
+mod oracle;
+#[path = "kit/scripts.rs"]
+mod scripts;
 
-/// Byte-level comparison of two outcomes: output CSVs plus full provenance.
-fn assert_outcomes_identical(label: &str, wired: &Report, single: &Report) {
-    assert_eq!(
-        csv::to_csv(&wired.repaired),
-        csv::to_csv(&single.repaired),
-        "{label}: repaired CSV diverged"
-    );
-    assert_eq!(
-        csv::to_csv(wired.deduplicated()),
-        csv::to_csv(single.deduplicated()),
-        "{label}: deduplicated CSV diverged"
-    );
-    assert_eq!(wired.agp, single.agp, "{label}: AGP provenance diverged");
-    assert_eq!(wired.rsc, single.rsc, "{label}: RSC provenance diverged");
-    assert_eq!(wired.fscr, single.fscr, "{label}: FSCR provenance diverged");
-}
+use dataset::rng::Rng;
+use dataset::{Dataset, Schema, TupleId};
+use mlnclean::{ChangeSet, CleanConfig, CleaningSession, Report};
+use oracle::assert_outcomes_identical;
+use rules::RuleSet;
+use scripts::random_scripts;
+use transport::{wire_session, FaultSchedule, LinkOutage, NetCounters, WorkerCrash, COORDINATOR};
 
 /// Transport-side evidence a differential run leaves behind.
 struct WireStats {
@@ -109,47 +99,6 @@ fn hospital_scripts(schema: &Schema, dirty: &Dataset) -> Vec<ChangeSet> {
             .update(TupleId(0), st, "AL")
             .delete(TupleId(1)),
     ]
-}
-
-/// Random mutation stream over a workload: bulk insert of `base_rows`, then
-/// `rounds` change sets mixing reserve inserts, in-domain updates and
-/// deletes, with sequential-id semantics.
-fn random_scripts(dirty: &Dataset, base_rows: usize, rounds: usize, seed: u64) -> Vec<ChangeSet> {
-    let all: Vec<Vec<String>> = dirty.tuples().map(|t| t.owned_values()).collect();
-    let (base, reserve) = all.split_at(base_rows.min(all.len()));
-    let domains: Vec<Vec<String>> = dirty
-        .schema()
-        .attr_ids()
-        .map(|a| dirty.domain(a).into_iter().collect())
-        .collect();
-    let mut rng = Rng::seeded(seed);
-    let mut scripts = vec![ChangeSet::inserting(base.to_vec())];
-    let mut rows = base.len();
-    let mut reserve_at = 0usize;
-    for _ in 0..rounds {
-        let mut changes = ChangeSet::new();
-        for _ in 0..(1 + rng.below(4)) {
-            let pick = rng.below(10);
-            if pick < 4 && reserve_at < reserve.len() {
-                let n = (1 + rng.below(3)).min(reserve.len() - reserve_at);
-                changes = changes.insert(reserve[reserve_at..reserve_at + n].to_vec());
-                reserve_at += n;
-                rows += n;
-            } else if pick < 8 && rows > 0 {
-                let t = TupleId(rng.below(rows));
-                let a = rng.below(domains.len());
-                let v = domains[a][rng.below(domains[a].len())].clone();
-                changes = changes.update(t, AttrId(a), v);
-            } else if rows > 1 {
-                changes = changes.delete(TupleId(rng.below(rows)));
-                rows -= 1;
-            }
-        }
-        if !changes.is_empty() {
-            scripts.push(changes);
-        }
-    }
-    scripts
 }
 
 /// The deterministic fault classes of the matrix test.
