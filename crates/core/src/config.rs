@@ -13,9 +13,11 @@ pub struct CleanConfig {
     /// score).  Levenshtein is the paper default (Table 5).
     pub metric: Metric,
     /// Maximum number of per-tuple data versions for which FSCR explores
-    /// every fusion order exhaustively (`m!` orders).  Beyond this, a greedy
-    /// weight-descending order is used instead — the paper's complexity
-    /// analysis (O(|T|·m!·m)) assumes m is small because m ≤ |rules|.
+    /// every fusion order exhaustively (`m!` orders).  Beyond this, FSCR
+    /// walks the m rotations of a consensus order (fewest conflicting peers
+    /// first, ties by descending probability), so each version leads once —
+    /// the paper's complexity analysis (O(|T|·m!·m)) assumes m is small
+    /// because m ≤ |rules|.
     pub max_exhaustive_fusion: usize,
     /// Optional guard on AGP merges (an extension over the paper): an
     /// abnormal group is only merged when the *normalized* distance between

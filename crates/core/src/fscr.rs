@@ -51,6 +51,16 @@
 //! nothing.  A conflict-free vector's orders cost one product each, then one
 //! union in the winning order.
 //!
+//! A substitution looks up before it scans.  Every γ of a block assigns the
+//! same attributes, so a candidate that does not conflict with the fusion
+//! built so far *equals* it on every block attribute the fusion sets: the
+//! candidates holding the fused value of one such attribute — a posting
+//! list, kept in candidate order — contain every candidate that can pass,
+//! and the first of them that passes is the one the scan of the whole block
+//! would find.  A block's postings are built by its first substitution in a
+//! plan (one sort of packed `value id << 32 | rank` keys per block
+//! attribute), so a plan that never substitutes builds none.
+//!
 //! The whole stage runs on `(AttrId, ValueId)` pairs: conflict tests are
 //! integer comparisons and the winning assignment is written back into the
 //! repaired dataset as ids (the index pool is a snapshot of the dataset
@@ -61,8 +71,14 @@
 //! while [`crate::StageTwo`] keeps the handle memoised, in every later one —
 //! shares that list ([`FusionOutcome::fused`]).
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::index::{Block, MlnIndex};
 use dataset::{AttrId, CellRef, Dataset, TupleId, ValueId};
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
@@ -339,6 +355,9 @@ struct GammaTables {
     /// (stable: block order among equals).
     block_start: Vec<u32>,
     candidates: Vec<u32>,
+    /// Per planned block, its [`Postings`], built by the block's first
+    /// substitution.
+    postings: Vec<OnceCell<Postings>>,
     /// One more than the largest attribute index any γ assigns.
     attr_bound: usize,
 }
@@ -352,6 +371,7 @@ impl GammaTables {
             block_of: Vec::new(),
             block_start: vec![0],
             candidates: Vec::new(),
+            postings: (0..blocks.len()).map(|_| OnceCell::new()).collect(),
             attr_bound: 0,
         };
         for (b, block) in blocks.iter().enumerate() {
@@ -396,13 +416,77 @@ impl GammaTables {
 
     /// The candidates of `g`'s block, most probable first.
     fn block_candidates(&self, g: u32) -> &[u32] {
-        let b = self.block_of[g as usize] as usize;
+        self.candidates_of(self.block_of[g as usize] as usize)
+    }
+
+    fn candidates_of(&self, b: usize) -> &[u32] {
         &self.candidates[self.block_start[b] as usize..self.block_start[b + 1] as usize]
+    }
+
+    /// The postings of `g`'s block, built on first use.
+    fn block_postings(&self, g: u32) -> &Postings {
+        let b = self.block_of[g as usize] as usize;
+        self.postings[b].get_or_init(|| Postings::new(self, self.candidates_of(b)))
     }
 
     /// `Pr(γ)` as Eq. 5 multiplies it.
     fn factor(&self, g: u32) -> f64 {
         self.probability[g as usize].max(f64::MIN_POSITIVE)
+    }
+}
+
+/// One block's candidates by value: per attribute the block's γs assign,
+/// the sorted keys `value id << 32 | rank` of all of them, `rank` being the
+/// γ's position in the block's candidate list — so the γs assigning one
+/// value to the attribute are one run of keys, in candidate order.
+struct Postings {
+    /// The attributes every γ of the block assigns, in `pairs()` order —
+    /// empty if two γs disagree on them, which leaves nothing to look up.
+    attrs: Vec<AttrId>,
+    /// `attrs[j]`'s keys are `keys[j * gammas..(j + 1) * gammas]`.
+    keys: Vec<u64>,
+    gammas: usize,
+}
+
+impl Postings {
+    fn new(tables: &GammaTables, candidates: &[u32]) -> Self {
+        let layout = |g: u32| tables.pairs(g).iter().map(|&(a, _)| a);
+        let attrs: Vec<AttrId> = candidates
+            .first()
+            .map_or(Vec::new(), |&g| layout(g).collect());
+        let gammas = candidates.len();
+        if !candidates
+            .iter()
+            .all(|&g| layout(g).eq(attrs.iter().copied()))
+        {
+            return Postings {
+                attrs: Vec::new(),
+                keys: Vec::new(),
+                gammas,
+            };
+        }
+        let mut keys = Vec::with_capacity(attrs.len() * gammas);
+        for j in 0..attrs.len() {
+            let from = keys.len();
+            let key =
+                |(rank, &g): (usize, &u32)| u64::from(tables.pairs(g)[j].1 .0) << 32 | rank as u64;
+            keys.extend(candidates.iter().enumerate().map(key));
+            keys[from..].sort_unstable();
+        }
+        Postings {
+            attrs,
+            keys,
+            gammas,
+        }
+    }
+
+    /// The keys of the γs assigning `value` to `attrs[j]`, in candidate order.
+    fn list(&self, j: usize, value: ValueId) -> &[u64] {
+        let keys = &self.keys[j * self.gammas..(j + 1) * self.gammas];
+        let value = u64::from(value.0);
+        let from = keys.partition_point(|&key| key >> 32 < value);
+        let to = from + keys[from..].partition_point(|&key| key >> 32 == value);
+        &keys[from..to]
     }
 }
 
@@ -623,14 +707,10 @@ impl OrderWalk<'_> {
         for &i in order {
             let version = versions[i];
             let chosen = if self.conflicts(version) {
-                // The highest-probability candidate of the same block that
-                // does not conflict with the fusion built so far (lines
-                // 18–22 of Algorithm 2); none: the fusion fails for this
-                // order.
-                let candidates = tables.block_candidates(version);
-                let found = candidates.iter().position(|&c| !self.conflicts(c));
-                self.candidates_tested += found.map_or(candidates.len(), |at| at + 1) as u64;
-                let candidate = candidates[found?];
+                // None: the fusion fails for this order.
+                let (found, tested) = self.lookup(version);
+                self.candidates_tested += tested;
+                let candidate = found?;
                 substitutions += 1;
                 if substitutions > give_up_above {
                     return None;
@@ -649,6 +729,44 @@ impl OrderWalk<'_> {
             score *= tables.factor(chosen);
         }
         Some((score, substitutions))
+    }
+
+    /// The highest-probability candidate of `g`'s block that does not
+    /// conflict with the fusion built so far (lines 18–22 of Algorithm 2),
+    /// with how many candidates were tested to find it.  Only the shortest
+    /// posting list among the block attributes the fusion sets is walked:
+    /// every candidate off it conflicts on that attribute.
+    fn lookup(&self, g: u32) -> (Option<u32>, u64) {
+        let candidates = self.tables.block_candidates(g);
+        let postings = self.tables.block_postings(g);
+        let assigned = postings.attrs.iter().enumerate();
+        let lists = assigned.filter_map(|(j, a)| Some(postings.list(j, self.assigned[a.index()]?)));
+        match lists.min_by_key(|list| list.len()) {
+            Some(list) => {
+                self.first_fitting(list.iter().map(|&key| candidates[key as u32 as usize]))
+            }
+            // Only a block whose γs assign different attributes gets here
+            // (a conflicting version disagrees with the fusion on a block
+            // attribute the fusion sets): scan it.
+            None => self.first_fitting(candidates.iter().copied()),
+        }
+    }
+
+    /// The scan [`Self::lookup`] replaces: the whole block, most probable
+    /// first.
+    #[cfg(test)]
+    fn scan(&self, g: u32) -> (Option<u32>, u64) {
+        self.first_fitting(self.tables.block_candidates(g).iter().copied())
+    }
+
+    /// The first of `candidates` that does not conflict with the fusion,
+    /// and how many were tested.
+    fn first_fitting(&self, candidates: impl Iterator<Item = u32>) -> (Option<u32>, u64) {
+        let mut tested = 0;
+        let found = candidates
+            .inspect(|_| tested += 1)
+            .find(|&c| !self.conflicts(c));
+        (found, tested)
     }
 
     /// Whether γ `g` disagrees with the attribute assignment built so far.
@@ -1346,6 +1464,172 @@ mod tests {
         assert!(!Arc::ptr_eq(&direct.fused, &swapped.fused));
         let expected = [("A0", "a"), ("A1", "b"), ("A2", "c")].map(|(a, v)| (a.into(), v.into()));
         assert_eq!(*direct.fused, expected);
+    }
+
+    /// Every γ of every block lists the block's attributes — reason part,
+    /// then result part, repeats dropped — in one `pairs()` order: what
+    /// makes a posting list hold every candidate that can pass.
+    fn assert_one_layout_per_block(index: &MlnIndex) {
+        let blocks: Vec<&Block> = index.blocks.iter().collect();
+        let tables = GammaTables::new(&blocks);
+        for (b, block) in blocks.iter().enumerate() {
+            let mut layout: Vec<AttrId> = Vec::new();
+            for &a in block.reason_attrs.iter().chain(&block.result_attrs) {
+                if !layout.contains(&a) {
+                    layout.push(a);
+                }
+            }
+            for gamma in block.gammas() {
+                let attrs: Vec<AttrId> = gamma.pairs().map(|(a, _)| a).collect();
+                assert_eq!(attrs, layout, "a γ of {:?}", block.rule);
+            }
+            let postings = tables.block_postings(tables.block_start[b]);
+            assert_eq!(postings.attrs, layout, "the postings of {:?}", block.rule);
+        }
+    }
+
+    #[test]
+    fn every_gamma_of_a_block_lists_the_block_attributes_in_one_order() {
+        let hospital = stage1_index(&sample_hospital_dataset());
+        let (_, hai) = hai_index();
+        let car = datagen::CarGenerator::default().with_rows(900);
+        let car = stage1(
+            &car.dirty(0.02, 0.5, 13).dirty,
+            &datagen::CarGenerator::rules(),
+            guarded_agp(1),
+        );
+        let tpch = datagen::TpchGenerator::default()
+            .with_rows(600)
+            .with_customers(40);
+        let tpch = stage1(
+            &tpch.dirty(0.02, 0.5, 14).dirty,
+            &datagen::TpchGenerator::rules(),
+            guarded_agp(1),
+        );
+        // The DC blocks are among them.
+        for (index, rules) in [
+            (&hospital, sample_hospital_rules()),
+            (&hai, datagen::HaiGenerator::rules()),
+        ] {
+            let dc = |block: &Block| matches!(rules.rule(block.rule), rules::Rule::Dc(_));
+            assert!(index.blocks.iter().any(dc));
+        }
+        for index in [&hospital, &hai, &car, &tpch] {
+            assert!(index.blocks.iter().all(|block| block.gamma_count() > 0));
+            assert_one_layout_per_block(index);
+        }
+
+        // A result that repeats a reason attribute: `pairs()` drops the
+        // second occurrence, so the γ lists A0 once.
+        let mut pool = ValuePool::new();
+        let mut group = Group::new(vec![pool.intern("k")]);
+        for (repeat, value, probability) in [("k", "x", 0.7), ("j", "y", 0.3)] {
+            let mut gamma = Gamma::new(
+                RuleId(0),
+                vec![AttrId(0)],
+                vec![pool.intern("k")],
+                vec![AttrId(0), AttrId(1)],
+                vec![pool.intern(repeat), pool.intern(value)],
+            );
+            gamma.probability = probability;
+            group.gammas.push(gamma);
+        }
+        let block = Block {
+            rule: RuleId(0),
+            reason_attrs: vec![AttrId(0)],
+            result_attrs: vec![AttrId(0), AttrId(1)],
+            groups: vec![group],
+        };
+        assert_eq!(block.groups[0].gammas[1].pairs().count(), 2);
+        let index = MlnIndex::from_parts(vec![block], pool);
+        assert_one_layout_per_block(&index);
+    }
+
+    /// A random block over attributes `A0..A5` of values `v0..v3`: one
+    /// layout (a repeated attribute now and then), probabilities that tie.
+    fn random_block(rng: &mut dataset::rng::Rng, pool: &mut ValuePool, rule: usize) -> Block {
+        let mut attrs: Vec<usize> = (0..6).collect();
+        rng.shuffle(&mut attrs);
+        let reasons = 1 + rng.below(2);
+        let reason_attrs: Vec<AttrId> = attrs[..reasons].iter().copied().map(AttrId).collect();
+        let mut result_attrs: Vec<AttrId> = attrs[reasons..reasons + 1 + rng.below(2)]
+            .iter()
+            .copied()
+            .map(AttrId)
+            .collect();
+        if rng.chance(0.2) {
+            result_attrs.push(reason_attrs[0]);
+        }
+        let mut value = |rng: &mut dataset::rng::Rng| pool.intern(&format!("v{}", rng.below(4)));
+        let mut group = Group::new(Vec::new());
+        for _ in 0..1 + rng.below(12) {
+            let reason_values = reason_attrs.iter().map(|_| value(rng)).collect();
+            let result_values = result_attrs.iter().map(|_| value(rng)).collect();
+            let mut gamma = Gamma::new(
+                RuleId(rule),
+                reason_attrs.clone(),
+                reason_values,
+                result_attrs.clone(),
+                result_values,
+            );
+            gamma.probability = [0.1, 0.2, 0.2, 0.4][rng.below(4)];
+            group.gammas.push(gamma);
+        }
+        Block {
+            rule: RuleId(rule),
+            reason_attrs,
+            result_attrs,
+            groups: vec![group],
+        }
+    }
+
+    #[test]
+    fn the_posting_walk_finds_the_scans_candidate_testing_no_more() {
+        let mut rng = dataset::rng::Rng::seeded(15);
+        let mut pool = ValuePool::new();
+        let (mut found, mut missed, mut saved) = (0, 0, 0);
+        for _ in 0..300 {
+            let blocks: Vec<Block> = (0..3)
+                .map(|b| random_block(&mut rng, &mut pool, b))
+                .collect();
+            let planned: Vec<&Block> = blocks.iter().collect();
+            let tables = GammaTables::new(&planned);
+            let mut kernel = FusionKernel::new(&tables, 6);
+            let walk = &mut kernel.walk;
+            for _ in 0..20 {
+                let b = rng.below(blocks.len());
+                let g = tables.block_start[b];
+                let mut layout: Vec<AttrId> = tables.pairs(g).iter().map(|&(a, _)| a).collect();
+                rng.shuffle(&mut layout);
+                // 1 … all of the block's attributes, then perhaps others
+                // (a value no γ holds now and then).
+                let set = 1 + rng.below(layout.len());
+                walk.assigned.iter_mut().for_each(|slot| *slot = None);
+                let others = (0..walk.assigned.len()).filter(|_| rng.chance(0.3));
+                for a in layout[..set]
+                    .iter()
+                    .map(|a| a.index())
+                    .chain(others.collect::<Vec<_>>())
+                {
+                    walk.assigned[a] = Some(pool.intern(&format!("v{}", rng.below(5))));
+                }
+                let (by_lookup, lookup_tested) = walk.lookup(g);
+                let (by_scan, scan_tested) = walk.scan(g);
+                assert_eq!(by_lookup, by_scan, "block {b} under {:?}", walk.assigned);
+                assert!(lookup_tested <= scan_tested);
+                match by_scan {
+                    Some(_) => found += 1,
+                    None => missed += 1,
+                }
+                if lookup_tested < scan_tested {
+                    saved += 1;
+                }
+            }
+        }
+        assert!(
+            found > 100 && missed > 100 && saved > 100,
+            "{found} {missed} {saved}"
+        );
     }
 
     #[test]

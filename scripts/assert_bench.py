@@ -30,7 +30,11 @@ probe's peak RSS where the rung asserts it, and the group-scoped re-clean
 probe: a single-cell mutation must re-clean a strict, non-empty subset of
 the MLN groups and — on a fresh artifact — send fewer than 1 in 20 of them
 back to an AGP nearest-normal search from nothing; a fresh artifact must also
-record `agp_bounds_computed` and `fscr_candidates_tested` per engine).  When
+record `agp_bounds_computed` and `fscr_candidates_tested` per engine).  On a
+fresh artifact with both the 10^4 and the 10^5 rung it also gates growth on an
+exact counter: the batch engine's `fscr_candidates_tested` may grow at most
+20x from the one rung to the other, and a 10^4 count of 0 must stay 0 (TPC-H's
+one FD gives every tuple one version, so nothing is ever substituted).  When
 `--baseline` points at a
 committed artifact it also runs an order-of-magnitude tripwire against it:
 the run fails if any engine is more than 3x slower, peaks at more than 2x
@@ -70,6 +74,10 @@ RSS_BUDGET_ALLOWANCE = 0.25
 # slower (throughput, mutation latency) or this many times the peak RSS.
 MAX_SLOWDOWN = 3.0
 MAX_RSS_GROWTH = 2.0
+# The growth gate on exact counters: from the 10^4 to the 10^5 rung, the batch
+# engine's FSCR substitution candidates may grow at most this many times.
+GROWTH_FROM, GROWTH_TO = 10_000, 100_000
+MAX_FSCR_CANDIDATE_GROWTH = 20.0
 
 
 def fail(msg):
@@ -311,6 +319,9 @@ def check_ladder(d, fresh=True):
         else:
             check(mut is None, f"{where}: mutation probe ran on a non-final rung")
 
+    if fresh:
+        check_growth(rungs)
+
     # The RSS claim may be scoped, but it may not silently vanish: once a
     # run carries budgeted rungs and a working meter, at least one rung must
     # actually assert its peak against the budget.
@@ -325,6 +336,28 @@ def check_ladder(d, fresh=True):
           f"rss meter {'on' if rss_supported else 'off'}, "
           f"budgeted probe on {budgeted_rungs} "
           f"(rss asserted on {rss_asserted_rungs})")
+
+
+def check_growth(rungs):
+    """The batch engine's `fscr_candidates_tested` from the 10^4 to the 10^5
+    rung, where the artifact has both: at most MAX_FSCR_CANDIDATE_GROWTH times
+    the smaller count, and 0 where the smaller count is 0."""
+    by_rows = {r["rows"]: r for r in rungs}
+    if GROWTH_FROM not in by_rows or GROWTH_TO not in by_rows:
+        return
+    counter = "fscr_candidates_tested"
+    small = by_rows[GROWTH_FROM]["engines"]["batch"][counter]
+    large = by_rows[GROWTH_TO]["engines"]["batch"][counter]
+    where = f"batch {counter} from rung {GROWTH_FROM} to {GROWTH_TO}"
+    if small == 0:
+        check(large == 0, f"{where}: grew from 0 to {large}")
+        print(f"ladder growth ok: {where} stays 0")
+        return
+    ratio = large / small
+    check(ratio <= MAX_FSCR_CANDIDATE_GROWTH,
+          f"{where}: grew {small} -> {large} (x{ratio:.1f}, more than "
+          f"x{MAX_FSCR_CANDIDATE_GROWTH:g})")
+    print(f"ladder growth ok: {where} x{ratio:.1f}")
 
 
 def throughput(rung, engine):
