@@ -2,25 +2,13 @@
 //! builders, and result-table formatting.
 
 use datagen::{CarGenerator, HaiGenerator, TpchGenerator};
-use dataset::{csv, DirtyDataset};
-use mlnclean::Report;
+use dataset::DirtyDataset;
 use rules::RuleSet;
 
 /// Number of worker threads the rayon pool uses (recorded in every
 /// `BENCH_*.json` so perf points are comparable across machines).
 pub fn rayon_threads() -> usize {
     rayon::current_num_threads()
-}
-
-/// Compare two cleaning reports at the byte level: the repaired and
-/// deduplicated CSVs plus the full AGP/RSC/FSCR provenance.  This is the
-/// cross-engine equivalence check of the smoke and ladder experiments.
-pub fn reports_identical(a: &Report, b: &Report) -> bool {
-    csv::to_csv(&a.repaired) == csv::to_csv(&b.repaired)
-        && csv::to_csv(a.deduplicated()) == csv::to_csv(b.deduplicated())
-        && a.agp == b.agp
-        && a.rsc == b.rsc
-        && a.fscr == b.fscr
 }
 
 /// Peak-RSS meter backed by Linux's `/proc/self/status` (`VmHWM`, the

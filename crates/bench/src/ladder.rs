@@ -20,10 +20,10 @@
 //! run (via
 //! [`PeakRss`]).  At rungs small enough for it to be cheap the three
 //! engines' reports are compared byte-for-byte (repaired CSV + full
-//! provenance), extending the smoke test's equivalence guarantee to
+//! provenance), extending the equivalence suites' guarantee to
 //! paper-scale inputs.  On the largest rung the incremental session is kept
 //! alive and probed with a sustained stream of single-cell mutations,
-//! reporting p50/p99/max `apply` + `outcome` latency plus the group-scoped
+//! reporting p50/max `apply` + `outcome` latency plus the group-scoped
 //! re-clean counters: how many MLN groups the most expensive mutation
 //! re-cleaned, and how many abnormal groups it sent back to a nearest-normal
 //! search from nothing, versus how many groups the index holds in total
@@ -47,11 +47,12 @@
 //! `scripts/assert_bench.py ladder` checks each one's invariants and gates
 //! CI against the committed baselines.
 
-use crate::common::{rayon_threads, reports_identical, PeakRss, Scale, Workload};
+use crate::common::{rayon_threads, PeakRss, Scale, Workload};
+use crate::json::Json;
 use datagen::{
     batched, CarGenerator, CarRows, DirtyRowStream, HaiGenerator, HaiRows, TpchGenerator, TpchRows,
 };
-use dataset::{Dataset, Schema, TupleId};
+use dataset::{csv, Dataset, Schema, TupleId};
 use distributed::DistributedStreamingSession;
 use mlnclean::{ChangeSet, CleaningSession, MlnClean, Report};
 use std::time::{Duration, Instant};
@@ -281,11 +282,19 @@ pub fn run(scale: Scale, max_rows: Option<usize>) -> Vec<(String, String)> {
 
 /// Run the ladder with explicit tunables and return the JSON artifact.
 pub fn run_config(config: &LadderConfig) -> Vec<(String, String)> {
+    vec![(
+        config.artifact_name().to_string(),
+        artifact(config).to_pretty(),
+    )]
+}
+
+/// The ladder artifact's value: the run's header and one object per rung.
+fn artifact(config: &LadderConfig) -> Json {
     let meter = PeakRss::probe();
     let rungs = config.active_rungs();
     let largest = rungs.last().copied();
 
-    let mut rung_jsons = Vec::with_capacity(rungs.len());
+    let mut points = Vec::with_capacity(rungs.len());
     for rows in rungs {
         let point = run_rung(config, rows, &meter, Some(rows) == largest);
         println!(
@@ -300,48 +309,31 @@ pub fn run_config(config: &LadderConfig) -> Vec<(String, String)> {
             },
             workload = config.workload.name(),
         );
-        rung_jsons.push(render_rung(&point));
+        points.push(render_rung(&point));
     }
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"ladder\",\n",
-            "  \"codec_version\": {codec_version},\n",
-            "  \"workload\": \"{workload}\",\n",
-            "  \"max_rows\": {max_rows},\n",
-            "  \"batch_rows\": {batch_rows},\n",
-            "  \"error_rate\": {error_rate},\n",
-            "  \"replacement_ratio\": {replacement_ratio},\n",
-            "  \"seed\": {seed},\n",
-            "  \"partitions\": {partitions},\n",
-            "  \"merge_every\": {merge_every},\n",
-            "  \"identity_limit\": {identity_limit},\n",
-            "  \"threads\": {threads},\n",
-            "  \"rss_meter\": {{ \"supported\": {rss_supported}, ",
-            "\"resettable\": {rss_resettable} }},\n",
-            "  \"rungs\": [\n",
-            "{rungs}\n",
-            "  ]\n",
-            "}}\n",
+    Json::obj([
+        ("experiment", "ladder".into()),
+        ("codec_version", u64::from(transport::CODEC_VERSION).into()),
+        ("workload", config.workload.name().into()),
+        ("max_rows", config.max_rows.into()),
+        ("batch_rows", config.batch_rows.into()),
+        ("error_rate", config.error_rate.into()),
+        ("replacement_ratio", config.replacement_ratio.into()),
+        ("seed", config.seed.into()),
+        ("partitions", config.partitions.into()),
+        ("merge_every", config.merge_every.into()),
+        ("identity_limit", config.identity_limit.into()),
+        ("threads", rayon_threads().into()),
+        (
+            "rss_meter",
+            Json::obj([
+                ("supported", meter.supported.into()),
+                ("resettable", meter.resettable.into()),
+            ]),
         ),
-        codec_version = transport::CODEC_VERSION,
-        workload = config.workload.name(),
-        max_rows = config.max_rows,
-        batch_rows = config.batch_rows,
-        error_rate = config.error_rate,
-        replacement_ratio = config.replacement_ratio,
-        seed = config.seed,
-        partitions = config.partitions,
-        merge_every = config.merge_every,
-        identity_limit = config.identity_limit,
-        threads = rayon_threads(),
-        rss_supported = meter.supported,
-        rss_resettable = meter.resettable,
-        rungs = rung_jsons.join(",\n"),
-    );
-
-    vec![(config.artifact_name().to_string(), json)]
+        ("rungs", Json::Arr(points)),
+    ])
 }
 
 /// One engine's measurements on one rung.
@@ -406,7 +398,6 @@ struct BudgetedRun {
 struct MutationLatency {
     samples: usize,
     p50: Duration,
-    p99: Duration,
     max: Duration,
     /// Most output groups any single sampled mutation re-cleaned.
     recleaned_groups: u64,
@@ -560,6 +551,16 @@ fn run_rung(config: &LadderConfig, rows: usize, meter: &PeakRss, is_largest: boo
     }
 }
 
+/// Compare two cleaning reports at the byte level: the repaired and
+/// deduplicated CSVs plus the full AGP/RSC/FSCR provenance.
+fn reports_identical(a: &Report, b: &Report) -> bool {
+    csv::to_csv(&a.repaired) == csv::to_csv(&b.repaired)
+        && csv::to_csv(a.deduplicated()) == csv::to_csv(b.deduplicated())
+        && a.agp == b.agp
+        && a.rsc == b.rsc
+        && a.fscr == b.fscr
+}
+
 /// Keep mutating one cell at a time and re-asking for the outcome, recording
 /// the latency distribution the incremental engine sustains at this rung and
 /// the worst-case group-scoped re-clean cost of a single mutation.
@@ -596,15 +597,10 @@ fn mutation_probe(
     }
     latencies.sort();
 
-    // Nearest-rank percentiles.
-    let rank = |q: f64| {
-        let n = latencies.len();
-        latencies[(((n as f64 * q).ceil() as usize).max(1) - 1).min(n - 1)]
-    };
     MutationLatency {
         samples,
-        p50: rank(0.50),
-        p99: rank(0.99),
+        // The nearest-rank median.
+        p50: latencies[latencies.len().div_ceil(2) - 1],
         max: *latencies.last().expect("at least one sample"),
         recleaned_groups,
         rescanned_groups,
@@ -612,147 +608,101 @@ fn mutation_probe(
     }
 }
 
-/// Render one engine's JSON object (the value of `"batch"` etc.).
-fn render_engine(rows: usize, run: &EngineRun) -> String {
+/// One engine's object (the value of `"batch"` etc.).
+fn render_engine(rows: usize, run: &EngineRun) -> Json {
     let t = &run.report.timings;
-    format!(
-        concat!(
-            "        {{\n",
-            "          \"ingest_seconds\": {ingest:.6},\n",
-            "          \"ingest_rows_per_sec\": {rps:.1},\n",
-            "          \"outcome_seconds\": {outcome:.6},\n",
-            "          \"total_seconds\": {total:.6},\n",
-            "          \"peak_rss_kib\": {rss},\n",
-            "          \"merge_rounds\": {merge_rounds},\n",
-            "          \"agp_bounds_computed\": {bounds_computed},\n",
-            "          \"fscr_candidates_tested\": {candidates_tested},\n",
-            "          \"stage_seconds\": {{\n",
-            "            \"index\": {index:.6},\n",
-            "            \"agp\": {agp:.6},\n",
-            "            \"weight_learning\": {learning:.6},\n",
-            "            \"rsc\": {rsc:.6},\n",
-            "            \"fscr\": {fscr:.6},\n",
-            "            \"dedup\": {dedup:.6},\n",
-            "            \"partition\": {partition:.6},\n",
-            "            \"weight_merge\": {weight_merge:.6},\n",
-            "            \"gather\": {gather:.6}\n",
-            "          }}\n",
-            "        }}",
+    Json::obj([
+        ("ingest_seconds", run.ingest.into()),
+        (
+            "ingest_rows_per_sec",
+            (rows as f64 / run.ingest.as_secs_f64().max(1e-9)).into(),
         ),
-        ingest = run.ingest.as_secs_f64(),
-        rps = rows as f64 / run.ingest.as_secs_f64().max(1e-9),
-        outcome = run.outcome.as_secs_f64(),
-        total = run.total().as_secs_f64(),
-        rss = json_opt_u64(run.peak_rss_kib),
-        merge_rounds = t.merge_rounds,
-        bounds_computed = run.report.agp.bounds_computed,
-        candidates_tested = run.report.fscr.candidates_tested,
-        index = t.index.as_secs_f64(),
-        agp = t.agp.as_secs_f64(),
-        learning = t.weight_learning.as_secs_f64(),
-        rsc = t.rsc.as_secs_f64(),
-        fscr = t.fscr.as_secs_f64(),
-        dedup = t.dedup.as_secs_f64(),
-        partition = t.partition.as_secs_f64(),
-        weight_merge = t.weight_merge.as_secs_f64(),
-        gather = t.gather.as_secs_f64(),
-    )
+        ("outcome_seconds", run.outcome.into()),
+        ("total_seconds", run.total().into()),
+        ("peak_rss_kib", run.peak_rss_kib.into()),
+        ("merge_rounds", t.merge_rounds.into()),
+        ("agp_bounds_computed", run.report.agp.bounds_computed.into()),
+        (
+            "fscr_candidates_tested",
+            run.report.fscr.candidates_tested.into(),
+        ),
+        (
+            "stage_seconds",
+            Json::obj([
+                ("index", t.index.into()),
+                ("agp", t.agp.into()),
+                ("weight_learning", t.weight_learning.into()),
+                ("rsc", t.rsc.into()),
+                ("fscr", t.fscr.into()),
+                ("dedup", t.dedup.into()),
+                ("partition", t.partition.into()),
+                ("weight_merge", t.weight_merge.into()),
+                ("gather", t.gather.into()),
+            ]),
+        ),
+    ])
 }
 
-fn render_rung(point: &RungPoint) -> String {
-    let budgeted = match &point.budgeted {
-        None => "null".to_string(),
-        Some(b) => format!(
-            concat!(
-                "{{ \"budget_kib\": {budget}, ",
-                "\"matches_unbudgeted\": {matches}, ",
-                "\"peak_rss_kib\": {rss}, ",
-                "\"rss_floor_kib\": {floor}, ",
-                "\"rss_asserted\": {asserted}, ",
-                "\"spilled_blocks\": {spilled}, ",
-                "\"faulted_blocks\": {faulted}, ",
-                "\"evicted_fusions\": {evicted}, ",
-                "\"spilled_bytes\": {bytes} }}",
-            ),
-            budget = b.budget_kib,
-            matches = b.matches_unbudgeted,
-            rss = json_opt_u64(b.peak_rss_kib),
-            floor = json_opt_u64(b.rss_floor_kib),
-            asserted = b.rss_asserted,
-            spilled = b.spilled_blocks,
-            faulted = b.faulted_blocks,
-            evicted = b.evicted_fusions,
-            bytes = b.spilled_bytes,
+fn render_rung(point: &RungPoint) -> Json {
+    let budgeted = point.budgeted.as_ref().map(|b| {
+        Json::obj([
+            ("budget_kib", b.budget_kib.into()),
+            ("matches_unbudgeted", b.matches_unbudgeted.into()),
+            ("peak_rss_kib", b.peak_rss_kib.into()),
+            ("rss_floor_kib", b.rss_floor_kib.into()),
+            ("rss_asserted", b.rss_asserted.into()),
+            ("spilled_blocks", b.spilled_blocks.into()),
+            ("faulted_blocks", b.faulted_blocks.into()),
+            ("evicted_fusions", b.evicted_fusions.into()),
+            ("spilled_bytes", b.spilled_bytes.into()),
+        ])
+    });
+    let mutation = point.mutation.as_ref().map(|m| {
+        Json::obj([
+            ("samples", m.samples.into()),
+            ("p50_seconds", m.p50.into()),
+            ("max_seconds", m.max.into()),
+            ("recleaned_groups", m.recleaned_groups.into()),
+            ("rescanned_groups", m.rescanned_groups.into()),
+            ("total_groups", m.total_groups.into()),
+        ])
+    });
+    Json::obj([
+        ("rows", point.rows.into()),
+        ("entities", point.entities.into()),
+        ("batches", point.batches.into()),
+        ("injected_errors", point.injected_errors.into()),
+        (
+            "byte_identity",
+            Json::obj([
+                ("checked", point.identity_checked.into()),
+                (
+                    "incremental_matches_batch",
+                    point.incremental_matches_batch.into(),
+                ),
+                (
+                    "distributed_matches_batch",
+                    point.distributed_matches_batch.into(),
+                ),
+            ]),
         ),
-    };
-    let mutation = match &point.mutation {
-        None => "null".to_string(),
-        Some(m) => format!(
-            concat!(
-                "{{ \"samples\": {samples}, \"p50_seconds\": {p50:.6}, ",
-                "\"p99_seconds\": {p99:.6}, \"max_seconds\": {max:.6}, ",
-                "\"recleaned_groups\": {recleaned}, \"rescanned_groups\": {rescanned}, ",
-                "\"total_groups\": {total} }}",
-            ),
-            samples = m.samples,
-            p50 = m.p50.as_secs_f64(),
-            p99 = m.p99.as_secs_f64(),
-            max = m.max.as_secs_f64(),
-            recleaned = m.recleaned_groups,
-            rescanned = m.rescanned_groups,
-            total = m.total_groups,
+        (
+            "engines",
+            Json::obj([
+                ("batch", render_engine(point.rows, &point.batch)),
+                ("incremental", render_engine(point.rows, &point.incremental)),
+                ("distributed", render_engine(point.rows, &point.distributed)),
+            ]),
         ),
-    };
-    format!(
-        concat!(
-            "    {{\n",
-            "      \"rows\": {rows},\n",
-            "      \"entities\": {entities},\n",
-            "      \"batches\": {batches},\n",
-            "      \"injected_errors\": {injected},\n",
-            "      \"byte_identity\": {{\n",
-            "        \"checked\": {checked},\n",
-            "        \"incremental_matches_batch\": {inc_match},\n",
-            "        \"distributed_matches_batch\": {dist_match}\n",
-            "      }},\n",
-            "      \"engines\": {{\n",
-            "        \"batch\":\n",
-            "{batch},\n",
-            "        \"incremental\":\n",
-            "{incremental},\n",
-            "        \"distributed\":\n",
-            "{distributed}\n",
-            "      }},\n",
-            "      \"budgeted\": {budgeted},\n",
-            "      \"mutation_latency\": {mutation}\n",
-            "    }}",
-        ),
-        rows = point.rows,
-        entities = point.entities,
-        batches = point.batches,
-        injected = point.injected_errors,
-        checked = point.identity_checked,
-        inc_match = json_opt_bool(point.incremental_matches_batch),
-        dist_match = json_opt_bool(point.distributed_matches_batch),
-        batch = render_engine(point.rows, &point.batch),
-        incremental = render_engine(point.rows, &point.incremental),
-        distributed = render_engine(point.rows, &point.distributed),
-        budgeted = budgeted,
-        mutation = mutation,
-    )
-}
-
-fn json_opt_u64(v: Option<u64>) -> String {
-    v.map_or_else(|| "null".to_string(), |v| v.to_string())
-}
-
-fn json_opt_bool(v: Option<bool>) -> String {
-    v.map_or_else(|| "null".to_string(), |v| v.to_string())
+        ("budgeted", budgeted.into()),
+        ("mutation_latency", mutation.into()),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn micro_config() -> LadderConfig {
         LadderConfig {
@@ -765,56 +715,52 @@ mod tests {
         }
     }
 
-    #[test]
-    fn micro_ladder_runs_and_engines_agree() {
-        let files = run_config(&micro_config());
-        assert_eq!(files.len(), 1);
-        let (name, json) = &files[0];
-        assert_eq!(name, "BENCH_ladder.json");
-        // Both rungs ran and the engines stayed byte-identical.
-        assert!(json.contains("\"rows\": 300"));
-        assert!(json.contains("\"rows\": 900"));
-        assert_eq!(json.matches("\"checked\": true").count(), 2);
-        assert_eq!(
-            json.matches("\"incremental_matches_batch\": true").count(),
-            2
-        );
-        assert_eq!(
-            json.matches("\"distributed_matches_batch\": true").count(),
-            2
-        );
-        // Only the largest rung carries the mutation probe.
-        assert_eq!(json.matches("\"mutation_latency\": null").count(), 1);
-        assert_eq!(json.matches("\"p99_seconds\"").count(), 1);
-        // The group-scoped probe: single-cell mutations re-clean a strict
-        // subset of the groups.
-        let (recleaned, rescanned, total) = probe_counts(json);
-        assert!(
-            recleaned > 0 && recleaned < total && rescanned < total,
-            "mutations should re-clean some but not all groups, and re-plan \
-             around fewer still (recleaned {recleaned}, rescanned {rescanned} of {total})"
-        );
-        // Crude structural sanity: balanced braces.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+    /// The artifact's rungs.
+    fn rungs(json: &Json) -> &[Json] {
+        json["rungs"].as_array().expect("rungs is an array")
     }
 
-    /// Pull `"recleaned_groups"`/`"rescanned_groups"`/`"total_groups"` out
-    /// of the artifact.
-    fn probe_counts(json: &str) -> (u64, u64, u64) {
-        let grab = |key: &str| -> u64 {
-            let at = json.find(key).unwrap_or_else(|| panic!("{key} missing"));
-            json[at + key.len()..]
-                .chars()
-                .take_while(|c| c.is_ascii_digit())
-                .collect::<String>()
-                .parse()
-                .expect("the probe counters are integers")
-        };
-        (
-            grab("\"recleaned_groups\": "),
-            grab("\"rescanned_groups\": "),
-            grab("\"total_groups\": "),
-        )
+    /// Both engines were compared with batch and matched it byte for byte.
+    fn engines_agree(rung: &Json) -> bool {
+        let identity = &rung["byte_identity"];
+        identity["checked"].as_bool() == Some(true)
+            && identity["incremental_matches_batch"].as_bool() == Some(true)
+            && identity["distributed_matches_batch"].as_bool() == Some(true)
+    }
+
+    /// The mutation probe's single-cell mutations re-cleaned a strict,
+    /// non-empty subset of the groups, and re-planned around fewer still.
+    fn assert_group_scoped(name: &str, mutation: &Json) {
+        let count = |key: &str| mutation[key].as_u64().expect("counts are integers");
+        let (recleaned, rescanned, total) = (
+            count("recleaned_groups"),
+            count("rescanned_groups"),
+            count("total_groups"),
+        );
+        assert!(
+            recleaned > 0 && recleaned < total && rescanned < total,
+            "{name}: mutations should re-clean some but not all groups, and re-plan \
+             around fewer still (recleaned {recleaned}, rescanned {rescanned} of {total})"
+        );
+    }
+
+    #[test]
+    fn micro_ladder_runs_and_engines_agree() {
+        let config = micro_config();
+        assert_eq!(config.artifact_name(), "BENCH_ladder.json");
+        let json = artifact(&config);
+        // Both rungs ran and the engines stayed byte-identical.
+        let rungs = rungs(&json);
+        let rows: Vec<_> = rungs.iter().map(|r| r["rows"].as_u64()).collect();
+        assert_eq!(rows, [Some(300), Some(900)]);
+        assert!(rungs.iter().all(engines_agree));
+        // Only the largest rung carries the mutation probe.
+        assert_eq!(rungs[0]["mutation_latency"], Json::Null);
+        let mutation = &rungs[1]["mutation_latency"];
+        let p50 = mutation["p50_seconds"].as_f64().expect("p50 is a number");
+        let max = mutation["max_seconds"].as_f64().expect("max is a number");
+        assert!(0.0 < p50 && p50 <= max, "p50 {p50}, max {max}");
+        assert_group_scoped("TPC-H", mutation);
     }
 
     #[test]
@@ -822,7 +768,7 @@ mod tests {
         // The non-TPC-H workloads ladder the same way: own artifact, the
         // same schema, byte-identical engines, and a group-scoped mutation
         // probe on the largest rung.
-        for (workload, artifact) in [
+        for (workload, artifact_name) in [
             (Workload::Hai, "BENCH_ladder_hai.json"),
             (Workload::Car, "BENCH_ladder_car.json"),
         ] {
@@ -835,36 +781,22 @@ mod tests {
                 mutation_samples: 3,
                 ..LadderConfig::default()
             };
-            let files = run_config(&config);
-            assert_eq!(files.len(), 1);
-            let (name, json) = &files[0];
-            assert_eq!(name, artifact);
-            assert!(json.contains(&format!("\"workload\": \"{}\"", workload.name())));
-            assert_eq!(json.matches("\"checked\": true").count(), 1, "{name}");
-            assert_eq!(
-                json.matches("\"incremental_matches_batch\": true").count(),
-                1,
-                "{name}"
-            );
-            assert_eq!(
-                json.matches("\"distributed_matches_batch\": true").count(),
-                1,
-                "{name}"
-            );
-            let (recleaned, rescanned, total) = probe_counts(json);
-            assert!(
-                recleaned > 0 && recleaned < total && rescanned < total,
-                "{name}: recleaned {recleaned}, rescanned {rescanned} of {total}"
-            );
-            assert_eq!(json.matches('{').count(), json.matches('}').count());
+            assert_eq!(config.artifact_name(), artifact_name);
+            let json = artifact(&config);
+            assert_eq!(json["workload"], Json::from(workload.name()));
+            let rungs = rungs(&json);
+            assert_eq!(rungs.len(), 1, "{artifact_name}");
+            assert!(engines_agree(&rungs[0]), "{artifact_name}");
+            assert_group_scoped(artifact_name, &rungs[0]["mutation_latency"]);
         }
     }
 
     #[test]
     fn ladder_artifact_schema_keys_are_pinned() {
         // Golden pin of the artifact's schema: `scripts/assert_bench.py` and
-        // the committed baseline both rely on these exact keys, so renaming
-        // any of them must be a conscious, test-visible decision.
+        // the committed baseline both rely on these exact keys, so adding,
+        // renaming or dropping any of them must be a conscious, test-visible
+        // decision.
         let config = LadderConfig {
             rungs: vec![250],
             max_rows: 250,
@@ -873,74 +805,73 @@ mod tests {
             mutation_samples: 2,
             ..LadderConfig::default()
         };
-        let (_, json) = run_config(&config).pop().unwrap();
-        for key in [
-            "\"experiment\"",
-            "\"codec_version\"",
-            "\"workload\"",
-            "\"max_rows\"",
-            "\"batch_rows\"",
-            "\"error_rate\"",
-            "\"replacement_ratio\"",
-            "\"seed\"",
-            "\"partitions\"",
-            "\"merge_every\"",
-            "\"identity_limit\"",
-            "\"threads\"",
-            "\"rss_meter\"",
-            "\"supported\"",
-            "\"resettable\"",
-            "\"rungs\"",
-            "\"rows\"",
-            "\"entities\"",
-            "\"batches\"",
-            "\"injected_errors\"",
-            "\"byte_identity\"",
-            "\"checked\"",
-            "\"incremental_matches_batch\"",
-            "\"distributed_matches_batch\"",
-            "\"engines\"",
-            "\"batch\"",
-            "\"incremental\"",
-            "\"distributed\"",
-            "\"ingest_seconds\"",
-            "\"ingest_rows_per_sec\"",
-            "\"outcome_seconds\"",
-            "\"total_seconds\"",
-            "\"peak_rss_kib\"",
-            "\"merge_rounds\"",
-            "\"agp_bounds_computed\"",
-            "\"fscr_candidates_tested\"",
-            "\"stage_seconds\"",
-            "\"index\"",
-            "\"agp\"",
-            "\"weight_learning\"",
-            "\"rsc\"",
-            "\"fscr\"",
-            "\"dedup\"",
-            "\"partition\"",
-            "\"weight_merge\"",
-            "\"gather\"",
-            "\"mutation_latency\"",
-            "\"samples\"",
-            "\"p50_seconds\"",
-            "\"p99_seconds\"",
-            "\"max_seconds\"",
-            "\"recleaned_groups\"",
-            "\"rescanned_groups\"",
-            "\"total_groups\"",
-            "\"budgeted\"",
-            "\"budget_kib\"",
-            "\"matches_unbudgeted\"",
-            "\"rss_floor_kib\"",
-            "\"rss_asserted\"",
-            "\"spilled_blocks\"",
-            "\"faulted_blocks\"",
-            "\"evicted_fusions\"",
-            "\"spilled_bytes\"",
-        ] {
-            assert!(json.contains(key), "BENCH_ladder.json lost the {key} key");
-        }
+        let json = artifact(&config);
+        let pinned: BTreeSet<&str> = [
+            "experiment",
+            "codec_version",
+            "workload",
+            "max_rows",
+            "batch_rows",
+            "error_rate",
+            "replacement_ratio",
+            "seed",
+            "partitions",
+            "merge_every",
+            "identity_limit",
+            "threads",
+            "rss_meter",
+            "supported",
+            "resettable",
+            "rungs",
+            "rows",
+            "entities",
+            "batches",
+            "injected_errors",
+            "byte_identity",
+            "checked",
+            "incremental_matches_batch",
+            "distributed_matches_batch",
+            "engines",
+            "batch",
+            "incremental",
+            "distributed",
+            "ingest_seconds",
+            "ingest_rows_per_sec",
+            "outcome_seconds",
+            "total_seconds",
+            "peak_rss_kib",
+            "merge_rounds",
+            "agp_bounds_computed",
+            "fscr_candidates_tested",
+            "stage_seconds",
+            "index",
+            "agp",
+            "weight_learning",
+            "rsc",
+            "fscr",
+            "dedup",
+            "partition",
+            "weight_merge",
+            "gather",
+            "mutation_latency",
+            "samples",
+            "p50_seconds",
+            "max_seconds",
+            "recleaned_groups",
+            "rescanned_groups",
+            "total_groups",
+            "budgeted",
+            "budget_kib",
+            "matches_unbudgeted",
+            "rss_floor_kib",
+            "rss_asserted",
+            "spilled_blocks",
+            "faulted_blocks",
+            "evicted_fusions",
+            "spilled_bytes",
+        ]
+        .into();
+        assert_eq!(json.keys(), pinned, "BENCH_ladder.json's keys moved");
     }
 
     #[test]
@@ -958,23 +889,17 @@ mod tests {
             rss_assert_limit: 0,
             ..LadderConfig::default()
         };
-        let (_, json) = run_config(&config).pop().unwrap();
-        assert!(json.contains("\"matches_unbudgeted\": true"), "{json}");
+        let json = artifact(&config);
+        let budgeted = &rungs(&json)[0]["budgeted"];
+        assert_eq!(budgeted["matches_unbudgeted"].as_bool(), Some(true));
         // RSS is never claimed against a 1-byte budget.
-        assert!(json.contains("\"rss_asserted\": false"));
-        let grab = |key: &str| -> u64 {
-            let at = json.find(key).unwrap_or_else(|| panic!("{key} missing"));
-            json[at + key.len()..]
-                .chars()
-                .take_while(|c| c.is_ascii_digit())
-                .collect::<String>()
-                .parse()
-                .expect("the spill counters are integers")
-        };
-        assert!(grab("\"spilled_blocks\": ") > 0, "{json}");
-        assert!(grab("\"evicted_fusions\": ") > 0, "{json}");
-        assert!(grab("\"spilled_bytes\": ") > 0, "{json}");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(budgeted["rss_asserted"].as_bool(), Some(false));
+        for counter in ["spilled_blocks", "evicted_fusions", "spilled_bytes"] {
+            assert!(
+                budgeted[counter].as_u64() > Some(0),
+                "{counter}: {budgeted:?}"
+            );
+        }
     }
 
     #[test]
@@ -988,8 +913,8 @@ mod tests {
             memory_budget: None,
             ..LadderConfig::default()
         };
-        let (_, json) = run_config(&config).pop().unwrap();
-        assert!(json.contains("\"budgeted\": null"));
+        let json = artifact(&config);
+        assert_eq!(rungs(&json)[0]["budgeted"], Json::Null);
     }
 
     #[test]

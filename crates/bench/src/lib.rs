@@ -10,6 +10,7 @@ pub mod common;
 pub mod fig15;
 pub mod fig6;
 pub mod fig7;
+mod json;
 pub mod ladder;
 pub mod smoke;
 pub mod sweeps;

@@ -197,11 +197,6 @@ impl Report {
         self.deduplicated.as_ref().unwrap_or(&self.repaired)
     }
 
-    /// Consume the report, keeping only the final (deduplicated) dataset.
-    pub fn into_deduplicated(self) -> Dataset {
-        self.deduplicated.unwrap_or(self.repaired)
-    }
-
     /// The final cleaned index.
     ///
     /// # Panics

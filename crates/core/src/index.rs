@@ -488,11 +488,6 @@ impl MlnIndex {
         &self.blocks[rule.index()]
     }
 
-    /// Mutable access to a block.
-    pub fn block_mut(&mut self, rule: RuleId) -> &mut Block {
-        &mut self.blocks[rule.index()]
-    }
-
     /// Number of blocks (= number of rules).
     pub fn block_count(&self) -> usize {
         self.blocks.len()

@@ -103,15 +103,6 @@ impl DirtyDataset {
     pub fn error_count(&self) -> usize {
         self.errors.len()
     }
-
-    /// The achieved error rate over the whole dataset (all cells).
-    pub fn overall_error_rate(&self) -> f64 {
-        if self.dirty.cell_count() == 0 {
-            0.0
-        } else {
-            self.errors.len() as f64 / self.dirty.cell_count() as f64
-        }
-    }
 }
 
 /// Seeded error injector.

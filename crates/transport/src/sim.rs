@@ -141,6 +141,10 @@ pub struct NetCounters {
     pub retransmits: u64,
     /// Total encoded bytes offered to the network.
     pub bytes_sent: u64,
+    /// Copies still queued when the snapshot was taken.  Every copy the
+    /// network accepts is delivered or queued, so `sent - dropped +
+    /// duplicated == delivered + in_flight` holds at every snapshot.
+    pub in_flight: u64,
 }
 
 /// One scheduled delivery.  Ordered by (tick, sequence) so the heap pops a
@@ -184,7 +188,10 @@ impl SimNet {
 
     /// Transport tallies so far.
     pub fn counters(&self) -> NetCounters {
-        self.counters
+        NetCounters {
+            in_flight: self.inflight.len() as u64,
+            ..self.counters
+        }
     }
 
     /// The schedule this network runs under.
@@ -333,6 +340,13 @@ mod tests {
         for i in 0..200 {
             net.send(&probe(1, i));
         }
+        let queued = net.counters();
+        assert!(queued.in_flight > 0);
+        assert_eq!(
+            queued.sent - queued.dropped + queued.duplicated,
+            queued.delivered + queued.in_flight,
+            "every accepted copy is delivered or queued"
+        );
         let delivered = drain(&mut net);
         let counters = net.counters();
         assert!(counters.dropped > 0, "loss never fired");

@@ -5,9 +5,9 @@ Usage:
     assert_bench.py smoke  results/BENCH_smoke.json [--baseline BENCH_smoke.json]
     assert_bench.py ladder results/BENCH_ladder.json [--baseline BENCH_ladder.json]
 
-`smoke` asserts the streaming/incremental/distributed probes of the smoke
-artifact kept their correctness invariants (byte-identity with the batch
-engine, dirty blocks < total blocks, real mutations applied), requires the
+`smoke` ratchets the exact counts of the one-shot tiny-HAI run against the
+committed artifact (byte identity across engines is pinned by the
+`tests/*_equivalence.rs` suites, not here).  It requires the
 `product_lines` and `product_lines_non_test` keys and prints them next to the
 `--baseline` artifact's values.  `product_lines_non_test` is a ratchet: the
 run fails when the fresh value exceeds the committed one (`product_lines` is
@@ -25,8 +25,8 @@ the committed one.
 
 `ladder` asserts the structural invariants of the benchmark ladder (monotone
 rung sizes, byte-identity wherever it was checked, errors injected, RSS
-recorded when the meter is available, sane latency percentiles, the budgeted
-probe's peak RSS where the rung asserts it, and the group-scoped re-clean
+recorded when the meter is available, mutation latencies 0 < p50 <= max, the
+budgeted probe's peak RSS where the rung asserts it, and the group-scoped re-clean
 probe: a single-cell mutation must re-clean a strict, non-empty subset of
 the MLN groups and — on a fresh artifact — send fewer than 1 in 20 of them
 back to an AGP nearest-normal search from nothing; a fresh artifact must also
@@ -38,7 +38,7 @@ one FD gives every tuple one version, so nothing is ever substituted).  When
 `--baseline` points at a
 committed artifact it also runs an order-of-magnitude tripwire against it:
 the run fails if any engine is more than 3x slower, peaks at more than 2x
-the RSS, or the mutation probe's p50/p99 latency is more than 3x the
+the RSS, or the mutation probe's p50/max latency is more than 3x the
 baseline's.  The ladder's points
 are single shots on a shared runner and cannot resolve a percentage —
 `BENCHMARK.json`'s bounds over the repo benchmark's multi-sample medians are
@@ -158,64 +158,6 @@ def check_smoke(d, committed=None):
     check(base_storages is None or storages <= base_storages,
           f"smoke: pool_storages grew {base_storages} -> {storages}: the input, the "
           f"report's datasets and the cleaned index stopped sharing one value pool")
-    s = d["streaming"]
-    check(s["hai_stream"]["final_matches_one_shot"] is True,
-          "streamed HAI result diverged from the one-shot run")
-    r = s["incremental_reclean"]
-    check(r["matches_full_reclean"] is True,
-          "incremental re-clean diverged from the full batch re-run")
-    check(r["dirty_blocks"] < r["total_blocks"],
-          f"the non-acura tail dirtied every block: {r}")
-    print("streaming smoke ok:", r["dirty_blocks"], "of", r["total_blocks"],
-          "blocks dirty, speedup", r["speedup"])
-    m = s["mutation"]
-    check(m["matches_full_reclean"] is True,
-          f"mutated session diverged from the batch re-run: {m}")
-    check(m["dirty_blocks"] < m["total_blocks"],
-          f"mutations dirtied every block: {m}")
-    check(m["deleted_rows"] > 0 and m["updated_cells"] > 0,
-          f"the mutation probe applied no real mutations: {m}")
-    print("mutation smoke ok:", m["deleted_rows"], "deletes +",
-          m["updated_cells"], "updates,", m["dirty_blocks"], "of",
-          m["total_blocks"], "blocks dirty, speedup", m["speedup"])
-    ds = s["distributed_stream"]
-    check(ds["matches_single_session"] is True,
-          f"distributed stream diverged from the single session: {ds}")
-    check(ds["partitions"] == 2 and ds["batches"] == 8, str(ds))
-    check(1 <= ds["merge_rounds"] <= ds["batches"], str(ds))
-    check(sum(ds["partition_sizes"]) > 0, str(ds))
-    print("distributed-stream smoke ok:", ds["partitions"], "partitions,",
-          ds["merge_rounds"], "merge rounds,",
-          "%.6fs" % ds["per_round_merge_seconds"], "per round,",
-          ds["shared_gammas"], "shared gammas, byte-identical to the",
-          "single-session stream")
-    sr = s["suspend_resume"]
-    check(sr["matches_uninterrupted"] is True,
-          f"suspended+resumed session diverged from the uninterrupted run: {sr}")
-    check(sr["snapshot_bytes"] > 0, f"the snapshot encoded no bytes: {sr}")
-    check(sr["suspended_at_batch"] > 0, f"the suspend fired before any batch: {sr}")
-    print("suspend-resume smoke ok: suspended after batch",
-          sr["suspended_at_batch"], "into a", sr["snapshot_bytes"],
-          "byte snapshot, resumed byte-identical to the uninterrupted run")
-    w = s["simulated_transport"]
-    check(w["matches_single_session"] is True,
-          f"wire session diverged from the single session: {w}")
-    check(w["messages_sent"] - w["messages_dropped"] + w["messages_duplicated"]
-          == w["messages_delivered"],
-          f"transport counters do not balance "
-          f"(sent - dropped + duplicated != delivered): {w}")
-    check(w["messages_dropped"] > 0,
-          f"the hostile schedule never dropped a datagram: {w}")
-    check(w["retransmits"] > 0,
-          f"loss never forced the RPC layer to retransmit: {w}")
-    check(w["worker_restarts"] >= 1,
-          f"the scheduled worker crash never fired: {w}")
-    check(w["bytes_sent"] > 0, f"no bytes crossed the codec: {w}")
-    print("simulated-transport smoke ok:", w["messages_sent"], "sent,",
-          w["messages_dropped"], "dropped,", w["messages_duplicated"],
-          "duplicated,", w["retransmits"], "retransmits,",
-          w["worker_restarts"], "worker restart(s) replayed,",
-          "byte-identical to the single session")
 
 
 def check_ladder(d, fresh=True):
@@ -303,8 +245,8 @@ def check_ladder(d, fresh=True):
         if i == len(rungs) - 1:
             check(mut is not None, f"{where}: largest rung lacks the mutation probe")
             check(mut["samples"] > 0, f"{where}: no mutation samples")
-            check(0 < mut["p50_seconds"] <= mut["p99_seconds"] <= mut["max_seconds"],
-                  f"{where}: mutation percentiles out of order: {mut}")
+            check(0 < mut["p50_seconds"] <= mut["max_seconds"],
+                  f"{where}: mutation latencies out of order: {mut}")
             check(0 < mut["recleaned_groups"] < mut["total_groups"],
                   f"{where}: a single-cell mutation must re-clean a strict, "
                   f"non-empty subset of the groups, got "
@@ -402,7 +344,7 @@ def gate_ladder(new, base):
         # noise alone.
         mut, base_mut = r["mutation_latency"], b["mutation_latency"]
         if mut is not None and base_mut is not None:
-            for q in ("p50_seconds", "p99_seconds"):
+            for q in ("p50_seconds", "max_seconds"):
                 limit = MAX_SLOWDOWN * base_mut[q] + 0.05
                 check(mut[q] <= limit,
                       f"rung {r['rows']}: mutation {q} rose "

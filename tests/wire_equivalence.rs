@@ -25,7 +25,9 @@ use mlnclean::{ChangeSet, CleanConfig, CleaningSession, Report};
 use oracle::assert_outcomes_identical;
 use rules::RuleSet;
 use scripts::random_scripts;
-use transport::{wire_session, FaultSchedule, LinkOutage, NetCounters, WorkerCrash, COORDINATOR};
+use transport::{
+    wire_session, FaultSchedule, LinkOutage, NetCounters, WireBackend, WorkerCrash, COORDINATOR,
+};
 
 /// Transport-side evidence a differential run leaves behind.
 struct WireStats {
@@ -34,9 +36,11 @@ struct WireStats {
 }
 
 /// Feed the same change sets to a fresh single session and a fresh wire
-/// session under `schedule`, asserting per-batch report agreement and final
-/// byte-identity.  Returns the transport tallies for fault-coverage
-/// assertions.
+/// session under `schedule`, asserting per-batch report agreement, final
+/// byte-identity and that the transport counters balance exactly.
+/// `after_step` runs on the wire backend after each change set (to crash or
+/// checkpoint workers at fixed protocol points).  Returns the transport
+/// tallies for fault-coverage assertions.
 #[allow(clippy::too_many_arguments)]
 fn wire_case(
     schema: &Schema,
@@ -47,6 +51,7 @@ fn wire_case(
     merge_every: usize,
     schedule: FaultSchedule,
     label: &str,
+    after_step: &mut dyn FnMut(usize, &mut WireBackend),
 ) -> WireStats {
     let mut single =
         CleaningSession::new(config.clone(), schema.clone(), rules.clone()).expect("valid rules");
@@ -68,12 +73,21 @@ fn wire_case(
             (b.total_rows, b.rows, b.deleted_rows, b.updated_cells),
             "{label} step {step}: batch reports diverged"
         );
+        after_step(step, wired.backend_mut());
     }
 
     let stats = WireStats {
         counters: wired.backend_mut().counters(),
         restarts: wired.backend_mut().total_restarts(),
     };
+    // Every copy the network accepted was delivered or is still queued.
+    let c = stats.counters;
+    assert_eq!(
+        c.sent - c.dropped + c.duplicated,
+        c.delivered + c.in_flight,
+        "{label}: transport counters do not balance: {c:?}"
+    );
+    assert!(c.bytes_sent > 0, "{label}: no bytes crossed the codec");
     let wired = wired.finish();
     let single = single.finish();
     assert_outcomes_identical(label, &wired, &single);
@@ -219,6 +233,7 @@ fn fault_matrix_is_byte_identical_to_the_single_session() {
                     merge_every,
                     schedule.clone(),
                     &format!("hospital wire ({class}, partitions={partitions}, K={merge_every})"),
+                    &mut |_, _| {},
                 );
                 totals.sent += stats.counters.sent;
                 totals.dropped += stats.counters.dropped;
@@ -274,6 +289,7 @@ fn scheduled_crashes_replay_to_byte_identical_output() {
             merge_every,
             schedule,
             &format!("car chaos (partitions={partitions}, K={merge_every})"),
+            &mut |_, _| {},
         );
         assert!(
             stats.restarts >= 3,
@@ -293,34 +309,31 @@ fn explicit_mid_stream_crash_replays_every_worker() {
     let scripts = hospital_scripts(&schema, &dirty);
     let config = CleanConfig::default().with_tau(1);
     let partitions = 2usize;
+    let schedule = FaultSchedule {
+        seed: 9,
+        delay: (0, 4),
+        duplicate: 0.3,
+        ..FaultSchedule::reliable()
+    };
 
-    let mut single = CleaningSession::new(config.clone(), schema.clone(), rules.clone()).unwrap();
-    let mut wired = wire_session(
-        config.clone(),
-        schema.clone(),
-        rules.clone(),
+    let stats = wire_case(
+        &schema,
+        &rules,
+        &config,
+        &scripts,
         partitions,
         2,
-        FaultSchedule {
-            seed: 9,
-            delay: (0, 4),
-            duplicate: 0.3,
-            ..FaultSchedule::reliable()
-        },
-    )
-    .unwrap();
-
-    for (step, changes) in scripts.iter().enumerate() {
-        single.apply(changes.clone()).unwrap();
-        wired.apply(changes.clone()).unwrap();
-        if step == 1 {
-            for worker in 0..partitions {
-                wired.backend_mut().crash_worker(worker);
+        schedule,
+        "explicit crash",
+        &mut |step, backend| {
+            if step == 1 {
+                for worker in 0..partitions {
+                    backend.crash_worker(worker);
+                }
             }
-        }
-    }
-    assert_eq!(wired.backend_mut().total_restarts(), partitions);
-    assert_outcomes_identical("explicit crash", &wired.finish(), &single.finish());
+        },
+    );
+    assert_eq!(stats.restarts, partitions);
 }
 
 #[test]
@@ -340,55 +353,52 @@ fn crash_after_checkpoint_recovers_from_snapshot_plus_tail() {
     let scripts = random_scripts(&dirty, 80, 6, 0xCE0C);
     let config = CleanConfig::default().with_tau(1);
     let partitions = 2usize;
-
-    let mut single = CleaningSession::new(config.clone(), schema.clone(), rules.clone()).unwrap();
-    let mut wired = wire_session(
-        config.clone(),
-        schema.clone(),
-        rules.clone(),
-        partitions,
-        2,
-        FaultSchedule {
-            seed: 31,
-            delay: (0, 4),
-            duplicate: 0.3,
-            loss: 0.1,
-            ..FaultSchedule::reliable()
-        },
-    )
-    .unwrap();
+    let schedule = FaultSchedule {
+        seed: 31,
+        delay: (0, 4),
+        duplicate: 0.3,
+        loss: 0.1,
+        ..FaultSchedule::reliable()
+    };
 
     let checkpoint_at = scripts.len() / 2;
     let crash_at = checkpoint_at + 1;
-    for (step, changes) in scripts.iter().enumerate() {
-        single.apply(changes.clone()).unwrap();
-        wired.apply(changes.clone()).unwrap();
-        if step == checkpoint_at {
-            let journaled_before = wired.backend_mut().journaled_batches();
-            let acks = wired.backend_mut().checkpoint_workers();
-            assert_eq!(acks.len(), partitions);
-            let covered: u64 = acks.iter().map(|&(batches, _)| batches).sum();
-            assert!(covered > 0, "half the stream must have reached the workers");
-            assert!(acks.iter().all(|&(_, bytes)| bytes > 0));
-            assert_eq!(
-                wired.backend_mut().journaled_batches(),
-                0,
-                "the checkpoint must truncate every covered journal entry \
-                 (had {journaled_before})"
-            );
-        }
-        if step == crash_at {
-            assert!(
-                wired.backend_mut().journaled_batches() > 0,
-                "the post-checkpoint tail must be journaled"
-            );
-            for worker in 0..partitions {
-                wired.backend_mut().crash_worker(worker);
+    let stats = wire_case(
+        &schema,
+        &rules,
+        &config,
+        &scripts,
+        partitions,
+        2,
+        schedule,
+        "crash after checkpoint",
+        &mut |step, backend| {
+            if step == checkpoint_at {
+                let journaled_before = backend.journaled_batches();
+                let acks = backend.checkpoint_workers();
+                assert_eq!(acks.len(), partitions);
+                let covered: u64 = acks.iter().map(|&(batches, _)| batches).sum();
+                assert!(covered > 0, "half the stream must have reached the workers");
+                assert!(acks.iter().all(|&(_, bytes)| bytes > 0));
+                assert_eq!(
+                    backend.journaled_batches(),
+                    0,
+                    "the checkpoint must truncate every covered journal entry \
+                     (had {journaled_before})"
+                );
             }
-        }
-    }
-    assert_eq!(wired.backend_mut().total_restarts(), partitions);
-    assert_outcomes_identical("crash after checkpoint", &wired.finish(), &single.finish());
+            if step == crash_at {
+                assert!(
+                    backend.journaled_batches() > 0,
+                    "the post-checkpoint tail must be journaled"
+                );
+                for worker in 0..partitions {
+                    backend.crash_worker(worker);
+                }
+            }
+        },
+    );
+    assert_eq!(stats.restarts, partitions);
 }
 
 mod proptest_schedules {
@@ -448,6 +458,7 @@ mod proptest_schedules {
                 merge_every,
                 schedule,
                 &format!("proptest wire seed={seed} partitions={partitions} K={merge_every}"),
+                &mut |_, _| {},
             );
         }
     }
