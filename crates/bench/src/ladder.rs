@@ -34,7 +34,7 @@
 //! the same stream cleaned under [`LadderConfig::memory_budget`] (2 GiB by
 //! default), asserted byte-identical to the unbudgeted report at every rung
 //! the ladder executes — including the 10⁶ nightly rung, which is the CI
-//! teeth behind the out-of-core session.  At rungs up to
+//! teeth behind the memory budget.  At rungs up to
 //! [`LadderConfig::rss_assert_limit`] (with a resettable meter) the probe
 //! additionally claims (`"rss_asserted": true`) that the run's RSS *growth*
 //! — peak minus the post-reset floor, so allocator retention from earlier
@@ -370,7 +370,8 @@ struct RungPoint {
 /// stream cleaned under [`LadderConfig::memory_budget`], compared
 /// byte-for-byte against the unbudgeted incremental report (at *every*
 /// rung the probe runs, including rungs above `identity_limit` — this is
-/// the CI evidence that spilling/eviction never changes output).
+/// the CI evidence that dropping memos and evicting fusions never changes
+/// output).
 struct BudgetedRun {
     budget_kib: u64,
     matches_unbudgeted: bool,
@@ -386,10 +387,8 @@ struct BudgetedRun {
     /// resettable meter — a monotone process-wide high-water mark cannot
     /// attribute a peak to this probe.
     rss_asserted: bool,
-    spilled_blocks: u64,
-    faulted_blocks: u64,
+    dropped_memos: u64,
     evicted_fusions: u64,
-    spilled_bytes: u64,
 }
 
 /// Tail latency of `apply` + `outcome` under a sustained mutation stream,
@@ -517,10 +516,8 @@ fn run_rung(config: &LadderConfig, rows: usize, meter: &PeakRss, is_largest: boo
             peak_rss_kib,
             rss_floor_kib,
             rss_asserted: meter.resettable && rows <= config.rss_assert_limit,
-            spilled_blocks: stats.spilled_blocks,
-            faulted_blocks: stats.faulted_blocks,
+            dropped_memos: stats.dropped_memos,
             evicted_fusions: stats.evicted_fusions,
-            spilled_bytes: stats.spilled_bytes,
         }
     });
 
@@ -651,10 +648,8 @@ fn render_rung(point: &RungPoint) -> Json {
             ("peak_rss_kib", b.peak_rss_kib.into()),
             ("rss_floor_kib", b.rss_floor_kib.into()),
             ("rss_asserted", b.rss_asserted.into()),
-            ("spilled_blocks", b.spilled_blocks.into()),
-            ("faulted_blocks", b.faulted_blocks.into()),
+            ("dropped_memos", b.dropped_memos.into()),
             ("evicted_fusions", b.evicted_fusions.into()),
-            ("spilled_bytes", b.spilled_bytes.into()),
         ])
     });
     let mutation = point.mutation.as_ref().map(|m| {
@@ -865,19 +860,17 @@ mod tests {
             "matches_unbudgeted",
             "rss_floor_kib",
             "rss_asserted",
-            "spilled_blocks",
-            "faulted_blocks",
+            "dropped_memos",
             "evicted_fusions",
-            "spilled_bytes",
         ]
         .into();
         assert_eq!(json.keys(), pinned, "BENCH_ladder.json's keys moved");
     }
 
     #[test]
-    fn tight_budget_rung_spills_and_stays_byte_identical() {
-        // A 1-byte budget forces the probe through the whole out-of-core
-        // path (spill + evict) and the report must still match the
+    fn tight_budget_rung_sheds_and_stays_byte_identical() {
+        // A 1-byte budget forces the probe through the whole budget path
+        // (drop memos + evict fusions) and the report must still match the
         // unbudgeted incremental run byte-for-byte.
         let config = LadderConfig {
             rungs: vec![600],
@@ -894,7 +887,7 @@ mod tests {
         assert_eq!(budgeted["matches_unbudgeted"].as_bool(), Some(true));
         // RSS is never claimed against a 1-byte budget.
         assert_eq!(budgeted["rss_asserted"].as_bool(), Some(false));
-        for counter in ["spilled_blocks", "evicted_fusions", "spilled_bytes"] {
+        for counter in ["dropped_memos", "evicted_fusions"] {
             assert!(
                 budgeted[counter].as_u64() > Some(0),
                 "{counter}: {budgeted:?}"

@@ -64,7 +64,7 @@
 //! sketch buffer live for one plan, not in the memo: a re-plan that searches
 //! from nothing rebuilds the postings in one sort of integer keys (≈ 70 µs
 //! on `car_session`'s largest block, under the ≈ 200 µs its every sketch
-//! used to cost to fetch), with nothing to patch, spill or count.
+//! used to cost to fetch), with nothing to patch, drop or count.
 //!
 //! # Re-planning a block
 //!

@@ -32,14 +32,15 @@ pub struct CleanConfig {
     pub deduplicate: bool,
     /// Optional bound, in bytes, on the **evictable working state** of a
     /// session or a streaming coordinator — one policy, in the two stage
-    /// drivers both are built from: the per-block γ clean caches (with
-    /// their distance memos) and the per-tuple fusion memo.  When the
-    /// estimated resident size of that pool exceeds the budget, cold clean
-    /// block caches spill to disk-backed segments (faulted back in
-    /// transparently when a block goes dirty) and then the fusion memo is
-    /// windowed, the oldest memoised fusions evicted first.  Outputs are
-    /// byte-identical either way — eviction only trades memory for
-    /// recompute time.  `None` (the default) keeps everything resident.
+    /// drivers both are built from: the per-block distance and plan memos
+    /// and the per-tuple fusion memo.  When the estimated resident size of
+    /// that pool exceeds the budget, clean blocks' memos are dropped,
+    /// coldest first, and then the fusion memo is windowed, the oldest
+    /// memoised fusions evicted first.  The dataset, the two indexes, the
+    /// provenance and the per-group reuse entries are state and stay
+    /// resident.  Outputs are byte-identical either way — eviction only
+    /// trades memory for recompute time.  `None` (the default) keeps every
+    /// memo.
     pub memory_budget: Option<usize>,
     /// Whether the per-block loops (index build and splices, AGP, RSC, the
     /// Stage-I refresh) run on the rayon thread pool.  Blocks are

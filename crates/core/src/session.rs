@@ -121,14 +121,14 @@ impl CleaningSession {
         self.timings
     }
 
-    /// Spill, fault-in and eviction counters; all zero unless
+    /// Memo-drop and eviction counters; all zero unless
     /// [`CleanConfig::memory_budget`] is set.
     pub fn memory_stats(&self) -> MemoryStats {
         self.stage_two.memory_stats(&self.stage_one)
     }
 
     /// Estimated resident bytes of the evictable working state the
-    /// [`CleanConfig::memory_budget`] bounds: block caches and fusion memo.
+    /// [`CleanConfig::memory_budget`] bounds: block memos and fusion memo.
     pub fn resident_estimate(&self) -> usize {
         self.stage_two.resident_estimate(&self.stage_one)
     }
@@ -268,73 +268,11 @@ mod tests {
         assert_eq!(a.fscr, b.fscr, "{label}: FSCR provenance");
     }
 
-    /// Break every spill segment of the session: delete it, or cut it in
-    /// half so it reads back but no longer decodes.
-    fn break_segments(session: &CleaningSession, truncate: bool) -> usize {
-        let dir = session
-            .stage_one
-            .spill_dir()
-            .expect("something was spilled");
-        let mut broken = 0;
-        for entry in std::fs::read_dir(dir.path()).unwrap() {
-            let path = entry.unwrap().path();
-            if truncate {
-                let bytes = std::fs::read(&path).unwrap();
-                std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-            } else {
-                std::fs::remove_file(&path).unwrap();
-            }
-            broken += 1;
-        }
-        broken
-    }
-
-    /// A spill segment that cannot be read back (deleted) or decoded
-    /// (truncated) must not panic and must not move the output: the block is
-    /// re-cleaned whole from its pristine state.  Both kinds of change are
-    /// driven; either way the blocks it dirtied fault in at the refresh (a
-    /// delete's id shift leaves spilled blocks on disk).
+    /// A delete dirties only the blocks that listed a removed row: the id
+    /// shift leaves the others clean, whose memos the budget dropped, and
+    /// the next outcome is the unbudgeted one.
     #[test]
-    fn a_lost_spill_segment_is_survived_and_leaves_the_report_unchanged() {
-        let generator = HaiGenerator::default().with_rows(300).with_providers(12);
-        let dirty = generator.dirty(0.03, 0.5, 5).dirty;
-        let rules = HaiGenerator::rules();
-        let config = CleanConfig::default().with_tau(2);
-        let open = |config: CleanConfig| {
-            let mut session =
-                CleaningSession::new(config, dirty.schema().clone(), rules.clone()).unwrap();
-            session.ingest_dataset(&dirty).unwrap();
-            session
-        };
-        let mut plain = open(config.clone());
-        let mut tight = open(config.with_memory_budget(1));
-        assert_same_report("first outcome", &tight.outcome(), &plain.outcome());
-        assert!(tight.memory_stats().spilled_blocks > 0);
-
-        let city = dirty.schema().attr_id("City").unwrap();
-        let update = ChangeSet::new().update(TupleId(0), city, dirty.value(TupleId(7), city));
-        let delete = ChangeSet::new().delete(TupleId(3)).delete(TupleId(40));
-        let mut errors = 0;
-        for (label, changes, truncate) in [
-            ("update over deleted segments", update, false),
-            ("delete over truncated segments", delete, true),
-        ] {
-            assert!(break_segments(&tight, truncate) > 0, "{label}");
-            plain.apply(changes.clone()).unwrap();
-            tight.apply(changes).unwrap();
-            assert_same_report(label, &tight.outcome(), &plain.outcome());
-            let stats = tight.memory_stats();
-            assert!(stats.spill_errors > errors, "{label}: {stats:?}");
-            errors = stats.spill_errors;
-        }
-        assert_eq!(plain.memory_stats(), MemoryStats::default());
-    }
-
-    /// A delete's id shift faults nothing in: cache entries hold no tuple id,
-    /// so only the blocks the delete dirtied come back from disk, at the next
-    /// outcome — and that outcome is the unbudgeted one.
-    #[test]
-    fn a_delete_faults_in_only_the_blocks_it_dirtied() {
+    fn a_delete_dirties_only_the_blocks_it_touches() {
         let dirty = dataset::sample_hospital_dataset();
         let open = |config: CleanConfig| {
             let mut session = CleaningSession::new(
@@ -350,24 +288,22 @@ mod tests {
         let mut plain = open(config.clone());
         let mut tight = open(config.with_memory_budget(1));
         assert_same_report("first outcome", &tight.outcome(), &plain.outcome());
-        assert_eq!(tight.memory_stats().spilled_blocks, 3);
+        assert_eq!(tight.memory_stats().dropped_memos, 3);
 
         // Row 0 is not an ELIZA row, so the CFD block does not list it.
         let delete = ChangeSet::new().delete(TupleId(0));
         plain.apply(delete.clone()).unwrap();
         tight.apply(delete).unwrap();
-        assert_eq!(tight.memory_stats().faulted_blocks, 0, "the id shift");
         assert_eq!(tight.dirty_block_count(), 2);
         assert_same_report("after the delete", &tight.outcome(), &plain.outcome());
-        assert_eq!(tight.memory_stats().faulted_blocks, 2);
     }
 
-    /// A cell update empties its own tuple's fusion slot whatever the
-    /// refresh says: a tuple the update moved *out* of a block is listed by
-    /// none of the block's rebuilt groups, and the cache entry that still
-    /// knew it can be gone — here with the block's spill segment.
+    /// A tuple a cell update moved *out* of a block is fused again: no
+    /// rebuilt group of the block lists it, but the cache entry of the group
+    /// it left names the old slot that does (and the update empties the
+    /// tuple's own fusion slot besides).
     #[test]
-    fn an_updated_tuple_that_left_a_block_with_a_lost_segment_is_fused_again() {
+    fn an_updated_tuple_that_left_a_block_is_fused_again() {
         let dirty = dataset::sample_hospital_dataset();
         let rules = rules::sample_hospital_rules();
         let open = |config: CleanConfig, rows: &Dataset| {
@@ -376,18 +312,9 @@ mod tests {
             session.ingest_dataset(rows).unwrap();
             session
         };
-        // A budget the fusion memo alone fills: every block cache spills and
-        // no fusion is evicted (one byte would empty the memo after every
-        // outcome and leave the update nothing to invalidate).
         let config = CleanConfig::default().with_tau(1);
-        let mut unbudgeted = open(config.clone(), &dirty);
-        let _ = unbudgeted.outcome();
-        let budget = unbudgeted.resident_estimate() - unbudgeted.stage_one.resident_estimate();
-        let mut session = open(config.clone().with_memory_budget(budget), &dirty);
+        let mut session = open(config.clone(), &dirty);
         let _ = session.outcome();
-        let stats = session.memory_stats();
-        assert_eq!((stats.spilled_blocks, stats.evicted_fusions), (3, 0));
-        assert_eq!(break_segments(&session, false), 3);
 
         // Only the CFD reads HN, and HN = ELIZA is all that made row 2
         // relevant to it.
@@ -399,9 +326,8 @@ mod tests {
         assert_same_report("after the update", &session.outcome(), &fresh.outcome());
         // The three rows the CFD block still lists, and row 2.
         assert_eq!(session.fused_tuples() - fused, 4);
-        let stats = session.memory_stats();
-        assert_eq!((stats.spill_errors, stats.evicted_fusions), (1, 0));
     }
+
     /// The one-shot run holds one id → string table: the caller's dataset,
     /// the repaired rows, the deduplicated rows and the cleaned index's
     /// snapshot all name the same storage (nothing interned, nothing copied).

@@ -39,13 +39,13 @@
 //! — and moves each reused group and its repairs into the new block.  A
 //! rebuilt or vanished group's tuples are read from its old slot.
 //!
-//! Under a [`CleanConfig::memory_budget`] the driver also estimates its
-//! caches' resident size and spills clean blocks' caches to disk segments,
-//! coldest first ([`StageOne::enforce_budget`]); a spilled cache faults back
-//! in when its block goes dirty.  It holds no tuple id, so a delete's id
-//! shift leaves it on disk.  The distance and plan memos are accelerators,
-//! not state: counted by the estimate, dropped by a spill, never written
-//! anywhere.
+//! Under a [`CleanConfig::memory_budget`] the driver also estimates the
+//! resident size of its blocks' distance and plan memos and resets those of
+//! clean blocks, coldest first ([`StageOne::enforce_budget`]).  The memos are
+//! accelerators, not state: a block whose memos were dropped re-plans as if
+//! for the first time, to the same output.  The reuse entries are state —
+//! the next refresh derives fusion invalidation from them — so they stay
+//! resident, like the cleaned index and the provenance.
 
 #![cfg_attr(
     not(test),
@@ -61,7 +61,7 @@ use crate::rsc::{ReliabilityCleaner, RscRecord, RscRepair};
 use crate::stage::AgpStage;
 use crate::weights::{assign_group_weights, block_support};
 use crate::CleanConfig;
-use dataset::{SpillDir, SpillSlot, TupleId, ValueId, ValuePool};
+use dataset::{TupleId, ValueId, ValuePool};
 use distance::Metric;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -78,9 +78,7 @@ struct BlockRecords {
 /// group-scoped refresh needs to reuse the group when nothing feeding it
 /// changed.  The group's cleaned state is not here: it is the cleaned
 /// block's group at `slot`, and the block's repairs
-/// `repairs_start..repairs_end`.  Encodable so a memory-budgeted driver can
-/// spill a whole block's entries to a disk segment through the `mlnw` codec
-/// (a frame private to the process: never part of a snapshot or envelope).
+/// `repairs_start..repairs_end`.
 #[derive(Debug, Clone)]
 struct GroupEntry {
     /// Pristine group keys fused into this output group: the group's own key
@@ -94,8 +92,6 @@ struct GroupEntry {
     repairs_start: usize,
     repairs_end: usize,
 }
-
-mlnw::codec! { struct GroupEntry { sources, slot, repairs_start, repairs_end } }
 
 /// A dirty block's output as its last refresh left it, taken out of the
 /// cleaned index and the block's RSC record for the rebuild to move from.
@@ -127,14 +123,8 @@ struct BlockCache {
     /// What the last AGP plan of this block decided, so the next one probes
     /// only around the groups whose signature changed.
     plan: PlanMemo,
-    /// Disk-backed image of `entries` while the block is spilled under a
-    /// memory budget.  `Some` ⇒ `entries` is empty and must be faulted back
-    /// in before the block is refreshed.  The dirtiness
-    /// fields (`last_z`, `dirty_keys`, `fully_dirty`) always stay resident:
-    /// marking a spilled block dirty never touches the segment.
-    spilled: Option<SpillSlot>,
-    /// LRU tick of the last refresh that rebuilt or reused this block's
-    /// entries — the spill victim order (coldest first).
+    /// LRU tick of the block's last refresh — the order the budget drops
+    /// memos in (coldest first).
     last_touch: u64,
 }
 
@@ -147,7 +137,6 @@ impl BlockCache {
             entries: HashMap::new(),
             distances: DistanceCache::new(metric),
             plan: PlanMemo::default(),
-            spilled: None,
             last_touch: 0,
         }
     }
@@ -155,12 +144,6 @@ impl BlockCache {
     /// Whether the next refresh must revisit this block at all.
     fn is_dirty(&self) -> bool {
         self.fully_dirty || !self.dirty_keys.is_empty()
-    }
-
-    /// Whether the block's entries could be spilled right now: resident,
-    /// non-empty, and not about to be rebuilt anyway.
-    fn is_spillable(&self) -> bool {
-        self.spilled.is_none() && !self.is_dirty() && !self.entries.is_empty()
     }
 }
 
@@ -192,27 +175,17 @@ pub struct Refreshed {
     pub invalidated: Vec<TupleId>,
 }
 
-/// Counters of the out-of-core machinery of a memory-budgeted session or
-/// streaming coordinator — see [`crate::CleaningSession::memory_stats`].
-/// All zero when no [`CleanConfig::memory_budget`] is set.
+/// What the memory budget of a session or streaming coordinator shed — see
+/// [`crate::CleaningSession::memory_stats`].  All zero when no
+/// [`CleanConfig::memory_budget`] is set.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoryStats {
-    /// Block caches spilled to disk segments (cumulative; a block spilled,
-    /// faulted in and re-spilled counts twice).
-    pub spilled_blocks: u64,
-    /// Spilled block caches faulted back in (the block went dirty, or a
-    /// delete had to remap its tuple ids).
-    pub faulted_blocks: u64,
-    /// Total bytes written to spill segments (cumulative).
-    pub spilled_bytes: u64,
+    /// Blocks whose distance and plan memos the budget reset (cumulative; a
+    /// block dropped, re-planned and dropped again counts twice).
+    pub dropped_memos: u64,
     /// Memoised per-tuple fusions evicted by the budget (each is re-derived
     /// deterministically at the next outcome).
     pub evicted_fusions: u64,
-    /// Spill-layer I/O failures survived: a segment write that failed (the
-    /// block stayed resident) or a segment that could not be read back or
-    /// decoded (the block is re-cleaned whole from its pristine state).
-    /// Graceful degradation, never a correctness loss.
-    pub spill_errors: u64,
 }
 
 /// The per-block Stage-I driver — see the [module docs](self).
@@ -234,13 +207,10 @@ pub struct StageOne {
     /// Cumulative nearest-normal searches from nothing — see
     /// [`StageOne::rescanned_groups`].
     rescanned_groups: u64,
-    /// Spill directory backing the memory budget, created lazily on the
-    /// first spill (drivers without a budget never touch the filesystem).
-    spill: Option<SpillDir>,
     /// Monotonic clock stamping block refreshes for LRU victim selection.
     lru_clock: u64,
-    /// Out-of-core accounting (`evicted_fusions` is [`crate::StageTwo`]'s
-    /// to count).
+    /// Budget accounting (`evicted_fusions` is [`crate::StageTwo`]'s to
+    /// count).
     memory: MemoryStats,
 }
 
@@ -257,7 +227,6 @@ impl StageOne {
             cleaned: Arc::new(empty),
             recleaned_groups: 0,
             rescanned_groups: 0,
-            spill: None,
             lru_clock: 0,
             memory: MemoryStats::default(),
         }
@@ -313,8 +282,8 @@ impl StageOne {
         self.rescanned_groups
     }
 
-    /// Spill and fault-in counters (`evicted_fusions` stays zero here: the
-    /// fusion memo is [`crate::StageTwo`]'s, whose `memory_stats` adds it).
+    /// The memo-drop counter (`evicted_fusions` stays zero here: the fusion
+    /// memo is [`crate::StageTwo`]'s, whose `memory_stats` adds it).
     pub fn memory_stats(&self) -> MemoryStats {
         self.memory
     }
@@ -349,14 +318,10 @@ impl StageOne {
     ) -> Refreshed {
         let mut out = Refreshed::default();
         // Take each dirty block's cache out so the worker owns it (the slot
-        // keeps a fresh placeholder until write-back).  A spilled one must
-        // be resident first: the rebuild both finds what it reuses through
-        // its entries and derives fusion invalidation from the ones it does
-        // not.  (Clean spilled blocks stay on disk — that is the point.)
+        // keeps a fresh placeholder until write-back).
         let mut work: Vec<(usize, &Block, BlockCache, OldOutput)> = Vec::new();
         for &(i, block) in pristine {
             if self.caches[i].is_dirty() {
-                self.fault_in_block(i);
                 let placeholder = BlockCache::new(self.config.metric);
                 let cache = std::mem::replace(&mut self.caches[i], placeholder);
                 work.push((i, block, cache, OldOutput::default()));
@@ -440,8 +405,8 @@ impl StageOne {
     /// the tuples, so the shift alone keeps their state byte-identical to
     /// what a run over the survivors would produce.  The shift moves no group
     /// and no repair, so every cache entry still names its slot and its
-    /// repairs, and spilled blocks stay on disk; the entries and the
-    /// distance and plan memos hold value ids only.
+    /// repairs; the entries and the distance and plan memos hold value ids
+    /// only.
     pub fn remap_removed(&mut self, removed: &[usize]) {
         Arc::make_mut(&mut self.cleaned).remap_removed(removed);
         for records in &mut self.records {
@@ -454,19 +419,22 @@ impl StageOne {
         }
     }
 
-    /// Estimated resident bytes of the block caches — per-group reuse
-    /// entries plus distance and plan memos; spilled blocks count zero.  A
-    /// count-based heuristic (exact sizing would cost more than the state is
-    /// worth), consistent across calls, which is all the spill policy needs.
+    /// Estimated resident bytes of the blocks' distance and plan memos —
+    /// what the budget can free.  A count-based heuristic (exact sizing
+    /// would cost more than the memos are worth), consistent across calls,
+    /// which is all the budget policy needs.
     pub fn resident_estimate(&self) -> usize {
-        self.caches.iter().map(approx_cache_bytes).sum()
+        self.caches.iter().map(approx_memo_bytes).sum()
     }
 
-    /// Spill clean block caches, coldest first, until `outside` (the fusion
-    /// memo's evictable bytes under the same budget) plus
-    /// [`StageOne::resident_estimate`] fits [`CleanConfig::memory_budget`]
-    /// or nothing spillable is left.  Returns the estimated total still
-    /// resident (`outside` included); no-op without a budget.
+    /// Drop clean blocks' distance and plan memos, coldest first, until
+    /// `outside` (the fusion memo's evictable bytes under the same budget)
+    /// plus [`StageOne::resident_estimate`] fits
+    /// [`CleanConfig::memory_budget`] or no clean block holds a memo.
+    /// Returns the estimated total still resident (`outside` included);
+    /// no-op without a budget.  The memos are pure accelerators whose
+    /// hit/miss statistics are excluded from provenance equality, so a block
+    /// that re-plans over cold memos is byte-identity-safe.
     pub fn enforce_budget(&mut self, outside: usize) -> usize {
         let mut resident = outside + self.resident_estimate();
         let Some(budget) = self.config.memory_budget else {
@@ -475,113 +443,26 @@ impl StageOne {
         if resident <= budget {
             return resident;
         }
-        let mut victims: Vec<(u64, usize)> = self
+        let mut victims: Vec<(u64, usize, usize)> = self
             .caches
             .iter()
             .enumerate()
-            .filter(|(_, c)| c.is_spillable())
-            .map(|(i, c)| (c.last_touch, i))
+            .filter(|(_, c)| !c.is_dirty())
+            .map(|(i, c)| (c.last_touch, i, approx_memo_bytes(c)))
+            .filter(|&(_, _, bytes)| bytes > 0)
             .collect();
         victims.sort_unstable();
-        for (_, i) in victims {
-            let freed = approx_cache_bytes(&self.caches[i]);
-            if self.spill_block(i) {
-                resident = resident.saturating_sub(freed);
-                if resident <= budget {
-                    break;
-                }
+        for (_, i, freed) in victims {
+            let cache = &mut self.caches[i];
+            cache.distances = DistanceCache::new(self.config.metric);
+            cache.plan = PlanMemo::default();
+            self.memory.dropped_memos += 1;
+            resident -= freed;
+            if resident <= budget {
+                break;
             }
         }
         resident
-    }
-
-    /// Spill one clean resident block's cache entries to a disk segment.
-    /// Returns whether the block is now spilled.  The distance and plan
-    /// memos are dropped with the entries: they are pure accelerators whose
-    /// hit/miss statistics are excluded from provenance equality, so
-    /// faulting back in with cold memos (the block re-plans as if for the
-    /// first time) is byte-identity-safe.
-    fn spill_block(&mut self, i: usize) -> bool {
-        if !self.caches[i].is_spillable() {
-            return false;
-        }
-        let entries: Vec<(Vec<ValueId>, GroupEntry)> = std::mem::take(&mut self.caches[i].entries)
-            .into_iter()
-            .collect();
-        let stored = mlnw::to_bytes(&entries).ok().and_then(|bytes| {
-            let slot = self.open_spill_dir()?.store(&bytes).ok()?;
-            Some((slot, bytes.len()))
-        });
-        let Some((slot, bytes)) = stored else {
-            // The frame did not encode, or the directory or the segment
-            // could not be written: keep the block resident — the budget is
-            // advisory, the entries are not (dropping them would break the
-            // fusion invalidation the next refresh derives from them).
-            self.memory.spill_errors += 1;
-            self.caches[i].entries = entries.into_iter().collect();
-            return false;
-        };
-        self.memory.spilled_blocks += 1;
-        self.memory.spilled_bytes += bytes as u64;
-        let cache = &mut self.caches[i];
-        cache.spilled = Some(slot);
-        cache.distances = DistanceCache::new(self.config.metric);
-        cache.plan = PlanMemo::default();
-        true
-    }
-
-    /// The spill directory, created on the first spill; `None` when that
-    /// fails.
-    fn open_spill_dir(&mut self) -> Option<&SpillDir> {
-        if self.spill.is_none() {
-            self.spill = SpillDir::new().ok();
-        }
-        self.spill.as_ref()
-    }
-
-    /// Fault a spilled block's cache entries back in (no-op when resident).
-    ///
-    /// A segment that cannot be read back, no longer decodes, or names a
-    /// slot or a repair the block does not have (the disk failed underneath
-    /// us) is survived, not fatal: the block is marked fully dirty with no
-    /// entries, so its next refresh rebuilds every group from the pristine
-    /// state and invalidates every tuple the block covers — the
-    /// over-approximation a whole-block re-clean always made.  (What the lost
-    /// entries alone knew — tuples that have since *left* the block — was
-    /// invalidated by the update or delete that moved them.)
-    fn fault_in_block(&mut self, i: usize) {
-        let Some(slot) = self.caches[i].spilled.take() else {
-            return;
-        };
-        let groups = self.cleaned.blocks[i].groups.len();
-        let repairs = self.records[i].rsc.repairs.len();
-        let in_block = |entry: &GroupEntry| {
-            entry.slot < groups
-                && entry.repairs_start <= entry.repairs_end
-                && entry.repairs_end <= repairs
-        };
-        let entries = slot
-            .load()
-            .ok()
-            .and_then(|bytes| mlnw::from_bytes::<Vec<(Vec<ValueId>, GroupEntry)>>(&bytes).ok())
-            .filter(|entries| entries.iter().all(|(_, entry)| in_block(entry)));
-        match entries {
-            Some(entries) => {
-                self.caches[i].entries = entries.into_iter().collect();
-                self.memory.faulted_blocks += 1;
-            }
-            None => {
-                self.caches[i].fully_dirty = true;
-                self.memory.spill_errors += 1;
-            }
-        }
-    }
-
-    /// Where the spill segments live, once anything was spilled — for the
-    /// tests that break them.
-    #[cfg(test)]
-    pub(crate) fn spill_dir(&self) -> Option<&SpillDir> {
-        self.spill.as_ref()
     }
 }
 
@@ -763,29 +644,11 @@ fn refresh_block(
 /// Hash-table overhead per cache entry (control bytes plus slack).
 const HASH_SLOT_BYTES: usize = 16;
 
-/// Estimated resident bytes of one block cache (zero once spilled): the
-/// distance memo (pairs and sketches) and the plan memo plus every
-/// [`GroupEntry`]'s key and sources.  Counts what spilling the block would
-/// free, which is all the budget policy needs.
-fn approx_cache_bytes(cache: &BlockCache) -> usize {
-    let mut bytes =
-        cache.distances.approx_bytes(HASH_SLOT_BYTES) + cache.plan.approx_bytes(HASH_SLOT_BYTES);
-    for (key, entry) in &cache.entries {
-        bytes += approx_entry_bytes(key, entry);
-    }
-    bytes
-}
-
-/// Estimated bytes of one cached output-group entry.
-fn approx_entry_bytes(key: &[ValueId], entry: &GroupEntry) -> usize {
-    let mut bytes = std::mem::size_of::<GroupEntry>()
-        + std::mem::size_of::<Vec<ValueId>>()
-        + HASH_SLOT_BYTES
-        + std::mem::size_of_val(key);
-    for source in &entry.sources {
-        bytes += std::mem::size_of::<Vec<ValueId>>() + std::mem::size_of_val(source.as_slice());
-    }
-    bytes
+/// Estimated resident bytes of one block's memos (zero once dropped): the
+/// distance memo (pairs and sketches) and the plan memo — what dropping
+/// them frees, which is all the budget policy needs.
+fn approx_memo_bytes(cache: &BlockCache) -> usize {
+    cache.distances.approx_bytes(HASH_SLOT_BYTES) + cache.plan.approx_bytes(HASH_SLOT_BYTES)
 }
 
 /// Per-block provenance concatenated in block order, moved out of `blocks`.
@@ -1111,41 +974,6 @@ pub(crate) mod tests {
         assert_eq!(buffers(&stage), before);
     }
 
-    /// A spill segment that decodes but names a slot the cleaned block does
-    /// not have is a lost segment: the block is rebuilt whole, the output
-    /// does not move, and nothing panics.
-    #[test]
-    fn a_spill_entry_past_its_block_is_a_lost_segment() {
-        let (_, ds, rules, config) = workloads().remove(0);
-        let index = MlnIndex::build(&ds, &rules).unwrap();
-        let mut stage = driver_over(&config.with_memory_budget(1), &index);
-        mark_all_dirty(&mut stage);
-        refresh(&mut stage, &index);
-        assert_eq!(stage.enforce_budget(0), 0, "everything spills");
-        let key = stage.cleaned.blocks[0].groups[0].key.clone();
-        let forged: Vec<(Vec<ValueId>, GroupEntry)> = vec![(
-            key.clone(),
-            GroupEntry {
-                sources: vec![key],
-                slot: 1_000,
-                repairs_start: 0,
-                repairs_end: 0,
-            },
-        )];
-        let frame = mlnw::to_bytes(&forged).unwrap();
-        let dir = stage.spill_dir().unwrap().path().to_path_buf();
-        for segment in std::fs::read_dir(dir).unwrap() {
-            std::fs::write(segment.unwrap().path(), &frame).unwrap();
-        }
-
-        mark_all_dirty(&mut stage);
-        refresh(&mut stage, &index);
-        assert_matches_reference("after the forged segments", &stage, &index);
-        let stats = stage.memory_stats();
-        assert_eq!(stats.spill_errors, index.block_count() as u64);
-        assert_eq!(stats.faulted_blocks, 0);
-    }
-
     /// Inserts and deletes mark a block fully dirty — every group is rebuilt
     /// — but its AGP plan is maintained all the same: the memo validates
     /// itself against the snapshot, whatever the dirtiness says.
@@ -1186,14 +1014,14 @@ pub(crate) mod tests {
         assert_eq!(stage.records().0.cache, CacheStats::default());
     }
 
-    /// The plan memo and the sketch memo are part of what the budget counts
-    /// and a spill frees; a block that went through a spill re-plans as if
-    /// for the first time: the same searches from nothing, the same sketch
-    /// bounds, the same sketches fetched — only those of the groups some
-    /// search bounded (5 of the CFD block's 12 values; 86 of the FD block's
-    /// 91, where many searches fall through past the postings).
+    /// The plan memo and the sketch memo are what the budget counts and
+    /// drops; a block whose memos the budget dropped re-plans as if for the
+    /// first time: the same searches from nothing, the same sketch bounds,
+    /// the same sketches fetched — only those of the groups some search
+    /// bounded (5 of the CFD block's 12 values; 86 of the FD block's 91,
+    /// where many searches fall through past the postings).
     #[test]
-    fn a_spilled_block_drops_its_plan_memo_and_replans_cold() {
+    fn a_block_whose_memos_the_budget_dropped_replans_cold() {
         let (_, ds, rules, config) = workloads().remove(2);
         let index = MlnIndex::build(&ds, &rules).unwrap();
         let mut stage = driver_over(&config.with_memory_budget(1), &index);
@@ -1230,81 +1058,25 @@ pub(crate) mod tests {
         // its entry and a slot.
         let mut bare = stage.caches[0].clone();
         bare.plan = PlanMemo::default();
-        assert!(approx_cache_bytes(&bare) < approx_cache_bytes(&stage.caches[0]));
-        let with_sketches = approx_cache_bytes(&bare);
+        assert!(approx_memo_bytes(&bare) < approx_memo_bytes(&stage.caches[0]));
+        let with_sketches = approx_memo_bytes(&bare);
         bare.distances = bare.distances.without_sketches();
         let sketch_entry = std::mem::size_of::<(ValueId, distance::EditSketch)>() + HASH_SLOT_BYTES;
         assert_eq!(
-            with_sketches - approx_cache_bytes(&bare),
+            with_sketches - approx_memo_bytes(&bare),
             cold.1[0] * sketch_entry
         );
-        assert_eq!(stage.enforce_budget(0), 0, "everything spills");
+        assert_eq!(stage.enforce_budget(0), 0, "every memo drops");
         assert_eq!(
-            stage.memory_stats().spilled_blocks,
+            stage.memory_stats().dropped_memos,
             index.block_count() as u64
         );
 
         mark_all_dirty(&mut stage);
         refresh(&mut stage, &index);
-        assert_matches_reference("after the spill", &stage, &index);
+        assert_matches_reference("after the drop", &stage, &index);
         assert_eq!(stage.rescanned_groups(), 2 * abnormal);
         assert_eq!(cost(&stage), cold);
-    }
-
-    /// A spill segment's frame — every block's `(key, GroupEntry)` list
-    /// after a hospital refresh, in key order — keeps its bytes: pinned as
-    /// (length, FNV-1a 64).  It decodes and re-encodes identically.  The
-    /// frame is private to one process (a `SpillDir` is unlinked on drop and
-    /// never part of a snapshot, checkpoint or envelope), so a change of the
-    /// entry's shape re-records this pin without a `CODEC_VERSION` bump: it
-    /// moved from (813, …) when entries stopped carrying the group and its
-    /// repairs.
-    #[test]
-    fn a_spill_frame_keeps_its_bytes() {
-        let (_, ds, rules, config) = workloads().remove(0);
-        let index = MlnIndex::build(&ds, &rules).unwrap();
-        let mut stage = driver_over(&config, &index);
-        mark_all_dirty(&mut stage);
-        refresh(&mut stage, &index);
-        let mut entries: Vec<(Vec<ValueId>, GroupEntry)> = stage
-            .caches
-            .iter()
-            .flat_map(|c| c.entries.iter().map(|(k, e)| (k.clone(), e.clone())))
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        let bytes = mlnw::to_bytes(&entries).unwrap();
-        let fnv1a = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-        });
-        assert_eq!((bytes.len(), fnv1a), (158, 276598737870245509));
-        let decoded: Vec<(Vec<ValueId>, GroupEntry)> = mlnw::from_bytes(&bytes).unwrap();
-        assert_eq!(mlnw::to_bytes(&decoded).unwrap(), bytes);
-    }
-
-    /// A spill segment cut short anywhere fails to decode, and one with a
-    /// bit flipped (every seventh bit of the frame) decodes or fails: no
-    /// decode panics.
-    #[test]
-    fn a_hostile_spill_frame_decodes_or_fails_typed() {
-        type Spill = Vec<(Vec<ValueId>, GroupEntry)>;
-        let (_, ds, rules, config) = workloads().remove(0);
-        let index = MlnIndex::build(&ds, &rules).unwrap();
-        let mut stage = driver_over(&config, &index);
-        mark_all_dirty(&mut stage);
-        refresh(&mut stage, &index);
-        let entries: Spill = stage.caches[0].entries.clone().into_iter().collect();
-        let frame = mlnw::to_bytes(&entries).unwrap();
-        for cut in 0..frame.len() {
-            assert!(
-                mlnw::from_bytes::<Spill>(&frame[..cut]).is_err(),
-                "cut at {cut}"
-            );
-        }
-        for bit in (0..frame.len() * 8).step_by(7) {
-            let mut flipped = frame.clone();
-            flipped[bit / 8] ^= 1 << (bit % 8);
-            let _ = mlnw::from_bytes::<Spill>(&flipped);
-        }
     }
 
     #[test]

@@ -45,8 +45,8 @@
 //! have to mirror every insert, update and delete.
 //!
 //! **Budget.**  Under a [`CleanConfig::memory_budget`] the memo shares the
-//! budget with Stage I's block caches ([`StageTwo::enforce_budget`]): cold
-//! caches spill first, then the memo is *windowed* — slots are emptied
+//! budget with Stage I's block memos ([`StageTwo::enforce_budget`]): cold
+//! blocks' memos drop first, then the memo is *windowed* — slots are emptied
 //! oldest tuple first, each counted in [`MemoryStats::evicted_fusions`], and
 //! re-derived by the next report.  The estimate counts **distinct fusions**,
 //! not slots: a slot is a pointer in the memo's inline buffer, and emptying
@@ -186,15 +186,16 @@ impl StageTwo {
         }
     }
 
-    /// Spill cold block caches into whatever the memo leaves of the budget;
-    /// `(budget, estimated bytes still resident)` when there is one.
+    /// Drop cold block memos until they fit whatever the fusion memo leaves
+    /// of the budget; `(budget, estimated bytes still resident)` when there
+    /// is one.
     fn shed_blocks(&self, stage_one: &mut StageOne) -> Option<(usize, usize)> {
         let budget = self.config.memory_budget?;
         Some((budget, stage_one.enforce_budget(self.memo_bytes)))
     }
 
-    /// Fit both stages' evictable state to the configured budget: spill
-    /// clean block caches coldest first ([`StageOne::enforce_budget`]), then
+    /// Fit both stages' evictable state to the configured budget: drop clean
+    /// blocks' memos coldest first ([`StageOne::enforce_budget`]), then
     /// — if still over — empty memo slots front to back, so in an
     /// append-mostly stream the oldest tuples lose their memo first and the
     /// recent tail survives.  No-op without a budget.
@@ -214,13 +215,13 @@ impl StageTwo {
     }
 
     /// Estimated resident bytes of both stages' evictable state — the pool
-    /// [`CleanConfig::memory_budget`] bounds: Stage I's block caches plus the
+    /// [`CleanConfig::memory_budget`] bounds: Stage I's block memos plus the
     /// distinct memoised fusions.
     pub fn resident_estimate(&self, stage_one: &StageOne) -> usize {
         self.memo_bytes + stage_one.resident_estimate()
     }
 
-    /// The out-of-core counters of both stages.
+    /// The budget counters of both stages.
     pub fn memory_stats(&self, stage_one: &StageOne) -> MemoryStats {
         MemoryStats {
             evicted_fusions: self.evicted,
@@ -231,7 +232,7 @@ impl StageTwo {
     /// Fuse exactly the empty slots from `stage_one`'s cleaned index;
     /// returns the substitution candidates the new fusions tested.
     fn settle(&mut self, stage_one: &mut StageOne, timings: &mut Timings) -> u64 {
-        // Shed cold caches *before* the fusion allocations below, but evict
+        // Drop cold memos *before* the fusion allocations below, but evict
         // no fusion: the memo is about to be refilled.
         self.shed_blocks(stage_one);
         if self.memoised == self.fusions.len() {
@@ -493,6 +494,7 @@ mod tests {
                     // Every fusion was evicted after every report…
                     assert_eq!(stream.two.fused_tuples(), rows_reported, "{name}");
                     assert_eq!(stats.evicted_fusions, rows_reported, "{name}");
+                    assert!(stats.dropped_memos > 0, "{name}: {stats:?}");
                 } else {
                     // …or replayed from the memo wherever it still stood.
                     assert!(stream.two.fused_tuples() < rows_reported, "{name}");

@@ -20,7 +20,6 @@ pub mod metrics;
 pub mod pool;
 pub mod rng;
 pub mod schema;
-pub mod spill;
 pub mod tuple;
 
 pub use cell::CellRef;
@@ -29,7 +28,6 @@ pub use errors::{DirtyDataset, ErrorInjector, ErrorSpec, ErrorType, InjectedErro
 pub use metrics::{ComponentMetrics, RepairEvaluation, RepairReport};
 pub use pool::{ValueId, ValuePool};
 pub use schema::{AttrId, Schema};
-pub use spill::{SpillDir, SpillSlot};
 pub use tuple::{remap_ids_after_removal, Tuple, TupleId};
 
 /// Build the six-tuple hospital sample of Table 1 in the paper, used by the

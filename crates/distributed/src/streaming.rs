@@ -307,8 +307,8 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
         self.timings
     }
 
-    /// Counters of the out-of-core machinery (block-cache spills, fault-ins
-    /// and spill errors, fusion evictions) — the shape
+    /// What the memory budget shed (blocks whose memos it dropped, fusions
+    /// it evicted) — the shape
     /// [`CleaningSession::memory_stats`] returns.  All zero unless
     /// [`CleanConfig::memory_budget`] is set.
     pub fn memory_stats(&self) -> MemoryStats {

@@ -1,7 +1,7 @@
 //! The `mlnw` codec: a compact binary format for every frame the system
-//! writes — wire envelopes, journaled change sets, session snapshots, reports
-//! and spill segments — through two small traits, [`Encode`] and [`Decode`],
-//! and one macro, [`codec!`], that writes both for a struct or an enum.
+//! writes — wire envelopes, journaled change sets, session snapshots and
+//! reports — through two small traits, [`Encode`] and [`Decode`], and one
+//! macro, [`codec!`], that writes both for a struct or an enum.
 //!
 //! Every frame starts with a 6-byte header — the `MLNW` magic followed by a
 //! little-endian [`CODEC_VERSION`] — so a peer can reject frames from a

@@ -55,8 +55,7 @@ pub use worker::{PartitionWorker, WorkerCheckpoint};
 /// envelopes (each [`Request`] and [`Response`] variant), journaled
 /// [`ChangeSet`]s, worker checkpoints ([`SessionSnapshot`]), reports and
 /// their [`Timings`] — with the bytes each encodes to pinned as a
-/// (length, FNV-1a 64) pair.  The spill family's pin sits in `mlnclean`'s
-/// `stage_one` tests, beside its private entry type.
+/// (length, FNV-1a 64) pair.
 mod frames {
     use crate::message::{Envelope, Payload, Request, Response, COORDINATOR};
     use dataset::rng::Rng;

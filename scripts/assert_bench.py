@@ -271,7 +271,7 @@ def check_ladder(d, fresh=True):
         check(rss_asserted_rungs >= 1,
               "budgeted rungs ran with a working RSS meter but no rung "
               "asserted its peak against the budget (rss_asserted is false "
-              "everywhere — the out-of-core claim lost its CI teeth)")
+              "everywhere — the budget claim lost its CI teeth)")
 
     print(f"ladder invariants ok: rungs {sizes}, "
           f"identity checked on {sum(r['byte_identity']['checked'] for r in rungs)}, "

@@ -1,7 +1,7 @@
-//! Out-of-core equivalence: a `CleaningSession` under a (deliberately
-//! absurd) 1-byte memory budget — which forces every clean block cache to
-//! spill, every distance memo to drop and every memoised fusion to be
-//! evicted at each enforcement point — must produce **byte-identical**
+//! Budgeted equivalence: a `CleaningSession` under a (deliberately absurd)
+//! 1-byte memory budget — which forces every clean block's distance and
+//! plan memos to drop and every memoised fusion to be evicted at each
+//! enforcement point — must produce **byte-identical**
 //! repaired/deduplicated CSV and identical AGP/RSC/FSCR provenance to the
 //! unbudgeted session and to a fresh batch run over the net surviving rows.
 //! Likewise suspend/resume: serializing a [`mlnclean::SessionSnapshot`]
@@ -17,11 +17,11 @@ use oracle::assert_outcomes_identical;
 use rules::RuleSet;
 
 /// Drive one session through a fixed mutation-rich script: micro-batch
-/// ingest with periodic intermediate outcomes (each outcome is a spill
-/// point under a budget), then a couple of cell updates and front/middle
-/// deletes (updates fault spilled blocks in via the dirty path, deletes via
-/// the id-remap path), and a final outcome.  Returns the final report and
-/// the surviving model rows.
+/// ingest with periodic intermediate outcomes (each outcome is an
+/// enforcement point under a budget), then a couple of cell updates and
+/// front/middle deletes (both re-plan blocks whose memos were dropped:
+/// updates via the dirty-key path, deletes via the id-remap path), and a
+/// final outcome.  Returns the final report and the surviving model rows.
 fn run_script(
     dirty: &Dataset,
     rules: &RuleSet,
@@ -69,7 +69,7 @@ fn run_script(
 
 /// The budgeted session must match the unbudgeted session and the batch
 /// ground truth on every workload, in serial and parallel mode — while
-/// actually spilling, faulting in and evicting along the way.
+/// actually dropping memos and evicting fusions along the way.
 fn check_workload(label: &str, dirty: &Dataset, rules: &RuleSet, base: CleanConfig) {
     for parallel in [false, true] {
         let config = base.clone().with_parallel(parallel);
@@ -78,7 +78,7 @@ fn check_workload(label: &str, dirty: &Dataset, rules: &RuleSet, base: CleanConf
         assert_eq!(
             stats,
             mlnclean::MemoryStats::default(),
-            "{label}: unbudgeted sessions must never touch the spill layer"
+            "{label}: unbudgeted sessions must never shed anything"
         );
 
         let (budgeted, model_b, session) =
@@ -86,22 +86,15 @@ fn check_workload(label: &str, dirty: &Dataset, rules: &RuleSet, base: CleanConf
         assert_eq!(model, model_b, "script must be deterministic");
         let stats = session.memory_stats();
         assert!(
-            stats.spilled_blocks > 0,
-            "{label} (parallel={parallel}): a 1-byte budget must spill \
-             ({stats:?})"
-        );
-        assert!(
-            stats.faulted_blocks > 0,
-            "{label} (parallel={parallel}): the script's updates/deletes \
-             must fault spilled blocks back in ({stats:?})"
+            stats.dropped_memos > 0,
+            "{label} (parallel={parallel}): a 1-byte budget must drop block \
+             memos ({stats:?})"
         );
         assert!(
             stats.evicted_fusions > 0,
             "{label} (parallel={parallel}): a 1-byte budget must evict \
              fusion memos ({stats:?})"
         );
-        assert!(stats.spilled_bytes > 0);
-        assert_eq!(stats.spill_errors, 0);
         // Post-outcome enforcement evicts everything evictable under a
         // 1-byte budget — the estimate must land at zero.
         assert_eq!(session.resident_estimate(), 0);
