@@ -192,14 +192,15 @@ impl std::error::Error for IndexError {}
 
 /// What one [`MlnIndex::insert_tuples`] call changed, per block — the
 /// dirtiness information the [`crate::RowStore`] reports to the drivers that
-/// decide which blocks must re-run the cleaning stages.
+/// decide which groups must re-run the cleaning stages.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct InsertReport {
     /// Number of dataset rows scanned by the insertion.
     pub rows: usize,
-    /// Per block (rule order): distinct groups that gained a tuple or a γ,
-    /// or were newly created.
-    pub touched_groups: Vec<usize>,
+    /// Per block (rule order): the interned keys of the distinct groups that
+    /// gained a tuple or a γ, or were newly created, in no particular order
+    /// — what a cleaning driver marks dirty.
+    pub touched_keys: Vec<Vec<Vec<ValueId>>>,
     /// Per block (rule order): groups newly created by the insertion.
     pub created_groups: Vec<usize>,
 }
@@ -210,9 +211,9 @@ pub struct InsertReport {
 pub struct RemoveReport {
     /// Number of tuples removed from the index.
     pub rows: usize,
-    /// Per block (rule order): distinct groups that lost a tuple, a γ, or
-    /// were dropped entirely.
-    pub touched_groups: Vec<usize>,
+    /// Per block (rule order): the interned keys of the distinct groups that
+    /// lost a tuple, a γ, or were dropped entirely, in no particular order.
+    pub touched_keys: Vec<Vec<Vec<ValueId>>>,
     /// Per block (rule order): groups dropped because the removal emptied
     /// them.
     pub removed_groups: Vec<usize>,
@@ -311,14 +312,14 @@ impl MlnIndex {
         let rows = ds.len().saturating_sub(from);
         let mut report = InsertReport {
             rows,
-            touched_groups: vec![0; self.blocks.len()],
+            touched_keys: vec![Vec::new(); self.blocks.len()],
             created_groups: vec![0; self.blocks.len()],
         };
         if rows > 0 {
             let inserted = self.map_blocks(rules, parallel, |block, pool, rule| {
                 insert_range_into_block(block, ds, pool, rule, from)
             });
-            (report.touched_groups, report.created_groups) = inserted.into_iter().unzip();
+            (report.touched_keys, report.created_groups) = inserted.into_iter().unzip();
         }
         report
     }
@@ -350,7 +351,7 @@ impl MlnIndex {
         removed.dedup();
         let mut report = RemoveReport {
             rows: removed.len(),
-            touched_groups: vec![0; self.blocks.len()],
+            touched_keys: vec![Vec::new(); self.blocks.len()],
             removed_groups: vec![0; self.blocks.len()],
         };
         if let Some(&last) = removed.last() {
@@ -366,7 +367,7 @@ impl MlnIndex {
                 remap_block_after_removal(block, removed);
                 counts
             });
-            (report.touched_groups, report.removed_groups) = spliced.into_iter().unzip();
+            (report.touched_keys, report.removed_groups) = spliced.into_iter().unzip();
         }
         Ok(report)
     }
@@ -680,14 +681,14 @@ fn splice_out(
 
 /// Insert the rows `from..ds.len()` into one block, keeping the block
 /// byte-identical to a full rebuild ([`splice_in`]; tuple ids append in
-/// dataset order).  Returns `(touched groups, created groups)`.
+/// dataset order).  Returns `(touched group keys, created groups)`.
 fn insert_range_into_block(
     block: &mut Block,
     ds: &Dataset,
     pool: &ValuePool,
     rule: &Rule,
     from: usize,
-) -> (usize, usize) {
+) -> (Vec<Vec<ValueId>>, usize) {
     let schema = ds.schema();
     let mut touched: HashSet<Vec<ValueId>> = HashSet::new();
     let mut created = 0usize;
@@ -701,12 +702,12 @@ fn insert_range_into_block(
         created += usize::from(splice_in(block, pool, &vl, vr, t));
         touched.insert(vl);
     }
-    (touched.len(), created)
+    (touched.into_iter().collect(), created)
 }
 
 /// Splice the (sorted, deduplicated, pre-removal) row indices `removed` out
 /// of one block ([`splice_out`]).  Ids are NOT shifted here (see
-/// [`remap_block_after_removal`]).  Returns `(touched groups, dropped
+/// [`remap_block_after_removal`]).  Returns `(touched group keys, dropped
 /// groups)`.
 fn remove_ids_from_block(
     block: &mut Block,
@@ -714,7 +715,7 @@ fn remove_ids_from_block(
     pool: &ValuePool,
     rule: &Rule,
     removed: &[usize],
-) -> (usize, usize) {
+) -> (Vec<Vec<ValueId>>, usize) {
     let schema = ds.schema();
     let mut touched: HashSet<Vec<ValueId>> = HashSet::new();
     let mut dropped = 0usize;
@@ -729,7 +730,7 @@ fn remove_ids_from_block(
         dropped += usize::from(splice_out(block, pool, &vl, &vr, t));
         touched.insert(vl);
     }
-    (touched.len(), dropped)
+    (touched.into_iter().collect(), dropped)
 }
 
 /// Shift every γ tuple id down by the number of (sorted, deduplicated)
@@ -975,11 +976,19 @@ mod tests {
         let mut index = MlnIndex::build(&prefix, &rules).unwrap();
         let report = index.insert_tuples(&ds, &rules, 4, false);
         assert_eq!(report.rows, 2);
-        assert_eq!(report.touched_groups.len(), rules.len());
+        assert_eq!(report.touched_keys.len(), rules.len());
         // The BOAZ rows join existing groups in block B1: nothing created
-        // there.
+        // there, and the one key they touch is BOAZ.
         assert_eq!(report.created_groups[0], 0);
-        assert!(report.touched_groups[0] > 0);
+        assert_eq!(resolved(&index, &report.touched_keys[0]), [["BOAZ"]]);
+    }
+
+    /// Keys resolved through the index's pool, sorted.
+    fn resolved<'p>(index: &'p MlnIndex, keys: &[Vec<ValueId>]) -> Vec<Vec<&'p str>> {
+        let resolve = |key: &Vec<ValueId>| key.iter().map(|&v| index.pool().resolve(v)).collect();
+        let mut keys: Vec<Vec<&str>> = keys.iter().map(resolve).collect();
+        keys.sort();
+        keys
     }
 
     #[test]
@@ -1025,7 +1034,7 @@ mod tests {
             .remove_tuples(&ds, &rules, &[TupleId(1)], false)
             .unwrap();
         assert_eq!(report.rows, 1);
-        assert!(report.touched_groups[0] > 0);
+        assert_eq!(resolved(&index, &report.touched_keys[0]), [["DOTH"]]);
         assert!(report.removed_groups[0] >= 1, "the DOTH group must drop");
         // Removing nothing is a no-op.
         let untouched = index.clone();

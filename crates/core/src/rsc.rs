@@ -145,29 +145,36 @@ impl ReliabilityCleaner {
         let mut cache = DistanceCache::new(self.metric);
         let rule = block.rule;
         for group in &mut block.groups {
-            record
-                .repairs
-                .extend(self.clean_group(rule, group, pool, &mut cache));
+            let cleaned = self.clean_group(rule, group, pool, &mut cache);
+            record.repairs.extend(cleaned.repairs);
         }
         record.cache.absorb(cache.stats());
         record
     }
 
-    /// Clean a single group in place, returning the repairs it produced.
+    /// Clean a single group in place, returning the repairs it produced
+    /// and what the per-block driver needs to reuse the result when only
+    /// the block's total support moves ([`CleanedGroup`]).
     ///
-    /// Groups are scored independently (Z is group-local: the largest
-    /// support-scaled pair distance among the group's own γs), so this is
-    /// the unit the per-block driver ([`crate::StageOne`]) re-runs for a
-    /// dirty group without touching its siblings.
+    /// Groups are scored independently (the distance normalizer is
+    /// group-local: the largest support-scaled pair distance among the
+    /// group's own γs), so this is the unit the per-block driver
+    /// ([`crate::StageOne`]) re-runs for a dirty group without touching its
+    /// siblings.
     pub(crate) fn clean_group(
         &self,
         rule: RuleId,
         group: &mut crate::index::Group,
         pool: &ValuePool,
         cache: &mut DistanceCache,
-    ) -> Vec<RscRepair> {
+    ) -> CleanedGroup {
         if group.gammas.len() <= 1 {
-            return Vec::new(); // already the ideal state; skipped like G21 in the paper
+            // Already the ideal state; skipped like G21 in the paper.
+            return CleanedGroup {
+                repairs: Vec::new(),
+                evidence: group.gammas.first().map_or(0, Gamma::support),
+                z_sensitive: false,
+            };
         }
         let mut repairs = Vec::new();
         {
@@ -205,11 +212,13 @@ impl ReliabilityCleaner {
             // support, then by string value order for determinism).
             let mut best_idx = 0usize;
             let mut best_score = f64::NEG_INFINITY;
+            let mut pairs: Vec<(usize, f64)> = Vec::with_capacity(n);
             for (i, gamma) in group.gammas.iter().enumerate() {
                 let min_distance = (0..n)
                     .filter(|&j| j != i)
                     .map(|j| dist[i][j])
                     .fold(f64::INFINITY, f64::min);
+                pairs.push((gamma.support(), min_distance));
                 let score = score_from_min_distance(gamma, min_distance, z);
                 let better = score > best_score
                     || (score == best_score
@@ -222,6 +231,9 @@ impl ReliabilityCleaner {
                     best_score = score;
                 }
             }
+
+            let evidence = group.gammas[best_idx].support();
+            let z_sensitive = near_tie(&pairs, best_idx);
 
             // Replace every losing γ with the winner.
             let winner = group.gammas[best_idx].clone();
@@ -258,9 +270,51 @@ impl ReliabilityCleaner {
             let mut final_gamma = winner;
             final_gamma.tuples = merged_tuples;
             group.gammas = vec![final_gamma];
+            CleanedGroup {
+                repairs,
+                evidence,
+                z_sensitive,
+            }
         }
-        repairs
     }
+}
+
+/// What [`ReliabilityCleaner::clean_group`] decided for one group.
+#[derive(Debug)]
+pub(crate) struct CleanedGroup {
+    /// The repairs, in γ order.
+    pub repairs: Vec<RscRepair>,
+    /// The surviving γ's support when it was weighted: its own tuples, before
+    /// the losers' were merged in.  Its probability is `evidence / Z` of the
+    /// block it was weighted in (Eq. 3).
+    pub evidence: usize,
+    /// Whether the winner could change with the block's total support `Z`:
+    /// see [`near_tie`].  Never set for a group of one γ.
+    pub z_sensitive: bool,
+}
+
+/// Relative margin within which two γs' `Z`-free keys count as tied.
+const Z_TIE_MARGIN: f64 = 1e-9;
+
+/// Whether some losing γ's `Z`-free key `s²·d` (its support `s` and minimum
+/// distance `d`, as `pairs` lists them) lies within [`Z_TIE_MARGIN`] of the
+/// winner's, from a different `(s, d)` pair.
+///
+/// The score is `fl(fl(s·d) / z_g) · fl(s / Z)`, within about four ulps of
+/// `s²·d / (z_g·Z)`, and `z_g` is the group's own; so a key gap past the
+/// margin keeps the winner at every `Z`.  A loser with the winner's exact
+/// `(s, d)` scores bit-identically at every `Z` and falls to the same
+/// support / value tie-break, so it never flags.  A non-finite key flags.
+fn near_tie(pairs: &[(usize, f64)], winner: usize) -> bool {
+    let key = |(s, d): (usize, f64)| s as f64 * s as f64 * d;
+    let best = pairs[winner];
+    let best_key = key(best);
+    pairs.iter().any(|&pair| {
+        let k = key(pair);
+        let margin = Z_TIE_MARGIN * best_key.abs().max(k.abs());
+        let clear = (best_key - k).abs().partial_cmp(&margin) == Some(std::cmp::Ordering::Greater);
+        pair != best && !clear
+    })
 }
 
 /// `r-score` from a precomputed minimum pair distance (Definition 2).
@@ -282,6 +336,7 @@ mod tests {
     use crate::weights::assign_weights;
     use dataset::sample_hospital_dataset;
     use rules::sample_hospital_rules;
+    use std::collections::BTreeSet;
 
     /// Index after AGP(τ=1) + weight learning, ready for RSC — the state of
     /// the paper's running example entering Section 5.1.2.
@@ -419,6 +474,85 @@ mod tests {
             al_score > ak_score,
             "{al_score} must beat {ak_score} so RSC keeps AL"
         );
+    }
+
+    /// One group of `FD: K -> V` whose γs have these result values and
+    /// supports, weighted as a block of total support `z` would weight it.
+    fn weighted_group(gammas: &[(&str, usize)], z: usize) -> (crate::index::Group, ValuePool) {
+        let mut ds = dataset::Dataset::new(dataset::Schema::new(&["K", "V"]));
+        for &(value, copies) in gammas {
+            for _ in 0..copies {
+                ds.push_row(vec!["k".into(), value.into()]).unwrap();
+            }
+        }
+        let rules = rules::parse_rules("FD: K -> V").unwrap();
+        let mut index = MlnIndex::build(&ds, &rules).unwrap();
+        let (blocks, pool) = index.split_mut();
+        let mut group = blocks[0].groups.remove(0);
+        crate::weights::assign_group_weights(&mut group, z);
+        (group, pool.clone())
+    }
+
+    /// Clean the group; its winner's result value and what RSC said.
+    fn clean_one(mut group: crate::index::Group, pool: &ValuePool) -> (String, CleanedGroup) {
+        let mut cache = DistanceCache::new(Metric::Levenshtein);
+        let cleaner = ReliabilityCleaner::new(Metric::Levenshtein);
+        let cleaned = cleaner.clean_group(RuleId(0), &mut group, pool, &mut cache);
+        let winner = group.gammas[0].resolve_result_values(pool)[0].to_string();
+        (winner, cleaned)
+    }
+
+    /// A near tie on the `Z`-free key `s²·d`: `aaaaaaaaa` (s = 1, nearest
+    /// γ at d = 9) against `bbbbbbbbb` (s = 3, d = 1 to `bbbbbbbbc`), both
+    /// keyed 9.  The block's total support `Z` reaches the score through a
+    /// rounded `s / Z`, so which of the two wins depends on `Z` — the reason
+    /// a reuse under a moved `Z` rebuilds a flagged group.
+    #[test]
+    fn a_near_tie_is_flagged_z_sensitive_and_its_winner_moves_with_z() {
+        let near_tie = [("aaaaaaaaa", 1), ("bbbbbbbbb", 3), ("bbbbbbbbc", 2)];
+        let (group, pool) = weighted_group(&near_tie, 6);
+        let (_, cleaned) = clean_one(group, &pool);
+        assert!(cleaned.z_sensitive);
+
+        let winners: BTreeSet<String> = (2..200)
+            .map(|z| {
+                let (group, pool) = weighted_group(&near_tie, z);
+                let (winner, cleaned) = clean_one(group, &pool);
+                assert!(cleaned.z_sensitive, "Z = {z}");
+                let support = near_tie.iter().find(|(v, _)| *v == winner).unwrap().1;
+                assert_eq!(cleaned.evidence, support, "Z = {z}");
+                winner
+            })
+            .collect();
+        assert_eq!(
+            winners,
+            BTreeSet::from(["aaaaaaaaa".to_string(), "bbbbbbbbb".to_string()]),
+            "today's winner changes with Z"
+        );
+    }
+
+    /// A clear margin keeps its winner at every `Z`, and so does a tie on an
+    /// identical `(s, d)` pair — the scores are bit-identical and fall to
+    /// the support / value tie-break — so neither is flagged.
+    #[test]
+    fn a_clear_margin_and_an_identical_pair_tie_are_not_flagged() {
+        let cases = [
+            ([("AL", 3), ("AK", 1)], "AL", 3),
+            ([("AL", 2), ("AK", 2)], "AK", 2),
+        ];
+        for (gammas, expected, evidence) in cases {
+            for z in [4, 5, 97] {
+                let (group, pool) = weighted_group(&gammas, z);
+                let (winner, cleaned) = clean_one(group, &pool);
+                assert!(!cleaned.z_sensitive, "{gammas:?} at Z = {z}");
+                assert_eq!((winner.as_str(), cleaned.evidence), (expected, evidence));
+            }
+        }
+        // A lone γ is already clean: its own support, never flagged.
+        let (group, pool) = weighted_group(&[("AL", 4)], 4);
+        let (_, cleaned) = clean_one(group, &pool);
+        assert_eq!((cleaned.evidence, cleaned.z_sensitive), (4, false));
+        assert!(cleaned.repairs.is_empty());
     }
 
     #[test]

@@ -2,14 +2,17 @@
 //! plus the two stage drivers, [`StageOne`] and [`StageTwo`].
 //!
 //! [`CleaningSession::apply`] hands a [`ChangeSet`] to the store and marks
-//! the drivers from what moved: an update dirties the group keys it re-homed
-//! its tuple across, an insert or a delete its whole blocks, and a delete
+//! the drivers from what moved: every mutation dirties the pristine group
+//! keys it touched — an update those it re-homed its tuple across, an insert
+//! those it added a tuple to, a delete those it took one from — and a delete
 //! shifts both drivers past the removed ids.  A [`Report`] re-runs Stage I
 //! on the dirty groups only ([`StageOne::refresh`], shared with the
-//! distributed coordinator) and re-fuses the invalidated tuples only, yet is
-//! byte-identical — output CSV and AGP/RSC/FSCR provenance — to a batch run
-//! over the net surviving rows, which is what [`crate::MlnClean::clean`] is:
-//! one bulk ingest plus [`CleaningSession::finish`].
+//! distributed coordinator; where an insert or a delete moved a block's
+//! total support, the groups it reuses get their probabilities rescaled) and
+//! re-fuses the invalidated tuples only, yet is byte-identical — output CSV
+//! and AGP/RSC/FSCR provenance — to a batch run over the net surviving rows,
+//! which is what [`crate::MlnClean::clean`] is: one bulk ingest plus
+//! [`CleaningSession::finish`].
 
 use crate::changeset::ChangeSet;
 use crate::engine::{Report, Timings};
@@ -184,15 +187,12 @@ impl CleaningSession {
         for &t in &applied.updated {
             self.stage_two.invalidate(t);
         }
-        for (block, keys) in applied.rehomed.iter().enumerate() {
+        for (block, keys) in applied.touched_keys.iter().enumerate() {
             self.stage_one.mark_keys_dirty(block, keys);
         }
         if !applied.removed.is_empty() {
             self.stage_two.remap_removed(&applied.removed);
             self.stage_one.remap_removed(&applied.removed);
-        }
-        for &block in &applied.restructured {
-            self.stage_one.mark_block_dirty(block);
         }
         self.stage_two.enforce_budget(&mut self.stage_one);
         self.stage_one.sync_pool(self.store.dataset().pool());
@@ -249,7 +249,7 @@ impl CleaningSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datagen::HaiGenerator;
+    use datagen::{CarGenerator, HaiGenerator};
     use dataset::{csv, TupleId};
 
     fn assert_same_report(label: &str, a: &Report, b: &Report) {
@@ -296,6 +296,55 @@ mod tests {
         tight.apply(delete).unwrap();
         assert_eq!(tight.dirty_block_count(), 2);
         assert_same_report("after the delete", &tight.outcome(), &plain.outcome());
+    }
+
+    /// An insert and a delete re-clean the groups they touch, not their
+    /// blocks: on seeded CAR data a 64-row insert and then a 1-row delete
+    /// each re-clean under a fifth of the output groups — every other one is
+    /// reused under its block's moved total support — and each outcome is
+    /// the batch run over the same rows.
+    #[test]
+    fn an_insert_and_a_delete_reclean_the_groups_they_touch() {
+        // The benchmark's CAR shape: fifteen models a make.
+        let generator = CarGenerator {
+            models_per_make: 15,
+            rows: 4_064,
+            seed: 29,
+        };
+        let dirty = generator.dirty(0.02, 0.5, 29).dirty;
+        let rules = CarGenerator::rules();
+        let config = CleanConfig::default()
+            .with_tau(1)
+            .with_agp_distance_guard(0.15);
+        let rows = |range: std::ops::Range<usize>| -> Vec<Vec<String>> {
+            range
+                .map(|t| dirty.tuple(TupleId(t)).owned_values())
+                .collect()
+        };
+        let load = dirty.len() - 64;
+        let mut session =
+            CleaningSession::new(config.clone(), dirty.schema().clone(), rules.clone()).unwrap();
+        session.ingest_batch(rows(0..load)).unwrap();
+        let _ = session.outcome();
+
+        let batch = crate::MlnClean::new(config);
+        let changes = [
+            ("the insert", ChangeSet::inserting(rows(load..dirty.len()))),
+            ("the delete", ChangeSet::new().delete(TupleId(load / 2))),
+        ];
+        for (label, changes) in changes {
+            session.apply(changes).unwrap();
+            let before = session.recleaned_groups();
+            let outcome = session.outcome();
+            let recleaned = session.recleaned_groups() - before;
+            let groups: usize = outcome.index().blocks.iter().map(Block::group_count).sum();
+            assert!(
+                0 < recleaned && recleaned * 5 < groups as u64,
+                "{label}: {recleaned} of {groups} groups re-cleaned"
+            );
+            let fresh = batch.clean(session.dataset(), &rules).unwrap();
+            assert_same_report(label, &outcome, &fresh);
+        }
     }
 
     /// A tuple a cell update moved *out* of a block is fused again: no

@@ -9,8 +9,8 @@
 //! over their **pristine** (pre-Stage-I) state.  Two callers do:
 //!
 //! * [`crate::CleaningSession`] passes the blocks of its incrementally
-//!   maintained pristine index, marking whole blocks dirty on inserts and
-//!   deletes and single group keys dirty on cell updates;
+//!   maintained pristine index, marking dirty the group keys each update,
+//!   insert and delete touched;
 //! * the distributed streaming coordinator passes the global blocks it
 //!   merged from its partitions' pristine blocks, marked fully dirty.
 //!
@@ -25,10 +25,17 @@
 //! is the block's total support and therefore survives any within-block
 //! merge), clean the group with RSC.
 //! Every other output group is moved over from the block's last refresh
-//! byte for byte, with its repairs.  There is one mode: a fully dirty block
-//! is the same refresh with every group rebuilt.  Either way the refreshed
-//! block is exactly what the whole-block composition (AGP, then block
-//! weights, then RSC) produces; the tests pin that block for block.
+//! byte for byte, with its repairs — when an insert or a delete moved the
+//! block's total support `Z`, with its probability rewritten from the
+//! support it was weighted with ([`probability`]) and its tuples handed to
+//! Stage II to re-fuse.  RSC reads `Z` only through the factor `1/Z` every
+//! score of a group shares, so its choice stands at any `Z`, up to float
+//! rounding: a group whose winner sat within a rounding margin of a loser's
+//! is flagged when cleaned and rebuilt whenever `Z` moves.  There is one
+//! mode: a fully dirty block is the same refresh with every group rebuilt.
+//! Either way the refreshed block is exactly what the whole-block
+//! composition (AGP, then block weights, then RSC) produces; the tests pin
+//! that block for block.
 //!
 //! **One copy of the output.**  A block's cleaned groups live only in the
 //! cleaned index, and its repairs only in its RSC record.  The per-group
@@ -59,7 +66,7 @@ use crate::index::{Block, Group, MlnIndex};
 use crate::map_ordered;
 use crate::rsc::{ReliabilityCleaner, RscRecord, RscRepair};
 use crate::stage::AgpStage;
-use crate::weights::{assign_group_weights, block_support};
+use crate::weights::{assign_group_weights, block_support, probability};
 use crate::CleanConfig;
 use dataset::{TupleId, ValueId, ValuePool};
 use distance::Metric;
@@ -91,6 +98,13 @@ struct GroupEntry {
     /// RSC record.
     repairs_start: usize,
     repairs_end: usize,
+    /// The surviving γ's support when it was weighted (before RSC merged the
+    /// losers' tuples in): a reuse under a moved block total `Z` rewrites
+    /// its probability as `evidence / Z` ([`probability`]).
+    evidence: usize,
+    /// RSC's winner sat within a float margin of a loser's, so it may
+    /// change with `Z`: a reuse under a moved `Z` rebuilds the group instead.
+    z_sensitive: bool,
 }
 
 /// A dirty block's output as its last refresh left it, taken out of the
@@ -106,14 +120,16 @@ struct OldOutput {
 struct BlockCache {
     /// The block's total tuple support (the closed-form softmax denominator,
     /// [`block_support`]) at the last refresh — `None` before the first.
-    /// Every group's probabilities divide by this Z, so a support change
-    /// (inserts, deletes, a CFD flipping a tuple's relevance) invalidates
-    /// the whole block at once.
+    /// Every group's probabilities divide by this Z: when a support change
+    /// (inserts, deletes, a CFD flipping a tuple's relevance) moves it, a
+    /// reused group's probability is rewritten from its entry's `evidence`
+    /// and its tuples re-fused, since a fusion's score reads it too.
     last_z: Option<usize>,
-    /// Pristine group keys whose content changed since the last refresh
-    /// (pure cell updates only; structural changes set `fully_dirty`).
+    /// Pristine group keys whose content changed since the last refresh —
+    /// the groups an update, an insert or a delete touched.
     dirty_keys: HashSet<Vec<ValueId>>,
-    /// Re-clean every group at the next refresh.
+    /// Re-clean every group at the next refresh (a block never refreshed,
+    /// or merged evidence the caller cannot name keys for).
     fully_dirty: bool,
     /// Reuse state per output-group key.
     entries: HashMap<Vec<ValueId>, GroupEntry>,
@@ -153,7 +169,8 @@ struct RefreshedBlock {
     records: BlockRecords,
     cache: BlockCache,
     /// Tuples whose data versions changed: they sit in a recomputed output
-    /// group, or sat in an old one that was rebuilt or no longer exists.
+    /// group, or in a reused one whose probability a moved Z rescaled, or
+    /// sat in an old one that was rebuilt or no longer exists.
     invalidated: Vec<TupleId>,
     /// Output groups Stage I actually recomputed (vs reused from cache).
     recleaned: u64,
@@ -168,10 +185,11 @@ struct RefreshedBlock {
 pub struct Refreshed {
     /// The blocks that were refreshed, ascending.
     pub blocks: Vec<usize>,
-    /// Tuples whose data versions may have changed — [`crate::StageTwo`]
-    /// re-fuses them.  An over-approximation (every tuple of every recomputed
-    /// output group, plus the tuples of cache entries that vanished),
-    /// possibly with repeats.
+    /// Tuples whose data versions, or their probabilities, may have changed
+    /// — [`crate::StageTwo`] re-fuses them.  An over-approximation (every
+    /// tuple of every recomputed output group, of every reused one in a
+    /// block whose total support moved, and of cache entries that
+    /// vanished), possibly with repeats.
     pub invalidated: Vec<TupleId>,
 }
 
@@ -249,15 +267,27 @@ impl StageOne {
     }
 
     /// Mark a block **fully** dirty: every group is rebuilt at the next
-    /// refresh (structural changes — inserts, deletes, merged evidence).
+    /// refresh (merged evidence whose keys the caller does not track).
     pub fn mark_block_dirty(&mut self, block: usize) {
         self.caches[block].fully_dirty = true;
     }
 
-    /// Mark specific pristine group keys of a block dirty: only the output
-    /// groups they feed are rebuilt (pure cell updates).
+    /// Mark specific pristine group keys of a block dirty — the groups an
+    /// update re-homed a tuple across, or an insert or a delete added a
+    /// tuple to or took one from: only the output groups they feed are
+    /// rebuilt.  A block that was never refreshed, or is fully dirty
+    /// already, rebuilds every group anyway, so it takes any key as fully
+    /// dirty and stores none (a bulk load keeps no key set).
     pub fn mark_keys_dirty(&mut self, block: usize, keys: &[Vec<ValueId>]) {
-        self.caches[block].dirty_keys.extend(keys.iter().cloned());
+        if keys.is_empty() {
+            return;
+        }
+        let cache = &mut self.caches[block];
+        if cache.fully_dirty || cache.last_z.is_none() {
+            cache.fully_dirty = true;
+        } else {
+            cache.dirty_keys.extend(keys.iter().cloned());
+        }
     }
 
     /// The blocks the next refresh must revisit, ascending.
@@ -352,11 +382,6 @@ impl StageOne {
         let started = Instant::now();
         let planned = map_ordered(config.parallel, work, |(i, block, mut cache, old)| {
             let z = block_support(block);
-            if cache.last_z != Some(z) {
-                // The block softmax denominator changed: every cached
-                // group's probabilities are stale at once.
-                cache.fully_dirty = true;
-            }
             let before = cache.distances.stats();
             let mut plan = AgpStage::processor(config).plan_block(
                 block,
@@ -399,14 +424,14 @@ impl StageOne {
 
     /// Shift the cleaned blocks and the provenance — which live in tuple-id
     /// space — down past removed rows (`removed`: sorted, deduplicated
-    /// pre-removal row indices; exact matches are dropped).  Blocks the
-    /// removal touched must be marked dirty by the caller and get rebuilt
-    /// from pristine at the next refresh; untouched blocks never contained
-    /// the tuples, so the shift alone keeps their state byte-identical to
-    /// what a run over the survivors would produce.  The shift moves no group
-    /// and no repair, so every cache entry still names its slot and its
-    /// repairs; the entries and the distance and plan memos hold value ids
-    /// only.
+    /// pre-removal row indices; exact matches are dropped).  The caller
+    /// marks the group keys the removal touched dirty, and the output groups
+    /// they feed get rebuilt from pristine at the next refresh; untouched
+    /// groups never contained the tuples, so the shift alone keeps their
+    /// state what a run over the survivors would produce, up to the
+    /// probabilities the refresh rescales.  The shift moves no group and no
+    /// repair, so every cache entry still names its slot and its repairs;
+    /// the entries and the distance and plan memos hold value ids only.
     pub fn remap_removed(&mut self, removed: &[usize]) {
         Arc::make_mut(&mut self.cleaned).remap_removed(removed);
         for records in &mut self.records {
@@ -474,13 +499,18 @@ impl StageOne {
 /// Soundness of the reuse: the plan is recomputed from the current pristine
 /// snapshot every refresh, so any drift in merge *decisions* shows up as a
 /// changed source list; any drift in group *content* was recorded as a dirty
-/// key (pure updates) or as `fully_dirty` (inserts, deletes, support
-/// changes) when the mutation applied.  Weights only depend on `(own
-/// support, z)` and `z` is pinned by the `last_z` check, RSC is group-local,
-/// so an old group whose sources are clean and unchanged is exactly what the
-/// rebuild would recompute.  Its entry names where it sits in `old`: the
-/// cleaned block and its record change only here, where the entries are
-/// rewritten with them, and a delete's id shift moves no group or repair.
+/// key when the mutation applied (the keys an update, insert or delete
+/// touched).  RSC is group-local and its decision reads `Z` only through the
+/// factor `1/Z` every score of the group shares — up to float rounding,
+/// which the entry's `z_sensitive` flag rules out (such a group is rebuilt
+/// whenever `Z` moved).  Weights depend on the γ's own support alone, and
+/// probabilities on `(own support, z)`: a reused group under a moved `z`
+/// gets `evidence / z` written through the one expression the rebuild uses,
+/// bit for bit.  So an old group whose sources are clean and unchanged is
+/// exactly what the rebuild would recompute.  Its entry names where it sits
+/// in `old`: the cleaned block and its record change only here, where the
+/// entries are rewritten with them, and a delete's id shift moves no group
+/// or repair.
 fn refresh_block(
     config: &CleanConfig,
     pristine: &Block,
@@ -490,6 +520,9 @@ fn refresh_block(
     z: usize,
     plan: AgpPlan,
 ) -> RefreshedBlock {
+    // A reused group's probability divides by Z: did it move since then?
+    let z_moved = cache.last_z != Some(z);
+
     // Post-AGP output layout (matching `apply_plan` exactly): surviving
     // normal groups in pristine order, each with its merged-in abnormals in
     // plan order, then target-less abnormals at the end.
@@ -544,10 +577,10 @@ fn refresh_block(
         };
         let reusable = !cache.fully_dirty
             && !sources().any(|s| cache.dirty_keys.contains(s))
-            && cache
-                .entries
-                .get(key)
-                .is_some_and(|entry| entry.sources.iter().map(Vec::as_slice).eq(sources()));
+            && cache.entries.get(key).is_some_and(|entry| {
+                !(z_moved && entry.z_sensitive)
+                    && entry.sources.iter().map(Vec::as_slice).eq(sources())
+            });
         let reused = if reusable {
             cache.entries.remove_entry(key)
         } else {
@@ -589,17 +622,30 @@ fn refresh_block(
     let mut recleaned = 0u64;
     for (slot, (group, kind)) in block.groups.iter_mut().zip(slots).enumerate() {
         let repairs_start = repairs.len();
-        let (key, sources) = match kind {
+        let (key, sources, evidence, z_sensitive) = match kind {
             Slot::Reused(key, entry) => {
                 let moved = &mut old.repairs[entry.repairs_start..entry.repairs_end];
                 repairs.extend(moved.iter_mut().map(std::mem::take));
-                (key, entry.sources)
+                if z_moved {
+                    // Same versions under a new Z: rescale, and re-fuse.
+                    for gamma in &mut group.gammas {
+                        gamma.probability = probability(entry.evidence, z);
+                        invalidated.extend(&gamma.tuples);
+                    }
+                }
+                (key, entry.sources, entry.evidence, entry.z_sensitive)
             }
             Slot::Rebuilt(sources) => {
                 recleaned += 1;
-                repairs.extend(cleaner.clean_group(block.rule, group, pool, &mut cache.distances));
+                let cleaned = cleaner.clean_group(block.rule, group, pool, &mut cache.distances);
+                repairs.extend(cleaned.repairs);
                 invalidated.extend(group.all_tuples());
-                (group.key.clone(), sources)
+                (
+                    group.key.clone(),
+                    sources,
+                    cleaned.evidence,
+                    cleaned.z_sensitive,
+                )
             }
         };
         let entry = GroupEntry {
@@ -607,6 +653,8 @@ fn refresh_block(
             slot,
             repairs_start,
             repairs_end: repairs.len(),
+            evidence,
+            z_sensitive,
         };
         entries.insert(key, entry);
     }
@@ -886,10 +934,31 @@ pub(crate) mod tests {
         (ds, rules::parse_rules("FD: CT -> ST").unwrap())
     }
 
-    /// Apply one cell update to the dataset and the pristine index, mark
-    /// what it touched, refresh, and check the refreshed state against both
-    /// the oracle and a from-scratch driver.  Returns how many output groups
-    /// the refresh recomputed.
+    /// Mark the keys a mutation touched, refresh, and check the refreshed
+    /// state against both the oracle and a from-scratch driver.  Returns how
+    /// many output groups the refresh recomputed and what it invalidated.
+    fn refresh_touched(
+        stage: &mut StageOne,
+        index: &MlnIndex,
+        touched: &[Vec<Vec<ValueId>>],
+    ) -> (u64, BTreeSet<TupleId>) {
+        for (block, keys) in touched.iter().enumerate() {
+            stage.mark_keys_dirty(block, keys);
+        }
+        let before = stage.recleaned_groups();
+        let refreshed = refresh(stage, index);
+        assert_matches_reference("after the mutation", stage, index);
+        let mut scratch = driver_over(&stage.config, index);
+        mark_all_dirty(&mut scratch);
+        refresh(&mut scratch, index);
+        assert_eq!(stage.cleaned.blocks, scratch.cleaned.blocks);
+        assert_eq!(stage.records(), scratch.records());
+        let invalidated = refreshed.invalidated.into_iter().collect();
+        (stage.recleaned_groups() - before, invalidated)
+    }
+
+    /// Apply one cell update to the dataset and the pristine index, then
+    /// [`refresh_touched`]; returns how many output groups were recomputed.
     fn update_and_refresh(
         stage: &mut StageOne,
         ds: &mut Dataset,
@@ -902,18 +971,7 @@ pub(crate) mod tests {
         let old_row = ds.row_ids(t);
         ds.set_value(t, attr, value.to_string());
         let touched = index.update_tuple(ds, rules, t, &old_row, false);
-        for (block, keys) in touched.iter().enumerate() {
-            stage.mark_keys_dirty(block, keys);
-        }
-        let before = stage.recleaned_groups();
-        refresh(stage, index);
-        assert_matches_reference("after the update", stage, index);
-        let mut scratch = driver_over(&stage.config, index);
-        mark_all_dirty(&mut scratch);
-        refresh(&mut scratch, index);
-        assert_eq!(stage.cleaned.blocks, scratch.cleaned.blocks);
-        assert_eq!(stage.records(), scratch.records());
-        stage.recleaned_groups() - before
+        refresh_touched(stage, index, &touched).0
     }
 
     #[test]
@@ -974,9 +1032,10 @@ pub(crate) mod tests {
         assert_eq!(buffers(&stage), before);
     }
 
-    /// Inserts and deletes mark a block fully dirty — every group is rebuilt
-    /// — but its AGP plan is maintained all the same: the memo validates
-    /// itself against the snapshot, whatever the dirtiness says.
+    /// A fully dirty block — every group rebuilt, as the streaming
+    /// coordinator's merged blocks are — has its AGP plan maintained all
+    /// the same across inserts and deletes: the memo validates itself
+    /// against the snapshot, whatever the dirtiness says.
     #[test]
     fn a_fully_dirty_block_replans_from_its_memo() {
         let (_, mut ds, rules, config) = workloads().remove(2);
@@ -1077,6 +1136,118 @@ pub(crate) mod tests {
         assert_matches_reference("after the drop", &stage, &index);
         assert_eq!(stage.rescanned_groups(), 2 * abnormal);
         assert_eq!(cost(&stage), cold);
+    }
+
+    /// `FD: K -> V` over three groups: `g`, an RSC near tie — `aaaaaaaaa`
+    /// (s = 1, d = 9) against `bbbbbbbbb` (s = 3, d = 1), see `rsc`'s tests —
+    /// and the clear groups `h` and `k`.
+    fn near_tie_table() -> (Dataset, RuleSet) {
+        let mut ds = Dataset::new(Schema::new(&["K", "V"]));
+        let rows = [
+            ("g", "aaaaaaaaa", 1),
+            ("g", "bbbbbbbbb", 3),
+            ("g", "bbbbbbbbc", 2),
+            ("h", "x", 4),
+            ("h", "xy", 1),
+            ("k", "y", 5),
+        ];
+        for (key, value, copies) in rows {
+            for _ in 0..copies {
+                ds.push_row(vec![key.into(), value.into()]).unwrap();
+            }
+        }
+        (ds, rules::parse_rules("FD: K -> V").unwrap())
+    }
+
+    /// An insert and a delete dirty the keys they touch, not the block: the
+    /// refresh reuses every other output group under the block's moved
+    /// total support — its probability rewritten, its tuples handed to
+    /// Stage II, since a fusion reads the probabilities — but rebuilds the
+    /// near tie, whose winner could move with `Z`.
+    #[test]
+    fn a_moved_z_reuses_the_untouched_groups_but_a_near_tie() {
+        let (mut ds, rules) = near_tie_table();
+        let config = CleanConfig::default().with_tau(1);
+        let mut index = MlnIndex::build(&ds, &rules).unwrap();
+        let mut stage = driver_over(&config, &index);
+        mark_all_dirty(&mut stage);
+        refresh(&mut stage, &index);
+        assert_eq!(stage.recleaned_groups(), 3);
+        let flagged = |stage: &StageOne| -> Vec<String> {
+            let entries = &stage.caches[0].entries;
+            let mut keys: Vec<String> = entries
+                .iter()
+                .filter(|(_, entry)| entry.z_sensitive)
+                .map(|(key, _)| stage.cleaned.pool().resolve(key[0]).to_string())
+                .collect();
+            keys.sort();
+            keys
+        };
+        assert_eq!(flagged(&stage), ["g"]);
+        let all = |index: &MlnIndex| -> BTreeSet<TupleId> {
+            let gammas = index.blocks[0].gammas();
+            gammas.flat_map(|g| g.tuples.iter().copied()).collect()
+        };
+
+        // Another `h` row: `h` is touched, `g` is a near tie, `k` is reused.
+        let from = ds.len();
+        ds.push_row(vec!["h".into(), "x".into()]).unwrap();
+        let inserted = index.insert_tuples(&ds, &rules, from, false);
+        let (rebuilt, invalidated) = refresh_touched(&mut stage, &index, &inserted.touched_keys);
+        assert_eq!(rebuilt, 2);
+        assert_eq!(invalidated, all(&index), "Z moved: every tuple re-fuses");
+
+        // A `k` row goes: `k` is touched and `g` rebuilt again; `h` is reused.
+        let gone = TupleId(ds.len() - 2);
+        assert_eq!(ds.value(gone, dataset::AttrId(0)), "k");
+        let removed = index.remove_tuples(&ds, &rules, &[gone], false).unwrap();
+        ds.remove_rows(&[gone]);
+        stage.remap_removed(&[gone.index()]);
+        let (rebuilt, invalidated) = refresh_touched(&mut stage, &index, &removed.touched_keys);
+        assert_eq!(rebuilt, 2);
+        assert_eq!(invalidated, all(&index));
+        assert_eq!(flagged(&stage), ["g"]);
+
+        // An update inside `h` leaves Z alone: only `h` is rebuilt, and only
+        // its tuples re-fuse — the near tie stands.
+        let v = ds.schema().attr_id("V").unwrap();
+        let t = TupleId(
+            (0..ds.len())
+                .find(|&t| ds.value(TupleId(t), v) == "xy")
+                .unwrap(),
+        );
+        let old_row = ds.row_ids(t);
+        ds.set_value(t, v, "x".to_string());
+        let touched = index.update_tuple(&ds, &rules, t, &old_row, false);
+        let (rebuilt, invalidated) = refresh_touched(&mut stage, &index, &touched);
+        assert_eq!(rebuilt, 1);
+        let h = index.pool().lookup("h").unwrap();
+        let h_tuples = index.blocks[0].group_by_key_ids(&[h]).unwrap().all_tuples();
+        assert_eq!(invalidated, h_tuples.into_iter().collect());
+    }
+
+    /// A block never refreshed — or already fully dirty — takes keys as
+    /// fully dirty and stores none: a bulk load keeps no key set.
+    #[test]
+    fn keys_on_a_block_never_refreshed_mark_it_fully_dirty() {
+        let (ds, rules) = near_tie_table();
+        let index = MlnIndex::build(&ds, &rules).unwrap();
+        let mut stage = driver_over(&CleanConfig::default(), &index);
+        let keys: Vec<Vec<ValueId>> = index.blocks[0]
+            .groups
+            .iter()
+            .map(|g| g.key.clone())
+            .collect();
+        stage.mark_keys_dirty(0, &[]);
+        assert!(stage.dirty_blocks().is_empty(), "no key, nothing dirty");
+        stage.mark_keys_dirty(0, &keys);
+        assert!(stage.caches[0].fully_dirty && stage.caches[0].dirty_keys.is_empty());
+        refresh(&mut stage, &index);
+        stage.mark_keys_dirty(0, &keys[..1]);
+        assert_eq!(stage.caches[0].dirty_keys.len(), 1);
+        stage.mark_block_dirty(0);
+        stage.mark_keys_dirty(0, &keys[1..]);
+        assert_eq!(stage.caches[0].dirty_keys.len(), 1);
     }
 
     #[test]

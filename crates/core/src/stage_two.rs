@@ -18,8 +18,8 @@
 //! and of its covering blocks' substitution candidates, so a refresh empties
 //! two kinds of slot:
 //!
-//! * every tuple of [`Refreshed::invalidated`] — its versions may have
-//!   changed;
+//! * every tuple of [`Refreshed::invalidated`] — its versions, or their
+//!   probabilities, may have changed;
 //! * every memoised fusion with `conflict_detected` among the tuples of each
 //!   refreshed block.  A conflicted fusion may have swapped a version for
 //!   the block's most probable non-conflicting γ, and that candidate list
@@ -340,7 +340,7 @@ mod tests {
     use crate::agp::tests::{random_change_set, Change, Evolving};
     use crate::stage_one::tests::workloads;
     use dataset::rng::Rng;
-    use dataset::{csv, AttrId, Schema};
+    use dataset::{csv, AttrId, Schema, ValueId};
     use rules::{parse_rules, RuleSet};
 
     /// An evolving table with both stage drivers kept in step with it the
@@ -369,29 +369,25 @@ mod tests {
 
         /// Tell the drivers what the table's mutations did, in order.
         fn absorb(&mut self, changes: Vec<Change>) {
-            let touch = |one: &mut StageOne, touched_groups: &[usize]| {
-                for (block, &touched) in touched_groups.iter().enumerate() {
-                    if touched > 0 {
-                        one.mark_block_dirty(block);
-                    }
+            let touch = |one: &mut StageOne, touched: &[Vec<Vec<ValueId>>]| {
+                for (block, keys) in touched.iter().enumerate() {
+                    one.mark_keys_dirty(block, keys);
                 }
             };
             for change in changes {
                 match change {
                     Change::Inserted(report) => {
                         self.two.grow(self.two.slots() + report.rows);
-                        touch(&mut self.one, &report.touched_groups);
+                        touch(&mut self.one, &report.touched_keys);
                     }
                     Change::Updated(t, touched) => {
-                        for (block, keys) in touched.iter().enumerate() {
-                            self.one.mark_keys_dirty(block, keys);
-                        }
+                        touch(&mut self.one, &touched);
                         self.two.invalidate(t);
                     }
                     Change::Deleted(removed, report) => {
                         self.two.remap_removed(&removed);
                         self.one.remap_removed(&removed);
-                        touch(&mut self.one, &report.touched_groups);
+                        touch(&mut self.one, &report.touched_keys);
                     }
                 }
             }

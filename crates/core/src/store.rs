@@ -4,7 +4,13 @@
 //! and the one ingest path, [`RowStore::apply`], which splices a
 //! [`ChangeSet`] in and compacts its deletes once at the end
 //! ([`DeferredDeletes`]).  The store cleans nothing: it reports what moved
-//! ([`Applied`]), and a cleaning driver marks its own state from that.
+//! ([`Applied`]) — per block, the pristine group keys every update, insert
+//! and delete touched — and a cleaning driver marks its own state from that.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use crate::changeset::{ChangeSet, DeferredDeletes, Mutation};
 use crate::error::CleanError;
@@ -70,10 +76,11 @@ pub struct Applied {
     pub updated: Vec<TupleId>,
     /// Virtual rows the change set deleted, ascending.
     pub removed: Vec<usize>,
-    /// Per block: the pristine group keys updates re-homed a tuple across.
-    pub rehomed: Vec<Vec<Vec<ValueId>>>,
-    /// Blocks an insert or a delete touched, ascending.
-    pub restructured: Vec<usize>,
+    /// Per block: the pristine group keys the change set touched — those
+    /// an update re-homed a tuple across, an insert added a tuple to and a
+    /// delete took one from, created and dropped groups included.  A key
+    /// two mutations touched is listed twice.
+    pub touched_keys: Vec<Vec<Vec<ValueId>>>,
 }
 
 /// Rows and their pristine MLN index — see the [module docs](self).
@@ -217,18 +224,17 @@ impl RowStore {
             ..
         } = &mut *self;
         let mut report = BatchReport::default();
-        let mut touched = vec![0usize; pristine.block_count()];
+        let mut touched = vec![Vec::new(); pristine.block_count()];
         let mut updated = Vec::new();
-        let mut rehomed = vec![Vec::new(); touched.len()];
         let mut deletes = DeferredDeletes::default();
         for mutation in changes.into_mutations() {
             match mutation {
                 Mutation::Insert(rows) => {
                     let from = dataset.len();
-                    dataset.extend_rows(rows).expect("validated above");
+                    dataset.extend_rows(rows)?;
                     let inserted = pristine.insert_tuples(dataset, rules, from, parallel);
                     report.rows += inserted.rows;
-                    add(&mut touched, &inserted.touched_groups);
+                    report.touched_groups += add(&mut touched, inserted.touched_keys);
                 }
                 Mutation::Update(t, attr, value) => {
                     let t = TupleId(deletes.resolve(t.index()));
@@ -238,10 +244,7 @@ impl RowStore {
                     let old_row = dataset.row_ids(t);
                     dataset.set_value(t, attr, value);
                     let keys = pristine.update_tuple(dataset, rules, t, &old_row, parallel);
-                    for (block, keys) in rehomed.iter_mut().zip(keys) {
-                        report.touched_groups += keys.len();
-                        block.extend(keys);
-                    }
+                    report.touched_groups += add(&mut touched, keys);
                     updated.push(t);
                 }
                 Mutation::Delete(t) => deletes.mark(deletes.resolve(t.index())),
@@ -253,20 +256,16 @@ impl RowStore {
             let spliced = pristine.remove_tuples(dataset, rules, &ids, parallel)?;
             dataset.remove_rows(&ids);
             *remap_passes += 1;
-            add(&mut touched, &spliced.touched_groups);
+            report.touched_groups += add(&mut touched, spliced.touched_keys);
         }
         report.updated_cells = updated.len();
         report.deleted_rows = removed.len();
-        report.touched_groups += touched.iter().sum::<usize>();
-        report.touched_blocks = (0..touched.len())
-            .filter(|&b| touched[b] > 0 || !rehomed[b].is_empty())
-            .collect();
+        report.touched_blocks = nonempty(&touched);
         Ok(Applied {
             report: self.close_batch(started, report),
             updated,
             removed,
-            rehomed,
-            restructured: nonzero(&touched),
+            touched_keys: touched,
         })
     }
 
@@ -279,33 +278,32 @@ impl RowStore {
         }
         let started = Instant::now();
         let parallel = self.config.parallel;
-        let touched = if self.dataset.is_empty() {
-            self.dataset = ds.clone();
-            self.pristine = MlnIndex::build_with(&self.dataset, &self.rules, parallel)
-                .expect("rules were validated when the store was created");
+        let touched: Vec<Vec<Vec<ValueId>>> = if self.dataset.is_empty() {
+            let dataset = ds.clone();
+            self.pristine = MlnIndex::build_with(&dataset, &self.rules, parallel)?;
+            self.dataset = dataset;
             // A bulk build touches exactly the groups it creates.
-            let blocks = &self.pristine.blocks;
-            blocks.iter().map(Block::group_count).collect()
+            let keys = |block: &Block| block.groups.iter().map(|g| g.key.clone()).collect();
+            self.pristine.blocks.iter().map(keys).collect()
         } else {
             let from = self.dataset.len();
             self.dataset.extend_from(ds)?;
             let inserted = self
                 .pristine
                 .insert_tuples(&self.dataset, &self.rules, from, parallel);
-            inserted.touched_groups
+            inserted.touched_keys
         };
         let report = BatchReport {
             rows: ds.len(),
-            touched_groups: touched.iter().sum(),
-            touched_blocks: nonzero(&touched),
+            touched_groups: touched.iter().map(Vec::len).sum(),
+            touched_blocks: nonempty(&touched),
             ..BatchReport::default()
         };
         Ok(Applied {
-            restructured: report.touched_blocks.clone(),
             report: self.close_batch(started, report),
             updated: Vec::new(),
             removed: Vec::new(),
-            rehomed: vec![Vec::new(); touched.len()],
+            touched_keys: touched,
         })
     }
 
@@ -325,16 +323,20 @@ impl RowStore {
     }
 }
 
-/// Add per-block counts into a running per-block total.
-fn add(total: &mut [usize], counts: &[usize]) {
-    for (total, count) in total.iter_mut().zip(counts) {
-        *total += count;
+/// Append one mutation's per-block touched keys to the change set's;
+/// returns how many it touched.
+fn add(total: &mut [Vec<Vec<ValueId>>], keys: Vec<Vec<Vec<ValueId>>>) -> usize {
+    let mut count = 0;
+    for (total, keys) in total.iter_mut().zip(keys) {
+        count += keys.len();
+        total.extend(keys);
     }
+    count
 }
 
-/// The blocks with a non-zero count, ascending.
-fn nonzero(counts: &[usize]) -> Vec<usize> {
-    (0..counts.len()).filter(|&b| counts[b] > 0).collect()
+/// The blocks with a touched key, ascending.
+fn nonempty(keys: &[Vec<Vec<ValueId>>]) -> Vec<usize> {
+    (0..keys.len()).filter(|&b| !keys[b].is_empty()).collect()
 }
 
 #[cfg(test)]

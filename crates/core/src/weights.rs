@@ -6,11 +6,14 @@
 //!
 //! The closed form is what makes the softmax *incrementally maintainable*:
 //! a γ's weight depends only on its own support and its probability only on
-//! the block total `Z = Σⱼ c(γⱼ)`, which AGP merges preserve (merging moves
-//! tuples between γs of the same block, it never changes their total).  The
-//! group-scoped [`crate::CleaningSession`] re-clean exploits exactly this —
-//! a recomputed group gets byte-identical weights to a whole-block pass as
-//! long as `Z` is unchanged, without touching the other groups.
+//! that support and the block total `Z = Σⱼ c(γⱼ)`, which AGP merges
+//! preserve (merging moves tuples between γs of the same block, it never
+//! changes their total).  The group-scoped [`crate::CleaningSession`]
+//! re-clean exploits exactly this — a recomputed group gets byte-identical
+//! weights to a whole-block pass without touching the other groups, and
+//! when an insert or a delete moves `Z`, every group it did not touch keeps
+//! its weight and has its probability rewritten through [`probability`]
+//! from the support it was weighted with.
 
 use crate::gamma::Gamma;
 use crate::index::{Block, Group, MlnIndex};
@@ -39,16 +42,26 @@ pub fn block_support(block: &Block) -> usize {
     block.gammas().map(|g| g.support()).sum()
 }
 
+/// The closed-form probability of a γ with support `evidence` in a block of
+/// total support `z`: `Pr = c / Z` (Eq. 3).  The one expression every γ
+/// probability of the cleaning path is written through — by
+/// [`assign_group_weights`], and by the incremental driver when it rescales
+/// a cleaned group it reuses under a moved `Z` — so the two agree bit for
+/// bit.  A `z` of 0 (a block without γs, whose groups hold no support
+/// either) divides by 1, so no build, debug or release, writes a NaN.
+pub fn probability(evidence: usize, z: usize) -> f64 {
+    evidence as f64 / z.max(1) as f64
+}
+
 /// Assign closed-form weights/probabilities to every γ of one group, given
 /// the block's total support `z` (see [`block_support`]).  The per-group
 /// entry point of the incremental block softmax: byte-identical to
 /// [`assign_block_weights`] for that group because both are the same pure
-/// function of `(own support, z)`.
+/// function of `(own support, z)` ([`gamma_weight`], [`probability`]).
 pub fn assign_group_weights(group: &mut Group, z: usize) {
-    debug_assert!(z > 0, "a non-empty block has positive total support");
     for gamma in &mut group.gammas {
         gamma.weight = gamma_weight(gamma.support());
-        gamma.probability = gamma.support() as f64 / z as f64;
+        gamma.probability = probability(gamma.support(), z);
     }
 }
 
