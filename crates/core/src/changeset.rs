@@ -12,7 +12,7 @@
 //! session byte-identical to a one-shot clean of the net data.
 
 use crate::error::CleanError;
-use dataset::{ArityMismatch, AttrId, Dataset, TupleId};
+use dataset::{ArityMismatch, AttrId, Dataset, TupleId, ValueId};
 
 /// One typed mutation of the session's data.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,6 +31,106 @@ mlnw::codec! {
         1 => Update(tuple, attr, value),
         2 => Delete(tuple),
     }
+}
+
+/// One [`Mutation`] over the value ids of a pool: what a change set is once
+/// interned, and what crosses a partition boundary.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum IdMutation {
+    /// Append rows: their ids back to back, `arity` per row, each row in
+    /// schema order.
+    Insert(Vec<ValueId>),
+    /// Overwrite one cell of an existing tuple with a value id.
+    Update(TupleId, AttrId, ValueId),
+    /// Remove one tuple; all later tuple ids shift down by one.
+    Delete(TupleId),
+}
+
+mlnw::codec! {
+    enum IdMutation {
+        0 => Insert(ids),
+        1 => Update(tuple, attr, value),
+        2 => Delete(tuple),
+    }
+}
+
+/// A change set interned against a store's pool, as the streaming
+/// coordinator routes it to one partition: the values the partition has
+/// not seen — each once, in the order its store interns them — and the
+/// mutations, whose ids name the store's pool with the tail appended.
+/// Every value crosses to a partition once, as a string; after that, as an
+/// id.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct InternedSlice {
+    /// Values new to the store, in the id order they take.
+    pub tail: Vec<String>,
+    /// The mutations, in application order, over store-local ids.
+    pub mutations: Vec<IdMutation>,
+}
+
+mlnw::codec! { struct InternedSlice { tail, mutations } }
+
+impl InternedSlice {
+    /// Whether the slice holds no mutations (an idle partition's).
+    pub fn is_empty(&self) -> bool {
+        self.mutations.is_empty()
+    }
+
+    /// [`ChangeSet::validate`] over ids, against a table of `arity` columns
+    /// holding `rows` rows over a pool of `values` values (the tail
+    /// included): an insert must be whole rows, tuple and attribute bounds
+    /// as for a change set, and every id must name one of the `values`.
+    pub fn validate(&self, arity: usize, mut rows: usize, values: usize) -> Result<(), CleanError> {
+        let known = |&value: &ValueId| {
+            if value.index() < values {
+                Ok(())
+            } else {
+                Err(CleanError::UnknownValue { value, values })
+            }
+        };
+        for mutation in &self.mutations {
+            match mutation {
+                IdMutation::Insert(ids) => {
+                    let width = arity.max(1);
+                    if !ids.len().is_multiple_of(width) {
+                        return Err(CleanError::Arity(ArityMismatch {
+                            expected: arity,
+                            actual: ids.len() % width,
+                        }));
+                    }
+                    ids.iter().try_for_each(known)?;
+                    rows += ids.len() / width;
+                }
+                IdMutation::Update(t, attr, value) => {
+                    check_tuple(*t, rows)?;
+                    check_attr(*attr, arity)?;
+                    known(value)?;
+                }
+                IdMutation::Delete(t) => {
+                    check_tuple(*t, rows)?;
+                    rows -= 1;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A mutation may name only a row the table holds at its point of the
+/// sequence.
+fn check_tuple(tuple: TupleId, rows: usize) -> Result<(), CleanError> {
+    if tuple.index() >= rows {
+        return Err(CleanError::UnknownTuple { tuple, rows });
+    }
+    Ok(())
+}
+
+/// A mutation may name only an attribute of the schema.
+fn check_attr(attr: AttrId, arity: usize) -> Result<(), CleanError> {
+    if attr.index() >= arity {
+        return Err(CleanError::UnknownAttribute { attr, arity });
+    }
+    Ok(())
 }
 
 /// An ordered, atomically-applied sequence of [`Mutation`]s.
@@ -135,17 +235,11 @@ impl ChangeSet {
                     rows += batch.len();
                 }
                 Mutation::Update(t, attr, _) => {
-                    if t.index() >= rows {
-                        return Err(CleanError::UnknownTuple { tuple: *t, rows });
-                    }
-                    if attr.index() >= arity {
-                        return Err(CleanError::UnknownAttribute { attr: *attr, arity });
-                    }
+                    check_tuple(*t, rows)?;
+                    check_attr(*attr, arity)?;
                 }
                 Mutation::Delete(t) => {
-                    if t.index() >= rows {
-                        return Err(CleanError::UnknownTuple { tuple: *t, rows });
-                    }
+                    check_tuple(*t, rows)?;
                     rows -= 1;
                 }
             }

@@ -8,7 +8,7 @@
 //! enum no matter which execution plan produced the failure.
 
 use crate::index::IndexError;
-use dataset::{ArityMismatch, AttrId, SchemaMismatch, TupleId};
+use dataset::{ArityMismatch, AttrId, SchemaMismatch, TupleId, ValueId};
 use std::fmt;
 
 /// Any error a cleaning engine or session can surface.
@@ -39,6 +39,21 @@ pub enum CleanError {
         attr: AttrId,
         /// The schema arity.
         arity: usize,
+    },
+    /// An interned slice named a value id past its store's pool (the
+    /// slice's tail appended).
+    UnknownValue {
+        /// The offending value id.
+        value: ValueId,
+        /// Number of values the pool would hold with the tail appended.
+        values: usize,
+    },
+    /// An interned slice's tail re-ships a value its store's pool already
+    /// holds (or lists one value twice): the sender's view of the pool
+    /// disagrees with the store's.
+    KnownValue {
+        /// The value the tail should not have held.
+        value: String,
     },
     /// The distributed driver was configured with an unusable partitioning
     /// (e.g. zero workers).
@@ -74,6 +89,18 @@ impl fmt::Display for CleanError {
                 write!(
                     f,
                     "mutation references attribute {attr:?} but the schema has {arity} attributes"
+                )
+            }
+            CleanError::UnknownValue { value, values } => {
+                write!(
+                    f,
+                    "slice references value {value} but the pool holds {values} values"
+                )
+            }
+            CleanError::KnownValue { value } => {
+                write!(
+                    f,
+                    "slice re-ships value {value:?}, which the pool already holds"
                 )
             }
             CleanError::Partition { workers } => {
@@ -142,6 +169,13 @@ mod tests {
                 attr: AttrId(9),
                 arity: 4,
             },
+            CleanError::UnknownValue {
+                value: ValueId(12),
+                values: 5,
+            },
+            CleanError::KnownValue {
+                value: "BOAZ".into(),
+            },
             CleanError::Partition { workers: 0 },
             CleanError::FaultSchedule {
                 field: "loss",
@@ -160,6 +194,8 @@ mod tests {
             "empty",
             "t8", // TupleId(7) renders 1-based, like the paper's tuples
             "AttrId(9)",
+            "value v12 but the pool holds 5",
+            "\"BOAZ\"",
             "0 workers",
             "`loss` must be a probability",
         ];

@@ -106,7 +106,7 @@ pub mod weights;
 
 pub use agp::{AbnormalGroupProcessor, AgpMerge, AgpRecord};
 pub use cache::{CacheStats, DistanceCache};
-pub use changeset::{ChangeSet, DeferredDeletes, Mutation};
+pub use changeset::{ChangeSet, DeferredDeletes, IdMutation, InternedSlice, Mutation};
 pub use config::CleanConfig;
 pub use engine::{Engine, IncrementalMlnClean, PartitionReport, Report, Timings};
 pub use error::CleanError;

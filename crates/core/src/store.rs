@@ -12,7 +12,7 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-use crate::changeset::{ChangeSet, DeferredDeletes, Mutation};
+use crate::changeset::{ChangeSet, DeferredDeletes, IdMutation, InternedSlice, Mutation};
 use crate::error::CleanError;
 use crate::index::{Block, MlnIndex};
 use crate::CleanConfig;
@@ -155,8 +155,8 @@ impl RowStore {
         &self.rules
     }
 
-    /// The net rows.
-    pub(crate) fn dataset(&self) -> &Dataset {
+    /// The net rows, over the store's pool.
+    pub fn dataset(&self) -> &Dataset {
         &self.dataset
     }
 
@@ -190,12 +190,6 @@ impl RowStore {
         self.index_clock
     }
 
-    /// The values interned since pool index `from`, in id order.
-    pub fn pool_tail(&self, from: usize) -> Vec<String> {
-        let pool = self.dataset.pool();
-        pool.iter().skip(from).map(|(_, v)| v.to_string()).collect()
-    }
-
     /// Copies of the listed pristine blocks, in the listed order.
     pub fn pristine_blocks(&self, blocks: &[usize]) -> Vec<Block> {
         let copy = |&b: &usize| self.pristine.blocks[b].clone();
@@ -209,12 +203,64 @@ impl RowStore {
     }
 
     /// Apply one [`ChangeSet`], validated whole first ([`ChangeSet::validate`]:
-    /// a failed call changes nothing).  Mutations apply in order, a
-    /// `Delete(t)` shifting later rows down; an update to a cell's own value
-    /// is skipped.
+    /// a failed call changes nothing).  Its values intern into the store's
+    /// pool mutation by mutation, in order; then the mutations apply in
+    /// order, a `Delete(t)` shifting later rows down; an update to a cell's
+    /// own value is skipped.
     pub fn apply(&mut self, changes: ChangeSet) -> Result<Applied, CleanError> {
-        changes.validate(self.dataset.schema().arity(), self.dataset.len())?;
+        let arity = self.dataset.schema().arity();
+        changes.validate(arity, self.dataset.len())?;
         let started = Instant::now();
+        let dataset = &mut self.dataset;
+        let interned = changes
+            .into_mutations()
+            .into_iter()
+            .map(|mutation| match mutation {
+                Mutation::Insert(rows) => {
+                    let mut ids = Vec::with_capacity(rows.len() * arity);
+                    for row in rows {
+                        ids.extend(row.iter().map(|value| dataset.intern(value)));
+                    }
+                    IdMutation::Insert(ids)
+                }
+                Mutation::Update(t, attr, value) => {
+                    IdMutation::Update(t, attr, dataset.intern(&value))
+                }
+                Mutation::Delete(t) => IdMutation::Delete(t),
+            });
+        let mutations = interned.collect();
+        self.apply_ids(mutations, started)
+    }
+
+    /// Apply one [`InternedSlice`]: append its tail to the store's pool,
+    /// then apply its mutations exactly as [`RowStore::apply`] applies the
+    /// change set they intern.  A slice that fails
+    /// [`InternedSlice::validate`] against the pool with the tail appended,
+    /// or whose tail holds a value the pool has ([`CleanError::KnownValue`]),
+    /// changes nothing.
+    pub fn apply_interned(&mut self, slice: InternedSlice) -> Result<Applied, CleanError> {
+        let values = self.dataset.pool().len() + slice.tail.len();
+        let (arity, rows) = (self.dataset.schema().arity(), self.dataset.len());
+        slice.validate(arity, rows, values)?;
+        let started = Instant::now();
+        let InternedSlice {
+            mut tail,
+            mutations,
+        } = slice;
+        if let Err(at) = self.dataset.extend_pool(&tail) {
+            let value = tail.swap_remove(at);
+            return Err(CleanError::KnownValue { value });
+        }
+        self.apply_ids(mutations, started)
+    }
+
+    /// The one ingest body: apply interned mutations in order, deletes
+    /// deferred to one compaction at the end.
+    fn apply_ids(
+        &mut self,
+        mutations: Vec<IdMutation>,
+        started: Instant,
+    ) -> Result<Applied, CleanError> {
         let parallel = self.config.parallel;
         let RowStore {
             rules,
@@ -227,27 +273,27 @@ impl RowStore {
         let mut touched = vec![Vec::new(); pristine.block_count()];
         let mut updated = Vec::new();
         let mut deletes = DeferredDeletes::default();
-        for mutation in changes.into_mutations() {
+        for mutation in mutations {
             match mutation {
-                Mutation::Insert(rows) => {
+                IdMutation::Insert(ids) => {
                     let from = dataset.len();
-                    dataset.extend_rows(rows)?;
+                    dataset.extend_row_ids(&ids)?;
                     let inserted = pristine.insert_tuples(dataset, rules, from, parallel);
                     report.rows += inserted.rows;
                     report.touched_groups += add(&mut touched, inserted.touched_keys);
                 }
-                Mutation::Update(t, attr, value) => {
+                IdMutation::Update(t, attr, value) => {
                     let t = TupleId(deletes.resolve(t.index()));
-                    if dataset.value(t, attr) == value {
+                    if dataset.value_id(t, attr) == value {
                         continue; // no-op: the cell already holds this value
                     }
                     let old_row = dataset.row_ids(t);
-                    dataset.set_value(t, attr, value);
+                    dataset.set_value_id(t, attr, value);
                     let keys = pristine.update_tuple(dataset, rules, t, &old_row, parallel);
                     report.touched_groups += add(&mut touched, keys);
                     updated.push(t);
                 }
-                Mutation::Delete(t) => deletes.mark(deletes.resolve(t.index())),
+                IdMutation::Delete(t) => deletes.mark(deletes.resolve(t.index())),
             }
         }
         let removed = deletes.marked().to_vec();
@@ -444,7 +490,7 @@ mod tests {
                 if let Some(resumed) = &mut resumed {
                     assert_eq!(&resumed.apply(changes).unwrap().report, report);
                     assert_eq!(resumed.rows(), store.rows(), "step {step}");
-                    assert_eq!(resumed.pool_tail(0), store.pool_tail(0), "step {step}");
+                    assert_eq!(resumed.dataset().pool(), store.dataset().pool());
                     assert_eq!(resumed.pristine(), store.pristine(), "step {step}");
                 } else if step == 10 {
                     let frame = mlnw::to_bytes(&store.snapshot()).unwrap();
@@ -456,5 +502,75 @@ mod tests {
             assert!(written < issued, "the script wrote no no-op update");
             assert!(store.remap_passes() > 0, "the script deleted nothing");
         }
+    }
+
+    /// A two-row hospital store and the interned slice that updates row 0's
+    /// city to a value the pool lacks.
+    fn hospital_store() -> (RowStore, InternedSlice) {
+        let dirty = dataset::sample_hospital_dataset();
+        let (schema, rules) = (dirty.schema().clone(), rules::sample_hospital_rules());
+        let mut store = RowStore::new(CleanConfig::default(), schema, rules).unwrap();
+        let rows = dirty.tuples().take(2).map(|t| t.owned_values()).collect();
+        store.apply(ChangeSet::inserting(rows)).unwrap();
+        let values = store.dataset().pool().len();
+        let slice = InternedSlice {
+            tail: vec!["GADSDEN".into()],
+            mutations: vec![IdMutation::Update(
+                TupleId(0),
+                AttrId(1),
+                ValueId(values as u32),
+            )],
+        };
+        (store, slice)
+    }
+
+    /// The one door both paths share, pinned through its outputs: the
+    /// slice applies, and so does the change set it interns.
+    #[test]
+    fn an_interned_slice_applies_like_its_change_set() {
+        let (mut store, slice) = hospital_store();
+        let mut twin = store.clone();
+        let applied = store.apply_interned(slice).unwrap();
+        let changes = ChangeSet::new().update(TupleId(0), AttrId(1), "GADSDEN");
+        assert_eq!(applied.report, twin.apply(changes).unwrap().report);
+        assert_eq!(store.dataset().pool(), twin.dataset().pool());
+        assert_eq!(store.rows(), twin.rows());
+        assert_eq!(store.pristine(), twin.pristine());
+    }
+
+    /// A slice naming an id past the pool its tail grows is refused typed,
+    /// the store untouched.
+    #[test]
+    fn a_slice_naming_an_id_past_its_pool_is_refused() {
+        let (mut store, mut slice) = hospital_store();
+        let values = store.dataset().pool().len() + 1;
+        slice.mutations.push(IdMutation::Insert(
+            (0..store.dataset().schema().arity())
+                .map(|a| ValueId((values - 1 + a) as u32))
+                .collect(),
+        ));
+        let before = (store.dataset().clone(), store.pristine().clone());
+        let err = store.apply_interned(slice).unwrap_err();
+        let value = ValueId(values as u32);
+        assert_eq!(err, CleanError::UnknownValue { value, values });
+        assert_eq!((store.dataset(), store.pristine()), (&before.0, &before.1));
+        assert_eq!(store.dataset().pool(), before.0.pool());
+        assert_eq!(store.batches(), 1);
+    }
+
+    /// A slice whose tail re-ships a value the pool holds is refused typed,
+    /// the store — its pool too — untouched.
+    #[test]
+    fn a_slice_re_shipping_a_held_value_is_refused() {
+        let (mut store, mut slice) = hospital_store();
+        let held = store.dataset().value(TupleId(1), AttrId(2)).to_string();
+        slice.tail.push(held.clone());
+        let before = (store.dataset().clone(), store.pristine().clone());
+        let err = store.apply_interned(slice).unwrap_err();
+        assert_eq!(err, CleanError::KnownValue { value: held });
+        assert_eq!((store.dataset(), store.pristine()), (&before.0, &before.1));
+        assert_eq!(store.dataset().pool(), before.0.pool());
+        assert_eq!(store.dataset().pool().lookup("GADSDEN"), None);
+        assert_eq!(store.batches(), 1);
     }
 }

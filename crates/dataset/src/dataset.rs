@@ -159,6 +159,13 @@ impl Dataset {
         self.pool.intern(value)
     }
 
+    /// Append `values`, none of which the pool holds yet, as its next ids
+    /// ([`ValuePool::extend_new`]: `Err(i)` names the first held one, and
+    /// the pool is then left as it was).
+    pub fn extend_pool(&mut self, values: &[String]) -> Result<(), usize> {
+        self.pool.extend_new(values)
+    }
+
     /// Number of tuples.
     pub fn len(&self) -> usize {
         self.rows
@@ -227,6 +234,39 @@ impl Dataset {
         for row in rows {
             self.push_row(row).expect("arity validated above");
         }
+        Ok(start..self.rows)
+    }
+
+    /// Append rows of already-interned ids, given back to back in schema
+    /// order (`arity` ids per row), returning the range of assigned row
+    /// indices.  Like [`Dataset::extend_rows`] the batch is atomic: a length
+    /// that is not a whole number of rows appends nothing.
+    pub fn extend_row_ids(
+        &mut self,
+        ids: &[ValueId],
+    ) -> Result<std::ops::Range<usize>, ArityMismatch> {
+        let arity = self.schema.arity().max(1);
+        let start = self.rows;
+        if !ids.len().is_multiple_of(arity) {
+            return Err(ArityMismatch {
+                expected: arity,
+                actual: ids.len() % arity,
+            });
+        }
+        debug_assert!(
+            ids.iter().all(|&v| self.pool.contains(v)),
+            "extend_row_ids with an out-of-range ValueId (same-pool ancestry is the caller's contract)"
+        );
+        let rows = ids.len() / arity;
+        for column in &mut self.columns {
+            column.reserve(rows);
+        }
+        for row in ids.chunks_exact(arity) {
+            for (column, &id) in self.columns.iter_mut().zip(row) {
+                column.push(id);
+            }
+        }
+        self.rows += rows;
         Ok(start..self.rows)
     }
 

@@ -237,6 +237,27 @@ impl ValuePool {
         ValueId(id)
     }
 
+    /// Append `values` — none of which the pool may hold yet — as its next
+    /// ids, in order, hashing each once: what a partition does with the
+    /// values a change set ships it for the first time.  `Err(i)` when the
+    /// pool (or an earlier entry of `values`) already holds `values[i]`; the
+    /// pool is then cut back to where it was, and its table rebuilt on next
+    /// use.
+    pub fn extend_new(&mut self, values: &[String]) -> Result<(), usize> {
+        let len = self.len();
+        let Some(at) = (0..values.len()).find(|&i| self.intern(&values[i]).index() != len + i)
+        else {
+            return Ok(());
+        };
+        if self.len() > len {
+            let arena = Arc::make_mut(&mut self.arena);
+            arena.text.truncate(arena.span(len).start);
+            arena.entries.truncate(len);
+            self.table.take();
+        }
+        Err(at)
+    }
+
     /// Catch this pool up to an append-only descendant of itself without
     /// hashing a value.
     ///
@@ -578,6 +599,32 @@ mod tests {
             assert_eq!(snapshot.lookup(value), Some(ValueId(i as u32)));
         }
         assert_eq!(snapshot.lookup("city-300"), None);
+    }
+
+    /// New values append in order, hashed once each; a list naming a held
+    /// value — or one value twice — is refused whole, the pool's values and
+    /// lookups as they were.
+    #[test]
+    fn extend_new_appends_new_values_or_nothing() {
+        let mut pool = ValuePool::new();
+        pool.intern("DOTHAN");
+        let before = HASHED.with(|hashed| hashed.get());
+        pool.extend_new(&["BOAZ".into(), "AL".into()]).unwrap();
+        assert_eq!(HASHED.with(|hashed| hashed.get()) - before, 2);
+        assert_eq!(pool.lookup("AL"), Some(ValueId(2)));
+
+        let held = pool.clone();
+        for refused in [
+            vec!["ELBA".into(), "BOAZ".into()],
+            vec!["ELBA".into(), "OPP".into(), "ELBA".into()],
+        ] {
+            let at = refused.len() - 1;
+            assert_eq!(pool.extend_new(&refused), Err(at));
+            assert_eq!(pool, held);
+            assert_eq!(pool.lookup("ELBA"), None);
+            assert_eq!(pool.intern("ELBA"), ValueId(3));
+            pool = held.clone();
+        }
     }
 
     #[test]

@@ -3,8 +3,14 @@
 //! [`crate::DistributedStreamingSession`] routes mutations, merges per-block
 //! evidence and cleans **globally**, so a partition is a [`RowStore`]: its
 //! rows and their pristine index, nothing more.  It is only ever asked to
-//! *apply this slice* and to send its *pool tail*, *pristine blocks*, *rows*
-//! and *indexing clock* — the store's by-value answers — never to clean.
+//! *apply this slice* and to send its *pristine blocks*, *rows* and
+//! *indexing clock* — the store's by-value answers — never to clean.
+//!
+//! A slice crosses the boundary **interned** ([`InternedSlice`]): rows and
+//! updates as partition-local value ids, plus the values the partition has
+//! never been sent, each once, as strings.  The coordinator assigns the
+//! local ids while routing, in the order the partition's store interns the
+//! tail, so it knows every partition's pool without ever asking for it.
 //! [`PartitionBackend`] drives a pool of stores — in-process
 //! ([`LocalPartitions`], one worker thread each) or behind the `transport`
 //! crate's simulated network, where each call lands in the same store
@@ -16,7 +22,7 @@
 //! block Stage I rewrites is a fresh allocation of the same order anyway).
 
 use dataset::{Schema, ValueId};
-use mlnclean::{BatchReport, Block, CleanConfig, CleanError, Mutation, RowStore};
+use mlnclean::{BatchReport, Block, CleanConfig, CleanError, InternedSlice, RowStore};
 use rules::RuleSet;
 use std::time::Duration;
 
@@ -30,17 +36,15 @@ pub trait PartitionBackend {
     fn partitions(&self) -> usize;
 
     /// Apply one routed change set: `slices[p]` holds partition `p`'s
-    /// mutations in partition-local coordinates.  Returns each partition's
+    /// mutations in partition-local tuple and value ids, and the values new
+    /// to its pool ([`RowStore::apply_interned`]).  Returns each partition's
     /// [`BatchReport`], `None` for partitions whose slice was empty (their
     /// state is untouched).
     ///
-    /// The coordinator pre-validates the change set, so a slice cannot fail
-    /// validation; backends may panic on a malformed slice.
-    fn apply_slices(&mut self, slices: Vec<Vec<Mutation>>) -> Vec<Option<BatchReport>>;
-
-    /// The values partition `p` interned since the coordinator last asked:
-    /// its pool's values with ids `from..`, in id order.
-    fn pool_tail(&mut self, p: usize, from: usize) -> Vec<String>;
+    /// The coordinator pre-validates the change set and tracks every
+    /// partition pool, so a slice cannot fail validation; backends may panic
+    /// on a malformed slice.
+    fn apply_slices(&mut self, slices: Vec<InternedSlice>) -> Vec<Option<BatchReport>>;
 
     /// For every partition, the pristine (pre-Stage-I) state of the listed
     /// blocks, in the listed order: `result[p][i]` is partition `p`'s copy of
@@ -77,6 +81,11 @@ impl LocalPartitions {
         let opened: Result<_, _> = (0..partitions).map(open).collect();
         opened.map(LocalPartitions)
     }
+
+    /// The stores, in partition order.
+    pub fn stores(&self) -> &[RowStore] {
+        &self.0
+    }
 }
 
 impl PartitionBackend for LocalPartitions {
@@ -84,10 +93,10 @@ impl PartitionBackend for LocalPartitions {
         self.0.len()
     }
 
-    fn apply_slices(&mut self, slices: Vec<Vec<Mutation>>) -> Vec<Option<BatchReport>> {
-        let apply = |(store, muts): (&mut RowStore, Vec<Mutation>)| {
-            (!muts.is_empty()).then(|| {
-                let applied = store.apply(muts.into_iter().collect());
+    fn apply_slices(&mut self, slices: Vec<InternedSlice>) -> Vec<Option<BatchReport>> {
+        let apply = |(store, slice): (&mut RowStore, InternedSlice)| {
+            (!slice.is_empty()).then(|| {
+                let applied = store.apply_interned(slice);
                 applied
                     .expect("the coordinator pre-validated the change set")
                     .report
@@ -99,10 +108,6 @@ impl PartitionBackend for LocalPartitions {
             let joined = handles.into_iter().map(|h| h.join());
             joined.map(|r| r.expect("a partition panicked")).collect()
         })
-    }
-
-    fn pool_tail(&mut self, p: usize, from: usize) -> Vec<String> {
-        self.0[p].pool_tail(from)
     }
 
     fn pristine_blocks(&mut self, blocks: &[usize]) -> Vec<Vec<Block>> {

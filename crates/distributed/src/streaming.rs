@@ -16,14 +16,22 @@
 //!    map the coordinator maintains across mutations (delete compaction
 //!    shifts both the global and the partition-local id spaces through the
 //!    stores' own deferred-delete walk, [`DeferredDeletes`]).
-//! 2. **Ingest** — each partition's [`RowStore`] applies its slice of the
-//!    change set on its own worker thread.  The stores do the expensive
-//!    incremental index maintenance (γ splice-in/out, group re-homing) in
-//!    parallel over disjoint row subsets, and hold no cleaning state.
+//!    Routing interns every value into the coordinator pool and maps it to
+//!    the partition's own value id: a partition's slice crosses as an
+//!    [`InternedSlice`] — rows and updates as local ids, plus a tail of the
+//!    values that partition has never been sent, each once, in the order
+//!    its store will intern them.  The coordinator thereby fills its
+//!    local → coordinator translation tables as it routes.
+//! 2. **Ingest** — each partition's [`RowStore`] appends its tail and applies
+//!    its slice of the change set on its own worker thread.  The stores do
+//!    the expensive incremental index maintenance (γ splice-in/out, group
+//!    re-homing) in parallel over disjoint row subsets, and hold no cleaning
+//!    state.
 //! 3. **Merge** — every K change sets (and before any outcome) the
 //!    coordinator merges, for each block touched since the last round, the
 //!    partitions' pristine per-block state into one **global** block: the
-//!    support of identical γs is summed across partitions and tuple ids are
+//!    support of identical γs is summed across partitions, value ids
+//!    translate through the tables routing filled, and tuple ids are
 //!    remapped through the partition id lists.  The merged blocks then go
 //!    through [`StageOne::refresh`] — the same per-block Stage-I driver, and
 //!    the same call, a single [`CleaningSession`] refreshes its own dirty
@@ -39,7 +47,8 @@
 //!    weight-merge phase: nothing is pushed back to the partitions, which
 //!    are never asked to clean.
 //! 4. **Gather** — [`DistributedStreamingSession::outcome`] gathers the
-//!    accumulated rows and hands them to [`StageTwo::report`] — the same
+//!    accumulated rows (as local ids, translated like a merge's) and hands
+//!    them to [`StageTwo::report`] — the same
 //!    Stage-II driver, and the same call, a single [`CleaningSession`]
 //!    reports with: it fuses the tuples the merge rounds invalidated, replays
 //!    every other fusion from its memo and reports in global coordinates; the
@@ -63,7 +72,8 @@ use dataset::{Dataset, Schema, TupleId, ValueId, ValuePool};
 use mlnclean::index::{cmp_resolved, cmp_resolved_gammas};
 use mlnclean::{
     BatchReport, Block, ChangeSet, CleanConfig, CleanError, DeferredDeletes, Engine, Gamma, Group,
-    MemoryStats, MlnIndex, Mutation, PartitionReport, Report, StageOne, StageTwo, Timings,
+    IdMutation, InternedSlice, MemoryStats, MlnIndex, Mutation, PartitionReport, Report, StageOne,
+    StageTwo, Timings,
 };
 // Referenced by the module and method docs only.
 #[allow(unused_imports)]
@@ -113,9 +123,9 @@ pub struct DistributedStreamingSession<B: PartitionBackend = LocalPartitions> {
     parts: Vec<Vec<TupleId>>,
     /// Per global row: its home partition.
     home: Vec<usize>,
-    /// Per partition: local pool id → coordinator pool id (pools are
-    /// append-only, so the tables only ever extend).
-    translate: Vec<Vec<ValueId>>,
+    /// Per partition: its pool as the coordinator knows it — both id
+    /// translations, filled while routing.
+    pools: Vec<PoolMap>,
     /// The per-block Stage-I driver over the **global** blocks: the cleaned
     /// index (per block, the state of the last merge round that touched it,
     /// over the coordinator pool), its provenance, the per-block caches and
@@ -142,6 +152,9 @@ pub struct CoordinatorFootprint {
     /// Partition-local → coordinator value-id translation entries.  Grows
     /// O(distinct values summed over partitions).
     pub translate_entries: usize,
+    /// Coordinator → partition-local value-id entries, what routing ships
+    /// each value once by.  At most coordinator values × partitions.
+    pub reverse_entries: usize,
     /// Distinct values interned in the coordinator pool.
     pub pool_values: usize,
     /// Per-block statistics slots.  Fixed by the rule set.
@@ -204,7 +217,7 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
             group_counts: vec![0; partitions],
             parts: vec![Vec::new(); partitions],
             home: Vec::new(),
-            translate: vec![Vec::new(); partitions],
+            pools: vec![PoolMap::default(); partitions],
             shared_per_block: vec![0; blocks],
             batches: 0,
             timings: Timings::default(),
@@ -253,7 +266,6 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
     /// in the partitions and are translated into the coordinator pool on
     /// demand through the partition id lists.
     pub fn gather_dataset(&mut self) -> Dataset {
-        self.extend_translations();
         let partitions = self.backend.partitions();
         let mut part_rows: Vec<Vec<Vec<ValueId>>> = (0..partitions)
             .map(|p| self.backend.gather_rows(p))
@@ -269,7 +281,7 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
             debug_assert_eq!(self.parts[p][local].index(), g);
             let row: Vec<ValueId> = std::mem::take(&mut part_rows[p][local])
                 .iter()
-                .map(|v| self.translate[p][v.index()])
+                .map(|&v| self.pools[p].global(v))
                 .collect();
             gathered
                 .push_row_ids(&row)
@@ -289,7 +301,8 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
             row_entries: self.home.len()
                 + self.stage_two.slots()
                 + self.parts.iter().map(Vec::len).sum::<usize>(),
-            translate_entries: self.translate.iter().map(Vec::len).sum(),
+            translate_entries: self.pools.iter().map(|m| m.translate.len()).sum(),
+            reverse_entries: self.pools.iter().map(|m| m.local_ids.len()).sum(),
             pool_values: self.pool.len(),
             block_entries: self.shared_per_block.len(),
             cell_entries: 0,
@@ -337,7 +350,7 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
         changes.validate(self.schema.arity(), self.rows)?;
         let started = Instant::now();
         let partitions = self.backend.partitions();
-        let mut pending: Vec<Vec<Mutation>> = vec![Vec::new(); partitions];
+        let mut pending = vec![InternedSlice::default(); partitions];
         // Per partition, its virtual local rows deleted so far this change
         // set — its store interprets ids sequentially, so partition-local
         // ids shift past them — and the virtual global rows.
@@ -355,17 +368,21 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
                         let p = route_row(&row, partitions);
                         let g = TupleId(virtual_rows);
                         virtual_rows += 1;
+                        self.home.push(p);
+                        self.parts[p].push(g);
+                        let slice = &mut pending[p];
+                        if !matches!(slice.mutations.last(), Some(IdMutation::Insert(_))) {
+                            slice.mutations.push(IdMutation::Insert(Vec::new()));
+                        }
+                        let Some(IdMutation::Insert(ids)) = slice.mutations.last_mut() else {
+                            unreachable!("an insert was pushed above");
+                        };
                         // Intern eagerly so the coordinator pool stays a
                         // superset of every partition pool (in the exact
                         // stream order the mirror used to intern in).
-                        for value in &row {
-                            self.pool.intern(value);
-                        }
-                        self.home.push(p);
-                        self.parts[p].push(g);
-                        match pending[p].last_mut() {
-                            Some(Mutation::Insert(batch)) => batch.push(row),
-                            _ => pending[p].push(Mutation::Insert(vec![row])),
+                        for value in row {
+                            let id = self.pool.intern(&value);
+                            ids.push(self.pools[p].ship(id, value, &mut slice.tail));
                         }
                         inserted += 1;
                     }
@@ -375,12 +392,16 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
                     // No-op updates (cell already holds the value) are
                     // detected by the home partition's store, which skips
                     // them exactly like a single session would; the routing
-                    // layer holds no cell state to check against.
+                    // layer holds no cell state to check against.  Such a
+                    // value is the cell's, so the partition holds it and it
+                    // ships no tail entry.
                     let v = deletes.resolve(t.index());
-                    self.pool.intern(&value);
+                    let id = self.pool.intern(&value);
                     let (p, vl) = self.locate(v);
                     let local = TupleId(local_deletes[p].sequential(vl));
-                    pending[p].push(Mutation::Update(local, attr, value));
+                    let slice = &mut pending[p];
+                    let value = self.pools[p].ship(id, value, &mut slice.tail);
+                    slice.mutations.push(IdMutation::Update(local, attr, value));
                     self.stage_two.invalidate(TupleId(v));
                 }
                 Mutation::Delete(t) => {
@@ -388,7 +409,7 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
                     deletes.mark(v);
                     let (p, vl) = self.locate(v);
                     let local = TupleId(local_deletes[p].sequential(vl));
-                    pending[p].push(Mutation::Delete(local));
+                    pending[p].mutations.push(IdMutation::Delete(local));
                     local_deletes[p].mark(vl);
                 }
             }
@@ -465,24 +486,6 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
         (p, found.expect("home map is consistent"))
     }
 
-    /// Extend the per-partition value-id translation tables to cover every
-    /// value the partitions interned since the last round.  Every partition
-    /// value passed through the coordinator first (the mirror interns each
-    /// mutation before routing it), so the lookup cannot miss.
-    fn extend_translations(&mut self) {
-        for p in 0..self.backend.partitions() {
-            let from = self.translate[p].len();
-            let tail = self.backend.pool_tail(p, from);
-            for value in &tail {
-                self.translate[p].push(
-                    self.pool
-                        .lookup(value)
-                        .expect("every partition value passed through the coordinator"),
-                );
-            }
-        }
-    }
-
     /// Merge one global block from the partitions' pristine blocks
     /// (`parts_blocks[p]` is partition `p`'s copy, fetched from the backend):
     /// the support of identical γs (same resolved reason/result values) is
@@ -507,12 +510,12 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
                     let vl: Vec<ValueId> = gamma
                         .reason_values
                         .iter()
-                        .map(|v| self.translate[p][v.index()])
+                        .map(|&v| self.pools[p].global(v))
                         .collect();
                     let vr: Vec<ValueId> = gamma
                         .result_values
                         .iter()
-                        .map(|v| self.translate[p][v.index()])
+                        .map(|&v| self.pools[p].global(v))
                         .collect();
                     let mut full = vl.clone();
                     full.extend(vr.iter().copied());
@@ -584,7 +587,6 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
         // Gather: fetch every partition's copy of the dirty blocks from the
         // backend (one message-shaped exchange), then merge them.
         let started = Instant::now();
-        self.extend_translations();
         let parts_blocks = self.backend.pristine_blocks(&dirty_idx);
         let mut merged: Vec<Block> = Vec::with_capacity(dirty_idx.len());
         for (bi, &b) in dirty_idx.iter().enumerate() {
@@ -671,6 +673,47 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
             parts: parts.to_vec(),
             shared_gammas: shared_per_block.iter().sum(),
         });
+    }
+}
+
+/// The coordinator's map of one partition's pool, filled while routing:
+/// the partition's store interns exactly the values routing shipped it, in
+/// the order they were shipped.
+#[derive(Debug, Clone, Default)]
+struct PoolMap {
+    /// Local pool id → coordinator pool id: entry `i` is the `i`-th value
+    /// shipped, the partition's value id `i` (pools are append-only, so the
+    /// table only ever extends).
+    translate: Vec<ValueId>,
+    /// The reverse, coordinator pool id → local pool id: [`NOT_SHIPPED`] for
+    /// a value not sent to the partition yet (and past the table's end).
+    local_ids: Vec<u32>,
+}
+
+/// The `local_ids` entry of a value not shipped to the partition yet.
+const NOT_SHIPPED: u32 = u32::MAX;
+
+impl PoolMap {
+    /// The coordinator id of the partition's value `local`.
+    fn global(&self, local: ValueId) -> ValueId {
+        self.translate[local.index()]
+    }
+
+    /// The partition's id for coordinator value `id` (whose string is
+    /// `value`): the one it already holds, or — the first time the value is
+    /// routed there — the next one, with `value` appended to the change
+    /// set's `tail` for the partition.
+    fn ship(&mut self, id: ValueId, value: String, tail: &mut Vec<String>) -> ValueId {
+        if id.index() >= self.local_ids.len() {
+            self.local_ids.resize(id.index() + 1, NOT_SHIPPED);
+        }
+        let local = &mut self.local_ids[id.index()];
+        if *local == NOT_SHIPPED {
+            *local = self.translate.len() as u32;
+            self.translate.push(id);
+            tail.push(value);
+        }
+        ValueId(*local)
     }
 }
 
@@ -1126,6 +1169,9 @@ mod tests {
         assert_eq!(narrow_fp.row_entries, wide_fp.row_entries);
         assert_eq!(narrow_fp.pool_values, wide_fp.pool_values);
         assert_eq!(narrow_fp.translate_entries, wide_fp.translate_entries);
+        for fp in [narrow_fp, wide_fp] {
+            assert!(fp.reverse_entries <= 2 * fp.pool_values);
+        }
 
         // Row bookkeeping is linear in rows: stream the same rows again and
         // the per-row entries double exactly while the pool stays put.

@@ -29,11 +29,12 @@
 //!   a one-element sequence too — it is not transparent;
 //! * a 2-tuple is a 2-element sequence, a [`Duration`] the 2-element
 //!   sequence of its seconds and its nanoseconds, an [`Arc`] its contents;
-//! * an enum variant is tag `14` and its index in declaration order, then:
-//!   a unit variant `0` (unit); a one-field tuple variant its one value
-//!   (`Mutation::Delete(TupleId(3))` is `14 2 12 1 3 3`); every other
+//! * an enum variant is tag `14` and the index its [`codec!`] invocation
+//!   gives it (declaration order; a retired variant's index stays unused),
+//!   then: a unit variant `0` (unit); a one-field tuple variant its one
+//!   value (`Mutation::Delete(TupleId(3))` is `14 2 12 1 3 3`); every other
 //!   variant — including a one-field *struct* variant such as
-//!   `Request::PoolTail { from }` — the sequence of its fields.
+//!   `Request::PristineBlocks { blocks }` — the sequence of its fields.
 //!
 //! Decoding reads exactly this shape and nothing else: a sequence whose
 //! length is not the field count is [`CodecError::Length`], an index past

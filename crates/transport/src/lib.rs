@@ -12,15 +12,15 @@
 //!   `mlnw`'s `Encode` / `Decode` traits;
 //! * [`message`] — the wire vocabulary: envelopes carrying the
 //!   request/response pairs of the
-//!   [`distributed::PartitionBackend`] surface ([`mlnclean::ChangeSet`]
-//!   batches, pool tails, pristine blocks, rows, clocks) and the worker
-//!   checkpoint;
+//!   [`distributed::PartitionBackend`] surface ([`mlnclean::InternedSlice`]
+//!   batches — ids, plus each value once — pristine blocks, rows, clocks)
+//!   and the worker checkpoint;
 //! * [`sim`] — a deterministic simulated transport: in-process delivery
 //!   with a seeded fault schedule injecting delay, reordering, duplication,
 //!   loss and link partitions, so CI exercises real failure interleavings
 //!   reproducibly;
 //! * [`log`] — the per-partition durable change log (write-ahead journal of
-//!   applied batches) that makes a worker restartable;
+//!   applied slices) that makes a worker restartable;
 //! * [`worker`] — a partition worker: one [`mlnclean::RowStore`] behind an
 //!   idempotent request handler, with crash/recover by replaying its log;
 //! * [`service`] — the wire-backed partition pool ([`service::WireBackend`])
@@ -52,8 +52,8 @@ pub use worker::{PartitionWorker, WorkerCheckpoint};
 
 #[cfg(test)]
 /// One small frame of every `mlnw` family the system writes — wire
-/// envelopes (each [`Request`] and [`Response`] variant), journaled
-/// [`ChangeSet`]s, worker checkpoints ([`SessionSnapshot`]), reports and
+/// envelopes (each [`Request`] and [`Response`] variant), change sets,
+/// journaled [`InternedSlice`]s, worker checkpoints ([`SessionSnapshot`]), reports and
 /// their [`Timings`] — with the bytes each encodes to pinned as a
 /// (length, FNV-1a 64) pair.
 mod frames {
@@ -61,8 +61,8 @@ mod frames {
     use dataset::rng::Rng;
     use dataset::{sample_hospital_dataset, AttrId, TupleId, ValueId};
     use mlnclean::{
-        BatchReport, ChangeSet, CleanConfig, CleaningSession, MlnClean, MlnIndex, Mutation,
-        PartitionReport, Report, SessionSnapshot, Timings,
+        BatchReport, ChangeSet, CleanConfig, CleaningSession, IdMutation, InternedSlice, MlnClean,
+        MlnIndex, Mutation, PartitionReport, Report, SessionSnapshot, Timings,
     };
     use mlnw::{from_bytes, to_bytes, CodecError};
     use rules::sample_hospital_rules;
@@ -86,14 +86,26 @@ mod frames {
             .delete(TupleId(3))
     }
 
+    /// [`change_set`] interned into a store that holds `ELIZA` as id 0: a
+    /// tail, then each of the three mutations over ids.
+    fn slice() -> InternedSlice {
+        InternedSlice {
+            tail: vec!["BOAZ".into(), "γ".into(), String::new(), "DOTHAN".into()],
+            mutations: vec![
+                IdMutation::Insert([0, 1, 2, 3].map(ValueId).to_vec()),
+                IdMutation::Update(TupleId(0), AttrId(1), ValueId(4)),
+                IdMutation::Delete(TupleId(3)),
+            ],
+        }
+    }
+
     /// One of each request variant.
     fn requests() -> Vec<Request> {
         vec![
             Request::ApplyBatch {
                 batch_seq: 3,
-                changes: change_set(),
+                slice: slice(),
             },
-            Request::PoolTail { from: 17 },
             Request::PristineBlocks { blocks: vec![0, 2] },
             Request::GatherRows,
             Request::IndexClock,
@@ -120,9 +132,6 @@ mod frames {
                     touched_blocks: vec![0, 2],
                 },
             },
-            Response::PoolTail {
-                values: vec!["DOTHAN".into(), "BOAZ".into(), String::new()],
-            },
             Response::PristineBlocks {
                 blocks: index.blocks,
             },
@@ -139,7 +148,9 @@ mod frames {
         ]
     }
 
-    /// Every request and response, each in its envelope.
+    /// Every request and response, each in its envelope.  Request ids count
+    /// from 40 in variant-index order, skipping the retired index 1 of each
+    /// enum (ids 41 and 47), so every other envelope keeps its bytes.
     fn envelopes() -> Vec<Envelope> {
         let requests = requests()
             .into_iter()
@@ -149,7 +160,7 @@ mod frames {
             .map(|r| (2, COORDINATOR, Payload::Response(r)));
         requests
             .chain(responses)
-            .zip(40..)
+            .zip((40..).filter(|id| ![41, 47].contains(id)))
             .map(|((src, dst, body), req_id)| Envelope {
                 src,
                 dst,
@@ -211,6 +222,7 @@ mod frames {
         });
         frames.extend([
             ("change set".into(), to_bytes(&change_set()).unwrap()),
+            ("interned slice".into(), to_bytes(&slice()).unwrap()),
             ("snapshot".into(), to_bytes(&snapshot()).unwrap()),
             ("report".into(), to_bytes(&report()).unwrap()),
             (
@@ -239,25 +251,25 @@ mod frames {
     }
 
     /// (length, FNV-1a 64) of each of [`frames`], in order.
-    const PINS: [(usize, u64); 17] = [
-        // Requests: ApplyBatch, PoolTail, PristineBlocks, GatherRows,
-        // IndexClock, Checkpoint.
-        (79, 3742997161697598204),
-        (22, 3374553700452401152),
+    const PINS: [(usize, u64); 16] = [
+        // Requests: ApplyBatch, PristineBlocks, GatherRows, IndexClock,
+        // Checkpoint.
+        (90, 10570052256654174657),
         (26, 13954100055502308380),
         (19, 4092253697148944157),
         (19, 8395646557880121981),
         (19, 2120710018484132765),
-        // Responses: Applied, PoolTail, PristineBlocks, GatherRows, IndexClock,
+        // Responses: Applied, PristineBlocks, GatherRows, IndexClock,
         // Checkpointed.
         (49, 16763664681369502581),
-        (38, 6920346332725065080),
         (754, 9625292200216048879),
         (43, 14759618610514087642),
         (29, 12668183166825042536),
         (25, 1826878326917948127),
-        // Change set, snapshot, report, report with partitions, timings.
+        // Change set, interned slice, snapshot, report, report with
+        // partitions, timings.
         (63, 12072290258129044783),
+        (74, 10222340756922710628),
         (220, 6178596361788615760),
         (1932, 2640314179194262539),
         (1954, 7852487764095728717),
@@ -302,6 +314,8 @@ mod frames {
         }
         let frame = to_bytes(&change_set()).unwrap();
         survives_hostile_variants::<ChangeSet>("change set", &frame, &mut rng);
+        let frame = to_bytes(&slice()).unwrap();
+        survives_hostile_variants::<InternedSlice>("interned slice", &frame, &mut rng);
         let frame = to_bytes(&snapshot()).unwrap();
         survives_hostile_variants::<SessionSnapshot>("snapshot", &frame, &mut rng);
         let frame = to_bytes(&report()).unwrap();

@@ -1,22 +1,22 @@
 //! The per-partition durable change log.
 //!
 //! A worker's only state-changing input is the ordered sequence of applied
-//! change-set batches, so durably recording exactly that sequence makes the
+//! change-set slices, so durably recording exactly that sequence makes the
 //! worker restartable: a fresh [`mlnclean::RowStore`] replaying the log in
 //! order reconstructs byte-identical state (ingest is deterministic — same
-//! batches in, same rows and pristine index out).
+//! slices in, same pool, rows and pristine index out).
 //!
 //! Entries are stored as **encoded frames** ([`mlnw`] bytes of the
-//! [`mlnclean::ChangeSet`]), not live objects: what survives a crash is
-//! whatever was written through the codec, so replay exercises the same
-//! decode path a remote disk or replicated log would.
+//! [`mlnclean::InternedSlice`] a worker received), not live objects: what
+//! survives a crash is whatever was written through the codec, so replay
+//! exercises the same decode path a remote disk or replicated log would.
 
-/// One durable record: a batch sequence number and the encoded change set.
+/// One durable record: a batch sequence number and the encoded slice.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogEntry {
     /// The worker-local apply ordinal (dense from 0).
     pub batch_seq: u64,
-    /// Codec frame of the applied [`mlnclean::ChangeSet`].
+    /// Codec frame of the applied [`mlnclean::InternedSlice`].
     pub payload: Vec<u8>,
 }
 

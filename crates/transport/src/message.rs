@@ -19,7 +19,7 @@
 //! * every other request is a pure read of current worker state, safe to
 //!   re-execute.
 
-use mlnclean::{BatchReport, Block, ChangeSet};
+use mlnclean::{BatchReport, Block, InternedSlice};
 use std::time::Duration;
 
 /// Node address on the simulated network: [`COORDINATOR`] or a worker
@@ -70,13 +70,9 @@ pub enum Request {
     ApplyBatch {
         /// This worker's apply ordinal (dense from 0).
         batch_seq: u64,
-        /// The slice, already in partition-local coordinates.
-        changes: ChangeSet,
-    },
-    /// Values the worker interned since pool index `from` (read-only).
-    PoolTail {
-        /// First pool index the coordinator has not yet seen.
-        from: usize,
+        /// The slice, interned: partition-local tuple and value ids, and
+        /// the values the worker's pool has not been sent yet.
+        slice: InternedSlice,
     },
     /// Pristine (pre-Stage-I) copies of the listed blocks (read-only).
     PristineBlocks {
@@ -94,17 +90,18 @@ pub enum Request {
     /// cursor re-derives (or re-acknowledges) the same checkpoint — a
     /// retransmit duplicate is harmless.
     ///
-    /// Variants are identified positionally on the wire, which constrains
+    /// Variants are identified by index on the wire, which constrains
     /// nothing here: no envelope outlives the process that wrote it (journals
-    /// hold [`ChangeSet`]s, checkpoints a [`mlnclean::SessionSnapshot`]), so
-    /// the vocabulary changes without a `CODEC_VERSION` bump.
+    /// hold [`InternedSlice`]s, checkpoints a [`mlnclean::SessionSnapshot`]),
+    /// so the vocabulary changes without a `CODEC_VERSION` bump.  Index 1
+    /// (a pool-tail read, retired when values began crossing once, in the
+    /// slices) stays unused so the other variants keep their bytes.
     Checkpoint,
 }
 
 mlnw::codec! {
     enum Request {
-        0 => ApplyBatch { batch_seq, changes },
-        1 => PoolTail { from },
+        0 => ApplyBatch { batch_seq, slice },
         2 => PristineBlocks { blocks },
         3 => GatherRows,
         4 => IndexClock,
@@ -112,7 +109,8 @@ mlnw::codec! {
     }
 }
 
-/// Worker → coordinator replies, one per [`Request`] shape.
+/// Worker → coordinator replies, one per [`Request`] shape (index 1, like
+/// the request's, is retired).
 #[derive(Debug, Clone)]
 pub enum Response {
     /// Acknowledges [`Request::ApplyBatch`] `batch_seq` with its report
@@ -122,11 +120,6 @@ pub enum Response {
         batch_seq: u64,
         /// The store's report for that batch.
         report: BatchReport,
-    },
-    /// Reply to [`Request::PoolTail`].
-    PoolTail {
-        /// The tail values, in pool-id order.
-        values: Vec<String>,
     },
     /// Reply to [`Request::PristineBlocks`].
     PristineBlocks {
@@ -156,7 +149,6 @@ pub enum Response {
 mlnw::codec! {
     enum Response {
         0 => Applied { batch_seq, report },
-        1 => PoolTail { values },
         2 => PristineBlocks { blocks },
         3 => GatherRows { rows },
         4 => IndexClock { clock },
@@ -167,7 +159,8 @@ mlnw::codec! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlnclean::Mutation;
+    use dataset::{AttrId, TupleId, ValueId};
+    use mlnclean::IdMutation;
     use mlnw::{from_bytes, to_bytes};
 
     #[test]
@@ -178,13 +171,14 @@ mod tests {
             req_id: 41,
             body: Payload::Request(Request::ApplyBatch {
                 batch_seq: 3,
-                changes: [
-                    Mutation::Insert(vec![vec!["a".into(), "b".into()]]),
-                    Mutation::Update(dataset::TupleId(0), dataset::AttrId(1), "c".into()),
-                    Mutation::Delete(dataset::TupleId(9)),
-                ]
-                .into_iter()
-                .collect(),
+                slice: InternedSlice {
+                    tail: vec!["a".into(), "b".into(), "c".into()],
+                    mutations: vec![
+                        IdMutation::Insert(vec![ValueId(0), ValueId(1)]),
+                        IdMutation::Update(TupleId(0), AttrId(1), ValueId(2)),
+                        IdMutation::Delete(TupleId(9)),
+                    ],
+                },
             }),
         };
         // Envelope has no PartialEq — compare through the deterministic
@@ -200,7 +194,6 @@ mod tests {
         }
 
         let reads = vec![
-            Request::PoolTail { from: 17 },
             Request::PristineBlocks { blocks: vec![0, 2] },
             Request::GatherRows,
             Request::IndexClock,

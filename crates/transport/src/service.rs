@@ -29,12 +29,12 @@
 //! sequence number it is not ready for.
 
 use crate::log::ChangeLog;
-use crate::message::{Envelope, Payload, Request, Response, COORDINATOR};
+use crate::message::{Envelope, NodeId, Payload, Request, Response, COORDINATOR};
 use crate::sim::{FaultSchedule, NetCounters, SimNet, WorkerCrash};
 use crate::worker::PartitionWorker;
 use dataset::{Schema, ValueId};
 use distributed::{DistributedStreamingSession, PartitionBackend};
-use mlnclean::{BatchReport, Block, ChangeSet, CleanConfig, CleanError, Mutation, Report};
+use mlnclean::{BatchReport, Block, ChangeSet, CleanConfig, CleanError, InternedSlice, Report};
 use rules::RuleSet;
 use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
@@ -186,22 +186,20 @@ impl WireBackend {
     }
 
     /// Issue one request per `(worker, request)` pair and pump the network
-    /// until every response arrived, retransmitting as needed.  Responses
+    /// until every response arrived, retransmitting as needed.  Each request
+    /// is encoded once: a retransmit re-sends the frame it kept.  Responses
     /// come back in call order.
     fn call_many(&mut self, calls: Vec<(usize, Request)>) -> Vec<Response> {
         let mut order = Vec::with_capacity(calls.len());
-        let mut pending: HashMap<u64, (usize, Request)> = HashMap::new();
+        let mut pending: HashMap<u64, (usize, Vec<u8>)> = HashMap::new();
         for (worker, request) in calls {
             let req_id = self.next_req_id;
             self.next_req_id += 1;
-            self.net.send(&Envelope {
-                src: COORDINATOR,
-                dst: worker + 1,
-                req_id,
-                body: Payload::Request(request.clone()),
-            });
+            let dst = worker + 1;
+            let frame = encode(COORDINATOR, dst, req_id, Payload::Request(request));
+            self.net.send(COORDINATOR, dst, frame.clone());
             order.push(req_id);
-            pending.insert(req_id, (worker, request));
+            pending.insert(req_id, (dst, frame));
         }
 
         let mut responses: HashMap<u64, Response> = HashMap::new();
@@ -219,15 +217,10 @@ impl WireBackend {
                     // response) was lost.  Let time pass — outages heal on
                     // the clock — and retransmit everything still owed.
                     self.net.tick(RETRY_EVERY);
-                    for (&req_id, (worker, request)) in &pending {
+                    for (&req_id, (dst, frame)) in &pending {
                         if !responses.contains_key(&req_id) {
                             self.net.note_retransmit();
-                            self.net.send(&Envelope {
-                                src: COORDINATOR,
-                                dst: worker + 1,
-                                req_id,
-                                body: Payload::Request(request.clone()),
-                            });
+                            self.net.send(COORDINATOR, *dst, frame.clone());
                         }
                     }
                 }
@@ -246,19 +239,16 @@ impl WireBackend {
     fn deliver(
         &mut self,
         envelope: Envelope,
-        pending: &HashMap<u64, (usize, Request)>,
+        pending: &HashMap<u64, (usize, Vec<u8>)>,
         responses: &mut HashMap<u64, Response>,
     ) {
         match envelope.body {
             Payload::Request(request) if envelope.dst != COORDINATOR => {
                 let worker = envelope.dst - 1;
                 let response = self.workers[worker].handle(request);
-                self.net.send(&Envelope {
-                    src: envelope.dst,
-                    dst: COORDINATOR,
-                    req_id: envelope.req_id,
-                    body: Payload::Response(response),
-                });
+                let body = Payload::Response(response);
+                let frame = encode(envelope.dst, COORDINATOR, envelope.req_id, body);
+                self.net.send(envelope.dst, COORDINATOR, frame);
             }
             Payload::Response(response) if envelope.dst == COORDINATOR => {
                 // First response wins; duplicates and responses to retired
@@ -288,19 +278,18 @@ impl PartitionBackend for WireBackend {
         self.workers.len()
     }
 
-    fn apply_slices(&mut self, slices: Vec<Vec<Mutation>>) -> Vec<Option<BatchReport>> {
+    fn apply_slices(&mut self, slices: Vec<InternedSlice>) -> Vec<Option<BatchReport>> {
         let mut calls = Vec::new();
         let mut active = Vec::new();
-        for (worker, mutations) in slices.into_iter().enumerate() {
-            if mutations.is_empty() {
+        for (worker, slice) in slices.into_iter().enumerate() {
+            if slice.is_empty() {
                 continue;
             }
-            let changes: ChangeSet = mutations.into_iter().collect();
             calls.push((
                 worker,
                 Request::ApplyBatch {
                     batch_seq: self.batch_seqs[worker],
-                    changes,
+                    slice,
                 },
             ));
             active.push(worker);
@@ -314,13 +303,6 @@ impl PartitionBackend for WireBackend {
             out[*worker] = Some(report);
         }
         out
-    }
-
-    fn pool_tail(&mut self, p: usize, from: usize) -> Vec<String> {
-        let Response::PoolTail { values } = self.call_one(p, Request::PoolTail { from }) else {
-            unreachable!("PoolTail answered with a mismatched response");
-        };
-        values
     }
 
     fn pristine_blocks(&mut self, blocks: &[usize]) -> Vec<Vec<Block>> {
@@ -366,6 +348,17 @@ impl PartitionBackend for WireBackend {
             })
             .sum()
     }
+}
+
+/// The frame of one envelope: what [`SimNet::send`] carries.
+fn encode(src: NodeId, dst: NodeId, req_id: u64, body: Payload) -> Vec<u8> {
+    let envelope = Envelope {
+        src,
+        dst,
+        req_id,
+        body,
+    };
+    mlnw::to_bytes(&envelope).expect("wire types always encode")
 }
 
 // ---------------------------------------------------------------------------
@@ -528,10 +521,12 @@ mod tests {
         assert_eq!(outcome.repaired.len(), 3);
     }
 
-    /// Both backends answer every question of [`PartitionBackend`] alike:
-    /// the same [`mlnclean::RowStore`]s, one pool of them behind a wire.
+    /// Both backends answer every question of [`PartitionBackend`] alike,
+    /// and their stores end every step with the same pools and rows: the
+    /// same [`mlnclean::RowStore`]s, one pool of them behind a wire.
     #[test]
     fn local_and_wire_backends_answer_every_slice_alike() {
+        use crate::worker::tests::Shipper;
         use dataset::{AttrId, TupleId};
         use distributed::LocalPartitions;
         let rules = parse_rules("FD: City -> Zip").unwrap();
@@ -559,16 +554,23 @@ mod tests {
             ],
             [none.clone(), none],
         ];
+        let mut shippers = [Shipper::default(), Shipper::default()];
         for (step, slices) in steps.into_iter().enumerate() {
-            let slices: Vec<_> = slices.into_iter().map(ChangeSet::into_mutations).collect();
+            let slices: Vec<_> = shippers
+                .iter_mut()
+                .zip(slices)
+                .map(|(shipper, changes)| shipper.slice(changes))
+                .collect();
             let applied = local.apply_slices(slices.clone());
             assert_eq!(applied, wire.apply_slices(slices), "step {step}");
             assert_eq!(applied.iter().flatten().count(), [2, 1, 1, 0][step]);
             for p in 0..2 {
-                for from in [0, 1] {
-                    let tail = local.pool_tail(p, from);
-                    assert_eq!(tail, wire.pool_tail(p, from), "step {step}");
-                }
+                let (ours, theirs) = (&local.stores()[p], wire.workers[p].store());
+                assert_eq!(
+                    ours.dataset().pool(),
+                    theirs.dataset().pool(),
+                    "step {step}"
+                );
                 let rows = local.gather_rows(p);
                 assert_eq!(rows, wire.gather_rows(p), "step {step}");
             }
@@ -643,14 +645,9 @@ mod tests {
         };
         assert_eq!(schedule.validate(), Ok(()));
         let mut net = SimNet::new(schedule);
-        let probe = Envelope {
-            src: COORDINATOR,
-            dst: 1,
-            req_id: 0,
-            body: Payload::Request(Request::GatherRows),
-        };
+        let probe = encode(COORDINATOR, 1, 0, Payload::Request(Request::GatherRows));
         for _ in 0..8 {
-            net.send(&probe);
+            net.send(COORDINATOR, 1, probe.clone());
             net.advance();
         }
         while net.advance().is_some() {}

@@ -1,9 +1,10 @@
 //! Deterministic simulated transport.
 //!
 //! [`SimNet`] is an in-process datagram network with a discrete tick clock.
-//! Sends serialize the envelope through the [`mlnw`] codec (every message
-//! really crosses the byte boundary), consult the seeded [`FaultSchedule`],
-//! and enqueue zero or more deliveries at future ticks; [`SimNet::advance`]
+//! A send hands it an envelope already encoded through the [`mlnw`] codec
+//! (every message really crosses the byte boundary, and a retransmit
+//! re-sends the bytes it kept), consults the seeded [`FaultSchedule`], and
+//! enqueues zero or more deliveries at future ticks; [`SimNet::advance`]
 //! pops the earliest delivery, moves the clock to it, and decodes the bytes
 //! back into an [`Envelope`].
 //!
@@ -210,17 +211,15 @@ impl SimNet {
         self.counters.retransmits += 1;
     }
 
-    /// Offer a datagram to the network.  It is encoded immediately; the
-    /// fault schedule decides how many copies (0, 1 or 2) get scheduled and
-    /// when they land.
-    pub fn send(&mut self, envelope: &Envelope) {
-        let bytes = mlnw::to_bytes(envelope).expect("wire types always encode");
+    /// Offer a datagram — an encoded [`Envelope`] from `src` to `dst` — to
+    /// the network; the fault schedule decides how many copies (0, 1 or 2)
+    /// get scheduled and when they land.  Every send counts, retransmits
+    /// included.
+    pub fn send(&mut self, src: NodeId, dst: NodeId, bytes: Vec<u8>) {
         self.counters.sent += 1;
         self.counters.bytes_sent += bytes.len() as u64;
 
-        if self
-            .schedule
-            .link_down(envelope.src, envelope.dst, self.clock)
+        if self.schedule.link_down(src, dst, self.clock)
             || (self.schedule.loss > 0.0 && self.rng.chance(self.schedule.loss))
         {
             self.counters.dropped += 1;
@@ -275,13 +274,15 @@ mod tests {
     use super::*;
     use crate::message::{Payload, Request, COORDINATOR};
 
-    fn probe(dst: NodeId, req_id: u64) -> Envelope {
-        Envelope {
+    /// Send a `GatherRows` request from the coordinator to `dst`.
+    fn probe(net: &mut SimNet, dst: NodeId, req_id: u64) {
+        let envelope = Envelope {
             src: COORDINATOR,
             dst,
             req_id,
             body: Payload::Request(Request::GatherRows),
-        }
+        };
+        net.send(COORDINATOR, dst, mlnw::to_bytes(&envelope).unwrap());
     }
 
     fn drain(net: &mut SimNet) -> Vec<u64> {
@@ -296,7 +297,7 @@ mod tests {
     fn reliable_schedule_delivers_in_order() {
         let mut net = SimNet::new(FaultSchedule::reliable());
         for i in 0..10 {
-            net.send(&probe(1, i));
+            probe(&mut net, 1, i);
         }
         assert_eq!(drain(&mut net), (0..10).collect::<Vec<_>>());
         let counters = net.counters();
@@ -319,7 +320,7 @@ mod tests {
             .map(|_| {
                 let mut net = SimNet::new(schedule.clone());
                 for i in 0..50 {
-                    net.send(&probe(1 + (i as usize % 3), i));
+                    probe(&mut net, 1 + (i as usize % 3), i);
                 }
                 drain(&mut net)
             })
@@ -338,7 +339,7 @@ mod tests {
             ..FaultSchedule::reliable()
         });
         for i in 0..200 {
-            net.send(&probe(1, i));
+            probe(&mut net, 1, i);
         }
         let queued = net.counters();
         assert!(queued.in_flight > 0);
@@ -378,11 +379,11 @@ mod tests {
             }],
             ..FaultSchedule::reliable()
         });
-        net.send(&probe(1, 0));
+        probe(&mut net, 1, 0);
         assert_eq!(net.counters().dropped, 1);
         assert!(net.advance().is_none());
         net.tick(100);
-        net.send(&probe(1, 1));
+        probe(&mut net, 1, 1);
         assert_eq!(net.advance().unwrap().req_id, 1);
         // A different link is unaffected during the outage.
         let mut net2 = SimNet::new(FaultSchedule {
@@ -394,7 +395,7 @@ mod tests {
             }],
             ..FaultSchedule::reliable()
         });
-        net2.send(&probe(2, 5));
+        probe(&mut net2, 2, 5);
         assert_eq!(net2.advance().unwrap().req_id, 5);
     }
 }

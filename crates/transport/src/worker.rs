@@ -9,8 +9,8 @@
 //! a long outage, arbitrarily stale copies).  The handler is idempotent by
 //! batch sequence number:
 //!
-//! * `batch_seq == next expected` — journal the change set, apply it, cache
-//!   and return the report;
+//! * `batch_seq == next expected` — journal the interned slice as received
+//!   (tail and ids), apply it, cache and return the report;
 //! * `batch_seq <  next expected` — a duplicate of an already-applied
 //!   batch: re-acknowledge from the report cache without touching state;
 //! * `batch_seq >  next expected` — unreachable under the coordinator's
@@ -23,9 +23,13 @@
 //! report cache are discarded, then rebuilt from the last durable
 //! [`WorkerCheckpoint`] (if one was taken) plus the journal tail — resume
 //! the checkpointed [`mlnclean::SessionSnapshot`] into a fresh store,
-//! restore its report cache, then decode and re-apply every journaled frame
-//! past the checkpoint cursor.  With no checkpoint the log is replayed into
-//! an empty store.  Because ingest is deterministic, the recovered store is
+//! restore its report cache, then decode and re-apply every journaled
+//! slice past the checkpoint cursor through the same
+//! [`RowStore::apply_interned`] the live handler used.  With no checkpoint
+//! the log is replayed into an empty store.  A slice's ids name the pool as
+//! its tail leaves it, and replay rebuilds that pool tail by tail in the
+//! original order, so every id lands on its value again.  Because ingest is
+//! deterministic, the recovered store — pool, rows and index — is
 //! byte-identical to the lost one, which is exactly what the chaos tests
 //! pin.
 //!
@@ -43,7 +47,7 @@
 use crate::log::{ChangeLog, MemLog};
 use crate::message::{Request, Response};
 use dataset::Schema;
-use mlnclean::{BatchReport, ChangeSet, CleanConfig, CleanError, RowStore, SessionSnapshot};
+use mlnclean::{BatchReport, CleanConfig, CleanError, InternedSlice, RowStore, SessionSnapshot};
 use rules::RuleSet;
 
 /// A durable store checkpoint: everything recovery needs besides the
@@ -102,6 +106,11 @@ impl PartitionWorker {
         self.restarts
     }
 
+    /// The worker's store (what recovery must rebuild byte for byte).
+    pub fn store(&self) -> &RowStore {
+        &self.store
+    }
+
     /// The worker's durable journal.
     pub fn log(&self) -> &MemLog {
         &self.log
@@ -116,7 +125,7 @@ impl PartitionWorker {
     /// contract).
     pub fn handle(&mut self, request: Request) -> Response {
         match request {
-            Request::ApplyBatch { batch_seq, changes } => {
+            Request::ApplyBatch { batch_seq, slice } => {
                 let next = self.reports.len() as u64;
                 if batch_seq < next {
                     // Duplicate delivery of an applied batch: re-ack from
@@ -133,18 +142,14 @@ impl PartitionWorker {
                 // Journal first, then apply: if the apply is reached, the
                 // log already explains it (the crash model only fires
                 // between deliveries, so the pair is atomic anyway).
-                self.log.append(
-                    batch_seq,
-                    &mlnw::to_bytes(&changes).expect("change sets encode"),
-                );
-                let report = self.store.apply(changes).map(|applied| applied.report);
+                self.log
+                    .append(batch_seq, &mlnw::to_bytes(&slice).expect("slices encode"));
+                let report = self.store.apply_interned(slice);
+                let report = report.map(|applied| applied.report);
                 let report = report.expect("the coordinator pre-validated the change set");
                 self.reports.push(report.clone());
                 Response::Applied { batch_seq, report }
             }
-            Request::PoolTail { from } => Response::PoolTail {
-                values: self.store.pool_tail(from),
-            },
             Request::PristineBlocks { blocks } => Response::PristineBlocks {
                 blocks: self.store.pristine_blocks(&blocks),
             },
@@ -217,9 +222,9 @@ impl PartitionWorker {
             if entry.batch_seq < replay_from {
                 continue;
             }
-            let changes: ChangeSet =
+            let slice: InternedSlice =
                 mlnw::from_bytes(&entry.payload).expect("journaled frames decode");
-            let applied = self.store.apply(changes);
+            let applied = self.store.apply_interned(slice);
             let applied = applied.expect("journaled batches were valid when first applied");
             self.reports.push(applied.report);
         }
@@ -227,11 +232,49 @@ impl PartitionWorker {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use dataset::TupleId;
-    use mlnclean::Mutation;
+    use dataset::{TupleId, ValueId};
+    use mlnclean::{ChangeSet, IdMutation, Mutation};
     use rules::parse_rules;
+
+    /// The coordinator's side of one partition's pool, for hand-fed
+    /// workers: interns change sets into slices the way routing does — a
+    /// value's first occurrence takes the next id and joins the tail.
+    #[derive(Debug, Default)]
+    pub(crate) struct Shipper(Vec<String>);
+
+    impl Shipper {
+        pub(crate) fn slice(&mut self, changes: ChangeSet) -> InternedSlice {
+            let Shipper(sent) = self;
+            let mut tail = Vec::new();
+            let mut ship = |value: String| {
+                let at = sent.iter().position(|v| *v == value).unwrap_or_else(|| {
+                    sent.push(value.clone());
+                    tail.push(value);
+                    sent.len() - 1
+                });
+                ValueId(at as u32)
+            };
+            let mut mutations = Vec::new();
+            for mutation in changes {
+                mutations.push(match mutation {
+                    Mutation::Insert(rows) => {
+                        IdMutation::Insert(rows.into_iter().flatten().map(&mut ship).collect())
+                    }
+                    Mutation::Update(t, attr, value) => IdMutation::Update(t, attr, ship(value)),
+                    Mutation::Delete(t) => IdMutation::Delete(t),
+                });
+            }
+            InternedSlice { tail, mutations }
+        }
+    }
+
+    /// Apply `changes` as batch `batch_seq`, interned by `shipper`.
+    fn apply(w: &mut PartitionWorker, shipper: &mut Shipper, batch_seq: u64, changes: ChangeSet) {
+        let slice = shipper.slice(changes);
+        w.handle(Request::ApplyBatch { batch_seq, slice });
+    }
 
     fn worker() -> PartitionWorker {
         let schema = Schema::new(&["City", "Zip"]);
@@ -252,10 +295,10 @@ mod tests {
     #[test]
     fn duplicate_applies_re_ack_without_reapplying() {
         let mut w = worker();
-        let changes = insert(&[("BOAZ", "35016"), ("BOAZ", "35014")]);
+        let slice = Shipper::default().slice(insert(&[("BOAZ", "35016"), ("BOAZ", "35014")]));
         let first = w.handle(Request::ApplyBatch {
             batch_seq: 0,
-            changes: changes.clone(),
+            slice: slice.clone(),
         });
         let Response::Applied { report, .. } = first else {
             panic!("apply must ack");
@@ -263,7 +306,7 @@ mod tests {
         // Deliver the exact same request again — a retransmit duplicate.
         let dup = w.handle(Request::ApplyBatch {
             batch_seq: 0,
-            changes,
+            slice,
         });
         let Response::Applied {
             report: dup_report, ..
@@ -279,6 +322,7 @@ mod tests {
     #[test]
     fn crash_recovery_replays_to_identical_state() {
         let mut w = worker();
+        let mut shipper = Shipper::default();
         for (seq, batch) in [
             insert(&[("BOAZ", "35016"), ("BOAZ", "35014"), ("ELBA", "36323")]),
             [Mutation::Update(
@@ -293,10 +337,7 @@ mod tests {
         .into_iter()
         .enumerate()
         {
-            w.handle(Request::ApplyBatch {
-                batch_seq: seq as u64,
-                changes: batch,
-            });
+            apply(&mut w, &mut shipper, seq as u64, batch);
         }
         let before_rows = dump(&mut w);
         let before_reports = w.reports.clone();
@@ -304,7 +345,11 @@ mod tests {
         w.crash_and_recover();
 
         assert_eq!(w.restarts(), 1);
-        assert_eq!(dump(&mut w), before_rows, "replayed rows must be identical");
+        assert_eq!(
+            dump(&mut w),
+            before_rows,
+            "replayed rows and pool must be identical"
+        );
         assert_eq!(
             w.reports, before_reports,
             "replayed reports must be identical"
@@ -314,6 +359,7 @@ mod tests {
     #[test]
     fn checkpoint_truncates_log_and_recovery_replays_only_the_tail() {
         let mut w = worker();
+        let mut shipper = Shipper::default();
         let batches = [
             insert(&[("BOAZ", "35016"), ("BOAZ", "35014"), ("ELBA", "36323")]),
             [Mutation::Update(
@@ -325,12 +371,13 @@ mod tests {
             .collect::<ChangeSet>(),
             insert(&[("ELBA", "36323")]),
             [Mutation::Delete(TupleId(0))].into_iter().collect(),
-        ];
+        ]
+        .map(|batch| shipper.slice(batch));
         // Apply two, checkpoint, apply two more.
-        for (seq, batch) in batches.iter().take(2).enumerate() {
+        for (seq, slice) in batches.iter().take(2).enumerate() {
             w.handle(Request::ApplyBatch {
                 batch_seq: seq as u64,
-                changes: batch.clone(),
+                slice: slice.clone(),
             });
         }
         let Response::Checkpointed {
@@ -344,10 +391,10 @@ mod tests {
         assert!(snapshot_bytes > 0);
         assert!(w.log().is_empty(), "the covered journal prefix must go");
 
-        for (seq, batch) in batches.iter().enumerate().skip(2) {
+        for (seq, slice) in batches.iter().enumerate().skip(2) {
             w.handle(Request::ApplyBatch {
                 batch_seq: seq as u64,
-                changes: batch.clone(),
+                slice: slice.clone(),
             });
         }
         assert_eq!(w.log().len(), 2, "only the tail is journaled");
@@ -373,7 +420,7 @@ mod tests {
         let rows_now = w.session_rows();
         let dup = w.handle(Request::ApplyBatch {
             batch_seq: 0,
-            changes: batches[0].clone(),
+            slice: batches[0].clone(),
         });
         let Response::Applied { report, .. } = dup else {
             panic!("duplicate must re-ack");
@@ -385,10 +432,8 @@ mod tests {
     #[test]
     fn duplicate_checkpoint_re_acks_without_re_encoding() {
         let mut w = worker();
-        w.handle(Request::ApplyBatch {
-            batch_seq: 0,
-            changes: insert(&[("BOAZ", "35016")]),
-        });
+        let mut shipper = Shipper::default();
+        apply(&mut w, &mut shipper, 0, insert(&[("BOAZ", "35016")]));
         let Response::Checkpointed { batches, .. } = w.handle(Request::Checkpoint) else {
             panic!("checkpoint must ack");
         };
@@ -403,10 +448,7 @@ mod tests {
 
         // After another batch the cursor moved, so a new checkpoint
         // supersedes the old one.
-        w.handle(Request::ApplyBatch {
-            batch_seq: 1,
-            changes: insert(&[("ELBA", "36323")]),
-        });
+        apply(&mut w, &mut shipper, 1, insert(&[("ELBA", "36323")]));
         let Response::Checkpointed { batches, .. } = w.handle(Request::Checkpoint) else {
             panic!("checkpoint must ack");
         };
@@ -425,16 +467,14 @@ mod tests {
         assert_eq!(w.applied_batches(), 0);
         assert_eq!(w.session_rows(), 0);
         // The degenerate checkpoint must not break later applies.
-        w.handle(Request::ApplyBatch {
-            batch_seq: 0,
-            changes: insert(&[("BOAZ", "35016")]),
-        });
+        let mut shipper = Shipper::default();
+        apply(&mut w, &mut shipper, 0, insert(&[("BOAZ", "35016")]));
         assert_eq!(w.session_rows(), 1);
     }
 
     /// The worker's rows as value ids, and the pool that resolves them.
-    fn dump(w: &mut PartitionWorker) -> (Vec<Vec<dataset::ValueId>>, Vec<String>) {
-        (w.store.rows(), w.store.pool_tail(0))
+    fn dump(w: &mut PartitionWorker) -> (Vec<Vec<ValueId>>, dataset::ValuePool) {
+        (w.store.rows(), w.store.dataset().pool().clone())
     }
 
     impl PartitionWorker {

@@ -150,12 +150,14 @@ fn a_hostile_network_delivers_in_the_same_order() {
     });
     let mut order = Vec::new();
     for req_id in 0..300 {
-        net.send(&Envelope {
+        let dst = 1 + (req_id as usize % 3);
+        let envelope = Envelope {
             src: COORDINATOR,
-            dst: 1 + (req_id as usize % 3),
+            dst,
             req_id,
             body: Payload::Request(Request::Checkpoint),
-        });
+        };
+        net.send(COORDINATOR, dst, transport::to_bytes(&envelope).unwrap());
         if req_id % 4 == 3 {
             if let Some(envelope) = net.advance() {
                 order.push((net.clock(), envelope.dst, envelope.req_id));

@@ -18,14 +18,18 @@ mod oracle;
 #[path = "kit/scripts.rs"]
 mod scripts;
 
-use dataset::{Dataset, Schema, TupleId};
-use distributed::{DistributedStreamingMlnClean, DistributedStreamingSession};
+use dataset::{AttrId, Dataset, Schema, TupleId, ValueId};
+use distributed::{
+    DistributedStreamingMlnClean, DistributedStreamingSession, LocalPartitions, PartitionBackend,
+};
 use mlnclean::{
-    ChangeSet, CleanConfig, CleaningSession, Engine, IncrementalMlnClean, MlnClean, Report,
+    BatchReport, Block, ChangeSet, CleanConfig, CleaningSession, Engine, IdMutation,
+    IncrementalMlnClean, InternedSlice, MlnClean, Mutation, Report, RowStore,
 };
 use oracle::assert_outcomes_identical;
 use rules::RuleSet;
 use scripts::random_scripts;
+use std::time::Duration;
 
 /// Feed the same change sets to a fresh single session and a fresh
 /// distributed streaming session, asserting per-batch report agreement (and
@@ -455,5 +459,137 @@ mod proptest_streams {
                 &format!("proptest hai stream seed={seed} partitions={partitions} K={merge_every}"),
             );
         }
+    }
+}
+
+/// In-process partitions that keep a copy of every slice they apply.
+struct Recording {
+    stores: LocalPartitions,
+    slices: Vec<Vec<InternedSlice>>,
+}
+
+impl PartitionBackend for Recording {
+    fn partitions(&self) -> usize {
+        self.stores.partitions()
+    }
+
+    fn apply_slices(&mut self, slices: Vec<InternedSlice>) -> Vec<Option<BatchReport>> {
+        self.slices.push(slices.clone());
+        self.stores.apply_slices(slices)
+    }
+
+    fn pristine_blocks(&mut self, blocks: &[usize]) -> Vec<Vec<Block>> {
+        self.stores.pristine_blocks(blocks)
+    }
+
+    fn gather_rows(&mut self, p: usize) -> Vec<Vec<ValueId>> {
+        self.stores.gather_rows(p)
+    }
+
+    fn index_clock(&mut self) -> Duration {
+        self.stores.index_clock()
+    }
+}
+
+/// `slice` as the change set of strings it interns, its ids resolved
+/// through `sent` — every value shipped to the partition so far, its tail
+/// included.
+fn as_strings(slice: &InternedSlice, sent: &[String], arity: usize) -> ChangeSet {
+    let value = |id: &ValueId| sent[id.index()].clone();
+    let mutation = |m: &IdMutation| match m {
+        IdMutation::Insert(ids) => Mutation::Insert(
+            ids.chunks(arity)
+                .map(|row| row.iter().map(value).collect())
+                .collect(),
+        ),
+        IdMutation::Update(t, attr, id) => Mutation::Update(*t, *attr, value(id)),
+        IdMutation::Delete(t) => Mutation::Delete(*t),
+    };
+    slice.mutations.iter().map(mutation).collect()
+}
+
+/// Values cross to a partition once, as ids after that, and the partition
+/// pools do not move: through a seeded stream of inserts, updates and
+/// deletes at K = 3 — ending in an update to a value no row holds, one to a
+/// value another partition holds, and a no-op — every partition's pool, in
+/// id order, and rows equal those of a standalone store fed the partition's
+/// slices as strings through the session door.
+#[test]
+fn partition_pools_equal_stores_fed_their_slices_as_strings() {
+    let dirty = datagen::HaiGenerator::default()
+        .with_rows(200)
+        .with_providers(8)
+        .dirty(0.06, 0.5, 41)
+        .dirty;
+    let (schema, rules) = (dirty.schema().clone(), datagen::HaiGenerator::rules());
+    let config = CleanConfig::default().with_tau(2);
+    let partitions = 3;
+    let stores = LocalPartitions::new(config.clone(), schema.clone(), rules.clone(), partitions);
+    let backend = Recording {
+        stores: stores.unwrap(),
+        slices: Vec::new(),
+    };
+    let mut session = DistributedStreamingSession::with_backend(
+        config.clone(),
+        schema.clone(),
+        rules.clone(),
+        backend,
+        3,
+    )
+    .unwrap();
+    for changes in random_scripts(&dirty, 120, 30, 0x5117) {
+        session.apply(changes).unwrap();
+    }
+
+    // Row 0's partition lacks some value of another partition's pool.
+    let parts = session.outcome().partitions.unwrap().parts;
+    let home = |g: TupleId| parts.iter().position(|part| part.contains(&g)).unwrap();
+    let pools: Vec<_> = session
+        .backend_mut()
+        .stores
+        .stores()
+        .iter()
+        .map(|s| s.dataset().pool().clone())
+        .collect();
+    let (p, city) = (home(TupleId(0)), AttrId(2));
+    let elsewhere = pools
+        .iter()
+        .flat_map(|pool| pool.iter().map(|(_, v)| v.to_string()))
+        .find(|v| pools[p].lookup(v).is_none())
+        .expect("the partitions hold different values");
+    let gathered = session.gather_dataset();
+    let unchanged = gathered.value(TupleId(1), city).to_string();
+    let last = ChangeSet::new()
+        .update(TupleId(0), city, "a city no row holds")
+        .update(TupleId(0), AttrId(3), elsewhere.clone())
+        .update(TupleId(1), city, unchanged)
+        .delete(TupleId(2));
+    session.apply(last).unwrap();
+    let shipped = &session.backend_mut().slices.last().unwrap()[p];
+    assert_eq!(shipped.tail, ["a city no row holds".to_string(), elsewhere]);
+
+    let arity = schema.arity();
+    let mut sent = vec![Vec::<String>::new(); partitions];
+    let mut standalone: Vec<RowStore> = (0..partitions)
+        .map(|_| RowStore::new(config.clone(), schema.clone(), rules.clone()).unwrap())
+        .collect();
+    let backend = session.backend_mut();
+    for batch in &backend.slices {
+        for (p, slice) in batch.iter().enumerate().filter(|(_, s)| !s.is_empty()) {
+            sent[p].extend(slice.tail.iter().cloned());
+            standalone[p]
+                .apply(as_strings(slice, &sent[p], arity))
+                .unwrap();
+        }
+    }
+    for (p, (ours, theirs)) in backend.stores.stores().iter().zip(&standalone).enumerate() {
+        assert_eq!(
+            ours.dataset().pool(),
+            theirs.dataset().pool(),
+            "partition {p}'s pool"
+        );
+        assert_eq!(ours.rows(), theirs.rows(), "partition {p}'s rows");
+        let values: Vec<&str> = ours.dataset().pool().iter().map(|(_, v)| v).collect();
+        assert_eq!(values, sent[p], "partition {p} interned its tails in order");
     }
 }
