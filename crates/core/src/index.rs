@@ -15,13 +15,25 @@
 //! resolve ids without re-touching the dataset.
 //!
 //! Construction cost is `O(|rules| × |tuples|)` as analysed in the paper.
+//!
+//! One routine, [`Block::merge_runs`], lays γs into a block, and every
+//! writer of a pristine block goes through it: a build inserts every row
+//! into empty blocks, an insert its new rows, an update the one row it
+//! re-homes, and the streaming coordinator the per-partition γs it merges.
+//! A delete is the id remap every γ pays for anyway, plus dropping what it
+//! emptied.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use crate::gamma::Gamma;
 use crate::map_ordered;
 use dataset::{AttrId, Dataset, TupleId, ValueId, ValuePool};
 use rules::{Rule, RuleId, RuleSet};
 use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 
 /// A second-layer group: all γs sharing the same reason-part values within a
@@ -134,6 +146,17 @@ pub struct Block {
 mlnw::codec! { struct Block { rule, reason_attrs, result_attrs, groups } }
 
 impl Block {
+    /// An empty block for `rule` over its resolved reason- and result-part
+    /// attributes.
+    pub fn new(rule: RuleId, reason_attrs: Vec<AttrId>, result_attrs: Vec<AttrId>) -> Self {
+        Block {
+            rule,
+            reason_attrs,
+            result_attrs,
+            groups: Vec::new(),
+        }
+    }
+
     /// Number of groups.
     pub fn group_count(&self) -> usize {
         self.groups.len()
@@ -152,6 +175,150 @@ impl Block {
     /// Total number of distinct γs in the block (the `M` of Eq. 4).
     pub fn gamma_count(&self) -> usize {
         self.groups.iter().map(|g| g.gamma_count()).sum()
+    }
+
+    /// Lay a batch of γ runs into the block, keeping it byte-identical to a
+    /// build over all the rows it then holds: groups ordered by their
+    /// string-resolved keys, γs inside a group by their resolved full value
+    /// vector (the historical string-keyed index's order, which every
+    /// downstream tie-break relies on), tuple ids ascending.
+    ///
+    /// The batch's distinct keys are sorted once by their strings and merged
+    /// into the block's groups: each key is placed by binary search over the
+    /// part of the block not yet passed, and the groups the batch creates go
+    /// in with one pass from the back, which moves each held group at most
+    /// once (and none when nothing is created).  A key that matches a held
+    /// γ adds its tuples to that γ — appended when they all come after the
+    /// γ's last tuple (every insert), merged in otherwise (an update, or runs
+    /// from two partitions).  Returns the keys of the groups the batch
+    /// touched, in block order, and how many of them it created.
+    pub fn merge_runs(&mut self, runs: GammaRuns, pool: &ValuePool) -> (Vec<Vec<ValueId>>, usize) {
+        let mut runs: Vec<(Vec<ValueId>, Vec<TupleId>)> = runs.runs.into_iter().collect();
+        runs.sort_unstable_by(|a, b| cmp_resolved(pool, &a.0, &b.0));
+        let Block {
+            rule,
+            reason_attrs,
+            result_attrs,
+            groups,
+        } = self;
+        let arity = reason_attrs.len();
+        let mut touched = Vec::new();
+        // New groups, each beside the held group it goes in front of.
+        let mut fresh: Vec<(usize, Group)> = Vec::new();
+        // Held groups before `at` are passed.
+        let mut at = 0;
+        let mut runs = runs.into_iter().peekable();
+        while let Some((key, _)) = runs.peek() {
+            let vl = key[..arity].to_vec();
+            let found = groups[at..].binary_search_by(|g| cmp_resolved(pool, &g.key, &vl));
+            at += found.unwrap_or_else(|i| i);
+            let group = match found {
+                Ok(_) => &mut groups[at],
+                Err(_) => {
+                    // Room for one γ, what most groups ever hold.
+                    let gammas = Vec::with_capacity(1);
+                    fresh.push((
+                        at,
+                        Group {
+                            key: vl.clone(),
+                            gammas,
+                        },
+                    ));
+                    let last = fresh.len() - 1;
+                    &mut fresh[last].1
+                }
+            };
+            // γs of the group the batch has passed.
+            let mut passed = 0;
+            while let Some((key, tuples)) = runs.next_if(|(key, _)| key[..arity] == vl[..]) {
+                let vr = &key[arity..];
+                let gammas = &mut group.gammas;
+                let found =
+                    gammas[passed..].binary_search_by(|g| cmp_resolved(pool, &g.result_values, vr));
+                match found {
+                    Ok(j) => add_ascending(&mut gammas[passed + j].tuples, &tuples),
+                    Err(j) => {
+                        let (reason, result) = (reason_attrs.clone(), result_attrs.clone());
+                        let gamma = Gamma::new(*rule, reason, vl.clone(), result, vr.to_vec());
+                        gammas.insert(passed + j, Gamma { tuples, ..gamma });
+                    }
+                }
+                passed += found.unwrap_or_else(|j| j) + 1;
+            }
+            at += usize::from(found.is_ok());
+            touched.push(vl);
+        }
+        // From the back: the held groups behind each new one shift by the
+        // number of new ones still to place, into the slots `resize` added.
+        let created = fresh.len();
+        let mut read = groups.len();
+        groups.resize_with(read + created, Group::default);
+        let mut write = groups.len();
+        for (at, group) in fresh.into_iter().rev() {
+            while read > at {
+                read -= 1;
+                write -= 1;
+                groups.swap(read, write);
+            }
+            write -= 1;
+            groups[write] = group;
+        }
+        (touched, created)
+    }
+
+    /// Drop the (sorted, deduplicated, pre-removal) row indices `removed`
+    /// from every γ and shift the survivors down
+    /// ([`dataset::remap_ids_after_removal`]), then drop the γs and groups
+    /// that emptied.  Returns the keys of the groups that lost a tuple, in
+    /// block order, and how many groups emptied.
+    fn remove_ids(&mut self, removed: &[usize]) -> (Vec<Vec<ValueId>>, usize) {
+        let mut touched = Vec::new();
+        let before = self.groups.len();
+        self.groups.retain_mut(|group| {
+            let held = group.tuple_count();
+            for gamma in &mut group.gammas {
+                dataset::remap_ids_after_removal(&mut gamma.tuples, removed);
+            }
+            if group.tuple_count() < held {
+                touched.push(group.key.clone());
+                group.gammas.retain(|g| !g.tuples.is_empty());
+            }
+            !group.gammas.is_empty()
+        });
+        (touched, before - self.groups.len())
+    }
+}
+
+/// A batch of γ runs bound for one block ([`Block::merge_runs`]): per γ key
+/// — the reason-part ids followed by the result-part ids — the ascending
+/// ids of the tuples that carry it.  Runs of one key join as they arrive,
+/// one hash probe each.
+#[derive(Debug, Default)]
+pub struct GammaRuns {
+    runs: HashMap<Vec<ValueId>, Vec<TupleId>>,
+}
+
+impl GammaRuns {
+    /// Add the ascending ids `tuples` to the run of γ key `key`.
+    pub fn push(&mut self, key: &[ValueId], tuples: &[TupleId]) {
+        match self.runs.get_mut(key) {
+            Some(held) => add_ascending(held, tuples),
+            None => {
+                self.runs.insert(key.to_vec(), tuples.to_vec());
+            }
+        }
+    }
+}
+
+/// Add the ascending ids `run` to the ascending ids `held`.
+fn add_ascending(held: &mut Vec<TupleId>, run: &[TupleId]) {
+    let interleaved =
+        matches!((held.last(), run.first()), (Some(last), Some(first)) if first < last);
+    held.extend_from_slice(run);
+    if interleaved {
+        // Two ascending runs back to back: the stable sort merges them in
+        // one linear pass.
+        held.sort();
     }
 }
 
@@ -198,8 +365,8 @@ pub struct InsertReport {
     /// Number of dataset rows scanned by the insertion.
     pub rows: usize,
     /// Per block (rule order): the interned keys of the distinct groups that
-    /// gained a tuple or a γ, or were newly created, in no particular order
-    /// — what a cleaning driver marks dirty.
+    /// gained a tuple or a γ, or were newly created, in block order — what a
+    /// cleaning driver marks dirty.
     pub touched_keys: Vec<Vec<Vec<ValueId>>>,
     /// Per block (rule order): groups newly created by the insertion.
     pub created_groups: Vec<usize>,
@@ -212,7 +379,7 @@ pub struct RemoveReport {
     /// Number of tuples removed from the index.
     pub rows: usize,
     /// Per block (rule order): the interned keys of the distinct groups that
-    /// lost a tuple, a γ, or were dropped entirely, in no particular order.
+    /// lost a tuple, a γ, or were dropped entirely, in block order.
     pub touched_keys: Vec<Vec<Vec<ValueId>>>,
     /// Per block (rule order): groups dropped because the removal emptied
     /// them.
@@ -233,10 +400,8 @@ mlnw::codec! { struct MlnIndex { blocks, pool } }
 
 /// Compare two id vectors by their string-resolved values — the ordering the
 /// historical string-keyed index used for groups and γs, preserved so every
-/// downstream tie-break stays byte-identical.  Public because external
-/// coordinators that assemble blocks (e.g. the distributed streaming merge)
-/// must restore exactly this ordering; do not reimplement it.
-pub fn cmp_resolved(pool: &ValuePool, a: &[ValueId], b: &[ValueId]) -> Ordering {
+/// downstream tie-break stays byte-identical.
+fn cmp_resolved(pool: &ValuePool, a: &[ValueId], b: &[ValueId]) -> Ordering {
     let ka = a.iter().map(|&v| pool.resolve(v));
     let kb = b.iter().map(|&v| pool.resolve(v));
     ka.cmp(kb)
@@ -258,34 +423,41 @@ impl MlnIndex {
         Self::build_with(ds, rules, false)
     }
 
-    /// Build the index, mapping the per-rule-block body over the rayon pool
-    /// or the calling thread (the [`crate::CleanConfig::parallel`] toggle).
+    /// Build the index: empty blocks, then every row inserted
+    /// ([`MlnIndex::insert_tuples`] from row 0), the per-rule-block body
+    /// mapped over the rayon pool or the calling thread (the
+    /// [`crate::CleanConfig::parallel`] toggle).
     pub fn build_with(ds: &Dataset, rules: &RuleSet, parallel: bool) -> Result<Self, IndexError> {
-        Self::validate(ds, rules)?;
+        let blocks = Self::empty_blocks(ds, rules)?;
         // An empty snapshot adopts the dataset's id table: a reference bump.
-        let mut pool = ValuePool::new();
-        pool.sync_from(ds.pool());
-        let pairs: Vec<(RuleId, &Rule)> = rules.iter_with_ids().collect();
-        let blocks = map_ordered(parallel, pairs, |(rule_id, rule)| {
-            build_block(ds, &pool, rule_id, rule)
-        });
-        Ok(MlnIndex { blocks, pool })
+        let mut index = MlnIndex {
+            blocks,
+            pool: ValuePool::new(),
+        };
+        index.insert_tuples(ds, rules, 0, parallel);
+        Ok(index)
     }
 
-    /// Check every rule against the dataset schema, so later projections
-    /// cannot panic.
-    fn validate(ds: &Dataset, rules: &RuleSet) -> Result<(), IndexError> {
-        for (rule_id, rule) in rules.iter_with_ids() {
-            for attr in rule.all_attrs() {
-                if ds.schema().attr_id(&attr).is_none() {
-                    return Err(IndexError::UnknownAttribute {
-                        rule: rule_id,
-                        attribute: attr,
-                    });
-                }
-            }
-        }
-        Ok(())
+    /// One empty block per rule, its attributes resolved against the dataset
+    /// schema — so later projections cannot panic.
+    fn empty_blocks(ds: &Dataset, rules: &RuleSet) -> Result<Vec<Block>, IndexError> {
+        let schema = ds.schema();
+        let resolve = |rule: RuleId, attrs: Vec<String>| -> Result<Vec<AttrId>, IndexError> {
+            attrs
+                .into_iter()
+                .map(|attribute| match schema.attr_id(&attribute) {
+                    Some(id) => Ok(id),
+                    None => Err(IndexError::UnknownAttribute { rule, attribute }),
+                })
+                .collect()
+        };
+        rules
+            .iter_with_ids()
+            .map(|(id, rule)| {
+                let reason = resolve(id, rule.reason_attrs())?;
+                Ok(Block::new(id, reason, resolve(id, rule.result_attrs())?))
+            })
+            .collect()
     }
 
     /// Incrementally insert the dataset rows `from..ds.len()` into the
@@ -293,9 +465,10 @@ impl MlnIndex {
     ///
     /// `self` must have been built (or incrementally grown) from exactly the
     /// first `from` rows of `ds` under the same `rules`; the call then makes
-    /// it byte-identical to `MlnIndex::build(ds, rules)` — new γs and groups
-    /// are spliced in at their string-sorted positions, and tuple ids append
-    /// in dataset order.  The pool snapshot is refreshed from `ds`, which is
+    /// it byte-identical to `MlnIndex::build(ds, rules)` — each block takes
+    /// the rows it sees as one batch ([`Block::merge_runs`]): new γs and
+    /// groups land at their string-sorted positions, and tuple ids append in
+    /// dataset order.  The pool snapshot is refreshed from `ds`, which is
     /// sound because [`ValuePool`] ids are append-only stable.
     ///
     /// Blocks are processed in parallel when `parallel` is set (byte-identical
@@ -317,23 +490,24 @@ impl MlnIndex {
         };
         if rows > 0 {
             let inserted = self.map_blocks(rules, parallel, |block, pool, rule| {
-                insert_range_into_block(block, ds, pool, rule, from)
+                insert_rows(block, ds, pool, rule, from)
             });
             (report.touched_keys, report.created_groups) = inserted.into_iter().unzip();
         }
         report
     }
 
-    /// Incrementally remove tuples from the blocks/groups — the splice-out
-    /// mirror of [`MlnIndex::insert_tuples`].
+    /// Incrementally remove tuples from the blocks/groups — the mirror of
+    /// [`MlnIndex::insert_tuples`].
     ///
     /// `ds` must be the dataset the index was built from **still containing**
     /// the rows (the caller compacts the dataset afterwards); `ids` are
-    /// interpreted against that pre-removal numbering.  After the call the
-    /// index is byte-identical to `MlnIndex::build` over the surviving rows
-    /// (with their post-compaction ids): each tuple is spliced out of its
-    /// sorted γ position, γs and groups emptied by the removal are dropped,
-    /// and every surviving id greater than a removed one shifts down.
+    /// interpreted against that pre-removal numbering, and no row is read.
+    /// After the call the index is byte-identical to `MlnIndex::build` over
+    /// the surviving rows (with their post-compaction ids): one pass over
+    /// every γ drops the removed ids and shifts every surviving id greater
+    /// than a removed one down, and γs and groups emptied by the removal are
+    /// dropped.
     ///
     /// Blocks are processed in parallel when `parallel` is set
     /// (byte-identical to the serial path).  The returned [`RemoveReport`]
@@ -362,12 +536,8 @@ impl MlnIndex {
                 });
             }
             let removed = &removed;
-            let spliced = self.map_blocks(rules, parallel, |block, pool, rule| {
-                let counts = remove_ids_from_block(block, ds, pool, rule, removed);
-                remap_block_after_removal(block, removed);
-                counts
-            });
-            (report.touched_keys, report.removed_groups) = spliced.into_iter().unzip();
+            let dropped = self.map_blocks(rules, parallel, |block, _, _| block.remove_ids(removed));
+            (report.touched_keys, report.removed_groups) = dropped.into_iter().unzip();
         }
         Ok(report)
     }
@@ -377,10 +547,10 @@ impl MlnIndex {
     /// `ds` must already hold the **new** value; `old_row` is the tuple's
     /// full pre-update id row (schema order, resolving in `ds`'s pool, whose
     /// interned values are append-only).  For every block whose membership
-    /// or projection changed, the tuple is spliced out of its old γ position
-    /// and into its new one (both string-sorted, so the block stays
-    /// byte-identical to a rebuild over the updated dataset).  Blocks whose
-    /// rule does not see the change are untouched.
+    /// or projection changed, the tuple is taken out of its old γ and merged
+    /// into its new one as a one-row batch ([`Block::merge_runs`]), so the
+    /// block stays byte-identical to a rebuild over the updated dataset.
+    /// Blocks whose rule does not see the change are untouched.
     ///
     /// Returns, per block (rule order), the interned keys of the distinct
     /// groups touched — the tuple's pre-update group, its post-update group,
@@ -434,11 +604,10 @@ impl MlnIndex {
     }
 
     /// Assemble an index from externally built blocks and the pool their
-    /// value ids resolve through — the constructor external coordinators
-    /// (e.g. the distributed streaming driver, which merges per-partition
-    /// pristine blocks into global ones) use.  The caller is responsible
-    /// for the blocks' invariants: groups sorted by string-resolved key, γs
-    /// by resolved value vector, tuple lists ascending.
+    /// value ids resolve through.  The caller is responsible for the blocks'
+    /// invariants: groups sorted by string-resolved key, γs by resolved
+    /// value vector, tuple lists ascending — what [`Block::merge_runs`]
+    /// keeps.
     pub fn from_parts(blocks: Vec<Block>, pool: ValuePool) -> Self {
         MlnIndex { blocks, pool }
     }
@@ -456,7 +625,9 @@ impl MlnIndex {
             return;
         }
         for block in &mut self.blocks {
-            remap_block_after_removal(block, removed);
+            for gamma in block.groups.iter_mut().flat_map(|g| &mut g.gammas) {
+                dataset::remap_ids_after_removal(&mut gamma.tuples, removed);
+            }
         }
     }
 
@@ -503,186 +674,18 @@ impl MlnIndex {
     }
 }
 
-/// Build one rule's block from scratch (the per-rule body of Algorithm 1,
-/// lines 1–13) — the unit of work of the parallel index construction.
-fn build_block(ds: &Dataset, pool: &ValuePool, rule_id: RuleId, rule: &Rule) -> Block {
-    let schema = ds.schema();
-    let reason_attrs: Vec<AttrId> = rule
-        .reason_attrs()
-        .iter()
-        .map(|a| {
-            schema
-                .attr_id(a)
-                .expect("rules validated against the schema")
-        })
-        .collect();
-    let result_attrs: Vec<AttrId> = rule
-        .result_attrs()
-        .iter()
-        .map(|a| {
-            schema
-                .attr_id(a)
-                .expect("rules validated against the schema")
-        })
-        .collect();
-
-    // full γ key (reason ids, then result ids) -> γ.  The row's key is built
-    // in one reused buffer and looked up by slice, so a row whose γ exists
-    // costs one integer hash probe and a push; only a γ's first tuple
-    // allocates.  No string is cloned, hashed or compared while scanning.
-    let arity = reason_attrs.len();
-    let mut gammas: HashMap<Vec<ValueId>, Gamma> = HashMap::new();
-    let mut key: Vec<ValueId> = Vec::with_capacity(arity + result_attrs.len());
-    for t in ds.tuples() {
-        if !rule.is_relevant(schema, &t) {
-            continue;
-        }
-        key.clear();
-        key.extend(
-            reason_attrs
-                .iter()
-                .chain(&result_attrs)
-                .map(|&a| t.value_id(a)),
-        );
-        if let Some(gamma) = gammas.get_mut(key.as_slice()) {
-            gamma.tuples.push(t.id());
-            continue;
-        }
-        let (vl, vr) = (key[..arity].to_vec(), key[arity..].to_vec());
-        let mut gamma = Gamma::new(rule_id, reason_attrs.clone(), vl, result_attrs.clone(), vr);
-        gamma.tuples.push(t.id());
-        gammas.insert(key.clone(), gamma);
-    }
-
-    // Restore the historical deterministic ordering: groups sorted by their
-    // string-resolved keys, γs within a group by their resolved full value
-    // vector (exactly the old BTreeMap-over-Vec<String> iteration order).
-    // Every γ leads with its group's key and the reason arity is fixed, so
-    // one sort by the full vector orders the groups and the γs inside them
-    // at once and leaves each group contiguous.
-    let mut gammas: Vec<Gamma> = gammas.into_values().collect();
-    gammas.sort_by(|a, b| cmp_resolved_gammas(pool, a, b));
-    let mut groups: Vec<Group> = Vec::new();
-    for gamma in gammas {
-        match groups.last_mut() {
-            Some(group) if group.key == gamma.reason_values => group.gammas.push(gamma),
-            _ => groups.push(Group {
-                key: gamma.reason_values.clone(),
-                gammas: vec![gamma],
-            }),
-        }
-    }
-    Block {
-        rule: rule_id,
-        reason_attrs,
-        result_attrs,
-        groups,
-    }
+/// The γ key of a row under a block: its reason-part ids, then its
+/// result-part ids.
+fn gamma_key(block: &Block, value: impl Fn(AttrId) -> ValueId) -> Vec<ValueId> {
+    let attrs = block.reason_attrs.iter().chain(&block.result_attrs);
+    attrs.map(|&a| value(a)).collect()
 }
 
-/// Compare two γs by their string-resolved full value vector (reason part
-/// then result part) — the within-group ordering of the index.  Public for
-/// the same reason as [`cmp_resolved`].
-pub fn cmp_resolved_gammas(pool: &ValuePool, a: &Gamma, b: &Gamma) -> Ordering {
-    let ka = a
-        .reason_values
-        .iter()
-        .chain(&a.result_values)
-        .map(|&v| pool.resolve(v));
-    let kb = b
-        .reason_values
-        .iter()
-        .chain(&b.result_values)
-        .map(|&v| pool.resolve(v));
-    ka.cmp(kb)
-}
-
-/// Where the group keyed `vl` is — or would go — in the block's string order.
-fn find_group(block: &Block, pool: &ValuePool, vl: &[ValueId]) -> Result<usize, usize> {
-    block
-        .groups
-        .binary_search_by(|g| cmp_resolved(pool, &g.key, vl))
-}
-
-/// Where the γ with result part `vr` is — or would go — in the string order
-/// of a pristine group: its γs all carry the group's key as their reason
-/// part, so [`cmp_resolved_gammas`]' order is the order of their result parts.
-fn find_gamma(group: &Group, pool: &ValuePool, vr: &[ValueId]) -> Result<usize, usize> {
-    group
-        .gammas
-        .binary_search_by(|g| cmp_resolved(pool, &g.result_values, vr))
-}
-
-/// Put tuple `t` into the γ `(vl, vr)` of `block`, at its ascending position
-/// in the γ's tuple list (the end, for a newly appended row), creating the γ
-/// — and the group — at their string-sorted positions when absent.  Returns
-/// whether the group was created.
-fn splice_in(
-    block: &mut Block,
-    pool: &ValuePool,
-    vl: &[ValueId],
-    vr: Vec<ValueId>,
-    t: TupleId,
-) -> bool {
-    let new_gamma = |block: &Block, vr: Vec<ValueId>| {
-        let (reason, result) = (block.reason_attrs.clone(), block.result_attrs.clone());
-        let mut gamma = Gamma::new(block.rule, reason, vl.to_vec(), result, vr);
-        gamma.tuples.push(t);
-        gamma
-    };
-    match find_group(block, pool, vl) {
-        Ok(i) => {
-            match find_gamma(&block.groups[i], pool, &vr) {
-                Ok(j) => {
-                    let tuples = &mut block.groups[i].gammas[j].tuples;
-                    tuples.insert(tuples.partition_point(|&held| held < t), t);
-                }
-                Err(j) => {
-                    let gamma = new_gamma(block, vr);
-                    block.groups[i].gammas.insert(j, gamma);
-                }
-            }
-            false
-        }
-        Err(i) => {
-            let gammas = vec![new_gamma(block, vr)];
-            let key = vl.to_vec();
-            block.groups.insert(i, Group { key, gammas });
-            true
-        }
-    }
-}
-
-/// Take tuple `t` out of the γ `(vl, vr)` of `block`, dropping the γ if that
-/// empties it and then the group if that empties it — exactly what a rebuild
-/// without the tuple would omit.  Returns whether the group was dropped.
-fn splice_out(
-    block: &mut Block,
-    pool: &ValuePool,
-    vl: &[ValueId],
-    vr: &[ValueId],
-    t: TupleId,
-) -> bool {
-    let i = find_group(block, pool, vl).expect("the tuple's group is in the index");
-    let group = &mut block.groups[i];
-    let j = find_gamma(group, pool, vr).expect("the tuple's γ is in the index");
-    let tuples = &mut group.gammas[j].tuples;
-    let k = tuples.binary_search(&t).expect("the tuple id is in its γ");
-    tuples.remove(k);
-    if tuples.is_empty() {
-        group.gammas.remove(j);
-    }
-    let dropped = group.gammas.is_empty();
-    if dropped {
-        block.groups.remove(i);
-    }
-    dropped
-}
-
-/// Insert the rows `from..ds.len()` into one block, keeping the block
-/// byte-identical to a full rebuild ([`splice_in`]; tuple ids append in
-/// dataset order).  Returns `(touched group keys, created groups)`.
-fn insert_range_into_block(
+/// Insert the rows `from..ds.len()` into one block as one batch
+/// ([`Block::merge_runs`]).  The row's key is built in one reused buffer and
+/// looked up by slice, so a row whose γ the batch holds costs one integer
+/// hash probe and a push.  Returns `(touched group keys, created groups)`.
+fn insert_rows(
     block: &mut Block,
     ds: &Dataset,
     pool: &ValuePool,
@@ -690,62 +693,53 @@ fn insert_range_into_block(
     from: usize,
 ) -> (Vec<Vec<ValueId>>, usize) {
     let schema = ds.schema();
-    let mut touched: HashSet<Vec<ValueId>> = HashSet::new();
-    let mut created = 0usize;
+    let mut runs = GammaRuns::default();
+    let mut key: Vec<ValueId> =
+        Vec::with_capacity(block.reason_attrs.len() + block.result_attrs.len());
     for t in (from..ds.len()).map(TupleId) {
         let tuple = ds.tuple(t);
         if !rule.is_relevant(schema, &tuple) {
             continue;
         }
-        let vl = tuple.project_ids(&block.reason_attrs);
-        let vr = tuple.project_ids(&block.result_attrs);
-        created += usize::from(splice_in(block, pool, &vl, vr, t));
-        touched.insert(vl);
+        key.clear();
+        let attrs = block.reason_attrs.iter().chain(&block.result_attrs);
+        key.extend(attrs.map(|&a| tuple.value_id(a)));
+        runs.push(&key, &[t]);
     }
-    (touched.into_iter().collect(), created)
+    block.merge_runs(runs, pool)
 }
 
-/// Splice the (sorted, deduplicated, pre-removal) row indices `removed` out
-/// of one block ([`splice_out`]).  Ids are NOT shifted here (see
-/// [`remap_block_after_removal`]).  Returns `(touched group keys, dropped
-/// groups)`.
-fn remove_ids_from_block(
-    block: &mut Block,
-    ds: &Dataset,
-    pool: &ValuePool,
-    rule: &Rule,
-    removed: &[usize],
-) -> (Vec<Vec<ValueId>>, usize) {
-    let schema = ds.schema();
-    let mut touched: HashSet<Vec<ValueId>> = HashSet::new();
-    let mut dropped = 0usize;
-    for &r in removed {
-        let t = TupleId(r);
-        let tuple = ds.tuple(t);
-        if !rule.is_relevant(schema, &tuple) {
-            continue;
-        }
-        let vl = tuple.project_ids(&block.reason_attrs);
-        let vr = tuple.project_ids(&block.result_attrs);
-        dropped += usize::from(splice_out(block, pool, &vl, &vr, t));
-        touched.insert(vl);
+/// Take tuple `t` out of the γ `key` of `block`, dropping the γ if that
+/// empties it and then the group if that empties it — exactly what a rebuild
+/// without the tuple would omit.
+#[allow(
+    clippy::expect_used,
+    reason = "`key` is the tuple's pre-update γ key under a rule that saw the row, and the index holds every row the rule sees"
+)]
+fn take_out(block: &mut Block, pool: &ValuePool, key: &[ValueId], t: TupleId) {
+    let (vl, vr) = key.split_at(block.reason_attrs.len());
+    let i = block
+        .groups
+        .binary_search_by(|g| cmp_resolved(pool, &g.key, vl))
+        .expect("the tuple's group is in the index");
+    let group = &mut block.groups[i];
+    let j = group
+        .gammas
+        .binary_search_by(|g| cmp_resolved(pool, &g.result_values, vr))
+        .expect("the tuple's γ is in the index");
+    let tuples = &mut group.gammas[j].tuples;
+    let k = tuples.binary_search(&t).expect("the tuple id is in its γ");
+    tuples.remove(k);
+    if tuples.is_empty() {
+        group.gammas.remove(j);
     }
-    (touched.into_iter().collect(), dropped)
-}
-
-/// Shift every γ tuple id down by the number of (sorted, deduplicated)
-/// `removed` indices below it, dropping exact matches — the id-space
-/// compaction that follows a dataset row removal.
-fn remap_block_after_removal(block: &mut Block, removed: &[usize]) {
-    for group in &mut block.groups {
-        for gamma in &mut group.gammas {
-            dataset::remap_ids_after_removal(&mut gamma.tuples, removed);
-        }
+    if group.gammas.is_empty() {
+        block.groups.remove(i);
     }
 }
 
 /// Move tuple `t` from its pre-update γ to its post-update γ within one
-/// block ([`splice_out`], then [`splice_in`]).  Returns the
+/// block ([`take_out`], then a one-row [`Block::merge_runs`]).  Returns the
 /// interned keys of the distinct groups touched — old first, then new when
 /// they differ (empty when the rule cannot see the update).
 fn rehome_tuple_in_block(
@@ -760,25 +754,25 @@ fn rehome_tuple_in_block(
     let tuple = ds.tuple(t);
     let old_relevant = rule.is_relevant_ids(schema, pool, old_row);
     let new_relevant = rule.is_relevant(schema, &tuple);
-    let project_old =
-        |attrs: &[AttrId]| -> Vec<ValueId> { attrs.iter().map(|a| old_row[a.index()]).collect() };
-    let old_vl = project_old(&block.reason_attrs);
-    let old_vr = project_old(&block.result_attrs);
-    let new_vl = tuple.project_ids(&block.reason_attrs);
-    let new_vr = tuple.project_ids(&block.result_attrs);
-    if old_relevant == new_relevant && (!old_relevant || (old_vl == new_vl && old_vr == new_vr)) {
+    let old_key = gamma_key(block, |a| old_row[a.index()]);
+    let new_key = gamma_key(block, |a| tuple.value_id(a));
+    if old_relevant == new_relevant && (!old_relevant || old_key == new_key) {
         return Vec::new(); // the rule cannot tell the old and new rows apart
     }
 
     let mut touched: Vec<Vec<ValueId>> = Vec::with_capacity(2);
     if old_relevant {
-        splice_out(block, pool, &old_vl, &old_vr, t);
-        touched.push(old_vl);
+        take_out(block, pool, &old_key, t);
+        touched.push(old_key[..block.reason_attrs.len()].to_vec());
     }
     if new_relevant {
-        splice_in(block, pool, &new_vl, new_vr, t);
-        if !touched.contains(&new_vl) {
-            touched.push(new_vl);
+        let mut runs = GammaRuns::default();
+        runs.push(&new_key, &[t]);
+        let (keys, _) = block.merge_runs(runs, pool);
+        for key in keys {
+            if !touched.contains(&key) {
+                touched.push(key);
+            }
         }
     }
     touched
@@ -789,9 +783,113 @@ mod tests {
     use super::*;
     use dataset::sample_hospital_dataset;
     use rules::sample_hospital_rules;
+    use std::collections::BTreeMap;
 
     fn build_sample_index() -> MlnIndex {
         MlnIndex::build(&sample_hospital_dataset(), &sample_hospital_rules()).unwrap()
+    }
+
+    /// Per block, per group: its resolved key, then per γ its resolved
+    /// result values and its tuple ids.
+    type Layout = Vec<Vec<(Vec<String>, Vec<(Vec<String>, Vec<TupleId>)>)>>;
+
+    /// The historical string-keyed layout, built without the index: per
+    /// rule, a `BTreeMap` from resolved (reason, result) values to ascending
+    /// tuple ids.
+    fn reference(ds: &Dataset, rules: &RuleSet) -> Layout {
+        let schema = ds.schema();
+        let mut layout = Layout::new();
+        for (_, rule) in rules.iter_with_ids() {
+            let mut block: BTreeMap<Vec<String>, BTreeMap<Vec<String>, Vec<TupleId>>> =
+                BTreeMap::new();
+            for t in ds.tuples().filter(|t| rule.is_relevant(schema, t)) {
+                let values = |attrs: Vec<String>| -> Vec<String> {
+                    let value = |a: &String| t.value(schema.attr_id(a).unwrap()).to_string();
+                    attrs.iter().map(value).collect()
+                };
+                let gammas = block.entry(values(rule.reason_attrs())).or_default();
+                gammas
+                    .entry(values(rule.result_attrs()))
+                    .or_default()
+                    .push(t.id());
+            }
+            layout.push(
+                block
+                    .into_iter()
+                    .map(|(k, g)| (k, g.into_iter().collect()))
+                    .collect(),
+            );
+        }
+        layout
+    }
+
+    /// An index's layout in the reference's shape; every γ must carry its
+    /// group's key.
+    fn layout(index: &MlnIndex) -> Layout {
+        let resolve = |ids: &[ValueId]| -> Vec<String> {
+            ids.iter()
+                .map(|&v| index.pool().resolve(v).to_string())
+                .collect()
+        };
+        let group = |g: &Group| {
+            assert!(g.gammas.iter().all(|gamma| gamma.reason_values == g.key));
+            let gammas = g
+                .gammas
+                .iter()
+                .map(|gamma| (resolve(&gamma.result_values), gamma.tuples.clone()));
+            (resolve(&g.key), gammas.collect())
+        };
+        index
+            .blocks
+            .iter()
+            .map(|b| b.groups.iter().map(group).collect())
+            .collect()
+    }
+
+    #[test]
+    fn build_matches_the_string_keyed_reference() {
+        let hai = datagen::HaiGenerator::default()
+            .with_rows(400)
+            .with_providers(15)
+            .with_seed(3)
+            .dirty(0.08, 0.5, 3)
+            .dirty;
+        let car = datagen::CarGenerator::default()
+            .with_rows(400)
+            .with_seed(5)
+            .dirty(0.08, 0.5, 5)
+            .dirty;
+        for (ds, rules) in [
+            (sample_hospital_dataset(), sample_hospital_rules()),
+            (hai, datagen::HaiGenerator::rules()),
+            (car, datagen::CarGenerator::rules()),
+        ] {
+            let index = MlnIndex::build(&ds, &rules).unwrap();
+            assert!(index.blocks.iter().any(|b| b.groups.len() > 1));
+            assert_eq!(layout(&index), reference(&ds, &rules));
+        }
+    }
+
+    #[test]
+    fn interleaved_runs_of_one_gamma_merge_ascending() {
+        // The streaming coordinator's shape: one γ key arriving from two
+        // partitions whose tuple ids interleave.
+        let ds = sample_hospital_dataset();
+        let built = build_sample_index().blocks.swap_remove(0);
+        let mut block = Block::new(built.rule, built.reason_attrs, built.result_attrs);
+        let key = gamma_key(&block, |a| ds.value_id(TupleId(4), a));
+        let mut runs = GammaRuns::default();
+        runs.push(&key, &[TupleId(1), TupleId(4), TupleId(6)]);
+        runs.push(&key, &[TupleId(0), TupleId(5)]);
+        runs.push(&key, &[TupleId(7)]);
+        let (touched, created) = block.merge_runs(runs, ds.pool());
+        assert_eq!((touched, created), (vec![key[..1].to_vec()], 1));
+        let ids: Vec<usize> = block.groups[0].gammas[0]
+            .tuples
+            .iter()
+            .map(|t| t.0)
+            .collect();
+        assert_eq!(ids, [0, 1, 4, 5, 6, 7]);
     }
 
     #[test]
@@ -935,6 +1033,7 @@ mod tests {
                 let mut index = MlnIndex::build_serial(&prefix, &rules).unwrap();
                 let report = index.insert_tuples(&ds, &rules, split, parallel);
                 assert_eq!(report.rows, ds.len() - split);
+                assert_eq!(layout(&index), reference(&ds, &rules), "split {split}");
                 assert_eq!(
                     format!("{index:?}"),
                     format!("{full:?}"),
@@ -963,6 +1062,7 @@ mod tests {
             index.insert_tuples(&prefix, &rules, at, true);
             at = upto;
         }
+        assert_eq!(layout(&index), reference(&dirty, &rules));
         assert_eq!(format!("{index:?}"), format!("{full:?}"));
     }
 
@@ -1014,7 +1114,9 @@ mod tests {
                 assert_eq!(report.rows, removed.len());
                 let survivors: Vec<TupleId> =
                     ds.tuple_ids().filter(|t| !removed.contains(t)).collect();
-                let rebuilt = MlnIndex::build_serial(&ds.project_rows(&survivors), &rules).unwrap();
+                let survivors = ds.project_rows(&survivors);
+                assert_eq!(layout(&index), reference(&survivors, &rules));
+                let rebuilt = MlnIndex::build_serial(&survivors, &rules).unwrap();
                 assert_eq!(
                     format!("{index:?}"),
                     format!("{rebuilt:?}"),
@@ -1088,6 +1190,7 @@ mod tests {
                 let old_row = updated.row_ids(t);
                 updated.set_value(t, a, value);
                 let touched = index.update_tuple(&updated, &rules, t, &old_row, parallel);
+                assert_eq!(layout(&index), reference(&updated, &rules));
                 let rebuilt = MlnIndex::build_serial(&updated, &rules).unwrap();
                 assert_eq!(
                     format!("{index:?}"),

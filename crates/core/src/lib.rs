@@ -116,7 +116,7 @@ pub use fscr::{
     TupleFusion,
 };
 pub use gamma::Gamma;
-pub use index::{Block, Group, InsertReport, MlnIndex, RemoveReport};
+pub use index::{Block, GammaRuns, Group, InsertReport, MlnIndex, RemoveReport};
 pub use pipeline::MlnClean;
 pub use rsc::{ReliabilityCleaner, RscRecord, RscRepair};
 pub use session::CleaningSession;

@@ -16,7 +16,7 @@ use crate::changeset::{ChangeSet, DeferredDeletes, IdMutation, InternedSlice, Mu
 use crate::error::CleanError;
 use crate::index::{Block, MlnIndex};
 use crate::CleanConfig;
-use dataset::{Dataset, Schema, TupleId, ValueId};
+use dataset::{Dataset, Schema, TupleId, ValueId, ValuePool};
 use rules::RuleSet;
 use std::time::{Duration, Instant};
 
@@ -316,29 +316,28 @@ impl RowStore {
     }
 
     /// Ingest a whole dataset (the batch special case): an empty store shares
-    /// its columns and pool and builds the index in bulk; otherwise the rows
-    /// append through [`Dataset::extend_from`].
+    /// its columns and pool, a non-empty one appends the rows through
+    /// [`Dataset::extend_from`]; either way the new rows go into the index
+    /// through [`MlnIndex::insert_tuples`].
     pub fn ingest_dataset(&mut self, ds: &Dataset) -> Result<Applied, CleanError> {
         if ds.schema() != self.dataset.schema() {
             return Err(CleanError::Schema(dataset::SchemaMismatch));
         }
         let started = Instant::now();
-        let parallel = self.config.parallel;
-        let touched: Vec<Vec<Vec<ValueId>>> = if self.dataset.is_empty() {
-            let dataset = ds.clone();
-            self.pristine = MlnIndex::build_with(&dataset, &self.rules, parallel)?;
-            self.dataset = dataset;
-            // A bulk build touches exactly the groups it creates.
-            let keys = |block: &Block| block.groups.iter().map(|g| g.key.clone()).collect();
-            self.pristine.blocks.iter().map(keys).collect()
+        let from = self.dataset.len();
+        if from == 0 {
+            self.dataset = ds.clone();
+            // The empty blocks start over on the adopted pool.
+            let blocks = std::mem::take(&mut self.pristine.blocks);
+            self.pristine = MlnIndex::from_parts(blocks, ValuePool::new());
         } else {
-            let from = self.dataset.len();
             self.dataset.extend_from(ds)?;
-            let inserted = self
-                .pristine
-                .insert_tuples(&self.dataset, &self.rules, from, parallel);
-            inserted.touched_keys
-        };
+        }
+        let parallel = self.config.parallel;
+        let inserted = self
+            .pristine
+            .insert_tuples(&self.dataset, &self.rules, from, parallel);
+        let touched = inserted.touched_keys;
         let report = BatchReport {
             rows: ds.len(),
             touched_groups: touched.iter().map(Vec::len).sum(),

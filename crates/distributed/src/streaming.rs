@@ -24,24 +24,26 @@
 //!    local → coordinator translation tables as it routes.
 //! 2. **Ingest** — each partition's [`RowStore`] appends its tail and applies
 //!    its slice of the change set on its own worker thread.  The stores do
-//!    the expensive incremental index maintenance (γ splice-in/out, group
-//!    re-homing) in parallel over disjoint row subsets, and hold no cleaning
-//!    state.
+//!    the incremental index maintenance (γ merges, group re-homing, delete
+//!    compaction) in parallel over disjoint row subsets, and hold no
+//!    cleaning state.
 //! 3. **Merge** — every K change sets (and before any outcome) the
 //!    coordinator merges, for each block touched since the last round, the
-//!    partitions' pristine per-block state into one **global** block: the
-//!    support of identical γs is summed across partitions, value ids
-//!    translate through the tables routing filled, and tuple ids are
-//!    remapped through the partition id lists.  The merged blocks then go
-//!    through [`StageOne::refresh`] — the same per-block Stage-I driver, and
-//!    the same call, a single [`CleaningSession`] refreshes its own dirty
-//!    blocks with — marked fully dirty, over one persistent per-block cache
-//!    (distance memo included).  Because weights are learned from the
-//!    **merged** supports, this is the *exact-evidence* variant of the
-//!    paper's Eq. 6 phase: where the batch runner averages independently
-//!    learned per-partition weights (`Σᵢ nᵢwᵢ / Σᵢ nᵢ`), the streaming merge
-//!    reconstructs the global evidence and learns the weight a single-node
-//!    run would — which is what makes the differential harness
+//!    partitions' pristine per-block state into one **global** block: value
+//!    ids translate through the tables routing filled, tuple ids are
+//!    remapped through the partition id lists, and the index's own layout
+//!    routine ([`Block::merge_runs`]) sums the support of identical γs
+//!    across partitions and orders groups and γs as a single build would.
+//!    The merged blocks then go through [`StageOne::refresh`] — the same
+//!    per-block Stage-I driver, and the same call, a single
+//!    [`CleaningSession`] refreshes its own dirty blocks with — marked fully
+//!    dirty, over one persistent per-block cache (distance memo included).
+//!    Because weights are learned from the **merged** supports, this is the
+//!    *exact-evidence* variant of the paper's Eq. 6 phase: where the batch
+//!    runner averages independently learned per-partition weights
+//!    (`Σᵢ nᵢwᵢ / Σᵢ nᵢ`), the streaming merge reconstructs the global
+//!    evidence and learns the weight a single-node run would — which is
+//!    what makes the differential harness
 //!    (`tests/streaming_equivalence.rs`) able to pin the driver
 //!    **byte-identical** to a single session.  Exact evidence has no
 //!    weight-merge phase: nothing is pushed back to the partitions, which
@@ -69,9 +71,8 @@
 use crate::backend::{LocalPartitions, PartitionBackend};
 use crate::partition::route_row;
 use dataset::{Dataset, Schema, TupleId, ValueId, ValuePool};
-use mlnclean::index::{cmp_resolved, cmp_resolved_gammas};
 use mlnclean::{
-    BatchReport, Block, ChangeSet, CleanConfig, CleanError, DeferredDeletes, Engine, Gamma, Group,
+    BatchReport, Block, ChangeSet, CleanConfig, CleanError, DeferredDeletes, Engine, GammaRuns,
     IdMutation, InternedSlice, MemoryStats, MlnIndex, Mutation, PartitionReport, Report, StageOne,
     StageTwo, Timings,
 };
@@ -79,7 +80,6 @@ use mlnclean::{
 #[allow(unused_imports)]
 use mlnclean::{CleaningSession, RowStore};
 use rules::RuleSet;
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// The stateful distributed streaming coordinator: per-partition
@@ -488,89 +488,37 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
 
     /// Merge one global block from the partitions' pristine blocks
     /// (`parts_blocks[p]` is partition `p`'s copy, fetched from the backend):
-    /// the support of identical γs (same resolved reason/result values) is
-    /// summed across partitions, value ids translate into the coordinator
-    /// pool, tuple ids remap through the partition id lists, and groups/γs
-    /// restore the index's string-sorted ordering — byte-identical to what
-    /// a single session's pristine block over the same rows holds.  Also
-    /// returns the number of γs contributed by more than one partition.
+    /// every partition γ becomes a run — its values translated into the
+    /// coordinator pool, its tuples remapped through the partition id list —
+    /// and the runs go into an empty block through the index's own routine
+    /// ([`Block::merge_runs`]), which sums identical γs across partitions
+    /// and restores the index's string-sorted ordering — byte-identical to
+    /// what a single session's pristine block over the same rows holds.
+    /// Also returns the number of γs whose tuples have more than one home
+    /// partition.
     fn merge_block(&self, parts_blocks: &[&Block]) -> (Block, usize) {
         let template = parts_blocks[0];
-        let rule = template.rule;
-        let reason_attrs = template.reason_attrs.clone();
-        let result_attrs = template.result_attrs.clone();
-        let pool = &self.pool;
-
-        // group key -> full γ key -> (merged γ, contributing partitions).
-        type GammasByKey = HashMap<Vec<ValueId>, (Gamma, usize)>;
-        let mut groups: HashMap<Vec<ValueId>, GammasByKey> = HashMap::new();
+        let (reason, result) = (&template.reason_attrs, &template.result_attrs);
+        let mut block = Block::new(template.rule, reason.clone(), result.clone());
+        let mut runs = GammaRuns::default();
+        let (mut key, mut tuples) = (Vec::new(), Vec::new());
         for (p, part_block) in parts_blocks.iter().enumerate() {
-            for group in &part_block.groups {
-                for gamma in &group.gammas {
-                    let vl: Vec<ValueId> = gamma
-                        .reason_values
-                        .iter()
-                        .map(|&v| self.pools[p].global(v))
-                        .collect();
-                    let vr: Vec<ValueId> = gamma
-                        .result_values
-                        .iter()
-                        .map(|&v| self.pools[p].global(v))
-                        .collect();
-                    let mut full = vl.clone();
-                    full.extend(vr.iter().copied());
-                    let entry = groups
-                        .entry(vl.clone())
-                        .or_default()
-                        .entry(full)
-                        .or_insert_with(|| {
-                            (
-                                Gamma::new(
-                                    rule,
-                                    reason_attrs.clone(),
-                                    vl,
-                                    result_attrs.clone(),
-                                    vr,
-                                ),
-                                0,
-                            )
-                        });
-                    entry
-                        .0
-                        .tuples
-                        .extend(gamma.tuples.iter().map(|lt| self.parts[p][lt.index()]));
-                    entry.1 += 1;
-                }
+            for gamma in part_block.gammas() {
+                key.clear();
+                let values = gamma.reason_values.iter().chain(&gamma.result_values);
+                key.extend(values.map(|&v| self.pools[p].global(v)));
+                tuples.clear();
+                tuples.extend(gamma.tuples.iter().map(|lt| self.parts[p][lt.index()]));
+                runs.push(&key, &tuples);
             }
         }
-
-        let mut shared = 0usize;
-        let mut out_groups: Vec<Group> = Vec::with_capacity(groups.len());
-        for (key, gammas) in groups {
-            let mut merged: Vec<Gamma> = Vec::with_capacity(gammas.len());
-            for (mut gamma, contributors) in gammas.into_values() {
-                if contributors > 1 {
-                    shared += 1;
-                }
-                gamma.tuples.sort_unstable();
-                merged.push(gamma);
-            }
-            merged.sort_by(|a, b| cmp_resolved_gammas(pool, a, b));
-            out_groups.push(Group {
-                key,
-                gammas: merged,
-            });
-        }
-        out_groups.sort_by(|a, b| cmp_resolved(pool, &a.key, &b.key));
-        (
-            Block {
-                rule,
-                reason_attrs,
-                result_attrs,
-                groups: out_groups,
-            },
-            shared,
-        )
+        block.merge_runs(runs, &self.pool);
+        let home = |t: TupleId| self.home[t.index()];
+        let shared = block
+            .gammas()
+            .filter(|g| g.tuples.windows(2).any(|w| home(w[0]) != home(w[1])))
+            .count();
+        (block, shared)
     }
 
     /// One coordinator merge round: gather the partitions' pristine state
@@ -834,6 +782,41 @@ mod tests {
             DistributedStreamingMlnClean::new(2, CleanConfig::default()).name(),
             "distributed-streaming"
         );
+    }
+
+    #[test]
+    fn a_gamma_spread_over_two_partitions_merges_ascending_and_counts_once() {
+        // Four rows of one CT -> ST γ whose HN values route them to
+        // partitions 0, 1, 0, 1: the merged γ interleaves two runs.
+        let dirty = sample_hospital_dataset();
+        let config = CleanConfig::default().with_tau(1);
+        let rules = rules::sample_hospital_rules();
+        let mut session =
+            DistributedStreamingSession::new(config, dirty.schema().clone(), rules, 2, 1).unwrap();
+        let row = |hn: usize| vec![format!("H{hn}"), "BOAZ".into(), "AL".into(), "1".into()];
+        let mut rows: Vec<Vec<String>> = Vec::new();
+        for hn in 0..64 {
+            let row = row(hn);
+            if rows.len() < 4 && route_row(&row, 2) == rows.len() % 2 {
+                rows.push(row);
+            }
+        }
+        assert_eq!(rows.len(), 4);
+        session.apply(ChangeSet::inserting(rows)).unwrap();
+        let copies = session.backend.pristine_blocks(&[0]);
+        let (block, shared) = session.merge_block(&[&copies[0][0], &copies[1][0]]);
+        assert_eq!(block.gamma_count(), 1);
+        let tuples: Vec<usize> = block.groups[0].gammas[0]
+            .tuples
+            .iter()
+            .map(|t| t.0)
+            .collect();
+        assert_eq!(tuples, [0, 1, 2, 3]);
+        assert_eq!(shared, 1);
+        // The DC block's (PN, ST) γ is spread the same way; the CFD block's
+        // four γs differ in HN, one partition each.
+        let report = session.outcome().partitions.expect("distributed report");
+        assert_eq!(report.shared_gammas, 2);
     }
 
     #[test]
