@@ -393,13 +393,17 @@ struct BudgetedRun {
 
 /// Tail latency of `apply` + `outcome` under a sustained mutation stream,
 /// plus the group-scoped re-clean counters backing the CI probe that a
-/// pure-FD mutation stream no longer re-cleans every group.
+/// pure-FD mutation stream no longer re-cleans every group, and Stage II's
+/// work counter beside them (recorded, not gated).
 struct MutationLatency {
     samples: usize,
     p50: Duration,
     max: Duration,
     /// Most output groups any single sampled mutation re-cleaned.
     recleaned_groups: u64,
+    /// Most tuples Stage II fused for any single sampled mutation
+    /// (`CleaningSession::fused_tuples`).
+    fused_tuples: u64,
     /// Most abnormal groups any single sampled mutation sent back to a
     /// nearest-normal search from nothing — no standing incumbent
     /// (`CleaningSession::rescanned_groups`).
@@ -575,6 +579,7 @@ fn mutation_probe(
 
     let mut latencies = Vec::with_capacity(samples);
     let mut recleaned_groups = 0u64;
+    let mut fused_tuples = 0u64;
     let mut rescanned_groups = 0u64;
     for i in 0..samples {
         // Spread the touched rows across the dataset; a fresh value
@@ -582,6 +587,7 @@ fn mutation_probe(
         let tuple = TupleId((i.wrapping_mul(9973) + 17) % rows.max(1));
         let value = config.mutation_value(i);
         let recleaned_before = session.recleaned_groups();
+        let fused_before = session.fused_tuples();
         let rescanned_before = session.rescanned_groups();
         let started = Instant::now();
         session
@@ -590,6 +596,7 @@ fn mutation_probe(
         let _ = session.outcome();
         latencies.push(started.elapsed());
         recleaned_groups = recleaned_groups.max(session.recleaned_groups() - recleaned_before);
+        fused_tuples = fused_tuples.max(session.fused_tuples() - fused_before);
         rescanned_groups = rescanned_groups.max(session.rescanned_groups() - rescanned_before);
     }
     latencies.sort();
@@ -600,6 +607,7 @@ fn mutation_probe(
         p50: latencies[latencies.len().div_ceil(2) - 1],
         max: *latencies.last().expect("at least one sample"),
         recleaned_groups,
+        fused_tuples,
         rescanned_groups,
         total_groups: session.total_groups(),
     }
@@ -658,6 +666,7 @@ fn render_rung(point: &RungPoint) -> Json {
             ("p50_seconds", m.p50.into()),
             ("max_seconds", m.max.into()),
             ("recleaned_groups", m.recleaned_groups.into()),
+            ("fused_tuples", m.fused_tuples.into()),
             ("rescanned_groups", m.rescanned_groups.into()),
             ("total_groups", m.total_groups.into()),
         ])
@@ -853,6 +862,7 @@ mod tests {
             "p50_seconds",
             "max_seconds",
             "recleaned_groups",
+            "fused_tuples",
             "rescanned_groups",
             "total_groups",
             "budgeted",

@@ -39,7 +39,19 @@
 //!   associative, so even a conflict-free vector evaluates every order's
 //!   product: a later order can strictly win;
 //! * `fused` lists the assignment in the winning order's attribute order —
-//!   it is provenance, not a set.
+//!   it is provenance, not a set;
+//! * `f_score` is derived from the blocks' current total supports.  Every
+//!   order takes one factor `c / Z` per covering block, so a moved `Z`
+//!   divides all of them alike: over at most two conflict-free versions, with
+//!   the first order walked first (any one version; two at an exhaustive
+//!   bound of 2 or more), every order's product is the same bits at any `Z`
+//!   and the fusion stands whatever the totals.  Such a fusion keeps its
+//!   factors inline — block, Eq. 3 numerator, the `Z` it was scored at — and
+//!   a memo that outlives a refresh ([`crate::StageTwo`]) re-folds them
+//!   under the blocks' new totals when a report is written, bit for bit the
+//!   score a fresh fusion would multiply.  A fresh plan's scores are already
+//!   current: [`ConflictResolver::resolve`] and [`apply_tuple_fusion`]
+//!   record them as fused.
 //!
 //! The plan precomputes, once per call: one flat `(AttrId, ValueId)` pair
 //! table per cleaned γ, each block's substitution candidates by descending
@@ -77,6 +89,7 @@
 )]
 
 use crate::index::{Block, MlnIndex};
+use crate::weights::probability;
 use dataset::{AttrId, CellRef, Dataset, TupleId, ValueId};
 use std::cell::OnceCell;
 use std::collections::HashMap;
@@ -183,15 +196,19 @@ pub struct SharedFusion(Arc<FusionCell>);
 #[derive(Debug)]
 struct FusionCell {
     fusion: TupleFusion,
+    /// The Eq. 5 factors of a fusion a moved `Z` cannot change; `None` for
+    /// every other fusion.
+    factors: Option<Factors>,
     /// `fusion.fused` as `(attribute name, value)` strings, resolved by the
     /// first [`apply_tuple_fusion`] that records this fusion.
     provenance: OnceLock<Arc<Vec<(String, String)>>>,
 }
 
 impl SharedFusion {
-    fn new(fusion: TupleFusion) -> Self {
+    fn new(fusion: TupleFusion, factors: Option<Factors>) -> Self {
         SharedFusion(Arc::new(FusionCell {
             fusion,
+            factors,
             provenance: OnceLock::new(),
         }))
     }
@@ -199,6 +216,58 @@ impl SharedFusion {
     /// Live handles onto this fusion: its memory is freed with the last.
     pub(crate) fn holders(&self) -> usize {
         Arc::strong_count(&self.0)
+    }
+
+    /// Whether the fusion stands at any total support of its blocks (it
+    /// keeps [`Factors`]): only its score moves with `Z`.
+    pub(crate) fn survives_rescale(&self) -> bool {
+        self.0.factors.is_some()
+    }
+
+    /// The fusion score under `supports`, the current total support `Z` of
+    /// every block of the cleaned index: the stored score while each
+    /// factor's block still has the `Z` it was scored at, else the factors
+    /// re-folded under the new ones.
+    pub(crate) fn f_score_at(&self, supports: &[usize]) -> f64 {
+        match &self.0.factors {
+            Some(factors) => factors.score(self.f_score, supports),
+            None => self.f_score,
+        }
+    }
+}
+
+/// One Eq. 5 factor, as [`Factors`] keeps it: the γ's block (its position in
+/// the cleaned index), its Eq. 3 numerator and the block total `Z` the
+/// fusion was scored at.
+#[derive(Debug, Clone, Copy, Default)]
+struct Factor {
+    block: u32,
+    evidence: usize,
+    z: usize,
+}
+
+/// The factors of a fusion a moved `Z` cannot change (see the module docs'
+/// contract), in its winning order — inline, no allocation.
+#[derive(Debug, Clone, Copy)]
+struct Factors {
+    len: usize,
+    of: [Factor; 2],
+}
+
+impl Factors {
+    /// `stored` — the score at the `Z`s the factors name — or, when a block's
+    /// total moved since, the product re-folded in the stored order through
+    /// the expression Stage I writes a γ's probability with: bit for bit
+    /// what a fresh fusion multiplies.
+    fn score(&self, stored: f64, supports: &[usize]) -> f64 {
+        let factors = &self.of[..self.len];
+        let now = |f: &Factor| supports.get(f.block as usize).copied().unwrap_or(f.z);
+        if factors.iter().all(|f| now(f) == f.z) {
+            return stored;
+        }
+        factors.iter().fold(1.0, |score, f| {
+            score * probability(f.evidence, now(f)).max(f64::MIN_POSITIVE)
+        })
     }
 }
 
@@ -268,7 +337,7 @@ impl ConflictResolver {
 
     /// Fuse every distinct version vector of a cleaned index.
     pub fn plan(&self, index: &MlnIndex) -> FusionPlan {
-        let blocks: Vec<&Block> = index.blocks.iter().collect();
+        let blocks: Vec<(usize, &Block)> = index.blocks.iter().enumerate().collect();
         self.plan_blocks(&blocks, None)
     }
 
@@ -280,17 +349,18 @@ impl ConflictResolver {
     /// candidates are per block.  This is what makes a re-fusion cost
     /// proportional to the invalidated set instead of the whole index.
     pub fn plan_for(&self, index: &MlnIndex, wanted: &[bool]) -> FusionPlan {
-        let covers = |block: &&Block| {
+        let covers = |(_, block): &(usize, &Block)| {
             let mut tuples = block.gammas().flat_map(|gamma| &gamma.tuples);
             tuples.any(|t| wanted[t.index()])
         };
-        let blocks: Vec<&Block> = index.blocks.iter().filter(covers).collect();
+        let blocks: Vec<(usize, &Block)> = index.blocks.iter().enumerate().filter(covers).collect();
         self.plan_blocks(&blocks, Some(wanted))
     }
 
-    /// Build the flat tables over `blocks`, lay out the versions of every
-    /// wanted tuple (`None`: all of them), and fuse each distinct vector.
-    fn plan_blocks(&self, blocks: &[&Block], wanted: Option<&[bool]>) -> FusionPlan {
+    /// Build the flat tables over `blocks` — each with its position in the
+    /// cleaned index — lay out the versions of every wanted tuple (`None`:
+    /// all of them), and fuse each distinct vector.
+    fn plan_blocks(&self, blocks: &[(usize, &Block)], wanted: Option<&[bool]>) -> FusionPlan {
         let tables = GammaTables::new(blocks);
         let versions = TupleVersions::new(blocks, wanted);
         let mut kernel = FusionKernel::new(&tables, self.max_exhaustive);
@@ -303,7 +373,8 @@ impl ConflictResolver {
                     return NO_VECTOR;
                 }
                 *vector_ids.entry(vector).or_insert_with(|| {
-                    fusions.push(SharedFusion::new(kernel.fuse(vector)));
+                    let (fusion, factors) = kernel.fuse(vector);
+                    fusions.push(SharedFusion::new(fusion, factors));
                     (fusions.len() - 1) as u32
                 })
             })
@@ -311,7 +382,7 @@ impl ConflictResolver {
         FusionPlan {
             tuple_vector,
             fusions,
-            nothing_to_fuse: SharedFusion::new(NOTHING_TO_FUSE),
+            nothing_to_fuse: SharedFusion::new(NOTHING_TO_FUSE, None),
             candidates_tested: kernel.walk.candidates_tested,
         }
     }
@@ -350,6 +421,10 @@ struct GammaTables {
     probability: Vec<f64>,
     /// The planned block each γ belongs to.
     block_of: Vec<u32>,
+    /// Per planned block: its position in the cleaned index, and its total
+    /// support `Z` (Eq. 3's denominator, `weights::block_support`).
+    block_index: Vec<u32>,
+    support: Vec<usize>,
     /// Block `b`'s γs are ids `block_start[b]..block_start[b + 1]`, and the
     /// same range of `candidates` lists them by descending probability
     /// (stable: block order among equals).
@@ -363,24 +438,30 @@ struct GammaTables {
 }
 
 impl GammaTables {
-    fn new(blocks: &[&Block]) -> Self {
+    fn new(blocks: &[(usize, &Block)]) -> Self {
         let mut tables = GammaTables {
             pair_start: vec![0],
             pairs: Vec::new(),
             probability: Vec::new(),
             block_of: Vec::new(),
+            block_index: Vec::with_capacity(blocks.len()),
+            support: Vec::with_capacity(blocks.len()),
             block_start: vec![0],
             candidates: Vec::new(),
             postings: (0..blocks.len()).map(|_| OnceCell::new()).collect(),
             attr_bound: 0,
         };
-        for (b, block) in blocks.iter().enumerate() {
+        for (b, &(index, block)) in blocks.iter().enumerate() {
+            let mut support = 0;
             for gamma in block.gammas() {
                 tables.pairs.extend(gamma.pairs());
                 tables.pair_start.push(tables.pairs.len() as u32);
                 tables.probability.push(gamma.probability);
                 tables.block_of.push(b as u32);
+                support += gamma.support();
             }
+            tables.block_index.push(index as u32);
+            tables.support.push(support);
             let first = tables.candidates.len() as u32;
             let end = tables.probability.len() as u32;
             tables.candidates.extend(first..end);
@@ -433,6 +514,28 @@ impl GammaTables {
     fn factor(&self, g: u32) -> f64 {
         self.probability[g as usize].max(f64::MIN_POSITIVE)
     }
+
+    /// γ `g`'s factor for [`Factors`]: its Eq. 3 numerator recovered from
+    /// its probability and its block's `Z` ([`numerator`]) — exact while
+    /// `e, Z < 2⁵¹`, since Stage I writes `Pr = fl(e / Z)`; a probability
+    /// written by anything else keeps no factor.
+    fn rescalable(&self, g: u32) -> Option<Factor> {
+        let b = self.block_of[g as usize] as usize;
+        let z = self.support[b];
+        let evidence = numerator(self.probability[g as usize], z)?;
+        Some(Factor {
+            block: self.block_index[b],
+            evidence,
+            z,
+        })
+    }
+}
+
+/// The Eq. 3 numerator `e` with `probability(e, z) == p` bit for bit,
+/// recovered as `round(p · z)`; `None` when that `e` does not give `p` back.
+fn numerator(p: f64, z: usize) -> Option<usize> {
+    let evidence = (p * z as f64).round() as usize;
+    (probability(evidence, z).to_bits() == p.to_bits()).then_some(evidence)
 }
 
 /// One block's candidates by value: per attribute the block's γs assign,
@@ -499,9 +602,9 @@ struct TupleVersions {
 }
 
 impl TupleVersions {
-    fn new(blocks: &[&Block], wanted: Option<&[bool]>) -> Self {
+    fn new(blocks: &[(usize, &Block)], wanted: Option<&[bool]>) -> Self {
         let for_each_cover = |visit: &mut dyn FnMut(u32, usize)| {
-            let gammas = blocks.iter().flat_map(|block| block.gammas());
+            let gammas = blocks.iter().flat_map(|(_, block)| block.gammas());
             for (g, gamma) in gammas.enumerate() {
                 for t in gamma.tuples.iter().map(|t| t.index()) {
                     if wanted.is_none_or(|wanted| wanted[t]) {
@@ -593,7 +696,11 @@ impl<'t> FusionKernel<'t> {
     /// of Eq. 5.  Without the minimality tie-break, a fusion that keeps one
     /// dirty version and substitutes away several correct ones can win on
     /// raw probability product alone.
-    fn fuse(&mut self, versions: &[u32]) -> TupleFusion {
+    ///
+    /// A fusion a moved `Z` cannot change comes with its [`Factors`]: one
+    /// version, or two conflict-free ones at an exhaustive bound of 2 or
+    /// more (the consensus order sorts by probability).
+    fn fuse(&mut self, versions: &[u32]) -> (TupleFusion, Option<Factors>) {
         let (tables, m) = (self.walk.tables, versions.len());
         self.conflict_counts.clear();
         self.conflict_counts.resize(m, 0);
@@ -640,23 +747,38 @@ impl<'t> FusionKernel<'t> {
         }
 
         let Some((score, _)) = walk.best else {
-            return TupleFusion {
+            let failed = TupleFusion {
                 fused: Vec::new(),
                 f_score: 0.0,
                 conflict_detected,
                 fusion_failed: true,
             };
+            return (failed, None);
         };
         // The winning order's assignment, in the order that walk makes it.
         let winner = std::mem::take(&mut walk.best_order);
         walk.substitute(versions, &winner, usize::MAX);
+        let factors = if !conflict_detected && (m == 1 || (m == 2 && self.max_exhaustive >= 2)) {
+            let mut factors = Factors {
+                len: m,
+                of: [Factor::default(); 2],
+            };
+            let rescalable = winner
+                .iter()
+                .zip(&mut factors.of)
+                .all(|(&i, slot)| tables.rescalable(versions[i]).map(|f| *slot = f).is_some());
+            rescalable.then_some(factors)
+        } else {
+            None
+        };
         walk.best_order = winner;
-        TupleFusion {
+        let fusion = TupleFusion {
             fused: walk.fused.clone(),
             f_score: score,
             conflict_detected,
             fusion_failed: false,
-        }
+        };
+        (fusion, factors)
     }
 }
 
@@ -790,11 +912,26 @@ impl OrderWalk<'_> {
 /// that records `fusion` and shared by every later one, so every call a
 /// handle sees must name its attributes and values alike (one schema, one
 /// pool or append-only descendants of it) — as one plan or one driver does.
+/// The outcome's `f_score` is the one the fusion was scored at.
 pub fn apply_tuple_fusion(
     repaired: &mut Dataset,
     pool: &dataset::ValuePool,
     t: TupleId,
     fusion: &SharedFusion,
+    record: &mut FscrRecord,
+) {
+    apply_scored_fusion(repaired, pool, t, fusion, fusion.f_score, record);
+}
+
+/// [`apply_tuple_fusion`] recording `f_score` as the outcome's score —
+/// [`SharedFusion::f_score_at`] for a memoised fusion whose blocks' total
+/// support may have moved since it was scored.
+pub(crate) fn apply_scored_fusion(
+    repaired: &mut Dataset,
+    pool: &dataset::ValuePool,
+    t: TupleId,
+    fusion: &SharedFusion,
+    f_score: f64,
     record: &mut FscrRecord,
 ) {
     for &(attr, value) in &fusion.fused {
@@ -816,7 +953,7 @@ pub fn apply_tuple_fusion(
     record.outcomes.push(FusionOutcome {
         tuple: t,
         fused: Arc::clone(provenance),
-        f_score: fusion.f_score,
+        f_score,
         conflict_detected: fusion.conflict_detected,
         fusion_failed: fusion.fusion_failed,
     });
@@ -1470,9 +1607,9 @@ mod tests {
     /// then result part, repeats dropped — in one `pairs()` order: what
     /// makes a posting list hold every candidate that can pass.
     fn assert_one_layout_per_block(index: &MlnIndex) {
-        let blocks: Vec<&Block> = index.blocks.iter().collect();
+        let blocks: Vec<(usize, &Block)> = index.blocks.iter().enumerate().collect();
         let tables = GammaTables::new(&blocks);
-        for (b, block) in blocks.iter().enumerate() {
+        for (b, &(_, block)) in blocks.iter().enumerate() {
             let mut layout: Vec<AttrId> = Vec::new();
             for &a in block.reason_attrs.iter().chain(&block.result_attrs) {
                 if !layout.contains(&a) {
@@ -1592,7 +1729,7 @@ mod tests {
             let blocks: Vec<Block> = (0..3)
                 .map(|b| random_block(&mut rng, &mut pool, b))
                 .collect();
-            let planned: Vec<&Block> = blocks.iter().collect();
+            let planned: Vec<(usize, &Block)> = blocks.iter().enumerate().collect();
             let tables = GammaTables::new(&planned);
             let mut kernel = FusionKernel::new(&tables, 6);
             let walk = &mut kernel.walk;
@@ -1630,6 +1767,85 @@ mod tests {
             found > 100 && missed > 100 && saved > 100,
             "{found} {missed} {saved}"
         );
+    }
+
+    #[test]
+    fn a_two_version_fusion_rescores_bit_for_bit_under_any_z() {
+        // The numerator comes back from `Pr = fl(e / Z)` exactly…
+        let zs = (1..=64).chain([97, 1_000, 4_097, 30_096, 1 << 20, 1 << 40, (1 << 51) - 1]);
+        for z in zs {
+            for e in [0, 1, z / 3, z / 2, z - 1, z] {
+                assert_eq!(numerator(probability(e, z), z), Some(e), "{e} / {z}");
+            }
+        }
+        // …and from every γ of a Stage-I-cleaned index, under the total
+        // the plan sums.
+        let car = datagen::CarGenerator::default().with_rows(900);
+        let car = car.dirty(0.02, 0.5, 13).dirty;
+        let index = stage1(&car, &datagen::CarGenerator::rules(), guarded_agp(1));
+        for block in &index.blocks {
+            let z = crate::weights::block_support(block);
+            for gamma in block.gammas() {
+                assert!(numerator(gamma.probability, z).is_some(), "{z}");
+            }
+        }
+
+        // Tuple 0 holds γs of numerators 3 and 5, one per block, on disjoint
+        // attributes; the rest of each block's support `Z` is one filler γ.
+        let index_at = |z: [usize; 2]| {
+            let fillers: Vec<Vec<usize>> = z.iter().map(|&z| (1..z).collect()).collect();
+            hand_index(&[
+                &[
+                    ((0, "a"), (1, "b"), probability(3, z[0]), &[0]),
+                    ((0, "x"), (1, "y"), 0.5, &fillers[0]),
+                ],
+                &[
+                    ((2, "c"), (3, "d"), probability(5, z[1]), &[0]),
+                    ((2, "x"), (3, "y"), 0.5, &fillers[1]),
+                ],
+            ])
+        };
+        let fuse = |max_exhaustive: usize, index: &MlnIndex| {
+            let resolver = ConflictResolver::new(max_exhaustive);
+            resolver.fuse_tuple(&resolver.plan(index), TupleId(0))
+        };
+        let kept = fuse(6, &index_at([10, 20]));
+        assert!(!kept.conflict_detected && kept.survives_rescale());
+        // The consensus order sorts the two by probability: no factors.
+        assert!(!fuse(1, &index_at([10, 20])).survives_rescale());
+
+        let mut moved = 0;
+        for z0 in [5, 6, 7, 10, 11, 99, 1_000, 30_096] {
+            for z1 in [6, 9, 20, 21, 333, 4_097] {
+                let fresh = fuse(6, &index_at([z0, z1]));
+                let rescored = kept.f_score_at(&[z0, z1]);
+                assert_eq!(fresh.fused, kept.fused, "Z = {z0}, {z1}");
+                assert_eq!(
+                    rescored.to_bits(),
+                    fresh.f_score.to_bits(),
+                    "Z = {z0}, {z1}"
+                );
+                moved += usize::from(rescored != kept.f_score);
+            }
+        }
+        assert_eq!(moved, 8 * 6 - 1, "only Z = 10, 20 keeps the stored score");
+
+        // Over three versions a moved `Z` can hand the win to a later order:
+        // numerators 1, 3 and 4 (the ones `a_later_order_wins_…` scores at
+        // Z = 10), one block's total swept.  Such a fusion keeps no factors.
+        let winners: std::collections::BTreeSet<Vec<usize>> = (10..40)
+            .map(|z| {
+                let index = hand_index(&[
+                    &[((0, "a"), (1, "b"), probability(1, 10), &[0])],
+                    &[((2, "c"), (3, "d"), probability(3, 10), &[0])],
+                    &[((4, "e"), (5, "f"), probability(4, z), &[0])],
+                ]);
+                let fusion = fuse(6, &index);
+                assert!(!fusion.survives_rescale());
+                fused_attrs(&fusion)
+            })
+            .collect();
+        assert!(winners.len() > 1, "{winners:?}");
     }
 
     #[test]

@@ -7,18 +7,21 @@
 //! those it added a tuple to, a delete those it took one from — and a delete
 //! shifts both drivers past the removed ids.  A [`Report`] re-runs Stage I
 //! on the dirty groups only ([`StageOne::refresh`], shared with the
-//! distributed coordinator; where an insert or a delete moved a block's
-//! total support, the groups it reuses get their probabilities rescaled) and
-//! re-fuses the invalidated tuples only, yet is byte-identical — output CSV
-//! and AGP/RSC/FSCR provenance — to a batch run over the net surviving rows,
-//! which is what [`crate::MlnClean::clean`] is: one bulk ingest plus
+//! distributed coordinator; where a mutation moved a block's total support,
+//! the groups it reuses get their probabilities rescaled) and re-fuses the
+//! invalidated tuples only — the tuples of the groups it re-cleaned, the
+//! conflicted tuples of the refreshed blocks and the rows it wrote; a fusion
+//! a moved total cannot change is re-scored instead ([`StageTwo`]) — yet is
+//! byte-identical — output CSV and AGP/RSC/FSCR provenance, `f_score`
+//! included — to a batch run over the net surviving rows, which is what
+//! [`crate::MlnClean::clean`] is: one bulk ingest plus
 //! [`CleaningSession::finish`].
 
 use crate::changeset::ChangeSet;
 use crate::engine::{Report, Timings};
 use crate::error::CleanError;
 use crate::index::Block;
-use crate::stage_one::{MemoryStats, StageOne};
+use crate::stage_one::{MemoryStats, Refreshed, StageOne};
 use crate::stage_two::StageTwo;
 use crate::store::{Applied, BatchReport, RowStore, SessionSnapshot};
 use crate::CleanConfig;
@@ -204,8 +207,9 @@ impl CleaningSession {
     }
 
     /// Re-run Stage I on the dirty blocks' affected groups and empty the
-    /// memo slot of every tuple whose fusion that made stale.
-    fn refresh(&mut self) {
+    /// memo slot of every tuple whose fusion that made stale; what the
+    /// refresh did.
+    fn refresh(&mut self) -> Refreshed {
         let pristine = self.store.pristine();
         let dirty: Vec<(usize, &Block)> = self
             .stage_one
@@ -217,6 +221,7 @@ impl CleaningSession {
             .stage_one
             .refresh(&dirty, pristine.pool(), &mut self.timings);
         self.stage_two.invalidate_refreshed(&refreshed, &dirty);
+        refreshed
     }
 
     /// Re-clean whatever is dirty and produce the full [`Report`] over the
@@ -225,6 +230,12 @@ impl CleaningSession {
     /// into the copy) and the cleaned index is shared.
     pub fn outcome(&mut self) -> Report {
         self.refresh();
+        self.report()
+    }
+
+    /// [`CleaningSession::outcome`] once its refresh ran: settle the fusion
+    /// memo and report.
+    fn report(&mut self) -> Report {
         let dirty = self.store.dataset().clone();
         let report = self
             .stage_two
@@ -251,6 +262,8 @@ mod tests {
     use super::*;
     use datagen::{CarGenerator, HaiGenerator};
     use dataset::{csv, TupleId};
+    use std::collections::BTreeSet;
+    use std::sync::Arc;
 
     fn assert_same_report(label: &str, a: &Report, b: &Report) {
         assert_eq!(
@@ -299,10 +312,14 @@ mod tests {
     }
 
     /// An insert and a delete re-clean the groups they touch, not their
-    /// blocks: on seeded CAR data a 64-row insert and then a 1-row delete
-    /// each re-clean under a fifth of the output groups — every other one is
-    /// reused under its block's moved total support — and each outcome is
-    /// the batch run over the same rows.
+    /// blocks, and a moved Z re-scores, it does not re-fuse.  On seeded CAR
+    /// data an update that flips a row's CFD relevance, a 64-row insert and a
+    /// 1-row delete each move a block's total support, yet each re-cleans
+    /// under a fifth of the output groups — every other one is reused under
+    /// the moved total — and re-fuses at most the tuples of the groups it
+    /// re-cleaned, the conflicted tuples of the refreshed blocks and the rows
+    /// it wrote; each outcome, `f_score` included, is the batch run over the
+    /// same rows.
     #[test]
     fn an_insert_and_a_delete_reclean_the_groups_they_touch() {
         // The benchmark's CAR shape: fifteen models a make.
@@ -325,26 +342,77 @@ mod tests {
         let mut session =
             CleaningSession::new(config.clone(), dirty.schema().clone(), rules.clone()).unwrap();
         session.ingest_batch(rows(0..load)).unwrap();
-        let _ = session.outcome();
+        let mut last = session.outcome();
 
+        // An acura row leaves the CFD's scope.
+        let make = dirty.schema().attr_id("Make").unwrap();
+        let acura = (0..load).find(|&t| dirty.value(TupleId(t), make) == "acura");
+        let acura = TupleId(acura.unwrap());
         let batch = crate::MlnClean::new(config);
         let changes = [
-            ("the insert", ChangeSet::inserting(rows(load..dirty.len()))),
-            ("the delete", ChangeSet::new().delete(TupleId(load / 2))),
+            (
+                "the update",
+                ChangeSet::new().update(acura, make, "rewrite-make-1"),
+                1,
+            ),
+            (
+                "the insert",
+                ChangeSet::inserting(rows(load..dirty.len())),
+                64,
+            ),
+            ("the delete", ChangeSet::new().delete(TupleId(load / 2)), 0),
         ];
-        for (label, changes) in changes {
+        let mut fused = Vec::new();
+        for (label, changes, written) in changes {
             session.apply(changes).unwrap();
-            let before = session.recleaned_groups();
-            let outcome = session.outcome();
-            let recleaned = session.recleaned_groups() - before;
+            let (recleaned, refused) = (session.recleaned_groups(), session.fused_tuples());
+            let refreshed = session.refresh();
+            let outcome = session.report();
+            let recleaned = session.recleaned_groups() - recleaned;
+            let refused = session.fused_tuples() - refused;
             let groups: usize = outcome.index().blocks.iter().map(Block::group_count).sum();
             assert!(
                 0 < recleaned && recleaned * 5 < groups as u64,
                 "{label}: {recleaned} of {groups} groups re-cleaned"
             );
+            assert!(!refreshed.rescaled.is_empty(), "{label}: Z moved");
+
+            let mut bound: BTreeSet<TupleId> = refreshed.invalidated.iter().copied().collect();
+            for &i in &refreshed.blocks {
+                let tuples = outcome.index().blocks[i].gammas().flat_map(|g| &g.tuples);
+                let conflicted =
+                    tuples.filter(|t| outcome.fscr.outcomes[t.index()].conflict_detected);
+                bound.extend(conflicted);
+            }
+            let bound = bound.len() as u64 + written;
+            assert!(
+                refused <= bound,
+                "{label}: {refused} re-fused, bound {bound}"
+            );
             let fresh = batch.clean(session.dataset(), &rules).unwrap();
             assert_same_report(label, &outcome, &fresh);
+            fused.push(refused);
+            if written > 0 {
+                // No id moved: a fusion that stood kept its provenance list,
+                // and many kept it under a new score.
+                let pairs = last.fscr.outcomes.iter().zip(&outcome.fscr.outcomes);
+                let kept = pairs.filter(|(a, b)| Arc::ptr_eq(&a.fused, &b.fused));
+                let rescored = kept.filter(|(a, b)| a.f_score != b.f_score).count();
+                assert!(rescored > 100, "{label}: {rescored} fusions re-scored");
+            }
+            last = outcome;
         }
+        let rows = session.len() as u64;
+        assert!(
+            fused[1] * 3 < rows,
+            "the insert re-fused {} of {rows}",
+            fused[1]
+        );
+        assert!(
+            fused[2] * 50 < rows,
+            "the delete re-fused {} of {rows}",
+            fused[2]
+        );
     }
 
     /// A tuple a cell update moved *out* of a block is fused again: no

@@ -27,11 +27,14 @@
 //! Every other output group is moved over from the block's last refresh
 //! byte for byte, with its repairs — when an insert or a delete moved the
 //! block's total support `Z`, with its probability rewritten from the
-//! support it was weighted with ([`probability`]) and its tuples handed to
-//! Stage II to re-fuse.  RSC reads `Z` only through the factor `1/Z` every
-//! score of a group shares, so its choice stands at any `Z`, up to float
-//! rounding: a group whose winner sat within a rounding margin of a loser's
-//! is flagged when cleaned and rebuilt whenever `Z` moves.  There is one
+//! support it was weighted with ([`probability`]).  Its tuples keep their
+//! versions, so they are not handed to Stage II: the block is listed in
+//! [`Refreshed::rescaled`], and Stage II re-scores the fusions a new `Z`
+//! cannot change and re-fuses only those it can.  RSC reads `Z` only
+//! through the factor `1/Z` every score of a group shares, so its choice
+//! stands at any `Z`, up to float rounding: a group whose winner sat within
+//! a rounding margin of a loser's is flagged when cleaned and rebuilt
+//! whenever `Z` moves.  There is one
 //! mode: a fully dirty block is the same refresh with every group rebuilt.
 //! Either way the refreshed block is exactly what the whole-block
 //! composition (AGP, then block weights, then RSC) produces; the tests pin
@@ -123,7 +126,7 @@ struct BlockCache {
     /// Every group's probabilities divide by this Z: when a support change
     /// (inserts, deletes, a CFD flipping a tuple's relevance) moves it, a
     /// reused group's probability is rewritten from its entry's `evidence`
-    /// and its tuples re-fused, since a fusion's score reads it too.
+    /// and the block is reported [`Refreshed::rescaled`].
     last_z: Option<usize>,
     /// Pristine group keys whose content changed since the last refresh —
     /// the groups an update, an insert or a delete touched.
@@ -169,9 +172,10 @@ struct RefreshedBlock {
     records: BlockRecords,
     cache: BlockCache,
     /// Tuples whose data versions changed: they sit in a recomputed output
-    /// group, or in a reused one whose probability a moved Z rescaled, or
-    /// sat in an old one that was rebuilt or no longer exists.
+    /// group, or sat in an old one that was rebuilt or no longer exists.
     invalidated: Vec<TupleId>,
+    /// The block's total support moved: its reused groups were rescaled.
+    rescaled: bool,
     /// Output groups Stage I actually recomputed (vs reused from cache).
     recleaned: u64,
     /// Abnormal groups the plan searched for from nothing.
@@ -185,12 +189,17 @@ struct RefreshedBlock {
 pub struct Refreshed {
     /// The blocks that were refreshed, ascending.
     pub blocks: Vec<usize>,
-    /// Tuples whose data versions, or their probabilities, may have changed
-    /// — [`crate::StageTwo`] re-fuses them.  An over-approximation (every
-    /// tuple of every recomputed output group, of every reused one in a
-    /// block whose total support moved, and of cache entries that
-    /// vanished), possibly with repeats.
+    /// Tuples whose data versions may have changed — [`crate::StageTwo`]
+    /// re-fuses them.  An over-approximation (every tuple of every
+    /// recomputed output group and of cache entries that vanished), possibly
+    /// with repeats.  A reused group's tuples are not listed, also where a
+    /// moved total support rescaled its probabilities: their versions are
+    /// the same γs, and Stage II tells from `rescaled` which fusions a new
+    /// `Z` can change.
     pub invalidated: Vec<TupleId>,
+    /// The refreshed blocks whose total support `Z` moved (every reused
+    /// group's probability was rewritten), ascending.
+    pub rescaled: Vec<usize>,
 }
 
 /// What the memory budget of a session or streaming coordinator shed — see
@@ -417,6 +426,9 @@ impl StageOne {
             self.recleaned_groups += refreshed.recleaned;
             self.rescanned_groups += refreshed.rescanned;
             out.blocks.push(i);
+            if refreshed.rescaled {
+                out.rescaled.push(i);
+            }
             out.invalidated.extend(refreshed.invalidated);
         }
         out
@@ -507,10 +519,11 @@ impl StageOne {
 /// probabilities on `(own support, z)`: a reused group under a moved `z`
 /// gets `evidence / z` written through the one expression the rebuild uses,
 /// bit for bit.  So an old group whose sources are clean and unchanged is
-/// exactly what the rebuild would recompute.  Its entry names where it sits
-/// in `old`: the cleaned block and its record change only here, where the
-/// entries are rewritten with them, and a delete's id shift moves no group
-/// or repair.
+/// exactly what the rebuild would recompute — and its tuples keep their
+/// versions: only rebuilt and vanished groups invalidate tuples.  Its entry
+/// names where it sits in `old`: the cleaned block and its record change
+/// only here, where the entries are rewritten with them, and a delete's id
+/// shift moves no group or repair.
 fn refresh_block(
     config: &CleanConfig,
     pristine: &Block,
@@ -627,10 +640,10 @@ fn refresh_block(
                 let moved = &mut old.repairs[entry.repairs_start..entry.repairs_end];
                 repairs.extend(moved.iter_mut().map(std::mem::take));
                 if z_moved {
-                    // Same versions under a new Z: rescale, and re-fuse.
+                    // Same versions under a new Z: rescale.  Stage II
+                    // re-scores the fusions that read them (`rescaled`).
                     for gamma in &mut group.gammas {
                         gamma.probability = probability(entry.evidence, z);
-                        invalidated.extend(&gamma.tuples);
                     }
                 }
                 (key, entry.sources, entry.evidence, entry.z_sensitive)
@@ -683,6 +696,7 @@ fn refresh_block(
         },
         cache,
         invalidated,
+        rescaled: z_moved,
         recleaned,
         rescanned,
         weighting,
@@ -936,12 +950,13 @@ pub(crate) mod tests {
 
     /// Mark the keys a mutation touched, refresh, and check the refreshed
     /// state against both the oracle and a from-scratch driver.  Returns how
-    /// many output groups the refresh recomputed and what it invalidated.
+    /// many output groups the refresh recomputed, what it invalidated and
+    /// which blocks it rescaled.
     fn refresh_touched(
         stage: &mut StageOne,
         index: &MlnIndex,
         touched: &[Vec<Vec<ValueId>>],
-    ) -> (u64, BTreeSet<TupleId>) {
+    ) -> (u64, BTreeSet<TupleId>, Vec<usize>) {
         for (block, keys) in touched.iter().enumerate() {
             stage.mark_keys_dirty(block, keys);
         }
@@ -954,7 +969,11 @@ pub(crate) mod tests {
         assert_eq!(stage.cleaned.blocks, scratch.cleaned.blocks);
         assert_eq!(stage.records(), scratch.records());
         let invalidated = refreshed.invalidated.into_iter().collect();
-        (stage.recleaned_groups() - before, invalidated)
+        (
+            stage.recleaned_groups() - before,
+            invalidated,
+            refreshed.rescaled,
+        )
     }
 
     /// Apply one cell update to the dataset and the pristine index, then
@@ -1161,9 +1180,9 @@ pub(crate) mod tests {
 
     /// An insert and a delete dirty the keys they touch, not the block: the
     /// refresh reuses every other output group under the block's moved
-    /// total support — its probability rewritten, its tuples handed to
-    /// Stage II, since a fusion reads the probabilities — but rebuilds the
-    /// near tie, whose winner could move with `Z`.
+    /// total support — its probability rewritten, the block reported
+    /// rescaled, its tuples not handed to Stage II — but rebuilds the near
+    /// tie, whose winner could move with `Z`.
     #[test]
     fn a_moved_z_reuses_the_untouched_groups_but_a_near_tie() {
         let (mut ds, rules) = near_tie_table();
@@ -1184,18 +1203,23 @@ pub(crate) mod tests {
             keys
         };
         assert_eq!(flagged(&stage), ["g"]);
-        let all = |index: &MlnIndex| -> BTreeSet<TupleId> {
-            let gammas = index.blocks[0].gammas();
-            gammas.flat_map(|g| g.tuples.iter().copied()).collect()
+        let tuples_of = |index: &MlnIndex, keys: &[&str]| -> BTreeSet<TupleId> {
+            let groups = keys.iter().map(|key| {
+                let key = index.pool().lookup(key).unwrap();
+                index.blocks[0].group_by_key_ids(&[key]).unwrap()
+            });
+            groups.flat_map(|group| group.all_tuples()).collect()
         };
 
-        // Another `h` row: `h` is touched, `g` is a near tie, `k` is reused.
+        // Another `h` row: `h` is touched, `g` is a near tie, `k` is reused:
+        // only the rebuilt groups' tuples re-fuse.
         let from = ds.len();
         ds.push_row(vec!["h".into(), "x".into()]).unwrap();
         let inserted = index.insert_tuples(&ds, &rules, from, false);
-        let (rebuilt, invalidated) = refresh_touched(&mut stage, &index, &inserted.touched_keys);
-        assert_eq!(rebuilt, 2);
-        assert_eq!(invalidated, all(&index), "Z moved: every tuple re-fuses");
+        let (rebuilt, invalidated, rescaled) =
+            refresh_touched(&mut stage, &index, &inserted.touched_keys);
+        assert_eq!((rebuilt, rescaled), (2, vec![0]));
+        assert_eq!(invalidated, tuples_of(&index, &["g", "h"]), "k is rescaled");
 
         // A `k` row goes: `k` is touched and `g` rebuilt again; `h` is reused.
         let gone = TupleId(ds.len() - 2);
@@ -1203,9 +1227,10 @@ pub(crate) mod tests {
         let removed = index.remove_tuples(&ds, &rules, &[gone], false).unwrap();
         ds.remove_rows(&[gone]);
         stage.remap_removed(&[gone.index()]);
-        let (rebuilt, invalidated) = refresh_touched(&mut stage, &index, &removed.touched_keys);
-        assert_eq!(rebuilt, 2);
-        assert_eq!(invalidated, all(&index));
+        let (rebuilt, invalidated, rescaled) =
+            refresh_touched(&mut stage, &index, &removed.touched_keys);
+        assert_eq!((rebuilt, rescaled), (2, vec![0]));
+        assert_eq!(invalidated, tuples_of(&index, &["g", "k"]), "h is rescaled");
         assert_eq!(flagged(&stage), ["g"]);
 
         // An update inside `h` leaves Z alone: only `h` is rebuilt, and only
@@ -1219,8 +1244,8 @@ pub(crate) mod tests {
         let old_row = ds.row_ids(t);
         ds.set_value(t, v, "x".to_string());
         let touched = index.update_tuple(&ds, &rules, t, &old_row, false);
-        let (rebuilt, invalidated) = refresh_touched(&mut stage, &index, &touched);
-        assert_eq!(rebuilt, 1);
+        let (rebuilt, invalidated, rescaled) = refresh_touched(&mut stage, &index, &touched);
+        assert_eq!((rebuilt, rescaled), (1, vec![]));
         let h = index.pool().lookup("h").unwrap();
         let h_tuples = index.blocks[0].group_by_key_ids(&[h]).unwrap().all_tuples();
         assert_eq!(invalidated, h_tuples.into_iter().collect());

@@ -14,18 +14,34 @@
 //! dirty rows ([`StageTwo::report`], or [`StageTwo::finish`] on the drivers'
 //! last use, which moves the Stage-I provenance instead of copying it).
 //!
-//! **Invalidation.**  A fusion is a function of the tuple's version vector
-//! and of its covering blocks' substitution candidates, so a refresh empties
-//! two kinds of slot:
+//! **Invalidation.**  A fusion is a function of the tuple's version vector,
+//! of its covering blocks' substitution candidates and — through the Eq. 3
+//! probabilities `c / Z` it multiplies — of those blocks' total supports, so
+//! a refresh empties three kinds of slot:
 //!
-//! * every tuple of [`Refreshed::invalidated`] — its versions, or their
-//!   probabilities, may have changed;
+//! * every tuple of [`Refreshed::invalidated`] — its versions may have
+//!   changed;
 //! * every memoised fusion with `conflict_detected` among the tuples of each
 //!   refreshed block.  A conflicted fusion may have swapped a version for
 //!   the block's most probable non-conflicting γ, and that candidate list
 //!   changes whenever *any* group of the block recomputes — also one the
 //!   tuple is not in.  (A conflict-free fusion reads the tuple's own
 //!   versions only.)
+//! * every memoised fusion over three or more versions among the tuples of
+//!   each block whose total support moved ([`Refreshed::rescaled`]).  Each
+//!   order takes one factor per covering block, so a new `Z` divides every
+//!   order's product alike — but over three or more factors, products taken
+//!   in different orders round differently, and another order may win.
+//!
+//! A fusion a moved `Z` leaves standing — conflict-free, at most two
+//! versions, first order walked first — keeps its assignment and its
+//! provenance; only its score moves.  It holds its factors inline (block,
+//! Eq. 3 numerator, the `Z` it was scored at), and the report derives its
+//! `f_score` from them: the stored score while every factor's block still
+//! has that `Z`, else the factors re-folded under the blocks' current totals
+//! through `weights::probability` — bit for bit the score a fresh fusion
+//! would multiply.  A report whose every fusion was just made (a batch run)
+//! skips the comparison.
 //!
 //! **Settling** fuses exactly the empty slots, against a plan restricted to
 //! the blocks that list them ([`ConflictResolver::plan_for`]), and nothing
@@ -66,10 +82,11 @@
 
 use crate::agp::AgpRecord;
 use crate::engine::{Report, Timings};
-use crate::fscr::{apply_tuple_fusion, ConflictResolver, FscrRecord, SharedFusion};
+use crate::fscr::{apply_scored_fusion, ConflictResolver, FscrRecord, SharedFusion};
 use crate::index::Block;
 use crate::rsc::RscRecord;
 use crate::stage_one::{MemoryStats, Refreshed, StageOne};
+use crate::weights::block_support;
 use crate::CleanConfig;
 use dataset::{Dataset, TupleId};
 use std::sync::Arc;
@@ -167,19 +184,21 @@ impl StageTwo {
     }
 
     /// Empty the slots a Stage-I refresh made stale — see the
-    /// [module docs](self) for the two rules.  `pristine` is the slice
+    /// [module docs](self) for the three rules.  `pristine` is the slice
     /// [`StageOne::refresh`] was handed.
     pub fn invalidate_refreshed(&mut self, refreshed: &Refreshed, pristine: &[(usize, &Block)]) {
         for &t in &refreshed.invalidated {
             self.invalidate(t);
         }
-        let conflicted = |f: &SharedFusion| f.conflict_detected;
         for (i, block) in pristine {
             if !refreshed.blocks.contains(i) {
                 continue;
             }
+            let rescaled = refreshed.rescaled.contains(i);
+            let stale =
+                |f: &SharedFusion| f.conflict_detected || (rescaled && !f.survives_rescale());
             for &t in block.gammas().flat_map(|gamma| &gamma.tuples) {
-                if self.fusions[t.index()].as_ref().is_some_and(conflicted) {
+                if self.fusions[t.index()].as_ref().is_some_and(stale) {
                     self.invalidate(t);
                 }
             }
@@ -297,21 +316,31 @@ impl StageTwo {
         dirty: Dataset,
         timings: &mut Timings,
     ) -> Report {
+        // With no fusion memoised, every one is scored by this settle at the
+        // blocks' current totals — a batch run re-scores nothing.
+        let all_fresh = self.memoised == 0;
         let candidates_tested = self.settle(stage_one, timings);
         let started = Instant::now();
         let cleaned = Arc::clone(stage_one.cleaned());
+        let supports: Option<Vec<usize>> =
+            (!all_fresh).then(|| cleaned.blocks.iter().map(block_support).collect());
         let mut repaired = dirty;
         let mut fscr = FscrRecord {
             candidates_tested,
             ..FscrRecord::default()
         };
+        let pool = cleaned.pool();
         for (t, fusion) in self.fusions.iter().enumerate() {
             #[allow(
                 clippy::expect_used,
                 reason = "settle() fills every empty slot and nothing empties one before this loop"
             )]
             let fusion = fusion.as_ref().expect("settled just above");
-            apply_tuple_fusion(&mut repaired, cleaned.pool(), TupleId(t), fusion, &mut fscr);
+            let f_score = match &supports {
+                Some(supports) => fusion.f_score_at(supports),
+                None => fusion.f_score,
+            };
+            apply_scored_fusion(&mut repaired, pool, TupleId(t), fusion, f_score, &mut fscr);
         }
         timings.fscr += started.elapsed();
 
@@ -542,6 +571,48 @@ mod tests {
             second.repaired.tuple(TupleId(0)).owned_values(),
             ["a1", "x1", "c2"]
         );
+    }
+
+    /// The rule a moved `Z` adds: over three conflict-free FDs on disjoint
+    /// attributes every tuple has three versions, whose products may round
+    /// differently per order under a new `Z`, so an insert into new groups
+    /// re-fuses every row; over two of the FDs the same insert re-fuses the
+    /// new row alone, and the fusions that stood are re-scored.  Every
+    /// report equals Stage II from scratch.
+    #[test]
+    fn a_moved_z_refuses_the_three_version_tuples_and_rescores_the_rest() {
+        let mut ds = Dataset::new(Schema::new(&["A", "B", "C", "D", "E", "F"]));
+        for i in 0..12 {
+            let row = [("a", 3), ("b", 3), ("c", 4), ("d", 4), ("e", 2), ("f", 2)];
+            ds.push_row(row.map(|(v, n)| format!("{v}{}", i % n)).to_vec())
+                .unwrap();
+        }
+        let new_row = ["a9", "b9", "c9", "d9", "e9", "f9"].map(String::from);
+        let config = CleanConfig::default().with_tau(0);
+        for (fds, refused) in [
+            ("FD: A -> B\nFD: C -> D\nFD: E -> F", 13),
+            ("FD: A -> B\nFD: C -> D", 1),
+        ] {
+            let mut stream = Stream::open(&config, &ds, &parse_rules(fds).unwrap());
+            let (first, _) = stream.report(fds);
+            let before = stream.two.fused_tuples();
+            let change = stream.table.insert(vec![new_row.to_vec()]);
+            stream.absorb(vec![change]);
+            let (second, refreshed) = stream.report(fds);
+            assert_eq!(
+                refreshed.rescaled, refreshed.blocks,
+                "{fds}: Z moved in every block"
+            );
+            assert_eq!(stream.two.fused_tuples() - before, refused, "{fds}");
+            // Every fusion that stood kept its provenance list, and moved
+            // its score.
+            let pairs = first.fscr.outcomes.iter().zip(&second.fscr.outcomes);
+            let kept: Vec<_> = pairs
+                .filter(|(a, b)| Arc::ptr_eq(&a.fused, &b.fused))
+                .collect();
+            assert_eq!(kept.len() as u64, 13 - refused, "{fds}");
+            assert!(kept.iter().all(|(a, b)| a.f_score != b.f_score), "{fds}");
+        }
     }
 
     #[test]

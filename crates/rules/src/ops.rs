@@ -1,5 +1,11 @@
 //! Comparison operators used by denial-constraint predicates.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
+use std::cmp::Ordering;
 use std::fmt;
 
 /// A binary comparison operator over attribute values.
@@ -29,16 +35,10 @@ impl Op {
         match self {
             Op::Eq => left == right,
             Op::Neq => left != right,
-            _ => {
-                let ord = compare_values(left, right);
-                match self {
-                    Op::Lt => ord == std::cmp::Ordering::Less,
-                    Op::Le => ord != std::cmp::Ordering::Greater,
-                    Op::Gt => ord == std::cmp::Ordering::Greater,
-                    Op::Ge => ord != std::cmp::Ordering::Less,
-                    Op::Eq | Op::Neq => unreachable!(),
-                }
-            }
+            Op::Lt => compare_values(left, right) == Ordering::Less,
+            Op::Le => compare_values(left, right) != Ordering::Greater,
+            Op::Gt => compare_values(left, right) == Ordering::Greater,
+            Op::Ge => compare_values(left, right) != Ordering::Less,
         }
     }
 
@@ -83,9 +83,9 @@ impl fmt::Display for Op {
 }
 
 /// Compare two values numerically when possible, lexicographically otherwise.
-fn compare_values(left: &str, right: &str) -> std::cmp::Ordering {
+fn compare_values(left: &str, right: &str) -> Ordering {
     match (left.parse::<f64>(), right.parse::<f64>()) {
-        (Ok(l), Ok(r)) => l.partial_cmp(&r).unwrap_or(std::cmp::Ordering::Equal),
+        (Ok(l), Ok(r)) => l.partial_cmp(&r).unwrap_or(Ordering::Equal),
         _ => left.cmp(right),
     }
 }

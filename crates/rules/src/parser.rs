@@ -16,6 +16,11 @@
 //!   (left) with the attribute of tuple `t'` (right); supported operators are
 //!   `=`, `!=`, `<`, `<=`, `>`, `>=`.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::cfd::{CfdClause, ConditionalFd};
 use crate::dc::{DcPredicate, DenialConstraint};
 use crate::fd::FunctionalDependency;
@@ -165,16 +170,27 @@ fn parse_cfd(body: &str, line: usize) -> Result<Rule, ParseError> {
     Ok(Rule::Cfd(ConditionalFd::new(conditions, consequents)))
 }
 
+/// The DC operator literals, longest first so "!=" is not split as "!" +
+/// "=".
+const DC_OPS: [(&str, Op); 8] = [
+    ("!=", Op::Neq),
+    ("<>", Op::Neq),
+    ("<=", Op::Le),
+    (">=", Op::Ge),
+    ("==", Op::Eq),
+    ("=", Op::Eq),
+    ("<", Op::Lt),
+    (">", Op::Gt),
+];
+
 fn parse_dc_predicate(token: &str, line: usize) -> Result<DcPredicate, ParseError> {
     let token = token.trim();
-    // Longest operators first so "!=" is not split as "!" + "=".
-    for op_str in ["!=", "<>", "<=", ">=", "==", "=", "<", ">"] {
-        if let Some((left, right)) = token.split_once(op_str) {
+    for (literal, op) in DC_OPS {
+        if let Some((left, right)) = token.split_once(literal) {
             let (left, right) = (left.trim(), right.trim());
             if left.is_empty() || right.is_empty() {
                 return Err(err(line, format!("malformed DC predicate {token:?}")));
             }
-            let op = Op::parse(op_str).expect("operator literal is valid");
             return Ok(DcPredicate::new(left, op, right));
         }
     }
@@ -236,6 +252,15 @@ mod tests {
             }
             other => panic!("expected DC, got {other:?}"),
         }
+        // Every DC literal parses to the operator `Op::parse` names.
+        for (literal, op) in DC_OPS {
+            assert_eq!(Op::parse(literal), Some(op), "{literal}");
+            let rule = parse_rule(&format!("DC: A {literal} A, B != B")).unwrap();
+            match &rule {
+                Rule::Dc(dc) => assert_eq!(dc.predicates()[0].op, op, "{literal}"),
+                other => panic!("expected DC, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -275,7 +300,22 @@ mod tests {
             parse_rule("DC: PN = PN").is_err(),
             "one predicate is not enough"
         );
-        assert!(parse_rule("DC: PN ~ PN, ST != ST").is_err(), "bad operator");
+        let message = |text: &str| parse_rule(text).unwrap_err().to_string();
+        assert_eq!(
+            message("DC: PN ~ PN, ST != ST"),
+            r#"rule parse error: no comparison operator in DC predicate "PN ~ PN""#,
+            "bad operator"
+        );
+        assert_eq!(
+            message("DC: = PN, ST != ST"),
+            r#"rule parse error: malformed DC predicate "= PN""#
+        );
+        assert_eq!(
+            parse_rules("FD: A -> B\nDC: PN <= , ST != ST")
+                .unwrap_err()
+                .to_string(),
+            r#"line 2: malformed DC predicate "PN <=""#
+        );
     }
 
     #[test]

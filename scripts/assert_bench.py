@@ -252,6 +252,10 @@ def check_ladder(d, fresh=True):
                   f"non-empty subset of the groups, got "
                   f"{mut['recleaned_groups']} of {mut['total_groups']}")
             if fresh:
+                # Committed baselines may predate Stage II's work counter;
+                # it is recorded, not gated.
+                check(isinstance(mut.get("fused_tuples"), int) and mut["fused_tuples"] >= 0,
+                      f"{where}: artifact lacks fused_tuples")
                 # Committed baselines may predate the maintained AGP plan.
                 check(mut["rescanned_groups"] * 20 < mut["total_groups"],
                       f"{where}: a single-cell mutation must re-plan around a "
