@@ -11,7 +11,7 @@
 //! * the **incremental** engine ([`CleaningSession`], micro-batch ingest
 //!   then one `outcome()`), and
 //! * the **distributed-streaming** engine
-//!   ([`DistributedStreamingSession`], 2 partitions, periodic weight merge),
+//!   ([`DistributedStreamingSession`], 2 partitions, periodic evidence merge),
 //!
 //! recording per engine: ingest throughput (rows/s), outcome latency, the
 //! per-stage breakdown, the sketch bounds AGP's searches evaluated

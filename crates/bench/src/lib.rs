@@ -142,6 +142,24 @@ mod tests {
     }
 
     #[test]
+    fn fig15_distributed_f1_equals_single_node_f1_at_every_point() {
+        // §6's claim as an equality: the distributed engine merges exact
+        // evidence, so every point of the sweep repairs what one node does.
+        for workload in [Workload::Hai, Workload::Tpch] {
+            for (i, &rate) in fig6::ERROR_RATES.iter().enumerate() {
+                let seed = fig15::SEED + i as u64;
+                let point = fig15::measure_at(workload, Scale::Tiny, rate, seed);
+                let dirty = workload.dirty(Scale::Tiny, rate, 0.5, seed);
+                let single = mlnclean::MlnClean::new(workload.clean_config())
+                    .clean(&dirty.dirty, &workload.rules())
+                    .expect("rules match the schema");
+                let f1 = dataset::RepairEvaluation::evaluate(&dirty, &single.repaired).f1();
+                assert_eq!(point.f1, f1, "{} at {rate}", workload.name());
+            }
+        }
+    }
+
+    #[test]
     fn tiny_scale_table5_runs() {
         let files = table5::run(Scale::Tiny);
         assert_eq!(files.len(), 1);

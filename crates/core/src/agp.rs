@@ -198,6 +198,16 @@ impl AbnormalGroupProcessor {
         self
     }
 
+    /// The AGP processor configured per `config`: its τ, metric and merge
+    /// distance guard.
+    pub(crate) fn from_config(config: &crate::CleanConfig) -> Self {
+        let processor = AbnormalGroupProcessor::new(config.tau, config.metric);
+        match config.agp_distance_guard {
+            Some(guard) => processor.with_distance_guard(guard),
+            None => processor,
+        }
+    }
+
     /// Process every block of the index in place, on the rayon pool, and
     /// return the merge record — [`AbnormalGroupProcessor::process_with`] at
     /// `parallel = true`.

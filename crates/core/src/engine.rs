@@ -42,11 +42,11 @@ use std::time::Duration;
 /// `PhaseTimings` for the distributed one).
 ///
 /// The six stage fields are filled by every driver.  For the distributed
-/// driver they sum the per-worker stage clocks (workers run concurrently, so
-/// the sum reads as aggregate worker time rather than elapsed wall time),
-/// while the three coordinator fields — [`Timings::partition`],
-/// [`Timings::weight_merge`], [`Timings::gather`] — are true wall clock and
-/// stay zero on the single-node drivers.
+/// driver [`Timings::index`] sums the partitions' ingest clocks (partitions
+/// run concurrently, so it reads as aggregate partition time rather than
+/// elapsed wall time), while the coordinator fields — [`Timings::partition`]
+/// and [`Timings::gather`] — are true wall clock and stay zero on the
+/// single-node drivers.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Timings {
     /// MLN index construction (incl. incremental splices).
@@ -61,19 +61,20 @@ pub struct Timings {
     pub fscr: Duration,
     /// Exact-duplicate removal (zero when deduplication is disabled).
     pub dedup: Duration,
-    /// Data partitioning (distributed driver only).
+    /// Routing change sets and the partitions' ingest, as the coordinator
+    /// waits for it (distributed driver only).
     pub partition: Duration,
-    /// Cross-partition Eq. 6 weight merging (batch distributed runner only:
-    /// the streaming driver merges exact evidence and has no such phase).
+    /// Always zero: no driver averages per-partition weights (the
+    /// distributed driver merges exact evidence instead).  Kept so the
+    /// frame keeps its bytes until the next codec version drops it.
     pub weight_merge: Duration,
-    /// Gathering per-part repairs back into one dataset (distributed driver
-    /// only).
+    /// Fetching and merging the partitions' per-block evidence in merge
+    /// rounds (distributed driver only).
     pub gather: Duration,
     /// Number of coordinator merge rounds accumulated into
-    /// [`Timings::weight_merge`] and [`Timings::gather`]: the streaming
-    /// distributed driver merges every K batches and bumps this per round
-    /// (so per-round averages are derivable), the batch distributed driver
-    /// performs exactly one merge, and the single-node drivers none.
+    /// [`Timings::gather`]: the distributed driver merges every K batches
+    /// and bumps this per round (so per-round averages are derivable); the
+    /// single-node drivers perform none.
     pub merge_rounds: usize,
 }
 
@@ -95,26 +96,26 @@ impl Timings {
 }
 
 /// Distributed extras of a [`Report`]: how the rows were split across
-/// workers, and how much cross-partition evidence the weight merge found.
+/// partitions, and how much cross-partition evidence the merge found.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PartitionReport {
-    /// Global tuple ids of each partition, in worker order — the
-    /// local-to-global mapping the provenance records were remapped with.
+    /// Global tuple ids of each partition, in partition order — the
+    /// local-to-global mapping of the partitions' rows.
     pub parts: Vec<Vec<TupleId>>,
-    /// Number of γs whose weight was adjusted with cross-partition evidence.
+    /// Number of γs whose merged support drew on more than one partition.
     pub shared_gammas: usize,
 }
 
 mlnw::codec! { struct PartitionReport { parts, shared_gammas } }
 
 impl PartitionReport {
-    /// Rows per partition, in worker order.
+    /// Rows per partition, in partition order.
     pub fn sizes(&self) -> Vec<usize> {
         self.parts.iter().map(|p| p.len()).collect()
     }
 
-    /// Largest part divided by smallest part — the skew factor the
-    /// partitioner bounds.
+    /// Largest part divided by smallest part — how unevenly the row hash
+    /// spread the rows.
     pub fn skew(&self) -> f64 {
         let sizes = self.sizes();
         let max = sizes.iter().copied().max().unwrap_or(0) as f64;
@@ -126,7 +127,7 @@ impl PartitionReport {
 /// The result of a cleaning run, shared by every [`Engine`].
 ///
 /// Provenance records are always in **global** tuple coordinates — the
-/// distributed driver remaps its per-part records before reporting, so
+/// distributed driver cleans merged global blocks, so
 /// [`Report::agp`]/[`Report::rsc`]/[`Report::fscr`] read the same whichever
 /// engine produced them.
 #[derive(Debug, Clone)]
@@ -141,11 +142,10 @@ pub struct Report {
     /// The MLN index in its final (post-RSC) state, shared with the engine
     /// that produced it (`Arc` so an incremental session can hand out
     /// repeated outcome snapshots without cloning the index each time).
-    /// `None` for the distributed driver, which keeps one index per
-    /// partition.
+    /// Every engine of the workspace fills it; the `Option` is the frame
+    /// format's.
     pub index: Option<Arc<MlnIndex>>,
-    /// What AGP did (concatenated across partitions for the distributed
-    /// driver, in worker order).
+    /// What AGP did.
     pub agp: AgpRecord,
     /// What RSC did.
     pub rsc: RscRecord,
@@ -163,8 +163,8 @@ pub struct Report {
 mlnw::codec! { struct Report { repaired, deduplicated, index, agp, rsc, fscr, timings, partitions } }
 
 impl Report {
-    /// Assemble a report — the constructor out-of-crate [`Engine`]
-    /// implementations (e.g. the distributed driver) use.  Pass
+    /// Assemble a report from its parts — the constructor out-of-crate
+    /// callers (the repo benchmark's per-layer probe) use.  Pass
     /// `deduplicated: None` when deduplication is disabled;
     /// [`Report::deduplicated`] then falls back to the repaired dataset.
     #[allow(clippy::too_many_arguments)]
@@ -200,13 +200,12 @@ impl Report {
     /// The final cleaned index.
     ///
     /// # Panics
-    /// Panics for reports of drivers that keep one index per partition (the
-    /// distributed engine); check [`Report::index`] directly when the driver
-    /// is not statically known.
+    /// Panics for a decoded report whose frame carried no index; every
+    /// engine of the workspace fills one.
     pub fn index(&self) -> &MlnIndex {
         self.index
             .as_ref()
-            .expect("this driver keeps one index per partition; read Report::index instead")
+            .expect("every engine reports its cleaned index")
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Historically every front door grew its own enum — `CleaningError` on the
 //! batch pipeline, `IngestError` on the incremental session — and the
-//! distributed runner borrowed the batch one.  [`CleanError`] replaces all of
+//! distributed driver borrowed the batch one.  [`CleanError`] replaces all of
 //! them: every driver behind the [`crate::Engine`] trait and every
 //! [`crate::CleaningSession`] entry point returns it, so callers match one
 //! enum no matter which execution plan produced the failure.
@@ -56,7 +56,7 @@ pub enum CleanError {
         value: String,
     },
     /// The distributed driver was configured with an unusable partitioning
-    /// (e.g. zero workers).
+    /// (zero partitions).
     Partition {
         /// The configured worker count.
         workers: usize,

@@ -651,7 +651,7 @@ impl MlnIndex {
     /// Simultaneous mutable access to the blocks and shared access to the
     /// pool (the borrow shape AGP/RSC need to rewrite blocks while resolving
     /// strings).
-    pub fn split_mut(&mut self) -> (&mut Vec<Block>, &ValuePool) {
+    pub(crate) fn split_mut(&mut self) -> (&mut Vec<Block>, &ValuePool) {
         (&mut self.blocks, &self.pool)
     }
 

@@ -77,11 +77,12 @@
 //!
 //! # Engines
 //!
-//! The batch pipeline, the incremental session and the distributed runner
-//! are three execution plans for the same computation.  The [`Engine`] trait
-//! is their shared front door: `run(&Dataset, &RuleSet) -> Result<Report,
-//! CleanError>`, with one [`Report`] (repaired/deduplicated data + merged
-//! [`Timings`]) and one [`CleanError`] across all drivers.
+//! The batch pipeline, the micro-batching [`IncrementalMlnClean`] and the
+//! distributed streaming engine (crate `distributed`) are three execution
+//! plans for the same computation, byte-identical on the same rows.  The
+//! [`Engine`] trait is their shared front door: `run(&Dataset, &RuleSet) ->
+//! Result<Report, CleanError>`, with one [`Report`] (repaired/deduplicated
+//! data + merged [`Timings`]) and one [`CleanError`] across all drivers.
 
 #![deny(missing_docs)]
 
@@ -98,6 +99,7 @@ pub mod index;
 pub mod pipeline;
 pub mod rsc;
 pub mod session;
+#[doc(hidden)]
 pub mod stage;
 pub mod stage_one;
 pub mod stage_two;
@@ -120,6 +122,7 @@ pub use index::{Block, GammaRuns, Group, InsertReport, MlnIndex, RemoveReport};
 pub use pipeline::MlnClean;
 pub use rsc::{ReliabilityCleaner, RscRecord, RscRepair};
 pub use session::CleaningSession;
+#[doc(hidden)]
 pub use stage::{
     AgpStage, DedupStage, FscrStage, PipelineStage, RscStage, StageContext, StageRecords,
     WeightLearningStage,
@@ -127,7 +130,6 @@ pub use stage::{
 pub use stage_one::{MemoryStats, Refreshed, StageOne};
 pub use stage_two::StageTwo;
 pub use store::{Applied, BatchReport, RowStore, SessionSnapshot};
-pub use weights::GammaSignature;
 
 use rayon::prelude::*;
 

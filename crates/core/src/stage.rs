@@ -1,20 +1,16 @@
-//! Explicit pipeline stages over a shared [`StageContext`].
+//! Algorithm 1 as a sequence of whole-index stage objects over a shared
+//! [`StageContext`]: index construction → AGP → closed-form Eq. 3 weights →
+//! RSC → FSCR → deduplication, each an explicit [`PipelineStage`].
 //!
-//! Algorithm 1 is a fixed stage sequence — index construction → AGP →
-//! closed-form Eq. 3 weights → RSC → FSCR → deduplication — and each stage
-//! is an explicit object with a whole-index [`PipelineStage::run`] over a
-//! [`StageContext`].  The distributed batch runner composes them (it splits
-//! Stage I around a global weight merge), and the test below pins the
-//! composition to [`crate::MlnClean`] byte for byte.
-//!
-//! No other driver is built from these objects.  The batch
+//! No cleaning driver is built from these objects.  The batch
 //! [`crate::MlnClean`] is one bulk ingest plus
-//! [`crate::CleaningSession::finish`]; the session and the streaming
-//! distributed coordinator both re-run Stage I per dirty block through the
-//! one per-block driver, [`crate::StageOne`], and Stage II per invalidated
-//! tuple through [`crate::StageTwo`].  Both share the stages' kernels (the
-//! AGP plan, the closed-form group weights, RSC's group cleaning, the FSCR
-//! fusion plan) rather than their whole-index loops.
+//! [`crate::CleaningSession::finish`]; the session and the distributed
+//! streaming coordinator re-run Stage I per dirty block through
+//! [`crate::StageOne`] and Stage II per invalidated tuple through
+//! [`crate::StageTwo`].  The stages remain for two callers: the repo
+//! benchmark's per-layer probe, which times each stage on its own, and the
+//! test below, which pins their composition to [`crate::MlnClean`] byte for
+//! byte.  Their re-exports are `#[doc(hidden)]`.
 //!
 //! The context bundles everything a stage may touch: the (dirty) dataset,
 //! the configuration, the MLN index being cleaned in place, and the
@@ -43,8 +39,7 @@ pub struct StageRecords {
     pub timings: Timings,
 }
 
-/// Everything a stage may read or mutate, shared by the batch, incremental
-/// and distributed drivers.
+/// Everything a stage may read or mutate.
 pub struct StageContext<'a> {
     /// The dirty dataset the index was built from.
     pub dataset: &'a Dataset,
@@ -93,17 +88,6 @@ pub trait PipelineStage {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AgpStage;
 
-impl AgpStage {
-    /// The AGP processor configured per `config`.
-    pub(crate) fn processor(config: &CleanConfig) -> AbnormalGroupProcessor {
-        let mut processor = AbnormalGroupProcessor::new(config.tau, config.metric);
-        if let Some(guard) = config.agp_distance_guard {
-            processor = processor.with_distance_guard(guard);
-        }
-        processor
-    }
-}
-
 impl PipelineStage for AgpStage {
     fn name(&self) -> &'static str {
         "agp"
@@ -111,7 +95,8 @@ impl PipelineStage for AgpStage {
 
     fn run(&self, ctx: &mut StageContext<'_>) {
         let start = Instant::now();
-        ctx.records.agp = Self::processor(ctx.config).process_with(ctx.index, ctx.config.parallel);
+        ctx.records.agp = AbnormalGroupProcessor::from_config(ctx.config)
+            .process_with(ctx.index, ctx.config.parallel);
         ctx.records.timings.agp += start.elapsed();
     }
 }

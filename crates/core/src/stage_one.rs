@@ -62,13 +62,12 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-use crate::agp::{AgpPlan, AgpRecord, PlanMemo};
+use crate::agp::{AbnormalGroupProcessor, AgpPlan, AgpRecord, PlanMemo};
 use crate::cache::{CacheStats, DistanceCache};
 use crate::engine::Timings;
 use crate::index::{Block, Group, MlnIndex};
 use crate::map_ordered;
 use crate::rsc::{ReliabilityCleaner, RscRecord, RscRepair};
-use crate::stage::AgpStage;
 use crate::weights::{assign_group_weights, block_support, probability};
 use crate::CleanConfig;
 use dataset::{TupleId, ValueId, ValuePool};
@@ -392,7 +391,7 @@ impl StageOne {
         let planned = map_ordered(config.parallel, work, |(i, block, mut cache, old)| {
             let z = block_support(block);
             let before = cache.distances.stats();
-            let mut plan = AgpStage::processor(config).plan_block(
+            let mut plan = AbnormalGroupProcessor::from_config(config).plan_block(
                 block,
                 pool,
                 &mut cache.distances,
@@ -742,7 +741,7 @@ fn stats_delta(before: CacheStats, after: CacheStats) -> CacheStats {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::weights::{assign_block_weights, GammaSignature};
+    use crate::weights::assign_block_weights;
     use datagen::{CarGenerator, HaiGenerator};
     use dataset::{sample_hospital_dataset, Dataset, Schema};
     use rules::{sample_hospital_rules, RuleSet};
@@ -761,7 +760,7 @@ pub(crate) mod tests {
             pool: &ValuePool,
         ) -> (Block, AgpRecord, RscRecord) {
             let mut block = pristine.clone();
-            let agp = AgpStage::processor(config).process_block(&mut block, pool);
+            let agp = AbnormalGroupProcessor::from_config(config).process_block(&mut block, pool);
             assign_block_weights(&mut block);
             let rsc = ReliabilityCleaner::new(config.metric).clean_block(&mut block, pool);
             (block, agp, rsc)
@@ -895,16 +894,21 @@ pub(crate) mod tests {
     fn agp_never_changes_a_gamma_support() {
         for (name, dirty, rules, config) in workloads() {
             let index = MlnIndex::build(&dirty, &rules).unwrap();
-            let supports = |block: &Block| -> BTreeMap<GammaSignature, usize> {
+            let pool = index.pool();
+            let supports = |block: &Block| -> BTreeMap<(Vec<&str>, Vec<&str>), usize> {
                 block
                     .gammas()
-                    .map(|g| (GammaSignature::of(g, index.pool()), g.support()))
+                    .map(|g| {
+                        let values = (g.resolve_reason_values(pool), g.resolve_result_values(pool));
+                        (values, g.support())
+                    })
                     .collect()
             };
             let mut merges = 0;
             for pristine in &index.blocks {
                 let mut block = pristine.clone();
-                let record = AgpStage::processor(&config).process_block(&mut block, index.pool());
+                let record = AbnormalGroupProcessor::from_config(&config)
+                    .process_block(&mut block, index.pool());
                 merges += record
                     .merges
                     .iter()

@@ -15,9 +15,7 @@
 //! its weight and has its probability rewritten through [`probability`]
 //! from the support it was weighted with.
 
-use crate::gamma::Gamma;
 use crate::index::{Block, Group, MlnIndex};
-use dataset::ValuePool;
 
 /// Assign weights/probabilities for every γ of every block.
 pub fn assign_weights(index: &mut MlnIndex) {
@@ -87,61 +85,6 @@ pub fn assign_block_weights(block: &mut Block) {
     }
     for group in &mut block.groups {
         assign_group_weights(group, z);
-    }
-}
-
-/// Recompute every γ probability of a block from its current weights — the
-/// block-level softmax of Eq. 3 (`Pr(γ) ∝ exp(w)`).  Used after the one
-/// external weight override there is: the batch distributed runner's Eq. 6
-/// merge, which writes evidence-averaged weights into the γs in place.
-pub fn renormalize_block(block: &mut Block) {
-    let weights: Vec<f64> = block.gammas().map(|g| g.weight).collect();
-    if weights.is_empty() {
-        return;
-    }
-    let max_w = weights.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = weights.iter().map(|w| (w - max_w).exp()).collect();
-    let z: f64 = exps.iter().sum();
-    let mut idx = 0;
-    for group in &mut block.groups {
-        for gamma in &mut group.gammas {
-            gamma.probability = exps[idx] / z;
-            idx += 1;
-        }
-    }
-}
-
-/// Pool-independent identity of a γ: same rule, same resolved reason values,
-/// same resolved result values.  Two sessions (or two distributed
-/// partitions) built over different [`ValuePool`]s agree on a γ's signature
-/// even though their raw [`dataset::ValueId`]s differ — this is what the
-/// Eq. 6 merge keys its cross-partition evidence by.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct GammaSignature {
-    /// Index of the rule whose block the γ belongs to.
-    pub rule: usize,
-    /// Resolved reason-part values.
-    pub reason: Vec<String>,
-    /// Resolved result-part values.
-    pub result: Vec<String>,
-}
-
-impl GammaSignature {
-    /// The signature of a γ, resolving its interned values through `pool`.
-    pub fn of(gamma: &Gamma, pool: &ValuePool) -> Self {
-        GammaSignature {
-            rule: gamma.rule.index(),
-            reason: gamma
-                .resolve_reason_values(pool)
-                .into_iter()
-                .map(str::to_string)
-                .collect(),
-            result: gamma
-                .resolve_result_values(pool)
-                .into_iter()
-                .map(str::to_string)
-                .collect(),
-        }
     }
 }
 

@@ -126,11 +126,10 @@ impl Dataset {
     }
 
     /// Create an empty dataset over an existing value pool, so ids remain
-    /// comparable with the source.  This is how the distributed runner
-    /// builds per-worker partitions and the streaming coordinator gathers a
-    /// report's rows: rows travel as `Vec<ValueId>` beside one pool handle —
-    /// a `pool.clone()` is two reference bumps and shares the source's
-    /// storage until either side interns a new value
+    /// comparable with the source.  This is how the streaming coordinator
+    /// gathers a report's rows: rows travel as `Vec<ValueId>` beside one
+    /// pool handle — a `pool.clone()` is two reference bumps and shares the
+    /// source's storage until either side interns a new value
     /// ([`ValuePool`]'s cost contract).
     pub fn with_pool(schema: Schema, pool: ValuePool, capacity: usize) -> Self {
         let arity = schema.arity();
@@ -571,9 +570,9 @@ impl Dataset {
     /// Extract the given rows (in the given order) into a new dataset that
     /// shares `self`'s value pool (two reference bumps, whatever the pool
     /// holds; the storage stays shared until either side interns a new
-    /// value) — the partition primitive of the distributed runner: only ids
-    /// move, never strings, and they move column by column into columns of
-    /// exactly `ids.len()` cells (no row image is built in between).
+    /// value): only ids move, never strings, and they move column by column
+    /// into columns of exactly `ids.len()` cells (no row image is built in
+    /// between).
     ///
     /// # Panics
     /// Panics if any id is out of range.

@@ -5,8 +5,8 @@
 //!
 //! MLNClean's Stage-I cost is dominated by comparing and regrouping attribute
 //! values: the two-layer MLN index groups tuples by projected value vectors,
-//! AGP/RSC compare γs by string distance, and the distributed runner ships
-//! rows between workers.  Interning turns all equality work into `u32`
+//! AGP/RSC compare γs by string distance, and the distributed coordinator
+//! ships rows to its partitions.  Interning turns all equality work into `u32`
 //! compares, makes group keys cheaply `Ord`/`Hash`, and lets distance results
 //! be cached per *value pair* instead of per *occurrence pair*.
 //!

@@ -1,9 +1,9 @@
 //! The workspace's one seeded generator: xoshiro256**, seeded by SplitMix64.
 //!
 //! Everything random in the system draws from [`Rng`]: the generated
-//! TPC-H / HAI / CAR tables, [`crate::ErrorInjector`], the partitioner's
-//! centroid shuffle, the simulated network's fault decisions and the random
-//! scripts of the equivalence suites.  The streams are **pinned**: the
+//! TPC-H / HAI / CAR tables, [`crate::ErrorInjector`], the simulated
+//! network's fault decisions and the random scripts of the equivalence
+//! suites.  The streams are **pinned**: the
 //! goldens and the benchmark inputs depend on them bit for bit, and
 //! `tests/stream_pins.rs` holds a digest of each.  A change here that moves
 //! one draw moves every dataset the repository generates.

@@ -104,11 +104,6 @@ impl<'a> Tuple<'a> {
         attrs.iter().map(|&a| self.value(a)).collect()
     }
 
-    /// Project the tuple onto a subset of attributes as interned ids.
-    pub fn project_ids(&self, attrs: &[AttrId]) -> Vec<ValueId> {
-        attrs.iter().map(|&a| self.value_id(a)).collect()
-    }
-
     /// Whether two tuples agree on every attribute value (ignoring the id).
     /// This is the duplicate test MLNClean applies after conflict resolution.
     /// Within one dataset the comparison is pure id equality; across datasets
@@ -180,10 +175,6 @@ mod tests {
         let ds = dataset();
         let t = ds.tuple(TupleId(0));
         assert_eq!(t.project(&[AttrId(2), AttrId(0)]), vec!["AL", "ELIZA"]);
-        assert_eq!(
-            t.project_ids(&[AttrId(2), AttrId(0)]),
-            vec![t.value_id(AttrId(2)), t.value_id(AttrId(0))]
-        );
     }
 
     #[test]

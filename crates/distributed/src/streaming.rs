@@ -6,12 +6,11 @@
 //! # Execution plan
 //!
 //! [`DistributedStreamingSession`] splits the work of the incremental engine
-//! the same way [`crate::DistributedMlnClean`] splits the batch pipeline:
+//! across partitions:
 //!
 //! 1. **Route** — every mutation of an incoming change set is routed to one
-//!    partition: inserts hash to a partition ([`crate::partition::route_row`];
-//!    the centroid partitioner of Algorithm 3 needs the whole dataset up
-//!    front, which a stream does not have), while updates and deletes follow
+//!    partition: inserts hash to a partition ([`route_row`]; a stream has no
+//!    whole dataset up front to cluster), while updates and deletes follow
 //!    the tuple's home partition through a global → (partition, local) id
 //!    map the coordinator maintains across mutations (delete compaction
 //!    shifts both the global and the partition-local id spaces through the
@@ -39,11 +38,11 @@
 //!    [`CleaningSession`] refreshes its own dirty blocks with — marked fully
 //!    dirty, over one persistent per-block cache (distance memo included).
 //!    Because weights are learned from the **merged** supports, this is the
-//!    *exact-evidence* variant of the paper's Eq. 6 phase: where the batch
-//!    runner averages independently learned per-partition weights
-//!    (`Σᵢ nᵢwᵢ / Σᵢ nᵢ`), the streaming merge reconstructs the global
-//!    evidence and learns the weight a single-node run would — which is
-//!    what makes the differential harness
+//!    *exact-evidence* variant of the paper's Eq. 6 phase: instead of
+//!    averaging independently learned per-partition weights
+//!    (`Σᵢ nᵢwᵢ / Σᵢ nᵢ`), the merge reconstructs the global evidence and
+//!    learns the weight a single-node run would — which is what makes the
+//!    differential harness
 //!    (`tests/streaming_equivalence.rs`) able to pin the driver
 //!    **byte-identical** to a single session.  Exact evidence has no
 //!    weight-merge phase: nothing is pushed back to the partitions, which
@@ -54,8 +53,7 @@
 //!    Stage-II driver, and the same call, a single [`CleaningSession`]
 //!    reports with: it fuses the tuples the merge rounds invalidated, replays
 //!    every other fusion from its memo and reports in global coordinates; the
-//!    coordinator attaches a [`PartitionReport`], exactly like the batch
-//!    distributed runner.
+//!    coordinator attaches a [`PartitionReport`].
 //!
 //! Byte-identity with the single session holds by construction: merged
 //! pristine blocks carry exactly the groups/γs/supports a single session's
@@ -69,7 +67,6 @@
 //! way.
 
 use crate::backend::{LocalPartitions, PartitionBackend};
-use crate::partition::route_row;
 use dataset::{Dataset, Schema, TupleId, ValueId, ValuePool};
 use mlnclean::{
     BatchReport, Block, ChangeSet, CleanConfig, CleanError, DeferredDeletes, Engine, GammaRuns,
@@ -608,8 +605,7 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
 
     /// Stamp the coordinator's side onto a Stage-II report — the shared tail
     /// of `outcome` and `finish`.  Coordinator phases are wall clock; the
-    /// index field aggregates the partitions' (concurrent) ingest clocks,
-    /// like the batch runner's per-worker stage sums.
+    /// index field sums the partitions' (concurrent) ingest clocks.
     fn stamp(
         report: &mut Report,
         backend: &mut B,
@@ -622,6 +618,25 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
             shared_gammas: shared_per_block.iter().sum(),
         });
     }
+}
+
+/// Deterministic stream router: FNV-1a over the row's values (with a
+/// separator octet between cells), reduced modulo `parts` — stable across
+/// runs and independent of insertion order.  Zero parts is clamped to one.
+pub fn route_row(row: &[String], parts: usize) -> usize {
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut hash = FNV_OFFSET;
+    for value in row {
+        for &byte in value.as_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(FNV_PRIME);
+        }
+        // Cell separator so ["ab", "c"] and ["a", "bc"] hash differently.
+        hash ^= 0xff;
+        hash = hash.wrapping_mul(FNV_PRIME);
+    }
+    (hash % parts.max(1) as u64) as usize
 }
 
 /// The coordinator's map of one partition's pool, filled while routing:
@@ -874,6 +889,31 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, CleanError::NoRules);
+        // The engine front door clamps instead of failing.
+        assert_eq!(
+            DistributedStreamingMlnClean::new(0, CleanConfig::default()).partitions,
+            1
+        );
+    }
+
+    #[test]
+    fn route_row_is_deterministic_and_in_range() {
+        let rows: Vec<Vec<String>> = vec![
+            vec!["ELIZA".into(), "BOAZ".into()],
+            vec!["EL".into(), "IZABOAZ".into()],
+            vec!["".into(), "".into()],
+        ];
+        for parts in [1usize, 2, 4, 7] {
+            for row in &rows {
+                let p = route_row(row, parts);
+                assert!(p < parts);
+                assert_eq!(p, route_row(row, parts), "routing must be stable");
+            }
+        }
+        // The separator keeps different cell splits of the same bytes apart.
+        assert_ne!(route_row(&rows[0], 1 << 30), route_row(&rows[1], 1 << 30));
+        // Zero parts is clamped rather than a division by zero.
+        assert_eq!(route_row(&rows[0], 0), 0);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use datagen::{CarGenerator, HaiGenerator};
 use dataset::csv::{parse_csv, to_csv};
 use dataset::RepairEvaluation;
-use distributed::DistributedMlnClean;
+use distributed::DistributedStreamingMlnClean;
 use holoclean::{HoloClean, HoloCleanConfig};
 use mlnclean::{CleanConfig, Engine, IncrementalMlnClean, MlnClean};
 use rules::parse_rules;
@@ -160,8 +160,8 @@ PORTLAND,OR,97201
 #[test]
 fn every_engine_cleans_through_the_same_front_door() {
     // The unified Engine abstraction: batch, incremental and distributed
-    // drivers run through one trait, return one Report shape, and reach
-    // comparable quality on the same workload.
+    // drivers run through one trait, return one Report shape, and repair
+    // the same workload byte for byte.
     let dirty = HaiGenerator::default()
         .with_rows(600)
         .with_providers(15)
@@ -170,43 +170,30 @@ fn every_engine_cleans_through_the_same_front_door() {
     let engines: [&dyn Engine; 3] = [
         &MlnClean::new(hai_config()),
         &IncrementalMlnClean::new(hai_config()).with_batch_rows(97),
-        &DistributedMlnClean::new(4, hai_config()),
+        &DistributedStreamingMlnClean::new(4, hai_config()),
     ];
-    let mut f1s = Vec::new();
-    for engine in engines {
-        let report = engine.run(&dirty.dirty, &rules).unwrap();
-        assert_eq!(
-            report.repaired.len(),
-            dirty.dirty.len(),
-            "{}",
-            engine.name()
-        );
+    let reports: Vec<_> = engines
+        .iter()
+        .map(|engine| (engine.name(), engine.run(&dirty.dirty, &rules).unwrap()))
+        .collect();
+    let (_, batch) = &reports[0];
+    for (name, report) in &reports {
+        assert_eq!(report.repaired.len(), dirty.dirty.len(), "{name}");
         assert!(report.timings.total() > std::time::Duration::ZERO);
         // Provenance is global-coordinate for every driver: one FSCR outcome
         // per input tuple.
         assert_eq!(report.fscr.outcomes.len(), dirty.dirty.len());
-        match engine.name() {
-            "distributed" => {
-                assert!(report.index.is_none());
-                assert!(report.partitions.is_some());
-            }
-            _ => {
-                assert!(report.index.is_some());
-                assert!(report.partitions.is_none());
-            }
-        }
-        f1s.push(RepairEvaluation::evaluate(&dirty, &report.repaired).f1());
+        assert!(report.index.is_some(), "{name}");
+        assert_eq!(
+            report.partitions.is_some(),
+            *name == "distributed-streaming",
+            "{name}"
+        );
+        assert_eq!(to_csv(&report.repaired), to_csv(&batch.repaired), "{name}");
+        assert_eq!(report.agp, batch.agp, "{name}");
+        assert_eq!(report.rsc, batch.rsc, "{name}");
+        assert_eq!(report.fscr, batch.fscr, "{name}");
     }
-    // Batch and incremental are byte-identical (pinned elsewhere); the
-    // distributed plan reorders tuples into partitions, so it only has to be
-    // comparable in quality.
-    assert_eq!(f1s[0], f1s[1], "batch vs incremental F1");
-    assert!(
-        (f1s[0] - f1s[2]).abs() < 0.15,
-        "single-node {:.3} vs distributed {:.3}",
-        f1s[0],
-        f1s[2]
-    );
 }
 
 #[test]

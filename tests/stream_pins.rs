@@ -1,9 +1,8 @@
 //! Pins of every seeded stream the workspace draws.
 //!
-//! The generated TPC-H / HAI / CAR tables, the injected errors, the
-//! partitioner's centroid shuffle and the simulated network's fault
-//! decisions all come from one seeded generator, and the goldens and the
-//! benchmark inputs depend on them bit for bit.  Each stream is pinned here
+//! The generated TPC-H / HAI / CAR tables, the injected errors and the
+//! simulated network's fault decisions all come from one seeded generator,
+//! and the goldens and the benchmark inputs depend on them bit for bit.  Each stream is pinned here
 //! as an FNV-1a 64 digest of its output; a failing pin means a stream moved,
 //! which is never an acceptable side effect of a refactor.
 
@@ -11,7 +10,6 @@ use datagen::{CarGenerator, HaiGenerator, TpchGenerator};
 use dataset::csv::to_csv;
 use dataset::rng::Rng;
 use dataset::{Dataset, DirtyDataset, ErrorInjector, ErrorSpec};
-use distributed::{partition_dataset, PartitionConfig};
 use transport::{Envelope, FaultSchedule, Payload, Request, SimNet, COORDINATOR};
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -127,15 +125,6 @@ fn streamed_dirty_rows_keep_their_bytes() {
         text.push('\n');
     }
     assert_eq!(fnv1a(text.as_bytes()), 10240613185219660243);
-}
-
-#[test]
-fn the_partitioner_assigns_the_same_rows() {
-    let ds = hai();
-    let parts = partition_dataset(&ds, &PartitionConfig::new(4, 5));
-    let text = format!("{:?} {:?}", parts.centroids, parts.parts);
-    assert_eq!(parts.sizes(), vec![500, 500, 500, 500]);
-    assert_eq!(fnv1a(text.as_bytes()), 10364750381253266415);
 }
 
 #[test]

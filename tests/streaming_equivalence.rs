@@ -300,6 +300,38 @@ fn all_engines_agree_on_the_same_input() {
 }
 
 #[test]
+fn distributed_dedup_collapses_duplicates_globally() {
+    // Forty exact duplicates in a table the coordinator spreads over four
+    // partitions: the deduplicated output equals the batch run's, row for
+    // row, and every duplicate collapses.
+    let mut table = datagen::TpchGenerator::default()
+        .with_rows(400)
+        .with_customers(25)
+        .generate();
+    let copies: Vec<Vec<String>> = table.tuples().take(40).map(|t| t.owned_values()).collect();
+    for row in copies {
+        table.push_row(row).unwrap();
+    }
+    let rules = datagen::TpchGenerator::rules();
+    let config = CleanConfig::default()
+        .with_tau(2)
+        .with_agp_distance_guard(0.15);
+    let batch = MlnClean::new(config.clone()).clean(&table, &rules).unwrap();
+    let distributed = DistributedStreamingMlnClean::new(4, config)
+        .clean(&table, &rules)
+        .unwrap();
+    assert_outcomes_identical("duplicated TPC-H", &distributed, &batch);
+    let parts = distributed.partitions.as_ref().expect("partition report");
+    assert!(parts.sizes().iter().all(|&rows| rows > 0), "{parts:?}");
+    assert!(
+        distributed.deduplicated().len() <= table.len() - 40,
+        "{} of {} rows survive deduplication",
+        distributed.deduplicated().len(),
+        table.len()
+    );
+}
+
+#[test]
 fn bulk_retractions_pay_one_remap_pass_per_change_set() {
     // The remap-batching regression (counter hook): deletes interleaved
     // with inserts and updates in one change set must cost exactly one
