@@ -14,7 +14,7 @@
 //! `BENCH_*.json` trajectory that later PRs can compare against.
 //! `scripts/assert_bench.py smoke` ratchets its exact counts against the
 //! committed artifact.  Byte identity across engines is not the smoke's job:
-//! the `tests/*_equivalence.rs` suites pin it.
+//! the engine matrix, `tests/engine_matrix.rs`, pins it.
 
 use crate::common::{rayon_threads, Scale, Workload};
 use crate::json::Json;
@@ -226,7 +226,7 @@ mod tests {
             Some(non_test as u64)
         );
         assert_eq!(json["codec_version"].as_u64(), Some(CODEC_VERSION.into()));
-        // Byte identity across engines lives in the equivalence suites.
+        // Byte identity across engines lives in the engine matrix.
         assert!(json.get("streaming").is_none());
     }
 }

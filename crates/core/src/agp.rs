@@ -801,7 +801,6 @@ pub(crate) mod tests {
     use crate::index::MlnIndex;
     use dataset::rng::Rng;
     use dataset::{sample_hospital_dataset, AttrId, Dataset, Schema};
-    use proptest::prelude::{proptest, ProptestConfig};
     use rules::{sample_hospital_rules, RuleSet};
 
     fn sample_index() -> MlnIndex {
@@ -1060,16 +1059,20 @@ pub(crate) mod tests {
         ["p", "q", "pq", "qqp"],
     ];
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-        #[test]
-        fn the_lookup_plans_what_the_exhaustive_scan_plans_on_small_random_blocks(
-            arity in 1usize..4,
-            tau in 1usize..3,
-            damerau in 0usize..2,
-            guarded in 0usize..2,
-            rows in proptest::collection::vec(0usize..256, 1..30),
-        ) {
+    #[test]
+    fn the_lookup_plans_what_the_exhaustive_scan_plans_on_small_random_blocks() {
+        let mut rng = Rng::labelled(concat!(
+            module_path!(),
+            "::the_lookup_plans_what_the_exhaustive_scan_plans_on_small_random_blocks"
+        ));
+        for _ in 0..256 {
+            let arity = 1 + rng.below(3);
+            let tau = 1 + rng.below(2);
+            let damerau = rng.below(2);
+            let guarded = rng.below(2);
+            let rows = (0..1 + rng.below(29))
+                .map(|_| rng.below(256))
+                .collect::<Vec<_>>();
             // Arity 1 is a reason part alone: a DC whose result repeats it.
             let rules = ["DC: A = A, A != A", "FD: A -> B", "FD: A, B -> C"][arity - 1];
             let mut ds = Dataset::new(Schema::new(&["A", "B", "C"]));
@@ -1084,7 +1087,10 @@ pub(crate) mod tests {
                 }
             }
             let index = MlnIndex::build(&ds, &rules::parse_rules(rules).unwrap()).unwrap();
-            assert_eq!(index.blocks[0].reason_attrs.len() + index.blocks[0].result_attrs.len(), arity);
+            assert_eq!(
+                index.blocks[0].reason_attrs.len() + index.blocks[0].result_attrs.len(),
+                arity
+            );
             let metric = [Metric::Levenshtein, Metric::DamerauLevenshtein][damerau];
             let mut agp = AbnormalGroupProcessor::new(tau, metric);
             agp.distance_guard = [None, Some(0.3)][guarded];

@@ -1,39 +1,33 @@
-//! The unified [`Engine`] abstraction: one front door over the batch,
-//! incremental and distributed execution plans.
+//! What every execution plan returns: one [`Report`] (repaired and
+//! deduplicated data, provenance, one merged [`Timings`]) and, from the
+//! distributed coordinator, a [`PartitionReport`].
 //!
-//! Every driver consumes a dirty [`Dataset`] plus a [`RuleSet`] and produces
-//! the same [`Report`] (repaired + deduplicated data, provenance, one merged
-//! [`Timings`]) or the same [`crate::CleanError`].  Code that only cares
-//! about *cleaning data* can hold a `&dyn Engine` and swap execution plans
-//! freely:
+//! The batch [`crate::MlnClean`], a [`crate::CleaningSession`] fed
+//! micro-batches and the distributed coordinator (crate `distributed`) are
+//! three plans for the same computation, byte-identical on the same rows:
 //!
 //! ```
 //! use dataset::sample_hospital_dataset;
-//! use mlnclean::{CleanConfig, Engine, IncrementalMlnClean, MlnClean};
+//! use mlnclean::{ChangeSet, CleanConfig, CleaningSession, MlnClean};
 //! use rules::sample_hospital_rules;
 //!
-//! let dirty = sample_hospital_dataset();
-//! let rules = sample_hospital_rules();
-//! let engines: [&dyn Engine; 2] = [
-//!     &MlnClean::new(CleanConfig::default().with_tau(1)),
-//!     &IncrementalMlnClean::new(CleanConfig::default().with_tau(1)).with_batch_rows(2),
-//! ];
-//! for engine in engines {
-//!     let report = engine.run(&dirty, &rules).expect("rules match the schema");
-//!     assert_eq!(report.deduplicated().len(), 2);
+//! let (dirty, rules) = (sample_hospital_dataset(), sample_hospital_rules());
+//! let config = CleanConfig::default().with_tau(1);
+//! let batch = MlnClean::new(config.clone()).clean(&dirty, &rules).unwrap();
+//! let mut session = CleaningSession::new(config, dirty.schema().clone(), rules).unwrap();
+//! for changes in ChangeSet::insert_batches(&dirty, 2) {
+//!     session.apply(changes).unwrap();
 //! }
+//! let streamed = session.finish();
+//! assert_eq!(streamed.repaired, batch.repaired);
+//! assert_eq!(streamed.deduplicated().len(), 2);
 //! ```
 
 use crate::agp::AgpRecord;
-use crate::changeset::ChangeSet;
-use crate::config::CleanConfig;
-use crate::error::CleanError;
 use crate::fscr::FscrRecord;
 use crate::index::MlnIndex;
 use crate::rsc::RscRecord;
-use crate::session::CleaningSession;
 use dataset::{Dataset, TupleId};
-use rules::RuleSet;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -124,7 +118,7 @@ impl PartitionReport {
     }
 }
 
-/// The result of a cleaning run, shared by every [`Engine`].
+/// The result of a cleaning run, shared by every execution plan.
 ///
 /// Provenance records are always in **global** tuple coordinates — the
 /// distributed driver cleans merged global blocks, so
@@ -209,97 +203,24 @@ impl Report {
     }
 }
 
-/// A cleaning execution plan: anything that can turn a dirty dataset and a
-/// rule set into a [`Report`].
-///
-/// Implemented by [`crate::MlnClean`] (one-shot batch),
-/// [`IncrementalMlnClean`] (micro-batch streaming through a
-/// [`CleaningSession`]) and the distributed driver in the `distributed`
-/// crate.
-pub trait Engine {
-    /// Short driver name for logs and experiment artifacts.
-    fn name(&self) -> &'static str;
-
-    /// Clean `dirty` against `rules`.
-    fn run(&self, dirty: &Dataset, rules: &RuleSet) -> Result<Report, CleanError>;
-}
-
-/// The incremental driver behind the [`Engine`] front door: streams the
-/// dataset through a [`CleaningSession`] in fixed-size micro-batches (each
-/// one a typed [`ChangeSet`] insertion) and finishes the session.
-///
-/// By session/batch equivalence the result is byte-identical to
-/// [`crate::MlnClean`] on the same input; what changes is the execution plan
-/// (and, for a live stream, the ability to interleave updates and deletes —
-/// see [`CleaningSession::apply`]).
-#[derive(Debug, Clone)]
-pub struct IncrementalMlnClean {
-    config: CleanConfig,
-    batch_rows: usize,
-}
-
-impl Default for IncrementalMlnClean {
-    /// The default configuration with the default micro-batch size — NOT a
-    /// zeroed `batch_rows` (which `run` would clamp to one-row ingests).
-    fn default() -> Self {
-        IncrementalMlnClean::new(CleanConfig::default())
-    }
-}
-
-impl IncrementalMlnClean {
-    /// Create an incremental driver with the given configuration and the
-    /// default micro-batch size (128 rows).
-    pub fn new(config: CleanConfig) -> Self {
-        IncrementalMlnClean {
-            config,
-            batch_rows: 128,
-        }
-    }
-
-    /// Set the micro-batch size (clamped to at least one row).
-    pub fn with_batch_rows(mut self, batch_rows: usize) -> Self {
-        self.batch_rows = batch_rows.max(1);
-        self
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &CleanConfig {
-        &self.config
-    }
-}
-
-impl Engine for IncrementalMlnClean {
-    fn name(&self) -> &'static str {
-        "incremental"
-    }
-
-    fn run(&self, dirty: &Dataset, rules: &RuleSet) -> Result<Report, CleanError> {
-        let mut session =
-            CleaningSession::new(self.config.clone(), dirty.schema().clone(), rules.clone())?;
-        for changes in ChangeSet::insert_batches(dirty, self.batch_rows) {
-            session.apply(changes)?;
-        }
-        Ok(session.finish())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MlnClean;
+    use crate::{ChangeSet, CleanConfig, CleanError, CleaningSession, MlnClean};
     use dataset::{csv, sample_hospital_dataset};
-    use rules::sample_hospital_rules;
+    use rules::{sample_hospital_rules, RuleSet};
 
     #[test]
     fn batch_and_incremental_engines_agree_byte_for_byte() {
         let dirty = sample_hospital_dataset();
         let rules = sample_hospital_rules();
         let config = CleanConfig::default().with_tau(1);
-        let batch = MlnClean::new(config.clone()).run(&dirty, &rules).unwrap();
-        let incremental = IncrementalMlnClean::new(config)
-            .with_batch_rows(2)
-            .run(&dirty, &rules)
-            .unwrap();
+        let batch = MlnClean::new(config.clone()).clean(&dirty, &rules).unwrap();
+        let mut session = CleaningSession::new(config, dirty.schema().clone(), rules).unwrap();
+        for changes in ChangeSet::insert_batches(&dirty, 2) {
+            session.apply(changes).unwrap();
+        }
+        let incremental = session.finish();
         assert_eq!(
             csv::to_csv(&batch.repaired),
             csv::to_csv(&incremental.repaired)
@@ -307,16 +228,13 @@ mod tests {
         assert_eq!(batch.agp, incremental.agp);
         assert_eq!(batch.rsc, incremental.rsc);
         assert_eq!(batch.fscr, incremental.fscr);
-        // Engine names identify the drivers.
-        assert_eq!(MlnClean::default().name(), "batch");
-        assert_eq!(IncrementalMlnClean::default().name(), "incremental");
     }
 
     #[test]
     fn engine_errors_use_the_unified_vocabulary() {
         let dirty = sample_hospital_dataset();
-        let err = IncrementalMlnClean::new(CleanConfig::default())
-            .run(&dirty, &RuleSet::default())
+        let err = MlnClean::new(CleanConfig::default())
+            .clean(&dirty, &RuleSet::default())
             .unwrap_err();
         assert_eq!(err, CleanError::NoRules);
     }

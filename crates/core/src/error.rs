@@ -3,8 +3,8 @@
 //! Historically every front door grew its own enum — `CleaningError` on the
 //! batch pipeline, `IngestError` on the incremental session — and the
 //! distributed driver borrowed the batch one.  [`CleanError`] replaces all of
-//! them: every driver behind the [`crate::Engine`] trait and every
-//! [`crate::CleaningSession`] entry point returns it, so callers match one
+//! them: [`crate::MlnClean`], every [`crate::CleaningSession`] entry point
+//! and the distributed coordinator return it, so callers match one
 //! enum no matter which execution plan produced the failure.
 
 use crate::index::IndexError;

@@ -75,14 +75,13 @@
 //! assert_eq!(outcome.deduplicated().len(), 2);
 //! ```
 //!
-//! # Engines
+//! # Execution plans
 //!
-//! The batch pipeline, the micro-batching [`IncrementalMlnClean`] and the
-//! distributed streaming engine (crate `distributed`) are three execution
-//! plans for the same computation, byte-identical on the same rows.  The
-//! [`Engine`] trait is their shared front door: `run(&Dataset, &RuleSet) ->
-//! Result<Report, CleanError>`, with one [`Report`] (repaired/deduplicated
-//! data + merged [`Timings`]) and one [`CleanError`] across all drivers.
+//! The batch pipeline, a [`CleaningSession`] fed micro-batches and the
+//! distributed streaming coordinator (crate `distributed`) are three
+//! execution plans for the same computation, byte-identical on the same
+//! rows, with one [`Report`] (repaired/deduplicated data + merged
+//! [`Timings`]) and one [`CleanError`] across all of them.
 
 #![deny(missing_docs)]
 
@@ -110,7 +109,7 @@ pub use agp::{AbnormalGroupProcessor, AgpMerge, AgpRecord};
 pub use cache::{CacheStats, DistanceCache};
 pub use changeset::{ChangeSet, DeferredDeletes, IdMutation, InternedSlice, Mutation};
 pub use config::CleanConfig;
-pub use engine::{Engine, IncrementalMlnClean, PartitionReport, Report, Timings};
+pub use engine::{PartitionReport, Report, Timings};
 pub use error::CleanError;
 pub use evaluation::{evaluate_agp, evaluate_fscr, evaluate_rsc, ComponentEvaluation};
 pub use fscr::{

@@ -1,20 +1,20 @@
 //! The batch driver of the MLNClean pipeline (Algorithm 1 of the paper):
 //! index construction → AGP → weight learning → RSC → FSCR → deduplication.
 //!
-//! [`MlnClean`] is the one-shot batch [`Engine`].  Since the incremental
+//! [`MlnClean`] is the one-shot batch plan.  Since the incremental
 //! engine landed it is a thin wrapper over [`crate::CleaningSession`]: one
 //! bulk ingest of the whole dataset followed by
 //! [`crate::CleaningSession::finish`] — the batch pipeline is literally the
 //! one-batch special case of the streaming one.
 
 use crate::config::CleanConfig;
-use crate::engine::{Engine, Report};
+use crate::engine::Report;
 use crate::error::CleanError;
 use crate::session::CleaningSession;
 use dataset::Dataset;
 use rules::RuleSet;
 
-/// The MLNClean batch cleaner — the one-shot [`Engine`].
+/// The MLNClean batch cleaner — the one-shot execution plan.
 #[derive(Debug, Clone, Default)]
 pub struct MlnClean {
     config: CleanConfig,
@@ -48,16 +48,6 @@ impl MlnClean {
             CleaningSession::new(self.config.clone(), dirty.schema().clone(), rules.clone())?;
         session.ingest_dataset(dirty)?;
         Ok(session.finish())
-    }
-}
-
-impl Engine for MlnClean {
-    fn name(&self) -> &'static str {
-        "batch"
-    }
-
-    fn run(&self, dirty: &Dataset, rules: &RuleSet) -> Result<Report, CleanError> {
-        self.clean(dirty, rules)
     }
 }
 

@@ -261,7 +261,7 @@ impl CleaningSession {
 mod tests {
     use super::*;
     use datagen::{CarGenerator, HaiGenerator};
-    use dataset::{csv, TupleId};
+    use dataset::{csv, AttrId, TupleId};
     use std::collections::BTreeSet;
     use std::sync::Arc;
 
@@ -481,11 +481,12 @@ mod tests {
         let config = CleanConfig::default().with_tau(2);
         let mut session =
             CleaningSession::new(config, dirty.schema().clone(), HaiGenerator::rules()).unwrap();
-        let batches = datagen::row_batches(&dirty, 20);
+        let batches: Vec<ChangeSet> = ChangeSet::insert_batches(&dirty, 20).collect();
         assert_eq!(batches.len(), 20);
-        for (i, mut batch) in batches.into_iter().enumerate() {
+        for (i, changes) in batches.into_iter().enumerate() {
             // Every batch interns at least one value nobody has seen.
-            batch[0][0] = format!("provider of batch {i}");
+            let changes =
+                changes.update(TupleId(20 * i), AttrId(0), format!("provider of batch {i}"));
             let before = session.dataset().pool().len();
             if i >= 2 {
                 let pool = session.dataset().pool();
@@ -498,7 +499,7 @@ mod tests {
                     "{i}"
                 );
             }
-            session.ingest_batch(batch).unwrap();
+            session.apply(changes).unwrap();
             let pool = session.dataset().pool();
             assert!(pool.len() > before, "batch {i} interned nothing");
             assert_eq!(session.store.pristine().pool(), pool, "{i}");

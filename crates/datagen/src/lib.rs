@@ -28,7 +28,7 @@ pub mod tpch;
 
 pub use car::{CarGenerator, CarRows};
 pub use hai::{HaiGenerator, HaiRows};
-pub use stream::{batched, row_batches, BatchStream, Batched, DirtyRowStream, StreamColumn};
+pub use stream::{batched, Batched, DirtyRowStream, StreamColumn};
 pub use tpch::{TpchGenerator, TpchRows};
 
 use dataset::{AttrId, Dataset, DirtyDataset, ErrorInjector, ErrorSpec};

@@ -1,16 +1,11 @@
-//! Streaming ingest helpers: micro-batch slicing of generated datasets plus
-//! the paper-scale row-producer plumbing.
+//! Streaming datagen: the paper-scale row-producer plumbing.
 //!
-//! Two generations of helpers live here:
-//!
-//! * [`BatchStream`] / [`row_batches`] slice an already-materialised
-//!   [`Dataset`] into contiguous row batches (the original micro-batch
-//!   helpers — fine up to a few ten thousand rows).
-//! * The **streaming datagen** layer ([`batched`], [`DirtyRowStream`],
-//!   [`StreamColumn`]) works on *row iterators* instead: each generator
-//!   exposes a `row_stream()` producing rows one at a time from formulaic
-//!   master data, so 10⁵–10⁷ rows can be fed into a cleaning session
-//!   batch-by-batch without ever holding all strings in memory.
+//! [`batched`], [`DirtyRowStream`] and [`StreamColumn`] work on *row
+//! iterators*: each generator exposes a `row_stream()` producing rows one at
+//! a time from formulaic master data, so 10⁵–10⁷ rows can be fed into a
+//! cleaning session batch-by-batch without ever holding all strings in
+//! memory.  (A materialised [`dataset::Dataset`] is cut into insert change
+//! sets by `mlnclean::ChangeSet::insert_batches` instead.)
 //!
 //! The streaming error injector corrupts cells with an independent per-cell
 //! decision derived from `(seed, row, column)` alone, so the dirty stream is
@@ -22,11 +17,10 @@
 //! law of large numbers and is tested to stay within tolerance.)
 
 use dataset::rng::{splitmix64, unit};
-use dataset::{Dataset, TupleId};
 
 /// Batch adaptor over any row iterator: yields `Vec`s of up to `batch_size`
-/// rows until the underlying iterator is exhausted.  The streaming analogue
-/// of [`BatchStream`] for producers that never materialise a [`Dataset`].
+/// rows until the underlying iterator is exhausted — for producers that
+/// never materialise a dataset.
 #[derive(Debug, Clone)]
 pub struct Batched<I> {
     inner: I,
@@ -205,69 +199,20 @@ impl<I: Iterator<Item = Vec<String>>> Iterator for DirtyRowStream<I> {
     }
 }
 
-/// An iterator over contiguous micro-batches of string rows of a dataset,
-/// in row order.  Every row appears in exactly one batch.
-#[derive(Debug, Clone)]
-pub struct BatchStream<'a> {
-    ds: &'a Dataset,
-    batch_size: usize,
-    next: usize,
-}
-
-impl<'a> BatchStream<'a> {
-    /// Stream `ds` in batches of `batch_size` rows (the last batch may be
-    /// smaller).  A batch size of zero is treated as one.
-    pub fn new(ds: &'a Dataset, batch_size: usize) -> Self {
-        BatchStream {
-            ds,
-            batch_size: batch_size.max(1),
-            next: 0,
-        }
-    }
-
-    /// Number of batches the stream will yield in total.
-    pub fn batch_count(&self) -> usize {
-        self.ds.len().div_ceil(self.batch_size)
-    }
-}
-
-impl Iterator for BatchStream<'_> {
-    type Item = Vec<Vec<String>>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.next >= self.ds.len() {
-            return None;
-        }
-        let upto = (self.next + self.batch_size).min(self.ds.len());
-        let batch: Vec<Vec<String>> = (self.next..upto)
-            .map(|t| self.ds.tuple(TupleId(t)).owned_values())
-            .collect();
-        self.next = upto;
-        Some(batch)
-    }
-}
-
-/// Split `ds` into (at most) `batches` contiguous micro-batches of string
-/// rows, covering every row in order.  Convenience over [`BatchStream`] for
-/// "ingest this dataset in N batches" scenarios.
-pub fn row_batches(ds: &Dataset, batches: usize) -> Vec<Vec<Vec<String>>> {
-    if ds.is_empty() {
-        return Vec::new();
-    }
-    let size = ds.len().div_ceil(batches.max(1));
-    BatchStream::new(ds, size).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::HaiGenerator;
-    use dataset::Schema;
+    use dataset::{Dataset, Schema};
+
+    fn rows(ds: &Dataset) -> impl Iterator<Item = Vec<String>> + '_ {
+        ds.tuples().map(|t| t.owned_values())
+    }
 
     #[test]
     fn batches_cover_every_row_in_order() {
         let ds = HaiGenerator::default().with_rows(103).generate();
-        let batches = row_batches(&ds, 8);
+        let batches: Vec<_> = batched(rows(&ds), 13).collect();
         assert_eq!(batches.len(), 8);
         let mut rebuilt = Dataset::new(ds.schema().clone());
         for batch in &batches {
@@ -279,23 +224,20 @@ mod tests {
     #[test]
     fn stream_yields_fixed_size_batches() {
         let ds = HaiGenerator::default().with_rows(25).generate();
-        let stream = BatchStream::new(&ds, 10);
-        assert_eq!(stream.batch_count(), 3);
-        let sizes: Vec<usize> = stream.map(|b| b.len()).collect();
+        let sizes: Vec<usize> = batched(rows(&ds), 10).map(|b| b.len()).collect();
         assert_eq!(sizes, vec![10, 10, 5]);
     }
 
     #[test]
     fn empty_dataset_streams_nothing() {
         let ds = Dataset::new(Schema::new(&["a"]));
-        assert!(row_batches(&ds, 4).is_empty());
-        assert_eq!(BatchStream::new(&ds, 3).count(), 0);
+        assert_eq!(batched(rows(&ds), 3).count(), 0);
     }
 
     #[test]
     fn zero_batch_size_is_clamped() {
         let ds = HaiGenerator::default().with_rows(3).generate();
-        let sizes: Vec<usize> = BatchStream::new(&ds, 0).map(|b| b.len()).collect();
+        let sizes: Vec<usize> = batched(rows(&ds), 0).map(|b| b.len()).collect();
         assert_eq!(sizes, vec![1, 1, 1]);
     }
 }

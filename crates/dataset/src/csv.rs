@@ -390,7 +390,6 @@ mod tests {
     use crate::rng::Rng;
     use crate::sample_hospital_dataset;
     use crate::{AttrId, TupleId};
-    use proptest::prelude::*;
 
     #[test]
     fn round_trip_sample() {
@@ -530,13 +529,22 @@ mod tests {
         assert_eq!(parse_csv(&to_csv(&unnamed)).unwrap(), unnamed);
     }
 
-    proptest! {
-        #[test]
-        fn to_csv_then_parse_csv_is_the_identity(
-            arity in 1usize..5,
-            header in proptest::collection::vec(proptest::collection::vec(0usize..9, 0..4), 4..5),
-            cells in proptest::collection::vec(proptest::collection::vec(0usize..9, 0..4), 0..81),
-        ) {
+    #[test]
+    fn to_csv_then_parse_csv_is_the_identity() {
+        let mut rng = Rng::labelled(concat!(
+            module_path!(),
+            "::to_csv_then_parse_csv_is_the_identity"
+        ));
+        for _ in 0..64 {
+            let arity = 1 + rng.below(4);
+            // Four names; `below(1)` is 0, and its draw keeps the cases this
+            // property has always sampled.
+            let header = (0..4 + rng.below(1))
+                .map(|_| (0..rng.below(4)).map(|_| rng.below(9)).collect::<Vec<_>>())
+                .collect::<Vec<_>>();
+            let cells = (0..rng.below(81))
+                .map(|_| (0..rng.below(4)).map(|_| rng.below(9)).collect::<Vec<_>>())
+                .collect::<Vec<_>>();
             // Values are 0–3 pieces each, so the empty string is common.
             const PIECES: [&str; 9] = [",", "\"", "\r", "\n", "\0", "é", "日", "x", " "];
             let value = |pieces: &Vec<usize>| pieces.iter().map(|&p| PIECES[p]).collect::<String>();
@@ -544,15 +552,21 @@ mod tests {
             let names: Vec<String> = header[..arity]
                 .iter()
                 .enumerate()
-                .map(|(i, pieces)| if i == 0 { value(pieces) } else { format!("{i}{}", value(pieces)) })
+                .map(|(i, pieces)| {
+                    if i == 0 {
+                        value(pieces)
+                    } else {
+                        format!("{i}{}", value(pieces))
+                    }
+                })
                 .collect();
             let mut ds = Dataset::new(Schema::new(&names));
             for row in cells.chunks_exact(arity).take(20) {
                 ds.push_row(row.iter().map(value).collect()).unwrap();
             }
             let back = parse_csv(&to_csv(&ds)).unwrap();
-            prop_assert_eq!(back.len(), ds.len());
-            prop_assert_eq!(back, ds);
+            assert_eq!(back.len(), ds.len());
+            assert_eq!(back, ds);
         }
     }
 

@@ -209,8 +209,8 @@ fn replacement_of(value: &str, domain: &[String], rng: &mut Rng) -> Option<Strin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Rng;
     use crate::schema::Schema;
-    use proptest::prelude::*;
 
     fn big_dataset(rows: usize) -> Dataset {
         let schema = Schema::new(&["city", "state", "zip"]);
@@ -325,20 +325,31 @@ mod tests {
         assert_eq!(dirty.dirty, clean);
     }
 
-    proptest! {
-        #[test]
-        fn error_rate_never_exceeds_requested(rate in 0.0f64..0.5, seed in 0u64..1000) {
+    #[test]
+    fn error_rate_never_exceeds_requested() {
+        let mut rng = Rng::labelled(concat!(
+            module_path!(),
+            "::error_rate_never_exceeds_requested"
+        ));
+        for _ in 0..64 {
+            let rate = rng.uniform(0.0..0.5);
+            let seed = rng.below(1000) as u64;
             let clean = big_dataset(120);
             let dirty = ErrorInjector::new(ErrorSpec::new(rate, seed)).inject(&clean);
             let budget = (clean.cell_count() as f64 * rate).round() as usize;
-            prop_assert!(dirty.error_count() <= budget);
+            assert!(dirty.error_count() <= budget);
         }
+    }
 
-        #[test]
-        fn ground_truth_is_never_mutated(rate in 0.0f64..0.4, seed in 0u64..500) {
+    #[test]
+    fn ground_truth_is_never_mutated() {
+        let mut rng = Rng::labelled(concat!(module_path!(), "::ground_truth_is_never_mutated"));
+        for _ in 0..64 {
+            let rate = rng.uniform(0.0..0.4);
+            let seed = rng.below(500) as u64;
             let clean = big_dataset(80);
             let dirty = ErrorInjector::new(ErrorSpec::new(rate, seed)).inject(&clean);
-            prop_assert_eq!(&dirty.clean, &clean);
+            assert_eq!(&dirty.clean, &clean);
         }
     }
 }

@@ -208,8 +208,8 @@ impl RepairEvaluation {
 mod tests {
     use super::*;
     use crate::errors::{ErrorInjector, ErrorSpec};
+    use crate::rng::Rng;
     use crate::schema::Schema;
-    use proptest::prelude::*;
 
     fn toy_dataset() -> Dataset {
         let mut ds = Dataset::new(Schema::new(&["a", "b"]));
@@ -297,15 +297,28 @@ mod tests {
         assert!((half.f1() - 0.5).abs() < 1e-12);
     }
 
-    proptest! {
-        #[test]
-        fn f1_is_bounded(correct in 0usize..50, extra_attempted in 0usize..50, extra_relevant in 0usize..50) {
-            let m = ComponentMetrics::from_counts(correct, correct + extra_attempted, correct + extra_relevant);
-            prop_assert!((0.0..=1.0).contains(&m.precision()));
-            prop_assert!((0.0..=1.0).contains(&m.recall()));
-            prop_assert!((0.0..=1.0).contains(&m.f1()));
-            prop_assert!(m.f1() <= m.precision().max(m.recall()) + 1e-12);
-            prop_assert!(m.f1() + 1e-12 >= m.precision().min(m.recall()) * 2.0 * m.precision().max(m.recall()) / (m.precision() + m.recall() + 1e-12) - 1e-9);
+    #[test]
+    fn f1_is_bounded() {
+        let mut rng = Rng::labelled(concat!(module_path!(), "::f1_is_bounded"));
+        for _ in 0..64 {
+            let correct = rng.below(50);
+            let extra_attempted = rng.below(50);
+            let extra_relevant = rng.below(50);
+            let m = ComponentMetrics::from_counts(
+                correct,
+                correct + extra_attempted,
+                correct + extra_relevant,
+            );
+            assert!((0.0..=1.0).contains(&m.precision()));
+            assert!((0.0..=1.0).contains(&m.recall()));
+            assert!((0.0..=1.0).contains(&m.f1()));
+            assert!(m.f1() <= m.precision().max(m.recall()) + 1e-12);
+            assert!(
+                m.f1() + 1e-12
+                    >= m.precision().min(m.recall()) * 2.0 * m.precision().max(m.recall())
+                        / (m.precision() + m.recall() + 1e-12)
+                        - 1e-9
+            );
         }
     }
 }

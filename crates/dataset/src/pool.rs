@@ -532,7 +532,7 @@ impl IdTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::rng::{Rng, PRINTABLE};
 
     thread_local! {
         /// How many values this thread has hashed: the proof that loading
@@ -695,39 +695,57 @@ mod tests {
         assert_eq!(pool.get(ValueId(3)), None);
     }
 
-    proptest! {
-        #[test]
-        fn intern_resolve_round_trips(values in proptest::collection::vec("\\PC{0,24}", 0..64)) {
+    #[test]
+    fn intern_resolve_round_trips() {
+        let mut rng = Rng::labelled(concat!(module_path!(), "::intern_resolve_round_trips"));
+        for _ in 0..64 {
+            let values = (0..rng.below(64))
+                .map(|_| rng.string(PRINTABLE, 0..=24))
+                .collect::<Vec<_>>();
             let mut pool = ValuePool::new();
             let ids: Vec<ValueId> = values.iter().map(|v| pool.intern(v)).collect();
             // Round-trip: every id resolves back to exactly the interned string.
             for (value, id) in values.iter().zip(&ids) {
-                prop_assert_eq!(pool.resolve(*id), value.as_str());
-                prop_assert_eq!(pool.lookup(value), Some(*id));
+                assert_eq!(pool.resolve(*id), value.as_str());
+                assert_eq!(pool.lookup(value), Some(*id));
             }
             // Injectivity: equal strings share an id, distinct strings never do.
             for (i, a) in values.iter().enumerate() {
                 for (j, b) in values.iter().enumerate() {
-                    prop_assert_eq!(ids[i] == ids[j], a == b, "{} vs {}", i, j);
+                    assert_eq!(ids[i] == ids[j], a == b, "{} vs {}", i, j);
                 }
             }
             // Density: ids cover 0..distinct-count.
             let distinct: std::collections::BTreeSet<&String> = values.iter().collect();
-            prop_assert_eq!(pool.len(), distinct.len());
+            assert_eq!(pool.len(), distinct.len());
         }
+    }
 
-        // Random interleavings of `clone` / `intern` / `sync_from` /
-        // `lookup` over several handles against a plain `Vec<String>` per
-        // handle: whatever storage the handles share, each one answers as
-        // if it owned a private copy.
-        #[test]
-        fn handles_behave_like_private_copies(ops in proptest::collection::vec(0u32..1_000_000, 0..96)) {
+    // Random interleavings of `clone` / `intern` / `sync_from` /
+    // `lookup` over several handles against a plain `Vec<String>` per
+    // handle: whatever storage the handles share, each one answers as
+    // if it owned a private copy.
+    #[test]
+    fn handles_behave_like_private_copies() {
+        let mut rng = Rng::labelled(concat!(
+            module_path!(),
+            "::handles_behave_like_private_copies"
+        ));
+        for _ in 0..64 {
+            let ops = (0..rng.below(96))
+                .map(|_| rng.below(1_000_000) as u32)
+                .collect::<Vec<_>>();
             const VALUES: usize = 10;
             const HANDLES: usize = 6;
             let value = |v: usize| format!("value-{v}");
             let mut handles: Vec<(ValuePool, Vec<String>)> = vec![(ValuePool::new(), Vec::new())];
             for op in ops {
-                let (kind, a, b, v) = (op % 5, (op / 5) as usize, (op / 50) as usize, (op / 500) as usize);
+                let (kind, a, b, v) = (
+                    op % 5,
+                    (op / 5) as usize,
+                    (op / 50) as usize,
+                    (op / 500) as usize,
+                );
                 let (a, b, v) = (a % handles.len(), b % handles.len(), value(v % VALUES));
                 match kind {
                     // A clone parts from its source here (the oldest handle
@@ -746,7 +764,7 @@ mod tests {
                         if expected == model.len() {
                             model.push(v.clone());
                         }
-                        prop_assert_eq!(pool.intern(&v), ValueId(expected as u32));
+                        assert_eq!(pool.intern(&v), ValueId(expected as u32));
                     }
                     // Syncing, wherever `b` is an append-only descendant of
                     // `a` (always true of an empty `a`).
@@ -767,16 +785,16 @@ mod tests {
                     _ => {
                         let (pool, model) = &handles[a];
                         let expected = model.iter().position(|m| *m == v);
-                        prop_assert_eq!(pool.lookup(&v), expected.map(|i| ValueId(i as u32)));
+                        assert_eq!(pool.lookup(&v), expected.map(|i| ValueId(i as u32)));
                     }
                 }
                 // No handle sees what another interned after they parted,
                 // and ids below the common length agree where the models do.
                 for (pool, model) in &handles {
-                    prop_assert_eq!(pool.len(), model.len());
+                    assert_eq!(pool.len(), model.len());
                     let held: Vec<&str> = pool.iter().map(|(_, s)| s).collect();
-                    prop_assert_eq!(held, model.iter().map(String::as_str).collect::<Vec<_>>());
-                    prop_assert!(!pool.contains(ValueId(model.len() as u32)));
+                    assert_eq!(held, model.iter().map(String::as_str).collect::<Vec<_>>());
+                    assert!(!pool.contains(ValueId(model.len() as u32)));
                 }
             }
             for (pool, model) in &handles {
@@ -785,17 +803,20 @@ mod tests {
                 for v in model {
                     rebuilt.intern(v);
                 }
-                prop_assert_eq!(pool, &rebuilt);
+                assert_eq!(pool, &rebuilt);
                 for v in (0..VALUES).map(value) {
-                    prop_assert_eq!(pool.lookup(&v), rebuilt.lookup(&v));
+                    assert_eq!(pool.lookup(&v), rebuilt.lookup(&v));
                 }
                 // The codec round-trips to an equal pool whose next intern takes
                 // the next dense id.
                 let bytes = mlnw::to_bytes(pool).unwrap();
                 let mut decoded: ValuePool = mlnw::from_bytes(&bytes).unwrap();
-                prop_assert_eq!(&decoded, pool);
-                prop_assert_eq!(decoded.intern("never interned"), ValueId(model.len() as u32));
-                prop_assert_eq!(pool.len(), model.len());
+                assert_eq!(&decoded, pool);
+                assert_eq!(
+                    decoded.intern("never interned"),
+                    ValueId(model.len() as u32)
+                );
+                assert_eq!(pool.len(), model.len());
             }
         }
     }

@@ -2,8 +2,10 @@
 //!
 //! Everything random in the system draws from [`Rng`]: the generated
 //! TPC-H / HAI / CAR tables, [`crate::ErrorInjector`], the simulated
-//! network's fault decisions and the random scripts of the equivalence
-//! suites.  The streams are **pinned**: the
+//! network's fault decisions, the random streams of the engine matrix and
+//! the cases of the workspace's unit properties — each a seeded loop over
+//! [`Rng::labelled`], its strings from [`Rng::string`].  The streams are
+//! **pinned**: the
 //! goldens and the benchmark inputs depend on them bit for bit, and
 //! `tests/stream_pins.rs` holds a digest of each.  A change here that moves
 //! one draw moves every dataset the repository generates.
@@ -36,6 +38,13 @@ pub fn unit(draw: u64) -> f64 {
     (draw >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
+/// What the unit properties draw printable strings from: ASCII 0x20–0x7E
+/// and five multibyte characters, so Unicode-aware paths get exercised.
+pub const PRINTABLE: &str = concat!(
+    " !\"#$%&'()*+,-./0123456789:;<=>?@ABCDEFGHIJKLMNOPQRSTUVWXYZ[\\]^_`",
+    "abcdefghijklmnopqrstuvwxyz{|}~éßλ中🦀"
+);
+
 /// A seeded xoshiro256** generator (see the [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct Rng {
@@ -52,6 +61,14 @@ impl Rng {
             state = state.wrapping_add(GOLDEN_GAMMA);
         }
         Rng { s }
+    }
+
+    /// The generator of the property test named `label` (its module path
+    /// and name): seeded by the 64-bit FNV-1a hash of the label, so each
+    /// property draws the same cases on every run and every machine.
+    pub fn labelled(label: &str) -> Self {
+        let fnv = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        Rng::seeded(label.bytes().fold(0xcbf2_9ce4_8422_2325, fnv))
     }
 
     /// The next 64 bits of the stream.
@@ -120,6 +137,15 @@ impl Rng {
         items.get(self.below(items.len()))
     }
 
+    /// A string of characters of `alphabet`: its length drawn from `len`
+    /// first, then each character uniformly.
+    pub fn string(&mut self, alphabet: &str, len: RangeInclusive<usize>) -> String {
+        let chars: Vec<char> = alphabet.chars().collect();
+        let (lo, hi) = len.into_inner();
+        let n = lo + self.below(hi - lo + 1);
+        (0..n).map(|_| chars[self.below(chars.len())]).collect()
+    }
+
     /// Fisher–Yates: swap each position from the back with one drawn at or
     /// before it.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
@@ -185,6 +211,27 @@ mod tests {
         let empty: [u8; 0] = [];
         assert!(rng.pick(&empty).is_none());
         assert!(rng.pick(&[1, 2, 3]).is_some());
+    }
+
+    #[test]
+    fn strings_stay_in_their_alphabet_and_length() {
+        let printable: String = (' '..='~').chain(['é', 'ß', 'λ', '中', '🦀']).collect();
+        assert_eq!(PRINTABLE, printable);
+        let mut rng = Rng::labelled("strings");
+        for _ in 0..200 {
+            let s = rng.string("abc", 2..=5);
+            assert!((2..=5).contains(&s.chars().count()), "{s:?}");
+            assert!(s.chars().all(|c| "abc".contains(c)), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn a_label_seeds_by_its_fnv1a_hash() {
+        // The hash of the empty label is FNV-1a's offset basis.
+        let mut empty = Rng::seeded(0xcbf2_9ce4_8422_2325);
+        assert_eq!(Rng::labelled("").next_u64(), empty.next_u64());
+        let (mut a, mut b) = (Rng::labelled("a"), Rng::labelled("b"));
+        assert_ne!(a.next_u64(), b.next_u64());
     }
 
     #[test]

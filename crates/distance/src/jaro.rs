@@ -77,7 +77,7 @@ pub fn jaro_winkler_distance(a: &str, b: &str) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use dataset::rng::{Rng, PRINTABLE};
 
     #[test]
     fn identical() {
@@ -115,23 +115,36 @@ mod tests {
         assert!(boosted >= plain);
     }
 
-    proptest! {
-        #[test]
-        fn in_unit_interval(a in "\\PC{0,16}", b in "\\PC{0,16}") {
+    #[test]
+    fn in_unit_interval() {
+        let mut rng = Rng::labelled(concat!(module_path!(), "::in_unit_interval"));
+        for _ in 0..64 {
+            let a = rng.string(PRINTABLE, 0..=16);
+            let b = rng.string(PRINTABLE, 0..=16);
             let j = jaro_similarity(&a, &b);
             let jw = jaro_winkler_similarity(&a, &b);
-            prop_assert!((0.0..=1.0).contains(&j));
-            prop_assert!((0.0..=1.0).contains(&jw));
+            assert!((0.0..=1.0).contains(&j));
+            assert!((0.0..=1.0).contains(&jw));
         }
+    }
 
-        #[test]
-        fn symmetric_jaro(a in "\\PC{0,16}", b in "\\PC{0,16}") {
-            prop_assert!((jaro_similarity(&a, &b) - jaro_similarity(&b, &a)).abs() < 1e-12);
+    #[test]
+    fn symmetric_jaro() {
+        let mut rng = Rng::labelled(concat!(module_path!(), "::symmetric_jaro"));
+        for _ in 0..64 {
+            let a = rng.string(PRINTABLE, 0..=16);
+            let b = rng.string(PRINTABLE, 0..=16);
+            assert!((jaro_similarity(&a, &b) - jaro_similarity(&b, &a)).abs() < 1e-12);
         }
+    }
 
-        #[test]
-        fn winkler_at_least_jaro(a in "\\PC{0,16}", b in "\\PC{0,16}") {
-            prop_assert!(jaro_winkler_similarity(&a, &b) + 1e-12 >= jaro_similarity(&a, &b));
+    #[test]
+    fn winkler_at_least_jaro() {
+        let mut rng = Rng::labelled(concat!(module_path!(), "::winkler_at_least_jaro"));
+        for _ in 0..64 {
+            let a = rng.string(PRINTABLE, 0..=16);
+            let b = rng.string(PRINTABLE, 0..=16);
+            assert!(jaro_winkler_similarity(&a, &b) + 1e-12 >= jaro_similarity(&a, &b));
         }
     }
 }

@@ -275,7 +275,7 @@ impl EditSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use dataset::rng::{Rng, PRINTABLE};
 
     /// Allocation-per-call reference implementations, kept to pin the
     /// buffer-reusing, trimming versions above to the textbook recurrences.
@@ -463,101 +463,185 @@ mod tests {
         assert_eq!(levenshtein("ab", "cd"), 2, "the max is attained");
     }
 
-    proptest! {
-        #[test]
-        fn sketch_bound_never_exceeds_either_edit_distance(a in "\\PC{0,24}", b in "\\PC{0,24}") {
+    #[test]
+    fn sketch_bound_never_exceeds_either_edit_distance() {
+        let mut rng = Rng::labelled(concat!(
+            module_path!(),
+            "::sketch_bound_never_exceeds_either_edit_distance"
+        ));
+        for _ in 0..64 {
+            let a = rng.string(PRINTABLE, 0..=24);
+            let b = rng.string(PRINTABLE, 0..=24);
             let bound = sketch_bound(&a, &b);
-            prop_assert_eq!(bound, sketch_bound(&b, &a));
-            prop_assert_eq!(sketch_bound(&a, &a), 0);
-            prop_assert!(bound <= reference::damerau(&a, &b), "{} > damerau", bound);
-            prop_assert!(bound <= reference::levenshtein(&a, &b), "{} > levenshtein", bound);
+            assert_eq!(bound, sketch_bound(&b, &a));
+            assert_eq!(sketch_bound(&a, &a), 0);
+            assert!(bound <= reference::damerau(&a, &b), "{} > damerau", bound);
+            assert!(
+                bound <= reference::levenshtein(&a, &b),
+                "{} > levenshtein",
+                bound
+            );
         }
+    }
 
-        #[test]
-        fn sketch_bound_never_exceeds_either_edit_distance_on_near_neighbours(
-            prefix in "[ab]{0,10}", mid_a in "[a-h]{0,6}", mid_b in "[a-h]{0,6}", suffix in "[ab]{0,10}"
-        ) {
+    #[test]
+    fn sketch_bound_never_exceeds_either_edit_distance_on_near_neighbours() {
+        let mut rng = Rng::labelled(concat!(
+            module_path!(),
+            "::sketch_bound_never_exceeds_either_edit_distance_on_near_neighbours"
+        ));
+        for _ in 0..64 {
+            let prefix = rng.string("ab", 0..=10);
+            let mid_a = rng.string("abcdefgh", 0..=6);
+            let mid_b = rng.string("abcdefgh", 0..=6);
+            let suffix = rng.string("ab", 0..=10);
             // Few distinct characters, small distances: where the class
             // counts, not the lengths, carry the bound.
             let a = format!("{prefix}{mid_a}{suffix}");
             let b = format!("{prefix}{mid_b}{suffix}");
             let bound = sketch_bound(&a, &b);
-            prop_assert!(bound <= reference::damerau(&a, &b), "{} > damerau", bound);
-            prop_assert!(bound <= reference::levenshtein(&a, &b), "{} > levenshtein", bound);
+            assert!(bound <= reference::damerau(&a, &b), "{} > damerau", bound);
+            assert!(
+                bound <= reference::levenshtein(&a, &b),
+                "{} > levenshtein",
+                bound
+            );
         }
+    }
 
-        #[test]
-        fn matches_reference_implementation(a in "\\PC{0,24}", b in "\\PC{0,24}") {
-            prop_assert_eq!(levenshtein(&a, &b), reference::levenshtein(&a, &b));
-            prop_assert_eq!(damerau_levenshtein(&a, &b), reference::damerau(&a, &b));
+    #[test]
+    fn matches_reference_implementation() {
+        let mut rng = Rng::labelled(concat!(
+            module_path!(),
+            "::matches_reference_implementation"
+        ));
+        for _ in 0..64 {
+            let a = rng.string(PRINTABLE, 0..=24);
+            let b = rng.string(PRINTABLE, 0..=24);
+            assert_eq!(levenshtein(&a, &b), reference::levenshtein(&a, &b));
+            assert_eq!(damerau_levenshtein(&a, &b), reference::damerau(&a, &b));
         }
+    }
 
-        #[test]
-        fn matches_reference_on_trim_heavy_inputs(
-            prefix in "[ab]{0,10}", mid_a in "[abc]{0,6}", mid_b in "[abc]{0,6}", suffix in "[ab]{0,10}"
-        ) {
+    #[test]
+    fn matches_reference_on_trim_heavy_inputs() {
+        let mut rng = Rng::labelled(concat!(
+            module_path!(),
+            "::matches_reference_on_trim_heavy_inputs"
+        ));
+        for _ in 0..64 {
+            let prefix = rng.string("ab", 0..=10);
+            let mid_a = rng.string("abc", 0..=6);
+            let mid_b = rng.string("abc", 0..=6);
+            let suffix = rng.string("ab", 0..=10);
             // Inputs engineered to exercise the prefix/suffix trimming paths,
             // including transpositions at the trim boundaries.
             let a = format!("{prefix}{mid_a}{suffix}");
             let b = format!("{prefix}{mid_b}{suffix}");
-            prop_assert_eq!(levenshtein(&a, &b), reference::levenshtein(&a, &b));
-            prop_assert_eq!(damerau_levenshtein(&a, &b), reference::damerau(&a, &b));
+            assert_eq!(levenshtein(&a, &b), reference::levenshtein(&a, &b));
+            assert_eq!(damerau_levenshtein(&a, &b), reference::damerau(&a, &b));
         }
+    }
 
-        #[test]
-        fn bounded_matches_full(a in "\\PC{0,24}", b in "\\PC{0,24}") {
+    #[test]
+    fn bounded_matches_full() {
+        let mut rng = Rng::labelled(concat!(module_path!(), "::bounded_matches_full"));
+        for _ in 0..64 {
+            let a = rng.string(PRINTABLE, 0..=24);
+            let b = rng.string(PRINTABLE, 0..=24);
             assert_bounded_matches_full(&a, &b);
         }
+    }
 
-        #[test]
-        fn bounded_matches_full_on_near_neighbours(
-            prefix in "[ab]{0,10}", mid_a in "[abc]{0,6}", mid_b in "[abc]{0,6}", suffix in "[ab]{0,10}"
-        ) {
+    #[test]
+    fn bounded_matches_full_on_near_neighbours() {
+        let mut rng = Rng::labelled(concat!(
+            module_path!(),
+            "::bounded_matches_full_on_near_neighbours"
+        ));
+        for _ in 0..64 {
+            let prefix = rng.string("ab", 0..=10);
+            let mid_a = rng.string("abc", 0..=6);
+            let mid_b = rng.string("abc", 0..=6);
+            let suffix = rng.string("ab", 0..=10);
             // Small distances against long strings: the band is narrow and
             // the row-minimum exit fires mid-program.
             let a = format!("{prefix}{mid_a}{suffix}");
             let b = format!("{prefix}{mid_b}{suffix}");
             assert_bounded_matches_full(&a, &b);
         }
+    }
 
-        #[test]
-        fn symmetric(a in "\\PC{0,24}", b in "\\PC{0,24}") {
-            prop_assert_eq!(levenshtein(&a, &b), levenshtein(&b, &a));
-            prop_assert_eq!(damerau_levenshtein(&a, &b), damerau_levenshtein(&b, &a));
+    #[test]
+    fn symmetric() {
+        let mut rng = Rng::labelled(concat!(module_path!(), "::symmetric"));
+        for _ in 0..64 {
+            let a = rng.string(PRINTABLE, 0..=24);
+            let b = rng.string(PRINTABLE, 0..=24);
+            assert_eq!(levenshtein(&a, &b), levenshtein(&b, &a));
+            assert_eq!(damerau_levenshtein(&a, &b), damerau_levenshtein(&b, &a));
         }
+    }
 
-        #[test]
-        fn identity(a in "\\PC{0,24}") {
-            prop_assert_eq!(levenshtein(&a, &a), 0);
-            prop_assert_eq!(damerau_levenshtein(&a, &a), 0);
+    #[test]
+    fn identity() {
+        let mut rng = Rng::labelled(concat!(module_path!(), "::identity"));
+        for _ in 0..64 {
+            let a = rng.string(PRINTABLE, 0..=24);
+            assert_eq!(levenshtein(&a, &a), 0);
+            assert_eq!(damerau_levenshtein(&a, &a), 0);
         }
+    }
 
-        #[test]
-        fn triangle_inequality(a in "[a-f]{0,12}", b in "[a-f]{0,12}", c in "[a-f]{0,12}") {
+    #[test]
+    fn triangle_inequality() {
+        let mut rng = Rng::labelled(concat!(module_path!(), "::triangle_inequality"));
+        for _ in 0..64 {
+            let a = rng.string("abcdef", 0..=12);
+            let b = rng.string("abcdef", 0..=12);
+            let c = rng.string("abcdef", 0..=12);
             let ab = levenshtein(&a, &b);
             let bc = levenshtein(&b, &c);
             let ac = levenshtein(&a, &c);
-            prop_assert!(ac <= ab + bc);
+            assert!(ac <= ab + bc);
         }
+    }
 
-        #[test]
-        fn bounded_by_longer_length(a in "\\PC{0,24}", b in "\\PC{0,24}") {
+    #[test]
+    fn bounded_by_longer_length() {
+        let mut rng = Rng::labelled(concat!(module_path!(), "::bounded_by_longer_length"));
+        for _ in 0..64 {
+            let a = rng.string(PRINTABLE, 0..=24);
+            let b = rng.string(PRINTABLE, 0..=24);
             let d = levenshtein(&a, &b);
             let max_len = a.chars().count().max(b.chars().count());
             let min_len = a.chars().count().min(b.chars().count());
-            prop_assert!(d <= max_len);
-            prop_assert!(d >= max_len - min_len);
+            assert!(d <= max_len);
+            assert!(d >= max_len - min_len);
         }
+    }
 
-        #[test]
-        fn damerau_never_exceeds_levenshtein(a in "[a-e]{0,12}", b in "[a-e]{0,12}") {
-            prop_assert!(damerau_levenshtein(&a, &b) <= levenshtein(&a, &b));
+    #[test]
+    fn damerau_never_exceeds_levenshtein() {
+        let mut rng = Rng::labelled(concat!(
+            module_path!(),
+            "::damerau_never_exceeds_levenshtein"
+        ));
+        for _ in 0..64 {
+            let a = rng.string("abcde", 0..=12);
+            let b = rng.string("abcde", 0..=12);
+            assert!(damerau_levenshtein(&a, &b) <= levenshtein(&a, &b));
         }
+    }
 
-        #[test]
-        fn normalized_in_unit_interval(a in "\\PC{0,24}", b in "\\PC{0,24}") {
+    #[test]
+    fn normalized_in_unit_interval() {
+        let mut rng = Rng::labelled(concat!(module_path!(), "::normalized_in_unit_interval"));
+        for _ in 0..64 {
+            let a = rng.string(PRINTABLE, 0..=24);
+            let b = rng.string(PRINTABLE, 0..=24);
             let d = normalized_levenshtein(&a, &b);
-            prop_assert!((0.0..=1.0).contains(&d));
+            assert!((0.0..=1.0).contains(&d));
         }
     }
 }

@@ -130,7 +130,7 @@ impl DistanceMetric for Metric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use dataset::rng::{Rng, PRINTABLE};
 
     #[test]
     fn parse_round_trips() {
@@ -176,44 +176,68 @@ mod tests {
         assert_eq!(m.distance("DOTH", "DOTHAN"), 2.0);
     }
 
-    proptest! {
-        #[test]
-        fn normalized_always_in_unit_interval(a in "\\PC{0,16}", b in "\\PC{0,16}") {
+    #[test]
+    fn normalized_always_in_unit_interval() {
+        let mut rng = Rng::labelled(concat!(
+            module_path!(),
+            "::normalized_always_in_unit_interval"
+        ));
+        for _ in 0..64 {
+            let a = rng.string(PRINTABLE, 0..=16);
+            let b = rng.string(PRINTABLE, 0..=16);
             for m in Metric::ALL {
                 let d = m.normalized_distance(&a, &b);
-                prop_assert!((0.0..=1.0).contains(&d), "{:?} gave {}", m, d);
+                assert!((0.0..=1.0).contains(&d), "{:?} gave {}", m, d);
             }
         }
+    }
 
-        #[test]
-        fn lower_bound_never_exceeds_the_distance(a in "\\PC{0,16}", b in "\\PC{0,16}") {
+    #[test]
+    fn lower_bound_never_exceeds_the_distance() {
+        let mut rng = Rng::labelled(concat!(
+            module_path!(),
+            "::lower_bound_never_exceeds_the_distance"
+        ));
+        for _ in 0..64 {
+            let a = rng.string(PRINTABLE, 0..=16);
+            let b = rng.string(PRINTABLE, 0..=16);
             let (sa, sb) = (EditSketch::of(&a), EditSketch::of(&b));
             for m in Metric::ALL {
                 let bound = m.lower_bound(sa, sb);
-                prop_assert!(bound <= m.distance(&a, &b), "{:?} gave {}", m, bound);
+                assert!(bound <= m.distance(&a, &b), "{:?} gave {}", m, bound);
                 let is_edit = matches!(m, Metric::Levenshtein | Metric::DamerauLevenshtein);
-                prop_assert!(is_edit || bound == 0.0, "{:?} gave {}", m, bound);
+                assert!(is_edit || bound == 0.0, "{:?} gave {}", m, bound);
             }
         }
+    }
 
-        #[test]
-        fn an_edit_counting_metric_parts_different_strings_by_one(
-            a in "[ab]{0,6}",
-            b in "[ab]{0,6}",
-        ) {
+    #[test]
+    fn an_edit_counting_metric_parts_different_strings_by_one() {
+        let mut rng = Rng::labelled(concat!(
+            module_path!(),
+            "::an_edit_counting_metric_parts_different_strings_by_one"
+        ));
+        for _ in 0..64 {
+            let a = rng.string("ab", 0..=6);
+            let b = rng.string("ab", 0..=6);
             for m in Metric::ALL.into_iter().filter(Metric::counts_edits) {
                 let d = m.distance(&a, &b);
-                prop_assert_eq!(d, d.floor(), "{:?}", m);
-                prop_assert_eq!(d == 0.0, a == b, "{:?} gave {}", m, d);
+                assert_eq!(d, d.floor(), "{:?}", m);
+                assert_eq!(d == 0.0, a == b, "{:?} gave {}", m, d);
             }
         }
+    }
 
-        #[test]
-        fn similarity_complements_distance(a in "\\PC{0,16}", b in "\\PC{0,16}") {
+    #[test]
+    fn similarity_complements_distance() {
+        let mut rng = Rng::labelled(concat!(module_path!(), "::similarity_complements_distance"));
+        for _ in 0..64 {
+            let a = rng.string(PRINTABLE, 0..=16);
+            let b = rng.string(PRINTABLE, 0..=16);
             for m in Metric::ALL {
                 let s = m.similarity(&a, &b);
                 let d = m.normalized_distance(&a, &b);
-                prop_assert!((s + d - 1.0).abs() < 1e-12);
+                assert!((s + d - 1.0).abs() < 1e-12);
             }
         }
     }

@@ -43,7 +43,7 @@
 //!    (`Σᵢ nᵢwᵢ / Σᵢ nᵢ`), the merge reconstructs the global evidence and
 //!    learns the weight a single-node run would — which is what makes the
 //!    differential harness
-//!    (`tests/streaming_equivalence.rs`) able to pin the driver
+//!    (`tests/engine_matrix.rs`) able to pin the driver
 //!    **byte-identical** to a single session.  Exact evidence has no
 //!    weight-merge phase: nothing is pushed back to the partitions, which
 //!    are never asked to clean.
@@ -69,9 +69,9 @@
 use crate::backend::{LocalPartitions, PartitionBackend};
 use dataset::{Dataset, Schema, TupleId, ValueId, ValuePool};
 use mlnclean::{
-    BatchReport, Block, ChangeSet, CleanConfig, CleanError, DeferredDeletes, Engine, GammaRuns,
-    IdMutation, InternedSlice, MemoryStats, MlnIndex, Mutation, PartitionReport, Report, StageOne,
-    StageTwo, Timings,
+    BatchReport, Block, ChangeSet, CleanConfig, CleanError, DeferredDeletes, GammaRuns, IdMutation,
+    InternedSlice, MemoryStats, MlnIndex, Mutation, PartitionReport, Report, StageOne, StageTwo,
+    Timings,
 };
 // Referenced by the module and method docs only.
 #[allow(unused_imports)]
@@ -91,8 +91,8 @@ use std::time::Instant;
 /// byte-identical to this driver.
 ///
 /// See the [module docs](self) for the execution plan; see
-/// [`DistributedStreamingMlnClean`] for the [`Engine`] front door over a
-/// static dataset.
+/// [`DistributedStreamingMlnClean`] for the one-call cleaner of a static
+/// dataset.
 #[derive(Debug)]
 pub struct DistributedStreamingSession<B: PartitionBackend = LocalPartitions> {
     merge_every: usize,
@@ -680,13 +680,12 @@ impl PoolMap {
     }
 }
 
-/// Distributed streaming MLNClean behind the unified [`Engine`] front door:
-/// streams a static dataset through a [`DistributedStreamingSession`] in
+/// Distributed streaming MLNClean over a static dataset: streams it through a [`DistributedStreamingSession`] in
 /// fixed-size micro-batches and finishes it.
 ///
 /// By streaming/single-session equivalence (and session/batch equivalence)
-/// the result is byte-identical to [`mlnclean::MlnClean`] and
-/// [`mlnclean::IncrementalMlnClean`] on the same input; what changes is the
+/// the result is byte-identical to [`mlnclean::MlnClean`] and to a
+/// [`mlnclean::CleaningSession`] fed the same batches; what changes is the
 /// execution plan — and, for a live stream, the ability to route interleaved
 /// updates/deletes across partitions (see
 /// [`DistributedStreamingSession::apply`]).
@@ -704,10 +703,11 @@ pub struct DistributedStreamingMlnClean {
 
 impl DistributedStreamingMlnClean {
     /// Create a streaming distributed cleaner with merge cadence 1 and the
-    /// default micro-batch size (128 rows).
+    /// default micro-batch size (128 rows).  Zero partitions is not clamped:
+    /// [`Self::clean`] fails with [`CleanError::Partition`].
     pub fn new(partitions: usize, config: CleanConfig) -> Self {
         DistributedStreamingMlnClean {
-            partitions: partitions.max(1),
+            partitions,
             merge_every: 1,
             batch_rows: 128,
             config,
@@ -727,7 +727,7 @@ impl DistributedStreamingMlnClean {
     }
 
     /// Clean `dirty` against `rules` by streaming it through per-partition
-    /// row stores.
+    /// row stores.  Fails like [`DistributedStreamingSession::new`] does.
     pub fn clean(&self, dirty: &Dataset, rules: &RuleSet) -> Result<Report, CleanError> {
         let mut session = DistributedStreamingSession::new(
             self.config.clone(),
@@ -740,16 +740,6 @@ impl DistributedStreamingMlnClean {
             session.apply(changes)?;
         }
         Ok(session.finish())
-    }
-}
-
-impl Engine for DistributedStreamingMlnClean {
-    fn name(&self) -> &'static str {
-        "distributed-streaming"
-    }
-
-    fn run(&self, dirty: &Dataset, rules: &RuleSet) -> Result<Report, CleanError> {
-        self.clean(dirty, rules)
     }
 }
 
@@ -779,7 +769,7 @@ mod tests {
         for partitions in [1, 2, 4] {
             let streamed = DistributedStreamingMlnClean::new(partitions, config.clone())
                 .with_batch_rows(2)
-                .run(&dirty, &rules)
+                .clean(&dirty, &rules)
                 .unwrap();
             assert_eq!(
                 csv::to_csv(&batch.repaired),
@@ -793,10 +783,6 @@ mod tests {
             assert_eq!(parts.parts.len(), partitions);
             assert_eq!(parts.sizes().iter().sum::<usize>(), dirty.len());
         }
-        assert_eq!(
-            DistributedStreamingMlnClean::new(2, CleanConfig::default()).name(),
-            "distributed-streaming"
-        );
     }
 
     #[test]
@@ -889,11 +875,11 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, CleanError::NoRules);
-        // The engine front door clamps instead of failing.
-        assert_eq!(
-            DistributedStreamingMlnClean::new(0, CleanConfig::default()).partitions,
-            1
-        );
+        // The one-call cleaner fails the same way.
+        let err = DistributedStreamingMlnClean::new(0, CleanConfig::default())
+            .clean(&dirty, &rules::sample_hospital_rules())
+            .unwrap_err();
+        assert_eq!(err, CleanError::Partition { workers: 0 });
     }
 
     #[test]

@@ -601,7 +601,7 @@ macro_rules! codec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use dataset::rng::Rng;
 
     fn round_trip<T>(value: &T) -> T
     where
@@ -956,27 +956,33 @@ mod tests {
         decode_all(&uint_frame(&[0x80, 0x80, 0x80, 0x00]));
     }
 
-    proptest! {
-        #[test]
-        fn varint_round_trip_is_canonical(
-            values in proptest::collection::vec(0u64..u64::MAX, 1..24),
-        ) {
+    #[test]
+    fn varint_round_trip_is_canonical() {
+        let mut rng = Rng::labelled(concat!(module_path!(), "::varint_round_trip_is_canonical"));
+        for _ in 0..64 {
+            let values = (0..1 + rng.below(23))
+                .map(|_| rng.range(0..=u64::MAX - 1))
+                .collect::<Vec<_>>();
             for &x in &values {
                 let bytes = to_bytes(&x).unwrap();
-                prop_assert_eq!(from_bytes::<u64>(&bytes), Ok(x));
+                assert_eq!(from_bytes::<u64>(&bytes), Ok(x));
                 // Canonical means minimal: header (6) + tag (1) + the
                 // fewest LEB128 bytes that hold x's significant bits.
                 let bits = (64 - x.leading_zeros()) as usize;
-                prop_assert_eq!(bytes.len(), 7 + bits.div_ceil(7).max(1), "x = {}", x);
+                assert_eq!(bytes.len(), 7 + bits.div_ceil(7).max(1), "x = {}", x);
             }
         }
+    }
 
-        #[test]
-        fn decoder_survives_mangled_frames(
-            garbage in proptest::collection::vec(0usize..256, 0..64),
-            cut in 0usize..1024,
-            flip in 0usize..4096,
-        ) {
+    #[test]
+    fn decoder_survives_mangled_frames() {
+        let mut rng = Rng::labelled(concat!(module_path!(), "::decoder_survives_mangled_frames"));
+        for _ in 0..64 {
+            let garbage = (0..rng.below(64))
+                .map(|_| rng.below(256))
+                .collect::<Vec<_>>();
+            let cut = rng.below(1024);
+            let flip = rng.below(4096);
             // Raw garbage: usually bad magic, sometimes a valid header with
             // nonsense tags behind it.
             let raw: Vec<u8> = garbage.iter().map(|&b| b as u8).collect();

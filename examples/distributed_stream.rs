@@ -45,8 +45,7 @@ fn main() {
         streamed.merge_every()
     );
     println!("batch  rows  total  dirty-blocks  partition-sizes");
-    for rows in datagen::row_batches(&dirty.dirty, 8) {
-        let changes = ChangeSet::inserting(rows);
+    for changes in ChangeSet::insert_batches(&dirty.dirty, dirty.dirty.len().div_ceil(8)) {
         single
             .apply(changes.clone())
             .expect("rows match the schema");

@@ -12,7 +12,7 @@
 //! ```
 
 use dataset::{csv, RepairEvaluation};
-use mlnclean::{CleanConfig, CleaningSession, MlnClean};
+use mlnclean::{ChangeSet, CleanConfig, CleaningSession, MlnClean};
 
 fn main() {
     // A seeded dirty HAI workload (5% error rate) streamed in 8 batches.
@@ -31,8 +31,8 @@ fn main() {
 
     println!("streaming {} rows in 8 micro-batches\n", dirty.dirty.len());
     println!("batch  rows  total  dirty-blocks  touched-groups  cells-off-truth");
-    for batch in datagen::row_batches(&dirty.dirty, 8) {
-        let report = session.ingest_batch(batch).expect("rows match the schema");
+    for changes in ChangeSet::insert_batches(&dirty.dirty, dirty.dirty.len().div_ceil(8)) {
+        let report = session.apply(changes).expect("rows match the schema");
         let outcome = session.outcome();
         // How far the rows ingested so far still are from the ground truth.
         let prefix_truth = dirty

@@ -7,7 +7,7 @@ use dataset::csv::{parse_csv, to_csv};
 use dataset::RepairEvaluation;
 use distributed::DistributedStreamingMlnClean;
 use holoclean::{HoloClean, HoloCleanConfig};
-use mlnclean::{CleanConfig, Engine, IncrementalMlnClean, MlnClean};
+use mlnclean::{ChangeSet, CleanConfig, CleaningSession, MlnClean};
 use rules::parse_rules;
 
 fn hai_config() -> CleanConfig {
@@ -159,23 +159,30 @@ PORTLAND,OR,97201
 
 #[test]
 fn every_engine_cleans_through_the_same_front_door() {
-    // The unified Engine abstraction: batch, incremental and distributed
-    // drivers run through one trait, return one Report shape, and repair
-    // the same workload byte for byte.
+    // Batch, incremental and distributed plans each return one Report shape
+    // and repair the same workload byte for byte.
     let dirty = HaiGenerator::default()
         .with_rows(600)
         .with_providers(15)
         .dirty(0.05, 0.5, 42);
     let rules = HaiGenerator::rules();
-    let engines: [&dyn Engine; 3] = [
-        &MlnClean::new(hai_config()),
-        &IncrementalMlnClean::new(hai_config()).with_batch_rows(97),
-        &DistributedStreamingMlnClean::new(4, hai_config()),
-    ];
-    let reports: Vec<_> = engines
-        .iter()
-        .map(|engine| (engine.name(), engine.run(&dirty.dirty, &rules).unwrap()))
-        .collect();
+    let mut session =
+        CleaningSession::new(hai_config(), dirty.dirty.schema().clone(), rules.clone()).unwrap();
+    for changes in ChangeSet::insert_batches(&dirty.dirty, 97) {
+        session.apply(changes).unwrap();
+    }
+    let reports = [
+        (
+            "batch",
+            MlnClean::new(hai_config()).clean(&dirty.dirty, &rules),
+        ),
+        ("incremental", Ok(session.finish())),
+        (
+            "distributed",
+            DistributedStreamingMlnClean::new(4, hai_config()).clean(&dirty.dirty, &rules),
+        ),
+    ]
+    .map(|(name, report)| (name, report.unwrap()));
     let (_, batch) = &reports[0];
     for (name, report) in &reports {
         assert_eq!(report.repaired.len(), dirty.dirty.len(), "{name}");
@@ -186,7 +193,7 @@ fn every_engine_cleans_through_the_same_front_door() {
         assert!(report.index.is_some(), "{name}");
         assert_eq!(
             report.partitions.is_some(),
-            *name == "distributed-streaming",
+            *name == "distributed",
             "{name}"
         );
         assert_eq!(to_csv(&report.repaired), to_csv(&batch.repaired), "{name}");
