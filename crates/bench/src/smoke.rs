@@ -14,7 +14,7 @@
 //! `BENCH_*.json` trajectory that later PRs can compare against.
 //! `scripts/assert_bench.py smoke` ratchets its exact counts against the
 //! committed artifact.  Byte identity across engines is not the smoke's job:
-//! the engine matrix, `tests/engine_matrix.rs`, pins it.
+//! the engine matrix, `tests/kit/engine_matrix.rs`, pins it.
 
 use crate::common::{rayon_threads, Scale, Workload};
 use crate::json::Json;

@@ -226,6 +226,39 @@ mod tests {
     }
 
     #[test]
+    fn char_class_strings_stay_in_class() {
+        let mut rng = Rng::labelled("class");
+        for _ in 0..200 {
+            let s = rng.string("abcdef", 0..=12);
+            assert!(s.len() <= 12);
+            assert!(s.chars().all(|c| ('a'..='f').contains(&c)), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn printable_strings_respect_length() {
+        let mut rng = Rng::labelled("pc");
+        for _ in 0..200 {
+            let s = rng.string(PRINTABLE, 0..=16);
+            assert!(s.chars().count() <= 16);
+            assert!(s.chars().all(|c| !c.is_control()), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn mixed_class_strings_with_two_ranges() {
+        let digits_and_lower: String = ('0'..='9').chain('a'..='z').collect();
+        let mut rng = Rng::labelled("mix");
+        for _ in 0..200 {
+            let s = rng.string(&digits_and_lower, 0..=6);
+            assert!(s.chars().count() <= 6);
+            assert!(s
+                .chars()
+                .all(|c| c.is_ascii_digit() || c.is_ascii_lowercase()));
+        }
+    }
+
+    #[test]
     fn a_label_seeds_by_its_fnv1a_hash() {
         // The hash of the empty label is FNV-1a's offset basis.
         let mut empty = Rng::seeded(0xcbf2_9ce4_8422_2325);

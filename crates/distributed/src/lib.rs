@@ -18,7 +18,7 @@
 //! per-partition weights (the paper's Eq. 6), the outcome is byte-identical
 //! to a single [`mlnclean::CleaningSession`] fed the same stream, and hence
 //! to [`mlnclean::MlnClean`] on the same rows (pinned by
-//! `tests/engine_matrix.rs`).  [`DistributedStreamingMlnClean`] cleans a
+//! `tests/kit/engine_matrix.rs`).  [`DistributedStreamingMlnClean`] cleans a
 //! static dataset through the coordinator; its
 //! [`mlnclean::Report`] carries a [`mlnclean::PartitionReport`] and
 //! provenance in global tuple coordinates.

@@ -43,7 +43,7 @@
 //!    (`Σᵢ nᵢwᵢ / Σᵢ nᵢ`), the merge reconstructs the global evidence and
 //!    learns the weight a single-node run would — which is what makes the
 //!    differential harness
-//!    (`tests/engine_matrix.rs`) able to pin the driver
+//!    (`tests/kit/engine_matrix.rs`) able to pin the driver
 //!    **byte-identical** to a single session.  Exact evidence has no
 //!    weight-merge phase: nothing is pushed back to the partitions, which
 //!    are never asked to clean.

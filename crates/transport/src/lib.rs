@@ -28,7 +28,7 @@
 //!   [`service::CleaningService`] front door multiplexing concurrent client
 //!   change streams.
 //!
-//! The headline property, pinned by `tests/engine_matrix.rs`: a clean run
+//! The headline property, pinned by `tests/kit/engine_matrix.rs`: a clean run
 //! through the wire service — under any seeded fault schedule, including
 //! worker crashes with log replay — produces **byte-identical** output (CSV
 //! and AGP/RSC/FSCR provenance) to a single in-process

@@ -7,7 +7,7 @@ Usage:
 
 `smoke` ratchets the exact counts of the one-shot tiny-HAI run against the
 committed artifact (byte identity across engines is pinned by the engine
-matrix, `tests/engine_matrix.rs`, not here).  It requires the
+matrix, `tests/kit/engine_matrix.rs`, not here).  It requires the
 `product_lines` and `product_lines_non_test` keys and prints them next to the
 `--baseline` artifact's values.  `product_lines_non_test` is a ratchet: the
 run fails when the fresh value exceeds the committed one (`product_lines` is

@@ -1,8 +1,24 @@
-//! Suspend/resume at the edge: an empty session's snapshot resumes.  (A
-//! mid-stream suspend through the `mlnw` codec, with and without a 1-byte
-//! memory budget, is a column of the engine matrix, `engine_matrix.rs`.)
+//! The engine matrix's budgeted and suspended slices
+//! (`kit/engine_matrix.rs`): a session under a 1-byte memory budget, which
+//! drops every memo and evicts every fusion at each enforcement point, and
+//! one suspended through `mlnw` mid-stream and resumed, its batch ordinals
+//! continuing.  Beside them, an empty session's snapshot resumes.
 
+#[macro_use]
+#[path = "kit/engine_matrix.rs"]
+mod matrix;
+
+use matrix::*;
 use mlnclean::{CleanConfig, CleaningSession, SessionSnapshot};
+
+cells! {
+    hospital_budgeted_run_is_byte_identical: [hospital_script()] => [Budgeted];
+    seeded_hai_budgeted_run_is_byte_identical: [hai_micro(), hai_random(0..6)] => [Budgeted];
+    seeded_car_budgeted_run_is_byte_identical: [car_random(0..6)] => [Budgeted];
+    /// Serial, and parallel under the budget, cut at each stream's seeded step.
+    suspend_resume_mid_stream_is_byte_identical:
+        [hospital_script(), hai_micro(), hai_random(0..6), car_random(0..6)] => [Suspended];
+}
 
 /// An empty session snapshots and resumes too (the degenerate checkpoint a
 /// worker may take before its first batch).

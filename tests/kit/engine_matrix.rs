@@ -1,22 +1,31 @@
 //! The engine matrix: every change stream through every execution plan.
 //!
 //! Rows are change streams: the hospital scripted mutations, micro-batch
-//! inserts of hospital, seeded HAI and seeded CAR, and seeded random
-//! insert/update/delete streams on HAI and CAR (`kit/scripts.rs`).  Columns
-//! are plans: a `CleaningSession` serial and parallel, with and without an
-//! outcome per step, under a 1-byte memory budget, and suspended through the
-//! `mlnw` codec and resumed at a seeded cut; the streaming coordinator at 1,
-//! 2 and 4 partitions with K ∈ {1, 3}; and the coordinator over
-//! `WireBackend` workers behind seeded fault schedules, every worker crashed
-//! at the cut.  The one oracle is `MlnClean` on the net table
-//! (`kit/oracle.rs`): each cell's last outcome, and every outcome a per-step
-//! column draws, equals it byte for byte, and every step's batch report
-//! counts the rows, cells and deletes the net table saw.
+//! inserts of hospital, seeded HAI and seeded CAR, seeded random
+//! insert/update/delete streams on HAI and CAR (`kit/scripts.rs`), and a
+//! HAI table inserted whole.  Columns are plans, in five families
+//! ([`Plans`]): a `CleaningSession` serial and parallel, with and without an
+//! outcome per step; the same session under a 1-byte memory budget;
+//! suspended through the `mlnw` codec and resumed at a seeded cut; the
+//! streaming coordinator at 1, 2 and 4 partitions with K ∈ {1, 3}; and the
+//! coordinator over `WireBackend` workers behind seeded fault schedules,
+//! every worker crashed at the cut.  The one oracle is `MlnClean` on the net
+//! table (`kit/oracle.rs`): each cell's last outcome, and every outcome a
+//! per-step column draws, equals it byte for byte, and every step's batch
+//! report counts the rows, cells and deletes the net table saw.
+//!
+//! The four equivalence suites (session, streaming, budgeted, wire) share
+//! the matrix out: each line of a [`cells!`] table is one test, some rows
+//! through some plan families, and every row meets every family in one of
+//! them.  A suite includes this module (with `#[macro_use]`, and through it
+//! the oracle and the script generator); it runs only its own rows and
+//! families, so the rest of the module is dead code to it.
+#![allow(dead_code)]
 
-#[path = "kit/oracle.rs"]
-mod oracle;
-#[path = "kit/scripts.rs"]
-mod scripts;
+#[path = "oracle.rs"]
+pub mod oracle;
+#[path = "scripts.rs"]
+pub mod scripts;
 
 use dataset::rng::Rng;
 use dataset::{Dataset, Schema, TupleId};
@@ -36,7 +45,7 @@ use transport::{wire_session, FaultSchedule, LinkOutage, WorkerCrash, COORDINATO
 
 /// A row: a change stream over one workload, with what the net table does
 /// after every step.
-struct Stream {
+pub struct Stream {
     of: Workload,
     steps: Vec<ChangeSet>,
     /// Per step: rows inserted, cells changed, rows deleted, net rows.
@@ -126,42 +135,79 @@ enum Column {
     },
 }
 
-/// Every column for `stream`, with `wire` seeded fault schedules.
-fn columns(stream: &Stream, wire: usize) -> Vec<Column> {
+/// A family of columns: the slice of the matrix's plans a test runs.
+#[derive(Debug, Clone, Copy)]
+pub enum Plans {
+    /// Sessions, serial and parallel, with and without an outcome per step.
+    Sessions,
+    /// The per-step session under a 1-byte memory budget, serial and
+    /// parallel.
+    Budgeted,
+    /// Suspended at the stream's cut and resumed: the serial session, and
+    /// the parallel one under the budget.
+    Suspended,
+    /// The coordinator at 1, 2 and 4 partitions, K ∈ {1, 3}.
+    Coordinator,
+    /// This many seeded fault schedules on the wire.
+    Wire(usize),
+}
+
+pub use Plans::*;
+
+/// Every family, two fault schedules on the wire.
+pub const EVERY: [Plans; 5] = [Sessions, Budgeted, Suspended, Coordinator, Wire(2)];
+
+/// The columns of `plans` for `stream`.
+fn columns(stream: &Stream, plans: &[Plans]) -> Vec<Column> {
     let mut columns = Vec::new();
-    // (per-step outcomes, budget, suspend): the parallel session also
-    // suspends under the budget.
-    for parallel in [false, true] {
-        for (per_step, budget, suspend) in [
-            (false, false, false),
-            (true, false, false),
-            (true, true, false),
-            (true, parallel, true),
-        ] {
-            columns.push(Column::Session {
-                parallel,
-                per_step,
-                budget,
-                suspend,
-            });
+    for plan in plans {
+        match *plan {
+            // (per-step outcomes, budget, suspend): the parallel session
+            // also suspends under the budget.
+            Sessions | Budgeted | Suspended => {
+                for parallel in [false, true] {
+                    let modes = match plan {
+                        Sessions => vec![(false, false, false), (true, false, false)],
+                        Budgeted => vec![(true, true, false)],
+                        _ => vec![(true, parallel, true)],
+                    };
+                    for (per_step, budget, suspend) in modes {
+                        columns.push(Column::Session {
+                            parallel,
+                            per_step,
+                            budget,
+                            suspend,
+                        });
+                    }
+                }
+            }
+            // Every partition count at both cadences; K = 3 runs the
+            // parallel Stage I, and two partitions draw an outcome per step.
+            Coordinator => {
+                for partitions in [1, 2, 4] {
+                    for merge_every in [1, 3] {
+                        columns.push(Column::Coordinator {
+                            partitions,
+                            merge_every,
+                            parallel: merge_every == 3,
+                            per_step: partitions == 2,
+                        });
+                    }
+                }
+            }
+            Wire(schedules) => columns.extend(wire_columns(stream, schedules)),
         }
     }
-    // Every partition count at both cadences; K = 3 runs the parallel
-    // Stage I, and two partitions draw an outcome per step.
-    for partitions in [1, 2, 4] {
-        for merge_every in [1, 3] {
-            columns.push(Column::Coordinator {
-                partitions,
-                merge_every,
-                parallel: merge_every == 3,
-                per_step: partitions == 2,
-            });
-        }
-    }
+    columns
+}
+
+/// `schedules` wire columns drawn from the stream's seed.
+fn wire_columns(stream: &Stream, schedules: usize) -> Vec<Column> {
     // Delay, reordering, duplication and loss, one link outage and one
     // scheduled crash, each drawn from the stream's seed.
     let mut mix = Rng::seeded(stream.seed);
-    for _ in 0..wire {
+    let mut columns = Vec::new();
+    for _ in 0..schedules {
         let partitions = [1, 2, 4][mix.below(3)];
         let seed = mix.next_u64();
         let outage = mix.below(30) as u64;
@@ -347,12 +393,12 @@ fn check(stream: &Stream, column: &Column) -> [u64; 4] {
     tallies
 }
 
-/// Run every column, `wire` of them over the wire, on every stream, the
-/// cells shared out between two threads; returns the wire tallies summed.
-fn check_all(streams: &[Stream], wire: usize) -> [u64; 4] {
+/// Run every column of `plans` on every stream, the cells shared out
+/// between two threads; returns the wire tallies summed.
+pub fn check_all(streams: &[Stream], plans: &[Plans]) -> [u64; 4] {
     let cells: Vec<(&Stream, Column)> = streams
         .iter()
-        .flat_map(|stream| columns(stream, wire).into_iter().map(move |c| (stream, c)))
+        .flat_map(|stream| columns(stream, plans).into_iter().map(move |c| (stream, c)))
         .collect();
     let next = AtomicUsize::new(0);
     let run = || {
@@ -423,12 +469,19 @@ fn inserts((dirty, of): (Dataset, Workload), batch_rows: usize) -> Stream {
     Workload { label, ..of }.stream(steps, batch_rows as u64)
 }
 
-/// Five random streams over `dirty`, their seeds drawn from `seed`.
-fn random_streams((dirty, of): (Dataset, Workload), base_rows: usize, seed: u64) -> Vec<Stream> {
+/// The `which` of six random streams over `dirty`, their seeds drawn from
+/// `seed`.
+fn random_streams(
+    (dirty, of): (Dataset, Workload),
+    base_rows: usize,
+    seed: u64,
+    which: Range<usize>,
+) -> Vec<Stream> {
     let mut seeds = Rng::seeded(seed);
-    (0..5)
-        .map(|_| {
-            let seed = seeds.below(10_000) as u64;
+    let seeds: Vec<u64> = (0..6).map(|_| seeds.below(10_000) as u64).collect();
+    seeds[which]
+        .iter()
+        .map(|&seed| {
             let steps = random_scripts(&dirty, base_rows, 6, seed);
             of.clone().stream(steps, seed)
         })
@@ -438,10 +491,8 @@ fn random_streams((dirty, of): (Dataset, Workload), base_rows: usize, seed: u64)
 /// Every mutation kind, ids resolved through the shifting numbering: heal
 /// a typo and break a cell, delete a row and flip one out of the CFD block,
 /// re-insert two rows beside a delete and an update, and retract most rows
-/// around an update — under 100 seeded fault schedules on the wire, which
-/// between them must drop, duplicate, retransmit and restart.
-#[test]
-fn hospital_script() {
+/// around an update.
+pub fn hospital_script() -> Vec<Stream> {
     let dirty = dataset::sample_hospital_dataset();
     let schema = dirty.schema();
     let [ct, st, hn] = ["CT", "ST", "HN"].map(|a| schema.attr_id(a).unwrap());
@@ -464,37 +515,48 @@ fn hospital_script() {
             .delete(TupleId(1))
             .delete(TupleId(2)),
     ];
-    let tallies = check_all(&[hospital().1.stream(steps, 0x5C2197)], 100);
-    let faults = ["dropped", "duplicated", "retransmitted", "crashed"];
-    for (fault, n) in faults.iter().zip(tallies) {
-        assert!(n > 0, "no schedule ever {fault}");
-    }
+    vec![hospital().1.stream(steps, 0x5C2197)]
 }
 
-#[test]
-fn hospital_micro_batches() {
-    let streams = [1, 2, 3, 4, 6].map(|rows| inserts(hospital(), rows));
-    check_all(&streams, 2);
+/// The hospital sample inserted in batches of 1, 2, 3, 4 and 6 rows.
+pub fn hospital_micro() -> Vec<Stream> {
+    [1, 2, 3, 4, 6].map(|rows| inserts(hospital(), rows)).into()
 }
 
-#[test]
-fn hai_micro_batches() {
-    check_all(&[inserts(hai(320, 12, 0.06, 13), 47)], 2);
+pub fn hai_micro() -> Vec<Stream> {
+    vec![inserts(hai(320, 12, 0.06, 13), 47)]
 }
 
 /// CAR carries the CFD (`Make="acura"`), so some batches leave the CFD
 /// block clean: the partial-dirtiness path.
-#[test]
-fn car_micro_batches() {
-    check_all(&[inserts(car(400, 0.05, 3), 61)], 2);
+pub fn car_micro() -> Vec<Stream> {
+    vec![inserts(car(400, 0.05, 3), 61)]
 }
 
-#[test]
-fn hai_random_streams() {
-    check_all(&random_streams(hai(150, 8, 0.08, 7), 110, 0xA11CE), 2);
+/// A seeded HAI table in one insert: what every engine cleans from the
+/// same input.
+pub fn hai_whole() -> Vec<Stream> {
+    vec![inserts(hai(180, 8, 0.08, 7), 180)]
 }
 
-#[test]
-fn car_random_streams() {
-    check_all(&random_streams(car(160, 0.06, 5), 120, 0xCA55E77E), 2);
+pub fn hai_random(which: Range<usize>) -> Vec<Stream> {
+    random_streams(hai(150, 8, 0.08, 7), 110, 0xA11CE, which)
+}
+
+pub fn car_random(which: Range<usize>) -> Vec<Stream> {
+    random_streams(car(160, 0.06, 5), 120, 0xCA55E77E, which)
+}
+
+/// A table of matrix slices, one `#[test]` a line: `name: [rows..] =>
+/// plans;` runs every family in `plans` on every stream the row
+/// constructors yield.
+macro_rules! cells {
+    ($($(#[$doc:meta])* $name:ident: [$($rows:expr),+] => $plans:expr;)+) => {$(
+        $(#[$doc])*
+        #[test]
+        fn $name() {
+            let streams: Vec<_> = [$($rows),+].into_iter().flatten().collect();
+            $crate::matrix::check_all(&streams, &$plans);
+        }
+    )+};
 }

@@ -1,15 +1,40 @@
-//! Session behaviour beyond the engine matrix (`engine_matrix.rs`, which
-//! runs every change stream through a session and checks it against a batch
-//! run): a bulk ingest followed by micro-batches, CFD dirty-block tracking,
-//! validation atomicity, no-op updates, and empty and all-deleted sessions.
+//! Session equivalence and behaviour.  The `cells!` table is the engine
+//! matrix's session slice (`kit/engine_matrix.rs`, every cell against
+//! `MlnClean` on the net table); the hospital and CAR micro-batch rows run
+//! every plan here.  The rest: a bulk ingest followed by micro-batches, CFD
+//! dirty-block tracking, validation atomicity, no-op updates, and empty and
+//! all-deleted sessions.
 
-#[path = "kit/oracle.rs"]
-mod oracle;
+#[macro_use]
+#[path = "kit/engine_matrix.rs"]
+mod matrix;
 
 use dataset::{csv, AttrId, TupleId};
+use matrix::oracle::assert_outcomes_identical;
+use matrix::*;
 use mlnclean::{ChangeSet, CleanConfig, CleanError, CleaningSession, MlnClean};
-use oracle::assert_outcomes_identical;
 use rules::RuleSet;
+
+cells! {
+    hospital_sample_micro_batches_match_batch_run: [hospital_micro()] => EVERY;
+    /// CAR's CFD leaves some batches' CFD block clean.
+    seeded_car_micro_batches_match_batch_run: [car_micro()] => EVERY;
+    seeded_hai_micro_batches_match_batch_run: [hai_micro()] => [Sessions];
+    /// Checked against a batch run after every step.
+    scripted_mutations_on_the_hospital_sample_match_batch_runs: [hospital_script()] => [Sessions];
+    random_interleavings_on_seeded_hai_match_batch_runs: [hai_random(0..1)] => [Sessions];
+    random_interleavings_on_seeded_car_match_batch_runs: [car_random(0..1)] => [Sessions];
+}
+
+/// Five more seeded random streams on each workload.
+mod proptest_interleavings {
+    use super::*;
+
+    cells! {
+        random_hai_interleavings_match_batch: [hai_random(1..6)] => [Sessions];
+        random_car_interleavings_match_batch: [car_random(1..6)] => [Sessions];
+    }
+}
 
 #[test]
 fn bulk_ingest_then_micro_batches_match_batch_run() {

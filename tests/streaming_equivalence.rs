@@ -1,28 +1,53 @@
-//! Distributed-streaming behaviour beyond the engine matrix
-//! (`engine_matrix.rs`, which runs every change stream through the
-//! coordinator at 1, 2 and 4 partitions and checks it against a batch run):
-//! global deduplication across partitions, the per-block dirtiness feed,
-//! partition pools that ship each value once, and the remap-batching
-//! regression — a change set with deletes, however they interleave with
-//! inserts and updates, costs exactly one O(index) id-compaction pass,
-//! observed through the `CleaningSession::remap_passes` counter hook.
+//! Distributed-streaming equivalence and behaviour.  The `cells!` table is
+//! the engine matrix's coordinator slice (`kit/engine_matrix.rs`), plus one
+//! HAI table through every plan.  The rest: global deduplication across
+//! partitions, the per-block dirtiness feed, partition pools that ship each
+//! value once, and the remap-batching regression — a change set with
+//! deletes, however they interleave with inserts and updates, costs exactly
+//! one O(index) id-compaction pass, observed through the
+//! `CleaningSession::remap_passes` counter hook.
 
-#[path = "kit/oracle.rs"]
-mod oracle;
-#[path = "kit/scripts.rs"]
-mod scripts;
+#[macro_use]
+#[path = "kit/engine_matrix.rs"]
+mod matrix;
 
 use dataset::{AttrId, Dataset, TupleId, ValueId};
 use distributed::{
     DistributedStreamingMlnClean, DistributedStreamingSession, LocalPartitions, PartitionBackend,
 };
+use matrix::oracle::assert_outcomes_identical;
+use matrix::scripts::random_scripts;
+use matrix::*;
 use mlnclean::{
     BatchReport, Block, ChangeSet, CleanConfig, CleaningSession, IdMutation, InternedSlice,
     MlnClean, Mutation, RowStore,
 };
-use oracle::assert_outcomes_identical;
-use scripts::random_scripts;
 use std::time::Duration;
+
+cells! {
+    /// Batch, sessions, coordinator and wire on one input.
+    all_engines_agree_on_the_same_input: [hai_whole()] => EVERY;
+    /// Updates and deletes follow their tuple's home partition through the
+    /// shifting ids; outcomes checked after every step at two partitions.
+    hospital_scripted_mutation_streams_match_the_single_session:
+        [hospital_script()] => [Coordinator];
+    seeded_hai_insert_streams_match_the_single_session: [hai_micro()] => [Coordinator];
+    /// CAR's CFD gives merge rounds partial dirtiness.
+    seeded_car_random_mutation_streams_match_the_single_session:
+        [car_random(0..1)] => [Coordinator];
+    seeded_hai_random_mutation_streams_match_the_single_session:
+        [hai_random(0..1)] => [Coordinator];
+}
+
+/// Five more seeded random streams on each workload.
+mod proptest_streams {
+    use super::*;
+
+    cells! {
+        random_car_streams_match: [car_random(1..6)] => [Coordinator];
+        random_hai_streams_match: [hai_random(1..6)] => [Coordinator];
+    }
+}
 
 #[test]
 fn distributed_dedup_collapses_duplicates_globally() {

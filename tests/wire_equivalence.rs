@@ -1,18 +1,45 @@
-//! Wire behaviour beyond the engine matrix (`engine_matrix.rs`, which runs
-//! every change stream through a [`transport::WireSession`] under seeded
-//! fault schedules and worker crashes): a report survives the codec byte
-//! for byte, and a worker crashed after a checkpoint recovers from its
-//! snapshot plus the journaled tail.
+//! Wire equivalence and behaviour.  The first tests are the engine matrix's
+//! wire slice (`kit/engine_matrix.rs`): a [`transport::WireSession`] under
+//! seeded fault schedules — delay, reordering, duplication, loss, a link
+//! outage, a scheduled crash, and every worker crashed at the stream's cut.
+//! The rest: a report survives the codec byte for byte, and a worker
+//! crashed after a checkpoint recovers from its snapshot plus the journaled
+//! tail.
 
-#[path = "kit/oracle.rs"]
-mod oracle;
-#[path = "kit/scripts.rs"]
-mod scripts;
+#[macro_use]
+#[path = "kit/engine_matrix.rs"]
+mod matrix;
 
+use matrix::oracle::assert_outcomes_identical;
+use matrix::scripts::random_scripts;
+use matrix::*;
 use mlnclean::{CleanConfig, CleaningSession, Report};
-use oracle::assert_outcomes_identical;
-use scripts::random_scripts;
 use transport::{wire_session, FaultSchedule};
+
+/// The hospital script under 100 seeded fault schedules, which between
+/// them must drop, duplicate, retransmit and restart.
+#[test]
+fn fault_matrix_is_byte_identical_to_the_single_session() {
+    let tallies = check_all(&hospital_script(), &[Wire(100)]);
+    let faults = ["dropped", "duplicated", "retransmitted", "crashed"];
+    for (fault, n) in faults.iter().zip(tallies) {
+        assert!(n > 0, "no schedule ever {fault}");
+    }
+}
+
+cells! {
+    explicit_mid_stream_crash_replays_every_worker: [hai_micro()] => [Wire(2)];
+    scheduled_crashes_replay_to_byte_identical_output: [car_random(0..6)] => [Wire(2)];
+}
+
+/// Two schedules on each of six seeded random HAI streams.
+mod proptest_schedules {
+    use super::*;
+
+    cells! {
+        randomized_schedules_are_byte_identical: [hai_random(0..6)] => [Wire(2)];
+    }
+}
 
 #[test]
 fn reports_and_timings_round_trip_through_the_codec() {
