@@ -12,12 +12,23 @@ use matrix::*;
 use mlnclean::{CleanConfig, CleaningSession, SessionSnapshot};
 
 cells! {
-    hospital_budgeted_run_is_byte_identical: [hospital_script()] => [Budgeted];
-    seeded_hai_budgeted_run_is_byte_identical: [hai_micro(), hai_random(0..6)] => [Budgeted];
-    seeded_car_budgeted_run_is_byte_identical: [car_random(0..6)] => [Budgeted];
-    /// Serial, and parallel under the budget, cut at each stream's seeded step.
-    suspend_resume_mid_stream_is_byte_identical:
-        [hospital_script(), hai_micro(), hai_random(0..6), car_random(0..6)] => [Suspended];
+    hospital_budgeted_run_is_byte_identical:
+        [hospital_script(), hospital().inserts(&[5])] => [Budgeted];
+    seeded_hai_budgeted_run_is_byte_identical: [
+        hai(240, 12, 0.08, 7).guarded().inserts(&[16]),
+        hai(240, 12, 0.08, 7).guarded().randoms(200, 8, 1, 0xB0D6)
+    ] => [Budgeted];
+    seeded_car_budgeted_run_is_byte_identical: [
+        car(240, 0.08, 11).guarded().inserts(&[16]),
+        car(240, 0.08, 11).guarded().randoms(200, 8, 1, 0xB0D7)
+    ] => [Budgeted];
+    /// Cut at each stream's seeded step.
+    suspend_resume_mid_stream_is_byte_identical: [
+        hai(200, 10, 0.08, 3).inserts(&[16]),
+        hospital_script(),
+        hai(150, 8, 0.08, 7).randoms(110, 6, 1, 0x5005),
+        car(160, 0.06, 5).guarded().randoms(120, 6, 1, 0x5006)
+    ] => [Suspended];
 }
 
 /// An empty session snapshots and resumes too (the degenerate checkpoint a

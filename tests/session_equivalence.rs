@@ -16,23 +16,28 @@ use mlnclean::{ChangeSet, CleanConfig, CleanError, CleaningSession, MlnClean};
 use rules::RuleSet;
 
 cells! {
-    hospital_sample_micro_batches_match_batch_run: [hospital_micro()] => EVERY;
+    hospital_sample_micro_batches_match_batch_run: [hospital().inserts(&[1, 2, 3, 4, 6])] => EVERY;
     /// CAR's CFD leaves some batches' CFD block clean.
-    seeded_car_micro_batches_match_batch_run: [car_micro()] => EVERY;
-    seeded_hai_micro_batches_match_batch_run: [hai_micro()] => [Sessions];
+    seeded_car_micro_batches_match_batch_run: [car(400, 0.05, 3).guarded().inserts(&[61])] => EVERY;
+    seeded_hai_micro_batches_match_batch_run:
+        [hai(320, 12, 0.06, 13).guarded().inserts(&[47])] => [Sessions];
     /// Checked against a batch run after every step.
     scripted_mutations_on_the_hospital_sample_match_batch_runs: [hospital_script()] => [Sessions];
-    random_interleavings_on_seeded_hai_match_batch_runs: [hai_random(0..1)] => [Sessions];
-    random_interleavings_on_seeded_car_match_batch_runs: [car_random(0..1)] => [Sessions];
+    random_interleavings_on_seeded_hai_match_batch_runs:
+        [hai(260, 10, 0.06, 13).guarded().random(200, 8, &[0xA11CE])] => [Sessions];
+    random_interleavings_on_seeded_car_match_batch_runs:
+        [car(320, 0.05, 3).guarded().random(260, 8, &[0xCA55E77E])] => [Sessions];
 }
 
-/// Five more seeded random streams on each workload.
+/// Five seeded random streams on each of two more workloads, unguarded.
 mod proptest_interleavings {
     use super::*;
 
     cells! {
-        random_hai_interleavings_match_batch: [hai_random(1..6)] => [Sessions];
-        random_car_interleavings_match_batch: [car_random(1..6)] => [Sessions];
+        random_hai_interleavings_match_batch:
+            [hai(150, 8, 0.08, 7).randoms(110, 6, 5, 0x5E55)] => [Sessions];
+        random_car_interleavings_match_batch:
+            [car(160, 0.06, 5).randoms(120, 6, 5, 0x5E56)] => [Sessions];
     }
 }
 

@@ -26,26 +26,29 @@ use std::time::Duration;
 
 cells! {
     /// Batch, sessions, coordinator and wire on one input.
-    all_engines_agree_on_the_same_input: [hai_whole()] => EVERY;
+    all_engines_agree_on_the_same_input: [hai(180, 8, 0.08, 7).inserts(&[41])] => EVERY;
     /// Updates and deletes follow their tuple's home partition through the
-    /// shifting ids; outcomes checked after every step at two partitions.
+    /// shifting ids.
     hospital_scripted_mutation_streams_match_the_single_session:
         [hospital_script()] => [Coordinator];
-    seeded_hai_insert_streams_match_the_single_session: [hai_micro()] => [Coordinator];
+    seeded_hai_insert_streams_match_the_single_session:
+        [hai(240, 10, 0.06, 13).guarded().inserts(&[37])] => [Coordinator];
     /// CAR's CFD gives merge rounds partial dirtiness.
     seeded_car_random_mutation_streams_match_the_single_session:
-        [car_random(0..1)] => [Coordinator];
+        [car(260, 0.05, 3).guarded().random(210, 8, &[0xCA55E77E])] => [Coordinator];
     seeded_hai_random_mutation_streams_match_the_single_session:
-        [hai_random(0..1)] => [Coordinator];
+        [hai(220, 9, 0.06, 29).random(170, 8, &[0xA11CE])] => [Coordinator];
 }
 
-/// Five more seeded random streams on each workload.
+/// Four seeded random streams on each of two more workloads, unguarded,
+/// each through four coordinator columns drawn from its seed.
 mod proptest_streams {
     use super::*;
 
     cells! {
-        random_car_streams_match: [car_random(1..6)] => [Coordinator];
-        random_hai_streams_match: [hai_random(1..6)] => [Coordinator];
+        random_car_streams_match: [car(150, 0.06, 5).randoms(110, 5, 4, 0x57E4)] => [Shapes(4)];
+        random_hai_streams_match:
+            [hai(140, 7, 0.08, 11).randoms(100, 5, 4, 0x57E5)] => [Shapes(4)];
     }
 }
 

@@ -1,7 +1,9 @@
 //! Wire equivalence and behaviour.  The first tests are the engine matrix's
 //! wire slice (`kit/engine_matrix.rs`): a [`transport::WireSession`] under
-//! seeded fault schedules — delay, reordering, duplication, loss, a link
-//! outage, a scheduled crash, and every worker crashed at the stream's cut.
+//! the six fault classes (a reliable network; delay, reordering,
+//! duplication and loss; all four with link outages), and under seeded
+//! schedules with a link outage and scheduled crashes, every worker also
+//! crashed at the stream's cut.
 //! The rest: a report survives the codec byte for byte, and a worker
 //! crashed after a checkpoint recovers from its snapshot plus the journaled
 //! tail.
@@ -16,28 +18,46 @@ use matrix::*;
 use mlnclean::{CleanConfig, CleaningSession, Report};
 use transport::{wire_session, FaultSchedule};
 
-/// The hospital script under 100 seeded fault schedules, which between
-/// them must drop, duplicate, retransmit and restart.
+/// The hospital script under the six fault classes at every shape, which
+/// between them must drop, duplicate and retransmit.
 #[test]
 fn fault_matrix_is_byte_identical_to_the_single_session() {
-    let tallies = check_all(&hospital_script(), &[Wire(100)]);
-    let faults = ["dropped", "duplicated", "retransmitted", "crashed"];
+    let tallies = check_all(&hospital_script(), &[Faults]);
+    let faults = ["dropped", "duplicated", "retransmitted"];
     for (fault, n) in faults.iter().zip(tallies) {
-        assert!(n > 0, "no schedule ever {fault}");
+        assert!(n > 0, "no fault class ever {fault}");
     }
 }
 
-cells! {
-    explicit_mid_stream_crash_replays_every_worker: [hai_micro()] => [Wire(2)];
-    scheduled_crashes_replay_to_byte_identical_output: [car_random(0..6)] => [Wire(2)];
+/// Workers killed by their schedules on a seeded CAR stream recover by
+/// replaying their change logs; the scheduled crashes must fire.
+#[test]
+fn scheduled_crashes_replay_to_byte_identical_output() {
+    let streams = car(120, 0.06, 5).random(90, 5, &[0xC4A5]);
+    let [.., scheduled] = check_all(&streams, &[Wire(4)]);
+    assert!(scheduled > 0, "no scheduled crash fired");
 }
 
-/// Two schedules on each of six seeded random HAI streams.
+cells! {
+    /// Every worker crashed at the stream's cut, besides its schedule.
+    explicit_mid_stream_crash_replays_every_worker: [
+        hospital().inserts(&[5]),
+        hai(220, 9, 0.06, 29).random(170, 8, &[0xA11CE])
+    ] => [Wire(2)];
+}
+
 mod proptest_schedules {
     use super::*;
 
-    cells! {
-        randomized_schedules_are_byte_identical: [hai_random(0..6)] => [Wire(2)];
+    /// 100 seeded schedules on the hospital script, which between them must
+    /// drop, duplicate, retransmit and crash.
+    #[test]
+    fn randomized_schedules_are_byte_identical() {
+        let tallies = check_all(&hospital_script(), &[Wire(100)]);
+        let faults = ["dropped", "duplicated", "retransmitted", "crashed"];
+        for (fault, n) in faults.iter().zip(tallies) {
+            assert!(n > 0, "no schedule ever {fault}");
+        }
     }
 }
 
