@@ -547,6 +547,7 @@ fn check(stream: &Stream, column: &Column) -> [u64; 4] {
         rows.sort_unstable();
         let every: Vec<TupleId> = (0..last.repaired.len()).map(TupleId).collect();
         assert_eq!(rows, every, "{label}: partitions must hold every row once");
+        assert!(last.timings.merge_rounds >= 1, "{label}: no merge round");
     }
     tallies
 }
