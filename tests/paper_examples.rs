@@ -180,3 +180,24 @@ fn running_example_scores_perfect_f1() {
     let report = RepairEvaluation::evaluate(&dirty, &outcome.repaired);
     assert_eq!(report.f1(), 1.0, "{report}");
 }
+
+/// The provenance of the running example as text: the `{:?}` rendering of
+/// the AGP merges, the RSC repairs and the FSCR record, one per line, is
+/// pinned in `tests/golden/hospital_records.debug`.  The repo benchmark
+/// compares engines by hashing exactly these three texts.
+#[test]
+fn the_provenance_of_the_running_example_keeps_its_debug_text() {
+    let outcome = MlnClean::new(CleanConfig::default().with_tau(1))
+        .clean(&sample_hospital_dataset(), &sample_hospital_rules())
+        .expect("rules match the schema");
+    let text = format!(
+        "{:?}\n{:?}\n{:?}\n",
+        outcome.agp.merges, outcome.rsc.repairs, outcome.fscr
+    );
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/hospital_records.debug"
+    );
+    let golden = std::fs::read_to_string(golden).expect("the fixture is committed");
+    assert_eq!(text, golden);
+}
