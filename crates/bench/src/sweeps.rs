@@ -48,9 +48,10 @@ pub fn measure_components(
         .clean(&dirty.dirty, &rules)
         .expect("rules match the schema");
 
-    let agp = evaluate_agp(&dirty, &rules, &outcome.agp);
-    let rsc = evaluate_rsc(&dirty, &rules, &outcome.rsc);
-    let fscr = evaluate_fscr(&dirty, &outcome.fscr);
+    let named = "a report names its records";
+    let agp = evaluate_agp(&dirty, &rules, &outcome.agp).expect(named);
+    let rsc = evaluate_rsc(&dirty, &rules, &outcome.rsc).expect(named);
+    let fscr = evaluate_fscr(&dirty, &outcome.fscr).expect(named);
     let report = RepairEvaluation::evaluate(&dirty, &outcome.repaired);
 
     ComponentPoint {

@@ -100,12 +100,19 @@
 //! handed, fully dirty blocks included — and the `AgpMerge` records are
 //! rebuilt for every abnormal group on every plan (tuple ids move).
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::cache::{CacheStats, DistanceCache};
 use crate::gamma::Gamma;
 use crate::index::{Block, Group, MlnIndex};
 use crate::map_ordered;
+use crate::provenance::{Interner, Names, Provenance, Records};
 use dataset::{TupleId, ValueId, ValuePool};
 use distance::{EditSketch, Metric};
+use mlnw::{CodecError, Decode, Decoder, Encode, Encoder};
 use rules::RuleId;
 use std::collections::{HashMap, HashSet};
 
@@ -114,25 +121,69 @@ use std::collections::{HashMap, HashSet};
 pub struct AgpMerge {
     /// Block in which the merge happened.
     pub rule: RuleId,
-    /// Reason-part key of the abnormal group (resolved strings).
-    pub abnormal_key: Vec<String>,
+    /// Reason-part key of the abnormal group.
+    pub abnormal_key: Vec<ValueId>,
     /// Reason-part key of the normal group it was merged into, or `None` if
     /// the block had no normal group to merge into.
-    pub target_key: Option<Vec<String>>,
+    pub target_key: Option<Vec<ValueId>>,
     /// Tuples carried by the abnormal group.
     pub tuples: Vec<TupleId>,
     /// Number of γs the abnormal group contained.
     pub gamma_count: usize,
 }
 
-mlnw::codec! { struct AgpMerge { rule, abnormal_key, target_key, tuples, gamma_count } }
+mod text {
+    use crate::provenance::Values;
+    use dataset::TupleId;
+    use rules::RuleId;
+
+    /// An [`super::AgpMerge`] with its keys as text.
+    #[derive(Debug, PartialEq)]
+    pub struct AgpMerge<'a> {
+        pub rule: RuleId,
+        pub abnormal_key: Values<'a>,
+        pub target_key: Option<Values<'a>>,
+        pub tuples: &'a [TupleId],
+        pub gamma_count: usize,
+    }
+
+    mlnw::codec! { encode struct AgpMerge<'a> { rule, abnormal_key, target_key, tuples, gamma_count } }
+}
+
+impl Provenance for AgpMerge {
+    type Text<'a> = text::AgpMerge<'a>;
+
+    fn text<'a>(&'a self, names: &'a Names) -> text::AgpMerge<'a> {
+        text::AgpMerge {
+            rule: self.rule,
+            abnormal_key: names.values(&self.abnormal_key),
+            target_key: self.target_key.as_deref().map(|key| names.values(key)),
+            tuples: &self.tuples,
+            gamma_count: self.gamma_count,
+        }
+    }
+
+    fn decode_text(dec: &mut Decoder<'_>, names: &mut Interner) -> Result<Self, CodecError> {
+        dec.fields(5)?;
+        Ok(AgpMerge {
+            rule: RuleId::decode(dec)?,
+            abnormal_key: names.values(dec)?,
+            target_key: match dec.option()? {
+                true => Some(names.values(dec)?),
+                false => None,
+            },
+            tuples: Vec::decode(dec)?,
+            gamma_count: usize::decode(dec)?,
+        })
+    }
+}
 
 /// The full AGP record of one cleaning run, used both for reporting and for
 /// the Precision-A / Recall-A evaluation.
 #[derive(Debug, Clone, Default)]
 pub struct AgpRecord {
     /// Every detected abnormal group, in processing order.
-    pub merges: Vec<AgpMerge>,
+    pub merges: Records<AgpMerge>,
     /// Distance-cache counters accumulated over all blocks.
     pub cache: CacheStats,
     /// Sketch lower bounds the nearest-normal searches evaluated, over all
@@ -142,7 +193,29 @@ pub struct AgpRecord {
     pub bounds_computed: u64,
 }
 
-mlnw::codec! { struct AgpRecord { merges, cache; skip bounds_computed } }
+/// Encoded as `merges` and `cache`; `bounds_computed` stays behind.
+impl Encode for AgpRecord {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.seq(2);
+        self.merges.encode(enc);
+        self.cache.encode(enc);
+    }
+}
+
+impl AgpRecord {
+    /// Read a record back, interning its keys into `names`.
+    pub(crate) fn decode_with(
+        dec: &mut Decoder<'_>,
+        names: &mut Interner,
+    ) -> Result<Self, CodecError> {
+        dec.fields(2)?;
+        Ok(AgpRecord {
+            merges: Records::decode_with(dec, names)?,
+            cache: CacheStats::decode(dec)?,
+            bounds_computed: 0,
+        })
+    }
+}
 
 /// Equality compares the *decisions* (the merges), not the distance-cache
 /// or bound counters: the incremental [`crate::CleaningSession`] keeps a
@@ -347,18 +420,8 @@ impl AbnormalGroupProcessor {
 
             plan.record.merges.push(AgpMerge {
                 rule: block.rule,
-                abnormal_key: group
-                    .resolve_key(pool)
-                    .into_iter()
-                    .map(str::to_string)
-                    .collect(),
-                target_key: target_idx.map(|ci| {
-                    block.groups[ci]
-                        .key
-                        .iter()
-                        .map(|&v| pool.resolve(v).to_string())
-                        .collect()
-                }),
+                abnormal_key: group.key.clone(),
+                target_key: target_idx.map(|ci| block.groups[ci].key.clone()),
                 tuples: group.all_tuples(),
                 gamma_count: group.gamma_count(),
             });
@@ -376,6 +439,10 @@ impl AbnormalGroupProcessor {
     /// merged-in γs land in abnormal order (extending value-identical γs,
     /// appending new ones), and abnormal groups without a target are put
     /// back at the end of the block.
+    #[allow(
+        clippy::expect_used,
+        reason = "`plan_block` lists each abnormal group once, and only ever targets a normal group"
+    )]
     pub(crate) fn apply_plan(block: &mut Block, plan: &AgpPlan) {
         if plan.abnormal.is_empty() {
             return;
@@ -767,14 +834,17 @@ impl PlanMemo {
         }))
     }
 
-    /// Record the winner of abnormal group `key`'s search.
+    /// Record the winner of abnormal group `key`'s search.  A group this
+    /// plan did not observe is left unremembered: its next search starts
+    /// from nothing, to the same answer.
     fn remember(&mut self, key: &[ValueId], target: &[ValueId], distance: f64, within_guard: bool) {
-        let known = self.groups.get_mut(key).expect("observed by this plan");
-        known.nearest = Some(Nearest {
-            target: target.to_vec(),
-            distance,
-            within_guard,
-        });
+        if let Some(known) = self.groups.get_mut(key) {
+            known.nearest = Some(Nearest {
+                target: target.to_vec(),
+                distance,
+                within_guard,
+            });
+        }
     }
 
     /// Estimated resident bytes, `slot` of them per entry for the hash
@@ -822,23 +892,28 @@ pub(crate) mod tests {
             "each abnormal group held one tuple"
         );
 
+        // The keys of block `rule`'s merge, as text.
+        let pool = index.pool();
+        let keys = |rule| {
+            let merge = record.merges.iter().find(|m| m.rule == rule).unwrap();
+            let target = merge.target_key.as_ref().map(|key| pool.resolve_all(key));
+            (pool.resolve_all(&merge.abnormal_key), target)
+        };
+
         // B1: DOTH merged into DOTHAN.
-        let merge_b1 = record.merges.iter().find(|m| m.rule == RuleId(0)).unwrap();
-        assert_eq!(merge_b1.abnormal_key, vec!["DOTH"]);
-        assert_eq!(merge_b1.target_key, Some(vec!["DOTHAN".to_string()]));
+        assert_eq!(keys(RuleId(0)), (vec!["DOTH"], Some(vec!["DOTHAN"])));
 
         // B2: the lone phone number merged into the 2567688400 group (closest
         // by Levenshtein distance).
-        let merge_b2 = record.merges.iter().find(|m| m.rule == RuleId(1)).unwrap();
-        assert_eq!(merge_b2.abnormal_key, vec!["2567638410"]);
-        assert_eq!(merge_b2.target_key, Some(vec!["2567688400".to_string()]));
+        assert_eq!(
+            keys(RuleId(1)),
+            (vec!["2567638410"], Some(vec!["2567688400"]))
+        );
 
         // B3: (ELIZA, DOTHAN) merged into (ELIZA, BOAZ).
-        let merge_b3 = record.merges.iter().find(|m| m.rule == RuleId(2)).unwrap();
-        assert_eq!(merge_b3.abnormal_key, vec!["ELIZA", "DOTHAN"]);
         assert_eq!(
-            merge_b3.target_key,
-            Some(vec!["ELIZA".to_string(), "BOAZ".to_string()])
+            keys(RuleId(2)),
+            (vec!["ELIZA", "DOTHAN"], Some(vec!["ELIZA", "BOAZ"]))
         );
 
         // After AGP, block B1 has two groups left (DOTHAN and BOAZ).
@@ -989,23 +1064,17 @@ pub(crate) mod tests {
         let plan = cold_plan(agp, block, pool);
         let (targets, vetoes) = reference_targets(agp, block, pool);
         assert_eq!(plan.targets, targets, "targets diverged: {context}");
-        let merges: Vec<AgpMerge> = plan
+        let merges: Records<AgpMerge> = plan
             .abnormal
             .iter()
             .zip(&targets)
             .map(|(&ai, target)| {
-                let resolve = |g: &Group| -> Vec<String> {
-                    g.resolve_key(pool)
-                        .into_iter()
-                        .map(str::to_string)
-                        .collect()
-                };
                 let group = &block.groups[ai];
                 assert!(group.tuple_count() <= agp.tau, "not abnormal: {context}");
                 AgpMerge {
                     rule: block.rule,
-                    abnormal_key: resolve(group),
-                    target_key: target.map(|ci| resolve(&block.groups[ci])),
+                    abnormal_key: group.key.clone(),
+                    target_key: target.map(|ci| block.groups[ci].key.clone()),
                     tuples: group.all_tuples(),
                     gamma_count: group.gamma_count(),
                 }
@@ -1160,7 +1229,7 @@ pub(crate) mod tests {
         assert_plan_matches_reference(agp, block, pool);
         let mut cache = DistanceCache::new(agp.metric);
         let plan = agp.plan_block(block, pool, &mut cache, &mut PlanMemo::default());
-        let homes = homes(&plan)
+        let homes = homes(&plan, table)
             .into_iter()
             .map(|(from, to)| (from.to_string(), to.expect("a normal group").to_string()))
             .collect();
@@ -1472,12 +1541,12 @@ pub(crate) mod tests {
     }
 
     /// The `(abnormal key, target key)` pairs of a single-attribute-key plan.
-    fn homes(plan: &AgpPlan) -> Vec<(&str, Option<&str>)> {
-        let merges = plan.record.merges.iter();
+    fn homes<'t>(plan: &AgpPlan, table: &'t Evolving) -> Vec<(&'t str, Option<&'t str>)> {
+        let (merges, pool) = (plan.record.merges.iter(), table.index.pool());
         merges
             .map(|m| {
-                let target = m.target_key.as_ref().map(|key| key[0].as_str());
-                (m.abnormal_key[0].as_str(), target)
+                let target = m.target_key.as_ref().map(|key| pool.resolve(key[0]));
+                (pool.resolve(m.abnormal_key[0]), target)
             })
             .collect()
     }
@@ -1612,20 +1681,20 @@ pub(crate) mod tests {
                 agp.distance_guard = guard;
                 let mut warm = Warm::new(agp, &table.index);
                 let (plan, _) = warm.replan(&table.index, 0, "alone");
-                assert_eq!(homes(&plan), [("AAB", Some("AAD"))], "{metric:?}");
+                assert_eq!(homes(&plan, &table), [("AAB", Some("AAD"))], "{metric:?}");
 
                 // Sorts before the incumbent: wins the tie, as it would have
                 // in a scan from the top.
                 table.insert(vec![vec!["AAC".into(), "AL".into()]; 3]);
                 let (plan, probes) = warm.replan(&table.index, 0, "an earlier tie");
-                assert_eq!(homes(&plan), [("AAB", Some("AAC"))], "{metric:?}");
+                assert_eq!(homes(&plan, &table), [("AAB", Some("AAC"))], "{metric:?}");
                 assert_eq!(plan.rescanned, 0, "{metric:?}");
                 assert!(probes > 0, "{metric:?}");
 
                 // Sorts after it: has to be strictly closer, and is not.
                 table.insert(vec![vec!["AAE".into(), "AL".into()]; 3]);
                 let (plan, _) = warm.replan(&table.index, 0, "a later tie");
-                assert_eq!(homes(&plan), [("AAB", Some("AAC"))], "{metric:?}");
+                assert_eq!(homes(&plan, &table), [("AAB", Some("AAC"))], "{metric:?}");
                 assert_eq!(plan.rescanned, 0, "{metric:?}");
             }
         }
@@ -1645,7 +1714,7 @@ pub(crate) mod tests {
             let mut table = Evolving::cities(&rows);
             let mut warm = Warm::new(AbnormalGroupProcessor::new(1, metric), &table.index);
             let (plan, _) = warm.replan(&table.index, 0, "all three");
-            assert_eq!(homes(&plan), [("AAD", Some("AAC"))], "{metric:?}");
+            assert_eq!(homes(&plan, &table), [("AAD", Some("AAC"))], "{metric:?}");
             let (plan, probes) = warm.replan(&table.index, 0, "unchanged");
             assert_eq!((plan.rescanned, probes), (0, 0), "{metric:?}");
 
@@ -1653,20 +1722,20 @@ pub(crate) mod tests {
             // old position now holds "AAD" itself).
             table.delete_key("AAC");
             let (plan, _) = warm.replan(&table.index, 0, "incumbent deleted");
-            assert_eq!(homes(&plan), [("AAD", Some("AAE"))], "{metric:?}");
+            assert_eq!(homes(&plan, &table), [("AAD", Some("AAE"))], "{metric:?}");
             assert_eq!(plan.rescanned, 1, "{metric:?}");
 
             // The incumbent's dominant γ flips to another state: the
             // remembered distance no longer describes it.
             table.insert(vec![vec!["AAE".into(), "AK".into()]; 4]);
             let (plan, _) = warm.replan(&table.index, 0, "incumbent flipped");
-            assert_eq!(homes(&plan), [("AAD", Some("AAF"))], "{metric:?}");
+            assert_eq!(homes(&plan, &table), [("AAD", Some("AAF"))], "{metric:?}");
             assert_eq!(plan.rescanned, 1, "{metric:?}");
 
             // A change that leaves every signature alone costs nothing.
             table.insert(vec![vec!["AAF".into(), "AK".into()]]);
             let (plan, probes) = warm.replan(&table.index, 0, "a minority γ");
-            assert_eq!(homes(&plan), [("AAD", Some("AAF"))], "{metric:?}");
+            assert_eq!(homes(&plan, &table), [("AAD", Some("AAF"))], "{metric:?}");
             assert_eq!((plan.rescanned, probes), (0, 0), "{metric:?}");
         }
     }
@@ -1679,12 +1748,12 @@ pub(crate) mod tests {
             let mut warm = Warm::new(AbnormalGroupProcessor::new(1, metric), &table.index);
             let (plan, _) = warm.replan(&table.index, 0, "two abnormal groups");
             let both = [("AAA", Some("AAD")), ("AAB", Some("AAD"))];
-            assert_eq!(homes(&plan), both, "{metric:?}");
+            assert_eq!(homes(&plan, &table), both, "{metric:?}");
 
             // "AAA" grows past τ: a candidate for "AAB", ahead of "AAD".
             table.insert(vec![vec!["AAA".into(), "AL".into()]]);
             let (plan, _) = warm.replan(&table.index, 0, "grown past tau");
-            assert_eq!(homes(&plan), [("AAB", Some("AAA"))], "{metric:?}");
+            assert_eq!(homes(&plan, &table), [("AAB", Some("AAA"))], "{metric:?}");
             assert_eq!(plan.rescanned, 0, "{metric:?}");
 
             // It shrinks back: it needs a target itself, and the group that
@@ -1692,7 +1761,7 @@ pub(crate) mod tests {
             let last = TupleId(table.ds.len() - 1);
             table.delete(&[last]);
             let (plan, _) = warm.replan(&table.index, 0, "shrunk to tau");
-            assert_eq!(homes(&plan), both, "{metric:?}");
+            assert_eq!(homes(&plan, &table), both, "{metric:?}");
             assert_eq!(plan.rescanned, 2, "{metric:?}");
         }
     }
@@ -1705,23 +1774,23 @@ pub(crate) mod tests {
         let agp = AbnormalGroupProcessor::new(1, Metric::Levenshtein).with_distance_guard(0.15);
         let mut warm = Warm::new(agp, &table.index);
         let (plan, _) = warm.replan(&table.index, 0, "far only");
-        assert_eq!(homes(&plan), [("AAAAAAAB", None)], "vetoed");
+        assert_eq!(homes(&plan, &table), [("AAAAAAAB", None)], "vetoed");
 
         // Group and target stand: the verdict is not asked for again.
         let (plan, probes) = warm.replan(&table.index, 0, "unchanged");
-        assert_eq!(homes(&plan), [("AAAAAAAB", None)]);
+        assert_eq!(homes(&plan, &table), [("AAAAAAAB", None)]);
         assert_eq!((plan.rescanned, probes), (0, 0));
 
         // A new winner gets its own verdict, not the old target's veto…
         table.insert(vec![vec!["AAAAAAAC".into(), "AL".into()]; 3]);
         let (plan, _) = warm.replan(&table.index, 0, "near appears");
-        assert_eq!(homes(&plan), [("AAAAAAAB", Some("AAAAAAAC"))]);
+        assert_eq!(homes(&plan, &table), [("AAAAAAAB", Some("AAAAAAAC"))]);
         assert_eq!(plan.rescanned, 0);
 
         // …and the far group, nearest again, not the near one's pass.
         table.delete_key("AAAAAAAC");
         let (plan, _) = warm.replan(&table.index, 0, "near leaves");
-        assert_eq!(homes(&plan), [("AAAAAAAB", None)]);
+        assert_eq!(homes(&plan, &table), [("AAAAAAAB", None)]);
         assert_eq!(plan.rescanned, 1);
     }
 
@@ -1734,16 +1803,16 @@ pub(crate) mod tests {
             let mut warm = Warm::new(agp, &table.index);
             let homeless = [("AAB", None), ("AAC", None), ("AAD", None)];
             let (plan, probes) = warm.replan(&table.index, 0, "no normal group");
-            assert_eq!(homes(&plan), homeless, "{metric:?}");
+            assert_eq!(homes(&plan, &table), homeless, "{metric:?}");
             assert_eq!((plan.rescanned, probes), (3, 0), "{metric:?}");
             let (plan, probes) = warm.replan(&table.index, 0, "still none");
-            assert_eq!(homes(&plan), homeless, "{metric:?}");
+            assert_eq!(homes(&plan, &table), homeless, "{metric:?}");
             assert_eq!((plan.rescanned, probes), (0, 0), "{metric:?}");
 
             table.insert(vec![vec!["AAD".into(), "AL".into()]]);
             let (plan, probes) = warm.replan(&table.index, 0, "the first one");
             let housed = [("AAB", Some("AAD")), ("AAC", Some("AAD"))];
-            assert_eq!(homes(&plan), housed, "{metric:?}");
+            assert_eq!(homes(&plan, &table), housed, "{metric:?}");
             assert_eq!(plan.rescanned, 0, "{metric:?}");
             assert!(probes > 0, "{metric:?}");
         }

@@ -26,8 +26,10 @@
 use crate::agp::AgpRecord;
 use crate::fscr::FscrRecord;
 use crate::index::MlnIndex;
+use crate::provenance::{Interner, Names};
 use crate::rsc::RscRecord;
 use dataset::{Dataset, TupleId};
+use mlnw::{CodecError, Decode, Decoder, Encode, Encoder};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -123,7 +125,10 @@ impl PartitionReport {
 /// Provenance records are always in **global** tuple coordinates — the
 /// distributed driver cleans merged global blocks, so
 /// [`Report::agp`]/[`Report::rsc`]/[`Report::fscr`] read the same whichever
-/// engine produced them.
+/// engine produced them.  They hold value and attribute ids, named by the
+/// cleaned index's pool and the repaired rows' schema
+/// ([`crate::provenance`]): their text, equality and frame do not depend on
+/// how an engine numbered its values.
 #[derive(Debug, Clone)]
 pub struct Report {
     /// The repaired dataset with one row per input tuple (use this for
@@ -151,16 +156,58 @@ pub struct Report {
     pub partitions: Option<PartitionReport>,
 }
 
-// A report is the frame a remote client of the cleaning service receives.
-// `index` encodes through its `Arc` and is re-wrapped on decoding: sharing
-// is a process property, not a wire one.
-mlnw::codec! { struct Report { repaired, deduplicated, index, agp, rsc, fscr, timings, partitions } }
+// A report is the frame a remote client of the cleaning service receives:
+// its eight fields in order.  `index` encodes through its `Arc` and is
+// re-wrapped on decoding: sharing is a process property, not a wire one.
+// The records travel as text and are interned back into the decoded index's
+// pool.
+impl Encode for Report {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.seq(8);
+        self.repaired.encode(enc);
+        self.deduplicated.encode(enc);
+        self.index.encode(enc);
+        self.agp.encode(enc);
+        self.rsc.encode(enc);
+        self.fscr.encode(enc);
+        self.timings.encode(enc);
+        self.partitions.encode(enc);
+    }
+}
+
+impl Decode for Report {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        dec.fields(8)?;
+        let repaired = Dataset::decode(dec)?;
+        let deduplicated = Option::decode(dec)?;
+        let index: Option<Arc<MlnIndex>> = Option::decode(dec)?;
+        let pool = index.as_ref().map_or(repaired.pool(), |i| i.pool());
+        let mut names = Interner::new(pool.clone(), Some(repaired.schema()));
+        let agp = AgpRecord::decode_with(dec, &mut names)?;
+        let rsc = RscRecord::decode_with(dec, &mut names)?;
+        let fscr = FscrRecord::decode_with(dec, &mut names)?;
+        let mut report = Report {
+            repaired,
+            deduplicated,
+            index,
+            agp,
+            rsc,
+            fscr,
+            timings: Timings::decode(dec)?,
+            partitions: Option::decode(dec)?,
+        };
+        report.attach(&names.finish());
+        Ok(report)
+    }
+}
 
 impl Report {
     /// Assemble a report from its parts — the constructor out-of-crate
     /// callers (the repo benchmark's per-layer probe) use.  Pass
     /// `deduplicated: None` when deduplication is disabled;
     /// [`Report::deduplicated`] then falls back to the repaired dataset.
+    /// The records' ids are named by `index`'s pool (`repaired`'s without
+    /// one) and `repaired`'s schema.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         repaired: Dataset,
@@ -172,7 +219,7 @@ impl Report {
         timings: Timings,
         partitions: Option<PartitionReport>,
     ) -> Self {
-        Report {
+        let mut report = Report {
             repaired,
             deduplicated,
             index,
@@ -181,7 +228,26 @@ impl Report {
             fscr,
             timings,
             partitions,
-        }
+        };
+        report.name_records();
+        report
+    }
+
+    /// Name every record list by the cleaned index's pool (the repaired
+    /// rows' when there is no index) and the repaired rows' schema.
+    pub(crate) fn name_records(&mut self) {
+        let pool = self
+            .index
+            .as_ref()
+            .map_or(self.repaired.pool(), |i| i.pool());
+        let names = Names::new(pool.clone(), self.repaired.schema().clone());
+        self.attach(&Arc::new(names));
+    }
+
+    fn attach(&mut self, names: &Arc<Names>) {
+        self.agp.merges.attach(names);
+        self.rsc.repairs.attach(names);
+        self.fscr.attach(names);
     }
 
     /// The final output: the repaired dataset after exact-duplicate removal.

@@ -61,6 +61,16 @@ pub enum CleanError {
         /// The configured worker count.
         workers: usize,
     },
+    /// A count that must be at least 1 is zero: the distributed driver's
+    /// merge cadence (`merge_every`) or micro-batch size (`batch_rows`).
+    Zero {
+        /// The offending setting.
+        field: &'static str,
+    },
+    /// A provenance record list has no names to resolve its value ids
+    /// through: it was not taken from a [`crate::Report`], which names its
+    /// records (see [`crate::provenance`]).
+    UnnamedRecords,
     /// A simulated network's fault schedule cannot run: a probability
     /// outside `[0, 1]` or NaN, a delay range whose minimum exceeds its
     /// maximum, or a maximum delay whose reorder jitter overflows the clock.
@@ -106,6 +116,11 @@ impl fmt::Display for CleanError {
             CleanError::Partition { workers } => {
                 write!(f, "cannot partition the data over {workers} workers")
             }
+            CleanError::Zero { field } => write!(f, "`{field}` must be at least 1"),
+            CleanError::UnnamedRecords => write!(
+                f,
+                "the provenance records were not taken from a report: no pool names their values"
+            ),
             CleanError::FaultSchedule { field, requirement } => {
                 write!(f, "the fault schedule's `{field}` {requirement}")
             }
@@ -177,6 +192,10 @@ mod tests {
                 value: "BOAZ".into(),
             },
             CleanError::Partition { workers: 0 },
+            CleanError::Zero {
+                field: "merge_every",
+            },
+            CleanError::UnnamedRecords,
             CleanError::FaultSchedule {
                 field: "loss",
                 requirement: "must be a probability in [0, 1]",
@@ -197,6 +216,8 @@ mod tests {
             "value v12 but the pool holds 5",
             "\"BOAZ\"",
             "0 workers",
+            "`merge_every` must be at least 1",
+            "not taken from a report",
             "`loss` must be a probability",
         ];
         let variants = every_variant();

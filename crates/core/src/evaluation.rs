@@ -13,13 +13,24 @@
 //!   (FSCR, Figures 10 and 14).
 //!
 //! These evaluators need the injection ground truth, so they take the
-//! [`dataset::DirtyDataset`] produced by the error injector.
+//! [`dataset::DirtyDataset`] produced by the error injector.  They compare
+//! text with text: a record's ids are resolved through the names its report
+//! attached ([`crate::provenance`]), so a record not taken from a report is
+//! [`CleanError::UnnamedRecords`], and rules the data's schema rejects are
+//! [`CleanError::Index`].
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use crate::agp::AgpRecord;
+use crate::error::CleanError;
 use crate::fscr::FscrRecord;
 use crate::index::MlnIndex;
+use crate::provenance::{Names, Records};
 use crate::rsc::RscRecord;
-use dataset::{ComponentMetrics, DirtyDataset, TupleId};
+use dataset::{ComponentMetrics, DirtyDataset, TupleId, ValueId};
 use rules::RuleSet;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -51,6 +62,16 @@ fn truth_full_values(
     v
 }
 
+/// The names `records` resolve through.
+fn names_of<T>(records: &Records<T>) -> Result<&Names, CleanError> {
+    records.names().ok_or(CleanError::UnnamedRecords)
+}
+
+/// `ids` as owned text, to compare with the ground truth.
+fn texts(names: &Names, ids: &[ValueId]) -> Vec<String> {
+    ids.iter().map(|&v| names.value(v).to_string()).collect()
+}
+
 /// The majority element of an iterator of value vectors.
 fn majority(values: impl Iterator<Item = Vec<String>>) -> Option<Vec<String>> {
     let mut counts: BTreeMap<Vec<String>, usize> = BTreeMap::new();
@@ -68,10 +89,10 @@ pub fn evaluate_agp(
     dirty: &DirtyDataset,
     rules: &RuleSet,
     record: &AgpRecord,
-) -> ComponentEvaluation {
+) -> Result<ComponentEvaluation, CleanError> {
     // Rebuild the pre-AGP index over the dirty data to know the real set of
     // abnormal groups.
-    let index = MlnIndex::build(&dirty.dirty, rules).expect("rules were already validated");
+    let index = MlnIndex::build(&dirty.dirty, rules)?;
     let mut real_abnormal = 0usize;
     let mut real_abnormal_keys: BTreeSet<(usize, Vec<String>)> = BTreeSet::new();
     for block in &index.blocks {
@@ -94,8 +115,9 @@ pub fn evaluate_agp(
 
     let mut correct = 0usize;
     for merge in &record.merges {
-        let truly_abnormal =
-            real_abnormal_keys.contains(&(merge.rule.index(), merge.abnormal_key.clone()));
+        let names = names_of(&record.merges)?;
+        let abnormal_key = texts(names, &merge.abnormal_key);
+        let truly_abnormal = real_abnormal_keys.contains(&(merge.rule.index(), abnormal_key));
         if !truly_abnormal {
             continue;
         }
@@ -106,13 +128,17 @@ pub fn evaluate_agp(
                 .map(|&t| truth_reason_values(dirty, rules, merge.rule, t)),
         );
         if let (Some(expected), Some(actual)) = (expected_target, merge.target_key.as_ref()) {
-            if &expected == actual {
+            if expected == texts(names, actual) {
                 correct += 1;
             }
         }
     }
 
-    ComponentMetrics::from_counts(correct, record.detected_count(), real_abnormal)
+    Ok(ComponentMetrics::from_counts(
+        correct,
+        record.detected_count(),
+        real_abnormal,
+    ))
 }
 
 /// Evaluate RSC: a repaired γ counts as correct when its new values match the
@@ -123,8 +149,8 @@ pub fn evaluate_rsc(
     dirty: &DirtyDataset,
     rules: &RuleSet,
     record: &RscRecord,
-) -> ComponentEvaluation {
-    let index = MlnIndex::build(&dirty.dirty, rules).expect("rules were already validated");
+) -> Result<ComponentEvaluation, CleanError> {
+    let index = MlnIndex::build(&dirty.dirty, rules)?;
     let mut erroneous_gammas = 0usize;
     for block in &index.blocks {
         for gamma in block.gammas() {
@@ -151,12 +177,17 @@ pub fn evaluate_rsc(
                 .iter()
                 .map(|&t| truth_full_values(dirty, rules, repair.rule, t)),
         );
-        if expected.as_ref() == Some(&repair.to_values) {
+        let names = names_of(&record.repairs)?;
+        if expected == Some(texts(names, &repair.to_values)) {
             correct += 1;
         }
     }
 
-    ComponentMetrics::from_counts(correct, record.repaired_count(), erroneous_gammas)
+    Ok(ComponentMetrics::from_counts(
+        correct,
+        record.repaired_count(),
+        erroneous_gammas,
+    ))
 }
 
 /// Evaluate FSCR, the stage that materializes the final repairs.
@@ -172,21 +203,28 @@ pub fn evaluate_rsc(
 /// rewrote, which coincides with the paper's intent (few detected conflicts
 /// are wrongly repaired → high precision) while staying well-defined when a
 /// repair happens without a cross-version conflict.
-pub fn evaluate_fscr(dirty: &DirtyDataset, record: &FscrRecord) -> ComponentEvaluation {
+pub fn evaluate_fscr(
+    dirty: &DirtyDataset,
+    record: &FscrRecord,
+) -> Result<ComponentEvaluation, CleanError> {
     let erroneous = dirty.erroneous_cells();
-    let _conflict_tuples: BTreeSet<TupleId> = record.tuples_with_conflicts().into_iter().collect();
 
     let mut correct = 0usize;
     for change in &record.changes {
         if !erroneous.contains(&change.cell) {
             continue;
         }
-        if change.new == dirty.clean.cell(change.cell) {
+        let names = names_of(&record.changes)?;
+        if names.value(change.new) == dirty.clean.cell(change.cell) {
             correct += 1;
         }
     }
 
-    ComponentMetrics::from_counts(correct, record.changed_cell_count(), erroneous.len())
+    Ok(ComponentMetrics::from_counts(
+        correct,
+        record.changed_cell_count(),
+        erroneous.len(),
+    ))
 }
 
 #[cfg(test)]
@@ -225,15 +263,15 @@ mod tests {
         let cleaner = MlnClean::new(CleanConfig::default().with_tau(1));
         let outcome = cleaner.clean(&dirty.dirty, &rules).unwrap();
 
-        let agp = evaluate_agp(&dirty, &rules, &outcome.agp);
+        let agp = evaluate_agp(&dirty, &rules, &outcome.agp).unwrap();
         assert_eq!(agp.precision(), 1.0, "{agp}");
         assert_eq!(agp.recall(), 1.0, "{agp}");
 
-        let rsc = evaluate_rsc(&dirty, &rules, &outcome.rsc);
+        let rsc = evaluate_rsc(&dirty, &rules, &outcome.rsc).unwrap();
         assert_eq!(rsc.precision(), 1.0, "{rsc}");
         assert!(rsc.recall() > 0.0);
 
-        let fscr = evaluate_fscr(&dirty, &outcome.fscr);
+        let fscr = evaluate_fscr(&dirty, &outcome.fscr).unwrap();
         assert_eq!(fscr.recall(), 1.0, "{fscr}");
     }
 
@@ -243,7 +281,7 @@ mod tests {
         let rules = sample_hospital_rules();
         let cleaner = MlnClean::new(CleanConfig::default().with_tau(0));
         let outcome = cleaner.clean(&dirty.dirty, &rules).unwrap();
-        let agp = evaluate_agp(&dirty, &rules, &outcome.agp);
+        let agp = evaluate_agp(&dirty, &rules, &outcome.agp).unwrap();
         // Nothing detected → nothing correct → recall 0 (there are real
         // abnormal groups), precision vacuously 1.
         assert_eq!(agp.correct, 0);
@@ -274,9 +312,9 @@ mod tests {
         let outcome = cleaner.clean(&dirty.dirty, &rules).unwrap();
 
         for metrics in [
-            evaluate_agp(&dirty, &rules, &outcome.agp),
-            evaluate_rsc(&dirty, &rules, &outcome.rsc),
-            evaluate_fscr(&dirty, &outcome.fscr),
+            evaluate_agp(&dirty, &rules, &outcome.agp).unwrap(),
+            evaluate_rsc(&dirty, &rules, &outcome.rsc).unwrap(),
+            evaluate_fscr(&dirty, &outcome.fscr).unwrap(),
         ] {
             assert!((0.0..=1.0).contains(&metrics.precision()));
             assert!((0.0..=1.0).contains(&metrics.recall()));

@@ -76,12 +76,13 @@
 //! The whole stage runs on `(AttrId, ValueId)` pairs: conflict tests are
 //! integer comparisons and the winning assignment is written back into the
 //! repaired dataset as ids (the index pool is a snapshot of the dataset
-//! pool, so ids transfer directly).  Strings materialize only in the
-//! provenance records, and a fusion's `(attribute name, value)` list only
-//! once: the first [`apply_tuple_fusion`] to record a fusion resolves it into
-//! the shared handle, and every tuple of the vector — in that report and,
-//! while [`crate::StageTwo`] keeps the handle memoised, in every later one —
-//! shares that list ([`FusionOutcome::fused`]).
+//! pool, so ids transfer directly).  The records are ids too
+//! ([`crate::provenance`]): a cell change names the two value ids, and an
+//! outcome's [`FusionOutcome::fused`] is the fusion's own `(AttrId, ValueId)`
+//! list, one `Arc` per distinct vector that every tuple of the vector — in
+//! that report and, while [`crate::StageTwo`] keeps the fusion memoised, in
+//! every later one — shares.  No string is made until the report is
+//! rendered.
 
 #![cfg_attr(
     not(test),
@@ -89,34 +90,38 @@
 )]
 
 use crate::index::{Block, MlnIndex};
+use crate::provenance::{Interner, Names, Provenance, Records};
 use crate::weights::probability;
-use dataset::{AttrId, CellRef, Dataset, TupleId, ValueId};
+use dataset::{AttrId, CellRef, Dataset, TupleId, ValueId, ValuePool};
+use mlnw::{CodecError, Decode, Decoder, Encode, Encoder};
 use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::ops::Deref;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A single cell rewritten by the fusion stage.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CellChange {
     /// The rewritten cell.
     pub cell: CellRef,
     /// Its value before fusion (the dirty value).
-    pub old: String,
+    pub old: ValueId,
     /// Its value after fusion.
-    pub new: String,
+    pub new: ValueId,
 }
 
-mlnw::codec! { struct CellChange { cell, old, new } }
+/// A fused `(attribute, value)` assignment, shared by every tuple of its
+/// version vector.
+pub type Assignment = Arc<[(AttrId, ValueId)]>;
 
 /// Per-tuple outcome of the fusion.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusionOutcome {
     /// The tuple.
     pub tuple: TupleId,
-    /// The fused attribute assignment actually applied (resolved strings),
-    /// shared by every outcome of the same [`SharedFusion`].
-    pub fused: Arc<Vec<(String, String)>>,
+    /// The fused attribute assignment actually applied: the fusion's own
+    /// list, shared by every outcome of the same [`SharedFusion`].
+    pub fused: Assignment,
     /// The fusion score of the applied assignment (0 when fusion failed).
     pub f_score: f64,
     /// Whether any pair of this tuple's versions conflicted.
@@ -125,15 +130,86 @@ pub struct FusionOutcome {
     pub fusion_failed: bool,
 }
 
-mlnw::codec! { struct FusionOutcome { tuple, fused, f_score, conflict_detected, fusion_failed } }
+mod text {
+    use crate::provenance::Pairs;
+    use dataset::{CellRef, TupleId};
+
+    /// A [`super::CellChange`] with its values as text.
+    #[derive(Debug, PartialEq)]
+    pub struct CellChange<'a> {
+        pub cell: CellRef,
+        pub old: &'a str,
+        pub new: &'a str,
+    }
+
+    mlnw::codec! { encode struct CellChange<'a> { cell, old, new } }
+
+    /// A [`super::FusionOutcome`] with its assignment as text.
+    #[derive(Debug, PartialEq)]
+    pub struct FusionOutcome<'a> {
+        pub tuple: TupleId,
+        pub fused: Pairs<'a>,
+        pub f_score: f64,
+        pub conflict_detected: bool,
+        pub fusion_failed: bool,
+    }
+
+    mlnw::codec! { encode struct FusionOutcome<'a> { tuple, fused, f_score, conflict_detected, fusion_failed } }
+}
+
+impl Provenance for CellChange {
+    type Text<'a> = text::CellChange<'a>;
+
+    fn text<'a>(&'a self, names: &'a Names) -> text::CellChange<'a> {
+        text::CellChange {
+            cell: self.cell,
+            old: names.value(self.old),
+            new: names.value(self.new),
+        }
+    }
+
+    fn decode_text(dec: &mut Decoder<'_>, names: &mut Interner) -> Result<Self, CodecError> {
+        dec.fields(3)?;
+        Ok(CellChange {
+            cell: CellRef::decode(dec)?,
+            old: names.value(dec)?,
+            new: names.value(dec)?,
+        })
+    }
+}
+
+impl Provenance for FusionOutcome {
+    type Text<'a> = text::FusionOutcome<'a>;
+
+    fn text<'a>(&'a self, names: &'a Names) -> text::FusionOutcome<'a> {
+        text::FusionOutcome {
+            tuple: self.tuple,
+            fused: names.pairs(&self.fused),
+            f_score: self.f_score,
+            conflict_detected: self.conflict_detected,
+            fusion_failed: self.fusion_failed,
+        }
+    }
+
+    fn decode_text(dec: &mut Decoder<'_>, names: &mut Interner) -> Result<Self, CodecError> {
+        dec.fields(5)?;
+        Ok(FusionOutcome {
+            tuple: TupleId::decode(dec)?,
+            fused: names.pairs(dec)?.into(),
+            f_score: f64::decode(dec)?,
+            conflict_detected: bool::decode(dec)?,
+            fusion_failed: bool::decode(dec)?,
+        })
+    }
+}
 
 /// The full FSCR record of one run.
 #[derive(Debug, Clone, Default)]
 pub struct FscrRecord {
     /// Per-tuple fusion outcomes.
-    pub outcomes: Vec<FusionOutcome>,
+    pub outcomes: Records<FusionOutcome>,
     /// Every cell rewritten by the fusion stage, relative to the input data.
-    pub changes: Vec<CellChange>,
+    pub changes: Records<CellChange>,
     /// Substitution candidates (lines 18–22 of Algorithm 2) the fusions of
     /// this run tested against the assignment under construction: what the
     /// substitution scans cost.  A fusion replayed from [`crate::StageTwo`]'s
@@ -143,7 +219,25 @@ pub struct FscrRecord {
     pub candidates_tested: u64,
 }
 
-mlnw::codec! { struct FscrRecord { outcomes, changes; skip candidates_tested } }
+/// Encoded as `outcomes` and `changes`; `candidates_tested` stays behind.
+impl Encode for FscrRecord {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.seq(2);
+        self.outcomes.encode(enc);
+        self.changes.encode(enc);
+    }
+}
+
+/// A record decoded alone names its values and attributes in a pool and a
+/// name list of its own.
+impl Decode for FscrRecord {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        let mut names = Interner::new(ValuePool::new(), None);
+        let mut record = Self::decode_with(dec, &mut names)?;
+        record.attach(&names.finish());
+        Ok(record)
+    }
+}
 
 /// Equality compares the *decisions* (outcomes and changes), not the
 /// candidate counter: an incremental run replays memoised fusions, so its
@@ -155,6 +249,25 @@ impl PartialEq for FscrRecord {
 }
 
 impl FscrRecord {
+    /// Read a record back, interning its values and attributes into `names`.
+    pub(crate) fn decode_with(
+        dec: &mut Decoder<'_>,
+        names: &mut Interner,
+    ) -> Result<Self, CodecError> {
+        dec.fields(2)?;
+        Ok(FscrRecord {
+            outcomes: Records::decode_with(dec, names)?,
+            changes: Records::decode_with(dec, names)?,
+            candidates_tested: 0,
+        })
+    }
+
+    /// Name both lists' ids by `names`.
+    pub(crate) fn attach(&mut self, names: &Arc<Names>) {
+        self.outcomes.attach(names);
+        self.changes.attach(names);
+    }
+
     /// Tuples for which a conflict between data versions was detected.
     pub fn tuples_with_conflicts(&self) -> Vec<TupleId> {
         self.outcomes
@@ -175,8 +288,9 @@ impl FscrRecord {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TupleFusion {
     /// The fused `(attribute, value)` assignment (empty when the tuple has no
-    /// versions or every fusion order failed).
-    pub fused: Vec<(AttrId, ValueId)>,
+    /// versions or every fusion order failed), which every outcome of the
+    /// fusion shares.
+    pub fused: Assignment,
     /// The fusion score of the applied assignment (0 when fusion failed or
     /// there was nothing to fuse).
     pub f_score: f64,
@@ -199,18 +313,11 @@ struct FusionCell {
     /// The Eq. 5 factors of a fusion a moved `Z` cannot change; `None` for
     /// every other fusion.
     factors: Option<Factors>,
-    /// `fusion.fused` as `(attribute name, value)` strings, resolved by the
-    /// first [`apply_tuple_fusion`] that records this fusion.
-    provenance: OnceLock<Arc<Vec<(String, String)>>>,
 }
 
 impl SharedFusion {
     fn new(fusion: TupleFusion, factors: Option<Factors>) -> Self {
-        SharedFusion(Arc::new(FusionCell {
-            fusion,
-            factors,
-            provenance: OnceLock::new(),
-        }))
+        SharedFusion(Arc::new(FusionCell { fusion, factors }))
     }
 
     /// Live handles onto this fusion: its memory is freed with the last.
@@ -288,7 +395,7 @@ pub struct FusionPlan {
     tuple_vector: Vec<u32>,
     /// One fusion per distinct version vector, in first-tuple order.
     fusions: Vec<SharedFusion>,
-    /// [`NOTHING_TO_FUSE`], for the tuples without a vector.
+    /// [`nothing_to_fuse`], for the tuples without a vector.
     nothing_to_fuse: SharedFusion,
     /// Substitution candidates the fusions tested —
     /// [`FscrRecord::candidates_tested`].
@@ -299,12 +406,14 @@ const NO_VECTOR: u32 = u32::MAX;
 
 /// The fusion of a tuple no block covers (no rule is relevant to it):
 /// nothing to fuse, the tuple stays as it is.
-const NOTHING_TO_FUSE: TupleFusion = TupleFusion {
-    fused: Vec::new(),
-    f_score: 0.0,
-    conflict_detected: false,
-    fusion_failed: false,
-};
+fn nothing_to_fuse() -> TupleFusion {
+    TupleFusion {
+        fused: Arc::new([]),
+        f_score: 0.0,
+        conflict_detected: false,
+        fusion_failed: false,
+    }
+}
 
 impl FusionPlan {
     /// The fusion of `t`'s version vector.
@@ -382,7 +491,7 @@ impl ConflictResolver {
         FusionPlan {
             tuple_vector,
             fusions,
-            nothing_to_fuse: SharedFusion::new(NOTHING_TO_FUSE, None),
+            nothing_to_fuse: SharedFusion::new(nothing_to_fuse(), None),
             candidates_tested: kernel.walk.candidates_tested,
         }
     }
@@ -404,7 +513,7 @@ impl ConflictResolver {
             ..FscrRecord::default()
         };
         for t in dirty.tuple_ids() {
-            apply_tuple_fusion(&mut repaired, index.pool(), t, plan.fusion(t), &mut record);
+            apply_tuple_fusion(&mut repaired, t, plan.fusion(t), &mut record);
         }
         (repaired, record)
     }
@@ -748,7 +857,7 @@ impl<'t> FusionKernel<'t> {
 
         let Some((score, _)) = walk.best else {
             let failed = TupleFusion {
-                fused: Vec::new(),
+                fused: Arc::new([]),
                 f_score: 0.0,
                 conflict_detected,
                 fusion_failed: true,
@@ -773,7 +882,7 @@ impl<'t> FusionKernel<'t> {
         };
         walk.best_order = winner;
         let fusion = TupleFusion {
-            fused: walk.fused.clone(),
+            fused: walk.fused.as_slice().into(),
             f_score: score,
             conflict_detected,
             fusion_failed: false,
@@ -901,26 +1010,23 @@ impl OrderWalk<'_> {
 /// Write one tuple's fusion into `repaired` in place and append its
 /// provenance (cell changes + outcome) to `record`.  `repaired` must still
 /// hold the tuple's dirty values — a fusion never writes the same attribute
-/// twice, so every cell is read before it is overwritten — and `pool` must
-/// resolve every id of both the fusion and those cells (the dataset pool, or
-/// the index's snapshot of it: γ ids write straight into the dataset).
-/// Public so [`crate::StageTwo`] and external engine builders replay
-/// memoised [`SharedFusion`]s exactly like [`ConflictResolver::resolve`] does.
+/// twice, so every cell is read before it is overwritten — and share its
+/// value ids with the fusion's (the index pool is a snapshot of the
+/// dataset pool: γ ids write straight into the dataset).  Public so
+/// [`crate::StageTwo`] and external engine builders replay memoised
+/// [`SharedFusion`]s exactly like [`ConflictResolver::resolve`] does.
 ///
 /// Per tuple this costs the changed cells and a reference-count bump: the
-/// outcome's `(attribute name, value)` list is resolved by the first call
-/// that records `fusion` and shared by every later one, so every call a
-/// handle sees must name its attributes and values alike (one schema, one
-/// pool or append-only descendants of it) — as one plan or one driver does.
-/// The outcome's `f_score` is the one the fusion was scored at.
+/// outcome shares the fusion's own assignment list, and the record holds
+/// ids only — the report that takes it names them.  The outcome's `f_score`
+/// is the one the fusion was scored at.
 pub fn apply_tuple_fusion(
     repaired: &mut Dataset,
-    pool: &dataset::ValuePool,
     t: TupleId,
     fusion: &SharedFusion,
     record: &mut FscrRecord,
 ) {
-    apply_scored_fusion(repaired, pool, t, fusion, fusion.f_score, record);
+    apply_scored_fusion(repaired, t, fusion, fusion.f_score, record);
 }
 
 /// [`apply_tuple_fusion`] recording `f_score` as the outcome's score —
@@ -928,31 +1034,25 @@ pub fn apply_tuple_fusion(
 /// support may have moved since it was scored.
 pub(crate) fn apply_scored_fusion(
     repaired: &mut Dataset,
-    pool: &dataset::ValuePool,
     t: TupleId,
     fusion: &SharedFusion,
     f_score: f64,
     record: &mut FscrRecord,
 ) {
-    for &(attr, value) in &fusion.fused {
+    for &(attr, value) in fusion.fused.iter() {
         let old = repaired.value_id(t, attr);
         if old != value {
             record.changes.push(CellChange {
                 cell: CellRef::new(t, attr),
-                old: pool.resolve(old).to_string(),
-                new: pool.resolve(value).to_string(),
+                old,
+                new: value,
             });
             repaired.set_value_id(t, attr, value);
         }
     }
-    let provenance = fusion.0.provenance.get_or_init(|| {
-        let schema = repaired.schema();
-        let resolve = |&(a, v)| (schema.attr_name(a).to_string(), pool.resolve(v).to_string());
-        Arc::new(fusion.fused.iter().map(resolve).collect())
-    });
     record.outcomes.push(FusionOutcome {
         tuple: t,
-        fused: Arc::clone(provenance),
+        fused: Arc::clone(&fusion.fused),
         f_score,
         conflict_detected: fusion.conflict_detected,
         fusion_failed: fusion.fusion_failed,
@@ -1030,7 +1130,7 @@ mod tests {
                 Some(v) if !v.is_empty() => v,
                 _ => {
                     return TupleFusion {
-                        fused: Vec::new(),
+                        fused: Arc::new([]),
                         f_score: 0.0,
                         conflict_detected: false,
                         fusion_failed: false,
@@ -1048,7 +1148,7 @@ mod tests {
 
             let fusion_failed = best_fusion.is_none();
             TupleFusion {
-                fused: best_fusion.unwrap_or_default(),
+                fused: best_fusion.unwrap_or_default().into(),
                 f_score: if fusion_failed { 0.0 } else { best_score },
                 conflict_detected,
                 fusion_failed,
@@ -1347,9 +1447,10 @@ mod tests {
         let index = stage1_index(&dirty);
         let (repaired, record) = ConflictResolver::new(6).resolve(&dirty, &index);
         // Every recorded change corresponds to an actual difference.
+        let pool = index.pool();
         for change in &record.changes {
-            assert_eq!(repaired.cell(change.cell), change.new);
-            assert_eq!(dirty.cell(change.cell), change.old);
+            assert_eq!(repaired.cell(change.cell), pool.resolve(change.new));
+            assert_eq!(dirty.cell(change.cell), pool.resolve(change.old));
             assert_ne!(change.old, change.new);
         }
         // Table 1 has 4 erroneous cells; all are rewritten.
@@ -1419,7 +1520,7 @@ mod tests {
         // Tuple 1 is covered by no block, tuple 7 is beyond the plan.
         for t in [TupleId(1), TupleId(7)] {
             let fusion = resolver.fuse_tuple(&resolver.plan(&index), t);
-            assert_eq!(*fusion, NOTHING_TO_FUSE);
+            assert_eq!(*fusion, nothing_to_fuse());
         }
     }
 
@@ -1495,7 +1596,7 @@ mod tests {
         assert_eq!(
             fusions[0],
             TupleFusion {
-                fused: Vec::new(),
+                fused: Arc::new([]),
                 f_score: 0.0,
                 conflict_detected: true,
                 fusion_failed: true,
@@ -1568,8 +1669,8 @@ mod tests {
                 assert_eq!(Arc::ptr_eq(&of_a.fused, &of_b.fused), same_vector);
             }
             assert!(!of_a.fusion_failed);
-            for (name, value) in of_a.fused.iter() {
-                let attr = hai.schema().attr_id(name).unwrap();
+            for &(attr, value) in of_a.fused.iter() {
+                let value = index.pool().resolve(value);
                 assert_eq!(repaired.value(of_a.tuple, attr), value, "{:?}", of_a.tuple);
             }
         }
@@ -1599,8 +1700,10 @@ mod tests {
         assert!(!direct.conflict_detected && swapped.conflict_detected);
         assert_eq!(direct.fused, swapped.fused);
         assert!(!Arc::ptr_eq(&direct.fused, &swapped.fused));
-        let expected = [("A0", "a"), ("A1", "b"), ("A2", "c")].map(|(a, v)| (a.into(), v.into()));
-        assert_eq!(*direct.fused, expected);
+        let fused: Vec<(&str, &str)> = (direct.fused.iter())
+            .map(|&(a, v)| (dirty.schema().attr_name(a), index.pool().resolve(v)))
+            .collect();
+        assert_eq!(fused, [("A0", "a"), ("A1", "b"), ("A2", "c")]);
     }
 
     /// Every γ of every block lists the block's attributes — reason part,

@@ -96,6 +96,7 @@ pub mod fscr;
 pub mod gamma;
 pub mod index;
 pub mod pipeline;
+pub mod provenance;
 pub mod rsc;
 pub mod session;
 #[doc(hidden)]
@@ -119,6 +120,7 @@ pub use fscr::{
 pub use gamma::Gamma;
 pub use index::{Block, GammaRuns, Group, InsertReport, MlnIndex, RemoveReport};
 pub use pipeline::MlnClean;
+pub use provenance::{Names, Records};
 pub use rsc::{ReliabilityCleaner, RscRecord, RscRepair};
 pub use session::CleaningSession;
 #[doc(hidden)]

@@ -20,12 +20,19 @@
 //! minima), and the underlying string metric is memoised per block in a
 //! [`DistanceCache`] keyed on interned value pairs.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::cache::{CacheStats, DistanceCache};
 use crate::gamma::Gamma;
 use crate::index::{Block, MlnIndex};
 use crate::map_ordered;
-use dataset::{TupleId, ValuePool};
+use crate::provenance::{Interner, Names, Provenance, Records};
+use dataset::{TupleId, ValueId, ValuePool};
 use distance::Metric;
+use mlnw::{CodecError, Decode, Decoder, Encode, Encoder};
 use rules::RuleId;
 
 /// One repair performed by RSC: the tuples of a losing γ are rewritten to the
@@ -35,27 +42,88 @@ pub struct RscRepair {
     /// Block in which the repair happened.
     pub rule: RuleId,
     /// Group key (shared reason-part values at the time of cleaning).
-    pub group_key: Vec<String>,
+    pub group_key: Vec<ValueId>,
     /// The replaced γ's values (reason part then result part).
-    pub from_values: Vec<String>,
+    pub from_values: Vec<ValueId>,
     /// The winning γ's values (reason part then result part).
-    pub to_values: Vec<String>,
+    pub to_values: Vec<ValueId>,
     /// Tuples that were rewritten.
     pub tuples: Vec<TupleId>,
 }
 
-mlnw::codec! { struct RscRepair { rule, group_key, from_values, to_values, tuples } }
+mod text {
+    use crate::provenance::Values;
+    use dataset::TupleId;
+    use rules::RuleId;
+
+    /// An [`super::RscRepair`] with its values as text.
+    #[derive(Debug, PartialEq)]
+    pub struct RscRepair<'a> {
+        pub rule: RuleId,
+        pub group_key: Values<'a>,
+        pub from_values: Values<'a>,
+        pub to_values: Values<'a>,
+        pub tuples: &'a [TupleId],
+    }
+
+    mlnw::codec! { encode struct RscRepair<'a> { rule, group_key, from_values, to_values, tuples } }
+}
+
+impl Provenance for RscRepair {
+    type Text<'a> = text::RscRepair<'a>;
+
+    fn text<'a>(&'a self, names: &'a Names) -> text::RscRepair<'a> {
+        text::RscRepair {
+            rule: self.rule,
+            group_key: names.values(&self.group_key),
+            from_values: names.values(&self.from_values),
+            to_values: names.values(&self.to_values),
+            tuples: &self.tuples,
+        }
+    }
+
+    fn decode_text(dec: &mut Decoder<'_>, names: &mut Interner) -> Result<Self, CodecError> {
+        dec.fields(5)?;
+        Ok(RscRepair {
+            rule: RuleId::decode(dec)?,
+            group_key: names.values(dec)?,
+            from_values: names.values(dec)?,
+            to_values: names.values(dec)?,
+            tuples: Vec::decode(dec)?,
+        })
+    }
+}
 
 /// The full RSC record of one run.
 #[derive(Debug, Clone, Default)]
 pub struct RscRecord {
     /// Every γ replacement, in processing order.
-    pub repairs: Vec<RscRepair>,
+    pub repairs: Records<RscRepair>,
     /// Distance-cache counters accumulated over all blocks.
     pub cache: CacheStats,
 }
 
-mlnw::codec! { struct RscRecord { repairs, cache } }
+impl Encode for RscRecord {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.seq(2);
+        self.repairs.encode(enc);
+        self.cache.encode(enc);
+    }
+}
+
+impl RscRecord {
+    /// Read a record back, interning its values into `names`.
+    pub(crate) fn decode_with(
+        dec: &mut Decoder<'_>,
+        names: &mut Interner,
+    ) -> Result<Self, CodecError> {
+        dec.fields(2)?;
+        Ok(RscRecord {
+            repairs: Records::decode_with(dec, names)?,
+            cache: CacheStats::decode(dec)?,
+        })
+    }
+}
 
 /// Equality compares the *repairs*, not the distance-cache counters: the
 /// incremental [`crate::CleaningSession`] keeps a persistent per-block cache
@@ -182,8 +250,7 @@ impl ReliabilityCleaner {
             // symmetric; the value-pair memo additionally dedups across
             // groups of the block).
             let n = group.gammas.len();
-            let ids: Vec<Vec<dataset::ValueId>> =
-                group.gammas.iter().map(|g| g.value_ids()).collect();
+            let ids: Vec<Vec<ValueId>> = group.gammas.iter().map(|g| g.value_ids()).collect();
             let mut dist = vec![vec![0.0f64; n]; n];
             for i in 0..n {
                 for j in (i + 1)..n {
@@ -238,27 +305,15 @@ impl ReliabilityCleaner {
             // Replace every losing γ with the winner.
             let winner = group.gammas[best_idx].clone();
             let mut merged_tuples = winner.tuples.clone();
-            let to_values: Vec<String> = winner
-                .resolve_values(pool)
-                .into_iter()
-                .map(str::to_string)
-                .collect();
+            let to_values = winner.value_ids();
             for (i, gamma) in group.gammas.iter().enumerate() {
                 if i == best_idx {
                     continue;
                 }
                 repairs.push(RscRepair {
                     rule,
-                    group_key: group
-                        .resolve_key(pool)
-                        .into_iter()
-                        .map(str::to_string)
-                        .collect(),
-                    from_values: gamma
-                        .resolve_values(pool)
-                        .into_iter()
-                        .map(str::to_string)
-                        .collect(),
+                    group_key: group.key.clone(),
+                    from_values: gamma.value_ids(),
                     to_values: to_values.clone(),
                     tuples: gamma.tuples.clone(),
                 });
@@ -368,10 +423,11 @@ mod tests {
         );
 
         // The AK γ was repaired.
+        let pool = index.pool();
         assert!(record.repairs.iter().any(|r| {
             r.rule == RuleId(0)
-                && r.from_values == vec!["BOAZ", "AK"]
-                && r.to_values == vec!["BOAZ", "AL"]
+                && pool.resolve_all(&r.from_values) == ["BOAZ", "AK"]
+                && pool.resolve_all(&r.to_values) == ["BOAZ", "AL"]
         }));
     }
 

@@ -376,7 +376,7 @@ impl StageOne {
         let cleaned = Arc::make_mut(&mut self.cleaned);
         for (i, _, _, old) in &mut work {
             old.groups = std::mem::take(&mut cleaned.blocks[*i].groups);
-            old.repairs = std::mem::take(&mut self.records[*i].rsc.repairs);
+            old.repairs = std::mem::take(&mut *self.records[*i].rsc.repairs);
         }
         let config = &self.config;
 
@@ -689,7 +689,7 @@ fn refresh_block(
         records: BlockRecords {
             agp: plan.record,
             rsc: RscRecord {
-                repairs,
+                repairs: repairs.into(),
                 cache: rsc_stats,
             },
         },
@@ -1042,7 +1042,7 @@ pub(crate) mod tests {
             let groups = &stage.cleaned().blocks[0].groups;
             let g = groups.iter().position(|g| g.key == [dothan]).unwrap();
             let repairs = &stage.records[0].rsc.repairs;
-            let repair = repairs.iter().find(|r| r.group_key == ["DOTHAN"]).unwrap();
+            let repair = repairs.iter().find(|r| r.group_key == [dothan]).unwrap();
             assert!(!groups[g].gammas.is_empty() && !repair.tuples.is_empty());
             (g, groups[g].gammas.as_ptr(), repair.tuples.as_ptr())
         };
@@ -1313,7 +1313,11 @@ pub(crate) mod tests {
                 let merged_in = agp
                     .merges
                     .iter()
-                    .filter(|m| m.rule == block.rule && m.target_key.as_ref() == Some(&key));
+                    .filter(|m| m.rule == block.rule)
+                    .filter(|m| {
+                        let target = m.target_key.as_ref();
+                        target.is_some_and(|target| index.pool().resolve_all(target) == key)
+                    });
                 1 + merged_in.count()
             })
             .sum();

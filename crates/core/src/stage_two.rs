@@ -47,18 +47,19 @@
 //! the blocks that list them ([`ConflictResolver::plan_for`]), and nothing
 //! when no slot is empty.  The plan fuses each distinct version vector once
 //! and a slot is a [`SharedFusion`] handle onto that fusion, so filling one is
-//! a reference-count bump; the handle carries the fusion's resolved
-//! provenance, so a fusion that survives a refresh is not re-stated — the
-//! next report's [`crate::FusionOutcome::fused`] is the list the previous
-//! report already shares.
+//! a reference-count bump; the handle holds the fusion's assignment list, so
+//! a fusion that survives a refresh is not re-stated — the next report's
+//! [`crate::FusionOutcome::fused`] is the list the previous report already
+//! shares.
 //!
 //! **The repaired dataset is derived, not maintained.**  Every report
 //! walks every tuple's fusion to rebuild the [`FscrRecord`], and hands out a
 //! whole dataset either way; on that walk a tuple costs a handle bump for its
 //! outcome plus a store and a change record per *changed* cell written into
-//! a copy of the dirty rows — strings are allocated per distinct fusion and
-//! per changed cell, never per tuple — where a second resident dataset would
-//! have to mirror every insert, update and delete.
+//! a copy of the dirty rows — ids only, no string — where a second resident
+//! dataset would have to mirror every insert, update and delete.  The report
+//! names its records' ids once, by its cleaned index's pool and its rows'
+//! schema ([`crate::provenance`]).
 //!
 //! **Budget.**  Under a [`CleanConfig::memory_budget`] the memo shares the
 //! budget with Stage I's block memos ([`StageTwo::enforce_budget`]): cold
@@ -93,9 +94,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// What the budget estimate charges a distinct memoised fusion: this much
-/// for the shared cell and the provenance list's header, and again for each
-/// fused attribute (its id pair and two resolved strings), allocator slack
-/// included.
+/// for the shared cell and the assignment list's header, and again for each
+/// fused attribute, allocator slack included.
 const FUSION_UNIT_BYTES: usize = 128;
 
 fn fusion_bytes(fusion: &SharedFusion) -> usize {
@@ -284,7 +284,8 @@ impl StageTwo {
     /// drop exact duplicates if [`CleanConfig::deduplicate`] says so.  The
     /// clocks run into `timings.fscr` / `timings.dedup`, and the report
     /// carries `timings` as they then read.  The Stage-I provenance is a
-    /// copy of `stage_one`'s.
+    /// copy of `stage_one`'s, and every record list is named by the cleaned
+    /// index's pool and `dirty`'s schema.
     pub fn report(
         &mut self,
         stage_one: &mut StageOne,
@@ -293,6 +294,7 @@ impl StageTwo {
     ) -> Report {
         let mut report = self.assemble(stage_one, dirty, timings);
         (report.agp, report.rsc) = stage_one.records();
+        report.name_records();
         report
     }
 
@@ -306,6 +308,7 @@ impl StageTwo {
     ) -> Report {
         let mut report = self.assemble(&mut stage_one, dirty, timings);
         (report.agp, report.rsc) = stage_one.into_records();
+        report.name_records();
         report
     }
 
@@ -329,7 +332,6 @@ impl StageTwo {
             candidates_tested,
             ..FscrRecord::default()
         };
-        let pool = cleaned.pool();
         for (t, fusion) in self.fusions.iter().enumerate() {
             #[allow(
                 clippy::expect_used,
@@ -340,7 +342,7 @@ impl StageTwo {
                 Some(supports) => fusion.f_score_at(supports),
                 None => fusion.f_score,
             };
-            apply_scored_fusion(&mut repaired, pool, TupleId(t), fusion, f_score, &mut fscr);
+            apply_scored_fusion(&mut repaired, TupleId(t), fusion, f_score, &mut fscr);
         }
         timings.fscr += started.elapsed();
 
@@ -552,9 +554,17 @@ mod tests {
         let rules = parse_rules("FD: A -> B\nFD: C -> B").unwrap();
         let mut stream = Stream::open(&CleanConfig::default().with_tau(0), &ds, &rules);
         let (first, _) = stream.report("first report");
+        // Tuple 0's fused value of A, as text.
+        let a_of_row0 = |report: &Report| {
+            let names = report.fscr.outcomes.names().unwrap();
+            let fused = report.fscr.outcomes[0].fused.iter();
+            let a = fused.filter(|&&(a, _)| names.attr(a) == "A");
+            a.map(|&(_, v)| names.value(v).to_string())
+                .collect::<Vec<_>>()
+        };
         let row0 = &first.fscr.outcomes[0];
         assert!(row0.conflict_detected && !row0.fusion_failed);
-        assert!(row0.fused.contains(&("A".to_string(), "a2".to_string())));
+        assert_eq!(a_of_row0(&first), ["a2"]);
 
         // Row 5 leaves group a2 for a group of its own: (a2, x2) loses
         // support, hence probability.  Row 0 sits in neither group and no
@@ -565,8 +575,7 @@ mod tests {
         let (second, refreshed) = stream.report("after the update");
         assert_eq!(refreshed.blocks, vec![0]);
         assert!(!refreshed.invalidated.contains(&TupleId(0)));
-        let row0 = &second.fscr.outcomes[0];
-        assert!(row0.fused.contains(&("A".to_string(), "a1".to_string())));
+        assert_eq!(a_of_row0(&second), ["a1"]);
         assert_eq!(
             second.repaired.tuple(TupleId(0)).owned_values(),
             ["a1", "x1", "c2"]

@@ -273,6 +273,11 @@ impl<'a> Decoder<'a> {
         }
     }
 
+    /// Read an option's tag: whether a value follows.
+    pub fn option(&mut self) -> Result<bool, CodecError> {
+        self.either(TAG_SOME, TAG_NONE, "an option")
+    }
+
     /// Read an enum tag and return the variant index.
     pub fn variant(&mut self) -> Result<u64, CodecError> {
         self.tag(TAG_ENUM, "an enum")?;
@@ -439,19 +444,32 @@ impl<T: Encode> Encode for Option<T> {
 
 impl<T: Decode> Decode for Option<T> {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        match dec.either(TAG_SOME, TAG_NONE, "an option")? {
+        match dec.option()? {
             true => T::decode(dec).map(Some),
             false => Ok(None),
         }
     }
 }
 
-impl<T: Encode> Encode for Vec<T> {
+impl<T: Encode> Encode for [T] {
     fn encode(&self, enc: &mut Encoder) {
         enc.seq(self.len());
         for item in self {
             item.encode(enc);
         }
+    }
+}
+
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, enc: &mut Encoder) {
+        self.as_slice().encode(enc);
+    }
+}
+
+/// A reference encodes as what it refers to.
+impl<T: Encode + ?Sized> Encode for &T {
+    fn encode(&self, enc: &mut Encoder) {
+        (**self).encode(enc);
     }
 }
 
@@ -521,11 +539,21 @@ impl Decode for Duration {
 /// * `enum Name { 0 => Unit, 1 => Newtype(x), 2 => Tuple(x, y), 3 => Struct
 ///   { x } }` — variants with their declaration-order indices, tuple fields
 ///   given binding names.
+/// * `encode struct Name<'a> { a, b }` — [`Encode`] alone, for a borrowed
+///   view that writes another type's frame.
 ///
 /// Decoding builds each value literally, so a field added to the type but
 /// not to the list is a compile error.
 #[macro_export]
 macro_rules! codec {
+    (encode struct $ty:ident $(<$lt:lifetime>)? { $($field:tt),* $(,)? }) => {
+        impl $(<$lt>)? $crate::Encode for $ty $(<$lt>)? {
+            fn encode(&self, enc: &mut $crate::Encoder) {
+                enc.seq($crate::codec!(@count $($field)*));
+                $($crate::Encode::encode(&self.$field, enc);)*
+            }
+        }
+    };
     (struct $ty:ident { $($field:tt),* $(; skip $($skip:ident),*)? $(,)? }) => {
         impl $crate::Encode for $ty {
             fn encode(&self, enc: &mut $crate::Encoder) {

@@ -73,8 +73,14 @@ fn main() {
         .expect("rules match the schema");
 
     println!("\nrepairs applied:");
+    let names = outcome
+        .fscr
+        .changes
+        .names()
+        .expect("a report names its records");
     for change in &outcome.fscr.changes {
-        println!("  {}: {:?} -> {:?}", change.cell, change.old, change.new);
+        let (old, new) = (names.value(change.old), names.value(change.new));
+        println!("  {}: {old:?} -> {new:?}", change.cell);
     }
 
     write_csv_file(&outcome.repaired, &output).expect("writable CSV output");

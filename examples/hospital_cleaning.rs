@@ -42,9 +42,12 @@ fn main() {
     println!("  stage timings: index {:.1?}, AGP {:.1?}, weight learning {:.1?}, RSC {:.1?}, FSCR {:.1?}",
         outcome.timings.index, outcome.timings.agp, outcome.timings.weight_learning,
         outcome.timings.rsc, outcome.timings.fscr);
-    println!("  AGP : {}", evaluate_agp(&dirty, &rules, &outcome.agp));
-    println!("  RSC : {}", evaluate_rsc(&dirty, &rules, &outcome.rsc));
-    println!("  FSCR: {}", evaluate_fscr(&dirty, &outcome.fscr));
+    let agp = evaluate_agp(&dirty, &rules, &outcome.agp).expect("a report names its records");
+    let rsc = evaluate_rsc(&dirty, &rules, &outcome.rsc).expect("a report names its records");
+    let fscr = evaluate_fscr(&dirty, &outcome.fscr).expect("a report names its records");
+    println!("  AGP : {agp}");
+    println!("  RSC : {rsc}");
+    println!("  FSCR: {fscr}");
 
     // The HoloClean-style baseline with oracle (100% accurate) detection —
     // the comparison protocol of Section 7.2 of the paper.

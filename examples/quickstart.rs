@@ -35,14 +35,20 @@ fn main() {
         outcome.deduplicated()
     );
 
-    // Show the individual decisions the pipeline took.
+    // Show the individual decisions the pipeline took.  The records hold
+    // value ids; the report names them.
+    let names = outcome
+        .agp
+        .merges
+        .names()
+        .expect("a report names its records");
     println!("abnormal groups merged by AGP:");
     for merge in &outcome.agp.merges {
         println!(
             "  block {}: {:?} -> {:?} ({} tuple(s))",
             merge.rule,
-            merge.abnormal_key,
-            merge.target_key,
+            names.values(&merge.abnormal_key),
+            merge.target_key.as_deref().map(|key| names.values(key)),
             merge.tuples.len()
         );
     }
@@ -50,12 +56,16 @@ fn main() {
     for repair in &outcome.rsc.repairs {
         println!(
             "  block {}: {:?} -> {:?} for {:?}",
-            repair.rule, repair.from_values, repair.to_values, repair.tuples
+            repair.rule,
+            names.values(&repair.from_values),
+            names.values(&repair.to_values),
+            repair.tuples
         );
     }
     println!("cells rewritten at fusion time:");
     for change in &outcome.fscr.changes {
-        println!("  {}: {:?} -> {:?}", change.cell, change.old, change.new);
+        let (old, new) = (names.value(change.old), names.value(change.new));
+        println!("  {}: {old:?} -> {new:?}", change.cell);
     }
 
     // Verify against the ground truth of the running example.

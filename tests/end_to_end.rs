@@ -264,10 +264,17 @@ fn provenance_text_is_the_same_under_different_value_ids() {
     }
     let streamed = session.finish();
 
-    let first = dirty.cell(dataset::CellRef::new(dataset::TupleId(0), dataset::AttrId(0)));
+    let first = dirty.cell(dataset::CellRef::new(
+        dataset::TupleId(0),
+        dataset::AttrId(0),
+    ));
     let id = |report: &mlnclean::Report| report.index().pool().lookup(first);
     assert!(id(&batch).is_some());
-    assert_ne!(id(&batch), id(&streamed), "the two runs number values apart");
+    assert_ne!(
+        id(&batch),
+        id(&streamed),
+        "the two runs number values apart"
+    );
 
     assert_eq!(streamed.repaired, batch.repaired);
     assert_eq!(

@@ -85,9 +85,9 @@ fn full_pipeline_reproduces_the_running_example() {
 
 /// The FSCR record's wire form is pinned: `tests/golden/hospital_fscr.mlnw`
 /// holds the bytes of this record as encoded when every outcome owned a
-/// `Vec<(String, String)>`; outcomes that share one list encode the same, and
-/// a decoded record (one list per outcome again) is equal and re-encodes
-/// alike.
+/// `Vec<(String, String)>`.  A record of ids encodes their text, outcomes
+/// that share one list encode the same, and a decoded record (its own pool,
+/// one list per outcome) is equal and re-encodes alike.
 #[test]
 fn the_fscr_record_of_the_running_example_keeps_its_mlnw_bytes() {
     let outcome = MlnClean::new(CleanConfig::default().with_tau(1))
@@ -105,7 +105,15 @@ fn the_fscr_record_of_the_running_example_keeps_its_mlnw_bytes() {
     assert_eq!(mlnw::to_bytes(&decoded).unwrap(), golden);
     // Field by field, against the paper: t3 = {ELIZA, BOAZ, 2567688400, AL}.
     let t3 = &decoded.outcomes[2];
-    let fused: Vec<(&str, &str)> = t3.fused.iter().map(|(a, v)| (&**a, &**v)).collect();
+    let names = decoded
+        .outcomes
+        .names()
+        .expect("a decoded record names its ids");
+    let fused: Vec<(&str, &str)> = t3
+        .fused
+        .iter()
+        .map(|&(a, v)| (names.attr(a), names.value(v)))
+        .collect();
     assert_eq!(
         fused,
         [
