@@ -163,12 +163,12 @@ pub struct CoordinatorFootprint {
 
 impl DistributedStreamingSession {
     /// Open a streaming coordinator over `partitions` in-process stores for
-    /// `schema` under `rules`, merging every `merge_every` change sets
-    /// (clamped to at least 1).
+    /// `schema` under `rules`, merging every `merge_every` change sets.
     ///
     /// Fails like [`RowStore::new`] does (empty rule set, rule
     /// referencing an unknown attribute), plus
-    /// [`CleanError::Partition`] on zero partitions.
+    /// [`CleanError::Partition`] on zero partitions and [`CleanError::Zero`]
+    /// on a zero `merge_every`.
     pub fn new(
         config: CleanConfig,
         schema: Schema,
@@ -188,8 +188,8 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
     /// in-process shorthand).
     ///
     /// The backend's partitions must be fresh (empty) stores for `schema`
-    /// under `rules`.  Fails on zero partitions or a rule set the schema
-    /// rejects.
+    /// under `rules`.  Fails on zero partitions, a zero `merge_every` or a
+    /// rule set the schema rejects.
     pub fn with_backend(
         config: CleanConfig,
         schema: Schema,
@@ -201,12 +201,17 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
         if partitions == 0 {
             return Err(CleanError::Partition { workers: 0 });
         }
+        if merge_every == 0 {
+            return Err(CleanError::Zero {
+                field: "merge_every",
+            });
+        }
         let empty = MlnIndex::build_serial(&Dataset::new(schema.clone()), &rules)?;
         let blocks = empty.block_count();
         Ok(DistributedStreamingSession {
             stage_one: StageOne::new(config.clone(), empty),
             stage_two: StageTwo::new(config),
-            merge_every: merge_every.max(1),
+            merge_every,
             schema,
             pool: ValuePool::new(),
             rows: 0,
@@ -703,8 +708,8 @@ pub struct DistributedStreamingMlnClean {
 
 impl DistributedStreamingMlnClean {
     /// Create a streaming distributed cleaner with merge cadence 1 and the
-    /// default micro-batch size (128 rows).  Zero partitions is not clamped:
-    /// [`Self::clean`] fails with [`CleanError::Partition`].
+    /// default micro-batch size (128 rows).  Nothing is checked here: with
+    /// zero partitions [`Self::clean`] fails with [`CleanError::Partition`].
     pub fn new(partitions: usize, config: CleanConfig) -> Self {
         DistributedStreamingMlnClean {
             partitions,
@@ -714,21 +719,29 @@ impl DistributedStreamingMlnClean {
         }
     }
 
-    /// Set the merge cadence K (clamped to at least 1).
+    /// Set the merge cadence K; [`Self::clean`] fails with
+    /// [`CleanError::Zero`] at 0.
     pub fn with_merge_every(mut self, merge_every: usize) -> Self {
-        self.merge_every = merge_every.max(1);
+        self.merge_every = merge_every;
         self
     }
 
-    /// Set the micro-batch size (clamped to at least one row).
+    /// Set the micro-batch size in rows; [`Self::clean`] fails with
+    /// [`CleanError::Zero`] at 0.
     pub fn with_batch_rows(mut self, batch_rows: usize) -> Self {
-        self.batch_rows = batch_rows.max(1);
+        self.batch_rows = batch_rows;
         self
     }
 
     /// Clean `dirty` against `rules` by streaming it through per-partition
-    /// row stores.  Fails like [`DistributedStreamingSession::new`] does.
+    /// row stores.  Fails like [`DistributedStreamingSession::new`] does,
+    /// and with [`CleanError::Zero`] on a zero `batch_rows`.
     pub fn clean(&self, dirty: &Dataset, rules: &RuleSet) -> Result<Report, CleanError> {
+        if self.batch_rows == 0 {
+            return Err(CleanError::Zero {
+                field: "batch_rows",
+            });
+        }
         let mut session = DistributedStreamingSession::new(
             self.config.clone(),
             dirty.schema().clone(),
@@ -880,6 +893,39 @@ mod tests {
             .clean(&dirty, &rules::sample_hospital_rules())
             .unwrap_err();
         assert_eq!(err, CleanError::Partition { workers: 0 });
+    }
+
+    #[test]
+    fn a_zero_merge_cadence_or_batch_size_is_rejected() {
+        let dirty = sample_hospital_dataset();
+        let rules = rules::sample_hospital_rules();
+        let config = CleanConfig::default();
+        let err = DistributedStreamingSession::new(
+            config.clone(),
+            dirty.schema().clone(),
+            rules.clone(),
+            2,
+            0,
+        )
+        .unwrap_err();
+        let merge_every = CleanError::Zero {
+            field: "merge_every",
+        };
+        assert_eq!(err, merge_every);
+        let cleaner = DistributedStreamingMlnClean::new(2, config);
+        let err = (cleaner.clone().with_merge_every(0))
+            .clean(&dirty, &rules)
+            .unwrap_err();
+        assert_eq!(err, merge_every);
+        let err = (cleaner.with_batch_rows(0))
+            .clean(&dirty, &rules)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            CleanError::Zero {
+                field: "batch_rows"
+            }
+        );
     }
 
     #[test]
