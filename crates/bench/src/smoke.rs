@@ -8,7 +8,7 @@
 //! Stage-I distance-cache hit rate, `agp_bounds_computed` — the sketch
 //! bounds AGP's nearest-normal searches evaluated — `fscr_candidates_tested`
 //! — the substitution candidates FSCR's fusions tested — `fscr_shared_outcomes`
-//! — how many FSCR outcomes share another's resolved provenance list — and
+//! — how many FSCR outcomes share another's `fused` assignment list — and
 //! `pool_storages`, the distinct value-pool tables the one-shot run's input
 //! and report name: one), seeding the
 //! `BENCH_*.json` trajectory that later PRs can compare against.
@@ -71,7 +71,7 @@ fn artifact(scale: Scale) -> Json {
     cache.absorb(outcome.rsc.cache);
 
     // Outcomes of the one-shot report that restate nothing: every tuple of
-    // one version vector shares one resolved `fused` list, so this is the
+    // one version vector shares its fusion's `fused` list, so this is the
     // outcomes minus the distinct lists — exact at the fixed seed.
     let outcomes = &outcome.fscr.outcomes;
     let lists: HashSet<_> = outcomes.iter().map(|o| Arc::as_ptr(&o.fused)).collect();

@@ -112,7 +112,7 @@ use crate::map_ordered;
 use crate::provenance::{Interner, Names, Provenance, Records};
 use dataset::{TupleId, ValueId, ValuePool};
 use distance::{EditSketch, Metric};
-use mlnw::{CodecError, Decode, Decoder, Encode, Encoder};
+use mlnw::{CodecError, Decode, Decoder};
 use rules::RuleId;
 use std::collections::{HashMap, HashSet};
 
@@ -193,14 +193,8 @@ pub struct AgpRecord {
     pub bounds_computed: u64,
 }
 
-/// Encoded as `merges` and `cache`; `bounds_computed` stays behind.
-impl Encode for AgpRecord {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.seq(2);
-        self.merges.encode(enc);
-        self.cache.encode(enc);
-    }
-}
+// `bounds_computed` stays behind.
+mlnw::codec! { encode struct AgpRecord { merges, cache } }
 
 impl AgpRecord {
     /// Read a record back, interning its keys into `names`.
@@ -1064,7 +1058,7 @@ pub(crate) mod tests {
         let plan = cold_plan(agp, block, pool);
         let (targets, vetoes) = reference_targets(agp, block, pool);
         assert_eq!(plan.targets, targets, "targets diverged: {context}");
-        let merges: Records<AgpMerge> = plan
+        let merges: Vec<AgpMerge> = plan
             .abnormal
             .iter()
             .zip(&targets)
@@ -1081,7 +1075,7 @@ pub(crate) mod tests {
             })
             .collect();
         assert_eq!(
-            plan.record.merges, merges,
+            *plan.record.merges, merges,
             "merge records diverged: {context}"
         );
         (targets.iter().flatten().count(), vetoes)

@@ -29,7 +29,7 @@ use crate::index::MlnIndex;
 use crate::provenance::{Interner, Names};
 use crate::rsc::RscRecord;
 use dataset::{Dataset, TupleId};
-use mlnw::{CodecError, Decode, Decoder, Encode, Encoder};
+use mlnw::{CodecError, Decode, Decoder};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -156,24 +156,11 @@ pub struct Report {
     pub partitions: Option<PartitionReport>,
 }
 
-// A report is the frame a remote client of the cleaning service receives:
-// its eight fields in order.  `index` encodes through its `Arc` and is
-// re-wrapped on decoding: sharing is a process property, not a wire one.
-// The records travel as text and are interned back into the decoded index's
-// pool.
-impl Encode for Report {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.seq(8);
-        self.repaired.encode(enc);
-        self.deduplicated.encode(enc);
-        self.index.encode(enc);
-        self.agp.encode(enc);
-        self.rsc.encode(enc);
-        self.fscr.encode(enc);
-        self.timings.encode(enc);
-        self.partitions.encode(enc);
-    }
-}
+// A report is the frame a remote client of the cleaning service receives.
+// `index` encodes through its `Arc` and is re-wrapped on decoding: sharing
+// is a process property, not a wire one.  The records travel as text and
+// are interned back into the decoded index's pool.
+mlnw::codec! { encode struct Report { repaired, deduplicated, index, agp, rsc, fscr, timings, partitions } }
 
 impl Decode for Report {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {

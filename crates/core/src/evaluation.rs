@@ -276,6 +276,42 @@ mod tests {
     }
 
     #[test]
+    fn records_without_names_and_mismatched_rules_are_typed_errors() {
+        let dirty = sample_dirty();
+        let rules = sample_hospital_rules();
+        let cleaner = MlnClean::new(CleanConfig::default().with_tau(1));
+        let outcome = cleaner.clean(&dirty.dirty, &rules).unwrap();
+        // The same records, not taken from a report: no pool names them.
+        let agp = AgpRecord {
+            merges: outcome.agp.merges.to_vec().into(),
+            ..AgpRecord::default()
+        };
+        let rsc = RscRecord {
+            repairs: outcome.rsc.repairs.to_vec().into(),
+            ..RscRecord::default()
+        };
+        let fscr = FscrRecord {
+            changes: outcome.fscr.changes.to_vec().into(),
+            ..FscrRecord::default()
+        };
+        let unnamed = Err(CleanError::UnnamedRecords);
+        assert_eq!(
+            evaluate_agp(&dirty, &rules, &agp).map(|m| m.correct),
+            unnamed
+        );
+        assert_eq!(
+            evaluate_rsc(&dirty, &rules, &rsc).map(|m| m.correct),
+            unnamed
+        );
+        assert_eq!(evaluate_fscr(&dirty, &fscr).map(|m| m.correct), unnamed);
+
+        let wrong = rules::parse_rules("FD: nope -> ST").unwrap();
+        let index = |e| matches!(e, Err(CleanError::Index(_)));
+        assert!(index(evaluate_agp(&dirty, &wrong, &outcome.agp)));
+        assert!(index(evaluate_rsc(&dirty, &wrong, &outcome.rsc)));
+    }
+
+    #[test]
     fn tau_zero_detects_no_abnormal_groups() {
         let dirty = sample_dirty();
         let rules = sample_hospital_rules();

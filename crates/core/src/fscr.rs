@@ -93,7 +93,7 @@ use crate::index::{Block, MlnIndex};
 use crate::provenance::{Interner, Names, Provenance, Records};
 use crate::weights::probability;
 use dataset::{AttrId, CellRef, Dataset, TupleId, ValueId, ValuePool};
-use mlnw::{CodecError, Decode, Decoder, Encode, Encoder};
+use mlnw::{CodecError, Decode, Decoder};
 use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::ops::Deref;
@@ -110,10 +110,6 @@ pub struct CellChange {
     pub new: ValueId,
 }
 
-/// A fused `(attribute, value)` assignment, shared by every tuple of its
-/// version vector.
-pub type Assignment = Arc<[(AttrId, ValueId)]>;
-
 /// Per-tuple outcome of the fusion.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusionOutcome {
@@ -121,7 +117,7 @@ pub struct FusionOutcome {
     pub tuple: TupleId,
     /// The fused attribute assignment actually applied: the fusion's own
     /// list, shared by every outcome of the same [`SharedFusion`].
-    pub fused: Assignment,
+    pub fused: Arc<[(AttrId, ValueId)]>,
     /// The fusion score of the applied assignment (0 when fusion failed).
     pub f_score: f64,
     /// Whether any pair of this tuple's versions conflicted.
@@ -219,14 +215,8 @@ pub struct FscrRecord {
     pub candidates_tested: u64,
 }
 
-/// Encoded as `outcomes` and `changes`; `candidates_tested` stays behind.
-impl Encode for FscrRecord {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.seq(2);
-        self.outcomes.encode(enc);
-        self.changes.encode(enc);
-    }
-}
+// `candidates_tested` stays behind.
+mlnw::codec! { encode struct FscrRecord { outcomes, changes } }
 
 /// A record decoded alone names its values and attributes in a pool and a
 /// name list of its own.
@@ -290,7 +280,7 @@ pub struct TupleFusion {
     /// The fused `(attribute, value)` assignment (empty when the tuple has no
     /// versions or every fusion order failed), which every outcome of the
     /// fusion shares.
-    pub fused: Assignment,
+    pub fused: Arc<[(AttrId, ValueId)]>,
     /// The fusion score of the applied assignment (0 when fusion failed or
     /// there was nothing to fuse).
     pub f_score: f64,

@@ -48,19 +48,8 @@ pub struct Names {
 }
 
 impl Names {
-    /// Names over `pool` and `schema`.
-    pub fn new(pool: ValuePool, schema: Schema) -> Self {
+    pub(crate) fn new(pool: ValuePool, schema: Schema) -> Self {
         Names { pool, schema }
-    }
-
-    /// The pool value ids resolve in.
-    pub fn pool(&self) -> &ValuePool {
-        &self.pool
-    }
-
-    /// The schema attribute ids index.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
     }
 
     /// The text of value `id`.
@@ -230,12 +219,6 @@ impl<T> From<Vec<T>> for Records<T> {
     }
 }
 
-impl<T> FromIterator<T> for Records<T> {
-    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        Vec::from_iter(iter).into()
-    }
-}
-
 impl<T> Deref for Records<T> {
     type Target = Vec<T>;
 
@@ -268,15 +251,6 @@ impl<'a, T> IntoIterator for &'a Records<T> {
     }
 }
 
-impl<'a, T> IntoIterator for &'a mut Records<T> {
-    type Item = &'a mut T;
-    type IntoIter = std::slice::IterMut<'a, T>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.items.iter_mut()
-    }
-}
-
 /// A named list writes its records' text; an unnamed one its raw ids.
 impl<T: Provenance + fmt::Debug> fmt::Debug for Records<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -304,7 +278,9 @@ impl<T: Provenance + PartialEq> PartialEq for Records<T> {
     }
 }
 
-/// The list of its records' text.
+/// The list of its records' text.  A list is encoded as part of a report,
+/// or as a record taken from one: encoding a non-empty list without names
+/// panics.
 impl<T: Provenance> Encode for Records<T> {
     fn encode(&self, enc: &mut Encoder) {
         enc.seq(self.items.len());
@@ -335,18 +311,21 @@ impl Interner {
     }
 
     /// Read a value.
-    pub fn value(&mut self, dec: &mut Decoder<'_>) -> Result<ValueId, CodecError> {
+    pub(crate) fn value(&mut self, dec: &mut Decoder<'_>) -> Result<ValueId, CodecError> {
         Ok(self.pool.intern(dec.str()?))
     }
 
     /// Read a list of values.
-    pub fn values(&mut self, dec: &mut Decoder<'_>) -> Result<Vec<ValueId>, CodecError> {
+    pub(crate) fn values(&mut self, dec: &mut Decoder<'_>) -> Result<Vec<ValueId>, CodecError> {
         let len = dec.seq()?;
         (0..len).map(|_| self.value(dec)).collect()
     }
 
     /// Read a list of `(attribute name, value)` pairs.
-    pub fn pairs(&mut self, dec: &mut Decoder<'_>) -> Result<Vec<(AttrId, ValueId)>, CodecError> {
+    pub(crate) fn pairs(
+        &mut self,
+        dec: &mut Decoder<'_>,
+    ) -> Result<Vec<(AttrId, ValueId)>, CodecError> {
         let len = dec.seq()?;
         let mut pairs = Vec::with_capacity(len);
         for _ in 0..len {
@@ -371,5 +350,49 @@ impl Interner {
     /// The names every id read so far resolves through.
     pub(crate) fn finish(self) -> Arc<Names> {
         Arc::new(Names::new(self.pool, Schema::new(&self.attrs)))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rsc::RscRepair;
+    use rules::RuleId;
+
+    fn repair(key: ValueId, value: ValueId) -> RscRepair {
+        RscRepair {
+            rule: RuleId(0),
+            group_key: vec![key],
+            from_values: vec![key, value],
+            to_values: vec![key, key],
+            tuples: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn named_lists_render_and_compare_text_and_unnamed_ones_ids() {
+        let schema = Schema::new(&["A", "B"]);
+        let mut a = ValuePool::new();
+        let (x, y) = (a.intern("x"), a.intern("y"));
+        let mut b = ValuePool::new();
+        let (y2, x2) = (b.intern("y"), b.intern("x"));
+        let mut left: Records<RscRepair> = vec![repair(x, y)].into();
+        let mut right: Records<RscRepair> = vec![repair(x2, y2)].into();
+        let mut apart: Records<RscRepair> = vec![repair(y2, x2)].into();
+        assert_ne!(left, right, "unnamed, the ids differ");
+        assert!(format!("{left:?}").contains("from_values: [ValueId(0), ValueId(1)]"));
+
+        left.attach(&Arc::new(Names::new(a, schema.clone())));
+        let names = Arc::new(Names::new(b, schema));
+        right.attach(&names);
+        apart.attach(&names);
+        assert_eq!(left, right, "named, the text is the same");
+        assert_eq!(format!("{left:?}"), format!("{right:?}"));
+        assert!(format!("{left:?}").contains(r#"from_values: ["x", "y"]"#));
+        assert_ne!(left, apart);
+        assert_ne!(right, apart, "one arena: the ids are compared");
+        let bytes = |list: &Records<RscRepair>| mlnw::to_bytes(list).unwrap();
+        assert_eq!(bytes(&left), bytes(&right));
+        assert_ne!(bytes(&left), bytes(&apart));
     }
 }

@@ -32,7 +32,7 @@ use crate::map_ordered;
 use crate::provenance::{Interner, Names, Provenance, Records};
 use dataset::{TupleId, ValueId, ValuePool};
 use distance::Metric;
-use mlnw::{CodecError, Decode, Decoder, Encode, Encoder};
+use mlnw::{CodecError, Decode, Decoder};
 use rules::RuleId;
 
 /// One repair performed by RSC: the tuples of a losing γ are rewritten to the
@@ -103,13 +103,7 @@ pub struct RscRecord {
     pub cache: CacheStats,
 }
 
-impl Encode for RscRecord {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.seq(2);
-        self.repairs.encode(enc);
-        self.cache.encode(enc);
-    }
-}
+mlnw::codec! { encode struct RscRecord { repairs, cache } }
 
 impl RscRecord {
     /// Read a record back, interning its values into `names`.

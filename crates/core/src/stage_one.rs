@@ -446,10 +446,10 @@ impl StageOne {
     pub fn remap_removed(&mut self, removed: &[usize]) {
         Arc::make_mut(&mut self.cleaned).remap_removed(removed);
         for records in &mut self.records {
-            for merge in &mut records.agp.merges {
+            for merge in records.agp.merges.iter_mut() {
                 dataset::remap_ids_after_removal(&mut merge.tuples, removed);
             }
-            for repair in &mut records.rsc.repairs {
+            for repair in records.rsc.repairs.iter_mut() {
                 dataset::remap_ids_after_removal(&mut repair.tuples, removed);
             }
         }

@@ -69,7 +69,7 @@
 //! not slots: a slot is a pointer in the memo's inline buffer, and emptying
 //! it frees memory only if it held the last handle onto its fusion — only
 //! then does the estimate fall, by a fixed charge for the fusion and for each
-//! attribute it assigns (ids and resolved strings).  A sweep over tuples
+//! attribute it assigns.  A sweep over tuples
 //! whose vectors later tuples share therefore frees nothing and keeps going.
 //! (A clone of the driver shares its handles: what both hold stays charged to
 //! both until one lets go.)  A fusion is a deterministic function of the

@@ -539,8 +539,9 @@ impl Decode for Duration {
 /// * `enum Name { 0 => Unit, 1 => Newtype(x), 2 => Tuple(x, y), 3 => Struct
 ///   { x } }` — variants with their declaration-order indices, tuple fields
 ///   given binding names.
-/// * `encode struct Name<'a> { a, b }` — [`Encode`] alone, for a borrowed
-///   view that writes another type's frame.
+/// * `encode struct Name { a, b }` (or `Name<'a>`) — [`Encode`] alone: for
+///   a borrowed view that writes another type's frame, or a type that
+///   decodes by hand.
 ///
 /// Decoding builds each value literally, so a field added to the type but
 /// not to the list is a compile error.

@@ -288,4 +288,12 @@ fn provenance_text_is_the_same_under_different_value_ids() {
     assert_eq!(format!("{:?}", streamed.fscr), format!("{:?}", batch.fscr));
     assert!(!batch.agp.merges.is_empty() && !batch.rsc.repairs.is_empty());
     assert!(!batch.fscr.changes.is_empty());
+    // Equality compares the same text, and sees a changed value.
+    assert_eq!(streamed.agp, batch.agp);
+    assert_eq!(streamed.rsc, batch.rsc);
+    assert_eq!(streamed.fscr, batch.fscr);
+    let mut moved = streamed.fscr.clone();
+    let change = &mut moved.changes[0];
+    change.new = change.old;
+    assert_ne!(moved, batch.fscr);
 }
