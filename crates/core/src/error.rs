@@ -61,7 +61,7 @@ pub enum CleanError {
         /// The configured worker count.
         workers: usize,
     },
-    /// A count that must be at least 1 is zero: the distributed driver's
+    /// A count that must be at least 1 is zero: the streaming coordinator's
     /// merge cadence (`merge_every`) or micro-batch size (`batch_rows`).
     Zero {
         /// The offending setting.

@@ -1003,7 +1003,7 @@ impl OrderWalk<'_> {
 /// twice, so every cell is read before it is overwritten — and share its
 /// value ids with the fusion's (the index pool is a snapshot of the
 /// dataset pool: γ ids write straight into the dataset).  Public so
-/// [`crate::StageTwo`] and external engine builders replay memoised
+/// [`crate::StageTwo`] and engines outside the crate replay memoised
 /// [`SharedFusion`]s exactly like [`ConflictResolver::resolve`] does.
 ///
 /// Per tuple this costs the changed cells and a reference-count bump: the

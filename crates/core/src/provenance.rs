@@ -21,7 +21,7 @@
 //! rows it later deleted, or a coordinator and a batch run.  So two named
 //! lists compare their text ([`Provenance::text`]), and compare ids directly
 //! only when both resolve through one arena and one schema.  Two unnamed
-//! lists compare ids: they come from one driver and its one pool.
+//! lists compare ids: they come from one engine and its one pool.
 //!
 //! On the wire a record travels as its text, so the frame of a report is the
 //! same whichever ids its engine assigned.  Decoding interns the text back
@@ -55,7 +55,7 @@ impl Names {
     /// The text of value `id`.
     ///
     /// # Panics
-    /// Panics if the pool did not issue `id`: a list is only ever named by
+    /// Panics if `id` is not in the pool: a list is only ever named by
     /// the report whose engine wrote its ids.
     pub fn value(&self, id: ValueId) -> &str {
         self.pool.resolve(id)
