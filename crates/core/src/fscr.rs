@@ -306,8 +306,26 @@ struct FusionCell {
 }
 
 impl SharedFusion {
+    /// What one distinct fusion holds besides its assignment pairs: the
+    /// shared cell and the assignment list's header, each allocation with
+    /// its two reference counts.
+    pub(crate) const CELL_BYTES: usize =
+        2 * size_of::<usize>() + size_of::<FusionCell>() + 2 * size_of::<usize>();
+
     fn new(fusion: TupleFusion, factors: Option<Factors>) -> Self {
         SharedFusion(Arc::new(FusionCell { fusion, factors }))
+    }
+
+    /// Tuple `t`'s outcome under this fusion, at the score it was fused
+    /// with: the outcome shares the fusion's assignment list.
+    pub(crate) fn outcome(&self, t: TupleId) -> FusionOutcome {
+        FusionOutcome {
+            tuple: t,
+            fused: Arc::clone(&self.fused),
+            f_score: self.f_score,
+            conflict_detected: self.conflict_detected,
+            fusion_failed: self.fusion_failed,
+        }
     }
 
     /// Live handles onto this fusion: its memory is freed with the last.
@@ -1002,9 +1020,10 @@ impl OrderWalk<'_> {
 /// hold the tuple's dirty values — a fusion never writes the same attribute
 /// twice, so every cell is read before it is overwritten — and share its
 /// value ids with the fusion's (the index pool is a snapshot of the
-/// dataset pool: γ ids write straight into the dataset).  Public so
-/// [`crate::StageTwo`] and engines outside the crate replay memoised
-/// [`SharedFusion`]s exactly like [`ConflictResolver::resolve`] does.
+/// dataset pool: γ ids write straight into the dataset).  Public so engines
+/// outside the crate replay [`SharedFusion`]s exactly like
+/// [`ConflictResolver::resolve`] does; [`crate::StageTwo`] patches its
+/// maintained rows through the same steps.
 ///
 /// Per tuple this costs the changed cells and a reference-count bump: the
 /// outcome shares the fusion's own assignment list, and the record holds
@@ -1014,19 +1033,6 @@ pub fn apply_tuple_fusion(
     repaired: &mut Dataset,
     t: TupleId,
     fusion: &SharedFusion,
-    record: &mut FscrRecord,
-) {
-    apply_scored_fusion(repaired, t, fusion, fusion.f_score, record);
-}
-
-/// [`apply_tuple_fusion`] recording `f_score` as the outcome's score —
-/// [`SharedFusion::f_score_at`] for a memoised fusion whose blocks' total
-/// support may have moved since it was scored.
-pub(crate) fn apply_scored_fusion(
-    repaired: &mut Dataset,
-    t: TupleId,
-    fusion: &SharedFusion,
-    f_score: f64,
     record: &mut FscrRecord,
 ) {
     for &(attr, value) in fusion.fused.iter() {
@@ -1040,13 +1046,7 @@ pub(crate) fn apply_scored_fusion(
             repaired.set_value_id(t, attr, value);
         }
     }
-    record.outcomes.push(FusionOutcome {
-        tuple: t,
-        fused: Arc::clone(&fusion.fused),
-        f_score,
-        conflict_detected: fusion.conflict_detected,
-        fusion_failed: fusion.fusion_failed,
-    });
+    record.outcomes.push(fusion.outcome(t));
 }
 
 /// Visit every permutation of `items[..k]` in place (Heap's algorithm).

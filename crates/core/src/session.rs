@@ -17,6 +17,11 @@
 //! [`crate::MlnClean::clean`] is: one bulk ingest plus
 //! [`CleaningSession::finish`].
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::changeset::ChangeSet;
 use crate::engine::{Report, Timings};
 use crate::error::CleanError;
@@ -226,8 +231,9 @@ impl CleaningSession {
 
     /// Re-clean whatever is dirty and produce the full [`Report`] over the
     /// net rows so far.  Only the work the changes since the last call made
-    /// necessary is redone; the rows are copied once (the fusions are written
-    /// into the copy) and the cleaned index is shared.
+    /// necessary is redone: Stage II patches the last report's rows where
+    /// their fusions were redone and copies the rest out; the cleaned index
+    /// is shared.
     pub fn outcome(&mut self) -> Report {
         self.refresh();
         self.report()
@@ -236,10 +242,9 @@ impl CleaningSession {
     /// [`CleaningSession::outcome`] once its refresh ran: settle the fusion
     /// memo and report.
     fn report(&mut self) -> Report {
-        let dirty = self.store.dataset().clone();
-        let report = self
-            .stage_two
-            .report(&mut self.stage_one, dirty, &mut self.timings);
+        let report =
+            self.stage_two
+                .report(&mut self.stage_one, self.store.dataset(), &mut self.timings);
         // Every block is clean and every fusion memoised now — the widest
         // footprint: shed back under the budget before handing it out.
         self.stage_two.enforce_budget(&mut self.stage_one);
@@ -247,13 +252,12 @@ impl CleaningSession {
     }
 
     /// Close the session, producing the final [`Report`]; unlike
-    /// [`CleaningSession::outcome`] the rows and the Stage-I provenance move
-    /// into it, uncopied.
+    /// [`CleaningSession::outcome`] the repaired rows, the FSCR record and
+    /// the Stage-I provenance move into it, uncopied.
     pub fn finish(mut self) -> Report {
         self.refresh();
-        let dirty = self.store.into_dataset();
         self.stage_two
-            .finish(self.stage_one, dirty, &mut self.timings)
+            .finish(self.stage_one, self.store.dataset(), &mut self.timings)
     }
 }
 

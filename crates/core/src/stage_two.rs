@@ -1,8 +1,8 @@
 //! The one Stage-II driver: [`StageTwo`] owns the per-tuple **fusion memo**
 //! — what FSCR (Algorithm 2) decided for each tuple the last time its data
 //! versions were fused — with its invalidation, its budget policy and the
-//! report tail that derives the final clean data from the versions (the
-//! paper's second stage: fuse, then drop exact duplicates).  It is
+//! report it maintains from the versions (the paper's second stage: fuse,
+//! then drop exact duplicates).  It is
 //! [`StageOne`]'s twin, and like it serves both [`crate::CleaningSession`]
 //! and the distributed streaming coordinator.
 //!
@@ -12,7 +12,8 @@
 //! [`StageOne::remap_removed`] takes), reports every Stage-I refresh
 //! ([`StageTwo::invalidate_refreshed`]) and asks for a [`Report`] over its
 //! dirty rows ([`StageTwo::report`], or [`StageTwo::finish`] on the drivers'
-//! last use, which moves the Stage-I provenance instead of copying it).
+//! last use, which moves the maintained report and the Stage-I provenance
+//! instead of copying them).
 //!
 //! **Invalidation.**  A fusion is a function of the tuple's version vector,
 //! of its covering blocks' substitution candidates and — through the Eq. 3
@@ -52,14 +53,30 @@
 //! [`crate::FusionOutcome::fused`] is the list the previous report already
 //! shares.
 //!
-//! **The repaired dataset is derived, not maintained.**  Every report
-//! walks every tuple's fusion to rebuild the [`FscrRecord`], and hands out a
-//! whole dataset either way; on that walk a tuple costs a handle bump for its
-//! outcome plus a store and a change record per *changed* cell written into
-//! a copy of the dirty rows — ids only, no string — where a second resident
-//! dataset would have to mirror every insert, update and delete.  The report
-//! names its records' ids once, by its cleaned index's pool and its rows'
-//! schema ([`crate::provenance`]).
+//! **The report is maintained, not re-derived.**  Between reports the
+//! driver keeps the report's Stage-II half — the repaired rows as one column
+//! of value ids per attribute, every tuple's [`crate::FusionOutcome`], the
+//! cell changes in tuple order, and a dedup index (a hash per row, each
+//! exact-duplicate class's members linked in row order, and a table of the
+//! classes' first occurrences) — and a report patches it, the way a
+//! materialized view applies a delta instead of recomputing its query.  It
+//! rewrites only slots settling refilled, reading only those rows from the
+//! caller's rows: a new row, a row the caller wrote
+//! ([`StageTwo::invalidate`]), or one whose new fusion assigns otherwise
+//! than its standing outcome — a refilled slot with the same row and the
+//! same assignment has the same repaired values and cell changes, and only
+//! takes its new outcome.  It re-folds the standing fusions' scores only
+//! for the tuples of the blocks a refresh rescaled since the last report;
+//! it appends on [`StageTwo::grow`] and renumbers on
+//! [`StageTwo::remap_removed`]; and when a class's first occurrence changes
+//! its values or leaves, first place passes to the next member of the
+//! class.  Everything else is copied out as it stands.
+//! [`StageTwo::finish`] runs the same patch and moves the state out, so a
+//! batch run is the case where every slot was refilled.  The view holds ids
+//! and no pool handle: the report attaches the caller's pool when it is
+//! assembled, so a new value the caller interns later copies no arena the
+//! view shares.  The report names its records' ids once, by its cleaned
+//! index's pool and its rows' schema ([`crate::provenance`]).
 //!
 //! **Budget.**  Under a [`CleanConfig::memory_budget`] the memo shares the
 //! budget with Stage I's block memos ([`StageTwo::enforce_budget`]): cold
@@ -68,13 +85,16 @@
 //! re-derived by the next report.  The estimate counts **distinct fusions**,
 //! not slots: a slot is a pointer in the memo's inline buffer, and emptying
 //! it frees memory only if it held the last handle onto its fusion — only
-//! then does the estimate fall, by a fixed charge for the fusion and for each
-//! attribute it assigns.  A sweep over tuples
+//! then does the estimate fall, by the fusion's shared cell plus one
+//! `(AttrId, ValueId)` pair per attribute it assigns.  A sweep over tuples
 //! whose vectors later tuples share therefore frees nothing and keeps going.
 //! (A clone of the driver shares its handles: what both hold stays charged to
 //! both until one lets go.)  A fusion is a deterministic function of the
 //! cleaned index, so eviction trades time for memory and never a byte of
-//! output.
+//! output.  The maintained report is output, not memo, and the budget does
+//! not bound it: it is one table of ids, the size of the report a caller
+//! holds.  Its outcomes share their fusions' assignment lists, so an evicted
+//! fusion's list lives on while its tuple's outcome names it.
 
 #![cfg_attr(
     not(test),
@@ -83,24 +103,30 @@
 
 use crate::agp::AgpRecord;
 use crate::engine::{Report, Timings};
-use crate::fscr::{apply_scored_fusion, ConflictResolver, FscrRecord, SharedFusion};
-use crate::index::Block;
+use crate::fscr::{CellChange, ConflictResolver, FscrRecord, FusionOutcome, SharedFusion};
+use crate::index::{Block, MlnIndex};
 use crate::rsc::RscRecord;
 use crate::stage_one::{MemoryStats, Refreshed, StageOne};
 use crate::weights::block_support;
 use crate::CleanConfig;
-use dataset::{Dataset, TupleId};
+use dataset::{AttrId, CellRef, Dataset, TupleId, ValueId};
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// What the budget estimate charges a distinct memoised fusion: this much
-/// for the shared cell and the assignment list's header, and again for each
-/// fused attribute, allocator slack included.
-const FUSION_UNIT_BYTES: usize = 128;
-
+/// What the budget estimate charges a distinct memoised fusion: its shared
+/// cell, and one pair per attribute it assigns.
 fn fusion_bytes(fusion: &SharedFusion) -> usize {
-    FUSION_UNIT_BYTES * (1 + fusion.fused.len())
+    SharedFusion::CELL_BYTES + fusion.fused.len() * size_of::<(AttrId, ValueId)>()
 }
+
+/// A slot flag: the fusion is conflicted, so any recompute in its blocks
+/// makes it stale.
+const CONFLICTED: u8 = 1;
+/// A slot flag: the fusion keeps no factors, so a moved `Z` in its blocks
+/// makes it stale.
+const UNFACTORED: u8 = 2;
 
 /// The Stage-II driver — see the [module docs](self).
 #[derive(Debug, Clone)]
@@ -109,6 +135,10 @@ pub struct StageTwo {
     /// Per tuple: a handle onto the memoised fusion of its version vector
     /// (`None` = fuse it at the next report).
     fusions: Vec<Option<SharedFusion>>,
+    /// Per slot: which refreshes make its fusion stale ([`CONFLICTED`],
+    /// [`UNFACTORED`]) — read beside the slot, so the invalidation walk
+    /// over a refreshed block does not visit the fusions.
+    fragile: Vec<u8>,
     /// Number of `Some` slots in `fusions` — kept exact so the
     /// nothing-to-fuse test does not scan the O(rows) memo.
     memoised: usize,
@@ -119,18 +149,33 @@ pub struct StageTwo {
     evicted: u64,
     /// Slots filled so far — see [`StageTwo::fused_tuples`].
     fused: u64,
+    /// The last report's Stage-II half, which the next one patches.
+    view: View,
+    /// Blocks whose total support a refresh moved since the last report:
+    /// the standing fusions of their tuples are re-scored.
+    rescaled: Vec<usize>,
+    /// Rows the caller wrote since the last report ([`StageTwo::invalidate`]),
+    /// unsorted: the rows whose dirty values may have moved.
+    written: Vec<usize>,
+    /// Rows reports rewrote so far — see [`StageTwo::rewritten_rows`].
+    rewritten: u64,
 }
 
 impl StageTwo {
     /// A driver over no rows.
     pub fn new(config: CleanConfig) -> Self {
         StageTwo {
+            view: View::new(config.deduplicate),
             config,
             fusions: Vec::new(),
+            fragile: Vec::new(),
             memoised: 0,
             memo_bytes: 0,
             evicted: 0,
             fused: 0,
+            rescaled: Vec::new(),
+            written: Vec::new(),
+            rewritten: 0,
         }
     }
 
@@ -146,16 +191,33 @@ impl StageTwo {
         self.fused
     }
 
+    /// Cumulative number of rows reports rewrote in the maintained report
+    /// (vs copied out as they stood) — the sibling of
+    /// [`StageTwo::fused_tuples`]: a report rewrites at most the slots it
+    /// refilled, those whose row or assignment moved.
+    pub fn rewritten_rows(&self) -> u64 {
+        self.rewritten
+    }
+
+    /// Cells of the repaired rows kept between reports: rows × arity as of
+    /// the last report, 0 before the first.
+    pub fn view_cells(&self) -> usize {
+        self.view.rows * self.view.columns.len()
+    }
+
     /// Rows were appended: one empty slot for each, up to `rows` in all.
     pub fn grow(&mut self, rows: usize) {
         self.fusions.resize(rows, None);
+        self.fragile.resize(rows, 0);
     }
 
     /// Empty `t`'s slot.  A cell update calls this for the tuple it wrote:
     /// its versions may have moved where no refresh will say so — a block it
-    /// left no longer lists it.
+    /// left no longer lists it — and so may its row, which the next report
+    /// reads again.
     pub fn invalidate(&mut self, t: TupleId) {
         self.release(t.index());
+        self.written.push(t.index());
     }
 
     /// Empty slot `t`; whether it held a handle.
@@ -170,36 +232,41 @@ impl StageTwo {
         true
     }
 
-    /// Drop the slots of removed rows (`removed`: sorted, deduplicated
-    /// pre-removal row indices); later slots shift down.
+    /// Drop the slots and maintained rows of removed rows (`removed`:
+    /// sorted, deduplicated pre-removal row indices); later ones shift down.
     pub fn remap_removed(&mut self, removed: &[usize]) {
         for &row in removed {
-            self.invalidate(TupleId(row));
+            self.release(row);
         }
-        let mut row = 0usize;
-        self.fusions.retain(|_| {
-            row += 1;
-            removed.binary_search(&(row - 1)).is_err()
-        });
+        drop_removed(&mut self.fusions, removed);
+        drop_removed(&mut self.fragile, removed);
+        self.written
+            .retain(|row| removed.binary_search(row).is_err());
+        for row in &mut self.written {
+            *row -= removed.partition_point(|&r| r < *row);
+        }
+        self.view.remap_removed(removed);
     }
 
     /// Empty the slots a Stage-I refresh made stale — see the
     /// [module docs](self) for the three rules.  `pristine` is the slice
     /// [`StageOne::refresh`] was handed.
     pub fn invalidate_refreshed(&mut self, refreshed: &Refreshed, pristine: &[(usize, &Block)]) {
+        self.rescaled.extend(&refreshed.rescaled);
         for &t in &refreshed.invalidated {
-            self.invalidate(t);
+            self.release(t.index());
         }
         for (i, block) in pristine {
             if !refreshed.blocks.contains(i) {
                 continue;
             }
-            let rescaled = refreshed.rescaled.contains(i);
-            let stale =
-                |f: &SharedFusion| f.conflict_detected || (rescaled && !f.survives_rescale());
+            let stale = match refreshed.rescaled.contains(i) {
+                true => CONFLICTED | UNFACTORED,
+                false => CONFLICTED,
+            };
             for &t in block.gammas().flat_map(|gamma| &gamma.tuples) {
-                if self.fusions[t.index()].as_ref().is_some_and(stale) {
-                    self.invalidate(t);
+                if self.fragile[t.index()] & stale != 0 {
+                    self.release(t.index());
                 }
             }
         }
@@ -248,19 +315,25 @@ impl StageTwo {
         }
     }
 
-    /// Fuse exactly the empty slots from `stage_one`'s cleaned index;
-    /// returns the substitution candidates the new fusions tested.
-    fn settle(&mut self, stage_one: &mut StageOne, timings: &mut Timings) -> u64 {
+    /// Fuse exactly the empty slots from `stage_one`'s cleaned index; the
+    /// slots it filled, in tuple order, each with its new fusion, and the
+    /// substitution candidates the new fusions tested.
+    fn settle(
+        &mut self,
+        stage_one: &mut StageOne,
+        timings: &mut Timings,
+    ) -> (Vec<(usize, SharedFusion)>, u64) {
         // Drop cold memos *before* the fusion allocations below, but evict
         // no fusion: the memo is about to be refilled.
         self.shed_blocks(stage_one);
         if self.memoised == self.fusions.len() {
-            return 0; // nothing invalidated — skip the plan build entirely
+            return (Vec::new(), 0); // nothing invalidated — skip the plan build entirely
         }
         let started = Instant::now();
         let wanted: Vec<bool> = self.fusions.iter().map(Option::is_none).collect();
         let resolver = ConflictResolver::new(self.config.max_exhaustive_fusion);
         let plan = resolver.plan_for(stage_one.cleaned(), &wanted);
+        let mut refilled = Vec::with_capacity(self.fusions.len() - self.memoised);
         for (t, slot) in self.fusions.iter_mut().enumerate() {
             if slot.is_none() {
                 let fusion = resolver.fuse_tuple(&plan, TupleId(t));
@@ -268,100 +341,621 @@ impl StageTwo {
                 if fusion.holders() == 2 {
                     self.memo_bytes += fusion_bytes(&fusion);
                 }
-                *slot = Some(fusion);
+                self.fragile[t] = u8::from(fusion.conflict_detected) * CONFLICTED
+                    + u8::from(!fusion.survives_rescale()) * UNFACTORED;
+                *slot = Some(fusion.clone());
+                refilled.push((t, fusion));
             }
         }
-        self.fused += (self.fusions.len() - self.memoised) as u64;
+        self.fused += refilled.len() as u64;
         self.memoised = self.fusions.len();
         timings.fscr += started.elapsed();
-        plan.candidates_tested()
+        (refilled, plan.candidates_tested())
     }
 
-    /// Produce the [`Report`] over `dirty` — the caller's rows, one per
-    /// slot, every dirty block refreshed: settle the memo, write each
-    /// tuple's fusion into the rows (they become [`Report::repaired`]) while
-    /// recording it in tuple order, exactly like a batch run emits it, and
-    /// drop exact duplicates if [`CleanConfig::deduplicate`] says so.  The
-    /// clocks run into `timings.fscr` / `timings.dedup`, and the report
-    /// carries `timings` as they then read.  The Stage-I provenance is a
-    /// copy of `stage_one`'s, and every record list is named by the cleaned
-    /// index's pool and `dirty`'s schema.
+    /// Settle the memo and patch the maintained report to `rows` — the
+    /// shared tail of [`StageTwo::report`] and [`StageTwo::finish`]; returns
+    /// the substitution candidates the new fusions tested.
+    fn patch(&mut self, stage_one: &mut StageOne, rows: &Dataset, timings: &mut Timings) -> u64 {
+        let (refilled, candidates_tested) = self.settle(stage_one, timings);
+        let started = Instant::now();
+        let mut rescaled = std::mem::take(&mut self.rescaled);
+        rescaled.sort_unstable();
+        rescaled.dedup();
+        if !rescaled.is_empty() {
+            let cleaned = stage_one.cleaned();
+            let supports: Vec<usize> = cleaned.blocks.iter().map(block_support).collect();
+            let blocks = rescaled.iter().map(|&b| &cleaned.blocks[b]);
+            self.view.rescore(blocks, &self.fusions, &supports);
+        }
+        let mut written = std::mem::take(&mut self.written);
+        written.sort_unstable();
+        written.dedup();
+        timings.fscr += started.elapsed();
+        let rewritten = self.view.rewrite(&refilled, &written, rows, timings);
+        self.rewritten += rewritten as u64;
+        candidates_tested
+    }
+
+    /// Produce the [`Report`] over `rows` — the caller's rows, one per slot,
+    /// every dirty block refreshed: settle the memo, patch the maintained
+    /// report (module docs) and copy it out — the repaired rows named by
+    /// `rows`' pool, the FSCR record in tuple order exactly like a batch run
+    /// emits it, and the rows without exact duplicates if
+    /// [`CleanConfig::deduplicate`] says so.  The clocks run into
+    /// `timings.fscr` / `timings.dedup`, and the report carries `timings` as
+    /// they then read.  The Stage-I provenance is a copy of `stage_one`'s,
+    /// and every record list is named by the cleaned index's pool and `rows`'
+    /// schema.
     pub fn report(
         &mut self,
         stage_one: &mut StageOne,
-        dirty: Dataset,
+        rows: &Dataset,
         timings: &mut Timings,
     ) -> Report {
-        let mut report = self.assemble(stage_one, dirty, timings);
+        let candidates_tested = self.patch(stage_one, rows, timings);
+        let started = Instant::now();
+        let view = &mut self.view;
+        let repaired = view.dataset(rows, view.columns.clone());
+        let fscr = FscrRecord {
+            outcomes: view.outcomes.clone().into(),
+            changes: view.changes.clone().into(),
+            candidates_tested,
+        };
+        timings.fscr += started.elapsed();
+        let mut report = assemble(repaired, fscr, view, stage_one.cleaned(), timings);
         (report.agp, report.rsc) = stage_one.records();
         report.name_records();
         report
     }
 
-    /// [`StageTwo::report`] on the drivers' last use: the Stage-I
-    /// provenance moves into the report, uncopied.
+    /// [`StageTwo::report`] on the drivers' last use: the maintained report
+    /// and the Stage-I provenance move into the report, uncopied.
     pub fn finish(
         mut self,
         mut stage_one: StageOne,
-        dirty: Dataset,
+        rows: &Dataset,
         timings: &mut Timings,
     ) -> Report {
-        let mut report = self.assemble(&mut stage_one, dirty, timings);
+        let candidates_tested = self.patch(&mut stage_one, rows, timings);
+        let mut view = self.view;
+        let columns = std::mem::take(&mut view.columns);
+        let repaired = view.dataset(rows, columns);
+        let fscr = FscrRecord {
+            outcomes: std::mem::take(&mut view.outcomes).into(),
+            changes: std::mem::take(&mut view.changes).into(),
+            candidates_tested,
+        };
+        let mut report = assemble(repaired, fscr, &mut view, stage_one.cleaned(), timings);
         (report.agp, report.rsc) = stage_one.into_records();
         report.name_records();
         report
     }
+}
 
-    /// The report of [`StageTwo::report`] with empty Stage-I provenance.
-    fn assemble(
-        &mut self,
-        stage_one: &mut StageOne,
-        dirty: Dataset,
-        timings: &mut Timings,
-    ) -> Report {
-        // With no fusion memoised, every one is scored by this settle at the
-        // blocks' current totals — a batch run re-scores nothing.
-        let all_fresh = self.memoised == 0;
-        let candidates_tested = self.settle(stage_one, timings);
+/// A report of `repaired` and `fscr` with empty Stage-I provenance: the rows
+/// without exact duplicates are the first occurrences `view`'s dedup index
+/// flags, if it keeps one.
+fn assemble(
+    repaired: Dataset,
+    fscr: FscrRecord,
+    view: &mut View,
+    cleaned: &Arc<MlnIndex>,
+    timings: &mut Timings,
+) -> Report {
+    let deduplicated = view.classes.as_mut().map(|classes| {
         let started = Instant::now();
-        let cleaned = Arc::clone(stage_one.cleaned());
-        let supports: Option<Vec<usize>> =
-            (!all_fresh).then(|| cleaned.blocks.iter().map(block_support).collect());
-        let mut repaired = dirty;
-        let mut fscr = FscrRecord {
-            candidates_tested,
-            ..FscrRecord::default()
-        };
-        for (t, fusion) in self.fusions.iter().enumerate() {
-            #[allow(
-                clippy::expect_used,
-                reason = "settle() fills every empty slot and nothing empties one before this loop"
-            )]
-            let fusion = fusion.as_ref().expect("settled just above");
-            let f_score = match &supports {
-                Some(supports) => fusion.f_score_at(supports),
-                None => fusion.f_score,
-            };
-            apply_scored_fusion(&mut repaired, TupleId(t), fusion, f_score, &mut fscr);
+        let deduplicated = repaired.project_rows(classes.firsts());
+        timings.dedup += started.elapsed();
+        deduplicated
+    });
+    Report {
+        repaired,
+        deduplicated,
+        index: Some(Arc::clone(cleaned)),
+        agp: AgpRecord::default(),
+        rsc: RscRecord::default(),
+        fscr,
+        timings: *timings,
+        partitions: None,
+    }
+}
+
+/// Drop the items at `removed` (sorted, deduplicated indices); later ones
+/// shift down.
+fn drop_removed<T>(items: &mut Vec<T>, removed: &[usize]) {
+    // A few rows shift the tail once each (one memmove apiece); many, in one
+    // pass.
+    if removed.len() <= 8 {
+        for &row in removed.iter().rev() {
+            if row < items.len() {
+                items.remove(row);
+            }
         }
+        return;
+    }
+    let mut removed = removed.iter().peekable();
+    let mut at = 0usize;
+    items.retain(|_| {
+        let gone = removed.next_if_eq(&&at).is_some();
+        at += 1;
+        !gone
+    });
+}
+
+/// The report's Stage-II half as the last report left it — see the
+/// [module docs](self).  Ids only: a report attaches the caller's pool.
+#[derive(Debug, Clone)]
+struct View {
+    /// Rows covered: the slots the last report settled.  Slots past it are
+    /// new since, and empty.
+    rows: usize,
+    /// The repaired rows, one column per attribute (none before the first
+    /// report).
+    columns: Vec<Vec<ValueId>>,
+    /// Per tuple: its FSCR outcome.
+    outcomes: Vec<FusionOutcome>,
+    /// Every cell the fusions rewrote, in tuple order.
+    changes: Vec<CellChange>,
+    /// The dedup index; `None` when deduplication is off.
+    classes: Option<Classes>,
+}
+
+impl View {
+    fn new(deduplicate: bool) -> Self {
+        View {
+            rows: 0,
+            columns: Vec::new(),
+            outcomes: Vec::new(),
+            changes: Vec::new(),
+            classes: deduplicate.then(Classes::new),
+        }
+    }
+
+    /// `columns` — the view's rows or a copy of them — as a dataset named
+    /// by `rows`' schema and pool.
+    fn dataset(&self, rows: &Dataset, columns: Vec<Vec<ValueId>>) -> Dataset {
+        Dataset::from_columns(
+            rows.schema().clone(),
+            rows.pool().clone(),
+            columns,
+            self.rows,
+        )
+    }
+
+    /// Re-fold the standing outcomes' scores under `supports`, the cleaned
+    /// blocks' current total supports: the outcomes of the tuples of
+    /// `blocks`, the rescaled ones — or of every tuple, when those blocks
+    /// list as many.  (A standing fusion's factors name blocks that cover its
+    /// tuple now: a tuple whose cover moved was written, hence refilled.)
+    fn rescore<'a>(
+        &mut self,
+        blocks: impl Iterator<Item = &'a Block> + Clone,
+        fusions: &[Option<SharedFusion>],
+        supports: &[usize],
+    ) {
+        let mut rescore = |t: usize| {
+            if let (Some(outcome), Some(Some(fusion))) = (self.outcomes.get_mut(t), fusions.get(t))
+            {
+                outcome.f_score = fusion.f_score_at(supports);
+            }
+        };
+        let listed: usize = blocks
+            .clone()
+            .flat_map(Block::gammas)
+            .map(|g| g.tuples.len())
+            .sum();
+        if listed >= self.rows {
+            (0..self.rows).for_each(rescore);
+        } else {
+            let tuples = blocks.flat_map(Block::gammas).flat_map(|g| &g.tuples);
+            tuples.for_each(|t| rescore(t.index()));
+        }
+    }
+
+    /// Rewrite the refilled rows (`refilled`: tuple order, every slot past
+    /// the view's rows among them) whose row or assignment may have moved —
+    /// a new row, a row the caller wrote (`written`, sorted) or a fusion
+    /// whose assignment differs from the standing outcome's — from `rows`;
+    /// every refilled row takes its new outcome, scored as fused (a fresh
+    /// fusion is scored at the blocks' current totals).  The view then
+    /// covers `rows`.  Returns the rows rewritten.  The clocks run into
+    /// `timings.fscr`, and `timings.dedup` for the dedup index.
+    fn rewrite(
+        &mut self,
+        refilled: &[(usize, SharedFusion)],
+        written: &[usize],
+        rows: &Dataset,
+        timings: &mut Timings,
+    ) -> usize {
+        let started = Instant::now();
+        // New rows join as the caller holds them and are fused in place;
+        // a standing row waits until the dedup index has let it go.
+        let standing_rows = self.rows;
+        if self.columns.is_empty() {
+            self.columns = vec![Vec::new(); rows.schema().arity()];
+        }
+        for (a, column) in self.columns.iter_mut().enumerate() {
+            column.extend_from_slice(&rows.column(AttrId(a))[standing_rows..]);
+        }
+        self.rows = rows.len();
+        let (mut standing, mut appended) = (Vec::new(), Vec::new());
+        let mut fresh = Vec::new();
+        let mut written = written.iter().peekable();
+        for (t, fusion) in refilled {
+            let t = *t;
+            let outcome = fusion.outcome(TupleId(t));
+            while written.next_if(|&&w| w < t).is_some() {}
+            let read = written.peek() == Some(&&t);
+            match self.outcomes.get_mut(t) {
+                // Same row, same assignment: same repaired values and cell
+                // changes.
+                Some(kept) if !read && kept.fused == outcome.fused => *kept = outcome,
+                Some(kept) => {
+                    *kept = outcome;
+                    standing.push((t, fusion));
+                }
+                None => {
+                    self.outcomes.push(outcome);
+                    rewrite_row(&mut self.columns, t, fusion, &mut fresh);
+                    appended.push(t);
+                }
+            }
+        }
+        debug_assert_eq!(
+            self.outcomes.len(),
+            rows.len(),
+            "every new slot is refilled"
+        );
         timings.fscr += started.elapsed();
 
-        let deduplicated = self.config.deduplicate.then(|| {
-            let started = Instant::now();
-            let deduplicated = repaired.deduplicated();
-            timings.dedup += started.elapsed();
-            deduplicated
-        });
-        Report {
-            repaired,
-            deduplicated,
-            index: Some(cleaned),
-            agp: AgpRecord::default(),
-            rsc: RscRecord::default(),
-            fscr,
-            timings: *timings,
-            partitions: None,
+        let started = Instant::now();
+        if let Some(classes) = &mut self.classes {
+            classes.take_out(standing.iter().map(|&(t, _)| t), &self.columns);
         }
+        timings.dedup += started.elapsed();
+
+        let started = Instant::now();
+        for (a, column) in self.columns.iter_mut().enumerate() {
+            let dirty = rows.column(AttrId(a));
+            for &(t, _) in &standing {
+                column[t] = dirty[t];
+            }
+        }
+        // The standing rows precede the new ones, and so do their changes.
+        let mut changes = Vec::new();
+        for &(t, fusion) in &standing {
+            rewrite_row(&mut self.columns, t, fusion, &mut changes);
+        }
+        changes.append(&mut fresh);
+        let mut rewritten: Vec<usize> = standing.into_iter().map(|(t, _)| t).collect();
+        rewritten.append(&mut appended);
+        self.splice_changes(&rewritten, changes);
+        timings.fscr += started.elapsed();
+
+        let started = Instant::now();
+        if let Some(classes) = &mut self.classes {
+            classes.put_in(&rewritten, &self.columns, self.rows);
+        }
+        timings.dedup += started.elapsed();
+        rewritten.len()
+    }
+
+    /// Replace the `rewritten` rows' cell changes (tuple order) by `fresh`,
+    /// theirs now, keeping tuple order.
+    fn splice_changes(&mut self, rewritten: &[usize], fresh: Vec<CellChange>) {
+        if rewritten.is_empty() {
+            return;
+        }
+        let standing = std::mem::take(&mut self.changes);
+        let mut changes = Vec::with_capacity(standing.len() + fresh.len());
+        let mut fresh = fresh.into_iter().peekable();
+        let mut rewritten = rewritten.iter().peekable();
+        for change in standing {
+            let t = change.cell.tuple.index();
+            while let Some(new) = fresh.next_if(|new| new.cell.tuple.index() < t) {
+                changes.push(new);
+            }
+            while rewritten.next_if(|&&r| r < t).is_some() {}
+            if rewritten.peek() != Some(&&t) {
+                changes.push(change);
+            }
+        }
+        changes.extend(fresh);
+        self.changes = changes;
+    }
+
+    /// Drop the removed rows the view covers and renumber the rest
+    /// (`removed`: sorted, deduplicated pre-removal row indices).
+    fn remap_removed(&mut self, removed: &[usize]) {
+        let removed = &removed[..removed.partition_point(|&r| r < self.rows)];
+        if removed.is_empty() {
+            return;
+        }
+        if let Some(classes) = &mut self.classes {
+            classes.remap_removed(removed, &self.columns);
+        }
+        for column in &mut self.columns {
+            drop_removed(column, removed);
+        }
+        drop_removed(&mut self.outcomes, removed);
+        for (t, outcome) in self.outcomes.iter_mut().enumerate() {
+            outcome.tuple = TupleId(t);
+        }
+        self.changes
+            .retain(|change| removed.binary_search(&change.cell.tuple.index()).is_err());
+        for change in &mut self.changes {
+            let t = change.cell.tuple.index();
+            change.cell.tuple = TupleId(t - removed.partition_point(|&r| r < t));
+        }
+        self.rows -= removed.len();
+    }
+}
+
+/// Write tuple `t`'s fusion into `columns`, which hold its dirty values,
+/// and append each cell it changes to `changes` — the maintained report's
+/// [`crate::apply_tuple_fusion`].
+fn rewrite_row(
+    columns: &mut [Vec<ValueId>],
+    t: usize,
+    fusion: &SharedFusion,
+    changes: &mut Vec<CellChange>,
+) {
+    for &(attr, new) in fusion.fused.iter() {
+        let cell = &mut columns[attr.index()][t];
+        if *cell != new {
+            changes.push(CellChange {
+                cell: CellRef::new(TupleId(t), attr),
+                old: *cell,
+                new,
+            });
+            *cell = new;
+        }
+    }
+}
+
+/// The dedup index of the maintained rows: a hash per row, the members of
+/// each exact-duplicate class linked in row order, and an open-addressing
+/// table of the classes' first occurrences placed by their hash — linear
+/// probing, never more than half full, like `Dataset::deduplicated`'s.
+/// Two classes whose hashes collide both sit in the table, told apart by
+/// their values: rows of one table share one pool, so id equality is value
+/// equality.
+#[derive(Debug, Clone)]
+struct Classes {
+    /// Seeds the row hash.
+    seed: u64,
+    /// Per row: its hash, as it was put in.
+    hashes: Vec<u64>,
+    /// Per row: the next and the previous member of its class ([`NONE`]
+    /// past the ends).
+    next: Vec<usize>,
+    prev: Vec<usize>,
+    /// Per first occurrence: the last member of its class.
+    last: Vec<usize>,
+    /// Per row: whether it is the first occurrence of its class.
+    first: Vec<bool>,
+    /// The first occurrences in row order, as of the last
+    /// [`Classes::firsts`]; `None` once a class changed since.
+    firsts: Option<Vec<TupleId>>,
+    /// A power of two of slots, each a first occurrence or [`NONE`].
+    slots: Vec<usize>,
+    /// Slots held.
+    classes: usize,
+}
+
+/// No row: an empty slot, or past the end of a class.
+const NONE: usize = usize::MAX;
+
+/// Whether rows `a` and `b` hold the same values.
+fn same_row(columns: &[Vec<ValueId>], a: usize, b: usize) -> bool {
+    columns.iter().all(|column| column[a] == column[b])
+}
+
+impl Classes {
+    fn new() -> Self {
+        Classes {
+            seed: RandomState::new().hash_one(0u64),
+            hashes: Vec::new(),
+            next: Vec::new(),
+            prev: Vec::new(),
+            last: Vec::new(),
+            first: Vec::new(),
+            firsts: None,
+            slots: vec![NONE; 2],
+            classes: 0,
+        }
+    }
+
+    /// One hash per row of `rows`, each folded over its values in column
+    /// order (so equal rows hash equal) — column by column, so a run of rows
+    /// reads each column front to back.
+    fn hashes(&self, columns: &[Vec<ValueId>], rows: &[usize]) -> Vec<u64> {
+        let mut hashes = vec![self.seed; rows.len()];
+        for column in columns {
+            for (hash, &row) in hashes.iter_mut().zip(rows) {
+                *hash = (hash.rotate_left(5) ^ u64::from(column[row].0))
+                    .wrapping_mul(0x517c_c1b7_2722_0a95);
+            }
+        }
+        hashes
+    }
+
+    /// The slot `hash` starts probing at: its top bits, the best mixed of a
+    /// multiplicative hash.
+    fn home(&self, hash: u64) -> usize {
+        (hash >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// The slot of the class holding `row`'s values, hashed `hash`, or the
+    /// empty slot its probe ends on.
+    fn find(&self, hash: u64, row: usize, columns: &[Vec<ValueId>]) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(hash);
+        loop {
+            match self.slots[slot] {
+                NONE => return Err(slot),
+                head if self.hashes[head] == hash && same_row(columns, head, row) => {
+                    return Ok(slot)
+                }
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Make room for `more` classes, doubling the table and re-placing every
+    /// first occurrence by its stored hash while that keeps it over half
+    /// empty.
+    fn reserve(&mut self, more: usize) {
+        let wanted = (2 * (self.classes + more)).next_power_of_two().max(2);
+        if wanted <= self.slots.len() {
+            return;
+        }
+        let held = std::mem::replace(&mut self.slots, vec![NONE; wanted]);
+        let mask = wanted - 1;
+        for head in held.into_iter().filter(|&head| head != NONE) {
+            let mut slot = self.home(self.hashes[head]);
+            while self.slots[slot] != NONE {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = head;
+        }
+    }
+
+    /// Empty `slot`, shifting back the entries of its probe run that it
+    /// would otherwise cut off from their home.
+    fn vacate(&mut self, mut slot: usize) {
+        let mask = self.slots.len() - 1;
+        let mut probe = slot;
+        loop {
+            probe = (probe + 1) & mask;
+            let head = self.slots[probe];
+            if head == NONE {
+                break;
+            }
+            let home = self.home(self.hashes[head]);
+            if (probe.wrapping_sub(home) & mask) >= (probe.wrapping_sub(slot) & mask) {
+                self.slots[slot] = head;
+                slot = probe;
+            }
+        }
+        self.slots[slot] = NONE;
+        self.classes -= 1;
+    }
+
+    /// Take `rows` (ascending, holding the values they were put in with)
+    /// out of their classes: a first occurrence that leaves hands first
+    /// place to the next member of its class.
+    fn take_out(&mut self, rows: impl Iterator<Item = usize>, columns: &[Vec<ValueId>]) {
+        for row in rows {
+            self.firsts = None;
+            let Ok(slot) = self.find(self.hashes[row], row, columns) else {
+                continue;
+            };
+            let head = self.slots[slot];
+            let (prev, next) = (self.prev[row], self.next[row]);
+            if row == head {
+                if next == NONE {
+                    self.vacate(slot);
+                } else {
+                    self.slots[slot] = next;
+                    self.prev[next] = NONE;
+                    self.last[next] = self.last[row];
+                    self.first[next] = true;
+                }
+            } else {
+                self.next[prev] = next;
+                match next {
+                    NONE => self.last[head] = prev,
+                    next => self.prev[next] = prev,
+                }
+            }
+            (self.prev[row], self.next[row], self.first[row]) = (NONE, NONE, false);
+        }
+    }
+
+    /// Put `rows` (ascending) into the classes of the values `columns` now
+    /// holds for them, the index then covering `len` rows: a row that joins
+    /// a class ahead of its first occurrence takes first place.
+    fn put_in(&mut self, rows: &[usize], columns: &[Vec<ValueId>], len: usize) {
+        let hashes = self.hashes(columns, rows);
+        self.place(rows, &hashes, columns, len);
+    }
+
+    /// [`Classes::put_in`] with the rows' hashes given.
+    fn place(&mut self, rows: &[usize], hashes: &[u64], columns: &[Vec<ValueId>], len: usize) {
+        for per_row in [&mut self.next, &mut self.prev, &mut self.last] {
+            per_row.resize(len, NONE);
+        }
+        self.hashes.resize(len, 0);
+        self.first.resize(len, false);
+        if !rows.is_empty() {
+            self.firsts = None;
+        }
+        self.reserve(rows.len());
+        for (&row, &hash) in rows.iter().zip(hashes) {
+            self.hashes[row] = hash;
+            let slot = match self.find(hash, row, columns) {
+                Ok(slot) => slot,
+                Err(vacant) => {
+                    self.slots[vacant] = row;
+                    self.classes += 1;
+                    (self.last[row], self.first[row]) = (row, true);
+                    continue;
+                }
+            };
+            let head = self.slots[slot];
+            if row < head {
+                // Ahead of the first occurrence: first place is the row's.
+                (self.next[row], self.prev[head]) = (head, row);
+                (self.last[row], self.first[row], self.first[head]) =
+                    (self.last[head], true, false);
+                self.slots[slot] = row;
+                continue;
+            }
+            let mut before = self.last[head];
+            if before > row {
+                before = head;
+                while self.next[before] < row {
+                    before = self.next[before];
+                }
+            }
+            let after = self.next[before];
+            (self.prev[row], self.next[row], self.next[before]) = (before, after, row);
+            match after {
+                NONE => self.last[head] = row,
+                after => self.prev[after] = row,
+            }
+        }
+    }
+
+    /// Take the removed rows out (`removed`: sorted, deduplicated) and
+    /// renumber the rest.
+    fn remap_removed(&mut self, removed: &[usize], columns: &[Vec<ValueId>]) {
+        self.take_out(removed.iter().copied(), columns);
+        self.firsts = None;
+        let renumber = |row: &mut usize| {
+            if *row != NONE {
+                *row -= removed.partition_point(|&r| r < *row);
+            }
+        };
+        for per_row in [&mut self.next, &mut self.prev, &mut self.last] {
+            drop_removed(per_row, removed);
+            per_row.iter_mut().for_each(renumber);
+        }
+        drop_removed(&mut self.hashes, removed);
+        drop_removed(&mut self.first, removed);
+        self.slots.iter_mut().for_each(renumber);
+    }
+
+    /// The first occurrences, in row order.
+    fn firsts(&mut self) -> &[TupleId] {
+        self.firsts.get_or_insert_with(|| {
+            let rows = self.first.iter().enumerate();
+            rows.filter(|&(_, &first)| first)
+                .map(|(row, _)| TupleId(row))
+                .collect()
+        })
     }
 }
 
@@ -440,8 +1034,7 @@ mod tests {
             let refreshed = self.one.refresh(&dirty, index.pool(), &mut timings);
             self.two.invalidate_refreshed(&refreshed, &dirty);
             self.one.sync_pool(self.table.ds.pool());
-            let rows = self.table.ds.clone();
-            let report = self.two.report(&mut self.one, rows, &mut timings);
+            let report = self.two.report(&mut self.one, &self.table.ds, &mut timings);
             assert_eq!(report.timings, timings, "{label}");
 
             let resolver = ConflictResolver::new(self.config.max_exhaustive_fusion);
@@ -507,7 +1100,15 @@ mod tests {
                         stream.absorb(changes);
                         stream.two.enforce_budget(&mut stream.one);
                     }
+                    let (fused, rewritten) = (stream.two.fused, stream.two.rewritten);
                     stream.report(&format!("{name}, {memory_budget:?}: step {step}"));
+                    let (fused, rewritten) =
+                        (stream.two.fused - fused, stream.two.rewritten - rewritten);
+                    assert!(
+                        rewritten <= fused,
+                        "{name}, {memory_budget:?}: step {step} rewrote {rewritten} rows, \
+                         refilled {fused} slots"
+                    );
                     rows_reported += stream.table.ds.len() as u64;
                     stream.two.enforce_budget(&mut stream.one);
                     let emptied = stream.two.fusions.iter().filter(|f| f.is_none()).count();
@@ -663,6 +1264,185 @@ mod tests {
         assert_eq!(kept(&second, &third), rows);
     }
 
+    /// A report after nothing changed refills no slot, rewrites no row and
+    /// hands out the previous report again, byte for byte.
+    #[test]
+    fn a_report_with_nothing_dirty_rewrites_no_row_and_equals_the_last() {
+        let (_, ds, rules, config) = workloads().remove(1);
+        let mut stream = Stream::open(&config, &ds, &rules);
+        let (first, _) = stream.report("first report");
+        assert_eq!(stream.two.rewritten_rows(), ds.len() as u64, "all new");
+        let (fused, rewritten) = (stream.two.fused_tuples(), stream.two.rewritten_rows());
+        let (again, _) = stream.report("again");
+        assert_eq!(stream.two.fused_tuples(), fused);
+        assert_eq!(stream.two.rewritten_rows(), rewritten);
+        assert_eq!(csv::to_csv(&again.repaired), csv::to_csv(&first.repaired));
+        assert_eq!(
+            csv::to_csv(again.deduplicated()),
+            csv::to_csv(first.deduplicated())
+        );
+        assert_eq!(again.fscr, first.fscr);
+        assert_eq!(mlnw::to_bytes(&again.fscr), mlnw::to_bytes(&first.fscr));
+    }
+
+    /// A one-cell update rewrites the row it wrote and, of the other slots
+    /// it refilled, exactly those whose assignment moved; every other row
+    /// and its cell changes are copied out as they stood.
+    #[test]
+    fn a_one_cell_update_rewrites_only_refilled_slots_whose_row_or_assignment_moved() {
+        let (_, ds, rules, config) = workloads().remove(1);
+        let mut stream = Stream::open(&config, &ds, &rules);
+        let (first, _) = stream.report("first report");
+        let city = ds.schema().attr_id("City").unwrap();
+        let other = (1..ds.len())
+            .map(|t| ds.value(TupleId(t), city))
+            .find(|c| *c != ds.value(TupleId(0), city))
+            .unwrap();
+        let change = stream.table.update(TupleId(0), city, other);
+        stream.absorb(vec![change]);
+        let (fused, rewritten) = (stream.two.fused_tuples(), stream.two.rewritten_rows());
+        let (second, _) = stream.report("after the update");
+        let fused = stream.two.fused_tuples() - fused;
+        let rewritten = stream.two.rewritten_rows() - rewritten;
+
+        // A refilled slot holds a new fusion; row 0 was written.
+        let pairs = first.fscr.outcomes.iter().zip(&second.fscr.outcomes);
+        let refilled: Vec<(usize, bool)> = pairs
+            .enumerate()
+            .filter(|(_, (a, b))| !Arc::ptr_eq(&a.fused, &b.fused))
+            .map(|(t, (a, b))| (t, t == 0 || a.fused != b.fused))
+            .collect();
+        assert_eq!(refilled.len() as u64, fused);
+        assert_eq!(refilled[0], (0, true), "the written row is rewritten");
+        let moved = refilled.iter().filter(|&&(_, moved)| moved).count() as u64;
+        assert_eq!(rewritten, moved);
+        assert!(
+            rewritten < fused,
+            "{rewritten} rewritten of {fused} refilled"
+        );
+    }
+
+    /// The dedup index's three hand-offs, each checked against
+    /// `Dataset::deduplicated` from scratch by `Stream::report`: a class's
+    /// first occurrence changes its values (first place passes to the next
+    /// member), a later row changes into an earlier class (and an earlier
+    /// row into a class ahead of its first), and a first occurrence is
+    /// deleted.
+    #[test]
+    fn the_dedup_index_hands_first_place_on() {
+        // `A -> B` holds everywhere, so the fusion changes no cell.
+        let mut ds = Dataset::new(Schema::new(&["A", "B", "C"]));
+        for row in [
+            ["a1", "b1", "c1"],
+            ["a1", "b1", "c1"],
+            ["a2", "b2", "c2"],
+            ["a1", "b1", "c1"],
+            ["a2", "b2", "c3"],
+            ["a2", "b2", "c2"],
+        ] {
+            ds.push_row(row.map(String::from).to_vec()).unwrap();
+        }
+        let rules = parse_rules("FD: A -> B").unwrap();
+        let mut stream = Stream::open(&CleanConfig::default().with_tau(0), &ds, &rules);
+        let firsts = |report: &Report| -> Vec<String> {
+            let rows = report.deduplicated().tuples();
+            rows.map(|t| t.owned_values().join(" ")).collect()
+        };
+        let (report, _) = stream.report("first report");
+        assert!(report.fscr.changes.is_empty());
+        assert_eq!(firsts(&report), ["a1 b1 c1", "a2 b2 c2", "a2 b2 c3"]);
+        let step = |stream: &mut Stream,
+                    label: &str,
+                    change: fn(&mut Evolving) -> Change,
+                    expected: &[&str]| {
+            let change = change(&mut stream.table);
+            stream.absorb(vec![change]);
+            let (report, _) = stream.report(label);
+            assert_eq!(firsts(&report), expected, "{label}");
+        };
+        step(
+            &mut stream,
+            "row 0 leaves its class: row 1 is first now",
+            |table| table.update(TupleId(0), AttrId(2), "c9"),
+            &["a1 b1 c9", "a1 b1 c1", "a2 b2 c2", "a2 b2 c3"],
+        );
+        step(
+            &mut stream,
+            "row 4 joins row 2's class behind it",
+            |table| table.update(TupleId(4), AttrId(2), "c2"),
+            &["a1 b1 c9", "a1 b1 c1", "a2 b2 c2"],
+        );
+        step(
+            &mut stream,
+            "row 0 rejoins its class ahead of row 1",
+            |table| table.update(TupleId(0), AttrId(2), "c1"),
+            &["a1 b1 c1", "a2 b2 c2"],
+        );
+        step(
+            &mut stream,
+            "row 2, a first occurrence, is deleted: row 4 (now 3) is first",
+            |table| table.delete(&[TupleId(2)]),
+            &["a1 b1 c1", "a2 b2 c2"],
+        );
+        let classes = stream.two.view.classes.as_mut().unwrap();
+        assert_eq!(classes.firsts(), [TupleId(0), TupleId(3)]);
+        let (report, _) = stream.report("again");
+        assert_eq!(report.deduplicated().len(), 2);
+        assert_eq!(report.repaired.len(), 5);
+    }
+
+    /// The dedup index tells colliding classes apart by their values: with
+    /// every row hashed alike, patches in any order still flag the first
+    /// occurrence of each class exactly as `Dataset::deduplicated` keeps it.
+    #[test]
+    fn classes_whose_hashes_collide_stay_apart() {
+        let mut rng = Rng::labelled(concat!(
+            module_path!(),
+            "::classes_whose_hashes_collide_stay_apart"
+        ));
+        for _ in 0..40 {
+            let rows = 1 + rng.below(30);
+            let value = |rng: &mut Rng| ValueId(rng.below(3) as u32);
+            let mut columns: Vec<Vec<ValueId>> = (0..2)
+                .map(|_| (0..rows).map(|_| value(&mut rng)).collect())
+                .collect();
+            let mut classes = Classes::new();
+            // Every row hashes alike: one probe run holds every class.
+            let put_in = |classes: &mut Classes, rows: &[usize], columns: &[Vec<ValueId>]| {
+                classes.place(rows, &vec![7; rows.len()], columns, columns[0].len());
+            };
+            let all: Vec<usize> = (0..rows).collect();
+            put_in(&mut classes, &all, &columns);
+            for _ in 0..10 {
+                let mut ds = Dataset::new(Schema::new(&["X", "Y"]));
+                for t in 0..rows {
+                    let row = columns.iter().map(|c| format!("v{}", c[t].0)).collect();
+                    ds.push_row(row).unwrap();
+                }
+                let firsts: Vec<String> = classes
+                    .firsts()
+                    .iter()
+                    .map(|&t| ds.tuple(t).owned_values().join(" "))
+                    .collect();
+                let expected: Vec<String> = ds
+                    .deduplicated()
+                    .tuples()
+                    .map(|t| t.owned_values().join(" "))
+                    .collect();
+                assert_eq!(firsts, expected);
+                // Rewrite a few rows.
+                let mut moved: Vec<usize> = (0..3).map(|_| rng.below(rows)).collect();
+                moved.sort_unstable();
+                moved.dedup();
+                classes.take_out(moved.iter().copied(), &columns);
+                for &t in &moved {
+                    columns[rng.below(2)][t] = value(&mut rng);
+                }
+                put_in(&mut classes, &moved, &columns);
+            }
+        }
+    }
+
     /// What the budget counts: distinct fusions, and a slot's eviction only
     /// when it held the last handle.
     #[test]
@@ -673,8 +1453,10 @@ mod tests {
         let mut lists = std::collections::HashSet::new();
         let outcomes = report.fscr.outcomes.iter();
         let distinct = outcomes.filter(|o| lists.insert(Arc::as_ptr(&o.fused)));
+        // The shared cell, and 16 bytes a pair.
+        assert_eq!(size_of::<(AttrId, ValueId)>(), 16);
         let expected: usize = distinct
-            .map(|o| FUSION_UNIT_BYTES * (1 + o.fused.len()))
+            .map(|o| SharedFusion::CELL_BYTES + 16 * o.fused.len())
             .sum();
         assert!(lists.len() < stream.two.slots(), "HAI tuples share vectors");
         assert_eq!(stream.two.memo_bytes, expected);

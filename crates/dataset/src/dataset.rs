@@ -141,6 +141,39 @@ impl Dataset {
         }
     }
 
+    /// A dataset of `rows` rows whose cells are `columns`, one column of ids
+    /// per attribute of `schema`, named by `pool`.  This is how a maintained
+    /// table becomes a dataset: the columns move in as they are, and the pool
+    /// handle is the caller's (two reference bumps, [`ValuePool`]'s cost
+    /// contract).  `rows` is stated apart from the columns because a schema
+    /// of no attributes has none.
+    ///
+    /// # Panics
+    /// Panics if there is not one column per attribute or a column does not
+    /// hold `rows` ids.
+    pub fn from_columns(
+        schema: Schema,
+        pool: ValuePool,
+        columns: Vec<Vec<ValueId>>,
+        rows: usize,
+    ) -> Self {
+        assert_eq!(columns.len(), schema.arity(), "one column per attribute");
+        assert!(
+            columns.iter().all(|column| column.len() == rows),
+            "every column holds one id per row"
+        );
+        debug_assert!(
+            columns.iter().flatten().all(|&v| pool.contains(v)),
+            "from_columns with an out-of-range ValueId (same-pool ancestry is the caller's contract)"
+        );
+        Dataset {
+            schema,
+            pool,
+            columns,
+            rows,
+        }
+    }
+
     /// The schema of this dataset.
     pub fn schema(&self) -> &Schema {
         &self.schema
@@ -372,6 +405,11 @@ impl Dataset {
         self.columns[attr.0][tuple.0]
     }
 
+    /// The interned ids of one attribute's cells, in row order.
+    pub fn column(&self, attr: AttrId) -> &[ValueId] {
+        &self.columns[attr.0]
+    }
+
     /// Value of a cell given a [`CellRef`].
     pub fn cell(&self, cell: CellRef) -> &str {
         self.value(cell.tuple, cell.attr)
@@ -572,12 +610,24 @@ impl Dataset {
     /// holds; the storage stays shared until either side interns a new
     /// value): only ids move, never strings, and they move column by column
     /// into columns of exactly `ids.len()` cells (no row image is built in
-    /// between).
+    /// between).  A run of consecutive ids moves as one slice, so keeping
+    /// most rows in order costs little more than a copy.
     ///
     /// # Panics
     /// Panics if any id is out of range.
     pub fn project_rows(&self, ids: &[TupleId]) -> Dataset {
-        let gather = |column: &Vec<ValueId>| ids.iter().map(|t| column[t.0]).collect();
+        let runs: Vec<&[TupleId]> = ids.chunk_by(|a, b| b.0 == a.0 + 1).collect();
+        let gather = |column: &Vec<ValueId>| -> Vec<ValueId> {
+            if 4 * runs.len() > ids.len() {
+                return ids.iter().map(|t| column[t.0]).collect();
+            }
+            let mut gathered = Vec::with_capacity(ids.len());
+            for run in &runs {
+                let start = run[0].0;
+                gathered.extend_from_slice(&column[start..start + run.len()]);
+            }
+            gathered
+        };
         Dataset {
             schema: self.schema.clone(),
             pool: self.pool.clone(),

@@ -66,6 +66,11 @@
 //! staler intermediate state — the final outcome is byte-identical either
 //! way.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::backend::{LocalPartitions, PartitionBackend};
 use dataset::{Dataset, Schema, TupleId, ValueId, ValuePool};
 use mlnclean::{
@@ -156,8 +161,9 @@ pub struct CoordinatorFootprint {
     pub pool_values: usize,
     /// Per-block statistics slots.  Fixed by the rule set.
     pub block_entries: usize,
-    /// Resident dataset cells.  Always 0 since the coordinator shed its
-    /// mirror dataset: rows live only in the partitions.
+    /// Resident dataset cells: the repaired rows [`StageTwo`] keeps
+    /// between outcomes (rows × arity as of the last outcome, 0 before the
+    /// first).  The dirty rows live only in the partitions.
     pub cell_entries: usize,
 }
 
@@ -285,6 +291,11 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
                 .iter()
                 .map(|&v| self.pools[p].global(v))
                 .collect();
+            #[allow(
+                clippy::expect_used,
+                reason = "every partition row was routed from a row of the stream schema and \
+                          comes back as that many ids"
+            )]
             gathered
                 .push_row_ids(&row)
                 .expect("partition rows share the stream schema");
@@ -294,10 +305,10 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
 
     /// The coordinator's resident-state footprint, in entry counts per
     /// category — the regression probe pinning the routing-only property:
-    /// everything the coordinator retains between change sets is O(ids)
-    /// (row-id maps, value-translation tables, per-block state), never
-    /// O(cells) row payload (`cell_entries` is the count of resident dataset
-    /// cells and must stay 0).
+    /// what the coordinator retains for routing is O(ids) (row-id maps,
+    /// value-translation tables, per-block state), never O(cells) dirty row
+    /// payload.  `cell_entries` counts the one O(cells) structure it keeps:
+    /// the last outcome's repaired rows, which the next outcome patches.
     pub fn footprint(&self) -> CoordinatorFootprint {
         CoordinatorFootprint {
             row_entries: self.home.len()
@@ -307,7 +318,7 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
             reverse_entries: self.pools.iter().map(|m| m.local_ids.len()).sum(),
             pool_values: self.pool.len(),
             block_entries: self.shared_per_block.len(),
-            cell_entries: 0,
+            cell_entries: self.stage_two.view_cells(),
         }
     }
 
@@ -372,12 +383,14 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
                         virtual_rows += 1;
                         self.home.push(p);
                         self.parts[p].push(g);
+                        // Consecutive rows of one partition ride one insert.
                         let slice = &mut pending[p];
-                        if !matches!(slice.mutations.last(), Some(IdMutation::Insert(_))) {
-                            slice.mutations.push(IdMutation::Insert(Vec::new()));
-                        }
-                        let Some(IdMutation::Insert(ids)) = slice.mutations.last_mut() else {
-                            unreachable!("an insert was pushed above");
+                        let mut ids = match slice.mutations.pop() {
+                            Some(IdMutation::Insert(ids)) => ids,
+                            other => {
+                                slice.mutations.extend(other);
+                                Vec::new()
+                            }
                         };
                         // Intern eagerly so the coordinator pool stays a
                         // superset of every partition pool (in the exact
@@ -386,6 +399,7 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
                             let id = self.pool.intern(&value);
                             ids.push(self.pools[p].ship(id, value, &mut slice.tail));
                         }
+                        slice.mutations.push(IdMutation::Insert(ids));
                         inserted += 1;
                     }
                     self.stage_two.grow(virtual_rows);
@@ -482,6 +496,11 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
 
     /// The home partition of virtual global row `v`, and `v`'s virtual local
     /// row there.
+    #[allow(
+        clippy::expect_used,
+        reason = "`home[v]` names the partition whose id list holds `v`: both are written \
+                  together on insert and compacted together on delete"
+    )]
     fn locate(&self, v: usize) -> (usize, usize) {
         let p = self.home[v];
         let found = self.parts[p].binary_search(&TupleId(v));
@@ -565,10 +584,10 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
     /// [`Report::partitions`] carries the partition id lists plus the
     /// shared-γ count of the evidence merge.
     pub fn outcome(&mut self) -> Report {
-        let dirty = self.settle();
+        let rows = self.settle();
         let mut report = self
             .stage_two
-            .report(&mut self.stage_one, dirty, &mut self.timings);
+            .report(&mut self.stage_one, &rows, &mut self.timings);
         Self::stamp(
             &mut report,
             &mut self.backend,
@@ -585,10 +604,10 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
     /// resident copy to move out — and the cleaned index is shared, not
     /// copied, either way; the Stage-I provenance moves into the report).
     pub fn finish(mut self) -> Report {
-        let dirty = self.settle();
+        let rows = self.settle();
         let mut report = self
             .stage_two
-            .finish(self.stage_one, dirty, &mut self.timings);
+            .finish(self.stage_one, &rows, &mut self.timings);
         Self::stamp(
             &mut report,
             &mut self.backend,
@@ -1236,8 +1255,11 @@ mod tests {
         assert_eq!(grown.pool_values, narrow_fp.pool_values);
         assert_eq!(grown.cell_entries, 0);
 
-        // The gathered dataset is the transient O(cells) view.
+        // The gathered dataset is the transient O(cells) view; an outcome
+        // leaves its repaired rows behind for the next one to patch.
         assert_eq!(narrow.gather_dataset().len(), 64);
         assert_eq!(wide.gather_dataset().len(), 32);
+        let _ = narrow.outcome();
+        assert_eq!(narrow.footprint().cell_entries, 64 * 3);
     }
 }

@@ -39,7 +39,8 @@ one FD gives every tuple one version, so nothing is ever substituted).  When
 committed artifact it also runs an order-of-magnitude tripwire against it:
 the run fails if any engine is more than 3x slower, peaks at more than 2x
 the RSS, or the mutation probe's p50/max latency is more than 3x the
-baseline's.  The ladder's points
+baseline's — and before that if the baseline holds a key the fresh artifact
+no longer emits, so a stale schema cannot go unnoticed.  The ladder's points
 are single shots on a shared runner and cannot resolve a percentage —
 `BENCHMARK.json`'s bounds over the repo benchmark's multi-sample medians are
 the performance gate; the tripwire only catches a change that is wrong by a
@@ -310,7 +311,26 @@ def throughput(rung, engine):
     return rung["rows"] / max(rung["engines"][engine]["total_seconds"], 1e-9)
 
 
+def stale_keys(base, new, path=""):
+    """Key paths the committed baseline holds and the fresh artifact does not
+    emit (rungs are compared in order; a value that is not an object on
+    either side ends the walk)."""
+    if isinstance(base, dict) and isinstance(new, dict):
+        for key, value in base.items():
+            if key not in new:
+                yield f"{path}.{key}"
+            else:
+                yield from stale_keys(value, new[key], f"{path}.{key}")
+    elif isinstance(base, list) and isinstance(new, list):
+        for i, (b, n) in enumerate(zip(base, new)):
+            yield from stale_keys(b, n, f"{path}[{i}]")
+
+
 def gate_ladder(new, base):
+    stale = list(stale_keys(base, new))
+    check(not stale,
+          f"the baseline holds keys a fresh artifact no longer emits: {stale[:8]} — "
+          f"re-record the committed baseline from a fresh artifact")
     base_by_rows = {r["rows"]: r for r in base["rungs"]}
     both_rss_supported = (new["rss_meter"]["supported"]
                           and base["rss_meter"]["supported"])
