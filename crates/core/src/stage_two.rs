@@ -362,7 +362,7 @@ impl StageTwo {
         let mut rescaled = std::mem::take(&mut self.rescaled);
         rescaled.sort_unstable();
         rescaled.dedup();
-        if !rescaled.is_empty() {
+        if !rescaled.is_empty() && self.view.rows > 0 {
             let cleaned = stage_one.cleaned();
             let supports: Vec<usize> = cleaned.blocks.iter().map(block_support).collect();
             let blocks = rescaled.iter().map(|&b| &cleaned.blocks[b]);
@@ -720,7 +720,8 @@ fn rewrite_row(
 /// probing, never more than half full, like `Dataset::deduplicated`'s.
 /// Two classes whose hashes collide both sit in the table, told apart by
 /// their values: rows of one table share one pool, so id equality is value
-/// equality.
+/// equality.  Rows are `u32`s, like the first-occurrence table of
+/// `Dataset::deduplicated`: a view holds fewer than 2^32 − 1 rows.
 #[derive(Debug, Clone)]
 struct Classes {
     /// Seeds the row hash.
@@ -729,23 +730,23 @@ struct Classes {
     hashes: Vec<u64>,
     /// Per row: the next and the previous member of its class ([`NONE`]
     /// past the ends).
-    next: Vec<usize>,
-    prev: Vec<usize>,
+    next: Vec<u32>,
+    prev: Vec<u32>,
     /// Per first occurrence: the last member of its class.
-    last: Vec<usize>,
+    last: Vec<u32>,
     /// Per row: whether it is the first occurrence of its class.
     first: Vec<bool>,
     /// The first occurrences in row order, as of the last
     /// [`Classes::firsts`]; `None` once a class changed since.
     firsts: Option<Vec<TupleId>>,
     /// A power of two of slots, each a first occurrence or [`NONE`].
-    slots: Vec<usize>,
+    slots: Vec<u32>,
     /// Slots held.
     classes: usize,
 }
 
 /// No row: an empty slot, or past the end of a class.
-const NONE: usize = usize::MAX;
+const NONE: u32 = u32::MAX;
 
 /// Whether rows `a` and `b` hold the same values.
 fn same_row(columns: &[Vec<ValueId>], a: usize, b: usize) -> bool {
@@ -795,7 +796,9 @@ impl Classes {
         loop {
             match self.slots[slot] {
                 NONE => return Err(slot),
-                head if self.hashes[head] == hash && same_row(columns, head, row) => {
+                head if self.hashes[head as usize] == hash
+                    && same_row(columns, head as usize, row) =>
+                {
                     return Ok(slot)
                 }
                 _ => slot = (slot + 1) & mask,
@@ -814,7 +817,7 @@ impl Classes {
         let held = std::mem::replace(&mut self.slots, vec![NONE; wanted]);
         let mask = wanted - 1;
         for head in held.into_iter().filter(|&head| head != NONE) {
-            let mut slot = self.home(self.hashes[head]);
+            let mut slot = self.home(self.hashes[head as usize]);
             while self.slots[slot] != NONE {
                 slot = (slot + 1) & mask;
             }
@@ -833,7 +836,7 @@ impl Classes {
             if head == NONE {
                 break;
             }
-            let home = self.home(self.hashes[head]);
+            let home = self.home(self.hashes[head as usize]);
             if (probe.wrapping_sub(home) & mask) >= (probe.wrapping_sub(slot) & mask) {
                 self.slots[slot] = head;
                 slot = probe;
@@ -852,22 +855,23 @@ impl Classes {
             let Ok(slot) = self.find(self.hashes[row], row, columns) else {
                 continue;
             };
-            let head = self.slots[slot];
+            let head = self.slots[slot] as usize;
             let (prev, next) = (self.prev[row], self.next[row]);
             if row == head {
                 if next == NONE {
                     self.vacate(slot);
                 } else {
-                    self.slots[slot] = next;
+                    let next = next as usize;
+                    self.slots[slot] = next as u32;
                     self.prev[next] = NONE;
                     self.last[next] = self.last[row];
                     self.first[next] = true;
                 }
             } else {
-                self.next[prev] = next;
+                self.next[prev as usize] = next;
                 match next {
                     NONE => self.last[head] = prev,
-                    next => self.prev[next] = prev,
+                    next => self.prev[next as usize] = prev,
                 }
             }
             (self.prev[row], self.next[row], self.first[row]) = (NONE, NONE, false);
@@ -884,6 +888,7 @@ impl Classes {
 
     /// [`Classes::put_in`] with the rows' hashes given.
     fn place(&mut self, rows: &[usize], hashes: &[u64], columns: &[Vec<ValueId>], len: usize) {
+        assert!(len < NONE as usize, "more than 4G rows");
         for per_row in [&mut self.next, &mut self.prev, &mut self.last] {
             per_row.resize(len, NONE);
         }
@@ -898,33 +903,34 @@ impl Classes {
             let slot = match self.find(hash, row, columns) {
                 Ok(slot) => slot,
                 Err(vacant) => {
-                    self.slots[vacant] = row;
+                    self.slots[vacant] = row as u32;
                     self.classes += 1;
-                    (self.last[row], self.first[row]) = (row, true);
+                    (self.last[row], self.first[row]) = (row as u32, true);
                     continue;
                 }
             };
-            let head = self.slots[slot];
+            let head = self.slots[slot] as usize;
             if row < head {
                 // Ahead of the first occurrence: first place is the row's.
-                (self.next[row], self.prev[head]) = (head, row);
+                (self.next[row], self.prev[head]) = (head as u32, row as u32);
                 (self.last[row], self.first[row], self.first[head]) =
                     (self.last[head], true, false);
-                self.slots[slot] = row;
+                self.slots[slot] = row as u32;
                 continue;
             }
-            let mut before = self.last[head];
+            let mut before = self.last[head] as usize;
             if before > row {
                 before = head;
-                while self.next[before] < row {
-                    before = self.next[before];
+                while (self.next[before] as usize) < row {
+                    before = self.next[before] as usize;
                 }
             }
             let after = self.next[before];
-            (self.prev[row], self.next[row], self.next[before]) = (before, after, row);
+            (self.prev[row], self.next[row], self.next[before]) =
+                (before as u32, after, row as u32);
             match after {
-                NONE => self.last[head] = row,
-                after => self.prev[after] = row,
+                NONE => self.last[head] = row as u32,
+                after => self.prev[after as usize] = row as u32,
             }
         }
     }
@@ -934,9 +940,9 @@ impl Classes {
     fn remap_removed(&mut self, removed: &[usize], columns: &[Vec<ValueId>]) {
         self.take_out(removed.iter().copied(), columns);
         self.firsts = None;
-        let renumber = |row: &mut usize| {
+        let renumber = |row: &mut u32| {
             if *row != NONE {
-                *row -= removed.partition_point(|&r| r < *row);
+                *row -= removed.partition_point(|&r| r < *row as usize) as u32;
             }
         };
         for per_row in [&mut self.next, &mut self.prev, &mut self.last] {
