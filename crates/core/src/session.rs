@@ -253,11 +253,13 @@ impl CleaningSession {
 
     /// Close the session, producing the final [`Report`]; unlike
     /// [`CleaningSession::outcome`] the repaired rows, the FSCR record and
-    /// the Stage-I provenance move into it, uncopied.
+    /// the Stage-I provenance move into it, uncopied (the net rows become
+    /// the repaired rows when no outcome came before).
     pub fn finish(mut self) -> Report {
         self.refresh();
+        let rows = self.store.into_dataset();
         self.stage_two
-            .finish(self.stage_one, self.store.dataset(), &mut self.timings)
+            .finish(self.stage_one, rows, &mut self.timings)
     }
 }
 

@@ -11,9 +11,10 @@
 //! [`StageTwo::remap_removed`] on delete, with the sorted list
 //! [`StageOne::remap_removed`] takes), reports every Stage-I refresh
 //! ([`StageTwo::invalidate_refreshed`]) and asks for a [`Report`] over its
-//! dirty rows ([`StageTwo::report`], or [`StageTwo::finish`] on the drivers'
-//! last use, which moves the maintained report and the Stage-I provenance
-//! instead of copying them).
+//! dirty rows: [`StageTwo::report`], which maintains the report between
+//! calls, or [`StageTwo::derive`], which keeps none — and
+//! [`StageTwo::finish`] on the drivers' last use, which moves the report and
+//! the Stage-I provenance instead of copying them.
 //!
 //! **Invalidation.**  A fusion is a function of the tuple's version vector,
 //! of its covering blocks' substitution candidates and — through the Eq. 3
@@ -71,12 +72,20 @@
 //! [`StageTwo::remap_removed`]; and when a class's first occurrence changes
 //! its values or leaves, first place passes to the next member of the
 //! class.  Everything else is copied out as it stands.
-//! [`StageTwo::finish`] runs the same patch and moves the state out, so a
-//! batch run is the case where every slot was refilled.  The view holds ids
-//! and no pool handle: the report attaches the caller's pool when it is
-//! assembled, so a new value the caller interns later copies no arena the
-//! view shares.  The report names its records' ids once, by its cleaned
-//! index's pool and its rows' schema ([`crate::provenance`]).
+//! [`StageTwo::finish`] after an earlier report runs the same patch and
+//! moves the state out.  The view holds ids and no pool handle: the report attaches the caller's pool
+//! when it is assembled, so a new value the caller interns later copies no
+//! arena the view shares.  The report names its records' ids once, by its
+//! cleaned index's pool and its rows' schema ([`crate::provenance`]).
+//!
+//! **A report that is not maintained** is derived from every slot:
+//! [`StageTwo::derive`] takes the caller's rows by value, writes every
+//! tuple's fusion into them and finds the first occurrences in one pass,
+//! leaving no view and no dedup index behind.  The distributed coordinator
+//! reports this way, so what it keeps between outcomes stays O(ids); and
+//! [`StageTwo::finish`] does when no report came before it (a batch run),
+//! so a one-report run neither copies its rows nor builds an index it would
+//! drop at once.
 //!
 //! **Budget.**  Under a [`CleanConfig::memory_budget`] the memo shares the
 //! budget with Stage I's block memos ([`StageTwo::enforce_budget`]): cold
@@ -92,9 +101,13 @@
 //! both until one lets go.)  A fusion is a deterministic function of the
 //! cleaned index, so eviction trades time for memory and never a byte of
 //! output.  The maintained report is output, not memo, and the budget does
-//! not bound it: it is one table of ids, the size of the report a caller
-//! holds.  Its outcomes share their fusions' assignment lists, so an evicted
-//! fusion's list lives on while its tuple's outcome names it.
+//! not bound it, as it bounds neither the caller's rows nor the pristine and
+//! cleaned indexes: it is one more O(cells) table of ids — about the size of
+//! the caller's rows, and of each report handed out — and dropping it would
+//! trade a patch for a whole-table derive at every report, not a fusion for
+//! a re-fusion.  A driver that must not hold it derives instead.  Its
+//! outcomes share their fusions' assignment lists, so an evicted fusion's
+//! list lives on while its tuple's outcome names it.
 
 #![cfg_attr(
     not(test),
@@ -103,13 +116,16 @@
 
 use crate::agp::AgpRecord;
 use crate::engine::{Report, Timings};
-use crate::fscr::{CellChange, ConflictResolver, FscrRecord, FusionOutcome, SharedFusion};
+use crate::fscr::{
+    apply_tuple_fusion, CellChange, ConflictResolver, FscrRecord, FusionOutcome, SharedFusion,
+};
 use crate::index::{Block, MlnIndex};
 use crate::rsc::RscRecord;
 use crate::stage_one::{MemoryStats, Refreshed, StageOne};
 use crate::weights::block_support;
 use crate::CleanConfig;
-use dataset::{AttrId, CellRef, Dataset, TupleId, ValueId};
+use dataset::pool::{IdTable, Vacant};
+use dataset::{hash_rows, AttrId, CellRef, Dataset, TupleId, ValueId};
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
 use std::sync::Arc;
@@ -199,12 +215,6 @@ impl StageTwo {
         self.rewritten
     }
 
-    /// Cells of the repaired rows kept between reports: rows × arity as of
-    /// the last report, 0 before the first.
-    pub fn view_cells(&self) -> usize {
-        self.view.rows * self.view.columns.len()
-    }
-
     /// Rows were appended: one empty slot for each, up to `rows` in all.
     pub fn grow(&mut self, rows: usize) {
         self.fusions.resize(rows, None);
@@ -238,10 +248,13 @@ impl StageTwo {
         for &row in removed {
             self.release(row);
         }
-        drop_removed(&mut self.fusions, removed);
         drop_removed(&mut self.fragile, removed);
-        self.written
-            .retain(|row| removed.binary_search(row).is_err());
+        let mut row = 0;
+        self.fusions.retain(|_| {
+            row += 1;
+            kept(removed, row - 1)
+        });
+        self.written.retain(|&row| kept(removed, row));
         for row in &mut self.written {
             *row -= removed.partition_point(|&r| r < *row);
         }
@@ -315,14 +328,10 @@ impl StageTwo {
         }
     }
 
-    /// Fuse exactly the empty slots from `stage_one`'s cleaned index; the
-    /// slots it filled, in tuple order, each with its new fusion, and the
+    /// Fuse exactly the empty slots from `stage_one`'s cleaned index; per
+    /// slot, whether it was refilled (empty when none was), and the
     /// substitution candidates the new fusions tested.
-    fn settle(
-        &mut self,
-        stage_one: &mut StageOne,
-        timings: &mut Timings,
-    ) -> (Vec<(usize, SharedFusion)>, u64) {
+    fn settle(&mut self, stage_one: &mut StageOne, timings: &mut Timings) -> (Vec<bool>, u64) {
         // Drop cold memos *before* the fusion allocations below, but evict
         // no fusion: the memo is about to be refilled.
         self.shed_blocks(stage_one);
@@ -333,7 +342,6 @@ impl StageTwo {
         let wanted: Vec<bool> = self.fusions.iter().map(Option::is_none).collect();
         let resolver = ConflictResolver::new(self.config.max_exhaustive_fusion);
         let plan = resolver.plan_for(stage_one.cleaned(), &wanted);
-        let mut refilled = Vec::with_capacity(self.fusions.len() - self.memoised);
         for (t, slot) in self.fusions.iter_mut().enumerate() {
             if slot.is_none() {
                 let fusion = resolver.fuse_tuple(&plan, TupleId(t));
@@ -343,22 +351,22 @@ impl StageTwo {
                 }
                 self.fragile[t] = u8::from(fusion.conflict_detected) * CONFLICTED
                     + u8::from(!fusion.survives_rescale()) * UNFACTORED;
-                *slot = Some(fusion.clone());
-                refilled.push((t, fusion));
+                *slot = Some(fusion);
             }
         }
-        self.fused += refilled.len() as u64;
+        self.fused += (self.fusions.len() - self.memoised) as u64;
         self.memoised = self.fusions.len();
         timings.fscr += started.elapsed();
-        (refilled, plan.candidates_tested())
+        (wanted, plan.candidates_tested())
     }
 
     /// Settle the memo and patch the maintained report to `rows` — the
     /// shared tail of [`StageTwo::report`] and [`StageTwo::finish`]; returns
     /// the substitution candidates the new fusions tested.
     fn patch(&mut self, stage_one: &mut StageOne, rows: &Dataset, timings: &mut Timings) -> u64 {
-        let (refilled, candidates_tested) = self.settle(stage_one, timings);
+        let (wanted, candidates_tested) = self.settle(stage_one, timings);
         let started = Instant::now();
+        let refilled: Vec<usize> = (0..wanted.len()).filter(|&t| wanted[t]).collect();
         let mut rescaled = std::mem::take(&mut self.rescaled);
         rescaled.sort_unstable();
         rescaled.dedup();
@@ -372,7 +380,9 @@ impl StageTwo {
         written.sort_unstable();
         written.dedup();
         timings.fscr += started.elapsed();
-        let rewritten = self.view.rewrite(&refilled, &written, rows, timings);
+        let rewritten = self
+            .view
+            .rewrite(&refilled, &self.fusions, &written, rows, timings);
         self.rewritten += rewritten as u64;
         candidates_tested
     }
@@ -386,7 +396,8 @@ impl StageTwo {
     /// `timings.fscr` / `timings.dedup`, and the report carries `timings` as
     /// they then read.  The Stage-I provenance is a copy of `stage_one`'s,
     /// and every record list is named by the cleaned index's pool and `rows`'
-    /// schema.
+    /// schema.  A driver reports through this or through
+    /// [`StageTwo::derive`], never both.
     pub fn report(
         &mut self,
         stage_one: &mut StageOne,
@@ -403,49 +414,114 @@ impl StageTwo {
             candidates_tested,
         };
         timings.fscr += started.elapsed();
-        let mut report = assemble(repaired, fscr, view, stage_one.cleaned(), timings);
+        let firsts = view.classes.as_mut().map(Classes::firsts);
+        let mut report = assemble(repaired, firsts, fscr, stage_one.cleaned(), timings);
         (report.agp, report.rsc) = stage_one.records();
         report.name_records();
         report
     }
 
-    /// [`StageTwo::report`] on the drivers' last use: the maintained report
-    /// and the Stage-I provenance move into the report, uncopied.
+    /// The [`Report`] of [`StageTwo::report`], derived from every slot and
+    /// kept nowhere: `rows` move in and become the repaired rows, and the
+    /// first occurrences are found in one pass, with no dedup index left
+    /// behind.  This is how a driver that keeps no O(cells) state between
+    /// reports reports — the distributed coordinator, which only routes.
+    /// Its cost is the table's, not the change's.
+    pub fn derive(
+        &mut self,
+        stage_one: &mut StageOne,
+        rows: Dataset,
+        timings: &mut Timings,
+    ) -> Report {
+        let mut report = self.derived(stage_one, rows, timings);
+        (report.agp, report.rsc) = stage_one.records();
+        report.name_records();
+        report
+    }
+
+    /// The report on the drivers' last use: the maintained report, if a
+    /// report came before, is patched and moves out; if none did — a batch
+    /// run, or a driver that derives — it is [`StageTwo::derive`]'s, `rows`
+    /// moving in.  Either way nothing is copied, the Stage-I provenance
+    /// included.
     pub fn finish(
         mut self,
         mut stage_one: StageOne,
-        rows: &Dataset,
+        rows: Dataset,
         timings: &mut Timings,
     ) -> Report {
-        let candidates_tested = self.patch(&mut stage_one, rows, timings);
-        let mut view = self.view;
-        let columns = std::mem::take(&mut view.columns);
-        let repaired = view.dataset(rows, columns);
-        let fscr = FscrRecord {
-            outcomes: std::mem::take(&mut view.outcomes).into(),
-            changes: std::mem::take(&mut view.changes).into(),
-            candidates_tested,
+        let mut report = if self.view.rows == 0 {
+            self.derived(&mut stage_one, rows, timings)
+        } else {
+            let candidates_tested = self.patch(&mut stage_one, &rows, timings);
+            let mut view = self.view;
+            let columns = std::mem::take(&mut view.columns);
+            let repaired = view.dataset(&rows, columns);
+            let fscr = FscrRecord {
+                outcomes: std::mem::take(&mut view.outcomes).into(),
+                changes: std::mem::take(&mut view.changes).into(),
+                candidates_tested,
+            };
+            let firsts = view.classes.as_mut().map(Classes::firsts);
+            assemble(repaired, firsts, fscr, stage_one.cleaned(), timings)
         };
-        let mut report = assemble(repaired, fscr, &mut view, stage_one.cleaned(), timings);
         (report.agp, report.rsc) = stage_one.into_records();
         report.name_records();
         report
     }
+
+    /// [`StageTwo::derive`]'s report with empty Stage-I provenance.
+    fn derived(
+        &mut self,
+        stage_one: &mut StageOne,
+        mut repaired: Dataset,
+        timings: &mut Timings,
+    ) -> Report {
+        debug_assert_eq!(self.view.rows, 0, "a driver that keeps a view patches it");
+        let all_fresh = self.memoised == 0;
+        let (_, candidates_tested) = self.settle(stage_one, timings);
+        let started = Instant::now();
+        // What the view would have patched is moot: nothing is kept.
+        self.rescaled.clear();
+        self.written.clear();
+        // A fusion this settle made is scored at the blocks' current totals;
+        // one that stood may have been scored under others.
+        let cleaned = Arc::clone(stage_one.cleaned());
+        let supports: Option<Vec<usize>> =
+            (!all_fresh).then(|| cleaned.blocks.iter().map(block_support).collect());
+        let mut fscr = FscrRecord {
+            candidates_tested,
+            ..FscrRecord::default()
+        };
+        // Settled: every slot holds a fusion.
+        for (t, fusion) in self.fusions.iter().flatten().enumerate() {
+            apply_tuple_fusion(&mut repaired, TupleId(t), fusion, &mut fscr);
+            if let (Some(supports), Some(outcome)) = (&supports, fscr.outcomes.last_mut()) {
+                outcome.f_score = fusion.f_score_at(supports);
+            }
+        }
+        debug_assert_eq!(fscr.outcomes.len(), repaired.len(), "one outcome per row");
+        timings.fscr += started.elapsed();
+        let started = Instant::now();
+        let firsts = self.config.deduplicate.then(|| first_rows(&repaired));
+        timings.dedup += started.elapsed();
+        assemble(repaired, firsts.as_deref(), fscr, &cleaned, timings)
+    }
 }
 
-/// A report of `repaired` and `fscr` with empty Stage-I provenance: the rows
-/// without exact duplicates are the first occurrences `view`'s dedup index
-/// flags, if it keeps one.
+/// A report of `repaired` and `fscr` with empty Stage-I provenance; its rows
+/// without exact duplicates are `firsts`, the first occurrences, if there
+/// are any to keep.
 fn assemble(
     repaired: Dataset,
+    firsts: Option<&[TupleId]>,
     fscr: FscrRecord,
-    view: &mut View,
     cleaned: &Arc<MlnIndex>,
     timings: &mut Timings,
 ) -> Report {
-    let deduplicated = view.classes.as_mut().map(|classes| {
+    let deduplicated = firsts.map(|firsts| {
         let started = Instant::now();
-        let deduplicated = repaired.project_rows(classes.firsts());
+        let deduplicated = repaired.project_rows(firsts);
         timings.dedup += started.elapsed();
         deduplicated
     });
@@ -461,26 +537,25 @@ fn assemble(
     }
 }
 
-/// Drop the items at `removed` (sorted, deduplicated indices); later ones
-/// shift down.
-fn drop_removed<T>(items: &mut Vec<T>, removed: &[usize]) {
-    // A few rows shift the tail once each (one memmove apiece); many, in one
-    // pass.
-    if removed.len() <= 8 {
-        for &row in removed.iter().rev() {
-            if row < items.len() {
-                items.remove(row);
-            }
-        }
+/// Drop the items at `removed` (sorted, deduplicated indices within
+/// `items`); later ones shift down, each run between two removed indices
+/// copied as one slice.
+fn drop_removed<T: Copy>(items: &mut Vec<T>, removed: &[usize]) {
+    let Some(&first) = removed.first() else {
         return;
+    };
+    let mut at = first;
+    for (i, &row) in removed.iter().enumerate() {
+        let end = removed.get(i + 1).map_or(items.len(), |&next| next);
+        items.copy_within(row + 1..end, at);
+        at += end - row - 1;
     }
-    let mut removed = removed.iter().peekable();
-    let mut at = 0usize;
-    items.retain(|_| {
-        let gone = removed.next_if_eq(&&at).is_some();
-        at += 1;
-        !gone
-    });
+    items.truncate(at);
+}
+
+/// Whether `row` is not among `removed` (sorted).
+fn kept(removed: &[usize], row: usize) -> bool {
+    removed.binary_search(&row).is_err()
 }
 
 /// The report's Stage-II half as the last report left it — see the
@@ -524,46 +599,38 @@ impl View {
     }
 
     /// Re-fold the standing outcomes' scores under `supports`, the cleaned
-    /// blocks' current total supports: the outcomes of the tuples of
-    /// `blocks`, the rescaled ones — or of every tuple, when those blocks
-    /// list as many.  (A standing fusion's factors name blocks that cover its
-    /// tuple now: a tuple whose cover moved was written, hence refilled.)
+    /// blocks' current total supports: the outcomes of the tuples `blocks`
+    /// list, the rescaled ones.  (A standing fusion's factors name blocks
+    /// that cover its tuple now: a tuple whose cover moved was written, hence
+    /// refilled.)
     fn rescore<'a>(
         &mut self,
-        blocks: impl Iterator<Item = &'a Block> + Clone,
+        blocks: impl Iterator<Item = &'a Block>,
         fusions: &[Option<SharedFusion>],
         supports: &[usize],
     ) {
-        let mut rescore = |t: usize| {
+        for t in blocks.flat_map(Block::gammas).flat_map(|g| &g.tuples) {
+            let t = t.index();
             if let (Some(outcome), Some(Some(fusion))) = (self.outcomes.get_mut(t), fusions.get(t))
             {
                 outcome.f_score = fusion.f_score_at(supports);
             }
-        };
-        let listed: usize = blocks
-            .clone()
-            .flat_map(Block::gammas)
-            .map(|g| g.tuples.len())
-            .sum();
-        if listed >= self.rows {
-            (0..self.rows).for_each(rescore);
-        } else {
-            let tuples = blocks.flat_map(Block::gammas).flat_map(|g| &g.tuples);
-            tuples.for_each(|t| rescore(t.index()));
         }
     }
 
-    /// Rewrite the refilled rows (`refilled`: tuple order, every slot past
-    /// the view's rows among them) whose row or assignment may have moved —
-    /// a new row, a row the caller wrote (`written`, sorted) or a fusion
-    /// whose assignment differs from the standing outcome's — from `rows`;
+    /// Rewrite the refilled rows (`refilled`: ascending, every slot past the
+    /// view's rows among them; `fusions`: the memo, settled) whose row or
+    /// assignment may have moved — a new row, a row the caller wrote
+    /// (`written`, sorted) or a fusion whose assignment differs from the
+    /// standing outcome's — from `rows`;
     /// every refilled row takes its new outcome, scored as fused (a fresh
     /// fusion is scored at the blocks' current totals).  The view then
     /// covers `rows`.  Returns the rows rewritten.  The clocks run into
     /// `timings.fscr`, and `timings.dedup` for the dedup index.
     fn rewrite(
         &mut self,
-        refilled: &[(usize, SharedFusion)],
+        refilled: &[usize],
+        fusions: &[Option<SharedFusion>],
         written: &[usize],
         rows: &Dataset,
         timings: &mut Timings,
@@ -582,8 +649,11 @@ impl View {
         let (mut standing, mut appended) = (Vec::new(), Vec::new());
         let mut fresh = Vec::new();
         let mut written = written.iter().peekable();
+        // Settled: every refilled slot holds its fusion.
+        let refilled = refilled
+            .iter()
+            .filter_map(|&t| Some((t, fusions[t].as_ref()?)));
         for (t, fusion) in refilled {
-            let t = *t;
             let outcome = fusion.outcome(TupleId(t));
             while written.next_if(|&&w| w < t).is_some() {}
             let read = written.peek() == Some(&&t);
@@ -678,12 +748,13 @@ impl View {
         for column in &mut self.columns {
             drop_removed(column, removed);
         }
-        drop_removed(&mut self.outcomes, removed);
+        self.outcomes
+            .retain(|outcome| kept(removed, outcome.tuple.index()));
         for (t, outcome) in self.outcomes.iter_mut().enumerate() {
             outcome.tuple = TupleId(t);
         }
         self.changes
-            .retain(|change| removed.binary_search(&change.cell.tuple.index()).is_err());
+            .retain(|change| kept(removed, change.cell.tuple.index()));
         for change in &mut self.changes {
             let t = change.cell.tuple.index();
             change.cell.tuple = TupleId(t - removed.partition_point(|&r| r < t));
@@ -715,16 +786,14 @@ fn rewrite_row(
 }
 
 /// The dedup index of the maintained rows: a hash per row, the members of
-/// each exact-duplicate class linked in row order, and an open-addressing
-/// table of the classes' first occurrences placed by their hash — linear
-/// probing, never more than half full, like `Dataset::deduplicated`'s.
-/// Two classes whose hashes collide both sit in the table, told apart by
-/// their values: rows of one table share one pool, so id equality is value
-/// equality.  Rows are `u32`s, like the first-occurrence table of
-/// `Dataset::deduplicated`: a view holds fewer than 2^32 − 1 rows.
+/// each exact-duplicate class linked in row order, and an [`IdTable`] of the
+/// classes' first occurrences placed by their hash.  Two classes whose
+/// hashes collide both sit in the table, told apart by their values: rows of
+/// one table share one pool, so id equality is value equality.  Rows are
+/// `u32`s, the table's ids: a view holds fewer than 2^32 − 1 rows.
 #[derive(Debug, Clone)]
 struct Classes {
-    /// Seeds the row hash.
+    /// Seeds the row hash ([`hash_rows`]).
     seed: u64,
     /// Per row: its hash, as it was put in.
     hashes: Vec<u64>,
@@ -739,18 +808,39 @@ struct Classes {
     /// The first occurrences in row order, as of the last
     /// [`Classes::firsts`]; `None` once a class changed since.
     firsts: Option<Vec<TupleId>>,
-    /// A power of two of slots, each a first occurrence or [`NONE`].
-    slots: Vec<u32>,
-    /// Slots held.
-    classes: usize,
+    /// The first occurrences.
+    table: IdTable,
 }
 
-/// No row: an empty slot, or past the end of a class.
+/// No row: past the end of a class.
 const NONE: u32 = u32::MAX;
 
 /// Whether rows `a` and `b` hold the same values.
-fn same_row(columns: &[Vec<ValueId>], a: usize, b: usize) -> bool {
-    columns.iter().all(|column| column[a] == column[b])
+fn same_row<C: AsRef<[ValueId]>>(columns: &[C], a: usize, b: usize) -> bool {
+    columns
+        .iter()
+        .all(|column| column.as_ref()[a] == column.as_ref()[b])
+}
+
+/// The first occurrence of each exact-duplicate class among `rows`, in row
+/// order: what a report that keeps no dedup index needs of one — no links,
+/// no index left behind.
+fn first_rows(rows: &Dataset) -> Vec<TupleId> {
+    assert!(rows.len() < NONE as usize, "more than 4G rows");
+    let arity = rows.schema().arity();
+    let columns: Vec<&[ValueId]> = (0..arity).map(|a| rows.column(AttrId(a))).collect();
+    let hashes = rows.row_hashes();
+    let hash_of = |row: u32| hashes[row as usize];
+    let mut table = IdTable::with_capacity(rows.len());
+    let mut firsts = Vec::new();
+    for (row, &hash) in hashes.iter().enumerate() {
+        let same = |first: u32| hash_of(first) == hash && same_row(&columns, first as usize, row);
+        if let Err(vacant) = table.find(hash, same) {
+            table.insert(vacant, row as u32, hash, hash_of);
+            firsts.push(TupleId(row));
+        }
+    }
+    firsts
 }
 
 impl Classes {
@@ -763,87 +853,18 @@ impl Classes {
             last: Vec::new(),
             first: Vec::new(),
             firsts: None,
-            slots: vec![NONE; 2],
-            classes: 0,
+            table: IdTable::with_capacity(0),
         }
     }
 
-    /// One hash per row of `rows`, each folded over its values in column
-    /// order (so equal rows hash equal) — column by column, so a run of rows
-    /// reads each column front to back.
-    fn hashes(&self, columns: &[Vec<ValueId>], rows: &[usize]) -> Vec<u64> {
-        let mut hashes = vec![self.seed; rows.len()];
-        for column in columns {
-            for (hash, &row) in hashes.iter_mut().zip(rows) {
-                *hash = (hash.rotate_left(5) ^ u64::from(column[row].0))
-                    .wrapping_mul(0x517c_c1b7_2722_0a95);
-            }
-        }
-        hashes
-    }
-
-    /// The slot `hash` starts probing at: its top bits, the best mixed of a
-    /// multiplicative hash.
-    fn home(&self, hash: u64) -> usize {
-        (hash >> (64 - self.slots.len().trailing_zeros())) as usize
-    }
-
-    /// The slot of the class holding `row`'s values, hashed `hash`, or the
-    /// empty slot its probe ends on.
-    fn find(&self, hash: u64, row: usize, columns: &[Vec<ValueId>]) -> Result<usize, usize> {
-        let mask = self.slots.len() - 1;
-        let mut slot = self.home(hash);
-        loop {
-            match self.slots[slot] {
-                NONE => return Err(slot),
-                head if self.hashes[head as usize] == hash
-                    && same_row(columns, head as usize, row) =>
-                {
-                    return Ok(slot)
-                }
-                _ => slot = (slot + 1) & mask,
-            }
-        }
-    }
-
-    /// Make room for `more` classes, doubling the table and re-placing every
-    /// first occurrence by its stored hash while that keeps it over half
-    /// empty.
-    fn reserve(&mut self, more: usize) {
-        let wanted = (2 * (self.classes + more)).next_power_of_two().max(2);
-        if wanted <= self.slots.len() {
-            return;
-        }
-        let held = std::mem::replace(&mut self.slots, vec![NONE; wanted]);
-        let mask = wanted - 1;
-        for head in held.into_iter().filter(|&head| head != NONE) {
-            let mut slot = self.home(self.hashes[head as usize]);
-            while self.slots[slot] != NONE {
-                slot = (slot + 1) & mask;
-            }
-            self.slots[slot] = head;
-        }
-    }
-
-    /// Empty `slot`, shifting back the entries of its probe run that it
-    /// would otherwise cut off from their home.
-    fn vacate(&mut self, mut slot: usize) {
-        let mask = self.slots.len() - 1;
-        let mut probe = slot;
-        loop {
-            probe = (probe + 1) & mask;
-            let head = self.slots[probe];
-            if head == NONE {
-                break;
-            }
-            let home = self.home(self.hashes[head as usize]);
-            if (probe.wrapping_sub(home) & mask) >= (probe.wrapping_sub(slot) & mask) {
-                self.slots[slot] = head;
-                slot = probe;
-            }
-        }
-        self.slots[slot] = NONE;
-        self.classes -= 1;
+    /// The first occurrence of the class holding `row`'s values, hashed
+    /// `hash`, or where one would go.
+    fn find(&self, hash: u64, row: usize, columns: &[Vec<ValueId>]) -> Result<u32, Vacant> {
+        let same = |head: u32| {
+            let head = head as usize;
+            self.hashes[head] == hash && same_row(columns, head, row)
+        };
+        self.table.find(hash, same)
     }
 
     /// Take `rows` (ascending, holding the values they were put in with)
@@ -852,17 +873,19 @@ impl Classes {
     fn take_out(&mut self, rows: impl Iterator<Item = usize>, columns: &[Vec<ValueId>]) {
         for row in rows {
             self.firsts = None;
-            let Ok(slot) = self.find(self.hashes[row], row, columns) else {
+            let hash = self.hashes[row];
+            let Ok(head) = self.find(hash, row, columns) else {
                 continue;
             };
-            let head = self.slots[slot] as usize;
+            let head = head as usize;
             let (prev, next) = (self.prev[row], self.next[row]);
             if row == head {
+                let hashes = &self.hashes;
                 if next == NONE {
-                    self.vacate(slot);
+                    self.table.remove(hash, row as u32, |r| hashes[r as usize]);
                 } else {
+                    self.table.replace(hash, row as u32, next);
                     let next = next as usize;
-                    self.slots[slot] = next as u32;
                     self.prev[next] = NONE;
                     self.last[next] = self.last[row];
                     self.first[next] = true;
@@ -882,7 +905,7 @@ impl Classes {
     /// holds for them, the index then covering `len` rows: a row that joins
     /// a class ahead of its first occurrence takes first place.
     fn put_in(&mut self, rows: &[usize], columns: &[Vec<ValueId>], len: usize) {
-        let hashes = self.hashes(columns, rows);
+        let hashes = hash_rows(columns, rows, self.seed);
         self.place(rows, &hashes, columns, len);
     }
 
@@ -897,25 +920,24 @@ impl Classes {
         if !rows.is_empty() {
             self.firsts = None;
         }
-        self.reserve(rows.len());
         for (&row, &hash) in rows.iter().zip(hashes) {
             self.hashes[row] = hash;
-            let slot = match self.find(hash, row, columns) {
-                Ok(slot) => slot,
+            let head = match self.find(hash, row, columns) {
+                Ok(head) => head as usize,
                 Err(vacant) => {
-                    self.slots[vacant] = row as u32;
-                    self.classes += 1;
+                    let hashes = &self.hashes;
+                    self.table
+                        .insert(vacant, row as u32, hash, |r| hashes[r as usize]);
                     (self.last[row], self.first[row]) = (row as u32, true);
                     continue;
                 }
             };
-            let head = self.slots[slot] as usize;
             if row < head {
                 // Ahead of the first occurrence: first place is the row's.
+                self.table.replace(hash, head as u32, row as u32);
                 (self.next[row], self.prev[head]) = (head as u32, row as u32);
                 (self.last[row], self.first[row], self.first[head]) =
                     (self.last[head], true, false);
-                self.slots[slot] = row as u32;
                 continue;
             }
             let mut before = self.last[head] as usize;
@@ -940,18 +962,16 @@ impl Classes {
     fn remap_removed(&mut self, removed: &[usize], columns: &[Vec<ValueId>]) {
         self.take_out(removed.iter().copied(), columns);
         self.firsts = None;
-        let renumber = |row: &mut u32| {
-            if *row != NONE {
-                *row -= removed.partition_point(|&r| r < *row as usize) as u32;
-            }
-        };
+        let renumber = |row: u32| row - removed.partition_point(|&r| r < row as usize) as u32;
         for per_row in [&mut self.next, &mut self.prev, &mut self.last] {
             drop_removed(per_row, removed);
-            per_row.iter_mut().for_each(renumber);
+            for row in per_row.iter_mut().filter(|row| **row != NONE) {
+                *row = renumber(*row);
+            }
         }
         drop_removed(&mut self.hashes, removed);
         drop_removed(&mut self.first, removed);
-        self.slots.iter_mut().for_each(renumber);
+        self.table.rename(renumber);
     }
 
     /// The first occurrences, in row order.
@@ -975,12 +995,15 @@ mod tests {
     use rules::{parse_rules, RuleSet};
 
     /// An evolving table with both stage drivers kept in step with it the
-    /// way `CleaningSession::apply` and `outcome` keep theirs.
+    /// way `CleaningSession::apply` and `outcome` keep theirs — and a second
+    /// Stage-II driver kept in step beside the first that reports through
+    /// [`StageTwo::derive`], the way the distributed coordinator does.
     struct Stream {
         table: Evolving,
         config: CleanConfig,
         one: StageOne,
         two: StageTwo,
+        derives: StageTwo,
     }
 
     impl Stream {
@@ -989,6 +1012,7 @@ mod tests {
             let mut stream = Stream {
                 one: StageOne::new(config.clone(), table.index.clone()),
                 two: StageTwo::new(config.clone()),
+                derives: StageTwo::new(config.clone()),
                 config: config.clone(),
                 table,
             };
@@ -1008,15 +1032,19 @@ mod tests {
             for change in changes {
                 match change {
                     Change::Inserted(report) => {
-                        self.two.grow(self.two.slots() + report.rows);
+                        for two in [&mut self.two, &mut self.derives] {
+                            two.grow(two.slots() + report.rows);
+                        }
                         touch(&mut self.one, &report.touched_keys);
                     }
                     Change::Updated(t, touched) => {
                         touch(&mut self.one, &touched);
                         self.two.invalidate(t);
+                        self.derives.invalidate(t);
                     }
                     Change::Deleted(removed, report) => {
                         self.two.remap_removed(&removed);
+                        self.derives.remap_removed(&removed);
                         self.one.remap_removed(&removed);
                         touch(&mut self.one, &report.touched_keys);
                     }
@@ -1024,10 +1052,11 @@ mod tests {
             }
         }
 
-        /// Refresh what is dirty and report; the report must equal Stage II
-        /// run from scratch over the same cleaned index — repaired CSV, the
-        /// FSCR record (outcomes and changes, in order) and the dedup CSV.
-        /// Returns the report and what the refresh said.
+        /// Refresh what is dirty and report through both drivers; each report
+        /// must equal Stage II run from scratch over the same cleaned index —
+        /// repaired CSV, the FSCR record (outcomes and changes, in order) and
+        /// the dedup CSV.  Returns the maintained report and what the refresh
+        /// said.
         fn report(&mut self, label: &str) -> (Report, Refreshed) {
             let index = &self.table.index;
             let dirty: Vec<(usize, &Block)> = self
@@ -1039,23 +1068,29 @@ mod tests {
             let mut timings = Timings::default();
             let refreshed = self.one.refresh(&dirty, index.pool(), &mut timings);
             self.two.invalidate_refreshed(&refreshed, &dirty);
+            self.derives.invalidate_refreshed(&refreshed, &dirty);
             self.one.sync_pool(self.table.ds.pool());
             let report = self.two.report(&mut self.one, &self.table.ds, &mut timings);
             assert_eq!(report.timings, timings, "{label}");
+            let rows = self.table.ds.clone();
+            let derived = self.derives.derive(&mut self.one, rows, &mut timings);
+            assert_eq!(derived.timings, timings, "{label}");
 
             let resolver = ConflictResolver::new(self.config.max_exhaustive_fusion);
             let (repaired, record) = resolver.resolve(&self.table.ds, self.one.cleaned());
-            assert_eq!(
-                csv::to_csv(&report.repaired),
-                csv::to_csv(&repaired),
-                "{label}"
-            );
-            assert_eq!(report.fscr, record, "{label}");
-            assert_eq!(
-                csv::to_csv(report.deduplicated()),
-                csv::to_csv(&repaired.deduplicated()),
-                "{label}"
-            );
+            for (report, driver) in [(&report, "report"), (&derived, "derive")] {
+                assert_eq!(
+                    csv::to_csv(&report.repaired),
+                    csv::to_csv(&repaired),
+                    "{label}, {driver}"
+                );
+                assert_eq!(report.fscr, record, "{label}, {driver}");
+                assert_eq!(
+                    csv::to_csv(report.deduplicated()),
+                    csv::to_csv(&repaired.deduplicated()),
+                    "{label}, {driver}"
+                );
+            }
             (report, refreshed)
         }
     }
@@ -1105,6 +1140,7 @@ mod tests {
                         let changes = random_change_set(&mut stream.table, &mut rng);
                         stream.absorb(changes);
                         stream.two.enforce_budget(&mut stream.one);
+                        stream.derives.enforce_budget(&mut stream.one);
                     }
                     let (fused, rewritten) = (stream.two.fused, stream.two.rewritten);
                     stream.report(&format!("{name}, {memory_budget:?}: step {step}"));
@@ -1117,6 +1153,8 @@ mod tests {
                     );
                     rows_reported += stream.table.ds.len() as u64;
                     stream.two.enforce_budget(&mut stream.one);
+                    stream.derives.enforce_budget(&mut stream.one);
+                    assert_eq!(stream.derives.view.rows, 0, "derive keeps no view");
                     let emptied = stream.two.fusions.iter().filter(|f| f.is_none()).count();
                     assert_eq!(stream.two.memoised + emptied, stream.two.slots());
                     if memory_budget.is_some() {
@@ -1446,6 +1484,28 @@ mod tests {
                 }
                 put_in(&mut classes, &moved, &columns);
             }
+        }
+    }
+
+    /// Dropping removed rows run by run keeps exactly the other items, in
+    /// order: no removed row, adjacent removed rows, both ends.
+    #[test]
+    fn drop_removed_keeps_the_other_items_in_order() {
+        let mut rng = Rng::labelled(concat!(
+            module_path!(),
+            "::drop_removed_keeps_the_other_items_in_order"
+        ));
+        for _ in 0..200 {
+            let items: Vec<usize> = (0..rng.below(20)).collect();
+            let removed: Vec<usize> = items
+                .iter()
+                .copied()
+                .filter(|_| rng.below(3) == 0)
+                .collect();
+            let mut dropped = items.clone();
+            drop_removed(&mut dropped, &removed);
+            let expected: Vec<usize> = items.into_iter().filter(|i| !removed.contains(i)).collect();
+            assert_eq!(dropped, expected, "{removed:?}");
         }
     }
 

@@ -160,6 +160,11 @@ impl RowStore {
         &self.dataset
     }
 
+    /// The net rows, moved out.
+    pub(crate) fn into_dataset(self) -> Dataset {
+        self.dataset
+    }
+
     /// The pristine index over [`RowStore::dataset`].
     pub(crate) fn pristine(&self) -> &MlnIndex {
         &self.pristine

@@ -524,12 +524,15 @@ impl Dataset {
     /// read front to back once and no row image is built.  The fold is
     /// order-sensitive, so `(a, b)` and `(b, a)` hash apart, and seeded per
     /// call because ids follow the input's first-appearance order.  Equal
-    /// rows hash equal; [`Dataset::first_occurrences`] verifies the rest.
-    fn row_hashes(&self) -> Vec<u64> {
+    /// rows hash equal; whether rows with equal hashes are equal is for the
+    /// caller to verify cell by cell, as [`Dataset::deduplicated`] does.
+    /// [`hash_rows`] is the same fold over chosen rows of a caller's own
+    /// columns.
+    pub fn row_hashes(&self) -> Vec<u64> {
         let mut hashes = vec![RandomState::new().hash_one(self.rows); self.rows];
         for column in &self.columns {
-            for (hash, id) in hashes.iter_mut().zip(column) {
-                *hash = (hash.rotate_left(5) ^ u64::from(id.0)).wrapping_mul(GOLDEN_GAMMA);
+            for (hash, &id) in hashes.iter_mut().zip(column) {
+                *hash = fold_row_hash(*hash, id);
             }
         }
         hashes
@@ -610,24 +613,12 @@ impl Dataset {
     /// holds; the storage stays shared until either side interns a new
     /// value): only ids move, never strings, and they move column by column
     /// into columns of exactly `ids.len()` cells (no row image is built in
-    /// between).  A run of consecutive ids moves as one slice, so keeping
-    /// most rows in order costs little more than a copy.
+    /// between).
     ///
     /// # Panics
     /// Panics if any id is out of range.
     pub fn project_rows(&self, ids: &[TupleId]) -> Dataset {
-        let runs: Vec<&[TupleId]> = ids.chunk_by(|a, b| b.0 == a.0 + 1).collect();
-        let gather = |column: &Vec<ValueId>| -> Vec<ValueId> {
-            if 4 * runs.len() > ids.len() {
-                return ids.iter().map(|t| column[t.0]).collect();
-            }
-            let mut gathered = Vec::with_capacity(ids.len());
-            for run in &runs {
-                let start = run[0].0;
-                gathered.extend_from_slice(&column[start..start + run.len()]);
-            }
-            gathered
-        };
+        let gather = |column: &Vec<ValueId>| ids.iter().map(|t| column[t.0]).collect();
         Dataset {
             schema: self.schema.clone(),
             pool: self.pool.clone(),
@@ -667,6 +658,28 @@ impl Dataset {
         }
         out
     }
+}
+
+/// One 64-bit hash per row of `rows`, over `columns` — one column of ids per
+/// attribute, in schema order — seeded by `seed`: the fold of
+/// [`Dataset::deduplicated`]'s row hash, for a caller that keeps its own
+/// columns and hashes rows as they change.  Under one seed equal rows hash
+/// equal; what is equal is for the caller to verify cell by cell.
+pub fn hash_rows<C: AsRef<[ValueId]>>(columns: &[C], rows: &[usize], seed: u64) -> Vec<u64> {
+    let mut hashes = vec![seed; rows.len()];
+    for column in columns {
+        let column = column.as_ref();
+        for (hash, &row) in hashes.iter_mut().zip(rows) {
+            *hash = fold_row_hash(*hash, column[row]);
+        }
+    }
+    hashes
+}
+
+/// One step of the row hash: fold the next cell's id into `hash`.
+#[inline]
+fn fold_row_hash(hash: u64, id: ValueId) -> u64 {
+    (hash.rotate_left(5) ^ u64::from(id.0)).wrapping_mul(GOLDEN_GAMMA)
 }
 
 impl PartialEq for Dataset {

@@ -23,7 +23,7 @@ pub mod schema;
 pub mod tuple;
 
 pub use cell::CellRef;
-pub use dataset::{ArityMismatch, Dataset, SchemaMismatch};
+pub use dataset::{hash_rows, ArityMismatch, Dataset, SchemaMismatch};
 pub use errors::{DirtyDataset, ErrorInjector, ErrorSpec, ErrorType, InjectedError};
 pub use metrics::{ComponentMetrics, RepairEvaluation, RepairReport};
 pub use pool::{ValueId, ValuePool};

@@ -418,11 +418,12 @@ const EMPTY: u32 = u32::MAX;
 
 /// An open-addressing table of `u32` ids placed by a 64-bit hash of what
 /// each id stands for — linear probing, never more than half full.  This is
-/// the crate's one probe loop: the pool's string → id direction and
-/// `Dataset`'s first-occurrence search both run on it.  The table holds ids
-/// only; the caller keeps the hashes and decides what a match is.
-#[derive(Clone)]
-pub(crate) struct IdTable {
+/// the workspace's one probe loop: the pool's string → id direction,
+/// `Dataset`'s first-occurrence search and the cleaner's maintained dedup
+/// index all run on it.  The table holds ids only; the caller keeps the
+/// hashes and decides what a match is.
+#[derive(Debug, Clone)]
+pub struct IdTable {
     /// A power of two of slots, each an id or [`EMPTY`].
     slots: Vec<u32>,
     /// `log2(slots.len())`: a slot is chosen by the hash's top bits, the
@@ -434,11 +435,12 @@ pub(crate) struct IdTable {
 
 /// The empty slot a failed [`IdTable::find`] ended on: where
 /// [`IdTable::insert`] places the id that was not found.
-pub(crate) struct Vacant(usize);
+#[derive(Debug)]
+pub struct Vacant(usize);
 
 impl IdTable {
     /// An empty table that holds `capacity` ids before it first grows.
-    pub(crate) fn with_capacity(capacity: usize) -> Self {
+    pub fn with_capacity(capacity: usize) -> Self {
         let bits = (2 * capacity).next_power_of_two().trailing_zeros().max(1);
         IdTable {
             slots: vec![EMPTY; 1 << bits],
@@ -470,11 +472,7 @@ impl IdTable {
     /// inlined into `Dataset::first_occurrences`, whose dedup pass then
     /// runs ≈ 25% slower than the same loop written in place.
     #[inline]
-    pub(crate) fn find(
-        &self,
-        hash: u64,
-        mut is_match: impl FnMut(u32) -> bool,
-    ) -> Result<u32, Vacant> {
+    pub fn find(&self, hash: u64, mut is_match: impl FnMut(u32) -> bool) -> Result<u32, Vacant> {
         let mask = self.slots.len() - 1;
         let mut slot = self.home(hash);
         loop {
@@ -491,13 +489,7 @@ impl IdTable {
     /// first, re-placing every id it holds by `hash_of` — the caller's
     /// stored hashes: nothing is rehashed.
     #[inline]
-    pub(crate) fn insert(
-        &mut self,
-        vacant: Vacant,
-        id: u32,
-        hash: u64,
-        hash_of: impl Fn(u32) -> u64,
-    ) {
+    pub fn insert(&mut self, vacant: Vacant, id: u32, hash: u64, hash_of: impl Fn(u32) -> u64) {
         if 2 * (self.len + 1) > self.slots.len() {
             self.grow(hash_of);
             self.place(id, hash);
@@ -505,6 +497,67 @@ impl IdTable {
             self.slots[vacant.0] = id;
         }
         self.len += 1;
+    }
+
+    /// Take `id`, hashed `hash`, out of the table; whether it was held.  The
+    /// ids after it in its probe run that it would cut off from their home
+    /// slot shift back (`hash_of`: the caller's stored hashes), so no
+    /// tombstone is left behind.
+    pub fn remove(&mut self, hash: u64, id: u32, hash_of: impl Fn(u32) -> u64) -> bool {
+        let Some(mut slot) = self.slot_of(hash, id) else {
+            return false;
+        };
+        let mask = self.slots.len() - 1;
+        let mut probe = slot;
+        loop {
+            probe = (probe + 1) & mask;
+            let held = self.slots[probe];
+            if held == EMPTY {
+                break;
+            }
+            // `held` may fill the hole if its home is not after the hole
+            // along the probe run.
+            let home = self.home(hash_of(held));
+            if (probe.wrapping_sub(home) & mask) >= (probe.wrapping_sub(slot) & mask) {
+                self.slots[slot] = held;
+                slot = probe;
+            }
+        }
+        self.slots[slot] = EMPTY;
+        self.len -= 1;
+        true
+    }
+
+    /// Put `new` where `old` is held, both hashed `hash` (they stand for
+    /// equal things); whether `old` was held.
+    pub fn replace(&mut self, hash: u64, old: u32, new: u32) -> bool {
+        let Some(slot) = self.slot_of(hash, old) else {
+            return false;
+        };
+        self.slots[slot] = new;
+        true
+    }
+
+    /// The slot holding `id`, hashed `hash`.
+    fn slot_of(&self, hash: u64, id: u32) -> Option<usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(hash);
+        loop {
+            match self.slots[slot] {
+                EMPTY => return None,
+                held if held == id => return Some(slot),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Rename every id held to `rename(id)`, each keeping its slot: for a
+    /// caller whose ids shift while what they stand for — hence their hashes
+    /// — stays.
+    pub fn rename(&mut self, mut rename: impl FnMut(u32) -> u32) {
+        for held in self.slots.iter_mut().filter(|held| **held != EMPTY) {
+            *held = rename(*held);
+        }
     }
 
     #[cold]
@@ -599,6 +652,45 @@ mod tests {
             assert_eq!(snapshot.lookup(value), Some(ValueId(i as u32)));
         }
         assert_eq!(snapshot.lookup("city-300"), None);
+    }
+
+    /// Removal shifts back what would be cut off from its home: with few
+    /// distinct hashes (long probe runs that wrap around the table), every
+    /// id left is still found after any sequence of removals and inserts,
+    /// and every removed one is not.
+    #[test]
+    fn removal_keeps_every_other_id_findable() {
+        let mut rng = Rng::labelled(concat!(
+            module_path!(),
+            "::removal_keeps_every_other_id_findable"
+        ));
+        for _ in 0..50 {
+            let ids = 1 + rng.below(40);
+            // Few hashes, all near the top of the range: runs wrap.
+            let hashes: Vec<u64> = (0..ids).map(|_| u64::MAX - rng.below(4) as u64).collect();
+            let hash_of = |id: u32| hashes[id as usize];
+            let mut table = IdTable::with_capacity(1);
+            let mut held = vec![false; ids];
+            for _ in 0..4 * ids {
+                let id = rng.below(ids) as u32;
+                if held[id as usize] {
+                    assert!(table.remove(hash_of(id), id, hash_of));
+                    assert!(!table.remove(hash_of(id), id, hash_of));
+                } else {
+                    let Err(vacant) = table.find(hash_of(id), |other| other == id) else {
+                        panic!("{id} was not held");
+                    };
+                    table.insert(vacant, id, hash_of(id), hash_of);
+                }
+                held[id as usize] ^= true;
+                for (id, &held) in held.iter().enumerate() {
+                    let id = id as u32;
+                    let found = table.find(hash_of(id), |other| other == id).is_ok();
+                    assert_eq!(found, held, "{id}");
+                }
+                assert_eq!(table.len, held.iter().filter(|&&h| h).count());
+            }
+        }
     }
 
     /// New values append in order, hashed once each; a list naming a held

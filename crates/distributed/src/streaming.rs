@@ -49,11 +49,11 @@
 //!    are never asked to clean.
 //! 4. **Gather** — [`DistributedStreamingSession::outcome`] gathers the
 //!    accumulated rows (as local ids, translated like a merge's) and hands
-//!    them to [`StageTwo::report`] — the same
-//!    Stage-II driver, and the same call, a single [`CleaningSession`]
-//!    reports with: it fuses the tuples the merge rounds invalidated, replays
-//!    every other fusion from its memo and reports in global coordinates; the
-//!    coordinator attaches a [`PartitionReport`].
+//!    them to [`StageTwo::derive`] — the same Stage-II driver a single
+//!    [`CleaningSession`] reports with, in the form that keeps no report
+//!    between outcomes: it fuses the tuples the merge rounds invalidated,
+//!    replays every other fusion from its memo and reports in global
+//!    coordinates; the coordinator attaches a [`PartitionReport`].
 //!
 //! Byte-identity with the single session holds by construction: merged
 //! pristine blocks carry exactly the groups/γs/supports a single session's
@@ -161,9 +161,9 @@ pub struct CoordinatorFootprint {
     pub pool_values: usize,
     /// Per-block statistics slots.  Fixed by the rule set.
     pub block_entries: usize,
-    /// Resident dataset cells: the repaired rows [`StageTwo`] keeps
-    /// between outcomes (rows × arity as of the last outcome, 0 before the
-    /// first).  The dirty rows live only in the partitions.
+    /// Resident dataset cells.  Always 0 since the coordinator shed its
+    /// mirror dataset: rows live only in the partitions, and Stage II
+    /// derives each report ([`StageTwo::derive`]) instead of keeping one.
     pub cell_entries: usize,
 }
 
@@ -305,10 +305,10 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
 
     /// The coordinator's resident-state footprint, in entry counts per
     /// category — the regression probe pinning the routing-only property:
-    /// what the coordinator retains for routing is O(ids) (row-id maps,
-    /// value-translation tables, per-block state), never O(cells) dirty row
-    /// payload.  `cell_entries` counts the one O(cells) structure it keeps:
-    /// the last outcome's repaired rows, which the next outcome patches.
+    /// everything the coordinator retains between change sets is O(ids)
+    /// (row-id maps, value-translation tables, per-block state), never
+    /// O(cells) row payload (`cell_entries` is the count of resident dataset
+    /// cells and must stay 0).
     pub fn footprint(&self) -> CoordinatorFootprint {
         CoordinatorFootprint {
             row_entries: self.home.len()
@@ -318,7 +318,7 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
             reverse_entries: self.pools.iter().map(|m| m.local_ids.len()).sum(),
             pool_values: self.pool.len(),
             block_entries: self.shared_per_block.len(),
-            cell_entries: self.stage_two.view_cells(),
+            cell_entries: 0,
         }
     }
 
@@ -587,7 +587,7 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
         let rows = self.settle();
         let mut report = self
             .stage_two
-            .report(&mut self.stage_one, &rows, &mut self.timings);
+            .derive(&mut self.stage_one, rows, &mut self.timings);
         Self::stamp(
             &mut report,
             &mut self.backend,
@@ -607,7 +607,7 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
         let rows = self.settle();
         let mut report = self
             .stage_two
-            .finish(self.stage_one, &rows, &mut self.timings);
+            .finish(self.stage_one, rows, &mut self.timings);
         Self::stamp(
             &mut report,
             &mut self.backend,
@@ -1255,11 +1255,8 @@ mod tests {
         assert_eq!(grown.pool_values, narrow_fp.pool_values);
         assert_eq!(grown.cell_entries, 0);
 
-        // The gathered dataset is the transient O(cells) view; an outcome
-        // leaves its repaired rows behind for the next one to patch.
+        // The gathered dataset is the transient O(cells) view.
         assert_eq!(narrow.gather_dataset().len(), 64);
         assert_eq!(wide.gather_dataset().len(), 32);
-        let _ = narrow.outcome();
-        assert_eq!(narrow.footprint().cell_entries, 64 * 3);
     }
 }
