@@ -3,7 +3,7 @@
 
 use crate::common::{fmt3, fmt_ms, ResultTable, Scale, Workload};
 use dataset::RepairEvaluation;
-use holoclean::{HoloClean, HoloCleanConfig};
+use holoclean::HoloClean;
 use mlnclean::MlnClean;
 
 /// Error percentages swept in the paper.
@@ -40,7 +40,7 @@ pub fn compare_at(workload: Workload, scale: Scale, error_rate: f64, seed: u64) 
     let mlnclean_time = outcome.timings.total();
 
     // HoloClean: oracle detection (100% accuracy), repair only.
-    let baseline = HoloClean::new(HoloCleanConfig::default());
+    let baseline = HoloClean::new();
     let noisy = dirty.erroneous_cells();
     let repair = baseline.repair(&dirty.dirty, &rules, &noisy);
     let holoclean_f1 = RepairEvaluation::evaluate(&dirty, &repair.repaired).f1();

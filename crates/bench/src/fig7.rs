@@ -3,7 +3,7 @@
 
 use crate::common::{fmt3, ResultTable, Scale, Workload};
 use dataset::RepairEvaluation;
-use holoclean::{HoloClean, HoloCleanConfig};
+use holoclean::HoloClean;
 use mlnclean::MlnClean;
 
 /// Replacement-error ratios swept in the paper (0 = all typos, 1 = all
@@ -34,7 +34,7 @@ pub fn compare_at(workload: Workload, scale: Scale, rret: f64, seed: u64) -> Rre
         .expect("rules match the schema");
     let mlnclean_f1 = RepairEvaluation::evaluate(&dirty, &outcome.repaired).f1();
 
-    let baseline = HoloClean::new(HoloCleanConfig::default());
+    let baseline = HoloClean::new();
     let repair = baseline.repair(&dirty.dirty, &rules, &dirty.erroneous_cells());
     let holoclean_f1 = RepairEvaluation::evaluate(&dirty, &repair.repaired).f1();
 

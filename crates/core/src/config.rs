@@ -12,13 +12,6 @@ pub struct CleanConfig {
     /// Distance metric used by AGP (group distance) and RSC (reliability
     /// score).  Levenshtein is the paper default (Table 5).
     pub metric: Metric,
-    /// Maximum number of per-tuple data versions for which FSCR explores
-    /// every fusion order exhaustively (`m!` orders).  Beyond this, FSCR
-    /// walks the m rotations of a consensus order (fewest conflicting peers
-    /// first, ties by descending probability), so each version leads once —
-    /// the paper's complexity analysis (O(|T|·m!·m)) assumes m is small
-    /// because m ≤ |rules|.
-    pub max_exhaustive_fusion: usize,
     /// Optional guard on AGP merges (an extension over the paper): an
     /// abnormal group is only merged when the *normalized* distance between
     /// its dominant γ and the nearest normal group's dominant γ is at most
@@ -30,9 +23,6 @@ pub struct CleanConfig {
     /// workloads run with the guard at 0.15; no experiment measures the
     /// guard's effect on its own.
     pub agp_distance_guard: Option<f64>,
-    /// Whether the final output should also drop exact duplicate tuples
-    /// (MLNClean does; keep `true` unless you need one row per input tuple).
-    pub deduplicate: bool,
     /// Optional bound, in bytes, on the **evictable working state** of a
     /// session or a streaming coordinator — one policy, in the two stage
     /// drivers both are built from: the per-block distance and plan memos
@@ -59,9 +49,7 @@ impl Default for CleanConfig {
         CleanConfig {
             tau: 1,
             metric: Metric::Levenshtein,
-            max_exhaustive_fusion: 6,
             agp_distance_guard: None,
-            deduplicate: true,
             memory_budget: None,
             parallel: true,
         }
@@ -78,12 +66,6 @@ impl CleanConfig {
     /// Set the distance metric.
     pub fn with_metric(mut self, metric: Metric) -> Self {
         self.metric = metric;
-        self
-    }
-
-    /// Enable or disable final deduplication.
-    pub fn with_deduplicate(mut self, deduplicate: bool) -> Self {
-        self.deduplicate = deduplicate;
         self
     }
 
@@ -117,7 +99,7 @@ mod tests {
         let c = CleanConfig::default();
         assert_eq!(c.tau, 1);
         assert_eq!(c.metric, Metric::Levenshtein);
-        assert!(c.deduplicate);
+        assert_eq!(c.agp_distance_guard, None);
     }
 
     #[test]
@@ -125,13 +107,11 @@ mod tests {
         let c = CleanConfig::default()
             .with_tau(10)
             .with_metric(Metric::Cosine)
-            .with_deduplicate(false)
             .with_agp_distance_guard(0.5)
             .with_memory_budget(1 << 20)
             .with_parallel(false);
         assert_eq!(c.tau, 10);
         assert_eq!(c.metric, Metric::Cosine);
-        assert!(!c.deduplicate);
         assert_eq!(c.agp_distance_guard, Some(0.5));
         assert_eq!(c.memory_budget, Some(1 << 20));
         assert!(!c.parallel);

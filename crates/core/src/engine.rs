@@ -55,7 +55,7 @@ pub struct Timings {
     pub rsc: Duration,
     /// Fusion-score conflict resolution.
     pub fscr: Duration,
-    /// Exact-duplicate removal (zero when deduplication is disabled).
+    /// Exact-duplicate removal.
     pub dedup: Duration,
     /// Routing change sets and the partitions' ingest, as the coordinator
     /// waits for it (distributed driver only).
@@ -134,9 +134,10 @@ pub struct Report {
     /// The repaired dataset with one row per input tuple (use this for
     /// cell-level evaluation).
     pub repaired: Dataset,
-    /// The repaired dataset after removing exact duplicates, or `None` when
-    /// deduplication is disabled (access through [`Report::deduplicated`],
-    /// which falls back to `repaired` without cloning).
+    /// The repaired dataset after removing exact duplicates.  Every engine
+    /// fills it; `None` comes only from a [`Report::new`] caller that passes
+    /// none (access through [`Report::deduplicated`], which then falls back
+    /// to `repaired` without cloning).
     pub(crate) deduplicated: Option<Dataset>,
     /// The MLN index in its final (post-RSC) state, shared with the engine
     /// that produced it (`Arc` so an incremental session can hand out
@@ -190,9 +191,9 @@ impl Decode for Report {
 
 impl Report {
     /// Assemble a report from its parts — the constructor out-of-crate
-    /// callers (the repo benchmark's per-layer probe) use.  Pass
-    /// `deduplicated: None` when deduplication is disabled;
-    /// [`Report::deduplicated`] then falls back to the repaired dataset.
+    /// callers (the repo benchmark's per-layer probe) use.  With
+    /// `deduplicated: None`, [`Report::deduplicated`] falls back to the
+    /// repaired dataset.
     /// The records' ids are named by `index`'s pool (`repaired`'s without
     /// one) and `repaired`'s schema.
     #[allow(clippy::too_many_arguments)]
@@ -237,9 +238,9 @@ impl Report {
         self.fscr.attach(names);
     }
 
-    /// The final output: the repaired dataset after exact-duplicate removal.
-    /// When deduplication is disabled this is the repaired dataset itself (no
-    /// copy is made).
+    /// The final output: the repaired dataset after exact-duplicate removal
+    /// (the repaired dataset itself, not a copy, in a report assembled
+    /// without one).
     pub fn deduplicated(&self) -> &Dataset {
         self.deduplicated.as_ref().unwrap_or(&self.repaired)
     }

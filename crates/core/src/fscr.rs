@@ -258,15 +258,6 @@ impl FscrRecord {
         self.changes.attach(names);
     }
 
-    /// Tuples for which a conflict between data versions was detected.
-    pub fn tuples_with_conflicts(&self) -> Vec<TupleId> {
-        self.outcomes
-            .iter()
-            .filter(|o| o.conflict_detected)
-            .map(|o| o.tuple)
-            .collect()
-    }
-
     /// Number of rewritten cells.
     pub fn changed_cell_count(&self) -> usize {
         self.changes.len()
@@ -437,6 +428,12 @@ impl FusionPlan {
         self.candidates_tested
     }
 }
+
+/// The most per-tuple data versions for which the pipeline's FSCR explores
+/// every fusion order exhaustively (`m!` orders); beyond it, the m rotations
+/// of the consensus order.  The paper's complexity analysis (O(|T|·m!·m))
+/// assumes m is small because m ≤ |rules|.
+pub(crate) const MAX_EXHAUSTIVE_FUSION: usize = 6;
 
 /// The FSCR strategy.
 #[derive(Debug, Clone)]

@@ -108,16 +108,6 @@ mod tests {
     }
 
     #[test]
-    fn deduplication_can_be_disabled() {
-        let dirty = sample_hospital_dataset();
-        let rules = sample_hospital_rules();
-        let outcome = MlnClean::new(CleanConfig::default().with_deduplicate(false))
-            .clean(&dirty, &rules)
-            .unwrap();
-        assert_eq!(outcome.deduplicated().len(), dirty.len());
-    }
-
-    #[test]
     fn f1_is_perfect_on_the_sample() {
         // Build the DirtyDataset wrapper so the standard evaluation applies.
         let clean = sample_hospital_truth();

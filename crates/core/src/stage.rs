@@ -19,7 +19,7 @@
 use crate::agp::{AbnormalGroupProcessor, AgpRecord};
 use crate::config::CleanConfig;
 use crate::engine::Timings;
-use crate::fscr::{ConflictResolver, FscrRecord};
+use crate::fscr::{ConflictResolver, FscrRecord, MAX_EXHAUSTIVE_FUSION};
 use crate::index::MlnIndex;
 use crate::rsc::{ReliabilityCleaner, RscRecord};
 use crate::weights::assign_weights;
@@ -51,9 +51,7 @@ pub struct StageContext<'a> {
     pub records: &'a mut StageRecords,
     /// The repaired dataset, produced by [`FscrStage`].
     pub repaired: Option<Dataset>,
-    /// The deduplicated dataset, produced by [`DedupStage`] (stays `None`
-    /// when deduplication is disabled — the repaired dataset already is the
-    /// final output then).
+    /// The deduplicated dataset, produced by [`DedupStage`].
     pub deduplicated: Option<Dataset>,
 }
 
@@ -145,7 +143,7 @@ impl PipelineStage for FscrStage {
 
     fn run(&self, ctx: &mut StageContext<'_>) {
         let start = Instant::now();
-        let resolver = ConflictResolver::new(ctx.config.max_exhaustive_fusion);
+        let resolver = ConflictResolver::new(MAX_EXHAUSTIVE_FUSION);
         let (repaired, record) = resolver.resolve(ctx.dataset, ctx.index);
         ctx.repaired = Some(repaired);
         ctx.records.fscr = record;
@@ -163,9 +161,6 @@ impl PipelineStage for DedupStage {
     }
 
     fn run(&self, ctx: &mut StageContext<'_>) {
-        if !ctx.config.deduplicate {
-            return; // the repaired dataset is already the final output
-        }
         let start = Instant::now();
         let repaired = ctx
             .repaired

@@ -118,6 +118,7 @@ use crate::agp::AgpRecord;
 use crate::engine::{Report, Timings};
 use crate::fscr::{
     apply_tuple_fusion, CellChange, ConflictResolver, FscrRecord, FusionOutcome, SharedFusion,
+    MAX_EXHAUSTIVE_FUSION,
 };
 use crate::index::{Block, MlnIndex};
 use crate::rsc::RscRecord;
@@ -181,7 +182,7 @@ impl StageTwo {
     /// A driver over no rows.
     pub fn new(config: CleanConfig) -> Self {
         StageTwo {
-            view: View::new(config.deduplicate),
+            view: View::new(),
             config,
             fusions: Vec::new(),
             fragile: Vec::new(),
@@ -340,7 +341,7 @@ impl StageTwo {
         }
         let started = Instant::now();
         let wanted: Vec<bool> = self.fusions.iter().map(Option::is_none).collect();
-        let resolver = ConflictResolver::new(self.config.max_exhaustive_fusion);
+        let resolver = ConflictResolver::new(MAX_EXHAUSTIVE_FUSION);
         let plan = resolver.plan_for(stage_one.cleaned(), &wanted);
         for (t, slot) in self.fusions.iter_mut().enumerate() {
             if slot.is_none() {
@@ -391,8 +392,7 @@ impl StageTwo {
     /// every dirty block refreshed: settle the memo, patch the maintained
     /// report (module docs) and copy it out — the repaired rows named by
     /// `rows`' pool, the FSCR record in tuple order exactly like a batch run
-    /// emits it, and the rows without exact duplicates if
-    /// [`CleanConfig::deduplicate`] says so.  The clocks run into
+    /// emits it, and the rows without exact duplicates.  The clocks run into
     /// `timings.fscr` / `timings.dedup`, and the report carries `timings` as
     /// they then read.  The Stage-I provenance is a copy of `stage_one`'s,
     /// and every record list is named by the cleaned index's pool and `rows`'
@@ -414,7 +414,7 @@ impl StageTwo {
             candidates_tested,
         };
         timings.fscr += started.elapsed();
-        let firsts = view.classes.as_mut().map(Classes::firsts);
+        let firsts = view.classes.firsts();
         let mut report = assemble(repaired, firsts, fscr, stage_one.cleaned(), timings);
         (report.agp, report.rsc) = stage_one.records();
         report.name_records();
@@ -462,7 +462,7 @@ impl StageTwo {
                 changes: std::mem::take(&mut view.changes).into(),
                 candidates_tested,
             };
-            let firsts = view.classes.as_mut().map(Classes::firsts);
+            let firsts = view.classes.firsts();
             assemble(repaired, firsts, fscr, stage_one.cleaned(), timings)
         };
         (report.agp, report.rsc) = stage_one.into_records();
@@ -503,31 +503,27 @@ impl StageTwo {
         debug_assert_eq!(fscr.outcomes.len(), repaired.len(), "one outcome per row");
         timings.fscr += started.elapsed();
         let started = Instant::now();
-        let firsts = self.config.deduplicate.then(|| first_rows(&repaired));
+        let firsts = first_rows(&repaired);
         timings.dedup += started.elapsed();
-        assemble(repaired, firsts.as_deref(), fscr, &cleaned, timings)
+        assemble(repaired, &firsts, fscr, &cleaned, timings)
     }
 }
 
 /// A report of `repaired` and `fscr` with empty Stage-I provenance; its rows
-/// without exact duplicates are `firsts`, the first occurrences, if there
-/// are any to keep.
+/// without exact duplicates are `firsts`, the first occurrences.
 fn assemble(
     repaired: Dataset,
-    firsts: Option<&[TupleId]>,
+    firsts: &[TupleId],
     fscr: FscrRecord,
     cleaned: &Arc<MlnIndex>,
     timings: &mut Timings,
 ) -> Report {
-    let deduplicated = firsts.map(|firsts| {
-        let started = Instant::now();
-        let deduplicated = repaired.project_rows(firsts);
-        timings.dedup += started.elapsed();
-        deduplicated
-    });
+    let started = Instant::now();
+    let deduplicated = repaired.project_rows(firsts);
+    timings.dedup += started.elapsed();
     Report {
         repaired,
-        deduplicated,
+        deduplicated: Some(deduplicated),
         index: Some(Arc::clone(cleaned)),
         agp: AgpRecord::default(),
         rsc: RscRecord::default(),
@@ -572,18 +568,18 @@ struct View {
     outcomes: Vec<FusionOutcome>,
     /// Every cell the fusions rewrote, in tuple order.
     changes: Vec<CellChange>,
-    /// The dedup index; `None` when deduplication is off.
-    classes: Option<Classes>,
+    /// The dedup index.
+    classes: Classes,
 }
 
 impl View {
-    fn new(deduplicate: bool) -> Self {
+    fn new() -> Self {
         View {
             rows: 0,
             columns: Vec::new(),
             outcomes: Vec::new(),
             changes: Vec::new(),
-            classes: deduplicate.then(Classes::new),
+            classes: Classes::new(),
         }
     }
 
@@ -680,9 +676,8 @@ impl View {
         timings.fscr += started.elapsed();
 
         let started = Instant::now();
-        if let Some(classes) = &mut self.classes {
-            classes.take_out(standing.iter().map(|&(t, _)| t), &self.columns);
-        }
+        self.classes
+            .take_out(standing.iter().map(|&(t, _)| t), &self.columns);
         timings.dedup += started.elapsed();
 
         let started = Instant::now();
@@ -704,9 +699,7 @@ impl View {
         timings.fscr += started.elapsed();
 
         let started = Instant::now();
-        if let Some(classes) = &mut self.classes {
-            classes.put_in(&rewritten, &self.columns, self.rows);
-        }
+        self.classes.put_in(&rewritten, &self.columns, self.rows);
         timings.dedup += started.elapsed();
         rewritten.len()
     }
@@ -742,9 +735,7 @@ impl View {
         if removed.is_empty() {
             return;
         }
-        if let Some(classes) = &mut self.classes {
-            classes.remap_removed(removed, &self.columns);
-        }
+        self.classes.remap_removed(removed, &self.columns);
         for column in &mut self.columns {
             drop_removed(column, removed);
         }
@@ -1000,7 +991,6 @@ mod tests {
     /// [`StageTwo::derive`], the way the distributed coordinator does.
     struct Stream {
         table: Evolving,
-        config: CleanConfig,
         one: StageOne,
         two: StageTwo,
         derives: StageTwo,
@@ -1013,7 +1003,6 @@ mod tests {
                 one: StageOne::new(config.clone(), table.index.clone()),
                 two: StageTwo::new(config.clone()),
                 derives: StageTwo::new(config.clone()),
-                config: config.clone(),
                 table,
             };
             let rows = ds.tuples().map(|t| t.owned_values()).collect();
@@ -1076,7 +1065,7 @@ mod tests {
             let derived = self.derives.derive(&mut self.one, rows, &mut timings);
             assert_eq!(derived.timings, timings, "{label}");
 
-            let resolver = ConflictResolver::new(self.config.max_exhaustive_fusion);
+            let resolver = ConflictResolver::new(MAX_EXHAUSTIVE_FUSION);
             let (repaired, record) = resolver.resolve(&self.table.ds, self.one.cleaned());
             for (report, driver) in [(&report, "report"), (&derived, "derive")] {
                 assert_eq!(
@@ -1428,7 +1417,7 @@ mod tests {
             |table| table.delete(&[TupleId(2)]),
             &["a1 b1 c1", "a2 b2 c2"],
         );
-        let classes = stream.two.view.classes.as_mut().unwrap();
+        let classes = &mut stream.two.view.classes;
         assert_eq!(classes.firsts(), [TupleId(0), TupleId(3)]);
         let (report, _) = stream.report("again");
         assert_eq!(report.deduplicated().len(), 2);
@@ -1437,7 +1426,10 @@ mod tests {
 
     /// The dedup index tells colliding classes apart by their values: with
     /// every row hashed alike, patches in any order still flag the first
-    /// occurrence of each class exactly as `Dataset::deduplicated` keeps it.
+    /// occurrence of each class exactly as `Dataset::deduplicated` keeps it,
+    /// and right after rows are taken out, the first occurrence of each class
+    /// among the rows left — a first occurrence that leaves hands its place
+    /// to the next member.
     #[test]
     fn classes_whose_hashes_collide_stay_apart() {
         let mut rng = Rng::labelled(concat!(
@@ -1479,6 +1471,12 @@ mod tests {
                 moved.sort_unstable();
                 moved.dedup();
                 classes.take_out(moved.iter().copied(), &columns);
+                let left: Vec<usize> = all.iter().copied().filter(|t| !moved.contains(t)).collect();
+                let heads: Vec<TupleId> = (left.iter().enumerate())
+                    .filter(|&(i, &t)| left[..i].iter().all(|&u| !same_row(&columns, u, t)))
+                    .map(|(_, &t)| TupleId(t))
+                    .collect();
+                assert_eq!(classes.firsts(), heads);
                 for &t in &moved {
                     columns[rng.below(2)][t] = value(&mut rng);
                 }

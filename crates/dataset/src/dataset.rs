@@ -482,18 +482,6 @@ impl Dataset {
         self.domain_ids(attr).len()
     }
 
-    /// Frequency of each value in the column `attr`.
-    pub fn value_counts(&self, attr: AttrId) -> BTreeMap<String, usize> {
-        let mut by_id: HashMap<ValueId, usize> = HashMap::new();
-        for &id in &self.columns[attr.0] {
-            *by_id.entry(id).or_insert(0) += 1;
-        }
-        by_id
-            .into_iter()
-            .map(|(id, n)| (self.pool.resolve(id).to_string(), n))
-            .collect()
-    }
-
     /// Co-occurrence counts between values of `a` and values of `b`:
     /// how many tuples carry each (value-of-a, value-of-b) pair.
     pub fn cooccurrence(&self, a: AttrId, b: AttrId) -> BTreeMap<(String, String), usize> {
@@ -771,9 +759,6 @@ mod tests {
         let domain = ds.domain(ct);
         assert_eq!(domain.len(), 3); // DOTHAN, DOTH, BOAZ
         assert_eq!(ds.distinct_count(ct), 3);
-        let counts = ds.value_counts(ct);
-        assert_eq!(counts["BOAZ"], 3);
-        assert_eq!(counts["DOTH"], 1);
     }
 
     #[test]

@@ -717,8 +717,6 @@ impl PoolMap {
 pub struct DistributedStreamingMlnClean {
     /// Number of partitions (= row stores).
     pub partitions: usize,
-    /// Merge cadence K: cross-partition merge every K micro-batches.
-    pub merge_every: usize,
     /// Micro-batch size in rows.
     pub batch_rows: usize,
     /// The cleaning configuration.
@@ -726,23 +724,16 @@ pub struct DistributedStreamingMlnClean {
 }
 
 impl DistributedStreamingMlnClean {
-    /// Create a streaming distributed cleaner with merge cadence 1 and the
-    /// default micro-batch size (128 rows).  Nothing is checked here: with
-    /// zero partitions [`Self::clean`] fails with [`CleanError::Partition`].
+    /// Create a streaming distributed cleaner that merges after every
+    /// micro-batch, at the default micro-batch size (128 rows).  Nothing is
+    /// checked here: with zero partitions [`Self::clean`] fails with
+    /// [`CleanError::Partition`].
     pub fn new(partitions: usize, config: CleanConfig) -> Self {
         DistributedStreamingMlnClean {
             partitions,
-            merge_every: 1,
             batch_rows: 128,
             config,
         }
-    }
-
-    /// Set the merge cadence K; [`Self::clean`] fails with
-    /// [`CleanError::Zero`] at 0.
-    pub fn with_merge_every(mut self, merge_every: usize) -> Self {
-        self.merge_every = merge_every;
-        self
     }
 
     /// Set the micro-batch size in rows; [`Self::clean`] fails with
@@ -766,7 +757,7 @@ impl DistributedStreamingMlnClean {
             dirty.schema().clone(),
             rules.clone(),
             self.partitions,
-            self.merge_every,
+            1, // merge after every micro-batch
         )?;
         for changes in ChangeSet::insert_batches(dirty, self.batch_rows) {
             session.apply(changes)?;
@@ -927,16 +918,13 @@ mod tests {
             0,
         )
         .unwrap_err();
-        let merge_every = CleanError::Zero {
-            field: "merge_every",
-        };
-        assert_eq!(err, merge_every);
-        let cleaner = DistributedStreamingMlnClean::new(2, config);
-        let err = (cleaner.clone().with_merge_every(0))
-            .clean(&dirty, &rules)
-            .unwrap_err();
-        assert_eq!(err, merge_every);
-        let err = (cleaner.with_batch_rows(0))
+        assert_eq!(
+            err,
+            CleanError::Zero {
+                field: "merge_every"
+            }
+        );
+        let err = (DistributedStreamingMlnClean::new(2, config).with_batch_rows(0))
             .clean(&dirty, &rules)
             .unwrap_err();
         assert_eq!(

@@ -73,13 +73,6 @@ impl CandidateDomain {
         out
     }
 
-    /// Convenience: prune an arbitrary candidate list to the generator's
-    /// budget (used in tests of the pruning behaviour).
-    pub fn prune_to_budget(&self, mut values: Vec<ValueId>) -> Vec<ValueId> {
-        values.truncate(self.max_candidates);
-        values
-    }
-
     /// The candidate budget.
     pub fn budget(&self) -> usize {
         self.max_candidates
@@ -128,8 +121,6 @@ mod tests {
     #[test]
     fn budget_is_enforced() {
         let gen = CandidateDomain::new(2);
-        let pruned = gen.prune_to_budget(vec![ValueId(0), ValueId(1), ValueId(2)]);
-        assert_eq!(pruned.len(), 2);
         assert_eq!(gen.budget(), 2);
     }
 }

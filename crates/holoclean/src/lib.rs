@@ -38,7 +38,7 @@ pub mod repair;
 pub use detection::{detect_noisy_cells, DetectionMode};
 pub use domain::CandidateDomain;
 pub use features::CooccurrenceModel;
-pub use repair::{HoloClean, HoloCleanConfig, RepairOutcome};
+pub use repair::{HoloClean, RepairOutcome};
 
 #[cfg(test)]
 mod tests {
@@ -53,7 +53,7 @@ mod tests {
         let rules = sample_hospital_rules();
         // Perfect detection: the four truly dirty cells.
         let noisy = dirty.diff_cells(&truth).into_iter().collect();
-        let cleaner = HoloClean::new(HoloCleanConfig::default());
+        let cleaner = HoloClean::new();
         let outcome = cleaner.repair(&dirty, &rules, &noisy);
         assert_eq!(outcome.repaired.len(), dirty.len());
         // HoloClean repairs the schema-level error t4.ST (AK → AL): the clean

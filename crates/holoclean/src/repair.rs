@@ -24,29 +24,14 @@ use rules::{Rule, RuleSet};
 use std::collections::{BTreeSet, HashMap};
 use std::time::{Duration, Instant};
 
-/// Configuration of the baseline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HoloCleanConfig {
-    /// Candidate budget per noisy cell.
-    pub max_candidates: usize,
-    /// Weight of the co-occurrence features.
-    pub cooccurrence_weight: f64,
-    /// Weight of the prior-support feature.
-    pub prior_weight: f64,
-    /// Penalty applied per violated constraint.
-    pub violation_penalty: f64,
-}
-
-impl Default for HoloCleanConfig {
-    fn default() -> Self {
-        HoloCleanConfig {
-            max_candidates: 50,
-            cooccurrence_weight: 1.0,
-            prior_weight: 0.2,
-            violation_penalty: 2.0,
-        }
-    }
-}
+/// Candidate budget per noisy cell.
+const MAX_CANDIDATES: usize = 50;
+/// Weight of the co-occurrence features.
+const COOCCURRENCE_WEIGHT: f64 = 1.0;
+/// Weight of the prior-support feature.
+const PRIOR_WEIGHT: f64 = 0.2;
+/// Penalty applied per violated constraint.
+const VIOLATION_PENALTY: f64 = 2.0;
 
 /// The result of a repair run.
 #[derive(Debug, Clone)]
@@ -70,15 +55,13 @@ impl RepairOutcome {
 }
 
 /// The HoloClean-style cleaner.
-#[derive(Debug, Clone, Default)]
-pub struct HoloClean {
-    config: HoloCleanConfig,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct HoloClean;
 
 impl HoloClean {
     /// Create a cleaner.
-    pub fn new(config: HoloCleanConfig) -> Self {
-        HoloClean { config }
+    pub fn new() -> Self {
+        HoloClean
     }
 
     /// Repair the `noisy` cells of `dirty` under `rules`.
@@ -100,7 +83,7 @@ impl HoloClean {
         let training_time = train_start.elapsed();
 
         let infer_start = Instant::now();
-        let generator = CandidateDomain::new(self.config.max_candidates);
+        let generator = CandidateDomain::new(MAX_CANDIDATES);
         let mut repaired = dirty.clone();
         let mut repaired_cells = Vec::new();
 
@@ -143,7 +126,7 @@ impl HoloClean {
         let training_time = train_start.elapsed();
 
         let infer_start = Instant::now();
-        let generator = CandidateDomain::new(self.config.max_candidates);
+        let generator = CandidateDomain::new(MAX_CANDIDATES);
         let mut repaired = dirty.clone();
         let mut repaired_cells = Vec::new();
 
@@ -224,8 +207,8 @@ impl HoloClean {
         // the rest of the dataset if the candidate were written.
         let violations = constraints.violations_with(dirty, rules, cell, candidate);
 
-        self.config.cooccurrence_weight * cooccurrence + self.config.prior_weight * prior
-            - self.config.violation_penalty * violations as f64
+        COOCCURRENCE_WEIGHT * cooccurrence + PRIOR_WEIGHT * prior
+            - VIOLATION_PENALTY * violations as f64
     }
 }
 
@@ -369,7 +352,7 @@ mod tests {
         let dirty = sample_hospital_dataset();
         let truth = sample_hospital_truth();
         let rules = sample_hospital_rules();
-        let outcome = HoloClean::default().repair(&dirty, &rules, &oracle_noisy(&dirty, &truth));
+        let outcome = HoloClean::new().repair(&dirty, &rules, &oracle_noisy(&dirty, &truth));
         let st = dirty.schema().attr_id("ST").unwrap();
         assert_eq!(outcome.repaired.value(TupleId(3), st), "AL");
         assert!(!outcome.repaired_cells.is_empty());
@@ -380,7 +363,7 @@ mod tests {
     fn empty_noisy_set_changes_nothing() {
         let dirty = sample_hospital_dataset();
         let rules = sample_hospital_rules();
-        let outcome = HoloClean::default().repair(&dirty, &rules, &BTreeSet::new());
+        let outcome = HoloClean::new().repair(&dirty, &rules, &BTreeSet::new());
         assert_eq!(outcome.repaired, dirty);
         assert!(outcome.repaired_cells.is_empty());
     }
@@ -397,7 +380,7 @@ mod tests {
         use datagen::CarGenerator;
         let gen = CarGenerator::default().with_rows(600);
         let rules = CarGenerator::rules();
-        let cleaner = HoloClean::default();
+        let cleaner = HoloClean::new();
 
         let typos = gen.dirty(0.05, 0.0, 41);
         let typo_outcome = cleaner.repair(&typos.dirty, &rules, &typos.erroneous_cells());
@@ -418,7 +401,7 @@ mod tests {
         let gen = HaiGenerator::default().with_rows(300);
         let rules = HaiGenerator::rules();
         let dirty = gen.dirty(0.05, 0.5, 7);
-        let cleaner = HoloClean::default();
+        let cleaner = HoloClean::new();
         let parallel = cleaner.repair(&dirty.dirty, &rules, &dirty.erroneous_cells());
         let serial = cleaner.repair_serial(&dirty.dirty, &rules, &dirty.erroneous_cells());
         assert_eq!(parallel.repaired, serial.repaired);
@@ -430,7 +413,7 @@ mod tests {
         let gen = HaiGenerator::default().with_rows(400);
         let rules = HaiGenerator::rules();
         let dirty = gen.dirty(0.05, 0.5, 13);
-        let outcome = HoloClean::default().repair(&dirty.dirty, &rules, &dirty.erroneous_cells());
+        let outcome = HoloClean::new().repair(&dirty.dirty, &rules, &dirty.erroneous_cells());
         let report = RepairEvaluation::evaluate(&dirty, &outcome.repaired);
         assert!(
             report.f1() > 0.3,

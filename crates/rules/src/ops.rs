@@ -42,18 +42,6 @@ impl Op {
         }
     }
 
-    /// The logically negated operator (`¬(a < b)` ⇔ `a ≥ b`, etc.).
-    pub fn negated(self) -> Op {
-        match self {
-            Op::Eq => Op::Neq,
-            Op::Neq => Op::Eq,
-            Op::Lt => Op::Ge,
-            Op::Le => Op::Gt,
-            Op::Gt => Op::Le,
-            Op::Ge => Op::Lt,
-        }
-    }
-
     /// Parse an operator token (`=`, `==`, `!=`, `<>`, `<`, `<=`, `>`, `>=`).
     pub fn parse(token: &str) -> Option<Op> {
         match token {
@@ -93,7 +81,6 @@ fn compare_values(left: &str, right: &str) -> Ordering {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dataset::rng::Rng;
 
     #[test]
     fn string_comparisons() {
@@ -125,30 +112,6 @@ mod tests {
     fn display_round_trips_through_parse() {
         for op in [Op::Eq, Op::Neq, Op::Lt, Op::Le, Op::Gt, Op::Ge] {
             assert_eq!(Op::parse(&op.to_string()), Some(op));
-        }
-    }
-
-    #[test]
-    fn negation_is_involutive() {
-        let mut rng = Rng::labelled(concat!(module_path!(), "::negation_is_involutive"));
-        for _ in 0..64 {
-            let op_idx = rng.below(6);
-            let ops = [Op::Eq, Op::Neq, Op::Lt, Op::Le, Op::Gt, Op::Ge];
-            let op = ops[op_idx];
-            assert_eq!(op.negated().negated(), op);
-        }
-    }
-
-    #[test]
-    fn negation_flips_evaluation() {
-        let mut rng = Rng::labelled(concat!(module_path!(), "::negation_flips_evaluation"));
-        for _ in 0..64 {
-            let a = rng.string("0123456789abcdefghijklmnopqrstuvwxyz", 0..=6);
-            let b = rng.string("0123456789abcdefghijklmnopqrstuvwxyz", 0..=6);
-            let op_idx = rng.below(6);
-            let ops = [Op::Eq, Op::Neq, Op::Lt, Op::Le, Op::Gt, Op::Ge];
-            let op = ops[op_idx];
-            assert_eq!(op.eval(&a, &b), !op.negated().eval(&a, &b));
         }
     }
 }

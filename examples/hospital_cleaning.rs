@@ -8,7 +8,7 @@
 
 use datagen::HaiGenerator;
 use dataset::RepairEvaluation;
-use holoclean::{HoloClean, HoloCleanConfig};
+use holoclean::HoloClean;
 use mlnclean::{evaluate_agp, evaluate_fscr, evaluate_rsc, CleanConfig, MlnClean};
 
 fn main() {
@@ -51,7 +51,7 @@ fn main() {
 
     // The HoloClean-style baseline with oracle (100% accurate) detection —
     // the comparison protocol of Section 7.2 of the paper.
-    let baseline = HoloClean::new(HoloCleanConfig::default());
+    let baseline = HoloClean::new();
     let repair = baseline.repair(&dirty.dirty, &rules, &dirty.erroneous_cells());
     let baseline_report = RepairEvaluation::evaluate(&dirty, &repair.repaired);
     println!("\nHoloClean-style baseline (oracle detection): {baseline_report}");

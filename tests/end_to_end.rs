@@ -6,7 +6,7 @@ use datagen::{CarGenerator, HaiGenerator};
 use dataset::csv::{parse_csv, to_csv};
 use dataset::RepairEvaluation;
 use distributed::DistributedStreamingMlnClean;
-use holoclean::{HoloClean, HoloCleanConfig};
+use holoclean::HoloClean;
 use mlnclean::{ChangeSet, CleanConfig, CleaningSession, MlnClean};
 use rules::parse_rules;
 
@@ -65,11 +65,7 @@ fn mlnclean_compares_favourably_with_the_baseline() {
         let ours = MlnClean::new(config).clean(&dirty.dirty, &rules).unwrap();
         let ours_f1 = RepairEvaluation::evaluate(&dirty, &ours.repaired).f1();
 
-        let baseline = HoloClean::new(HoloCleanConfig::default()).repair(
-            &dirty.dirty,
-            &rules,
-            &dirty.erroneous_cells(),
-        );
+        let baseline = HoloClean::new().repair(&dirty.dirty, &rules, &dirty.erroneous_cells());
         let baseline_f1 = RepairEvaluation::evaluate(&dirty, &baseline.repaired).f1();
 
         assert!(
