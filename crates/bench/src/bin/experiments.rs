@@ -7,6 +7,9 @@
 //! cargo run -p bench --release --bin experiments -- ladder --max-rows 100000
 //! ```
 
+// One JSON writer: clippy.toml bans `concat!`, the hand-indented template.
+#![deny(clippy::disallowed_macros)]
+
 use bench::{Experiment, Scale};
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -2,7 +2,9 @@
 //! builders, and result-table formatting.
 
 use datagen::{CarGenerator, HaiGenerator, TpchGenerator};
-use dataset::DirtyDataset;
+use dataset::{Dataset, DirtyDataset};
+use distributed::DistributedStreamingSession;
+use mlnclean::{ChangeSet, Report};
 use rules::RuleSet;
 
 /// Number of worker threads the rayon pool uses (recorded in every
@@ -166,6 +168,20 @@ impl Workload {
             Workload::Car => CarGenerator::rules(),
             Workload::Tpch => TpchGenerator::rules(),
         }
+    }
+
+    /// Clean `dirty` with the exact streaming coordinator over `partitions`
+    /// partitions, the table applied as one change set (fig15, table6).
+    pub fn clean_distributed(&self, dirty: &Dataset, partitions: usize) -> Report {
+        let (schema, rules) = (dirty.schema().clone(), self.rules());
+        let mut session =
+            DistributedStreamingSession::new(self.clean_config(), schema, rules, partitions, 1)
+                .expect("rules match the schema");
+        let rows = dirty.tuples().map(|t| t.owned_values()).collect();
+        session
+            .apply(ChangeSet::inserting(rows))
+            .expect("rows match the schema");
+        session.finish()
     }
 
     /// Generate a dirty dataset at the given error rate / replacement ratio.

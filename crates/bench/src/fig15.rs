@@ -9,7 +9,6 @@
 
 use crate::common::{fmt3, fmt_ms, ResultTable, Scale, Workload};
 use dataset::RepairEvaluation;
-use distributed::DistributedStreamingMlnClean;
 use std::time::Instant;
 
 /// Partition count used for the error-percentage sweep.
@@ -39,14 +38,9 @@ pub fn measure_at(
     seed: u64,
 ) -> DistributedPoint {
     let dirty = workload.dirty(scale, error_rate, 0.5, seed);
-    let rules = workload.rules();
-    let cleaner = DistributedStreamingMlnClean::new(WORKERS, workload.clean_config())
-        .with_batch_rows(dirty.dirty.len());
     // Wall clock: the report's index time sums the partitions' clocks.
     let started = Instant::now();
-    let outcome = cleaner
-        .clean(&dirty.dirty, &rules)
-        .expect("rules match the schema");
+    let outcome = workload.clean_distributed(&dirty.dirty, WORKERS);
     let runtime = started.elapsed();
     let f1 = RepairEvaluation::evaluate(&dirty, &outcome.repaired).f1();
     DistributedPoint {

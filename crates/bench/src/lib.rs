@@ -6,6 +6,9 @@
 //! writes CSV files under `results/`.  Absolute numbers differ from the paper
 //! (different data, different hardware, no Spark cluster).
 
+// One JSON writer: clippy.toml bans `concat!`, the hand-indented template.
+#![deny(clippy::disallowed_macros)]
+
 pub mod common;
 pub mod fig15;
 pub mod fig6;

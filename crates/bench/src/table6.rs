@@ -9,7 +9,6 @@
 
 use crate::common::{fmt3, fmt_ms, ResultTable, Scale, Workload};
 use dataset::RepairEvaluation;
-use distributed::DistributedStreamingMlnClean;
 use std::time::Instant;
 
 /// Partition counts of Table 6.
@@ -31,14 +30,9 @@ pub struct WorkerPoint {
 pub fn measure_workers(scale: Scale, workers: usize, seed: u64) -> WorkerPoint {
     let workload = Workload::Tpch;
     let dirty = workload.dirty(scale, 0.05, 0.5, seed);
-    let rules = workload.rules();
-    let cleaner = DistributedStreamingMlnClean::new(workers, workload.clean_config())
-        .with_batch_rows(dirty.dirty.len());
     // Wall clock: the report's index time sums the partitions' clocks.
     let started = Instant::now();
-    let outcome = cleaner
-        .clean(&dirty.dirty, &rules)
-        .expect("rules match the schema");
+    let outcome = workload.clean_distributed(&dirty.dirty, workers);
     let runtime = started.elapsed();
     let f1 = RepairEvaluation::evaluate(&dirty, &outcome.repaired).f1();
     WorkerPoint {

@@ -118,6 +118,7 @@ use std::collections::{HashMap, HashSet};
 
 /// One merge performed (or attempted) by AGP.
 #[derive(Debug, Clone, PartialEq)]
+#[deny(clippy::disallowed_types)] // Provenance holds ids (clippy.toml).
 pub struct AgpMerge {
     /// Block in which the merge happened.
     pub rule: RuleId,

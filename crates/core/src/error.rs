@@ -62,7 +62,7 @@ pub enum CleanError {
         workers: usize,
     },
     /// A count that must be at least 1 is zero: the streaming coordinator's
-    /// merge cadence (`merge_every`) or micro-batch size (`batch_rows`).
+    /// merge cadence (`merge_every`).
     Zero {
         /// The offending setting.
         field: &'static str,

@@ -101,6 +101,7 @@ use std::sync::Arc;
 
 /// A single cell rewritten by the fusion stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[deny(clippy::disallowed_types)] // Provenance holds ids (clippy.toml).
 pub struct CellChange {
     /// The rewritten cell.
     pub cell: CellRef,
@@ -112,6 +113,7 @@ pub struct CellChange {
 
 /// Per-tuple outcome of the fusion.
 #[derive(Debug, Clone, PartialEq)]
+#[deny(clippy::disallowed_types)] // Provenance holds ids (clippy.toml).
 pub struct FusionOutcome {
     /// The tuple.
     pub tuple: TupleId,
@@ -1026,6 +1028,7 @@ impl OrderWalk<'_> {
 /// outcome shares the fusion's own assignment list, and the record holds
 /// ids only — the report that takes it names them.  The outcome's `f_score`
 /// is the one the fusion was scored at.
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)] // Provenance holds ids.
 pub fn apply_tuple_fusion(
     repaired: &mut Dataset,
     t: TupleId,
@@ -1360,9 +1363,10 @@ mod tests {
                         );
                         gamma.probability = probability;
                         gamma.tuples = tuples.iter().copied().map(TupleId).collect();
-                        let mut group = Group::new(key);
-                        group.gammas.push(gamma);
-                        group
+                        Group {
+                            key,
+                            gammas: vec![gamma],
+                        }
                     })
                     .collect(),
             })
@@ -1749,7 +1753,10 @@ mod tests {
         // A result that repeats a reason attribute: `pairs()` drops the
         // second occurrence, so the γ lists A0 once.
         let mut pool = ValuePool::new();
-        let mut group = Group::new(vec![pool.intern("k")]);
+        let mut group = Group {
+            key: vec![pool.intern("k")],
+            gammas: Vec::new(),
+        };
         for (repeat, value, probability) in [("k", "x", 0.7), ("j", "y", 0.3)] {
             let mut gamma = Gamma::new(
                 RuleId(0),
@@ -1788,7 +1795,7 @@ mod tests {
             result_attrs.push(reason_attrs[0]);
         }
         let mut value = |rng: &mut dataset::rng::Rng| pool.intern(&format!("v{}", rng.below(4)));
-        let mut group = Group::new(Vec::new());
+        let mut group = Group::default();
         for _ in 0..1 + rng.below(12) {
             let reason_values = reason_attrs.iter().map(|_| value(rng)).collect();
             let result_values = result_attrs.iter().map(|_| value(rng)).collect();

@@ -17,7 +17,10 @@ use std::fmt;
 
 /// A piece of data: one distinct (reason values, result values) combination
 /// within a block, together with its supporting tuples and learned weight.
+/// Only this crate builds one: every writer goes through
+/// [`crate::Block::merge_runs`].
 #[derive(Debug, Clone, PartialEq)]
+#[non_exhaustive]
 pub struct Gamma {
     /// The rule whose block this γ belongs to.
     pub rule: RuleId,
@@ -44,7 +47,7 @@ mlnw::codec! { struct Gamma { rule, reason_attrs, reason_values, result_attrs, r
 impl Gamma {
     /// Create a γ with no learned weight yet (weight learning fills the
     /// `weight`/`probability` fields later).
-    pub fn new(
+    pub(crate) fn new(
         rule: RuleId,
         reason_attrs: Vec<AttrId>,
         reason_values: Vec<ValueId>,

@@ -37,8 +37,10 @@ use std::collections::HashMap;
 use std::fmt;
 
 /// A second-layer group: all γs sharing the same reason-part values within a
-/// block.
+/// block.  Only this crate builds one: every writer goes through
+/// [`Block::merge_runs`].
 #[derive(Debug, Clone, Default, PartialEq)]
+#[non_exhaustive]
 pub struct Group {
     /// The shared reason-part values (interned).
     pub key: Vec<ValueId>,
@@ -50,14 +52,6 @@ pub struct Group {
 mlnw::codec! { struct Group { key, gammas } }
 
 impl Group {
-    /// Create a group from its key.
-    pub fn new(key: Vec<ValueId>) -> Self {
-        Group {
-            key,
-            gammas: Vec::new(),
-        }
-    }
-
     /// Total number of tuples related to the group's γs — the quantity AGP
     /// compares against the threshold τ.
     pub fn tuple_count(&self) -> usize {

@@ -37,7 +37,9 @@ use rules::RuleId;
 
 /// One repair performed by RSC: the tuples of a losing γ are rewritten to the
 /// winning γ's values.
-#[derive(Debug, Clone, Default, PartialEq)]
+// Provenance holds ids (clippy.toml).  The impls are written out: a derive
+// copies this `deny` onto impls naming `RscRepair`, banned for `GroupEntry`.
+#[deny(clippy::disallowed_types)]
 pub struct RscRepair {
     /// Block in which the repair happened.
     pub rule: RuleId,
@@ -49,6 +51,56 @@ pub struct RscRepair {
     pub to_values: Vec<ValueId>,
     /// Tuples that were rewritten.
     pub tuples: Vec<TupleId>,
+}
+
+impl std::fmt::Debug for RscRepair {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RscRepair")
+            .field("rule", &self.rule)
+            .field("group_key", &self.group_key)
+            .field("from_values", &self.from_values)
+            .field("to_values", &self.to_values)
+            .field("tuples", &self.tuples)
+            .finish()
+    }
+}
+
+impl Clone for RscRepair {
+    fn clone(&self) -> Self {
+        RscRepair {
+            rule: self.rule,
+            group_key: self.group_key.clone(),
+            from_values: self.from_values.clone(),
+            to_values: self.to_values.clone(),
+            tuples: self.tuples.clone(),
+        }
+    }
+}
+
+#[allow(
+    clippy::derivable_impls,
+    reason = "see the struct: a derive would be denied"
+)]
+impl Default for RscRepair {
+    fn default() -> Self {
+        RscRepair {
+            rule: RuleId::default(),
+            group_key: Vec::new(),
+            from_values: Vec::new(),
+            to_values: Vec::new(),
+            tuples: Vec::new(),
+        }
+    }
+}
+
+impl PartialEq for RscRepair {
+    fn eq(&self, other: &Self) -> bool {
+        self.rule == other.rule
+            && self.group_key == other.group_key
+            && self.from_values == other.from_values
+            && self.to_values == other.to_values
+            && self.tuples == other.tuples
+    }
 }
 
 mod text {
@@ -223,6 +275,7 @@ impl ReliabilityCleaner {
     /// group's own γs), so this is the unit the per-block driver
     /// ([`crate::StageOne`]) re-runs for a dirty group without touching its
     /// siblings.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)] // Provenance holds ids.
     pub(crate) fn clean_group(
         &self,
         rule: RuleId,

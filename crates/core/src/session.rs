@@ -21,6 +21,8 @@
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
+// An insert dirties keys, not blocks (clippy.toml; it bans `to_string` too).
+#![deny(clippy::disallowed_methods)]
 
 use crate::changeset::ChangeSet;
 use crate::engine::{Report, Timings};
@@ -535,7 +537,7 @@ mod tests {
         session.ingest_dataset(&dirty).unwrap();
         let held = session.outcome();
         let values = |pool: &dataset::ValuePool| -> Vec<String> {
-            pool.iter().map(|(_, v)| v.to_string()).collect()
+            pool.iter().map(|(_, v)| v.into()).collect()
         };
         let before = (
             csv::to_csv(&held.repaired),

@@ -89,6 +89,7 @@ struct BlockRecords {
 /// block's group at `slot`, and the block's repairs
 /// `repairs_start..repairs_end`.
 #[derive(Debug, Clone)]
+#[deny(clippy::disallowed_types)] // One copy of Stage I's output (clippy.toml).
 struct GroupEntry {
     /// Pristine group keys fused into this output group: the group's own key
     /// first, then the AGP-merged abnormal keys in merge order.  A reuse is
@@ -523,6 +524,7 @@ impl StageOne {
 /// names where it sits in `old`: the cleaned block and its record change
 /// only here, where the entries are rewritten with them, and a delete's id
 /// shift moves no group or repair.
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)] // Provenance holds ids.
 fn refresh_block(
     config: &CleanConfig,
     pristine: &Block,

@@ -113,6 +113,8 @@
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
+// A report patches, it does not re-derive (clippy.toml; tests keep the copy).
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 use crate::agp::AgpRecord;
 use crate::engine::{Report, Timings};
@@ -350,8 +352,13 @@ impl StageTwo {
                 if fusion.holders() == 2 {
                     self.memo_bytes += fusion_bytes(&fusion);
                 }
-                self.fragile[t] = u8::from(fusion.conflict_detected) * CONFLICTED
+                #[allow(
+                    clippy::disallowed_methods,
+                    reason = "u8::from(bool), not a String::from"
+                )]
+                let fragile = u8::from(fusion.conflict_detected) * CONFLICTED
                     + u8::from(!fusion.survives_rescale()) * UNFACTORED;
+                self.fragile[t] = fragile;
                 *slot = Some(fusion);
             }
         }
@@ -757,6 +764,7 @@ impl View {
 /// Write tuple `t`'s fusion into `columns`, which hold its dirty values,
 /// and append each cell it changes to `changes` — the maintained report's
 /// [`crate::apply_tuple_fusion`].
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)] // Provenance holds ids.
 fn rewrite_row(
     columns: &mut [Vec<ValueId>],
     t: usize,

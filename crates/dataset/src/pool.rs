@@ -65,6 +65,8 @@
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
+// One buffer per pool: clippy.toml bans a std map per value.
+#![deny(clippy::disallowed_types)]
 
 use mlnw::{CodecError, Decode, Decoder, Encode, Encoder};
 use std::collections::hash_map::RandomState;

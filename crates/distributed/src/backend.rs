@@ -21,6 +21,9 @@
 //! boundary, and why pristine blocks are cloned instead of lent (the merged
 //! block Stage I rewrites is a fresh allocation of the same order anyway).
 
+// A partition never cleans: clippy.toml bans the session and stage drivers.
+#![deny(clippy::disallowed_types)]
+
 use dataset::{Schema, ValueId};
 use mlnclean::{BatchReport, Block, CleanConfig, CleanError, InternedSlice, RowStore};
 use rules::RuleSet;

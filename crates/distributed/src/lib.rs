@@ -18,13 +18,14 @@
 //! per-partition weights (the paper's Eq. 6), the outcome is byte-identical
 //! to a single [`mlnclean::CleaningSession`] fed the same stream, and hence
 //! to [`mlnclean::MlnClean`] on the same rows (pinned by
-//! `tests/kit/engine_matrix.rs`).  [`DistributedStreamingMlnClean`] cleans a
-//! static dataset through the coordinator; its
-//! [`mlnclean::Report`] carries a [`mlnclean::PartitionReport`] and
-//! provenance in global tuple coordinates.
+//! `tests/kit/engine_matrix.rs`).  [`DistributedStreamingSession`] is the one
+//! engine: a static dataset is one change set of inserts followed by
+//! [`DistributedStreamingSession::finish`], whose [`mlnclean::Report`]
+//! carries a [`mlnclean::PartitionReport`] and provenance in global tuple
+//! coordinates.
 
 pub mod backend;
 pub mod streaming;
 
 pub use backend::{LocalPartitions, PartitionBackend};
-pub use streaming::{route_row, DistributedStreamingMlnClean, DistributedStreamingSession};
+pub use streaming::{route_row, DistributedStreamingSession};

@@ -95,9 +95,9 @@ use std::time::Instant;
 /// is identical either way, which is what pins the wire-backed service
 /// byte-identical to this driver.
 ///
-/// See the [module docs](self) for the execution plan; see
-/// [`DistributedStreamingMlnClean`] for the one-call cleaner of a static
-/// dataset.
+/// See the [module docs](self) for the execution plan.  A static dataset
+/// is one [`ChangeSet`] of inserts followed by
+/// [`DistributedStreamingSession::finish`].
 #[derive(Debug)]
 pub struct DistributedStreamingSession<B: PartitionBackend = LocalPartitions> {
     merge_every: usize,
@@ -704,68 +704,6 @@ impl PoolMap {
     }
 }
 
-/// Distributed streaming MLNClean over a static dataset: streams it through a [`DistributedStreamingSession`] in
-/// fixed-size micro-batches and finishes it.
-///
-/// By streaming/single-session equivalence (and session/batch equivalence)
-/// the result is byte-identical to [`mlnclean::MlnClean`] and to a
-/// [`mlnclean::CleaningSession`] fed the same batches; what changes is the
-/// execution plan — and, for a live stream, the ability to route interleaved
-/// updates/deletes across partitions (see
-/// [`DistributedStreamingSession::apply`]).
-#[derive(Debug, Clone)]
-pub struct DistributedStreamingMlnClean {
-    /// Number of partitions (= row stores).
-    pub partitions: usize,
-    /// Micro-batch size in rows.
-    pub batch_rows: usize,
-    /// The cleaning configuration.
-    pub config: CleanConfig,
-}
-
-impl DistributedStreamingMlnClean {
-    /// Create a streaming distributed cleaner that merges after every
-    /// micro-batch, at the default micro-batch size (128 rows).  Nothing is
-    /// checked here: with zero partitions [`Self::clean`] fails with
-    /// [`CleanError::Partition`].
-    pub fn new(partitions: usize, config: CleanConfig) -> Self {
-        DistributedStreamingMlnClean {
-            partitions,
-            batch_rows: 128,
-            config,
-        }
-    }
-
-    /// Set the micro-batch size in rows; [`Self::clean`] fails with
-    /// [`CleanError::Zero`] at 0.
-    pub fn with_batch_rows(mut self, batch_rows: usize) -> Self {
-        self.batch_rows = batch_rows;
-        self
-    }
-
-    /// Clean `dirty` against `rules` by streaming it through per-partition
-    /// row stores.  Fails like [`DistributedStreamingSession::new`] does,
-    /// and with [`CleanError::Zero`] on a zero `batch_rows`.
-    pub fn clean(&self, dirty: &Dataset, rules: &RuleSet) -> Result<Report, CleanError> {
-        if self.batch_rows == 0 {
-            return Err(CleanError::Zero {
-                field: "batch_rows",
-            });
-        }
-        let mut session = DistributedStreamingSession::new(
-            self.config.clone(),
-            dirty.schema().clone(),
-            rules.clone(),
-            self.partitions,
-            1, // merge after every micro-batch
-        )?;
-        for changes in ChangeSet::insert_batches(dirty, self.batch_rows) {
-            session.apply(changes)?;
-        }
-        Ok(session.finish())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -790,10 +728,18 @@ mod tests {
         let config = CleanConfig::default().with_tau(1);
         let batch = MlnClean::new(config.clone()).clean(&dirty, &rules).unwrap();
         for partitions in [1, 2, 4] {
-            let streamed = DistributedStreamingMlnClean::new(partitions, config.clone())
-                .with_batch_rows(2)
-                .clean(&dirty, &rules)
-                .unwrap();
+            let mut session = DistributedStreamingSession::new(
+                config.clone(),
+                dirty.schema().clone(),
+                rules.clone(),
+                partitions,
+                1,
+            )
+            .unwrap();
+            for changes in ChangeSet::insert_batches(&dirty, 2) {
+                session.apply(changes).unwrap();
+            }
+            let streamed = session.finish();
             assert_eq!(
                 csv::to_csv(&batch.repaired),
                 csv::to_csv(&streamed.repaired),
@@ -898,22 +844,15 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, CleanError::NoRules);
-        // The one-call cleaner fails the same way.
-        let err = DistributedStreamingMlnClean::new(0, CleanConfig::default())
-            .clean(&dirty, &rules::sample_hospital_rules())
-            .unwrap_err();
-        assert_eq!(err, CleanError::Partition { workers: 0 });
     }
 
     #[test]
-    fn a_zero_merge_cadence_or_batch_size_is_rejected() {
+    fn a_zero_merge_cadence_is_rejected() {
         let dirty = sample_hospital_dataset();
-        let rules = rules::sample_hospital_rules();
-        let config = CleanConfig::default();
         let err = DistributedStreamingSession::new(
-            config.clone(),
+            CleanConfig::default(),
             dirty.schema().clone(),
-            rules.clone(),
+            rules::sample_hospital_rules(),
             2,
             0,
         )
@@ -922,15 +861,6 @@ mod tests {
             err,
             CleanError::Zero {
                 field: "merge_every"
-            }
-        );
-        let err = (DistributedStreamingMlnClean::new(2, config).with_batch_rows(0))
-            .clean(&dirty, &rules)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            CleanError::Zero {
-                field: "batch_rows"
             }
         );
     }

@@ -5,6 +5,7 @@
 //! The paper's example r3 is `HN("ELIZA"), CT("BOAZ") ⇒ PN("2567688400")`:
 //! a hospital named ELIZA in city BOAZ must have that exact phone number.
 
+use crate::rule::validated_attr;
 use dataset::{Dataset, Schema, Tuple, ValueId};
 use std::fmt;
 
@@ -41,7 +42,7 @@ impl CfdClause {
         match &self.constant {
             None => true,
             Some(v) => {
-                let id = schema.attr_id(&self.attr).expect("validated attribute");
+                let id = validated_attr(schema, &self.attr);
                 tuple.value(id) == v
             }
         }
@@ -138,7 +139,7 @@ impl ConditionalFd {
         for c in &self.conditions {
             if let Some(v) = &c.constant {
                 any_constant = true;
-                let id = schema.attr_id(&c.attr).expect("validated attribute");
+                let id = validated_attr(schema, &c.attr);
                 if pool.resolve(row[id.index()]) == v {
                     return true;
                 }
@@ -156,11 +157,7 @@ impl ConditionalFd {
     pub fn reason_values(&self, schema: &Schema, tuple: &Tuple) -> Vec<String> {
         self.conditions
             .iter()
-            .map(|c| {
-                tuple
-                    .value(schema.attr_id(&c.attr).expect("validated attribute"))
-                    .to_string()
-            })
+            .map(|c| tuple.value(validated_attr(schema, &c.attr)).to_string())
             .collect()
     }
 
@@ -168,11 +165,7 @@ impl ConditionalFd {
     pub fn result_values(&self, schema: &Schema, tuple: &Tuple) -> Vec<String> {
         self.consequents
             .iter()
-            .map(|c| {
-                tuple
-                    .value(schema.attr_id(&c.attr).expect("validated attribute"))
-                    .to_string()
-            })
+            .map(|c| tuple.value(validated_attr(schema, &c.attr)).to_string())
             .collect()
     }
 
@@ -180,7 +173,7 @@ impl ConditionalFd {
     pub fn reason_value_ids(&self, schema: &Schema, tuple: &Tuple) -> Vec<ValueId> {
         self.conditions
             .iter()
-            .map(|c| tuple.value_id(schema.attr_id(&c.attr).expect("validated attribute")))
+            .map(|c| tuple.value_id(validated_attr(schema, &c.attr)))
             .collect()
     }
 
@@ -188,7 +181,7 @@ impl ConditionalFd {
     pub fn result_value_ids(&self, schema: &Schema, tuple: &Tuple) -> Vec<ValueId> {
         self.consequents
             .iter()
-            .map(|c| tuple.value_id(schema.attr_id(&c.attr).expect("validated attribute")))
+            .map(|c| tuple.value_id(validated_attr(schema, &c.attr)))
             .collect()
     }
 
@@ -200,7 +193,7 @@ impl ConditionalFd {
         }
         self.consequents.iter().any(|c| match &c.constant {
             Some(v) => {
-                let id = ds.schema().attr_id(&c.attr).expect("validated attribute");
+                let id = validated_attr(ds.schema(), &c.attr);
                 tuple.value(id) != v
             }
             None => false,
@@ -222,7 +215,7 @@ impl ConditionalFd {
             .iter()
             .filter(|c| c.constant.is_none())
             .all(|c| {
-                let id = schema.attr_id(&c.attr).expect("validated attribute");
+                let id = validated_attr(schema, &c.attr);
                 a.value_id(id) == b.value_id(id)
             });
         if !same_variables {
@@ -232,7 +225,7 @@ impl ConditionalFd {
             .iter()
             .filter(|c| c.constant.is_none())
             .any(|c| {
-                let id = schema.attr_id(&c.attr).expect("validated attribute");
+                let id = validated_attr(schema, &c.attr);
                 a.value_id(id) != b.value_id(id)
             })
     }

@@ -5,6 +5,7 @@
 //! tuples with the same phone number must not be in different states.
 
 use crate::ops::Op;
+use crate::rule::validated_attr;
 use dataset::{Dataset, Schema, Tuple, ValueId};
 use std::fmt;
 
@@ -46,12 +47,8 @@ impl DcPredicate {
     /// dataset (or datasets sharing a pool snapshot); ordering operators fall
     /// back to the resolved strings.
     pub fn eval(&self, schema: &Schema, a: &Tuple, b: &Tuple) -> bool {
-        let l = schema
-            .attr_id(&self.left_attr)
-            .expect("validated attribute");
-        let r = schema
-            .attr_id(&self.right_attr)
-            .expect("validated attribute");
+        let l = validated_attr(schema, &self.left_attr);
+        let r = validated_attr(schema, &self.right_attr);
         match self.op {
             Op::Eq => a.value_id(l) == b.value_id(r),
             Op::Neq => a.value_id(l) != b.value_id(r),
@@ -97,6 +94,7 @@ impl DenialConstraint {
     }
 
     /// The result-part predicate: the last one (paper Section 4).
+    #[allow(clippy::expect_used, reason = "`new` asserts at least two predicates")]
     pub fn result_predicate(&self) -> &DcPredicate {
         self.predicates.last().expect("at least two predicates")
     }
@@ -139,11 +137,7 @@ impl DenialConstraint {
     pub fn reason_values(&self, schema: &Schema, tuple: &Tuple) -> Vec<String> {
         self.reason_attrs()
             .iter()
-            .map(|a| {
-                tuple
-                    .value(schema.attr_id(a).expect("validated attribute"))
-                    .to_string()
-            })
+            .map(|a| tuple.value(validated_attr(schema, a)).to_string())
             .collect()
     }
 
@@ -151,11 +145,7 @@ impl DenialConstraint {
     pub fn result_values(&self, schema: &Schema, tuple: &Tuple) -> Vec<String> {
         self.result_attrs()
             .iter()
-            .map(|a| {
-                tuple
-                    .value(schema.attr_id(a).expect("validated attribute"))
-                    .to_string()
-            })
+            .map(|a| tuple.value(validated_attr(schema, a)).to_string())
             .collect()
     }
 
@@ -163,7 +153,7 @@ impl DenialConstraint {
     pub fn reason_value_ids(&self, schema: &Schema, tuple: &Tuple) -> Vec<ValueId> {
         self.reason_attrs()
             .iter()
-            .map(|a| tuple.value_id(schema.attr_id(a).expect("validated attribute")))
+            .map(|a| tuple.value_id(validated_attr(schema, a)))
             .collect()
     }
 
@@ -171,7 +161,7 @@ impl DenialConstraint {
     pub fn result_value_ids(&self, schema: &Schema, tuple: &Tuple) -> Vec<ValueId> {
         self.result_attrs()
             .iter()
-            .map(|a| tuple.value_id(schema.attr_id(a).expect("validated attribute")))
+            .map(|a| tuple.value_id(validated_attr(schema, a)))
             .collect()
     }
 

@@ -1,6 +1,7 @@
 //! Functional dependencies `X → Y`: the values on X uniquely determine the
 //! values on Y.
 
+use crate::rule::validated_attr;
 use dataset::{Dataset, Schema, Tuple, ValueId};
 use std::fmt;
 
@@ -48,11 +49,7 @@ impl FunctionalDependency {
     pub fn reason_values(&self, schema: &Schema, tuple: &Tuple) -> Vec<String> {
         self.lhs
             .iter()
-            .map(|a| {
-                tuple
-                    .value(schema.attr_id(a).expect("validated attribute"))
-                    .to_string()
-            })
+            .map(|a| tuple.value(validated_attr(schema, a)).to_string())
             .collect()
     }
 
@@ -60,11 +57,7 @@ impl FunctionalDependency {
     pub fn result_values(&self, schema: &Schema, tuple: &Tuple) -> Vec<String> {
         self.rhs
             .iter()
-            .map(|a| {
-                tuple
-                    .value(schema.attr_id(a).expect("validated attribute"))
-                    .to_string()
-            })
+            .map(|a| tuple.value(validated_attr(schema, a)).to_string())
             .collect()
     }
 
@@ -72,7 +65,7 @@ impl FunctionalDependency {
     pub fn reason_value_ids(&self, schema: &Schema, tuple: &Tuple) -> Vec<ValueId> {
         self.lhs
             .iter()
-            .map(|a| tuple.value_id(schema.attr_id(a).expect("validated attribute")))
+            .map(|a| tuple.value_id(validated_attr(schema, a)))
             .collect()
     }
 
@@ -80,7 +73,7 @@ impl FunctionalDependency {
     pub fn result_value_ids(&self, schema: &Schema, tuple: &Tuple) -> Vec<ValueId> {
         self.rhs
             .iter()
-            .map(|a| tuple.value_id(schema.attr_id(a).expect("validated attribute")))
+            .map(|a| tuple.value_id(validated_attr(schema, a)))
             .collect()
     }
 
@@ -92,14 +85,14 @@ impl FunctionalDependency {
     pub fn violated_by(&self, ds: &Dataset, a: &Tuple, b: &Tuple) -> bool {
         let schema = ds.schema();
         let same_lhs = self.lhs.iter().all(|attr| {
-            let id = schema.attr_id(attr).expect("validated attribute");
+            let id = validated_attr(schema, attr);
             a.value_id(id) == b.value_id(id)
         });
         if !same_lhs {
             return false;
         }
         self.rhs.iter().any(|attr| {
-            let id = schema.attr_id(attr).expect("validated attribute");
+            let id = validated_attr(schema, attr);
             a.value_id(id) != b.value_id(id)
         })
     }

@@ -13,6 +13,15 @@
 //! The crate also provides violation detection over a [`dataset::Dataset`]
 //! and a small textual parser so rule sets can be written down in experiment
 //! configuration and tests.
+//!
+//! Rule text reaches every module through the parser, so none panics on
+//! it: the crate denies `unwrap`, `expect` and `panic!` outside its tests,
+//! and the few `allow`s each name their invariant.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod cfd;
 pub mod dc;

@@ -1,10 +1,5 @@
 //! Comparison operators used by denial-constraint predicates.
 
-#![cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
-
 use std::cmp::Ordering;
 use std::fmt;
 

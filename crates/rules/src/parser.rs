@@ -16,11 +16,6 @@
 //!   (left) with the attribute of tuple `t'` (right); supported operators are
 //!   `=`, `!=`, `<`, `<=`, `>`, `>=`.
 
-#![cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
-
 use crate::cfd::{CfdClause, ConditionalFd};
 use crate::dc::{DcPredicate, DenialConstraint};
 use crate::fd::FunctionalDependency;

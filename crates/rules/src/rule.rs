@@ -3,8 +3,16 @@
 use crate::cfd::ConditionalFd;
 use crate::dc::DenialConstraint;
 use crate::fd::FunctionalDependency;
-use dataset::{Schema, Tuple, ValueId};
+use dataset::{AttrId, Schema, Tuple, ValueId};
 use std::fmt;
+
+/// The id of `attr` in `schema`, which the rule must be valid for
+/// ([`Rule::is_valid_for`]) — every rule method requires that, and the index
+/// build checks it with a typed error before any of them runs.
+#[allow(clippy::expect_used, reason = "the rule is valid for the schema")]
+pub(crate) fn validated_attr(schema: &Schema, attr: &str) -> AttrId {
+    schema.attr_id(attr).expect("validated attribute")
+}
 
 /// Identifier of a rule within a [`RuleSet`] (its position).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -43,7 +43,7 @@ pub mod service;
 pub mod sim;
 pub mod worker;
 
-pub use log::{ChangeLog, LogEntry, MemLog};
+pub use log::{LogEntry, MemLog};
 pub use message::{Envelope, NodeId, Payload, Request, Response, COORDINATOR};
 pub use mlnw::{from_bytes, to_bytes, CodecError, CODEC_VERSION, MAGIC};
 pub use service::{wire_session, CleaningService, ClientId, Ticket, WireBackend, WireSession};

@@ -20,29 +20,11 @@ pub struct LogEntry {
     pub payload: Vec<u8>,
 }
 
-/// Append-only change log a worker journals applied batches into.
-///
-/// `append` must be atomic with respect to the crash model: the simulated
-/// crash points sit *between* message deliveries, never inside a handler,
-/// so an entry is either fully present or was never written.
-pub trait ChangeLog {
-    /// Journal one applied batch.
-    fn append(&mut self, batch_seq: u64, payload: &[u8]);
-    /// All entries, in append order.
-    fn entries(&self) -> &[LogEntry];
-    /// Number of journaled batches.
-    fn len(&self) -> usize {
-        self.entries().len()
-    }
-    /// Whether nothing was journaled yet.
-    fn is_empty(&self) -> bool {
-        self.entries().is_empty()
-    }
-}
-
-/// In-memory change log.  "Durable" relative to the simulated crash model:
-/// a crash tears down the worker's store, not its log (the log stands in
-/// for the disk / replicated store a real deployment would write).
+/// The append-only, in-memory change log a worker journals applied batches
+/// into.  "Durable" relative to the simulated crash model: a crash tears
+/// down the worker's store, not its log (which stands in for a real disk),
+/// and crash points sit *between* message deliveries, never inside a
+/// handler, so an entry is either fully present or was never written.
 #[derive(Debug, Clone, Default)]
 pub struct MemLog {
     entries: Vec<LogEntry>,
@@ -54,19 +36,8 @@ impl MemLog {
         MemLog::default()
     }
 
-    /// Drop every entry with `batch_seq <= seq`.
-    ///
-    /// Called when a checkpoint durably captures store state through batch
-    /// `seq`: recovery then resumes from the checkpoint and replays only the
-    /// tail, so the covered prefix is dead weight — without this the journal
-    /// of a long-lived stream grows without bound.
-    pub fn truncate_through(&mut self, seq: u64) {
-        self.entries.retain(|e| e.batch_seq > seq);
-    }
-}
-
-impl ChangeLog for MemLog {
-    fn append(&mut self, batch_seq: u64, payload: &[u8]) {
+    /// Journal one applied batch.
+    pub fn append(&mut self, batch_seq: u64, payload: &[u8]) {
         // Dense in-order journaling, modulo a truncated prefix: after a
         // checkpoint the log may start anywhere, but appends must still
         // extend the tail contiguously.
@@ -81,8 +52,29 @@ impl ChangeLog for MemLog {
         });
     }
 
-    fn entries(&self) -> &[LogEntry] {
+    /// All entries, in append order.
+    pub fn entries(&self) -> &[LogEntry] {
         &self.entries
+    }
+
+    /// Number of journaled batches.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether nothing was journaled yet.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Drop every entry with `batch_seq <= seq`.
+    ///
+    /// Called when a checkpoint durably captures store state through batch
+    /// `seq`: recovery then resumes from the checkpoint and replays only the
+    /// tail, so the covered prefix is dead weight — without this the journal
+    /// of a long-lived stream grows without bound.
+    pub fn truncate_through(&mut self, seq: u64) {
+        self.entries.retain(|e| e.batch_seq > seq);
     }
 }
 

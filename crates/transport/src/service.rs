@@ -28,7 +28,6 @@
 //! every worker acknowledged batch `n` — so a worker can never see a
 //! sequence number it is not ready for.
 
-use crate::log::ChangeLog;
 use crate::message::{Envelope, NodeId, Payload, Request, Response, COORDINATOR};
 use crate::sim::{FaultSchedule, NetCounters, SimNet, WorkerCrash};
 use crate::worker::PartitionWorker;

@@ -44,7 +44,10 @@
 //! cursor the snapshot is deterministic, and a retransmit duplicate at the
 //! same cursor is re-acknowledged from the stored checkpoint.
 
-use crate::log::{ChangeLog, MemLog};
+// A partition never cleans: clippy.toml bans the session and stage drivers.
+#![deny(clippy::disallowed_types)]
+
+use crate::log::MemLog;
 use crate::message::{Request, Response};
 use dataset::Schema;
 use mlnclean::{BatchReport, CleanConfig, CleanError, InternedSlice, RowStore, SessionSnapshot};

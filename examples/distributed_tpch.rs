@@ -11,8 +11,8 @@
 use datagen::TpchGenerator;
 use dataset::csv::to_csv;
 use dataset::RepairEvaluation;
-use distributed::DistributedStreamingMlnClean;
-use mlnclean::{CleanConfig, MlnClean};
+use distributed::DistributedStreamingSession;
+use mlnclean::{ChangeSet, CleanConfig, MlnClean};
 
 fn main() {
     let rows: usize = std::env::args()
@@ -43,14 +43,22 @@ fn main() {
 
     let mut baseline_time = None;
     for partitions in [1usize, 2, 4, 8] {
-        let cleaner = DistributedStreamingMlnClean::new(partitions, config.clone())
-            .with_batch_rows(dirty.dirty.len());
         // The report's index time sums the partitions' (concurrent) ingest
         // clocks; the scaling story is the elapsed wall time of the run.
         let started = std::time::Instant::now();
-        let outcome = cleaner
-            .clean(&dirty.dirty, &rules)
-            .expect("rules match the schema");
+        let mut session = DistributedStreamingSession::new(
+            config.clone(),
+            dirty.dirty.schema().clone(),
+            rules.clone(),
+            partitions,
+            1,
+        )
+        .expect("rules match the schema");
+        let rows = dirty.dirty.tuples().map(|t| t.owned_values()).collect();
+        session
+            .apply(ChangeSet::inserting(rows))
+            .expect("rows match the schema");
+        let outcome = session.finish();
         let wall = started.elapsed();
         assert_eq!(
             to_csv(&outcome.repaired),

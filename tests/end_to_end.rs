@@ -5,7 +5,7 @@
 use datagen::{CarGenerator, HaiGenerator};
 use dataset::csv::{parse_csv, to_csv};
 use dataset::RepairEvaluation;
-use distributed::DistributedStreamingMlnClean;
+use distributed::DistributedStreamingSession;
 use holoclean::HoloClean;
 use mlnclean::{ChangeSet, CleanConfig, CleaningSession, MlnClean};
 use rules::parse_rules;
@@ -167,16 +167,24 @@ fn every_engine_cleans_through_the_same_front_door() {
     for changes in ChangeSet::insert_batches(&dirty.dirty, 97) {
         session.apply(changes).unwrap();
     }
+    let mut distributed = DistributedStreamingSession::new(
+        hai_config(),
+        dirty.dirty.schema().clone(),
+        rules.clone(),
+        4,
+        1,
+    )
+    .unwrap();
+    for changes in ChangeSet::insert_batches(&dirty.dirty, 128) {
+        distributed.apply(changes).unwrap();
+    }
     let reports = [
         (
             "batch",
             MlnClean::new(hai_config()).clean(&dirty.dirty, &rules),
         ),
         ("incremental", Ok(session.finish())),
-        (
-            "distributed",
-            DistributedStreamingMlnClean::new(4, hai_config()).clean(&dirty.dirty, &rules),
-        ),
+        ("distributed", Ok(distributed.finish())),
     ]
     .map(|(name, report)| (name, report.unwrap()));
     let (_, batch) = &reports[0];

@@ -12,9 +12,7 @@
 mod matrix;
 
 use dataset::{AttrId, Dataset, TupleId, ValueId};
-use distributed::{
-    DistributedStreamingMlnClean, DistributedStreamingSession, LocalPartitions, PartitionBackend,
-};
+use distributed::{DistributedStreamingSession, LocalPartitions, PartitionBackend};
 use matrix::oracle::assert_outcomes_identical;
 use matrix::scripts::random_scripts;
 use matrix::*;
@@ -70,9 +68,12 @@ fn distributed_dedup_collapses_duplicates_globally() {
         .with_tau(2)
         .with_agp_distance_guard(0.15);
     let batch = MlnClean::new(config.clone()).clean(&table, &rules).unwrap();
-    let distributed = DistributedStreamingMlnClean::new(4, config)
-        .clean(&table, &rules)
-        .unwrap();
+    let mut session =
+        DistributedStreamingSession::new(config, table.schema().clone(), rules, 4, 1).unwrap();
+    for changes in ChangeSet::insert_batches(&table, 128) {
+        session.apply(changes).unwrap();
+    }
+    let distributed = session.finish();
     assert_outcomes_identical("duplicated TPC-H", &distributed, &batch);
     let parts = distributed.partitions.as_ref().expect("partition report");
     assert!(parts.sizes().iter().all(|&rows| rows > 0), "{parts:?}");
