@@ -37,70 +37,27 @@ use rules::RuleId;
 
 /// One repair performed by RSC: the tuples of a losing γ are rewritten to the
 /// winning γ's values.
-// Provenance holds ids (clippy.toml).  The impls are written out: a derive
-// copies this `deny` onto impls naming `RscRepair`, banned for `GroupEntry`.
-#[deny(clippy::disallowed_types)]
+// Provenance holds ids (clippy.toml): each field denies the banned types,
+// and a new field takes the same `deny`.  It sits on the fields, not the
+// struct, because a derive copies a struct's `deny` onto its impls, and
+// they name `RscRepair`, which the same list bans for `GroupEntry`.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RscRepair {
     /// Block in which the repair happened.
+    #[deny(clippy::disallowed_types)]
     pub rule: RuleId,
     /// Group key (shared reason-part values at the time of cleaning).
+    #[deny(clippy::disallowed_types)]
     pub group_key: Vec<ValueId>,
     /// The replaced γ's values (reason part then result part).
+    #[deny(clippy::disallowed_types)]
     pub from_values: Vec<ValueId>,
     /// The winning γ's values (reason part then result part).
+    #[deny(clippy::disallowed_types)]
     pub to_values: Vec<ValueId>,
     /// Tuples that were rewritten.
+    #[deny(clippy::disallowed_types)]
     pub tuples: Vec<TupleId>,
-}
-
-impl std::fmt::Debug for RscRepair {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RscRepair")
-            .field("rule", &self.rule)
-            .field("group_key", &self.group_key)
-            .field("from_values", &self.from_values)
-            .field("to_values", &self.to_values)
-            .field("tuples", &self.tuples)
-            .finish()
-    }
-}
-
-impl Clone for RscRepair {
-    fn clone(&self) -> Self {
-        RscRepair {
-            rule: self.rule,
-            group_key: self.group_key.clone(),
-            from_values: self.from_values.clone(),
-            to_values: self.to_values.clone(),
-            tuples: self.tuples.clone(),
-        }
-    }
-}
-
-#[allow(
-    clippy::derivable_impls,
-    reason = "see the struct: a derive would be denied"
-)]
-impl Default for RscRepair {
-    fn default() -> Self {
-        RscRepair {
-            rule: RuleId::default(),
-            group_key: Vec::new(),
-            from_values: Vec::new(),
-            to_values: Vec::new(),
-            tuples: Vec::new(),
-        }
-    }
-}
-
-impl PartialEq for RscRepair {
-    fn eq(&self, other: &Self) -> bool {
-        self.rule == other.rule
-            && self.group_key == other.group_key
-            && self.from_values == other.from_values
-            && self.to_values == other.to_values
-            && self.tuples == other.tuples
-    }
 }
 
 mod text {
