@@ -42,7 +42,9 @@ pub fn compare_at(workload: Workload, scale: Scale, error_rate: f64, seed: u64) 
     // HoloClean: oracle detection (100% accuracy), repair only.
     let baseline = HoloClean::new();
     let noisy = dirty.erroneous_cells();
-    let repair = baseline.repair(&dirty.dirty, &rules, &noisy);
+    let repair = baseline
+        .repair(&dirty.dirty, &rules, &noisy)
+        .expect("rules match the schema");
     let holoclean_f1 = RepairEvaluation::evaluate(&dirty, &repair.repaired).f1();
     let holoclean_time = repair.total_time();
 

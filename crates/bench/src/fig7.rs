@@ -35,7 +35,9 @@ pub fn compare_at(workload: Workload, scale: Scale, rret: f64, seed: u64) -> Rre
     let mlnclean_f1 = RepairEvaluation::evaluate(&dirty, &outcome.repaired).f1();
 
     let baseline = HoloClean::new();
-    let repair = baseline.repair(&dirty.dirty, &rules, &dirty.erroneous_cells());
+    let repair = baseline
+        .repair(&dirty.dirty, &rules, &dirty.erroneous_cells())
+        .expect("rules match the schema");
     let holoclean_f1 = RepairEvaluation::evaluate(&dirty, &repair.repaired).f1();
 
     RretPoint {

@@ -641,7 +641,6 @@ fn render_engine(rows: usize, run: &EngineRun) -> Json {
                 ("fscr", t.fscr.into()),
                 ("dedup", t.dedup.into()),
                 ("partition", t.partition.into()),
-                ("weight_merge", t.weight_merge.into()),
                 ("gather", t.gather.into()),
             ]),
         ),
@@ -855,7 +854,6 @@ mod tests {
             "fscr",
             "dedup",
             "partition",
-            "weight_merge",
             "gather",
             "mutation_latency",
             "samples",

@@ -109,10 +109,9 @@ use crate::cache::{CacheStats, DistanceCache};
 use crate::gamma::Gamma;
 use crate::index::{Block, Group, MlnIndex};
 use crate::map_ordered;
-use crate::provenance::{Interner, Names, Provenance, Records};
+use crate::provenance::{Names, Provenance, Records};
 use dataset::{TupleId, ValueId, ValuePool};
 use distance::{EditSketch, Metric};
-use mlnw::{CodecError, Decode, Decoder};
 use rules::RuleId;
 use std::collections::{HashMap, HashSet};
 
@@ -147,8 +146,6 @@ mod text {
         pub tuples: &'a [TupleId],
         pub gamma_count: usize,
     }
-
-    mlnw::codec! { encode struct AgpMerge<'a> { rule, abnormal_key, target_key, tuples, gamma_count } }
 }
 
 impl Provenance for AgpMerge {
@@ -163,20 +160,6 @@ impl Provenance for AgpMerge {
             gamma_count: self.gamma_count,
         }
     }
-
-    fn decode_text(dec: &mut Decoder<'_>, names: &mut Interner) -> Result<Self, CodecError> {
-        dec.fields(5)?;
-        Ok(AgpMerge {
-            rule: RuleId::decode(dec)?,
-            abnormal_key: names.values(dec)?,
-            target_key: match dec.option()? {
-                true => Some(names.values(dec)?),
-                false => None,
-            },
-            tuples: Vec::decode(dec)?,
-            gamma_count: usize::decode(dec)?,
-        })
-    }
 }
 
 /// The full AGP record of one cleaning run, used both for reporting and for
@@ -189,27 +172,8 @@ pub struct AgpRecord {
     pub cache: CacheStats,
     /// Sketch lower bounds the nearest-normal searches evaluated, over all
     /// blocks: what the filter cost, beside what it let through to the
-    /// cache.  A process-local counter like the cache's, it is not encoded
-    /// (a decoded record reads `0`).
+    /// cache.
     pub bounds_computed: u64,
-}
-
-// `bounds_computed` stays behind.
-mlnw::codec! { encode struct AgpRecord { merges, cache } }
-
-impl AgpRecord {
-    /// Read a record back, interning its keys into `names`.
-    pub(crate) fn decode_with(
-        dec: &mut Decoder<'_>,
-        names: &mut Interner,
-    ) -> Result<Self, CodecError> {
-        dec.fields(2)?;
-        Ok(AgpRecord {
-            merges: Records::decode_with(dec, names)?,
-            cache: CacheStats::decode(dec)?,
-            bounds_computed: 0,
-        })
-    }
 }
 
 /// Equality compares the *decisions* (the merges), not the distance-cache

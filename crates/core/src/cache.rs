@@ -49,8 +49,6 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-mlnw::codec! { struct CacheStats { hits, misses } }
-
 impl CacheStats {
     /// Fraction of lookups served without running the metric (`1.0` when no
     /// lookup happened).

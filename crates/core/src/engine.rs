@@ -26,10 +26,9 @@
 use crate::agp::AgpRecord;
 use crate::fscr::FscrRecord;
 use crate::index::MlnIndex;
-use crate::provenance::{Interner, Names};
+use crate::provenance::Names;
 use crate::rsc::RscRecord;
 use dataset::{Dataset, TupleId};
-use mlnw::{CodecError, Decode, Decoder};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -60,10 +59,6 @@ pub struct Timings {
     /// Routing change sets and the partitions' ingest, as the coordinator
     /// waits for it (distributed driver only).
     pub partition: Duration,
-    /// Always zero: no driver averages per-partition weights (the
-    /// distributed driver merges exact evidence instead).  Kept so the
-    /// frame keeps its bytes until the next codec version drops it.
-    pub weight_merge: Duration,
     /// Fetching and merging the partitions' per-block evidence in merge
     /// rounds (distributed driver only).
     pub gather: Duration,
@@ -73,8 +68,6 @@ pub struct Timings {
     /// single-node drivers perform none.
     pub merge_rounds: usize,
 }
-
-mlnw::codec! { struct Timings { index, agp, weight_learning, rsc, fscr, dedup, partition, weight_merge, gather, merge_rounds } }
 
 impl Timings {
     /// Total time across all stages and coordinator phases.
@@ -86,7 +79,6 @@ impl Timings {
             + self.fscr
             + self.dedup
             + self.partition
-            + self.weight_merge
             + self.gather
     }
 }
@@ -101,8 +93,6 @@ pub struct PartitionReport {
     /// Number of γs whose merged support drew on more than one partition.
     pub shared_gammas: usize,
 }
-
-mlnw::codec! { struct PartitionReport { parts, shared_gammas } }
 
 impl PartitionReport {
     /// Rows per partition, in partition order.
@@ -127,8 +117,8 @@ impl PartitionReport {
 /// [`Report::agp`]/[`Report::rsc`]/[`Report::fscr`] read the same whichever
 /// engine produced them.  They hold value and attribute ids, named by the
 /// cleaned index's pool and the repaired rows' schema
-/// ([`crate::provenance`]): their text, equality and frame do not depend on
-/// how an engine numbered its values.
+/// ([`crate::provenance`]): their text and equality do not depend on how an
+/// engine numbered its values.
 #[derive(Debug, Clone)]
 pub struct Report {
     /// The repaired dataset with one row per input tuple (use this for
@@ -142,8 +132,8 @@ pub struct Report {
     /// The MLN index in its final (post-RSC) state, shared with the engine
     /// that produced it (`Arc` so an incremental session can hand out
     /// repeated outcome snapshots without cloning the index each time).
-    /// Every engine of the workspace fills it; the `Option` is the frame
-    /// format's.
+    /// Every engine of the workspace fills it; `None` comes only from a
+    /// [`Report::new`] caller that passes none.
     pub index: Option<Arc<MlnIndex>>,
     /// What AGP did.
     pub agp: AgpRecord,
@@ -155,38 +145,6 @@ pub struct Report {
     pub timings: Timings,
     /// Partitioning details — `Some` only for the distributed driver.
     pub partitions: Option<PartitionReport>,
-}
-
-// A report is the frame a remote client of the cleaning service receives.
-// `index` encodes through its `Arc` and is re-wrapped on decoding: sharing
-// is a process property, not a wire one.  The records travel as text and
-// are interned back into the decoded index's pool.
-mlnw::codec! { encode struct Report { repaired, deduplicated, index, agp, rsc, fscr, timings, partitions } }
-
-impl Decode for Report {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        dec.fields(8)?;
-        let repaired = Dataset::decode(dec)?;
-        let deduplicated = Option::decode(dec)?;
-        let index: Option<Arc<MlnIndex>> = Option::decode(dec)?;
-        let pool = index.as_ref().map_or(repaired.pool(), |i| i.pool());
-        let mut names = Interner::new(pool.clone(), Some(repaired.schema()));
-        let agp = AgpRecord::decode_with(dec, &mut names)?;
-        let rsc = RscRecord::decode_with(dec, &mut names)?;
-        let fscr = FscrRecord::decode_with(dec, &mut names)?;
-        let mut report = Report {
-            repaired,
-            deduplicated,
-            index,
-            agp,
-            rsc,
-            fscr,
-            timings: Timings::decode(dec)?,
-            partitions: Option::decode(dec)?,
-        };
-        report.attach(&names.finish());
-        Ok(report)
-    }
 }
 
 impl Report {
@@ -228,14 +186,11 @@ impl Report {
             .index
             .as_ref()
             .map_or(self.repaired.pool(), |i| i.pool());
-        let names = Names::new(pool.clone(), self.repaired.schema().clone());
-        self.attach(&Arc::new(names));
-    }
-
-    fn attach(&mut self, names: &Arc<Names>) {
-        self.agp.merges.attach(names);
-        self.rsc.repairs.attach(names);
-        self.fscr.attach(names);
+        let names = Arc::new(Names::new(pool.clone(), self.repaired.schema().clone()));
+        self.agp.merges.attach(&names);
+        self.rsc.repairs.attach(&names);
+        self.fscr.outcomes.attach(&names);
+        self.fscr.changes.attach(&names);
     }
 
     /// The final output: the repaired dataset after exact-duplicate removal
@@ -248,8 +203,8 @@ impl Report {
     /// The final cleaned index.
     ///
     /// # Panics
-    /// Panics for a decoded report whose frame carried no index; every
-    /// engine of the workspace fills one.
+    /// Panics for a report assembled by [`Report::new`] without an index;
+    /// every engine of the workspace fills one.
     pub fn index(&self) -> &MlnIndex {
         self.index
             .as_ref()

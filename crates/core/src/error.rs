@@ -166,10 +166,10 @@ mod tests {
     /// Display/source tests below stay exhaustive.
     fn every_variant() -> Vec<CleanError> {
         vec![
-            CleanError::Index(IndexError::UnknownAttribute {
+            CleanError::Index(IndexError::UnknownAttribute(rules::UnknownAttribute {
                 rule: rules::RuleId(0),
                 attribute: "X".into(),
-            }),
+            })),
             CleanError::Arity(ArityMismatch {
                 expected: 3,
                 actual: 2,
@@ -261,10 +261,10 @@ mod tests {
             CleanError::from(SchemaMismatch),
             CleanError::Schema(_)
         ));
-        let idx = IndexError::UnknownAttribute {
+        let idx = IndexError::UnknownAttribute(rules::UnknownAttribute {
             rule: rules::RuleId(1),
             attribute: "Z".into(),
-        };
+        });
         assert!(matches!(CleanError::from(idx), CleanError::Index(_)));
     }
 }

@@ -90,10 +90,9 @@
 )]
 
 use crate::index::{Block, MlnIndex};
-use crate::provenance::{Interner, Names, Provenance, Records};
+use crate::provenance::{Names, Provenance, Records};
 use crate::weights::probability;
-use dataset::{AttrId, CellRef, Dataset, TupleId, ValueId, ValuePool};
-use mlnw::{CodecError, Decode, Decoder};
+use dataset::{AttrId, CellRef, Dataset, TupleId, ValueId};
 use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::ops::Deref;
@@ -140,8 +139,6 @@ mod text {
         pub new: &'a str,
     }
 
-    mlnw::codec! { encode struct CellChange<'a> { cell, old, new } }
-
     /// A [`super::FusionOutcome`] with its assignment as text.
     #[derive(Debug, PartialEq)]
     pub struct FusionOutcome<'a> {
@@ -151,8 +148,6 @@ mod text {
         pub conflict_detected: bool,
         pub fusion_failed: bool,
     }
-
-    mlnw::codec! { encode struct FusionOutcome<'a> { tuple, fused, f_score, conflict_detected, fusion_failed } }
 }
 
 impl Provenance for CellChange {
@@ -164,15 +159,6 @@ impl Provenance for CellChange {
             old: names.value(self.old),
             new: names.value(self.new),
         }
-    }
-
-    fn decode_text(dec: &mut Decoder<'_>, names: &mut Interner) -> Result<Self, CodecError> {
-        dec.fields(3)?;
-        Ok(CellChange {
-            cell: CellRef::decode(dec)?,
-            old: names.value(dec)?,
-            new: names.value(dec)?,
-        })
     }
 }
 
@@ -188,17 +174,6 @@ impl Provenance for FusionOutcome {
             fusion_failed: self.fusion_failed,
         }
     }
-
-    fn decode_text(dec: &mut Decoder<'_>, names: &mut Interner) -> Result<Self, CodecError> {
-        dec.fields(5)?;
-        Ok(FusionOutcome {
-            tuple: TupleId::decode(dec)?,
-            fused: names.pairs(dec)?.into(),
-            f_score: f64::decode(dec)?,
-            conflict_detected: bool::decode(dec)?,
-            fusion_failed: bool::decode(dec)?,
-        })
-    }
 }
 
 /// The full FSCR record of one run.
@@ -211,24 +186,8 @@ pub struct FscrRecord {
     /// Substitution candidates (lines 18–22 of Algorithm 2) the fusions of
     /// this run tested against the assignment under construction: what the
     /// substitution scans cost.  A fusion replayed from [`crate::StageTwo`]'s
-    /// memo tests none.  A process-local counter like
-    /// [`crate::AgpRecord::bounds_computed`], it is not encoded (a decoded
-    /// record reads `0`).
+    /// memo tests none.
     pub candidates_tested: u64,
-}
-
-// `candidates_tested` stays behind.
-mlnw::codec! { encode struct FscrRecord { outcomes, changes } }
-
-/// A record decoded alone names its values and attributes in a pool and a
-/// name list of its own.
-impl Decode for FscrRecord {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let mut names = Interner::new(ValuePool::new(), None);
-        let mut record = Self::decode_with(dec, &mut names)?;
-        record.attach(&names.finish());
-        Ok(record)
-    }
 }
 
 /// Equality compares the *decisions* (outcomes and changes), not the
@@ -241,25 +200,6 @@ impl PartialEq for FscrRecord {
 }
 
 impl FscrRecord {
-    /// Read a record back, interning its values and attributes into `names`.
-    pub(crate) fn decode_with(
-        dec: &mut Decoder<'_>,
-        names: &mut Interner,
-    ) -> Result<Self, CodecError> {
-        dec.fields(2)?;
-        Ok(FscrRecord {
-            outcomes: Records::decode_with(dec, names)?,
-            changes: Records::decode_with(dec, names)?,
-            candidates_tested: 0,
-        })
-    }
-
-    /// Name both lists' ids by `names`.
-    pub(crate) fn attach(&mut self, names: &Arc<Names>) {
-        self.outcomes.attach(names);
-        self.changes.attach(names);
-    }
-
     /// Number of rewritten cells.
     pub fn changed_cell_count(&self) -> usize {
         self.changes.len()

@@ -31,7 +31,7 @@
 use crate::gamma::Gamma;
 use crate::map_ordered;
 use dataset::{AttrId, Dataset, TupleId, ValueId, ValuePool};
-use rules::{Rule, RuleId, RuleSet};
+use rules::{Rule, RuleId, RuleSet, UnknownAttribute};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
@@ -320,12 +320,7 @@ fn add_ascending(held: &mut Vec<TupleId>, run: &[TupleId]) {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IndexError {
     /// A rule references an attribute that is not in the dataset schema.
-    UnknownAttribute {
-        /// The offending rule.
-        rule: RuleId,
-        /// The missing attribute name.
-        attribute: String,
-    },
+    UnknownAttribute(UnknownAttribute),
     /// [`MlnIndex::remove_tuples`] was handed a tuple id past the dataset's
     /// last row.
     TupleOutOfRange {
@@ -339,9 +334,7 @@ pub enum IndexError {
 impl fmt::Display for IndexError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            IndexError::UnknownAttribute { rule, attribute } => {
-                write!(f, "rule {rule} references unknown attribute {attribute:?}")
-            }
+            IndexError::UnknownAttribute(e) => write!(f, "{e}"),
             IndexError::TupleOutOfRange { tuple, rows } => {
                 write!(f, "cannot remove tuple {tuple}: the data has {rows} rows")
             }
@@ -389,8 +382,6 @@ pub struct MlnIndex {
     /// blocks resolves here.
     pool: ValuePool,
 }
-
-mlnw::codec! { struct MlnIndex { blocks, pool } }
 
 /// Compare two id vectors by their string-resolved values — the ordering the
 /// historical string-keyed index used for groups and γs, preserved so every
@@ -441,7 +432,10 @@ impl MlnIndex {
                 .into_iter()
                 .map(|attribute| match schema.attr_id(&attribute) {
                     Some(id) => Ok(id),
-                    None => Err(IndexError::UnknownAttribute { rule, attribute }),
+                    None => Err(IndexError::UnknownAttribute(UnknownAttribute {
+                        rule,
+                        attribute,
+                    })),
                 })
                 .collect()
         };
@@ -971,10 +965,10 @@ mod tests {
         let err = MlnIndex::build(&ds, &rules).unwrap_err();
         assert_eq!(
             err,
-            IndexError::UnknownAttribute {
+            IndexError::UnknownAttribute(UnknownAttribute {
                 rule: RuleId(0),
                 attribute: "MISSING".to_string()
-            }
+            })
         );
     }
 

@@ -4,14 +4,14 @@
 //! (§5.1.1), RSC's γ replacements (§5.1.2) and FSCR's fused assignments
 //! (Algorithm 2).  The records hold what the stages already work in — value
 //! ids and attribute ids — so writing one allocates no string.  Text is made
-//! only where bytes leave the process: a record list's `Debug`, its `mlnw`
-//! encoding, the component evaluation against a ground truth, the CSV writer
-//! and the examples' printing.
+//! only where bytes leave the process: a record list's `Debug`, the
+//! component evaluation against a ground truth, the CSV writer and the
+//! examples' printing.
 //!
 //! A [`Records`] list resolves its ids through [`Names`]: the value pool and
 //! the attribute names of the report that holds it.  The report attaches
 //! them where it is assembled ([`crate::StageTwo::report`] and
-//! [`crate::StageTwo::finish`], [`crate::Report::new`]) or decoded.  The
+//! [`crate::StageTwo::finish`], [`crate::Report::new`]).  The
 //! stages' own records — [`crate::StageOne`]'s per block, the whole-index
 //! stage runs', the fusion memo — carry none: a pool handle held there
 //! would share the cleaned index's arena, and the next value interned would
@@ -22,11 +22,6 @@
 //! lists compare their text ([`Provenance::text`]), and compare ids directly
 //! only when both resolve through one arena and one schema.  Two unnamed
 //! lists compare ids: they come from one engine and its one pool.
-//!
-//! On the wire a record travels as its text, so the frame of a report is the
-//! same whichever ids its engine assigned.  Decoding interns the text back
-//! ([`Interner`]): into the decoded index's pool for a whole report, into a
-//! pool of its own for a record decoded alone.
 
 #![cfg_attr(
     not(test),
@@ -34,7 +29,6 @@
 )]
 
 use dataset::{AttrId, Schema, ValueId, ValuePool};
-use mlnw::{CodecError, Decoder, Encode, Encoder};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
@@ -85,8 +79,7 @@ impl Names {
     }
 }
 
-/// Value ids as their text: a list of strings in `Debug`, in equality and
-/// on the wire.
+/// Value ids as their text: a list of strings in `Debug` and in equality.
 pub struct Values<'a> {
     ids: &'a [ValueId],
     names: &'a Names,
@@ -107,15 +100,6 @@ impl fmt::Debug for Values<'_> {
 impl PartialEq for Values<'_> {
     fn eq(&self, other: &Self) -> bool {
         self.texts().eq(other.texts())
-    }
-}
-
-impl Encode for Values<'_> {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.seq(self.ids.len());
-        for text in self.texts() {
-            text.encode(enc);
-        }
     }
 }
 
@@ -146,30 +130,16 @@ impl PartialEq for Pairs<'_> {
     }
 }
 
-impl Encode for Pairs<'_> {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.seq(self.pairs.len());
-        for pair in self.texts() {
-            pair.encode(enc);
-        }
-    }
-}
-
-/// A provenance record: ids in memory, text in `Debug`, across pools and on
-/// the wire.
-pub trait Provenance: Sized {
+/// A provenance record: ids in memory, text in `Debug` and across pools.
+pub trait Provenance {
     /// The record with its ids resolved.  Its type has the record's name and
     /// fields, so its derived `Debug` writes what the record's text is.
-    type Text<'a>: fmt::Debug + PartialEq + Encode
+    type Text<'a>: fmt::Debug + PartialEq
     where
         Self: 'a;
 
     /// The record as text under `names`.
     fn text<'a>(&'a self, names: &'a Names) -> Self::Text<'a>;
-
-    /// Read one record's text back, interning its values and attribute
-    /// names into `names`.
-    fn decode_text(dec: &mut Decoder<'_>, names: &mut Interner) -> Result<Self, CodecError>;
 }
 
 /// A list of provenance records, and the [`Names`] its ids resolve through
@@ -189,21 +159,6 @@ impl<T> Records<T> {
 
     pub(crate) fn attach(&mut self, names: &Arc<Names>) {
         self.names = Some(Arc::clone(names));
-    }
-}
-
-impl<T: Provenance> Records<T> {
-    /// Read a list's text back into ids — see [`Provenance::decode_text`].
-    pub(crate) fn decode_with(
-        dec: &mut Decoder<'_>,
-        names: &mut Interner,
-    ) -> Result<Self, CodecError> {
-        let len = dec.seq()?;
-        let mut items = Vec::with_capacity(len);
-        for _ in 0..len {
-            items.push(T::decode_text(dec, names)?);
-        }
-        Ok(items.into())
     }
 }
 
@@ -278,81 +233,6 @@ impl<T: Provenance + PartialEq> PartialEq for Records<T> {
     }
 }
 
-/// The list of its records' text.  A list is encoded as part of a report,
-/// or as a record taken from one: encoding a non-empty list without names
-/// panics.
-impl<T: Provenance> Encode for Records<T> {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.seq(self.items.len());
-        for record in &self.items {
-            #[allow(
-                clippy::expect_used,
-                reason = "records are encoded as part of a report, and every report names its \
-                          lists where it is assembled or decoded"
-            )]
-            let names = self.names().expect("a report names its records");
-            record.text(names).encode(enc);
-        }
-    }
-}
-
-/// Reads record text back into ids: values into a pool, attribute names
-/// into a name list, each new one appended.
-pub struct Interner {
-    pool: ValuePool,
-    attrs: Vec<String>,
-}
-
-impl Interner {
-    /// An interner that keeps `pool`'s ids and `schema`'s attribute ids.
-    pub(crate) fn new(pool: ValuePool, schema: Option<&Schema>) -> Self {
-        let attrs = schema.map_or_else(Vec::new, |s| s.attr_names().map(str::to_string).collect());
-        Interner { pool, attrs }
-    }
-
-    /// Read a value.
-    pub(crate) fn value(&mut self, dec: &mut Decoder<'_>) -> Result<ValueId, CodecError> {
-        Ok(self.pool.intern(dec.str()?))
-    }
-
-    /// Read a list of values.
-    pub(crate) fn values(&mut self, dec: &mut Decoder<'_>) -> Result<Vec<ValueId>, CodecError> {
-        let len = dec.seq()?;
-        (0..len).map(|_| self.value(dec)).collect()
-    }
-
-    /// Read a list of `(attribute name, value)` pairs.
-    pub(crate) fn pairs(
-        &mut self,
-        dec: &mut Decoder<'_>,
-    ) -> Result<Vec<(AttrId, ValueId)>, CodecError> {
-        let len = dec.seq()?;
-        let mut pairs = Vec::with_capacity(len);
-        for _ in 0..len {
-            dec.fields(2)?;
-            pairs.push((self.attr(dec)?, self.value(dec)?));
-        }
-        Ok(pairs)
-    }
-
-    fn attr(&mut self, dec: &mut Decoder<'_>) -> Result<AttrId, CodecError> {
-        let name = dec.str()?;
-        let index = match self.attrs.iter().position(|a| a == name) {
-            Some(index) => index,
-            None => {
-                self.attrs.push(name.to_string());
-                self.attrs.len() - 1
-            }
-        };
-        Ok(AttrId(index))
-    }
-
-    /// The names every id read so far resolves through.
-    pub(crate) fn finish(self) -> Arc<Names> {
-        Arc::new(Names::new(self.pool, Schema::new(&self.attrs)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,8 +271,5 @@ mod tests {
         assert!(format!("{left:?}").contains(r#"from_values: ["x", "y"]"#));
         assert_ne!(left, apart);
         assert_ne!(right, apart, "one arena: the ids are compared");
-        let bytes = |list: &Records<RscRepair>| mlnw::to_bytes(list).unwrap();
-        assert_eq!(bytes(&left), bytes(&right));
-        assert_ne!(bytes(&left), bytes(&apart));
     }
 }

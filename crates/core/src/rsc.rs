@@ -29,10 +29,9 @@ use crate::cache::{CacheStats, DistanceCache};
 use crate::gamma::Gamma;
 use crate::index::{Block, MlnIndex};
 use crate::map_ordered;
-use crate::provenance::{Interner, Names, Provenance, Records};
+use crate::provenance::{Names, Provenance, Records};
 use dataset::{TupleId, ValueId, ValuePool};
 use distance::Metric;
-use mlnw::{CodecError, Decode, Decoder};
 use rules::RuleId;
 
 /// One repair performed by RSC: the tuples of a losing γ are rewritten to the
@@ -74,8 +73,6 @@ mod text {
         pub to_values: Values<'a>,
         pub tuples: &'a [TupleId],
     }
-
-    mlnw::codec! { encode struct RscRepair<'a> { rule, group_key, from_values, to_values, tuples } }
 }
 
 impl Provenance for RscRepair {
@@ -90,17 +87,6 @@ impl Provenance for RscRepair {
             tuples: &self.tuples,
         }
     }
-
-    fn decode_text(dec: &mut Decoder<'_>, names: &mut Interner) -> Result<Self, CodecError> {
-        dec.fields(5)?;
-        Ok(RscRepair {
-            rule: RuleId::decode(dec)?,
-            group_key: names.values(dec)?,
-            from_values: names.values(dec)?,
-            to_values: names.values(dec)?,
-            tuples: Vec::decode(dec)?,
-        })
-    }
 }
 
 /// The full RSC record of one run.
@@ -110,22 +96,6 @@ pub struct RscRecord {
     pub repairs: Records<RscRepair>,
     /// Distance-cache counters accumulated over all blocks.
     pub cache: CacheStats,
-}
-
-mlnw::codec! { encode struct RscRecord { repairs, cache } }
-
-impl RscRecord {
-    /// Read a record back, interning its values into `names`.
-    pub(crate) fn decode_with(
-        dec: &mut Decoder<'_>,
-        names: &mut Interner,
-    ) -> Result<Self, CodecError> {
-        dec.fields(2)?;
-        Ok(RscRecord {
-            repairs: Records::decode_with(dec, names)?,
-            cache: CacheStats::decode(dec)?,
-        })
-    }
 }
 
 /// Equality compares the *repairs*, not the distance-cache counters: the

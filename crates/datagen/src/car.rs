@@ -351,7 +351,9 @@ mod tests {
     #[test]
     fn clean_data_satisfies_rules() {
         let ds = CarGenerator::default().with_rows(600).generate();
-        assert!(detect_violations(&ds, &CarGenerator::rules()).is_empty());
+        assert!(detect_violations(&ds, &CarGenerator::rules())
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

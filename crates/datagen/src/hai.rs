@@ -343,7 +343,9 @@ mod tests {
     #[test]
     fn clean_data_satisfies_all_rules() {
         let ds = HaiGenerator::default().with_rows(500).generate();
-        assert!(detect_violations(&ds, &HaiGenerator::rules()).is_empty());
+        assert!(detect_violations(&ds, &HaiGenerator::rules())
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

@@ -62,13 +62,19 @@ mod tests {
     #[test]
     fn all_generators_produce_rule_consistent_clean_data() {
         let hai = HaiGenerator::default().with_rows(300).generate();
-        assert!(detect_violations(&hai, &HaiGenerator::rules()).is_empty());
+        assert!(detect_violations(&hai, &HaiGenerator::rules())
+            .unwrap()
+            .is_empty());
 
         let car = CarGenerator::default().with_rows(300).generate();
-        assert!(detect_violations(&car, &CarGenerator::rules()).is_empty());
+        assert!(detect_violations(&car, &CarGenerator::rules())
+            .unwrap()
+            .is_empty());
 
         let tpch = TpchGenerator::default().with_rows(300).generate();
-        assert!(detect_violations(&tpch, &TpchGenerator::rules()).is_empty());
+        assert!(detect_violations(&tpch, &TpchGenerator::rules())
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

@@ -239,7 +239,9 @@ mod tests {
     #[test]
     fn clean_data_satisfies_the_fd() {
         let ds = TpchGenerator::default().with_rows(800).generate();
-        assert!(detect_violations(&ds, &TpchGenerator::rules()).is_empty());
+        assert!(detect_violations(&ds, &TpchGenerator::rules())
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

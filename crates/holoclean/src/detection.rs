@@ -9,7 +9,7 @@
 //!   the paper's protocol of "setting the detection accuracy to 100%".
 
 use dataset::{CellRef, Dataset};
-use rules::{violating_cells, RuleSet};
+use rules::{violating_cells, RuleSet, UnknownAttribute};
 use std::collections::BTreeSet;
 
 /// How noisy cells are obtained.
@@ -21,15 +21,17 @@ pub enum DetectionMode {
     Oracle(BTreeSet<CellRef>),
 }
 
-/// Produce the set of noisy cells for `ds` under the chosen mode.
+/// Produce the set of noisy cells for `ds` under the chosen mode; a rule
+/// naming an attribute `ds` lacks is an error under
+/// [`DetectionMode::ConstraintViolations`].
 pub fn detect_noisy_cells(
     ds: &Dataset,
     rules: &RuleSet,
     mode: &DetectionMode,
-) -> BTreeSet<CellRef> {
+) -> Result<BTreeSet<CellRef>, UnknownAttribute> {
     match mode {
         DetectionMode::ConstraintViolations => violating_cells(ds, rules),
-        DetectionMode::Oracle(cells) => cells.clone(),
+        DetectionMode::Oracle(cells) => Ok(cells.clone()),
     }
 }
 
@@ -43,7 +45,7 @@ mod tests {
     fn constraint_detection_flags_violation_cells() {
         let ds = sample_hospital_dataset();
         let rules = sample_hospital_rules();
-        let noisy = detect_noisy_cells(&ds, &rules, &DetectionMode::ConstraintViolations);
+        let noisy = detect_noisy_cells(&ds, &rules, &DetectionMode::ConstraintViolations).unwrap();
         let st = ds.schema().attr_id("ST").unwrap();
         assert!(noisy.contains(&CellRef::new(TupleId(3), st)));
         // The typo t2.CT violates no rule, so constraint detection misses it —
@@ -63,7 +65,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let noisy = detect_noisy_cells(&ds, &rules, &DetectionMode::Oracle(cells.clone()));
+        let noisy = detect_noisy_cells(&ds, &rules, &DetectionMode::Oracle(cells.clone())).unwrap();
         assert_eq!(noisy, cells);
     }
 }

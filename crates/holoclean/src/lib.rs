@@ -54,7 +54,7 @@ mod tests {
         // Perfect detection: the four truly dirty cells.
         let noisy = dirty.diff_cells(&truth).into_iter().collect();
         let cleaner = HoloClean::new();
-        let outcome = cleaner.repair(&dirty, &rules, &noisy);
+        let outcome = cleaner.repair(&dirty, &rules, &noisy).unwrap();
         assert_eq!(outcome.repaired.len(), dirty.len());
         // HoloClean repairs the schema-level error t4.ST (AK → AL): the clean
         // partition strongly co-occurs BOAZ/2567688400 with AL.

@@ -20,7 +20,7 @@ use crate::domain::CandidateDomain;
 use crate::features::CooccurrenceModel;
 use dataset::{CellRef, Dataset, ValueId};
 use rayon::prelude::*;
-use rules::{Rule, RuleSet};
+use rules::{Rule, RuleSet, UnknownAttribute};
 use std::collections::{BTreeSet, HashMap};
 use std::time::{Duration, Instant};
 
@@ -64,7 +64,8 @@ impl HoloClean {
         HoloClean
     }
 
-    /// Repair the `noisy` cells of `dirty` under `rules`.
+    /// Repair the `noisy` cells of `dirty` under `rules`; a rule naming an
+    /// attribute `dirty` lacks is an error, checked before any work.
     ///
     /// Candidate scoring is independent per cell (every score reads only the
     /// dirty dataset and the trained model), so the argmax of each noisy
@@ -76,7 +77,8 @@ impl HoloClean {
         dirty: &Dataset,
         rules: &RuleSet,
         noisy: &BTreeSet<CellRef>,
-    ) -> RepairOutcome {
+    ) -> Result<RepairOutcome, UnknownAttribute> {
+        rules.check(dirty.schema())?;
         let train_start = Instant::now();
         let model = CooccurrenceModel::train(dirty, noisy);
         let constraints = ConstraintIndex::build(dirty, rules);
@@ -104,12 +106,12 @@ impl HoloClean {
         }
         let inference_time = infer_start.elapsed();
 
-        RepairOutcome {
+        Ok(RepairOutcome {
             repaired,
             repaired_cells,
             training_time,
             inference_time,
-        }
+        })
     }
 
     /// Serial reference path of [`Self::repair`]: one cell at a time, in the
@@ -119,7 +121,8 @@ impl HoloClean {
         dirty: &Dataset,
         rules: &RuleSet,
         noisy: &BTreeSet<CellRef>,
-    ) -> RepairOutcome {
+    ) -> Result<RepairOutcome, UnknownAttribute> {
+        rules.check(dirty.schema())?;
         let train_start = Instant::now();
         let model = CooccurrenceModel::train(dirty, noisy);
         let constraints = ConstraintIndex::build(dirty, rules);
@@ -143,12 +146,12 @@ impl HoloClean {
         }
         let inference_time = infer_start.elapsed();
 
-        RepairOutcome {
+        Ok(RepairOutcome {
             repaired,
             repaired_cells,
             training_time,
             inference_time,
-        }
+        })
     }
 
     /// Argmax over one noisy cell's candidate domain (ties keep the earlier
@@ -352,7 +355,9 @@ mod tests {
         let dirty = sample_hospital_dataset();
         let truth = sample_hospital_truth();
         let rules = sample_hospital_rules();
-        let outcome = HoloClean::new().repair(&dirty, &rules, &oracle_noisy(&dirty, &truth));
+        let outcome = HoloClean::new()
+            .repair(&dirty, &rules, &oracle_noisy(&dirty, &truth))
+            .unwrap();
         let st = dirty.schema().attr_id("ST").unwrap();
         assert_eq!(outcome.repaired.value(TupleId(3), st), "AL");
         assert!(!outcome.repaired_cells.is_empty());
@@ -363,7 +368,9 @@ mod tests {
     fn empty_noisy_set_changes_nothing() {
         let dirty = sample_hospital_dataset();
         let rules = sample_hospital_rules();
-        let outcome = HoloClean::new().repair(&dirty, &rules, &BTreeSet::new());
+        let outcome = HoloClean::new()
+            .repair(&dirty, &rules, &BTreeSet::new())
+            .unwrap();
         assert_eq!(outcome.repaired, dirty);
         assert!(outcome.repaired_cells.is_empty());
     }
@@ -383,16 +390,39 @@ mod tests {
         let cleaner = HoloClean::new();
 
         let typos = gen.dirty(0.05, 0.0, 41);
-        let typo_outcome = cleaner.repair(&typos.dirty, &rules, &typos.erroneous_cells());
+        let typo_outcome = cleaner
+            .repair(&typos.dirty, &rules, &typos.erroneous_cells())
+            .unwrap();
         let typo_f1 = RepairEvaluation::evaluate(&typos, &typo_outcome.repaired).f1();
 
         let repl = gen.dirty(0.05, 1.0, 41);
-        let repl_outcome = cleaner.repair(&repl.dirty, &rules, &repl.erroneous_cells());
+        let repl_outcome = cleaner
+            .repair(&repl.dirty, &rules, &repl.erroneous_cells())
+            .unwrap();
         let repl_f1 = RepairEvaluation::evaluate(&repl, &repl_outcome.repaired).f1();
 
         assert!(
             repl_f1 + 0.05 >= typo_f1,
             "replacement errors ({repl_f1:.3}) should not be much harder than typos ({typo_f1:.3}) on sparse data"
+        );
+    }
+
+    /// A rule set naming an attribute the table lacks is a typed error from
+    /// both entry points: a two-column `HN,PN` table under `FD: CT -> ST`.
+    #[test]
+    fn a_rule_naming_a_missing_attribute_is_an_error() {
+        let dirty = dataset::csv::parse_csv("HN,PN\nELIZA,2567688400\nBOAZ,2567688400\n").unwrap();
+        let rules = rules::parse_rules("FD: CT -> ST").unwrap();
+        let noisy = dirty.cells().map(|(cell, _)| cell).collect();
+        let missing = UnknownAttribute {
+            rule: rules::RuleId(0),
+            attribute: "CT".into(),
+        };
+        let cleaner = HoloClean::new();
+        assert_eq!(cleaner.repair(&dirty, &rules, &noisy).unwrap_err(), missing);
+        assert_eq!(
+            cleaner.repair_serial(&dirty, &rules, &noisy).unwrap_err(),
+            missing
         );
     }
 
@@ -402,8 +432,12 @@ mod tests {
         let rules = HaiGenerator::rules();
         let dirty = gen.dirty(0.05, 0.5, 7);
         let cleaner = HoloClean::new();
-        let parallel = cleaner.repair(&dirty.dirty, &rules, &dirty.erroneous_cells());
-        let serial = cleaner.repair_serial(&dirty.dirty, &rules, &dirty.erroneous_cells());
+        let parallel = cleaner
+            .repair(&dirty.dirty, &rules, &dirty.erroneous_cells())
+            .unwrap();
+        let serial = cleaner
+            .repair_serial(&dirty.dirty, &rules, &dirty.erroneous_cells())
+            .unwrap();
         assert_eq!(parallel.repaired, serial.repaired);
         assert_eq!(parallel.repaired_cells, serial.repaired_cells);
     }
@@ -413,7 +447,9 @@ mod tests {
         let gen = HaiGenerator::default().with_rows(400);
         let rules = HaiGenerator::rules();
         let dirty = gen.dirty(0.05, 0.5, 13);
-        let outcome = HoloClean::new().repair(&dirty.dirty, &rules, &dirty.erroneous_cells());
+        let outcome = HoloClean::new()
+            .repair(&dirty.dirty, &rules, &dirty.erroneous_cells())
+            .unwrap();
         let report = RepairEvaluation::evaluate(&dirty, &outcome.repaired);
         assert!(
             report.f1() > 0.3,

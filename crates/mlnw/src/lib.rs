@@ -1,34 +1,30 @@
 //! The `mlnw` codec: a compact binary format for every frame the system
-//! writes — wire envelopes, journaled change sets, session snapshots and
-//! reports — through two small traits, [`Encode`] and [`Decode`], and one
-//! macro, [`codec!`], that writes both for a struct or an enum.
+//! writes — wire envelopes, journaled change sets and session snapshots —
+//! through two small traits, [`Encode`] and [`Decode`], and one macro,
+//! [`codec!`], that writes both for a struct or an enum.
 //!
 //! Every frame starts with a 6-byte header — the `MLNW` magic followed by a
 //! little-endian [`CODEC_VERSION`] — so a peer can reject frames from a
-//! different protocol generation before touching the payload (the benchmark
-//! reports embed the same version, tying artifacts to the codec that framed
-//! them).  After the header the payload is one tagged value:
+//! different protocol generation before touching the payload.  After the
+//! header the payload is one tagged value:
 //!
 //! | tag | value |
 //! |-----|-------|
 //! | `0` | unit |
-//! | `1`/`2` | `false` / `true` |
 //! | `3` | unsigned integer, LEB128 varint |
 //! | `6` | `f64`, little-endian IEEE bits |
 //! | `8` | string, varint byte length + UTF-8 bytes |
-//! | `10`/`11` | `None` / `Some` + value |
 //! | `12` | sequence, varint element count + elements |
 //! | `14` | enum, varint variant index + payload (see below) |
-//! | `4`, `5`, `7`, `9`, `13` | reserved: version 1 gave them to signed integers, `f32`, `char`, byte strings and maps, which no frame contains |
+//! | `1`/`2`, `4`, `5`, `7`, `9`, `10`/`11`, `13` | reserved: version 1 gave them to `false` / `true`, signed integers, `f32`, `char`, byte strings, `None` / `Some` and maps, which no frame contains |
 //!
 //! Field names never cross the wire; composite values frame as sequences:
 //!
-//! * a struct is a sequence of its fields, in declaration order, less the
-//!   fields its [`codec!`] invocation skips;
+//! * a struct is a sequence of its fields, in declaration order;
 //! * a one-field tuple struct (every id type: `ValueId(5)` is `12 1 3 5`) is
 //!   a one-element sequence too — it is not transparent;
 //! * a 2-tuple is a 2-element sequence, a [`Duration`] the 2-element
-//!   sequence of its seconds and its nanoseconds, an [`Arc`] its contents;
+//!   sequence of its seconds and its nanoseconds;
 //! * an enum variant is tag `14` and the index its [`codec!`] invocation
 //!   gives it (declaration order; a retired variant's index stays unused),
 //!   then: a unit variant `0` (unit); a one-field tuple variant its one
@@ -45,7 +41,6 @@
 //! fill.
 
 use std::fmt;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Protocol generation of this codec.  Bump on any change to the tag table
@@ -58,13 +53,9 @@ pub const MAGIC: [u8; 4] = *b"MLNW";
 const HEADER_LEN: usize = 6;
 
 const TAG_UNIT: u8 = 0;
-const TAG_FALSE: u8 = 1;
-const TAG_TRUE: u8 = 2;
 const TAG_UINT: u8 = 3;
 const TAG_F64: u8 = 6;
 const TAG_STR: u8 = 8;
-const TAG_NONE: u8 = 10;
-const TAG_SOME: u8 = 11;
 const TAG_SEQ: u8 = 12;
 const TAG_ENUM: u8 = 14;
 
@@ -273,11 +264,6 @@ impl<'a> Decoder<'a> {
         }
     }
 
-    /// Read an option's tag: whether a value follows.
-    pub fn option(&mut self) -> Result<bool, CodecError> {
-        self.either(TAG_SOME, TAG_NONE, "an option")
-    }
-
     /// Read an enum tag and return the variant index.
     pub fn variant(&mut self) -> Result<u64, CodecError> {
         self.tag(TAG_ENUM, "an enum")?;
@@ -301,14 +287,8 @@ impl<'a> Decoder<'a> {
     }
 
     fn tag(&mut self, tag: u8, expected: &'static str) -> Result<(), CodecError> {
-        self.either(tag, tag, expected).map(drop)
-    }
-
-    /// Read tag `yes` (`true`) or tag `no` (`false`).
-    fn either(&mut self, yes: u8, no: u8, expected: &'static str) -> Result<bool, CodecError> {
         match self.byte()? {
-            found if found == yes => Ok(true),
-            found if found == no => Ok(false),
+            found if found == tag => Ok(()),
             found => Err(CodecError::Tag { found, expected }),
         }
     }
@@ -341,18 +321,6 @@ impl<'a> Decoder<'a> {
     fn len(&mut self) -> Result<usize, CodecError> {
         let len = self.varint()?;
         usize::try_from(len).map_err(|_| CodecError::Eof)
-    }
-}
-
-impl Encode for bool {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.out.push(if *self { TAG_TRUE } else { TAG_FALSE });
-    }
-}
-
-impl Decode for bool {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        dec.either(TAG_TRUE, TAG_FALSE, "a bool")
     }
 }
 
@@ -430,27 +398,6 @@ impl Decode for () {
     }
 }
 
-impl<T: Encode> Encode for Option<T> {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            None => enc.out.push(TAG_NONE),
-            Some(value) => {
-                enc.out.push(TAG_SOME);
-                value.encode(enc);
-            }
-        }
-    }
-}
-
-impl<T: Decode> Decode for Option<T> {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        match dec.option()? {
-            true => T::decode(dec).map(Some),
-            false => Ok(None),
-        }
-    }
-}
-
 impl<T: Encode> Encode for [T] {
     fn encode(&self, enc: &mut Encoder) {
         enc.seq(self.len());
@@ -463,13 +410,6 @@ impl<T: Encode> Encode for [T] {
 impl<T: Encode> Encode for Vec<T> {
     fn encode(&self, enc: &mut Encoder) {
         self.as_slice().encode(enc);
-    }
-}
-
-/// A reference encodes as what it refers to.
-impl<T: Encode + ?Sized> Encode for &T {
-    fn encode(&self, enc: &mut Encoder) {
-        (**self).encode(enc);
     }
 }
 
@@ -499,18 +439,6 @@ impl<A: Decode, B: Decode> Decode for (A, B) {
     }
 }
 
-impl<T: Encode + ?Sized> Encode for Arc<T> {
-    fn encode(&self, enc: &mut Encoder) {
-        (**self).encode(enc);
-    }
-}
-
-impl<T: Decode> Decode for Arc<T> {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        T::decode(dec).map(Arc::new)
-    }
-}
-
 impl Encode for Duration {
     fn encode(&self, enc: &mut Encoder) {
         (self.as_secs(), self.subsec_nanos()).encode(enc);
@@ -534,28 +462,16 @@ impl Decode for Duration {
 /// the [crate docs](crate) lay out.
 ///
 /// * `struct Name { a, b }` — a struct, fields listed in declaration order
-///   (a tuple struct's by position: `struct Id { 0 }`); `struct Name { a,
-///   b; skip c }` leaves `c` off the wire and rebuilds it with `Default`.
+///   (a tuple struct's by position: `struct Id { 0 }`).
 /// * `enum Name { 0 => Unit, 1 => Newtype(x), 2 => Tuple(x, y), 3 => Struct
 ///   { x } }` — variants with their declaration-order indices, tuple fields
 ///   given binding names.
-/// * `encode struct Name { a, b }` (or `Name<'a>`) — [`Encode`] alone: for
-///   a borrowed view that writes another type's frame, or a type that
-///   decodes by hand.
 ///
 /// Decoding builds each value literally, so a field added to the type but
 /// not to the list is a compile error.
 #[macro_export]
 macro_rules! codec {
-    (encode struct $ty:ident $(<$lt:lifetime>)? { $($field:tt),* $(,)? }) => {
-        impl $(<$lt>)? $crate::Encode for $ty $(<$lt>)? {
-            fn encode(&self, enc: &mut $crate::Encoder) {
-                enc.seq($crate::codec!(@count $($field)*));
-                $($crate::Encode::encode(&self.$field, enc);)*
-            }
-        }
-    };
-    (struct $ty:ident { $($field:tt),* $(; skip $($skip:ident),*)? $(,)? }) => {
+    (struct $ty:ident { $($field:tt),* $(,)? }) => {
         impl $crate::Encode for $ty {
             fn encode(&self, enc: &mut $crate::Encoder) {
                 enc.seq($crate::codec!(@count $($field)*));
@@ -568,7 +484,6 @@ macro_rules! codec {
                 dec.fields($crate::codec!(@count $($field)*))?;
                 ::core::result::Result::Ok($ty {
                     $($field: $crate::Decode::decode(dec)?,)*
-                    $($($skip: ::core::default::Default::default(),)*)?
                 })
             }
         }
@@ -642,17 +557,16 @@ mod tests {
         back
     }
 
-    #[derive(Debug, Clone, PartialEq, Default)]
+    #[derive(Debug, Clone, PartialEq)]
     struct Nested {
         id: u64,
         label: String,
         weight: f64,
         tags: Vec<String>,
-        extra: Option<Arc<Nested>>,
-        scratch: usize,
+        extra: Shape,
     }
 
-    codec! { struct Nested { id, label, weight, tags, extra; skip scratch } }
+    codec! { struct Nested { id, label, weight, tags, extra } }
 
     #[derive(Debug, Clone, PartialEq)]
     enum Shape {
@@ -692,19 +606,12 @@ mod tests {
             label: String::from("fuzz-γ"),
             weight: -0.5,
             tags: vec![String::from("a"), String::new()],
-            extra: Some(Arc::new(Nested {
-                label: String::from("inner"),
-                weight: 2.0,
-                ..Nested::default()
-            })),
-            scratch: 0,
+            extra: Shape::Tuple(2, String::from("inner")),
         }
     }
 
     #[test]
     fn primitives_round_trip() {
-        round_trip(&true);
-        round_trip(&false);
         round_trip(&0u64);
         round_trip(&u64::MAX);
         round_trip(&u32::MAX);
@@ -713,8 +620,6 @@ mod tests {
         round_trip(&String::from("wire"));
         round_trip(&String::new());
         round_trip(&());
-        round_trip(&Some(7usize));
-        round_trip(&Option::<usize>::None);
     }
 
     #[test]
@@ -722,7 +627,7 @@ mod tests {
         round_trip(&vec![1u32, 2, 3]);
         round_trip(&Vec::<String>::new());
         round_trip(&(1u64, String::from("two")));
-        round_trip(&Arc::new(vec![(String::from("a"), String::from("b"))]));
+        round_trip(&vec![(String::from("a"), String::from("b"))]);
         round_trip(&Duration::from_nanos(1_234_567_891));
         round_trip(&Duration::new(u64::MAX, 999_999_999));
     }
@@ -758,14 +663,7 @@ mod tests {
             framed(&[14, 4, 12, 1, 3, 5])
         );
         assert_eq!(bytes(&Duration::new(2, 7)), framed(&[12, 2, 3, 2, 3, 7]));
-        assert_eq!(bytes(&Some(true)), framed(&[11, 2]));
         assert_eq!(bytes(&1.0f64), framed(&[6, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f]));
-        // A skipped field is off the wire and back as its default.
-        let mut skipping = nested();
-        skipping.scratch = 99;
-        assert_eq!(to_bytes(&skipping), to_bytes(&nested()));
-        let back: Nested = from_bytes(&to_bytes(&skipping).unwrap()).unwrap();
-        assert_eq!(back.scratch, 0);
     }
 
     #[test]

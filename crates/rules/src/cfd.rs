@@ -95,14 +95,6 @@ impl ConditionalFd {
         &self.consequents
     }
 
-    /// Whether all attributes exist in `schema`.
-    pub fn is_valid_for(&self, schema: &Schema) -> bool {
-        self.conditions
-            .iter()
-            .chain(self.consequents.iter())
-            .all(|c| schema.attr_id(&c.attr).is_some())
-    }
-
     /// Whether `tuple` is *relevant* to this CFD, i.e. whether it should be
     /// placed in the CFD's block of the MLN index.
     ///

@@ -126,13 +126,6 @@ impl DenialConstraint {
         out
     }
 
-    /// Whether all attributes exist in `schema`.
-    pub fn is_valid_for(&self, schema: &Schema) -> bool {
-        self.predicates.iter().all(|p| {
-            schema.attr_id(&p.left_attr).is_some() && schema.attr_id(&p.right_attr).is_some()
-        })
-    }
-
     /// Project a tuple onto the reason-part attribute values.
     pub fn reason_values(&self, schema: &Schema, tuple: &Tuple) -> Vec<String> {
         self.reason_attrs()
@@ -185,6 +178,7 @@ impl fmt::Display for DenialConstraint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Rule;
     use dataset::{sample_hospital_dataset, TupleId};
 
     fn r2() -> DenialConstraint {
@@ -223,7 +217,7 @@ mod tests {
             DcPredicate::same_attr("PN", Op::Gt),
             DcPredicate::same_attr("ST", Op::Lt),
         ]);
-        assert!(dc.is_valid_for(ds.schema()));
+        assert!(Rule::Dc(dc.clone()).is_valid_for(ds.schema()));
         let t1 = ds.tuple(TupleId(0)); // 3347938701 / AL
         let t4 = ds.tuple(TupleId(3)); // 2567688400 / AK
                                        // t1.PN > t4.PN but t1.ST(AL) > t4.ST(AK) → second predicate false.

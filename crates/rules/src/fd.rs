@@ -37,14 +37,6 @@ impl FunctionalDependency {
         &self.rhs
     }
 
-    /// Whether all attributes of the FD exist in `schema`.
-    pub fn is_valid_for(&self, schema: &Schema) -> bool {
-        self.lhs
-            .iter()
-            .chain(self.rhs.iter())
-            .all(|a| schema.attr_id(a).is_some())
-    }
-
     /// Project a tuple onto the reason-part values.
     pub fn reason_values(&self, schema: &Schema, tuple: &Tuple) -> Vec<String> {
         self.lhs
@@ -107,6 +99,7 @@ impl fmt::Display for FunctionalDependency {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Rule;
     use dataset::{sample_hospital_dataset, TupleId};
 
     #[test]
@@ -144,7 +137,7 @@ mod tests {
     fn multi_attribute_fd() {
         let ds = sample_hospital_dataset();
         let fd = FunctionalDependency::new(vec!["HN", "CT"], vec!["PN", "ST"]);
-        assert!(fd.is_valid_for(ds.schema()));
+        assert!(Rule::Fd(fd.clone()).is_valid_for(ds.schema()));
         let t5 = ds.tuple(TupleId(4));
         assert_eq!(fd.reason_values(ds.schema(), &t5), vec!["ELIZA", "BOAZ"]);
         assert_eq!(fd.result_values(ds.schema(), &t5), vec!["2567688400", "AL"]);
@@ -154,7 +147,7 @@ mod tests {
     fn validity_check() {
         let ds = sample_hospital_dataset();
         let bad = FunctionalDependency::new(vec!["NOPE"], vec!["ST"]);
-        assert!(!bad.is_valid_for(ds.schema()));
+        assert!(!Rule::Fd(bad).is_valid_for(ds.schema()));
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub use dc::{DcPredicate, DenialConstraint};
 pub use fd::FunctionalDependency;
 pub use ops::Op;
 pub use parser::{parse_rule, parse_rules, ParseError};
-pub use rule::{Rule, RuleId, RuleSet};
+pub use rule::{Rule, RuleId, RuleSet, UnknownAttribute};
 pub use violations::{detect_violations, violating_cells, Violation, ViolationKind};
 
 /// Build the paper's three running-example rules over the Table 1 hospital
@@ -86,7 +86,7 @@ mod tests {
     fn sample_rules_detect_table1_violations() {
         let rules = sample_hospital_rules();
         let ds = sample_hospital_dataset();
-        let violations = detect_violations(&ds, &rules);
+        let violations = detect_violations(&ds, &rules).unwrap();
         // r1 is violated by (t4, t5)/(t4, t6) pairs on CT=BOAZ; r2 by the
         // same pairs on PN; r3 by t4 (ELIZA/BOAZ but PN matches → actually
         // satisfied) — the exact counts are covered in violations::tests;

@@ -7,8 +7,9 @@ use dataset::{AttrId, Schema, Tuple, ValueId};
 use std::fmt;
 
 /// The id of `attr` in `schema`, which the rule must be valid for
-/// ([`Rule::is_valid_for`]) — every rule method requires that, and the index
-/// build checks it with a typed error before any of them runs.
+/// ([`Rule::is_valid_for`]) — every rule method requires that, and every
+/// entry point that takes a table and a rule set ([`RuleSet::check`]) checks
+/// it with a typed error before any of them runs.
 #[allow(clippy::expect_used, reason = "the rule is valid for the schema")]
 pub(crate) fn validated_attr(schema: &Schema, attr: &str) -> AttrId {
     schema.attr_id(attr).expect("validated attribute")
@@ -32,6 +33,24 @@ impl fmt::Display for RuleId {
         write!(f, "r{}", self.0 + 1)
     }
 }
+
+/// A rule names an attribute the table's schema lacks ([`RuleSet::check`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownAttribute {
+    /// The offending rule.
+    pub rule: RuleId,
+    /// The missing attribute name.
+    pub attribute: String,
+}
+
+impl fmt::Display for UnknownAttribute {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let UnknownAttribute { rule, attribute } = self;
+        write!(f, "rule {rule} references unknown attribute {attribute:?}")
+    }
+}
+
+impl std::error::Error for UnknownAttribute {}
 
 /// An integrity constraint of any of the three supported kinds.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,11 +105,13 @@ impl Rule {
 
     /// Whether every attribute the rule mentions exists in `schema`.
     pub fn is_valid_for(&self, schema: &Schema) -> bool {
-        match self {
-            Rule::Fd(fd) => fd.is_valid_for(schema),
-            Rule::Cfd(cfd) => cfd.is_valid_for(schema),
-            Rule::Dc(dc) => dc.is_valid_for(schema),
-        }
+        self.missing_attr(schema).is_none()
+    }
+
+    /// The first attribute the rule mentions that `schema` lacks.
+    fn missing_attr(&self, schema: &Schema) -> Option<String> {
+        let mut attrs = self.all_attrs().into_iter();
+        attrs.find(|a| schema.attr_id(a).is_none())
     }
 
     /// Whether `tuple` should be placed in this rule's block of the MLN
@@ -215,7 +236,19 @@ impl RuleSet {
 
     /// Whether every rule is valid for `schema`.
     pub fn is_valid_for(&self, schema: &Schema) -> bool {
-        self.rules.iter().all(|r| r.is_valid_for(schema))
+        self.check(schema).is_ok()
+    }
+
+    /// Check every rule against `schema` ([`Rule::is_valid_for`]): the first
+    /// attribute, in rule order, that a rule names and `schema` lacks is an
+    /// error.
+    pub fn check(&self, schema: &Schema) -> Result<(), UnknownAttribute> {
+        for (rule, r) in self.iter_with_ids() {
+            if let Some(attribute) = r.missing_attr(schema) {
+                return Err(UnknownAttribute { rule, attribute });
+            }
+        }
+        Ok(())
     }
 
     /// The union of all attributes mentioned by any rule — error injection is

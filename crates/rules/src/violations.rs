@@ -6,7 +6,7 @@
 //! checks, so an FD over a dataset with many distinct reason values is far
 //! cheaper than the naive `O(n²)` scan.
 
-use crate::rule::{Rule, RuleId, RuleSet};
+use crate::rule::{Rule, RuleId, RuleSet, UnknownAttribute};
 use dataset::{CellRef, Dataset, TupleId};
 use std::collections::{BTreeSet, HashMap};
 
@@ -33,8 +33,13 @@ pub struct Violation {
     pub cells: Vec<CellRef>,
 }
 
-/// Detect every violation of `rules` in `ds`.
-pub fn detect_violations(ds: &Dataset, rules: &RuleSet) -> Vec<Violation> {
+/// Detect every violation of `rules` in `ds`; a rule naming an attribute
+/// `ds` lacks is an error, checked before any tuple is read.
+pub fn detect_violations(
+    ds: &Dataset,
+    rules: &RuleSet,
+) -> Result<Vec<Violation>, UnknownAttribute> {
+    rules.check(ds.schema())?;
     let mut out = Vec::new();
     for (rule_id, rule) in rules.iter_with_ids() {
         match rule {
@@ -63,7 +68,7 @@ pub fn detect_violations(ds: &Dataset, rules: &RuleSet) -> Vec<Violation> {
             }
         }
     }
-    out
+    Ok(out)
 }
 
 /// Group tuples by their reason-part values and run the pairwise check within
@@ -139,12 +144,13 @@ fn result_cells(ds: &Dataset, rule: &Rule, tuples: &[TupleId]) -> Vec<CellRef> {
 
 /// The set of cells involved in any violation — a simple constraint-based
 /// error detector (this is what HoloClean-style systems use as their "noisy
-/// cells" input).
-pub fn violating_cells(ds: &Dataset, rules: &RuleSet) -> BTreeSet<CellRef> {
-    detect_violations(ds, rules)
-        .into_iter()
-        .flat_map(|v| v.cells)
-        .collect()
+/// cells" input).  Errors as [`detect_violations`] does.
+pub fn violating_cells(
+    ds: &Dataset,
+    rules: &RuleSet,
+) -> Result<BTreeSet<CellRef>, UnknownAttribute> {
+    let violations = detect_violations(ds, rules)?;
+    Ok(violations.into_iter().flat_map(|v| v.cells).collect())
 }
 
 #[cfg(test)]
@@ -157,7 +163,7 @@ mod tests {
     fn table1_violations() {
         let ds = sample_hospital_dataset();
         let rules = sample_hospital_rules();
-        let violations = detect_violations(&ds, &rules);
+        let violations = detect_violations(&ds, &rules).unwrap();
 
         // r1 (CT -> ST): BOAZ maps to both AK (t4) and AL (t5, t6) → pairs
         // (t4,t5) and (t4,t6).
@@ -179,7 +185,7 @@ mod tests {
     fn violating_cells_point_at_result_attrs() {
         let ds = sample_hospital_dataset();
         let rules = sample_hospital_rules();
-        let cells = violating_cells(&ds, &rules);
+        let cells = violating_cells(&ds, &rules).unwrap();
         let st = ds.schema().attr_id("ST").unwrap();
         // The ST column of t4, t5, t6 is implicated by r1/r2 violations.
         assert!(cells.contains(&CellRef::new(TupleId(3), st)));
@@ -193,7 +199,7 @@ mod tests {
     fn clean_data_has_no_violations() {
         let truth = dataset::sample_hospital_truth();
         let rules = sample_hospital_rules();
-        assert!(detect_violations(&truth, &rules).is_empty());
+        assert!(detect_violations(&truth, &rules).unwrap().is_empty());
     }
 
     #[test]
@@ -202,10 +208,25 @@ mod tests {
         let pn = ds.schema().attr_id("PN").unwrap();
         ds.set_value(TupleId(4), pn, "0000000000");
         let rules = sample_hospital_rules();
-        let violations = detect_violations(&ds, &rules);
+        let violations = detect_violations(&ds, &rules).unwrap();
         assert!(violations
             .iter()
             .any(|v| v.rule == RuleId(2) && v.kind == ViolationKind::Single));
+    }
+
+    /// A rule set naming an attribute the table lacks is a typed error, not
+    /// a panic in the first projection: a two-column `HN,PN` table under
+    /// `FD: CT -> ST`.
+    #[test]
+    fn a_rule_naming_a_missing_attribute_is_an_error() {
+        let ds = dataset::csv::parse_csv("HN,PN\nELIZA,2567688400\nELIZA,2567688400\n").unwrap();
+        let rules = crate::parse_rules("FD: CT -> ST").unwrap();
+        let missing = UnknownAttribute {
+            rule: RuleId(0),
+            attribute: "CT".into(),
+        };
+        assert_eq!(detect_violations(&ds, &rules), Err(missing.clone()));
+        assert_eq!(violating_cells(&ds, &rules), Err(missing));
     }
 
     #[test]
@@ -220,7 +241,7 @@ mod tests {
         ]);
         let rules = RuleSet::new(vec![Rule::Dc(dc)]);
         let ds = sample_hospital_dataset();
-        let violations = detect_violations(&ds, &rules);
+        let violations = detect_violations(&ds, &rules).unwrap();
         // t1.PN(334...) > t4.PN(256...) and AL != AK, so at least that pair
         // must be caught even though the phone numbers differ.
         assert!(violations

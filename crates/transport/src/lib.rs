@@ -53,16 +53,15 @@ pub use worker::{PartitionWorker, WorkerCheckpoint};
 #[cfg(test)]
 /// One small frame of every `mlnw` family the system writes — wire
 /// envelopes (each [`Request`] and [`Response`] variant), change sets,
-/// journaled [`InternedSlice`]s, worker checkpoints ([`SessionSnapshot`]), reports and
-/// their [`Timings`] — with the bytes each encodes to pinned as a
-/// (length, FNV-1a 64) pair.
+/// journaled [`InternedSlice`]s and worker checkpoints ([`SessionSnapshot`])
+/// — with the bytes each encodes to pinned as a (length, FNV-1a 64) pair.
 mod frames {
     use crate::message::{Envelope, Payload, Request, Response, COORDINATOR};
     use dataset::rng::Rng;
     use dataset::{sample_hospital_dataset, AttrId, TupleId, ValueId};
     use mlnclean::{
-        BatchReport, ChangeSet, CleanConfig, CleaningSession, IdMutation, InternedSlice, MlnClean,
-        MlnIndex, Mutation, PartitionReport, Report, SessionSnapshot, Timings,
+        BatchReport, ChangeSet, CleanConfig, CleaningSession, IdMutation, InternedSlice, MlnIndex,
+        Mutation, SessionSnapshot,
     };
     use mlnw::{from_bytes, to_bytes, CodecError};
     use rules::sample_hospital_rules;
@@ -170,22 +169,6 @@ mod frames {
             .collect()
     }
 
-    /// Fixed stage clocks (a run's own are wall clocks, not deterministic).
-    fn timings() -> Timings {
-        Timings {
-            index: Duration::new(1, 2),
-            agp: Duration::from_micros(1_500),
-            weight_learning: Duration::from_nanos(999),
-            rsc: Duration::from_millis(12),
-            fscr: Duration::new(0, 1),
-            dedup: Duration::ZERO,
-            partition: Duration::new(u64::from(u32::MAX) + 1, 999_999_999),
-            weight_merge: Duration::from_secs(2),
-            gather: Duration::from_nanos(128),
-            merge_rounds: 3,
-        }
-    }
-
     /// The checkpoint image of a session holding the hospital sample.
     fn snapshot() -> SessionSnapshot {
         let dirty = sample_hospital_dataset();
@@ -199,15 +182,6 @@ mod frames {
         session.snapshot()
     }
 
-    /// The batch report of the hospital sample, its clocks fixed.
-    fn report() -> Report {
-        let mut report = MlnClean::new(CleanConfig::default().with_tau(1))
-            .clean(&sample_hospital_dataset(), &sample_hospital_rules())
-            .unwrap();
-        report.timings = timings();
-        report
-    }
-
     /// Every family's frames, named for the assertion messages.
     fn frames() -> Vec<(String, Vec<u8>)> {
         let mut frames: Vec<(String, Vec<u8>)> = envelopes()
@@ -215,21 +189,10 @@ mod frames {
             .enumerate()
             .map(|(i, env)| (format!("envelope {i}"), to_bytes(env).unwrap()))
             .collect();
-        let mut distributed = report();
-        distributed.partitions = Some(PartitionReport {
-            parts: vec![vec![TupleId(0), TupleId(2)], vec![TupleId(1)]],
-            shared_gammas: 2,
-        });
         frames.extend([
             ("change set".into(), to_bytes(&change_set()).unwrap()),
             ("interned slice".into(), to_bytes(&slice()).unwrap()),
             ("snapshot".into(), to_bytes(&snapshot()).unwrap()),
-            ("report".into(), to_bytes(&report()).unwrap()),
-            (
-                "report with partitions".into(),
-                to_bytes(&distributed).unwrap(),
-            ),
-            ("timings".into(), to_bytes(&timings()).unwrap()),
         ]);
         frames
     }
@@ -251,7 +214,7 @@ mod frames {
     }
 
     /// (length, FNV-1a 64) of each of [`frames`], in order.
-    const PINS: [(usize, u64); 16] = [
+    const PINS: [(usize, u64); 13] = [
         // Requests: ApplyBatch, PristineBlocks, GatherRows, IndexClock,
         // Checkpoint.
         (90, 10570052256654174657),
@@ -266,14 +229,10 @@ mod frames {
         (43, 14759618610514087642),
         (29, 12668183166825042536),
         (25, 1826878326917948127),
-        // Change set, interned slice, snapshot, report, report with
-        // partitions, timings.
+        // Change set, interned slice, snapshot.
         (63, 12072290258129044783),
         (74, 10222340756922710628),
         (220, 6178596361788615760),
-        (1932, 2640314179194262539),
-        (1954, 7852487764095728717),
-        (79, 8638174142506277469),
     ];
 
     #[test]
@@ -318,10 +277,6 @@ mod frames {
         survives_hostile_variants::<InternedSlice>("interned slice", &frame, &mut rng);
         let frame = to_bytes(&snapshot()).unwrap();
         survives_hostile_variants::<SessionSnapshot>("snapshot", &frame, &mut rng);
-        let frame = to_bytes(&report()).unwrap();
-        survives_hostile_variants::<Report>("report", &frame, &mut rng);
-        let frame = to_bytes(&timings()).unwrap();
-        survives_hostile_variants::<Timings>("timings", &frame, &mut rng);
     }
 
     /// A sequence prefix claiming 2^40 elements with three bytes behind it

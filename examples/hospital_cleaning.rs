@@ -52,7 +52,9 @@ fn main() {
     // The HoloClean-style baseline with oracle (100% accurate) detection —
     // the comparison protocol of Section 7.2 of the paper.
     let baseline = HoloClean::new();
-    let repair = baseline.repair(&dirty.dirty, &rules, &dirty.erroneous_cells());
+    let repair = baseline
+        .repair(&dirty.dirty, &rules, &dirty.erroneous_cells())
+        .expect("rules match the schema");
     let baseline_report = RepairEvaluation::evaluate(&dirty, &repair.repaired);
     println!("\nHoloClean-style baseline (oracle detection): {baseline_report}");
     println!(

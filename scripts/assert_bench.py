@@ -64,7 +64,6 @@ STAGES = (
     "fscr",
     "dedup",
     "partition",
-    "weight_merge",
     "gather",
 )
 

