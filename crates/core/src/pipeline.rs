@@ -5,7 +5,9 @@
 //! engine landed it is a thin wrapper over [`crate::CleaningSession`]: one
 //! bulk ingest of the whole dataset followed by
 //! [`crate::CleaningSession::finish`] — the batch pipeline is literally the
-//! one-batch special case of the streaming one.
+//! one-batch special case of the streaming one.  `finish` hands the
+//! session's pristine blocks to Stage I, which moves their groups instead
+//! of copying them and keeps no reuse entries.
 
 use crate::config::CleanConfig;
 use crate::engine::Report;

@@ -15,7 +15,10 @@
 //! byte-identical — output CSV and AGP/RSC/FSCR provenance, `f_score`
 //! included — to a batch run over the net surviving rows, which is what
 //! [`crate::MlnClean::clean`] is: one bulk ingest plus
-//! [`CleaningSession::finish`].
+//! [`CleaningSession::finish`].  An outcome lends Stage I the store's
+//! pristine blocks, which the session keeps; `finish` hands them over, so
+//! Stage I moves the groups it rebuilds instead of copying them and keeps no
+//! reuse entries ([`crate::stage_one`]'s "lent or handed over").
 
 #![cfg_attr(
     not(test),
@@ -27,13 +30,13 @@
 use crate::changeset::ChangeSet;
 use crate::engine::{Report, Timings};
 use crate::error::CleanError;
-use crate::index::Block;
 use crate::stage_one::{MemoryStats, Refreshed, StageOne};
 use crate::stage_two::StageTwo;
 use crate::store::{Applied, BatchReport, RowStore, SessionSnapshot};
 use crate::CleanConfig;
 use dataset::{Dataset, Schema};
 use rules::RuleSet;
+use std::borrow::Cow;
 
 /// An incremental MLNClean engine over typed mutation ingest — see the
 /// [module docs](self).
@@ -218,16 +221,13 @@ impl CleaningSession {
     /// refresh did.
     fn refresh(&mut self) -> Refreshed {
         let pristine = self.store.pristine();
-        let dirty: Vec<(usize, &Block)> = self
-            .stage_one
-            .dirty_blocks()
-            .into_iter()
-            .map(|i| (i, &pristine.blocks[i]))
-            .collect();
+        let dirty = self.stage_one.dirty_blocks().into_iter();
+        let lent = dirty.map(|i| (i, Cow::Borrowed(&pristine.blocks[i])));
         let refreshed = self
             .stage_one
-            .refresh(&dirty, pristine.pool(), &mut self.timings);
-        self.stage_two.invalidate_refreshed(&refreshed, &dirty);
+            .refresh(lent.collect(), pristine.pool(), &mut self.timings);
+        self.stage_two
+            .invalidate_refreshed(&refreshed, self.stage_one.cleaned());
         refreshed
     }
 
@@ -256,10 +256,19 @@ impl CleaningSession {
     /// Close the session, producing the final [`Report`]; unlike
     /// [`CleaningSession::outcome`] the repaired rows, the FSCR record and
     /// the Stage-I provenance move into it, uncopied (the net rows become
-    /// the repaired rows when no outcome came before).
+    /// the repaired rows when no outcome came before).  The store's pristine
+    /// blocks are handed to Stage I, which moves the groups it rebuilds out
+    /// of them instead of copying them, and keeps no reuse entries for a
+    /// refresh that will never come.
     pub fn finish(mut self) -> Report {
-        self.refresh();
-        let rows = self.store.into_dataset();
+        let (rows, mut pristine) = self.store.into_parts();
+        let blocks = std::mem::take(&mut pristine.blocks).into_iter();
+        let handed = blocks.map(Cow::Owned).enumerate().collect();
+        let refreshed = self
+            .stage_one
+            .refresh(handed, pristine.pool(), &mut self.timings);
+        self.stage_two
+            .invalidate_refreshed(&refreshed, self.stage_one.cleaned());
         self.stage_two
             .finish(self.stage_one, rows, &mut self.timings)
     }
@@ -268,6 +277,7 @@ impl CleaningSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::Block;
     use datagen::{CarGenerator, HaiGenerator};
     use dataset::{csv, AttrId, TupleId};
     use std::collections::BTreeSet;

@@ -5,8 +5,8 @@
 //! paper's first stage (AGP §5.1.1 → Eq. 3 weights → RSC §5.1.2) is driven.
 //!
 //! The paper cleans "multiple data versions separately": blocks never see
-//! each other, so a caller only has to say *which* blocks changed and hand
-//! over their **pristine** (pre-Stage-I) state.  Two callers do:
+//! each other, so a caller only has to say *which* blocks changed and pass
+//! their **pristine** (pre-Stage-I) state.  Two callers do:
 //!
 //! * [`crate::CleaningSession`] passes the blocks of its incrementally
 //!   maintained pristine index, marking dirty the group keys each update,
@@ -46,16 +46,27 @@
 //! group's state lives: its slot in the cleaned block and its range of the
 //! block's repairs.  A refresh takes a dirty block's last groups and repairs
 //! out of the index — made unique once, when a report still held shares it
-//! — and moves each reused group and its repairs into the new block.  A
-//! rebuilt or vanished group's tuples are read from its old slot.
+//! — and moves each reused group and its repairs into the new block, leaving
+//! an empty group in its old slot.  The tuples of every old group still in
+//! its slot — rebuilt, or gone — are handed to Stage II.
+//!
+//! **Lent or handed over.**  A refresh takes each pristine block lent
+//! (`Cow::Borrowed`) or handed over (`Cow::Owned`).  A session's
+//! [`outcome`](crate::CleaningSession::outcome) lends its store's blocks:
+//! the refresh copies the groups it rebuilds and keeps a reuse entry per
+//! output group.  [`finish`](crate::CleaningSession::finish) hands over its
+//! consumed store's blocks, and the coordinator its merged temporaries: the
+//! refresh moves their groups and keeps no entries, which no later refresh
+//! would read — one that comes all the same finds none and rebuilds every
+//! group, to the same output.
 //!
 //! Under a [`CleanConfig::memory_budget`] the driver also estimates the
 //! resident size of its blocks' distance and plan memos and resets those of
 //! clean blocks, coldest first ([`StageOne::enforce_budget`]).  The memos are
 //! accelerators, not state: a block whose memos were dropped re-plans as if
-//! for the first time, to the same output.  The reuse entries are state —
-//! the next refresh derives fusion invalidation from them — so they stay
-//! resident, like the cleaned index and the provenance.
+//! for the first time, to the same output.  The reuse entries are what the
+//! next refresh reuses groups by, so they stay resident, like the cleaned
+//! index and the provenance.
 
 #![cfg_attr(
     not(test),
@@ -72,6 +83,7 @@ use crate::weights::{assign_group_weights, block_support, probability};
 use crate::CleanConfig;
 use dataset::{TupleId, ValueId, ValuePool};
 use distance::Metric;
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -191,9 +203,10 @@ pub struct Refreshed {
     pub blocks: Vec<usize>,
     /// Tuples whose data versions may have changed — [`crate::StageTwo`]
     /// re-fuses them.  An over-approximation (every tuple of every
-    /// recomputed output group and of cache entries that vanished), possibly
-    /// with repeats.  A reused group's tuples are not listed, also where a
-    /// moved total support rescaled its probabilities: their versions are
+    /// recomputed output group and of every old output group not moved
+    /// over), possibly with repeats, whether the pristine blocks were lent
+    /// or handed over.  A reused group's tuples are not listed, also where
+    /// a moved total support rescaled its probabilities: their versions are
     /// the same γs, and Stage II tells from `rescaled` which fusions a new
     /// `Z` can change.
     pub invalidated: Vec<TupleId>,
@@ -345,21 +358,23 @@ impl StageOne {
     /// caches.  Clean blocks, and clean groups of dirty blocks, keep their
     /// cleaned state, moved rather than copied: their pristine content is
     /// exactly what a full rebuild would see, so their cleaned state is too.
+    /// Rebuilt groups are copied out of lent blocks and moved out of
+    /// handed-over ones (module docs); a listed clean block is skipped.
     /// The AGP pass is added to `timings.agp`; of the rebuild pass, the
     /// closed-form weighting of the rebuilt groups (one clock per block) to
     /// `timings.weight_learning` and the rest to `timings.rsc`.  A call with
     /// nothing dirty is free.
     pub fn refresh(
         &mut self,
-        pristine: &[(usize, &Block)],
+        pristine: Vec<(usize, Cow<'_, Block>)>,
         pool: &ValuePool,
         timings: &mut Timings,
     ) -> Refreshed {
         let mut out = Refreshed::default();
         // Take each dirty block's cache out so the worker owns it (the slot
         // keeps a fresh placeholder until write-back).
-        let mut work: Vec<(usize, &Block, BlockCache, OldOutput)> = Vec::new();
-        for &(i, block) in pristine {
+        let mut work: Vec<(usize, Cow<'_, Block>, BlockCache, OldOutput)> = Vec::new();
+        for (i, block) in pristine {
             if self.caches[i].is_dirty() {
                 let placeholder = BlockCache::new(self.config.metric);
                 let cache = std::mem::replace(&mut self.caches[i], placeholder);
@@ -390,10 +405,10 @@ impl StageOne {
         // group — whether the cached entry's sources still hold.
         let started = Instant::now();
         let planned = map_ordered(config.parallel, work, |(i, block, mut cache, old)| {
-            let z = block_support(block);
+            let z = block_support(&block);
             let before = cache.distances.stats();
             let mut plan = AbnormalGroupProcessor::from_config(config).plan_block(
-                block,
+                &block,
                 pool,
                 &mut cache.distances,
                 &mut cache.plan,
@@ -506,7 +521,8 @@ impl StageOne {
 /// Refresh one dirty block: derive the post-AGP output layout from the fresh
 /// plan, then rebuild only the output groups whose source set changed (or
 /// whose sources are marked dirty), and move every other group of `old` —
-/// the block's last output — over with its repairs, byte-for-byte.
+/// the block's last output — over with its repairs, byte-for-byte.  Only a
+/// lent `pristine` block leaves reuse entries (module docs).
 ///
 /// Soundness of the reuse: the plan is recomputed from the current pristine
 /// snapshot every refresh, so any drift in merge *decisions* shows up as a
@@ -527,7 +543,7 @@ impl StageOne {
 #[deny(clippy::disallowed_methods, clippy::disallowed_macros)] // Provenance holds ids.
 fn refresh_block(
     config: &CleanConfig,
-    pristine: &Block,
+    mut pristine: Cow<'_, Block>,
     pool: &ValuePool,
     mut cache: BlockCache,
     mut old: OldOutput,
@@ -536,6 +552,8 @@ fn refresh_block(
 ) -> RefreshedBlock {
     // A reused group's probability divides by Z: did it move since then?
     let z_moved = cache.last_z != Some(z);
+    // Only a lent block's store keeps it for a later refresh to reuse from.
+    let lent = matches!(pristine, Cow::Borrowed(_));
 
     // Post-AGP output layout (matching `apply_plan` exactly): surviving
     // normal groups in pristine order, each with its merged-in abnormals in
@@ -607,13 +625,24 @@ fn refresh_block(
             slots.push(Slot::Reused(key, entry));
             continue;
         }
+        // A handed-over block keeps no entry, so no sources either.
+        let kept = match lent {
+            true => sources().map(<[ValueId]>::to_vec).collect(),
+            false => Vec::new(),
+        };
         // Rebuild: merge the source γs the way `apply_plan` does.
-        let mut group = pristine.groups[lead].clone();
+        let mut group = match &mut pristine {
+            Cow::Borrowed(pristine) => pristine.groups[lead].clone(),
+            Cow::Owned(pristine) => std::mem::take(&mut pristine.groups[lead]),
+        };
         for &ai in &source_idx[1..] {
-            group.absorb_gammas(pristine.groups[ai].gammas.iter().cloned());
+            group.absorb_gammas(match &mut pristine {
+                Cow::Borrowed(pristine) => pristine.groups[ai].gammas.clone(),
+                Cow::Owned(pristine) => std::mem::take(&mut pristine.groups[ai].gammas),
+            });
         }
         block.groups.push(group);
-        slots.push(Slot::Rebuilt(sources().map(<[ValueId]>::to_vec).collect()));
+        slots.push(Slot::Rebuilt(kept));
     }
 
     // Step 2: weight the rebuilt groups against the block-wide Z (AGP
@@ -627,10 +656,11 @@ fn refresh_block(
     let weighting = started.elapsed();
 
     // Step 3: clean the rebuilt groups in place, and lay the block's repairs
-    // out in group order — a reused group's move over from `old`.
+    // out in group order — a reused group's move over from `old`.  Only a
+    // lent block gets entries for the next refresh to reuse by.
     let cleaner = ReliabilityCleaner::new(config.metric);
     let rsc_before = cache.distances.stats();
-    let mut entries: HashMap<Vec<ValueId>, GroupEntry> = HashMap::with_capacity(slots.len());
+    let mut entries = HashMap::with_capacity(if lent { slots.len() } else { 0 });
     let mut repairs: Vec<RscRepair> = Vec::with_capacity(old.repairs.len());
     let mut invalidated: Vec<TupleId> = Vec::new();
     let mut recleaned = 0u64;
@@ -654,30 +684,28 @@ fn refresh_block(
                 let cleaned = cleaner.clean_group(block.rule, group, pool, &mut cache.distances);
                 repairs.extend(cleaned.repairs);
                 invalidated.extend(group.all_tuples());
-                (
-                    group.key.clone(),
-                    sources,
-                    cleaned.evidence,
-                    cleaned.z_sensitive,
-                )
+                let key = if lent { group.key.clone() } else { Vec::new() };
+                (key, sources, cleaned.evidence, cleaned.z_sensitive)
             }
         };
-        let entry = GroupEntry {
-            sources,
-            slot,
-            repairs_start,
-            repairs_end: repairs.len(),
-            evidence,
-            z_sensitive,
-        };
-        entries.insert(key, entry);
+        if lent {
+            let entry = GroupEntry {
+                sources,
+                slot,
+                repairs_start,
+                repairs_end: repairs.len(),
+                evidence,
+                z_sensitive,
+            };
+            entries.insert(key, entry);
+        }
     }
 
     // Old output groups not moved over — rebuilt, or gone since the last
-    // refresh: their tuples may live somewhere else now; re-fuse them.
-    for (_, entry) in cache.entries.drain() {
-        invalidated.extend(old.groups[entry.slot].all_tuples());
-    }
+    // refresh: their tuples may live somewhere else now; re-fuse them.  A
+    // moved group left an empty one behind.
+    let left_behind = old.groups.iter().flat_map(|group| &group.gammas);
+    invalidated.extend(left_behind.flat_map(|gamma| &gamma.tuples));
 
     let rsc_stats = stats_delta(rsc_before, cache.distances.stats());
     cache.entries = entries;
@@ -817,10 +845,21 @@ pub(crate) mod tests {
         )
     }
 
-    /// Refresh whatever is dirty from `index`'s blocks.
+    /// `index`'s blocks, lent.
+    fn lend(index: &MlnIndex) -> Vec<(usize, Cow<'_, Block>)> {
+        index.blocks.iter().map(Cow::Borrowed).enumerate().collect()
+    }
+
+    /// Refresh whatever is dirty from `index`'s blocks, lent.
     fn refresh(stage: &mut StageOne, index: &MlnIndex) -> Refreshed {
-        let pristine: Vec<(usize, &Block)> = index.blocks.iter().enumerate().collect();
-        stage.refresh(&pristine, index.pool(), &mut Timings::default())
+        stage.refresh(lend(index), index.pool(), &mut Timings::default())
+    }
+
+    /// Refresh whatever is dirty from `index`'s blocks, handed over.
+    fn hand_over(stage: &mut StageOne, mut index: MlnIndex) -> Refreshed {
+        let blocks = std::mem::take(&mut index.blocks).into_iter();
+        let handed = blocks.map(Cow::Owned).enumerate().collect();
+        stage.refresh(handed, index.pool(), &mut Timings::default())
     }
 
     fn mark_all_dirty(stage: &mut StageOne) {
@@ -931,13 +970,12 @@ pub(crate) mod tests {
         let index = MlnIndex::build(&ds, &rules).unwrap();
         let mut stage = driver_over(&config, &index);
         mark_all_dirty(&mut stage);
-        let pristine: Vec<(usize, &Block)> = index.blocks.iter().enumerate().collect();
         let mut timings = Timings::default();
-        stage.refresh(&pristine, index.pool(), &mut timings);
+        stage.refresh(lend(&index), index.pool(), &mut timings);
         assert!(timings.weight_learning > Duration::ZERO, "{timings:?}");
         assert!(timings.rsc > Duration::ZERO, "{timings:?}");
         let before = timings;
-        stage.refresh(&pristine, index.pool(), &mut timings);
+        stage.refresh(lend(&index), index.pool(), &mut timings);
         assert_eq!(timings, before);
     }
 
@@ -1055,6 +1093,69 @@ pub(crate) mod tests {
         let rebuilt = update_and_refresh(&mut stage, &mut ds, &mut index, &rules, (3, "ST", "AK"));
         assert_eq!(rebuilt, 1);
         assert_eq!(buffers(&stage), before);
+    }
+
+    /// A handed-over pristine block gives its groups up: the refresh moves
+    /// every group it rebuilds out of the block — the cleaned group holds
+    /// the very key buffer the pristine one did — and keeps no reuse
+    /// entries, as no later refresh reads that block.  Should one come all
+    /// the same (keys marked dirty, the block lent), it finds no entry and
+    /// rebuilds every group, to a lent driver's output byte for byte, and
+    /// still hands Stage II the tuples of the old groups it did not move
+    /// over: row 2, which an update took out of the CFD block.
+    #[test]
+    fn a_handed_over_block_keeps_no_entries_and_a_later_refresh_rebuilds_it() {
+        let mut ds = sample_hospital_dataset();
+        let rules = sample_hospital_rules();
+        let config = CleanConfig::default().with_tau(1);
+        let mut index = MlnIndex::build(&ds, &rules).unwrap();
+        let mut lent = driver_over(&config, &index);
+        let mut handed = driver_over(&config, &index);
+        mark_all_dirty(&mut lent);
+        mark_all_dirty(&mut handed);
+        refresh(&mut lent, &index);
+        let copy = index.clone();
+        let keys: BTreeSet<*const ValueId> = copy
+            .blocks
+            .iter()
+            .flat_map(|b| &b.groups)
+            .map(|g| g.key.as_ptr())
+            .collect();
+        hand_over(&mut handed, copy);
+        let groups = || handed.cleaned.blocks.iter().flat_map(|b| &b.groups);
+        assert!(groups().all(|g| keys.contains(&g.key.as_ptr())), "moved");
+        assert_eq!(handed.cleaned.blocks, lent.cleaned.blocks);
+        assert_eq!(handed.records(), lent.records());
+        assert!(handed.caches.iter().all(|c| c.entries.is_empty()));
+        assert!(lent.caches.iter().all(|c| !c.entries.is_empty()));
+
+        // Only the CFD reads HN, and HN = ELIZA is all that made row 2
+        // relevant to it.
+        let (t, cfd) = (TupleId(2), 2);
+        let hn = ds.schema().attr_id("HN").unwrap();
+        let old_row = ds.row_ids(t);
+        ds.set_value(t, hn, "ELIZB".to_string());
+        let touched = index.update_tuple(&ds, &rules, t, &old_row, false);
+        assert!(!index.blocks[cfd].gammas().any(|g| g.tuples.contains(&t)));
+        let mut refreshes = Vec::new();
+        for stage in [&mut lent, &mut handed] {
+            for (block, keys) in touched.iter().enumerate() {
+                stage.mark_keys_dirty(block, keys);
+            }
+            let before = stage.recleaned_groups();
+            let refreshed = refresh(stage, &index);
+            assert!(refreshed.invalidated.contains(&t), "{refreshed:?}");
+            assert_matches_reference("after the update", stage, &index);
+            let rebuilt = stage.recleaned_groups() - before;
+            refreshes.push((rebuilt, refreshed.blocks, refreshed.rescaled));
+        }
+        assert_eq!(refreshes[0].1, [cfd]);
+        assert_eq!(refreshes[0].1, refreshes[1].1);
+        assert_eq!(refreshes[0].2, refreshes[1].2);
+        let every = handed.cleaned.blocks[cfd].group_count() as u64;
+        assert!(refreshes[0].0 <= every && refreshes[1].0 == every);
+        assert_eq!(handed.cleaned.blocks, lent.cleaned.blocks);
+        assert_eq!(handed.records(), lent.records());
     }
 
     /// A fully dirty block — every group rebuilt, as the streaming

@@ -265,22 +265,20 @@ impl StageTwo {
     }
 
     /// Empty the slots a Stage-I refresh made stale — see the
-    /// [module docs](self) for the three rules.  `pristine` is the slice
-    /// [`StageOne::refresh`] was handed.
-    pub fn invalidate_refreshed(&mut self, refreshed: &Refreshed, pristine: &[(usize, &Block)]) {
+    /// [module docs](self) for the three rules.  `cleaned` is the cleaned
+    /// index [`StageOne::refresh`] left: a refreshed block there lists the
+    /// tuples its pristine block did.
+    pub fn invalidate_refreshed(&mut self, refreshed: &Refreshed, cleaned: &MlnIndex) {
         self.rescaled.extend(&refreshed.rescaled);
         for &t in &refreshed.invalidated {
             self.release(t.index());
         }
-        for (i, block) in pristine {
-            if !refreshed.blocks.contains(i) {
-                continue;
-            }
-            let stale = match refreshed.rescaled.contains(i) {
+        for &i in &refreshed.blocks {
+            let stale = match refreshed.rescaled.contains(&i) {
                 true => CONFLICTED | UNFACTORED,
                 false => CONFLICTED,
             };
-            for &t in block.gammas().flat_map(|gamma| &gamma.tuples) {
+            for &t in cleaned.blocks[i].gammas().flat_map(|gamma| &gamma.tuples) {
                 if self.fragile[t.index()] & stale != 0 {
                     self.release(t.index());
                 }
@@ -992,6 +990,7 @@ mod tests {
     use dataset::rng::Rng;
     use dataset::{csv, AttrId, Schema, ValueId};
     use rules::{parse_rules, RuleSet};
+    use std::borrow::Cow;
 
     /// An evolving table with both stage drivers kept in step with it the
     /// way `CleaningSession::apply` and `outcome` keep theirs — and a second
@@ -1056,16 +1055,14 @@ mod tests {
         /// said.
         fn report(&mut self, label: &str) -> (Report, Refreshed) {
             let index = &self.table.index;
-            let dirty: Vec<(usize, &Block)> = self
-                .one
-                .dirty_blocks()
-                .into_iter()
-                .map(|i| (i, &index.blocks[i]))
-                .collect();
+            let dirty = self.one.dirty_blocks().into_iter();
+            let lent = dirty.map(|i| (i, Cow::Borrowed(&index.blocks[i])));
             let mut timings = Timings::default();
-            let refreshed = self.one.refresh(&dirty, index.pool(), &mut timings);
-            self.two.invalidate_refreshed(&refreshed, &dirty);
-            self.derives.invalidate_refreshed(&refreshed, &dirty);
+            let refreshed = self.one.refresh(lent.collect(), index.pool(), &mut timings);
+            self.two
+                .invalidate_refreshed(&refreshed, self.one.cleaned());
+            self.derives
+                .invalidate_refreshed(&refreshed, self.one.cleaned());
             self.one.sync_pool(self.table.ds.pool());
             let report = self.two.report(&mut self.one, &self.table.ds, &mut timings);
             assert_eq!(report.timings, timings, "{label}");

@@ -162,9 +162,9 @@ impl RowStore {
         &self.dataset
     }
 
-    /// The net rows, moved out.
-    pub(crate) fn into_dataset(self) -> Dataset {
-        self.dataset
+    /// The net rows and their pristine index, moved out.
+    pub(crate) fn into_parts(self) -> (Dataset, MlnIndex) {
+        (self.dataset, self.pristine)
     }
 
     /// The pristine index over [`RowStore::dataset`].

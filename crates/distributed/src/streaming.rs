@@ -37,6 +37,9 @@
 //!    per-block Stage-I driver, and the same call, a single
 //!    [`CleaningSession`] refreshes its own dirty blocks with — marked fully
 //!    dirty, over one persistent per-block cache (distance memo included).
+//!    They are temporaries, so they are handed over, not lent: Stage I moves
+//!    their groups into the cleaned index and keeps no reuse entries (the
+//!    next round rebuilds a merged block whole anyway).
 //!    Because weights are learned from the **merged** supports, this is the
 //!    *exact-evidence* variant of the paper's Eq. 6 phase: instead of
 //!    averaging independently learned per-partition weights
@@ -82,6 +85,7 @@ use mlnclean::{
 #[allow(unused_imports)]
 use mlnclean::{CleaningSession, RowStore};
 use rules::RuleSet;
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// The stateful distributed streaming coordinator: per-partition
@@ -557,23 +561,24 @@ impl<B: PartitionBackend> DistributedStreamingSession<B> {
         // backend (one message-shaped exchange), then merge them.
         let started = Instant::now();
         let parts_blocks = self.backend.pristine_blocks(&dirty_idx);
-        let mut merged: Vec<Block> = Vec::with_capacity(dirty_idx.len());
+        let mut merged: Vec<(usize, Cow<'_, Block>)> = Vec::with_capacity(dirty_idx.len());
         for (bi, &b) in dirty_idx.iter().enumerate() {
             let copies: Vec<&Block> = parts_blocks.iter().map(|part| &part[bi]).collect();
             let (block, shared) = self.merge_block(&copies);
             self.shared_per_block[b] = shared;
-            merged.push(block);
+            merged.push((b, Cow::Owned(block)));
         }
         self.timings.gather += started.elapsed();
 
-        // Stage I on the merged blocks.  They were marked fully dirty when
-        // touched, so every tuple they cover comes back invalidated (the
-        // same over-approximation the single session uses).
-        let pristine: Vec<(usize, &Block)> = dirty_idx.iter().copied().zip(&merged).collect();
+        // Stage I on the merged blocks, handed over: they are temporaries.
+        // They were marked fully dirty when touched, so every tuple they
+        // cover comes back invalidated (the same over-approximation the
+        // single session uses).
         let refreshed = self
             .stage_one
-            .refresh(&pristine, &self.pool, &mut self.timings);
-        self.stage_two.invalidate_refreshed(&refreshed, &pristine);
+            .refresh(merged, &self.pool, &mut self.timings);
+        self.stage_two
+            .invalidate_refreshed(&refreshed, self.stage_one.cleaned());
         self.timings.merge_rounds += 1;
     }
 

@@ -5,10 +5,10 @@
 //! that software stack is not reproducible here, so this crate implements the
 //! same pipeline shape with the same signals:
 //!
-//! 1. **Error detection** ([`detection`]) — constraint-violation cells, or an
-//!    externally supplied "noisy cell" set (the paper sets HoloClean's
-//!    detection accuracy to 100% for fairness, i.e. hands it the true
-//!    erroneous cells);
+//! 1. **Error detection** — left to the caller, as HoloClean leaves it to
+//!    external modules: [`HoloClean::repair`] takes the "noisy cell" set
+//!    (the paper sets HoloClean's detection accuracy to 100% for fairness,
+//!    i.e. hands it the true erroneous cells);
 //! 2. **Candidate-domain generation** ([`domain`]) — for every noisy cell,
 //!    candidate repairs are drawn from the attribute's active domain, pruned
 //!    by co-occurrence with the tuple's other values;
@@ -30,12 +30,10 @@
 //!   co-occurrence features rely on) hurt it much more than replacement
 //!   errors, especially on sparse data (Figure 7a).
 
-pub mod detection;
 pub mod domain;
 pub mod features;
 pub mod repair;
 
-pub use detection::{detect_noisy_cells, DetectionMode};
 pub use domain::CandidateDomain;
 pub use features::CooccurrenceModel;
 pub use repair::{HoloClean, RepairOutcome};

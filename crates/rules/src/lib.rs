@@ -37,7 +37,7 @@ pub use fd::FunctionalDependency;
 pub use ops::Op;
 pub use parser::{parse_rule, parse_rules, ParseError};
 pub use rule::{Rule, RuleId, RuleSet, UnknownAttribute};
-pub use violations::{detect_violations, violating_cells, Violation, ViolationKind};
+pub use violations::{detect_violations, Violation, ViolationKind};
 
 /// Build the paper's three running-example rules over the Table 1 hospital
 /// schema (`HN`, `CT`, `ST`, `PN`):

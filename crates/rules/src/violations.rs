@@ -6,9 +6,9 @@
 //! checks, so an FD over a dataset with many distinct reason values is far
 //! cheaper than the naive `O(n²)` scan.
 
-use crate::rule::{Rule, RuleId, RuleSet, UnknownAttribute};
-use dataset::{CellRef, Dataset, TupleId};
-use std::collections::{BTreeSet, HashMap};
+use crate::rule::{validated_attr, Rule, RuleId, RuleSet, UnknownAttribute};
+use dataset::{AttrId, CellRef, Dataset, TupleId};
+use std::collections::HashMap;
 
 /// Which flavour of violation was found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,9 +42,17 @@ pub fn detect_violations(
     rules.check(ds.schema())?;
     let mut out = Vec::new();
     for (rule_id, rule) in rules.iter_with_ids() {
+        // Resolved once per rule; `check` found every attribute.
+        let result: Vec<AttrId> = rule
+            .result_attrs()
+            .iter()
+            .map(|attr| validated_attr(ds.schema(), attr))
+            .collect();
         match rule {
             Rule::Fd(fd) => {
-                detect_grouped_pairs(ds, rule_id, rule, &mut out, |a, b| fd.violated_by(ds, a, b));
+                detect_grouped_pairs(ds, rule_id, &result, rule, &mut out, |a, b| {
+                    fd.violated_by(ds, a, b)
+                });
             }
             Rule::Cfd(cfd) => {
                 // Single-tuple violations of constant consequents.
@@ -54,17 +62,19 @@ pub fn detect_violations(
                             rule: rule_id,
                             kind: ViolationKind::Single,
                             tuples: vec![t.id()],
-                            cells: result_cells(ds, rule, &[t.id()]),
+                            cells: result_cells(&result, &[t.id()]),
                         });
                     }
                 }
                 // Pairwise violations of the variable part.
-                detect_grouped_pairs(ds, rule_id, rule, &mut out, |a, b| {
+                detect_grouped_pairs(ds, rule_id, &result, rule, &mut out, |a, b| {
                     cfd.violated_by_pair(ds, a, b)
                 });
             }
             Rule::Dc(dc) => {
-                detect_grouped_pairs(ds, rule_id, rule, &mut out, |a, b| dc.violated_by(ds, a, b));
+                detect_grouped_pairs(ds, rule_id, &result, rule, &mut out, |a, b| {
+                    dc.violated_by(ds, a, b)
+                });
             }
         }
     }
@@ -80,6 +90,7 @@ pub fn detect_violations(
 fn detect_grouped_pairs<F>(
     ds: &Dataset,
     rule_id: RuleId,
+    result: &[AttrId],
     rule: &Rule,
     out: &mut Vec<Violation>,
     violates: F,
@@ -120,7 +131,7 @@ fn detect_grouped_pairs<F>(
                         rule: rule_id,
                         kind: ViolationKind::Pair,
                         tuples: vec![ids[i], ids[j]],
-                        cells: result_cells(ds, rule, &[ids[i], ids[j]]),
+                        cells: result_cells(result, &[ids[i], ids[j]]),
                     });
                 }
             }
@@ -128,29 +139,10 @@ fn detect_grouped_pairs<F>(
     }
 }
 
-/// The result-part cells of the given tuples under `rule`.
-fn result_cells(ds: &Dataset, rule: &Rule, tuples: &[TupleId]) -> Vec<CellRef> {
-    let schema = ds.schema();
-    let mut cells = Vec::new();
-    for &t in tuples {
-        for attr in rule.result_attrs() {
-            if let Some(id) = schema.attr_id(&attr) {
-                cells.push(CellRef::new(t, id));
-            }
-        }
-    }
-    cells
-}
-
-/// The set of cells involved in any violation — a simple constraint-based
-/// error detector (this is what HoloClean-style systems use as their "noisy
-/// cells" input).  Errors as [`detect_violations`] does.
-pub fn violating_cells(
-    ds: &Dataset,
-    rules: &RuleSet,
-) -> Result<BTreeSet<CellRef>, UnknownAttribute> {
-    let violations = detect_violations(ds, rules)?;
-    Ok(violations.into_iter().flat_map(|v| v.cells).collect())
+/// The cells of `result` (a rule's result attributes) in `tuples`.
+fn result_cells(result: &[AttrId], tuples: &[TupleId]) -> Vec<CellRef> {
+    let cells = |&t: &TupleId| result.iter().map(move |&attr| CellRef::new(t, attr));
+    tuples.iter().flat_map(cells).collect()
 }
 
 #[cfg(test)]
@@ -158,6 +150,7 @@ mod tests {
     use super::*;
     use crate::sample_hospital_rules;
     use dataset::sample_hospital_dataset;
+    use std::collections::BTreeSet;
 
     #[test]
     fn table1_violations() {
@@ -185,7 +178,8 @@ mod tests {
     fn violating_cells_point_at_result_attrs() {
         let ds = sample_hospital_dataset();
         let rules = sample_hospital_rules();
-        let cells = violating_cells(&ds, &rules).unwrap();
+        let violations = detect_violations(&ds, &rules).unwrap();
+        let cells: BTreeSet<CellRef> = violations.into_iter().flat_map(|v| v.cells).collect();
         let st = ds.schema().attr_id("ST").unwrap();
         // The ST column of t4, t5, t6 is implicated by r1/r2 violations.
         assert!(cells.contains(&CellRef::new(TupleId(3), st)));
@@ -225,8 +219,7 @@ mod tests {
             rule: RuleId(0),
             attribute: "CT".into(),
         };
-        assert_eq!(detect_violations(&ds, &rules), Err(missing.clone()));
-        assert_eq!(violating_cells(&ds, &rules), Err(missing));
+        assert_eq!(detect_violations(&ds, &rules), Err(missing));
     }
 
     #[test]
