@@ -110,10 +110,9 @@ use crate::gamma::Gamma;
 use crate::index::{Block, Group, MlnIndex};
 use crate::map_ordered;
 use crate::provenance::{Names, Provenance, Records};
-use dataset::{TupleId, ValueId, ValuePool};
+use dataset::{IdMap, IdSet, TupleId, ValueId, ValuePool};
 use distance::{EditSketch, Metric};
 use rules::RuleId;
-use std::collections::{HashMap, HashSet};
 
 /// One merge performed (or attempted) by AGP.
 #[derive(Debug, Clone, PartialEq)]
@@ -458,8 +457,9 @@ pub(crate) struct AgpPlan {
 /// whose metric and guard it takes for granted.  It holds value ids only,
 /// never tuple ids.
 #[derive(Debug, Clone, Default)]
+#[deny(clippy::disallowed_types)] // Ids hash as ids (clippy.toml).
 pub(crate) struct PlanMemo {
-    groups: HashMap<Vec<ValueId>, Remembered>,
+    groups: IdMap<Vec<ValueId>, Remembered>,
 }
 
 /// One pristine group as the last plan saw it.
@@ -766,9 +766,10 @@ impl PlanMemo {
 
     /// Drop the groups that left the block; call once every group of
     /// `block` has been [`observed`](Self::observe).
+    #[deny(clippy::disallowed_types)] // Ids hash as ids (clippy.toml).
     fn forget_all_but(&mut self, block: &Block) {
         if self.groups.len() > block.groups.len() {
-            let live: HashSet<&[ValueId]> = block.groups.iter().map(|g| &g.key[..]).collect();
+            let live: IdSet<&[ValueId]> = block.groups.iter().map(|g| &g.key[..]).collect();
             self.groups.retain(|key, _| live.contains(&key[..]));
         }
     }

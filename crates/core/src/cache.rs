@@ -32,12 +32,12 @@
 //! the counters count the lookups that were made, not the pairs a search
 //! considered.
 
-use dataset::{ValueId, ValuePool};
+use dataset::{IdMap, ValueId, ValuePool};
 use distance::{
     bounded_damerau_levenshtein, bounded_levenshtein, normalized_edit_distance, DistanceMetric,
     EditSketch, Metric,
 };
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::hash_map::Entry;
 
 /// Hit/miss counters of a [`DistanceCache`], aggregated into the stage
 /// records so benchmarks can report cache effectiveness.
@@ -111,10 +111,11 @@ impl Memo {
 /// A symmetric `(ValueId, ValueId) →` exact distance or lower bound memo,
 /// and a `ValueId →` sketch memo beside it.
 #[derive(Debug, Clone)]
+#[deny(clippy::disallowed_types)] // Ids hash as ids (clippy.toml).
 pub struct DistanceCache {
     metric: Metric,
-    pairs: HashMap<(ValueId, ValueId), Memo>,
-    sketches: HashMap<ValueId, EditSketch>,
+    pairs: IdMap<(ValueId, ValueId), Memo>,
+    sketches: IdMap<ValueId, EditSketch>,
     stats: CacheStats,
 }
 
@@ -127,8 +128,8 @@ impl DistanceCache {
     pub fn new(metric: Metric) -> Self {
         DistanceCache {
             metric,
-            pairs: HashMap::new(),
-            sketches: HashMap::new(),
+            pairs: IdMap::default(),
+            sketches: IdMap::default(),
             stats: CacheStats::default(),
         }
     }
@@ -164,7 +165,7 @@ impl DistanceCache {
     #[cfg(test)]
     pub(crate) fn without_sketches(&self) -> Self {
         DistanceCache {
-            sketches: HashMap::new(),
+            sketches: IdMap::default(),
             ..self.clone()
         }
     }

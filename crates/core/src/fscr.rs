@@ -92,9 +92,8 @@
 use crate::index::{Block, MlnIndex};
 use crate::provenance::{Names, Provenance, Records};
 use crate::weights::probability;
-use dataset::{AttrId, CellRef, Dataset, TupleId, ValueId};
+use dataset::{AttrId, CellRef, Dataset, IdMap, TupleId, ValueId};
 use std::cell::OnceCell;
-use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -416,11 +415,12 @@ impl ConflictResolver {
     /// Build the flat tables over `blocks` — each with its position in the
     /// cleaned index — lay out the versions of every wanted tuple (`None`:
     /// all of them), and fuse each distinct vector.
+    #[deny(clippy::disallowed_types)] // Ids hash as ids (clippy.toml).
     fn plan_blocks(&self, blocks: &[(usize, &Block)], wanted: Option<&[bool]>) -> FusionPlan {
         let tables = GammaTables::new(blocks);
         let versions = TupleVersions::new(blocks, wanted);
         let mut kernel = FusionKernel::new(&tables, self.max_exhaustive);
-        let mut vector_ids: HashMap<&[u32], u32> = HashMap::new();
+        let mut vector_ids: IdMap<&[u32], u32> = IdMap::default();
         let mut fusions: Vec<SharedFusion> = Vec::new();
         let tuple_vector = (0..versions.tuple_count())
             .map(|t| {
@@ -1016,6 +1016,7 @@ mod tests {
     use dataset::{sample_hospital_dataset, ValuePool};
     use distance::Metric;
     use rules::{sample_hospital_rules, RuleId, RuleSet};
+    use std::collections::HashMap;
 
     /// Algorithm 2 as this module ran it before fusions were planned per
     /// version vector: per tuple, on `&Gamma`s, allocating as it goes.  Kept

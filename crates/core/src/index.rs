@@ -30,10 +30,9 @@
 
 use crate::gamma::Gamma;
 use crate::map_ordered;
-use dataset::{AttrId, Dataset, TupleId, ValueId, ValuePool};
+use dataset::{AttrId, Dataset, IdMap, TupleId, ValueId, ValuePool};
 use rules::{Rule, RuleId, RuleSet, UnknownAttribute};
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::fmt;
 
 /// A second-layer group: all γs sharing the same reason-part values within a
@@ -288,8 +287,9 @@ impl Block {
 /// ids of the tuples that carry it.  Runs of one key join as they arrive,
 /// one hash probe each.
 #[derive(Debug, Default)]
+#[deny(clippy::disallowed_types)] // Ids hash as ids (clippy.toml).
 pub struct GammaRuns {
-    runs: HashMap<Vec<ValueId>, Vec<TupleId>>,
+    runs: IdMap<Vec<ValueId>, Vec<TupleId>>,
 }
 
 impl GammaRuns {

@@ -81,10 +81,9 @@ use crate::map_ordered;
 use crate::rsc::{ReliabilityCleaner, RscRecord, RscRepair};
 use crate::weights::{assign_group_weights, block_support, probability};
 use crate::CleanConfig;
-use dataset::{TupleId, ValueId, ValuePool};
+use dataset::{IdMap, IdSet, TupleId, ValueId, ValuePool};
 use distance::Metric;
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -132,6 +131,7 @@ struct OldOutput {
 
 /// Per-block dirtiness and group-scoped clean cache.
 #[derive(Debug, Clone)]
+#[deny(clippy::disallowed_types)] // Ids hash as ids (clippy.toml).
 struct BlockCache {
     /// The block's total tuple support (the closed-form softmax denominator,
     /// [`block_support`]) at the last refresh — `None` before the first.
@@ -142,12 +142,12 @@ struct BlockCache {
     last_z: Option<usize>,
     /// Pristine group keys whose content changed since the last refresh —
     /// the groups an update, an insert or a delete touched.
-    dirty_keys: HashSet<Vec<ValueId>>,
+    dirty_keys: IdSet<Vec<ValueId>>,
     /// Re-clean every group at the next refresh (a block never refreshed,
     /// or merged evidence the caller cannot name keys for).
     fully_dirty: bool,
     /// Reuse state per output-group key.
-    entries: HashMap<Vec<ValueId>, GroupEntry>,
+    entries: IdMap<Vec<ValueId>, GroupEntry>,
     /// Persistent distance memo shared by AGP planning and RSC scoring
     /// across refreshes of this block.
     distances: DistanceCache,
@@ -163,9 +163,9 @@ impl BlockCache {
     fn new(metric: Metric) -> Self {
         BlockCache {
             last_z: None,
-            dirty_keys: HashSet::new(),
+            dirty_keys: IdSet::default(),
             fully_dirty: false,
-            entries: HashMap::new(),
+            entries: IdMap::default(),
             distances: DistanceCache::new(metric),
             plan: PlanMemo::default(),
             last_touch: 0,
@@ -660,7 +660,8 @@ fn refresh_block(
     // lent block gets entries for the next refresh to reuse by.
     let cleaner = ReliabilityCleaner::new(config.metric);
     let rsc_before = cache.distances.stats();
-    let mut entries = HashMap::with_capacity(if lent { slots.len() } else { 0 });
+    let capacity = if lent { slots.len() } else { 0 };
+    let mut entries = IdMap::with_capacity_and_hasher(capacity, Default::default());
     let mut repairs: Vec<RscRepair> = Vec::with_capacity(old.repairs.len());
     let mut invalidated: Vec<TupleId> = Vec::new();
     let mut recleaned = 0u64;
@@ -683,7 +684,7 @@ fn refresh_block(
                 recleaned += 1;
                 let cleaned = cleaner.clean_group(block.rule, group, pool, &mut cache.distances);
                 repairs.extend(cleaned.repairs);
-                invalidated.extend(group.all_tuples());
+                invalidated.extend(group.gammas.iter().flat_map(|gamma| &gamma.tuples));
                 let key = if lent { group.key.clone() } else { Vec::new() };
                 (key, sources, cleaned.evidence, cleaned.z_sensitive)
             }
@@ -775,7 +776,7 @@ pub(crate) mod tests {
     use datagen::{CarGenerator, HaiGenerator};
     use dataset::{sample_hospital_dataset, Dataset, Schema};
     use rules::{sample_hospital_rules, RuleSet};
-    use std::collections::{BTreeMap, BTreeSet};
+    use std::collections::{BTreeMap, BTreeSet, HashSet};
 
     /// The whole-block composition the driver replaced (the coordinator's
     /// merge round was built from it), kept as the oracle: AGP over the

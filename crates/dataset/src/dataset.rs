@@ -8,13 +8,14 @@
 //! cross-worker shipping all operate on compact ids.
 
 use crate::cell::CellRef;
+use crate::id_hash::IdMap;
 use crate::pool::{IdTable, ValueId, ValuePool};
 use crate::rng::GOLDEN_GAMMA;
 use crate::schema::{AttrId, Schema};
 use crate::tuple::{Tuple, TupleId};
 use mlnw::{CodecError, Decode, Decoder, Encode, Encoder};
 use std::collections::hash_map::RandomState;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::hash::BuildHasher;
 
@@ -485,7 +486,7 @@ impl Dataset {
     /// Co-occurrence counts between values of `a` and values of `b`:
     /// how many tuples carry each (value-of-a, value-of-b) pair.
     pub fn cooccurrence(&self, a: AttrId, b: AttrId) -> BTreeMap<(String, String), usize> {
-        let mut by_id: HashMap<(ValueId, ValueId), usize> = HashMap::new();
+        let mut by_id: IdMap<(ValueId, ValueId), usize> = IdMap::default();
         for (&va, &vb) in self.columns[a.0].iter().zip(&self.columns[b.0]) {
             *by_id.entry((va, vb)).or_insert(0) += 1;
         }

@@ -16,6 +16,7 @@ pub mod cell;
 pub mod csv;
 pub mod dataset;
 pub mod errors;
+pub mod id_hash;
 pub mod metrics;
 pub mod pool;
 pub mod rng;
@@ -25,6 +26,7 @@ pub mod tuple;
 pub use cell::CellRef;
 pub use dataset::{hash_rows, ArityMismatch, Dataset, SchemaMismatch};
 pub use errors::{DirtyDataset, ErrorInjector, ErrorSpec, ErrorType, InjectedError};
+pub use id_hash::{IdMap, IdSet, IdState};
 pub use metrics::{ComponentMetrics, RepairEvaluation, RepairReport};
 pub use pool::{ValueId, ValuePool};
 pub use schema::{AttrId, Schema};

@@ -32,6 +32,16 @@
 //! value is ever hashed twice.  The string → id direction is an `IdTable`
 //! of ids placed by those stored hashes.
 //!
+//! Which hash a key gets: a **string** is user data of any length, so it
+//! gets SipHash, once per value, here and in `Schema`'s name lookup.  An
+//! **id** — a `ValueId`, an attribute or tuple id, or a tuple, vec or slice
+//! of them — is a word this pool handed out, so the maps keyed by ids
+//! ([`IdMap`](crate::IdMap) / [`IdSet`](crate::IdSet), in
+//! [`id_hash`](crate::id_hash)) fold each word with one keyed multiply
+//! instead.  Both stay keyed at random: whoever supplies the rows picks
+//! the strings and, through them, which id combinations occur.  `IdTable`
+//! places ids by the stored string hashes, so it needs neither.
+//!
 //! # Concurrency and cost
 //!
 //! A run holds **one** arena however many datasets, index snapshots and

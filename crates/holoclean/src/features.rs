@@ -9,19 +9,19 @@
 //! dataset's pool: training is integer hashing, and the per-candidate scoring
 //! loop of the repairer never materializes a string.
 
-use dataset::{AttrId, CellRef, Dataset, ValueId};
-use std::collections::{BTreeSet, HashMap};
+use dataset::{AttrId, CellRef, Dataset, IdMap, ValueId};
+use std::collections::BTreeSet;
 
 /// Co-occurrence model over the clean partition.
 #[derive(Debug, Clone)]
 pub struct CooccurrenceModel {
     /// `(target attr, evidence attr) -> (target value, evidence value) -> count`
-    pair_counts: HashMap<(AttrId, AttrId), HashMap<(ValueId, ValueId), usize>>,
+    pair_counts: IdMap<(AttrId, AttrId), IdMap<(ValueId, ValueId), usize>>,
     /// `(evidence attr) -> evidence value -> count` (marginals of the clean part).
-    evidence_counts: HashMap<AttrId, HashMap<ValueId, usize>>,
+    evidence_counts: IdMap<AttrId, IdMap<ValueId, usize>>,
     /// Distinct values per target attribute in the clean partition (for
     /// smoothing denominators).
-    domain_sizes: HashMap<AttrId, usize>,
+    domain_sizes: IdMap<AttrId, usize>,
 }
 
 impl CooccurrenceModel {
@@ -29,10 +29,10 @@ impl CooccurrenceModel {
     /// cell that appears in `noisy` — HoloClean learns its parameters from
     /// the part of the data the detector considers clean.
     pub fn train(ds: &Dataset, noisy: &BTreeSet<CellRef>) -> Self {
-        let mut pair_counts: HashMap<(AttrId, AttrId), HashMap<(ValueId, ValueId), usize>> =
-            HashMap::new();
-        let mut evidence_counts: HashMap<AttrId, HashMap<ValueId, usize>> = HashMap::new();
-        let mut domains: HashMap<AttrId, BTreeSet<ValueId>> = HashMap::new();
+        let mut pair_counts: IdMap<(AttrId, AttrId), IdMap<(ValueId, ValueId), usize>> =
+            IdMap::default();
+        let mut evidence_counts: IdMap<AttrId, IdMap<ValueId, usize>> = IdMap::default();
+        let mut domains: IdMap<AttrId, BTreeSet<ValueId>> = IdMap::default();
 
         for t in ds.tuples() {
             let clean_attrs: Vec<AttrId> = ds

@@ -18,10 +18,10 @@
 
 use crate::domain::CandidateDomain;
 use crate::features::CooccurrenceModel;
-use dataset::{CellRef, Dataset, ValueId};
+use dataset::{CellRef, Dataset, IdMap, ValueId};
 use rayon::prelude::*;
 use rules::{Rule, RuleSet, UnknownAttribute};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 /// Candidate budget per noisy cell.
@@ -220,7 +220,7 @@ impl HoloClean {
 /// the index stores, per reason-part value vector, how many tuples carry each
 /// result-part value vector.
 /// For one rule: reason value ids → (result value ids → tuple count).
-type RuleCounts = HashMap<Vec<ValueId>, HashMap<Vec<ValueId>, usize>>;
+type RuleCounts = IdMap<Vec<ValueId>, IdMap<Vec<ValueId>, usize>>;
 
 struct ConstraintIndex {
     /// `per_rule[i]` : reason values → (result values → tuple count).
@@ -232,7 +232,7 @@ impl ConstraintIndex {
         let schema = ds.schema();
         let mut per_rule = Vec::with_capacity(rules.len());
         for (_, rule) in rules.iter_with_ids() {
-            let mut map: RuleCounts = HashMap::new();
+            let mut map: RuleCounts = IdMap::default();
             for t in ds.tuples() {
                 if !rule.is_relevant(schema, &t) {
                     continue;

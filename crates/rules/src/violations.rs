@@ -7,8 +7,7 @@
 //! cheaper than the naive `O(n²)` scan.
 
 use crate::rule::{validated_attr, Rule, RuleId, RuleSet, UnknownAttribute};
-use dataset::{AttrId, CellRef, Dataset, TupleId};
-use std::collections::HashMap;
+use dataset::{AttrId, CellRef, Dataset, IdMap, TupleId};
 
 /// Which flavour of violation was found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,7 +107,7 @@ fn detect_grouped_pairs<F>(
 
     // Buckets are keyed on interned ids: building a key is a handful of u32
     // copies per tuple instead of string clones, and hashing is integer work.
-    let mut buckets: HashMap<Vec<dataset::ValueId>, Vec<TupleId>> = HashMap::new();
+    let mut buckets: IdMap<Vec<dataset::ValueId>, Vec<TupleId>> = IdMap::default();
     for t in ds.tuples() {
         if !rule.is_relevant(schema, &t) {
             continue;

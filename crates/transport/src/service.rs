@@ -31,11 +31,11 @@
 use crate::message::{Envelope, NodeId, Payload, Request, Response, COORDINATOR};
 use crate::sim::{FaultSchedule, NetCounters, SimNet, WorkerCrash};
 use crate::worker::PartitionWorker;
-use dataset::{Schema, ValueId};
+use dataset::{IdMap, Schema, ValueId};
 use distributed::{DistributedStreamingSession, PartitionBackend};
 use mlnclean::{BatchReport, Block, ChangeSet, CleanConfig, CleanError, InternedSlice, Report};
 use rules::RuleSet;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::time::Duration;
 
 /// Ticks the coordinator waits with an empty network before retransmitting
@@ -190,7 +190,7 @@ impl WireBackend {
     /// come back in call order.
     fn call_many(&mut self, calls: Vec<(usize, Request)>) -> Vec<Response> {
         let mut order = Vec::with_capacity(calls.len());
-        let mut pending: HashMap<u64, (usize, Vec<u8>)> = HashMap::new();
+        let mut pending: IdMap<u64, (usize, Vec<u8>)> = IdMap::default();
         for (worker, request) in calls {
             let req_id = self.next_req_id;
             self.next_req_id += 1;
@@ -201,7 +201,7 @@ impl WireBackend {
             pending.insert(req_id, (dst, frame));
         }
 
-        let mut responses: HashMap<u64, Response> = HashMap::new();
+        let mut responses: IdMap<u64, Response> = IdMap::default();
         while responses.len() < order.len() {
             self.fire_due_crashes();
             match self.net.advance() {
@@ -238,8 +238,8 @@ impl WireBackend {
     fn deliver(
         &mut self,
         envelope: Envelope,
-        pending: &HashMap<u64, (usize, Vec<u8>)>,
-        responses: &mut HashMap<u64, Response>,
+        pending: &IdMap<u64, (usize, Vec<u8>)>,
+        responses: &mut IdMap<u64, Response>,
     ) {
         match envelope.body {
             Payload::Request(request) if envelope.dst != COORDINATOR => {
