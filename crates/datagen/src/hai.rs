@@ -330,7 +330,6 @@ impl ExactSizeIterator for HaiRows {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rules::detect_violations;
 
     #[test]
     fn schema_covers_every_rule_attribute() {
@@ -343,9 +342,7 @@ mod tests {
     #[test]
     fn clean_data_satisfies_all_rules() {
         let ds = HaiGenerator::default().with_rows(500).generate();
-        assert!(detect_violations(&ds, &HaiGenerator::rules())
-            .unwrap()
-            .is_empty());
+        assert!(crate::tests::consistent(&ds, &HaiGenerator::rules()));
     }
 
     #[test]

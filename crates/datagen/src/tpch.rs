@@ -234,14 +234,11 @@ impl ExactSizeIterator for TpchRows {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rules::detect_violations;
 
     #[test]
     fn clean_data_satisfies_the_fd() {
         let ds = TpchGenerator::default().with_rows(800).generate();
-        assert!(detect_violations(&ds, &TpchGenerator::rules())
-            .unwrap()
-            .is_empty());
+        assert!(crate::tests::consistent(&ds, &TpchGenerator::rules()));
     }
 
     #[test]

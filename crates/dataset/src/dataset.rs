@@ -8,14 +8,13 @@
 //! cross-worker shipping all operate on compact ids.
 
 use crate::cell::CellRef;
-use crate::id_hash::IdMap;
 use crate::pool::{IdTable, ValueId, ValuePool};
 use crate::rng::GOLDEN_GAMMA;
 use crate::schema::{AttrId, Schema};
 use crate::tuple::{Tuple, TupleId};
 use mlnw::{CodecError, Decode, Decoder, Encode, Encoder};
 use std::collections::hash_map::RandomState;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::BuildHasher;
 
@@ -483,27 +482,6 @@ impl Dataset {
         self.domain_ids(attr).len()
     }
 
-    /// Co-occurrence counts between values of `a` and values of `b`:
-    /// how many tuples carry each (value-of-a, value-of-b) pair.
-    pub fn cooccurrence(&self, a: AttrId, b: AttrId) -> BTreeMap<(String, String), usize> {
-        let mut by_id: IdMap<(ValueId, ValueId), usize> = IdMap::default();
-        for (&va, &vb) in self.columns[a.0].iter().zip(&self.columns[b.0]) {
-            *by_id.entry((va, vb)).or_insert(0) += 1;
-        }
-        by_id
-            .into_iter()
-            .map(|((va, vb), n)| {
-                (
-                    (
-                        self.pool.resolve(va).to_string(),
-                        self.pool.resolve(vb).to_string(),
-                    ),
-                    n,
-                )
-            })
-            .collect()
-    }
-
     /// The full row of interned ids for one tuple, in schema order.
     pub fn row_ids(&self, tuple: TupleId) -> Vec<ValueId> {
         self.columns.iter().map(|c| c[tuple.0]).collect()
@@ -760,16 +738,6 @@ mod tests {
         let domain = ds.domain(ct);
         assert_eq!(domain.len(), 3); // DOTHAN, DOTH, BOAZ
         assert_eq!(ds.distinct_count(ct), 3);
-    }
-
-    #[test]
-    fn cooccurrence_counts_pairs() {
-        let ds = sample_hospital_dataset();
-        let ct = ds.schema().attr_id("CT").unwrap();
-        let st = ds.schema().attr_id("ST").unwrap();
-        let co = ds.cooccurrence(ct, st);
-        assert_eq!(co[&("BOAZ".to_string(), "AL".to_string())], 2);
-        assert_eq!(co[&("BOAZ".to_string(), "AK".to_string())], 1);
     }
 
     #[test]

@@ -18,9 +18,9 @@
 
 use crate::domain::CandidateDomain;
 use crate::features::CooccurrenceModel;
-use dataset::{CellRef, Dataset, IdMap, ValueId};
+use dataset::{AttrId, CellRef, Dataset, IdMap, ValueId};
 use rayon::prelude::*;
-use rules::{Rule, RuleSet, UnknownAttribute};
+use rules::{CfdClause, Rule, RuleId, RuleSet, UnknownAttribute};
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
@@ -78,10 +78,9 @@ impl HoloClean {
         rules: &RuleSet,
         noisy: &BTreeSet<CellRef>,
     ) -> Result<RepairOutcome, UnknownAttribute> {
-        rules.check(dirty.schema())?;
         let train_start = Instant::now();
+        let constraints = ConstraintIndex::build(dirty, rules)?;
         let model = CooccurrenceModel::train(dirty, noisy);
-        let constraints = ConstraintIndex::build(dirty, rules);
         let training_time = train_start.elapsed();
 
         let infer_start = Instant::now();
@@ -122,10 +121,9 @@ impl HoloClean {
         rules: &RuleSet,
         noisy: &BTreeSet<CellRef>,
     ) -> Result<RepairOutcome, UnknownAttribute> {
-        rules.check(dirty.schema())?;
         let train_start = Instant::now();
+        let constraints = ConstraintIndex::build(dirty, rules)?;
         let model = CooccurrenceModel::train(dirty, noisy);
-        let constraints = ConstraintIndex::build(dirty, rules);
         let training_time = train_start.elapsed();
 
         let infer_start = Instant::now();
@@ -225,10 +223,66 @@ type RuleCounts = IdMap<Vec<ValueId>, IdMap<Vec<ValueId>, usize>>;
 struct ConstraintIndex {
     /// `per_rule[i]` : reason values → (result values → tuple count).
     per_rule: Vec<RuleCounts>,
+    /// `attrs[i]` : rule `i`'s attributes, resolved against the schema.
+    attrs: Vec<RuleAttrs>,
+}
+
+/// One rule's attributes as schema ids, resolved once so the per-candidate
+/// scorer never looks a name up.
+struct RuleAttrs {
+    reason: Vec<AttrId>,
+    result: Vec<AttrId>,
+    /// A CFD's constant condition clauses, as (attribute, the constant's id
+    /// or `None` if no cell holds it); empty for FDs and DCs.
+    pattern: Vec<(AttrId, Option<ValueId>)>,
+    /// A CFD's constant consequent clauses, in the same form.
+    forced: Vec<(AttrId, Option<ValueId>)>,
+}
+
+impl RuleAttrs {
+    fn resolve(ds: &Dataset, id: RuleId, rule: &Rule) -> Result<Self, UnknownAttribute> {
+        let attr = |attribute: &str| {
+            ds.schema()
+                .attr_id(attribute)
+                .ok_or_else(|| UnknownAttribute {
+                    rule: id,
+                    attribute: attribute.to_string(),
+                })
+        };
+        let ids = |attrs: Vec<String>| -> Result<Vec<AttrId>, _> {
+            attrs.iter().map(|a| attr(a)).collect()
+        };
+        let constants = |clauses: &[CfdClause]| -> Result<Vec<_>, _> {
+            clauses
+                .iter()
+                .filter_map(|c| Some((&c.attr, c.constant.as_deref()?)))
+                .map(|(a, v)| Ok((attr(a)?, ds.pool().lookup(v))))
+                .collect()
+        };
+        let reason = ids(rule.reason_attrs())?;
+        let result = ids(rule.result_attrs())?;
+        let (pattern, forced) = match rule {
+            Rule::Cfd(cfd) => (constants(cfd.conditions())?, constants(cfd.consequents())?),
+            Rule::Fd(_) | Rule::Dc(_) => (Vec::new(), Vec::new()),
+        };
+        Ok(RuleAttrs {
+            reason,
+            result,
+            pattern,
+            forced,
+        })
+    }
 }
 
 impl ConstraintIndex {
-    fn build(ds: &Dataset, rules: &RuleSet) -> Self {
+    /// Resolve every rule against `ds`'s schema — the first attribute, in
+    /// rule order, that a rule names and the schema lacks is an error,
+    /// returned before any tuple is read — then count the tuples.
+    fn build(ds: &Dataset, rules: &RuleSet) -> Result<Self, UnknownAttribute> {
+        let attrs = rules
+            .iter_with_ids()
+            .map(|(id, rule)| RuleAttrs::resolve(ds, id, rule))
+            .collect::<Result<Vec<_>, _>>()?;
         let schema = ds.schema();
         let mut per_rule = Vec::with_capacity(rules.len());
         for (_, rule) in rules.iter_with_ids() {
@@ -243,7 +297,7 @@ impl ConstraintIndex {
             }
             per_rule.push(map);
         }
-        ConstraintIndex { per_rule }
+        Ok(ConstraintIndex { per_rule, attrs })
     }
 
     /// Number of rules the tuple would violate (against the other tuples'
@@ -256,39 +310,34 @@ impl ConstraintIndex {
         candidate: ValueId,
     ) -> usize {
         let schema = ds.schema();
-        let attr_name = schema.attr_name(cell.attr).to_string();
         let tuple = ds.tuple(cell.tuple);
+        // The tuple's value ids under the hypothetical edit.
+        let edited = |a: AttrId| {
+            if a == cell.attr {
+                candidate
+            } else {
+                tuple.value_id(a)
+            }
+        };
         let mut violations = 0usize;
 
-        for (idx, (_, rule)) in rules.iter_with_ids().enumerate() {
-            if !rule.all_attrs().contains(&attr_name) {
+        for ((rule, counts), attrs) in rules.iter().zip(&self.per_rule).zip(&self.attrs) {
+            if !attrs.reason.contains(&cell.attr) && !attrs.result.contains(&cell.attr) {
                 continue;
             }
             if !rule.is_relevant(schema, &tuple) {
                 continue;
             }
-            // Project the tuple under the hypothetical edit — id copies only.
-            let project = |attrs: &[String]| -> Vec<ValueId> {
-                attrs
-                    .iter()
-                    .map(|a| {
-                        let id = schema.attr_id(a).expect("validated attribute");
-                        if id == cell.attr {
-                            candidate
-                        } else {
-                            tuple.value_id(id)
-                        }
-                    })
-                    .collect()
-            };
-            let reason = project(&rule.reason_attrs());
-            let result = project(&rule.result_attrs());
+            let reason: Vec<ValueId> = attrs.reason.iter().map(|&a| edited(a)).collect();
+            let result: Vec<ValueId> = attrs.result.iter().map(|&a| edited(a)).collect();
 
-            if let Some(results) = self.per_rule[idx].get(&reason) {
+            if let Some(results) = counts.get(&reason) {
                 // The tuple's own (pre-edit) contribution must not count as a
                 // conflicting witness.
-                let own_reason = rule.reason_value_ids(schema, &tuple);
-                let own_result = rule.result_value_ids(schema, &tuple);
+                let own = |attrs: &[AttrId]| -> Vec<ValueId> {
+                    attrs.iter().map(|&a| tuple.value_id(a)).collect()
+                };
+                let (own_reason, own_result) = (own(&attrs.reason), own(&attrs.result));
                 let conflicting = results.iter().any(|(r, &count)| {
                     if *r == result {
                         return false;
@@ -303,36 +352,9 @@ impl ConstraintIndex {
 
             // Constant CFDs additionally violate when the pattern matches but
             // the consequent constant differs.
-            if let Rule::Cfd(cfd) = rule {
-                let matches_pattern = cfd.conditions().iter().all(|c| match &c.constant {
-                    Some(v) => {
-                        let id = schema.attr_id(&c.attr).expect("validated attribute");
-                        let value = if id == cell.attr {
-                            ds.pool().resolve(candidate)
-                        } else {
-                            tuple.value(id)
-                        };
-                        value == v
-                    }
-                    None => true,
-                });
-                if matches_pattern {
-                    let breaks_consequent = cfd.consequents().iter().any(|c| match &c.constant {
-                        Some(v) => {
-                            let id = schema.attr_id(&c.attr).expect("validated attribute");
-                            let value = if id == cell.attr {
-                                ds.pool().resolve(candidate)
-                            } else {
-                                tuple.value(id)
-                            };
-                            value != v
-                        }
-                        None => false,
-                    });
-                    if breaks_consequent {
-                        violations += 1;
-                    }
-                }
+            let holds = |&(a, constant): &(AttrId, Option<ValueId>)| constant == Some(edited(a));
+            if attrs.pattern.iter().all(holds) && !attrs.forced.iter().all(holds) {
+                violations += 1;
             }
         }
         violations
@@ -424,6 +446,34 @@ mod tests {
             cleaner.repair_serial(&dirty, &rules, &noisy).unwrap_err(),
             missing
         );
+    }
+
+    /// The constraint penalty of single edits on Table 1 under r3
+    /// (`HN="ELIZA", CT="BOAZ" -> PN="2567688400"`), and under a CFD whose
+    /// forced constant no cell holds.
+    #[test]
+    fn constant_cfd_consequents_are_penalised() {
+        let ds = sample_hospital_dataset();
+        let id = |v: &str| ds.pool().lookup(v).unwrap();
+        let cell =
+            |t: usize, attr: &str| CellRef::new(TupleId(t), ds.schema().attr_id(attr).unwrap());
+        let violations = |rule: &str, cell: CellRef, candidate: ValueId| {
+            let rules = rules::parse_rules(rule).unwrap();
+            let index = ConstraintIndex::build(&ds, &rules).unwrap();
+            index.violations_with(&ds, &rules, cell, candidate)
+        };
+        let r3 = r#"CFD: HN="ELIZA", CT="BOAZ" -> PN="2567688400""#;
+        // t5 keeps its phone number: no conflict.
+        assert_eq!(violations(r3, cell(4, "PN"), id("2567688400")), 0);
+        // t3's phone number on t5: t4 and t6 witness another result, and the
+        // forced constant breaks.
+        assert_eq!(violations(r3, cell(4, "PN"), id("2567638410")), 2);
+        // t5 moved to DOTHAN leaves the pattern: t3 alone witnesses.
+        assert_eq!(violations(r3, cell(4, "CT"), id("DOTHAN")), 1);
+        // A forced constant absent from the pool breaks on every edit of a
+        // matching tuple, while the grouped part finds no conflict.
+        let absent = r#"CFD: HN="ELIZA", CT="BOAZ" -> PN="0000000000""#;
+        assert_eq!(violations(absent, cell(4, "PN"), id("2567688400")), 1);
     }
 
     #[test]

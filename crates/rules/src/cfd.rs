@@ -6,7 +6,7 @@
 //! a hospital named ELIZA in city BOAZ must have that exact phone number.
 
 use crate::rule::validated_attr;
-use dataset::{Dataset, Schema, Tuple, ValueId};
+use dataset::{Schema, Tuple, ValueId};
 use std::fmt;
 
 /// One clause of a CFD: an attribute that is either bound to a constant or
@@ -139,88 +139,6 @@ impl ConditionalFd {
         }
         !any_constant
     }
-
-    /// Whether `tuple` fully matches the constant pattern of the conditions.
-    pub fn matches_pattern(&self, schema: &Schema, tuple: &Tuple) -> bool {
-        self.conditions.iter().all(|c| c.matches(schema, tuple))
-    }
-
-    /// Project a tuple onto the reason-part (condition-attribute) values.
-    pub fn reason_values(&self, schema: &Schema, tuple: &Tuple) -> Vec<String> {
-        self.conditions
-            .iter()
-            .map(|c| tuple.value(validated_attr(schema, &c.attr)).to_string())
-            .collect()
-    }
-
-    /// Project a tuple onto the result-part (consequent-attribute) values.
-    pub fn result_values(&self, schema: &Schema, tuple: &Tuple) -> Vec<String> {
-        self.consequents
-            .iter()
-            .map(|c| tuple.value(validated_attr(schema, &c.attr)).to_string())
-            .collect()
-    }
-
-    /// Project a tuple onto the reason-part value ids (no string cloning).
-    pub fn reason_value_ids(&self, schema: &Schema, tuple: &Tuple) -> Vec<ValueId> {
-        self.conditions
-            .iter()
-            .map(|c| tuple.value_id(validated_attr(schema, &c.attr)))
-            .collect()
-    }
-
-    /// Project a tuple onto the result-part value ids (no string cloning).
-    pub fn result_value_ids(&self, schema: &Schema, tuple: &Tuple) -> Vec<ValueId> {
-        self.consequents
-            .iter()
-            .map(|c| tuple.value_id(validated_attr(schema, &c.attr)))
-            .collect()
-    }
-
-    /// Whether a single tuple violates the CFD: it matches the full constant
-    /// pattern of the conditions but disagrees with a constant consequent.
-    pub fn violated_by_tuple(&self, ds: &Dataset, tuple: &Tuple) -> bool {
-        if !self.matches_pattern(ds.schema(), tuple) {
-            return false;
-        }
-        self.consequents.iter().any(|c| match &c.constant {
-            Some(v) => {
-                let id = validated_attr(ds.schema(), &c.attr);
-                tuple.value(id) != v
-            }
-            None => false,
-        })
-    }
-
-    /// Whether a pair of tuples violates the CFD's variable (FD-like) part:
-    /// both match the constant pattern, agree on all variable condition
-    /// attributes, but disagree on a variable consequent attribute.  The
-    /// variable-part checks compare interned ids, so both tuples must come
-    /// from the same dataset (or datasets sharing a pool snapshot).
-    pub fn violated_by_pair(&self, ds: &Dataset, a: &Tuple, b: &Tuple) -> bool {
-        let schema = ds.schema();
-        if !self.matches_pattern(schema, a) || !self.matches_pattern(schema, b) {
-            return false;
-        }
-        let same_variables = self
-            .conditions
-            .iter()
-            .filter(|c| c.constant.is_none())
-            .all(|c| {
-                let id = validated_attr(schema, &c.attr);
-                a.value_id(id) == b.value_id(id)
-            });
-        if !same_variables {
-            return false;
-        }
-        self.consequents
-            .iter()
-            .filter(|c| c.constant.is_none())
-            .any(|c| {
-                let id = validated_attr(schema, &c.attr);
-                a.value_id(id) != b.value_id(id)
-            })
-    }
 }
 
 impl fmt::Display for ConditionalFd {
@@ -261,54 +179,55 @@ mod tests {
     #[test]
     fn pattern_matching() {
         let ds = sample_hospital_dataset();
-        let cfd = r3();
-        assert!(!cfd.matches_pattern(ds.schema(), &ds.tuple(TupleId(2)))); // t3: CT=DOTHAN
-        assert!(cfd.matches_pattern(ds.schema(), &ds.tuple(TupleId(4)))); // t5: ELIZA/BOAZ
-    }
-
-    #[test]
-    fn single_tuple_violation() {
-        let ds = sample_hospital_dataset();
-        let cfd = r3();
-        // All ELIZA/BOAZ tuples in Table 1 already carry the right phone
-        // number, so none violates the constant consequent.
-        assert!(ds.tuples().all(|t| !cfd.violated_by_tuple(&ds, &t)));
-
-        // Corrupt t5's phone number and the violation appears.
-        let mut dirty = ds.clone();
-        let pn = dirty.schema().attr_id("PN").unwrap();
-        dirty.set_value(TupleId(4), pn, "1111111111");
-        assert!(cfd.violated_by_tuple(&dirty, &dirty.tuple(TupleId(4))));
+        let boaz = CfdClause::constant("CT", "BOAZ");
+        assert!(!boaz.matches(ds.schema(), &ds.tuple(TupleId(2)))); // t3: CT=DOTHAN
+        assert!(boaz.matches(ds.schema(), &ds.tuple(TupleId(4)))); // t5: ELIZA/BOAZ
+        assert!(CfdClause::variable("CT").matches(ds.schema(), &ds.tuple(TupleId(2))));
     }
 
     #[test]
     fn variable_cfd_behaves_like_fd_on_matching_tuples() {
         let ds = sample_hospital_dataset();
-        // "For ELIZA hospitals, CT determines ST".
-        let cfd = ConditionalFd::new(
+        // "CT determines ST": no constant condition, so every tuple enters
+        // the block, as under the FD `CT -> ST`.
+        let variable = ConditionalFd::new(
+            vec![CfdClause::variable("CT")],
+            vec![CfdClause::variable("ST")],
+        );
+        assert!(ds.tuples().all(|t| variable.is_relevant(ds.schema(), &t)));
+        // "For ELIZA hospitals, CT determines ST": only ELIZA tuples enter.
+        let eliza = ConditionalFd::new(
             vec![
                 CfdClause::constant("HN", "ELIZA"),
                 CfdClause::variable("CT"),
             ],
             vec![CfdClause::variable("ST")],
         );
-        let t4 = ds.tuple(TupleId(3)); // ELIZA BOAZ AK
-        let t5 = ds.tuple(TupleId(4)); // ELIZA BOAZ AL
-        let t1 = ds.tuple(TupleId(0)); // ALABAMA DOTHAN AL
-        assert!(cfd.violated_by_pair(&ds, &t4, &t5));
-        assert!(
-            !cfd.violated_by_pair(&ds, &t1, &t5),
-            "t1 does not match the pattern"
-        );
+        let relevant: Vec<bool> = ds
+            .tuples()
+            .map(|t| eliza.is_relevant(ds.schema(), &t))
+            .collect();
+        assert_eq!(relevant, vec![false, false, true, true, true, true]);
     }
 
     #[test]
     fn reason_result_projection() {
         let ds = sample_hospital_dataset();
-        let cfd = r3();
+        let cfd = crate::Rule::Cfd(r3());
         let t3 = ds.tuple(TupleId(2));
         assert_eq!(cfd.reason_values(ds.schema(), &t3), vec!["ELIZA", "DOTHAN"]);
         assert_eq!(cfd.result_values(ds.schema(), &t3), vec!["2567638410"]);
+        let ids = |values: &[&str]| -> Vec<ValueId> {
+            values
+                .iter()
+                .map(|v| ds.pool().lookup(v).unwrap())
+                .collect()
+        };
+        assert_eq!(
+            cfd.reason_value_ids(ds.schema(), &t3),
+            ids(&["ELIZA", "DOTHAN"])
+        );
+        assert_eq!(cfd.result_value_ids(ds.schema(), &t3), ids(&["2567638410"]));
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! tuples with the same phone number must not be in different states.
 
 use crate::ops::Op;
-use crate::rule::validated_attr;
-use dataset::{Dataset, Schema, Tuple, ValueId};
 use std::fmt;
 
 /// One predicate of a two-tuple denial constraint, comparing an attribute of
@@ -39,20 +37,6 @@ impl DcPredicate {
             left_attr: left_attr.into(),
             op,
             right_attr: right_attr.into(),
-        }
-    }
-
-    /// Evaluate the predicate on a pair of tuples.  Equality-flavoured
-    /// operators compare interned ids — both tuples must come from the same
-    /// dataset (or datasets sharing a pool snapshot); ordering operators fall
-    /// back to the resolved strings.
-    pub fn eval(&self, schema: &Schema, a: &Tuple, b: &Tuple) -> bool {
-        let l = validated_attr(schema, &self.left_attr);
-        let r = validated_attr(schema, &self.right_attr);
-        match self.op {
-            Op::Eq => a.value_id(l) == b.value_id(r),
-            Op::Neq => a.value_id(l) != b.value_id(r),
-            _ => self.op.eval(a.value(l), b.value(r)),
         }
     }
 }
@@ -125,47 +109,6 @@ impl DenialConstraint {
         }
         out
     }
-
-    /// Project a tuple onto the reason-part attribute values.
-    pub fn reason_values(&self, schema: &Schema, tuple: &Tuple) -> Vec<String> {
-        self.reason_attrs()
-            .iter()
-            .map(|a| tuple.value(validated_attr(schema, a)).to_string())
-            .collect()
-    }
-
-    /// Project a tuple onto the result-part attribute values.
-    pub fn result_values(&self, schema: &Schema, tuple: &Tuple) -> Vec<String> {
-        self.result_attrs()
-            .iter()
-            .map(|a| tuple.value(validated_attr(schema, a)).to_string())
-            .collect()
-    }
-
-    /// Project a tuple onto the reason-part value ids (no string cloning).
-    pub fn reason_value_ids(&self, schema: &Schema, tuple: &Tuple) -> Vec<ValueId> {
-        self.reason_attrs()
-            .iter()
-            .map(|a| tuple.value_id(validated_attr(schema, a)))
-            .collect()
-    }
-
-    /// Project a tuple onto the result-part value ids (no string cloning).
-    pub fn result_value_ids(&self, schema: &Schema, tuple: &Tuple) -> Vec<ValueId> {
-        self.result_attrs()
-            .iter()
-            .map(|a| tuple.value_id(validated_attr(schema, a)))
-            .collect()
-    }
-
-    /// Whether an *ordered* pair of distinct tuples violates the DC (all
-    /// predicates evaluate to true).
-    pub fn violated_by(&self, ds: &Dataset, a: &Tuple, b: &Tuple) -> bool {
-        if a.id() == b.id() {
-            return false;
-        }
-        self.predicates.iter().all(|p| p.eval(ds.schema(), a, b))
-    }
 }
 
 impl fmt::Display for DenialConstraint {
@@ -179,7 +122,7 @@ impl fmt::Display for DenialConstraint {
 mod tests {
     use super::*;
     use crate::Rule;
-    use dataset::{sample_hospital_dataset, TupleId};
+    use dataset::sample_hospital_dataset;
 
     fn r2() -> DenialConstraint {
         DenialConstraint::new(vec![
@@ -196,42 +139,30 @@ mod tests {
     }
 
     #[test]
-    fn violation_on_table1() {
-        let ds = sample_hospital_dataset();
-        let dc = r2();
-        let t4 = ds.tuple(TupleId(3)); // PN 2567688400, ST AK
-        let t5 = ds.tuple(TupleId(4)); // PN 2567688400, ST AL
-        let t1 = ds.tuple(TupleId(0)); // PN 3347938701, ST AL
-        assert!(dc.violated_by(&ds, &t4, &t5));
-        assert!(dc.violated_by(&ds, &t5, &t4), "symmetric for this DC");
-        assert!(!dc.violated_by(&ds, &t1, &t5), "different phone numbers");
-        assert!(!dc.violated_by(&ds, &t4, &t4), "never violated with itself");
-    }
-
-    #[test]
     fn ordering_predicates() {
         let ds = sample_hospital_dataset();
-        // "No two tuples where t has a greater phone number but a smaller state"
-        // — a nonsensical rule, but exercises <, > evaluation over pairs.
+        // The index groups on attributes, not operators: with `>` / `<` the
+        // DC splits as r2 does.
         let dc = DenialConstraint::new(vec![
             DcPredicate::same_attr("PN", Op::Gt),
             DcPredicate::same_attr("ST", Op::Lt),
         ]);
         assert!(Rule::Dc(dc.clone()).is_valid_for(ds.schema()));
-        let t1 = ds.tuple(TupleId(0)); // 3347938701 / AL
-        let t4 = ds.tuple(TupleId(3)); // 2567688400 / AK
-                                       // t1.PN > t4.PN but t1.ST(AL) > t4.ST(AK) → second predicate false.
-        assert!(!dc.violated_by(&ds, &t1, &t4));
-        // t4.PN < t1.PN → first predicate false.
-        assert!(!dc.violated_by(&ds, &t4, &t1));
+        assert_eq!(dc.reason_attrs(), vec!["PN"]);
+        assert_eq!(dc.result_attrs(), vec!["ST"]);
+        assert_eq!(dc.to_string(), "DC: not(PN(t)>PN(t') and ST(t)<ST(t'))");
     }
 
     #[test]
     fn cross_attribute_predicate() {
-        let p = DcPredicate::new("CT", Op::Eq, "ST");
-        let ds = sample_hospital_dataset();
-        let t1 = ds.tuple(TupleId(0));
-        assert!(!p.eval(ds.schema(), &t1, &t1), "DOTHAN != AL");
+        // Both sides of a cross-attribute predicate are reason attributes,
+        // and the result part leaves out any the reason part already holds.
+        let dc = DenialConstraint::new(vec![
+            DcPredicate::new("CT", Op::Eq, "ST"),
+            DcPredicate::new("ST", Op::Neq, "PN"),
+        ]);
+        assert_eq!(dc.reason_attrs(), vec!["CT", "ST"]);
+        assert_eq!(dc.result_attrs(), vec!["PN"]);
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! Functional dependencies `X → Y`: the values on X uniquely determine the
 //! values on Y.
 
-use crate::rule::validated_attr;
-use dataset::{Dataset, Schema, Tuple, ValueId};
 use std::fmt;
 
 /// A functional dependency over attribute names.
@@ -36,58 +34,6 @@ impl FunctionalDependency {
     pub fn rhs(&self) -> &[String] {
         &self.rhs
     }
-
-    /// Project a tuple onto the reason-part values.
-    pub fn reason_values(&self, schema: &Schema, tuple: &Tuple) -> Vec<String> {
-        self.lhs
-            .iter()
-            .map(|a| tuple.value(validated_attr(schema, a)).to_string())
-            .collect()
-    }
-
-    /// Project a tuple onto the result-part values.
-    pub fn result_values(&self, schema: &Schema, tuple: &Tuple) -> Vec<String> {
-        self.rhs
-            .iter()
-            .map(|a| tuple.value(validated_attr(schema, a)).to_string())
-            .collect()
-    }
-
-    /// Project a tuple onto the reason-part value ids (no string cloning).
-    pub fn reason_value_ids(&self, schema: &Schema, tuple: &Tuple) -> Vec<ValueId> {
-        self.lhs
-            .iter()
-            .map(|a| tuple.value_id(validated_attr(schema, a)))
-            .collect()
-    }
-
-    /// Project a tuple onto the result-part value ids (no string cloning).
-    pub fn result_value_ids(&self, schema: &Schema, tuple: &Tuple) -> Vec<ValueId> {
-        self.rhs
-            .iter()
-            .map(|a| tuple.value_id(validated_attr(schema, a)))
-            .collect()
-    }
-
-    /// Whether a pair of tuples violates this FD: they agree on every LHS
-    /// attribute but disagree on at least one RHS attribute.  Both checks are
-    /// pure [`ValueId`] comparisons — no string is touched — so both tuples
-    /// must be views of `ds` (or of datasets sharing its pool snapshot); ids
-    /// from unrelated pools are not comparable.
-    pub fn violated_by(&self, ds: &Dataset, a: &Tuple, b: &Tuple) -> bool {
-        let schema = ds.schema();
-        let same_lhs = self.lhs.iter().all(|attr| {
-            let id = validated_attr(schema, attr);
-            a.value_id(id) == b.value_id(id)
-        });
-        if !same_lhs {
-            return false;
-        }
-        self.rhs.iter().any(|attr| {
-            let id = validated_attr(schema, attr);
-            a.value_id(id) != b.value_id(id)
-        })
-    }
 }
 
 impl fmt::Display for FunctionalDependency {
@@ -105,7 +51,7 @@ mod tests {
     #[test]
     fn reason_and_result_projection() {
         let ds = sample_hospital_dataset();
-        let fd = FunctionalDependency::new(vec!["CT"], vec!["ST"]);
+        let fd = Rule::Fd(FunctionalDependency::new(vec!["CT"], vec!["ST"]));
         let t4 = ds.tuple(TupleId(3));
         assert_eq!(fd.reason_values(ds.schema(), &t4), vec!["BOAZ"]);
         assert_eq!(fd.result_values(ds.schema(), &t4), vec!["AK"]);
@@ -113,34 +59,22 @@ mod tests {
             fd.reason_value_ids(ds.schema(), &t4),
             vec![ds.pool().lookup("BOAZ").unwrap()]
         );
-    }
-
-    #[test]
-    fn violation_detection_on_table1() {
-        let ds = sample_hospital_dataset();
-        let fd = FunctionalDependency::new(vec!["CT"], vec!["ST"]);
-        let t4 = ds.tuple(TupleId(3)); // BOAZ, AK
-        let t5 = ds.tuple(TupleId(4)); // BOAZ, AL
-        let t1 = ds.tuple(TupleId(0)); // DOTHAN, AL
-        assert!(fd.violated_by(&ds, &t4, &t5));
-        assert!(
-            !fd.violated_by(&ds, &t1, &t5),
-            "different cities cannot violate CT->ST"
-        );
-        assert!(
-            !fd.violated_by(&ds, &t5, &t5),
-            "a tuple never violates an FD with itself"
+        assert_eq!(
+            fd.result_value_ids(ds.schema(), &t4),
+            vec![ds.pool().lookup("AK").unwrap()]
         );
     }
 
     #[test]
     fn multi_attribute_fd() {
         let ds = sample_hospital_dataset();
-        let fd = FunctionalDependency::new(vec!["HN", "CT"], vec!["PN", "ST"]);
-        assert!(Rule::Fd(fd.clone()).is_valid_for(ds.schema()));
-        let t5 = ds.tuple(TupleId(4));
-        assert_eq!(fd.reason_values(ds.schema(), &t5), vec!["ELIZA", "BOAZ"]);
-        assert_eq!(fd.result_values(ds.schema(), &t5), vec!["2567688400", "AL"]);
+        let fd = Rule::Fd(FunctionalDependency::new(
+            vec!["HN", "CT"],
+            vec!["PN", "ST"],
+        ));
+        assert!(fd.is_valid_for(ds.schema()));
+        assert_eq!(fd.reason_attrs(), vec!["HN", "CT"]);
+        assert_eq!(fd.result_attrs(), vec!["PN", "ST"]);
     }
 
     #[test]

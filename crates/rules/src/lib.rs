@@ -10,9 +10,11 @@
 //! * For DCs (`∀ t, t' ¬(p₁ ∧ … ∧ pₙ)`), the last predicate is the result
 //!   part and the remaining predicates the reason part.
 //!
-//! The crate also provides violation detection over a [`dataset::Dataset`]
-//! and a small textual parser so rule sets can be written down in experiment
-//! configuration and tests.
+//! The crate also provides the tuple projections onto each part and a small
+//! textual parser so rule sets can be written down in experiment
+//! configuration and tests.  It detects nothing itself: error detection is
+//! the MLN index's (`mlnclean::index`), where a reason-part error makes an
+//! abnormal group and a result-part error a group with more than one γ.
 //!
 //! Rule text reaches every module through the parser, so none panics on
 //! it: the crate denies `unwrap`, `expect` and `panic!` outside its tests,
@@ -29,7 +31,6 @@ pub mod fd;
 pub mod ops;
 pub mod parser;
 pub mod rule;
-pub mod violations;
 
 pub use cfd::{CfdClause, ConditionalFd};
 pub use dc::{DcPredicate, DenialConstraint};
@@ -37,7 +38,6 @@ pub use fd::FunctionalDependency;
 pub use ops::Op;
 pub use parser::{parse_rule, parse_rules, ParseError};
 pub use rule::{Rule, RuleId, RuleSet, UnknownAttribute};
-pub use violations::{detect_violations, Violation, ViolationKind};
 
 /// Build the paper's three running-example rules over the Table 1 hospital
 /// schema (`HN`, `CT`, `ST`, `PN`):
@@ -64,7 +64,7 @@ pub fn sample_hospital_rules() -> RuleSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dataset::sample_hospital_dataset;
+    use dataset::{sample_hospital_dataset, TupleId};
 
     #[test]
     fn sample_rules_have_expected_shape() {
@@ -84,13 +84,27 @@ mod tests {
 
     #[test]
     fn sample_rules_detect_table1_violations() {
+        // Under r1 (CT -> ST) and r2 (same PN, same ST), t4 (BOAZ, AK) and
+        // t5 (BOAZ, AL) agree on the reason ids but not on the result ids:
+        // one group with two γs.  In the ground truth they agree on both.
         let rules = sample_hospital_rules();
-        let ds = sample_hospital_dataset();
-        let violations = detect_violations(&ds, &rules).unwrap();
-        // r1 is violated by (t4, t5)/(t4, t6) pairs on CT=BOAZ; r2 by the
-        // same pairs on PN; r3 by t4 (ELIZA/BOAZ but PN matches → actually
-        // satisfied) — the exact counts are covered in violations::tests;
-        // here we only require that the dirty sample is not violation-free.
-        assert!(!violations.is_empty());
+        let dirty = sample_hospital_dataset();
+        let truth = dataset::sample_hospital_truth();
+        for id in [RuleId(0), RuleId(1)] {
+            let rule = rules.rule(id);
+            for (ds, consistent) in [(&dirty, false), (&truth, true)] {
+                let (t4, t5) = (ds.tuple(TupleId(3)), ds.tuple(TupleId(4)));
+                let schema = ds.schema();
+                assert_eq!(
+                    rule.reason_value_ids(schema, &t4),
+                    rule.reason_value_ids(schema, &t5)
+                );
+                assert_eq!(
+                    rule.result_value_ids(schema, &t4) == rule.result_value_ids(schema, &t5),
+                    consistent,
+                    "{id}"
+                );
+            }
+        }
     }
 }

@@ -1,13 +1,12 @@
 //! Comparison operators used by denial-constraint predicates.
 
-use std::cmp::Ordering;
 use std::fmt;
 
-/// A binary comparison operator over attribute values.
+/// A binary comparison operator of a denial-constraint predicate.
 ///
-/// Values are compared numerically when both sides parse as numbers and
-/// lexicographically otherwise, which matches how denial constraints are
-/// usually evaluated over mixed string/numeric data.
+/// It is a parsed token that round-trips through `Display`; nothing
+/// evaluates it.  The MLN index groups a DC's reason predicates on their
+/// attributes, whatever their operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// Equality.
@@ -25,18 +24,6 @@ pub enum Op {
 }
 
 impl Op {
-    /// Evaluate the operator on two attribute values.
-    pub fn eval(self, left: &str, right: &str) -> bool {
-        match self {
-            Op::Eq => left == right,
-            Op::Neq => left != right,
-            Op::Lt => compare_values(left, right) == Ordering::Less,
-            Op::Le => compare_values(left, right) != Ordering::Greater,
-            Op::Gt => compare_values(left, right) == Ordering::Greater,
-            Op::Ge => compare_values(left, right) != Ordering::Less,
-        }
-    }
-
     /// Parse an operator token (`=`, `==`, `!=`, `<>`, `<`, `<=`, `>`, `>=`).
     pub fn parse(token: &str) -> Option<Op> {
         match token {
@@ -65,32 +52,9 @@ impl fmt::Display for Op {
     }
 }
 
-/// Compare two values numerically when possible, lexicographically otherwise.
-fn compare_values(left: &str, right: &str) -> Ordering {
-    match (left.parse::<f64>(), right.parse::<f64>()) {
-        (Ok(l), Ok(r)) => l.partial_cmp(&r).unwrap_or(Ordering::Equal),
-        _ => left.cmp(right),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn string_comparisons() {
-        assert!(Op::Eq.eval("AL", "AL"));
-        assert!(Op::Neq.eval("AL", "AK"));
-        assert!(Op::Lt.eval("AK", "AL"));
-        assert!(Op::Ge.eval("AL", "AK"));
-    }
-
-    #[test]
-    fn numeric_comparisons() {
-        assert!(Op::Lt.eval("9", "10"), "numeric, not lexicographic");
-        assert!(Op::Gt.eval("10.5", "2"));
-        assert!(Op::Le.eval("3", "3"));
-    }
 
     #[test]
     fn parse_tokens() {

@@ -1,6 +1,6 @@
 //! The unified [`Rule`] type and [`RuleSet`] collections.
 
-use crate::cfd::ConditionalFd;
+use crate::cfd::{CfdClause, ConditionalFd};
 use crate::dc::DenialConstraint;
 use crate::fd::FunctionalDependency;
 use dataset::{AttrId, Schema, Tuple, ValueId};
@@ -75,20 +75,12 @@ impl Rule {
 
     /// Attribute names of the reason part, in rule order.
     pub fn reason_attrs(&self) -> Vec<String> {
-        match self {
-            Rule::Fd(fd) => fd.lhs().to_vec(),
-            Rule::Cfd(cfd) => cfd.conditions().iter().map(|c| c.attr.clone()).collect(),
-            Rule::Dc(dc) => dc.reason_attrs(),
-        }
+        self.map_attrs(Part::Reason, str::to_string)
     }
 
     /// Attribute names of the result part, in rule order.
     pub fn result_attrs(&self) -> Vec<String> {
-        match self {
-            Rule::Fd(fd) => fd.rhs().to_vec(),
-            Rule::Cfd(cfd) => cfd.consequents().iter().map(|c| c.attr.clone()).collect(),
-            Rule::Dc(dc) => dc.result_attrs(),
-        }
+        self.map_attrs(Part::Result, str::to_string)
     }
 
     /// All attribute names the rule mentions (reason part then result part,
@@ -142,41 +134,57 @@ impl Rule {
 
     /// Project a tuple onto its reason-part values (the `vl` of Algorithm 1).
     pub fn reason_values(&self, schema: &Schema, tuple: &Tuple) -> Vec<String> {
-        match self {
-            Rule::Fd(fd) => fd.reason_values(schema, tuple),
-            Rule::Cfd(cfd) => cfd.reason_values(schema, tuple),
-            Rule::Dc(dc) => dc.reason_values(schema, tuple),
-        }
+        self.map_attrs(Part::Reason, |a| {
+            tuple.value(validated_attr(schema, a)).to_string()
+        })
     }
 
     /// Project a tuple onto its result-part values (the `vr` of Algorithm 1).
     pub fn result_values(&self, schema: &Schema, tuple: &Tuple) -> Vec<String> {
-        match self {
-            Rule::Fd(fd) => fd.result_values(schema, tuple),
-            Rule::Cfd(cfd) => cfd.result_values(schema, tuple),
-            Rule::Dc(dc) => dc.result_values(schema, tuple),
-        }
+        self.map_attrs(Part::Result, |a| {
+            tuple.value(validated_attr(schema, a)).to_string()
+        })
     }
 
     /// Project a tuple onto its reason-part value ids — the interned
-    /// counterpart of [`Rule::reason_values`], used on every hot grouping
-    /// path (index build, violation bucketing, constraint statistics).
+    /// counterpart of [`Rule::reason_values`], with no string cloned.
     pub fn reason_value_ids(&self, schema: &Schema, tuple: &Tuple) -> Vec<ValueId> {
-        match self {
-            Rule::Fd(fd) => fd.reason_value_ids(schema, tuple),
-            Rule::Cfd(cfd) => cfd.reason_value_ids(schema, tuple),
-            Rule::Dc(dc) => dc.reason_value_ids(schema, tuple),
-        }
+        self.map_attrs(Part::Reason, |a| tuple.value_id(validated_attr(schema, a)))
     }
 
     /// Project a tuple onto its result-part value ids.
     pub fn result_value_ids(&self, schema: &Schema, tuple: &Tuple) -> Vec<ValueId> {
-        match self {
-            Rule::Fd(fd) => fd.result_value_ids(schema, tuple),
-            Rule::Cfd(cfd) => cfd.result_value_ids(schema, tuple),
-            Rule::Dc(dc) => dc.result_value_ids(schema, tuple),
+        self.map_attrs(Part::Result, |a| tuple.value_id(validated_attr(schema, a)))
+    }
+
+    /// `f` of each attribute name of one part, in rule order.  FDs and CFDs
+    /// read their sides in place, so the output is the only allocation; a DC
+    /// first collects its deduplicated attributes.
+    fn map_attrs<T>(&self, part: Part, f: impl FnMut(&str) -> T) -> Vec<T> {
+        match (self, part) {
+            (Rule::Fd(fd), Part::Reason) => names(fd.lhs()).map(f).collect(),
+            (Rule::Fd(fd), Part::Result) => names(fd.rhs()).map(f).collect(),
+            (Rule::Cfd(cfd), Part::Reason) => clause_names(cfd.conditions()).map(f).collect(),
+            (Rule::Cfd(cfd), Part::Result) => clause_names(cfd.consequents()).map(f).collect(),
+            (Rule::Dc(dc), Part::Reason) => names(&dc.reason_attrs()).map(f).collect(),
+            (Rule::Dc(dc), Part::Result) => names(&dc.result_attrs()).map(f).collect(),
         }
     }
+}
+
+/// The two halves of a rule (paper §4).
+#[derive(Clone, Copy)]
+enum Part {
+    Reason,
+    Result,
+}
+
+fn names(attrs: &[String]) -> impl Iterator<Item = &str> {
+    attrs.iter().map(String::as_str)
+}
+
+fn clause_names(clauses: &[CfdClause]) -> impl Iterator<Item = &str> {
+    clauses.iter().map(|c| c.attr.as_str())
 }
 
 impl fmt::Display for Rule {
@@ -275,8 +283,8 @@ impl FromIterator<Rule> for RuleSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sample_hospital_rules;
-    use dataset::sample_hospital_dataset;
+    use crate::{sample_hospital_rules, DcPredicate, Op};
+    use dataset::{sample_hospital_dataset, TupleId};
 
     #[test]
     fn reason_result_attrs_per_rule_kind() {
@@ -287,6 +295,67 @@ mod tests {
         assert_eq!(rules.rule(RuleId(1)).result_attrs(), vec!["ST"]);
         assert_eq!(rules.rule(RuleId(2)).reason_attrs(), vec!["HN", "CT"]);
         assert_eq!(rules.rule(RuleId(2)).result_attrs(), vec!["PN"]);
+    }
+
+    /// The four projections of the DCs and of a two-attribute FD on the
+    /// hospital sample: the reason and result strings, and the ids the pool
+    /// interned them as.  The single-attribute FD and the CFD are pinned in
+    /// `fd.rs` and `cfd.rs`.
+    #[test]
+    fn projections_per_rule_kind() {
+        let ds = sample_hospital_dataset();
+        let rules = sample_hospital_rules();
+        let two_attribute_fd = Rule::Fd(FunctionalDependency::new(
+            vec!["HN", "CT"],
+            vec!["PN", "ST"],
+        ));
+        let cross_attribute_dc = Rule::Dc(DenialConstraint::new(vec![
+            DcPredicate::new("CT", Op::Eq, "HN"),
+            DcPredicate::new("PN", Op::Neq, "ST"),
+        ]));
+        let cases: [(&Rule, usize, &[&str], &[&str]); 3] = [
+            (rules.rule(RuleId(1)), 3, &["2567688400"], &["AK"]),
+            (
+                &two_attribute_fd,
+                4,
+                &["ELIZA", "BOAZ"],
+                &["2567688400", "AL"],
+            ),
+            (
+                &cross_attribute_dc,
+                0,
+                &["DOTHAN", "ALABAMA"],
+                &["3347938701", "AL"],
+            ),
+        ];
+        let schema = ds.schema();
+        let ids = |values: &[&str]| -> Vec<ValueId> {
+            values
+                .iter()
+                .map(|v| ds.pool().lookup(v).unwrap())
+                .collect()
+        };
+        for (rule, t, reason, result) in cases {
+            let tuple = ds.tuple(TupleId(t));
+            assert_eq!(rule.reason_values(schema, &tuple), reason, "{rule}");
+            assert_eq!(rule.result_values(schema, &tuple), result, "{rule}");
+            assert_eq!(rule.reason_value_ids(schema, &tuple), ids(reason), "{rule}");
+            assert_eq!(rule.result_value_ids(schema, &tuple), ids(result), "{rule}");
+        }
+    }
+
+    /// A rule set naming an attribute the table lacks is a typed error, the
+    /// first missing one in rule order: a two-column `HN,PN` table.
+    #[test]
+    fn a_rule_naming_a_missing_attribute_is_an_error() {
+        let ds = dataset::csv::parse_csv("HN,PN\nELIZA,2567688400\n").unwrap();
+        let rules = crate::parse_rules("FD: HN -> PN\nFD: CT -> ST").unwrap();
+        let missing = UnknownAttribute {
+            rule: RuleId(1),
+            attribute: "CT".into(),
+        };
+        assert_eq!(rules.check(ds.schema()), Err(missing));
+        assert!(!rules.is_valid_for(ds.schema()));
     }
 
     #[test]
